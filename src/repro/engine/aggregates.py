@@ -21,13 +21,14 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..expr.aggregates import AGGREGATES, AggSpec, aggregate_output_schema
-from .batch import COLUMNAR_MIN_ROWS, BatchBuilder, RowBatch, batches_of
+from .batch import COLUMNAR_MIN_ROWS, RowBatch, batches_of, drain_full, run_starts
 from .context import ExecutionContext
-from .iterators import Operator, null_safe_wrap, tuple_getter
+from .iterators import Operator, tuple_getter
 from .kernels import OperatorKernels, compile_kernels
 
 #: Aggregates whose partials combine exactly: the combiner applied to
@@ -46,6 +47,54 @@ AGGREGATE_COMBINERS: dict[str, str] = {
 def combinable(aggregates: Iterable[AggSpec]) -> bool:
     """Whether every aggregate in the list has an exact combiner."""
     return all(spec.func in AGGREGATE_COMBINERS for spec in aggregates)
+
+
+def _fold_sorted_groups(batches: Iterable[RowBatch], positions: Sequence[int],
+                        head_of: Callable[[tuple], tuple],
+                        values_of: Callable[[RowBatch], Sequence[Sequence]],
+                        funcs: Sequence, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    """Streaming group fold shared by the sort-based aggregations.
+
+    Groups are runs of equal raw keys, found a batch at a time
+    (:func:`~repro.engine.batch.run_starts`); the group open at the end
+    of a batch carries its states into the next.  ``head_of`` gives a
+    group's leading output columns from its first row, ``values_of`` one
+    input column per aggregate for a whole batch.  One comparison is
+    tallied per input row (the group-boundary test), in bulk.
+    """
+    counter, size = ctx.comparisons, ctx.batch_size
+    inits = [func.init for func in funcs]
+    finals = [func.final for func in funcs]
+    folds = [(j, func.step, func.ignores_null) for j, func in enumerate(funcs)]
+    current_key: Optional[tuple] = None
+    head: tuple = ()
+    states: list = []
+    out: list[tuple] = []
+    for batch in batches:
+        rows, keys = batch.rows, batch.key_tuples(positions)
+        columns = values_of(batch)
+        counter.value += len(keys)
+        starts = run_starts(keys)
+        for start, end in zip(starts, starts[1:] + [len(keys)]):
+            if start or current_key is None or keys[0] != current_key:
+                if current_key is not None:
+                    out.append(head + tuple(
+                        [final(s) for final, s in zip(finals, states)]))
+                current_key = keys[start]
+                head = head_of(rows[start])
+                states = [init() for init in inits]
+            for j, step, ignores_null in folds:
+                state = states[j]
+                for value in columns[j][start:end]:
+                    if value is not None or not ignores_null:
+                        state = step(state, value)
+                states[j] = state
+        if len(out) >= size:
+            yield from drain_full(out, size)
+    if current_key is not None:
+        out.append(head + tuple([final(s) for final, s in zip(finals, states)]))
+    if out:
+        yield RowBatch(out)
 
 
 class SortAggregate(Operator):
@@ -87,76 +136,34 @@ class SortAggregate(Operator):
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         child = self.children[0]
         positions = child.schema.positions(list(self.group_order))
-        out_getter = tuple_getter(child.schema.positions(self.group_columns))
         arg_fns = self._arg_row_fns
         if arg_fns is None:  # unbound parameters: raise like the seed engine
             arg_fns = tuple(spec.arg.compile(child.schema)
                             for spec in self.aggregates)
         batch_fns = self._arg_batch_fns if ctx.columnar else None
-        funcs = [spec.function for spec in self.aggregates]
+
+        def arg_columns(batch: RowBatch) -> list:
+            # Aggregate inputs evaluate whole-column when allowed; the
+            # row functions give bit-identical values for tiny batches.
+            if batch_fns is not None and (batch.is_columnar
+                                          or len(batch) >= COLUMNAR_MIN_ROWS):
+                return [fn(batch) for fn in batch_fns]
+            return [[fn(row) for row in batch.rows] for fn in arg_fns]
 
         batches: Iterable[RowBatch] = child.execute_batches(ctx)
         if ctx.check_orders:
             batches = self._checked_group_batches(batches, positions)
-
-        def stream() -> Iterator[RowBatch]:
-            out = BatchBuilder(ctx.batch_size)
-            current_key: Optional[tuple] = None
-            current_group: Optional[tuple] = None
-            states: list = []
-            for batch in batches:
-                rows = batch.rows
-                keys = batch.key_tuples(positions)
-                # Aggregate inputs evaluate whole-column when allowed;
-                # the per-row group-close logic (and its comparison
-                # tally) is identical either way.
-                arg_cols = ([fn(batch) for fn in batch_fns]
-                            if batch_fns is not None
-                            and (batch.is_columnar
-                                 or len(batch) >= COLUMNAR_MIN_ROWS)
-                            else None)
-                for i, key in enumerate(keys):
-                    ctx.comparisons.add()
-                    if key != current_key:
-                        if current_key is not None:
-                            emitted = out.append(current_group + tuple(
-                                f.final(s) for f, s in zip(funcs, states)))
-                            if emitted is not None:
-                                yield emitted
-                        current_key = key
-                        current_group = out_getter(rows[i])
-                        states = [f.init() for f in funcs]
-                    if arg_cols is None:
-                        row = rows[i]
-                        for j, func in enumerate(funcs):
-                            value = arg_fns[j](row)
-                            if value is None and func.ignores_null:
-                                continue
-                            states[j] = func.step(states[j], value)
-                    else:
-                        for j, func in enumerate(funcs):
-                            value = arg_cols[j][i]
-                            if value is None and func.ignores_null:
-                                continue
-                            states[j] = func.step(states[j], value)
-            if current_key is not None:
-                emitted = out.append(current_group + tuple(
-                    f.final(s) for f, s in zip(funcs, states)))
-                if emitted is not None:
-                    yield emitted
-            tail = out.flush()
-            if tail is not None:
-                yield tail
-
-        return stream()
+        return _fold_sorted_groups(
+            batches, positions,
+            tuple_getter(child.schema.positions(self.group_columns)),
+            arg_columns, [spec.function for spec in self.aggregates], ctx)
 
     def _checked_group_batches(self, batches: Iterable[RowBatch],
                                positions: Sequence[int]) -> Iterator[RowBatch]:
         seen: set[tuple] = set()
         prev: Optional[tuple] = None
         for batch in batches:
-            for row in batch.rows:
-                key = tuple(row[i] for i in positions)
+            for key in batch.key_tuples(positions):
                 if key != prev:
                     if key in seen:
                         raise AssertionError(
@@ -208,46 +215,15 @@ class SortedGroupCombine(Operator):
         self.aggregates = list(aggregates)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        child = self.children[0]
-        key_positions = self.schema.positions(list(self.group_order))
         width = len(self.group_columns)
-        combiners = [AGGREGATES[AGGREGATE_COMBINERS[spec.func]]
-                     for spec in self.aggregates]
-
-        def stream() -> Iterator[RowBatch]:
-            out = BatchBuilder(ctx.batch_size)
-            current_key: Optional[tuple] = None
-            current_group: Optional[tuple] = None
-            states: list = []
-            for batch in child.execute_batches(ctx):
-                rows = batch.rows
-                for i, key in enumerate(batch.key_tuples(key_positions)):
-                    row = rows[i]
-                    ctx.comparisons.add()
-                    if key != current_key:
-                        if current_key is not None:
-                            emitted = out.append(current_group + tuple(
-                                f.final(s) for f, s in zip(combiners, states)))
-                            if emitted is not None:
-                                yield emitted
-                        current_key = key
-                        current_group = row[:width]
-                        states = [f.init() for f in combiners]
-                    for j, func in enumerate(combiners):
-                        value = row[width + j]
-                        if value is None and func.ignores_null:
-                            continue
-                        states[j] = func.step(states[j], value)
-            if current_key is not None:
-                emitted = out.append(current_group + tuple(
-                    f.final(s) for f, s in zip(combiners, states)))
-                if emitted is not None:
-                    yield emitted
-            tail = out.flush()
-            if tail is not None:
-                yield tail
-
-        return stream()
+        partials = range(width, width + len(self.aggregates))
+        return _fold_sorted_groups(
+            self.children[0].execute_batches(ctx),
+            self.schema.positions(list(self.group_order)),
+            itemgetter(slice(width)),
+            lambda batch: [[row[p] for row in batch.rows] for p in partials],
+            [AGGREGATES[AGGREGATE_COMBINERS[spec.func]]
+             for spec in self.aggregates], ctx)
 
     def details(self) -> str:
         aggs = ", ".join(AGGREGATE_COMBINERS[s.func] + f"({s.output_name})"

@@ -16,25 +16,25 @@ smaller) batch per input batch instead of re-buffering.
 order and the order already guaranteed by its input, and picks MRS
 (partial sort) whenever a non-empty prefix is available — unless
 explicitly forced to behave like the standard engines of Experiment A1
-(``algorithm="srs"``).  The sort algorithms themselves consume a
-flattened row stream (they materialise runs/segments anyway) and
-re-batch their output, so comparison and I/O tallies are independent of
-the batch size.
+(``algorithm="srs"``).  MRS finds its segments a batch at a time on raw
+keys (SRS keeps its row-at-a-time selection heap); comparison and I/O
+tallies are independent of the batch size either way.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder, longest_common_prefix
 from ..expr.expressions import Expression, Predicate
 from ..storage.schema import Column, Schema
-from .batch import COLUMNAR_MIN_ROWS, RowBatch, batches_of, flatten_batches
-from .context import CountedKey, ExecutionContext
-from .iterators import Operator, key_function
+from .batch import COLUMNAR_MIN_ROWS, RowBatch, batches_of
+from .context import ExecutionContext
+from .iterators import Operator, assert_sorted_batches
 from .kernels import OperatorKernels, compile_kernels
-from .sorting import sort_stream
+from .sorting import keyed_rows, sort_batches
 
 
 class Filter(Operator):
@@ -182,29 +182,17 @@ class Sort(Operator):
         self.algorithm = algorithm
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        child = self.children[0]
-        rows = flatten_batches(child.execute_batches(ctx))
+        batches = self.children[0].execute_batches(ctx)
         if ctx.check_orders and self.known_prefix:
-            rows = self._check_input_prefix(rows, ctx)
-        out = sort_stream(rows, self.schema, self.output_order, ctx,
-                          known_prefix=self.known_prefix, algorithm=self.algorithm)
-        out = self._maybe_checked(out, ctx, self.output_order, "Sort output")
-        return batches_of(out, ctx.batch_size)
-
-    def _check_input_prefix(self, rows: Iterator[tuple],
-                            ctx: ExecutionContext) -> Iterator[tuple]:
-        from .iterators import null_safe_wrap
-
-        positions = self.schema.positions(list(self.known_prefix))
-        prev: Optional[tuple] = None
-        for row in rows:
-            key = null_safe_wrap(tuple(row[i] for i in positions))
-            if prev is not None and key < prev:
-                raise AssertionError(
-                    f"Sort: input violates declared prefix {self.known_prefix}: "
-                    f"{key} after {prev}")
-            prev = key
-            yield row
+            batches = assert_sorted_batches(
+                batches, self.schema.positions(list(self.known_prefix)),
+                f"Sort input (declared prefix {self.known_prefix})")
+        out = sort_batches(batches, self.schema, self.output_order, ctx,
+                           known_prefix=self.known_prefix, algorithm=self.algorithm)
+        if ctx.check_orders:
+            out = assert_sorted_batches(
+                out, self.schema.positions(list(self.output_order)), "Sort output")
+        return out
 
     @property
     def is_partial(self) -> bool:
@@ -276,13 +264,12 @@ class TopK(Operator):
         self.k = k
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        key_fn = key_function(self.schema, self.output_order)
-        counter = ctx.comparisons
-        # nsmallest with counted keys tallies its comparisons.
-        rows = heapq.nsmallest(
-            self.k, flatten_batches(self.children[0].execute_batches(ctx)),
-            key=lambda r: CountedKey(key_fn(r), counter))
-        return batches_of(rows, ctx.batch_size)
+        # nsmallest over counted keys tallies its comparisons.
+        best = heapq.nsmallest(
+            self.k, keyed_rows(self.children[0].execute_batches(ctx),
+                               self.schema.positions(list(self.output_order)),
+                               ctx.comparisons), key=itemgetter(0))
+        return batches_of(map(itemgetter(1), best), ctx.batch_size)
 
     def details(self) -> str:
         return f"k={self.k} by {self.output_order}"

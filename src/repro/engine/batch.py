@@ -40,7 +40,7 @@ progressive charging for every batch size.
 from __future__ import annotations
 
 from itertools import compress, islice
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 #: Default number of rows per batch.  Large enough to amortize operator
@@ -281,6 +281,72 @@ def collect_rows(batches: Iterable[RowBatch]) -> list[tuple]:
     for batch in batches:
         out.extend(batch.rows)
     return out
+
+
+def drain_full(out: list[tuple], batch_size: int) -> Iterator[RowBatch]:
+    """Cut every full *batch_size* chunk off the front of *out* (in
+    place), leaving the remainder buffered — the chunking of
+    :func:`batches_of` for operators that append whole groups."""
+    full = len(out) - len(out) % batch_size
+    for i in range(0, full, batch_size):
+        yield RowBatch(out[i:i + batch_size])
+    del out[:full]
+
+
+def run_starts(keys: Sequence[tuple]) -> list[int]:
+    """Start index of every run of equal adjacent *keys* (``[0, …]``).
+
+    Raw-tuple inequality of each neighbouring pair, evaluated at C level
+    for the whole list — how the order-exploiting operators find
+    segment/group boundaries in a batch without a per-row Python step.
+    """
+    return [0, *compress(range(1, len(keys)),
+                         map(ne, keys, islice(keys, 1, None)))]
+
+
+class GroupCursor:
+    """Reads a batch stream group by group (one group = a maximal run of
+    rows with equal raw keys, however many batches it spans).
+
+    ``key`` is the raw key of the group about to be read, ``None`` once
+    the stream is exhausted.  The next input batch is pulled only when a
+    group reaches the end of the current one, so an abandoned input has
+    been charged for no batch its consumer did not look at.
+    """
+
+    __slots__ = ("key", "_batches", "_positions", "_rows", "_keys", "_ends",
+                 "_start")
+
+    def __init__(self, batches: Iterable[RowBatch],
+                 positions: Sequence[int]) -> None:
+        self._batches = iter(batches)
+        self._positions = positions
+        self._load()
+
+    def _load(self) -> None:
+        batch = next(self._batches, None)
+        if batch is None:
+            self.key = None
+            return
+        self._rows = batch.rows
+        self._keys = batch.key_tuples(self._positions)
+        self._ends = iter(run_starts(self._keys))
+        self._start = next(self._ends)  # always 0
+        self.key = self._keys[0]
+
+    def next_group(self) -> list[tuple]:
+        """Pop the rows of the current group and advance to the next."""
+        key, group = self.key, []
+        while True:
+            end = next(self._ends, None)
+            if end is not None:  # the group closes inside this batch
+                group += self._rows[self._start:end]
+                self._start, self.key = end, self._keys[end]
+                return group
+            group += self._rows[self._start:]
+            self._load()
+            if self.key != key:  # ... or at its end; else it continues
+                return group
 
 
 class BatchBuilder:

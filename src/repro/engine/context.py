@@ -41,12 +41,39 @@ class ComparisonCounter:
         self.value += n
 
 
+def null_safe_wrap(values: tuple) -> tuple:
+    """Make a key tuple totally ordered in the presence of SQL NULLs.
+
+    Each element becomes ``(present, value)`` with NULL mapped to
+    ``(False, 0)``, so NULLs sort first and never raise ``TypeError``
+    against non-NULL values.  Needed because outer-join outputs (Query 4)
+    flow into further sorts and merge joins.
+    """
+    return tuple((False, 0) if v is None else (True, v) for v in values)
+
+
+def key_lt(a: tuple, b: tuple) -> bool:
+    """``a < b`` under the NULLS FIRST key order, on *raw* key tuples.
+
+    The engine's one key discipline: raw tuple comparison decides at the
+    first position where the keys differ, so it either gives exactly the
+    :func:`null_safe_wrap` answer or raises ``TypeError`` because that
+    position holds a NULL against a value — only then are the wrapped
+    keys built.  NULL-free data never pays for wrapping.
+    """
+    try:
+        return a < b
+    except TypeError:
+        return null_safe_wrap(a) < null_safe_wrap(b)
+
+
 class CountedKey:
-    """A sort key wrapper whose comparisons are tallied.
+    """A raw sort key whose comparisons are tallied.
 
     Used by both external-sort variants so the "reduced number of
     comparisons" effect of MRS (Section 3.1, benefit 3) is directly
-    measurable.
+    measurable.  Ordering follows :func:`key_lt` (NULLS FIRST, wrapped
+    keys built only on a NULL-vs-value ``TypeError``).
     """
 
     __slots__ = ("key", "counter")
@@ -57,11 +84,17 @@ class CountedKey:
 
     def __lt__(self, other: "CountedKey") -> bool:
         self.counter.value += 1
-        return self.key < other.key
+        try:
+            return self.key < other.key
+        except TypeError:
+            return null_safe_wrap(self.key) < null_safe_wrap(other.key)
 
     def __le__(self, other: "CountedKey") -> bool:
         self.counter.value += 1
-        return self.key <= other.key
+        try:
+            return self.key <= other.key
+        except TypeError:
+            return null_safe_wrap(self.key) <= null_safe_wrap(other.key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountedKey):

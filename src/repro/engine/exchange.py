@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import copy
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from .basic import Compute, Filter, Project, Sort
-from .batch import RowBatch, batches_of, flatten_batches
+from .batch import RowBatch, batches_of
 from .context import ExecutionContext
-from .iterators import Operator, assert_sorted_rows, key_function
+from .iterators import Operator, assert_sorted_batches
 from .scans import (
     ClusteringIndexScan,
     RangePartitionScan,
@@ -200,24 +201,21 @@ class MergeExchange(Operator):
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         streams = self._shard_streams(ctx)
+        positions = self.schema.positions(list(self.output_order))
         if ctx.check_orders:
-            positions = self.schema.positions(list(self.output_order))
-            streams = [assert_sorted_rows(s, positions,
-                                          f"MergeExchange input shard {i}")
+            streams = [assert_sorted_batches(s, positions,
+                                             f"MergeExchange input shard {i}")
                        for i, s in enumerate(streams)]
         if self.partition_disjoint:
-            # Disjoint ascending partitions: concatenating the per-shard
-            # sorted streams is already the global order — no comparisons.
-            def concatenated() -> Iterator[tuple]:
-                for stream in streams:
-                    yield from stream
-            return batches_of(concatenated(), ctx.batch_size)
-        key_fn = key_function(self.schema, self.output_order)
-        merged = merge_sorted_streams(streams, key_fn, ctx)
-        return batches_of(merged, ctx.batch_size)
+            # Disjoint ascending partitions: the per-shard sorted batches,
+            # passed through in shard order, are already the global order
+            # — no comparisons, no re-chunking.
+            return chain.from_iterable(streams)
+        return batches_of(merge_sorted_streams(streams, positions, ctx),
+                          ctx.batch_size)
 
-    def _shard_streams(self, ctx: ExecutionContext) -> list[Iterator[tuple]]:
-        """One sorted row stream per child, in shard order.
+    def _shard_streams(self, ctx: ExecutionContext) -> list[Iterable[RowBatch]]:
+        """One sorted batch stream per child, in shard order.
 
         Serial: lazy generators, so the merge stays pipelined.  Parallel:
         the same eager :func:`_drain_shards` discipline as
@@ -225,11 +223,8 @@ class MergeExchange(Operator):
         merge (which runs on the calling thread) touches a single row.
         """
         if self.max_workers > 1 and len(self.children) > 1:
-            return [flatten_batches(batches)
-                    for batches in _drain_shards(self.children, ctx,
-                                                 self.max_workers)]
-        return [flatten_batches(child.execute_batches(ctx))
-                for child in self.children]
+            return _drain_shards(self.children, ctx, self.max_workers)
+        return [child.execute_batches(ctx) for child in self.children]
 
     def details(self) -> str:
         suffix = f", {self.max_workers} workers" if self.max_workers > 1 else ""

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..storage.schema import Schema
 from .batch import RowBatch, batches_of, collect_rows, flatten_batches
-from .context import ExecutionContext
+from .context import ExecutionContext, key_lt
 
 
 def _counted_batches(batches: Iterator[RowBatch], cell: list) -> Iterator[RowBatch]:
@@ -136,15 +136,6 @@ class Operator:
         ctx = ctx or ExecutionContext()
         return collect_rows(self.execute_batches(ctx))
 
-    # -- order verification --------------------------------------------------------
-    def _maybe_checked(self, rows: Iterator[tuple], ctx: ExecutionContext,
-                       order: SortOrder, what: str) -> Iterator[tuple]:
-        """Wrap *rows* with a runtime sortedness assertion when enabled."""
-        if not ctx.check_orders or not order or not self.schema.has_all(list(order)):
-            return rows
-        positions = self.schema.positions(list(order))
-        return assert_sorted_rows(rows, positions, what)
-
     # -- introspection ---------------------------------------------------------------
     def details(self) -> str:
         """One-line operator-specific annotation for ``explain``."""
@@ -169,54 +160,20 @@ class Operator:
         return f"{type(self).__name__}({self.details()})"
 
 
-class _SortednessProbe:
-    """The one sortedness assertion, shared by every checked operator
-    (row streams and batch streams alike)."""
-
-    __slots__ = ("positions", "what", "prev")
-
-    def __init__(self, positions: Sequence[int], what: str) -> None:
-        self.positions = tuple(positions)
-        self.what = what
-        self.prev: Optional[tuple] = None
-
-    def check(self, row: tuple) -> None:
-        key = null_safe_wrap(tuple(row[i] for i in self.positions))
-        if self.prev is not None and key < self.prev:
-            raise AssertionError(
-                f"{self.what}: stream not sorted — saw {key} after {self.prev}")
-        self.prev = key
-
-
-def assert_sorted_rows(rows: Iterator[tuple], positions: Sequence[int],
-                       what: str) -> Iterator[tuple]:
-    """Row-granular sortedness check (used on flattened streams)."""
-    probe = _SortednessProbe(positions, what)
-    for row in rows:
-        probe.check(row)
-        yield row
-
-
 def assert_sorted_batches(batches: Iterable[RowBatch],
                           positions: Sequence[int],
                           what: str) -> Iterator[RowBatch]:
-    """Batch-granular sortedness check, carrying state across batches."""
-    probe = _SortednessProbe(positions, what)
+    """The one sortedness assertion (``ctx.check_orders``), shared by
+    every checked operator: raw keys a batch at a time, compared with
+    :func:`~repro.engine.context.key_lt`, state carried across batches."""
+    prev: Optional[tuple] = None
     for batch in batches:
-        for row in batch.rows:
-            probe.check(row)
+        for key in batch.key_tuples(positions):
+            if prev is not None and key_lt(key, prev):
+                raise AssertionError(
+                    f"{what}: stream not sorted — saw {key} after {prev}")
+            prev = key
         yield batch
-
-
-def null_safe_wrap(values: tuple) -> tuple:
-    """Make a key tuple totally ordered in the presence of SQL NULLs.
-
-    Each element becomes ``(present, value)`` with NULL mapped to
-    ``(False, 0)``, so NULLs sort first and never raise ``TypeError``
-    against non-NULL values.  Needed because outer-join outputs (Query 4)
-    flow into further sorts and merge joins.
-    """
-    return tuple((False, 0) if v is None else (True, v) for v in values)
 
 
 def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -232,9 +189,3 @@ def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
         pos = positions[0]
         return lambda row: (row[pos],)
     return itemgetter(*positions)
-
-
-def key_function(schema: Schema, order: SortOrder | Sequence[str]) -> Callable[[tuple], tuple]:
-    """Row → null-safe key-tuple extractor for the given attribute sequence."""
-    getter = tuple_getter(schema.positions(list(order)))
-    return lambda row: null_safe_wrap(getter(row))

@@ -5,8 +5,8 @@ Merge join is the operator with the factorial space of interesting
 orders: its inputs must both be sorted on *the same* permutation of the
 join attribute set, and its output inherits that permutation — which is
 why the optimizer's choice of permutation matters so much (Section 4).
-Its group-by-group merge consumes flattened row streams (groups cross
-batch boundaries) and re-batches the joined output.
+Its group-by-group merge finds the groups a batch at a time on raw keys
+(groups freely cross batch boundaries on both sides).
 
 The hash join models Grace-style partitioning I/O when the build side
 exceeds memory, so the optimizer's hash-vs-merge trade-off (Figure 11)
@@ -18,14 +18,14 @@ computation exploits (Section 5.1.2, case 4).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..expr.expressions import JoinPredicate, Predicate
 from ..storage.schema import Schema
-from .batch import BatchBuilder, RowBatch, batches_of, collect_rows, flatten_batches
-from .context import ExecutionContext
-from .iterators import Operator, assert_sorted_rows, null_safe_wrap, tuple_getter
+from .batch import BatchBuilder, GroupCursor, RowBatch, collect_rows, drain_full
+from .context import ExecutionContext, key_lt
+from .iterators import Operator, assert_sorted_batches, tuple_getter
 from .kernels import OperatorKernels, compile_kernels
 
 JOIN_TYPES = ("inner", "left", "full")
@@ -33,39 +33,6 @@ JOIN_TYPES = ("inner", "left", "full")
 
 def _pad(width: int) -> tuple:
     return (None,) * width
-
-
-class _GroupReader:
-    """Reads a key-sorted stream group by group (one group = equal keys)."""
-
-    _DONE = object()
-
-    def __init__(self, rows: Iterator[tuple], key_positions: Sequence[int]) -> None:
-        self._rows = rows
-        self._getter = tuple_getter(key_positions)
-        self._pending: object = next(rows, self._DONE)
-
-    def _key_of(self, row: tuple) -> tuple:
-        return null_safe_wrap(self._getter(row))
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pending is self._DONE
-
-    def peek_key(self) -> tuple:
-        assert not self.exhausted
-        return self._key_of(self._pending)  # type: ignore[arg-type]
-
-    def next_group(self) -> tuple[tuple, list[tuple]]:
-        """Pop the next group of rows sharing a key."""
-        assert not self.exhausted
-        key = self.peek_key()
-        group = [self._pending]  # type: ignore[list-item]
-        self._pending = next(self._rows, self._DONE)
-        while not self.exhausted and self._key_of(self._pending) == key:  # type: ignore[arg-type]
-            group.append(self._pending)  # type: ignore[arg-type]
-            self._pending = next(self._rows, self._DONE)
-        return key, group
 
 
 class MergeJoin(Operator):
@@ -103,68 +70,56 @@ class MergeJoin(Operator):
         left, right = self.children
         lpos = left.schema.positions(list(self.predicate.left_columns))
         rpos = right.schema.positions(list(self.predicate.right_columns))
-        lrows = flatten_batches(left.execute_batches(ctx))
-        rrows = flatten_batches(right.execute_batches(ctx))
+        lbatches = left.execute_batches(ctx)
+        rbatches = right.execute_batches(ctx)
         if ctx.check_orders:
-            lrows = assert_sorted_rows(lrows, lpos, "MergeJoin left input")
-            rrows = assert_sorted_rows(rrows, rpos, "MergeJoin right input")
-        return batches_of(self._merge(ctx, lrows, rrows, lpos, rpos),
-                          ctx.batch_size)
+            lbatches = assert_sorted_batches(lbatches, lpos, "MergeJoin left input")
+            rbatches = assert_sorted_batches(rbatches, rpos, "MergeJoin right input")
+        return self._merge(ctx, GroupCursor(lbatches, lpos),
+                           GroupCursor(rbatches, rpos))
 
-    def _merge(self, ctx: ExecutionContext, lrows: Iterator[tuple],
-               rrows: Iterator[tuple], lpos: Sequence[int],
-               rpos: Sequence[int]) -> Iterator[tuple]:
-        lreader = _GroupReader(lrows, lpos)
-        rreader = _GroupReader(rrows, rpos)
-        counter = ctx.comparisons
-        lwidth, rwidth = len(self.children[0].schema), len(self.children[1].schema)
+    def _merge(self, ctx: ExecutionContext, left: GroupCursor,
+               right: GroupCursor) -> Iterator[RowBatch]:
+        """Merge the two sides group by group; one counted comparison per
+        merge step, equality decided on the raw keys."""
+        counter, size = ctx.comparisons, ctx.batch_size
+        lpad = _pad(len(self.children[0].schema))
+        rpad = _pad(len(self.children[1].schema))
         emit_left_outer = self.join_type in ("left", "full")
         emit_right_outer = self.join_type == "full"
+        out: list[tuple] = []
 
-        while not lreader.exhausted and not rreader.exhausted:
-            lkey, rkey = lreader.peek_key(), rreader.peek_key()
-            counter.add()
-            if lkey < rkey:
-                _, lgroup = lreader.next_group()
-                if emit_left_outer:
-                    pad = _pad(rwidth)
-                    for lrow in lgroup:
-                        yield lrow + pad
-            elif rkey < lkey:
-                _, rgroup = rreader.next_group()
-                if emit_right_outer:
-                    pad = _pad(lwidth)
-                    for rrow in rgroup:
-                        yield pad + rrow
-            else:
+        while left.key is not None and right.key is not None:
+            lkey, rkey = left.key, right.key
+            counter.value += 1
+            if lkey == rkey:
+                lgroup, rgroup = left.next_group(), right.next_group()
                 # SQL semantics: NULL keys never match, even to each other.
-                if any(not present for present, _ in lkey):
-                    _, lgroup = lreader.next_group()
-                    _, rgroup = rreader.next_group()
+                if None not in lkey:
+                    out += [lrow + rrow for lrow in lgroup for rrow in rgroup]
+                else:
                     if emit_left_outer:
-                        pad = _pad(rwidth)
-                        for lrow in lgroup:
-                            yield lrow + pad
+                        out += [lrow + rpad for lrow in lgroup]
                     if emit_right_outer:
-                        pad = _pad(lwidth)
-                        for rrow in rgroup:
-                            yield pad + rrow
-                    continue
-                _, lgroup = lreader.next_group()
-                _, rgroup = rreader.next_group()
-                for lrow in lgroup:
-                    for rrow in rgroup:
-                        yield lrow + rrow
-        while emit_left_outer and not lreader.exhausted:
-            _, lgroup = lreader.next_group()
-            pad = _pad(rwidth)
-            for lrow in lgroup:
-                yield lrow + pad
-        while emit_right_outer and not rreader.exhausted:
-            _, rgroup = rreader.next_group()
-            pad = _pad(lwidth)
-            for rrow in rgroup:
-                yield pad + rrow
+                        out += [lpad + rrow for rrow in rgroup]
+            elif key_lt(lkey, rkey):
+                lgroup = left.next_group()
+                if emit_left_outer:
+                    out += [lrow + rpad for lrow in lgroup]
+            else:
+                rgroup = right.next_group()
+                if emit_right_outer:
+                    out += [lpad + rrow for rrow in rgroup]
+            if len(out) >= size:
+                yield from drain_full(out, size)
+        while emit_left_outer and left.key is not None:
+            out += [lrow + rpad for lrow in left.next_group()]
+            yield from drain_full(out, size)
+        while emit_right_outer and right.key is not None:
+            out += [lpad + rrow for rrow in right.next_group()]
+            yield from drain_full(out, size)
+        if out:
+            yield RowBatch(out)
 
     def details(self) -> str:
         kind = "" if self.join_type == "inner" else f" {self.join_type.upper()} OUTER"

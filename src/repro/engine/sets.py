@@ -9,18 +9,12 @@ produced different orders, making the union's dedup costly.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
-from .batch import RowBatch, batches_of, flatten_batches
-from .context import ExecutionContext
-from .iterators import (
-    Operator,
-    assert_sorted_batches,
-    assert_sorted_rows,
-    key_function,
-    null_safe_wrap,
-)
+from .batch import RowBatch, batches_of
+from .context import ExecutionContext, key_lt
+from .iterators import Operator, assert_sorted_batches
 
 
 def _check_compatible(left: Operator, right: Operator, what: str) -> None:
@@ -62,36 +56,40 @@ class MergeUnion(Operator):
         super().__init__(left.schema, order, [left, right])
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        left, right = self.children
-        lkey = key_function(left.schema, self.output_order)
-        rkey = key_function(right.schema.rename(
-            dict(zip(right.schema.names, left.schema.names))), self.output_order)
+        # Both inputs share the left schema's column positions.
+        positions = self.children[0].schema.positions(list(self.output_order))
+        counter, size = ctx.comparisons, ctx.batch_size
 
-        lrows = flatten_batches(left.execute_batches(ctx))
-        rrows = flatten_batches(right.execute_batches(ctx))
-        if ctx.check_orders:
-            lpos = left.schema.positions(list(self.output_order))
-            lrows = assert_sorted_rows(lrows, lpos, "MergeUnion left")
-            rrows = assert_sorted_rows(rrows, lpos, "MergeUnion right")
+        def keyed(child: Operator, what: str) -> Iterator[tuple[tuple, tuple]]:
+            batches = child.execute_batches(ctx)
+            if ctx.check_orders:
+                batches = assert_sorted_batches(batches, positions, what)
+            for batch in batches:
+                counter.value += len(batch)  # one dedup test per input row
+                yield from zip(batch.key_tuples(positions), batch.rows)
 
-        def stream() -> Iterator[tuple]:
-            DONE = object()
-            lit, rit = iter(lrows), iter(rrows)
-            lrow, rrow = next(lit, DONE), next(rit, DONE)
-            last_key: Optional[tuple] = None
-            while lrow is not DONE or rrow is not DONE:
-                if rrow is DONE or (lrow is not DONE and lkey(lrow) <= rkey(rrow)):
-                    row, key = lrow, lkey(lrow)
-                    lrow = next(lit, DONE)
-                else:
-                    row, key = rrow, rkey(rrow)
-                    rrow = next(rit, DONE)
-                ctx.comparisons.add()
-                if key != last_key:
-                    yield row
-                    last_key = key
-
-        return batches_of(stream(), ctx.batch_size)
+        lit = keyed(self.children[0], "MergeUnion left")
+        rit = keyed(self.children[1], "MergeUnion right")
+        left, right = next(lit, None), next(rit, None)
+        last_key: Optional[tuple] = None
+        out: list[tuple] = []
+        while left is not None or right is not None:
+            # Ties go left: take the right row only when it is smaller.
+            if right is None or (left is not None
+                                 and not key_lt(right[0], left[0])):
+                key, row = left
+                left = next(lit, None)
+            else:
+                key, row = right
+                right = next(rit, None)
+            if key != last_key:
+                out.append(row)
+                last_key = key
+                if len(out) >= size:
+                    yield RowBatch(out)
+                    out = []
+        if out:
+            yield RowBatch(out)
 
     def details(self) -> str:
         return f"on {self.output_order}"

@@ -21,21 +21,39 @@ Two algorithms:
 
 Both charge block transfers to the :class:`~repro.engine.context.ExecutionContext`
 and count comparisons, making Experiments A1–A4 reproducible.
+
+Keys are the **raw** tuples :meth:`RowBatch.key_tuples` extracts;
+ordering goes through :class:`~repro.engine.context.CountedKey`, which
+falls back to NULL-safe wrapped keys only on a NULL-vs-value
+``TypeError`` (see ``docs/execution.md``, "Key discipline").
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from ..core.sort_order import SortOrder
 from ..storage.schema import Schema
-from .context import CountedKey, ExecutionContext
-from .iterators import null_safe_wrap, tuple_getter
+from .batch import GroupCursor, RowBatch, batches_of, drain_full, flatten_batches
+from .context import ComparisonCounter, CountedKey, ExecutionContext, key_lt
+from .iterators import tuple_getter
 
-KeyFn = Callable[[tuple], tuple]
+#: A merge heap entry is a ``(CountedKey, row)`` pair.
+_KEY, _ROW = itemgetter(0), itemgetter(1)
+Keyed = Iterator[tuple[CountedKey, tuple]]
 
 _SENTINEL = object()
+
+
+def keyed_rows(batches: Iterable[RowBatch], positions: Sequence[int],
+               counter: ComparisonCounter) -> Keyed:
+    """``(CountedKey, row)`` pairs of a batch stream, keys extracted a
+    whole batch at a time."""
+    for batch in batches:
+        yield from zip([CountedKey(key, counter)
+                        for key in batch.key_tuples(positions)], batch.rows)
 
 
 class _RunStore:
@@ -56,31 +74,40 @@ class _RunStore:
         self.ctx.sort_metrics.rows_spilled += len(rows)
         self.runs.append(rows)
 
-    def read_run(self, run: list[tuple]) -> Iterator[tuple]:
-        return self.ctx.charged_stream(run, self.row_bytes, category=self.category)
+    def read_run(self, run: list[tuple]) -> Iterator[RowBatch]:
+        """One batch per simulated block, each charged as it is handed
+        out (progressive, so a merge that stops early stops paying)."""
+        per_block = self.ctx.rows_per_block(self.row_bytes)
+        for i in range(0, len(run), per_block):
+            self.ctx.io.read(1, category=self.category)
+            yield RowBatch(run[i:i + per_block])
 
 
-def merge_sorted_streams(streams: Sequence[Iterable[tuple]], key_fn: KeyFn,
+def _merge_keyed(streams: Sequence[Iterable[RowBatch]], positions: Sequence[int],
+                 ctx: ExecutionContext) -> Keyed:
+    counter = ctx.comparisons
+    return heapq.merge(*[keyed_rows(stream, positions, counter)
+                         for stream in streams], key=_KEY)
+
+
+def merge_sorted_streams(streams: Sequence[Iterable[RowBatch]],
+                         positions: Sequence[int],
                          ctx: ExecutionContext) -> Iterator[tuple]:
-    """Stable k-way merge of sorted row streams, tallying comparisons.
+    """Stable k-way merge of sorted batch streams, tallying comparisons.
 
     ``heapq.merge`` breaks key ties by stream position, so merging
     per-shard sorted streams *in shard order* reproduces exactly the row
     sequence a stable full sort of the concatenated input would emit —
     the invariant :class:`~repro.engine.exchange.MergeExchange` and the
-    run merges below both rely on.
+    run merges below both rely on.  The merged rows come out of C-level
+    iterators; callers re-chunk them with :func:`batches_of`.
     """
-    counter = ctx.comparisons
-
-    def counted_key(row: tuple) -> CountedKey:
-        return CountedKey(key_fn(row), counter)
-
-    return heapq.merge(*streams, key=counted_key)
+    return map(_ROW, _merge_keyed(streams, positions, ctx))
 
 
-def _merge_runs(store: _RunStore, runs: list[list[tuple]], key_fn: KeyFn,
-                ctx: ExecutionContext) -> Iterator[tuple]:
-    """Multiway-merge *runs* down to a single sorted stream.
+def _merge_runs(store: _RunStore, runs: list[list[tuple]],
+                positions: Sequence[int], ctx: ExecutionContext) -> Keyed:
+    """Multiway-merge *runs* down to a single sorted (keyed) stream.
 
     Intermediate passes happen only when the number of runs exceeds the
     merge fan-in (``M - 1`` input buffers); each pass reads and rewrites
@@ -95,30 +122,32 @@ def _merge_runs(store: _RunStore, runs: list[list[tuple]], key_fn: KeyFn,
         ctx.sort_metrics.merge_passes += 1
         next_runs: list[list[tuple]] = []
         for i in range(0, len(runs), fan_in):
-            batch = runs[i:i + fan_in]
             merged = list(merge_sorted_streams(
-                [store.read_run(r) for r in batch], key_fn, ctx))
+                [store.read_run(r) for r in runs[i:i + fan_in]], positions, ctx))
             store.write_run(merged)
             next_runs.append(merged)
         runs = next_runs
     ctx.sort_metrics.merge_passes += 1
-    return merge_sorted_streams([store.read_run(r) for r in runs], key_fn, ctx)
+    return _merge_keyed([store.read_run(r) for r in runs], positions, ctx)
 
 
-def srs_sort(rows: Iterable[tuple], key_fn: KeyFn, ctx: ExecutionContext,
-             row_bytes: int) -> Iterator[tuple]:
-    """Standard replacement selection external sort.
+def srs_sort(rows: Iterable[tuple], positions: Sequence[int],
+             ctx: ExecutionContext, row_bytes: int) -> Iterator[tuple]:
+    """Standard replacement selection external sort on key *positions*.
 
     If the input fits in sort memory the heap is simply drained (an
     in-memory sort, no I/O) — this matches the cost model's
     ``B(e) ≤ M`` branch.  Otherwise runs go to the simulated disk and are
-    merged, charging every transfer.
+    merged, charging every transfer.  The selection heap is inherently
+    row-at-a-time; its tally is the sequence of heap comparisons (two
+    counted per compare: tuple ``==`` then ``<``).
     """
     # A row wider than sort memory must not yield capacity 0: the first
     # row would become ``overflow_row`` against an empty heap and the
     # replacement-selection loop would silently drop the whole input.
     capacity = max(1, ctx.memory_capacity_rows(row_bytes))
     counter = ctx.comparisons
+    key_fn = tuple_getter(positions)
     heap: list[tuple[int, CountedKey, int, tuple]] = []
     seq = 0
     it = iter(rows)
@@ -160,24 +189,25 @@ def srs_sort(rows: Iterable[tuple], key_fn: KeyFn, ctx: ExecutionContext,
             counter.add()
             # A new tuple smaller than the last one output cannot join the
             # current run; defer it to the next run.
-            target = run_id if new_key >= popped_key.key else run_id + 1
+            target = run_id + 1 if key_lt(new_key, popped_key.key) else run_id
             heapq.heappush(heap, (target, CountedKey(new_key, counter), seq, pending))
             seq += 1
             pending = next(it, _SENTINEL)
     flush_run()
 
-    yield from _merge_runs(store, store.runs, key_fn, ctx)
+    yield from map(_ROW, _merge_runs(store, store.runs, positions, ctx))
 
 
-def mrs_sort(rows: Iterable[tuple], segment_key_fn: KeyFn, suffix_key_fn: KeyFn,
-             ctx: ExecutionContext, row_bytes: int,
-             full_key_fn: Optional[KeyFn] = None) -> Iterator[tuple]:
+def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
+             suffix_positions: Sequence[int], ctx: ExecutionContext,
+             row_bytes: int) -> Iterator[RowBatch]:
     """Modified replacement selection exploiting a known partial sort order.
 
-    ``segment_key_fn`` extracts the already-sorted prefix attributes;
-    ``suffix_key_fn`` the remaining attributes to sort within a segment.
-    Tuples are emitted segment by segment — output starts as soon as the
-    first segment completes, enabling fully pipelined execution.
+    ``prefix_positions`` are the already-sorted attributes;
+    ``suffix_positions`` the remaining attributes to sort within a
+    segment.  Segments (runs of equal raw prefix keys, found a batch at a
+    time) are emitted one by one — output starts as soon as the first
+    segments fill a batch, enabling fully pipelined execution.
 
     Oversized segments (larger than sort memory) degrade gracefully: full
     memory loads are sorted and spilled as runs, then merged — per
@@ -185,66 +215,70 @@ def mrs_sort(rows: Iterable[tuple], segment_key_fn: KeyFn, suffix_key_fn: KeyFn,
     approaches the whole input (the convergence at the right edge of
     Fig. 9).
     """
-    # Same ≥ 1 guard as srs_sort: a zero capacity would spill a run per
-    # row (and an empty run first) instead of degrading gracefully.
-    capacity = max(1, ctx.memory_capacity_rows(row_bytes))
-    counter = ctx.comparisons
-    full_key_fn = full_key_fn or suffix_key_fn
+    # Like srs_sort's ≥ 1 guard: a merge needs room for two rows, and a
+    # smaller capacity would spill a run per row instead of degrading
+    # gracefully.
+    capacity = max(2, ctx.memory_capacity_rows(row_bytes))
+    counter, metrics = ctx.comparisons, ctx.sort_metrics
+    suffix_of = tuple_getter(suffix_positions)
 
     def counted_suffix(row: tuple) -> CountedKey:
-        return CountedKey(suffix_key_fn(row), counter)
+        return CountedKey(suffix_of(row), counter)
 
-    def emit_segment(segment: list[tuple], store: Optional[_RunStore]) -> Iterator[tuple]:
-        ctx.sort_metrics.segments_sorted += 1
-        if store is None or not store.runs:
-            segment.sort(key=counted_suffix)
-            ctx.sort_metrics.in_memory_sorts += 1
-            yield from segment
-            return
-        # The segment spilled: sort the in-memory tail, then merge it with
-        # the on-disk runs of this segment only.  The run merge honours the
-        # same fan-in limit as SRS (intermediate passes when there are more
-        # runs than buffers), so an all-one-segment input converges to SRS
-        # cost — the right edge of Fig. 9.
-        segment.sort(key=counted_suffix)
-        merged_runs = _merge_runs(store, store.runs, suffix_key_fn, ctx)
-        yield from heapq.merge(merged_runs, iter(segment), key=counted_suffix)
+    def spilled(segment: list[tuple]) -> Iterator[tuple]:
+        # Sort and spill one memory load at a time, sort the in-memory
+        # tail, then merge it with the on-disk runs of this segment only.
+        # The run merge honours the same fan-in limit as SRS
+        # (intermediate passes when there are more runs than buffers), so
+        # an all-one-segment input converges to SRS cost — the right edge
+        # of Fig. 9.
+        store = _RunStore(ctx, row_bytes)
+        start = 0
+        for end in range(capacity, len(segment) + 1, capacity):
+            run = segment[start:end]
+            run.sort(key=counted_suffix)
+            store.write_run(run)
+            start = end
+        tail = segment[start:]
+        tail.sort(key=counted_suffix)
+        merged_runs = _merge_runs(store, store.runs, suffix_positions, ctx)
+        return map(_ROW, heapq.merge(
+            merged_runs, zip(map(counted_suffix, tail), tail), key=_KEY))
 
-    current_prefix: object = _SENTINEL
-    segment: list[tuple] = []
-    store: Optional[_RunStore] = None
+    def boundary_tested(batches: Iterable[RowBatch]) -> Iterator[RowBatch]:
+        # The segment-boundary test is one key comparison per input row,
+        # tallied as each batch is examined.
+        for batch in batches:
+            counter.value += len(batch)
+            yield batch
 
-    for row in rows:
-        prefix = segment_key_fn(row)
-        counter.add()  # the segment-boundary test is a key comparison
-        if prefix != current_prefix:
-            if current_prefix is not _SENTINEL:
-                yield from emit_segment(segment, store)
-            current_prefix = prefix
-            segment = [row]
-            store = None
-            continue
-        segment.append(row)
-        if len(segment) >= capacity:
-            # Spill one memory load of this segment as a sorted run.
-            if store is None:
-                store = _RunStore(ctx, row_bytes)
-            segment.sort(key=counted_suffix)
-            store.write_run(segment)
-            segment = []
-    if current_prefix is not _SENTINEL:
-        yield from emit_segment(segment, store)
+    out: list[tuple] = []
+    segments = GroupCursor(boundary_tested(batches), prefix_positions)
+    while segments.key is not None:
+        segment = segments.next_group()
+        metrics.segments_sorted += 1
+        if len(segment) < capacity:
+            if len(segment) > 1:
+                segment.sort(key=counted_suffix)
+            metrics.in_memory_sorts += 1
+            out += segment
+        else:
+            out.extend(spilled(segment))
+        if len(out) >= ctx.batch_size:
+            yield from drain_full(out, ctx.batch_size)
+    if out:
+        yield RowBatch(out)
 
 
-def sort_stream(
-    rows: Iterable[tuple],
+def sort_batches(
+    batches: Iterable[RowBatch],
     schema: Schema,
     target_order: SortOrder,
     ctx: ExecutionContext,
     known_prefix: SortOrder = SortOrder(),
     algorithm: str = "auto",
-) -> Iterator[tuple]:
-    """Sort a row stream to *target_order*, dispatching SRS vs MRS.
+) -> Iterator[RowBatch]:
+    """Sort a batch stream to *target_order*, dispatching SRS vs MRS.
 
     ``known_prefix`` is the sort order already guaranteed on the input
     (must be a prefix of *target_order*).  ``algorithm`` may force
@@ -255,32 +289,25 @@ def sort_stream(
         raise ValueError(f"unknown sort algorithm {algorithm!r}")
     if not known_prefix.is_prefix_of(target_order):
         raise ValueError(f"known prefix {known_prefix} is not a prefix of {target_order}")
-
-    row_bytes = schema.row_bytes
-    positions = schema.positions(list(target_order))
     k = len(known_prefix)
-
-    full_getter = tuple_getter(positions)
-
-    def full_key(row: tuple) -> tuple:
-        return null_safe_wrap(full_getter(row))
-
     if algorithm == "mrs" and k == 0:
         raise ValueError("MRS requires a non-empty known sort-order prefix")
 
-    use_mrs = algorithm == "mrs" or (algorithm == "auto" and 0 < k)
-    if use_mrs and k >= len(target_order):
-        # Input already fully sorted; nothing to do.
-        return iter(rows)
-    if use_mrs:
-        prefix_getter = tuple_getter(positions[:k])
-        suffix_getter = tuple_getter(positions[k:])
+    positions = schema.positions(list(target_order))
+    if algorithm == "mrs" or (algorithm == "auto" and 0 < k):
+        if k >= len(target_order):
+            # Input already fully sorted; nothing to do.
+            return iter(batches)
+        return mrs_sort(batches, positions[:k], positions[k:], ctx,
+                        schema.row_bytes)
+    return batches_of(srs_sort(flatten_batches(batches), positions, ctx,
+                               schema.row_bytes), ctx.batch_size)
 
-        def segment_key(row: tuple) -> tuple:
-            return null_safe_wrap(prefix_getter(row))
 
-        def suffix_key(row: tuple) -> tuple:
-            return null_safe_wrap(suffix_getter(row))
-
-        return mrs_sort(rows, segment_key, suffix_key, ctx, row_bytes, full_key)
-    return srs_sort(rows, full_key, ctx, row_bytes)
+def sort_stream(rows: Iterable[tuple], schema: Schema, target_order: SortOrder,
+                ctx: ExecutionContext, known_prefix: SortOrder = SortOrder(),
+                algorithm: str = "auto") -> Iterator[tuple]:
+    """Row adapter over :func:`sort_batches` (tests and examples)."""
+    return flatten_batches(sort_batches(
+        batches_of(rows, ctx.batch_size), schema, target_order, ctx,
+        known_prefix, algorithm))

@@ -1,0 +1,220 @@
+"""Row-at-a-time tally oracle for the order-exploiting operators.
+
+These are the engine's former row paths — the ``mrs_sort`` loop with its
+run store and merges, the ``_GroupReader`` merge join and the per-row
+sort-aggregate fold — kept verbatim in behaviour: one Python step per
+row, every key NULL-safe *wrapped* up front, one ``counter.add()`` per
+row.  The batch engine in ``src/`` must reproduce their rows, row order
+and ``ctx.tallies()`` exactly (``tests/test_order_ops_parity.py``).
+Nothing under ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+from repro.engine import CountedKey, ExecutionContext, null_safe_wrap, tuple_getter
+
+KeyFn = Callable[[tuple], tuple]
+
+_SENTINEL = object()
+
+
+def wrapped_key(positions: Sequence[int]) -> KeyFn:
+    getter = tuple_getter(positions)
+    return lambda row: null_safe_wrap(getter(row))
+
+
+# -- sorting -----------------------------------------------------------------------------
+class _RunStore:
+    def __init__(self, ctx: ExecutionContext, row_bytes: int) -> None:
+        self.ctx = ctx
+        self.row_bytes = row_bytes
+        self.runs: list[list[tuple]] = []
+
+    def write_run(self, rows: list[tuple]) -> None:
+        if not rows:
+            return
+        self.ctx.charge_blocks_for_rows(len(rows), self.row_bytes,
+                                        direction="write", category="run")
+        self.ctx.sort_metrics.runs_created += 1
+        self.ctx.sort_metrics.rows_spilled += len(rows)
+        self.runs.append(rows)
+
+    def read_run(self, run: list[tuple]) -> Iterator[tuple]:
+        return self.ctx.charged_stream(run, self.row_bytes, category="run")
+
+
+def merge_sorted_streams(streams: Sequence[Iterable[tuple]], key_fn: KeyFn,
+                         ctx: ExecutionContext) -> Iterator[tuple]:
+    counter = ctx.comparisons
+    return heapq.merge(*streams, key=lambda row: CountedKey(key_fn(row), counter))
+
+
+def _merge_runs(store: _RunStore, runs: list[list[tuple]], key_fn: KeyFn,
+                ctx: ExecutionContext) -> Iterator[tuple]:
+    runs = list(runs)
+    fan_in = max(2, ctx.params.sort_memory_blocks - 1)
+    while len(runs) > fan_in:
+        ctx.sort_metrics.merge_passes += 1
+        next_runs: list[list[tuple]] = []
+        for i in range(0, len(runs), fan_in):
+            merged = list(merge_sorted_streams(
+                [store.read_run(r) for r in runs[i:i + fan_in]], key_fn, ctx))
+            store.write_run(merged)
+            next_runs.append(merged)
+        runs = next_runs
+    ctx.sort_metrics.merge_passes += 1
+    return merge_sorted_streams([store.read_run(r) for r in runs], key_fn, ctx)
+
+
+def mrs_sort(rows: Iterable[tuple], prefix_positions: Sequence[int],
+             suffix_positions: Sequence[int], ctx: ExecutionContext,
+             row_bytes: int) -> Iterator[tuple]:
+    """The row-level modified replacement selection loop."""
+    capacity = max(1, ctx.memory_capacity_rows(row_bytes))
+    counter = ctx.comparisons
+    segment_key_fn = wrapped_key(prefix_positions)
+    suffix_key_fn = wrapped_key(suffix_positions)
+
+    def counted_suffix(row: tuple) -> CountedKey:
+        return CountedKey(suffix_key_fn(row), counter)
+
+    def emit_segment(segment: list[tuple], store: Optional[_RunStore]) -> Iterator[tuple]:
+        ctx.sort_metrics.segments_sorted += 1
+        if store is None or not store.runs:
+            segment.sort(key=counted_suffix)
+            ctx.sort_metrics.in_memory_sorts += 1
+            yield from segment
+            return
+        segment.sort(key=counted_suffix)
+        merged_runs = _merge_runs(store, store.runs, suffix_key_fn, ctx)
+        yield from heapq.merge(merged_runs, iter(segment), key=counted_suffix)
+
+    current_prefix: object = _SENTINEL
+    segment: list[tuple] = []
+    store: Optional[_RunStore] = None
+
+    for row in rows:
+        prefix = segment_key_fn(row)
+        counter.add()  # the segment-boundary test is a key comparison
+        if prefix != current_prefix:
+            if current_prefix is not _SENTINEL:
+                yield from emit_segment(segment, store)
+            current_prefix = prefix
+            segment = [row]
+            store = None
+            continue
+        segment.append(row)
+        if len(segment) >= capacity:
+            if store is None:
+                store = _RunStore(ctx, row_bytes)
+            segment.sort(key=counted_suffix)
+            store.write_run(segment)
+            segment = []
+    if current_prefix is not _SENTINEL:
+        yield from emit_segment(segment, store)
+
+
+# -- merge join --------------------------------------------------------------------------
+class _GroupReader:
+    """Reads a key-sorted row stream group by group (one group = equal keys)."""
+
+    _DONE = object()
+
+    def __init__(self, rows: Iterator[tuple], key_positions: Sequence[int]) -> None:
+        self._rows = rows
+        self._key_of = wrapped_key(key_positions)
+        self._pending: object = next(rows, self._DONE)
+
+    @property
+    def exhausted(self) -> bool:
+        return self._pending is self._DONE
+
+    def peek_key(self) -> tuple:
+        return self._key_of(self._pending)
+
+    def next_group(self) -> list[tuple]:
+        key = self.peek_key()
+        group = [self._pending]
+        self._pending = next(self._rows, self._DONE)
+        while not self.exhausted and self._key_of(self._pending) == key:
+            group.append(self._pending)
+            self._pending = next(self._rows, self._DONE)
+        return group
+
+
+def merge_join(lrows: Iterable[tuple], rrows: Iterable[tuple],
+               lpos: Sequence[int], rpos: Sequence[int], lwidth: int,
+               rwidth: int, join_type: str, ctx: ExecutionContext) -> Iterator[tuple]:
+    """The row-level sort-merge join (inner / left / full outer)."""
+    lreader = _GroupReader(iter(lrows), lpos)
+    rreader = _GroupReader(iter(rrows), rpos)
+    counter = ctx.comparisons
+    lpad, rpad = (None,) * lwidth, (None,) * rwidth
+    emit_left_outer = join_type in ("left", "full")
+    emit_right_outer = join_type == "full"
+
+    while not lreader.exhausted and not rreader.exhausted:
+        lkey, rkey = lreader.peek_key(), rreader.peek_key()
+        counter.add()
+        if lkey < rkey:
+            lgroup = lreader.next_group()
+            if emit_left_outer:
+                for lrow in lgroup:
+                    yield lrow + rpad
+        elif rkey < lkey:
+            rgroup = rreader.next_group()
+            if emit_right_outer:
+                for rrow in rgroup:
+                    yield lpad + rrow
+        else:
+            lgroup, rgroup = lreader.next_group(), rreader.next_group()
+            # SQL semantics: NULL keys never match, even to each other.
+            if any(not present for present, _ in lkey):
+                if emit_left_outer:
+                    for lrow in lgroup:
+                        yield lrow + rpad
+                if emit_right_outer:
+                    for rrow in rgroup:
+                        yield lpad + rrow
+                continue
+            for lrow in lgroup:
+                for rrow in rgroup:
+                    yield lrow + rrow
+    while emit_left_outer and not lreader.exhausted:
+        for lrow in lreader.next_group():
+            yield lrow + rpad
+    while emit_right_outer and not rreader.exhausted:
+        for rrow in rreader.next_group():
+            yield lpad + rrow
+
+
+# -- sort aggregate ----------------------------------------------------------------------
+def sort_aggregate(rows: Iterable[tuple], key_positions: Sequence[int],
+                   out_positions: Sequence[int], arg_fns: Sequence[Callable],
+                   funcs: Sequence, ctx: ExecutionContext) -> Iterator[tuple]:
+    """The per-row streaming GROUP BY fold over key-grouped input."""
+    key_of = tuple_getter(key_positions)
+    out_getter = tuple_getter(out_positions)
+    current_key: Optional[tuple] = None
+    current_group: Optional[tuple] = None
+    states: list = []
+    for row in rows:
+        key = key_of(row)
+        ctx.comparisons.add()
+        if key != current_key:
+            if current_key is not None:
+                yield current_group + tuple(
+                    f.final(s) for f, s in zip(funcs, states))
+            current_key = key
+            current_group = out_getter(row)
+            states = [f.init() for f in funcs]
+        for j, func in enumerate(funcs):
+            value = arg_fns[j](row)
+            if value is None and func.ignores_null:
+                continue
+            states[j] = func.step(states[j], value)
+    if current_key is not None:
+        yield current_group + tuple(f.final(s) for f, s in zip(funcs, states))

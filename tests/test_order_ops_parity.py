@@ -1,0 +1,250 @@
+"""The batch order-exploiting operators against the row-at-a-time oracle.
+
+``tests/row_oracle.py`` holds the engine's former row paths (wrapped
+keys, one step and one ``counter.add()`` per row).  PartialSort (MRS),
+MergeJoin, SortAggregate and SortedCombine now find their segments and
+groups a batch at a time on raw keys; this matrix asserts that rows, row
+order and every tally are unchanged at every batch size — in particular
+for spilling segments and join groups that straddle batch boundaries,
+and for NULL keys (the only case that builds wrapped keys).
+
+The property tests at the bottom pin the key discipline itself.
+"""
+
+from __future__ import annotations
+
+import random
+from operator import itemgetter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.sort_order import SortOrder
+from repro.engine import (
+    AGGREGATE_COMBINERS,
+    ComparisonCounter,
+    CountedKey,
+    ExecutionContext,
+    MergeJoin,
+    RowSource,
+    Sort,
+    SortAggregate,
+    SortedGroupCombine,
+    key_lt,
+    null_safe_wrap,
+)
+from repro.expr import col
+from repro.expr.aggregates import (
+    AGGREGATES,
+    agg_avg,
+    agg_max,
+    agg_min,
+    agg_sum,
+    count,
+    count_star,
+)
+from repro.expr.expressions import JoinPredicate
+from repro.storage import Schema, SystemParameters
+from tests import row_oracle
+
+BATCH_SIZES = (1, 2, 3, 7, 1024)
+SCHEMA = Schema.of(("k1", "int", 8), ("k2", "int", 8), ("v", "int", 8))
+
+
+def contexts(params: SystemParameters, batch_size: int, check_orders: bool):
+    """(engine context, oracle context) over the same parameters."""
+    return (ExecutionContext(params=params, batch_size=batch_size,
+                             check_orders=check_orders),
+            ExecutionContext(params=params))
+
+
+def sorted_nulls_first(rows, positions):
+    return sorted(rows, key=lambda r: null_safe_wrap(tuple(r[i] for i in positions)))
+
+
+# -- MRS ---------------------------------------------------------------------------------
+def segmented_rows(segment_sizes, seed, null_every=0):
+    """Rows sorted on k1 with the given segment sizes; k1 of the first
+    segment and every *null_every*-th k2 are NULL."""
+    rng = random.Random(seed)
+    rows, i = [], 0
+    for seg, size in enumerate(segment_sizes):
+        for _ in range(size):
+            k2 = None if null_every and i % null_every == 0 else rng.randrange(40)
+            rows.append((None if seg == 0 and null_every else seg, k2, i))
+            i += 1
+    return rows
+
+
+MRS_CASES = {
+    # 85 rows of sort memory: every segment fits.
+    "in_memory": (SystemParameters(block_size=256, sort_memory_blocks=8),
+                  segmented_rows([1, 5, 2, 13, 1, 1, 40, 7, 3], seed=1)),
+    "in_memory_nulls": (SystemParameters(block_size=256, sort_memory_blocks=8),
+                        segmented_rows([4, 5, 1, 13, 2, 30], seed=2, null_every=3)),
+    # The 300-row segment spills three runs + a tail and crosses every
+    # input batch boundary below 1024.
+    "spilling_segment": (SystemParameters(block_size=256, sort_memory_blocks=8),
+                         segmented_rows([3, 300, 2, 85, 170, 1], seed=3)),
+    "spilling_nulls": (SystemParameters(block_size=256, sort_memory_blocks=8),
+                       segmented_rows([90, 200, 4], seed=4, null_every=5)),
+    # Fan-in 2 with 32 rows of memory: intermediate merge passes.
+    "multi_pass": (SystemParameters(block_size=256, sort_memory_blocks=3),
+                   segmented_rows([2, 300, 33, 1], seed=5)),
+    # The smallest sort memory there is: two rows.
+    "capacity_2": (SystemParameters(block_size=24, sort_memory_blocks=2),
+                   segmented_rows([1, 2, 3, 9, 1, 4], seed=6, null_every=4)),
+}
+
+
+@pytest.mark.parametrize("check_orders", [False, True])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("case", sorted(MRS_CASES))
+def test_partial_sort_matches_row_oracle(case, batch_size, check_orders):
+    params, rows = MRS_CASES[case]
+    ctx, oracle_ctx = contexts(params, batch_size, check_orders)
+    if case == "capacity_2":
+        assert ctx.memory_capacity_rows(SCHEMA.row_bytes) == 2
+    prefix, target = SortOrder(["k1"]), SortOrder(["k1", "k2"])
+    plan = Sort(RowSource(SCHEMA, rows, prefix), target, known_prefix=prefix,
+                algorithm="mrs")
+    expected = list(row_oracle.mrs_sort(rows, [0], [1], oracle_ctx,
+                                        SCHEMA.row_bytes))
+    assert plan.run(ctx) == expected
+    assert ctx.tallies() == oracle_ctx.tallies()
+    if case.startswith("spilling") or case in ("multi_pass", "capacity_2"):
+        assert ctx.sort_metrics.runs_created > 0
+    if case == "multi_pass":
+        assert ctx.sort_metrics.merge_passes > ctx.sort_metrics.segments_sorted - 3
+
+
+# -- merge join --------------------------------------------------------------------------
+LEFT = Schema.of(("a", "int", 8), ("b", "int", 8), ("x", "int", 8))
+RIGHT = Schema.of(("c", "int", 8), ("d", "int", 8), ("y", "int", 8))
+
+
+def join_side(n, seed, tag):
+    """Rows with heavily duplicated and NULL-bearing two-column keys."""
+    rng = random.Random(seed)
+    rows = [(rng.choice([None, 0, 1, 2, 3]), rng.choice([None, 0, 1]), tag + i)
+            for i in range(n)]
+    return sorted_nulls_first(rows, (0, 1))
+
+
+JOIN_CASES = {
+    "duplicates_and_nulls": (join_side(60, 11, 0), join_side(45, 12, 1000)),
+    "left_runs_out_first": (join_side(12, 13, 0)[:5], join_side(40, 14, 1000)),
+    "right_runs_out_first": (join_side(40, 15, 0), join_side(12, 16, 1000)[:5]),
+    "one_group_each": ([(1, 1, i) for i in range(9)],
+                       [(1, 1, 1000 + i) for i in range(8)]),
+    "empty_left": ([], join_side(10, 17, 1000)),
+}
+
+
+@pytest.mark.parametrize("check_orders", [False, True])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("join_type", ["inner", "left", "full"])
+@pytest.mark.parametrize("case", sorted(JOIN_CASES))
+def test_merge_join_matches_row_oracle(case, join_type, batch_size, check_orders):
+    lrows, rrows = JOIN_CASES[case]
+    ctx, oracle_ctx = contexts(SystemParameters(), batch_size, check_orders)
+    plan = MergeJoin(RowSource(LEFT, lrows, SortOrder(["a", "b"])),
+                     RowSource(RIGHT, rrows, SortOrder(["c", "d"])),
+                     JoinPredicate([("a", "c"), ("b", "d")]), join_type)
+    expected = list(row_oracle.merge_join(lrows, rrows, (0, 1), (0, 1), 3, 3,
+                                          join_type, oracle_ctx))
+    assert plan.run(ctx) == expected
+    assert ctx.tallies() == oracle_ctx.tallies()
+
+
+# -- sort aggregate and combine ----------------------------------------------------------
+AGGS = [agg_sum(col("v"), "s"), count(col("v"), "c"), count_star("n"),
+        agg_min(col("v"), "lo"), agg_max(col("v"), "hi"), agg_avg(col("v"), "mean")]
+
+
+def grouped_rows(seed):
+    """Rows grouped on (k1, k2) with NULL keys and NULL aggregate inputs
+    (one group is all-NULL, so sum/min/max/avg finish NULL)."""
+    rng = random.Random(seed)
+    rows = [(rng.choice([None, 0, 1, 2]), rng.choice([None, 0, 1]),
+             rng.choice([None, 1, 2, 3, 5, 8])) for _ in range(120)]
+    rows += [(3, 0, None)] * 4
+    return sorted_nulls_first(rows, (0, 1))
+
+
+@pytest.mark.parametrize("check_orders", [False, True])
+@pytest.mark.parametrize("columnar", [True, False])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+def test_sort_aggregate_matches_row_oracle(batch_size, columnar, check_orders):
+    rows = grouped_rows(21)
+    order = SortOrder(["k1", "k2"])
+    ctx, oracle_ctx = contexts(SystemParameters(), batch_size, check_orders)
+    ctx.columnar = columnar
+    plan = SortAggregate(RowSource(SCHEMA, rows, order), order, AGGS)
+    expected = list(row_oracle.sort_aggregate(
+        rows, (0, 1), (0, 1), [spec.arg.compile(SCHEMA) for spec in AGGS],
+        [spec.function for spec in AGGS], oracle_ctx))
+    assert plan.run(ctx) == expected
+    assert ctx.tallies() == oracle_ctx.tallies()
+    assert (3, 0, None, 0, 4, None, None, None) in expected
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+def test_sorted_combine_matches_row_oracle(batch_size):
+    """Per-shard partials (one aggregate output row per shard and group)
+    folded by the combiner, against the same row fold."""
+    order = SortOrder(["k1", "k2"])
+    specs = [s for s in AGGS if s.func in AGGREGATE_COMBINERS]
+    rows = grouped_rows(22)
+    partials = []
+    for shard in (rows[0::3], rows[1::3], rows[2::3]):
+        partials += SortAggregate(RowSource(SCHEMA, shard, order), order,
+                                  specs).run()
+    partials = sorted_nulls_first(partials, (0, 1))
+    schema = SortAggregate(RowSource(SCHEMA, [], order), order, specs).schema
+    ctx, oracle_ctx = contexts(SystemParameters(), batch_size, False)
+    plan = SortedGroupCombine(RowSource(schema, partials, order), order,
+                              ["k1", "k2"], specs)
+    expected = list(row_oracle.sort_aggregate(
+        partials, (0, 1), (0, 1), [itemgetter(2 + j) for j in range(len(specs))],
+        [AGGREGATES[AGGREGATE_COMBINERS[s.func]] for s in specs], oracle_ctx))
+    assert plan.run(ctx) == expected
+    assert ctx.tallies() == oracle_ctx.tallies()
+    assert expected == SortAggregate(RowSource(SCHEMA, rows, order), order,
+                                     specs).run()
+
+
+# -- the key discipline ------------------------------------------------------------------
+def key_tuples(width=3):
+    """Key tuples whose column *i* holds NULLs and ints (even *i*) or
+    NULLs and strings (odd *i*) — never ints against strings."""
+    columns = [st.one_of(st.none(), st.integers(-3, 3)) if i % 2 == 0
+               else st.one_of(st.none(), st.sampled_from(["", "a", "b", "ab"]))
+               for i in range(width)]
+    return st.tuples(*columns)
+
+
+class TestKeyDiscipline:
+    @given(key_tuples(), key_tuples())
+    @settings(max_examples=300, deadline=None)
+    def test_key_lt_is_the_wrapped_order(self, a, b):
+        assert key_lt(a, b) == (null_safe_wrap(a) < null_safe_wrap(b))
+        assert (a == b) == (null_safe_wrap(a) == null_safe_wrap(b))
+        counter = ComparisonCounter()
+        assert (CountedKey(a, counter) <= CountedKey(b, counter)) == \
+            (null_safe_wrap(a) <= null_safe_wrap(b))
+        assert counter.value == 1
+
+    @given(st.lists(key_tuples(2), max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_counted_raw_sort_equals_wrapped_sort(self, keys):
+        """Same order, same stability and the same number of comparisons
+        whether CountedKey holds raw or wrapped keys."""
+        rows = [key + (i,) for i, key in enumerate(keys)]
+        raw, wrapped = ComparisonCounter(), ComparisonCounter()
+        by_raw = sorted(rows, key=lambda r: CountedKey(r[:2], raw))
+        by_wrapped = sorted(
+            rows, key=lambda r: CountedKey(null_safe_wrap(r[:2]), wrapped))
+        assert by_raw == by_wrapped
+        assert by_raw == sorted(rows, key=lambda r: null_safe_wrap(r[:2]))
+        assert raw.value == wrapped.value

@@ -525,6 +525,35 @@ class TestRangePartitionedEnforcement:
         # strictly fewer comparisons than the monolithic sort.
         assert merged_ctx.comparisons.value < reference_ctx.comparisons.value
 
+    def test_disjoint_merge_passes_child_batches_through(self):
+        """The disjoint gather neither compares nor re-chunks: its output
+        is the very batch objects its children produced, in shard order
+        (it used to re-batch them one row at a time)."""
+        from repro.engine import MergeExchange as EngineMergeExchange
+        from repro.engine import RowSource
+
+        schema = Schema.of(("k", "int", 8), ("v", "int", 8))
+        order = SortOrder(["k", "v"])
+        shards = [RowSource(schema, [(10 * s + i // 3, i) for i in range(7)],
+                            order) for s in range(3)]
+        exchange = EngineMergeExchange(shards, order, declared_disjoint=True)
+        produced: list = []
+
+        def recording(source):
+            def execute_batches(ctx):
+                for batch in RowSource.execute_batches(source, ctx):
+                    produced.append(batch)
+                    yield batch
+            return execute_batches
+
+        for shard in shards:
+            shard.execute_batches = recording(shard)
+        ctx = ExecutionContext(batch_size=3, check_orders=True)
+        gathered = list(exchange.execute_batches(ctx))
+        assert [len(b) for b in gathered] == [3, 3, 1] * 3
+        assert all(out is made for out, made in zip(gathered, produced))
+        assert ctx.comparisons.value == 0
+
     def test_filtered_partition_scan_charges_full_table(self):
         """On a table not clustered on the partition column, each
         partition scan reads (and pays for) every block."""

@@ -117,21 +117,54 @@ class TestMrs:
         assert ctx_mrs.comparisons.value < ctx_srs.comparisons.value
 
     def test_early_output(self):
-        """MRS must emit the first segment before consuming all input."""
+        """MRS must emit the first segment before consuming all input: at
+        the batch contract's granularity, the first output needs at most
+        one segment plus one input batch (the batch that closes it)."""
         consumed = [0]
+        batch_size, segment_rows = 16, 100
 
         def tracked():
-            rows = presorted_rows(1000, segments=10)
+            rows = presorted_rows(1000, segments=1000 // segment_rows)
             for row in rows:
                 consumed[0] += 1
                 yield row
 
-        ctx = ExecutionContext()
+        ctx = ExecutionContext(batch_size=batch_size)
         stream = sort_stream(tracked(), SCHEMA, SortOrder(["k1", "k2"]), ctx,
                              known_prefix=SortOrder(["k1"]))
         first = next(iter(stream))
         assert first[0] == 0
-        assert consumed[0] <= 102  # one segment + lookahead, not all 1000
+        assert segment_rows < consumed[0] <= segment_rows + batch_size
+
+    def test_limit_over_partial_sort_stops_pulling_child_batches(self):
+        """Operator-level early output: ``Limit(PartialSort(TableScan))``
+        pulls no more child batches than the first closed segment needs —
+        the segment's own batches plus the one that closes it."""
+        from repro.engine import Limit, PartialSort, RowBatch, TableScan
+
+        batch_size, segment_rows = 16, 100
+        cat = Catalog()
+        cat.create_table("t", SCHEMA, rows=presorted_rows(
+            1000, segments=1000 // segment_rows),
+            clustering_order=SortOrder(["k1"]))
+        pulled = [0]
+
+        class CountingScan(TableScan):
+            def execute_batches(self, ctx):
+                for batch in super().execute_batches(ctx):
+                    pulled[0] += 1
+                    yield batch
+
+        plan = Limit(PartialSort(CountingScan(cat.table("t")),
+                                 SortOrder(["k1", "k2"])), 5)
+        ctx = ExecutionContext(cat, batch_size=batch_size)
+        rows = plan.run(ctx)
+        assert [r[0] for r in rows] == [0] * 5
+        assert [r[1] for r in rows] == sorted(r[1] for r in rows)
+        # ceil(100 / 16) batches hold the segment; the last of them also
+        # holds the first row of the next segment, which closes it.
+        assert pulled[0] == -(-(segment_rows + 1) // batch_size)
+        assert ctx.sort_metrics.segments_sorted == 1
 
     def test_oversized_segment_spills_per_segment(self):
         rows = presorted_rows(2000, segments=2)  # 1000-row segments
