@@ -46,12 +46,11 @@ from bench_kernels import run_kernel_benchmark  # noqa: E402
 from bench_serving import (  # noqa: E402
     run_overload_benchmark,
     run_serving_benchmark,
-    run_streaming_benchmark,
 )
 
 #: Gated wall-clock ratios that only mean something on a multi-core
 #: host; on one core they are collected but exempted from the gate.
-MULTICORE_ONLY = ("serving_speedup", "streaming_p95_improvement")
+MULTICORE_ONLY = ("serving_speedup",)
 
 
 def collect_metrics() -> tuple[dict[str, float], set[str]]:
@@ -149,18 +148,6 @@ def collect_metrics() -> tuple[dict[str, float], set[str]]:
         obs["obs_enabled_throughput_ratio"], 3)
     metrics["obs_disabled_throughput_ratio"] = round(
         obs["obs_disabled_throughput_ratio"], 3)
-
-    # Streaming shard transfer: tail latency must not regress against
-    # whole-result gathering; the overlap win needs real cores to show.
-    streamed = run_streaming_benchmark(num_rows=8_000, repeats=5)
-    if serving["cores"] >= 2:
-        metrics["streaming_p95_improvement"] = round(
-            streamed["streaming_p95_improvement"], 3)
-    else:
-        skipped.add("streaming_p95_improvement")
-        print(f"  (single-core host: streaming_p95_improvement "
-              f"{streamed['streaming_p95_improvement']:.2f}x collected "
-              "but not gated)")
     return metrics, skipped
 
 
@@ -212,10 +199,6 @@ def write_baseline(metrics: dict[str, float]) -> None:
               "serving_speedup": round(1.5 / (1.0 - 0.20), 2),
               "columnar_speedup": round(1.5 / (1.0 - 0.20), 2),
               "kernel_speedup": round(1.5 / (1.0 - 0.20), 2),
-              # Floor 0.85: streaming transfer may not cost more than
-              # 15% at p95 vs gathering (the overlap win itself is
-              # wall-clock noisy on shared runners).
-              "streaming_p95_improvement": round(0.85 / (1.0 - 0.20), 2),
               # Observability overhead floors: 1.125 * 0.80 = 0.90
               # (tracing keeps >= 90% of untraced throughput) and
               # 1.225 * 0.80 = 0.98 (the disabled path is <= 2% tax).
@@ -231,7 +214,6 @@ def write_baseline(metrics: dict[str, float]) -> None:
              "serving_cache_hit_rate", "shard_merge_advantage",
              "sharded_join_advantage", "join_order_search_ratio",
              "overload_goodput", "overload_raw_shed",
-             "streaming_p95_improvement",
              "obs_enabled_throughput_ratio",
              "obs_disabled_throughput_ratio"))
         if name in pinned:

@@ -264,25 +264,14 @@ class ExecutionContext:
             self.operator_times[tag] = cell
         return cell
 
-    # -- parallel shard driving ----------------------------------------------------------
-    def fork(self) -> "ExecutionContext":
-        """A child context with fresh accountants (one per shard worker).
-
-        Workers charge their own context; the driver folds the tallies
-        back with :meth:`absorb` in shard order, so totals stay
-        deterministic regardless of thread interleaving.
-        """
-        return ExecutionContext(self.catalog, self.params, self.check_orders,
-                                self.batch_size, self.columnar,
-                                self.meter_timing)
-
+    # -- cross-process tallies ----------------------------------------------------------
     def tallies(self) -> dict:
         """All counters as a flat, picklable dict.
 
         The process-pool backend's workers charge their own context and
         ship this dict back with the result rows; the parent folds it in
-        with :meth:`absorb_tallies` (in shard order, like :meth:`absorb`),
-        so totals stay deterministic across worker scheduling.
+        with :meth:`absorb_tallies` in shard order, so totals stay
+        deterministic across worker scheduling.
         """
         return {
             "blocks_read": self.io.blocks_read,
@@ -334,10 +323,6 @@ class ExecutionContext:
             else:
                 cell[0] += seconds
                 cell[1] += batches
-
-    def absorb(self, child: "ExecutionContext") -> None:
-        """Fold a forked context's counters into this one."""
-        self.absorb_tallies(child.tallies())
 
     def reset(self) -> None:
         self.io = IOAccountant()

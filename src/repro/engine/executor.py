@@ -3,19 +3,15 @@
 :class:`BatchedExecutor` is the single entry point the serving layer
 uses to run a lowered operator tree: it optionally fans table scans out
 into shards (:func:`~repro.engine.exchange.shard_scans`), then pulls
-batches from the root.  Centralising the drive loop here — instead of
-each caller doing ``list(op.execute(ctx))`` — gives one place to hang
-parallel shard workers today and the async serving loop later.
+batches from the root.  Every caller — sessions, backends, pool workers
+— drives plans through this one loop.
 
-Shard-aware enforcement: plans produced by the optimizer with
-``parallelism > 1`` already carry their per-shard enforcers and
+Shard-aware enforcement is the optimizer's decision: plans produced
+with ``parallelism > 1`` already carry their per-shard enforcers and
 :class:`~repro.engine.exchange.MergeExchange` gathers where the cost
-model chose them; the executor's job is only to honour the thread knob
-(``use_threads`` widens every exchange's drain pool) without disturbing
-that choice.  Hand-built operator pipelines can opt into the same
-rewrite with ``shard_aware_sorts=True``, which pushes a ``Sort`` sitting
-above a sharded exchange down into the shards when the cost model says
-the per-shard-sort-plus-merge pipeline is cheaper.
+model chose them, and the executor runs them as planned.  Exchanges are
+drained lazily on the calling thread; multi-core execution is the
+process backend's job (:mod:`repro.service.backends`).
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from typing import Iterator, Optional
 
 from .batch import RowBatch, collect_rows
 from .context import ExecutionContext
-from .exchange import push_sorts_below_exchange, shard_scans, with_exchange_workers
+from .exchange import shard_scans
 from .iterators import Operator
 
 
@@ -32,38 +28,19 @@ class BatchedExecutor:
     """Drives operator trees batch-by-batch, optionally sharded.
 
     ``parallelism`` — number of shards each full table scan is split
-    into (1 = leave the plan untouched).  ``use_threads`` — run shards
-    on a thread pool (per-shard forked contexts, deterministic merged
-    tallies); off by default since CPython threads don't help
-    CPU-bound operator code.  ``shard_aware_sorts`` — opt-in rewrite of
-    post-union sorts into per-shard sorts under a merge exchange for
-    hand-built pipelines; optimizer-produced plans have already made
-    this choice, so the serving layer leaves it off.
+    into (1 = leave the plan untouched).
     """
 
-    def __init__(self, parallelism: int = 1, use_threads: bool = False,
-                 batch_size: Optional[int] = None,
-                 shard_aware_sorts: bool = False) -> None:
+    def __init__(self, parallelism: int = 1,
+                 batch_size: Optional[int] = None) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.parallelism = parallelism
-        self.use_threads = use_threads
         self.batch_size = batch_size
-        self.shard_aware_sorts = shard_aware_sorts
 
-    def prepare(self, op: Operator, params=None) -> Operator:
-        """Apply the sharding rewrites for this executor's parallelism."""
-        if self.parallelism > 1:
-            max_workers = self.parallelism if self.use_threads else 1
-            op = shard_scans(op, self.parallelism, max_workers=max_workers)
-            if self.shard_aware_sorts:
-                op = push_sorts_below_exchange(op, params)
-            if self.use_threads:
-                # Plans lowered from the optimizer carry exchanges built
-                # with the default serial drain; widen them (and any
-                # narrower hand-built ones) without mutating the input.
-                op = with_exchange_workers(op, self.parallelism)
-        return op
+    def prepare(self, op: Operator) -> Operator:
+        """Apply the sharding rewrite for this executor's parallelism."""
+        return shard_scans(op, self.parallelism)
 
     def _context(self, op: Operator,
                  ctx: Optional[ExecutionContext]) -> ExecutionContext:
@@ -76,7 +53,7 @@ class BatchedExecutor:
                         ) -> Iterator[RowBatch]:
         """Batch stream of the (sharded) plan."""
         ctx = self._context(op, ctx)
-        return self.prepare(op, ctx.params).execute_batches(ctx)
+        return self.prepare(op).execute_batches(ctx)
 
     def run(self, op: Operator,
             ctx: Optional[ExecutionContext] = None) -> list[tuple]:

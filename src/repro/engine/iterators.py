@@ -66,9 +66,9 @@ def _metered(fn):
 
     Wrapping happens at *class* definition time (see
     ``Operator.__init_subclass__``), not per instance: ``shard_scans``
-    and ``with_exchange_workers`` clone operators with ``copy.copy``, and
-    a per-instance wrapper would keep executing the original's children
-    through its captured bound method.  Unmetered operators (``_meter``
+    clones operators with ``copy.copy``, and a per-instance wrapper
+    would keep executing the original's children through its captured
+    bound method.  Unmetered operators (``_meter``
     is ``None`` — anything built outside plan lowering) pay one attribute
     load and branch.
     """

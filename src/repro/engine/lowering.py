@@ -9,8 +9,8 @@ op                     args
 ``TableScan``          ``table`` (name)
 ``ShardedScan``        ``table``, ``shard_count``, ``shard_index``
 ``RangePartitionScan``  ``table``, ``partition_index``
-``ExchangeUnion``      n-ary children; ``max_workers`` (optional)
-``MergeExchange``      n-ary children; merge order = plan.order; ``max_workers``
+``ExchangeUnion``      n-ary children
+``MergeExchange``      n-ary children; merge order = plan.order; ``disjoint``
 ``ClusteringIndexScan``  ``table``
 ``CoveringIndexScan``  ``table``, ``index`` (names)
 ``Filter``             ``predicate``
@@ -79,8 +79,8 @@ def meter_for(plan) -> Optional[tuple]:
 
     Scan tags embed the table name (``"TableScan:orders"``); everything
     else meters under its op name.  Estimates are rounded to integers so
-    per-shard contributions sum commutatively — gathered and streaming
-    absorb orders must produce identical tallies.
+    per-shard contributions sum commutatively — the order worker
+    tallies are absorbed in cannot change the totals.
     """
     stats = getattr(plan, "stats", None)
     if stats is None:
@@ -130,9 +130,9 @@ def _lower(plan, catalog: "Catalog",
         return RangePartitionScan(catalog.table(plan.arg("table")),
                                   plan.arg("partition_index"))
     if op == "ExchangeUnion":
-        return ExchangeUnion(children, plan.arg("max_workers", 1))
+        return ExchangeUnion(children)
     if op == "MergeExchange":
-        return MergeExchange(children, plan.order, plan.arg("max_workers", 1),
+        return MergeExchange(children, plan.order,
                              declared_disjoint=plan.arg("disjoint", False))
     if op == "ClusteringIndexScan":
         return ClusteringIndexScan(catalog.table(plan.arg("table")))

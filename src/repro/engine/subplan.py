@@ -7,33 +7,30 @@ the optimizer placed under a :class:`~repro.engine.exchange.MergeExchange`
 picklable :class:`~repro.optimizer.plans.PhysicalPlan` subtrees — to
 worker processes, executed there, and gathered back through the same
 order-preserving merge in the serving process.  This module supplies the
-three pieces:
+pieces:
 
 * :func:`exchange_occurrences` / :func:`shard_subplans` — find the
   *maximal* exchange nodes of a plan (exchanges not nested under another
-  exchange) and cut their children out as independent worker tasks;
+  exchange) and cut their children out as independent worker tasks; a
+  plan with no exchange is one whole-plan task;
 * :func:`strip_plan` — drop optimizer-only payload (the ``logical``
   back-references candidate generation attaches) before pickling, so
   the shipped bytes carry only what lowering needs;
-* :func:`execute_subplan` — the worker entrypoint: lowers a subplan
+* :func:`execute_subplan_stream` — the worker entrypoint: lowers a task
   against the worker's catalog (installed once per pool by
-  :func:`init_worker`) and returns ``(rows, tallies)``;
-* :func:`execute_subplan_stream` — the *streaming* worker entrypoint:
-  instead of returning one whole-row-list pickle through the future, it
-  pushes fixed-size row chunks onto the pool's shared results queue as
-  they are produced, so the serving-side merge starts consuming the
-  fastest shard while the slowest is still sorting;
+  :func:`init_worker`) and pushes fixed-size row chunks onto the pool's
+  shared results queue as they are produced, so the serving-side merge
+  starts consuming the fastest shard while the slowest is still sorting;
 * :class:`ShardStream` / :class:`StreamSource` — the serving-side
   receiving end: a thread-safe chunk buffer fed by the backend's queue
   router, wrapped as an operator so the exchange gather can merge live
   shard streams exactly as it would merge local children;
-* :func:`assemble` / :func:`assemble_streams` — rebuild the serving-side
-  operator tree with each shipped child replaced by a
-  :class:`~repro.engine.scans.RowSource` over the worker's rows (or a
-  :class:`StreamSource` over its live chunk stream), so the gather
-  (stable k-way merge, ties to the lowest shard index) and everything
-  above it runs locally and the result is **bit-identical** to
-  single-process execution.
+* :func:`assemble_streams` — rebuild the serving-side operator tree with
+  each shipped child replaced by a :class:`StreamSource` over its live
+  chunk stream (a whole-plan task's stream is the root itself), so the
+  gather (stable k-way merge, ties to the lowest shard index) and
+  everything above it runs locally and the result is **bit-identical**
+  to single-process execution.
 
 Workers also keep a small LRU of *lowered* subplans keyed by the task's
 pickled fingerprint: operators are plans, not live cursors (they may be
@@ -45,8 +42,8 @@ Determinism: tasks are generated in plan pre-order and, per exchange, in
 shard order; the parent absorbs worker tallies in exactly that order, so
 counters never depend on worker scheduling.  A gather whose children
 were range partitions disjoint on the merge key concatenates heap-free
-locally; ``RowSource``/``StreamSource`` children carry no partition
-bounds to re-detect that from, so re-assembly forwards the plan node's
+locally; ``StreamSource`` children carry no partition bounds to
+re-detect that from, so re-assembly forwards the plan node's
 ``disjoint`` arg (the planner's proof, which survives :func:`strip_plan`)
 as the exchange's ``declared_disjoint`` — the re-assembled gather
 concatenates exactly where local execution does, keeping comparison
@@ -67,11 +64,9 @@ from ..obs.trace import _NULL_SPAN as _NULL_CM, Trace
 from ..core.sort_order import EMPTY_ORDER
 from .batch import RowBatch
 from .context import ExecutionContext
-from .executor import BatchedExecutor
 from .exchange import ExchangeUnion, MergeExchange
 from .iterators import Operator
 from .lowering import meter_for, operators_from_plan
-from .scans import RowSource
 
 #: The gather operators whose children are independently executable
 #: shard pipelines.
@@ -139,46 +134,6 @@ def shard_subplans(plan) -> tuple[list, list[Any]]:
     tasks = [strip_plan(child)
              for node in occurrences for child in node.children]
     return occurrences, tasks
-
-
-def assemble(plan, occurrences: Sequence[Any],
-             shard_rows: Sequence[Sequence[list[tuple]]], catalog) -> Operator:
-    """Serving-side operator tree with shipped children grafted back in.
-
-    *shard_rows* holds, per occurrence, one row list per exchange child.
-    Each exchange is rebuilt over :class:`RowSource` children declaring
-    the exchange's merge order (their streams are sorted on it by
-    construction — the workers ran the per-shard enforcers), so a
-    ``MergeExchange`` performs the exact stable k-way merge it would
-    have performed over live shard streams, and ``check_orders``
-    execution still verifies every input.
-    """
-    remaining = [(node, rows) for node, rows in zip(occurrences, shard_rows)]
-
-    def replace(node) -> Optional[Operator]:
-        for i, (occ, rows_per_child) in enumerate(remaining):
-            if occ is node:
-                del remaining[i]
-                if node.op == "MergeExchange":
-                    children = [RowSource(c.schema, rows, node.order)
-                                for c, rows in zip(node.children,
-                                                   rows_per_child)]
-                    exchange: Operator = MergeExchange(
-                        children, node.order,
-                        declared_disjoint=node.arg("disjoint", False))
-                else:
-                    children = [RowSource(c.schema, rows)
-                                for c, rows in zip(node.children,
-                                                   rows_per_child)]
-                    exchange = ExchangeUnion(children)
-                exchange._meter = meter_for(node)
-                return exchange
-        return None
-
-    root = operators_from_plan(plan, catalog, replace=replace)
-    if remaining:  # pragma: no cover - defensive
-        raise RuntimeError("assemble: not every shipped exchange was grafted")
-    return root
 
 
 # -- serving side: live shard streams ----------------------------------------------------
@@ -313,33 +268,45 @@ class StreamSource(Operator):
 
 
 def assemble_streams(plan, occurrences: Sequence[Any],
-                     shard_streams: Sequence[Sequence[ShardStream]],
-                     catalog) -> Operator:
-    """Streaming twin of :func:`assemble`: graft :class:`StreamSource`
-    children (live, still-producing shard streams) instead of
-    materialised :class:`RowSource` rows.
+                     streams: Sequence[ShardStream], catalog) -> Operator:
+    """Serving-side operator tree with the shipped tasks grafted back in.
 
-    The exchange performs the identical stable merge — each child
-    declares the exchange's merge order, ``check_orders`` still verifies
-    every input at run time — it just starts as soon as the first chunks
-    land instead of after the slowest worker's full pickle.
+    *streams* holds one live :class:`ShardStream` per task, in the order
+    :func:`shard_subplans` cut them.  Each exchange is rebuilt over
+    :class:`StreamSource` children declaring the exchange's merge order
+    (their streams are sorted on it by construction — the workers ran
+    the per-shard enforcers), so a ``MergeExchange`` performs the exact
+    stable k-way merge it would have performed over local children, and
+    ``check_orders`` execution still verifies every input; it just
+    starts as soon as the first chunks land.  A whole-plan task
+    (``occurrences == []``) has nothing to rebuild: its one stream is
+    the root.
     """
-    remaining = [(node, streams)
-                 for node, streams in zip(occurrences, shard_streams)]
+    if not occurrences:
+        (stream,) = streams
+        return StreamSource(plan.schema, stream, plan.order)
+    remaining = []
+    cursor = 0
+    for node in occurrences:
+        width = len(node.children)
+        remaining.append((node, streams[cursor:cursor + width]))
+        cursor += width
 
     def replace(node) -> Optional[Operator]:
-        for i, (occ, streams) in enumerate(remaining):
+        for i, (occ, shard_streams) in enumerate(remaining):
             if occ is node:
                 del remaining[i]
                 if node.op == "MergeExchange":
                     children = [StreamSource(c.schema, stream, node.order)
-                                for c, stream in zip(node.children, streams)]
+                                for c, stream in zip(node.children,
+                                                     shard_streams)]
                     exchange: Operator = MergeExchange(
                         children, node.order,
                         declared_disjoint=node.arg("disjoint", False))
                 else:
                     children = [StreamSource(c.schema, stream)
-                                for c, stream in zip(node.children, streams)]
+                                for c, stream in zip(node.children,
+                                                     shard_streams)]
                     exchange = ExchangeUnion(children)
                 exchange._meter = meter_for(node)
                 return exchange
@@ -355,8 +322,8 @@ def assemble_streams(plan, occurrences: Sequence[Any],
 # -- worker side -------------------------------------------------------------------------
 #: Installed once per worker process by :func:`init_worker`.
 _WORKER_CATALOG = None
-#: The pool's shared results queue (streaming transfer); ``None`` when
-#: the pool was built without one — streaming entrypoints then refuse.
+#: The pool's shared results queue; ``None`` when the pool was built
+#: without one — the worker entrypoint then refuses.
 _WORKER_QUEUE = None
 #: Warm cache of lowered subplans, keyed by task fingerprint.  Safe for
 #: the pool's lifetime: the worker catalog is an immutable snapshot
@@ -367,7 +334,7 @@ _SUBPLAN_CACHE_SIZE = 32
 
 def init_worker(payload, results_queue=None, cache_size: int = 32) -> None:
     """Process-pool initializer: build this worker's catalog copy, adopt
-    the pool's shared results queue (streaming transfer), and size the
+    the pool's shared results queue, and size the
     warm subplan cache.  ``results_queue`` must arrive through the pool's
     ``initargs`` — multiprocessing queues only cross the boundary at
     process creation, never inside task pickles."""
@@ -430,47 +397,14 @@ def _worker_trace(trace_ctx: Optional[tuple]) -> tuple[Optional[Trace],
     return trace, root
 
 
-def execute_subplan(plan, batch_size: Optional[int] = None,
-                    check_orders: bool = False,
-                    meter_timing: bool = False,
-                    trace_ctx: Optional[tuple] = None
-                    ) -> tuple[list[tuple], dict, Optional[list]]:
-    """Worker entrypoint: run one shipped subplan to completion.
-
-    Returns ``(rows, tallies, span_records)``: the result rows, the
-    worker's counter tallies
-    (:meth:`~repro.engine.context.ExecutionContext.tallies`) — absorbed
-    by the parent in task order so totals stay deterministic — and,
-    when *trace_ctx* carries a ``(trace_id, parent_span_id)`` pair, the
-    worker's span records for re-attachment (``None`` otherwise).
-    """
-    _require_worker_catalog()
-    ctx = ExecutionContext(_WORKER_CATALOG, batch_size=batch_size,
-                           check_orders=check_orders,
-                           meter_timing=meter_timing)
-    trace, root = _worker_trace(trace_ctx)
-    if trace is None:
-        op, _ = _lowered_cached(plan)
-        rows = BatchedExecutor().run(op, ctx)
-        return rows, ctx.tallies(), None
-    with trace.span("lower", parent=root) as lower_span:
-        op, was_hit = _lowered_cached(plan)
-        lower_span.tag(cache_hit=was_hit)
-    with trace.span("run", parent=root) as run_span:
-        rows = BatchedExecutor().run(op, ctx)
-        run_span.tag(rows=len(rows))
-    trace.finish(root)
-    return rows, ctx.tallies(), trace.to_records()
-
-
 def execute_subplan_stream(plan, stream_id: int,
                            batch_size: Optional[int] = None,
                            check_orders: bool = False,
                            chunk_rows: int = 2048,
                            meter_timing: bool = False,
                            trace_ctx: Optional[tuple] = None) -> None:
-    """Streaming worker entrypoint: ship the subplan's rows chunk by
-    chunk on the pool's shared results queue.
+    """Worker entrypoint: run one shipped task, shipping its rows chunk
+    by chunk on the pool's shared results queue.
 
     Protocol (all items on the one queue, routed by ``stream_id``):
 
@@ -507,8 +441,9 @@ def execute_subplan_stream(plan, stream_id: int,
     for batch in op.execute_batches(ctx):
         pending.extend(batch.rows)
         while len(pending) >= chunk_rows:
-            _WORKER_QUEUE.put((stream_id, seq, pending[:chunk_rows]))
-            shipped += len(pending[:chunk_rows])
+            chunk = pending[:chunk_rows]
+            _WORKER_QUEUE.put((stream_id, seq, chunk))
+            shipped += len(chunk)
             del pending[:chunk_rows]
             seq += 1
     if pending:

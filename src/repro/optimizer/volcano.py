@@ -53,14 +53,6 @@ from .pipeline import (
     PhysicalSelection,
     parameterize,
 )
-# Re-exported for compatibility: these lived here before the pipeline
-# refactor and the serving layer imports them from this module.
-from .pipeline.physical_selection import (  # noqa: F401
-    SHARD_TRANSPARENT_OPS,
-    _SHARDABLE_SCAN_OPS,
-    enforcement_chain_scan,
-    shardable_enforcement_input,
-)
 
 #: Search-effort counters aggregated across every per-candidate search
 #: of a run — the per-stage telemetry surfaced by ``QuerySession.stats``.

@@ -13,7 +13,6 @@ from .backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from .client import (
@@ -29,6 +28,11 @@ from .plan_cache import CacheStats, PlanCache, SharedPlanCache
 # Re-exported so serving callers configure observability without a
 # second import (`QueryServer(..., obs=ObservabilityConfig(...))`).
 from ..obs import ObservabilityConfig, Tracer
+from ..optimizer.pipeline.parameterization import (
+    bind_expression,
+    bind_plan,
+    plan_params,
+)
 from .server import (
     CircuitOpen,
     QueryRejected,
@@ -37,14 +41,7 @@ from .server import (
     QueryTimeout,
     TracedResult,
 )
-from .session import (
-    PreparedQuery,
-    QuerySession,
-    SessionMetrics,
-    bind_expression,
-    bind_plan,
-    plan_params,
-)
+from .session import PreparedQuery, QuerySession, SessionMetrics
 
 __all__ = [
     "CacheStats",
@@ -69,7 +66,6 @@ __all__ = [
     "ServerMetrics",
     "SessionMetrics",
     "SharedPlanCache",
-    "ThreadBackend",
     "TokenBucket",
     "TracedResult",
     "Tracer",

@@ -1,18 +1,15 @@
 """Pluggable execution backends for the :class:`QueryServer`.
 
 A backend turns one bound :class:`~repro.optimizer.plans.PhysicalPlan`
-into result rows.  Three strategies:
+into result rows.  Two strategies:
 
 * :class:`SerialBackend` — the in-process
   :class:`~repro.engine.executor.BatchedExecutor`, one plan per dispatch
   thread.  Concurrency across queries comes from the server's dispatch
   pool, but CPython's GIL serializes the CPU work.
-* :class:`ThreadBackend` — same, with thread-pool exchange drains
-  (``use_threads=True``).  Helps I/O-bound operator backends; pure-Python
-  CPU work still serializes.
-* :class:`ProcessPoolBackend` — ships per-shard subplans (or whole
-  plans, when a plan has no exchange) to worker processes and gathers
-  them through the order-preserving merge in the serving process
+* :class:`ProcessPoolBackend` — ships per-shard subplans (or the whole
+  plan, when it has no exchange) to worker processes and gathers them
+  through the order-preserving merge in the serving process
   (:mod:`repro.engine.subplan`).  This is the one backend that gives the
   sharded enforcers true multi-core parallelism beyond the GIL.
 
@@ -21,14 +18,14 @@ pipelines are cut only at exchange boundaries, workers run the exact
 per-shard plans, and the serving-side gather performs the same stable
 merge (ties to the lowest shard index) the local exchange would.
 
-The process backend additionally supports **streaming transfer**
-(default on): sharded tasks ship their rows back chunk by chunk on a
-shared results queue instead of one whole-row-list pickle per future, so
-the serving-side merge starts on the fastest shard's first chunk while
-the slowest shard is still sorting, and unpickling overlaps with worker
-execution.  Workers keep a warm LRU of lowered subplans keyed by task
-fingerprint, so the plan-cache steady state (the same physical plan
-served repeatedly) skips lowering on warm workers.
+The process backend has one transfer path: every task — a shard
+pipeline or a whole plan — ships its rows back chunk by chunk on a
+shared results queue, so the serving-side merge starts on the fastest
+shard's first chunk while the slowest shard is still sorting, and
+unpickling overlaps with worker execution.  Workers keep a warm LRU of
+lowered subplans keyed by task fingerprint, so the plan-cache steady
+state (the same physical plan served repeatedly) skips lowering on warm
+workers.
 """
 
 from __future__ import annotations
@@ -41,12 +38,10 @@ from typing import Optional
 
 from ..engine.context import ExecutionContext
 from ..engine.executor import BatchedExecutor
-from ..obs.trace import active_span, child_span
+from ..obs.trace import _NULL_SPAN, active_span, child_span
 from ..engine.subplan import (
     ShardStream,
-    assemble,
     assemble_streams,
-    execute_subplan,
     execute_subplan_stream,
     init_worker,
     shard_subplans,
@@ -85,17 +80,13 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def __init__(self, use_threads: bool = False) -> None:
-        self.use_threads = use_threads
-
     def run_plan(self, plan, catalog: Catalog, parallelism: int = 1,
                  batch_size: Optional[int] = None,
                  check_orders: bool = False,
                  ctx: Optional[ExecutionContext] = None) -> list[tuple]:
         ctx = ctx or ExecutionContext(catalog, batch_size=batch_size,
                                       check_orders=check_orders)
-        executor = BatchedExecutor(parallelism=parallelism,
-                                   use_threads=self.use_threads)
+        executor = BatchedExecutor(parallelism=parallelism)
         # child_span is ambient: a no-op unless the caller is inside an
         # active trace (the server's execute span), so untraced paths
         # pay one ContextVar read.
@@ -103,15 +94,6 @@ class SerialBackend(ExecutionBackend):
             rows = executor.run(plan.to_operator(catalog), ctx)
             span.tag(rows=len(rows))
         return rows
-
-
-class ThreadBackend(SerialBackend):
-    """Serial backend with thread-pool exchange drains."""
-
-    name = "threads"
-
-    def __init__(self) -> None:
-        super().__init__(use_threads=True)
 
 
 class _StreamRouter:
@@ -242,7 +224,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def __init__(self, catalog: Catalog, workers: Optional[int] = None,
                  mp_context: Optional[str] = None,
-                 streaming: bool = True, chunk_rows: int = 2048) -> None:
+                 chunk_rows: int = 2048) -> None:
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
         self.catalog = catalog
@@ -251,7 +233,6 @@ class ProcessPoolBackend(ExecutionBackend):
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else None
         self._mp_context = mp_context
-        self.streaming = streaming
         self.chunk_rows = chunk_rows
         self._lock = threading.Lock()
         self._handle: Optional[_PoolHandle] = None
@@ -366,16 +347,10 @@ class ProcessPoolBackend(ExecutionBackend):
         while True:
             handle = self._ensure_pool()
             try:
-                if self.streaming and occurrences:
-                    rows, local = self._run_streaming(
-                        handle, plan, occurrences, tasks, catalog,
-                        batch_size, check_orders, parent, meter_timing,
-                        attempts)
-                else:
-                    rows, local = self._run_gathered(
-                        handle, occurrences, tasks, plan, catalog,
-                        batch_size, check_orders, parent, meter_timing,
-                        attempts)
+                rows, local = self._run_streaming(
+                    handle, plan, occurrences, tasks, catalog,
+                    batch_size, check_orders, parent, meter_timing,
+                    attempts)
                 break
             except BrokenExecutor:
                 # A worker died (OOM, signal).  This attempt's futures
@@ -433,63 +408,12 @@ class ProcessPoolBackend(ExecutionBackend):
         if records:
             parent.trace.attach(records, base_offset=span.start)
 
-    def _run_gathered(self, handle: _PoolHandle, occurrences, tasks, plan,
-                      catalog: Catalog, batch_size, check_orders,
-                      parent=None, meter_timing: bool = False,
-                      attempt: int = 0
-                      ) -> tuple[list[tuple], ExecutionContext]:
-        """Whole-result transfer: one future per task, each returning
-        its full row list; the gather runs after every shard lands."""
-        futures = []
-        spans = []
-        results = []
-        try:
-            # The submit loop sits inside the try: a broken pool can
-            # raise at submit time, and any dispatch spans already
-            # opened must still be closed.
-            for i, task in enumerate(tasks):
-                span, trace_ctx = self._dispatch_span(parent, i, attempt)
-                spans.append(span)
-                futures.append(handle.pool.submit(
-                    execute_subplan, task, batch_size, check_orders,
-                    meter_timing, trace_ctx))
-            for future, span in zip(futures, spans):
-                rows, tallies, records = future.result()
-                results.append((rows, tallies))
-                self._attach_worker_spans(parent, span, records)
-        except BaseException as exc:
-            # Cancel-before-rebuild: never leave the first attempt's
-            # futures running (or queued) on a pool we may retire.
-            for future in futures:
-                future.cancel()
-            self._close_failed_spans(parent, spans, exc)
-            raise
-        local = ExecutionContext(catalog, batch_size=batch_size,
-                                 check_orders=check_orders,
-                                 meter_timing=meter_timing)
-        # Fold worker tallies in task (= shard) order: deterministic.
-        for _, tallies in results:
-            local.absorb_tallies(tallies)
-        if not occurrences:
-            return results[0][0], local
-        shard_rows = []
-        cursor = 0
-        for node in occurrences:
-            width = len(node.children)
-            shard_rows.append([results[cursor + j][0] for j in range(width)])
-            cursor += width
-        root = assemble(plan, occurrences, shard_rows, catalog)
-        with child_span("merge", shards=len(tasks)) as merge_span:
-            rows = BatchedExecutor().run(root, local)
-            merge_span.tag(rows=len(rows))
-        return rows, local
-
     def _run_streaming(self, handle: _PoolHandle, plan, occurrences, tasks,
                        catalog: Catalog, batch_size, check_orders,
                        parent=None, meter_timing: bool = False,
                        attempt: int = 0
                        ) -> tuple[list[tuple], ExecutionContext]:
-        """Chunked transfer: the merge consumes live shard streams.
+        """Chunked transfer: the gather consumes live task streams.
 
         Stream ids are unique per attempt (the router hands them out),
         so chunks from a failed attempt still in the queue can never
@@ -511,20 +435,15 @@ class ProcessPoolBackend(ExecutionBackend):
                 streams.append(stream)
                 futures.append(future)
 
-            shard_streams = []
-            cursor = 0
-            for node in occurrences:
-                width = len(node.children)
-                shard_streams.append(streams[cursor:cursor + width])
-                cursor += width
-            root = assemble_streams(plan, occurrences, shard_streams, catalog)
+            root = assemble_streams(plan, occurrences, streams, catalog)
             local = ExecutionContext(catalog, batch_size=batch_size,
                                      check_orders=check_orders,
                                      meter_timing=meter_timing)
-            # In streaming the "merge" span overlaps worker execution by
-            # design — it covers first-chunk to last-row of the gather.
-            with child_span("merge", shards=len(tasks),
-                            streaming=True) as merge_span:
+            # The "merge" span overlaps worker execution by design — it
+            # covers first-chunk to last-row of the gather.  A whole-plan
+            # task merges nothing, so it opens none.
+            with (child_span("merge", shards=len(tasks)) if occurrences
+                  else _NULL_SPAN) as merge_span:
                 rows = BatchedExecutor().run(root, local)
                 merge_span.tag(rows=len(rows))
         except BaseException as exc:
@@ -536,8 +455,8 @@ class ProcessPoolBackend(ExecutionBackend):
             raise
         # The merge consumed every stream to its DONE sentinel, so the
         # worker tallies are in hand; fold them in task order, after the
-        # merge's own charges — the sums are commutative, so totals are
-        # identical to the gathered path's fold-then-merge order.
+        # merge's own charges — the sums are commutative, so the fold
+        # order cannot change the totals.
         for stream, span in zip(streams, spans):
             local.absorb_tallies(stream.tallies)
             self._attach_worker_spans(parent, span, stream.spans)
@@ -555,7 +474,6 @@ class ProcessPoolBackend(ExecutionBackend):
             out = {
                 "backend": self.name,
                 "pool_workers": self.workers,
-                "streaming": self.streaming,
                 "chunk_rows": self.chunk_rows,
                 "pool_rebuilds": self._rebuilds,
                 "streamed_queries": self._streamed_queries,
@@ -588,7 +506,7 @@ def _retire_handle_async(handle: _PoolHandle) -> None:
     In-flight futures on the old pool are allowed to drain (dispatch
     threads may still be waiting on them); the router stops only after
     ``shutdown(wait=True)`` returns, i.e. after every worker exited — so
-    streaming queries on the old generation route to completion first.
+    queries on the old generation route to completion first.
     A broken pool's futures were cancelled by the failing ``run_plan``
     before the rebuild, so retirement is prompt there too.
     """
@@ -607,19 +525,16 @@ def _noop(_: int) -> None:
 def make_backend(kind, catalog: Catalog,
                  pool_workers: Optional[int] = None,
                  mp_context: Optional[str] = None,
-                 streaming: bool = True,
                  chunk_rows: int = 2048) -> ExecutionBackend:
     """Resolve a backend spec: an instance passes through, a name
-    (``"serial"`` / ``"threads"`` / ``"process"``) is constructed."""
+    (``"serial"`` / ``"process"``) is constructed."""
     if isinstance(kind, ExecutionBackend):
         return kind
     if kind == "serial":
         return SerialBackend()
-    if kind == "threads":
-        return ThreadBackend()
     if kind == "process":
         return ProcessPoolBackend(catalog, workers=pool_workers,
                                   mp_context=mp_context,
-                                  streaming=streaming, chunk_rows=chunk_rows)
+                                  chunk_rows=chunk_rows)
     raise ValueError(f"unknown backend {kind!r}; "
-                     "have 'serial', 'threads', 'process'")
+                     "have 'serial', 'process'")

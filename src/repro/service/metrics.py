@@ -68,16 +68,11 @@ class LatencyTracker:
     bisect into ~77 bounds, ``quantile`` walks the bounded cumulative
     counts and interpolates linearly inside the landing bucket (clamped
     to the observed min/max, so small-n reads stay exact-ish).  The same
-    buckets back the Prometheus exposition (:meth:`buckets`).
-
-    *window* is accepted for backward compatibility; the histogram
-    covers all observations, not a sliding window.
+    buckets back the Prometheus exposition (:meth:`buckets`).  The
+    histogram covers all observations, not a sliding window.
     """
 
-    def __init__(self, window: int = 2048) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
+    def __init__(self) -> None:
         self._counts = [0] * (len(_LATENCY_BOUNDS) + 1)
         self.count = 0
         self.total_seconds = 0.0
@@ -302,9 +297,9 @@ class CircuitBreaker:
 class ServerMetrics:
     """Thread-safe counters and gauges for one :class:`QueryServer`."""
 
-    def __init__(self, latency_window: int = 2048) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.latency = LatencyTracker(latency_window)
+        self.latency = LatencyTracker()
         #: Admission outcomes.  ``submitted`` equals the sum of the three
         #: rejection counters plus ``admitted``; every admitted query
         #: eventually resolves to exactly one of ``completed`` /

@@ -42,28 +42,17 @@ from ..logical.fingerprint import logical_fingerprint
 from ..core.sort_order import SortOrder
 from ..obs.analyze import ExplainAnalyze
 from ..obs.trace import child_span
+from ..optimizer.pipeline.parameterization import bind_plan, plan_params
+from ..optimizer.pipeline.physical_selection import shardable_enforcement_input
 from ..optimizer.plans import PhysicalPlan
 from ..optimizer.volcano import (
     Optimizer,
     OptimizerConfig,
-    shardable_enforcement_input,
     split_required_order,
 )
 from ..storage.catalog import Catalog
 from .feedback import FeedbackConfig, scan_table
 from .plan_cache import PlanCache
-
-
-# -- parameter binding (pipeline stage 4; re-exported here for compat) ---------------
-# bind_expression / expression_params / plan_params / bind_plan moved to
-# the optimizer pipeline's parameterization stage; the serving layer (and
-# repro.service.__init__) keeps importing them from this module.
-from ..optimizer.pipeline.parameterization import (  # noqa: E402,F401
-    bind_expression,
-    bind_plan,
-    expression_params,
-    plan_params,
-)
 
 
 # -- the session ------------------------------------------------------------------------
@@ -151,7 +140,7 @@ class PreparedQuery:
     def execute(self, ctx: Optional[ExecutionContext] = None,
                 parallelism: Optional[int] = None,
                 batch_size: Optional[int] = None,
-                use_threads: bool = False, **binds: Any) -> list[tuple]:
+                **binds: Any) -> list[tuple]:
         """Run the plan on the batched engine.
 
         ``parallelism`` (default: the value the plan was prepared with)
@@ -167,8 +156,7 @@ class PreparedQuery:
                                       batch_size=batch_size)
         if parallelism is None:
             parallelism = self.parallelism
-        executor = BatchedExecutor(parallelism=parallelism,
-                                   use_threads=use_threads)
+        executor = BatchedExecutor(parallelism=parallelism)
         rows = executor.run(plan.to_operator(self.session.catalog), ctx)
         self.session.observe_execution(self, ctx)
         return rows
@@ -300,10 +288,10 @@ class QuerySession:
                 required_order: Optional[SortOrder] = None,
                 ctx: Optional[ExecutionContext] = None,
                 parallelism: int = 1, batch_size: Optional[int] = None,
-                use_threads: bool = False, **binds: Any) -> list[tuple]:
+                **binds: Any) -> list[tuple]:
         """Prepare (served from cache when possible) and execute."""
         return self.prepare(query, required_order, parallelism=parallelism).execute(
-            ctx, batch_size=batch_size, use_threads=use_threads, **binds)
+            ctx, batch_size=batch_size, **binds)
 
     def explain(self, query: TUnion[Query, LogicalExpr],
                 required_order: Optional[SortOrder] = None,
@@ -314,7 +302,6 @@ class QuerySession:
                         required_order: Optional[SortOrder] = None,
                         parallelism: int = 1,
                         batch_size: Optional[int] = None,
-                        use_threads: bool = False,
                         **binds: Any) -> ExplainAnalyze:
         """Prepare, *actually execute*, and annotate the plan tree with
         measured rows, wall time and batch counts per operator —
@@ -330,7 +317,7 @@ class QuerySession:
         ctx = ExecutionContext(self.catalog, batch_size=batch_size,
                                meter_timing=True)
         start = time.perf_counter()
-        rows = prepared.execute(ctx, use_threads=use_threads, **binds)
+        rows = prepared.execute(ctx, **binds)
         wall = time.perf_counter() - start
         return ExplainAnalyze(
             prepared.plan,

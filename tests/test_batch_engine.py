@@ -196,26 +196,6 @@ class TestBatchedExecutor:
                 self.pipeline(catalog), ExecutionContext(catalog))
             assert got == baseline
 
-    def test_threaded_shards_deterministic(self, catalog):
-        baseline_ctx = ExecutionContext(catalog)
-        baseline = BatchedExecutor().run(self.pipeline(catalog), baseline_ctx)
-        ctx = ExecutionContext(catalog)
-        got = BatchedExecutor(parallelism=4, use_threads=True).run(
-            self.pipeline(catalog), ctx)
-        assert got == baseline
-        assert ctx.io.blocks_read >= baseline_ctx.io.blocks_read
-
-    def test_threaded_exchange_charges_before_first_batch(self, catalog):
-        """All shard work is folded into the parent context up front, so
-        an early-terminating consumer still sees the I/O that ran."""
-        table = catalog.table("t")
-        exchange = ExchangeUnion([ShardedScan(table, 4, i) for i in range(4)],
-                                 max_workers=4)
-        ctx = ExecutionContext(catalog)
-        first = next(iter(exchange.execute_batches(ctx)))
-        assert len(first) > 0
-        assert ctx.io.blocks_read >= table.num_blocks
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchedExecutor(parallelism=0)
@@ -231,13 +211,12 @@ class TestSessionKnobs:
         session = QuerySession(catalog)
         serial = session.execute(self.query())
         sharded = session.execute(self.query(), parallelism=4)
-        threaded = session.execute(self.query(), parallelism=4,
-                                   use_threads=True)
-        assert sharded == serial and threaded == serial
+        again = session.execute(self.query(), parallelism=4)
+        assert sharded == serial and again == serial
         assert session.metrics.executions == 3
         # Parallelism is part of the plan-cache key (the enforcer
         # placement depends on it): one plan per fan-out, and the
-        # threaded run reuses the parallelism=4 entry.
+        # repeat run reuses the parallelism=4 entry.
         assert session.metrics.optimizations == 2
         assert session.cache.stats.hits == 1
 

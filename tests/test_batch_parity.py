@@ -133,4 +133,3 @@ def test_parallel_execution_row_parity(tpch_mini, query3):
     reference = session.execute(query3)
     for parallelism in (2, 5):
         assert session.execute(query3, parallelism=parallelism) == reference
-    assert session.execute(query3, parallelism=4, use_threads=True) == reference

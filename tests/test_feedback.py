@@ -37,7 +37,7 @@ from repro.core.sort_order import SortOrder
 from repro.engine import ExecutionContext
 from repro.engine.exchange import MergeExchange
 from repro.engine.executor import BatchedExecutor
-from repro.engine.subplan import assemble, shard_subplans
+from repro.engine.subplan import ShardStream, assemble_streams, shard_subplans
 from repro.logical import Query
 from repro.optimizer import GreedyManyToManyEnumerator, Optimizer
 from repro.service import FeedbackConfig, QuerySession, QueryServer, make_backend
@@ -210,7 +210,7 @@ class TestOperatorRowTallies:
         assert ctx.operator_rows == {}
 
     def test_parity_across_backends_on_fuzz_corpus(self):
-        """One prepared parallel plan, three execution strategies: the
+        """One prepared parallel plan, both execution strategies: the
         per-operator (estimated, actual) tallies are bit-identical —
         worker processes meter the same lowered operators the local
         engine does, and serving-side re-assembly stamps the gathered
@@ -222,10 +222,6 @@ class TestOperatorRowTallies:
             prepared = QuerySession(catalog).prepare(query, parallelism=4)
             serial = ExecutionContext(catalog)
             reference = prepared.execute(ctx=serial)
-            threaded = ExecutionContext(catalog)
-            assert prepared.execute(ctx=threaded, use_threads=True) == reference
-            assert (serial.tallies()["operator_rows"]
-                    == threaded.tallies()["operator_rows"]), seed
             backend = make_backend("process", catalog, pool_workers=2)
             try:
                 process = ExecutionContext(catalog)
@@ -382,28 +378,40 @@ def disjoint_plan_case():
 
 class TestDisjointGatherParity:
     def test_reassembled_gather_keeps_disjoint_concat(self):
-        """The re-assembled exchange's children are RowSources, so shape
-        re-detection cannot prove disjointness — only the forwarded plan
-        arg can.  Dropping it (the old behavior) heap-merges and pays
-        extra comparisons."""
+        """The re-assembled exchange's children are StreamSources, so
+        shape re-detection cannot prove disjointness — only the
+        forwarded plan arg can.  Dropping it (the old behavior)
+        heap-merges and pays extra comparisons."""
         catalog, prepared = disjoint_plan_case()
-        occurrences, _ = shard_subplans(prepared.plan)
-        shard_rows = [[BatchedExecutor().run(child.to_operator(catalog),
-                                             ExecutionContext(catalog))
-                       for child in node.children]
-                      for node in occurrences]
-        root = assemble(prepared.plan, occurrences, shard_rows, catalog)
+        occurrences, tasks = shard_subplans(prepared.plan)
+        task_rows = [BatchedExecutor().run(task.to_operator(catalog),
+                                           ExecutionContext(catalog))
+                     for task in tasks]
+
+        def reassemble():
+            """A fresh graft over pre-filled streams (StreamSource is
+            one-shot, so every execution needs its own set)."""
+            streams = []
+            for i, rows in enumerate(task_rows):
+                stream = ShardStream(i)
+                stream.put(rows)
+                stream.finish(({}, False))
+                streams.append(stream)
+            root = assemble_streams(prepared.plan, occurrences, streams,
+                                    catalog)
+            return root, [op for op in operators(root)
+                          if isinstance(op, MergeExchange)]
 
         def operators(op):
             yield op
             for child in op.children:
                 yield from operators(child)
 
-        gathers = [op for op in operators(root)
-                   if isinstance(op, MergeExchange)]
+        root, gathers = reassemble()
         assert gathers and all(g.partition_disjoint for g in gathers)
         declared = ExecutionContext(catalog)
         rows = BatchedExecutor().run(root, declared)
+        root, gathers = reassemble()
         for gather in gathers:
             gather.declared_disjoint = False
         assert not any(g.partition_disjoint for g in gathers)
@@ -411,13 +419,11 @@ class TestDisjointGatherParity:
         assert BatchedExecutor().run(root, undeclared) == rows
         assert declared.comparisons.value < undeclared.comparisons.value
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_process_backend_comparison_parity(self, streaming):
+    def test_process_backend_comparison_parity(self):
         catalog, prepared = disjoint_plan_case()
         local = ExecutionContext(catalog)
         reference = prepared.execute(ctx=local)
-        backend = make_backend("process", catalog, pool_workers=2,
-                               streaming=streaming)
+        backend = make_backend("process", catalog, pool_workers=2)
         try:
             ctx = ExecutionContext(catalog)
             rows = backend.run_plan(prepared.plan, catalog, parallelism=4,

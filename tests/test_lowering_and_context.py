@@ -1,6 +1,11 @@
 """Plan lowering, I/O accounting, and paper-claim integration tests."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro.engine
 
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.engine import ExecutionContext, operators_from_plan
@@ -8,6 +13,25 @@ from repro.engine.context import ComparisonCounter, CountedKey, IOAccountant
 from repro.optimizer import Optimizer
 from repro.optimizer.manual import PlanBuilder
 from repro.storage import Catalog, Schema, SystemParameters
+
+
+def test_engine_never_imports_the_cost_model():
+    """Where an enforcer goes is decided inside the optimizer's search:
+    no engine module may import the cost model, at module level or
+    inside a function."""
+    offenders = []
+    for path in sorted(Path(repro.engine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported = [f"{module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("optimizer.cost" in name for name in imported):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 class TestIOAccounting:

@@ -1,17 +1,12 @@
 """MergeExchange unit tests: edge shapes (empty/single/oversharded
-shards, duplicate keys), spilling per-shard sorts, and the deterministic
-thread-pool drain discipline shared with ExchangeUnion."""
-
-import time
+shards, duplicate keys) and spilling per-shard sorts."""
 
 import pytest
 
 from repro.core.sort_order import SortOrder
 from repro.engine import (
-    ExchangeUnion,
     ExecutionContext,
     MergeExchange,
-    Operator,
     RowSource,
     ShardedScan,
     Sort,
@@ -30,21 +25,6 @@ def source(rows, order=ORDER_K):
 def _counters(ctx):
     return (ctx.io.blocks_read, ctx.io.blocks_written, ctx.comparisons.value,
             ctx.sort_metrics.runs_created, ctx.sort_metrics.in_memory_sorts)
-
-
-class SlowOperator(Operator):
-    """Pass-through that sleeps before producing — forces thread-pool
-    workers to finish out of shard order."""
-
-    name = "SlowOperator"
-
-    def __init__(self, child, delay: float) -> None:
-        super().__init__(child.schema, child.output_order, [child])
-        self.delay = delay
-
-    def execute_batches(self, ctx):
-        time.sleep(self.delay)
-        return self.children[0].execute_batches(ctx)
 
 
 class TestMergeExchangeShapes:
@@ -106,8 +86,6 @@ class TestMergeExchangeShapes:
         other = RowSource(Schema.of(("x", "int", 8)), [])
         with pytest.raises(ValueError, match="share a schema"):
             MergeExchange([source([]), other], ORDER_K)
-        with pytest.raises(ValueError, match="max_workers"):
-            MergeExchange([source([])], ORDER_K, max_workers=0)
 
     def test_check_orders_catches_lying_child(self):
         liar = source([(5, 0), (1, 0)])  # declares (k) but is not sorted
@@ -154,47 +132,3 @@ class TestMergeExchangeCosts:
         # The k-way heap merge pays comparisons the single sort does not
         # (they are what the cost model's merge_exchange term estimates).
         assert merge_ctx.comparisons.value > 0
-
-
-class TestDeterministicThreadDrain:
-    """Thread-pool drains must absorb forked contexts in shard order and
-    emit rows in shard order even when workers finish out of order."""
-
-    def make_catalog(self, num_rows=800, seed=3):
-        import random
-        rng = random.Random(seed)
-        cat = Catalog()
-        rows = [(rng.randrange(40), i) for i in range(num_rows)]
-        cat.create_table("t", SCHEMA, rows=rows)
-        return cat
-
-    def slow_shards(self, table, shard_count):
-        """Shard 0 is the slowest, so completion order inverts shard
-        order on the pool."""
-        return [SlowOperator(ShardedScan(table, shard_count, i),
-                             delay=0.05 if i == 0 else 0.0)
-                for i in range(shard_count)]
-
-    def test_exchange_union_absorbs_in_shard_order(self):
-        cat = self.make_catalog()
-        table = cat.table("t")
-        serial = ExchangeUnion(self.slow_shards(table, 4), max_workers=1)
-        threaded = ExchangeUnion(self.slow_shards(table, 4), max_workers=4)
-        serial_ctx, threaded_ctx = ExecutionContext(cat), ExecutionContext(cat)
-        assert threaded.run(threaded_ctx) == serial.run(serial_ctx) == table.rows
-        assert _counters(threaded_ctx) == _counters(serial_ctx)
-
-    def test_merge_exchange_parallel_drain_deterministic(self):
-        cat = self.make_catalog()
-        table = cat.table("t")
-
-        def shards():
-            return [Sort(slow, ORDER_K)
-                    for slow in self.slow_shards(table, 4)]
-
-        serial = MergeExchange(shards(), ORDER_K, max_workers=1)
-        threaded = MergeExchange(shards(), ORDER_K, max_workers=4)
-        serial_ctx, threaded_ctx = ExecutionContext(cat), ExecutionContext(cat)
-        assert threaded.run(threaded_ctx) == serial.run(serial_ctx) == \
-            sorted(table.rows, key=lambda r: r[0])
-        assert _counters(threaded_ctx) == _counters(serial_ctx)

@@ -1,5 +1,5 @@
-"""Observability: span trees end to end (serial / threads / process,
-streaming and gathered, pool-rebuild mid-query), EXPLAIN ANALYZE
+"""Observability: span trees end to end (serial / process, sharded and
+whole-plan tasks, pool-rebuild mid-query), EXPLAIN ANALYZE
 estimated-vs-actual annotations, the histogram-backed latency tracker,
 Prometheus/JSON exposition, the slow-query log, and the fuzz-corpus pin
 that tracing changes no rows and no tallies."""
@@ -346,15 +346,25 @@ class TestServerTracing:
         assert result.trace.find("plan").tags["cache_hit"] \
             == result.from_cache
 
-    def test_gathered_transfer_also_reattaches_workers(self):
+    def test_whole_plan_stream_reattaches_worker_without_merge(self):
+        """A plan with no exchange ships as one streamed task: one
+        dispatch with its worker subtree, and no merge span since
+        nothing is merged."""
         catalog = serving_catalog()
-        backend = ProcessPoolBackend(catalog, workers=2, streaming=False)
-        with QueryServer(catalog, backend=backend, parallelism=4,
-                         obs=True) as server:
+        with QueryServer(catalog, backend="process", parallelism=1,
+                         pool_workers=2, obs=True) as server:
             result = server.execute(serving_queries()[0])
-        assert_full_query_tree(result.trace, shards=4)
+            assert server.stats()["streamed_chunks"] >= 1
+        trace = result.trace
+        (dispatch,) = trace.find_all("shard_dispatch")
+        assert dispatch.parent_id == trace.find("execute").span_id
+        (worker,) = trace.find_all("worker_execute")
+        assert worker.parent_id == dispatch.span_id
+        assert worker.trace_id == trace.trace_id
+        assert trace.find("run").tags["rows"] == len(result.rows)
+        assert trace.find("merge") is None
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_in_process_backends_trace(self, backend):
         catalog = serving_catalog(num_rows=600)
         with QueryServer(catalog, backend=backend, parallelism=2,

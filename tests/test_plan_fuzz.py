@@ -9,7 +9,6 @@ are **bit-identical** across every execution configuration:
 * ``parallelism`` ∈ {1, 2, 4} (different physical plans: the shard-aware
   search may place enforcers, joins and aggregations per shard);
 * ``batch_size`` ∈ {1, 64, default};
-* threads on/off (thread-pool exchange drains);
 * row-at-a-time vs batch-vectorized driving;
 * order-checked execution (``check_orders=True``), so every operator's
   declared sort order is verified at run time;
@@ -171,8 +170,6 @@ def execution_mismatches(catalog: Catalog, query) -> list[str]:
             name = f"p{parallelism}/b{batch_size or 'def'}"
             results[name] = session.execute(query, parallelism=parallelism,
                                             batch_size=batch_size)
-        results[f"p{parallelism}/threads"] = session.execute(
-            query, parallelism=parallelism, use_threads=True)
     # Order-checked execution: every declared order is verified per row.
     checked = ExecutionContext(catalog, check_orders=True)
     results["p4/checked"] = session.execute(query, parallelism=4, ctx=checked)

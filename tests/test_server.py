@@ -2,10 +2,11 @@
 cross-session plan cache, backend parity (including the process pool on
 the fuzz-suite plan corpus), cooperative backpressure (retry-after,
 tenant quotas, circuit breaker), pool resilience under breakage and
-refresh, streaming shard transfer, and the many-clients stress tests
+refresh, streamed task transfer, and the many-clients stress tests
 that pin the admission-counter reconciliation invariant."""
 
 import asyncio
+import multiprocessing
 import os
 import random
 import threading
@@ -15,6 +16,7 @@ from concurrent.futures import BrokenExecutor
 import pytest
 
 from repro.core.sort_order import SortOrder
+from repro.engine import Operator
 from repro.expr import col, param
 from repro.expr.aggregates import agg_sum
 from repro.logical import Query
@@ -349,14 +351,9 @@ class TestProcessBackend:
             backend.close()
 
 
-class TestThreadBackendParity:
-    def test_threads_backend_matches_serial(self, catalog, references):
-        with QueryServer(catalog, backend="threads", parallelism=4,
-                         max_inflight=2) as server:
-            for i, (query, reference) in enumerate(zip(serving_queries(),
-                                                       references)):
-                binds = {"lim": 30} if i == 1 else {}
-                assert server.execute(query, **binds).rows == reference
+def test_make_backend_names_the_two_backends(catalog):
+    with pytest.raises(ValueError, match="have 'serial', 'process'"):
+        make_backend("threads", catalog)
 
 
 # -- cooperative backpressure ------------------------------------------------------------
@@ -561,6 +558,21 @@ def _worker_suicide(_: int) -> None:
     os._exit(17)
 
 
+class _DiesMidStream(Operator):
+    """Passes its child's first batch through, then kills the process."""
+
+    name = "DiesMidStream"
+
+    def __init__(self, child) -> None:
+        super().__init__(child.schema, child.output_order, [child])
+
+    def execute_batches(self, ctx):
+        for batch in self.children[0].execute_batches(ctx):
+            yield batch
+            time.sleep(0.05)  # let the queue feeder ship the chunks
+            os._exit(17)
+
+
 class TestPoolResilience:
     def test_concurrent_broken_pool_single_rebuild(self):
         """Many dispatch threads hitting one broken pool: the first
@@ -597,6 +609,42 @@ class TestPoolResilience:
             assert errors == []
             assert all(rows == reference for rows in results)
             assert backend.describe()["pool_rebuilds"] == 1
+        finally:
+            backend.close()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the fault is injected into workers through fork")
+    def test_worker_death_during_whole_plan_stream(self, monkeypatch):
+        """The one worker running a whole-plan task dies after shipping
+        its first chunks: the stream fails instead of blocking the
+        gather, the query retries once on a rebuilt pool, and no stream
+        stays registered on either generation's router."""
+        from repro.engine import subplan
+
+        catalog = serving_catalog(num_rows=3000, seed=5)
+        query = Query.table("t").order_by("b", "a", "c")
+        session = QuerySession(catalog)
+        reference = session.execute(query)
+        plan = session.prepare(query).plan
+        assert subplan.shard_subplans(plan)[0] == []  # ships whole
+        lower = subplan._lowered_cached
+        # Forked workers inherit the patch; the rebuilt (spawned) pool
+        # imports the module afresh and runs the real function.
+        monkeypatch.setattr(
+            subplan, "_lowered_cached",
+            lambda task: (_DiesMidStream(lower(task)[0]), False))
+        backend = ProcessPoolBackend(catalog, workers=1, mp_context="fork",
+                                     chunk_rows=64)
+        monkeypatch.undo()
+        try:
+            first = backend._ensure_pool()
+            assert backend.run_plan(plan, catalog) == reference
+            d = backend.describe()
+            assert d["pool_rebuilds"] == 1
+            assert d["streamed_queries"] == 1
+            assert first.router._streams == {}
+            assert backend._ensure_pool().router._streams == {}
         finally:
             backend.close()
 
@@ -642,46 +690,55 @@ class TestPoolResilience:
             backend.close()
 
 
-# -- streaming shard transfer ------------------------------------------------------------
+# -- streamed task transfer --------------------------------------------------------------
 class TestStreamingTransfer:
-    def test_streaming_matches_gathered_rows_and_tallies(self, catalog,
-                                                         references):
-        """Chunked transfer is bit-identical to whole-result pickles —
-        rows and absorbed worker tallies alike — and the worker-side
-        subplan cache hits on a re-served identical plan."""
+    @pytest.mark.parametrize("chunk_rows", [256, None],
+                             ids=["256", "default"])
+    @pytest.mark.parametrize("parallelism", [4, 1],
+                             ids=["sharded", "whole"])
+    def test_process_matches_serial_backend(
+            self, catalog, references, parallelism, chunk_rows):
+        """The process backend's one transfer path — shard pipelines
+        under a gather, or a whole plan as a single stream — is
+        bit-identical to in-process execution, rows and absorbed worker
+        tallies alike, and its telemetry counts every task."""
         from repro.engine import ExecutionContext
+        from repro.engine.subplan import shard_subplans
+        from repro.service import SerialBackend
 
         session = QuerySession(catalog)
-        plan = session.prepare(serving_queries()[0], parallelism=4).plan
-        streaming = ProcessPoolBackend(catalog, workers=1, chunk_rows=256)
-        gathered = ProcessPoolBackend(catalog, workers=1, streaming=False)
+        plan = session.prepare(serving_queries()[0],
+                               parallelism=parallelism).plan
+        occurrences, tasks = shard_subplans(plan)
+        assert bool(occurrences) == (parallelism > 1)
+        serial_ctx = ExecutionContext(catalog, check_orders=True)
+        assert SerialBackend().run_plan(
+            plan, catalog, parallelism=parallelism,
+            ctx=serial_ctx) == references[0]
+        options = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
+        backend = ProcessPoolBackend(catalog, workers=1, **options)
         try:
-            ctx_s = ExecutionContext(catalog)
-            ctx_g = ExecutionContext(catalog)
-            rows_s = streaming.run_plan(plan, catalog, parallelism=4,
-                                        ctx=ctx_s)
-            rows_g = gathered.run_plan(plan, catalog, parallelism=4,
-                                       ctx=ctx_g)
-            assert rows_s == rows_g == references[0]
-            assert ctx_s.tallies() == ctx_g.tallies()
+            ctx = ExecutionContext(catalog)
+            rows = backend.run_plan(plan, catalog, parallelism=parallelism,
+                                    check_orders=True, ctx=ctx)
+            assert rows == references[0]
+            assert ctx.tallies() == serial_ctx.tallies()
 
-            d = streaming.describe()
-            assert d["streaming"] and not gathered.describe()["streaming"]
+            d = backend.describe()
             assert d["streamed_queries"] == 1
-            # 4 shards of ~1000 rows in 256-row chunks.
-            assert d["streamed_chunks"] >= 8
-            assert d["subplan_cache_misses"] == 4
+            if chunk_rows == 256:
+                # 4000 rows in 256-row chunks, whole or over 4 shards.
+                assert d["streamed_chunks"] >= 16
+            assert d["subplan_cache_misses"] == len(tasks)
             assert d["subplan_cache_hits"] == 0
 
             # Re-serve the identical plan: the single worker has every
-            # shard subplan warm.
-            assert streaming.run_plan(plan, catalog,
-                                      parallelism=4) == references[0]
-            d = streaming.describe()
-            assert d["subplan_cache_hits"] == 4
+            # task warm.
+            assert backend.run_plan(plan, catalog,
+                                    parallelism=parallelism) == references[0]
+            assert backend.describe()["subplan_cache_hits"] == len(tasks)
         finally:
-            streaming.close()
-            gathered.close()
+            backend.close()
 
     def test_streaming_server_end_to_end(self, catalog, references):
         """The default process backend streams: full server round trip
@@ -728,7 +785,7 @@ class _FlakyBackend(ExecutionBackend):
 
 
 class TestChaosReconciliation:
-    @pytest.mark.parametrize("inner", ["serial", "threads", "process"])
+    @pytest.mark.parametrize("inner", ["serial", "process"])
     def test_counters_reconcile_exactly_under_chaos(self, inner):
         """Mixed async + thread clients against an overloaded server with
         an injected flaky backend: rejections, queued-deadline expiries,

@@ -8,8 +8,9 @@ import pytest
 from repro.core.sort_order import SortOrder
 from repro.engine import (
     BatchedExecutor,
+    ExchangeUnion,
     ExecutionContext,
-    MergeExchange,
+    RangePartitionScan,
     Sort,
     TableScan,
 )
@@ -116,27 +117,6 @@ class TestServingIntegration:
         assert again.plan.signature() == sharded.plan.signature()
         assert session.prepare(query).from_cache  # serial entry intact
 
-    def test_engine_level_pushdown_opt_in(self):
-        """Hand-built pipelines get the same rewrite (and the same cost
-        rule) through BatchedExecutor(shard_aware_sorts=True)."""
-        catalog = spill_catalog()
-        table = catalog.table("r")
-        op = Sort(TableScan(table), SortOrder(["c2"]))
-        expected = op.run(ExecutionContext(catalog))
-
-        executor = BatchedExecutor(parallelism=4, shard_aware_sorts=True)
-        prepared = executor.prepare(op, catalog.params)
-        assert isinstance(prepared, MergeExchange)
-        assert executor.run(op, ExecutionContext(catalog)) == expected
-
-        # Off by default: the sort stays above the exchange.
-        plain = BatchedExecutor(parallelism=4).prepare(op, catalog.params)
-        assert isinstance(plain, Sort)
-        # And the rewrite declines when the cost model says it won't pay.
-        tiny = segmented_catalog(500, 50)
-        cheap_sort = Sort(TableScan(tiny.table("r")), SortOrder(["c2"]))
-        assert isinstance(executor.prepare(cheap_sort, tiny.params), Sort)
-
 
 class TestAcceptance:
     """ISSUE acceptance: on the large synthetic workload with 4 shards,
@@ -166,8 +146,6 @@ class TestAcceptance:
             assert session.execute(query, parallelism=4,
                                    batch_size=batch_size) == reference
         assert baseline.execute(query, parallelism=4) == reference
-        assert session.execute(query, parallelism=4,
-                               use_threads=True) == reference
 
         merge_ctx, post_ctx = ExecutionContext(catalog), ExecutionContext(catalog)
         assert prepared.execute(merge_ctx) == post_union.execute(post_ctx)
@@ -261,8 +239,7 @@ class TestShardedJoins:
             baseline.prepare(query, parallelism=4).total_cost
         reference = session.execute(query)
         assert session.execute(query, parallelism=4) == reference
-        assert session.execute(query, parallelism=4, batch_size=1,
-                               use_threads=True) == reference
+        assert session.execute(query, parallelism=4, batch_size=1) == reference
 
     def test_copartitioned_hash_join_skips_grace_spill(self):
         """Range-co-partitioned inputs hash-join partition against
@@ -297,8 +274,6 @@ class TestShardedJoins:
         for batch_size in (1, None):
             got = session.execute(query, parallelism=4, batch_size=batch_size)
             assert sorted(got, key=key) == reference
-        got = session.execute(query, parallelism=4, use_threads=True)
-        assert sorted(got, key=key) == reference
 
 
 class TestShardedAggregates:
@@ -322,8 +297,6 @@ class TestShardedAggregates:
         for batch_size in (1, 64, None):
             assert session.execute(query, parallelism=4,
                                    batch_size=batch_size) == reference
-        assert session.execute(query, parallelism=4,
-                               use_threads=True) == reference
         # Recombination is exact: totals equal the table row count.
         assert sum(row[1] for row in reference) == 20_000
 
@@ -574,8 +547,8 @@ class TestRangePartitionedEnforcement:
 
     def test_executor_shards_along_partition_boundaries(self):
         """shard_scans prefers a matching clustered-contiguous partition
-        spec over equal row counts, so the pushed-down sort gets the
-        heap-free merge."""
+        spec over equal row counts: the gather's children are the
+        table's range partitions, and concatenating them is exact."""
         rng = random.Random(11)
         catalog = Catalog(SystemParameters(sort_memory_blocks=20))
         schema = Schema.of(("k", "int", 64), ("v", "int", 64))
@@ -584,17 +557,16 @@ class TestRangePartitionedEnforcement:
                              clustering_order=SortOrder(["k"]),
                              partitioning=RangePartitioning("k", (25, 50, 75)))
         table = catalog.table("t")
-        # A full (SRS) sort: 62 blocks spill post-union, ~15-block
-        # partitions fit — and the merge order leads with the partition
-        # column, so the pushed-down gather is the heap-free concat.
         op = Sort(TableScan(table), SortOrder(["k", "v"]), algorithm="srs")
-        executor = BatchedExecutor(parallelism=4, shard_aware_sorts=True)
-        prepared = executor.prepare(op, catalog.params)
-        assert isinstance(prepared, MergeExchange)
-        assert prepared.partition_disjoint
+        executor = BatchedExecutor(parallelism=4)
+        prepared = executor.prepare(op)
+        assert isinstance(prepared, Sort)  # the engine moves no enforcer
+        gather = prepared.children[0]
+        assert isinstance(gather, ExchangeUnion)
+        assert [(type(c), c.partition_index) for c in gather.children] == \
+            [(RangePartitionScan, i) for i in range(4)]
         assert executor.run(op, ExecutionContext(catalog)) == \
-            Sort(TableScan(table), SortOrder(["k", "v"])).run(
-                ExecutionContext(catalog))
+            op.run(ExecutionContext(catalog))
 
 
 class TestServingKnobs:
