@@ -19,6 +19,14 @@ between the parent's own quartiles.
     python3 benchmarks/ab_pairs.py --workload trading_serial --seed 1 --claim qps
     python3 benchmarks/ab_pairs.py --workload short_churn report_process \\
         --parent HEAD~1 --change HEAD --pairs 10 --out results/ab
+    python3 benchmarks/ab_pairs.py --workload plan_cold --claim qps \\
+        --bench-json BENCH_15.json
+
+``--bench-json PATH`` appends what was printed — both revisions, host
+facts, and per workload x metric each side's median [q1, q3], the ratio
+and the pairs won — as one more entry of the ``runs`` list in *PATH*
+(created when missing): the checked-in ``BENCH_<pr>.json`` trajectory
+file of ROADMAP aim 1, one entry per invocation.
 
 ``--parent`` / ``--change`` take a git revision, exported with
 ``git archive`` (nothing in the repository is touched), or a directory
@@ -34,6 +42,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -86,29 +96,70 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4))
 
 
-def report(workload: str, parent: dict, change: dict, better: dict,
-           claim: Optional[str]) -> None:
-    """Per-metric medians, quartiles and pairs won; the §8 claim rule."""
-    print(f"\n{workload}: {len(next(iter(parent.values())))} pairs "
-          f"(median [q1, q3]; wins = pairs where the change read better)")
+def summarize(parent: dict, change: dict, better: dict,
+              claim: Optional[str]) -> dict:
+    """Per metric: each side's median and quartiles, their ratio, the
+    pairs the change won / lost (ties count for neither) and, for the
+    *claim* metric, whether the §8 rule holds."""
+    out = {}
     for metric, old in parent.items():
         new = change[metric]
         sign = -1 if better.get(metric) == "lower" else 1
-        wins = sum(sign * n > sign * o for n, o in zip(new, old))
-        losses = sum(sign * n < sign * o for n, o in zip(new, old))
         (oq1, omed, oq3), (nq1, nmed, nq3) = quartiles(old), quartiles(new)
-        ratio = f"{nmed / omed:.3f} of parent" if omed else "parent is 0"
-        print(f"  {metric:18s} parent {omed:10.4g} [{oq1:.4g}, {oq3:.4g}]  "
-              f"change {nmed:10.4g} [{nq1:.4g}, {nq3:.4g}]  {ratio}  "
-              f"wins {wins}/{len(old)} losses {losses}")
+        out[metric] = {
+            "parent": {"median": omed, "q1": oq1, "q3": oq3},
+            "change": {"median": nmed, "q1": nq1, "q3": nq3},
+            "ratio": nmed / omed if omed else None,
+            "pairs": len(old),
+            "wins": sum(sign * n > sign * o for n, o in zip(new, old)),
+            "losses": sum(sign * n < sign * o for n, o in zip(new, old)),
+            "gain": sign * (nmed - omed)}
         if metric == claim:
-            enough_wins = wins >= 0.9 * len(old)
-            beyond_spread = sign * (nmed - omed) > (oq3 - oq1)
+            row = out[metric]
+            row["claim_met"] = (row["wins"] >= 0.9 * len(old)
+                                and row["gain"] > oq3 - oq1)
+    return out
+
+
+def report(workload: str, summary: dict) -> None:
+    """Print *summary* (one :func:`summarize` result)."""
+    pairs = next(iter(summary.values()))["pairs"]
+    print(f"\n{workload}: {pairs} pairs "
+          f"(median [q1, q3]; wins = pairs where the change read better)")
+    for metric, row in summary.items():
+        old, new = row["parent"], row["change"]
+        ratio = (f"{row['ratio']:.3f} of parent" if row["ratio"] is not None
+                 else "parent is 0")
+        print(f"  {metric:18s} parent {old['median']:10.4g} "
+              f"[{old['q1']:.4g}, {old['q3']:.4g}]  "
+              f"change {new['median']:10.4g} [{new['q1']:.4g}, {new['q3']:.4g}]"
+              f"  {ratio}  wins {row['wins']}/{pairs} losses {row['losses']}")
+        if "claim_met" in row:
             print(f"  claim on {metric}: "
-                  f"{'MET' if enough_wins and beyond_spread else 'NOT MET'} "
-                  f"(wins {wins}/{len(old)} need >= 9/10; median gain "
-                  f"{sign * (nmed - omed):.4g} against parent IQR "
-                  f"{oq3 - oq1:.4g})")
+                  f"{'MET' if row['claim_met'] else 'NOT MET'} "
+                  f"(wins {row['wins']}/{pairs} need >= 9/10; median gain "
+                  f"{row['gain']:.4g} against parent IQR "
+                  f"{old['q3'] - old['q1']:.4g})")
+
+
+def revision(spec: str) -> dict:
+    """What *spec* named: the commit it resolves to, or for a directory
+    the path (and, when it is this repository, HEAD and whether the
+    working tree differs from it)."""
+    def git(*args: str) -> Optional[str]:
+        done = subprocess.run(["git", "-C", str(REPO_ROOT), *args],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    if not Path(spec).is_dir():
+        return {"spec": spec, "commit": git("rev-parse", spec)}
+    directory = Path(spec).resolve()
+    out = {"spec": spec, "directory": str(directory)}
+    if directory == REPO_ROOT:
+        out["commit"] = git("rev-parse", "HEAD")
+        out["uncommitted_changes"] = bool(git("status", "--porcelain"))
+    return out
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -126,6 +177,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="where checkouts and result files go "
                              "(default: a new temporary directory)")
+    parser.add_argument("--bench-json", type=Path, default=None, metavar="PATH",
+                        help="append this invocation's summary to the "
+                             "trajectory file PATH (BENCH_<pr>.json)")
     args = parser.parse_args(argv)
 
     declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
@@ -162,9 +216,25 @@ def main(argv: Optional[list[str]] = None) -> int:
             workload: {"metrics": {name: {"values": series}
                                    for name, series in metrics.items()}}
             for workload, metrics in values[side].items()}}}, indent=1) + "\n")
-    for workload in args.workload:
-        report(workload, values["parent"][workload], values["change"][workload],
-               better, args.claim)
+    summaries = {workload: summarize(values["parent"][workload],
+                                     values["change"][workload], better,
+                                     args.claim)
+                 for workload in args.workload}
+    for workload, summary in summaries.items():
+        report(workload, summary)
+    if args.bench_json is not None:
+        bench = (json.loads(args.bench_json.read_text())
+                 if args.bench_json.exists() else {"runs": []})
+        bench["runs"].append({
+            "parent": revision(args.parent), "change": revision(args.change),
+            "host": {"platform": platform.platform(),
+                     "python": platform.python_version(),
+                     "cpus": os.cpu_count()},
+            "seed": args.seed, "pairs": args.pairs, "seconds": seconds,
+            "trace": args.trace, "claim": args.claim,
+            "workloads": summaries})
+        args.bench_json.write_text(json.dumps(bench, indent=1) + "\n")
+        print(f"\nappended to {args.bench_json}")
     print(f"\ncompare.py {out / 'change.json'} --against {out / 'parent.json'}")
     return subprocess.run(
         [sys.executable, str(COMPARE), str(out / "change.json"),

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..logical.algebra import Annotator, Join, LogicalExpr
+from ..logical.algebra import Join, LogicalExpr
 from .favorable import FavorableOrders
 from .sort_order import EMPTY_ORDER, SortOrder, longest_common_prefix
 from .tree_approx import OrderTreeNode, approximate_tree_orders
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..optimizer.pipeline.groups import GroupTable
     from ..optimizer.plans import PhysicalPlan
     from ..optimizer.volcano import Optimizer
 
@@ -107,21 +108,27 @@ def free_attributes(plan_node: "PhysicalPlan", favorable: FavorableOrders,
 
 
 def refine_plan(optimizer: "Optimizer", expr: LogicalExpr, required: SortOrder,
-                plan: "PhysicalPlan", parallelism: int = 1) -> "PhysicalPlan":
+                plan: "PhysicalPlan", parallelism: int = 1,
+                groups: Optional["GroupTable"] = None) -> "PhysicalPlan":
     """Apply phase-2 refinement; returns the original plan unless the
     reworked permutations strictly improve the estimated cost.
 
     *parallelism* is threaded through to the re-optimization so the
     refined plan competes under the same shard-aware enforcer placement
-    as the phase-1 plan it challenges.
+    as the phase-1 plan it challenges.  *groups* is the group table of
+    the search that produced *plan*: its favorable orders are read here
+    and the re-optimization searches on it instead of deriving *expr*'s
+    logical properties a second and third time.
     """
     skeleton = collect_merge_join_tree(plan)
     if skeleton is None:
         return plan
 
-    annotator = Annotator(optimizer.catalog, expr)
-    favorable = FavorableOrders(optimizer.catalog, annotator)
-    eq = annotator.eq
+    if groups is None:
+        from ..optimizer.pipeline.groups import GroupTable
+        groups = GroupTable(optimizer.catalog, expr)
+    favorable = groups.favorable
+    eq = groups.annotator.eq
 
     fixed_prefixes: dict[int, SortOrder] = {}
     free_sets: dict[int, frozenset[str]] = {}
@@ -153,6 +160,6 @@ def refine_plan(optimizer: "Optimizer", expr: LogicalExpr, required: SortOrder,
 
     if not forced:
         return plan
-    refined = optimizer.optimize_with_forced_orders(expr, required, forced,
-                                                    parallelism=parallelism)
+    refined = optimizer.optimize_with_forced_orders(
+        expr, required, forced, parallelism=parallelism, groups=groups)
     return refined if refined.total_cost < plan.total_cost else plan

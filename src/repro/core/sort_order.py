@@ -88,6 +88,14 @@ class AttributeEquivalence:
         """All attributes in *universe* equivalent to *a* (including *a* itself)."""
         return [b for b in universe if self.same(a, b)]
 
+    @staticmethod
+    def of(pairs: Iterable[tuple[str, str]]) -> "AttributeEquivalence":
+        """The classes generated by *pairs* of interchangeable attributes."""
+        eq = AttributeEquivalence()
+        for a, b in pairs:
+            eq.add_equivalence(a, b)
+        return eq
+
     def copy(self) -> "AttributeEquivalence":
         clone = AttributeEquivalence()
         clone._parent = dict(self._parent)

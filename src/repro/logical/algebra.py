@@ -192,6 +192,64 @@ def referenced_tables(expr: LogicalExpr) -> frozenset[str]:
                      if isinstance(node, BaseRelation))
 
 
+def derive_schema(catalog: Catalog, expr: LogicalExpr,
+                  child_schemas: Sequence[Schema]) -> Schema:
+    """Output schema of *expr* given its children's output schemas — the
+    per-node step shared by :class:`Annotator` and the optimizer's group
+    table, so the two cannot diverge."""
+    if isinstance(expr, BaseRelation):
+        return catalog.table(expr.table_name).schema
+    if isinstance(expr, (Select, Distinct, OrderBy, Limit, Union)):
+        return child_schemas[0]
+    if isinstance(expr, Project):
+        return child_schemas[0].project(list(expr.columns))
+    if isinstance(expr, Compute):
+        extra = [Column(name, "num", 8) for name, _ in expr.outputs]
+        return Schema(list(child_schemas[0]) + extra)
+    if isinstance(expr, Join):
+        return child_schemas[0].concat(child_schemas[1])
+    if isinstance(expr, GroupBy):
+        return aggregate_output_schema(list(expr.group_columns),
+                                       child_schemas[0],
+                                       list(expr.aggregates))
+    raise TypeError(f"unknown logical node {type(expr).__name__}")
+
+
+def equivalence_pairs(expr: LogicalExpr,
+                      children: Sequence[tuple[list[tuple[str, str]], Schema]]
+                      ) -> list[tuple[str, str]]:
+    """Attribute pairs provably equal on every row *expr* produces, given
+    each child's ``(pairs, output schema)``.
+
+    Only INNER join equalities are true equivalences: an outer join
+    pads one side's columns with NULLs on unmatched rows, so
+    ``l = r`` does not hold row-by-row and orders must not transfer
+    across the pair (mirrors node_fds).
+
+    A :class:`Union` *intersects* its branches: a pair of output
+    columns is equivalent only when both branches guarantee it
+    (right branch tested under the positional rename) — an equality
+    established by one branch's join does not hold on the sibling's
+    rows, even when the branches reuse the same column names.
+    Branch-internal pairs over columns invisible above the union are
+    dropped (conservative, and nothing above can name them).
+    """
+    if isinstance(expr, Union):
+        (left_pairs, left_schema), (right_pairs, right_schema) = children
+        left_eq = AttributeEquivalence.of(left_pairs)
+        right_eq = AttributeEquivalence.of(right_pairs)
+        lnames = left_schema.names
+        rename = dict(zip(lnames, right_schema.names))
+        return [(a, b) for i, a in enumerate(lnames) for b in lnames[i + 1:]
+                if left_eq.same(a, b) and right_eq.same(rename[a], rename[b])]
+    pairs: list[tuple[str, str]] = []
+    if isinstance(expr, Join) and expr.join_type == "inner":
+        pairs.extend(expr.predicate.pairs)
+    for child_pairs, _ in children:
+        pairs.extend(child_pairs)
+    return pairs
+
+
 class Annotator:
     """Derives schemas, statistics, equivalences and per-table used
     attributes for a whole query, with per-node caching."""
@@ -201,53 +259,14 @@ class Annotator:
         self.root = root
         self._schema: dict[LogicalExpr, Schema] = {}
         self._stats: dict[LogicalExpr, StatsView] = {}
-        self.eq = AttributeEquivalence()
-        self._collect_equivalences(root)
+        self.eq = AttributeEquivalence.of(self._equivalence_pairs(root))
         self._used_attrs: dict[str, frozenset[str]] = self._collect_used_attrs(root)
 
     # -- equivalence classes --------------------------------------------------------
-    def _collect_equivalences(self, expr: LogicalExpr) -> None:
-        for a, b in self._equivalence_pairs(expr):
-            self.eq.add_equivalence(a, b)
-
     def _equivalence_pairs(self, expr: LogicalExpr) -> list[tuple[str, str]]:
-        """Attribute pairs provably equal on every row *expr* produces.
-
-        Only INNER join equalities are true equivalences: an outer join
-        pads one side's columns with NULLs on unmatched rows, so
-        ``l = r`` does not hold row-by-row and orders must not transfer
-        across the pair (mirrors query_fds).
-
-        A :class:`Union` *intersects* its branches: a pair of output
-        columns is equivalent only when both branches guarantee it
-        (right branch tested under the positional rename) — an equality
-        established by one branch's join does not hold on the sibling's
-        rows, even when the branches reuse the same column names.
-        Branch-internal pairs over columns invisible above the union are
-        dropped (conservative, and nothing above can name them).
-        """
-        if isinstance(expr, Union):
-            left_eq = AttributeEquivalence()
-            for a, b in self._equivalence_pairs(expr.left):
-                left_eq.add_equivalence(a, b)
-            right_eq = AttributeEquivalence()
-            for a, b in self._equivalence_pairs(expr.right):
-                right_eq.add_equivalence(a, b)
-            lnames = self.schema_of(expr.left).names
-            rename = dict(zip(lnames, self.schema_of(expr.right).names))
-            kept: list[tuple[str, str]] = []
-            for i, a in enumerate(lnames):
-                for b in lnames[i + 1:]:
-                    if left_eq.same(a, b) and right_eq.same(rename[a],
-                                                            rename[b]):
-                        kept.append((a, b))
-            return kept
-        pairs: list[tuple[str, str]] = []
-        if isinstance(expr, Join) and expr.join_type == "inner":
-            pairs.extend(expr.predicate.pairs)
-        for child in expr.children:
-            pairs.extend(self._equivalence_pairs(child))
-        return pairs
+        return equivalence_pairs(expr, [
+            (self._equivalence_pairs(c), self.schema_of(c))
+            for c in expr.children])
 
     # -- used attributes per base table ----------------------------------------------
     def _collect_used_attrs(self, root: LogicalExpr) -> dict[str, frozenset[str]]:
@@ -301,25 +320,8 @@ class Annotator:
         return schema
 
     def _derive_schema(self, expr: LogicalExpr) -> Schema:
-        if isinstance(expr, BaseRelation):
-            return self.catalog.table(expr.table_name).schema
-        if isinstance(expr, (Select, Distinct, OrderBy, Limit)):
-            return self.schema_of(expr.children[0])
-        if isinstance(expr, Project):
-            return self.schema_of(expr.child).project(list(expr.columns))
-        if isinstance(expr, Compute):
-            base = self.schema_of(expr.child)
-            extra = [Column(name, "num", 8) for name, _ in expr.outputs]
-            return Schema(list(base) + extra)
-        if isinstance(expr, Join):
-            return self.schema_of(expr.left).concat(self.schema_of(expr.right))
-        if isinstance(expr, GroupBy):
-            return aggregate_output_schema(list(expr.group_columns),
-                                           self.schema_of(expr.child),
-                                           list(expr.aggregates))
-        if isinstance(expr, Union):
-            return self.schema_of(expr.left)
-        raise TypeError(f"unknown logical node {type(expr).__name__}")
+        return derive_schema(self.catalog, expr,
+                             [self.schema_of(c) for c in expr.children])
 
     # -- statistics ------------------------------------------------------------------------
     def stats_of(self, expr: LogicalExpr) -> StatsView:

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 from ..core.sort_order import SortOrder
 from ..expr.expressions import And, Col, Comparison, Const, Predicate
-from ..storage.schema import FunctionalDependency
+from ..storage.schema import FunctionalDependency, Schema
 
 
 class FDSet:
@@ -117,11 +117,13 @@ class FDSet:
 _ALWAYS = "⊤"
 
 
-def query_fds(catalog, root) -> FDSet:
-    """Collect the FDs valid on (sub)results of a query.
+def node_fds(catalog, node, child_fds, child_schemas) -> FDSet:
+    """The FDs valid on *node*'s result, given its children's FD sets and
+    output schemas — the per-node step of :func:`query_fds`, which the
+    optimizer's group table runs once per group.
 
     Base-table keys hold on every result that retains those columns;
-    join equalities and constant filters are added from the tree.
+    join equalities and constant filters are added from the node.
 
     A :class:`~repro.logical.algebra.Union` is a fact *intersection*: a
     dependency holds on union output only if it holds in **both**
@@ -132,34 +134,41 @@ def query_fds(catalog, root) -> FDSet:
     *entails* it (closure test), a sound approximation of the exact
     FD-set intersection.
     """
-    from .algebra import Annotator, BaseRelation, Join, Select, Union
+    from .algebra import BaseRelation, Join, Select, Union
 
-    def collect(node) -> FDSet:
-        if isinstance(node, Union):
-            left_fds = collect(node.left)
-            right_fds = collect(node.right)
-            lnames = Annotator(catalog, node.left).schema_of(node.left).names
-            rnames = Annotator(catalog, node.right).schema_of(node.right).names
-            to_right = dict(zip(lnames, rnames))
-            to_left = dict(zip(rnames, lnames))
-            return _intersect_fds(left_fds, right_fds, to_right, to_left)
-        fds = FDSet()
-        if isinstance(node, BaseRelation):
-            table = catalog.table(node.table_name)
-            for fd in table.functional_dependencies():
-                fds.add(fd)
-        elif isinstance(node, Join):
-            if node.join_type == "inner":
-                for l, r in node.predicate.pairs:
-                    fds.add_equivalence(l, r)
-        elif isinstance(node, Select):
-            fds.add_from_predicate(node.predicate)
-        for child in node.children:
-            for fd in collect(child):
-                fds.add(fd)
-        return fds
+    if isinstance(node, Union):
+        lnames, rnames = child_schemas[0].names, child_schemas[1].names
+        return _intersect_fds(child_fds[0], child_fds[1],
+                              dict(zip(lnames, rnames)),
+                              dict(zip(rnames, lnames)))
+    fds = FDSet()
+    if isinstance(node, BaseRelation):
+        for fd in catalog.table(node.table_name).functional_dependencies():
+            fds.add(fd)
+    elif isinstance(node, Join):
+        if node.join_type == "inner":
+            for l, r in node.predicate.pairs:
+                fds.add_equivalence(l, r)
+    elif isinstance(node, Select):
+        fds.add_from_predicate(node.predicate)
+    for child in child_fds:
+        for fd in child:
+            fds.add(fd)
+    return fds
 
-    return collect(root)
+
+def query_fds(catalog, root) -> FDSet:
+    """Collect the FDs valid on the result of a query (:func:`node_fds`
+    folded bottom-up over the tree)."""
+    from .algebra import derive_schema
+
+    def collect(node) -> tuple[FDSet, Schema]:
+        kids = [collect(child) for child in node.children]
+        schemas = [schema for _, schema in kids]
+        return (node_fds(catalog, node, [fds for fds, _ in kids], schemas),
+                derive_schema(catalog, node, schemas))
+
+    return collect(root)[0]
 
 
 def _rename_fd(fd: FunctionalDependency,

@@ -7,11 +7,15 @@ enforcers, shard-aware enforcer/join/aggregate/distinct placement, and
 the cost-bounded branch-and-bound memo with Columbia's re-search
 discipline.
 
-This is the pre-refactor ``OptimizationRun`` search, moved verbatim so
-the default pipeline stays bit-identical: one :class:`PhysicalSelection`
-instance searches one candidate join tree (stage 2 may produce several;
-the pipeline driver in :mod:`repro.optimizer.volcano` runs one search
-per candidate and keeps the cheapest plan).
+One :class:`PhysicalSelection` instance searches one candidate join
+tree (stage 2 may produce several; the pipeline driver in
+:mod:`repro.optimizer.volcano` runs one search per candidate and keeps
+the cheapest plan).  The search is split the Cascades way: what is true
+of a logical node's *result* lives once per group in the
+:class:`~.groups.GroupTable`; the search itself only holds what depends
+on a requested order — the memo of ``(group id, canonical order)``
+goals and the plans under them.  See "Groups and goals" in
+``docs/optimizer.md``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-from ...core.favorable import FavorableOrders
 from ...core.interesting import OrderContext, OrderStrategy
 from ...core.sort_order import (
     AttributeEquivalence,
@@ -32,7 +35,6 @@ from ...engine.exchange import ORDER_PRESERVING_UNARY_OPS
 from ...engine.scans import range_shardable, shardable
 from ...expr.expressions import JoinPredicate
 from ...logical.algebra import (
-    Annotator,
     BaseRelation,
     Compute,
     Distinct,
@@ -45,12 +47,12 @@ from ...logical.algebra import (
     Select,
     Union,
 )
-from ...logical.fds import FDSet, query_fds
 from ...storage.catalog import Catalog
 from ...storage.schema import Schema
 from ...storage.statistics import StatsView
 from ..cost import CostModel, prefer_sharded
 from ..plans import PhysicalPlan, make_plan
+from .groups import Group, GroupTable
 from .pre_check import OptimizerConfig
 
 #: Plan ops transparent to sharding — the engine's order-preserving
@@ -102,7 +104,8 @@ class PhysicalSelection:
     """State for optimizing a single query (memo, annotations, afm)."""
 
     def __init__(self, catalog: Catalog, root: LogicalExpr,
-                 strategy: OrderStrategy, config: OptimizerConfig) -> None:
+                 strategy: OrderStrategy, config: OptimizerConfig,
+                 groups: Optional[GroupTable] = None) -> None:
         self.catalog = catalog
         self.root = root
         self.config = config
@@ -110,30 +113,27 @@ class PhysicalSelection:
         #: Shard fan-out enforcers may exploit (1 = sharding-oblivious).
         self.parallelism = (max(1, config.parallelism)
                             if config.shard_aware_enforcers else 1)
-        self.annotator = Annotator(catalog, root)
-        #: Whole-query equivalence classes — used for *candidate
+        #: Logical properties of *root*'s nodes; *groups* hands in the
+        #: table of an earlier search of the same tree (phase 2).
+        self.groups = groups or GroupTable(catalog, root)
+        self.annotator = self.groups.annotator
+        #: Whole-query equivalence classes and FDs — used for *candidate
         #: generation* (interesting orders) and cost pricing.  Goal
-        #: satisfaction must NOT use these: like FDs, an equivalence
-        #: established by one union branch's join is invalid in a
-        #: name-colliding sibling, so memo keys and enforcement use
-        #: :meth:`eq_of` — the classes of the goal's own subtree.
+        #: satisfaction and reduction must NOT use these: a join
+        #: equivalence or a constant filter (``t0_c1 = 28``) established
+        #: in one union branch is invalid in a name-colliding sibling,
+        #: and reducing the sibling's sort goal with it silently drops a
+        #: sort column (caught by the plan-parity fuzz suite).  Goals use
+        #: their own :class:`~.groups.Group`'s subtree-scoped facts.
         self.eq = self.annotator.eq
-        #: Whole-query FDs — used for *candidate generation* (interesting
-        #: orders).  Goal reduction must NOT use these: an FD harvested in
-        #: one union branch (``t0_c1 = 28`` makes t0_c1 constant *there*)
-        #: is invalid in a sibling branch that shares the column names,
-        #: and reducing a sibling's sort goal with it silently drops a
-        #: sort column (caught by the plan-parity fuzz suite).  Subgoals
-        #: therefore reduce with :meth:`fds_of` — the FDs of their own
-        #: subtree only.
-        self.fds = query_fds(catalog, root)
-        self._fds_cache: dict[LogicalExpr, FDSet] = {root: self.fds}
-        self._eq_cache: dict[LogicalExpr, AttributeEquivalence] = {
-            root: self.eq}
-        self.favorable = FavorableOrders(catalog, self.annotator)
+        self.fds = self.groups.root.fds
+        self.favorable = self.groups.favorable
         self.cost_model = CostModel(catalog.params, self.eq)
         self.order_ctx = OrderContext(self.favorable, self.fds, self.eq)
-        self._memo: dict[tuple[LogicalExpr, tuple[str, ...]], PhysicalPlan] = {}
+        #: Goal → exact optimum, keyed ``(group id, canonical order)``.
+        self._memo: dict[tuple, PhysicalPlan] = {}
+        #: See :meth:`_once`.
+        self._derived: dict[tuple, tuple] = {}
         #: Failure memo (Columbia's re-search discipline): goal → largest
         #: budget known infeasible.  ``_failed[key] = L`` is the *exact*
         #: statement "no plan of this goal costs < L": a bounded search
@@ -141,7 +141,7 @@ class PhysicalSelection:
         #: fruitless search at budget L proves it.  Requests at limits
         #: ≤ L are answered ``None`` instantly; a larger budget triggers
         #: a genuine re-search.
-        self._failed: dict[tuple[LogicalExpr, tuple[str, ...]], float] = {}
+        self._failed: dict[tuple, float] = {}
         #: *Distinct* subgoals optimized — the optimization-effort metric
         #: of Fig. 16.  A re-search of a failure-memoised goal at a larger
         #: budget counts in :attr:`goals_researched`, not here.
@@ -182,14 +182,8 @@ class PhysicalSelection:
         re-search discipline).  Either way pruning never changes chosen
         plans, only the number of goals examined.
         """
-        required = self.fds_of(expr).reduce_order(required)
-        # Canonicalize the goal order with *this subtree's* equivalences
-        # only: the whole-query classes may equate attributes via a
-        # sibling branch's join, and collapsing two genuinely different
-        # goals into one memo slot would serve one branch's plan (and
-        # its order guarantee) for the other's requirement.
-        eq = self.eq_of(expr)
-        key = (expr, tuple(eq.canonical(a) for a in required))
+        group = self.groups.of(expr)
+        required, key = group.goal(required)
         cached = self._memo.get(key)
         if cached is not None:
             self.memo_hits += 1
@@ -210,8 +204,7 @@ class PhysicalSelection:
         bound = _Bound(limit if self.config.cost_bound_pruning else math.inf)
         best: Optional[PhysicalPlan] = None
         for candidate in self._native_candidates(expr, required, bound):
-            plan = self.enforce(candidate, required, limit=bound.value,
-                                fds=self.fds_of(expr), eq=eq)
+            plan = self.enforce(candidate, required, bound.value, group)
             if plan is None:
                 continue
             if best is None or plan.total_cost < best.total_cost:
@@ -232,44 +225,31 @@ class PhysicalSelection:
         self._failed.pop(key, None)  # success supersedes any failure marker
         return best
 
-    def fds_of(self, expr: LogicalExpr) -> FDSet:
-        """FDs valid on *expr*'s own subtree (memoised per node).
-
-        Only these may reduce a sort goal or a group-column set for
-        *expr* — the run-global :attr:`fds` include facts from sibling
-        subtrees that need not hold here.
-        """
-        fds = self._fds_cache.get(expr)
-        if fds is None:
-            fds = query_fds(self.catalog, expr)
-            self._fds_cache[expr] = fds
-        return fds
-
-    def eq_of(self, expr: LogicalExpr) -> AttributeEquivalence:
-        """Attribute equivalences valid on *expr*'s own subtree (memoised
-        per node) — the per-branch soundness check sorted dedup orders
-        need; see :meth:`_complete_set_order`."""
-        eq = self._eq_cache.get(expr)
-        if eq is None:
-            eq = Annotator(self.catalog, expr).eq
-            self._eq_cache[expr] = eq
-        return eq
+    def _once(self, fn, *inputs):
+        """``fn(*inputs)``, computed once per distinct *inputs* objects.
+        Statistics and schemas are immutable and shared by the plans
+        built over them (an enforcer carries its input's), so what is a
+        function of them — join estimates, join schemas — is the same
+        for all the permutations requesting it.  The entry holds
+        *inputs*, so an ``id()`` is never reused as a key."""
+        key = (fn, *map(id, inputs))
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = (fn(*inputs), inputs)
+        return hit[0]
 
     # -- enforcers ------------------------------------------------------------------------
     def enforce(self, plan: PhysicalPlan, required: SortOrder,
                 limit: float = math.inf,
-                fds: Optional[FDSet] = None,
-                eq: Optional[AttributeEquivalence] = None
-                ) -> Optional[PhysicalPlan]:
+                group: Optional[Group] = None) -> Optional[PhysicalPlan]:
         """Add a (partial) sort enforcer if *plan* misses the requirement.
 
-        *fds* and *eq* are the facts valid on the goal's own subtree
-        (:meth:`fds_of` / :meth:`eq_of`); both default to the whole-query
-        sets for external callers planning single-subtree chains.  The
-        subtree scoping matters for requirement *satisfaction*: a
+        *group* is the goal's group, whose FDs and equivalences — valid
+        on the goal's own subtree — decide requirement *satisfaction*: a
         sibling union branch's join equivalence must neither skip a
         needed sort nor donate a partial-sort prefix the stream does not
-        actually have.
+        actually have.  It defaults to the root group (the whole-query
+        facts) for external callers planning single-subtree chains.
 
         With ``parallelism > 1`` and a shardable input, two enforcer
         placements compete on cost: the classic post-union sort above the
@@ -285,9 +265,9 @@ class PhysicalSelection:
         """
         if plan.total_cost >= limit:
             return None
-        if eq is None:
-            eq = self.eq
-        target = (fds if fds is not None else self.fds).reduce_order(required)
+        group = group or self.groups.root
+        eq = group.eq
+        target = group.goal(required)[0]
         if not target or plan.order.satisfies(target, eq):
             return plan
         translated = self._translate_order(target, plan.schema, eq)
@@ -498,7 +478,7 @@ class PhysicalSelection:
     def ensure_schema(self, plan: PhysicalPlan, expr: LogicalExpr) -> PhysicalPlan:
         """Project the final plan to the logical output schema when a
         covering-index scan or join swap changed column order."""
-        target = self.annotator.schema_of(expr)
+        target = self.groups.of(expr).schema
         if plan.schema.names == target.names:
             return plan
         if not plan.schema.has_all(target.names):
@@ -539,8 +519,7 @@ class PhysicalSelection:
 
     def _scan_candidates(self, expr: BaseRelation) -> Iterable[PhysicalPlan]:
         table = self.catalog.table(expr.table_name)
-        keys = [table.primary_key] if table.primary_key else []
-        stats = StatsView.of_table(table.schema, table.stats, self.eq, keys)
+        stats = self._once(self._table_stats, table)
         yield make_plan("TableScan", table.schema, table.clustering_order,
                         stats, self.cost_model.table_scan(stats),
                         table=table.name)
@@ -554,6 +533,10 @@ class PhysicalSelection:
             yield make_plan("CoveringIndexScan", leaf_schema, index.key,
                             leaf_stats, cost, table=table.name, index=index.name)
 
+    def _table_stats(self, table) -> StatsView:
+        keys = [table.primary_key] if table.primary_key else []
+        return StatsView.of_table(table.schema, table.stats, self.eq, keys)
+
     def _child_requirements(self, required: SortOrder,
                             pushable: bool) -> list[SortOrder]:
         """Child orders worth requesting for order-preserving unaries:
@@ -566,7 +549,7 @@ class PhysicalSelection:
 
     def _select_candidates(self, expr: Select, required: SortOrder,
                            bound: _Bound) -> Iterable[PhysicalPlan]:
-        child_schema_cols = set(self.annotator.schema_of(expr.child).names)
+        child_schema_cols = set(self.groups.of(expr.child).schema.names)
         pushable = all(any(self.eq.same(a, c) for c in child_schema_cols)
                        for a in required)
         for child_req in self._child_requirements(required, pushable):
@@ -594,7 +577,7 @@ class PhysicalSelection:
 
     def _compute_candidates(self, expr: Compute, required: SortOrder,
                             bound: _Bound) -> Iterable[PhysicalPlan]:
-        child_cols = set(self.annotator.schema_of(expr.child).names)
+        child_cols = set(self.groups.of(expr.child).schema.names)
         pushable = all(any(self.eq.same(a, c) for c in child_cols)
                        for a in required)
         for child_req in self._child_requirements(required, pushable):
@@ -602,7 +585,7 @@ class PhysicalSelection:
             if child is None:
                 continue
             schema = Schema(list(child.schema)
-                            + [spec for spec in self.annotator.schema_of(expr)
+                            + [spec for spec in self.groups.of(expr).schema
                                if spec.name not in child.schema])
             stats = StatsView(schema, child.stats.N,
                               {c: child.stats.distinct_of(c)
@@ -632,8 +615,7 @@ class PhysicalSelection:
             reordered = JoinPredicate(
                 [(a, right_for_left.get(a, self._right_partner(a, pairs)))
                  for a in perm])
-            stats = self._join_stats(expr, left_plan, right_plan)
-            schema = left_plan.schema.concat(right_plan.schema)
+            stats, schema = self._join_output(expr, left_plan, right_plan)
             cost = self.cost_model.merge_join(left_plan.stats, right_plan.stats,
                                               stats.N)
             # FULL OUTER pads left key columns of right-unmatched rows
@@ -653,8 +635,7 @@ class PhysicalSelection:
                                              bound.value - left_plan.total_cost)
                           if left_plan is not None else None)
             if left_plan is not None and right_plan is not None:
-                stats = self._join_stats(expr, left_plan, right_plan)
-                schema = left_plan.schema.concat(right_plan.schema)
+                stats, schema = self._join_output(expr, left_plan, right_plan)
                 cost = self.cost_model.hash_join(left_plan.stats,
                                                  right_plan.stats, stats.N)
                 yield make_plan("HashJoin", schema, EMPTY_ORDER, stats, cost,
@@ -672,8 +653,7 @@ class PhysicalSelection:
                                              bound.value - left_plan.total_cost)
                           if left_plan is not None else None)
             if left_plan is not None and right_plan is not None:
-                stats = self._join_stats(expr, left_plan, right_plan)
-                schema = left_plan.schema.concat(right_plan.schema)
+                stats, schema = self._join_output(expr, left_plan, right_plan)
                 cost = self.cost_model.nested_loops_join(left_plan.stats,
                                                          right_plan.stats,
                                                          stats.N)
@@ -688,13 +668,19 @@ class PhysicalSelection:
                 return r
         raise KeyError(attr)
 
-    def _join_stats(self, expr: Join, left: PhysicalPlan,
-                    right: PhysicalPlan) -> StatsView:
-        joined = left.stats.join(right.stats, list(expr.predicate.pairs), self.eq)
+    def _join_output(self, expr: Join, left: PhysicalPlan,
+                     right: PhysicalPlan) -> tuple[StatsView, Schema]:
+        """Output statistics and schema of joining the two plans."""
+        return (self._once(self._join_stats, expr, left.stats, right.stats),
+                self._once(Schema.concat, left.schema, right.schema))
+
+    def _join_stats(self, expr: Join, left: StatsView,
+                    right: StatsView) -> StatsView:
+        joined = left.join(right, list(expr.predicate.pairs), self.eq)
         if expr.join_type == "left":
-            return joined.with_rows(max(joined.N, left.stats.N))
+            return joined.with_rows(max(joined.N, left.N))
         if expr.join_type == "full":
-            return joined.with_rows(max(joined.N, left.stats.N, right.stats.N))
+            return joined.with_rows(max(joined.N, left.N, right.N))
         return joined
 
     # -- sharded joins -----------------------------------------------------------------
@@ -891,7 +877,7 @@ class PhysicalSelection:
         # Reduce with this subtree's FDs only: a sibling branch's constant
         # filter must not shrink the sort key a streaming aggregate groups
         # on (wrong merges of distinct groups otherwise).
-        reduced = list(self.fds_of(expr).reduce_group_columns(group_cols))
+        reduced = list(self.groups.of(expr).fds.reduce_group_columns(group_cols))
         for perm in self.strategy.group_orders(self.order_ctx, expr, reduced,
                                                required):
             child = self.optimize_goal(expr.child, perm, bound.value)
@@ -1006,9 +992,8 @@ class PhysicalSelection:
 
     def _distinct_candidates(self, expr: Distinct, required: SortOrder,
                              bound: _Bound) -> Iterable[PhysicalPlan]:
-        schema = self.annotator.schema_of(expr)
-        columns = list(schema.names)
-        child_eq = self.eq_of(expr.child)
+        columns = list(self.groups.of(expr).schema.names)
+        child_eq = self.groups.of(expr.child).eq
         for perm in self.strategy.set_orders(self.order_ctx, expr, columns,
                                              required):
             full_order = self._complete_set_order(perm, columns,
@@ -1080,12 +1065,10 @@ class PhysicalSelection:
 
     def _union_candidates(self, expr: Union, required: SortOrder,
                           bound: _Bound) -> Iterable[PhysicalPlan]:
-        left_schema = self.annotator.schema_of(expr.left)
-        right_schema = self.annotator.schema_of(expr.right)
-        rename = dict(zip(left_schema.names, right_schema.names))
-        columns = list(left_schema.names)
-        left_eq = self.eq_of(expr.left)
-        right_eq = self.eq_of(expr.right)
+        lgroup, rgroup = self.groups.of(expr.left), self.groups.of(expr.right)
+        rename = dict(zip(lgroup.schema.names, rgroup.schema.names))
+        columns = list(lgroup.schema.names)
+        left_eq, right_eq = lgroup.eq, rgroup.eq
         for perm in self.strategy.set_orders(self.order_ctx, expr, columns,
                                              required):
             full_order = self._complete_set_order(

@@ -36,6 +36,19 @@ class PhysicalPlan:
     self_cost: float
     children: tuple["PhysicalPlan", ...] = ()
     args: tuple[tuple[str, Any], ...] = ()
+    #: Subtree cost, fixed at construction (children are immutable): the
+    #: search compares it per candidate, so it is never re-walked.
+    total_cost: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total_cost", self.self_cost + sum(
+            c.total_cost for c in self.children))
+
+    def __reduce__(self):
+        # Constructor arguments only: the derived total is recomputed on
+        # load instead of travelling in every pickled shard task.
+        return (PhysicalPlan, (self.op, self.schema, self.order, self.stats,
+                               self.self_cost, self.children, self.args))
 
     # -- payload access -----------------------------------------------------------
     def arg(self, name: str, default: Any = None) -> Any:
@@ -43,10 +56,6 @@ class PhysicalPlan:
             if key == name:
                 return value
         return default
-
-    @property
-    def total_cost(self) -> float:
-        return self.self_cost + sum(c.total_cost for c in self.children)
 
     @property
     def rows(self) -> float:

@@ -53,6 +53,7 @@ from .pipeline import (
     PhysicalSelection,
     parameterize,
 )
+from .pipeline.groups import GroupTable
 
 #: Search-effort counters aggregated across every per-candidate search
 #: of a run — the per-stage telemetry surfaced by ``QuerySession.stats``.
@@ -123,22 +124,29 @@ class Optimizer:
             from ..core.refinement import refine_plan
             # Refine the tree the run actually chose — under a
             # reordering enumerator the as-written tree may not match
-            # the plan's join shape.
-            plan = refine_plan(self, run.chosen_tree, required, plan,
-                               parallelism=pipeline.config.parallelism)
+            # the plan's join shape — on that search's group table.
+            plan = refine_plan(self, run.chosen.root, required, plan,
+                               parallelism=pipeline.config.parallelism,
+                               groups=run.chosen.groups)
         return plan
 
     def optimize_with_forced_orders(self, expr: LogicalExpr, required: SortOrder,
                                     forced: dict[LogicalExpr, SortOrder],
-                                    parallelism: Optional[int] = None) -> PhysicalPlan:
+                                    parallelism: Optional[int] = None,
+                                    groups: Optional[GroupTable] = None
+                                    ) -> PhysicalPlan:
         """Re-plan with explicit permutations at given nodes (phase 2).
 
         Join enumeration is *not* re-run: phase 2 pins orders onto nodes
-        of an already-chosen tree, so the tree is searched as given.
+        of an already-chosen tree, so the tree is searched as given — on
+        *groups*, the phase-1 search's group table of that tree, when the
+        caller has it (the memo is fresh either way: goals are optimal
+        only under the strategy that searched them).
         """
         pipeline = self._pipeline_for(parallelism)
         strategy = ForcedOrderStrategy(pipeline.strategy, forced)
-        run = OptimizationRun(self.catalog, expr, strategy, pipeline.config)
+        run = OptimizationRun(self.catalog, expr, strategy, pipeline.config,
+                              groups=groups)
         plan = run.optimize_goal(expr, required or EMPTY_ORDER)
         plan = run.ensure_schema(plan, expr)
         self._merge_telemetry(run.telemetry())
@@ -184,8 +192,9 @@ class OptimizationRun(PhysicalSelection):
 
     def __init__(self, catalog: Catalog, root: LogicalExpr,
                  strategy: OrderStrategy, config: OptimizerConfig,
-                 pipeline: Optional[OptimizationPipeline] = None) -> None:
-        super().__init__(catalog, root, strategy, config)
+                 pipeline: Optional[OptimizationPipeline] = None,
+                 groups: Optional[GroupTable] = None) -> None:
+        super().__init__(catalog, root, strategy, config, groups)
         if pipeline is None:
             # Direct construction (tests, benchmarks, forced-order
             # re-planning): search the tree as written.
@@ -196,10 +205,10 @@ class OptimizationRun(PhysicalSelection):
         self.enumerator_seconds = 0.0
         #: Candidate trees actually searched by the last :meth:`optimize`.
         self.join_order_candidates = 0
-        #: The candidate tree whose plan won (the as-written tree until
+        #: The search whose plan won (the as-written tree's until
         #: :meth:`optimize` decides otherwise) — phase-2 refinement must
-        #: refine this tree, not the original.
-        self.chosen_tree: LogicalExpr = root
+        #: refine its tree, on its group table, not the original's.
+        self.chosen: PhysicalSelection = self
         #: Stage-4 output: parameter names the chosen plan needs bound.
         self.param_names: frozenset[str] = frozenset()
         self._searches: list[PhysicalSelection] = [self]
@@ -217,9 +226,9 @@ class OptimizationRun(PhysicalSelection):
             self.enumerator_seconds = time.perf_counter() - start
             enum_span.tag(candidates=len(trees))
         root_tables = referenced_tables(self.root)
-        root_schema = self.annotator.schema_of(self.root).names
+        root_schema = self.groups.root.schema.names
         best: Optional[PhysicalPlan] = None
-        best_tree = self.root
+        best_search: PhysicalSelection = self
         seen: set[LogicalExpr] = set()
         self.join_order_candidates = 0
         with child_span("physical_selection") as select_span:
@@ -240,7 +249,7 @@ class OptimizationRun(PhysicalSelection):
                             continue
                         search = PhysicalSelection(self.catalog, tree,
                                                    self.strategy, self.config)
-                        if search.annotator.schema_of(tree).names != root_schema:
+                        if search.groups.root.schema.names != root_schema:
                             continue
                     except Exception:
                         continue
@@ -250,17 +259,16 @@ class OptimizationRun(PhysicalSelection):
                 plan = search.ensure_schema(plan, tree)
                 if best is None or plan.total_cost < best.total_cost:
                     best = plan
-                    best_tree = tree
+                    best_search = search
             if best is None:
                 # Every candidate was rejected: fall back to the query as
                 # written (always a valid candidate).
                 self.join_order_candidates = 1
                 best = self.optimize_goal(self.root, required)
                 best = self.ensure_schema(best, self.root)
-                best_tree = self.root
             select_span.tag(candidates=self.join_order_candidates,
                             cost=best.total_cost)
-        self.chosen_tree = best_tree
+        self.chosen = best_search
         with child_span("parameterization"):
             self.param_names = parameterize(best)
         return best

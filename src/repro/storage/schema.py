@@ -38,15 +38,19 @@ class Column:
 class Schema:
     """An ordered collection of :class:`Column` objects with fast name lookup."""
 
-    __slots__ = ("_columns", "_index")
+    __slots__ = ("_columns", "_index", "names", "row_bytes")
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self._columns: tuple[Column, ...] = tuple(columns)
+        #: Column names in order, and the average width of one row in
+        #: bytes (min 1) — read per cost estimate, so derived once here.
+        self.names: tuple[str, ...] = tuple(c.name for c in self._columns)
+        self.row_bytes: int = max(1, sum(c.avg_size for c in self._columns))
         self._index: dict[str, int] = {}
-        for i, col in enumerate(self._columns):
-            if col.name in self._index:
-                raise ValueError(f"duplicate column name {col.name!r} in schema")
-            self._index[col.name] = i
+        for i, name in enumerate(self.names):
+            if name in self._index:
+                raise ValueError(f"duplicate column name {name!r} in schema")
+            self._index[name] = i
 
     # -- container protocol -------------------------------------------------------
     def __len__(self) -> int:
@@ -72,11 +76,11 @@ class Schema:
     def __repr__(self) -> str:
         return f"Schema({', '.join(c.name for c in self._columns)})"
 
-    # -- lookups ------------------------------------------------------------------
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._columns)
+    def __reduce__(self):
+        # Columns only: names, widths and the index are rebuilt on load.
+        return (Schema, (self._columns,))
 
+    # -- lookups ------------------------------------------------------------------
     def position(self, name: str) -> int:
         """Index of column *name*; raises ``KeyError`` with a helpful message."""
         try:
@@ -89,11 +93,6 @@ class Schema:
 
     def has_all(self, names: Iterable[str]) -> bool:
         return all(n in self._index for n in names)
-
-    @property
-    def row_bytes(self) -> int:
-        """Average width of one row, in bytes (min 1)."""
-        return max(1, sum(c.avg_size for c in self._columns))
 
     # -- construction helpers -----------------------------------------------------
     def project(self, names: Sequence[str]) -> "Schema":
