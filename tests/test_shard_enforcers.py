@@ -189,6 +189,25 @@ def join_agg_catalog(num_rows=20_000, memory_blocks=500, c2_domain=2000,
     return catalog
 
 
+def copartitioned_catalog():
+    """``ta`` and ``tb``, range-partitioned on their join keys with the
+    same bounds; a monolithic hash build spills, a partition's fits."""
+    rng = random.Random(9)
+    catalog = Catalog(SystemParameters(sort_memory_blocks=100))
+    bounds = (2000, 4000, 6000)
+    for prefix in ("a", "b"):
+        schema = Schema.of((f"{prefix}_k", "int", 8),
+                           (f"{prefix}_v", "int", 8),
+                           (f"{prefix}_pad", "str", 180))
+        rows = [(rng.randrange(8000), rng.randrange(100), "x")
+                for _ in range(8000)]
+        catalog.create_table(
+            f"t{prefix}", schema, rows=rows,
+            clustering_order=SortOrder([f"{prefix}_k"]),
+            partitioning=RangePartitioning(f"{prefix}_k", bounds))
+    return catalog
+
+
 class TestShardedJoins:
     def test_enforcer_composes_below_merge_join(self):
         """The PR-3 enforcer win composes under a join: the join's sorted
@@ -246,19 +265,7 @@ class TestShardedJoins:
         partition: per-partition builds fit in sort memory, so the Grace
         partition-spill I/O of a monolithic build disappears — and FULL
         OUTER joins (unshardable by broadcast) shard this way too."""
-        rng = random.Random(9)
-        catalog = Catalog(SystemParameters(sort_memory_blocks=100))
-        bounds = (2000, 4000, 6000)
-        for prefix in ("a", "b"):
-            schema = Schema.of((f"{prefix}_k", "int", 8),
-                               (f"{prefix}_v", "int", 8),
-                               (f"{prefix}_pad", "str", 180))
-            rows = [(rng.randrange(8000), rng.randrange(100), "x")
-                    for _ in range(8000)]
-            catalog.create_table(
-                f"t{prefix}", schema, rows=rows,
-                clustering_order=SortOrder([f"{prefix}_k"]),
-                partitioning=RangePartitioning(f"{prefix}_k", bounds))
+        catalog = copartitioned_catalog()
         query = Query.table("ta").full_outer_join("tb", on=[("a_k", "b_k")])
         session = QuerySession(catalog)
         prepared = session.prepare(query, parallelism=4)
