@@ -21,7 +21,7 @@ targets — and gated on *simulated cost units* (deterministic) by
 Part 4 — shard-aware enforcement under a join+aggregate: the
 sort-order-consuming ``r ⋈ dim ON c2=d2 GROUP BY c2 ORDER BY c2`` plan
 at parallelism 4, per-shard enforcers composed below the merge join vs
-the post-union spilling sort (``shard_aware_enforcers=False``).  Also
+the post-union spilling sort (the ``parallelism=1`` plan run sharded).  Also
 gated on simulated cost units.
 
 Two modes:
@@ -297,17 +297,17 @@ def run_shard_enforcer_benchmark(num_rows: int = 30_000,
     catalog = segmented_catalog(
         num_rows, 100, params=SystemParameters(sort_memory_blocks=memory_blocks))
     query = Query.table("r").order_by("c2")
-    sessions = {
-        "merge": QuerySession(catalog),
-        "post_union": QuerySession(catalog, shard_aware_enforcers=False),
-    }
+    session = QuerySession(catalog)
     results: dict = {"num_rows": num_rows}
     reference = None
     for parallelism in parallelisms:
-        for mode, session in sessions.items():
+        # The post-union baseline is the plan made oblivious to the
+        # fan-out, executed at it.
+        for mode, planned_at in (("merge", parallelism), ("post_union", 1)):
+            prepared = session.prepare(query, parallelism=planned_at)
             ctx = ExecutionContext(catalog)
             start = time.perf_counter()
-            rows = session.execute(query, parallelism=parallelism, ctx=ctx)
+            rows = prepared.execute(ctx, parallelism=parallelism)
             seconds = time.perf_counter() - start
             if reference is None:
                 reference = rows
@@ -405,21 +405,18 @@ def run_sharded_join_benchmark(num_rows: int = 20_000,
              .join("dim", on=[("c2", "d2")])
              .group_by(["c2"], agg_sum(col("weight"), "w"))
              .order_by("c2"))
-    sessions = {
-        "merge": QuerySession(catalog),
-        "post_union": QuerySession(catalog, shard_aware_enforcers=False),
-    }
+    session = QuerySession(catalog)
     results: dict = {"num_rows": num_rows}
     reference = None
-    for mode, session in sessions.items():
+    for mode, planned_at in (("merge", parallelism), ("post_union", 1)):
+        prepared = session.prepare(query, parallelism=planned_at)
         ctx = ExecutionContext(catalog)
         start = time.perf_counter()
-        rows = session.execute(query, parallelism=parallelism, ctx=ctx)
+        rows = prepared.execute(ctx, parallelism=parallelism)
         seconds = time.perf_counter() - start
         if reference is None:
             reference = rows
         assert rows == reference, mode  # bit-identical across placements
-        prepared = session.prepare(query, parallelism=parallelism)
         results[mode] = {
             "ms": seconds * 1000.0,
             "cost_units": ctx.cost_units(),

@@ -19,7 +19,8 @@ on a result that already has order *o1*:
 
 CPU comparisons are translated into I/O units by the
 ``cpu_comparisons_per_io`` system parameter (the paper's translation
-constant is unpublished; see DESIGN.md §6).
+constant is unpublished; the default is this reproduction's assumption,
+stated at :class:`~repro.storage.catalog.SystemParameters`).
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ SHARDED_WIN_MARGIN = 1e-9
 
 
 def prefer_sharded(sharded_cost: float, post_union_cost: float) -> bool:
-    """Tie-break rule shared by the optimizer's enforcer placement and
-    the engine-level pushdown rewrite."""
+    """The one tie-break rule for every below-the-exchange alternative
+    (per-shard enforcers, joins, aggregates, DISTINCT): the sharded plan
+    must win by :data:`SHARDED_WIN_MARGIN`, else the simpler unsharded
+    plan stays."""
     return sharded_cost < post_union_cost * (1.0 - SHARDED_WIN_MARGIN)
 
 
@@ -154,67 +157,11 @@ class CostModel:
         return per_shard + self.merge_exchange(stats.N, shard_count,
                                                disjoint=disjoint_merge)
 
-    def sharded_join(self, left_shards: Sequence[StatsView], right: StatsView,
-                     out_rows: float, disjoint_merge: bool = False) -> float:
-        """Per-shard merge joins gathered by an order-preserving merge:
-        shard *i* joins its slice of the left input against the (whole,
-        broadcast — or co-partitioned slice of the) right input, and the
-        join outputs merge on the join permutation.  Join output rows are
-        apportioned to shards by their share of the left rows — measured
-        per-shard row counts make this exact for co-partitioned inputs.
-
-        The broadcast cost of replicating the right subtree into every
-        shard pipeline is **not** included here: it shows up as the right
-        plan appearing k times in the plan tree, so ``total_cost`` already
-        charges it — this formula prices only the join + merge work.
-        """
-        total_left = sum(s.N for s in left_shards) or 1.0
-        join_cpu = sum(
-            self.merge_join(s, right, out_rows * s.N / total_left)
-            for s in left_shards)
-        return join_cpu + self.merge_exchange(out_rows, len(left_shards),
-                                              disjoint=disjoint_merge)
-
-    def sharded_agg(self, shard_stats: Sequence[StatsView],
-                    group_columns: Sequence[str],
-                    disjoint_merge: bool = False) -> float:
-        """Per-shard sort aggregation under a merge, plus the final
-        combine: each shard streams its rows once, the merge gathers one
-        *partial* row per per-shard group (real per-shard distinct counts
-        — under clustering skew far fewer than ``k·D/k = D``), and the
-        combine folds boundary-straddling groups back together.
-        """
-        partial_rows = sum(s.distinct_of_set(list(group_columns))
-                           for s in shard_stats)
-        agg_cpu = sum(self.sort_aggregate(s) for s in shard_stats)
-        return (agg_cpu
-                + self.merge_exchange(partial_rows, len(shard_stats),
-                                      disjoint=disjoint_merge)
-                + self.combine_groups(partial_rows))
-
     def combine_groups(self, partial_rows: float) -> float:
-        """Final-combine stage of a sharded aggregation: one pass over
-        the merged per-shard partial rows."""
+        """The finisher above a gather of per-shard partial results (the
+        combine of a sharded aggregation, the final dedup of a sharded
+        DISTINCT): one pass over the merged partial rows."""
         return self.cpu(partial_rows)
-
-    def sharded_dedup(self, shard_stats: Sequence[StatsView],
-                      columns: Sequence[str],
-                      disjoint_merge: bool = False) -> float:
-        """Per-shard DISTINCT under a merge, plus the merge-level final
-        dedup: each shard streams its (sorted) rows once, the merge
-        gathers one row per per-shard distinct value — duplicates living
-        in one shard are already gone, so the merge input shrinks to the
-        per-shard distinct counts — and a final streaming dedup above
-        the merge drops the duplicates that straddled shard boundaries
-        (adjacent after the order-preserving merge).
-        """
-        partial_rows = sum(s.distinct_of_set(list(columns))
-                           for s in shard_stats)
-        dedup_cpu = sum(self.dedup(s) for s in shard_stats)
-        return (dedup_cpu
-                + self.merge_exchange(partial_rows, len(shard_stats),
-                                      disjoint=disjoint_merge)
-                + self.cpu(partial_rows))
 
     # -- scans ----------------------------------------------------------------------
     def table_scan(self, stats: StatsView) -> float:
@@ -234,16 +181,6 @@ class CostModel:
             cost += 2.0 * (build.B(self.params.block_size)
                            + probe.B(self.params.block_size))
         return cost
-
-    def nested_loops_join(self, outer: StatsView, inner: StatsView,
-                          out_rows: float) -> float:
-        """Block NL: one inner re-read per outer memory-load (mirrors the
-        executor's charging), plus the quadratic CPU term."""
-        cap_rows = max(2, self.params.sort_memory_bytes
-                       // max(1, outer.schema.row_bytes))
-        loads = math.ceil(outer.N / cap_rows) if outer.N else 0
-        io = loads * inner.B(self.params.block_size)
-        return io + self.cpu(outer.N * inner.N)
 
     # -- aggregation / sets ------------------------------------------------------------
     def sort_aggregate(self, in_stats: StatsView) -> float:

@@ -21,6 +21,7 @@ goals and the plans under them.  See "Groups and goals" in
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable, Optional
 
 from ...core.interesting import OrderContext, OrderStrategy
@@ -77,7 +78,7 @@ def shardable_enforcement_input(plan: PhysicalPlan, catalog: Catalog,
     """Whether *plan* is a shape whose order enforcement can be pushed
     below a shard fan-out — a unary chain over a scan that is either
     contiguously shardable at *parallelism* or range-partitioned.  Shared
-    by the search (:meth:`OptimizationRun.enforce`) and the serving
+    by the search (:meth:`PhysicalSelection.enforce`) and the serving
     layer's decision counters, so "a sharded alternative existed" means
     the same thing in both places.
     """
@@ -110,9 +111,6 @@ class PhysicalSelection:
         self.root = root
         self.config = config
         self.strategy = strategy
-        #: Shard fan-out enforcers may exploit (1 = sharding-oblivious).
-        self.parallelism = (max(1, config.parallelism)
-                            if config.shard_aware_enforcers else 1)
         #: Logical properties of *root*'s nodes; *groups* hands in the
         #: table of an earlier search of the same tree (phase 2).
         self.groups = groups or GroupTable(catalog, root)
@@ -277,77 +275,59 @@ class PhysicalSelection:
         prefix = longest_common_prefix(translated, plan.order, eq)
         cost = self.cost_model.coe(plan.stats, plan.order, translated,
                                    partial_enabled=partial_ok)
-        if self.parallelism > 1:
-            # Decide on the (cheap) cost estimates first; the k-shard plan
-            # tree is only materialised when a placement actually wins.
-            sharded = self._sharded_enforcement(plan, translated, prefix,
-                                                partial_ok, cost)
-            if sharded is not None:
-                return sharded if sharded.total_cost < limit else None
-        if plan.total_cost + cost >= limit:
-            return None
         if prefix and partial_ok:
-            return make_plan("PartialSort", plan.schema, translated, plan.stats,
+            sort = make_plan("PartialSort", plan.schema, translated, plan.stats,
                              cost, [plan], prefix=prefix, algorithm="mrs")
-        return make_plan("Sort", plan.schema, translated, plan.stats, cost,
-                         [plan], prefix=EMPTY_ORDER, algorithm="srs")
+        else:
+            sort = make_plan("Sort", plan.schema, translated, plan.stats, cost,
+                             [plan], prefix=EMPTY_ORDER, algorithm="srs")
+        if self.config.parallelism > 1:
+            sort = self._sharded_enforcement(sort, partial_ok) or sort
+        return sort if sort.total_cost < limit else None
 
-    # -- per-shard statistics ----------------------------------------------------------
-    def _chain_table(self, plan: PhysicalPlan):
-        """``(scan node, catalog table)`` under *plan*'s unary chain, or
-        ``(None, None)``."""
-        scan = enforcement_chain_scan(plan)
+    # -- below the exchange: fan-outs, per-shard pipelines, gate + gather -------------
+    def _fan_outs(self, chain: PhysicalPlan, contiguous: bool = True,
+                  ranged: bool = True) -> Iterable[tuple]:
+        """The ways to shard *chain* at ``parallelism > 1`` (callers ask at
+        no other) — none unless it is a unary chain over a scan — each as
+        ``(views, range_table)``: the statistics at the chain's output, one
+        view per shard, and ``None`` for *contiguous* equal shards, else
+        the table whose declared *ranged* partitions the shards are."""
+        k = self.config.parallelism
+        scan = enforcement_chain_scan(chain)
         if scan is None:
-            return None, None
-        return scan, self.catalog.table(scan.arg("table"))
+            return
+        table = self.catalog.table(scan.arg("table"))
+        if contiguous and shardable(table, k):
+            yield self._shard_views(chain, table, table.shard_stats(k), k), None
+        if ranged and range_shardable(table):
+            yield self._shard_views(chain, table, table.partition_stats(),
+                                    table.partitioning.num_partitions), table
 
-    def _chain_views(self, plan: PhysicalPlan, table,
-                     per_table) -> list[StatsView]:
+    def _shard_views(self, chain: PhysicalPlan, table, per_table,
+                     k: int) -> list[StatsView]:
         """Measured per-shard table statistics carried to the chain output
-        *plan*: the chain's cumulative selectivity is applied to each
+        *chain*: the chain's cumulative selectivity is applied to each
         shard's real row count, and per-shard distinct counts come from
         the measured boundaries — the numbers that drive per-shard
-        partial-sort segment counts and spill predictions."""
+        partial-sort segment counts and spill predictions.  Unmeasured
+        (*per_table* is ``None``): the uniform ``scaled(1/k)`` estimate."""
+        if per_table is None:
+            return [chain.stats.scaled(1.0 / k) for _ in range(k)]
         total = max(1.0, float(table.stats.num_rows))
-        selectivity = min(1.0, plan.stats.N / total)
-        subset = set(plan.schema.names) <= set(table.schema.names)
+        selectivity = min(1.0, chain.stats.N / total)
+        subset = set(chain.schema.names) <= set(table.schema.names)
         views = []
         for shard_stats in per_table:
             view = StatsView.of_table(table.schema, shard_stats, self.eq)
             view = view.scaled(selectivity)
             if subset:
-                view = view.projected(list(plan.schema.names))
+                view = view.projected(list(chain.schema.names))
             views.append(view)
         return views
 
-    def _per_shard_views(self, plan: PhysicalPlan,
-                         shard_count: int) -> Optional[list[StatsView]]:
-        """Real per-shard statistics for a contiguous fan-out of *plan*,
-        or ``None`` (stats-only table → uniform ``scaled(1/k)``)."""
-        scan, table = self._chain_table(plan)
-        if table is None:
-            return None
-        per_table = table.shard_stats(shard_count)
-        if per_table is None:
-            return None
-        return self._chain_views(plan, table, per_table)
-
-    def _per_partition_views(self, plan: PhysicalPlan) -> Optional[list[StatsView]]:
-        """Real per-partition statistics for a range fan-out of *plan*."""
-        scan, table = self._chain_table(plan)
-        if table is None:
-            return None
-        per_table = table.partition_stats()
-        if per_table is None:
-            return None
-        return self._chain_views(plan, table, per_table)
-
-    def _uniform_views(self, plan: PhysicalPlan, k: int) -> list[StatsView]:
-        return [plan.stats.scaled(1.0 / k) for _ in range(k)]
-
-    # -- shard-aware enforcement ------------------------------------------------------
     def _shard_clone(self, node: PhysicalPlan, shard_count: int,
-                     shard_index: int, share: Optional[float] = None,
+                     shard_index: int, share: float,
                      range_table=None) -> PhysicalPlan:
         """One shard's copy of a shardable subtree: the scan leaf becomes
         a ``ShardedScan`` (or ``RangePartitionScan``) and every node
@@ -356,8 +336,6 @@ class PhysicalSelection:
         of a *non-contiguous* range partition, which reads the whole table
         and keeps the full scan cost (the real price of range-sharding a
         layout that doesn't match the spec)."""
-        if share is None:
-            share = 1.0 / shard_count
         stats = node.stats.scaled(share)
         if node.op in _SHARDABLE_SCAN_OPS:
             if range_table is not None:
@@ -374,95 +352,127 @@ class PhysicalSelection:
                              shard_count=shard_count, shard_index=shard_index)
         child = self._shard_clone(node.children[0], shard_count, shard_index,
                                   share, range_table)
-        return PhysicalPlan(node.op, node.schema, node.order, stats,
-                            node.self_cost * share, (child,), node.args)
+        return replace(node, stats=stats, self_cost=node.self_cost * share,
+                       children=(child,))
 
-    def _sharded_enforcement(self, plan: PhysicalPlan, translated: SortOrder,
-                             prefix: SortOrder, partial_ok: bool,
-                             post_union_cost: float) -> Optional[PhysicalPlan]:
-        """The cheapest below-the-exchange enforcer placement for *plan*
-        — contiguous equal shards or declared range partitions, each
-        priced with measured per-shard statistics where available — or
-        ``None`` when the classic post-union sort wins (ties resolve to
-        post-union via :func:`prefer_sharded`)."""
-        scan, table = self._chain_table(plan)
-        if table is None:
-            return None
-        post_total = plan.total_cost + post_union_cost
-        best_est: Optional[float] = None
-        best_build = None
-        k = self.parallelism
-        if shardable(table, k):
-            views = self._per_shard_views(plan, k)
-            est = plan.total_cost + self.cost_model.sharded_coe(
-                plan.stats, plan.order, translated, k,
-                partial_enabled=partial_ok, shard_stats=views)
-            best_est = est
-            best_build = lambda v=views: self._shard_enforced(
-                plan, translated, prefix, partial_ok, k, v)
-        if range_shardable(table):
-            p = table.partitioning.num_partitions
-            views = self._per_partition_views(plan)
-            disjoint = translated.as_tuple[0] == table.partitioning.column
-            # Non-contiguous partitions each re-read the whole table.
-            extra = 0.0 if table.partition_contiguous else (p - 1) * scan.self_cost
-            est = plan.total_cost + extra + self.cost_model.sharded_coe(
-                plan.stats, plan.order, translated, p,
-                partial_enabled=partial_ok, shard_stats=views,
-                disjoint_merge=disjoint)
-            if best_est is None or est < best_est:
-                best_est = est
-                best_build = lambda v=views, dj=disjoint, n=p: self._shard_enforced(
-                    plan, translated, prefix, partial_ok, n, v,
-                    range_table=table, disjoint=dj)
-        if best_est is None or not prefer_sharded(best_est, post_total):
-            return None
-        return best_build()
-
-    def _shard_enforced(self, plan: PhysicalPlan, translated: SortOrder,
-                        prefix: SortOrder, partial_ok: bool, k: int,
-                        views: Optional[list[StatsView]],
-                        range_table=None, disjoint: bool = False) -> PhysicalPlan:
-        """Materialise the per-shard-sort-plus-merge alternative for
-        *plan* (caller has already established shardability and that the
-        :meth:`~repro.optimizer.cost.CostModel.sharded_coe` estimate
-        wins)."""
-        if views is None:
-            views = self._uniform_views(plan, k)
+    def _shards_of(self, chain: PhysicalPlan, views: list[StatsView],
+                   range_table, enforcer: Optional[PhysicalPlan] = None,
+                   partial: bool = False) -> list[PhysicalPlan]:
+        """*chain* once per shard of a fan-out, each copy under its own
+        copy of *enforcer* (the unsharded enforcer over *chain*, if any)
+        priced on its shard's view; *partial* as for ``coe``."""
         total_rows = sum(v.N for v in views) or 1.0
         shards = []
         for i, view in enumerate(views):
-            shard = self._shard_clone(plan, k, i, view.N / total_rows,
-                                      range_table)
-            enforcer_cost = self.cost_model.coe(view, plan.order, translated,
-                                                partial_enabled=partial_ok)
-            # Carry the *measured* per-shard statistics on the enforcer
-            # node (schema permitting) so downstream per-shard operators
-            # (joins, aggregates) are priced with real distinct counts.
-            sort_stats = (view if list(view.schema.names)
-                          == list(shard.schema.names) else shard.stats)
-            if prefix and partial_ok:
-                shards.append(make_plan(
-                    "PartialSort", shard.schema, translated, sort_stats,
-                    enforcer_cost, [shard], prefix=prefix, algorithm="mrs"))
-            else:
-                shards.append(make_plan(
-                    "Sort", shard.schema, translated, sort_stats,
-                    enforcer_cost, [shard], prefix=EMPTY_ORDER,
-                    algorithm="srs"))
-        merge_cost = self.cost_model.merge_exchange(plan.stats.N, k,
-                                                    disjoint=disjoint)
-        return make_plan("MergeExchange", plan.schema, translated, plan.stats,
-                         merge_cost, shards, disjoint=disjoint)
+            shard = self._shard_clone(chain, len(views), i,
+                                      view.N / total_rows, range_table)
+            if enforcer is not None:
+                cost = self.cost_model.coe(view, chain.order, enforcer.order,
+                                           partial_enabled=partial)
+                # Carry the *measured* per-shard statistics on the enforcer
+                # node (schema permitting) so downstream per-shard operators
+                # (joins, aggregates) are priced with real distinct counts.
+                stats = (view if list(view.schema.names)
+                         == list(shard.schema.names) else shard.stats)
+                shard = replace(enforcer, stats=stats, self_cost=cost,
+                                children=(shard,))
+            shards.append(shard)
+        return shards
+
+    def _sorted_shards_of(self, plan: PhysicalPlan):
+        """Per-shard sorted pipelines delivering *plan*'s order, and
+        whether they are mutually disjoint on its leading attribute — the
+        shards a per-shard join, aggregate or DISTINCT builds on.
+
+        Two shapes qualify: a plan whose enforcer was already placed per
+        shard (``MergeExchange`` — reuse its children, dropping the
+        pre-operator merge), and a ``Sort``/``PartialSort`` over a
+        contiguously shardable chain (shard the chain and replicate the
+        enforcer).  Returns ``None`` for everything else.
+        """
+        if plan.op == "MergeExchange":
+            return list(plan.children), bool(plan.arg("disjoint", False))
+        if plan.op in ("Sort", "PartialSort"):
+            chain = plan.children[0]
+            fan_out = next(self._fan_outs(chain, ranged=False), None)
+            if fan_out is not None:
+                return self._shards_of(chain, *fan_out, plan,
+                                       plan.op == "PartialSort"), False
+        return None
+
+    def _gathered(self, nodes: list[PhysicalPlan], disjoint: bool,
+                  unsharded: PhysicalPlan,
+                  finish: Optional[PhysicalPlan] = None
+                  ) -> Optional[PhysicalPlan]:
+        """The per-shard operator *nodes* under their gather — an
+        order-preserving ``MergeExchange`` on *unsharded*'s order, or for
+        ε a cost-free ``ExchangeUnion`` — or ``None`` unless the assembled
+        plan beats the *unsharded* operator it replaces: ties resolve to
+        the simpler unsharded plan (:func:`prefer_sharded`).  *finish*
+        says the shards emit *partial* results (a row per per-shard group
+        or distinct value): the gather carries the sum of their counts and
+        a copy of *finish* above it folds what straddled shard boundaries."""
+        stats, order = unsharded.stats, unsharded.order
+        if finish is not None:
+            stats = stats.with_rows(sum(node.stats.N for node in nodes))
+        if order:
+            cost = self.cost_model.merge_exchange(stats.N, len(nodes),
+                                                  disjoint=disjoint)
+            plan = make_plan("MergeExchange", nodes[0].schema, order, stats,
+                             cost, nodes, disjoint=disjoint)
+        else:
+            plan = make_plan("ExchangeUnion", nodes[0].schema, order, stats,
+                             0.0, nodes)
+        if finish is not None:
+            plan = replace(finish, children=(plan,),
+                           self_cost=self.cost_model.combine_groups(stats.N))
+        return (plan if prefer_sharded(plan.total_cost, unsharded.total_cost)
+                else None)
+
+    def _sharded_enforcement(self, unsharded: PhysicalPlan,
+                             partial_ok: bool) -> Optional[PhysicalPlan]:
+        """The cheapest below-the-exchange placement of the enforcer
+        *unsharded* — contiguous equal shards or declared range
+        partitions, each priced with measured per-shard statistics where
+        available — or ``None`` when the classic post-union sort wins
+        (ties resolve to post-union via :func:`prefer_sharded`).  Decided
+        on the (cheap) cost estimates first: the k-shard plan tree is
+        only materialised when a placement actually wins."""
+        chain, translated = unsharded.children[0], unsharded.order
+        best = None
+        for views, table in self._fan_outs(chain):
+            disjoint = (table is not None and
+                        translated.as_tuple[0] == table.partitioning.column)
+            est = chain.total_cost + self.cost_model.sharded_coe(
+                chain.stats, chain.order, translated, len(views),
+                partial_enabled=partial_ok, shard_stats=views,
+                disjoint_merge=disjoint)
+            if table is not None and not table.partition_contiguous:
+                # Non-contiguous partitions each re-read the whole table.
+                est += ((len(views) - 1)
+                        * enforcement_chain_scan(chain).self_cost)
+            if best is None or est < best[0]:
+                best = est, views, table, disjoint
+        if best is None or not prefer_sharded(best[0], unsharded.total_cost):
+            return None
+        _, views, table, disjoint = best
+        shards = self._shards_of(chain, views, table, unsharded, partial_ok)
+        return self._gathered(shards, disjoint, unsharded)
+
+    def _and_sharded(self, unsharded: PhysicalPlan, alternative,
+                     *args) -> Iterable[PhysicalPlan]:
+        """The *unsharded* operator, then — when planning for a fan-out —
+        its below-the-exchange *alternative* if it applies and wins."""
+        yield unsharded
+        if self.config.parallelism > 1:
+            sharded = alternative(unsharded, *args)
+            if sharded is not None:
+                yield sharded
 
     def _translate_order(self, order: SortOrder, schema: Schema,
-                         eq: Optional[AttributeEquivalence] = None
-                         ) -> Optional[SortOrder]:
-        """Express *order* in *schema*'s column names via equivalences
-        (*eq* defaults to the whole-query classes; enforcement passes the
-        goal subtree's own)."""
-        if eq is None:
-            eq = self.eq
+                         eq: AttributeEquivalence) -> Optional[SortOrder]:
+        """Express *order* in *schema*'s column names via the goal
+        subtree's own equivalences *eq*."""
         out: list[str] = []
         for attr in order:
             if attr in schema:
@@ -601,20 +611,17 @@ class PhysicalSelection:
         right_for_left = dict(pairs)
         orders = self.strategy.join_orders(self.order_ctx, expr, required)
         for perm in orders:
-            left_req = perm
-            right_perm = SortOrder(
-                tuple(right_for_left.get(a, self._right_partner(a, pairs))
-                      for a in perm))
-            left_plan = self.optimize_goal(expr.left, left_req, bound.value)
+            partners = [(a, right_for_left.get(a, self._right_partner(a, pairs)))
+                        for a in perm]
+            right_perm = SortOrder(tuple(right for _, right in partners))
+            left_plan = self.optimize_goal(expr.left, perm, bound.value)
             if left_plan is None:
                 continue
             right_plan = self.optimize_goal(expr.right, right_perm,
                                             bound.value - left_plan.total_cost)
             if right_plan is None:
                 continue
-            reordered = JoinPredicate(
-                [(a, right_for_left.get(a, self._right_partner(a, pairs)))
-                 for a in perm])
+            reordered = JoinPredicate(partners)
             stats, schema = self._join_output(expr, left_plan, right_plan)
             cost = self.cost_model.merge_join(left_plan.stats, right_plan.stats,
                                               stats.N)
@@ -623,12 +630,11 @@ class PhysicalSelection:
             # (mirrors engine/joins.py — the two must agree or enforcers
             # get skipped above plans that cannot honour them).
             out_order = EMPTY_ORDER if expr.join_type == "full" else perm
-            yield make_plan("MergeJoin", schema, out_order, stats, cost,
-                            [left_plan, right_plan], predicate=reordered,
-                            join_type=expr.join_type, logical=expr)
-            yield from self._sharded_join_alternatives(
-                expr, perm, reordered, left_plan, right_plan, stats, schema,
-                cost)
+            yield from self._and_sharded(
+                make_plan("MergeJoin", schema, out_order, stats, cost,
+                          [left_plan, right_plan], predicate=reordered,
+                          join_type=expr.join_type, logical=expr),
+                self._broadcast_join_alternative)
         if self.config.enable_hash_join:
             left_plan = self.optimize_goal(expr.left, EMPTY_ORDER, bound.value)
             right_plan = (self.optimize_goal(expr.right, EMPTY_ORDER,
@@ -638,28 +644,12 @@ class PhysicalSelection:
                 stats, schema = self._join_output(expr, left_plan, right_plan)
                 cost = self.cost_model.hash_join(left_plan.stats,
                                                  right_plan.stats, stats.N)
-                yield make_plan("HashJoin", schema, EMPTY_ORDER, stats, cost,
-                                [left_plan, right_plan],
-                                predicate=expr.predicate,
-                                join_type=expr.join_type)
-                if self.parallelism > 1:
-                    copart = self._copartitioned_hash_join(
-                        expr, left_plan, right_plan, stats, schema, cost)
-                    if copart is not None:
-                        yield copart
-        if self.config.enable_nested_loops and expr.join_type == "inner":
-            left_plan = self.optimize_goal(expr.left, EMPTY_ORDER, bound.value)
-            right_plan = (self.optimize_goal(expr.right, EMPTY_ORDER,
-                                             bound.value - left_plan.total_cost)
-                          if left_plan is not None else None)
-            if left_plan is not None and right_plan is not None:
-                stats, schema = self._join_output(expr, left_plan, right_plan)
-                cost = self.cost_model.nested_loops_join(left_plan.stats,
-                                                         right_plan.stats,
-                                                         stats.N)
-                yield make_plan("NestedLoopsJoin", schema, left_plan.order,
-                                stats, cost, [left_plan, right_plan],
-                                predicate=expr.predicate)
+                yield from self._and_sharded(
+                    make_plan("HashJoin", schema, EMPTY_ORDER, stats, cost,
+                              [left_plan, right_plan],
+                              predicate=expr.predicate,
+                              join_type=expr.join_type),
+                    self._copartitioned_hash_join)
 
     @staticmethod
     def _right_partner(attr: str, pairs: list[tuple[str, str]]) -> str:
@@ -684,66 +674,8 @@ class PhysicalSelection:
         return joined
 
     # -- sharded joins -----------------------------------------------------------------
-    def _sharded_join_alternatives(self, expr: Join, perm: SortOrder,
-                                   reordered: JoinPredicate,
-                                   left_plan: PhysicalPlan,
-                                   right_plan: PhysicalPlan, stats: StatsView,
-                                   schema: Schema,
-                                   join_cost: float) -> Iterable[PhysicalPlan]:
-        if self.parallelism < 2:
-            return
-        broadcast = self._broadcast_join_alternative(
-            expr, perm, reordered, left_plan, right_plan, stats, schema,
-            join_cost)
-        if broadcast is not None:
-            yield broadcast
-
-    def _sorted_shards_of(self, plan: PhysicalPlan, shard_count: int):
-        """Per-shard sorted pipelines delivering *plan*'s order, plus
-        their stat views and base subtree cost — the shards a per-shard
-        join or aggregate builds on.
-
-        Two shapes qualify: a plan whose enforcer was already placed per
-        shard (``MergeExchange`` — reuse its children, dropping the
-        pre-operator merge), and a ``Sort``/``PartialSort`` over a
-        shardable chain (shard the chain and replicate the enforcer).
-        Returns ``None`` for everything else.
-        """
-        if plan.op == "MergeExchange":
-            shards = list(plan.children)
-            views = [s.stats for s in shards]
-            return shards, views, bool(plan.arg("disjoint", False))
-        if plan.op not in ("Sort", "PartialSort"):
-            return None
-        inner = plan.children[0]
-        scan, table = self._chain_table(inner)
-        if table is None or not shardable(table, shard_count):
-            return None
-        chain_views = (self._per_shard_views(inner, shard_count)
-                       or self._uniform_views(inner, shard_count))
-        total_rows = sum(v.N for v in chain_views) or 1.0
-        shards = []
-        for i, view in enumerate(chain_views):
-            clone = self._shard_clone(inner, shard_count, i,
-                                      view.N / total_rows)
-            enforcer_cost = self.cost_model.coe(
-                view, inner.order, plan.order,
-                partial_enabled=plan.op == "PartialSort")
-            sort_stats = (view if list(view.schema.names)
-                          == list(clone.schema.names) else clone.stats)
-            shards.append(make_plan(
-                plan.op, clone.schema, plan.order, sort_stats, enforcer_cost,
-                [clone], prefix=plan.arg("prefix", EMPTY_ORDER),
-                algorithm=plan.arg("algorithm", "srs")))
-        views = [s.stats for s in shards]
-        return shards, views, False
-
-    def _broadcast_join_alternative(self, expr: Join, perm: SortOrder,
-                                    reordered: JoinPredicate,
-                                    left_plan: PhysicalPlan,
-                                    right_plan: PhysicalPlan,
-                                    stats: StatsView, schema: Schema,
-                                    join_cost: float) -> Optional[PhysicalPlan]:
+    def _broadcast_join_alternative(self, unsharded: PhysicalPlan
+                                    ) -> Optional[PhysicalPlan]:
         """Shard the sorted left input and broadcast the right: per-shard
         merge joins gathered by an order-preserving merge.
 
@@ -756,65 +688,30 @@ class PhysicalSelection:
         per-shard sort savings on a big left side beat re-reading a small
         broadcast side k−1 extra times.
         """
-        if expr.join_type == "full":
-            return None
-        sharded = self._sorted_shards_of(left_plan, self.parallelism)
+        left_plan, right_plan = unsharded.children
+        sharded = (self._sorted_shards_of(left_plan)
+                   if unsharded.arg("join_type") != "full" else None)
         if sharded is None:
             return None
-        shards, views, disjoint = sharded
+        shards, disjoint = sharded
+        perm, stats = unsharded.order, unsharded.stats
         # The join merge stays heap-free only when the shards were range
         # partitions disjoint on the join permutation's leading attribute.
         disjoint = (disjoint and bool(perm)
                     and left_plan.order.as_tuple[:1] == perm.as_tuple[:1])
-        regular_total = (left_plan.total_cost + right_plan.total_cost
-                         + join_cost)
-        return self._build_sharded_join(expr, perm, reordered, shards, views,
-                                        [right_plan] * len(shards), stats,
-                                        schema, regular_total,
-                                        merge_disjoint=disjoint)
-
-    def _build_sharded_join(self, expr: Join, perm: SortOrder,
-                            reordered: JoinPredicate,
-                            shards: list[PhysicalPlan],
-                            views: list[StatsView],
-                            rights: list[PhysicalPlan], stats: StatsView,
-                            schema: Schema, regular_total: float,
-                            merge_disjoint: bool
-                            ) -> Optional[PhysicalPlan]:
-        """Assemble (and cost-gate) the per-shard merge-join plan: one
-        merge join per shard against its right input, gathered by an
-        order-preserving merge.  Returns ``None`` when the assembled
-        total does not beat *regular_total* — ties resolve to the simpler
-        unsharded join."""
-        k = len(shards)
-        out_rows = stats.N
-        total_left = sum(v.N for v in views) or 1.0
-        weights = [v.N / total_left for v in views]
-        join_costs = [
-            self.cost_model.merge_join(v, r.stats, out_rows * w)
-            for v, r, w in zip(views, rights, weights)]
-        gather_cost = self.cost_model.merge_exchange(out_rows, k,
-                                                     disjoint=merge_disjoint)
-        # The gate compares exactly what the materialised plan will cost
-        # (per-node numbers below); CostModel.sharded_join states the
-        # same formula in one closed form, pinned equal by test_cost.
-        est = (sum(s.total_cost for s in shards)
-               + sum(r.total_cost for r in rights)
-               + sum(join_costs) + gather_cost)
-        if not prefer_sharded(est, regular_total):
-            return None
+        # Join output apportioned by each shard's share of the left rows.
+        total_left = sum(s.stats.N for s in shards) or 1.0
+        weights = [s.stats.N / total_left for s in shards]
         joins = [
-            make_plan("MergeJoin", schema, perm, stats.scaled(w),
-                      jc, [shard, right], predicate=reordered,
-                      join_type=expr.join_type, logical=expr)
-            for shard, right, w, jc in zip(shards, rights, weights, join_costs)]
-        return make_plan("MergeExchange", schema, perm, stats, gather_cost,
-                         joins, disjoint=merge_disjoint)
+            replace(unsharded, stats=stats.scaled(w),
+                    self_cost=self.cost_model.merge_join(
+                        shard.stats, right_plan.stats, stats.N * w),
+                    children=(shard, right_plan))
+            for shard, w in zip(shards, weights)]
+        return self._gathered(joins, disjoint, unsharded)
 
-    def _copartitioned_hash_join(self, expr: Join, left_plan: PhysicalPlan,
-                                 right_plan: PhysicalPlan, stats: StatsView,
-                                 schema: Schema,
-                                 join_cost: float) -> Optional[PhysicalPlan]:
+    def _copartitioned_hash_join(self, unsharded: PhysicalPlan
+                                 ) -> Optional[PhysicalPlan]:
         """Co-partitioned hash join for range-partitioned inputs: both
         tables are partitioned on a join-equality pair with identical
         bounds, so partition *i* of the left can only match partition *i*
@@ -825,50 +722,30 @@ class PhysicalSelection:
         The gather is a plain exchange union (hash output is unordered
         anyway), costing nothing.
         """
-        lscan, ltable = self._chain_table(left_plan)
-        rscan, rtable = self._chain_table(right_plan)
-        if ltable is None or rtable is None:
+        left_plan, right_plan = unsharded.children
+        fan_outs = [next(self._fan_outs(side, contiguous=False), None)
+                    for side in (left_plan, right_plan)]
+        if None in fan_outs:
             return None
-        if not (range_shardable(ltable) and range_shardable(rtable)):
-            return None
+        (lviews, ltable), (rviews, rtable) = fan_outs
         lp, rp = ltable.partitioning, rtable.partitioning
-        if lp.bounds != rp.bounds:
+        if (lp.bounds != rp.bounds or (lp.column, rp.column)
+                not in unsharded.arg("predicate").pairs):
             return None
-        if (lp.column, rp.column) not in expr.predicate.pairs:
-            return None
-        lviews = self._per_partition_views(left_plan)
-        rviews = self._per_partition_views(right_plan)
-        if lviews is None or rviews is None:
-            return None
-        p = lp.num_partitions
-        total_l = sum(v.N for v in lviews) or 1.0
-        total_r = sum(v.N for v in rviews) or 1.0
+        stats = unsharded.stats
         # Join output apportioned by the per-partition row-count product.
         raw = [lv.N * rv.N for lv, rv in zip(lviews, rviews)]
         total_w = sum(raw) or 1.0
         weights = [w / total_w for w in raw]
-        lclones = [self._shard_clone(left_plan, p, i, v.N / total_l,
-                                     range_table=ltable)
-                   for i, v in enumerate(lviews)]
-        rclones = [self._shard_clone(right_plan, p, i, v.N / total_r,
-                                     range_table=rtable)
-                   for i, v in enumerate(rviews)]
-        join_costs = [
-            self.cost_model.hash_join(lv, rv, stats.N * w)
-            for lv, rv, w in zip(lviews, rviews, weights)]
-        est = (sum(c.total_cost for c in lclones)
-               + sum(c.total_cost for c in rclones) + sum(join_costs))
-        regular_total = (left_plan.total_cost + right_plan.total_cost
-                         + join_cost)
-        if not prefer_sharded(est, regular_total):
-            return None
         joins = [
-            make_plan("HashJoin", schema, EMPTY_ORDER, stats.scaled(w), jc,
-                      [lc, rc], predicate=expr.predicate,
-                      join_type=expr.join_type)
-            for lc, rc, w, jc in zip(lclones, rclones, weights, join_costs)]
-        return make_plan("ExchangeUnion", schema, EMPTY_ORDER, stats, 0.0,
-                         joins)
+            replace(unsharded, stats=stats.scaled(w),
+                    self_cost=self.cost_model.hash_join(lv, rv, stats.N * w),
+                    children=(lc, rc))
+            for lc, rc, lv, rv, w in zip(
+                self._shards_of(left_plan, lviews, ltable),
+                self._shards_of(right_plan, rviews, rtable),
+                lviews, rviews, weights)]
+        return self._gathered(joins, False, unsharded)
 
     # -- aggregation --------------------------------------------------------------------------
     def _group_candidates(self, expr: GroupBy, required: SortOrder,
@@ -886,16 +763,13 @@ class PhysicalSelection:
             schema = self._agg_schema(expr, child.schema)
             if schema is None:
                 continue
-            stats = child.stats.grouped(group_cols, schema)
-            agg_cost = self.cost_model.sort_aggregate(child.stats)
-            yield make_plan("SortAggregate", schema, perm, stats,
-                            agg_cost, [child],
-                            group_columns=tuple(group_cols),
-                            aggregates=tuple(expr.aggregates), logical=expr)
-            sharded = self._sharded_agg_alternative(expr, perm, child, schema,
-                                                    stats, group_cols, agg_cost)
-            if sharded is not None:
-                yield sharded
+            yield from self._and_sharded(
+                make_plan("SortAggregate", schema, perm,
+                          child.stats.grouped(group_cols, schema),
+                          self.cost_model.sort_aggregate(child.stats), [child],
+                          group_columns=tuple(group_cols),
+                          aggregates=tuple(expr.aggregates), logical=expr),
+                self._sharded_agg_alternative)
         if self.config.enable_hash_aggregate:
             child = self.optimize_goal(expr.child, EMPTY_ORDER, bound.value)
             if child is None:
@@ -908,49 +782,36 @@ class PhysicalSelection:
                                 [child], group_columns=tuple(group_cols),
                                 aggregates=tuple(expr.aggregates))
 
-    def _sharded_agg_alternative(self, expr: GroupBy, perm: SortOrder,
-                                 child: PhysicalPlan, schema: Schema,
-                                 stats: StatsView, group_cols: list[str],
-                                 agg_cost: float) -> Optional[PhysicalPlan]:
+    def _sharded_agg_alternative(self, unsharded: PhysicalPlan
+                                 ) -> Optional[PhysicalPlan]:
         """Per-shard sort aggregation under a merge with a final combine:
         each shard aggregates its slice (sorted per shard, so the whole
         enforcement win composes), the merge gathers one *partial* row
-        per per-shard group, and a :class:`SortedGroupCombine` folds the
-        groups that straddled shard boundaries.  Only aggregates with an
+        per per-shard group (real per-shard distinct counts — under
+        clustering skew far fewer than the uniform ``k·D/k = D``), and a
+        :class:`SortedGroupCombine` folds the groups that straddled
+        shard boundaries.  Only aggregates with an
         exact combiner qualify (``avg`` would need a sum+count split), so
         recombined results are bit-identical to the unsharded plan.
         """
-        if self.parallelism < 2 or not combinable(expr.aggregates):
-            return None
-        sharded = self._sorted_shards_of(child, self.parallelism)
+        aggregates = unsharded.arg("aggregates")
+        sharded = (self._sorted_shards_of(unsharded.children[0])
+                   if combinable(aggregates) else None)
         if sharded is None:
             return None
-        shards, views, disjoint = sharded
-        k = len(shards)
-        partial_rows = sum(v.distinct_of_set(group_cols) for v in views)
-        merge_cost = self.cost_model.merge_exchange(partial_rows, k,
-                                                    disjoint=disjoint)
-        combine_cost = self.cost_model.combine_groups(partial_rows)
-        # Per-node numbers below; CostModel.sharded_agg is the same
-        # formula in closed form, pinned equal by test_cost.
-        est = (sum(s.total_cost for s in shards)
-               + sum(self.cost_model.sort_aggregate(v) for v in views)
-               + merge_cost + combine_cost)
-        if not prefer_sharded(est, child.total_cost + agg_cost):
-            return None
-        aggs = []
-        for shard, view in zip(shards, views):
-            aggs.append(make_plan(
-                "SortAggregate", schema, perm, view.grouped(group_cols, schema),
-                self.cost_model.sort_aggregate(view), [shard],
-                group_columns=tuple(group_cols),
-                aggregates=tuple(expr.aggregates), logical=expr))
-        merged = make_plan("MergeExchange", schema, perm,
-                           stats.with_rows(partial_rows), merge_cost, aggs,
-                           disjoint=disjoint)
-        return make_plan("SortedCombine", schema, perm, stats, combine_cost,
-                         [merged], group_columns=tuple(group_cols),
-                         aggregates=tuple(expr.aggregates))
+        shards, disjoint = sharded
+        group_cols = list(unsharded.arg("group_columns"))
+        aggs = [
+            replace(unsharded,
+                    stats=shard.stats.grouped(group_cols, unsharded.schema),
+                    self_cost=self.cost_model.sort_aggregate(shard.stats),
+                    children=(shard,))
+            for shard in shards]
+        combine = make_plan("SortedCombine", unsharded.schema, unsharded.order,
+                            unsharded.stats, 0.0,
+                            group_columns=tuple(group_cols),
+                            aggregates=aggregates)
+        return self._gathered(aggs, disjoint, unsharded, combine)
 
     def _agg_schema(self, expr: GroupBy, child_schema: Schema) -> Optional[Schema]:
         from ...expr.aggregates import aggregate_output_schema
@@ -1005,12 +866,10 @@ class PhysicalSelection:
                 continue
             stats = child.stats.with_rows(
                 child.stats.distinct_of_set(columns))
-            yield make_plan("Dedup", child.schema, full_order, stats,
-                            self.cost_model.dedup(child.stats), [child])
-            sharded = self._sharded_distinct_alternative(child, full_order,
-                                                         columns, stats)
-            if sharded is not None:
-                yield sharded
+            yield from self._and_sharded(
+                make_plan("Dedup", child.schema, full_order, stats,
+                          self.cost_model.dedup(child.stats), [child]),
+                self._sharded_distinct_alternative, columns)
         child = self.optimize_goal(expr.child, EMPTY_ORDER, bound.value)
         if child is None:
             return
@@ -1018,10 +877,8 @@ class PhysicalSelection:
         yield make_plan("HashDedup", child.schema, EMPTY_ORDER, stats,
                         self.cost_model.hash_dedup(child.stats, stats), [child])
 
-    def _sharded_distinct_alternative(self, child: PhysicalPlan,
-                                      full_order: SortOrder,
-                                      columns: list[str],
-                                      out_stats: StatsView
+    def _sharded_distinct_alternative(self, unsharded: PhysicalPlan,
+                                      columns: list[str]
                                       ) -> Optional[PhysicalPlan]:
         """Per-shard DISTINCT under a merge with a merge-level final
         dedup: each shard deduplicates its (sorted) slice, the
@@ -1033,35 +890,17 @@ class PhysicalSelection:
         input (the DISTINCT analogue of the per-shard aggregation) or
         when the per-shard enforcers below already avoided a spill.
         """
-        if self.parallelism < 2:
-            return None
-        sharded = self._sorted_shards_of(child, self.parallelism)
+        sharded = self._sorted_shards_of(unsharded.children[0])
         if sharded is None:
             return None
-        shards, views, disjoint = sharded
-        k = len(shards)
-        dedup_costs = [self.cost_model.dedup(v) for v in views]
-        partial_rows = sum(v.distinct_of_set(columns) for v in views)
-        merge_cost = self.cost_model.merge_exchange(partial_rows, k,
-                                                    disjoint=disjoint)
-        final_cost = self.cost_model.cpu(partial_rows)
-        # Per-node numbers below; CostModel.sharded_dedup is the same
-        # formula in closed form, pinned equal by test_cost.
-        est = (sum(s.total_cost for s in shards) + sum(dedup_costs)
-               + merge_cost + final_cost)
-        regular = child.total_cost + self.cost_model.dedup(child.stats)
-        if not prefer_sharded(est, regular):
-            return None
+        shards, disjoint = sharded
         dedups = [
-            make_plan("Dedup", shard.schema, full_order,
-                      view.with_rows(view.distinct_of_set(columns)), cost,
-                      [shard])
-            for shard, view, cost in zip(shards, views, dedup_costs)]
-        merged = make_plan("MergeExchange", child.schema, full_order,
-                           out_stats.with_rows(partial_rows), merge_cost,
-                           dedups, disjoint=disjoint)
-        return make_plan("Dedup", child.schema, full_order, out_stats,
-                         final_cost, [merged])
+            replace(unsharded, self_cost=self.cost_model.dedup(shard.stats),
+                    stats=shard.stats.with_rows(
+                        shard.stats.distinct_of_set(columns)),
+                    children=(shard,))
+            for shard in shards]
+        return self._gathered(dedups, disjoint, unsharded, finish=unsharded)
 
     def _union_candidates(self, expr: Union, required: SortOrder,
                           bound: _Bound) -> Iterable[PhysicalPlan]:

@@ -29,9 +29,7 @@ class OptimizerConfig:
     partial_sort_enforcers: bool = True
     refine: bool = True
     enable_hash_join: bool = True
-    enable_nested_loops: bool = False
     enable_hash_aggregate: bool = True
-    use_favorable_orders_everywhere: bool = True
     #: Branch-and-bound pruning: skip subgoals/enforcers that provably
     #: cannot beat the best plan found so far for the current goal.  The
     #: chosen plan is identical either way; only search effort changes.
@@ -41,11 +39,6 @@ class OptimizerConfig:
     #: is oblivious to sharding; above 1 enforcers may be placed below a
     #: :class:`MergeExchange`, shard by shard, when that is cheaper.
     parallelism: int = 1
-    #: Master switch for the per-shard enforcer placement — off forces
-    #: the pre-shard-aware behaviour (one post-union sort above the
-    #: exchange) even at ``parallelism > 1``; used as the baseline in
-    #: benchmarks and regression tests.
-    shard_aware_enforcers: bool = True
     #: Stage-2 join-order enumerator: a registry name
     #: (``"exhaustive"`` | ``"simpli-squared"`` | ``"greedy-m2m"``) or a
     #: ready :class:`~.join_enumeration.JoinOrderEnumerator` instance

@@ -25,7 +25,8 @@ class SystemParameters:
     10,000 blocks (40 MB) of sort memory.  ``cpu_comparisons_per_io``
     translates CPU comparison cost into I/O cost units (the paper states
     "CPU cost is appropriately translated into I/O cost units" without
-    publishing the constant; see DESIGN.md §6).
+    publishing the constant; the default of 200,000 comparisons per block
+    I/O is this reproduction's assumption, not a figure from the paper).
     """
 
     block_size: int = DEFAULT_BLOCK_SIZE

@@ -122,13 +122,6 @@ class TestOperatorCosts:
         assert cm.merge_join(a, b, 100) == pytest.approx(
             cm.cpu(1000 + 2000 + 100))
 
-    def test_nested_loops_quadratic_io(self):
-        params = SystemParameters(block_size=4096, sort_memory_blocks=10)
-        cm = make(params)
-        outer, inner = stats(100_000), stats(50_000)
-        assert cm.nested_loops_join(outer, inner, 10) > \
-            cm.merge_join(outer, inner, 10) * 10
-
     def test_hash_aggregate_spill(self):
         params = SystemParameters(sort_memory_blocks=2)
         cm = make(params)
@@ -148,9 +141,9 @@ class TestOperatorCosts:
 
 
 class TestShardedFormulas:
-    """The closed-form sharded formulas must equal the per-node pricing
-    the volcano builders materialise plans with — the drift guard for the
-    two statements of the same math."""
+    """``sharded_coe`` — the estimate the enforcer placement is decided
+    on before any shard plan is built — must equal the per-node pricing
+    of the plan ``enforce`` then materialises."""
 
     def test_sharded_coe_measured_equals_per_shard_sum(self):
         cm = make()
@@ -166,38 +159,36 @@ class TestShardedFormulas:
                               shard_stats=views, disjoint_merge=True) == \
             pytest.approx(per_shard)
 
-    def test_sharded_join_equals_per_shard_merge_joins(self):
-        cm = make()
-        views = [stats(n) for n in (1000, 600, 300, 100)]
-        right = stats(50)
-        out_rows = 800.0
-        total = sum(v.N for v in views)
-        expected = sum(cm.merge_join(v, right, out_rows * v.N / total)
-                       for v in views) + cm.merge_exchange(out_rows, 4)
-        assert cm.sharded_join(views, right, out_rows) == pytest.approx(expected)
-        assert cm.sharded_join(views, right, out_rows, disjoint_merge=True) \
-            == pytest.approx(expected - cm.merge_exchange(out_rows, 4))
+    @pytest.mark.parametrize("fan_out", ["contiguous", "range", "uniform"])
+    def test_sharded_coe_prices_the_plan_enforce_builds(self, fan_out):
+        """The estimate the enforcer gate decides on, plus the chain
+        below, is what the per-shard plan it then builds costs."""
+        import test_shard_enforcers as fx
+        from repro.logical import Query
+        from repro.service import QuerySession
 
-    def test_sharded_agg_equals_per_shard_aggs_plus_combine(self):
-        cm = make()
-        views = [stats(n, {"a": d}) for n, d in
-                 ((1000, 10), (600, 40), (300, 300), (100, 5))]
-        partial_rows = sum(v.distinct_of_set(["a"]) for v in views)
-        expected = (sum(cm.sort_aggregate(v) for v in views)
-                    + cm.merge_exchange(partial_rows, 4)
-                    + cm.combine_groups(partial_rows))
-        assert cm.sharded_agg(views, ["a"]) == pytest.approx(expected)
+        if fan_out == "range":
+            catalog = fx.skewed_range_catalog(memory_blocks=1000)
+            name, target = "t", SortOrder(["k", "v"])
+        else:
+            catalog, name, target = fx.spill_catalog(), "r", SortOrder(["c2"])
+        table = catalog.table(name)
+        per_table = {"contiguous": table.shard_stats(4),
+                     "range": table.partition_stats(),
+                     "uniform": None}[fan_out]
+        if fan_out == "uniform":
+            table.shard_stats = lambda shard_count: None  # unmeasured
+        session = QuerySession(catalog, strategy="pyro-o-")  # SRS enforcers
+        chain = session.prepare(Query.table(name)).plan
+        built = session.prepare(Query.table(name).order_by(*target),
+                                parallelism=4).plan
+        assert built.op == "MergeExchange"
+        assert {s.children[0].op for s in built.children} == {
+            "RangePartitionScan" if fan_out == "range" else "ShardedScan"}
 
-    def test_sharded_dedup_equals_per_shard_dedups_plus_final(self):
-        cm = make()
-        views = [stats(n, {"a": d, "b": 5, "c": 2}) for n, d in
-                 ((1000, 10), (600, 40), (300, 300), (100, 5))]
-        columns = ["a", "b", "c"]
-        partial_rows = sum(v.distinct_of_set(columns) for v in views)
-        expected = (sum(cm.dedup(v) for v in views)
-                    + cm.merge_exchange(partial_rows, 4)
-                    + cm.cpu(partial_rows))
-        assert cm.sharded_dedup(views, columns) == pytest.approx(expected)
-        # Disjoint partitions drop the merge term entirely.
-        assert cm.sharded_dedup(views, columns, disjoint_merge=True) == \
-            pytest.approx(expected - cm.merge_exchange(partial_rows, 4))
+        views = per_table and [StatsView.of_table(table.schema, s)
+                               for s in per_table]
+        estimate = make(catalog.params).sharded_coe(
+            chain.stats, chain.order, target, 4, partial_enabled=False,
+            shard_stats=views, disjoint_merge=fan_out == "range")
+        assert built.total_cost == pytest.approx(chain.total_cost + estimate)

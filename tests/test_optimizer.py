@@ -229,8 +229,15 @@ class TestPlanStructure:
         assert "cost=" in text and "PartialSort" in text
 
     def test_unknown_option_rejected(self, stats_catalog):
-        with pytest.raises(TypeError):
-            Optimizer(stats_catalog, bogus_flag=True)
+        from repro.service import QuerySession
+        # Options the config once had are unknown like any other.
+        for option in ("bogus_flag", "shard_aware_enforcers",
+                       "enable_nested_loops",
+                       "use_favorable_orders_everywhere"):
+            with pytest.raises(TypeError):
+                Optimizer(stats_catalog, **{option: True})
+            with pytest.raises(TypeError):
+                QuerySession(stats_catalog, **{option: True})
 
     def test_cost_of_helper(self, stats_catalog):
         q = Query.table("r").order_by("b")

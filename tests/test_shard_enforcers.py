@@ -43,15 +43,15 @@ class TestEnforcerChoice:
         assert [c.children[0].op for c in merges[0].children] == \
             ["ShardedScan"] * 4
 
-        baseline = QuerySession(catalog, shard_aware_enforcers=False)
-        post_union = baseline.prepare(query, parallelism=4)
+        # The post-union baseline: planned oblivious to the fan-out.
+        baseline = QuerySession(catalog)
+        post_union = baseline.prepare(query, parallelism=1)
         assert post_union.plan.find_all("MergeExchange") == []
         assert prepared.total_cost < post_union.total_cost
 
         assert session.stats()["shard_merge_plans"] == 1
         assert session.stats()["post_union_sort_plans"] == 0
         assert baseline.stats()["shard_merge_plans"] == 0
-        assert baseline.stats()["post_union_sort_plans"] == 1
 
     def test_falls_back_to_post_union_when_not_cheaper(self):
         """Everything fits in sort memory: the per-shard CPU exactly
@@ -83,13 +83,13 @@ class TestEnforcerChoice:
         assert len(merges) == 1
         assert [c.op for c in merges[0].children] == ["PartialSort"] * 4
 
-        baseline = QuerySession(catalog, shard_aware_enforcers=False)
-        post_union = baseline.prepare(query, parallelism=4)
+        post_union = QuerySession(catalog).prepare(query, parallelism=1)
         assert prepared.total_cost < post_union.total_cost
 
         merge_ctx = ExecutionContext(catalog)
         post_ctx = ExecutionContext(catalog)
-        assert prepared.execute(merge_ctx) == post_union.execute(post_ctx)
+        assert prepared.execute(merge_ctx) == \
+            post_union.execute(post_ctx, parallelism=4)
         assert merge_ctx.sort_metrics.runs_created == 0   # pipelined MRS
         assert post_ctx.sort_metrics.runs_created > 0     # segment spills
         assert merge_ctx.cost_units() < post_ctx.cost_units()
@@ -133,10 +133,9 @@ class TestAcceptance:
     def test_end_to_end(self, catalog):
         query = Query.table("r").order_by("c2")
         session = QuerySession(catalog)
-        baseline = QuerySession(catalog, shard_aware_enforcers=False)
 
         prepared = session.prepare(query, parallelism=4)
-        post_union = baseline.prepare(query, parallelism=4)
+        post_union = QuerySession(catalog).prepare(query, parallelism=1)
         merges = prepared.plan.find_all("MergeExchange")
         assert len(merges) == 1 and len(merges[0].children) == 4
         assert prepared.total_cost < post_union.total_cost  # strictly below
@@ -145,10 +144,11 @@ class TestAcceptance:
         for batch_size in (1, 64, None):
             assert session.execute(query, parallelism=4,
                                    batch_size=batch_size) == reference
-        assert baseline.execute(query, parallelism=4) == reference
+        assert post_union.execute(parallelism=4) == reference
 
         merge_ctx, post_ctx = ExecutionContext(catalog), ExecutionContext(catalog)
-        assert prepared.execute(merge_ctx) == post_union.execute(post_ctx)
+        assert prepared.execute(merge_ctx) == \
+            post_union.execute(post_ctx, parallelism=4)
         assert merge_ctx.cost_units() < post_ctx.cost_units()
         assert merge_ctx.sort_metrics.runs_created == 0   # shards fit in memory
         assert post_ctx.sort_metrics.runs_created > 0     # full sort spilled
@@ -219,9 +219,8 @@ class TestShardedJoins:
                  .group_by(["c2"], agg_sum(col("weight"), "w"))
                  .order_by("c2"))
         session = QuerySession(catalog)
-        baseline = QuerySession(catalog, shard_aware_enforcers=False)
         prepared = session.prepare(query, parallelism=4)
-        post_union = baseline.prepare(query, parallelism=4)
+        post_union = QuerySession(catalog).prepare(query, parallelism=1)
 
         merges = prepared.plan.find_all("MergeExchange")
         assert merges and len(merges[0].children) == 4
@@ -234,7 +233,7 @@ class TestShardedJoins:
         for batch_size in (1, 64, None):
             assert session.execute(query, parallelism=4,
                                    batch_size=batch_size) == reference
-        assert baseline.execute(query, parallelism=4) == reference
+        assert post_union.execute(parallelism=4) == reference
 
     def test_broadcast_sharded_merge_join(self):
         """A selective join (tiny broadcast side, output ≪ input) under
@@ -253,9 +252,8 @@ class TestShardedJoins:
         assert len(prepared.plan.find_all("TableScan")) == 4
         assert session.stats()["sharded_join_plans"] == 1
 
-        baseline = QuerySession(catalog, shard_aware_enforcers=False)
         assert prepared.total_cost < \
-            baseline.prepare(query, parallelism=4).total_cost
+            QuerySession(catalog).prepare(query, parallelism=1).total_cost
         reference = session.execute(query)
         assert session.execute(query, parallelism=4) == reference
         assert session.execute(query, parallelism=4, batch_size=1) == reference
@@ -622,3 +620,39 @@ class TestServingKnobs:
         assert stats["shard_merge_plans"] == 1
         assert stats["sharded_join_plans"] == 0
         assert stats["cache_hits"] == 1
+
+
+def test_gate_clone_and_gather_are_stated_once():
+    """Every below-the-exchange alternative goes through the same three
+    steps, so across ``src/repro`` the tie-break gate is called from the
+    enforcer's estimate and the gather builder only, one function builds
+    a ``MergeExchange`` node, and one function clones a chain per shard."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    def calls(node, function=None):
+        """``(enclosing function name, called name, Call)`` per call."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                yield function, name, child
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+            yield from calls(child, inner)
+
+    gates, gather_builders, clone_callers = [], set(), set()
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for function, name, call in calls(ast.parse(path.read_text())):
+            site = f"{path.name}:{function}"
+            if name == "prefer_sharded":
+                gates.append(site)
+            elif name == "_shard_clone" and function != "_shard_clone":
+                clone_callers.add(site)
+            elif (name == "make_plan" and call.args
+                  and getattr(call.args[0], "value", None) == "MergeExchange"):
+                gather_builders.add(site)
+    assert len(gates) <= 2, gates
+    assert len(gather_builders) == 1, gather_builders
+    assert len(clone_callers) == 1, clone_callers
