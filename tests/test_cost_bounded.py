@@ -72,6 +72,9 @@ def _run_goal(cat, query, strategy, prune):
 class TestBranchAndBound:
     """Pruning must never change the chosen plan, only the effort."""
 
+    #: Goals the bounded PYRO-O search examines on Fig. 16 Q3-Q6, exactly.
+    BOUNDED_GOALS = {"Q3": 17, "Q4": 9, "Q5": 17, "Q6": 6}
+
     @pytest.mark.parametrize("strategy", ["pyro-o", "pyro-e"])
     def test_same_cost_fewer_goals_on_bench_queries(self, strategy):
         reductions = 0
@@ -84,6 +87,8 @@ class TestBranchAndBound:
                 strategy, name)
             assert pruned_run.goals_examined <= exact_run.goals_examined, (
                 strategy, name)
+            if strategy == "pyro-o":
+                assert pruned_run.goals_examined == self.BOUNDED_GOALS[name]
             if pruned_run.goals_examined < exact_run.goals_examined:
                 reductions += 1
         # At least one bench query must show an actual effort reduction.

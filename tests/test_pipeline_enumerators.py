@@ -49,11 +49,14 @@ def _fig16_cases():
 
 
 def test_exhaustive_bit_identical_on_fig16():
-    """Default-enumerator plans on Q3–Q6 match the pre-refactor golden
-    explains and costs byte for byte."""
-    for name, catalog, query in _fig16_cases():
+    """Default-enumerator plans on Q3–Q6 and the many-join query match
+    the pre-refactor golden explains and costs byte for byte."""
+    goldens = {**GOLDEN["fig16"], "many_join": GOLDEN["many_join"]}
+    cases = _fig16_cases() + [
+        ("many_join", many_join_catalog(), many_join_query())]
+    for name, catalog, query in cases:
         plan = Optimizer(catalog).optimize(query)
-        golden = GOLDEN["fig16"][name]
+        golden = goldens[name]
         assert plan.explain() == golden["explain"], name
         assert plan.total_cost == golden["cost"], name
 

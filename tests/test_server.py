@@ -248,6 +248,41 @@ class TestConcurrencyStress:
             assert stats["latency_p95_ms"] >= stats["latency_p50_ms"] > 0
             assert 0.0 < stats["worker_utilization"] <= 1.0
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_steady_state_sheds_nothing_and_serves_from_cache(
+            self, catalog, references, backend):
+        """A queue sized for the offered load rejects and times out
+        nothing on either backend, and after a sequential warm-up every
+        prepare but the three cold plans is a cache hit."""
+        workload = list(zip(serving_queries(), [{}, {"lim": 30}, {}],
+                            references))
+        CLIENTS, ROUNDS = 6, 3
+
+        with QueryServer(catalog, backend=backend, parallelism=4,
+                         max_inflight=2, queue_limit=CLIENTS * ROUNDS,
+                         pool_workers=2) as server:
+            for query, binds, reference in workload:
+                assert server.execute(query, **binds).rows == reference
+
+            async def client(i):
+                for r in range(ROUNDS):
+                    query, binds, reference = workload[(i + r) % 3]
+                    result = await server.submit(query, **binds)
+                    assert result.rows == reference
+
+            async def fan_out():
+                await asyncio.gather(*[client(i) for i in range(CLIENTS)])
+
+            asyncio.run(fan_out())
+            stats = server.stats()
+
+        n = CLIENTS * ROUNDS + len(workload)
+        assert stats["completed"] == n
+        assert (stats["rejected_queue_full"] + stats["rejected_quota"]
+                + stats["rejected_circuit"]) == 0
+        assert stats["timeouts"] == 0
+        assert stats["cache_hit_rate"] == (n - len(workload)) / n
+
     def test_sessions_share_the_plan_cache(self, catalog):
         """Two explicit sessions over one SharedPlanCache: a plan
         optimized by the first is served to the second from cache."""

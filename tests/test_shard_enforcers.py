@@ -92,7 +92,7 @@ class TestEnforcerChoice:
             post_union.execute(post_ctx, parallelism=4)
         assert merge_ctx.sort_metrics.runs_created == 0   # pipelined MRS
         assert post_ctx.sort_metrics.runs_created > 0     # segment spills
-        assert merge_ctx.cost_units() < post_ctx.cost_units()
+        assert post_ctx.cost_units() >= 1.5 * merge_ctx.cost_units()
 
     def test_parallelism_one_is_oblivious(self):
         catalog = spill_catalog()
@@ -149,7 +149,7 @@ class TestAcceptance:
         merge_ctx, post_ctx = ExecutionContext(catalog), ExecutionContext(catalog)
         assert prepared.execute(merge_ctx) == \
             post_union.execute(post_ctx, parallelism=4)
-        assert merge_ctx.cost_units() < post_ctx.cost_units()
+        assert post_ctx.cost_units() >= 1.5 * merge_ctx.cost_units()
         assert merge_ctx.sort_metrics.runs_created == 0   # shards fit in memory
         assert post_ctx.sort_metrics.runs_created > 0     # full sort spilled
 
@@ -233,7 +233,14 @@ class TestShardedJoins:
         for batch_size in (1, 64, None):
             assert session.execute(query, parallelism=4,
                                    batch_size=batch_size) == reference
-        assert post_union.execute(parallelism=4) == reference
+
+        # Metered, not only estimated: the shard-oblivious plan pays spill
+        # I/O (a Grace hash build here) that per-shard enforcement avoids.
+        merge_ctx, post_ctx = ExecutionContext(catalog), ExecutionContext(catalog)
+        assert prepared.execute(merge_ctx) == reference
+        assert post_union.execute(post_ctx, parallelism=4) == reference
+        assert merge_ctx.sort_metrics.runs_created == 0
+        assert post_ctx.cost_units() >= 1.5 * merge_ctx.cost_units()
 
     def test_broadcast_sharded_merge_join(self):
         """A selective join (tiny broadcast side, output ≪ input) under
