@@ -72,15 +72,5 @@ def r_tables_exec_catalog():
 
 @pytest.fixture(scope="session")
 def query3():
-    from repro.expr import col
-    from repro.expr.aggregates import agg_sum
-    from repro.logical import Query
-    return (Query.table("partsupp")
-            .join("lineitem", on=[("ps_suppkey", "l_suppkey"),
-                                  ("ps_partkey", "l_partkey")])
-            .where(col("l_linestatus").eq("O"))
-            .group_by(["ps_availqty", "ps_partkey", "ps_suppkey"],
-                      agg_sum(col("l_quantity"), "sum_qty"))
-            .having(col("sum_qty").gt(col("ps_availqty")))
-            .select("ps_suppkey", "ps_partkey", "ps_availqty", "sum_qty")
-            .order_by("ps_partkey"))
+    from repro import workloads
+    return workloads.query3()

@@ -9,24 +9,14 @@ Run:  python examples/inventory_analysis.py
 """
 
 from repro.bench import format_table, postgres_default_q3, pyro_o_q3, run_plan
-from repro.expr import col
-from repro.expr.aggregates import agg_sum
-from repro.logical import Query
 from repro.optimizer import Optimizer
 from repro.storage import SystemParameters
-from repro.workloads import add_query3_indexes, tpch_catalog, tpch_stats_catalog
-
-
-def query3() -> Query:
-    return (Query.table("partsupp")
-            .join("lineitem", on=[("ps_suppkey", "l_suppkey"),
-                                  ("ps_partkey", "l_partkey")])
-            .where(col("l_linestatus").eq("O"))
-            .group_by(["ps_availqty", "ps_partkey", "ps_suppkey"],
-                      agg_sum(col("l_quantity"), "sum_qty"))
-            .having(col("sum_qty").gt(col("ps_availqty")))
-            .select("ps_suppkey", "ps_partkey", "ps_availqty", "sum_qty")
-            .order_by("ps_partkey"))
+from repro.workloads import (
+    add_query3_indexes,
+    query3,
+    tpch_catalog,
+    tpch_stats_catalog,
+)
 
 
 def main() -> None:

@@ -203,9 +203,6 @@ class Sort(Operator):
             return f"{self.known_prefix} --> {self.output_order}"
         return f"ε --> {self.output_order}"
 
-    def explain_name(self) -> str:  # pragma: no cover - cosmetic
-        return "PartialSort" if self.is_partial else "Sort"
-
 
 class PartialSort(Sort):
     """Alias emphasising a partial sort enforcer in explain output."""

@@ -185,7 +185,7 @@ class ExecutionContext:
         #: When false, operators skip the whole-column kernel fast paths
         #: and run their compiled row loops (the PR-2 row-tuple batched
         #: engine).  Output rows, tallies and block charges are identical
-        #: either way; the flag exists for benchmarks and parity tests.
+        #: either way; the flag exists for parity tests.
         self.columnar = columnar
         #: Per-operator estimated-vs-actual row counts, keyed by the
         #: meter tag stamped at lowering time (scan ops carry their table

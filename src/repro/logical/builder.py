@@ -1,16 +1,8 @@
 """Fluent query builder.
 
 Thin sugar over :mod:`repro.logical.algebra`, so examples and tests read
-like the paper's SQL.  Example (the paper's Query 3)::
-
-    q = (Query.table("partsupp")
-         .join("lineitem", on=[("ps_suppkey", "l_suppkey"),
-                               ("ps_partkey", "l_partkey")])
-         .where(col("l_linestatus").eq("O"))
-         .group_by(["ps_availqty", "ps_partkey", "ps_suppkey"],
-                   agg_sum(col("l_quantity"), "sum_qty"))
-         .having(col("sum_qty").gt(col("ps_availqty")))
-         .order_by("ps_partkey"))
+like the paper's SQL; :func:`repro.workloads.query3` is the paper's
+Query 3 written this way.
 """
 
 from __future__ import annotations

@@ -157,9 +157,6 @@ class Optimizer:
         never a rebuilt default (same strategy/enumerator objects)."""
         return self.pipeline.with_parallelism(parallelism)
 
-    def _config_for(self, parallelism: Optional[int]) -> OptimizerConfig:
-        return self._pipeline_for(parallelism).config
-
     def cost_of(self, query, required_order: Optional[SortOrder] = None,
                 parallelism: Optional[int] = None) -> float:
         return self.optimize(query, required_order,

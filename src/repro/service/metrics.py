@@ -172,10 +172,6 @@ class QueryOutcome:
         return True
 
 
-class CircuitOpenState(Exception):
-    """Internal marker — not raised; see server.CircuitOpen."""
-
-
 class CircuitBreaker:
     """Consecutive-failure circuit breaker around the execution backend.
 

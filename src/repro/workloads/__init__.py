@@ -21,6 +21,7 @@ from .tpch import (
     add_query1_indexes,
     add_query2_indexes,
     add_query3_indexes,
+    query3,
     tpch_catalog,
     tpch_stats_catalog,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "identical_r_tables",
     "many_join_catalog",
     "many_join_query",
+    "query3",
     "query4",
     "query5",
     "query6",

@@ -21,6 +21,9 @@ import random
 from typing import Optional
 
 from ..core.sort_order import SortOrder
+from ..expr import col
+from ..expr.aggregates import agg_sum
+from ..logical import Query
 from ..storage import Catalog, Schema, SystemParameters, TableStats
 
 #: TPC-H scale-factor-1 base cardinalities.
@@ -183,3 +186,16 @@ def add_query3_indexes(catalog: Catalog) -> None:
     catalog.create_index(
         "li_suppkey_cov3", "lineitem", SortOrder(["l_suppkey"]),
         included=["l_partkey", "l_quantity", "l_linestatus"])
+
+
+def query3() -> Query:
+    """The paper's Query 3: parts whose open-order quantity exceeds stock."""
+    return (Query.table("partsupp")
+            .join("lineitem", on=[("ps_suppkey", "l_suppkey"),
+                                  ("ps_partkey", "l_partkey")])
+            .where(col("l_linestatus").eq("O"))
+            .group_by(["ps_availqty", "ps_partkey", "ps_suppkey"],
+                      agg_sum(col("l_quantity"), "sum_qty"))
+            .having(col("sum_qty").gt(col("ps_availqty")))
+            .select("ps_suppkey", "ps_partkey", "ps_availqty", "sum_qty")
+            .order_by("ps_partkey"))

@@ -6,10 +6,8 @@ import random
 
 import pytest
 
+from repro import workloads
 from repro.core.sort_order import SortOrder
-from repro.expr import col
-from repro.expr.aggregates import agg_sum
-from repro.logical import Query
 from repro.storage import Catalog, Schema, SystemParameters
 
 
@@ -38,23 +36,28 @@ def small_catalog(rng):
 @pytest.fixture
 def tpch_mini():
     """Materialised miniature TPC-H catalog (deterministic)."""
-    from repro.workloads import add_query3_indexes, tpch_catalog
-    cat = tpch_catalog(scale=0.002, seed=99)
-    add_query3_indexes(cat)
+    cat = workloads.tpch_catalog(scale=0.002, seed=99)
+    workloads.add_query3_indexes(cat)
     return cat
 
 
 @pytest.fixture
 def query3():
-    return (Query.table("partsupp")
-            .join("lineitem", on=[("ps_suppkey", "l_suppkey"),
-                                  ("ps_partkey", "l_partkey")])
-            .where(col("l_linestatus").eq("O"))
-            .group_by(["ps_availqty", "ps_partkey", "ps_suppkey"],
-                      agg_sum(col("l_quantity"), "sum_qty"))
-            .having(col("sum_qty").gt(col("ps_availqty")))
-            .select("ps_suppkey", "ps_partkey", "ps_availqty", "sum_qty")
-            .order_by("ps_partkey"))
+    return workloads.query3()
+
+
+def fig16_cases():
+    """``(name, stats catalog, query)`` for the paper's Fig. 16 queries."""
+    cat3 = workloads.tpch_stats_catalog()
+    workloads.add_query3_indexes(cat3)
+    return [
+        ("Q3", cat3, workloads.query3()),
+        ("Q4", workloads.r_tables_stats_catalog(
+            params=SystemParameters(sort_memory_blocks=250)),
+         workloads.query4()),
+        ("Q5", workloads.trading_stats_catalog(), workloads.query5()),
+        ("Q6", workloads.trading_stats_catalog(), workloads.query6()),
+    ]
 
 
 def reference_query3(catalog):

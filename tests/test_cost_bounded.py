@@ -13,46 +13,13 @@ from repro.core.interesting import (
 )
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.engine import ExecutionContext, sort_stream
-from repro.expr import col
-from repro.expr.aggregates import agg_sum
 from repro.logical import Annotator, Query, Union
 from repro.logical.algebra import OrderBy
 from repro.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.volcano import OptimizationRun
 from repro.storage import Catalog, Schema, SystemParameters, TableStats
-from repro.workloads import (
-    add_query3_indexes,
-    query4,
-    query5,
-    query6,
-    r_tables_stats_catalog,
-    tpch_stats_catalog,
-    trading_stats_catalog,
-)
-
-
-def _query3():
-    return (Query.table("partsupp")
-            .join("lineitem", on=[("ps_suppkey", "l_suppkey"),
-                                  ("ps_partkey", "l_partkey")])
-            .where(col("l_linestatus").eq("O"))
-            .group_by(["ps_availqty", "ps_partkey", "ps_suppkey"],
-                      agg_sum(col("l_quantity"), "sum_qty"))
-            .having(col("sum_qty").gt(col("ps_availqty")))
-            .select("ps_suppkey", "ps_partkey", "ps_availqty", "sum_qty")
-            .order_by("ps_partkey"))
-
-
-def bench_cases():
-    cat3 = tpch_stats_catalog()
-    add_query3_indexes(cat3)
-    return [
-        ("Q3", cat3, _query3()),
-        ("Q4", r_tables_stats_catalog(
-            params=SystemParameters(sort_memory_blocks=250)), query4()),
-        ("Q5", trading_stats_catalog(), query5()),
-        ("Q6", trading_stats_catalog(), query6()),
-    ]
+from repro.workloads import query5, trading_stats_catalog
+from tests.conftest import fig16_cases
 
 
 def _run_goal(cat, query, strategy, prune):
@@ -78,7 +45,7 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("strategy", ["pyro-o", "pyro-e"])
     def test_same_cost_fewer_goals_on_bench_queries(self, strategy):
         reductions = 0
-        for name, cat, query in bench_cases():
+        for name, cat, query in fig16_cases():
             pruned_plan, pruned_run = _run_goal(cat, query, strategy, True)
             exact_plan, exact_run = _run_goal(cat, query, strategy, False)
             assert pruned_plan.total_cost == pytest.approx(
@@ -131,7 +98,7 @@ class TestBranchAndBound:
     def test_pruning_disabled_examines_like_seed(self):
         """cost_bound_pruning=False must never return None for inf limits
         and must leave goals_pruned at zero."""
-        for name, cat, query in bench_cases()[:2]:
+        for name, cat, query in fig16_cases()[:2]:
             _, run = _run_goal(cat, query, "pyro-o", False)
             assert run.goals_pruned == 0, name
 
@@ -206,7 +173,7 @@ class TestFailureMemo:
         """End-to-end invariant: deepened pruning still returns the same
         plan as exhaustive search on every bench query (and records its
         extra effort in the re-search counters, not goals_examined)."""
-        for name, cat, query in bench_cases():
+        for name, cat, query in fig16_cases():
             pruned_plan, pruned_run = _run_goal(cat, query, "pyro-o", True)
             exact_plan, exact_run = _run_goal(cat, query, "pyro-o", False)
             assert pruned_plan.signature() == exact_plan.signature(), name

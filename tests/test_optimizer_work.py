@@ -146,7 +146,7 @@ def test_stored_cost_on_fuzz_corpus_and_through_every_rebuild():
 
 def test_stored_cost_on_golden_plans():
     import test_pipeline_enumerators as golden
-    for name, catalog, query in golden._fig16_cases():
+    for name, catalog, query in golden.fig16_cases():
         plan = Optimizer(catalog).optimize(query)
         assert_costs_stored(plan)
         assert plan.total_cost == golden.GOLDEN["fig16"][name]["cost"]

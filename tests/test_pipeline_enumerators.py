@@ -35,24 +35,18 @@ from repro.workloads import (
     trading_stats_catalog,
     query5,
 )
+from tests.conftest import fig16_cases
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_plans.json").read_text())
 
 
 # -- golden pins: the refactor must be invisible under the default enumerator ------------
-def _fig16_cases():
-    import sys
-    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "benchmarks"))
-    from bench_plan_cache import bench_cases
-    return bench_cases()
-
-
 def test_exhaustive_bit_identical_on_fig16():
     """Default-enumerator plans on Q3–Q6 and the many-join query match
     the pre-refactor golden explains and costs byte for byte."""
     goldens = {**GOLDEN["fig16"], "many_join": GOLDEN["many_join"]}
-    cases = _fig16_cases() + [
+    cases = fig16_cases() + [
         ("many_join", many_join_catalog(), many_join_query())]
     for name, catalog, query in cases:
         plan = Optimizer(catalog).optimize(query)
@@ -288,14 +282,14 @@ class _CountingEnumerator(ExhaustiveEnumerator):
 def test_pipeline_reused_across_optimize_refine_and_cost_of():
     """`Optimizer` builds its pipeline once: refinement and ``cost_of``
     see the exact enumerator instance `optimize` used (the historical
-    bug was `_config_for` rebuilding a default config)."""
+    bug was rebuilding a default config per parallelism)."""
     catalog = trading_stats_catalog()
     enum = _CountingEnumerator()
     optimizer = Optimizer(catalog, join_enumerator=enum)
     assert optimizer.pipeline.enumerator is enum
     # with_parallelism must share the enumerator, not rebuild one.
     assert optimizer._pipeline_for(4).enumerator is enum
-    assert optimizer._config_for(4).parallelism == 4
+    assert optimizer._pipeline_for(4).config.parallelism == 4
     optimizer.optimize(query5())
     # Refinement re-searches the chosen tree without re-enumerating:
     # exactly one candidate_trees call per optimize().
