@@ -39,7 +39,7 @@ progressive charging for every batch size.
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -271,8 +271,7 @@ def batches_of(rows: Iterable[tuple], batch_size: int) -> Iterator[RowBatch]:
 
 def flatten_batches(batches: Iterable[RowBatch]) -> Iterator[tuple]:
     """The row stream of a batch stream (for row-level consumers)."""
-    for batch in batches:
-        yield from batch.rows
+    return chain.from_iterable(batch.rows for batch in batches)
 
 
 def collect_rows(batches: Iterable[RowBatch]) -> list[tuple]:

@@ -10,7 +10,7 @@ so everything above the exchange is oblivious to the sharding.
 
 :class:`MergeExchange` is the *order-preserving* gather: its children
 each deliver rows already sorted on the merge order (typically per-shard
-SRS/MRS enforcers over the shards), and it performs a stable k-way heap
+SRS/MRS enforcers over the shards), and it performs a stable k-way
 merge — ties go to the lowest shard index, so the output is bit-identical
 to a stable full sort of the shards concatenated in shard order.  This
 is what lets a required order be enforced *below* the exchange, shard by
@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from .basic import Compute, Filter, Project, Sort
-from .batch import RowBatch, batches_of
+from .batch import RowBatch, batches_of, flatten_batches
 from .context import ExecutionContext
 from .iterators import Operator, assert_sorted_batches
 from .scans import (
@@ -111,10 +111,10 @@ class MergeExchange(Operator):
     under ``ctx.check_orders``).  The merge is stable — equal keys come
     out in shard order, and within a shard in arrival order — so the
     output is bit-identical to what a stable full sort over the
-    concatenation of the children (in child order) would produce.  Merge
-    comparisons are tallied through the shared
-    :class:`~repro.engine.context.CountedKey` machinery, and are
-    independent of the batch size.
+    concatenation of the children (in child order) would produce.  The
+    merge (:func:`~repro.engine.sorting.merge_sorted_streams`) works a
+    round of head batches at a time and tallies ``ceil(log2 k)``
+    comparisons per row, independent of the batch size.
     """
 
     name = "MergeExchange"
@@ -145,7 +145,7 @@ class MergeExchange(Operator):
     def partition_disjoint(self) -> bool:
         """Whether the children are ascending range partitions disjoint on
         the leading merge column — concatenation is then already globally
-        sorted and the k-way heap (with its ``N·log2(k)`` comparisons) is
+        sorted and the k-way merge (with its ``N·log2(k)`` comparisons) is
         skipped entirely.  Either declared by the planner (which proved it
         from the catalog's partitioning) or re-detected from the operator
         shape, so hand-built pipelines get the same fast path."""
@@ -164,8 +164,8 @@ class MergeExchange(Operator):
             # passed through in shard order, are already the global order
             # — no comparisons, no re-chunking.
             return chain.from_iterable(streams)
-        return batches_of(merge_sorted_streams(streams, positions, ctx),
-                          ctx.batch_size)
+        return batches_of(flatten_batches(
+            merge_sorted_streams(streams, positions, ctx)), ctx.batch_size)
 
     def details(self) -> str:
         suffix = ", disjoint concat" if self.partition_disjoint else ""
@@ -259,7 +259,7 @@ def partitions_disjoint_on(children: Sequence[Operator], order: SortOrder) -> bo
 
     This is the partition-aware merge condition: every row of child *i*
     compares ≤ every row of child *i+1* on the merge key, so the gather
-    can concatenate instead of heap-merging.  Shared with the optimizer's
+    can concatenate instead of merging.  Shared with the optimizer's
     cost model via the plans it builds (the engine re-detects the shape
     at run time, so hand-built pipelines get the same fast path).
     """

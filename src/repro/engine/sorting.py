@@ -22,35 +22,33 @@ Two algorithms:
 Both charge block transfers to the :class:`~repro.engine.context.ExecutionContext`
 and count comparisons, making Experiments A1–A4 reproducible.
 
-Keys are the **raw** tuples :meth:`RowBatch.key_tuples` extracts;
-ordering goes through :class:`~repro.engine.context.CountedKey`, which
-falls back to NULL-safe wrapped keys only on a NULL-vs-value
-``TypeError`` (see ``docs/execution.md``, "Key discipline").
+Keys are **raw** tuples; ordering falls back to NULL-safe wrapped keys
+only on a NULL-vs-value ``TypeError`` (see ``docs/execution.md``, "Key
+discipline").  The two tallies are rules, not artefacts of a container:
+the SRS selection heap counts one comparison per heap step, and a k-way
+merge charges the tree-of-losers count ``ceil(log2 k)`` per emitted row.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from ..core.sort_order import SortOrder
 from ..storage.schema import Schema
 from .batch import GroupCursor, RowBatch, batches_of, drain_full, flatten_batches
-from .context import ComparisonCounter, CountedKey, ExecutionContext, key_lt
+from .context import ComparisonCounter, CountedKey, ExecutionContext, key_lt, null_safe_wrap
 from .iterators import tuple_getter
-
-#: A merge heap entry is a ``(CountedKey, row)`` pair.
-_KEY, _ROW = itemgetter(0), itemgetter(1)
-Keyed = Iterator[tuple[CountedKey, tuple]]
 
 _SENTINEL = object()
 
 
 def keyed_rows(batches: Iterable[RowBatch], positions: Sequence[int],
-               counter: ComparisonCounter) -> Keyed:
+               counter: ComparisonCounter) -> Iterator[tuple[CountedKey, tuple]]:
     """``(CountedKey, row)`` pairs of a batch stream, keys extracted a
-    whole batch at a time."""
+    whole batch at a time (``TopK``'s bounded heap)."""
     for batch in batches:
         yield from zip([CountedKey(key, counter)
                         for key in batch.key_tuples(positions)], batch.rows)
@@ -83,31 +81,78 @@ class _RunStore:
             yield RowBatch(run[i:i + per_block])
 
 
-def _merge_keyed(streams: Sequence[Iterable[RowBatch]], positions: Sequence[int],
-                 ctx: ExecutionContext) -> Keyed:
-    counter = ctx.comparisons
-    return heapq.merge(*[keyed_rows(stream, positions, counter)
-                         for stream in streams], key=_KEY)
-
-
 def merge_sorted_streams(streams: Sequence[Iterable[RowBatch]],
                          positions: Sequence[int],
-                         ctx: ExecutionContext) -> Iterator[tuple]:
-    """Stable k-way merge of sorted batch streams, tallying comparisons.
+                         ctx: ExecutionContext) -> Iterator[RowBatch]:
+    """Stable k-way merge of sorted batch streams, a round at a time.
 
-    ``heapq.merge`` breaks key ties by stream position, so merging
-    per-shard sorted streams *in shard order* reproduces exactly the row
-    sequence a stable full sort of the concatenated input would emit —
-    the invariant :class:`~repro.engine.exchange.MergeExchange` and the
-    run merges below both rely on.  The merged rows come out of C-level
-    iterators; callers re-chunk them with :func:`batches_of`.
+    A round looks at the head batch of every live stream.  The *bound* is
+    the smallest last key among them, its *owner* the lowest stream
+    holding it.  Streams before the owner give their rows ``<= bound``
+    (``bisect_right``), streams after it their rows ``< bound``
+    (``bisect_left``), the owner its whole batch: key ties go to the
+    lowest stream, and the owner's later equal keys still precede higher
+    streams'.  The prefixes, concatenated in stream order, are
+    stable-sorted at C level, and only the owner is refilled — when the
+    consumer comes back for more.  Merging sorted shards *in shard order*
+    so reproduces the row sequence of a stable full sort of their
+    concatenation, which :class:`~repro.engine.exchange.MergeExchange`
+    and the run merges below rely on.  A round whose raw keys raise
+    ``TypeError`` (NULL against a value) is redone on wrapped keys.
+
+    The tally is the tree-of-losers count, ``ceil(log2 k)`` per emitted
+    row for the *k* streams handed in (nothing for one): what
+    ``CostModel.merge_exchange`` charges, whatever the batch boundaries.
     """
-    return map(_ROW, _merge_keyed(streams, positions, ctx))
+    if len(streams) == 1:
+        yield from streams[0]
+        return
+    counter, per_row = ctx.comparisons, (len(streams) - 1).bit_length()
+    raw_key = tuple_getter(positions)
+    sources = [iter(stream) for stream in streams]
+    live = list(range(len(sources)))
+    heads: list[list[tuple]] = [[] for _ in sources]
+    starts = [0] * len(sources)
+
+    def refill(i: int) -> None:
+        for batch in sources[i]:
+            if batch:
+                heads[i], starts[i] = batch.rows, 0
+                return
+        live.remove(i)
+
+    def cut(key) -> tuple[int, list[int], list[tuple]]:
+        lasts = [key(heads[i][-1]) for i in live]
+        bound = min(lasts)
+        owner = live[lasts.index(bound)]
+        ends = [len(heads[i]) if i == owner else
+                (bisect_right if i < owner else bisect_left)(
+                    heads[i], bound, starts[i], key=key)
+                for i in live]
+        rows: list[tuple] = []
+        for i, end in zip(live, ends):
+            rows += heads[i][starts[i]:end]
+        if len(rows) > len(heads[owner]) - starts[owner]:
+            rows.sort(key=key)
+        return owner, ends, rows
+
+    for i in range(len(sources)):
+        refill(i)
+    while live:
+        try:
+            owner, ends, rows = cut(raw_key)
+        except TypeError:
+            owner, ends, rows = cut(lambda row: null_safe_wrap(raw_key(row)))
+        for i, end in zip(live, ends):
+            starts[i] = end
+        counter.value += len(rows) * per_row
+        yield RowBatch(rows)
+        refill(owner)
 
 
 def _merge_runs(store: _RunStore, runs: list[list[tuple]],
-                positions: Sequence[int], ctx: ExecutionContext) -> Keyed:
-    """Multiway-merge *runs* down to a single sorted (keyed) stream.
+                positions: Sequence[int], ctx: ExecutionContext) -> Iterator[RowBatch]:
+    """Multiway-merge *runs* down to a single sorted batch stream.
 
     Intermediate passes happen only when the number of runs exceeds the
     merge fan-in (``M - 1`` input buffers); each pass reads and rewrites
@@ -122,13 +167,25 @@ def _merge_runs(store: _RunStore, runs: list[list[tuple]],
         ctx.sort_metrics.merge_passes += 1
         next_runs: list[list[tuple]] = []
         for i in range(0, len(runs), fan_in):
-            merged = list(merge_sorted_streams(
-                [store.read_run(r) for r in runs[i:i + fan_in]], positions, ctx))
+            merged = list(flatten_batches(merge_sorted_streams(
+                [store.read_run(r) for r in runs[i:i + fan_in]], positions, ctx)))
             store.write_run(merged)
             next_runs.append(merged)
         runs = next_runs
     ctx.sort_metrics.merge_passes += 1
-    return _merge_keyed([store.read_run(r) for r in runs], positions, ctx)
+    return merge_sorted_streams([store.read_run(r) for r in runs], positions, ctx)
+
+
+class _Selected(CountedKey):
+    """One row in the SRS selection heap, ordered by the flat tuple
+    ``(run, key..., arrival)``: a heap step is one counted ``<``."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, run: int, key: tuple, arrival: int, row: tuple,
+                 counter: ComparisonCounter) -> None:
+        super().__init__((run, *key, arrival), counter)
+        self.row = row
 
 
 def srs_sort(rows: Iterable[tuple], positions: Sequence[int],
@@ -139,39 +196,32 @@ def srs_sort(rows: Iterable[tuple], positions: Sequence[int],
     in-memory sort, no I/O) — this matches the cost model's
     ``B(e) ≤ M`` branch.  Otherwise runs go to the simulated disk and are
     merged, charging every transfer.  The selection heap is inherently
-    row-at-a-time; its tally is the sequence of heap comparisons (two
-    counted per compare: tuple ``==`` then ``<``).
+    row-at-a-time; its tally is one comparison per heap step (it is not
+    a ``list.sort``, whose adaptivity to presorted input would erase the
+    SRS-vs-MRS comparison gap the paper measures).
     """
-    # A row wider than sort memory must not yield capacity 0: the first
-    # row would become ``overflow_row`` against an empty heap and the
-    # replacement-selection loop would silently drop the whole input.
+    # A row wider than sort memory must not yield capacity 0: the whole
+    # input would be deferred against an empty heap and silently dropped.
     capacity = max(1, ctx.memory_capacity_rows(row_bytes))
     counter = ctx.comparisons
     key_fn = tuple_getter(positions)
-    heap: list[tuple[int, CountedKey, int, tuple]] = []
-    seq = 0
     it = iter(rows)
+    heap = [_Selected(0, key_fn(row), seq, row, counter)
+            for seq, row in enumerate(islice(it, capacity))]
+    heapq.heapify(heap)
+    seq = len(heap)
+    pending = next(it, _SENTINEL)
 
-    overflow_row = _SENTINEL
-    for row in it:
-        if len(heap) < capacity:
-            heapq.heappush(heap, (0, CountedKey(key_fn(row), counter), seq, row))
-            seq += 1
-        else:
-            overflow_row = row
-            break
-
-    if overflow_row is _SENTINEL:
+    if pending is _SENTINEL:
         # Entire input fits in memory: no run I/O at all.
         ctx.sort_metrics.in_memory_sorts += 1
         while heap:
-            yield heapq.heappop(heap)[3]
+            yield heapq.heappop(heap).row
         return
 
     store = _RunStore(ctx, row_bytes)
     current_run = 0
     run_buffer: list[tuple] = []
-    pending: object = overflow_row
 
     def flush_run() -> None:
         nonlocal run_buffer
@@ -179,23 +229,24 @@ def srs_sort(rows: Iterable[tuple], positions: Sequence[int],
         run_buffer = []
 
     while heap:
-        run_id, popped_key, _, popped_row = heapq.heappop(heap)
+        popped = heapq.heappop(heap)
+        run_id = popped.key[0]
         if run_id != current_run:
             flush_run()
             current_run = run_id
-        run_buffer.append(popped_row)
+        run_buffer.append(popped.row)
         if pending is not _SENTINEL:
             new_key = key_fn(pending)
             counter.add()
             # A new tuple smaller than the last one output cannot join the
             # current run; defer it to the next run.
-            target = run_id + 1 if key_lt(new_key, popped_key.key) else run_id
-            heapq.heappush(heap, (target, CountedKey(new_key, counter), seq, pending))
+            target = run_id + 1 if key_lt(new_key, popped.key[1:-1]) else run_id
+            heapq.heappush(heap, _Selected(target, new_key, seq, pending, counter))
             seq += 1
             pending = next(it, _SENTINEL)
     flush_run()
 
-    yield from map(_ROW, _merge_runs(store, store.runs, positions, ctx))
+    yield from flatten_batches(_merge_runs(store, store.runs, positions, ctx))
 
 
 def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
@@ -241,9 +292,11 @@ def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
             start = end
         tail = segment[start:]
         tail.sort(key=counted_suffix)
-        merged_runs = _merge_runs(store, store.runs, suffix_positions, ctx)
-        return map(_ROW, heapq.merge(
-            merged_runs, zip(map(counted_suffix, tail), tail), key=_KEY))
+        streams = [_merge_runs(store, store.runs, suffix_positions, ctx)]
+        if tail:
+            streams.append([RowBatch(tail)])
+        return flatten_batches(
+            merge_sorted_streams(streams, suffix_positions, ctx))
 
     def boundary_tested(batches: Iterable[RowBatch]) -> Iterator[RowBatch]:
         # The segment-boundary test is one key comparison per input row,

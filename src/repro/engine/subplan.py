@@ -56,7 +56,7 @@ import hashlib
 import os
 import pickle
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Any, Iterator, Optional, Sequence
 
 from ..obs.trace import _NULL_SPAN as _NULL_CM, Trace
@@ -146,10 +146,8 @@ class ShardStream:
     future errors or is cancelled.  The consuming merge iterates
     :meth:`batches`, blocking only when it has outrun the producer.
 
-    The buffer is unbounded: the gather ultimately materialises every
-    row anyway (the server returns full result sets), so buffering
-    chunks early costs no more memory than the whole-list pickle did —
-    it just arrives incrementally and overlaps with the merge.
+    The buffer is unbounded — a shard may finish long before the merge
+    reaches it — but holds only what the consumer has not yet taken.
     """
 
     __slots__ = ("stream_id", "_chunks", "_done", "_error", "_result",
@@ -157,7 +155,7 @@ class ShardStream:
 
     def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
-        self._chunks: list[list[tuple]] = []
+        self._chunks: deque[list[tuple]] = deque()
         self._done = False
         self._error: Optional[BaseException] = None
         #: The DONE payload: ``(tallies, cache_hit)`` untraced,
@@ -195,19 +193,18 @@ class ShardStream:
 
     def batches(self) -> Iterator[list[tuple]]:
         """Yield chunks in arrival order, blocking on the producer;
-        raises the stream's failure as soon as it is observed."""
-        index = 0
+        raises the stream's failure as soon as it is observed.  Each
+        chunk is handed over exactly once — the stream lets go of it, so
+        a consumer that reduces rows frees them as it goes."""
         while True:
             with self._cond:
-                while index >= len(self._chunks) and not self._done:
+                while not self._chunks and not self._done:
                     self._cond.wait()
-                if index < len(self._chunks):
-                    chunk = self._chunks[index]
-                else:
+                if not self._chunks:
                     if self._error is not None:
                         raise self._error
                     return
-            index += 1
+                chunk = self._chunks.popleft()
             yield chunk
 
     @property

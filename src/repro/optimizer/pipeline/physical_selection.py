@@ -229,8 +229,10 @@ class PhysicalSelection:
         built over them (an enforcer carries its input's), so what is a
         function of them — join estimates, join schemas — is the same
         for all the permutations requesting it.  The entry holds
-        *inputs*, so an ``id()`` is never reused as a key."""
-        key = (fn, *map(id, inputs))
+        *inputs*, so an ``id()`` is never reused as a key; the key holds
+        a method's function, not the method — a bound method of the
+        search would make the search reference itself."""
+        key = (getattr(fn, "__func__", fn), *map(id, inputs))
         hit = self._derived.get(key)
         if hit is None:
             hit = self._derived[key] = (fn(*inputs), inputs)

@@ -202,13 +202,21 @@ class OptimizationRun(PhysicalSelection):
         self.enumerator_seconds = 0.0
         #: Candidate trees actually searched by the last :meth:`optimize`.
         self.join_order_candidates = 0
-        #: The search whose plan won (the as-written tree's until
-        #: :meth:`optimize` decides otherwise) — phase-2 refinement must
-        #: refine its tree, on its group table, not the original's.
-        self.chosen: PhysicalSelection = self
         #: Stage-4 output: parameter names the chosen plan needs bound.
         self.param_names: frozenset[str] = frozenset()
-        self._searches: list[PhysicalSelection] = [self]
+        # The run is itself the as-written tree's search; holding only
+        # the *other* searches keeps a finished run free of reference
+        # cycles, so it (and the catalog it pins) dies with its last
+        # reference instead of waiting for the cyclic collector.
+        self._other_searches: list[PhysicalSelection] = []
+        self._chosen_other: Optional[PhysicalSelection] = None
+
+    @property
+    def chosen(self) -> PhysicalSelection:
+        """The search whose plan won (the as-written tree's until
+        :meth:`optimize` decides otherwise) — phase-2 refinement must
+        refine its tree, on its group table, not the original's."""
+        return self if self._chosen_other is None else self._chosen_other
 
     def optimize(self, required: SortOrder) -> PhysicalPlan:
         """Stages 2–4: enumerate join orders, search each candidate,
@@ -250,7 +258,7 @@ class OptimizationRun(PhysicalSelection):
                             continue
                     except Exception:
                         continue
-                    self._searches.append(search)
+                    self._other_searches.append(search)
                 self.join_order_candidates += 1
                 plan = search.optimize_goal(tree, required)
                 plan = search.ensure_schema(plan, tree)
@@ -265,7 +273,7 @@ class OptimizationRun(PhysicalSelection):
                 best = self.ensure_schema(best, self.root)
             select_span.tag(candidates=self.join_order_candidates,
                             cost=best.total_cost)
-        self.chosen = best_search
+        self._chosen_other = None if best_search is self else best_search
         with child_span("parameterization"):
             self.param_names = parameterize(best)
         return best
@@ -278,5 +286,6 @@ class OptimizationRun(PhysicalSelection):
             "join_order_candidates": self.join_order_candidates,
         }
         for counter in _SEARCH_COUNTERS:
-            out[counter] = sum(getattr(s, counter) for s in self._searches)
+            out[counter] = sum(getattr(s, counter)
+                               for s in (self, *self._other_searches))
         return out

