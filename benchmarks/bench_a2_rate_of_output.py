@@ -71,7 +71,7 @@ def test_fig8_first_tuple_latency(catalog, benchmark):
     def first_tuple_cost(algorithm):
         ctx = ExecutionContext(catalog)
         op = _sort_plan(catalog, algorithm)
-        next(iter(op.execute(ctx)))
+        next(op.execute_batches(ctx))
         return ctx.cost_units()
 
     mrs_cost = benchmark.pedantic(lambda: first_tuple_cost("mrs"),

@@ -77,14 +77,16 @@ def main() -> None:
           f"hit rate={session.cache.stats.hit_rate:.2f}, "
           f"optimize seconds={session.metrics.optimize_seconds:.4f}")
 
-    # Execution knobs: the engine is batch-vectorized, and full table
-    # scans can be fanned out into contiguous shards.  Answers are
-    # identical; only execution granularity changes.
+    # Parallelism is a planning input: preparing for a 4-way fan-out
+    # lets the search shard scans and place enforcers per shard where
+    # that pays (its own cache entry); execution runs the plan as
+    # planned.  batch_size only changes execution granularity.  Answers
+    # are identical.
     serial = prepared.execute(region="region3")
-    sharded = prepared.execute(region="region3", parallelism=4,
-                               batch_size=2048)
-    print(f"\nSharded execution matches serial: {serial == sharded} "
-          f"(parallelism=4, batch_size=2048)")
+    sharded = session.prepare(template, parallelism=4).execute(
+        region="region3", batch_size=2048)
+    print(f"\nPlan prepared for parallelism=4 matches serial: "
+          f"{serial == sharded} (batch_size=2048)")
 
     # Statistics refresh → version bump → the cached plan is stale and
     # the next prepare re-optimizes against the new statistics.  The

@@ -28,7 +28,7 @@ def run(algorithm: str):
                 known_prefix=prefix)
     plan = Limit(sort, K)
     ctx = ExecutionContext(catalog)
-    rows = list(plan.execute(ctx))
+    rows = plan.run(ctx)
     return rows, ctx
 
 

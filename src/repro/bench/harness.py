@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
+from ..engine.batch import flatten_batches
 from ..engine.context import ExecutionContext
 from ..engine.iterators import Operator
 from ..optimizer.plans import PhysicalPlan
@@ -57,7 +58,7 @@ def run_plan(plan: PhysicalPlan | Operator, catalog: Catalog,
     timeline: list[tuple[int, float]] = []
     start = time.perf_counter()
     count = 0
-    stream = operator.execute(ctx)
+    stream = flatten_batches(operator.execute_batches(ctx))
     if consume is not None:
         count = consume(stream)
     else:

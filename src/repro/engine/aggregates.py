@@ -140,7 +140,7 @@ class SortAggregate(Operator):
         if arg_fns is None:  # unbound parameters: raise like the seed engine
             arg_fns = tuple(spec.arg.compile(child.schema)
                             for spec in self.aggregates)
-        batch_fns = self._arg_batch_fns if ctx.columnar else None
+        batch_fns = self._arg_batch_fns
 
         def arg_columns(batch: RowBatch) -> list:
             # Aggregate inputs evaluate whole-column when allowed; the
@@ -258,7 +258,7 @@ class HashAggregate(Operator):
         if arg_fns is None:  # unbound parameters: raise like the seed engine
             arg_fns = tuple(spec.arg.compile(child.schema)
                             for spec in self.aggregates)
-        batch_fns = self._arg_batch_fns if ctx.columnar else None
+        batch_fns = self._arg_batch_fns
         funcs = [spec.function for spec in self.aggregates]
 
         groups: dict[tuple, list] = {}

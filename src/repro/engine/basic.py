@@ -5,12 +5,12 @@ Filter, project and compute compile their expressions **once, at
 construction** (through the process-global kernel cache, or from the
 bundle a prepared plan carries — see :mod:`repro.engine.kernels`), in
 two forms: a row function and a whole-column batch kernel.  At run time
-a batch of at least :data:`~repro.engine.batch.COLUMNAR_MIN_ROWS` rows
-is evaluated columnar — one kernel call per batch instead of one Python
-call per row — unless the context disables it
-(``ExecutionContext(columnar=False)``); tiny batches use the row loop,
-whose output is bit-identical.  Selective operators emit one (possibly
-smaller) batch per input batch instead of re-buffering.
+a batch that is already column-backed, or holds at least
+:data:`~repro.engine.batch.COLUMNAR_MIN_ROWS` rows, is evaluated
+columnar — one kernel call per batch instead of one Python call per row;
+tiny row-backed batches use the row loop, whose output is bit-identical.
+Selective operators emit one (possibly smaller) batch per input batch
+instead of re-buffering.
 
 ``Sort`` is the order *enforcer* of the paper: it knows both the target
 order and the order already guaranteed by its input, and picks MRS
@@ -57,8 +57,7 @@ class Filter(Operator):
         # Unbound parameters surface here, like the seed engine's
         # compile-at-execute did.
         row_fn = self._row_fn or self.predicate.compile(self.schema)
-        batch_fn = self._batch_fn if ctx.columnar else None
-        return self._filtered(ctx, row_fn, batch_fn)
+        return self._filtered(ctx, row_fn, self._batch_fn)
 
     def _filtered(self, ctx: ExecutionContext, row_fn,
                   batch_fn) -> Iterator[RowBatch]:
@@ -130,8 +129,7 @@ class Compute(Operator):
         if row_fns is None:  # unbound parameters: raise like the seed engine
             row_fns = tuple(expr.compile(self.children[0].schema)
                             for _, expr in self.outputs)
-        batch_fns = self._batch_fns if ctx.columnar else None
-        return self._computed(ctx, row_fns, batch_fns)
+        return self._computed(ctx, row_fns, self._batch_fns)
 
     def _computed(self, ctx: ExecutionContext, row_fns,
                   batch_fns) -> Iterator[RowBatch]:

@@ -27,9 +27,10 @@ Contract (see ``docs/execution.md``):
   comparison counts are **independent of the batch size** for
   run-to-completion queries (early-terminating consumers pay I/O at
   batch granularity; ``batch_size=1`` reproduces row-level payment);
-* the columnar path is an *identical-output* fast path: disabling it
-  (``ExecutionContext(columnar=False)``) changes wall-clock only, never
-  rows, tallies or block charges.
+* the columnar path is an *identical-output* fast path: which evaluator
+  a batch gets (row functions for row-backed batches under
+  ``COLUMNAR_MIN_ROWS`` rows, kernels otherwise) changes wall-clock
+  only, never rows, tallies or block charges.
 
 ``BlockCharger`` implements batch-aware block accounting: it charges
 each simulated disk block exactly once as the scan cursor crosses it,

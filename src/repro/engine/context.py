@@ -166,7 +166,6 @@ class ExecutionContext:
                  params: Optional[SystemParameters] = None,
                  check_orders: bool = False,
                  batch_size: Optional[int] = None,
-                 columnar: bool = True,
                  meter_timing: bool = False) -> None:
         self.catalog = catalog
         self.params = params or (catalog.params if catalog else SystemParameters())
@@ -182,11 +181,6 @@ class ExecutionContext:
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size or DEFAULT_BATCH_SIZE
-        #: When false, operators skip the whole-column kernel fast paths
-        #: and run their compiled row loops (the PR-2 row-tuple batched
-        #: engine).  Output rows, tallies and block charges are identical
-        #: either way; the flag exists for parity tests.
-        self.columnar = columnar
         #: Per-operator estimated-vs-actual row counts, keyed by the
         #: meter tag stamped at lowering time (scan ops carry their table
         #: name in the tag).  Each cell is ``[estimated, actual]``; both

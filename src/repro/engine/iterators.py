@@ -5,17 +5,17 @@ Every operator exposes:
 * ``schema`` — output :class:`~repro.storage.schema.Schema`;
 * ``output_order`` — the :class:`~repro.core.sort_order.SortOrder`
   *guaranteed* on its output stream;
-* ``execute_batches(ctx)`` — the **primary** execution method: a
-  generator of :class:`~repro.engine.batch.RowBatch` chunks, charging
-  simulated I/O and comparisons to the
-  :class:`~repro.engine.context.ExecutionContext`;
-* ``execute(ctx)`` — row-at-a-time view of the same stream (the seed
-  engine's API, kept for compatibility; it simply flattens batches);
+* ``execute_batches(ctx)`` — the one execution method: a generator of
+  :class:`~repro.engine.batch.RowBatch` chunks, charging simulated I/O
+  and comparisons to the
+  :class:`~repro.engine.context.ExecutionContext`
+  (``flatten_batches(op.execute_batches(ctx))`` is the row view);
+* ``run(ctx)`` — the drive loop: pull every batch, return the rows;
 * ``explain()`` — a pretty-printed plan tree like the paper's figures.
 
-Operators are *plans*, not live cursors: ``execute``/``execute_batches``
-may be called repeatedly (each call is an independent execution), which
-the benchmark harness relies on.
+Operators are *plans*, not live cursors: ``execute_batches`` may be
+called repeatedly (each call is an independent execution), which the
+benchmark harness and the workers' lowered-subplan cache rely on.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..storage.schema import Schema
-from .batch import RowBatch, batches_of, collect_rows, flatten_batches
+from .batch import RowBatch, collect_rows
 from .context import ExecutionContext, key_lt
 
 
@@ -64,13 +64,11 @@ def _metered(fn):
     (``op._meter = (tag, estimated_rows)``) counts actual output rows
     into ``ctx.operator_rows``.
 
-    Wrapping happens at *class* definition time (see
-    ``Operator.__init_subclass__``), not per instance: ``shard_scans``
-    clones operators with ``copy.copy``, and a per-instance wrapper
-    would keep executing the original's children through its captured
-    bound method.  Unmetered operators (``_meter``
-    is ``None`` — anything built outside plan lowering) pay one attribute
-    load and branch.
+    Wrapping happens once, at *class* definition time (see
+    ``Operator.__init_subclass__``), so lowering stamps a meter by
+    setting one attribute.  Unmetered operators (``_meter`` is ``None``
+    — anything built outside plan lowering) pay one attribute load and
+    branch.
     """
     if getattr(fn, "_meter_wrapped", False):
         return fn
@@ -113,26 +111,13 @@ class Operator:
         self.children: tuple[Operator, ...] = tuple(children)
 
     # -- execution ---------------------------------------------------------------
-    @_metered
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """Yield the output as row batches (the engine's native path).
-
-        The fallback wraps a row-level ``execute`` override into batches,
-        so third-party operators written against the seed's row-at-a-time
-        API keep working inside a batched plan.
-        """
-        if type(self).execute is Operator.execute:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither execute_batches "
-                f"nor execute")
-        return batches_of(self.execute(ctx), ctx.batch_size)
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        """Row-at-a-time view: flattens :meth:`execute_batches`."""
-        return flatten_batches(self.execute_batches(ctx))
+        """Yield the output as row batches; every operator overrides it."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement execute_batches")
 
     def run(self, ctx: Optional[ExecutionContext] = None) -> list[tuple]:
-        """Execute fully and collect the result (convenience for tests)."""
+        """The drive loop: execute fully and collect the result rows."""
         ctx = ctx or ExecutionContext()
         return collect_rows(self.execute_batches(ctx))
 

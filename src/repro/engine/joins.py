@@ -1,5 +1,5 @@
-"""Join operators: merge join (inner/left/full outer), hash join, block
-nested-loops join — batch-vectorized.
+"""Join operators: merge join (inner/left/full outer) and hash join —
+batch-vectorized.
 
 Merge join is the operator with the factorial space of interesting
 orders: its inputs must both be sorted on *the same* permutation of the
@@ -11,22 +11,17 @@ Its group-by-group merge finds the groups a batch at a time on raw keys
 The hash join models Grace-style partitioning I/O when the build side
 exceeds memory, so the optimizer's hash-vs-merge trade-off (Figure 11)
 is faithful; it builds from batches and probes a whole batch at a time.
-Nested loops preserves the outer input's order, which the afm
-computation exploits (Section 5.1.2, case 4).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
-from ..expr.expressions import JoinPredicate, Predicate
-from ..storage.schema import Schema
+from ..expr.expressions import JoinPredicate
 from .batch import BatchBuilder, GroupCursor, RowBatch, collect_rows, drain_full
 from .context import ExecutionContext, key_lt
 from .iterators import Operator, assert_sorted_batches, tuple_getter
-from .kernels import OperatorKernels, compile_kernels
 
 JOIN_TYPES = ("inner", "left", "full")
 
@@ -259,77 +254,3 @@ class HashJoin(Operator):
     def details(self) -> str:
         kind = "" if self.join_type == "inner" else f" {self.join_type.upper()} OUTER"
         return f"{self.predicate}{kind}"
-
-
-class NestedLoopsJoin(Operator):
-    """Block nested-loops join; preserves the outer (left) input's order.
-
-    The inner input is materialised once; the simulated cost charges one
-    inner re-read per outer memory-load, the textbook
-    ``B_outer + ⌈B_outer / (M-1)⌉ · B_inner`` pattern.
-    """
-
-    name = "NestedLoopsJoin"
-
-    def __init__(self, left: Operator, right: Operator,
-                 predicate: Optional[JoinPredicate] = None,
-                 residual: Optional[Predicate] = None,
-                 kernels: Optional[OperatorKernels] = None) -> None:
-        schema = left.schema.concat(right.schema)
-        super().__init__(schema, left.output_order, [left, right])
-        self.predicate = predicate
-        self.residual = residual
-        if residual is not None:
-            row_fns, _ = compile_kernels((residual,), schema, kernels)
-            self._residual_fn = row_fns[0] if row_fns else None
-        else:
-            self._residual_fn = None
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        left, right = self.children
-        inner = collect_rows(right.execute_batches(ctx))
-        inner_blocks = math.ceil(len(inner) * right.schema.row_bytes
-                                 / ctx.params.block_size) if inner else 0
-        outer_rows_per_load = ctx.memory_capacity_rows(left.schema.row_bytes)
-
-        pairs = self.predicate.pairs if self.predicate else ()
-        lpos = left.schema.positions([l for l, _ in pairs]) if pairs else ()
-        rpos = right.schema.positions([r for _, r in pairs]) if pairs else ()
-        residual_fn = self._residual_fn
-        if self.residual is not None and residual_fn is None:
-            residual_fn = self.residual.compile(self.schema)  # unbound → raise
-        lgetter = tuple_getter(lpos)
-        rgetter = tuple_getter(rpos)
-        # Inner keys are extracted once, not once per outer row.
-        inner_keyed = [(rrow, rgetter(rrow)) for rrow in inner]
-
-        def stream() -> Iterator[RowBatch]:
-            out = BatchBuilder(ctx.batch_size)
-            i = 0
-            for lbatch in left.execute_batches(ctx):
-                for lrow in lbatch.rows:
-                    if i % outer_rows_per_load == 0 and inner_blocks:
-                        # One full inner re-read per outer memory-load.
-                        ctx.io.read(inner_blocks, category="scan")
-                    i += 1
-                    lkey = lgetter(lrow)
-                    lkey_has_null = any(v is None for v in lkey)
-                    for rrow, rkey in inner_keyed:
-                        if pairs:
-                            ctx.comparisons.add()
-                            if lkey != rkey or lkey_has_null:
-                                continue
-                        row = lrow + rrow
-                        if residual_fn is not None and not residual_fn(row):
-                            continue
-                        emitted = out.append(row)
-                        if emitted is not None:
-                            yield emitted
-            tail = out.flush()
-            if tail is not None:
-                yield tail
-
-        return stream()
-
-    def details(self) -> str:
-        return repr(self.predicate) if self.predicate else "cross"

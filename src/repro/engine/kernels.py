@@ -169,10 +169,6 @@ def _node_expressions(plan):
     if plan.op in ("SortAggregate", "HashAggregate"):
         specs = plan.arg("aggregates", ())
         return tuple(s.arg for s in specs), plan.children[0].schema
-    if plan.op == "NestedLoopsJoin":
-        residual = plan.arg("residual")
-        if residual is not None:
-            return (residual,), plan.schema
     return None
 
 

@@ -20,7 +20,6 @@ op                     args
 ``PartialSort``        same, algorithm forced to MRS
 ``MergeJoin``          ``predicate`` (pairs in permutation order), ``join_type``
 ``HashJoin``           ``predicate``, ``join_type``
-``NestedLoopsJoin``    ``predicate`` (optional), ``residual`` (optional)
 ``SortAggregate``      group order = plan.order; ``group_columns``, ``aggregates``
 ``SortedCombine``      group order = plan.order; ``group_columns``, ``aggregates``
 ``HashAggregate``      ``group_columns``, ``aggregates``
@@ -31,8 +30,8 @@ op                     args
 ``Limit``              ``k``
 =====================  ==========================================================
 
-Expression-bearing ops (``Filter``, ``Compute``, ``NestedLoopsJoin``,
-``SortAggregate``, ``HashAggregate``) additionally accept an optional
+Expression-bearing ops (``Filter``, ``Compute``, ``SortAggregate``,
+``HashAggregate``) additionally accept an optional
 ``kernels`` arg: a pre-compiled
 :class:`~repro.engine.kernels.OperatorKernels` bundle attached at
 prepare time by :func:`~repro.engine.kernels.attach_plan_kernels`.  It
@@ -52,7 +51,7 @@ from .aggregates import HashAggregate, SortAggregate, SortedGroupCombine
 from .basic import Compute, Filter, Limit, Project, Sort
 from .exchange import ExchangeUnion, MergeExchange
 from .iterators import Operator
-from .joins import HashJoin, MergeJoin, NestedLoopsJoin
+from .joins import HashJoin, MergeJoin
 from .scans import (
     ClusteringIndexScan,
     CoveringIndexScan,
@@ -133,7 +132,7 @@ def _lower(plan, catalog: "Catalog",
         return ExchangeUnion(children)
     if op == "MergeExchange":
         return MergeExchange(children, plan.order,
-                             declared_disjoint=plan.arg("disjoint", False))
+                             disjoint=plan.arg("disjoint", False))
     if op == "ClusteringIndexScan":
         return ClusteringIndexScan(catalog.table(plan.arg("table")))
     if op == "CoveringIndexScan":
@@ -161,10 +160,6 @@ def _lower(plan, catalog: "Catalog",
     if op == "HashJoin":
         return HashJoin(children[0], children[1], plan.arg("predicate"),
                         plan.arg("join_type", "inner"))
-    if op == "NestedLoopsJoin":
-        return NestedLoopsJoin(children[0], children[1],
-                               plan.arg("predicate"), plan.arg("residual"),
-                               kernels=plan.arg("kernels"))
     if op == "SortAggregate":
         return SortAggregate(children[0], plan.order,
                              list(plan.arg("aggregates")),

@@ -48,11 +48,10 @@ from .iterators import Operator
 def shardable(table: Table, shard_count: int) -> bool:
     """Whether *table* supports a contiguous *shard_count*-way fan-out.
 
-    Shared by the executor's :func:`~repro.engine.exchange.shard_scans`
-    rewrite and the optimizer's shard-aware enforcer placement so the two
-    can never disagree about which scans may be partitioned: the table
-    must hold materialised rows (stats-only tables cannot be scanned) and
-    at least one row per shard.
+    The optimizer's shard-aware placement asks this before it proposes a
+    fan-out (the engine shards nothing on its own): the table must hold
+    materialised rows (stats-only tables cannot be scanned) and at least
+    one row per shard.
     """
     return (shard_count >= 2 and table.is_materialized
             and len(table.rows) >= shard_count)
@@ -125,8 +124,7 @@ class ShardedScan(TableScan):
     """One shard of a table scan — explicit name for explain output.
 
     Semantically identical to ``TableScan(table, shard_count, shard_index)``;
-    :func:`~repro.engine.exchange.shard_scans` builds these and fans them
-    back together with an ExchangeUnion.
+    sharded plans lower to these under an ExchangeUnion or MergeExchange.
     """
 
     name = "ShardedScan"

@@ -40,14 +40,12 @@ lowering and kernel lookup entirely on a warm worker.
 
 Determinism: tasks are generated in plan pre-order and, per exchange, in
 shard order; the parent absorbs worker tallies in exactly that order, so
-counters never depend on worker scheduling.  A gather whose children
-were range partitions disjoint on the merge key concatenates heap-free
-locally; ``StreamSource`` children carry no partition bounds to
-re-detect that from, so re-assembly forwards the plan node's
-``disjoint`` arg (the planner's proof, which survives :func:`strip_plan`)
-as the exchange's ``declared_disjoint`` — the re-assembled gather
-concatenates exactly where local execution does, keeping comparison
-tallies bit-identical across backends.
+counters never depend on worker scheduling.  Lowering and re-assembly
+both build a :class:`~repro.engine.exchange.MergeExchange` from the plan
+node's ``disjoint`` arg (the planner's proof, which survives
+:func:`strip_plan`), so the re-assembled gather concatenates heap-free
+exactly where local execution does and comparison tallies stay
+bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -299,7 +297,7 @@ def assemble_streams(plan, occurrences: Sequence[Any],
                                                      shard_streams)]
                     exchange: Operator = MergeExchange(
                         children, node.order,
-                        declared_disjoint=node.arg("disjoint", False))
+                        disjoint=node.arg("disjoint", False))
                 else:
                     children = [StreamSource(c.schema, stream)
                                 for c, stream in zip(node.children,

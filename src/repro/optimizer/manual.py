@@ -190,17 +190,13 @@ class PlanBuilder:
         left = self.sort(left, order)
         right = self.sort(right, order.translate(
             dict(zip(left.schema.names, right.schema.names))))
-        stats = StatsView(left.schema, left.stats.N + right.stats.N,
-                          {c: left.stats.distinct_of(c)
-                           for c in left.schema.names}, self.eq)
+        stats = left.stats.union(right.stats, self.eq)
         return make_plan("MergeUnion", left.schema, order, stats,
                          self.cost.merge_union(left.stats, right.stats),
                          [left, right])
 
     def union_all(self, left: PhysicalPlan, right: PhysicalPlan) -> PhysicalPlan:
-        stats = StatsView(left.schema, left.stats.N + right.stats.N,
-                          {c: left.stats.distinct_of(c)
-                           for c in left.schema.names}, self.eq)
+        stats = left.stats.union(right.stats, self.eq)
         return make_plan("UnionAll", left.schema, EMPTY_ORDER, stats, 0.0,
                          [left, right])
 

@@ -97,7 +97,6 @@ class PhysicalPlan:
             "PartialSort": lambda: f"{self.arg('prefix')} --> {self.order}",
             "MergeJoin": lambda: f"{self.arg('predicate')} on {self.order}",
             "HashJoin": lambda: f"{self.arg('predicate')}",
-            "NestedLoopsJoin": lambda: f"{self.arg('predicate')}",
             "SortAggregate": lambda: f"by {self.order}",
             "HashAggregate": lambda: f"by {{{', '.join(self.arg('group_columns', ()))}}}",
             "MergeUnion": lambda: f"on {self.order}",
@@ -130,7 +129,7 @@ class PhysicalPlan:
         """Convenience: lower and run, returning all rows."""
         from ..engine.context import ExecutionContext
         ctx = ctx or ExecutionContext(catalog)
-        return list(self.to_operator(catalog).execute(ctx))
+        return self.to_operator(catalog).run(ctx)
 
     def __repr__(self) -> str:
         return f"PhysicalPlan({self.op}, cost={self.total_cost:,.0f})"

@@ -3,10 +3,9 @@
 A backend turns one bound :class:`~repro.optimizer.plans.PhysicalPlan`
 into result rows.  Two strategies:
 
-* :class:`SerialBackend` — the in-process
-  :class:`~repro.engine.executor.BatchedExecutor`, one plan per dispatch
-  thread.  Concurrency across queries comes from the server's dispatch
-  pool, but CPython's GIL serializes the CPU work.
+* :class:`SerialBackend` — lowers the plan and runs it in-process, one
+  plan per dispatch thread.  Concurrency across queries comes from the
+  server's dispatch pool, but CPython's GIL serializes the CPU work.
 * :class:`ProcessPoolBackend` — ships per-shard subplans (or the whole
   plan, when it has no exchange) to worker processes and gathers them
   through the order-preserving merge in the serving process
@@ -37,7 +36,6 @@ from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecut
 from typing import Optional
 
 from ..engine.context import ExecutionContext
-from ..engine.executor import BatchedExecutor
 from ..obs.trace import _NULL_SPAN, active_span, child_span
 from ..engine.subplan import (
     ShardStream,
@@ -57,6 +55,11 @@ class ExecutionBackend:
     (simulated I/O, comparisons, sort metrics) — for the process
     backend these are the worker tallies folded in shard order, so
     totals match in-process execution's determinism.
+
+    ``parallelism`` selects nothing: the fan-out a plan was *prepared*
+    for is already in the plan, and every backend runs the plan as
+    given.  The argument stays in the signature only because the frozen
+    ``benchmarks/e2e`` layer pass passes it.
     """
 
     name = "backend"
@@ -86,12 +89,11 @@ class SerialBackend(ExecutionBackend):
                  ctx: Optional[ExecutionContext] = None) -> list[tuple]:
         ctx = ctx or ExecutionContext(catalog, batch_size=batch_size,
                                       check_orders=check_orders)
-        executor = BatchedExecutor(parallelism=parallelism)
         # child_span is ambient: a no-op unless the caller is inside an
         # active trace (the server's execute span), so untraced paths
         # pay one ContextVar read.
         with child_span("local_execute", backend=self.name) as span:
-            rows = executor.run(plan.to_operator(catalog), ctx)
+            rows = plan.execute(catalog, ctx)
             span.tag(rows=len(rows))
         return rows
 
@@ -444,7 +446,7 @@ class ProcessPoolBackend(ExecutionBackend):
             # task merges nothing, so it opens none.
             with (child_span("merge", shards=len(tasks)) if occurrences
                   else _NULL_SPAN) as merge_span:
-                rows = BatchedExecutor().run(root, local)
+                rows = root.run(local)
                 merge_span.tag(rows=len(rows))
         except BaseException as exc:
             for future in futures:

@@ -321,7 +321,6 @@ class QueryServer:
                     with child_span("execute",
                                     backend=self.backend.name) as espan:
                         rows = self.backend.run_plan(plan, self.catalog,
-                                                     parallelism=parallelism,
                                                      batch_size=batch_size,
                                                      **run_kwargs)
                         espan.tag(rows=len(rows))

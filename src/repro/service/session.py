@@ -22,9 +22,10 @@ exactly the plans that read ``orders`` and leaves the rest of the cache
 hot.
 
 Execution is batch-vectorized: ``execute`` accepts a ``batch_size``
-(rows per :class:`~repro.engine.batch.RowBatch`) and a ``parallelism``
-knob that fans full table scans out into contiguous shards driven
-through the :class:`~repro.engine.executor.BatchedExecutor`.
+(rows per :class:`~repro.engine.batch.RowBatch`).  ``parallelism`` is a
+*planning* input: ``prepare(parallelism=k)`` lets the search place shard
+fan-outs and per-shard enforcers where they pay (and salts the cache
+key); execution runs the plan exactly as planned.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import Any, Optional, Union as TUnion
 
 from ..engine.context import ExecutionContext
-from ..engine.executor import BatchedExecutor
 from ..engine.kernels import attach_plan_kernels, kernel_stats
 from ..logical.algebra import LogicalExpr, referenced_tables
 from ..logical.builder import Query
@@ -104,18 +104,14 @@ class PreparedQuery:
 
     def __init__(self, session: "QuerySession", plan: PhysicalPlan,
                  fingerprint: str, required: SortOrder,
-                 from_cache: bool, tables: frozenset[str] = frozenset(),
-                 parallelism: int = 1) -> None:
+                 from_cache: bool, tables: frozenset[str] = frozenset()
+                 ) -> None:
         self.session = session
         self.plan = plan
         self.fingerprint = fingerprint
         self.required_order = required
         self.from_cache = from_cache
         self.tables = tables
-        #: The shard fan-out the plan was optimized for; ``execute``
-        #: defaults to it so the merge-exchange choice and the runtime
-        #: sharding stay in lockstep.
-        self.parallelism = parallelism
         self.param_names = plan_params(plan)
 
     @property
@@ -138,26 +134,18 @@ class PreparedQuery:
         return bind_plan(self.plan, binds)
 
     def execute(self, ctx: Optional[ExecutionContext] = None,
-                parallelism: Optional[int] = None,
                 batch_size: Optional[int] = None,
                 **binds: Any) -> list[tuple]:
-        """Run the plan on the batched engine.
+        """Run the plan, exactly as planned, on the batched engine.
 
-        ``parallelism`` (default: the value the plan was prepared with)
-        shards every full table scan into that many contiguous partitions
-        gathered by an ExchangeUnion; scans the optimizer already sharded
-        under a MergeExchange are left as planned.  ``batch_size`` sets
-        the rows-per-batch of a context created here (ignored when *ctx*
-        is supplied).
+        ``batch_size`` sets the rows-per-batch of a context created here
+        (ignored when *ctx* is supplied).
         """
         plan = self.bind(**binds)
         self.session.metrics.executions += 1
         ctx = ctx or ExecutionContext(self.session.catalog,
                                       batch_size=batch_size)
-        if parallelism is None:
-            parallelism = self.parallelism
-        executor = BatchedExecutor(parallelism=parallelism)
-        rows = executor.run(plan.to_operator(self.session.catalog), ctx)
+        rows = plan.execute(self.session.catalog, ctx)
         self.session.observe_execution(self, ctx)
         return rows
 
@@ -238,7 +226,7 @@ class QuerySession:
         plan = self.cache.get(fp, version)
         if plan is not None:
             return PreparedQuery(self, plan, fp, required, from_cache=True,
-                                 tables=tables, parallelism=parallelism)
+                                 tables=tables)
         start = time.perf_counter()
         plan = self.optimizer.optimize(expr, required, parallelism=parallelism)
         self.metrics.optimize_seconds += time.perf_counter() - start
@@ -282,7 +270,7 @@ class QuerySession:
         plan = attach_plan_kernels(plan)
         self.cache.put(fp, plan, version)
         return PreparedQuery(self, plan, fp, required, from_cache=False,
-                             tables=tables, parallelism=parallelism)
+                             tables=tables)
 
     def execute(self, query: TUnion[Query, LogicalExpr],
                 required_order: Optional[SortOrder] = None,

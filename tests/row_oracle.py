@@ -7,15 +7,29 @@ row, every key NULL-safe *wrapped* up front, one ``counter.add()`` per
 row.  Only what a k-way merge charges is restated by the engine's rule
 (``merge_sorted_streams`` below).  The batch engine in ``src/`` must reproduce their rows, row order
 and ``ctx.tallies()`` exactly (``tests/test_order_ops_parity.py``).
+The block nested-loops join at the bottom is the one operator here: no
+search path or ``PlanBuilder`` method produces it, so it serves
+``tests/test_joins.py`` as a reference beside the merge and hash joins.
 Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from repro.engine import CountedKey, ExecutionContext, null_safe_wrap, tuple_getter
+from repro.engine import (
+    BatchBuilder,
+    CountedKey,
+    ExecutionContext,
+    Operator,
+    RowBatch,
+    collect_rows,
+    null_safe_wrap,
+    tuple_getter,
+)
+from repro.expr.expressions import JoinPredicate, Predicate
 
 KeyFn = Callable[[tuple], tuple]
 
@@ -226,3 +240,71 @@ def sort_aggregate(rows: Iterable[tuple], key_positions: Sequence[int],
             states[j] = func.step(states[j], value)
     if current_key is not None:
         yield current_group + tuple(f.final(s) for f, s in zip(funcs, states))
+
+
+# -- nested loops ------------------------------------------------------------------------
+class NestedLoopsJoin(Operator):
+    """Block nested-loops join; preserves the outer (left) input's order.
+
+    The inner input is materialised once; the simulated cost charges one
+    inner re-read per outer memory-load, the textbook
+    ``B_outer + ⌈B_outer / (M-1)⌉ · B_inner`` pattern.
+    """
+
+    name = "NestedLoopsJoin"
+
+    def __init__(self, left: Operator, right: Operator,
+                 predicate: Optional[JoinPredicate] = None,
+                 residual: Optional[Predicate] = None) -> None:
+        schema = left.schema.concat(right.schema)
+        super().__init__(schema, left.output_order, [left, right])
+        self.predicate = predicate
+        self.residual = residual
+
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        left, right = self.children
+        inner = collect_rows(right.execute_batches(ctx))
+        inner_blocks = math.ceil(len(inner) * right.schema.row_bytes
+                                 / ctx.params.block_size) if inner else 0
+        outer_rows_per_load = ctx.memory_capacity_rows(left.schema.row_bytes)
+
+        pairs = self.predicate.pairs if self.predicate else ()
+        lpos = left.schema.positions([l for l, _ in pairs]) if pairs else ()
+        rpos = right.schema.positions([r for _, r in pairs]) if pairs else ()
+        residual_fn = (self.residual.compile(self.schema)
+                       if self.residual is not None else None)
+        lgetter = tuple_getter(lpos)
+        rgetter = tuple_getter(rpos)
+        # Inner keys are extracted once, not once per outer row.
+        inner_keyed = [(rrow, rgetter(rrow)) for rrow in inner]
+
+        def stream() -> Iterator[RowBatch]:
+            out = BatchBuilder(ctx.batch_size)
+            i = 0
+            for lbatch in left.execute_batches(ctx):
+                for lrow in lbatch.rows:
+                    if i % outer_rows_per_load == 0 and inner_blocks:
+                        # One full inner re-read per outer memory-load.
+                        ctx.io.read(inner_blocks, category="scan")
+                    i += 1
+                    lkey = lgetter(lrow)
+                    lkey_has_null = any(v is None for v in lkey)
+                    for rrow, rkey in inner_keyed:
+                        if pairs:
+                            ctx.comparisons.add()
+                            if lkey != rkey or lkey_has_null:
+                                continue
+                        row = lrow + rrow
+                        if residual_fn is not None and not residual_fn(row):
+                            continue
+                        emitted = out.append(row)
+                        if emitted is not None:
+                            yield emitted
+            tail = out.flush()
+            if tail is not None:
+                yield tail
+
+        return stream()
+
+    def details(self) -> str:
+        return repr(self.predicate) if self.predicate else "cross"

@@ -1,5 +1,5 @@
 """Batch container, block charger, sharded scans, exchange union and the
-batched executor driver."""
+drive loop."""
 
 import pytest
 
@@ -21,7 +21,6 @@ from repro.engine import (
     batches_of,
     flatten_batches,
     shard_bounds,
-    shard_scans,
 )
 from repro.expr import col
 from repro.storage import Catalog, Schema, SystemParameters
@@ -140,65 +139,24 @@ class TestShardedScans:
                            RowSource(other, [])])
 
 
-class TestShardScansTransform:
-    def make_pipeline(self, catalog):
-        return Project(Filter(TableScan(catalog.table("t")), col("a").lt(6)),
-                       ["a", "v"])
-
-    def test_rewrite_replaces_scans(self, catalog):
-        op = shard_scans(self.make_pipeline(catalog), 3)
-        kinds = [o.name for o in op.walk()]
-        assert "ExchangeUnion" in kinds
-        assert kinds.count("ShardedScan") == 3
-        assert "TableScan" not in kinds
-
-    def test_rewrite_is_answer_preserving(self, catalog):
-        expected = self.make_pipeline(catalog).run(ExecutionContext(catalog))
-        sharded = shard_scans(self.make_pipeline(catalog), 3)
-        assert sharded.run(ExecutionContext(catalog)) == expected
-
-    def test_parallelism_one_is_identity(self, catalog):
-        op = self.make_pipeline(catalog)
-        assert shard_scans(op, 1) is op
-        assert [o.name for o in op.walk()].count("TableScan") == 1
-
-    def test_rewrite_leaves_original_tree_intact(self, catalog):
-        op = self.make_pipeline(catalog)
-        expected = op.run(ExecutionContext(catalog))
-        sharded = shard_scans(op, 3)
-        assert sharded is not op
-        # The caller's tree still holds its unsharded scan and can be
-        # re-run (and re-sharded differently) with unsharded I/O.
-        assert [o.name for o in op.walk()].count("TableScan") == 1
-        ctx = ExecutionContext(catalog)
-        assert op.run(ctx) == expected
-        assert ctx.io.blocks_read == catalog.table("t").num_blocks
-        resharded = shard_scans(op, 5)
-        assert [o.name for o in resharded.walk()].count("ShardedScan") == 5
-
-    def test_tiny_tables_left_unsharded(self):
-        cat = Catalog()
-        cat.create_table("tiny", SCHEMA, rows=[(1, 1, 1), (2, 2, 2)])
-        op = shard_scans(TableScan(cat.table("tiny")), 8)
-        assert op.name == "TableScan"
-
-
 class TestBatchedExecutor:
     def pipeline(self, catalog):
         return Project(Filter(TableScan(catalog.table("t")), col("a").lt(6)),
                        ["a", "v"])
 
     def test_serial_and_sharded_agree(self, catalog):
-        baseline = BatchedExecutor().run(self.pipeline(catalog),
-                                         ExecutionContext(catalog))
-        for parallelism in (2, 4):
+        """The drive loop runs the tree it is given: the vestigial
+        ``parallelism`` argument changes neither rows nor tallies (the
+        engine used to re-shard the scan here and read extra blocks)."""
+        direct = ExecutionContext(catalog)
+        baseline = self.pipeline(catalog).run(direct)
+        assert direct.io.blocks_read == catalog.table("t").num_blocks
+        for parallelism in (1, 2, 4):
+            ctx = ExecutionContext(catalog)
             got = BatchedExecutor(parallelism=parallelism).run(
-                self.pipeline(catalog), ExecutionContext(catalog))
+                self.pipeline(catalog), ctx)
             assert got == baseline
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchedExecutor(parallelism=0)
+            assert ctx.tallies() == direct.tallies()
 
 
 class TestSessionKnobs:

@@ -36,7 +36,6 @@ import pytest
 from repro.core.sort_order import SortOrder
 from repro.engine import ExecutionContext
 from repro.engine.exchange import MergeExchange
-from repro.engine.executor import BatchedExecutor
 from repro.engine.subplan import ShardStream, assemble_streams, shard_subplans
 from repro.logical import Query
 from repro.optimizer import GreedyManyToManyEnumerator, Optimizer
@@ -378,14 +377,12 @@ def disjoint_plan_case():
 
 class TestDisjointGatherParity:
     def test_reassembled_gather_keeps_disjoint_concat(self):
-        """The re-assembled exchange's children are StreamSources, so
-        shape re-detection cannot prove disjointness — only the
-        forwarded plan arg can.  Dropping it (the old behavior)
-        heap-merges and pays extra comparisons."""
+        """The re-assembled exchange's children are StreamSources: the
+        forwarded plan arg is the only witness of disjointness.
+        Without it the gather heap-merges and pays extra comparisons."""
         catalog, prepared = disjoint_plan_case()
         occurrences, tasks = shard_subplans(prepared.plan)
-        task_rows = [BatchedExecutor().run(task.to_operator(catalog),
-                                           ExecutionContext(catalog))
+        task_rows = [task.to_operator(catalog).run(ExecutionContext(catalog))
                      for task in tasks]
 
         def reassemble():
@@ -410,13 +407,12 @@ class TestDisjointGatherParity:
         root, gathers = reassemble()
         assert gathers and all(g.partition_disjoint for g in gathers)
         declared = ExecutionContext(catalog)
-        rows = BatchedExecutor().run(root, declared)
+        rows = root.run(declared)
         root, gathers = reassemble()
         for gather in gathers:
-            gather.declared_disjoint = False
-        assert not any(g.partition_disjoint for g in gathers)
+            gather.partition_disjoint = False
         undeclared = ExecutionContext(catalog)
-        assert BatchedExecutor().run(root, undeclared) == rows
+        assert root.run(undeclared) == rows
         assert declared.comparisons.value < undeclared.comparisons.value
 
     def test_process_backend_comparison_parity(self):

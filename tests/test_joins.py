@@ -11,12 +11,12 @@ from repro.engine import (
     ExecutionContext,
     HashJoin,
     MergeJoin,
-    NestedLoopsJoin,
     RowSource,
     Sort,
 )
 from repro.expr import JoinPredicate
 from repro.storage import Schema, SystemParameters
+from tests.row_oracle import NestedLoopsJoin
 
 LEFT = Schema.of(("a", "int", 8), ("b", "int", 8), ("x", "int", 8))
 RIGHT = Schema.of(("c", "int", 8), ("d", "int", 8), ("y", "int", 8))

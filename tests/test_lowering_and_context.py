@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import repro.engine
+import repro.service
 
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.engine import ExecutionContext, operators_from_plan
@@ -16,21 +17,33 @@ from repro.storage import Catalog, Schema, SystemParameters
 
 
 def test_engine_never_imports_the_cost_model():
-    """Where an enforcer goes is decided inside the optimizer's search:
-    no engine module may import the cost model, at module level or
-    inside a function."""
+    """Where an enforcer goes, and which scans fan out, is decided inside
+    the optimizer's search: no engine module may import the cost model
+    (at module level or inside a function), and no engine or service
+    module may define or call a scan-sharding rewrite — shard scans come
+    into being only where ``lowering.py`` lowers the plan's own nodes."""
+    shard_builders = {"ShardedScan", "RangePartitionScan", "shard_scans"}
     offenders = []
-    for path in sorted(Path(repro.engine.__file__).parent.glob("*.py")):
+    engine_dir = Path(repro.engine.__file__).parent
+    service_dir = Path(repro.service.__file__).parent
+    for path in sorted([*engine_dir.glob("*.py"), *service_dir.glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text())):
+            imported, called = [], None
             if isinstance(node, ast.ImportFrom):
                 module = node.module or ""
                 imported = [f"{module}.{alias.name}" for alias in node.names]
             elif isinstance(node, ast.Import):
                 imported = [alias.name for alias in node.names]
-            else:
-                continue
-            if any("optimizer.cost" in name for name in imported):
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+            elif isinstance(node, ast.FunctionDef):
+                called = node.name
+            if path.parent == engine_dir and any(
+                    "optimizer.cost" in name for name in imported):
                 offenders.append(f"{path.name}:{node.lineno}")
+            if called in shard_builders and path.name != "lowering.py":
+                offenders.append(f"{path.name}:{node.lineno} {called}")
     assert offenders == []
 
 
@@ -120,8 +133,7 @@ class TestLowering:
         }
         for name, plan in plans.items():
             op = operators_from_plan(plan, catalog)
-            rows = list(op.execute(ExecutionContext(catalog,
-                                                    check_orders=True)))
+            rows = op.run(ExecutionContext(catalog, check_orders=True))
             assert isinstance(rows, list), name
 
     def test_partial_sort_plan_requires_prefix(self, catalog):
@@ -149,8 +161,8 @@ class TestLowering:
         b = PlanBuilder(cat)
         join = b.merge_join(b.table_scan("t"), b.table_scan("u"),
                             [("b", "y"), ("a", "x")])
-        rows = list(operators_from_plan(join, cat).execute(
-            ExecutionContext(cat, check_orders=True)))
+        rows = operators_from_plan(join, cat).run(
+            ExecutionContext(cat, check_orders=True))
         expected = [l + r for l in cat.table("t").rows
                     for r in cat.table("u").rows
                     if l[1] == r[1] and l[0] == r[0]]

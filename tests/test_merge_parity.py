@@ -128,8 +128,7 @@ def test_merge_counters_batch_size_independent(seed):
 def test_session_parity_optimizer_chooses(seed):
     """Through the serving layer: whatever enforcer placement the
     optimizer picks at any parallelism and batch size, the answer is
-    bit-identical to the serial plan and to the post-union baseline
-    (the serial plan run at that fan-out)."""
+    bit-identical to the serial (post-union) plan."""
     rng = random.Random(777 + seed)
     num_rows = rng.choice([500, 2000, 8000])
     rows_per_segment = rng.choice([10, 100, num_rows // 2 or 1])
@@ -148,5 +147,3 @@ def test_session_parity_optimizer_chooses(seed):
             assert session.execute(query, parallelism=parallelism,
                                    batch_size=batch_size) == reference, \
                 (seed, parallelism, batch_size)
-        assert post_union.execute(parallelism=parallelism) == reference, \
-            (seed, parallelism)

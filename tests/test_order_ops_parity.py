@@ -26,6 +26,8 @@ from repro.engine import (
     CountedKey,
     ExecutionContext,
     MergeJoin,
+    Operator,
+    RowBatch,
     RowSource,
     Sort,
     SortAggregate,
@@ -172,15 +174,31 @@ def grouped_rows(seed):
     return sorted_nulls_first(rows, (0, 1))
 
 
+class ColumnBacked(Operator):
+    """Re-emits its child's batches column-backed, as a kernel-bearing
+    operator below would hand them over."""
+
+    def __init__(self, child):
+        super().__init__(child.schema, child.output_order, [child])
+
+    def execute_batches(self, ctx):
+        for batch in self.children[0].execute_batches(ctx):
+            yield RowBatch.from_columns(batch.columns, len(batch))
+
+
 @pytest.mark.parametrize("check_orders", [False, True])
 @pytest.mark.parametrize("columnar", [True, False])
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_sort_aggregate_matches_row_oracle(batch_size, columnar, check_orders):
+    """Both evaluators of the aggregate inputs, selected the way the
+    engine selects them: column-backed batches take the kernels at every
+    size, row-backed ones the row functions under COLUMNAR_MIN_ROWS."""
     rows = grouped_rows(21)
     order = SortOrder(["k1", "k2"])
     ctx, oracle_ctx = contexts(SystemParameters(), batch_size, check_orders)
-    ctx.columnar = columnar
-    plan = SortAggregate(RowSource(SCHEMA, rows, order), order, AGGS)
+    source = RowSource(SCHEMA, rows, order)
+    plan = SortAggregate(ColumnBacked(source) if columnar else source,
+                         order, AGGS)
     expected = list(row_oracle.sort_aggregate(
         rows, (0, 1), (0, 1), [spec.arg.compile(SCHEMA) for spec in AGGS],
         [spec.function for spec in AGGS], oracle_ctx))

@@ -9,12 +9,14 @@ are **bit-identical** across every execution configuration:
 * ``parallelism`` ∈ {1, 2, 4} (different physical plans: the shard-aware
   search may place enforcers, joins and aggregations per shard);
 * ``batch_size`` ∈ {1, 64, default};
-* row-at-a-time vs batch-vectorized driving;
+* row-at-a-time vs batch-vectorized driving (``batch_size=1`` keeps
+  every batch under ``COLUMNAR_MIN_ROWS``, so those legs run the row
+  functions and the default-size legs the whole-column kernels);
 * order-checked execution (``check_orders=True``), so every operator's
   declared sort order is verified at run time;
-* columnar kernels on vs off (``ExecutionContext(columnar=False)`` is
-  the row-tuple batched engine), including a tally comparison: the
-  evaluation layout must not change any simulated cost counter.
+* serial backend vs process backend vs direct execution of each plan,
+  including a tally comparison: where a plan runs must not change any
+  simulated cost counter, because every backend runs it as planned.
 
 Every generated query ends with ``ORDER BY *all output columns*``, which
 totally orders the output up to fully-duplicate rows — interchangeable
@@ -38,12 +40,12 @@ import random
 import pytest
 
 from repro.core.sort_order import SortOrder
-from repro.engine import ExecutionContext
-from repro.expr import col
+from repro.engine import ExecutionContext, flatten_batches
+from repro.expr import col, param
 from repro.expr.aggregates import AggSpec, count_star
 from repro.logical import Query
 from repro.logical.algebra import Annotator
-from repro.service import QuerySession
+from repro.service import ProcessPoolBackend, QuerySession, SerialBackend
 from repro.storage import Catalog, RangePartitioning, Schema, SystemParameters
 
 BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
@@ -173,30 +175,12 @@ def execution_mismatches(catalog: Catalog, query) -> list[str]:
     # Order-checked execution: every declared order is verified per row.
     checked = ExecutionContext(catalog, check_orders=True)
     results["p4/checked"] = session.execute(query, parallelism=4, ctx=checked)
-    # Row-at-a-time driving of the sharded plan (the seed engine's API).
+    # Row-at-a-time driving of the sharded plan.
     plan = session.prepare(query, parallelism=4).plan
     row_ctx = ExecutionContext(catalog, batch_size=1)
-    results["p4/rows"] = list(plan.to_operator(catalog).execute(row_ctx))
-    # Columnar-vs-row parity: the same plans driven with whole-column
-    # kernels disabled (columnar=False reproduces the row-tuple batched
-    # engine) must return the same rows...
-    for parallelism in (1, 4):
-        for batch_size in (1, 64, None):
-            engine_ctx = ExecutionContext(catalog, batch_size=batch_size,
-                                          columnar=False)
-            name = f"p{parallelism}/b{batch_size or 'def'}/rowengine"
-            results[name] = session.execute(query, parallelism=parallelism,
-                                            ctx=engine_ctx)
-    bad = [name for name, rows in results.items() if rows != reference]
-    # ...and bit-identical simulated costs: I/O blocks, comparison
-    # counts and sort metrics may not depend on the evaluation layout.
-    columnar_ctx = ExecutionContext(catalog)
-    rowwise_ctx = ExecutionContext(catalog, columnar=False)
-    session.execute(query, ctx=columnar_ctx)
-    session.execute(query, ctx=rowwise_ctx)
-    if columnar_ctx.tallies() != rowwise_ctx.tallies():
-        bad.append("tallies/columnar-vs-row")
-    return bad
+    results["p4/rows"] = list(flatten_batches(
+        plan.to_operator(catalog).execute_batches(row_ctx)))
+    return [name for name, rows in results.items() if rows != reference]
 
 
 def shrink_failure(catalog: Catalog, query) -> str:
@@ -331,6 +315,96 @@ def test_enumerator_parity_on_join_regions(enumerator):
     assert rewrites >= 10, (
         f"{enumerator} only rewrote {rewrites}/40 join-region queries — "
         f"the parity run is not exercising the reordering path")
+
+
+# -- backend parity: the plan is the only statement of what executes ---------------------
+def backend_divergences(catalog: Catalog, plans, pool) -> list[str]:
+    """Run each ``(label, parallelism, bound plan)`` directly, on the
+    serial backend and on *pool*; labels whose rows or ``tallies()``
+    differ from the direct run (empty = parity holds)."""
+    bad = []
+    for label, parallelism, plan in plans:
+        direct = ExecutionContext(catalog)
+        rows = plan.to_operator(catalog).run(direct)
+        for backend in (SerialBackend(), pool):
+            ctx = ExecutionContext(catalog)
+            got = backend.run_plan(plan, catalog, parallelism=parallelism,
+                                   ctx=ctx)
+            if got != rows:
+                bad.append(f"{label}/{backend.name}/rows")
+            if ctx.tallies() != direct.tallies():
+                bad.append(f"{label}/{backend.name}/tallies")
+    return bad
+
+
+def report_shapes_catalog() -> Catalog:
+    """``benchmarks/e2e``'s ``report_process`` table at 1100 rows: 24
+    blocks of 88-byte rows, 46 to a block."""
+    rng = random.Random(1)
+    catalog = Catalog(SystemParameters(sort_memory_blocks=11))
+    schema = Schema.of(("sym", "int", 8), ("ts", "int", 8),
+                       ("qty", "int", 8), ("tag", "str", 64))
+    rows = [(rng.randrange(64), rng.randrange(100_000),
+             rng.randrange(1, 500), f"t{rng.randrange(997)}")
+            for _ in range(1100)]
+    catalog.create_table("trades", schema, rows=rows,
+                         clustering_order=SortOrder(["sym"]))
+    return catalog
+
+
+def test_backends_run_the_plan_as_planned():
+    """Equal rows and equal ``tallies()`` on serial, process and direct
+    execution, for every fuzz-corpus plan and the three report_process
+    shapes at parallelism 1, 2 and 4.  ``parallelism`` is a planning
+    input only: the engine used to re-shard unsharded scans at run time
+    into a plan the optimizer never priced (27 blocks read for the
+    pinned 24-block filter below)."""
+    for seed in range(BASE_SEED, BASE_SEED + NUM_PLANS):
+        rng = random.Random(seed)
+        catalog = random_catalog(rng)
+        query = random_query(rng, catalog)
+        session = QuerySession(catalog)
+        plans = [(f"p{k}", k, session.prepare(query, parallelism=k).plan)
+                 for k in (1, 2, 4)]
+        pool = ProcessPoolBackend(catalog, workers=1)
+        try:
+            bad = backend_divergences(catalog, plans, pool)
+        finally:
+            pool.close()
+        assert not bad, f"fuzz seed {seed}: {bad}\n{query.pretty()}"
+
+    catalog = report_shapes_catalog()
+    trades = Query.table("trades")
+    pinned = trades.where(col("qty").ge(250))
+    shapes = {
+        "report": (trades.order_by("ts", "sym", "qty", "tag"), {}),
+        "volume": (trades.where(col("qty").ge(param("min_qty")))
+                   .group_by(["sym"], count_star("n"),
+                             AggSpec("sum", col("qty"), "vol"))
+                   .order_by("sym"), {"min_qty": 250}),
+        "recent": (trades.where(col("ts").ge(90_000))
+                   .select("ts", "sym", "qty").order_by("ts", "sym", "qty"),
+                   {}),
+        "pinned": (pinned, {}),
+    }
+    session = QuerySession(catalog)
+    plans = [(f"{name}/p{k}", k,
+              session.prepare(query, parallelism=k).bind(**binds))
+             for name, (query, binds) in shapes.items() for k in (1, 2, 4)]
+    pool = ProcessPoolBackend(catalog, workers=1)
+    try:
+        assert not backend_divergences(catalog, plans, pool)
+        # The pinned example: one unsharded scan costed at 24 blocks
+        # (plus the filter's CPU), and 24 blocks read everywhere.
+        prepared = session.prepare(pinned, parallelism=4)
+        (scan,) = prepared.plan.find_all("TableScan")
+        assert scan.total_cost == 24 and int(prepared.total_cost) == 24
+        for backend in (SerialBackend(), pool):
+            ctx = ExecutionContext(catalog)
+            backend.run_plan(prepared.plan, catalog, parallelism=4, ctx=ctx)
+            assert ctx.io.blocks_read == 24, backend.name
+    finally:
+        pool.close()
 
 
 def test_process_backend_columnar_parity():

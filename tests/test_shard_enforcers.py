@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.sort_order import SortOrder
 from repro.engine import (
-    BatchedExecutor,
     ExchangeUnion,
     ExecutionContext,
     RangePartitionScan,
@@ -65,7 +64,8 @@ class TestEnforcerChoice:
         assert prepared.plan.find_all("Sort")
         assert session.stats()["post_union_sort_plans"] == 1
         assert session.stats()["shard_merge_plans"] == 0
-        # And the fallback plan still executes correctly when sharded.
+        # And the fallback plan runs as planned: no fan-out anywhere.
+        assert prepared.plan.find_all("ShardedScan") == []
         assert prepared.execute() == session.execute(query)
 
     def test_per_shard_mrs_on_oversized_segments(self):
@@ -88,11 +88,26 @@ class TestEnforcerChoice:
 
         merge_ctx = ExecutionContext(catalog)
         post_ctx = ExecutionContext(catalog)
-        assert prepared.execute(merge_ctx) == \
-            post_union.execute(post_ctx, parallelism=4)
+        assert prepared.execute(merge_ctx) == post_union.execute(post_ctx)
         assert merge_ctx.sort_metrics.runs_created == 0   # pipelined MRS
         assert post_ctx.sort_metrics.runs_created > 0     # segment spills
         assert post_ctx.cost_units() >= 1.5 * merge_ctx.cost_units()
+
+    def test_tiny_tables_left_unsharded(self):
+        """Fewer rows than shards: ``shardable`` says no, so the search
+        proposes no fan-out and the plan scans the table whole."""
+        from repro.engine import shardable
+        from repro.storage import Catalog, Schema
+
+        catalog = Catalog(SystemParameters(sort_memory_blocks=2))
+        catalog.create_table("tiny", Schema.of(("a", "int", 8), ("b", "int", 8)),
+                             rows=[(1, 2), (2, 1)])
+        assert not shardable(catalog.table("tiny"), 8)
+        session = QuerySession(catalog)
+        prepared = session.prepare(Query.table("tiny").order_by("b"),
+                                   parallelism=8)
+        assert [p.op for p in prepared.plan.walk()] == ["Sort", "TableScan"]
+        assert prepared.execute() == [(2, 1), (1, 2)]
 
     def test_parallelism_one_is_oblivious(self):
         catalog = spill_catalog()
@@ -120,7 +135,7 @@ class TestServingIntegration:
 
 class TestAcceptance:
     """ISSUE acceptance: on the large synthetic workload with 4 shards,
-    an ordered query through QuerySession.execute(parallelism=4) lowers
+    an ordered query prepared at parallelism=4 lowers
     to per-shard SRS/MRS + MergeExchange when cheaper, with simulated
     cost strictly below the post-union full-sort plan and bit-identical
     output at batch sizes {1, 64, default}."""
@@ -144,11 +159,9 @@ class TestAcceptance:
         for batch_size in (1, 64, None):
             assert session.execute(query, parallelism=4,
                                    batch_size=batch_size) == reference
-        assert post_union.execute(parallelism=4) == reference
-
         merge_ctx, post_ctx = ExecutionContext(catalog), ExecutionContext(catalog)
-        assert prepared.execute(merge_ctx) == \
-            post_union.execute(post_ctx, parallelism=4)
+        assert prepared.execute(merge_ctx) == reference
+        assert post_union.execute(post_ctx) == reference
         assert post_ctx.cost_units() >= 1.5 * merge_ctx.cost_units()
         assert merge_ctx.sort_metrics.runs_created == 0   # shards fit in memory
         assert post_ctx.sort_metrics.runs_created > 0     # full sort spilled
@@ -238,7 +251,7 @@ class TestShardedJoins:
         # I/O (a Grace hash build here) that per-shard enforcement avoids.
         merge_ctx, post_ctx = ExecutionContext(catalog), ExecutionContext(catalog)
         assert prepared.execute(merge_ctx) == reference
-        assert post_union.execute(post_ctx, parallelism=4) == reference
+        assert post_union.execute(post_ctx) == reference
         assert merge_ctx.sort_metrics.runs_created == 0
         assert post_ctx.cost_units() >= 1.5 * merge_ctx.cost_units()
 
@@ -482,10 +495,10 @@ class TestPerShardStatistics:
 class TestRangePartitionedEnforcement:
     def test_disjoint_merge_skips_the_heap(self):
         """Per-partition sorts of a range-partitioned table concatenate
-        without heap comparisons when the merge order leads with the
-        partition column."""
+        without heap comparisons when the planner declares them disjoint
+        on the leading merge column; undeclared, the same children merge."""
         from repro.engine import MergeExchange as EngineMergeExchange
-        from repro.engine import RangePartitionScan, partitions_disjoint_on
+        from repro.engine import RangePartitionScan
 
         rng = random.Random(7)
         catalog = Catalog(SystemParameters())
@@ -496,8 +509,7 @@ class TestRangePartitionedEnforcement:
         table = catalog.table("t")
         order = SortOrder(["k", "v"])
         children = [Sort(RangePartitionScan(table, i), order) for i in range(4)]
-        assert partitions_disjoint_on(children, order)
-        exchange = EngineMergeExchange(children, order)
+        exchange = EngineMergeExchange(children, order, disjoint=True)
         assert exchange.partition_disjoint
 
         merged_ctx = ExecutionContext(catalog, check_orders=True)
@@ -510,6 +522,33 @@ class TestRangePartitionedEnforcement:
         # strictly fewer comparisons than the monolithic sort.
         assert merged_ctx.comparisons.value < reference_ctx.comparisons.value
 
+        # The declaration is the only source: the engine does not detect
+        # the shape, so the undeclared gather pays the k-way merge.
+        undeclared = EngineMergeExchange(children, order)
+        assert not undeclared.partition_disjoint
+        heap_ctx = ExecutionContext(catalog)
+        assert undeclared.run(heap_ctx) == reference
+        assert heap_ctx.comparisons.value == \
+            merged_ctx.comparisons.value + 2 * len(rows)  # N * ceil(log2 4)
+
+    def test_wrong_disjoint_declaration_raises(self):
+        """Overlapping shards declared disjoint: each input is sorted, so
+        the per-input checks pass, but the concatenation is not — the
+        checked output catches what used to come back unsorted silently."""
+        from repro.engine import MergeExchange as EngineMergeExchange
+        from repro.engine import RowSource
+
+        schema = Schema.of(("k", "int", 8), ("v", "int", 8))
+        order = SortOrder(["k", "v"])
+        shards = [RowSource(schema, [(k, s) for k in range(s, 12, 2)], order)
+                  for s in range(2)]
+        exchange = EngineMergeExchange(shards, order, disjoint=True)
+        with pytest.raises(AssertionError, match="disjoint concat output"):
+            exchange.run(ExecutionContext(check_orders=True))
+        merged = EngineMergeExchange(shards, order).run(
+            ExecutionContext(check_orders=True))
+        assert merged == sorted(merged)
+
     def test_disjoint_merge_passes_child_batches_through(self):
         """The disjoint gather neither compares nor re-chunks: its output
         is the very batch objects its children produced, in shard order
@@ -521,7 +560,7 @@ class TestRangePartitionedEnforcement:
         order = SortOrder(["k", "v"])
         shards = [RowSource(schema, [(10 * s + i // 3, i) for i in range(7)],
                             order) for s in range(3)]
-        exchange = EngineMergeExchange(shards, order, declared_disjoint=True)
+        exchange = EngineMergeExchange(shards, order, disjoint=True)
         produced: list = []
 
         def recording(source):
@@ -557,10 +596,12 @@ class TestRangePartitionedEnforcement:
         assert part_ctx.io.blocks_read == full_ctx.io.blocks_read
         assert part_rows == [r for r in rows if r[0] < 5]
 
-    def test_executor_shards_along_partition_boundaries(self):
-        """shard_scans prefers a matching clustered-contiguous partition
-        spec over equal row counts: the gather's children are the
-        table's range partitions, and concatenating them is exact."""
+    def test_all_partitions_keep_clustered_order(self):
+        """The range partitions of a table clustered on the partition
+        column tile the clustered sequence: an ExchangeUnion over all of
+        them, in order, guarantees the clustering order and concatenates
+        to exactly the full scan — so an enforcer above may use it as a
+        known prefix.  A subset of the partitions guarantees nothing."""
         rng = random.Random(11)
         catalog = Catalog(SystemParameters(sort_memory_blocks=20))
         schema = Schema.of(("k", "int", 64), ("v", "int", 64))
@@ -569,16 +610,17 @@ class TestRangePartitionedEnforcement:
                              clustering_order=SortOrder(["k"]),
                              partitioning=RangePartitioning("k", (25, 50, 75)))
         table = catalog.table("t")
-        op = Sort(TableScan(table), SortOrder(["k", "v"]), algorithm="srs")
-        executor = BatchedExecutor(parallelism=4)
-        prepared = executor.prepare(op)
-        assert isinstance(prepared, Sort)  # the engine moves no enforcer
-        gather = prepared.children[0]
-        assert isinstance(gather, ExchangeUnion)
-        assert [(type(c), c.partition_index) for c in gather.children] == \
-            [(RangePartitionScan, i) for i in range(4)]
-        assert executor.run(op, ExecutionContext(catalog)) == \
-            op.run(ExecutionContext(catalog))
+        partitions = [RangePartitionScan(table, i) for i in range(4)]
+        gather = ExchangeUnion(partitions)
+        assert gather.output_order == table.clustering_order
+        assert ExchangeUnion(partitions[1:]).output_order == EMPTY_ORDER
+        assert gather.run(ExecutionContext(catalog)) == \
+            TableScan(table).run(ExecutionContext(catalog))
+        order = SortOrder(["k", "v"])
+        checked = ExecutionContext(catalog, check_orders=True)
+        assert Sort(gather, order).run(checked) == \
+            Sort(TableScan(table), order, algorithm="srs").run(
+                ExecutionContext(catalog))
 
 
 class TestServingKnobs:
