@@ -23,18 +23,16 @@ tallies are independent of the batch size either way.
 
 from __future__ import annotations
 
-import heapq
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder, longest_common_prefix
 from ..expr.expressions import Expression, Predicate
 from ..storage.schema import Column, Schema
-from .batch import COLUMNAR_MIN_ROWS, RowBatch, batches_of
+from .batch import COLUMNAR_MIN_ROWS, RowBatch
 from .context import ExecutionContext
 from .iterators import Operator, assert_sorted_batches
 from .kernels import OperatorKernels, compile_kernels
-from .sorting import keyed_rows, sort_batches
+from .sorting import sort_batches
 
 
 class Filter(Operator):
@@ -241,30 +239,3 @@ class Limit(Operator):
 
     def details(self) -> str:
         return f"k={self.k}"
-
-
-class TopK(Operator):
-    """Heap-based top-k by an order, for *unsorted* input.
-
-    Keeps a bounded heap of k rows; used as the baseline against the
-    MRS + Limit pipeline in the Top-K example (paper §3.1 benefit 2).
-    """
-
-    name = "TopK"
-
-    def __init__(self, child: Operator, k: int, order: SortOrder) -> None:
-        if k <= 0:
-            raise ValueError("k must be positive")
-        super().__init__(child.schema, order, [child])
-        self.k = k
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        # nsmallest over counted keys tallies its comparisons.
-        best = heapq.nsmallest(
-            self.k, keyed_rows(self.children[0].execute_batches(ctx),
-                               self.schema.positions(list(self.output_order)),
-                               ctx.comparisons), key=itemgetter(0))
-        return batches_of(map(itemgetter(1), best), ctx.batch_size)
-
-    def details(self) -> str:
-        return f"k={self.k} by {self.output_order}"

@@ -1,14 +1,16 @@
 """Lower optimizer :class:`~repro.optimizer.plans.PhysicalPlan` trees to
 executable engine operators.
 
-Payload (``args``) conventions per plan ``op``:
+Payload (``args``) conventions per plan ``op`` — what the lowering below
+reads; each op's args are produced in one place, its constructor on
+:class:`~repro.optimizer.manual.PlanBuilder`:
 
 =====================  ==========================================================
 op                     args
 =====================  ==========================================================
 ``TableScan``          ``table`` (name)
 ``ShardedScan``        ``table``, ``shard_count``, ``shard_index``
-``RangePartitionScan``  ``table``, ``partition_index``
+``RangePartitionScan``  ``table``, ``partition_index`` (``partition_count``: explain)
 ``ExchangeUnion``      n-ary children
 ``MergeExchange``      n-ary children; merge order = plan.order; ``disjoint``
 ``ClusteringIndexScan``  ``table``
@@ -136,9 +138,8 @@ def _lower(plan, catalog: "Catalog",
     if op == "ClusteringIndexScan":
         return ClusteringIndexScan(catalog.table(plan.arg("table")))
     if op == "CoveringIndexScan":
-        index = next(ix for ix in catalog.indexes_of(plan.arg("table"))
-                     if ix.name == plan.arg("index"))
-        return CoveringIndexScan(index)
+        return CoveringIndexScan(
+            catalog.index(plan.arg("table"), plan.arg("index")))
     if op == "Filter":
         return Filter(children[0], plan.arg("predicate"),
                       kernels=plan.arg("kernels"))

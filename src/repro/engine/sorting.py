@@ -45,15 +45,6 @@ from .iterators import tuple_getter
 _SENTINEL = object()
 
 
-def keyed_rows(batches: Iterable[RowBatch], positions: Sequence[int],
-               counter: ComparisonCounter) -> Iterator[tuple[CountedKey, tuple]]:
-    """``(CountedKey, row)`` pairs of a batch stream, keys extracted a
-    whole batch at a time (``TopK``'s bounded heap)."""
-    for batch in batches:
-        yield from zip([CountedKey(key, counter)
-                        for key in batch.key_tuples(positions)], batch.rows)
-
-
 class _RunStore:
     """Simulated disk holding sort runs; charges I/O at write & read time."""
 

@@ -5,11 +5,10 @@ Supported shapes cover the paper's entire workload: select-project-join
 trees with inner/left/full-outer joins, grouping/aggregation, duplicate
 elimination, distinct union, computed columns and a root ORDER BY.
 
-Schema/statistics derivation lives in :class:`Annotator`, which walks a
-query once and caches per-node :class:`~repro.storage.statistics.StatsView`,
-output schemas, attribute equivalence classes (from join equalities) and
-the set of attributes each base table must supply (used to decide which
-indexes *cover the query*).
+Schema derivation lives in :class:`Annotator`, which walks a query once
+and caches per-node output schemas, attribute equivalence classes (from
+join equalities) and the set of attributes each base table must supply
+(used to decide which indexes *cover the query*).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from ..expr.aggregates import AggSpec, aggregate_output_schema
 from ..expr.expressions import Expression, JoinPredicate, Predicate
 from ..storage.catalog import Catalog
 from ..storage.schema import Column, Schema
-from ..storage.statistics import StatsView
 
 
 class LogicalExpr:
@@ -251,14 +249,14 @@ def equivalence_pairs(expr: LogicalExpr,
 
 
 class Annotator:
-    """Derives schemas, statistics, equivalences and per-table used
-    attributes for a whole query, with per-node caching."""
+    """Derives schemas, equivalences and per-table used attributes for a
+    whole query, with per-node caching.  (Statistics belong to physical
+    plan nodes: see :class:`~repro.optimizer.manual.PlanBuilder`.)"""
 
     def __init__(self, catalog: Catalog, root: LogicalExpr) -> None:
         self.catalog = catalog
         self.root = root
         self._schema: dict[LogicalExpr, Schema] = {}
-        self._stats: dict[LogicalExpr, StatsView] = {}
         self.eq = AttributeEquivalence.of(self._equivalence_pairs(root))
         self._used_attrs: dict[str, frozenset[str]] = self._collect_used_attrs(root)
 
@@ -322,51 +320,3 @@ class Annotator:
     def _derive_schema(self, expr: LogicalExpr) -> Schema:
         return derive_schema(self.catalog, expr,
                              [self.schema_of(c) for c in expr.children])
-
-    # -- statistics ------------------------------------------------------------------------
-    def stats_of(self, expr: LogicalExpr) -> StatsView:
-        cached = self._stats.get(expr)
-        if cached is not None:
-            return cached
-        stats = self._derive_stats(expr)
-        self._stats[expr] = stats
-        return stats
-
-    def _derive_stats(self, expr: LogicalExpr) -> StatsView:
-        if isinstance(expr, BaseRelation):
-            table = self.catalog.table(expr.table_name)
-            keys = [table.primary_key] if table.primary_key else []
-            return StatsView.of_table(table.schema, table.stats, self.eq, keys)
-        if isinstance(expr, Select):
-            child = self.stats_of(expr.child)
-            return child.scaled(expr.predicate.selectivity(child))
-        if isinstance(expr, Project):
-            return self.stats_of(expr.child).projected(list(expr.columns))
-        if isinstance(expr, Compute):
-            child = self.stats_of(expr.child)
-            return StatsView(self.schema_of(expr), child.N,
-                             {c: child.distinct_of(c) for c in child.schema.names},
-                             self.eq)
-        if isinstance(expr, Join):
-            lstats, rstats = self.stats_of(expr.left), self.stats_of(expr.right)
-            joined = lstats.join(rstats, list(expr.predicate.pairs), self.eq)
-            if expr.join_type == "left":
-                return joined.with_rows(max(joined.N, lstats.N))
-            if expr.join_type == "full":
-                return joined.with_rows(max(joined.N, lstats.N, rstats.N))
-            return joined
-        if isinstance(expr, GroupBy):
-            return self.stats_of(expr.child).grouped(
-                list(expr.group_columns), self.schema_of(expr))
-        if isinstance(expr, Distinct):
-            child = self.stats_of(expr.child)
-            return child.with_rows(child.distinct_of_set(child.schema.names))
-        if isinstance(expr, Union):
-            lstats, rstats = self.stats_of(expr.left), self.stats_of(expr.right)
-            return lstats.union(rstats, self.eq)
-        if isinstance(expr, (OrderBy, Limit)):
-            child = self.stats_of(expr.children[0])
-            if isinstance(expr, Limit):
-                return child.with_rows(min(child.N, expr.k))
-            return child
-        raise TypeError(f"unknown logical node {type(expr).__name__}")

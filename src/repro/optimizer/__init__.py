@@ -11,7 +11,7 @@ from .pipeline import (
     SimpliSquaredEnumerator,
     make_enumerator,
 )
-from .plans import PhysicalPlan, make_plan
+from .plans import PhysicalPlan
 from .volcano import Optimizer, OptimizerConfig
 
 __all__ = [
@@ -26,5 +26,4 @@ __all__ = [
     "PhysicalPlan",
     "SimpliSquaredEnumerator",
     "make_enumerator",
-    "make_plan",
 ]

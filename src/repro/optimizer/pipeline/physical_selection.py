@@ -21,20 +21,13 @@ goals and the plans under them.  See "Groups and goals" in
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ...core.interesting import OrderContext, OrderStrategy
-from ...core.sort_order import (
-    AttributeEquivalence,
-    EMPTY_ORDER,
-    SortOrder,
-    longest_common_prefix,
-)
+from ...core.sort_order import AttributeEquivalence, EMPTY_ORDER, SortOrder
 from ...engine.aggregates import combinable
 from ...engine.exchange import ORDER_PRESERVING_UNARY_OPS
 from ...engine.scans import range_shardable, shardable
-from ...expr.expressions import JoinPredicate
 from ...logical.algebra import (
     BaseRelation,
     Compute,
@@ -51,16 +44,11 @@ from ...logical.algebra import (
 from ...storage.catalog import Catalog
 from ...storage.schema import Schema
 from ...storage.statistics import StatsView
-from ..cost import CostModel, prefer_sharded
-from ..plans import PhysicalPlan, make_plan
+from ..cost import prefer_sharded
+from ..manual import PlanBuilder
+from ..plans import PhysicalPlan
 from .groups import Group, GroupTable
 from .pre_check import OptimizerConfig
-
-#: Plan ops transparent to sharding — the engine's order-preserving
-#: per-row unaries, by name (single source of truth: engine/exchange.py).
-SHARD_TRANSPARENT_OPS = ORDER_PRESERVING_UNARY_OPS
-_SHARDABLE_SCAN_OPS = ("TableScan", "ClusteringIndexScan")
-
 
 def enforcement_chain_scan(plan: PhysicalPlan) -> Optional[PhysicalPlan]:
     """The scan under a chain of per-row, order-preserving unaries, or
@@ -68,9 +56,9 @@ def enforcement_chain_scan(plan: PhysicalPlan) -> Optional[PhysicalPlan]:
     chain over one shardable scan provably partitions the unsharded
     stream — the shape every below-the-exchange placement builds on."""
     node = plan
-    while node.op in SHARD_TRANSPARENT_OPS and len(node.children) == 1:
+    while node.op in ORDER_PRESERVING_UNARY_OPS and len(node.children) == 1:
         node = node.children[0]
-    return node if node.op in _SHARDABLE_SCAN_OPS else None
+    return node if node.op in ("TableScan", "ClusteringIndexScan") else None
 
 
 def shardable_enforcement_input(plan: PhysicalPlan, catalog: Catalog,
@@ -126,12 +114,15 @@ class PhysicalSelection:
         self.eq = self.annotator.eq
         self.fds = self.groups.root.fds
         self.favorable = self.groups.favorable
-        self.cost_model = CostModel(catalog.params, self.eq)
+        #: Makes every plan node of this search: what an operator's
+        #: schema, order, statistics and cost are is its business, which
+        #: child goals to request and which candidate wins is ours.
+        self.builder = PlanBuilder(catalog, self.eq)
+        #: The builder's once-per-input derivations, one table per search.
+        self._derived = self.builder._derived
         self.order_ctx = OrderContext(self.favorable, self.fds, self.eq)
         #: Goal → exact optimum, keyed ``(group id, canonical order)``.
         self._memo: dict[tuple, PhysicalPlan] = {}
-        #: See :meth:`_once`.
-        self._derived: dict[tuple, tuple] = {}
         #: Failure memo (Columbia's re-search discipline): goal → largest
         #: budget known infeasible.  ``_failed[key] = L`` is the *exact*
         #: statement "no plan of this goal costs < L": a bounded search
@@ -223,21 +214,6 @@ class PhysicalSelection:
         self._failed.pop(key, None)  # success supersedes any failure marker
         return best
 
-    def _once(self, fn, *inputs):
-        """``fn(*inputs)``, computed once per distinct *inputs* objects.
-        Statistics and schemas are immutable and shared by the plans
-        built over them (an enforcer carries its input's), so what is a
-        function of them — join estimates, join schemas — is the same
-        for all the permutations requesting it.  The entry holds
-        *inputs*, so an ``id()`` is never reused as a key; the key holds
-        a method's function, not the method — a bound method of the
-        search would make the search reference itself."""
-        key = (getattr(fn, "__func__", fn), *map(id, inputs))
-        hit = self._derived.get(key)
-        if hit is None:
-            hit = self._derived[key] = (fn(*inputs), inputs)
-        return hit[0]
-
     # -- enforcers ------------------------------------------------------------------------
     def enforce(self, plan: PhysicalPlan, required: SortOrder,
                 limit: float = math.inf,
@@ -274,17 +250,10 @@ class PhysicalSelection:
         if translated is None:
             return None
         partial_ok = self.config.partial_sort_enforcers
-        prefix = longest_common_prefix(translated, plan.order, eq)
-        cost = self.cost_model.coe(plan.stats, plan.order, translated,
-                                   partial_enabled=partial_ok)
-        if prefix and partial_ok:
-            sort = make_plan("PartialSort", plan.schema, translated, plan.stats,
-                             cost, [plan], prefix=prefix, algorithm="mrs")
-        else:
-            sort = make_plan("Sort", plan.schema, translated, plan.stats, cost,
-                             [plan], prefix=EMPTY_ORDER, algorithm="srs")
-        if self.config.parallelism > 1:
-            sort = self._sharded_enforcement(sort, partial_ok) or sort
+        sort = self.builder.sort(plan, translated, full=not partial_ok, eq=eq)
+        # (An equivalence-collapsed *translated* may already hold.)
+        if sort is not plan and self.config.parallelism > 1:
+            sort = self._sharded_enforcement(sort, partial_ok, eq) or sort
         return sort if sort.total_cost < limit else None
 
     # -- below the exchange: fan-outs, per-shard pipelines, gate + gather -------------
@@ -328,111 +297,47 @@ class PhysicalSelection:
             views.append(view)
         return views
 
-    def _shard_clone(self, node: PhysicalPlan, shard_count: int,
-                     shard_index: int, share: float,
-                     range_table=None) -> PhysicalPlan:
-        """One shard's copy of a shardable subtree: the scan leaf becomes
-        a ``ShardedScan`` (or ``RangePartitionScan``) and every node
-        carries its *share* of the rows and cost, so the k shards together
-        cost exactly what the unsharded subtree did — except the scan leaf
-        of a *non-contiguous* range partition, which reads the whole table
-        and keeps the full scan cost (the real price of range-sharding a
-        layout that doesn't match the spec)."""
-        stats = node.stats.scaled(share)
-        if node.op in _SHARDABLE_SCAN_OPS:
-            if range_table is not None:
-                leaf_cost = (node.self_cost * share
-                             if range_table.partition_contiguous
-                             else node.self_cost)
-                return make_plan("RangePartitionScan", node.schema, node.order,
-                                 stats, leaf_cost, table=node.arg("table"),
-                                 partition_index=shard_index,
-                                 partition_count=shard_count)
-            return make_plan("ShardedScan", node.schema, node.order, stats,
-                             node.self_cost * share,
-                             table=node.arg("table"),
-                             shard_count=shard_count, shard_index=shard_index)
-        child = self._shard_clone(node.children[0], shard_count, shard_index,
-                                  share, range_table)
-        return replace(node, stats=stats, self_cost=node.self_cost * share,
-                       children=(child,))
-
     def _shards_of(self, chain: PhysicalPlan, views: list[StatsView],
-                   range_table, enforcer: Optional[PhysicalPlan] = None,
-                   partial: bool = False) -> list[PhysicalPlan]:
-        """*chain* once per shard of a fan-out, each copy under its own
-        copy of *enforcer* (the unsharded enforcer over *chain*, if any)
-        priced on its shard's view; *partial* as for ``coe``."""
+                   range_table, order: Optional[SortOrder] = None,
+                   full: bool = False, eq: Optional[AttributeEquivalence] = None
+                   ) -> list[PhysicalPlan]:
+        """*chain* once per shard of a fan-out, each copy — if an *order*
+        is to be enforced above it — under the chain's enforcer over that
+        shard (*full*, *eq* as for :meth:`PlanBuilder.sort`), priced on
+        the shard's view."""
         total_rows = sum(v.N for v in views) or 1.0
         shards = []
         for i, view in enumerate(views):
-            shard = self._shard_clone(chain, len(views), i,
-                                      view.N / total_rows, range_table)
-            if enforcer is not None:
-                cost = self.cost_model.coe(view, chain.order, enforcer.order,
-                                           partial_enabled=partial)
-                # Carry the *measured* per-shard statistics on the enforcer
-                # node (schema permitting) so downstream per-shard operators
-                # (joins, aggregates) are priced with real distinct counts.
-                stats = (view if list(view.schema.names)
-                         == list(shard.schema.names) else shard.stats)
-                shard = replace(enforcer, stats=stats, self_cost=cost,
-                                children=(shard,))
+            shard = self.builder.shard_of(chain, len(views), i,
+                                          view.N / total_rows, range_table)
+            if order is not None:
+                shard = self.builder.sort(shard, order, full, eq, on=view)
             shards.append(shard)
         return shards
 
-    def _sorted_shards_of(self, plan: PhysicalPlan):
-        """Per-shard sorted pipelines delivering *plan*'s order, and
-        whether they are mutually disjoint on its leading attribute — the
-        shards a per-shard join, aggregate or DISTINCT builds on.
-
-        Two shapes qualify: a plan whose enforcer was already placed per
-        shard (``MergeExchange`` — reuse its children, dropping the
-        pre-operator merge), and a ``Sort``/``PartialSort`` over a
-        contiguously shardable chain (shard the chain and replicate the
-        enforcer).  Returns ``None`` for everything else.
-        """
-        if plan.op == "MergeExchange":
-            return list(plan.children), bool(plan.arg("disjoint", False))
-        if plan.op in ("Sort", "PartialSort"):
-            chain = plan.children[0]
-            fan_out = next(self._fan_outs(chain, ranged=False), None)
-            if fan_out is not None:
-                return self._shards_of(chain, *fan_out, plan,
-                                       plan.op == "PartialSort"), False
-        return None
-
     def _gathered(self, nodes: list[PhysicalPlan], disjoint: bool,
                   unsharded: PhysicalPlan,
-                  finish: Optional[PhysicalPlan] = None
-                  ) -> Optional[PhysicalPlan]:
-        """The per-shard operator *nodes* under their gather — an
-        order-preserving ``MergeExchange`` on *unsharded*'s order, or for
-        ε a cost-free ``ExchangeUnion`` — or ``None`` unless the assembled
-        plan beats the *unsharded* operator it replaces: ties resolve to
-        the simpler unsharded plan (:func:`prefer_sharded`).  *finish*
-        says the shards emit *partial* results (a row per per-shard group
-        or distinct value): the gather carries the sum of their counts and
-        a copy of *finish* above it folds what straddled shard boundaries."""
-        stats, order = unsharded.stats, unsharded.order
+                  finish: Optional[Callable] = None) -> Optional[PhysicalPlan]:
+        """The per-shard operator *nodes* under their gather on
+        *unsharded*'s order (:meth:`PlanBuilder.gather`), or ``None``
+        unless the assembled plan beats the *unsharded* operator it
+        replaces: ties resolve to the simpler unsharded plan
+        (:func:`prefer_sharded`).  *finish* says the shards emit *partial*
+        results (a row per per-shard group or distinct value): the gather
+        carries the sum of their counts and ``finish(gather)`` is the
+        operator above it that folds what straddled shard boundaries."""
+        stats = unsharded.stats
         if finish is not None:
             stats = stats.with_rows(sum(node.stats.N for node in nodes))
-        if order:
-            cost = self.cost_model.merge_exchange(stats.N, len(nodes),
-                                                  disjoint=disjoint)
-            plan = make_plan("MergeExchange", nodes[0].schema, order, stats,
-                             cost, nodes, disjoint=disjoint)
-        else:
-            plan = make_plan("ExchangeUnion", nodes[0].schema, order, stats,
-                             0.0, nodes)
+        plan = self.builder.gather(nodes, unsharded.order, stats, disjoint)
         if finish is not None:
-            plan = replace(finish, children=(plan,),
-                           self_cost=self.cost_model.combine_groups(stats.N))
+            plan = finish(plan)
         return (plan if prefer_sharded(plan.total_cost, unsharded.total_cost)
                 else None)
 
-    def _sharded_enforcement(self, unsharded: PhysicalPlan,
-                             partial_ok: bool) -> Optional[PhysicalPlan]:
+    def _sharded_enforcement(self, unsharded: PhysicalPlan, partial_ok: bool,
+                             eq: AttributeEquivalence
+                             ) -> Optional[PhysicalPlan]:
         """The cheapest below-the-exchange placement of the enforcer
         *unsharded* — contiguous equal shards or declared range
         partitions, each priced with measured per-shard statistics where
@@ -445,7 +350,7 @@ class PhysicalSelection:
         for views, table in self._fan_outs(chain):
             disjoint = (table is not None and
                         translated.as_tuple[0] == table.partitioning.column)
-            est = chain.total_cost + self.cost_model.sharded_coe(
+            est = chain.total_cost + self.builder.cost.sharded_coe(
                 chain.stats, chain.order, translated, len(views),
                 partial_enabled=partial_ok, shard_stats=views,
                 disjoint_merge=disjoint)
@@ -458,18 +363,99 @@ class PhysicalSelection:
         if best is None or not prefer_sharded(best[0], unsharded.total_cost):
             return None
         _, views, table, disjoint = best
-        shards = self._shards_of(chain, views, table, unsharded, partial_ok)
+        shards = self._shards_of(chain, views, table, translated,
+                                 not partial_ok, eq)
         return self._gathered(shards, disjoint, unsharded)
 
-    def _and_sharded(self, unsharded: PhysicalPlan, alternative,
-                     *args) -> Iterable[PhysicalPlan]:
-        """The *unsharded* operator, then — when planning for a fan-out —
-        its below-the-exchange *alternative* if it applies and wins."""
+    def _and_sharded(self, unsharded: PhysicalPlan, construct: Callable,
+                     fan: Callable, finish: Optional[Callable] = None
+                     ) -> Iterable[PhysicalPlan]:
+        """The *unsharded* operator (``construct`` over its inputs), then
+        — when planning for a fan-out — its below-the-exchange form if it
+        applies and wins: *construct* over each shard's inputs, gathered.
+
+        ``fan()`` says whether it applies (the site's guard) and how the
+        inputs fan out (:meth:`_sorted_shards_of`, :meth:`_copartitions`):
+        per shard the inputs, the measured statistics *construct* takes
+        to price them ``on``, if any, and the rows they weigh in with.
+        Without a *finish* (see :meth:`_gathered`) the shards partition
+        the operator's output, so each copy is told its ``stats``: the
+        unsharded estimate apportioned by weight.  With one they emit
+        partial results, estimated from the shard by *construct* itself.
+        """
         yield unsharded
-        if self.config.parallelism > 1:
-            sharded = alternative(unsharded, *args)
-            if sharded is not None:
-                yield sharded
+        fanned = self.config.parallelism > 1 and fan()
+        if not fanned:
+            return
+        shards, disjoint = fanned
+        total = sum(rows for _, _, rows in shards) or 1.0
+        nodes = []
+        for inputs, on, rows in shards:
+            explicit = {} if on is None else {"on": on}
+            if finish is None:
+                explicit["stats"] = unsharded.stats.scaled(rows / total)
+            nodes.append(construct(*inputs, **explicit))
+        sharded = self._gathered(nodes, disjoint, unsharded, finish)
+        if sharded is not None:
+            yield sharded
+
+    def _sorted_shards_of(self, plan: PhysicalPlan, eq: AttributeEquivalence,
+                          *replicated: PhysicalPlan,
+                          leading: Optional[SortOrder] = None):
+        """Fan out an operator's sorted first input *plan* — per-shard
+        sorted pipelines delivering its order, the shards a per-shard
+        join, aggregate or DISTINCT builds on — every shard next to the
+        whole of the *replicated* other inputs (a replicated subtree
+        appears once per shard in the plan, so its replication cost is
+        charged naturally by ``total_cost``).
+
+        Two shapes qualify: a plan whose enforcer was already placed per
+        shard (``MergeExchange`` — reuse its children, dropping the
+        pre-operator merge, and their disjointness on its leading
+        attribute), and a ``Sort``/``PartialSort`` over a contiguously
+        shardable chain (shard the chain and apply the same enforcer to
+        each shard; *eq* is what it was matched under, its goal group's).
+        Returns ``None`` for everything else.  *leading* is the order the
+        gather merges on when its leading attribute must literally be
+        the shards' for their disjointness to carry over."""
+        if plan.op == "MergeExchange":
+            shards, disjoint = plan.children, bool(plan.arg("disjoint", False))
+        elif plan.op in ("Sort", "PartialSort"):
+            chain = plan.children[0]
+            fan_out = next(self._fan_outs(chain, ranged=False), None)
+            if fan_out is None:
+                return None
+            shards, disjoint = self._shards_of(
+                chain, *fan_out, plan.order, plan.op == "Sort", eq), False
+        else:
+            return None
+        if leading is not None:
+            disjoint = (disjoint and
+                        plan.order.as_tuple[:1] == leading.as_tuple[:1])
+        return [((shard, *replicated), None, shard.stats.N)
+                for shard in shards], disjoint
+
+    def _copartitions(self, left: PhysicalPlan, right: PhysicalPlan,
+                      pairs: tuple[tuple[str, str], ...]):
+        """Fan out both inputs of a join along their tables' declared
+        range partitions — when both are partitioned on one of the join's
+        equality *pairs* with identical bounds, so partition *i* of the
+        left can only match partition *i* of the right.  The copies are
+        priced on the per-partition views and weigh in with the
+        per-partition row-count product."""
+        fan_outs = [next(self._fan_outs(side, contiguous=False), None)
+                    for side in (left, right)]
+        if None in fan_outs:
+            return None
+        (lviews, ltable), (rviews, rtable) = fan_outs
+        lp, rp = ltable.partitioning, rtable.partitioning
+        if lp.bounds != rp.bounds or (lp.column, rp.column) not in pairs:
+            return None
+        return [((lshard, rshard), (lview, rview), lview.N * rview.N)
+                for lshard, rshard, lview, rview in zip(
+                    self._shards_of(left, lviews, ltable),
+                    self._shards_of(right, rviews, rtable),
+                    lviews, rviews)], False
 
     def _translate_order(self, order: SortOrder, schema: Schema,
                          eq: AttributeEquivalence) -> Optional[SortOrder]:
@@ -495,23 +481,31 @@ class PhysicalSelection:
             return plan
         if not plan.schema.has_all(target.names):
             return plan  # narrower logical projection not expressible
-        cost = self.cost_model.project(plan.stats)
-        schema = plan.schema.project(list(target.names))
-        order = plan.order.restrict_prefix_to(target.names, self.eq)
-        return make_plan("Project", schema, order, plan.stats.projected(list(target.names)),
-                         cost, [plan], columns=tuple(target.names))
+        return self.builder.project(plan, target.names)
 
     # -- candidate generation ----------------------------------------------------------------
     def _native_candidates(self, expr: LogicalExpr, required: SortOrder,
                            bound: _Bound) -> Iterable[PhysicalPlan]:
+        build = self.builder
         if isinstance(expr, BaseRelation):
-            yield from self._scan_candidates(expr)
+            yield build.table_scan(expr.table_name)
+            used = self.annotator.used_attrs(expr.table_name)
+            for index in self.catalog.indexes_of(expr.table_name):
+                if index.covers(used):
+                    yield build.covering_scan(expr.table_name, index.name)
         elif isinstance(expr, Select):
-            yield from self._select_candidates(expr, required, bound)
+            yield from self._unary_candidates(
+                expr, required, bound, self._nameable(required, expr.child),
+                expr.predicate.columns(),
+                lambda child: build.filter(child, expr.predicate))
         elif isinstance(expr, Project):
-            yield from self._project_candidates(expr, required, bound)
+            yield from self._unary_candidates(
+                expr, required, bound, set(required) <= set(expr.columns),
+                expr.columns, lambda child: build.project(child, expr.columns))
         elif isinstance(expr, Compute):
-            yield from self._compute_candidates(expr, required, bound)
+            yield from self._unary_candidates(
+                expr, required, bound, self._nameable(required, expr.child),
+                (), lambda child: build.compute(child, expr.outputs))
         elif isinstance(expr, Join):
             yield from self._join_candidates(expr, required, bound)
         elif isinstance(expr, GroupBy):
@@ -525,234 +519,101 @@ class PhysicalSelection:
             if plan is not None:
                 yield plan
         elif isinstance(expr, Limit):
-            yield from self._limit_candidates(expr, required, bound)
+            child = self.optimize_goal(expr.child, required, bound.value)
+            if child is not None:
+                yield build.limit(child, expr.k)
         else:
             raise TypeError(f"cannot plan {type(expr).__name__}")
 
-    def _scan_candidates(self, expr: BaseRelation) -> Iterable[PhysicalPlan]:
-        table = self.catalog.table(expr.table_name)
-        stats = self._once(self._table_stats, table)
-        yield make_plan("TableScan", table.schema, table.clustering_order,
-                        stats, self.cost_model.table_scan(stats),
-                        table=table.name)
-        used = self.annotator.used_attrs(expr.table_name)
-        for index in self.catalog.indexes_of(expr.table_name):
-            if not index.covers(used):
-                continue
-            leaf_schema = index.leaf_schema
-            leaf_stats = stats.projected(list(leaf_schema.names))
-            cost = self.cost_model.index_scan(stats.N, index.entry_bytes())
-            yield make_plan("CoveringIndexScan", leaf_schema, index.key,
-                            leaf_stats, cost, table=table.name, index=index.name)
+    def _nameable(self, required: SortOrder, child: LogicalExpr) -> bool:
+        """Whether *child*'s output can express every attribute of
+        *required* (by a column or an equivalent of one)."""
+        columns = self.groups.of(child).schema.names
+        return all(any(self.eq.same(a, c) for c in columns) for a in required)
 
-    def _table_stats(self, table) -> StatsView:
-        keys = [table.primary_key] if table.primary_key else []
-        return StatsView.of_table(table.schema, table.stats, self.eq, keys)
-
-    def _child_requirements(self, required: SortOrder,
-                            pushable: bool) -> list[SortOrder]:
-        """Child orders worth requesting for order-preserving unaries:
-        the requirement itself (sort below, smaller input) and ε (sort
-        above, fewer rows) — the enforcer framework arbitrates by cost."""
-        reqs = [EMPTY_ORDER]
+    def _unary_candidates(self, expr: LogicalExpr, required: SortOrder,
+                          bound: _Bound, pushable: bool,
+                          needs: Iterable[str], construct: Callable
+                          ) -> Iterable[PhysicalPlan]:
+        """An order-preserving unary — *construct* over its child's plan —
+        once per child order worth requesting: ε (sort above, fewer
+        rows) and, when *pushable*, the requirement itself (sort below,
+        smaller input); the enforcer framework arbitrates by cost.  A
+        child plan without the columns the operator *needs* is skipped."""
+        child_reqs = [EMPTY_ORDER]
         if pushable and required:
-            reqs.append(required)
-        return reqs
-
-    def _select_candidates(self, expr: Select, required: SortOrder,
-                           bound: _Bound) -> Iterable[PhysicalPlan]:
-        child_schema_cols = set(self.groups.of(expr.child).schema.names)
-        pushable = all(any(self.eq.same(a, c) for c in child_schema_cols)
-                       for a in required)
-        for child_req in self._child_requirements(required, pushable):
+            child_reqs.append(required)
+        for child_req in child_reqs:
             child = self.optimize_goal(expr.child, child_req, bound.value)
-            if child is None or not child.schema.has_all(expr.predicate.columns()):
-                continue
-            stats = child.stats.scaled(expr.predicate.selectivity(child.stats))
-            yield make_plan("Filter", child.schema, child.order, stats,
-                            self.cost_model.filter(child.stats), [child],
-                            predicate=expr.predicate)
+            if child is not None and child.schema.has_all(needs):
+                yield construct(child)
 
-    def _project_candidates(self, expr: Project, required: SortOrder,
-                            bound: _Bound) -> Iterable[PhysicalPlan]:
-        pushable = set(required) <= set(expr.columns)
-        for child_req in self._child_requirements(required, pushable):
-            child = self.optimize_goal(expr.child, child_req, bound.value)
-            if child is None or not child.schema.has_all(expr.columns):
-                continue
-            schema = child.schema.project(list(expr.columns))
-            order = child.order.restrict_prefix_to(expr.columns, self.eq)
-            yield make_plan("Project", schema, order,
-                            child.stats.projected(list(expr.columns)),
-                            self.cost_model.project(child.stats), [child],
-                            columns=tuple(expr.columns))
-
-    def _compute_candidates(self, expr: Compute, required: SortOrder,
-                            bound: _Bound) -> Iterable[PhysicalPlan]:
-        child_cols = set(self.groups.of(expr.child).schema.names)
-        pushable = all(any(self.eq.same(a, c) for c in child_cols)
-                       for a in required)
-        for child_req in self._child_requirements(required, pushable):
-            child = self.optimize_goal(expr.child, child_req, bound.value)
-            if child is None:
-                continue
-            schema = Schema(list(child.schema)
-                            + [spec for spec in self.groups.of(expr).schema
-                               if spec.name not in child.schema])
-            stats = StatsView(schema, child.stats.N,
-                              {c: child.stats.distinct_of(c)
-                               for c in child.schema.names}, self.eq)
-            yield make_plan("Compute", schema, child.order, stats,
-                            self.cost_model.project(child.stats), [child],
-                            outputs=tuple(expr.outputs))
+    def _input_plans(self, expr: LogicalExpr, left_required: SortOrder,
+                     right_required: SortOrder, bound: _Bound):
+        """Cheapest plans of a binary node's two inputs in the required
+        orders — the right within what the left leaves of the budget —
+        or ``None`` if either goal has none within it."""
+        left = self.optimize_goal(expr.left, left_required, bound.value)
+        if left is None:
+            return None
+        right = self.optimize_goal(expr.right, right_required,
+                                   bound.value - left.total_cost)
+        return None if right is None else (left, right)
 
     # -- joins -------------------------------------------------------------------------------
     def _join_candidates(self, expr: Join, required: SortOrder,
                          bound: _Bound) -> Iterable[PhysicalPlan]:
-        pairs = list(expr.predicate.pairs)
-        right_for_left = dict(pairs)
-        orders = self.strategy.join_orders(self.order_ctx, expr, required)
-        for perm in orders:
-            partners = [(a, right_for_left.get(a, self._right_partner(a, pairs)))
-                        for a in perm]
+        pairs = expr.predicate.pairs
+        # A permutation may name a pair by either side's attribute.
+        right_of = {right: right for _, right in pairs} | dict(pairs)
+        left_eq = self.groups.of(expr.left).eq
+        for perm in self.strategy.join_orders(self.order_ctx, expr, required):
+            partners = [(a, right_of[a]) for a in perm]
             right_perm = SortOrder(tuple(right for _, right in partners))
-            left_plan = self.optimize_goal(expr.left, perm, bound.value)
-            if left_plan is None:
+            inputs = self._input_plans(expr, perm, right_perm, bound)
+            if inputs is None:
                 continue
-            right_plan = self.optimize_goal(expr.right, right_perm,
-                                            bound.value - left_plan.total_cost)
-            if right_plan is None:
-                continue
-            reordered = JoinPredicate(partners)
-            stats, schema = self._join_output(expr, left_plan, right_plan)
-            cost = self.cost_model.merge_join(left_plan.stats, right_plan.stats,
-                                              stats.N)
-            # FULL OUTER pads left key columns of right-unmatched rows
-            # with NULLs mid-stream, so its output guarantees no order
-            # (mirrors engine/joins.py — the two must agree or enforcers
-            # get skipped above plans that cannot honour them).
-            out_order = EMPTY_ORDER if expr.join_type == "full" else perm
+            left_plan, right_plan = inputs
+
+            def merge_join(left, right, stats=None):
+                return self.builder.merge_join(
+                    left, right, partners, expr.join_type, sort_inputs=False,
+                    logical=expr, stats=stats)
+            # Broadcast: shard the sorted left input and replicate the
+            # right — it only wins when the per-shard sort savings on a
+            # big left side beat re-reading a small right side k−1 extra
+            # times.  Valid for inner and LEFT OUTER joins: the shards
+            # partition the left rows, so every join output (and every
+            # left-padded row) is produced exactly once; a FULL OUTER
+            # join would duplicate right-unmatched rows per shard.  The
+            # gather stays heap-free only when the shards were range
+            # partitions disjoint on the permutation's leading attribute.
             yield from self._and_sharded(
-                make_plan("MergeJoin", schema, out_order, stats, cost,
-                          [left_plan, right_plan], predicate=reordered,
-                          join_type=expr.join_type, logical=expr),
-                self._broadcast_join_alternative)
+                merge_join(left_plan, right_plan), merge_join,
+                lambda: expr.join_type != "full" and self._sorted_shards_of(
+                    left_plan, left_eq, right_plan, leading=perm))
         if self.config.enable_hash_join:
-            left_plan = self.optimize_goal(expr.left, EMPTY_ORDER, bound.value)
-            right_plan = (self.optimize_goal(expr.right, EMPTY_ORDER,
-                                             bound.value - left_plan.total_cost)
-                          if left_plan is not None else None)
-            if left_plan is not None and right_plan is not None:
-                stats, schema = self._join_output(expr, left_plan, right_plan)
-                cost = self.cost_model.hash_join(left_plan.stats,
-                                                 right_plan.stats, stats.N)
+            inputs = self._input_plans(expr, EMPTY_ORDER, EMPTY_ORDER, bound)
+            if inputs is not None:
+                def hash_join(left, right, stats=None, on=None):
+                    return self.builder.hash_join(left, right, pairs,
+                                                  expr.join_type, stats, on)
+                # The classic partitioned hash join.  Valid for every join
+                # type (unlike the broadcast, nothing is replicated), and
+                # the win is the Grace term: per-partition builds that fit
+                # in sort memory skip the partition-spill I/O a monolithic
+                # build pays.  Hash output is unordered anyway, so the
+                # gather is a plain exchange union, costing nothing.
                 yield from self._and_sharded(
-                    make_plan("HashJoin", schema, EMPTY_ORDER, stats, cost,
-                              [left_plan, right_plan],
-                              predicate=expr.predicate,
-                              join_type=expr.join_type),
-                    self._copartitioned_hash_join)
-
-    @staticmethod
-    def _right_partner(attr: str, pairs: list[tuple[str, str]]) -> str:
-        for l, r in pairs:
-            if l == attr or r == attr:
-                return r
-        raise KeyError(attr)
-
-    def _join_output(self, expr: Join, left: PhysicalPlan,
-                     right: PhysicalPlan) -> tuple[StatsView, Schema]:
-        """Output statistics and schema of joining the two plans."""
-        return (self._once(self._join_stats, expr, left.stats, right.stats),
-                self._once(Schema.concat, left.schema, right.schema))
-
-    def _join_stats(self, expr: Join, left: StatsView,
-                    right: StatsView) -> StatsView:
-        joined = left.join(right, list(expr.predicate.pairs), self.eq)
-        if expr.join_type == "left":
-            return joined.with_rows(max(joined.N, left.N))
-        if expr.join_type == "full":
-            return joined.with_rows(max(joined.N, left.N, right.N))
-        return joined
-
-    # -- sharded joins -----------------------------------------------------------------
-    def _broadcast_join_alternative(self, unsharded: PhysicalPlan
-                                    ) -> Optional[PhysicalPlan]:
-        """Shard the sorted left input and broadcast the right: per-shard
-        merge joins gathered by an order-preserving merge.
-
-        Valid for inner and LEFT OUTER joins — the shards partition the
-        left rows, so every join output (and every left-padded row) is
-        produced exactly once; a FULL OUTER join would duplicate
-        right-unmatched rows per shard.  The right subtree appears once
-        per shard in the plan, so its replication cost is charged
-        naturally by ``total_cost`` — the alternative only wins when the
-        per-shard sort savings on a big left side beat re-reading a small
-        broadcast side k−1 extra times.
-        """
-        left_plan, right_plan = unsharded.children
-        sharded = (self._sorted_shards_of(left_plan)
-                   if unsharded.arg("join_type") != "full" else None)
-        if sharded is None:
-            return None
-        shards, disjoint = sharded
-        perm, stats = unsharded.order, unsharded.stats
-        # The join merge stays heap-free only when the shards were range
-        # partitions disjoint on the join permutation's leading attribute.
-        disjoint = (disjoint and bool(perm)
-                    and left_plan.order.as_tuple[:1] == perm.as_tuple[:1])
-        # Join output apportioned by each shard's share of the left rows.
-        total_left = sum(s.stats.N for s in shards) or 1.0
-        weights = [s.stats.N / total_left for s in shards]
-        joins = [
-            replace(unsharded, stats=stats.scaled(w),
-                    self_cost=self.cost_model.merge_join(
-                        shard.stats, right_plan.stats, stats.N * w),
-                    children=(shard, right_plan))
-            for shard, w in zip(shards, weights)]
-        return self._gathered(joins, disjoint, unsharded)
-
-    def _copartitioned_hash_join(self, unsharded: PhysicalPlan
-                                 ) -> Optional[PhysicalPlan]:
-        """Co-partitioned hash join for range-partitioned inputs: both
-        tables are partitioned on a join-equality pair with identical
-        bounds, so partition *i* of the left can only match partition *i*
-        of the right — the classic partitioned hash join.  Valid for
-        every join type (unlike the broadcast, nothing is replicated),
-        and the win is the Grace term: per-partition builds that fit in
-        sort memory skip the partition-spill I/O a monolithic build pays.
-        The gather is a plain exchange union (hash output is unordered
-        anyway), costing nothing.
-        """
-        left_plan, right_plan = unsharded.children
-        fan_outs = [next(self._fan_outs(side, contiguous=False), None)
-                    for side in (left_plan, right_plan)]
-        if None in fan_outs:
-            return None
-        (lviews, ltable), (rviews, rtable) = fan_outs
-        lp, rp = ltable.partitioning, rtable.partitioning
-        if (lp.bounds != rp.bounds or (lp.column, rp.column)
-                not in unsharded.arg("predicate").pairs):
-            return None
-        stats = unsharded.stats
-        # Join output apportioned by the per-partition row-count product.
-        raw = [lv.N * rv.N for lv, rv in zip(lviews, rviews)]
-        total_w = sum(raw) or 1.0
-        weights = [w / total_w for w in raw]
-        joins = [
-            replace(unsharded, stats=stats.scaled(w),
-                    self_cost=self.cost_model.hash_join(lv, rv, stats.N * w),
-                    children=(lc, rc))
-            for lc, rc, lv, rv, w in zip(
-                self._shards_of(left_plan, lviews, ltable),
-                self._shards_of(right_plan, rviews, rtable),
-                lviews, rviews, weights)]
-        return self._gathered(joins, False, unsharded)
+                    hash_join(*inputs), hash_join,
+                    lambda: self._copartitions(*inputs, pairs))
 
     # -- aggregation --------------------------------------------------------------------------
     def _group_candidates(self, expr: GroupBy, required: SortOrder,
                           bound: _Bound) -> Iterable[PhysicalPlan]:
         group_cols = list(expr.group_columns)
+        needs = set(group_cols).union(*(a.columns() for a in expr.aggregates))
+        child_eq = self.groups.of(expr.child).eq
         # Reduce with this subtree's FDs only: a sibling branch's constant
         # filter must not shrink the sort key a streaming aggregate groups
         # on (wrong merges of distinct groups otherwise).
@@ -760,70 +621,32 @@ class PhysicalSelection:
         for perm in self.strategy.group_orders(self.order_ctx, expr, reduced,
                                                required):
             child = self.optimize_goal(expr.child, perm, bound.value)
-            if child is None:
+            if child is None or not child.schema.has_all(needs):
                 continue
-            schema = self._agg_schema(expr, child.schema)
-            if schema is None:
-                continue
+
+            def aggregate(shard):
+                return self.builder.sort_aggregate(
+                    shard, perm, expr.aggregates, group_cols, logical=expr)
+            whole = aggregate(child)
+            # Per shard: each aggregates its (sorted) slice, the merge
+            # gathers one *partial* row per per-shard group (real
+            # per-shard distinct counts — under clustering skew far fewer
+            # than the uniform ``k·D/k = D``), and a SortedGroupCombine
+            # folds the groups that straddled shard boundaries.  Only
+            # aggregates with an exact combiner qualify (``avg`` would
+            # need a sum+count split), so recombined results are
+            # bit-identical to the unsharded plan.
             yield from self._and_sharded(
-                make_plan("SortAggregate", schema, perm,
-                          child.stats.grouped(group_cols, schema),
-                          self.cost_model.sort_aggregate(child.stats), [child],
-                          group_columns=tuple(group_cols),
-                          aggregates=tuple(expr.aggregates), logical=expr),
-                self._sharded_agg_alternative)
+                whole, aggregate,
+                lambda: combinable(expr.aggregates)
+                and self._sorted_shards_of(child, child_eq),
+                finish=lambda gather: self.builder.sorted_combine(
+                    gather, group_cols, expr.aggregates, whole.stats))
         if self.config.enable_hash_aggregate:
             child = self.optimize_goal(expr.child, EMPTY_ORDER, bound.value)
-            if child is None:
-                return
-            schema = self._agg_schema(expr, child.schema)
-            if schema is not None:
-                stats = child.stats.grouped(group_cols, schema)
-                yield make_plan("HashAggregate", schema, EMPTY_ORDER, stats,
-                                self.cost_model.hash_aggregate(child.stats, stats),
-                                [child], group_columns=tuple(group_cols),
-                                aggregates=tuple(expr.aggregates))
-
-    def _sharded_agg_alternative(self, unsharded: PhysicalPlan
-                                 ) -> Optional[PhysicalPlan]:
-        """Per-shard sort aggregation under a merge with a final combine:
-        each shard aggregates its slice (sorted per shard, so the whole
-        enforcement win composes), the merge gathers one *partial* row
-        per per-shard group (real per-shard distinct counts — under
-        clustering skew far fewer than the uniform ``k·D/k = D``), and a
-        :class:`SortedGroupCombine` folds the groups that straddled
-        shard boundaries.  Only aggregates with an
-        exact combiner qualify (``avg`` would need a sum+count split), so
-        recombined results are bit-identical to the unsharded plan.
-        """
-        aggregates = unsharded.arg("aggregates")
-        sharded = (self._sorted_shards_of(unsharded.children[0])
-                   if combinable(aggregates) else None)
-        if sharded is None:
-            return None
-        shards, disjoint = sharded
-        group_cols = list(unsharded.arg("group_columns"))
-        aggs = [
-            replace(unsharded,
-                    stats=shard.stats.grouped(group_cols, unsharded.schema),
-                    self_cost=self.cost_model.sort_aggregate(shard.stats),
-                    children=(shard,))
-            for shard in shards]
-        combine = make_plan("SortedCombine", unsharded.schema, unsharded.order,
-                            unsharded.stats, 0.0,
-                            group_columns=tuple(group_cols),
-                            aggregates=aggregates)
-        return self._gathered(aggs, disjoint, unsharded, combine)
-
-    def _agg_schema(self, expr: GroupBy, child_schema: Schema) -> Optional[Schema]:
-        from ...expr.aggregates import aggregate_output_schema
-        needed = set(expr.group_columns)
-        for spec in expr.aggregates:
-            needed |= spec.columns()
-        if not child_schema.has_all(needed):
-            return None
-        return aggregate_output_schema(list(expr.group_columns), child_schema,
-                                       list(expr.aggregates))
+            if child is not None and child.schema.has_all(needs):
+                yield self.builder.hash_aggregate(child, group_cols,
+                                                  expr.aggregates)
 
     # -- set operations --------------------------------------------------------------------------
     @staticmethod
@@ -866,87 +689,42 @@ class PhysicalSelection:
             child = self.optimize_goal(expr.child, perm, bound.value)
             if child is None:
                 continue
-            stats = child.stats.with_rows(
-                child.stats.distinct_of_set(columns))
-            yield from self._and_sharded(
-                make_plan("Dedup", child.schema, full_order, stats,
-                          self.cost_model.dedup(child.stats), [child]),
-                self._sharded_distinct_alternative, columns)
-        child = self.optimize_goal(expr.child, EMPTY_ORDER, bound.value)
-        if child is None:
-            return
-        stats = child.stats.with_rows(child.stats.distinct_of_set(columns))
-        yield make_plan("HashDedup", child.schema, EMPTY_ORDER, stats,
-                        self.cost_model.hash_dedup(child.stats, stats), [child])
 
-    def _sharded_distinct_alternative(self, unsharded: PhysicalPlan,
-                                      columns: list[str]
-                                      ) -> Optional[PhysicalPlan]:
-        """Per-shard DISTINCT under a merge with a merge-level final
-        dedup: each shard deduplicates its (sorted) slice, the
-        order-preserving merge gathers one row per per-shard distinct
-        value, and a final streaming :class:`Dedup` above the merge
-        drops duplicates that straddled shard boundaries — adjacent
-        after the merge, so the result is bit-identical to the
-        unsharded Dedup.  Wins when in-shard duplicates shrink the merge
-        input (the DISTINCT analogue of the per-shard aggregation) or
-        when the per-shard enforcers below already avoided a spill.
-        """
-        sharded = self._sorted_shards_of(unsharded.children[0])
-        if sharded is None:
-            return None
-        shards, disjoint = sharded
-        dedups = [
-            replace(unsharded, self_cost=self.cost_model.dedup(shard.stats),
-                    stats=shard.stats.with_rows(
-                        shard.stats.distinct_of_set(columns)),
-                    children=(shard,))
-            for shard in shards]
-        return self._gathered(dedups, disjoint, unsharded, finish=unsharded)
+            def dedup(shard, stats=None):
+                return self.builder.dedup(shard, full_order, columns, stats)
+            whole = dedup(child)
+            # Per shard: each deduplicates its (sorted) slice, the
+            # order-preserving merge gathers one row per per-shard
+            # distinct value, and the same Dedup above the merge drops
+            # duplicates that straddled shard boundaries — adjacent after
+            # the merge, so the result is bit-identical to the unsharded
+            # one.  Wins when in-shard duplicates shrink the merge input
+            # (the DISTINCT analogue of the per-shard aggregation) or when
+            # the per-shard enforcers below already avoided a spill.
+            yield from self._and_sharded(
+                whole, dedup, lambda: self._sorted_shards_of(child, child_eq),
+                finish=lambda gather: dedup(gather, stats=whole.stats))
+        child = self.optimize_goal(expr.child, EMPTY_ORDER, bound.value)
+        if child is not None:
+            yield self.builder.hash_dedup(child, columns)
 
     def _union_candidates(self, expr: Union, required: SortOrder,
                           bound: _Bound) -> Iterable[PhysicalPlan]:
         lgroup, rgroup = self.groups.of(expr.left), self.groups.of(expr.right)
         rename = dict(zip(lgroup.schema.names, rgroup.schema.names))
         columns = list(lgroup.schema.names)
-        left_eq, right_eq = lgroup.eq, rgroup.eq
         for perm in self.strategy.set_orders(self.order_ctx, expr, columns,
                                              required):
             full_order = self._complete_set_order(
-                perm, columns, [({}, left_eq), (rename, right_eq)])
+                perm, columns, [({}, lgroup.eq), (rename, rgroup.eq)])
             if full_order is None:
                 continue
-            left = self.optimize_goal(expr.left, perm, bound.value)
-            if left is None:
-                continue
-            right = self.optimize_goal(expr.right, perm.translate(rename),
-                                       bound.value - left.total_cost)
-            if right is None:
-                continue
-            stats = left.stats.union(right.stats, self.eq)
-            yield make_plan("MergeUnion", left.schema, full_order, stats,
-                            self.cost_model.merge_union(left.stats, right.stats),
-                            [left, right])
-        left = self.optimize_goal(expr.left, EMPTY_ORDER, bound.value)
-        if left is None:
-            return
-        right = self.optimize_goal(expr.right, EMPTY_ORDER,
-                                   bound.value - left.total_cost)
-        if right is None:
-            return
-        all_stats = left.stats.union(right.stats, self.eq)
-        union_all = make_plan("UnionAll", left.schema, EMPTY_ORDER, all_stats,
-                              0.0, [left, right])
-        dedup_stats = all_stats.with_rows(all_stats.distinct_of_set(columns))
-        yield make_plan("HashDedup", left.schema, EMPTY_ORDER, dedup_stats,
-                        self.cost_model.hash_dedup(all_stats, dedup_stats),
-                        [union_all])
-
-    def _limit_candidates(self, expr: Limit, required: SortOrder,
-                          bound: _Bound) -> Iterable[PhysicalPlan]:
-        child = self.optimize_goal(expr.child, required, bound.value)
-        if child is None:
-            return
-        stats = child.stats.with_rows(min(child.stats.N, expr.k))
-        yield make_plan("Limit", child.schema, child.order, stats, 0.0,
-                        [child], k=expr.k)
+            inputs = self._input_plans(expr, perm, perm.translate(rename),
+                                       bound)
+            if inputs is not None:
+                yield self.builder.merge_union(*inputs, full_order,
+                                               sort_inputs=False)
+        inputs = self._input_plans(expr, EMPTY_ORDER, EMPTY_ORDER, bound)
+        if inputs is not None:
+            yield self.builder.hash_dedup(self.builder.union_all(*inputs),
+                                          columns)

@@ -25,8 +25,9 @@ class PhysicalPlan:
     """One physical operator with children, statistics and cost.
 
     ``args`` holds operator-specific payload (table name, predicate,
-    target order, …) keyed by convention per ``op``; see
-    :mod:`repro.engine.lowering` for the authoritative list.
+    target order, …) keyed by convention per ``op``: written by the op's
+    constructor on :class:`~repro.optimizer.manual.PlanBuilder`, read by
+    :mod:`repro.engine.lowering`, which has the authoritative list.
     """
 
     op: str
@@ -138,6 +139,6 @@ class PhysicalPlan:
 def make_plan(op: str, schema: Schema, order: SortOrder, stats: StatsView,
               self_cost: float, children: Sequence[PhysicalPlan] = (),
               **args: Any) -> PhysicalPlan:
-    """Constructor shorthand used throughout the optimizer."""
+    """Node shorthand; :class:`PlanBuilder` is its only caller here."""
     return PhysicalPlan(op, schema, order, stats, float(self_cost),
                         tuple(children), tuple(args.items()))

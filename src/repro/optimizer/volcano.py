@@ -78,12 +78,12 @@ def split_required_order(query, required_order: Optional[SortOrder] = None
 class Optimizer:
     """Public facade: one instance per catalog, reusable across queries."""
 
-    def __init__(self, catalog: Catalog, strategy: str = "pyro-o",
+    def __init__(self, catalog: Catalog, strategy: Optional[str] = None,
                  config: Optional[OptimizerConfig] = None, **overrides) -> None:
-        if config is None:
-            config = OptimizerConfig(strategy=strategy)
-        else:
-            config = replace(config)  # never mutate the caller's config
+        # A private copy: never mutate the caller's config.
+        config = OptimizerConfig() if config is None else replace(config)
+        if strategy is not None:
+            overrides["strategy"] = strategy
         for key, value in overrides.items():
             if not hasattr(config, key):
                 raise TypeError(f"unknown optimizer option {key!r}")

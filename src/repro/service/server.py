@@ -166,7 +166,7 @@ class QueryServer:
                  default_timeout: Optional[float] = None,
                  cache_capacity: int = 256,
                  cache_ttl: Optional[float] = None,
-                 strategy: str = "pyro-o",
+                 strategy: Optional[str] = None,
                  config: Any = None,
                  pool_workers: Optional[int] = None,
                  mp_context: Optional[str] = None,

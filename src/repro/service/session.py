@@ -158,7 +158,7 @@ class QuerySession:
     forces a fresh search.
     """
 
-    def __init__(self, catalog: Catalog, strategy: str = "pyro-o",
+    def __init__(self, catalog: Catalog, strategy: Optional[str] = None,
                  config: Optional[OptimizerConfig] = None,
                  cache_capacity: int = 128,
                  cache_ttl: Optional[float] = None,

@@ -166,6 +166,13 @@ class Catalog:
         """``idx(R)``: all indexes over the table."""
         return list(self._by_table.get(table_name, []))
 
+    def index(self, table_name: str, index_name: str) -> Index:
+        """The index *index_name* over *table_name*."""
+        for index in self._by_table.get(table_name, ()):
+            if index.name == index_name:
+                return index
+        raise KeyError(f"no index {index_name!r} on table {table_name!r}")
+
     def covering_indexes(self, table_name: str, attributes: Iterable[str]) -> list[Index]:
         """Indexes over *table_name* that cover the attribute set."""
         attrs = set(attributes)

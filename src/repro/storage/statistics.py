@@ -379,8 +379,7 @@ class StatsView:
         union* when both sides carry a sketch — overlap-aware, so two
         branches over the same value domain no longer double-count — and
         fall back to the no-overlap sum otherwise, capped at the row
-        count.  Shared by the Annotator and the physical union candidates
-        so logical and physical estimates cannot diverge."""
+        count."""
         rows = self.num_rows + other.num_rows
         rename = dict(zip(self.schema.names, other.schema.names))
         distinct: dict[str, float] = {}

@@ -13,7 +13,7 @@ from repro.core.interesting import (
 )
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.engine import ExecutionContext, sort_stream
-from repro.logical import Annotator, Query, Union
+from repro.logical import Query, Union
 from repro.logical.algebra import OrderBy
 from repro.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.volcano import OptimizationRun
@@ -269,10 +269,11 @@ class TestUnionStatsRegression:
         return cat
 
     def test_annotator_union_distincts_combined(self, union_catalog):
-        expr = Query.table("small_domain").union(
-            Query.table("large_domain")).expr
-        assert isinstance(expr, Union)
-        stats = Annotator(union_catalog, expr).stats_of(expr)
+        query = Query.table("small_domain").union(Query.table("large_domain"))
+        assert isinstance(query.expr, Union)
+        plan = Optimizer(union_catalog).optimize(query)
+        stats = next(node for node in plan.walk()
+                     if node.op in ("MergeUnion", "UnionAll")).stats
         # Old behaviour: left-only → 10.  Fixed: 10 + 1000 (capped at N).
         assert stats.distinct_of("a") == 1_010
         assert stats.N == 20_000

@@ -1,5 +1,5 @@
 """Engine operator tests: scans, filter/project/compute, sort enforcers,
-aggregates, sets, limit/topk, lowering payloads."""
+aggregates, sets, limit, lowering payloads."""
 
 import random
 
@@ -23,7 +23,6 @@ from repro.engine import (
     Sort,
     SortAggregate,
     TableScan,
-    TopK,
     UnionAll,
 )
 from repro.expr import col
@@ -244,15 +243,6 @@ class TestLimitTopK:
         ctx_lim = ExecutionContext(catalog)
         Limit(TableScan(catalog.table("t")), 1).run(ctx_lim)
         assert ctx_lim.io.blocks_read <= ctx_all.io.blocks_read
-
-    def test_topk(self, rng):
-        rows = [(rng.randrange(1000), 0, i) for i in range(300)]
-        out = TopK(RowSource(SCHEMA, rows), 5, SortOrder(["a"])).run()
-        assert [r[0] for r in out] == sorted(r[0] for r in rows)[:5]
-
-    def test_topk_validation(self):
-        with pytest.raises(ValueError):
-            TopK(RowSource(SCHEMA, []), 0, SortOrder(["a"]))
 
 
 class TestExplain:

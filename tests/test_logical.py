@@ -17,6 +17,7 @@ from repro.logical import (
     Select,
     query_fds,
 )
+from repro.optimizer import Optimizer
 from repro.storage import Catalog, Schema, TableStats
 
 
@@ -88,31 +89,35 @@ class TestAnnotator:
         assert ann.used_attrs("t") == {"a", "c"}
         assert ann.used_attrs("u") == {"x", "y"}
 
+    # Cardinalities are a property of plan nodes (PlanBuilder's rules).
+    @staticmethod
+    def planned(catalog, query, *ops):
+        plan = Optimizer(catalog).optimize(query)
+        return next(node for node in plan.walk() if node.op in ops)
+
     def test_join_cardinality(self, catalog):
         q = Query.table("t").join("u", on=[("a", "x")])
-        ann = Annotator(catalog, q.expr)
+        join = self.planned(catalog, q, "MergeJoin", "HashJoin")
         # 1000 × 500 / max(10, 10)
-        assert ann.stats_of(q.expr).N == pytest.approx(50_000)
+        assert join.stats.N == pytest.approx(50_000)
 
     def test_groupby_cardinality(self, catalog):
         q = Query.table("t").group_by(["a"], count_star("n"))
-        ann = Annotator(catalog, q.expr)
-        assert ann.stats_of(q.expr).N == pytest.approx(10)
+        agg = self.planned(catalog, q, "SortAggregate", "HashAggregate")
+        assert agg.stats.N == pytest.approx(10)
 
     def test_select_scaling(self, catalog):
         q = Query.table("t").where(col("a").eq(1))
-        ann = Annotator(catalog, q.expr)
-        assert ann.stats_of(q.expr).N == pytest.approx(100)
+        assert self.planned(catalog, q, "Filter").stats.N == pytest.approx(100)
 
     def test_limit_caps(self, catalog):
         q = Query.table("t").limit(7)
-        ann = Annotator(catalog, q.expr)
-        assert ann.stats_of(q.expr).N == 7
+        assert self.planned(catalog, q, "Limit").stats.N == 7
 
     def test_outer_join_rows_at_least_input(self, catalog):
         q = Query.table("t").full_outer_join("u", on=[("b", "y")])
-        ann = Annotator(catalog, q.expr)
-        assert ann.stats_of(q.expr).N >= 1000
+        join = self.planned(catalog, q, "MergeJoin", "HashJoin")
+        assert join.stats.N >= 1000
 
 
 class TestFDs:

@@ -116,6 +116,7 @@ class TestLowering:
         from repro.expr.aggregates import count_star
         b = PlanBuilder(catalog)
         scan = b.table_scan("t")
+        by_all = SortOrder(["a", "b", "v"])
         plans = {
             "scan": scan,
             "cov": b.covering_scan("t", "t_ab"),
@@ -130,11 +131,31 @@ class TestLowering:
             "hashagg": b.hash_aggregate(scan, ["a"], [count_star("n")]),
             "limit": b.limit(scan, 3),
             "union_all": b.union_all(scan, scan),
+            "merge_union": b.merge_union(scan, scan, by_all),
+            "dedup": b.dedup(b.sort(scan, by_all), by_all),
+            "hash_dedup": b.hash_dedup(scan),
         }
+        # What the search's below-the-exchange placements are made of.
+        shards = [b.sort(b.shard_of(scan, 2, i, 0.5), SortOrder(["b"]))
+                  for i in range(2)]
+        plans["gather"] = b.gather(shards, SortOrder(["b"]), scan.stats)
+        partial = [b.sort_aggregate(shard, SortOrder(["b"]), [count_star("n")])
+                   for shard in shards]
+        whole = b.sort_aggregate(plans["sort"], SortOrder(["b"]),
+                                 [count_star("n")])
+        plans["combine"] = b.sorted_combine(
+            b.gather(partial, SortOrder(["b"]), whole.stats), ["b"],
+            [count_star("n")], whole.stats)
         for name, plan in plans.items():
             op = operators_from_plan(plan, catalog)
             rows = op.run(ExecutionContext(catalog, check_orders=True))
             assert isinstance(rows, list), name
+        assert plans["combine"].execute(catalog) == whole.execute(catalog)
+        assert len(plans["merge_union"].execute(catalog)) == len(
+            plans["hash_dedup"].execute(catalog)) == len(
+            plans["dedup"].execute(catalog))
+        assert sorted(plans["gather"].execute(catalog)) == sorted(
+            catalog.table("t").rows)
 
     def test_partial_sort_plan_requires_prefix(self, catalog):
         from repro.optimizer.plans import make_plan
@@ -167,6 +188,10 @@ class TestLowering:
                     for r in cat.table("u").rows
                     if l[1] == r[1] and l[0] == r[0]]
         assert sorted(rows) == sorted(expected)
+        hashed = b.hash_join(b.table_scan("t"), b.table_scan("u"),
+                             [("b", "y"), ("a", "x")])
+        assert sorted(hashed.execute(cat)) == sorted(expected)
+        assert hashed.stats.N == join.stats.N
 
     def test_plan_signature_and_describe(self, catalog):
         b = PlanBuilder(catalog)

@@ -239,6 +239,27 @@ class TestPlanStructure:
             with pytest.raises(TypeError):
                 QuerySession(stats_catalog, **{option: True})
 
+    def test_strategy_is_an_override_next_to_a_config(self, stats_catalog):
+        """``strategy=`` applies like any other override when ``config=``
+        is also passed (it was silently dropped), through all three
+        constructors; absent, the config's own strategy stands."""
+        from repro.service import QueryServer, QuerySession
+        config = OptimizerConfig(refine=False)
+        made = {
+            "optimizer": Optimizer(stats_catalog, "pyro-e", config=config),
+            "session": QuerySession(stats_catalog, strategy="pyro-e",
+                                    config=config).optimizer,
+        }
+        with QueryServer(stats_catalog, strategy="pyro-e",
+                         config=config) as server:
+            made["server"] = server._session().optimizer
+        assert {name: (o.config.strategy, o.config.refine)
+                for name, o in made.items()} == dict.fromkeys(
+                    made, ("pyro-e", False))
+        assert config.strategy == "pyro-o"  # the caller's stays untouched
+        kept = Optimizer(stats_catalog, config=OptimizerConfig(strategy="pyro-p"))
+        assert kept.config.strategy == "pyro-p"
+
     def test_cost_of_helper(self, stats_catalog):
         q = Query.table("r").order_by("b")
         assert Optimizer(stats_catalog).cost_of(q) > 0

@@ -72,10 +72,10 @@ def test_exhaustive_bit_identical_on_fuzz_corpus():
 
 
 def _sharded_plans():
-    """One plan per below-the-exchange alternative, on the fixtures of
-    ``test_shard_enforcers`` at parallelism 4 — the fuzz corpus reaches
-    only the per-shard enforcer, so these are what pins the other
-    builders' plans and costs."""
+    """``(catalog, query, plan)`` per below-the-exchange alternative, on
+    the fixtures of ``test_shard_enforcers`` at parallelism 4 — the fuzz
+    corpus reaches only the per-shard enforcer, so these are what pins
+    the other alternatives' plans and costs."""
     from unittest import mock
 
     import test_shard_enforcers as fx
@@ -85,7 +85,7 @@ def _sharded_plans():
     from repro.optimizer.volcano import OptimizationRun, split_required_order
 
     def plan(catalog, query, **options):
-        return QuerySession(catalog, **options).prepare(
+        return catalog, query, QuerySession(catalog, **options).prepare(
             query, parallelism=4).plan
 
     unmeasured = fx.spill_catalog()
@@ -138,7 +138,7 @@ def _sharded_plans():
                           pipeline.config)
     with mock.patch.object(physical_selection, "prefer_sharded",
                            lambda sharded, unsharded: True):
-        plans["broadcast_merge_join_left"] = next(
+        plans["broadcast_merge_join_left"] = broadcast_catalog, left, next(
             p for p in run._join_candidates(
                 expr, required, physical_selection._Bound())
             if p.op == "MergeExchange")
@@ -150,10 +150,115 @@ def test_sharded_alternatives_bit_identical():
     cost, captured before the builders were folded into shared steps."""
     plans = _sharded_plans()
     assert set(plans) == set(GOLDEN["sharded"])
-    for name, plan in plans.items():
+    for name, (_, _, plan) in plans.items():
         golden = GOLDEN["sharded"][name]
         assert plan.explain() == golden["explain"], name
         assert plan.total_cost == golden["cost"], name
+
+
+# -- one rule per operator: the search's nodes are the public builder's ------------------
+_GATHERS = ("MergeExchange", "ExchangeUnion")
+
+
+def _rebuilt(b, node, per_shard):
+    """*node* made again from its children by the public builder."""
+    kids, arg = node.children, node.arg
+    # A per-shard copy of a join is told its share of the whole estimate.
+    share = {"stats": node.stats} if per_shard else {}
+    return {
+        "TableScan": lambda: b.table_scan(arg("table")),
+        "ClusteringIndexScan": lambda: b.clustering_scan(arg("table")),
+        "CoveringIndexScan": lambda: b.covering_scan(arg("table"),
+                                                     arg("index")),
+        "Filter": lambda: b.filter(*kids, arg("predicate")),
+        "Project": lambda: b.project(*kids, arg("columns")),
+        "Compute": lambda: b.compute(*kids, arg("outputs")),
+        "Limit": lambda: b.limit(*kids, arg("k")),
+        # A per-shard enforcer carries the measured view it was priced on.
+        "Sort": lambda: b.sort(*kids, node.order, full=True,
+                               on=node.stats if per_shard else None),
+        "PartialSort": lambda: b.sort(*kids, node.order,
+                                      on=node.stats if per_shard else None),
+        "MergeJoin": lambda: b.merge_join(
+            *kids, arg("predicate").pairs, arg("join_type"),
+            sort_inputs=False, logical=arg("logical"), **share),
+        "HashJoin": lambda: b.hash_join(*kids, arg("predicate").pairs,
+                                        arg("join_type"), **share),
+        "SortAggregate": lambda: b.sort_aggregate(
+            *kids, node.order, arg("aggregates"), arg("group_columns")),
+        "HashAggregate": lambda: b.hash_aggregate(
+            *kids, arg("group_columns"), arg("aggregates")),
+        "SortedCombine": lambda: b.sorted_combine(
+            *kids, arg("group_columns"), arg("aggregates"), node.stats),
+        "MergeUnion": lambda: b.merge_union(*kids, node.order,
+                                            sort_inputs=False),
+        "UnionAll": lambda: b.union_all(*kids),
+        # Above a gather of Dedups it is their finisher.
+        "Dedup": lambda: b.dedup(*kids, node.order, **(
+            {"stats": node.stats} if kids[0].op in _GATHERS else {})),
+        "HashDedup": lambda: b.hash_dedup(*kids),
+        "MergeExchange": lambda: b.gather(kids, node.order, node.stats,
+                                          arg("disjoint")),
+        "ExchangeUnion": lambda: b.gather(kids, node.order, node.stats),
+    }[node.op]()
+
+
+def _facts(node, names):
+    return (node.op, node.schema.names, node.order, node.stats.N,
+            [node.stats.distinct_of(c) for c in names], node.self_cost)
+
+
+def _unlike_the_builders(catalog, query, plan):
+    """Nodes of *plan* that differ from what :class:`PlanBuilder` makes
+    of their children.  The clones of a scan chain below a gather are
+    passed over: each carries a share of its whole, not a function of
+    its child."""
+    from repro.engine.exchange import ORDER_PRESERVING_UNARY_OPS
+    from repro.optimizer.manual import PlanBuilder
+    from repro.optimizer.volcano import split_required_order
+    expr, _ = split_required_order(query)
+    builder = PlanBuilder(catalog, Annotator(catalog, expr).eq)
+    unlike = []
+
+    def visit(node, per_shard):
+        for child in node.children:
+            visit(child, per_shard or node.op in _GATHERS)
+        leaf = node
+        while leaf.op in ORDER_PRESERVING_UNARY_OPS:
+            leaf = leaf.children[0]
+        if leaf.op in ("ShardedScan", "RangePartitionScan"):
+            return
+        made = _rebuilt(builder, node, per_shard)
+        if _facts(made, node.schema.names) != _facts(node, node.schema.names):
+            unlike.append((node, made))
+
+    visit(plan, False)
+    return unlike
+
+
+def test_every_planned_node_is_what_the_builder_makes_of_its_children():
+    """Op, schema, order, row count, distincts and cost of every node of
+    the golden plans and the fuzz corpus follow from the node's children
+    by the public :class:`PlanBuilder` rule — the one hand-built baseline
+    plans are made by, so the two are comparable on estimated cost."""
+    import test_plan_fuzz as fuzz
+    cases = [(name, catalog, query, Optimizer(catalog).optimize(query))
+             for name, catalog, query in fig16_cases() + [
+                 ("many_join", many_join_catalog(), many_join_query())]]
+    cases += [(name, *case) for name, case in _sharded_plans().items()]
+    for seed in range(GOLDEN["fuzz"]["seeds"]):
+        rng = random.Random(seed)
+        catalog = fuzz.random_catalog(rng)
+        query = fuzz.random_query(rng, catalog)
+        cases += [(f"fuzz {seed} p{parallelism}", catalog, query,
+                   QuerySession(catalog).prepare(
+                       query, parallelism=parallelism).plan)
+                  for parallelism in (1, 4)]
+    nodes = 0
+    for name, catalog, query, plan in cases:
+        assert _unlike_the_builders(catalog, query, plan) == [], name
+        nodes += sum(1 for _ in plan.walk())
+    assert nodes > 700
 
 
 # -- registry and pre-check --------------------------------------------------------------

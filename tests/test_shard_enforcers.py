@@ -675,11 +675,19 @@ def test_gate_clone_and_gather_are_stated_once():
     """Every below-the-exchange alternative goes through the same three
     steps, so across ``src/repro`` the tie-break gate is called from the
     enforcer's estimate and the gather builder only, one function builds
-    a ``MergeExchange`` node, and one function clones a chain per shard."""
+    a ``MergeExchange`` node, and one function clones a chain per shard.
+
+    What a node's schema, order, statistics and cost are is stated once
+    as well: only the builder module calls ``make_plan`` or re-prices a
+    node (``dataclasses.replace(..., self_cost=)``).  And a sharded
+    operator is one constructor plus one call of the driver: nothing but
+    the driver and the enforcer placement assembles a gather, and no
+    alternative survives as its own method."""
     import ast
     from pathlib import Path
 
     import repro
+    from repro.optimizer.pipeline import PhysicalSelection
 
     def calls(node, function=None):
         """``(enclosing function name, called name, Call)`` per call."""
@@ -692,16 +700,29 @@ def test_gate_clone_and_gather_are_stated_once():
             yield from calls(child, inner)
 
     gates, gather_builders, clone_callers = [], set(), set()
+    node_makers, repricers, gatherers = set(), set(), set()
     for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
         for function, name, call in calls(ast.parse(path.read_text())):
             site = f"{path.name}:{function}"
             if name == "prefer_sharded":
                 gates.append(site)
-            elif name == "_shard_clone" and function != "_shard_clone":
+            elif name == "shard_of" and function != "shard_of":
                 clone_callers.add(site)
-            elif (name == "make_plan" and call.args
-                  and getattr(call.args[0], "value", None) == "MergeExchange"):
-                gather_builders.add(site)
+            elif name == "make_plan":
+                node_makers.add(path.name)
+                if getattr(call.args[0], "value", None) == "MergeExchange":
+                    gather_builders.add(site)
+            elif name == "replace" and any(
+                    keyword.arg == "self_cost" for keyword in call.keywords):
+                repricers.add(path.name)
+            elif name == "_gathered":
+                gatherers.add(site)
     assert len(gates) <= 2, gates
     assert len(gather_builders) == 1, gather_builders
     assert len(clone_callers) == 1, clone_callers
+    assert node_makers == {"manual.py"} and repricers <= node_makers, (
+        node_makers, repricers)
+    assert gatherers == {"physical_selection.py:_and_sharded",
+                         "physical_selection.py:_sharded_enforcement"}
+    assert not [name for name in vars(PhysicalSelection)
+                if name.endswith("_alternative") or "hash_join" in name]

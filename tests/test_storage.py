@@ -163,6 +163,29 @@ class TestCatalog:
         assert [i.name for i in cat.covering_indexes("t", {"a", "b"})] == ["ix"]
         assert cat.covering_indexes("t", {"a", "c"}) == []
 
+    def test_index_lookup_names_what_is_missing(self):
+        """An unknown covering index is a ``KeyError`` naming table and
+        index (it was a bare ``StopIteration``) — from the catalog, the
+        plan builder and lowering alike."""
+        from repro.optimizer.manual import PlanBuilder
+        cat = Catalog()
+        cat.create_table("t", Schema.of("a", "b"), rows=[(1, 2)])
+        cat.create_table("u", Schema.of("a"), rows=[(1,)])
+        ix = cat.create_index("ix", "t", SortOrder(["a"]), included=["b"])
+        assert cat.index("t", "ix") is ix
+        builder = PlanBuilder(cat)
+        scan = builder.covering_scan("t", "ix")
+        cat.create_index("ux", "u", SortOrder(["a"]))
+        stale = builder.covering_scan("u", "ux")
+        cat._by_table["u"].clear()  # the index is dropped under the plan
+        for lookup in (lambda: cat.index("t", "nope"),
+                       lambda: cat.index("u", "ix"),  # another table's
+                       lambda: builder.covering_scan("t", "nope"),
+                       lambda: stale.to_operator(cat)):
+            with pytest.raises(KeyError, match=r"no index '\w+' on table '\w+'"):
+                lookup()
+        assert scan.to_operator(cat).run()
+
     def test_alias_table(self):
         cat = Catalog()
         cat.create_table("t", Schema.of(("a", "int", 8), ("b", "int", 8)),

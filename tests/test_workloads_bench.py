@@ -10,7 +10,6 @@ from repro.bench import (
     pyro_o_q4,
     run_plan,
     speedup,
-    sys2_union_q4,
     sys_default_q4,
 )
 from repro.core.sort_order import SortOrder
@@ -24,7 +23,6 @@ from repro.workloads import (
     query4,
     query5,
     query6,
-    r_tables_stats_catalog,
     segmented_catalog,
     tpch_catalog,
     tpch_stats_catalog,
@@ -161,16 +159,6 @@ class TestBaselines:
         a = sorted(map(repr, sys_default_q4(cat).execute(cat)))
         b = sorted(map(repr, pyro_o_q4(cat).execute(cat)))
         assert a == b
-
-    def test_hand_built_union_estimates_like_the_search(self):
-        """``PlanBuilder`` unions price both branches' distincts, exactly
-        as the search and the Annotator do (``StatsView.union``)."""
-        plan = sys2_union_q4(r_tables_stats_catalog())
-        left, right = plan.children
-        merged = left.stats.union(right.stats)
-        assert [plan.stats.distinct_of(c) for c in plan.schema.names] == \
-            [merged.distinct_of(c) for c in plan.schema.names] != \
-            [left.stats.distinct_of(c) for c in plan.schema.names]
 
     def test_pyro_o_q3_shape(self, tpch_mini):
         plan = pyro_o_q3(tpch_mini)
