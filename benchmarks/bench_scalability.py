@@ -83,7 +83,7 @@ def test_fig16_scalability(benchmark, timings, results_sink):
 def test_fig16_goal_counts(benchmark, results_sink):
     """The underlying cause: subgoals examined per strategy."""
     from repro.core.interesting import make_strategy
-    from repro.optimizer.volcano import OptimizationRun
+    from repro.optimizer.pipeline import PhysicalSelection
     from repro.optimizer import OptimizerConfig
     from repro.core.sort_order import EMPTY_ORDER
 
@@ -94,7 +94,7 @@ def test_fig16_goal_counts(benchmark, results_sink):
                                  partial_sort_enforcers=partial,
                                  enable_hash_join=False,
                                  cost_bound_pruning=False)
-        run = OptimizationRun(cat, q.expr, strat, config)
+        run = PhysicalSelection(cat, q.expr, strat, config)
         run.optimize_goal(q.expr, EMPTY_ORDER)
         return run.goals_examined
 

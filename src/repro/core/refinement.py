@@ -21,7 +21,7 @@ regress — refinement is sound by construction.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from ..logical.algebra import Join, LogicalExpr
 from .favorable import FavorableOrders
@@ -31,7 +31,6 @@ from .tree_approx import OrderTreeNode, approximate_tree_orders
 if TYPE_CHECKING:  # pragma: no cover
     from ..optimizer.pipeline.groups import GroupTable
     from ..optimizer.plans import PhysicalPlan
-    from ..optimizer.volcano import Optimizer
 
 
 def merge_join_permutation(plan_node: "PhysicalPlan") -> SortOrder:
@@ -107,38 +106,33 @@ def free_attributes(plan_node: "PhysicalPlan", favorable: FavorableOrders,
     return best_prefix, frozenset(free)
 
 
-def refine_plan(optimizer: "Optimizer", expr: LogicalExpr, required: SortOrder,
-                plan: "PhysicalPlan", parallelism: int = 1,
-                groups: Optional["GroupTable"] = None) -> "PhysicalPlan":
+def refine_plan(plan: "PhysicalPlan", groups: "GroupTable",
+                replan: Callable[[dict[LogicalExpr, SortOrder]], "PhysicalPlan"]
+                ) -> "PhysicalPlan":
     """Apply phase-2 refinement; returns the original plan unless the
     reworked permutations strictly improve the estimated cost.
 
-    *parallelism* is threaded through to the re-optimization so the
-    refined plan competes under the same shard-aware enforcer placement
-    as the phase-1 plan it challenges.  *groups* is the group table of
-    the search that produced *plan*: its favorable orders are read here
-    and the re-optimization searches on it instead of deriving *expr*'s
-    logical properties a second and third time.
+    *groups* is the group table of the search that produced *plan*: its
+    favorable orders are read here.  *replan* re-optimizes that search's
+    tree with the reworked permutations forced (the caller re-searches on
+    *groups*, under the phase-1 configuration, so the refined plan
+    competes under the same shard-aware enforcer placement as the plan
+    it challenges); it is called at most once.
     """
     skeleton = collect_merge_join_tree(plan)
     if skeleton is None:
         return plan
 
-    if groups is None:
-        from ..optimizer.pipeline.groups import GroupTable
-        groups = GroupTable(optimizer.catalog, expr)
     favorable = groups.favorable
     eq = groups.annotator.eq
 
     fixed_prefixes: dict[int, SortOrder] = {}
-    free_sets: dict[int, frozenset[str]] = {}
     logical_of: dict[int, LogicalExpr] = {}
     any_free = False
     for node in skeleton.walk():
         plan_node: "PhysicalPlan" = node.payload  # type: ignore[assignment]
         prefix, free = free_attributes(plan_node, favorable, eq)
         fixed_prefixes[node.node_id] = prefix
-        free_sets[node.node_id] = free
         logical = plan_node.arg("logical")
         if logical is not None:
             logical_of[node.node_id] = logical
@@ -160,6 +154,5 @@ def refine_plan(optimizer: "Optimizer", expr: LogicalExpr, required: SortOrder,
 
     if not forced:
         return plan
-    refined = optimizer.optimize_with_forced_orders(
-        expr, required, forced, parallelism=parallelism, groups=groups)
+    refined = replan(forced)
     return refined if refined.total_cost < plan.total_cost else plan

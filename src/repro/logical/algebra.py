@@ -213,6 +213,15 @@ def derive_schema(catalog: Catalog, expr: LogicalExpr,
     raise TypeError(f"unknown logical node {type(expr).__name__}")
 
 
+def output_schema(catalog: Catalog, expr: LogicalExpr) -> Schema:
+    """Output schema of a whole tree: :func:`derive_schema` folded bottom
+    up and nothing else — for a caller that reads one schema off a tree
+    it does not search (whole-query equivalences and used attributes are
+    an :class:`Annotator`'s, and cost a pass each)."""
+    return derive_schema(catalog, expr, [output_schema(catalog, child)
+                                         for child in expr.children])
+
+
 def equivalence_pairs(expr: LogicalExpr,
                       children: Sequence[tuple[list[tuple[str, str]], Schema]]
                       ) -> list[tuple[str, str]]:
@@ -313,10 +322,6 @@ class Annotator:
         cached = self._schema.get(expr)
         if cached is not None:
             return cached
-        schema = self._derive_schema(expr)
-        self._schema[expr] = schema
+        schema = self._schema[expr] = derive_schema(
+            self.catalog, expr, [self.schema_of(c) for c in expr.children])
         return schema
-
-    def _derive_schema(self, expr: LogicalExpr) -> Schema:
-        return derive_schema(self.catalog, expr,
-                             [self.schema_of(c) for c in expr.children])

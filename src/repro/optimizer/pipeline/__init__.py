@@ -15,7 +15,6 @@ from .parameterization import (
     bind_expression,
     bind_plan,
     expression_params,
-    parameterize,
     plan_params,
 )
 from .physical_selection import (
@@ -41,7 +40,6 @@ __all__ = [
     "enforcement_chain_scan",
     "expression_params",
     "make_enumerator",
-    "parameterize",
     "plan_params",
     "run_pre_check",
     "shardable_enforcement_input",

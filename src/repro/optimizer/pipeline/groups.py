@@ -1,6 +1,6 @@
 """The group table — the logical half of the search's Cascades split.
 
-A *group* stands for one logical node of a candidate tree and holds what
+A *group* stands for one logical node of the searched tree and holds what
 is a property of that node's **result**, whatever physical plan ends up
 producing it: output schema, the FDs and attribute equivalences valid on
 the node's own subtree, and the FD-reduced, equivalence-canonical form
@@ -39,7 +39,7 @@ __all__ = ["Group", "GroupTable"]
 
 
 class Group:
-    """Logical properties of one node of the candidate tree."""
+    """Logical properties of one node of the searched tree."""
 
     __slots__ = ("gid", "expr", "children", "schema", "pairs", "eq", "fds",
                  "_goals")
@@ -76,7 +76,7 @@ class Group:
 
 
 class GroupTable:
-    """Groups of one candidate tree, plus the whole-query annotations
+    """Groups of one searched tree, plus the whole-query annotations
     (equivalence classes, used attributes, favorable orders) that go with
     it — everything about the tree that does not depend on the order
     strategy, so phase-2 refinement reuses it as is."""

@@ -1,7 +1,7 @@
 """Stage 2 — join-order enumeration.
 
-A :class:`JoinOrderEnumerator` maps one logical tree to the list of
-join-order *candidate trees* the physical-selection stage should search.
+A :class:`JoinOrderEnumerator` maps one logical tree to the one tree
+the physical-selection stage searches: join order is decided here, once.
 The default :class:`ExhaustiveEnumerator` returns the tree unchanged —
 the paper's search already explores every merge-join permutation and
 sharding alternative *within* the given join shape, so the default
@@ -25,7 +25,7 @@ original output column order.  Any ambiguity — duplicate column names,
 join attributes resolvable to more than one leaf, a disconnected join
 graph, or predicate pairs that cannot be re-oriented into a valid
 left-deep conjunction — makes the rewrite bail out and keep the
-original region: a candidate tree is always exactly equivalent to the
+original region: a reordered tree is always exactly equivalent to the
 input or it is not produced.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Optional, Union as TUnion
 
-from ...logical.algebra import Annotator, BaseRelation, Join, LogicalExpr, Project
+from ...logical.algebra import BaseRelation, Join, LogicalExpr, Project, output_schema
 from ...expr.expressions import JoinPredicate
 from ...storage.catalog import Catalog
 
@@ -57,12 +57,12 @@ _M2M_FANOUT = 1.05
 
 
 class JoinOrderEnumerator:
-    """Interface of stage 2: logical tree → join-order candidate trees.
+    """Interface of stage 2: logical tree → the tree to search.
 
-    Subclasses override :meth:`candidate_trees`; every returned tree
-    must be result-equivalent to the input (same rows, same output
-    columns in the same order).  Returning ``[expr]`` means "search the
-    query as written".
+    Subclasses override :meth:`reorder`; the returned tree must be
+    result-equivalent to the input (same rows, same output columns in
+    the same order).  Returning *expr* itself means "search the query as
+    written".
     """
 
     #: Registry key; also the default cache salt.
@@ -76,8 +76,7 @@ class JoinOrderEnumerator:
         pre-pipeline fingerprints stay valid."""
         return self.name
 
-    def candidate_trees(self, catalog: Catalog,
-                        expr: LogicalExpr) -> list[LogicalExpr]:
+    def reorder(self, catalog: Catalog, expr: LogicalExpr) -> LogicalExpr:
         raise NotImplementedError
 
 
@@ -92,9 +91,8 @@ class ExhaustiveEnumerator(JoinOrderEnumerator):
     def cache_salt(self) -> str:
         return ""  # the unsalted baseline
 
-    def candidate_trees(self, catalog: Catalog,
-                        expr: LogicalExpr) -> list[LogicalExpr]:
-        return [expr]
+    def reorder(self, catalog: Catalog, expr: LogicalExpr) -> LogicalExpr:
+        return expr
 
 
 # -- join-region analysis ---------------------------------------------------------------
@@ -136,8 +134,7 @@ def _analyze_region(catalog: Catalog, leaves: list[LogicalExpr],
     when the region cannot be safely reordered."""
     if len(leaves) < 3:
         return None  # no ordering freedom worth committing to
-    schemas = [tuple(Annotator(catalog, leaf).schema_of(leaf).names)
-               for leaf in leaves]
+    schemas = [tuple(output_schema(catalog, leaf).names) for leaf in leaves]
     owner: dict[str, int] = {}
     for i, names in enumerate(schemas):
         for name in names:
@@ -207,27 +204,23 @@ class _ReorderingEnumerator(JoinOrderEnumerator):
     """Shared driver for enumerators that commit to one rewritten order
     per inner-join region (template method: :meth:`_order_leaves`)."""
 
-    def candidate_trees(self, catalog: Catalog,
-                        expr: LogicalExpr) -> list[LogicalExpr]:
-        return [self._rewrite(catalog, expr)]
-
-    def _rewrite(self, catalog: Catalog, node: LogicalExpr) -> LogicalExpr:
-        if isinstance(node, Join) and node.join_type == "inner":
-            return self._rewrite_region(catalog, node)
-        if not node.children:
-            return node
-        if len(node.children) == 2:
-            left = self._rewrite(catalog, node.left)     # type: ignore[attr-defined]
-            right = self._rewrite(catalog, node.right)   # type: ignore[attr-defined]
-            if left is node.left and right is node.right:  # type: ignore[attr-defined]
-                return node
-            return replace(node, left=left, right=right)
-        child = self._rewrite(catalog, node.child)       # type: ignore[attr-defined]
-        return node if child is node.child else replace(node, child=child)  # type: ignore[attr-defined]
+    def reorder(self, catalog: Catalog, expr: LogicalExpr) -> LogicalExpr:
+        if isinstance(expr, Join) and expr.join_type == "inner":
+            return self._rewrite_region(catalog, expr)
+        if not expr.children:
+            return expr
+        if len(expr.children) == 2:
+            left = self.reorder(catalog, expr.left)     # type: ignore[attr-defined]
+            right = self.reorder(catalog, expr.right)   # type: ignore[attr-defined]
+            if left is expr.left and right is expr.right:  # type: ignore[attr-defined]
+                return expr
+            return replace(expr, left=left, right=right)
+        child = self.reorder(catalog, expr.child)       # type: ignore[attr-defined]
+        return expr if child is expr.child else replace(expr, child=child)  # type: ignore[attr-defined]
 
     def _rewrite_region(self, catalog: Catalog, expr: LogicalExpr) -> LogicalExpr:
         leaves, edge_groups = _flatten_region(expr)
-        new_leaves = [self._rewrite(catalog, leaf) for leaf in leaves]
+        new_leaves = [self.reorder(catalog, leaf) for leaf in leaves]
         region = _analyze_region(catalog, new_leaves, edge_groups)
         if region is None:
             return _rebuild_as_written(expr, list(new_leaves))

@@ -33,7 +33,7 @@ from ...expr.expressions import (
 from ..plans import PhysicalPlan
 
 __all__ = ["bind_expression", "expression_params", "plan_params",
-           "bind_plan", "parameterize"]
+           "bind_plan"]
 
 
 def bind_expression(expr: Expression, binds: dict[str, Any]) -> Expression:
@@ -86,7 +86,8 @@ def expression_params(expr: Expression) -> frozenset[str]:
 
 
 def plan_params(plan: PhysicalPlan) -> frozenset[str]:
-    """All parameter names referenced anywhere in a physical plan."""
+    """All parameter names referenced anywhere in a physical plan — the
+    stage's entry point: bind-readiness *is* this set."""
     names: frozenset[str] = frozenset()
     for node in plan.walk():
         for key, value in node.args:
@@ -99,11 +100,6 @@ def plan_params(plan: PhysicalPlan) -> frozenset[str]:
                 for spec in value:
                     names |= expression_params(spec.arg)
     return names
-
-
-#: Stage entry point: the pipeline driver calls this on the chosen plan;
-#: today bind-readiness *is* the parameter-name set.
-parameterize = plan_params
 
 
 def bind_plan(plan: PhysicalPlan, binds: dict[str, Any]) -> PhysicalPlan:

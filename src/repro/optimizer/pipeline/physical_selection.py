@@ -7,10 +7,10 @@ enforcers, shard-aware enforcer/join/aggregate/distinct placement, and
 the cost-bounded branch-and-bound memo with Columbia's re-search
 discipline.
 
-One :class:`PhysicalSelection` instance searches one candidate join
-tree (stage 2 may produce several; the pipeline driver in
-:mod:`repro.optimizer.volcano` runs one search per candidate and keeps
-the cheapest plan).  The search is split the Cascades way: what is true
+One :class:`PhysicalSelection` instance searches one join tree: the one
+stage 2 decided on (the pipeline driver in :mod:`repro.optimizer.volcano`
+builds one per query, and one more on the same group table when phase 2
+forces orders).  The search is split the Cascades way: what is true
 of a logical node's *result* lives once per group in the
 :class:`~.groups.GroupTable`; the search itself only holds what depends
 on a requested order — the memo of ``(group id, canonical order)``

@@ -15,14 +15,15 @@ The four stages, in order:
 
 1. **pre_check** — validate knobs, resolve strategy + enumerator
    (once per :class:`Optimizer`);
-2. **join_enumeration** — logical tree → join-order candidate trees;
-3. **physical_selection** — cost-based Volcano search per candidate
-   tree (one :class:`~.physical_selection.PhysicalSelection` each);
+2. **join_enumeration** — logical tree → the tree to search (join
+   order is decided here);
+3. **physical_selection** — cost-based Volcano search of that tree (one
+   :class:`~.physical_selection.PhysicalSelection` per query);
 4. **parameterization** — bind-readiness of the chosen plan for the
    plan cache.
 
 Stages 2–4 are driven per query by
-:class:`~repro.optimizer.volcano.OptimizationRun`.
+:meth:`repro.optimizer.volcano.Optimizer.optimize`.
 """
 
 from __future__ import annotations

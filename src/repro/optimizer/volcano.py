@@ -4,7 +4,7 @@ Request-driven search: ``optimize_goal(expr, required_order)`` returns
 the cheapest physical plan for a logical expression that *guarantees*
 the required sort order, memoised on ``(expr, canonical(order))``.
 Every native candidate (scans, joins per interesting order, aggregates,
-…) is passed through :meth:`OptimizationRun.enforce`, which appends
+…) is passed through :meth:`PhysicalSelection.enforce`, which appends
 
 * nothing, when the candidate's guaranteed order already satisfies the
   (FD-reduced) requirement;
@@ -19,18 +19,16 @@ one search engine.  Phase-2 refinement (Section 5.2.2) lives in
 :mod:`repro.core.refinement` and re-enters this optimizer with a
 :class:`~repro.core.interesting.ForcedOrderStrategy`.
 
-Since the staged-pipeline refactor this module is the *driver*: the
-search itself lives in :mod:`repro.optimizer.pipeline` as four explicit
-stages (pre-check → join enumeration → physical selection →
-parameterization) composed by an
-:class:`~repro.optimizer.pipeline.OptimizationPipeline`.  The
-:class:`Optimizer` facade builds one pipeline from its
-:class:`~repro.optimizer.pipeline.OptimizerConfig` and every entry
-point — ``optimize``, phase-2 refinement, ``cost_of`` — reuses it;
-:class:`OptimizationRun` drives stages 2–4 for a single query, running
-one :class:`~repro.optimizer.pipeline.PhysicalSelection` search per
-join-order candidate tree and keeping the cheapest plan.  See
-``docs/optimizer.md``.
+This module is the *driver*: the search itself lives in
+:mod:`repro.optimizer.pipeline` as four explicit stages (pre-check →
+join enumeration → physical selection → parameterization).  The
+:class:`Optimizer` facade resolves its
+:class:`~repro.optimizer.pipeline.OptimizerConfig` into one pipeline,
+and :meth:`Optimizer.optimize` is what happens to a query: stage 2 maps
+its tree to the tree to search (join order is fixed there), stage 3 is
+one :class:`~repro.optimizer.pipeline.PhysicalSelection` on that tree,
+phase 2 re-searches it on that search's group table, and stage 4 reads
+the parameter names off the winner.  See ``docs/optimizer.md``.
 """
 
 from __future__ import annotations
@@ -39,24 +37,30 @@ import time
 from dataclasses import replace
 from typing import Optional
 
-from ..core.interesting import ForcedOrderStrategy, OrderStrategy
+from ..core.interesting import ForcedOrderStrategy
+from ..core.refinement import refine_plan
 from ..core.sort_order import EMPTY_ORDER, SortOrder
-from ..logical.algebra import LogicalExpr, OrderBy, referenced_tables
+from ..logical.algebra import (
+    LogicalExpr,
+    OrderBy,
+    output_schema,
+    referenced_tables,
+)
 from ..logical.builder import Query
 from ..obs.trace import child_span
 from ..storage.catalog import Catalog
 from .plans import PhysicalPlan
 from .pipeline import (
-    ExhaustiveEnumerator,
+    JoinOrderEnumerator,
     OptimizationPipeline,
     OptimizerConfig,
     PhysicalSelection,
-    parameterize,
+    plan_params,
 )
 from .pipeline.groups import GroupTable
 
-#: Search-effort counters aggregated across every per-candidate search
-#: of a run — the per-stage telemetry surfaced by ``QuerySession.stats``.
+#: A search's effort counters — the per-stage telemetry surfaced by
+#: ``QuerySession.stats``.
 _SEARCH_COUNTERS = ("goals_examined", "goals_pruned", "goals_failed",
                     "goals_researched", "memo_hits", "failure_memo_hits")
 
@@ -73,6 +77,26 @@ def split_required_order(query, required_order: Optional[SortOrder] = None
         required = expr.order
         expr = expr.child
     return expr, required
+
+
+def reordered_tree(catalog: Catalog, enumerator: JoinOrderEnumerator,
+                   expr: LogicalExpr) -> LogicalExpr:
+    """Stage 2: the tree *enumerator* wants searched in place of *expr*.
+
+    The registry enumerators are equivalent by construction; a custom
+    one is checked, not trusted: unless it hands back the input node, its
+    tree must read the same tables and produce the same output columns
+    in the same order, or this raises (as a raising enumerator, or a
+    tree too malformed to derive a schema for, does).
+    """
+    tree = enumerator.reorder(catalog, expr)
+    if tree is not expr and (
+            referenced_tables(tree) != referenced_tables(expr)
+            or output_schema(catalog, tree).names
+            != output_schema(catalog, expr).names):
+        raise ValueError(f"{type(enumerator).__name__} returned a tree that "
+                         "is not equivalent to the query as written")
+    return tree
 
 
 class Optimizer:
@@ -94,10 +118,13 @@ class Optimizer:
         #: strategy *and* enumerator), never a rebuilt default.
         self.pipeline = OptimizationPipeline.from_config(config)
         self.config = self.pipeline.config
-        self._strategy = self.pipeline.strategy
         #: Per-stage telemetry of the most recent :meth:`optimize` call
-        #: (refinement re-searches included); see ``docs/optimizer.md``.
+        #: (its refinement re-search included); see ``docs/optimizer.md``.
         self.last_telemetry: dict[str, float] = {}
+        #: Stage 4's output for the plan the most recent :meth:`optimize`
+        #: returned: the plan cache's miss path reads it, so a cold
+        #: prepare walks its plan once.
+        self.last_param_names: frozenset[str] = frozenset()
 
     def optimize(self, query, required_order: Optional[SortOrder] = None,
                  refine: Optional[bool] = None,
@@ -114,20 +141,41 @@ class Optimizer:
         # Stage spans are ambient no-ops unless a query trace is active
         # (the serving layer activates one around plan preparation).
         with child_span("pre_check", strategy=self.config.strategy):
-            pipeline = self._pipeline_for(parallelism)
-            run = OptimizationRun(self.catalog, expr, pipeline.strategy,
-                                  pipeline.config, pipeline=pipeline)
-        plan = run.optimize(required)
-        self.last_telemetry = run.telemetry()
-        do_refine = self.config.refine if refine is None else refine
-        if do_refine:
-            from ..core.refinement import refine_plan
-            # Refine the tree the run actually chose — under a
-            # reordering enumerator the as-written tree may not match
-            # the plan's join shape — on that search's group table.
-            plan = refine_plan(self, run.chosen.root, required, plan,
-                               parallelism=pipeline.config.parallelism,
-                               groups=run.chosen.groups)
+            pipeline = self.pipeline.with_parallelism(parallelism)
+        with child_span("join_enumeration", candidates=1,
+                        enumerator=type(pipeline.enumerator).__name__
+                        ) as enum_span:
+            start = time.perf_counter()
+            try:
+                tree = reordered_tree(self.catalog, pipeline.enumerator, expr)
+            except Exception as exc:
+                # The plug-in boundary: whatever a custom enumerator got
+                # wrong, the query as written is always a valid tree.
+                tree = expr
+                enum_span.tag(rejected=repr(exc))
+            enumerator_seconds = time.perf_counter() - start
+        with child_span("physical_selection") as select_span:
+            search = PhysicalSelection(self.catalog, tree, pipeline.strategy,
+                                       pipeline.config)
+            plan = search.optimize_goal(tree, required)
+            plan = search.ensure_schema(plan, tree)
+            select_span.tag(candidates=1, cost=plan.total_cost)
+        effort = {name: getattr(search, name) for name in _SEARCH_COUNTERS}
+        if self.config.refine if refine is None else refine:
+            # Phase 2 pins orders onto nodes of the tree that was searched
+            # (under a reordering enumerator not the as-written one), on
+            # that search's group table.
+            def replan(forced: dict[LogicalExpr, SortOrder]) -> PhysicalPlan:
+                refined, again = self._forced_search(
+                    tree, required, forced, pipeline, search.groups)
+                for name in _SEARCH_COUNTERS:
+                    effort[name] += getattr(again, name)
+                return refined
+            plan = refine_plan(plan, search.groups, replan)
+        with child_span("parameterization"):
+            self.last_param_names = plan_params(plan)
+        self.last_telemetry = {"enumerator_seconds": enumerator_seconds,
+                               "join_order_candidates": 1, **effort}
         return plan
 
     def optimize_with_forced_orders(self, expr: LogicalExpr, required: SortOrder,
@@ -143,149 +191,23 @@ class Optimizer:
         caller has it (the memo is fresh either way: goals are optimal
         only under the strategy that searched them).
         """
-        pipeline = self._pipeline_for(parallelism)
-        strategy = ForcedOrderStrategy(pipeline.strategy, forced)
-        run = OptimizationRun(self.catalog, expr, strategy, pipeline.config,
-                              groups=groups)
-        plan = run.optimize_goal(expr, required or EMPTY_ORDER)
-        plan = run.ensure_schema(plan, expr)
-        self._merge_telemetry(run.telemetry())
-        return plan
+        return self._forced_search(expr, required or EMPTY_ORDER, forced,
+                                   self.pipeline.with_parallelism(parallelism),
+                                   groups)[0]
 
-    def _pipeline_for(self, parallelism: Optional[int]) -> OptimizationPipeline:
-        """The constructed pipeline at the requested shard fan-out —
-        never a rebuilt default (same strategy/enumerator objects)."""
-        return self.pipeline.with_parallelism(parallelism)
+    def _forced_search(self, expr: LogicalExpr, required: SortOrder,
+                       forced: dict[LogicalExpr, SortOrder],
+                       pipeline: OptimizationPipeline,
+                       groups: Optional[GroupTable]
+                       ) -> tuple[PhysicalPlan, PhysicalSelection]:
+        """The forced re-search's plan, and the search for its effort."""
+        search = PhysicalSelection(
+            self.catalog, expr, ForcedOrderStrategy(pipeline.strategy, forced),
+            pipeline.config, groups)
+        plan = search.optimize_goal(expr, required)
+        return search.ensure_schema(plan, expr), search
 
     def cost_of(self, query, required_order: Optional[SortOrder] = None,
                 parallelism: Optional[int] = None) -> float:
         return self.optimize(query, required_order,
                              parallelism=parallelism).total_cost
-
-    def _merge_telemetry(self, telemetry: dict[str, float]) -> None:
-        """Fold a refinement re-search's counters into the last
-        :meth:`optimize` telemetry (refinement is part of the same
-        logical optimization from the caller's point of view)."""
-        if not self.last_telemetry:
-            self.last_telemetry = telemetry
-            return
-        for key, value in telemetry.items():
-            if isinstance(value, (int, float)):
-                self.last_telemetry[key] = (
-                    self.last_telemetry.get(key, 0) + value)
-
-
-class OptimizationRun(PhysicalSelection):
-    """Drives pipeline stages 2–4 for one query.
-
-    Subclasses :class:`~repro.optimizer.pipeline.PhysicalSelection`, so
-    the pre-pipeline API — ``optimize_goal``, ``enforce``, the memo and
-    the search counters — keeps working on the run itself; that search
-    state covers the as-written tree.  :meth:`optimize` additionally
-    runs join enumeration (stage 2), searches every candidate tree (a
-    fresh :class:`PhysicalSelection` per rewritten tree), keeps the
-    cheapest plan, and computes its bind-readiness (stage 4).
-    """
-
-    def __init__(self, catalog: Catalog, root: LogicalExpr,
-                 strategy: OrderStrategy, config: OptimizerConfig,
-                 pipeline: Optional[OptimizationPipeline] = None,
-                 groups: Optional[GroupTable] = None) -> None:
-        super().__init__(catalog, root, strategy, config, groups)
-        if pipeline is None:
-            # Direct construction (tests, benchmarks, forced-order
-            # re-planning): search the tree as written.
-            pipeline = OptimizationPipeline(config, strategy,
-                                            ExhaustiveEnumerator())
-        self.pipeline = pipeline
-        #: Stage-2 wall time of the last :meth:`optimize`.
-        self.enumerator_seconds = 0.0
-        #: Candidate trees actually searched by the last :meth:`optimize`.
-        self.join_order_candidates = 0
-        #: Stage-4 output: parameter names the chosen plan needs bound.
-        self.param_names: frozenset[str] = frozenset()
-        # The run is itself the as-written tree's search; holding only
-        # the *other* searches keeps a finished run free of reference
-        # cycles, so it (and the catalog it pins) dies with its last
-        # reference instead of waiting for the cyclic collector.
-        self._other_searches: list[PhysicalSelection] = []
-        self._chosen_other: Optional[PhysicalSelection] = None
-
-    @property
-    def chosen(self) -> PhysicalSelection:
-        """The search whose plan won (the as-written tree's until
-        :meth:`optimize` decides otherwise) — phase-2 refinement must
-        refine its tree, on its group table, not the original's."""
-        return self if self._chosen_other is None else self._chosen_other
-
-    def optimize(self, required: SortOrder) -> PhysicalPlan:
-        """Stages 2–4: enumerate join orders, search each candidate,
-        return the cheapest plan (bit-identical to the pre-pipeline
-        optimizer under the default exhaustive enumerator)."""
-        with child_span("join_enumeration",
-                        enumerator=type(self.pipeline.enumerator).__name__
-                        ) as enum_span:
-            start = time.perf_counter()
-            trees = list(self.pipeline.enumerator.candidate_trees(
-                self.catalog, self.root)) or [self.root]
-            self.enumerator_seconds = time.perf_counter() - start
-            enum_span.tag(candidates=len(trees))
-        root_tables = referenced_tables(self.root)
-        root_schema = self.groups.root.schema.names
-        best: Optional[PhysicalPlan] = None
-        best_search: PhysicalSelection = self
-        seen: set[LogicalExpr] = set()
-        self.join_order_candidates = 0
-        with child_span("physical_selection") as select_span:
-            for tree in trees:
-                if tree in seen:
-                    continue
-                seen.add(tree)
-                if tree == self.root:
-                    search: PhysicalSelection = self
-                    tree = self.root
-                else:
-                    # An enumerator's candidate must be exactly equivalent:
-                    # same tables, same output columns in the same order.
-                    # Anything else (a misbehaving custom enumerator) is
-                    # skipped rather than trusted.
-                    try:
-                        if referenced_tables(tree) != root_tables:
-                            continue
-                        search = PhysicalSelection(self.catalog, tree,
-                                                   self.strategy, self.config)
-                        if search.groups.root.schema.names != root_schema:
-                            continue
-                    except Exception:
-                        continue
-                    self._other_searches.append(search)
-                self.join_order_candidates += 1
-                plan = search.optimize_goal(tree, required)
-                plan = search.ensure_schema(plan, tree)
-                if best is None or plan.total_cost < best.total_cost:
-                    best = plan
-                    best_search = search
-            if best is None:
-                # Every candidate was rejected: fall back to the query as
-                # written (always a valid candidate).
-                self.join_order_candidates = 1
-                best = self.optimize_goal(self.root, required)
-                best = self.ensure_schema(best, self.root)
-            select_span.tag(candidates=self.join_order_candidates,
-                            cost=best.total_cost)
-        self._chosen_other = None if best_search is self else best_search
-        with child_span("parameterization"):
-            self.param_names = parameterize(best)
-        return best
-
-    def telemetry(self) -> dict[str, float]:
-        """Per-stage search telemetry, aggregated over every candidate
-        search of this run (keys documented in ``docs/optimizer.md``)."""
-        out: dict[str, float] = {
-            "enumerator_seconds": self.enumerator_seconds,
-            "join_order_candidates": self.join_order_candidates,
-        }
-        for counter in _SEARCH_COUNTERS:
-            out[counter] = sum(getattr(s, counter)
-                               for s in (self, *self._other_searches))
-        return out

@@ -112,7 +112,10 @@ class PreparedQuery:
         self.required_order = required
         self.from_cache = from_cache
         self.tables = tables
-        self.param_names = plan_params(plan)
+        # A plan just optimized went through stage 4 on its way here;
+        # only a cached one is walked for the parameters it needs bound.
+        self.param_names = (plan_params(plan) if from_cache
+                            else session.optimizer.last_param_names)
 
     @property
     def total_cost(self) -> float:
@@ -232,15 +235,11 @@ class QuerySession:
         self.metrics.optimize_seconds += time.perf_counter() - start
         self.metrics.optimizations += 1
         telemetry = self.optimizer.last_telemetry
-        self.metrics.enumerator_seconds += telemetry.get(
-            "enumerator_seconds", 0.0)
-        self.metrics.join_order_candidates += int(telemetry.get(
-            "join_order_candidates", 0))
-        self.metrics.goals_examined += int(telemetry.get("goals_examined", 0))
-        self.metrics.goals_pruned += int(telemetry.get("goals_pruned", 0))
-        self.metrics.memo_hits += int(telemetry.get("memo_hits", 0))
-        self.metrics.failure_memo_hits += int(telemetry.get(
-            "failure_memo_hits", 0))
+        for name in ("enumerator_seconds", "join_order_candidates",
+                     "goals_examined", "goals_pruned", "memo_hits",
+                     "failure_memo_hits"):
+            setattr(self.metrics, name,
+                    getattr(self.metrics, name) + telemetry[name])
         if parallelism > 1:
             gathers = plan.find_all("MergeExchange")
             if any(c.op == "MergeJoin" for g in gathers for c in g.children) \

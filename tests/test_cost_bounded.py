@@ -16,7 +16,7 @@ from repro.engine import ExecutionContext, sort_stream
 from repro.logical import Query, Union
 from repro.logical.algebra import OrderBy
 from repro.optimizer import Optimizer, OptimizerConfig
-from repro.optimizer.volcano import OptimizationRun
+from repro.optimizer.pipeline import PhysicalSelection
 from repro.storage import Catalog, Schema, SystemParameters, TableStats
 from repro.workloads import query5, trading_stats_catalog
 from tests.conftest import fig16_cases
@@ -31,7 +31,7 @@ def _run_goal(cat, query, strategy, prune):
     config = OptimizerConfig(strategy=strategy,
                              partial_sort_enforcers=partial,
                              cost_bound_pruning=prune)
-    run = OptimizationRun(cat, expr, strat, config)
+    run = PhysicalSelection(cat, expr, strat, config)
     plan = run.optimize_goal(expr, required)
     return plan, run
 
@@ -66,7 +66,7 @@ class TestBranchAndBound:
         q = query5()
         _, run = _run_goal(cat, q, "pyro-o", True)
         expr = q.expr.child if isinstance(q.expr, OrderBy) else q.expr
-        fresh = OptimizationRun(cat, expr, make_strategy("pyro-o")[0],
+        fresh = PhysicalSelection(cat, expr, make_strategy("pyro-o")[0],
                                 OptimizerConfig())
         assert fresh.optimize_goal(expr, EMPTY_ORDER, limit=0.0) is None
         assert fresh.goals_pruned == 1
@@ -84,7 +84,7 @@ class TestBranchAndBound:
             stats=TableStats(100_000, {"a": 50, "b": 5000}),
             clustering_order=SortOrder(["a"]))
         expr = Query.table("r").expr
-        run = OptimizationRun(cat, expr, make_strategy("pyro-o")[0],
+        run = PhysicalSelection(cat, expr, make_strategy("pyro-o")[0],
                               OptimizerConfig())
         scan = run.optimize_goal(expr, EMPTY_ORDER)
         enforced = run.enforce(scan, SortOrder(["b"]))
@@ -116,7 +116,7 @@ class TestFailureMemo:
             stats=TableStats(500_000, {"a": 50, "b": 5000}),
             clustering_order=SortOrder(["a"]))
         expr = Query.table("r").expr
-        run = OptimizationRun(cat, expr, make_strategy("pyro-o")[0],
+        run = PhysicalSelection(cat, expr, make_strategy("pyro-o")[0],
                               OptimizerConfig())
         return run, expr
 
@@ -147,7 +147,7 @@ class TestFailureMemo:
         """A plan found under a finite budget is the true optimum."""
         run, expr = run_and_goal
         required = SortOrder(["b"])
-        unbounded = OptimizationRun(run.catalog, expr,
+        unbounded = PhysicalSelection(run.catalog, expr,
                                     make_strategy("pyro-o")[0],
                                     OptimizerConfig(cost_bound_pruning=False))
         exact = unbounded.optimize_goal(expr, required)
@@ -162,7 +162,7 @@ class TestFailureMemo:
         just above the optimum must succeed after a failure just below."""
         run, expr = run_and_goal
         required = SortOrder(["b"])
-        probe = OptimizationRun(run.catalog, expr, make_strategy("pyro-o")[0],
+        probe = PhysicalSelection(run.catalog, expr, make_strategy("pyro-o")[0],
                                 OptimizerConfig(cost_bound_pruning=False))
         optimum = probe.optimize_goal(expr, required).total_cost
         assert run.optimize_goal(expr, required, limit=optimum * 0.5) is None

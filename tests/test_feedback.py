@@ -463,9 +463,9 @@ class TestGreedyM2MMeasuredDistincts:
         catalog = m2m_star_catalog(materialized=True)
         # Stats-only tables have no shards to sketch: c_y defaults to
         # key-like and the blowup join is ordered first.
-        blind_tree, = enumerator.candidate_trees(
+        blind_tree = enumerator.reorder(
             m2m_star_catalog(materialized=False), root)
-        measured_tree, = enumerator.candidate_trees(catalog, root)
+        measured_tree = enumerator.reorder(catalog, root)
         assert blind_tree != measured_tree
         rows = {}
         join_rows = {}

@@ -208,11 +208,11 @@ class TestPlanStructure:
 
     def test_memo_reuses_subgoals(self, stats_catalog):
         from repro.logical import Annotator
-        from repro.optimizer.volcano import OptimizationRun
+        from repro.optimizer.pipeline import PhysicalSelection
         from repro.core.interesting import make_strategy
         q = Query.table("r").join("s", on=[("a", "x"), ("b", "y")])
         strategy, _ = make_strategy("pyro-e")
-        run = OptimizationRun(stats_catalog, q.expr, strategy, OptimizerConfig())
+        run = PhysicalSelection(stats_catalog, q.expr, strategy, OptimizerConfig())
         run.optimize_goal(q.expr, EMPTY_ORDER)
         first = run.goals_examined
         run.optimize_goal(q.expr, EMPTY_ORDER)

@@ -33,8 +33,8 @@ from repro.logical.algebra import Annotator, Union
 from repro.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.pipeline import groups as groups_module
 from repro.optimizer.pipeline.groups import GroupTable
+from repro.optimizer.pipeline.physical_selection import PhysicalSelection
 from repro.optimizer.plans import PhysicalPlan
-from repro.optimizer.volcano import OptimizationRun
 from repro.core.interesting import make_strategy
 from repro.service import QuerySession
 from repro.storage import Catalog, Schema, TableStats
@@ -56,11 +56,18 @@ def assert_costs_stored(plan: PhysicalPlan) -> None:
 
 # -- work per decision on the many-join query --------------------------------------------
 @pytest.fixture
-def counted_prepare(monkeypatch):
+def counted_prepare(request, monkeypatch):
     """One cold prepare of the many-join query (exhaustive x pyro-e,
-    parallelism 1) with the derivation entry points counted."""
-    counts = {"annotators": 0, "fd_nodes": 0, "joins": 0}
+    parallelism 1) with the derivation entry points counted; an indirect
+    parameter names another join enumerator."""
+    counts = {"group_tables": 0, "annotators": 0, "fd_nodes": 0, "joins": 0}
     join_inputs = []  # (left, right, pairs) — held, so ids stay distinct
+
+    table_init = GroupTable.__init__
+    def counting_table_init(self, catalog, root):
+        counts["group_tables"] += 1
+        table_init(self, catalog, root)
+    monkeypatch.setattr(GroupTable, "__init__", counting_table_init)
 
     annotator_init = Annotator.__init__
     def counting_init(self, catalog, root):
@@ -82,8 +89,9 @@ def counted_prepare(monkeypatch):
         return stats_join(self, other, join_pairs, eq)
     monkeypatch.setattr(StatsView, "join", counting_join)
 
-    session = QuerySession(many_join_catalog(), join_enumerator="exhaustive",
-                           strategy="pyro-e")
+    session = QuerySession(
+        many_join_catalog(), strategy="pyro-e",
+        join_enumerator=getattr(request, "param", "exhaustive"))
     query = many_join_query()
     prepared = session.prepare(query, parallelism=1)
     return session, query, prepared, counts, join_inputs
@@ -110,6 +118,24 @@ def test_one_annotator_and_one_fd_pass_per_searched_tree(counted_prepare):
     assert counts["annotators"] == 1  # phase 2 reuses phase 1's table
     nodes = sum(1 for _ in query.expr.child.walk())
     assert counts["fd_nodes"] == nodes == 15
+
+
+@pytest.mark.parametrize("counted_prepare", ["simpli-squared", "greedy-m2m"],
+                         indirect=True)
+def test_one_table_and_the_same_effort_under_reordering_enumerators(
+        counted_prepare):
+    """A reordered tree is the only tree that gets a group table: the
+    as-written one is read for its tables and root schema, nothing more,
+    and a region leaf for its schema without an annotator of its own."""
+    session, _, prepared, counts, _ = counted_prepare
+    assert counts["group_tables"] == counts["annotators"] == 1
+    # The restoring Project is a node of the searched tree.
+    restoring = prepared.plan.find_all("Project")
+    assert restoring and counts["fd_nodes"] == 16
+    stats = session.stats()
+    assert stats["goals_examined"] == 45
+    assert stats["memo_hits"] == 82
+    assert stats["join_order_candidates"] == 1
 
 
 def test_total_cost_is_stored_not_rewalked(counted_prepare):
@@ -189,7 +215,7 @@ def test_equal_but_distinct_subtrees_share_a_group(rs_catalog):
     other = Query.table("r").join("s", on=[("b", "y")]).expr
     assert table.of(other) is not table.of(left.child)
     # One memo slot per (group, order): the second branch's goal is a hit.
-    run = OptimizationRun(rs_catalog, Union(left, right),
+    run = PhysicalSelection(rs_catalog, Union(left, right),
                           make_strategy("pyro-o")[0], OptimizerConfig())
     plan = run.optimize_goal(left, SortOrder(["a"]))
     before = run.goals_examined
@@ -236,7 +262,7 @@ def test_identity_keys_keep_their_objects_alive(rs_catalog):
     gc.collect()
     assert ref() is not None and table.of(ref()) is group
 
-    run = OptimizationRun(rs_catalog, root, make_strategy("pyro-o")[0],
+    run = PhysicalSelection(rs_catalog, root, make_strategy("pyro-o")[0],
                           OptimizerConfig())
     run.optimize_goal(root, EMPTY_ORDER)
     assert run._derived

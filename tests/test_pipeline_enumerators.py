@@ -82,7 +82,7 @@ def _sharded_plans():
     from repro.expr import col
     from repro.expr.aggregates import agg_sum, count_star
     from repro.optimizer.pipeline import physical_selection
-    from repro.optimizer.volcano import OptimizationRun, split_required_order
+    from repro.optimizer.volcano import split_required_order
 
     def plan(catalog, query, **options):
         return catalog, query, QuerySession(catalog, **options).prepare(
@@ -134,8 +134,8 @@ def _sharded_plans():
     left = Query.table("r").join("dim", on=[("c2", "d2")], how="left")
     expr, required = split_required_order(left.order_by("c2"))
     pipeline = Optimizer(broadcast_catalog, parallelism=4).pipeline
-    run = OptimizationRun(broadcast_catalog, expr, pipeline.strategy,
-                          pipeline.config)
+    run = physical_selection.PhysicalSelection(
+        broadcast_catalog, expr, pipeline.strategy, pipeline.config)
     with mock.patch.object(physical_selection, "prefer_sharded",
                            lambda sharded, unsharded: True):
         plans["broadcast_merge_join_left"] = broadcast_catalog, left, next(
@@ -291,11 +291,11 @@ def test_rewrite_bails_on_small_and_outer_regions():
     catalog = many_join_catalog()
     enum = SimpliSquaredEnumerator()
     two_way = Query.table("l0").join("l1", on=[("l0_a", "l1_a")]).expr
-    assert list(enum.candidate_trees(catalog, two_way)) == [two_way]
+    assert enum.reorder(catalog, two_way) is two_way
     outer = (Query.table("l0")
              .join("l1", on=[("l0_a", "l1_a")], how="full")
              .join("l2", on=[("l1_b", "l2_a")], how="full")).expr
-    assert list(enum.candidate_trees(catalog, outer)) == [outer]
+    assert enum.reorder(catalog, outer) is outer
 
 
 @pytest.mark.parametrize("name", ["simpli-squared", "greedy-m2m"])
@@ -306,11 +306,11 @@ def test_rewrite_preserves_tables_and_schema(name):
     catalog = many_join_catalog()
     root = many_join_query().expr
     enum = make_enumerator(name)
-    trees = list(enum.candidate_trees(catalog, root))
-    assert len(trees) == 1 and trees[0] != root
+    tree = enum.reorder(catalog, root)
+    assert tree != root
     annotator = Annotator(catalog, root)
-    rewritten_annotator = Annotator(catalog, trees[0])
-    assert (rewritten_annotator.schema_of(trees[0]).names
+    rewritten_annotator = Annotator(catalog, tree)
+    assert (rewritten_annotator.schema_of(tree).names
             == annotator.schema_of(root).names)
 
 
@@ -379,9 +379,9 @@ class _CountingEnumerator(ExhaustiveEnumerator):
     def __init__(self):
         self.calls = 0
 
-    def candidate_trees(self, catalog, expr):
+    def reorder(self, catalog, expr):
         self.calls += 1
-        return [expr]
+        return expr
 
 
 def test_pipeline_reused_across_optimize_refine_and_cost_of():
@@ -393,11 +393,11 @@ def test_pipeline_reused_across_optimize_refine_and_cost_of():
     optimizer = Optimizer(catalog, join_enumerator=enum)
     assert optimizer.pipeline.enumerator is enum
     # with_parallelism must share the enumerator, not rebuild one.
-    assert optimizer._pipeline_for(4).enumerator is enum
-    assert optimizer._pipeline_for(4).config.parallelism == 4
+    assert optimizer.pipeline.with_parallelism(4).enumerator is enum
+    assert optimizer.pipeline.with_parallelism(4).config.parallelism == 4
     optimizer.optimize(query5())
     # Refinement re-searches the chosen tree without re-enumerating:
-    # exactly one candidate_trees call per optimize().
+    # exactly one reorder call per optimize().
     assert enum.calls == 1
     optimizer.cost_of(query5())
     assert enum.calls == 2
@@ -415,6 +415,152 @@ def test_pipeline_with_parallelism_identity():
     assert wide.strategy is pipeline.strategy
     assert wide.enumerator is pipeline.enumerator
     assert isinstance(pipeline, OptimizationPipeline)
+
+
+# -- the plug-in boundary: a custom enumerator is checked, not trusted --------------------
+class _OtherTables(ExhaustiveEnumerator):
+    name = "other-tables"
+
+    def reorder(self, catalog, expr):
+        return Query.table("l0").join("l1", on=[("l0_a", "l1_a")]).expr
+
+
+class _PermutedColumns(ExhaustiveEnumerator):
+    """The right tables, but the size-ordered join without the
+    ``Project`` that restores the as-written column order."""
+    name = "permuted-columns"
+
+    def reorder(self, catalog, expr):
+        return SimpliSquaredEnumerator().reorder(catalog, expr).child
+
+
+class _Raising(ExhaustiveEnumerator):
+    name = "raising"
+
+    def reorder(self, catalog, expr):
+        raise KeyError("no such statistics")
+
+
+class _Malformed(ExhaustiveEnumerator):
+    name = "malformed"
+
+    def reorder(self, catalog, expr):
+        return Query.table("no_such_table").expr
+
+
+@pytest.mark.parametrize(
+    "enumerator", [_OtherTables, _PermutedColumns, _Raising, _Malformed])
+@pytest.mark.parametrize("refine", [False, True])
+def test_rejected_enumerator_plans_the_query_as_written(enumerator, refine):
+    catalog = many_join_catalog()
+    query = many_join_query()
+    as_written = Optimizer(catalog, refine=refine)
+    expected = as_written.optimize(query)
+    optimizer = Optimizer(catalog, refine=refine, join_enumerator=enumerator())
+    plan = optimizer.optimize(query)
+    assert plan.explain() == expected.explain()
+    assert plan.total_cost == expected.total_cost
+    assert optimizer.last_telemetry["join_order_candidates"] == 1
+    for counter in ("goals_examined", "memo_hits", "goals_pruned"):
+        assert (optimizer.last_telemetry[counter]
+                == as_written.last_telemetry[counter]), counter
+    # Through the serving layer too, where the counters are summed.
+    session = QuerySession(catalog, join_enumerator=enumerator())
+    assert session.prepare(query).explain() == \
+        QuerySession(catalog).prepare(query).explain()
+    assert session.stats()["join_order_candidates"] == 1
+
+
+def test_rejection_is_reported_on_the_enumeration_span():
+    from repro.obs.trace import Tracer
+    catalog = many_join_catalog()
+    for enumerator, reason in ((_Raising, "no such statistics"),
+                               (_OtherTables, "not equivalent"),
+                               (SimpliSquaredEnumerator, None)):
+        trace = Tracer().start("prepare")
+        with trace.span("prepare"):
+            Optimizer(catalog, join_enumerator=enumerator()).optimize(
+                many_join_query())
+        span = trace.find("join_enumeration")
+        assert span.tags["candidates"] == 1
+        if reason is None:
+            assert "rejected" not in span.tags
+        else:
+            assert reason in span.tags["rejected"]
+
+
+class _Recording(SimpliSquaredEnumerator):
+    """A valid custom reordering that remembers the tree it proposed."""
+    name = "recording"
+
+    def reorder(self, catalog, expr):
+        self.tree = super().reorder(catalog, expr)
+        return self.tree
+
+
+def test_accepted_custom_tree_is_the_tree_searched_and_refined():
+    catalog = many_join_catalog()
+    query = many_join_query()
+    enumerator = _Recording()
+    optimizer = Optimizer(catalog, join_enumerator=enumerator,
+                          enable_hash_join=False)
+    plan = optimizer.optimize(query)
+    assert enumerator.tree != query.expr.child
+    reference = Optimizer(catalog, join_enumerator="simpli-squared",
+                          enable_hash_join=False)
+    assert plan.explain() == reference.optimize(query).explain()
+    assert optimizer.last_telemetry == {
+        **reference.last_telemetry,
+        "enumerator_seconds": optimizer.last_telemetry["enumerator_seconds"]}
+    # Phase 2 re-searched (its effort is in the telemetry) ...
+    unrefined = Optimizer(catalog, join_enumerator=_Recording(), refine=False,
+                          enable_hash_join=False)
+    unrefined.optimize(query)
+    assert (optimizer.last_telemetry["goals_examined"]
+            > unrefined.last_telemetry["goals_examined"])
+    # ... on the enumerator's tree: every merge join of the plan stands
+    # for a join node of the tree that was handed back.
+    nodes = {id(node) for node in enumerator.tree.walk()}
+    joins = plan.find_all("MergeJoin")
+    assert len(joins) == 7
+    assert all(id(join.arg("logical")) in nodes for join in joins)
+
+
+def test_the_run_has_one_search_and_no_search_is_a_run():
+    """The driver is stated once: no class extends the search, it is
+    constructed at two sites (phase 1 and the forced re-search of phase
+    2), phase 2 never builds a group table of its own, and the names of
+    the candidate-list driver are gone from the sources and the guide."""
+    import ast
+    import inspect
+    import re
+
+    import repro
+    from repro.core.refinement import refine_plan
+
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    sources = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
+    subclasses, sites = [], []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and "PhysicalSelection" in map(
+                    name, node.bases):
+                subclasses.append(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.Call) and \
+                    name(node.func) == "PhysicalSelection":
+                sites.append(path.name)
+    assert subclasses == []
+    assert sites == ["volcano.py", "volcano.py"]
+    assert (inspect.signature(refine_plan).parameters["groups"].default
+            is inspect.Parameter.empty)
+    gone = re.compile(r"candidate_trees|_other_searches|_chosen_other"
+                      r"|\.chosen\b|OptimizationRun|_merge_telemetry")
+    docs = sorted((pathlib.Path(__file__).parent.parent / "docs").glob("*.md"))
+    assert [f"{path.name}:{number}" for path in sources + docs
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)] == []
 
 
 # -- telemetry ---------------------------------------------------------------------------

@@ -142,6 +142,32 @@ class TestQuerySession:
         assert session.prepare(template).from_cache
         assert session.metrics.optimizations == 1
 
+    def test_cold_prepare_walks_the_plan_for_parameters_once(
+            self, small_catalog, monkeypatch):
+        """Stage 4's names reach the ``PreparedQuery`` the miss path
+        builds; only a cache hit walks the (cached) plan for them."""
+        from repro.optimizer import volcano
+        from repro.optimizer.pipeline import plan_params
+        from repro.service import session as session_module
+        walks = []
+        def counting(plan):
+            walks.append(plan)
+            return plan_params(plan)
+        monkeypatch.setattr(volcano, "plan_params", counting)
+        monkeypatch.setattr(session_module, "plan_params", counting)
+        template = (Query.table("left")
+                    .join("right", on=[("a", "c"), ("b", "d")])
+                    .where(col("x").lt(param("hi")))
+                    .where(col("y").gt(param("lo")))
+                    .order_by("a", "b"))
+        session = QuerySession(small_catalog)
+        cold = session.prepare(template)
+        assert not cold.from_cache and len(walks) == 1
+        warm = session.prepare(template)
+        assert warm.from_cache and len(walks) == 2
+        assert cold.param_names == warm.param_names == {"hi", "lo"}
+        assert cold.param_names == plan_params(cold.plan)
+
     def test_missing_binding_raises(self, small_catalog):
         template = Query.table("left").where(col("a").eq(param("pa")))
         prepared = QuerySession(small_catalog).prepare(template)
