@@ -21,12 +21,20 @@
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..expr.aggregates import AGGREGATES, AggSpec, aggregate_output_schema
-from .batch import COLUMNAR_MIN_ROWS, RowBatch, batches_of, drain_full, run_starts
+from .batch import (
+    COLUMNAR_MIN_ROWS,
+    RowBatch,
+    batches_of,
+    drain_full,
+    gather,
+    run_starts,
+)
 from .context import ExecutionContext
 from .iterators import Operator, tuple_getter
 from .kernels import OperatorKernels, compile_kernels
@@ -56,16 +64,31 @@ def _fold_sorted_groups(batches: Iterable[RowBatch], positions: Sequence[int],
     """Streaming group fold shared by the sort-based aggregations.
 
     Groups are runs of equal raw keys, found a batch at a time
-    (:func:`~repro.engine.batch.run_starts`); the group open at the end
-    of a batch carries its states into the next.  ``head_of`` gives a
-    group's leading output columns from its first row, ``values_of`` one
-    input column per aggregate for a whole batch.  One comparison is
-    tallied per input row (the group-boundary test), in bulk.
+    (:func:`~repro.engine.batch.run_starts`).  Only the group open at
+    the end of a batch is folded row by row: it carries its *states*
+    (O(1) memory) into the next batch.  The groups that close inside a
+    batch are aggregated together, a column at a time
+    (:func:`_closed_groups`).  ``head_of`` gives a group's leading output
+    columns from its first row, ``values_of`` one input column per
+    aggregate for a whole batch.  One comparison is tallied per input
+    row (the group-boundary test), in bulk.
     """
     counter, size = ctx.comparisons, ctx.batch_size
     inits = [func.init for func in funcs]
     finals = [func.final for func in funcs]
     folds = [(j, func.step, func.ignores_null) for j, func in enumerate(funcs)]
+
+    def fold(columns: Sequence[Sequence], start: int, end: Optional[int]) -> None:
+        for j, step, ignores_null in folds:
+            state = states[j]
+            for value in columns[j][start:end]:
+                if value is not None or not ignores_null:
+                    state = step(state, value)
+            states[j] = state
+
+    def closed() -> tuple:
+        return head + tuple([final(s) for final, s in zip(finals, states)])
+
     current_key: Optional[tuple] = None
     head: tuple = ()
     states: list = []
@@ -75,26 +98,59 @@ def _fold_sorted_groups(batches: Iterable[RowBatch], positions: Sequence[int],
         columns = values_of(batch)
         counter.value += len(keys)
         starts = run_starts(keys)
-        for start, end in zip(starts, starts[1:] + [len(keys)]):
-            if start or current_key is None or keys[0] != current_key:
-                if current_key is not None:
-                    out.append(head + tuple(
-                        [final(s) for final, s in zip(finals, states)]))
-                current_key = keys[start]
-                head = head_of(rows[start])
-                states = [init() for init in inits]
-            for j, step, ignores_null in folds:
-                state = states[j]
-                for value in columns[j][start:end]:
-                    if value is not None or not ignores_null:
-                        state = step(state, value)
-                states[j] = state
+        last = starts[-1]
+        first = 0  # index in *starts* of the first run not dealt with
+        if current_key is not None:
+            if keys[0] == current_key:
+                fold(columns, 0, starts[1] if last else None)
+                if not last:
+                    continue  # still open at the end of this batch
+                first = 1
+            out.append(closed())
+        if starts[first] < last:
+            out.extend(_closed_groups(rows, columns, starts[first:], head_of,
+                                      funcs))
+        current_key, head = keys[last], head_of(rows[last])
+        states = [init() for init in inits]
+        fold(columns, last, None)
         if len(out) >= size:
             yield from drain_full(out, size)
     if current_key is not None:
-        out.append(head + tuple([final(s) for final, s in zip(finals, states)]))
-    if out:
-        yield RowBatch(out)
+        out.append(closed())
+    yield from batches_of(out, size)
+
+
+def _closed_groups(rows: list[tuple], columns: Sequence[Sequence],
+                   starts: list[int], head_of: Callable[[tuple], tuple],
+                   funcs: Sequence) -> Iterator[tuple]:
+    """Output rows of the groups ``rows[starts[i]:starts[i + 1]]`` (the
+    last entry of *starts* only ends the last group).
+
+    Each aggregate takes its ``bulk`` form over every group's slice of
+    its column — no Python step per group — when the region holds no
+    value it would ignore, and folds ``step`` group by group otherwise.
+    """
+    begins, ends = starts[:-1], starts[1:]
+    lo, hi = starts[0], starts[-1]
+    results = []
+    for func, column in zip(funcs, columns):
+        if func.bulk is not None and not (func.ignores_null
+                                          and None in column[lo:hi]):
+            results.append(map(func.bulk, map(column.__getitem__,
+                                              map(slice, begins, ends))))
+            continue
+        init, step, final = func.init, func.step, func.final
+        skip_null = func.ignores_null
+        result = []
+        for begin, end in zip(begins, ends):
+            state = init()
+            for value in column[begin:end]:
+                if value is not None or not skip_null:
+                    state = step(state, value)
+            result.append(final(state))
+        results.append(result)
+    return map(add, map(head_of, gather(rows, begins)),
+               zip(*results) if results else repeat(()))
 
 
 class SortAggregate(Operator):
@@ -301,7 +357,7 @@ class HashAggregate(Operator):
             ctx.charge_blocks_for_rows(len(groups), self.schema.row_bytes,
                                        direction="read", category="partition")
 
-        return batches_of(
+        yield from batches_of(
             (key + tuple(f.final(s) for f, s in zip(funcs, states))
              for key, states in groups.items()),
             ctx.batch_size)

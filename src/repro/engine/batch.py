@@ -152,7 +152,7 @@ class RowBatch:
         """All values of one column (by schema position); zero-copy view.
 
         On a row-backed batch this extracts *only* the requested column
-        (one comprehension) and memoizes it — a kernel touching two of
+        (one C-level pass) and memoizes it — a kernel touching two of
         ten columns never pays for the other eight.  The full transpose
         happens only when ``columns`` itself is asked for.
         """
@@ -167,7 +167,7 @@ class RowBatch:
             _TELEMETRY.columnar_batches += 1
         col = memo.get(position)
         if col is None:
-            col = memo[position] = [row[position] for row in self._rows]
+            col = memo[position] = list(map(itemgetter(position), self._rows))
         return col
 
     def _is_identity(self, positions: Sequence[int]) -> bool:
@@ -187,10 +187,9 @@ class RowBatch:
             return self.rows
         if len(positions) == 1:
             pos = positions[0]
-            return [(v,) for v in self.column(pos)] if self._cols is not None \
-                else [(row[pos],) for row in self._rows]
-        getter = itemgetter(*positions)
-        return [getter(row) for row in self.rows]
+            return list(zip(self._cols[pos] if self._cols is not None
+                            else map(itemgetter(pos), self._rows)))
+        return list(map(itemgetter(*positions), self.rows))
 
     def project(self, positions: Sequence[int]) -> "RowBatch":
         """A batch projected to the given positions.
@@ -213,14 +212,10 @@ class RowBatch:
             return [()] * self._length
         if self._cols is not None:
             cols = self._cols
-            if len(positions) == 1:
-                return [(v,) for v in cols[positions[0]]]
             return list(zip(*[cols[p] for p in positions]))
         if len(positions) == 1:
-            pos = positions[0]
-            return [(row[pos],) for row in self._rows]
-        getter = itemgetter(*positions)
-        return [getter(row) for row in self._rows]
+            return list(zip(map(itemgetter(positions[0]), self._rows)))
+        return list(map(itemgetter(*positions), self._rows))
 
     def filter(self, keep: Callable[[tuple], bool]) -> "RowBatch":
         """A new batch holding only rows satisfying *keep*."""
@@ -232,16 +227,17 @@ class RowBatch:
         Returns ``self`` untouched when every row survives, and an empty
         (falsy) batch when none do.
         """
-        alive = sum(1 for m in mask if m)
+        # Prefer the row side when it exists: one C-level compress (its
+        # length is the survivor count) beats a per-column compress plus
+        # the transpose a row consumer would pay downstream.
+        if self._rows is not None:
+            kept = list(compress(self._rows, mask))
+            return self if len(kept) == self._length else RowBatch(kept)
+        alive = sum(map(bool, mask))
         if alive == self._length:
             return self
         if alive == 0:
             return RowBatch([])
-        # Prefer the row side when it exists: one zip-filter beats a
-        # per-column compress plus the transpose a row consumer would
-        # pay downstream.
-        if self._rows is not None:
-            return RowBatch([row for row, m in zip(self._rows, mask) if m])
         return RowBatch.from_columns(
             [tuple(compress(col, mask)) for col in self._cols], alive)
 
@@ -304,6 +300,13 @@ def run_starts(keys: Sequence[tuple]) -> list[int]:
                          map(ne, keys, islice(keys, 1, None)))]
 
 
+def gather(items: Sequence, indices: Sequence[int]) -> Sequence:
+    """``items`` at every one of *indices*, in one C-level call."""
+    if len(indices) == 1:
+        return (items[indices[0]],)
+    return itemgetter(*indices)(items) if indices else ()
+
+
 class GroupCursor:
     """Reads a batch stream group by group (one group = a maximal run of
     rows with equal raw keys, however many batches it spans).
@@ -312,10 +315,17 @@ class GroupCursor:
     the stream is exhausted.  The next input batch is pulled only when a
     group reaches the end of the current one, so an abandoned input has
     been charged for no batch its consumer did not look at.
+
+    The runs of the current batch are public so a consumer can handle
+    many at once: run *i* is ``rows[starts[i]:stops[i]]`` with key
+    ``run_keys[i]``, ``run`` is the index of the current group's run,
+    and every run but the batch's last is **closed** (it ends inside the
+    batch); the last may continue in the next batch.  :meth:`skip` moves
+    past closed runs without building their groups.
     """
 
-    __slots__ = ("key", "_batches", "_positions", "_rows", "_keys", "_ends",
-                 "_start")
+    __slots__ = ("key", "rows", "starts", "stops", "run_keys", "run",
+                 "_batches", "_positions")
 
     def __init__(self, batches: Iterable[RowBatch],
                  positions: Sequence[int]) -> None:
@@ -328,22 +338,35 @@ class GroupCursor:
         if batch is None:
             self.key = None
             return
-        self._rows = batch.rows
-        self._keys = batch.key_tuples(self._positions)
-        self._ends = iter(run_starts(self._keys))
-        self._start = next(self._ends)  # always 0
-        self.key = self._keys[0]
+        self.rows = batch.rows
+        keys = batch.key_tuples(self._positions)
+        starts = run_starts(keys)
+        # One key per run; all-singleton batches already hold exactly that.
+        self.run_keys = keys if len(starts) == len(keys) else gather(keys, starts)
+        self.starts, self.stops = starts, [*starts[1:], len(keys)]
+        self.run = 0
+        self.key = keys[0]
+
+    @property
+    def last_run(self) -> int:
+        """Index of the current batch's last (open) run: the runs in
+        ``range(run, last_run)`` are the closed ones ahead."""
+        return len(self.run_keys) - 1
+
+    def skip(self, runs: int) -> None:
+        """Advance past *runs* closed runs of the current batch."""
+        self.run += runs
+        self.key = self.run_keys[self.run]
 
     def next_group(self) -> list[tuple]:
         """Pop the rows of the current group and advance to the next."""
         key, group = self.key, []
         while True:
-            end = next(self._ends, None)
-            if end is not None:  # the group closes inside this batch
-                group += self._rows[self._start:end]
-                self._start, self.key = end, self._keys[end]
+            run = self.run
+            group += self.rows[self.starts[run]:self.stops[run]]
+            if run + 1 < len(self.run_keys):  # the group closes inside this batch
+                self.skip(1)
                 return group
-            group += self._rows[self._start:]
             self._load()
             if self.key != key:  # ... or at its end; else it continues
                 return group

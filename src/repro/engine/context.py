@@ -25,11 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ComparisonCounter:
-    """A mutable comparison tally shared by sort keys.
+    """A mutable comparison tally shared by the operators of a run.
 
-    Kept as its own tiny object (not an int attribute) so that the
-    :class:`CountedKey` wrapper can bump it without holding a reference
-    to the whole context.
+    Kept as its own tiny object (not an int attribute) so that a hot
+    loop — or a :class:`CountedKey` heap entry — can bump it without
+    holding a reference to the whole context.
     """
 
     __slots__ = ("value",)
@@ -68,12 +68,12 @@ def key_lt(a: tuple, b: tuple) -> bool:
 
 
 class CountedKey:
-    """A raw sort key whose comparisons are tallied.
+    """A raw sort key whose ``<`` comparisons are tallied.
 
-    Used by both external-sort variants so the "reduced number of
-    comparisons" effect of MRS (Section 3.1, benefit 3) is directly
-    measurable.  Ordering follows :func:`key_lt` (NULLS FIRST, wrapped
-    keys built only on a NULL-vs-value ``TypeError``).
+    The entry type of the SRS selection heap, which is inherently
+    row-at-a-time: ``heapq`` orders by ``<`` alone, so that is all there
+    is.  Ordering follows :func:`key_lt` (NULLS FIRST, wrapped keys
+    built only on a NULL-vs-value ``TypeError``).
     """
 
     __slots__ = ("key", "counter")
@@ -88,22 +88,6 @@ class CountedKey:
             return self.key < other.key
         except TypeError:
             return null_safe_wrap(self.key) < null_safe_wrap(other.key)
-
-    def __le__(self, other: "CountedKey") -> bool:
-        self.counter.value += 1
-        try:
-            return self.key <= other.key
-        except TypeError:
-            return null_safe_wrap(self.key) <= null_safe_wrap(other.key)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountedKey):
-            return NotImplemented
-        self.counter.value += 1
-        return self.key == other.key
-
-    def __hash__(self) -> int:  # pragma: no cover - keys are not hashed in sorts
-        return hash(self.key)
 
 
 @dataclass

@@ -162,15 +162,16 @@ def assert_sorted_batches(batches: Iterable[RowBatch],
 
 
 def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """Row → tuple-of-positions extractor (``itemgetter``-backed).
+    """Row tuple → tuple-of-positions extractor (``itemgetter``-backed).
 
     Unlike a bare ``itemgetter``, always returns a tuple — including for
-    a single position and for no positions at all.
+    a single position (a one-element slice of the row, still one C-level
+    call) and for no positions at all.
     """
     positions = tuple(positions)
     if not positions:
         return lambda row: ()
     if len(positions) == 1:
         pos = positions[0]
-        return lambda row: (row[pos],)
+        return itemgetter(slice(pos, pos + 1))
     return itemgetter(*positions)

@@ -15,12 +15,22 @@ is faithful; it builds from batches and probes a whole batch at a time.
 
 from __future__ import annotations
 
-from typing import Iterator
+from bisect import bisect_left
+from itertools import chain, compress, count, repeat
+from operator import add, is_not, mul, ne, sub
+from typing import Iterator, Optional
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..expr.expressions import JoinPredicate
-from .batch import BatchBuilder, GroupCursor, RowBatch, collect_rows, drain_full
-from .context import ExecutionContext, key_lt
+from .batch import (
+    BatchBuilder,
+    GroupCursor,
+    RowBatch,
+    collect_rows,
+    drain_full,
+    gather,
+)
+from .context import ComparisonCounter, ExecutionContext, key_lt
 from .iterators import Operator, assert_sorted_batches, tuple_getter
 
 JOIN_TYPES = ("inner", "left", "full")
@@ -28,6 +38,70 @@ JOIN_TYPES = ("inner", "left", "full")
 
 def _pad(width: int) -> tuple:
     return (None,) * width
+
+
+def _closed_region(left: GroupCursor, right: GroupCursor,
+                   counter: ComparisonCounter, out: list[tuple],
+                   rpad: Optional[tuple]) -> bool:
+    """Take every merge step below the horizon in one go (inner join, or
+    LEFT OUTER when *rpad* is given); false when there is none to take.
+
+    Both sides are cut with ``bisect_left`` at the horizon.  The steps
+    the group-at-a-time loop would take there are one per group, a
+    matching pair sharing one: ``groups_left + groups_right - common``.
+    Matches (common keys holding no NULL) are emitted in left order.
+    Raises nothing: a ``TypeError`` from comparing or hashing the keys
+    leaves both cursors untouched and reports no region.
+    """
+    lkeys, rkeys, llo, rlo = left.run_keys, right.run_keys, left.run, right.run
+    try:
+        horizon = min(lkeys[-1], rkeys[-1])
+        lcut = bisect_left(lkeys, horizon, llo, len(lkeys) - 1)
+        rcut = bisect_left(rkeys, horizon, rlo, len(rkeys) - 1)
+        # For every right run of the region, the left run with its key.
+        partners = list(map(dict(zip(lkeys[llo:lcut], range(llo, lcut))).get,
+                            rkeys[rlo:rcut])) if lcut > llo and rcut > rlo else []
+    except TypeError:
+        return False
+    if lcut == llo and rcut == rlo:
+        return False
+    paired = list(map(is_not, partners, repeat(None)))
+    lruns = list(compress(partners, paired))
+    counter.value += (lcut - llo) + (rcut - rlo) - len(lruns)
+    rruns = list(compress(range(rlo, rcut), paired))
+    common = gather(lkeys, lruns)
+    if None in chain.from_iterable(common):
+        # SQL semantics: NULL keys never match, even to each other.
+        paired = [None not in key for key in common]
+        lruns, rruns = list(compress(lruns, paired)), list(compress(rruns, paired))
+    lrows, rrows = left.rows, right.rows
+    lfirst, lstop = gather(left.starts, lruns), gather(left.stops, lruns)
+    rfirst, rstop = gather(right.starts, rruns), gather(right.stops, rruns)
+    if rpad is None:
+        # Inner join: stretches of one-row-by-one-row matches are one
+        # gather per side; only a longer group costs a step of its own.
+        sizes = map(mul, map(sub, lstop, lfirst), map(sub, rstop, rfirst))
+        done = 0
+        for pair in compress(count(), map(ne, sizes, repeat(1))):
+            out.extend(map(add, gather(lrows, lfirst[done:pair]),
+                           gather(rrows, rfirst[done:pair])))
+            out += [lrow + rrow for lrow in lrows[lfirst[pair]:lstop[pair]]
+                    for rrow in rrows[rfirst[pair]:rstop[pair]]]
+            done = pair + 1
+        out.extend(map(add, gather(lrows, lfirst[done:]),
+                       gather(rrows, rfirst[done:])))
+    else:
+        # LEFT OUTER: the left rows between two matches are padded.
+        done = left.starts[llo]
+        for lstart, lend, rstart, rend in zip(lfirst, lstop, rfirst, rstop):
+            out.extend(map(add, lrows[done:lstart], repeat(rpad)))
+            out += [lrow + rrow for lrow in lrows[lstart:lend]
+                    for rrow in rrows[rstart:rend]]
+            done = lend
+        out.extend(map(add, lrows[done:left.starts[lcut]], repeat(rpad)))
+    left.skip(lcut - llo)
+    right.skip(rcut - rlo)
+    return True
 
 
 class MergeJoin(Operator):
@@ -62,29 +136,42 @@ class MergeJoin(Operator):
         self.join_type = join_type
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        """Merge the two sides; one counted comparison per merge step,
+        equality decided on the raw keys.
+
+        A merge step consumes one group from either side or a matching
+        pair.  Every group whose key lies below the *horizon* — the
+        smaller of the keys of the two sides' open (batch-final) runs —
+        is closed on both sides, so its step is decided by the current
+        batches alone: :meth:`_closed_region` takes all of them at once.
+        What remains is the boundary step below, one group at a time:
+        the open runs, anything a ``TypeError`` (NULL against a value,
+        an unhashable key) kept out of a region, and every step of a
+        FULL OUTER join, whose two sides' unmatched groups interleave.
+        """
         left, right = self.children
-        lpos = left.schema.positions(list(self.predicate.left_columns))
-        rpos = right.schema.positions(list(self.predicate.right_columns))
         lbatches = left.execute_batches(ctx)
         rbatches = right.execute_batches(ctx)
+        lpos = left.schema.positions(list(self.predicate.left_columns))
+        rpos = right.schema.positions(list(self.predicate.right_columns))
         if ctx.check_orders:
             lbatches = assert_sorted_batches(lbatches, lpos, "MergeJoin left input")
             rbatches = assert_sorted_batches(rbatches, rpos, "MergeJoin right input")
-        return self._merge(ctx, GroupCursor(lbatches, lpos),
-                           GroupCursor(rbatches, rpos))
-
-    def _merge(self, ctx: ExecutionContext, left: GroupCursor,
-               right: GroupCursor) -> Iterator[RowBatch]:
-        """Merge the two sides group by group; one counted comparison per
-        merge step, equality decided on the raw keys."""
         counter, size = ctx.comparisons, ctx.batch_size
-        lpad = _pad(len(self.children[0].schema))
-        rpad = _pad(len(self.children[1].schema))
+        lpad, rpad = _pad(len(left.schema)), _pad(len(right.schema))
         emit_left_outer = self.join_type in ("left", "full")
         emit_right_outer = self.join_type == "full"
+        left, right = GroupCursor(lbatches, lpos), GroupCursor(rbatches, rpos)
         out: list[tuple] = []
 
         while left.key is not None and right.key is not None:
+            if (not emit_right_outer
+                    and (left.run < left.last_run or right.run < right.last_run)
+                    and _closed_region(left, right, counter, out,
+                                       rpad if emit_left_outer else None)):
+                if len(out) >= size:
+                    yield from drain_full(out, size)
+                continue
             lkey, rkey = left.key, right.key
             counter.value += 1
             if lkey == rkey:

@@ -237,12 +237,13 @@ class CoveringIndexScan(Operator):
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         if self._leaf_rows is None:
-            # Leaf image is built once per plan object; building it is a
-            # catalog operation, not a per-execution cost.
+            # Leaf image is built once per operator object, on the first
+            # pull — inside this scan's own (timed) stream, not while a
+            # parent merely asks for it.
             self._leaf_rows = self.index.scan_rows()
         per_block = max(1, ctx.params.block_size // self._entry_bytes)
-        return _charged_slices(self._leaf_rows, 0, len(self._leaf_rows),
-                               per_block, ctx)
+        yield from _charged_slices(self._leaf_rows, 0, len(self._leaf_rows),
+                                   per_block, ctx)
 
     def details(self) -> str:
         inc = f" include {list(self.index.included)}" if self.index.included else ""

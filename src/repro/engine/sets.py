@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
-from .batch import RowBatch, batches_of
+from .batch import RowBatch, batches_of, gather, run_starts
 from .context import ExecutionContext, key_lt
 from .iterators import Operator, assert_sorted_batches
 
@@ -111,23 +111,23 @@ class Dedup(Operator):
         if ctx.check_orders:
             batches = assert_sorted_batches(batches, positions, "Dedup input")
 
-        def stream() -> Iterator[RowBatch]:
-            # Keys are compared only for equality, so the raw key tuples
-            # from the batch suffice (no null-safe wrapping needed —
-            # tuple equality already treats NULLs consistently).
-            last: Optional[tuple] = None
-            counter = ctx.comparisons
-            for batch in batches:
-                kept: list[tuple] = []
-                for row, key in zip(batch.rows, batch.key_tuples(positions)):
-                    counter.add()
-                    if key != last:
-                        kept.append(row)
-                        last = key
-                if kept:
-                    yield RowBatch(kept)
-
-        return stream()
+        # Keys are compared only for equality, so the raw key tuples
+        # from the batch suffice (no null-safe wrapping needed — tuple
+        # equality already treats NULLs consistently).  A batch's
+        # survivors are the first rows of its runs, less the first run
+        # when it continues the previous batch's last key.
+        last: Optional[tuple] = None
+        for batch in batches:
+            keys = batch.key_tuples(positions)
+            ctx.comparisons.value += len(keys)  # one dedup test per input row
+            starts = run_starts(keys)
+            if keys[0] == last:
+                del starts[0]
+            last = keys[-1]
+            if len(starts) == len(keys):
+                yield batch
+            elif starts:
+                yield RowBatch(list(gather(batch.rows, starts)))
 
     def details(self) -> str:
         return f"on {self.output_order}"
@@ -154,4 +154,4 @@ class HashDedup(Operator):
                                        direction="write", category="partition")
             ctx.charge_blocks_for_rows(len(distinct), self.schema.row_bytes,
                                        direction="read", category="partition")
-        return batches_of(distinct, ctx.batch_size)
+        yield from batches_of(distinct, ctx.batch_size)

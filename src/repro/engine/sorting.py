@@ -24,21 +24,24 @@ and count comparisons, making Experiments A1–A4 reproducible.
 
 Keys are **raw** tuples; ordering falls back to NULL-safe wrapped keys
 only on a NULL-vs-value ``TypeError`` (see ``docs/execution.md``, "Key
-discipline").  The two tallies are rules, not artefacts of a container:
-the SRS selection heap counts one comparison per heap step, and a k-way
-merge charges the tree-of-losers count ``ceil(log2 k)`` per emitted row.
+discipline").  The three tallies are rules, not artefacts of a
+container: the SRS selection heap counts one comparison per heap step, a
+k-way merge charges the tree-of-losers count ``ceil(log2 k)`` per emitted
+row, and sorting *n* rows in memory (an MRS segment, or one memory load
+of a spilled one) charges ``n * ceil(log2 n)``.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from itertools import compress, islice, repeat
+from operator import gt, itemgetter, sub
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..core.sort_order import SortOrder
 from ..storage.schema import Schema
-from .batch import GroupCursor, RowBatch, batches_of, drain_full, flatten_batches
+from .batch import RowBatch, batches_of, drain_full, flatten_batches, run_starts
 from .context import ComparisonCounter, CountedKey, ExecutionContext, key_lt, null_safe_wrap
 from .iterators import tuple_getter
 
@@ -247,9 +250,11 @@ def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
 
     ``prefix_positions`` are the already-sorted attributes;
     ``suffix_positions`` the remaining attributes to sort within a
-    segment.  Segments (runs of equal raw prefix keys, found a batch at a
-    time) are emitted one by one — output starts as soon as the first
-    segments fill a batch, enabling fully pipelined execution.
+    segment.  Segments are runs of equal raw prefix keys, found a batch at
+    a time: every segment that closes inside an input batch is put in
+    order in one step for the whole batch, and only the one still open at
+    the batch's end is carried into the next.  Output starts as soon as
+    the first segments fill a batch, enabling fully pipelined execution.
 
     Oversized segments (larger than sort memory) degrade gracefully: full
     memory loads are sorted and spilled as runs, then merged — per
@@ -261,11 +266,22 @@ def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
     # smaller capacity would spill a run per row instead of degrading
     # gracefully.
     capacity = max(2, ctx.memory_capacity_rows(row_bytes))
-    counter, metrics = ctx.comparisons, ctx.sort_metrics
+    counter, metrics, size = ctx.comparisons, ctx.sort_metrics, ctx.batch_size
+    suffix_key = itemgetter(*suffix_positions)
     suffix_of = tuple_getter(suffix_positions)
 
-    def counted_suffix(row: tuple) -> CountedKey:
-        return CountedKey(suffix_of(row), counter)
+    def in_memory(rows: list[tuple]) -> list[tuple]:
+        # The stated rule: sorting n > 1 rows in memory is n * ceil(log2 n)
+        # comparisons.  ``sorted`` leaves *rows* as they were, so the redo
+        # after a NULL-vs-value TypeError is stable on the input order.
+        n = len(rows)
+        if n < 2:
+            return rows
+        counter.value += n * (n - 1).bit_length()
+        try:
+            return sorted(rows, key=suffix_key)
+        except TypeError:
+            return sorted(rows, key=lambda row: null_safe_wrap(suffix_of(row)))
 
     def spilled(segment: list[tuple]) -> Iterator[tuple]:
         # Sort and spill one memory load at a time, sort the in-memory
@@ -277,41 +293,62 @@ def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
         store = _RunStore(ctx, row_bytes)
         start = 0
         for end in range(capacity, len(segment) + 1, capacity):
-            run = segment[start:end]
-            run.sort(key=counted_suffix)
-            store.write_run(run)
+            store.write_run(in_memory(segment[start:end]))
             start = end
-        tail = segment[start:]
-        tail.sort(key=counted_suffix)
+        tail = in_memory(segment[start:])
         streams = [_merge_runs(store, store.runs, suffix_positions, ctx)]
         if tail:
             streams.append([RowBatch(tail)])
         return flatten_batches(
             merge_sorted_streams(streams, suffix_positions, ctx))
 
-    def boundary_tested(batches: Iterable[RowBatch]) -> Iterator[RowBatch]:
-        # The segment-boundary test is one key comparison per input row,
-        # tallied as each batch is examined.
-        for batch in batches:
-            counter.value += len(batch)
-            yield batch
-
-    out: list[tuple] = []
-    segments = GroupCursor(boundary_tested(batches), prefix_positions)
-    while segments.key is not None:
-        segment = segments.next_group()
+    def ordered(segment: list[tuple]) -> Iterable[tuple]:
+        # One complete segment in target order (as many rows as it holds).
         metrics.segments_sorted += 1
         if len(segment) < capacity:
-            if len(segment) > 1:
-                segment.sort(key=counted_suffix)
             metrics.in_memory_sorts += 1
-            out += segment
-        else:
-            out.extend(spilled(segment))
-        if len(out) >= ctx.batch_size:
-            yield from drain_full(out, ctx.batch_size)
-    if out:
-        yield RowBatch(out)
+            return in_memory(segment)
+        return spilled(segment)
+
+    out: list[tuple] = []
+    open_key: Optional[tuple] = None
+    open_segment: list[tuple] = []
+    for batch in batches:
+        rows, keys = batch.rows, batch.key_tuples(prefix_positions)
+        # The segment-boundary test is one key comparison per input row.
+        counter.value += len(keys)
+        starts = run_starts(keys)
+        last = starts[-1]
+        first = 0  # index in *starts* of the first run not dealt with
+        if open_segment:
+            if keys[0] == open_key:
+                open_segment += rows[:starts[1]] if last else rows
+                if not last:
+                    continue  # still open at the end of this batch
+                first = 1
+            out.extend(ordered(open_segment))
+        # The runs between the carried segment and the batch's last run
+        # close inside this batch.  They go out as they stand — one-row
+        # segments are in order already — and only the longer ones are
+        # then replaced, in place, by their sorted selves.
+        lo = starts[first]
+        if lo < last:
+            base = len(out) - lo
+            out += rows[lo:last]
+            begins, ends = starts[first:-1], starts[first + 1:]
+            longer = list(compress(zip(begins, ends),
+                                   map(gt, map(sub, ends, begins), repeat(1))))
+            one_row = len(ends) - len(longer)
+            metrics.segments_sorted += one_row
+            metrics.in_memory_sorts += one_row
+            for start, end in longer:
+                out[base + start:base + end] = ordered(rows[start:end])
+        open_key, open_segment = keys[last], rows[last:]
+        if len(out) >= size:
+            yield from drain_full(out, size)
+    if open_segment:
+        out.extend(ordered(open_segment))
+    yield from batches_of(out, size)
 
 
 def sort_batches(

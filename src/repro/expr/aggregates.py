@@ -7,13 +7,16 @@ an output column name, e.g. Query 5's
 
 Aggregates are implemented as classic init/step/final state machines so
 both the sort-based (streaming) and hash-based (dict of states)
-aggregation operators share them.
+aggregation operators share them; most also have a *bulk* form that
+aggregates one whole group's values in a single C-level call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add
+from typing import Any, Callable, Optional, Sequence
 
 from ..storage.schema import Column, Schema
 from .expressions import Col, Expression, wrap
@@ -22,13 +25,21 @@ from .expressions import Col, Expression, wrap
 @dataclass(frozen=True)
 class AggregateFunction:
     """An incremental aggregate: ``init() → state``, ``step(state, v)``,
-    ``final(state) → value``."""
+    ``final(state) → value``.
+
+    ``bulk(values)``, where there is one, is the aggregate of a whole
+    group at once: for a non-empty sequence holding no value the
+    aggregate ignores, exactly ``final`` of ``step`` folded over it from
+    ``init()`` — the same additions in the same order, the same pick
+    among ties.
+    """
 
     name: str
     init: Callable[[], Any]
     step: Callable[[Any, Any], Any]
     final: Callable[[Any], Any]
     ignores_null: bool = True
+    bulk: Optional[Callable[[Sequence], Any]] = None
 
 
 def _avg_final(state: tuple[float, int]) -> Optional[float]:
@@ -38,22 +49,28 @@ def _avg_final(state: tuple[float, int]) -> Optional[float]:
 
 AGGREGATES: dict[str, AggregateFunction] = {
     "count": AggregateFunction(
-        "count", init=lambda: 0, step=lambda s, v: s + 1, final=lambda s: s
+        "count", init=lambda: 0, step=lambda s, v: s + 1, final=lambda s: s,
+        bulk=len,
     ),
     "sum": AggregateFunction(
         "sum", init=lambda: None,
         step=lambda s, v: v if s is None else s + v,
         final=lambda s: s,
+        # Left to right like ``step`` (builtin ``sum`` starts from 0 and
+        # may reassociate float additions).
+        bulk=partial(reduce, add),
     ),
     "min": AggregateFunction(
         "min", init=lambda: None,
         step=lambda s, v: v if s is None else min(s, v),
         final=lambda s: s,
+        bulk=min,
     ),
     "max": AggregateFunction(
         "max", init=lambda: None,
         step=lambda s, v: v if s is None else max(s, v),
         final=lambda s: s,
+        bulk=max,
     ),
     "avg": AggregateFunction(
         "avg", init=lambda: (0.0, 0),
@@ -62,7 +79,7 @@ AGGREGATES: dict[str, AggregateFunction] = {
     ),
     "count_star": AggregateFunction(
         "count_star", init=lambda: 0, step=lambda s, v: s + 1, final=lambda s: s,
-        ignores_null=False,
+        ignores_null=False, bulk=len,
     ),
 }
 

@@ -4,9 +4,11 @@ These are the engine's former row paths — the ``mrs_sort`` loop with its
 run store and merges, the ``_GroupReader`` merge join and the per-row
 sort-aggregate fold — kept verbatim in behaviour: one Python step per
 row, every key NULL-safe *wrapped* up front, one ``counter.add()`` per
-row.  Only what a k-way merge charges is restated by the engine's rule
-(``merge_sorted_streams`` below).  The batch engine in ``src/`` must reproduce their rows, row order
-and ``ctx.tallies()`` exactly (``tests/test_order_ops_parity.py``).
+row.  Only what a k-way merge and an in-memory segment sort charge is
+restated by the engine's rules (``merge_sorted_streams`` and
+``mrs_sort``'s ``sort_in_memory`` below).  The batch engine in ``src/``
+must reproduce their rows, row order and ``ctx.tallies()`` exactly
+(``tests/test_order_ops_parity.py``).
 The block nested-loops join at the bottom is the one operator here: no
 search path or ``PlanBuilder`` method produces it, so it serves
 ``tests/test_joins.py`` as a reference beside the merge and hash joins.
@@ -21,7 +23,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.engine import (
     BatchBuilder,
-    CountedKey,
     ExecutionContext,
     Operator,
     RowBatch,
@@ -98,17 +99,21 @@ def mrs_sort(rows: Iterable[tuple], prefix_positions: Sequence[int],
     segment_key_fn = wrapped_key(prefix_positions)
     suffix_key_fn = wrapped_key(suffix_positions)
 
-    def counted_suffix(row: tuple) -> CountedKey:
-        return CountedKey(suffix_key_fn(row), counter)
+    def sort_in_memory(segment: list[tuple]) -> None:
+        # What it *charges* is the engine's stated rule, not timsort's
+        # own compares: n * ceil(log2 n) for n > 1 rows sorted in memory.
+        if len(segment) > 1:
+            counter.add(len(segment) * (len(segment) - 1).bit_length())
+        segment.sort(key=suffix_key_fn)
 
     def emit_segment(segment: list[tuple], store: Optional[_RunStore]) -> Iterator[tuple]:
         ctx.sort_metrics.segments_sorted += 1
         if store is None or not store.runs:
-            segment.sort(key=counted_suffix)
+            sort_in_memory(segment)
             ctx.sort_metrics.in_memory_sorts += 1
             yield from segment
             return
-        segment.sort(key=counted_suffix)
+        sort_in_memory(segment)
         streams = [_merge_runs(store, store.runs, suffix_key_fn, ctx)]
         if segment:  # an empty in-memory tail is not a merge input
             streams.append(iter(segment))
@@ -132,7 +137,7 @@ def mrs_sort(rows: Iterable[tuple], prefix_positions: Sequence[int],
         if len(segment) >= capacity:
             if store is None:
                 store = _RunStore(ctx, row_bytes)
-            segment.sort(key=counted_suffix)
+            sort_in_memory(segment)
             store.write_run(segment)
             segment = []
     if current_prefix is not _SENTINEL:

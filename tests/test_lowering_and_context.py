@@ -89,7 +89,7 @@ class TestIOAccounting:
         counter = ComparisonCounter()
         a, b = CountedKey((1,), counter), CountedKey((2,), counter)
         assert a < b
-        assert a != b
+        assert not b < a
         assert counter.value == 2
 
     def test_reset(self):
@@ -111,9 +111,14 @@ class TestLowering:
         cat.create_index("t_ab", "t", SortOrder(["a", "b"]), included=["v"])
         return cat
 
-    def test_every_builder_op_lowers_and_runs(self, catalog):
+    @staticmethod
+    def builder_plans(catalog):
+        """One plan per operator the builder (so the search) can produce."""
         from repro.expr import col
         from repro.expr.aggregates import count_star
+        catalog.create_table(
+            "w", Schema.of(("x", "int", 8), ("y", "int", 8)),
+            rows=[(i % 5, i % 5) for i in range(50)])
         b = PlanBuilder(catalog)
         scan = b.table_scan("t")
         by_all = SortOrder(["a", "b", "v"])
@@ -134,11 +139,17 @@ class TestLowering:
             "merge_union": b.merge_union(scan, scan, by_all),
             "dedup": b.dedup(b.sort(scan, by_all), by_all),
             "hash_dedup": b.hash_dedup(scan),
+            "merge_join": b.merge_join(scan, b.table_scan("w"),
+                                       [("a", "x"), ("b", "y")]),
+            "hash_join": b.hash_join(scan, b.table_scan("w"),
+                                     [("a", "x"), ("b", "y")]),
         }
         # What the search's below-the-exchange placements are made of.
         shards = [b.sort(b.shard_of(scan, 2, i, 0.5), SortOrder(["b"]))
                   for i in range(2)]
         plans["gather"] = b.gather(shards, SortOrder(["b"]), scan.stats)
+        plans["concat"] = b.gather([b.shard_of(scan, 2, i, 0.5)
+                                    for i in range(2)], EMPTY_ORDER, scan.stats)
         partial = [b.sort_aggregate(shard, SortOrder(["b"]), [count_star("n")])
                    for shard in shards]
         whole = b.sort_aggregate(plans["sort"], SortOrder(["b"]),
@@ -146,6 +157,10 @@ class TestLowering:
         plans["combine"] = b.sorted_combine(
             b.gather(partial, SortOrder(["b"]), whole.stats), ["b"],
             [count_star("n")], whole.stats)
+        return plans, whole
+
+    def test_every_builder_op_lowers_and_runs(self, catalog):
+        plans, whole = self.builder_plans(catalog)
         for name, plan in plans.items():
             op = operators_from_plan(plan, catalog)
             rows = op.run(ExecutionContext(catalog, check_orders=True))
@@ -155,7 +170,59 @@ class TestLowering:
             plans["hash_dedup"].execute(catalog)) == len(
             plans["dedup"].execute(catalog))
         assert sorted(plans["gather"].execute(catalog)) == sorted(
-            catalog.table("t").rows)
+            catalog.table("t").rows) == sorted(plans["concat"].execute(catalog))
+        assert sorted(plans["merge_join"].execute(catalog)) == sorted(
+            plans["hash_join"].execute(catalog))
+
+    def test_nothing_is_pulled_before_the_first_next(self, catalog):
+        """``execute_batches(ctx)`` only *asks* for the stream: whatever
+        operator lowering produces, no leaf is pulled (and so no work is
+        done outside the metered, timed stream) until the first
+        ``next()`` — a MergeJoin asks for both inputs before it pulls
+        either."""
+        from repro.engine import lowering
+        from repro.engine.iterators import Operator
+
+        class FirstPull(Operator):
+            def __init__(self, child):
+                super().__init__(child.schema, child.output_order, [child])
+                self.pulled = False
+
+            def execute_batches(self, ctx):
+                self.pulled = True
+                yield from self.children[0].execute_batches(ctx)
+
+        plans, _ = self.builder_plans(catalog)
+        lowered = set()
+        for name, plan in plans.items():
+            leaves = []
+
+            def leaf(node):
+                if not node.children:
+                    leaves.append(FirstPull(operators_from_plan(node, catalog)))
+                    return leaves[-1]
+
+            op = operators_from_plan(plan, catalog, replace=leaf)
+            lowered.update(type(o) for o in op.walk())
+            for ctx in (ExecutionContext(catalog),
+                        ExecutionContext(catalog, meter_timing=True,
+                                         check_orders=True)):
+                for source in leaves:
+                    source.pulled = False
+                stream = op.execute_batches(ctx)
+                assert not any(source.pulled for source in leaves), name
+                assert next(iter(stream), None) is not None, name
+                assert any(source.pulled for source in leaves), name
+        # A leaf that has work of its own to do before its first batch
+        # does it on the first pull too.
+        cov = operators_from_plan(plans["cov"], catalog)
+        stream = cov.execute_batches(ExecutionContext(catalog))
+        assert cov._leaf_rows is None
+        assert next(iter(stream)) and cov._leaf_rows is not None
+        inner = {cls for cls in vars(lowering).values()
+                 if isinstance(cls, type) and issubclass(cls, Operator)
+                 and cls is not Operator and "Scan" not in cls.__name__}
+        assert inner <= lowered, inner - lowered
 
     def test_partial_sort_plan_requires_prefix(self, catalog):
         from repro.optimizer.plans import make_plan
@@ -232,7 +299,9 @@ class TestPaperClaims:
 
     def test_mrs_comparison_complexity(self):
         """§3.1 benefit 3: sorting k segments of n/k elements costs
-        O(n log(n/k)) comparisons — verify the measured trend."""
+        O(n log(n/k)) comparisons — the engine's stated rule, one
+        boundary test per row plus ``m * ceil(log2 m)`` per m-row
+        segment, is that to the letter."""
         import math
         import random
         from repro.engine import sort_stream
@@ -246,11 +315,13 @@ class TestPaperClaims:
             list(sort_stream(rows, schema, SortOrder(["s", "v"]), ctx,
                              known_prefix=SortOrder(["s"])))
             measured[k] = ctx.comparisons.value
-        # More segments → fewer comparisons, roughly n·log2(n/k) shaped.
+        # More segments → fewer comparisons, n·log2(n/k) shaped.
         assert measured[10] > measured[100] > measured[1000]
         for k in (10, 100, 1000):
+            assert measured[k] == n + n * math.ceil(math.log2(n // k))
             bound = n * math.log2(n / k) * 2.5 + 3 * n
             assert measured[k] < bound, (k, measured[k], bound)
+        assert measured[10] == 240_000
 
     def test_interesting_order_count_is_index_bound(self):
         """§6.3: "the number of interesting orders we try at each join …

@@ -322,6 +322,26 @@ class TestExplainAnalyze:
         assert ea.row_count == len(result.rows)
         assert any(r["seconds"] is not None for r in ea.node_reports())
 
+    def test_hash_aggregate_time_is_attributed_to_the_aggregate(self):
+        """``tran_volume``'s shape (filter, then a hash GROUP BY down to
+        a handful of groups): the aggregate consumes its whole input
+        inside its own timed stream, so its inclusive time contains its
+        child's and is most of the wall — not the microseconds it takes
+        to hand over the finished groups."""
+        from repro.expr import col, param
+        from repro.expr.aggregates import agg_sum, count_star
+        catalog = serving_catalog(num_rows=20_000, memory_blocks=10_000)
+        query = (Query.table("t").where(col("c").ge(param("lo")))
+                 .group_by(["b"], count_star("n"), agg_sum(col("c"), "s")))
+        ea = QuerySession(catalog).explain_analyze(query, lo=10)
+        reports = ea.node_reports()
+        assert [r["op"] for r in reports] == ["HashAggregate", "Filter",
+                                              "TableScan"]
+        aggregate, child = reports[0], reports[1]
+        assert aggregate["seconds"] > child["seconds"] > 0
+        assert aggregate["seconds"] > 0.5 * ea.wall_seconds
+        assert aggregate["seconds"] - child["seconds"] > 0.1 * ea.wall_seconds
+
     def test_meter_timing_off_keeps_times_empty(self):
         catalog = serving_catalog(num_rows=400)
         ctx = ExecutionContext(catalog)

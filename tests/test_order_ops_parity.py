@@ -6,13 +6,17 @@ MergeJoin, SortAggregate and SortedCombine now find their segments and
 groups a batch at a time on raw keys; this matrix asserts that rows, row
 order and every tally are unchanged at every batch size — in particular
 for spilling segments and join groups that straddle batch boundaries,
-and for NULL keys (the only case that builds wrapped keys).
+and for NULL keys (the only case that builds wrapped keys).  The one
+tally the oracle restates rather than counts is the in-memory segment
+sort's ``n * ceil(log2 n)`` (``tests/test_closed_runs.py`` takes the
+same oracle to randomly drawn batch edges).
 
 The property tests at the bottom pin the key discipline itself.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from operator import itemgetter
 
@@ -35,6 +39,7 @@ from repro.engine import (
     key_lt,
     null_safe_wrap,
 )
+from repro.engine.sorting import srs_sort
 from repro.expr import col
 from repro.expr.aggregates import (
     AGGREGATES,
@@ -249,20 +254,24 @@ class TestKeyDiscipline:
         assert key_lt(a, b) == (null_safe_wrap(a) < null_safe_wrap(b))
         assert (a == b) == (null_safe_wrap(a) == null_safe_wrap(b))
         counter = ComparisonCounter()
-        assert (CountedKey(a, counter) <= CountedKey(b, counter)) == \
-            (null_safe_wrap(a) <= null_safe_wrap(b))
+        assert (CountedKey(a, counter) < CountedKey(b, counter)) == \
+            (null_safe_wrap(a) < null_safe_wrap(b))
         assert counter.value == 1
 
     @given(st.lists(key_tuples(2), max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_counted_raw_sort_equals_wrapped_sort(self, keys):
-        """Same order, same stability and the same number of comparisons
-        whether CountedKey holds raw or wrapped keys."""
+        """The SRS selection heap — CountedKey's one user — on raw keys:
+        the stable NULLS FIRST order, and exactly the ``<`` calls
+        ``heapq`` makes on the same entries with wrapped keys."""
         rows = [key + (i,) for i, key in enumerate(keys)]
-        raw, wrapped = ComparisonCounter(), ComparisonCounter()
-        by_raw = sorted(rows, key=lambda r: CountedKey(r[:2], raw))
-        by_wrapped = sorted(
-            rows, key=lambda r: CountedKey(null_safe_wrap(r[:2]), wrapped))
-        assert by_raw == by_wrapped
+        ctx = ExecutionContext()
+        by_raw = list(srs_sort(rows, (0, 1), ctx, row_bytes=24))
         assert by_raw == sorted(rows, key=lambda r: null_safe_wrap(r[:2]))
-        assert raw.value == wrapped.value
+        wrapped = ComparisonCounter()
+        heap = [CountedKey((0, *null_safe_wrap(row[:2]), i), wrapped)
+                for i, row in enumerate(rows)]
+        heapq.heapify(heap)
+        while heap:
+            heapq.heappop(heap)
+        assert ctx.comparisons.value == wrapped.value

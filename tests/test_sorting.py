@@ -163,6 +163,8 @@ class TestMrs:
         list(sort_stream(rows, SCHEMA, target, ctx_mrs,
                          known_prefix=SortOrder(["k1"])))
         assert ctx_mrs.comparisons.value < ctx_srs.comparisons.value
+        # 3000 boundary tests + 30 segments of 100 rows at ceil(log2 100) = 7.
+        assert ctx_mrs.comparisons.value == 3000 + 3000 * 7
 
     def test_early_output(self):
         """MRS must emit the first segment before consuming all input: at
