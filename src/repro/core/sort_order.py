@@ -37,6 +37,7 @@ predicates — and treats equivalent attributes as equal.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -308,3 +309,29 @@ def order_key(rows_schema_positions: Sequence[int]):
         return tuple(row[i] for i in positions)
 
     return key
+
+
+def null_safe_wrap(values: Iterable) -> tuple:
+    """Make a key tuple totally ordered in the presence of SQL NULLs.
+
+    Each element becomes ``(present, value)`` with NULL mapped to
+    ``(False, 0)``, so NULLs sort first and never raise ``TypeError``
+    against non-NULL values.  Needed because outer-join outputs (Query 4)
+    flow into further sorts and merge joins.
+    """
+    return tuple((False, 0) if v is None else (True, v) for v in values)
+
+
+def sorted_nulls_first(rows: Iterable[tuple],
+                       positions: Sequence[int]) -> list[tuple]:
+    """*rows* stable-sorted on the columns at *positions*, NULLS FIRST.
+
+    One C-level ``sorted`` on raw keys (one ``itemgetter``); only when a
+    NULL meets a value there — a ``TypeError`` — is it redone on
+    :func:`null_safe_wrap` keys, from the input ``sorted`` left untouched.
+    """
+    try:
+        return sorted(rows, key=itemgetter(*positions))
+    except TypeError:
+        return sorted(rows, key=lambda row: null_safe_wrap(
+            [row[i] for i in positions]))

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
+from ..core.sort_order import null_safe_wrap
 from ..storage.catalog import Catalog, SystemParameters
 from .batch import DEFAULT_BATCH_SIZE
 
@@ -28,8 +29,7 @@ class ComparisonCounter:
     """A mutable comparison tally shared by the operators of a run.
 
     Kept as its own tiny object (not an int attribute) so that a hot
-    loop — or a :class:`CountedKey` heap entry — can bump it without
-    holding a reference to the whole context.
+    loop can bump it without holding a reference to the whole context.
     """
 
     __slots__ = ("value",)
@@ -39,17 +39,6 @@ class ComparisonCounter:
 
     def add(self, n: int = 1) -> None:
         self.value += n
-
-
-def null_safe_wrap(values: tuple) -> tuple:
-    """Make a key tuple totally ordered in the presence of SQL NULLs.
-
-    Each element becomes ``(present, value)`` with NULL mapped to
-    ``(False, 0)``, so NULLs sort first and never raise ``TypeError``
-    against non-NULL values.  Needed because outer-join outputs (Query 4)
-    flow into further sorts and merge joins.
-    """
-    return tuple((False, 0) if v is None else (True, v) for v in values)
 
 
 def key_lt(a: tuple, b: tuple) -> bool:
@@ -65,29 +54,6 @@ def key_lt(a: tuple, b: tuple) -> bool:
         return a < b
     except TypeError:
         return null_safe_wrap(a) < null_safe_wrap(b)
-
-
-class CountedKey:
-    """A raw sort key whose ``<`` comparisons are tallied.
-
-    The entry type of the SRS selection heap, which is inherently
-    row-at-a-time: ``heapq`` orders by ``<`` alone, so that is all there
-    is.  Ordering follows :func:`key_lt` (NULLS FIRST, wrapped keys
-    built only on a NULL-vs-value ``TypeError``).
-    """
-
-    __slots__ = ("key", "counter")
-
-    def __init__(self, key: tuple, counter: ComparisonCounter) -> None:
-        self.key = key
-        self.counter = counter
-
-    def __lt__(self, other: "CountedKey") -> bool:
-        self.counter.value += 1
-        try:
-            return self.key < other.key
-        except TypeError:
-            return null_safe_wrap(self.key) < null_safe_wrap(other.key)
 
 
 @dataclass

@@ -36,7 +36,7 @@ opening partial block too: it really does read it.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..storage.table import Index, Table
@@ -233,17 +233,15 @@ class CoveringIndexScan(Operator):
         super().__init__(index.leaf_schema, index.key)
         self.index = index
         self._entry_bytes = index.entry_bytes()
-        self._leaf_rows: Optional[list[tuple]] = None
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if self._leaf_rows is None:
-            # Leaf image is built once per operator object, on the first
-            # pull — inside this scan's own (timed) stream, not while a
-            # parent merely asks for it.
-            self._leaf_rows = self.index.scan_rows()
+        # The index keeps its leaf image per table version; asking for it
+        # here — on the first pull, inside this scan's own (timed) stream,
+        # not while a parent merely asks for the stream — is what builds
+        # it the first time.
+        leaf_rows = self.index.scan_rows()
         per_block = max(1, ctx.params.block_size // self._entry_bytes)
-        yield from _charged_slices(self._leaf_rows, 0, len(self._leaf_rows),
-                                   per_block, ctx)
+        yield from _charged_slices(leaf_rows, 0, len(leaf_rows), per_block, ctx)
 
     def details(self) -> str:
         inc = f" include {list(self.index.included)}" if self.index.included else ""

@@ -24,28 +24,30 @@ and count comparisons, making Experiments A1–A4 reproducible.
 
 Keys are **raw** tuples; ordering falls back to NULL-safe wrapped keys
 only on a NULL-vs-value ``TypeError`` (see ``docs/execution.md``, "Key
-discipline").  The three tallies are rules, not artefacts of a
-container: the SRS selection heap counts one comparison per heap step, a
-k-way merge charges the tree-of-losers count ``ceil(log2 k)`` per emitted
-row, and sorting *n* rows in memory (an MRS segment, or one memory load
-of a spilled one) charges ``n * ceil(log2 n)``.
+discipline"), and every comparison of every sort is made at C level.
+The tallies are rules, not artefacts of a container: a k-way merge
+charges the tree-of-losers count ``ceil(log2 k)`` per emitted row, a
+replacement test is one comparison per replaced row, and sorting *n*
+rows in memory (an SRS input that fits, an MRS segment, or one memory
+load of a spilled one) charges ``n * ceil(log2 n)`` — of which the SRS
+selection tree's ``ceil(log2 P)`` per row leaving a tree of *P* rows is
+the general form.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from itertools import compress, islice, repeat
+from collections import defaultdict
+from itertools import chain, compress, repeat
 from operator import gt, itemgetter, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ..core.sort_order import SortOrder
+from ..core.sort_order import SortOrder, sorted_nulls_first
 from ..storage.schema import Schema
 from .batch import RowBatch, batches_of, drain_full, flatten_batches, run_starts
-from .context import ComparisonCounter, CountedKey, ExecutionContext, key_lt, null_safe_wrap
+from .context import ExecutionContext, null_safe_wrap
 from .iterators import tuple_getter
-
-_SENTINEL = object()
 
 
 class _RunStore:
@@ -170,77 +172,98 @@ def _merge_runs(store: _RunStore, runs: list[list[tuple]],
     return merge_sorted_streams([store.read_run(r) for r in runs], positions, ctx)
 
 
-class _Selected(CountedKey):
-    """One row in the SRS selection heap, ordered by the flat tuple
-    ``(run, key..., arrival)``: a heap step is one counted ``<``."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, run: int, key: tuple, arrival: int, row: tuple,
-                 counter: ComparisonCounter) -> None:
-        super().__init__((run, *key, arrival), counter)
-        self.row = row
-
-
-def srs_sort(rows: Iterable[tuple], positions: Sequence[int],
-             ctx: ExecutionContext, row_bytes: int) -> Iterator[tuple]:
+def srs_sort(batches: Iterable[RowBatch], positions: Sequence[int],
+             ctx: ExecutionContext, row_bytes: int) -> Iterator[RowBatch]:
     """Standard replacement selection external sort on key *positions*.
 
-    If the input fits in sort memory the heap is simply drained (an
-    in-memory sort, no I/O) — this matches the cost model's
-    ``B(e) ≤ M`` branch.  Otherwise runs go to the simulated disk and are
-    merged, charging every transfer.  The selection heap is inherently
-    row-at-a-time; its tally is one comparison per heap step (it is not
-    a ``list.sort``, whose adaptivity to presorted input would erase the
-    SRS-vs-MRS comparison gap the paper measures).
+    Input that fits in sort memory is one stable in-memory sort, no I/O
+    (the cost model's ``B(e) ≤ M`` branch), charged by the rule
+    ``n * ceil(log2 n)`` — not by what ``sorted`` happens to compare,
+    whose adaptivity to presorted input would erase the SRS-vs-MRS
+    comparison gap the paper measures.  Otherwise a selection tree of
+    one memory load produces runs on the simulated disk, which are merged
+    with every transfer charged.  A row leaving a tree of *P* rows
+    charges ``ceil(log2 P)``, a row replacing it one test against the
+    row it replaces (does it still fit the current run?).
+
+    The tree is a ``heapq`` of plain ``(run, key, arrival, row)`` tuples:
+    *arrival* is unique, so rows are never compared and ties keep input
+    order.  A NULL against a value raises ``TypeError`` out of a heap
+    step that has lost no entry but the one on its way out (``heapq``
+    only ever swaps), so the entries are then rebuilt on wrapped keys,
+    once, and stay wrapped.
     """
     # A row wider than sort memory must not yield capacity 0: the whole
     # input would be deferred against an empty heap and silently dropped.
     capacity = max(1, ctx.memory_capacity_rows(row_bytes))
-    counter = ctx.comparisons
-    key_fn = tuple_getter(positions)
-    it = iter(rows)
-    heap = [_Selected(0, key_fn(row), seq, row, counter)
-            for seq, row in enumerate(islice(it, capacity))]
-    heapq.heapify(heap)
-    seq = len(heap)
-    pending = next(it, _SENTINEL)
-
-    if pending is _SENTINEL:
+    counter, size = ctx.comparisons, ctx.batch_size
+    key_of = raw_key = tuple_getter(positions)
+    source = iter(batches)
+    rows: list[tuple] = []
+    for batch in source:
+        rows += batch.rows
+        if len(rows) > capacity:
+            break
+    else:
         # Entire input fits in memory: no run I/O at all.
         ctx.sort_metrics.in_memory_sorts += 1
-        while heap:
-            yield heapq.heappop(heap).row
+        counter.value += len(rows) * (len(rows) - 1).bit_length()
+        yield from batches_of(sorted_nulls_first(rows, positions), size)
         return
 
+    def rewrap() -> None:
+        # Called while a ``TypeError`` is being handled; wrapped keys
+        # that still do not compare are not a NULL's doing.
+        nonlocal key_of
+        if key_of is not raw_key:
+            raise
+        key_of = lambda row: null_safe_wrap(raw_key(row))  # noqa: E731
+        heap[:] = [(run, key_of(row), arrival, row) for run, _, arrival, row in heap]
+        heapq.heapify(heap)
+
     store = _RunStore(ctx, row_bytes)
-    current_run = 0
-    run_buffer: list[tuple] = []
+    heap = list(zip(repeat(0), map(raw_key, rows), range(capacity), rows))
+    try:
+        heapq.heapify(heap)
+    except TypeError:
+        rewrap()
+    runs: defaultdict[int, list[tuple]] = defaultdict(list)
+    arrival = capacity
+    for row in chain(rows[capacity:], flatten_batches(source)):
+        # heap[0] leaves for its run and *row* takes its place — in the
+        # next run if it sorts before the row it replaces.
+        run, last_key, _, leaving = heap[0]
+        key = key_of(row)
+        try:
+            late = key < last_key
+        except TypeError:
+            rewrap()
+            key = key_of(row)
+            late = key < heap[0][1]
+        try:
+            heapq.heapreplace(heap, (run + late, key, arrival, row))
+        except TypeError:
+            rewrap()
+        arrival += 1
+        runs[run].append(leaving)
+    try:
+        heap.sort()
+    except TypeError:
+        rewrap()
+        heap.sort()
+    for run, _, _, row in heap:
+        runs[run].append(row)
+    # Run ids only ever grow, so the dictionary holds the runs in order.
+    for run_rows in runs.values():
+        store.write_run(run_rows)
+    counter.value += arrival * (capacity - 1).bit_length() + arrival - capacity
 
-    def flush_run() -> None:
-        nonlocal run_buffer
-        store.write_run(run_buffer)
-        run_buffer = []
-
-    while heap:
-        popped = heapq.heappop(heap)
-        run_id = popped.key[0]
-        if run_id != current_run:
-            flush_run()
-            current_run = run_id
-        run_buffer.append(popped.row)
-        if pending is not _SENTINEL:
-            new_key = key_fn(pending)
-            counter.add()
-            # A new tuple smaller than the last one output cannot join the
-            # current run; defer it to the next run.
-            target = run_id + 1 if key_lt(new_key, popped.key[1:-1]) else run_id
-            heapq.heappush(heap, _Selected(target, new_key, seq, pending, counter))
-            seq += 1
-            pending = next(it, _SENTINEL)
-    flush_run()
-
-    yield from flatten_batches(_merge_runs(store, store.runs, positions, ctx))
+    out: list[tuple] = []
+    for batch in _merge_runs(store, store.runs, positions, ctx):
+        out += batch.rows
+        if len(out) >= size:
+            yield from drain_full(out, size)
+    yield from batches_of(out, size)
 
 
 def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
@@ -381,8 +404,7 @@ def sort_batches(
             return iter(batches)
         return mrs_sort(batches, positions[:k], positions[k:], ctx,
                         schema.row_bytes)
-    return batches_of(srs_sort(flatten_batches(batches), positions, ctx,
-                               schema.row_bytes), ctx.batch_size)
+    return srs_sort(batches, positions, ctx, schema.row_bytes)
 
 
 def sort_stream(rows: Iterable[tuple], schema: Schema, target_order: SortOrder,

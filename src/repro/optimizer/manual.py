@@ -37,7 +37,14 @@ from ..core.sort_order import (
     longest_common_prefix,
 )
 from ..expr.aggregates import AggSpec, aggregate_output_schema
-from ..expr.expressions import Expression, JoinPredicate, Predicate
+from ..expr.expressions import (
+    And,
+    Col,
+    Comparison,
+    Expression,
+    JoinPredicate,
+    Predicate,
+)
 from ..logical.algebra import LogicalExpr
 from ..storage.catalog import Catalog
 from ..storage.schema import Column, Schema
@@ -104,8 +111,10 @@ class PlanBuilder:
                          table=table_name, index=index_name)
 
     # -- row operators ---------------------------------------------------------------
-    def filter(self, child: PhysicalPlan, predicate: Predicate) -> PhysicalPlan:
-        stats = child.stats.scaled(predicate.selectivity(child.stats))
+    def filter(self, child: PhysicalPlan, predicate: Predicate,
+               stats: Optional[StatsView] = None) -> PhysicalPlan:
+        if stats is None:
+            stats = child.stats.scaled(predicate.selectivity(child.stats))
         return make_plan("Filter", child.schema, child.order, stats,
                          self.cost.filter(child.stats), [child],
                          predicate=predicate)
@@ -220,24 +229,40 @@ class PlanBuilder:
         are the query's (outer-join pairs are *not* among them), passes
         ``sort_inputs=False`` and the *logical* join: it is kept on the
         node for phase-2 refinement, and its pairs as written — not the
-        permutation — are what the output is estimated on."""
+        permutation — are what the output is estimated on.  Pairs of the
+        logical join that the permutation leaves out (the search reduces
+        merge keys under equivalences of the left input) are enforced by
+        a ``Filter`` on the merged rows, which only an inner join allows.
+        """
         perm = SortOrder([l for l, _ in pairs])
         if sort_inputs:
             self.equate(*pairs)
             left = self.sort(left, perm)
             right = self.sort(right, SortOrder([r for _, r in pairs]))
-        stats, schema = self._join_output(
-            left, right, pairs if logical is None else logical.predicate.pairs,
-            join_type, stats)
+        written = pairs if logical is None else logical.predicate.pairs
+        stats, schema = self._join_output(left, right, written, join_type, stats)
+        merged, residual = stats, ()
+        if len(pairs) < len(written):
+            keyed = {r for _, r in pairs}
+            residual = [pair for pair in written if pair[1] not in keyed]
+            if join_type != "inner":
+                raise ValueError(f"{join_type} merge join on {perm} leaves "
+                                 f"out {residual}: only an inner join can "
+                                 f"enforce pairs above the merge")
+            merged = self._join_stats(pairs, join_type, left.stats, right.stats)
         # FULL OUTER pads left key columns of right-unmatched rows with
         # NULLs mid-stream, so its output guarantees no order (mirrors
         # engine/joins.py — the two must agree or enforcers get skipped
         # above plans that cannot honour them).
         out_order = EMPTY_ORDER if join_type == "full" else perm
-        return make_plan("MergeJoin", schema, out_order, stats,
-                         self.cost.merge_join(left.stats, right.stats, stats.N),
+        join = make_plan("MergeJoin", schema, out_order, merged,
+                         self.cost.merge_join(left.stats, right.stats, merged.N),
                          [left, right], predicate=JoinPredicate(pairs),
                          join_type=join_type, logical=logical)
+        if not residual:
+            return join
+        return self.filter(join, And(*(Comparison("=", Col(l), Col(r))
+                                       for l, r in residual)), stats)
 
     def hash_join(self, left: PhysicalPlan, right: PhysicalPlan,
                   pairs: Sequence[tuple[str, str]],

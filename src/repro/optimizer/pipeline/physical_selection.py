@@ -567,8 +567,21 @@ class PhysicalSelection:
         # A permutation may name a pair by either side's attribute.
         right_of = {right: right for _, right in pairs} | dict(pairs)
         left_eq = self.groups.of(expr.left).eq
+        outer = expr.join_type != "inner"
         for perm in self.strategy.join_orders(self.order_ctx, expr, required):
             partners = [(a, right_of[a]) for a in perm]
+            # A strategy reduces its permutations under the query's
+            # equivalences, so one may leave a pair out (its left
+            # attribute equals one already in the key — on the left
+            # input's rows; the right attributes need not be equal).
+            # The pair is still part of the predicate: an inner join
+            # enforces it on the merged rows (``merge_join`` does, told
+            # the logical join); an outer join must decide a match on
+            # every pair, so there it rejoins the merge key.
+            if outer and len(partners) < len(pairs):
+                keyed = {right for _, right in partners}
+                partners += [pair for pair in pairs if pair[1] not in keyed]
+                perm = SortOrder(tuple(left for left, _ in partners))
             right_perm = SortOrder(tuple(right for _, right in partners))
             inputs = self._input_plans(expr, perm, right_perm, bound)
             if inputs is None:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from ..core.sort_order import SortOrder, EMPTY_ORDER
+from ..core.sort_order import EMPTY_ORDER, SortOrder, sorted_nulls_first
 from .schema import FunctionalDependency, Schema
 from .statistics import TableStats, measure_partitions, measure_shards
 
@@ -216,8 +217,8 @@ class Table:
         return self.stats.num_rows if self._rows is None else len(self._rows)
 
     def _sort_rows_by(self, order: SortOrder) -> None:
-        positions = self.schema.positions(list(order))
-        self._rows.sort(key=lambda row: tuple(row[i] for i in positions))
+        self._rows[:] = sorted_nulls_first(
+            self._rows, self.schema.positions(list(order)))
 
     # -- physical properties ---------------------------------------------------------
     @property
@@ -272,6 +273,9 @@ class Index:
         self.table = table
         self.key = key
         self.included = tuple(included)
+        #: ``((table stats_version, row count), leaf entries)`` of the
+        #: last :meth:`scan_rows`; never part of the worker handoff.
+        self._leaf_image: Optional[tuple[tuple[int, int], list[tuple]]] = None
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -292,14 +296,20 @@ class Index:
         return self.table.schema.project(list(self.columns))
 
     def scan_rows(self) -> list[tuple]:
-        """Leaf entries (covered columns only), in index-key order."""
-        schema = self.table.schema
-        proj = schema.positions(list(self.columns))
-        key_positions = schema.positions(list(self.key))
-        rows = [tuple(r[i] for i in proj) for r in self.table.rows]
-        key_width = len(key_positions)
-        rows.sort(key=lambda row: row[:key_width])
-        return rows
+        """Leaf entries (covered columns only), in index-key order,
+        NULLS FIRST.  The image is built on the first request and kept —
+        shared by every scan of the index, so not the caller's to change
+        — until the table's ``stats_version`` or row count moves."""
+        table = self.table
+        version = (table.stats_version, len(table.rows))
+        if self._leaf_image is None or self._leaf_image[0] != version:
+            entry = itemgetter(*table.schema.positions(list(self.columns)))
+            entries = (list(map(entry, table.rows)) if len(self.columns) > 1
+                       else [(value,) for value in map(entry, table.rows)])
+            # The key columns lead the entry.
+            self._leaf_image = version, sorted_nulls_first(
+                entries, range(len(self.key)))
+        return self._leaf_image[1]
 
     def __repr__(self) -> str:
         inc = f" include {list(self.included)}" if self.included else ""

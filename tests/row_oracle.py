@@ -1,11 +1,12 @@
 """Row-at-a-time tally oracle for the order-exploiting operators.
 
-These are the engine's former row paths — the ``mrs_sort`` loop with its
-run store and merges, the ``_GroupReader`` merge join and the per-row
-sort-aggregate fold — kept verbatim in behaviour: one Python step per
-row, every key NULL-safe *wrapped* up front, one ``counter.add()`` per
-row.  Only what a k-way merge and an in-memory segment sort charge is
-restated by the engine's rules (``merge_sorted_streams`` and
+These are the engine's former row paths — the ``srs_sort`` selection
+heap and the ``mrs_sort`` loop with their run store and merges, the
+``_GroupReader`` merge join and the per-row sort-aggregate fold — kept
+verbatim in behaviour: one Python step per row, every key NULL-safe
+*wrapped* up front, one ``counter.add()`` per row.  Only what a k-way
+merge, a selection tree and an in-memory segment sort charge is restated
+by the engine's rules (``merge_sorted_streams``, ``srs_sort`` and
 ``mrs_sort``'s ``sort_in_memory`` below).  The batch engine in ``src/``
 must reproduce their rows, row order and ``ctx.tallies()`` exactly
 (``tests/test_order_ops_parity.py``).
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.engine import (
@@ -88,6 +90,56 @@ def _merge_runs(store: _RunStore, runs: list[list[tuple]], key_fn: KeyFn,
         runs = next_runs
     ctx.sort_metrics.merge_passes += 1
     return merge_sorted_streams([store.read_run(r) for r in runs], key_fn, ctx)
+
+
+def srs_sort(rows: Iterable[tuple], positions: Sequence[int],
+             ctx: ExecutionContext, row_bytes: int) -> Iterator[tuple]:
+    """The row-level replacement selection loop: a ``heapq`` of
+    ``(run, wrapped key, arrival, row)`` entries, one pop and one push
+    per row.  What it *charges* is the engine's stated rule, not the
+    heap's own compares: ``ceil(log2 P)`` per row leaving a selection
+    tree of ``P = min(N, capacity)`` rows, and one replacement test per
+    row that takes a leaving row's place."""
+    capacity = max(1, ctx.memory_capacity_rows(row_bytes))
+    counter = ctx.comparisons
+    key_fn = wrapped_key(positions)
+    it = iter(rows)
+    heap = [(0, key_fn(row), seq, row)
+            for seq, row in enumerate(islice(it, capacity))]
+    heapq.heapify(heap)
+    seq = len(heap)
+    per_row = (seq - 1).bit_length()
+    pending = next(it, _SENTINEL)
+
+    if pending is _SENTINEL:
+        ctx.sort_metrics.in_memory_sorts += 1
+        while heap:
+            counter.add(per_row)
+            yield heapq.heappop(heap)[3]
+        return
+
+    store = _RunStore(ctx, row_bytes)
+    current_run = 0
+    run_buffer: list[tuple] = []
+    while heap:
+        run_id, last_key, _, row = heapq.heappop(heap)
+        counter.add(per_row)
+        if run_id != current_run:
+            store.write_run(run_buffer)
+            run_buffer = []
+            current_run = run_id
+        run_buffer.append(row)
+        if pending is not _SENTINEL:
+            new_key = key_fn(pending)
+            counter.add()
+            # A new tuple smaller than the last one output cannot join the
+            # current run; defer it to the next run.
+            target = run_id + 1 if new_key < last_key else run_id
+            heapq.heappush(heap, (target, new_key, seq, pending))
+            seq += 1
+            pending = next(it, _SENTINEL)
+    store.write_run(run_buffer)
+    yield from _merge_runs(store, store.runs, key_fn, ctx)
 
 
 def mrs_sort(rows: Iterable[tuple], prefix_positions: Sequence[int],

@@ -3,7 +3,9 @@
 The paper's plans are cheap because PartialSort, MergeJoin and
 SortAggregate exploit an order that is already there; the engine keeps
 that promise only if exploiting it costs a pass over each batch, not an
-interpreter step per group.  These tests count Python-level function
+interpreter step per group — and the full Sort they are measured
+against is one C-level sort of a memory load, not a Python comparison
+per heap step.  These tests count Python-level function
 calls (``sys.setprofile`` ``call`` events — generator resumptions and
 comprehensions included — in code under ``repro``) while each operator
 consumes 8 batches of 1,024 rows, and bound the count by a small
@@ -30,7 +32,7 @@ from repro.engine import (
 from repro.expr import col
 from repro.expr.aggregates import agg_min, agg_sum, count
 from repro.expr.expressions import JoinPredicate
-from repro.storage import Schema
+from repro.storage import Schema, SystemParameters
 
 BATCHES, BATCH_SIZE = 8, 1024
 ROWS = BATCHES * BATCH_SIZE
@@ -43,7 +45,7 @@ SCHEMA = Schema.of(("k1", "int", 8), ("k2", "int", 8), ("v", "int", 8))
 OTHER = Schema.of(("j1", "int", 8), ("j2", "int", 8), ("w", "int", 8))
 
 
-def python_calls(plan) -> tuple[Counter, list, ExecutionContext]:
+def python_calls(plan, params=None) -> tuple[Counter, list, ExecutionContext]:
     """Calls per function name made under ``repro`` while *plan* runs."""
     calls: Counter = Counter()
 
@@ -51,13 +53,42 @@ def python_calls(plan) -> tuple[Counter, list, ExecutionContext]:
         if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
             calls[frame.f_code.co_qualname] += 1
 
-    ctx = ExecutionContext(batch_size=BATCH_SIZE)
+    ctx = ExecutionContext(params=params, batch_size=BATCH_SIZE)
     sys.setprofile(profile)
     try:
         rows = plan.run(ctx)
     finally:
         sys.setprofile(None)
     return calls, rows, ctx
+
+
+def test_full_sort_in_memory_is_a_pass_per_batch():
+    """SRS of an input that fits in sort memory: one C-level sort."""
+    rng = random.Random(4)
+    rows = [(rng.randrange(1000), rng.randrange(100), i) for i in range(ROWS)]
+    plan = Sort(RowSource(SCHEMA, rows), SortOrder(["k1", "k2"]))
+    calls, out, ctx = python_calls(plan)
+    assert out == sorted(rows, key=lambda r: r[:2])
+    assert ctx.sort_metrics.in_memory_sorts == 1
+    assert ctx.comparisons.value == ROWS * 13  # ceil(log2 8192)
+    assert not [name for name in calls if "__lt__" in name], calls
+    assert sum(calls.values()) <= PER_BATCH * BATCHES, calls
+
+
+def test_full_sort_that_spills_never_compares_in_python():
+    """SRS of four memory loads: the selection heap holds plain tuples,
+    so the Python left is per batch, per run and per block read back."""
+    rng = random.Random(5)
+    rows = [(rng.randrange(1000), rng.randrange(100), i) for i in range(ROWS)]
+    params = SystemParameters(sort_memory_blocks=12)  # 2,048 rows
+    plan = Sort(RowSource(SCHEMA, rows), SortOrder(["k1", "k2"]))
+    calls, out, ctx = python_calls(plan, params)
+    assert out == sorted(rows, key=lambda r: r[:2])
+    runs = ctx.sort_metrics.runs_created
+    assert 1 < runs <= 4 and ctx.sort_metrics.merge_passes == 1
+    assert not [name for name in calls if "__lt__" in name], calls
+    assert sum(calls.values()) <= \
+        PER_BATCH * BATCHES + 8 * (runs + ctx.io.run_blocks_read), calls
 
 
 def test_partial_sort_of_singleton_segments_is_a_pass_per_batch():
@@ -73,7 +104,7 @@ def test_partial_sort_of_singleton_segments_is_a_pass_per_batch():
 
 def test_partial_sort_never_compares_in_python():
     """Four-row segments: one sort call per segment, on raw keys — no
-    ``CountedKey`` (or any other Python ``__lt__``) per comparison."""
+    Python ``__lt__`` per comparison."""
     rng = random.Random(2)
     rows = [(i // 4, rng.randrange(100), i) for i in range(ROWS)]
     plan = Sort(RowSource(SCHEMA, rows, SortOrder(["k1"])),

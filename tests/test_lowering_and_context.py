@@ -10,7 +10,7 @@ import repro.service
 
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.engine import ExecutionContext, operators_from_plan
-from repro.engine.context import ComparisonCounter, CountedKey, IOAccountant
+from repro.engine.context import IOAccountant
 from repro.optimizer import Optimizer
 from repro.optimizer.manual import PlanBuilder
 from repro.storage import Catalog, Schema, SystemParameters
@@ -84,13 +84,6 @@ class TestIOAccounting:
         ctx.io.read(10)
         ctx.comparisons.add(500)
         assert ctx.cost_units() == pytest.approx(15.0)
-
-    def test_counted_key_counts(self):
-        counter = ComparisonCounter()
-        a, b = CountedKey((1,), counter), CountedKey((2,), counter)
-        assert a < b
-        assert not b < a
-        assert counter.value == 2
 
     def test_reset(self):
         ctx = ExecutionContext()
@@ -216,9 +209,10 @@ class TestLowering:
         # A leaf that has work of its own to do before its first batch
         # does it on the first pull too.
         cov = operators_from_plan(plans["cov"], catalog)
+        cov.index._leaf_image = None
         stream = cov.execute_batches(ExecutionContext(catalog))
-        assert cov._leaf_rows is None
-        assert next(iter(stream)) and cov._leaf_rows is not None
+        assert cov.index._leaf_image is None
+        assert next(iter(stream)) and cov.index._leaf_image is not None
         inner = {cls for cls in vars(lowering).values()
                  if isinstance(cls, type) and issubclass(cls, Operator)
                  and cls is not Operator and "Scan" not in cls.__name__}

@@ -371,3 +371,75 @@ class TestPerSubtreeEquivalenceScoping:
         left_fds = query_fds(catalog, left)
         assert left_fds.reduce_order(SortOrder(["a", "c"])) == \
             SortOrder(["c"])  # within the branch it still applies
+
+
+class TestReducedMergeKeys:
+    """An order strategy reduces a merge join's permutation under the
+    query's equivalences: ``a ⋈ b ON a0=b0`` makes ``a0 ≡ b0``, so the
+    join above it on ``a0=c0 AND b0=c1`` may be handed the one-attribute
+    key ``(a0)`` — enough to sort the left input on, but the right
+    input's ``c0`` and ``c1`` are two columns and both pairs are still
+    the predicate.  An inner join enforces the pair the key leaves out
+    with a filter on the merged rows; an outer join decides matches on
+    every pair, so there the pair rejoins the merge key."""
+
+    @pytest.fixture
+    def catalog(self, rng):
+        cat = Catalog()
+        for name, n in (("a", 30), ("b", 30), ("c", 40)):
+            cols = [f"{name}{i}" for i in range(3)]
+            cat.create_table(
+                name, Schema.of(*[(c, "int", 8) for c in cols]),
+                rows=[tuple(rng.randrange(4) for _ in cols) for _ in range(n)])
+        return cat
+
+    @staticmethod
+    def by_definition(catalog, how):
+        """``(a ⋈ b) ⋈how c`` row pair by row pair, NULLS FIRST."""
+        a, b, c = (catalog.table(t).rows for t in "abc")
+        left = [x + y for x in a for y in b if x[0] == y[0]]
+        out, matched = [], set()
+        for row in left:
+            hits = [j for j, z in enumerate(c)
+                    if row[0] == z[0] and row[3] == z[1]]
+            matched.update(hits)
+            out += [row + c[j] for j in hits]
+            if not hits and how != "inner":
+                out.append(row + (None,) * 3)
+        if how == "full":
+            out += [(None,) * 6 + z for j, z in enumerate(c)
+                    if j not in matched]
+        return sorted(out, key=lambda r: [(v is not None, v or 0) for v in r])
+
+    @pytest.mark.parametrize("how", ["inner", "left", "full"])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_every_pair_is_enforced(self, catalog, strategy, how):
+        q = (Query.table("a").join("b", on=[("a0", "b0")])
+             .join("c", on=[("a0", "c0"), ("b0", "c1")], how=how)
+             .order_by("a0", "a1", "a2", "b0", "b1", "b2", "c0", "c1", "c2"))
+        plan = Optimizer(catalog, strategy=strategy,
+                         enable_hash_join=False).optimize(q)
+        ctx = ExecutionContext(catalog, check_orders=True)
+        assert plan.execute(catalog, ctx) == self.by_definition(catalog, how)
+        top = max(plan.find_all("MergeJoin"), key=lambda node: node.total_cost)
+        if strategy.startswith("pyro-o") and how == "inner":
+            assert len(top.arg("predicate").pairs) == 1
+            residual, = [node for node in plan.walk()
+                         if node.op == "Filter" and node.children[0] is top]
+            assert repr(residual.arg("predicate")) == "b0 = c1"
+            # The merge is estimated on its key, the filter on the join.
+            assert residual.rows < top.rows
+        else:
+            assert len(top.arg("predicate").pairs) == 2
+
+    def test_builder_refuses_an_outer_join_on_a_reduced_key(self, catalog):
+        from repro.logical.algebra import BaseRelation, Join
+        from repro.expr.expressions import JoinPredicate
+        from repro.optimizer.manual import PlanBuilder
+
+        builder = PlanBuilder(catalog)
+        a, c = builder.table_scan("a"), builder.table_scan("c")
+        logical = Join(BaseRelation("a"), BaseRelation("c"),
+                       JoinPredicate([("a0", "c0"), ("a1", "c1")]), "left")
+        with pytest.raises(ValueError, match="only an inner join"):
+            builder.merge_join(a, c, [("a0", "c0")], "left", logical=logical)

@@ -1,22 +1,21 @@
 """The batch order-exploiting operators against the row-at-a-time oracle.
 
 ``tests/row_oracle.py`` holds the engine's former row paths (wrapped
-keys, one step and one ``counter.add()`` per row).  PartialSort (MRS),
-MergeJoin, SortAggregate and SortedCombine now find their segments and
-groups a batch at a time on raw keys; this matrix asserts that rows, row
-order and every tally are unchanged at every batch size — in particular
-for spilling segments and join groups that straddle batch boundaries,
-and for NULL keys (the only case that builds wrapped keys).  The one
-tally the oracle restates rather than counts is the in-memory segment
-sort's ``n * ceil(log2 n)`` (``tests/test_closed_runs.py`` takes the
-same oracle to randomly drawn batch edges).
+keys, one step and one ``counter.add()`` per row).  Sort (SRS),
+PartialSort (MRS), MergeJoin, SortAggregate and SortedCombine now work a
+batch at a time on raw keys; this matrix asserts that rows, row order
+and every tally are unchanged at every batch size — in particular for
+spilling sorts and join groups that straddle batch boundaries, and for
+NULL keys (the only case that builds wrapped keys).  The tallies the
+oracle restates rather than counts are the sorts' and merges' rules
+(``tests/test_closed_runs.py`` takes the same oracle to randomly drawn
+batch edges).
 
 The property tests at the bottom pin the key discipline itself.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from operator import itemgetter
 
@@ -26,8 +25,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.sort_order import SortOrder
 from repro.engine import (
     AGGREGATE_COMBINERS,
-    ComparisonCounter,
-    CountedKey,
     ExecutionContext,
     MergeJoin,
     Operator,
@@ -36,6 +33,8 @@ from repro.engine import (
     Sort,
     SortAggregate,
     SortedGroupCombine,
+    batches_of,
+    collect_rows,
     key_lt,
     null_safe_wrap,
 )
@@ -67,6 +66,67 @@ def contexts(params: SystemParameters, batch_size: int, check_orders: bool):
 
 def sorted_nulls_first(rows, positions):
     return sorted(rows, key=lambda r: null_safe_wrap(tuple(r[i] for i in positions)))
+
+
+# -- SRS ---------------------------------------------------------------------------------
+def unsorted_rows(n, seed, null_every=0, presorted=False):
+    """*n* rows with duplicated two-column keys; every *null_every*-th
+    row holds a NULL, in k1 and k2 by turns."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        k1, k2 = rng.randrange(25), rng.randrange(4)
+        if null_every and i % null_every == 0:
+            k1, k2 = (None, k2) if i % (2 * null_every) else (k1, None)
+        rows.append((k1, k2, i))
+    return sorted_nulls_first(rows, (0, 1)) if presorted else rows
+
+
+SRS_CASES = {
+    # 85 rows of sort memory: no run at all.
+    "in_memory": (SystemParameters(block_size=256, sort_memory_blocks=8),
+                  unsorted_rows(85, seed=1)),
+    "in_memory_nulls": (SystemParameters(block_size=256, sort_memory_blocks=8),
+                        unsorted_rows(60, seed=2, null_every=7)),
+    # Presorted input: one giant run, written and read back.
+    "one_run": (SystemParameters(block_size=256, sort_memory_blocks=8),
+                unsorted_rows(300, seed=3, null_every=9, presorted=True)),
+    # Fan-in 7 holds the runs of 600 rows: one merge pass.
+    "many_runs": (SystemParameters(block_size=256, sort_memory_blocks=8),
+                  unsorted_rows(600, seed=4)),
+    "many_runs_nulls": (SystemParameters(block_size=256, sort_memory_blocks=8),
+                        unsorted_rows(600, seed=5, null_every=11)),
+    # Fan-in 2 with 32 rows of memory: intermediate merge passes.
+    "multi_pass": (SystemParameters(block_size=256, sort_memory_blocks=3),
+                   unsorted_rows(400, seed=6, null_every=13)),
+    # The smallest sort memory there is: two rows.
+    "capacity_2": (SystemParameters(block_size=24, sort_memory_blocks=2),
+                   unsorted_rows(23, seed=7, null_every=4)),
+}
+
+
+@pytest.mark.parametrize("check_orders", [False, True])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("case", sorted(SRS_CASES))
+def test_full_sort_matches_row_oracle(case, batch_size, check_orders):
+    params, rows = SRS_CASES[case]
+    ctx, oracle_ctx = contexts(params, batch_size, check_orders)
+    plan = Sort(RowSource(SCHEMA, rows), SortOrder(["k1", "k2"]),
+                algorithm="srs")
+    expected = list(row_oracle.srs_sort(rows, [0, 1], oracle_ctx,
+                                        SCHEMA.row_bytes))
+    assert repr(plan.run(ctx)) == repr(expected)
+    assert ctx.tallies() == oracle_ctx.tallies()
+    metrics = ctx.sort_metrics
+    if case.startswith("in_memory"):
+        assert (metrics.runs_created, metrics.merge_passes) == (0, 0)
+    elif case == "one_run":
+        assert (metrics.runs_created, metrics.merge_passes) == (1, 1)
+    elif case.startswith("many_runs"):
+        assert 1 < metrics.runs_created <= 7 and metrics.merge_passes == 1
+    else:
+        assert metrics.merge_passes > 1
+        assert metrics.rows_spilled > len(rows)
 
 
 # -- MRS ---------------------------------------------------------------------------------
@@ -253,25 +313,52 @@ class TestKeyDiscipline:
     def test_key_lt_is_the_wrapped_order(self, a, b):
         assert key_lt(a, b) == (null_safe_wrap(a) < null_safe_wrap(b))
         assert (a == b) == (null_safe_wrap(a) == null_safe_wrap(b))
-        counter = ComparisonCounter()
-        assert (CountedKey(a, counter) < CountedKey(b, counter)) == \
-            (null_safe_wrap(a) < null_safe_wrap(b))
-        assert counter.value == 1
 
     @given(st.lists(key_tuples(2), max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_counted_raw_sort_equals_wrapped_sort(self, keys):
-        """The SRS selection heap — CountedKey's one user — on raw keys:
-        the stable NULLS FIRST order, and exactly the ``<`` calls
-        ``heapq`` makes on the same entries with wrapped keys."""
+        """SRS on raw keys returns the rows, the row order and the
+        ``tallies()`` of SRS on the same keys wrapped up front — NULLs in
+        any key position, in memory and spilled (four rows of sort
+        memory, fan-in 2: many runs, intermediate merge passes), wherever
+        in the selection the first NULL meets a value."""
         rows = [key + (i,) for i, key in enumerate(keys)]
-        ctx = ExecutionContext()
-        by_raw = list(srs_sort(rows, (0, 1), ctx, row_bytes=24))
-        assert by_raw == sorted(rows, key=lambda r: null_safe_wrap(r[:2]))
-        wrapped = ComparisonCounter()
-        heap = [CountedKey((0, *null_safe_wrap(row[:2]), i), wrapped)
-                for i, row in enumerate(rows)]
-        heapq.heapify(heap)
-        while heap:
-            heapq.heappop(heap)
-        assert ctx.comparisons.value == wrapped.value
+        wrapped = [null_safe_wrap(key) + (i,) for i, key in enumerate(keys)]
+        for params in (SystemParameters(),
+                       SystemParameters(block_size=48, sort_memory_blocks=2)):
+            ctx = ExecutionContext(params=params, batch_size=7)
+            by_raw = collect_rows(srs_sort(batches_of(rows, 7), (0, 1), ctx,
+                                           row_bytes=24))
+            assert by_raw == sorted(rows, key=lambda r: null_safe_wrap(r[:2]))
+            wrapped_ctx = ExecutionContext(params=params, batch_size=7)
+            by_wrapped = collect_rows(srs_sort(
+                batches_of(wrapped, 7), (0, 1), wrapped_ctx, row_bytes=24))
+            assert [r[2] for r in by_raw] == [r[2] for r in by_wrapped]
+            assert ctx.tallies() == wrapped_ctx.tallies()
+
+    @pytest.mark.parametrize("rows", [
+        # The first memory load sets the NULL against a value: ``heapify``.
+        [(None, 0), (3, 0), (4, 0), (5, 0), (1, 1), (2, 2)],
+        # The replacing row is a NULL, tested against the row it replaces.
+        [(1, 0), (3, 0), (4, 0), (5, 0), (None, 1), (2, 2)],
+        # The replacement test passes, the heap step behind it raises.
+        [(1, 0), (2, 0), (3, 0), (5, None), (5, 2), (6, 0), (5, 1)],
+        # No step raises; only the final drain compares the two.
+        [(1, 0), (2, 0), (5, None), (5, 2), (9, 9)],
+    ], ids=["heapify", "replacement_test", "heap_step", "drain"])
+    def test_a_null_met_mid_selection_loses_no_row(self, rows):
+        """Four rows of sort memory; each case meets its first
+        NULL-against-value comparison at a different point of the
+        replacement selection."""
+        rows = [key + (i,) for i, key in enumerate(rows)]
+        params = SystemParameters(block_size=48, sort_memory_blocks=2)
+        ctx = ExecutionContext(params=params)
+        assert ctx.memory_capacity_rows(24) == 4
+        out = collect_rows(srs_sort(batches_of(rows, 3), (0, 1), ctx,
+                                    row_bytes=24))
+        assert out == sorted(rows, key=lambda r: null_safe_wrap(r[:2]))
+        with pytest.raises(TypeError):
+            sorted(rows)
+        oracle_ctx = ExecutionContext(params=params)
+        assert out == list(row_oracle.srs_sort(rows, (0, 1), oracle_ctx, 24))
+        assert ctx.tallies() == oracle_ctx.tallies()

@@ -43,8 +43,9 @@ from repro.core.sort_order import SortOrder
 from repro.engine import ExecutionContext, flatten_batches
 from repro.expr import col, param
 from repro.expr.aggregates import AggSpec, count_star
+from repro.expr.expressions import Comparison
 from repro.logical import Query
-from repro.logical.algebra import Annotator
+from repro.logical.algebra import Annotator, BaseRelation, Join, Limit, OrderBy
 from repro.service import ProcessPoolBackend, QuerySession, SerialBackend
 from repro.storage import Catalog, RangePartitioning, Schema, SystemParameters
 
@@ -161,6 +162,27 @@ def random_query(rng: random.Random, catalog: Catalog) -> Query:
 
 
 # -- the parity oracle -------------------------------------------------------------------
+def unenforced_join_pairs(plan) -> list[str]:
+    """Equality pairs of a logical join that its merge join neither
+    merges on nor has enforced by the filter directly above it."""
+    missing = []
+    edges = [(None, plan)] + [(parent, node) for parent in plan.walk()
+                              for node in parent.children]
+    for parent, node in edges:
+        logical = node.arg("logical")
+        if node.op != "MergeJoin" or logical is None:
+            continue
+        enforced = set(node.arg("predicate").pairs)
+        if parent is not None and parent.op == "Filter":
+            enforced |= {(str(c.left), str(c.right))
+                         for c in parent.arg("predicate").conjuncts()
+                         if isinstance(c, Comparison) and c.op == "="}
+        missing += [f"{l}={r} of MergeJoin ({node.describe()})"
+                    for l, r in logical.predicate.pairs
+                    if (l, r) not in enforced]
+    return missing
+
+
 def execution_mismatches(catalog: Catalog, query) -> list[str]:
     """Run *query* under every configuration; names of configs whose rows
     differ from the serial reference (empty = parity holds)."""
@@ -180,7 +202,12 @@ def execution_mismatches(catalog: Catalog, query) -> list[str]:
     row_ctx = ExecutionContext(catalog, batch_size=1)
     results["p4/rows"] = list(flatten_batches(
         plan.to_operator(catalog).execute_batches(row_ctx)))
-    return [name for name, rows in results.items() if rows != reference]
+    bad = [name for name, rows in results.items() if rows != reference]
+    # Rows can agree and all be wrong: a merge join must merge on, or
+    # have filtered above it, every pair of the join it implements.
+    return bad + [f"p{parallelism}/join pairs" for parallelism in (1, 4)
+                  if unenforced_join_pairs(
+                      session.prepare(query, parallelism=parallelism).plan)]
 
 
 def shrink_failure(catalog: Catalog, query) -> str:
@@ -291,10 +318,36 @@ def test_enumerator_parity_on_fuzz_corpus(enumerator):
                 f"{seed} at parallelism {parallelism}:\n{query.pretty()}")
 
 
-@pytest.mark.parametrize("enumerator", REORDERING_ENUMERATORS)
+def nested_loop_rows(catalog: Catalog, expr) -> tuple[list[str], list[tuple]]:
+    """``(column names, rows)`` of a join-region query by the definition
+    of its operators and nothing of the engine's: every pair of rows of
+    an inner join's inputs tested against every equality, ``sorted`` for
+    the ORDER BY, a slice for the LIMIT.  NULL-free by construction of
+    :func:`random_join_catalog`."""
+    if isinstance(expr, BaseRelation):
+        table = catalog.table(expr.table_name)
+        return list(table.schema.names), list(table.rows)
+    if isinstance(expr, Join) and expr.join_type == "inner":
+        lnames, lrows = nested_loop_rows(catalog, expr.left)
+        rnames, rrows = nested_loop_rows(catalog, expr.right)
+        on = [(lnames.index(l), rnames.index(r)) for l, r in expr.predicate.pairs]
+        return lnames + rnames, [lrow + rrow for lrow in lrows for rrow in rrows
+                                 if all(lrow[i] == rrow[j] for i, j in on)]
+    names, rows = nested_loop_rows(catalog, expr.child)
+    if isinstance(expr, OrderBy):
+        positions = [names.index(c) for c in expr.order]
+        return names, sorted(rows, key=lambda row: [row[p] for p in positions])
+    if isinstance(expr, Limit):
+        return names, rows[:expr.k]
+    raise NotImplementedError(expr.label())
+
+
+@pytest.mark.parametrize("enumerator", ("exhaustive",) + REORDERING_ENUMERATORS)
 def test_enumerator_parity_on_join_regions(enumerator):
-    """Result parity on wide inner-join regions, where the rewrite
-    actually fires — and it must fire, or the parity claim is vacuous."""
+    """Every enumerator — the default included, which is therefore no
+    reference — returns the nested-loop answer on wide inner-join
+    regions, where a reordering enumerator's rewrite actually fires; and
+    it must fire, or the parity claim is vacuous."""
     from repro.optimizer.pipeline import make_enumerator
     enum = make_enumerator(enumerator)
     rewrites = 0
@@ -304,17 +357,46 @@ def test_enumerator_parity_on_join_regions(enumerator):
         query = random_join_region_query(rng, catalog)
         if enum.reorder(catalog, query.expr) != query.expr:
             rewrites += 1
-        reference = QuerySession(catalog).execute(query)
+        _, reference = nested_loop_rows(catalog, query.expr)
         session = QuerySession(catalog, join_enumerator=enumerator)
         for parallelism in (1, 4):
             rows = session.execute(query, parallelism=parallelism)
             assert rows == reference, (
-                f"{enumerator} diverges from exhaustive on join-region "
-                f"seed {seed} at parallelism {parallelism}:\n"
+                f"{enumerator} diverges from the nested-loop answer on "
+                f"join-region seed {seed} at parallelism {parallelism}:\n"
                 f"{query.pretty()}")
-    assert rewrites >= 10, (
+    assert rewrites >= 10 or enumerator == "exhaustive", (
         f"{enumerator} only rewrote {rewrites}/40 join-region queries — "
         f"the parity run is not exercising the reordering path")
+
+
+def test_reduced_merge_key_keeps_every_join_pair():
+    """Join-region seed 4244: the top join is ``t3_c3=t1_c2 AND
+    t2_c0=t1_c1`` over a left input in which ``t3_c3 = t2_c0`` already
+    holds (both equal ``t4_c0``).  PYRO-O reduces the merge key to
+    ``(t3_c3)`` — enough to *sort* on — and the plan once dropped the
+    second pair with it: 296 rows for the nested loop's 24.  Every
+    strategy under every enumerator returns the nested-loop rows, and the
+    reduced merge join carries the pair it left out as a filter."""
+    from repro.core.interesting import STRATEGY_VARIANTS
+    from repro.optimizer.pipeline import ENUMERATORS
+    rng = random.Random(4244)
+    catalog = random_join_catalog(rng)
+    query = random_join_region_query(rng, catalog)
+    _, reference = nested_loop_rows(catalog, query.expr)
+    assert len(reference) == 24
+    for enumerator in ENUMERATORS:
+        for strategy in STRATEGY_VARIANTS:
+            session = QuerySession(catalog, strategy=strategy,
+                                   join_enumerator=enumerator)
+            for parallelism in (1, 4):
+                assert session.execute(query, parallelism=parallelism) \
+                    == reference, (enumerator, strategy, parallelism)
+    plan = QuerySession(catalog).prepare(query).plan
+    assert unenforced_join_pairs(plan) == []
+    reduced = [node for node in plan.walk() if node.op == "Filter"
+               and node.children[0].op == "MergeJoin"]
+    assert [repr(node.arg("predicate")) for node in reduced] == ["t2_c0 = t1_c1"]
 
 
 # -- backend parity: the plan is the only statement of what executes ---------------------

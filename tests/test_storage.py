@@ -125,6 +125,32 @@ class TestIndex:
         assert len(rows) == 20
         assert [r[0] for r in rows] == sorted(r[0] for r in t.rows)
 
+    def test_null_in_a_key_column_sorts_first(self):
+        """A key column holding a NULL beside a value: raw keys raise
+        ``TypeError``, and the leaf image (like a clustered table) is
+        then ordered NULLS FIRST, stable among equal keys."""
+        schema = Schema.of(("a", "int", 8), ("b", "int", 8))
+        rows = [(2, 0), (None, 1), (1, 2), (None, 3), (1, None), (2, 5)]
+        t = Table("t", schema, rows=list(rows), clustering_order=SortOrder(["a"]))
+        assert t.rows == [(None, 1), (None, 3), (1, 2), (1, None), (2, 0), (2, 5)]
+        ix = Index("ix", t, SortOrder(["a", "b"]))
+        assert ix.scan_rows() == \
+            [(None, 1), (None, 3), (1, None), (1, 2), (2, 0), (2, 5)]
+        single = Index("single", t, SortOrder(["b"]))
+        assert single.scan_rows() == [(None,), (0,), (1,), (2,), (3,), (5,)]
+
+    def test_leaf_image_is_built_once_per_table_version(self):
+        t = self.make_table()
+        ix = Index("ix", t, SortOrder(["a"]), included=["b"])
+        image = ix.scan_rows()
+        assert ix.scan_rows() is image  # every scan shares it
+        t.update_stats()  # a statistics refresh is a new table version
+        rebuilt = ix.scan_rows()
+        assert rebuilt is not image and rebuilt == image
+        t.rows.append((0, -1, "new"))  # so is a row count that moved
+        assert ix.scan_rows()[:5] == [(0, 0), (0, 5), (0, 10), (0, 15), (0, -1)]
+        assert len(ix.scan_rows()) == 21
+
     def test_entry_bytes_narrower_than_row(self):
         t = self.make_table()
         ix = Index("ix", t, SortOrder(["a"]), included=["b"])
