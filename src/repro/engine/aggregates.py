@@ -37,7 +37,7 @@ from .batch import (
 )
 from .context import ExecutionContext
 from .iterators import Operator, tuple_getter
-from .kernels import OperatorKernels, compile_kernels
+from .kernels import OperatorKernels, bound_kernels, compile_kernels
 
 #: Aggregates whose partials combine exactly: the combiner applied to
 #: per-shard results equals the aggregate over the whole group.  ``avg``
@@ -192,11 +192,11 @@ class SortAggregate(Operator):
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         child = self.children[0]
         positions = child.schema.positions(list(self.group_order))
-        arg_fns = self._arg_row_fns
-        if arg_fns is None:  # unbound parameters: raise like the seed engine
-            arg_fns = tuple(spec.arg.compile(child.schema)
-                            for spec in self.aggregates)
-        batch_fns = self._arg_batch_fns
+        arg_fns, batch_fns = self._arg_row_fns, self._arg_batch_fns
+        if arg_fns is None:  # parameterized: this execution's values
+            arg_fns, batch_fns = bound_kernels(
+                [spec.arg for spec in self.aggregates], child.schema,
+                ctx.binds)
 
         def arg_columns(batch: RowBatch) -> list:
             # Aggregate inputs evaluate whole-column when allowed; the
@@ -310,11 +310,11 @@ class HashAggregate(Operator):
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         child = self.children[0]
         positions = child.schema.positions(self.group_columns)
-        arg_fns = self._arg_row_fns
-        if arg_fns is None:  # unbound parameters: raise like the seed engine
-            arg_fns = tuple(spec.arg.compile(child.schema)
-                            for spec in self.aggregates)
-        batch_fns = self._arg_batch_fns
+        arg_fns, batch_fns = self._arg_row_fns, self._arg_batch_fns
+        if arg_fns is None:  # parameterized: this execution's values
+            arg_fns, batch_fns = bound_kernels(
+                [spec.arg for spec in self.aggregates], child.schema,
+                ctx.binds)
         funcs = [spec.function for spec in self.aggregates]
 
         groups: dict[tuple, list] = {}

@@ -4,7 +4,9 @@ enforcers, limit — batch-vectorized, with whole-column kernel paths.
 Filter, project and compute compile their expressions **once, at
 construction** (through the process-global kernel cache, or from the
 bundle a prepared plan carries — see :mod:`repro.engine.kernels`), in
-two forms: a row function and a whole-column batch kernel.  At run time
+two forms: a row function and a whole-column batch kernel; an
+expression holding query parameters is specialised on the execution's
+values when ``execute_batches`` starts.  At run time
 a batch that is already column-backed, or holds at least
 :data:`~repro.engine.batch.COLUMNAR_MIN_ROWS` rows, is evaluated
 columnar — one kernel call per batch instead of one Python call per row;
@@ -31,7 +33,7 @@ from ..storage.schema import Column, Schema
 from .batch import COLUMNAR_MIN_ROWS, RowBatch
 from .context import ExecutionContext
 from .iterators import Operator, assert_sorted_batches
-from .kernels import OperatorKernels, compile_kernels
+from .kernels import OperatorKernels, bound_kernels, compile_kernels
 from .sorting import sort_batches
 
 
@@ -52,10 +54,11 @@ class Filter(Operator):
         self._batch_fn = batch_fns[0] if batch_fns else None
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        # Unbound parameters surface here, like the seed engine's
-        # compile-at-execute did.
-        row_fn = self._row_fn or self.predicate.compile(self.schema)
-        return self._filtered(ctx, row_fn, self._batch_fn)
+        row_fn, batch_fn = self._row_fn, self._batch_fn
+        if row_fn is None:  # parameterized: this execution's values
+            (row_fn,), (batch_fn,) = bound_kernels(
+                (self.predicate,), self.schema, ctx.binds)
+        return self._filtered(ctx, row_fn, batch_fn)
 
     def _filtered(self, ctx: ExecutionContext, row_fn,
                   batch_fn) -> Iterator[RowBatch]:
@@ -123,11 +126,12 @@ class Compute(Operator):
             tuple(expr for _, expr in self.outputs), child.schema, kernels)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        row_fns = self._row_fns
-        if row_fns is None:  # unbound parameters: raise like the seed engine
-            row_fns = tuple(expr.compile(self.children[0].schema)
-                            for _, expr in self.outputs)
-        return self._computed(ctx, row_fns, self._batch_fns)
+        row_fns, batch_fns = self._row_fns, self._batch_fns
+        if row_fns is None:  # parameterized: this execution's values
+            row_fns, batch_fns = bound_kernels(
+                [expr for _, expr in self.outputs],
+                self.children[0].schema, ctx.binds)
+        return self._computed(ctx, row_fns, batch_fns)
 
     def _computed(self, ctx: ExecutionContext, row_fns,
                   batch_fns) -> Iterator[RowBatch]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Iterable, Iterator, Mapping, Optional, TYPE_CHECKING
 
 from ..core.sort_order import null_safe_wrap
 from ..storage.catalog import Catalog, SystemParameters
@@ -146,6 +146,11 @@ class ExecutionContext:
         #: Per-operator ``[seconds, batches]`` cells keyed like
         #: :attr:`operator_rows`; always empty unless ``meter_timing``.
         self.operator_times: dict[str, list] = {}
+        #: Query-parameter values of the plan last started on this
+        #: context (see :mod:`repro.engine.prepared`), read by operators
+        #: whose expressions hold ``Param``s when ``execute_batches``
+        #: starts — the lowered tree itself never depends on a value.
+        self.binds: Mapping[str, Any] = {}
 
     # -- derived ---------------------------------------------------------------------
     def cost_units(self) -> float:

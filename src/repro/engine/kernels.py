@@ -1,43 +1,51 @@
 """Compiled expression kernels: process-global cache + per-plan bundles.
 
 Expression compilation (:meth:`Expression.compile` /
-:meth:`Expression.compile_batch`) is cheap but not free, and the serving
-layer re-lowers a cached :class:`~repro.optimizer.plans.PhysicalPlan` to
-operators on **every** execution.  Two layers make repeated executions
-pay zero compilations:
+:meth:`Expression.compile_batch`) is cheap but not free.  A cached plan
+is lowered once (:mod:`repro.engine.prepared`) and operators compile at
+construction, so a warm execution compiles nothing for an expression
+without parameters.  Two layers keep the compilations that do happen —
+fresh plans, re-prepares, pool workers — from repeating:
 
 * :data:`KERNELS` — a process-global LRU cache keyed by
   ``(kind, expression, schema column names)``.  Expressions are frozen
   dataclasses (hashable, structurally equal), so any operator compiled
   against the same schema anywhere in the process reuses the closure.
   Unhashable expressions (a ``Const`` holding a list, say) are compiled
-  uncached.
+  uncached.  No key ever contains a bind value: the cache holds
+  templates only.
 * :func:`attach_plan_kernels` — called once at *prepare* time
   (``QuerySession.prepare``), it walks an optimized plan and attaches an
   :class:`OperatorKernels` bundle to every expression-bearing node as a
   ``"kernels"`` plan arg.  Lowering hands the bundle to the operator
-  constructor, so executing a cached plan does not even pay the cache
-  lookup.  Nodes whose expressions still contain unbound
-  :class:`~repro.expr.expressions.Param` placeholders are skipped — and
-  because parameter binding (``bind_plan``) only rebuilds nodes whose
-  expressions actually changed, a bundle can never go stale: a node that
-  carries one has no parameters to bind.
+  constructor, so lowering a re-prepared plan does not even pay the
+  cache lookup.  Nodes whose expressions contain
+  :class:`~repro.expr.expressions.Param` placeholders are skipped.
+
+An operator whose expressions hold parameters specialises them on the
+execution's values when its ``execute_batches`` starts
+(:func:`bound_kernels`) — a ``Col op Const`` column loop like any
+literal's — and lets the closures go with the execution.
 
 Bundles close over Python functions and are deliberately **not
 picklable**: :func:`repro.engine.subplan.strip_plan` drops the
 ``"kernels"`` arg before shipping subplans to process-pool workers, and
 each worker recompiles against its own catalog snapshot through its own
-process-global :data:`KERNELS` — warm after the first task per plan
-shape.
+process-global :data:`KERNELS` — once per plan template, whatever the
+values.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-from ..expr.expressions import Expression, UnboundParamError
+from ..expr.expressions import (
+    Expression,
+    UnboundParamError,
+    bind_expression,
+)
 from .batch import columnar_batches_total, reset_columnar_batches
 
 
@@ -141,13 +149,13 @@ def reset_kernel_stats() -> None:
 
 def compile_kernels(exprs: Sequence[Expression], schema,
                     provided: Optional[OperatorKernels] = None):
-    """``(row_fns, batch_fns)`` for *exprs*, or ``(None, None)`` if unbound.
+    """``(row_fns, batch_fns)`` for *exprs*, or ``(None, None)`` when
+    they hold parameters.
 
     Operators call this from their constructors: a plan-attached bundle
     short-circuits everything; otherwise the global cache supplies (and
-    remembers) the closures.  ``(None, None)`` means the expressions
-    still contain unbound parameters — the operator defers to execute
-    time, where compiling raises the seed engine's ``ValueError``.
+    remembers) the closures.  On ``(None, None)`` the operator defers to
+    execute time (:func:`bound_kernels`).
     """
     exprs = tuple(exprs)
     if provided is not None and len(provided.row_fns) == len(exprs):
@@ -158,6 +166,21 @@ def compile_kernels(exprs: Sequence[Expression], schema,
     except UnboundParamError:
         return None, None
     return row_fns, batch_fns
+
+
+def bound_kernels(exprs: Sequence[Expression], schema,
+                  binds: Mapping[str, Any]):
+    """``(row_fns, batch_fns)`` of parameterized *exprs* for one
+    execution's *binds*.
+
+    Compiled directly, never through :data:`KERNELS`: a value-keyed
+    entry would be used once and push a template out of the LRU.  A
+    parameter left unbound raises the seed engine's ``ValueError``
+    (:class:`~repro.expr.expressions.UnboundParamError`) naming it.
+    """
+    bound = [bind_expression(e, binds) for e in exprs]
+    return (tuple([e.compile(schema) for e in bound]),
+            tuple([e.compile_batch(schema) for e in bound]))
 
 
 def _node_expressions(plan):
@@ -178,7 +201,7 @@ def attach_plan_kernels(plan, _memo: Optional[dict] = None):
     Called once per fresh optimization at prepare time; the returned plan
     carries ``OperatorKernels`` bundles in a ``"kernels"`` arg that
     lowering feeds to operator constructors.  Shared subtrees stay
-    shared (identity memo); nodes with unbound parameters or without
+    shared (identity memo); nodes with parameters or without
     expressions are passed through untouched.
     """
     memo: dict = {} if _memo is None else _memo

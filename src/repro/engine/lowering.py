@@ -1,5 +1,6 @@
 """Lower optimizer :class:`~repro.optimizer.plans.PhysicalPlan` trees to
-executable engine operators.
+executable engine operators (once per cached plan: see
+:mod:`repro.engine.prepared`).
 
 Payload (``args``) conventions per plan ``op`` — what the lowering below
 reads; each op's args are produced in one place, its constructor on

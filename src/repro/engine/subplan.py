@@ -32,11 +32,13 @@ pieces:
   everything above it runs locally and the result is **bit-identical**
   to single-process execution.
 
-Workers also keep a small LRU of *lowered* subplans keyed by the task's
-pickled fingerprint: operators are plans, not live cursors (they may be
-re-executed), and a pool's catalog snapshot is immutable for the pool's
-lifetime, so a repeated query — the plan-cache steady state — skips
-lowering and kernel lookup entirely on a warm worker.
+Workers also keep a small LRU of *lowered* subplans keyed by the task
+template's pickled fingerprint: operators are plans, not live cursors
+(they may be re-executed), and a pool's catalog snapshot is immutable
+for the pool's lifetime, so a repeated query — the plan-cache steady
+state — skips lowering and kernel lookup entirely on a warm worker.  A
+prepared query's task (a :class:`~repro.engine.prepared.BoundPlan`) is
+its template plus the parameter values: one subplan serves every value.
 
 Determinism: tasks are generated in plan pre-order and, per exchange, in
 shard order; the parent absorbs worker tallies in exactly that order, so
@@ -65,6 +67,7 @@ from .context import ExecutionContext
 from .exchange import ExchangeUnion, MergeExchange
 from .iterators import Operator
 from .lowering import meter_for, operators_from_plan
+from .prepared import BoundPlan, BoundRoot, PreparedPlan
 
 #: The gather operators whose children are independently executable
 #: shard pipelines.
@@ -125,7 +128,19 @@ def shard_subplans(plan) -> tuple[list, list[Any]]:
     occurrence then shard index.  A plan with no exchange at all becomes
     a single whole-plan task (``occurrences == []``): the pool then
     provides inter-query rather than intra-query parallelism.
+
+    A :class:`~repro.engine.prepared.BoundPlan` is cut and stripped once
+    per plan-cache entry; its tasks are those templates plus its binds.
     """
+    if isinstance(plan, BoundPlan):
+        prepared = plan.prepared
+        if prepared.shards is None:
+            occurrences, tasks = shard_subplans(prepared.plan)
+            prepared.shards = occurrences, [
+                PreparedPlan(task, prepared.param_names) for task in tasks]
+        occurrences, templates = prepared.shards
+        return occurrences, [BoundPlan(template, plan.binds)
+                             for template in templates]
     occurrences = exchange_occurrences(plan)
     if not occurrences:
         return [], [strip_plan(plan)]
@@ -275,8 +290,12 @@ def assemble_streams(plan, occurrences: Sequence[Any],
     ``check_orders`` execution still verifies every input; it just
     starts as soon as the first chunks land.  A whole-plan task
     (``occurrences == []``) has nothing to rebuild: its one stream is
-    the root.
+    the root.  A :class:`~repro.engine.prepared.BoundPlan`'s tree is
+    built fresh like any other and carries its binds.
     """
+    if isinstance(plan, BoundPlan):
+        return BoundRoot(assemble_streams(plan.plan, occurrences, streams,
+                                          catalog), plan.binds)
     if not occurrences:
         (stream,) = streams
         return StreamSource(plan.schema, stream, plan.order)
@@ -345,10 +364,11 @@ def init_worker(payload, results_queue=None, cache_size: int = 32) -> None:
 def _lowered_cached(plan) -> tuple[Operator, bool]:
     """Lower *plan* against the worker catalog, through the warm cache.
 
-    The key is a fingerprint of the pickled task — value-based, so a
+    The key is a fingerprint of the pickled plan — value-based, so a
     re-shipped identical subplan hits whichever worker it lands on once
-    that worker has seen it; parameterised binds differ in the pickle
-    and naturally miss.  Returns ``(operator, was_hit)``.
+    that worker has seen it.  A prepared query's task is keyed on its
+    template alone, so it hits for every bind value.  Returns
+    ``(operator, was_hit)``.
     """
     if _SUBPLAN_CACHE_SIZE <= 0:
         return plan.to_operator(_WORKER_CATALOG), False
@@ -423,6 +443,8 @@ def execute_subplan_stream(plan, stream_id: int,
     ctx = ExecutionContext(_WORKER_CATALOG, batch_size=batch_size,
                            check_orders=check_orders,
                            meter_timing=meter_timing)
+    if isinstance(plan, BoundPlan):
+        ctx.binds, plan = plan.binds, plan.plan
     trace, root = _worker_trace(trace_ctx)
     with (trace.span("lower", parent=root) if trace is not None
           else _NULL_CM) as lower_span:

@@ -12,7 +12,9 @@ from .expressions import (
     Param,
     Predicate,
     UnboundParamError,
+    bind_expression,
     col,
+    expression_params,
     param,
     wrap,
 )
@@ -33,7 +35,9 @@ __all__ = [
     "Param",
     "Predicate",
     "UnboundParamError",
+    "bind_expression",
     "col",
+    "expression_params",
     "param",
     "wrap",
 ]

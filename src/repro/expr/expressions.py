@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
 from ..storage.schema import Schema
 
@@ -171,10 +171,10 @@ class Param(Expression):
 
     Parameters make a query *preparable*: the optimizer plans the
     template once (selectivity estimates in this model never depend on
-    literal values, so the plan is bind-independent) and the serving
-    layer substitutes :class:`Const` values at execution time — see
-    :func:`repro.service.session.bind_expression`.  Compiling an unbound
-    parameter is an error.
+    literal values, so the plan is bind-independent) and each execution
+    brings its own values: the operator holding the expression
+    substitutes them when it starts (:func:`bind_expression`).
+    Compiling an unbound parameter is an error.
     """
 
     name: str
@@ -509,3 +509,40 @@ class JoinPredicate:
 def col(name: str) -> Col:
     """Convenience constructor, mirrors SQL column references."""
     return Col(name)
+
+
+def bind_expression(expr: Expression, binds: Mapping[str, Any]) -> Expression:
+    """Substitute :class:`Param` nodes with :class:`Const` bindings.
+
+    Returns the *same* object when nothing changed.  A parameter *binds*
+    does not name stays a :class:`Param`, so compiling the result raises
+    the :class:`UnboundParamError` that names it.
+    """
+    if isinstance(expr, Param):
+        return Const(binds[expr.name]) if expr.name in binds else expr
+    if isinstance(expr, (Comparison, BinOp)):
+        left = bind_expression(expr.left, binds)
+        right = bind_expression(expr.right, binds)
+        if left is expr.left and right is expr.right:
+            return expr
+        return type(expr)(expr.op, left, right)
+    if isinstance(expr, (And, Or)):
+        parts = tuple(bind_expression(p, binds) for p in expr.parts)
+        if all(n is o for n, o in zip(parts, expr.parts)):
+            return expr
+        return type(expr)(*parts)
+    return expr
+
+
+def expression_params(expr: Expression) -> frozenset[str]:
+    """All parameter names referenced by an expression."""
+    if isinstance(expr, Param):
+        return frozenset({expr.name})
+    if isinstance(expr, (Comparison, BinOp)):
+        return expression_params(expr.left) | expression_params(expr.right)
+    if isinstance(expr, (And, Or)):
+        out: frozenset[str] = frozenset()
+        for p in expr.parts:
+            out |= expression_params(p)
+        return out
+    return frozenset()

@@ -11,12 +11,7 @@ from .join_enumeration import (
     SimpliSquaredEnumerator,
     make_enumerator,
 )
-from .parameterization import (
-    bind_expression,
-    bind_plan,
-    expression_params,
-    plan_params,
-)
+from .parameterization import plan_params
 from .physical_selection import (
     PhysicalSelection,
     enforcement_chain_scan,
@@ -35,10 +30,7 @@ __all__ = [
     "PhysicalSelection",
     "PreCheckError",
     "SimpliSquaredEnumerator",
-    "bind_expression",
-    "bind_plan",
     "enforcement_chain_scan",
-    "expression_params",
     "make_enumerator",
     "plan_params",
     "run_pre_check",

@@ -28,11 +28,7 @@ from .plan_cache import CacheStats, PlanCache, SharedPlanCache
 # Re-exported so serving callers configure observability without a
 # second import (`QueryServer(..., obs=ObservabilityConfig(...))`).
 from ..obs import ObservabilityConfig, Tracer
-from ..optimizer.pipeline.parameterization import (
-    bind_expression,
-    bind_plan,
-    plan_params,
-)
+from ..optimizer.pipeline.parameterization import plan_params
 from .server import (
     CircuitOpen,
     QueryRejected,
@@ -69,8 +65,6 @@ __all__ = [
     "TokenBucket",
     "TracedResult",
     "Tracer",
-    "bind_expression",
-    "bind_plan",
     "is_transient",
     "make_backend",
     "plan_params",

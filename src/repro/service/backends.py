@@ -1,10 +1,14 @@
 """Pluggable execution backends for the :class:`QueryServer`.
 
-A backend turns one bound :class:`~repro.optimizer.plans.PhysicalPlan`
-into result rows.  Two strategies:
+A backend turns one executable plan — a prepared query's
+:class:`~repro.engine.prepared.BoundPlan` (cached template + this
+execution's parameter values) or a bare
+:class:`~repro.optimizer.plans.PhysicalPlan` — into result rows.  Two
+strategies:
 
-* :class:`SerialBackend` — lowers the plan and runs it in-process, one
-  plan per dispatch thread.  Concurrency across queries comes from the
+* :class:`SerialBackend` — runs the plan's operator tree in-process
+  (a bound plan's tree is lowered once per plan-cache entry and shared),
+  one plan per dispatch thread.  Concurrency across queries comes from the
   server's dispatch pool, but CPython's GIL serializes the CPU work.
 * :class:`ProcessPoolBackend` — ships per-shard subplans (or the whole
   plan, when it has no exchange) to worker processes and gathers them
@@ -22,9 +26,9 @@ pipeline or a whole plan — ships its rows back chunk by chunk on a
 shared results queue, so the serving-side merge starts on the fastest
 shard's first chunk while the slowest shard is still sorting, and
 unpickling overlaps with worker execution.  Workers keep a warm LRU of
-lowered subplans keyed by task fingerprint, so the plan-cache steady
-state (the same physical plan served repeatedly) skips lowering on warm
-workers.
+lowered subplans keyed by the task template's fingerprint, so the
+plan-cache steady state (the same physical plan served repeatedly, with
+whatever parameter values) skips lowering on warm workers.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from ..storage.handoff import catalog_payload
 
 
 class ExecutionBackend:
-    """Interface: run one bound physical plan to completion.
+    """Interface: run one executable plan to completion.
 
     *ctx*, when supplied, receives the execution's counter tallies
     (simulated I/O, comparisons, sort metrics) — for the process

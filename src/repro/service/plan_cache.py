@@ -149,11 +149,13 @@ class SharedPlanCache(PlanCache[PlanT]):
     to every :class:`~repro.service.session.QuerySession` a
     :class:`~repro.service.server.QueryServer` creates, so a plan
     optimized on one dispatch thread serves every other.  Cached
-    :class:`~repro.optimizer.plans.PhysicalPlan` values are immutable
-    (frozen dataclasses) and lowered to fresh operator trees per
-    execution, so sharing the *values* is safe; this class only has to
-    make the cache *bookkeeping* (LRU order, TTL expiry, counters)
-    atomic, which one lock around each public operation does.  The
+    :class:`~repro.engine.prepared.PreparedPlan` values hold an
+    immutable plan and the operator tree lowered from it once, which is
+    re-entrant (no operator keeps per-execution state; parameter values
+    travel in each execution's context), so sharing the *values* is
+    safe; this class only has to make the cache *bookkeeping* (LRU
+    order, TTL expiry, counters) atomic, which one lock around each
+    public operation does.  The
     counters in :attr:`stats` are mutated exclusively under the lock, so
     ``hits + misses == lookups`` holds at every observable instant.
     """

@@ -21,7 +21,9 @@ dispatch pool:
    :class:`~repro.service.plan_cache.SharedPlanCache`: a plan optimized
    for any client serves all of them, still keyed by
    fingerprint × parallelism × referenced-table versions.
-3. **Execution** — the bound plan runs on the configured backend
+3. **Execution** — the bound plan (the cache entry's executable, shared
+   by every dispatch thread, plus this query's parameter values) runs on
+   the configured backend
    (:mod:`repro.service.backends`): in-process serial/threaded, or the
    **process pool**, which ships per-shard subplans to worker processes
    and streams their results back batch-at-a-time through the

@@ -6,14 +6,15 @@ execution engine into the loop a production system actually runs:
 1. ``prepare(query)`` — fingerprint the logical tree, look the plan up
    in the :class:`~repro.service.plan_cache.PlanCache`; only on a miss
    pay for a full (cost-bounded) Volcano search.
-2. ``PreparedQuery.execute(**binds)`` — substitute parameter bindings
-   into the cached physical plan and run it on the engine.
+2. ``PreparedQuery.execute(**binds)`` — run the cache entry's lowered
+   operator tree (built by the entry's first execution) with the
+   parameter bindings as run-time values.
 
 Parameters (:class:`repro.expr.expressions.Param`) make one cache entry
 serve a whole family of queries: the cost model's selectivity estimates
 never depend on literal values, so the plan is bind-independent by
-construction, and binding is a pure plan-tree substitution — the
-optimizer is not consulted again.
+construction, and so is everything made from it — a warm execution
+rebuilds neither the plan, nor its operators, nor their kernels.
 
 Cached plans are keyed on the versions of **only the tables they
 reference** (:meth:`repro.storage.catalog.Catalog.table_versions`):
@@ -36,13 +37,13 @@ from typing import Any, Optional, Union as TUnion
 
 from ..engine.context import ExecutionContext
 from ..engine.kernels import attach_plan_kernels, kernel_stats
+from ..engine.prepared import BoundPlan, PreparedPlan
 from ..logical.algebra import LogicalExpr, referenced_tables
 from ..logical.builder import Query
 from ..logical.fingerprint import logical_fingerprint
 from ..core.sort_order import SortOrder
 from ..obs.analyze import ExplainAnalyze
 from ..obs.trace import child_span
-from ..optimizer.pipeline.parameterization import bind_plan, plan_params
 from ..optimizer.pipeline.physical_selection import shardable_enforcement_input
 from ..optimizer.plans import PhysicalPlan
 from ..optimizer.volcano import (
@@ -102,20 +103,20 @@ class SessionMetrics:
 class PreparedQuery:
     """An optimized, cached plan ready for (repeated) execution."""
 
-    def __init__(self, session: "QuerySession", plan: PhysicalPlan,
+    def __init__(self, session: "QuerySession", prepared: PreparedPlan,
                  fingerprint: str, required: SortOrder,
                  from_cache: bool, tables: frozenset[str] = frozenset()
                  ) -> None:
         self.session = session
-        self.plan = plan
+        #: The plan-cache entry: plan, parameter names (stage 4's, kept
+        #: from the cold prepare) and the lowered tree.
+        self.prepared = prepared
+        self.plan: PhysicalPlan = prepared.plan
+        self.param_names = prepared.param_names
         self.fingerprint = fingerprint
         self.required_order = required
         self.from_cache = from_cache
         self.tables = tables
-        # A plan just optimized went through stage 4 on its way here;
-        # only a cached one is walked for the parameters it needs bound.
-        self.param_names = (plan_params(plan) if from_cache
-                            else session.optimizer.last_param_names)
 
     @property
     def total_cost(self) -> float:
@@ -124,17 +125,16 @@ class PreparedQuery:
     def explain(self) -> str:
         return self.plan.explain()
 
-    def bind(self, **binds: Any) -> PhysicalPlan:
-        """The executable plan with parameters substituted."""
-        unknown = set(binds) - set(self.param_names)
-        if unknown:
-            raise KeyError(f"unknown query parameters: {sorted(unknown)}")
-        missing = set(self.param_names) - set(binds)
-        if missing:
-            raise KeyError(f"missing bindings for parameters: {sorted(missing)}")
-        if not self.param_names:
-            return self.plan
-        return bind_plan(self.plan, binds)
+    def bind(self, **binds: Any) -> BoundPlan:
+        """The cached executable plus these parameter values."""
+        names = self.param_names
+        if binds.keys() != names:
+            unknown = sorted(binds.keys() - names)
+            if unknown:
+                raise KeyError(f"unknown query parameters: {unknown}")
+            raise KeyError("missing bindings for parameters: "
+                           f"{sorted(names - binds.keys())}")
+        return BoundPlan(self.prepared, binds)
 
     def execute(self, ctx: Optional[ExecutionContext] = None,
                 batch_size: Optional[int] = None,
@@ -165,7 +165,7 @@ class QuerySession:
                  config: Optional[OptimizerConfig] = None,
                  cache_capacity: int = 128,
                  cache_ttl: Optional[float] = None,
-                 cache: Optional[PlanCache[PhysicalPlan]] = None,
+                 cache: Optional[PlanCache[PreparedPlan]] = None,
                  feedback: Optional[FeedbackConfig] = None,
                  **overrides: Any) -> None:
         self.catalog = catalog
@@ -174,7 +174,7 @@ class QuerySession:
         #: tier passes one :class:`~repro.service.plan_cache.SharedPlanCache`
         #: to every session it creates); ``cache_capacity``/``cache_ttl``
         #: then belong to the shared cache's owner and are ignored here.
-        self.cache: PlanCache[PhysicalPlan] = cache if cache is not None \
+        self.cache: PlanCache[PreparedPlan] = cache if cache is not None \
             else PlanCache(cache_capacity, ttl_seconds=cache_ttl)
         #: Adaptive-statistics feedback; ``None`` (the default) disables
         #: drift detection entirely — see :mod:`repro.service.feedback`.
@@ -226,9 +226,9 @@ class QuerySession:
         # query reads, so refreshes elsewhere leave the entry valid.
         version = self.catalog.table_versions(tables)
         self.metrics.prepares += 1
-        plan = self.cache.get(fp, version)
-        if plan is not None:
-            return PreparedQuery(self, plan, fp, required, from_cache=True,
+        entry = self.cache.get(fp, version)
+        if entry is not None:
+            return PreparedQuery(self, entry, fp, required, from_cache=True,
                                  tables=tables)
         start = time.perf_counter()
         plan = self.optimizer.optimize(expr, required, parallelism=parallelism)
@@ -262,13 +262,13 @@ class QuerySession:
                 # unshardable shapes (join inputs etc.) are not decisions.
                 self.metrics.post_union_sort_plans += 1
         # Compile the plan's hot expressions once, here at prepare time:
-        # cached-plan re-executions (and repeated executes of this
-        # PreparedQuery) lower straight from the attached bundles with
-        # zero recompilation.  Parameterized nodes stay bundle-free and
-        # compile at bind/execute time, exactly as before.
-        plan = attach_plan_kernels(plan)
-        self.cache.put(fp, plan, version)
-        return PreparedQuery(self, plan, fp, required, from_cache=False,
+        # the entry's first execution lowers straight from the attached
+        # bundles.  Parameterized nodes stay bundle-free; their operators
+        # specialise on each execution's values.
+        entry = PreparedPlan(attach_plan_kernels(plan),
+                             self.optimizer.last_param_names)
+        self.cache.put(fp, entry, version)
+        return PreparedQuery(self, entry, fp, required, from_cache=False,
                              tables=tables)
 
     def execute(self, query: TUnion[Query, LogicalExpr],

@@ -12,6 +12,10 @@ consumes 8 batches of 1,024 rows, and bound the count by a small
 multiple of the *batch* count: the runs that close inside a batch are
 handled together, whatever their number.  A per-group step is 8,192
 calls here, a counted comparison per sort step more still.
+
+The last test counts the path *into* the engine the same way: a warm
+execution of a prepared parameterized read rebuilds neither its plan,
+nor its operator tree, nor a kernel.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from repro.engine import (
     Sort,
     SortAggregate,
 )
-from repro.expr import col
+from repro.expr import col, param
 from repro.expr.aggregates import agg_min, agg_sum, count
 from repro.expr.expressions import JoinPredicate
-from repro.storage import Schema, SystemParameters
+from repro.logical import Query
+from repro.service import QuerySession
+from repro.storage import Catalog, Schema, SystemParameters
 
 BATCHES, BATCH_SIZE = 8, 1024
 ROWS = BATCHES * BATCH_SIZE
@@ -142,3 +148,58 @@ def test_sort_aggregate_of_singleton_groups_is_a_pass_per_batch():
     assert out == [(k1, k2, v, 1, v) for k1, k2, v in rows]
     assert ctx.comparisons.value == ROWS
     assert sum(calls.values()) <= PER_BATCH * BATCHES, calls
+
+
+def test_warm_prepared_read_rebuilds_nothing_on_the_way_in():
+    """The second execution of a prepared ``short_churn``-shaped point
+    read (600 rows, ``k = :k ORDER BY v, s``): bind + lower + compile
+    were most of the 86 calls (of 149) it made before the root operator
+    started or after it returned; 9 of 86 are left.  Now the cache entry's tree runs as it is; the one
+    parameterized expression is specialised inside the running
+    ``Filter``."""
+    rng = random.Random(1)
+    catalog = Catalog(SystemParameters())
+    schema = Schema.of(("hot_k", "int", 8), ("hot_g", "int", 8),
+                       ("hot_v", "int", 8), ("hot_s", "str", 16))
+    rows = [(i % 60, rng.randrange(12), rng.randrange(1000),
+             f"s{rng.randrange(50)}") for i in range(600)]
+    catalog.create_table("hot", schema, rows=rows,
+                         clustering_order=SortOrder(["hot_k"]))
+    prepared = QuerySession(catalog).prepare(
+        Query.table("hot").where(col("hot_k").eq(param("k")))
+        .order_by("hot_v", "hot_s"))
+    assert len(prepared.execute(k=3)) == 10
+
+    calls: Counter = Counter()
+    outside: Counter = Counter()
+    running = []  # the root operator's ``run`` frame, while it is live
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(PACKAGE):
+            return
+        if event == "call":
+            where = (code.co_filename[len(PACKAGE) + 1:], code.co_qualname)
+            calls[where] += 1
+            if not running:
+                outside[where] += 1
+                if code.co_qualname == "Operator.run":
+                    running.append(frame)
+        elif event == "return" and running and frame is running[0]:
+            running.pop()
+
+    sys.setprofile(profile)
+    try:
+        out = prepared.execute(k=7)
+    finally:
+        sys.setprofile(None)
+    assert out == sorted((r for r in rows if r[0] == 7),
+                         key=lambda r: (r[2], r[3]))
+    files = {file for file, _ in calls}
+    assert "engine/lowering.py" not in files, calls
+    assert "optimizer/pipeline/parameterization.py" not in files, calls
+    names = {name for _, name in calls}
+    assert "KernelCache._get" not in names and "Schema.__init__" not in names
+    assert ("engine/basic.py", "Filter.execute_batches") in calls
+    assert sum(outside.values()) <= 40, outside
+    assert sum(calls.values()) <= 110, calls

@@ -144,17 +144,16 @@ class TestQuerySession:
 
     def test_cold_prepare_walks_the_plan_for_parameters_once(
             self, small_catalog, monkeypatch):
-        """Stage 4's names reach the ``PreparedQuery`` the miss path
-        builds; only a cache hit walks the (cached) plan for them."""
+        """Stage 4's names go into the cache entry the miss path builds;
+        a cache hit reads them there and walks no plan at all."""
         from repro.optimizer import volcano
         from repro.optimizer.pipeline import plan_params
-        from repro.service import session as session_module
+        from repro.optimizer.plans import PhysicalPlan
         walks = []
         def counting(plan):
             walks.append(plan)
             return plan_params(plan)
         monkeypatch.setattr(volcano, "plan_params", counting)
-        monkeypatch.setattr(session_module, "plan_params", counting)
         template = (Query.table("left")
                     .join("right", on=[("a", "c"), ("b", "d")])
                     .where(col("x").lt(param("hi")))
@@ -163,8 +162,14 @@ class TestQuerySession:
         session = QuerySession(small_catalog)
         cold = session.prepare(template)
         assert not cold.from_cache and len(walks) == 1
+        walk = PhysicalPlan.walk
+        def counting_walk(node):
+            walks.append(node)
+            return walk(node)
+        monkeypatch.setattr(PhysicalPlan, "walk", counting_walk)
         warm = session.prepare(template)
-        assert warm.from_cache and len(walks) == 2
+        monkeypatch.setattr(PhysicalPlan, "walk", walk)
+        assert warm.from_cache and len(walks) == 1
         assert cold.param_names == warm.param_names == {"hi", "lo"}
         assert cold.param_names == plan_params(cold.plan)
 
