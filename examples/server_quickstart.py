@@ -6,11 +6,13 @@ executing queries; this one shows the tier above it — a
 :class:`QueryServer` absorbing traffic from many concurrent clients:
 
 * asyncio clients ``await server.submit(...)``; plain threads call
-  ``server.execute(...)`` — both funnel into one admission-controlled
-  dispatch pool;
-* every dispatch thread's session shares **one** cross-session plan
-  cache, so a query optimized for any client is served from cache to
-  all of them;
+  ``server.execute(...)`` — both pass one admission control and share
+  ``max_inflight`` execution slots.  A thread's call with no deadline
+  runs on that thread when a slot is free; submissions, calls with a
+  deadline and calls that find every slot busy wait on the dispatch
+  pool;
+* every slot's session shares **one** cross-session plan cache, so a
+  query optimized for any client is served from cache to all of them;
 * the **process-pool backend** ships the per-shard subplans the
   optimizer placed under a MergeExchange to worker processes — the one
   execution mode where the sharded enforcers use multiple cores — and

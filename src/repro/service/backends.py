@@ -8,8 +8,10 @@ strategies:
 
 * :class:`SerialBackend` — runs the plan's operator tree in-process
   (a bound plan's tree is lowered once per plan-cache entry and shared),
-  one plan per dispatch thread.  Concurrency across queries comes from the
-  server's dispatch pool, but CPython's GIL serializes the CPU work.
+  on whichever thread holds the query's execution slot — the client's
+  own, or a dispatch-pool thread.  Concurrency across queries comes from
+  the server's ``max_inflight`` slots, but CPython's GIL serializes the
+  CPU work.
 * :class:`ProcessPoolBackend` — ships per-shard subplans (or the whole
   plan, when it has no exchange) to worker processes and gathers them
   through the order-preserving merge in the serving process

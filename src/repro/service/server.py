@@ -4,8 +4,8 @@ pluggable execution backends, cooperative backpressure.
 :class:`QueryServer` is the process-level serving tier on top of the
 :class:`~repro.service.session.QuerySession` facade.  Many concurrent
 clients — asyncio tasks via :meth:`QueryServer.submit`, plain threads
-via :meth:`QueryServer.execute` — funnel into one admission-controlled
-dispatch pool:
+via :meth:`QueryServer.execute` — pass one admission control and share
+``max_inflight`` execution slots:
 
 1. **Admission** — a submission is rejected immediately
    (:class:`QueryRejected`) when the wait queue already holds
@@ -15,14 +15,17 @@ dispatch pool:
    (:class:`CircuitOpen`).  Every rejection carries a computed
    ``retry_after`` hint — the estimated seconds until capacity frees —
    which :class:`~repro.service.client.RetryingClient` honours.
-2. **Planning** — each dispatch thread owns a private
-   :class:`QuerySession` (sessions are single-threaded by design), but
-   every session shares one
+2. **Planning** — each execution slot carries a private
+   :class:`QuerySession` (sessions are single-threaded by design): a
+   query runs only on a thread holding a slot, so a session is never
+   used by two threads at once, and there are never more than
+   ``max_inflight`` sessions however many client threads come and go.
+   Every session shares one
    :class:`~repro.service.plan_cache.SharedPlanCache`: a plan optimized
    for any client serves all of them, still keyed by
    fingerprint × parallelism × referenced-table versions.
 3. **Execution** — the bound plan (the cache entry's executable, shared
-   by every dispatch thread, plus this query's parameter values) runs on
+   by every slot, plus this query's parameter values) runs on
    the configured backend
    (:mod:`repro.service.backends`): in-process serial/threaded, or the
    **process pool**, which ships per-shard subplans to worker processes
@@ -31,13 +34,22 @@ dispatch pool:
    :class:`~repro.service.metrics.CircuitBreaker`; after
    ``circuit_threshold`` consecutive failures the breaker opens and
    sheds load until a half-open probe succeeds.
-4. **Deadlines** — ``timeout`` (per call or ``default_timeout``) covers
+4. **Where a query runs** — a thread client with no deadline (no
+   ``timeout`` and no ``default_timeout``) that finds a slot free runs
+   its query on its own thread: an idle server hands nothing to another
+   thread.  Every other query — no slot free, a deadline to watch, or
+   any :meth:`QueryServer.submit` (which must not block its event loop)
+   — goes to the dispatch pool, whose threads take a slot before they
+   run it.
+5. **Deadlines** — ``timeout`` (per call or ``default_timeout``) covers
    queue wait + execution; an expired query raises
    :class:`QueryTimeout` and is counted.  A query whose slot never
    started is cancelled outright; one already running completes in the
    background (its slot is not reclaimable mid-plan) but its result is
    discarded and counted ``abandoned`` — never double-counted as
-   ``completed`` after the client's ``timeout``.
+   ``completed`` after the client's ``timeout``.  Only the dispatch pool
+   can stop waiting while a query runs, which is why a deadline always
+   takes it.
 
 Admission outcomes are **mutually exclusive** (see
 :class:`~repro.service.metrics.QueryOutcome`), so at quiescence::
@@ -55,12 +67,11 @@ per-session optimizer counters into one JSON-friendly dict — see
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from functools import partial
+from queue import Empty, SimpleQueue
 from typing import Any, Mapping, Optional
 
 from ..core.sort_order import SortOrder
@@ -149,8 +160,8 @@ class QueryServer:
 
     Thread-safe and loop-agnostic: :meth:`submit` may be awaited from
     any running event loop and :meth:`execute` called from any thread —
-    both funnel into the same dispatch pool, admission counters and
-    shared plan cache.
+    both share the same execution slots, admission counters and shared
+    plan cache.
 
     ``tenant_weights`` maps tenant name → weight for the weighted-fair
     admission quota (unknown tenants weigh ``default_tenant_weight``);
@@ -197,20 +208,31 @@ class QueryServer:
         self.default_timeout = default_timeout
         self.tenant_weights = dict(tenant_weights or {})
         self.default_tenant_weight = default_tenant_weight
+        self.cache: SharedPlanCache = SharedPlanCache(
+            cache_capacity, ttl_seconds=cache_ttl)
+        #: The ``max_inflight`` execution slots.  A free slot is its
+        #: session, waiting in :attr:`_free_slots`; a query runs only on a
+        #: thread that took one — a client thread inline, or a dispatch
+        #: thread — and gives it back when done, so ``in_flight <=
+        #: max_inflight`` holds across both paths.  Made before the
+        #: backend, so that a bad optimizer option starts no worker pool.
+        self._sessions = [
+            QuerySession(catalog, strategy, config, cache=self.cache,
+                         feedback=feedback, **overrides)
+            for _ in range(max_inflight)]
+        self._free_slots: SimpleQueue[QuerySession] = SimpleQueue()
+        for session in self._sessions:
+            self._free_slots.put(session)
         self.backend: ExecutionBackend = make_backend(
             backend, catalog, pool_workers=pool_workers,
             mp_context=mp_context)
-        self.cache: SharedPlanCache = SharedPlanCache(
-            cache_capacity, ttl_seconds=cache_ttl)
         self.metrics = ServerMetrics()
         self.breaker = CircuitBreaker(
             failure_threshold=circuit_threshold,
             reset_timeout=circuit_reset_timeout)
-        self._strategy = strategy
-        self._config = config
         #: Adaptive-statistics feedback (a
         #: :class:`~repro.service.feedback.FeedbackConfig`, or ``None``
-        #: to disable): every dispatch session shares it, so drift seen
+        #: to disable): every slot's session shares it, so drift seen
         #: by any session invalidates the shared cache's stale plans.
         self.feedback = feedback
         #: Observability: ``obs=True`` enables the defaults, an
@@ -228,21 +250,23 @@ class QueryServer:
         else:
             self.tracer = None
             self.slow_log = None
-        self._overrides = overrides
         self._dispatch = ThreadPoolExecutor(
             max_workers=max_inflight, thread_name_prefix="repro-serve")
-        self._local = threading.local()
-        self._sessions: list[QuerySession] = []
-        self._sessions_lock = threading.Lock()
         self._closed = False
 
     # -- lifecycle --------------------------------------------------------------------
     def close(self) -> None:
-        """Drain the dispatch pool and release the backend; idempotent."""
+        """Drain the dispatch pool, wait for the queries running on client
+        threads, and release the backend; idempotent."""
         if self._closed:
             return
         self._closed = True
         self._dispatch.shutdown(wait=True, cancel_futures=True)
+        # Taking every slot waits out the inline queries.  The slots stay
+        # taken, so a caller that raced past the _closed check finds none
+        # and is refused by the shut-down pool.
+        for _ in self._sessions:
+            self._free_slots.get()
         self.backend.close()
 
     def __enter__(self) -> "QueryServer":
@@ -251,20 +275,6 @@ class QueryServer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- sessions ---------------------------------------------------------------------
-    def _session(self) -> QuerySession:
-        """This dispatch thread's session (created on first use); all
-        sessions share :attr:`cache`."""
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = QuerySession(self.catalog, self._strategy, self._config,
-                                   cache=self.cache, feedback=self.feedback,
-                                   **self._overrides)
-            self._local.session = session
-            with self._sessions_lock:
-                self._sessions.append(session)
-        return session
-
     # -- admission helpers -------------------------------------------------------------
     def _weight_of(self, tenant: str) -> float:
         return self.tenant_weights.get(tenant, self.default_tenant_weight)
@@ -272,18 +282,19 @@ class QueryServer:
     def _retry_after(self) -> float:
         return self.metrics.retry_after(self.max_inflight)
 
-    # -- the dispatch-thread body -------------------------------------------------------
-    def _run_admitted(self, outcome: QueryOutcome, query,
+    # -- the query body, on the thread holding the slot --------------------------------
+    def _run_admitted(self, session: QuerySession, outcome: QueryOutcome,
+                      deadline: Optional[float], trace: Optional[Trace],
+                      root, queue_span, query,
                       required_order: Optional[SortOrder],
                       parallelism: int, batch_size: Optional[int],
-                      binds: dict[str, Any],
-                      deadline: Optional[float],
-                      trace: Optional[Trace] = None,
-                      root=None, queue_span=None) -> QueryResult:
+                      binds: dict[str, Any]) -> QueryResult:
+        """Serve one admitted query with the *session* of the slot the
+        calling thread holds; the arguments after it are what
+        :meth:`_admit` returned."""
         self.metrics.start_execution(outcome)
-        if trace is not None and queue_span is not None:
-            # Begun on the client thread at admission; this dispatch
-            # thread picking the query up ends the wait.
+        if trace is not None:
+            # Begun at admission; taking the slot ends the wait.
             trace.finish(queue_span)
         started = time.perf_counter()
         disposition = "failed"
@@ -300,7 +311,6 @@ class QueryServer:
                     # wait path will find the outcome already claimed).
                     disposition = "timeout"
                     raise QueryTimeout("deadline expired while queued")
-                session = self._session()
                 prepared = session.prepare(query, required_order,
                                            parallelism=parallelism)
                 with child_span("bind", params=len(binds)):
@@ -334,7 +344,7 @@ class QueryServer:
                     raise
                 self.breaker.record_success()
                 breaker_recorded = True
-                # The dispatch path executes through the backend, not
+                # The server executes through the backend, not
                 # PreparedQuery.execute — keep the session's execution
                 # counter truthful for aggregated stats().
                 session.metrics.executions += 1
@@ -385,9 +395,11 @@ class QueryServer:
         root.tag(disposition=reason)
         trace.finish(root)
 
-    def _dispatch_query(self, query, required_order, parallelism, batch_size,
-                        binds, timeout, tenant, trace=None):
-        """Admission + submission; returns (cfuture, timeout, outcome)."""
+    def _admit(self, query, required_order, parallelism, batch_size, binds,
+               timeout, tenant, trace) -> tuple[tuple, Optional[float]]:
+        """Admission: raises the rejection, or returns ``(admitted,
+        timeout)`` — *admitted* is what :meth:`_run_admitted` takes after
+        the session, its outcome handle first."""
         if self._closed:
             raise RuntimeError("QueryServer is closed")
         tenant = tenant or DEFAULT_TENANT
@@ -432,15 +444,26 @@ class QueryServer:
         queue_span = None
         if tr is not None:
             tr.finish(adm)
-            # Begun here on the client thread, finished by the dispatch
-            # thread that picks the query up — the gap IS the queue wait.
+            # Begun here at admission, finished by whichever thread takes
+            # a slot for the query — the gap IS the queue wait.
             queue_span = tr.begin("queue_wait", parent_id=root.span_id)
         deadline = None if timeout is None else time.monotonic() + timeout
+        return (outcome, deadline, tr, root, queue_span, query, required_order,
+                parallelism, batch_size, binds), timeout
+
+    def _run_in_slot(self, admitted: tuple) -> QueryResult:
+        """A dispatch-pool task: wait for a slot, serve, give it back."""
+        session = self._free_slots.get()
         try:
-            future = self._dispatch.submit(
-                partial(self._run_admitted, outcome, query, required_order,
-                        parallelism, batch_size, binds, deadline,
-                        tr, root, queue_span))
+            return self._run_admitted(session, *admitted)
+        finally:
+            self._free_slots.put(session)
+
+    def _dispatch_admitted(self, admitted: tuple) -> Future:
+        """Hand an admitted query to the dispatch pool; returns its future."""
+        outcome, _, tr, root, queue_span = admitted[:5]
+        try:
+            future = self._dispatch.submit(self._run_in_slot, admitted)
         except BaseException:
             # The dispatch pool refused the submission (shutdown race
             # past the _closed check): release the admission slot this
@@ -452,7 +475,7 @@ class QueryServer:
                 root.tag(disposition="failed")
                 tr.finish(root)
             raise
-        # A submission cancelled before its slot started never reaches
+        # A submission cancelled before its task started never reaches
         # _run_admitted; reclaim its queue slot (and any reserved probe)
         # here — the client wait path claims the outcome as its timeout.
         def _reclaim_cancelled(f) -> None:
@@ -460,7 +483,7 @@ class QueryServer:
                 self.metrics.unqueue(outcome)
                 self.breaker.abort_probe()
         future.add_done_callback(_reclaim_cancelled)
-        return future, timeout, outcome
+        return future
 
     # -- client APIs ------------------------------------------------------------------
     async def submit(self, query, required_order: Optional[SortOrder] = None,
@@ -477,18 +500,19 @@ class QueryServer:
         each with a ``retry_after`` hint), :class:`QueryTimeout` when
         the deadline passes first.  With tracing on (``obs=`` at server
         construction; per-call ``trace=`` overrides the configured
-        default) the result is a :class:`TracedResult`.
+        default) the result is a :class:`TracedResult`.  The query always
+        runs on the dispatch pool, so the event loop never blocks.
         """
-        future, timeout, outcome = self._dispatch_query(
+        admitted, timeout = self._admit(
             query, required_order, parallelism, batch_size, binds, timeout,
             tenant, trace)
-        wrapped = asyncio.wrap_future(future)
+        wrapped = asyncio.wrap_future(self._dispatch_admitted(admitted))
         try:
             if timeout is None:
                 return await wrapped
             return await asyncio.wait_for(wrapped, timeout)
         except (TimeoutError, QueryTimeout) as exc:
-            self.metrics.count_timeout(outcome)
+            self.metrics.count_timeout(admitted[0])
             raise QueryTimeout(str(exc) or "query deadline expired") from None
 
     def execute(self, query, required_order: Optional[SortOrder] = None,
@@ -497,15 +521,32 @@ class QueryServer:
                 timeout: Optional[float] = None,
                 tenant: Optional[str] = None,
                 trace: Optional[bool] = None, **binds: Any) -> QueryResult:
-        """Serve one query from a plain (non-async) thread client."""
-        future, timeout, outcome = self._dispatch_query(
+        """Serve one query from a plain (non-async) thread client.
+
+        With no deadline and a slot free the query runs on the calling
+        thread; otherwise it waits for a slot on the dispatch pool, which
+        lets the call raise :class:`QueryTimeout` at its deadline while
+        the query itself runs on.
+        """
+        admitted, timeout = self._admit(
             query, required_order, parallelism, batch_size, binds, timeout,
             tenant, trace)
+        if timeout is None:
+            try:
+                session = self._free_slots.get_nowait()
+            except Empty:
+                pass
+            else:
+                try:
+                    return self._run_admitted(session, *admitted)
+                finally:
+                    self._free_slots.put(session)
+        future = self._dispatch_admitted(admitted)
         try:
             return future.result(timeout)
         except (TimeoutError, QueryTimeout) as exc:
             future.cancel()
-            self.metrics.count_timeout(outcome)
+            self.metrics.count_timeout(admitted[0])
             raise QueryTimeout(str(exc) or "query deadline expired") from None
 
     # -- observability -----------------------------------------------------------------
@@ -520,11 +561,9 @@ class QueryServer:
         out["queue_limit"] = self.queue_limit
         out["parallelism"] = self.parallelism
         out["tenants"] = self.metrics.tenants_dict()
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        out["sessions"] = len(sessions)
+        out["sessions"] = len(self._sessions)
         totals = SessionMetrics()
-        for session in sessions:
+        for session in self._sessions:
             for f in fields(SessionMetrics):
                 setattr(totals, f.name, getattr(totals, f.name)
                         + getattr(session.metrics, f.name))

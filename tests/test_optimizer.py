@@ -252,7 +252,9 @@ class TestPlanStructure:
         }
         with QueryServer(stats_catalog, strategy="pyro-e",
                          config=config) as server:
-            made["server"] = server._session().optimizer
+            # Every execution slot's session, not just one of them.
+            made.update((f"server slot {i}", session.optimizer)
+                        for i, session in enumerate(server._sessions))
         assert {name: (o.config.strategy, o.config.refine)
                 for name, o in made.items()} == dict.fromkeys(
                     made, ("pyro-e", False))

@@ -440,7 +440,9 @@ class TestBackpressure:
         """Regression: a submission the dispatch pool refuses (shutdown
         race past the _closed check) must release its admission slot —
         previously `queued` inflated forever and eventually every
-        submission was rejected."""
+        submission was rejected.  A deadline (or ``submit``) is what
+        takes the pool: a no-deadline ``execute`` on an idle server runs
+        inline and never submits."""
         query = Query.table("t").order_by("a")
         with QueryServer(catalog, backend="serial", max_inflight=1,
                          queue_limit=2) as server:
@@ -449,16 +451,21 @@ class TestBackpressure:
             def refusing_submit(*args, **kwargs):
                 raise RuntimeError("cannot schedule new futures")
 
+            async def submitted():
+                return await server.submit(query)
+
             server._dispatch.submit = refusing_submit
             try:
                 for _ in range(3):  # more failures than queue_limit slots
                     with pytest.raises(RuntimeError):
-                        server.execute(query)
+                        server.execute(query, timeout=30.0)
+                with pytest.raises(RuntimeError):
+                    asyncio.run(submitted())
             finally:
                 server._dispatch.submit = real_submit
             stats = server.stats()
             assert stats["queue_depth"] == 0
-            assert stats["failed"] == 3
+            assert stats["failed"] == 4
             # The queue is empty again, so admission still works.
             assert server.execute(query).rows
             stats = server.stats()
