@@ -8,8 +8,9 @@ must weigh all three — and lands on the paper's Figure 10(b) plan.
 Run:  python examples/inventory_analysis.py
 """
 
-from repro.bench import format_table, postgres_default_q3, pyro_o_q3, run_plan
+from repro.engine import ExecutionContext
 from repro.optimizer import Optimizer
+from repro.optimizer.baselines import postgres_default_q3, pyro_o_q3
 from repro.storage import SystemParameters
 from repro.workloads import (
     add_query3_indexes,
@@ -35,18 +36,20 @@ def main() -> None:
     params = SystemParameters(block_size=4096, sort_memory_blocks=16)
     exec_cat = tpch_catalog(scale=0.005, seed=7, params=params)
     add_query3_indexes(exec_cat)
-    default = run_plan(postgres_default_q3(exec_cat), exec_cat,
-                       "PostgreSQL default (full sorts + hash agg)")
-    ours = run_plan(pyro_o_q3(exec_cat), exec_cat,
-                    "PYRO-O (partial sorts + group agg)")
-    print()
-    print(format_table(
-        ["plan", "rows", "cost units", "blocks", "comparisons", "wall s"],
-        [[r.label, r.rows, r.cost_units, r.total_blocks, r.comparisons,
-          r.wall_seconds] for r in (default, ours)],
-        title="Query 3 executed at 1/200 scale"))
+    print("\nQuery 3 executed at 1/200 scale:")
+    costs = []
+    for label, build in (("PostgreSQL default (full sorts + hash agg)",
+                          postgres_default_q3),
+                         ("PYRO-O (partial sorts + group agg)", pyro_o_q3)):
+        ctx = ExecutionContext(exec_cat)
+        rows = build(exec_cat).execute(exec_cat, ctx)
+        costs.append(ctx.cost_units())
+        print(f"  {label:<44} {len(rows):>5,} rows  "
+              f"{ctx.cost_units():>7,.1f} cost units  "
+              f"{ctx.io.total_blocks:>5,} blocks  "
+              f"{ctx.comparisons.value:>9,} comparisons")
     print(f"\nSpeedup (cost units): "
-          f"{default.cost_units / ours.cost_units:.2f}x "
+          f"{costs[0] / costs[1]:.2f}x "
           f"(paper Fig. 12: ~3x on PostgreSQL)")
 
 

@@ -8,7 +8,6 @@ top-k query after sorting *one segment*; SRS must consume everything.
 Run:  python examples/topk_streaming.py
 """
 
-from repro.bench import format_table
 from repro.core.sort_order import SortOrder
 from repro.engine import ExecutionContext, Limit, Sort, TableScan
 from repro.storage import SystemParameters
@@ -37,15 +36,12 @@ def main() -> None:
     mrs_rows, mrs_ctx = run("mrs")
     assert [r[:2] for r in srs_rows] == [r[:2] for r in mrs_rows]
 
-    print(format_table(
-        ["variant", "cost units", "comparisons", "blocks r+w"],
-        [["SRS + LIMIT (full sort first)", round(srs_ctx.cost_units(), 2),
-          srs_ctx.comparisons.value, srs_ctx.io.total_blocks],
-         ["MRS + LIMIT (stops after 2 segments)",
-          round(mrs_ctx.cost_units(), 2), mrs_ctx.comparisons.value,
-          mrs_ctx.io.total_blocks]],
-        title=f"Top-{K} of ORDER BY (c1, c2) over {NUM_ROWS} rows "
-              f"clustered on c1"))
+    print(f"Top-{K} of ORDER BY (c1, c2) over {NUM_ROWS} rows clustered on c1")
+    for label, ctx in (("SRS + LIMIT (full sort first)", srs_ctx),
+                       ("MRS + LIMIT (stops after 2 segments)", mrs_ctx)):
+        print(f"  {label:<38} {ctx.cost_units():>9,.2f} cost units  "
+              f"{ctx.comparisons.value:>9,} comparisons  "
+              f"{ctx.io.total_blocks:>5,} blocks r+w")
     gain = srs_ctx.cost_units() / max(mrs_ctx.cost_units(), 1e-9)
     print(f"\nMRS answers the Top-{K} query {gain:,.0f}x cheaper — it sorts "
           f"only ⌈{K}/{ROWS_PER_SEGMENT}⌉ segments and never touches the "

@@ -9,7 +9,6 @@ only PYRO-O finds.
 Run:  python examples/trading_analytics.py
 """
 
-from repro.bench import format_table, normalize
 from repro.engine import ExecutionContext
 from repro.optimizer import Optimizer
 from repro.workloads import query5, query6, trading_catalog, trading_stats_catalog
@@ -20,7 +19,7 @@ STRATEGIES = ["pyro", "pyro-o-", "pyro-p", "pyro-o", "pyro-e"]
 def main() -> None:
     stats = trading_stats_catalog()
     print("Normalized estimated plan costs (PYRO-E = 100), paper Figure 15:\n")
-    rows = []
+    print(f"{'query':<20}" + "".join(f"{s:>9}" for s in STRATEGIES))
     for name, q in (("Q5 executed value", query5()),
                     ("Q6 basket analytics", query6())):
         costs = {}
@@ -29,9 +28,8 @@ def main() -> None:
             opt = Optimizer(stats, strategy=s, enable_hash_join=False,
                             enable_hash_aggregate=False)
             costs[s] = opt.optimize(q, refine=refine).total_cost
-        norm = normalize(costs, "pyro-e")
-        rows.append([name] + [round(norm[s], 1) for s in STRATEGIES])
-    print(format_table(["query"] + STRATEGIES, rows))
+        print(f"{name:<20}" + "".join(
+            f"{100 * costs[s] / costs['pyro-e']:>9.1f}" for s in STRATEGIES))
 
     print("\nPYRO-O's Query 5 plan (10M-row TRAN, stats-only):")
     plan = Optimizer(stats, strategy="pyro-o", enable_hash_join=False,

@@ -11,9 +11,10 @@ The package provides:
   pluggable interesting-order strategies (:mod:`repro.optimizer`);
 * the paper's order-selection algorithms — PathOrder DP, the tree
   2-approximation, favorable orders — in :mod:`repro.core`;
-* workload generators and the benchmark harness reproducing every table
-  and figure of the paper's evaluation (:mod:`repro.workloads`,
-  :mod:`repro.bench`).
+* workload generators for every table and figure of the paper's
+  evaluation (:mod:`repro.workloads`) and the competitor plans it
+  compares against (:mod:`repro.optimizer.baselines`); each figure's
+  claim is asserted in ``tests/test_paper_ledger.py``.
 """
 
 from .core.sort_order import (

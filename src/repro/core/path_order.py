@@ -21,8 +21,9 @@ the segment and recurses into the two halves, subtracting used
 attributes.
 
 Complexity: ``O(n³)`` segment combinations with ``O(n·|s|)`` set work —
-negligible for real plans (§6.3 reports < 6 ms for 31 joins, which
-:mod:`benchmarks.bench_refinement_overhead` reproduces).
+negligible for real plans (§6.3 reports < 6 ms for 31 joins;
+``tests/test_paper_ledger.py`` counts the DPs the tree approximation
+runs there).
 """
 
 from __future__ import annotations

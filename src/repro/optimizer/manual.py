@@ -12,7 +12,7 @@ cost follow from its inputs, and writes the ``args`` its lowering reads
   request and which candidate wins;
 * hand-built plans.  The paper compares against the plans PostgreSQL,
   SYS1 and SYS2 produced (Figures 1, 2, 10, 11, 14), which
-  :mod:`repro.bench.baselines` encodes operator by operator.  Made by
+  :mod:`repro.optimizer.baselines` encodes operator by operator.  Made by
   the same rules, they are comparable with the search's plans on
   estimated cost — isolating the effect the paper measures (the choice
   of sort orders) from engine differences.

@@ -1,10 +1,12 @@
 """Repository paths, test ids and search/builder function names cited
-in the docs, the CI workflow and the verify notes must exist, and CI
-must run nothing under ``benchmarks/``."""
+in the docs, the CI workflow and the verify notes must exist, CI must
+run nothing under ``benchmarks/``, and no code imports a package CI
+does not install."""
 
 import ast
 import pathlib
 import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CI = ROOT / ".github" / "workflows" / "ci.yml"
@@ -78,3 +80,29 @@ def test_cited_search_and_builder_names_are_defined():
 def test_ci_runs_nothing_under_benchmarks():
     paths = named_paths(CI.read_text())
     assert paths and not any(p.startswith("benchmarks") for p in paths)
+
+
+def test_benchmarks_hold_only_the_e2e_benchmark_and_its_pair_runner():
+    names = {p.name for p in (ROOT / "benchmarks").iterdir()} - {"__pycache__"}
+    assert names == {"e2e", "ab_pairs.py"}
+
+
+def test_every_import_is_stdlib_test_tooling_repro_or_a_sibling():
+    """CI installs only ``pytest`` and ``hypothesis``; a sibling is a
+    module beside the importing file, or one named through its package
+    (``tests.conftest``)."""
+    allowed = set(sys.stdlib_module_names) | {"pytest", "hypothesis", "repro"}
+    foreign = []
+    for top in ("src", "tests", "examples", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            siblings = {p.stem for p in path.parent.iterdir()} | {path.parent.name}
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                foreign += [f"{path.relative_to(ROOT)}: {name}" for name in names
+                            if name.split(".")[0] not in allowed | siblings]
+    assert foreign == []

@@ -1,19 +1,13 @@
-"""Workload generator and bench-harness tests."""
+"""Workload generator and competitor-plan tests."""
 
-import pytest
-
-from repro.bench import (
-    format_table,
-    normalize,
+from repro.core.sort_order import SortOrder
+from repro.engine import ExecutionContext
+from repro.optimizer.baselines import (
     postgres_default_q3,
     pyro_o_q3,
     pyro_o_q4,
-    run_plan,
-    speedup,
     sys_default_q4,
 )
-from repro.core.sort_order import SortOrder
-from repro.engine import ExecutionContext
 from repro.storage import SystemParameters
 from repro.workloads import (
     add_query3_indexes,
@@ -110,41 +104,6 @@ class TestOtherGenerators:
             assert q.expr is not None
 
 
-class TestHarness:
-    def test_run_plan_metrics(self, tpch_mini):
-        plan = pyro_o_q3(tpch_mini)
-        result = run_plan(plan, tpch_mini, "q3")
-        assert result.rows > 0
-        assert result.cost_units > 0
-        assert result.blocks_read > 0
-        assert result.wall_seconds > 0
-
-    def test_timeline_sampling(self, tpch_mini):
-        from repro.engine import TableScan
-        scan = TableScan(tpch_mini.table("lineitem"))
-        result = run_plan(scan, tpch_mini, sample_every=1000)
-        assert result.output_timeline
-        counts = [n for n, _ in result.output_timeline]
-        costs = [c for _, c in result.output_timeline]
-        assert counts == sorted(counts)
-        assert costs == sorted(costs)
-
-    def test_speedup(self, tpch_mini):
-        a = run_plan(postgres_default_q3(tpch_mini), tpch_mini)
-        b = run_plan(pyro_o_q3(tpch_mini), tpch_mini)
-        assert speedup(a, b) == pytest.approx(a.cost_units / b.cost_units)
-
-    def test_format_table(self):
-        text = format_table(["x", "y"], [[1, 2.5], [30000, "z"]], title="T")
-        assert "T" in text and "30,000" in text and "x" in text
-
-    def test_normalize(self):
-        out = normalize({"a": 50.0, "b": 100.0}, "b")
-        assert out == {"a": 50.0, "b": 100.0}
-        with pytest.raises(ValueError):
-            normalize({"a": 0.0}, "a")
-
-
 class TestBaselines:
     def test_q3_baselines_agree_on_results(self, tpch_mini):
         expected = None
@@ -170,6 +129,7 @@ class TestBaselines:
         cat = identical_r_tables(
             num_rows=5_000,
             params=SystemParameters(block_size=4096, sort_memory_blocks=8))
-        default = run_plan(sys_default_q4(cat), cat)
-        shared = run_plan(pyro_o_q4(cat), cat)
-        assert shared.cost_units <= default.cost_units
+        default, shared = ExecutionContext(cat), ExecutionContext(cat)
+        sys_default_q4(cat).execute(cat, default)
+        pyro_o_q4(cat).execute(cat, shared)
+        assert shared.cost_units() <= default.cost_units()
