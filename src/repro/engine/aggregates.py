@@ -58,26 +58,25 @@ def _fold_sorted_groups(batches: Iterable[RowBatch], positions: Sequence[int],
 
     Groups are runs of equal raw keys, found a batch at a time
     (:func:`~repro.engine.batch.run_starts`).  Only the group open at
-    the end of a batch is folded row by row: it carries its *states*
-    (O(1) memory) into the next batch.  The groups that close inside a
-    batch are aggregated together, a column at a time
-    (:func:`_closed_groups`).  ``head_of`` gives a group's leading output
-    columns from its first row, ``values_of`` one input column per
-    aggregate for a whole batch.  One comparison is tallied per input
-    row (the group-boundary test), in bulk.
+    the end of a batch carries its *states* (O(1) memory) into the next
+    batch; each aggregate advances them with one ``fold`` call over the
+    group's slice of the batch.  The groups that close inside a batch
+    are aggregated together, a column at a time (:func:`_closed_groups`).
+    ``head_of`` gives a group's leading output columns from its first
+    row, ``values_of`` one input column per aggregate for a whole batch.
+    One comparison is tallied per input row (the group-boundary test),
+    in bulk.
     """
     counter, size = ctx.comparisons, ctx.batch_size
     inits = [func.init for func in funcs]
     finals = [func.final for func in funcs]
-    folds = [(j, func.step, func.ignores_null) for j, func in enumerate(funcs)]
+    folds = [(func.fold, func.ignores_null) for func in funcs]
 
     def fold(columns: Sequence[Sequence], start: int, end: Optional[int]) -> None:
-        for j, step, ignores_null in folds:
-            state = states[j]
-            for value in columns[j][start:end]:
-                if value is not None or not ignores_null:
-                    state = step(state, value)
-            states[j] = state
+        for j, (fold_run, skip_null) in enumerate(folds):
+            values = columns[j][start:end]
+            states[j] = fold_run(states[j],
+                                 _without_nulls(values) if skip_null else values)
 
     def closed() -> tuple:
         return head + tuple([final(s) for final, s in zip(finals, states)])
@@ -121,29 +120,27 @@ def _closed_groups(rows: list[tuple], columns: Sequence[Sequence],
 
     Each aggregate takes its ``bulk`` form over every group's slice of
     its column — no Python step per group — when the region holds no
-    value it would ignore, and folds ``step`` group by group otherwise.
+    value it would ignore, and one ``fold`` call per group otherwise.
     """
     begins, ends = starts[:-1], starts[1:]
     lo, hi = starts[0], starts[-1]
     results = []
     for func, column in zip(funcs, columns):
-        if func.bulk is not None and not (func.ignores_null
-                                          and None in column[lo:hi]):
-            results.append(map(func.bulk, map(column.__getitem__,
-                                              map(slice, begins, ends))))
+        groups = map(column.__getitem__, map(slice, begins, ends))
+        if func.ignores_null and None in column[lo:hi]:
+            groups = map(_without_nulls, groups)
+        elif func.bulk is not None:
+            results.append(map(func.bulk, groups))
             continue
-        init, step, final = func.init, func.step, func.final
-        skip_null = func.ignores_null
-        result = []
-        for begin, end in zip(begins, ends):
-            state = init()
-            for value in column[begin:end]:
-                if value is not None or not skip_null:
-                    state = step(state, value)
-            result.append(final(state))
-        results.append(result)
+        init, fold, final = func.init, func.fold, func.final
+        results.append([final(fold(init(), values)) for values in groups])
     return map(add, map(head_of, gather(rows, begins)),
                zip(*results) if results else repeat(()))
+
+
+def _without_nulls(values: Sequence) -> Sequence:
+    """*values* less its NULLs (*values* itself when it holds none)."""
+    return [v for v in values if v is not None] if None in values else values
 
 
 class SortAggregate(Operator):
@@ -274,6 +271,13 @@ class SortedGroupCombine(Operator):
 class HashAggregate(Operator):
     """Hash-based GROUP BY; no order requirement, no order guarantee.
 
+    Input clustered on the group key is folded a run at a time: each run
+    of equal adjacent keys in a batch looks its group up once, and each
+    aggregate advances that group's state with one ``fold`` call over
+    the run's slice of its column.  A batch whose runs average under two
+    rows keeps the per-row ``step`` loop, which is then the cheaper.
+    Groups are emitted in the order they were first seen either way.
+
     When the group table exceeds sort memory, charges one spill
     write+read of the group state (the standard two-pass model).
     """
@@ -299,21 +303,41 @@ class HashAggregate(Operator):
                 [spec.arg for spec in self.aggregates], child.schema,
                 ctx.binds)
         funcs = [spec.function for spec in self.aggregates]
+        inits = [f.init for f in funcs]
+        steps = [(j, f.step, f.ignores_null) for j, f in enumerate(funcs)]
 
         groups: dict[tuple, list] = {}
         for batch in child.execute_batches(ctx):
             keys = batch.key_tuples(positions)
             arg_cols = [fn(batch) for fn in kernels]
-            for i, key in enumerate(keys):
+            starts = run_starts(keys)
+            if 2 * len(starts) > len(keys):
+                # Runs of under two rows on average: a step per row costs
+                # less than a lookup and a fold call per run.
+                for i, key in enumerate(keys):
+                    states = groups.get(key)
+                    if states is None:
+                        states = groups[key] = [init() for init in inits]
+                    for j, step, skip_null in steps:
+                        value = arg_cols[j][i]
+                        if value is not None or not skip_null:
+                            states[j] = step(states[j], value)
+                continue
+            run_states = []
+            for key in gather(keys, starts):
                 states = groups.get(key)
                 if states is None:
-                    states = [f.init() for f in funcs]
-                    groups[key] = states
-                for j, func in enumerate(funcs):
-                    value = arg_cols[j][i]
-                    if value is None and func.ignores_null:
-                        continue
-                    states[j] = func.step(states[j], value)
+                    states = groups[key] = [init() for init in inits]
+                run_states.append(states)
+            ends = starts[1:]
+            ends.append(len(keys))
+            for j, (func, column) in enumerate(zip(funcs, arg_cols)):
+                runs = map(column.__getitem__, map(slice, starts, ends))
+                if func.ignores_null and None in column:
+                    runs = map(_without_nulls, runs)
+                fold = func.fold
+                for states, values in zip(run_states, runs):
+                    states[j] = fold(states[j], values)
 
         state_bytes = len(groups) * self.schema.row_bytes
         if state_bytes > ctx.params.sort_memory_bytes:

@@ -56,6 +56,7 @@ import hashlib
 import os
 import pickle
 import threading
+import time
 from collections import OrderedDict, deque
 from typing import Any, Iterator, Optional, Sequence
 
@@ -151,16 +152,17 @@ class ShardStream:
 
     The backend's queue-router thread calls :meth:`put` for each row
     chunk a worker ships, :meth:`finish` when the worker's DONE sentinel
-    (carrying its tallies) arrives, and :meth:`fail` when the worker's
-    future errors or is cancelled.  The consuming merge iterates
-    :meth:`batches`, blocking only when it has outrun the producer.
+    (carrying its tallies) arrives — recording when, in ``done_at`` —
+    and :meth:`fail` when the worker's future errors or is cancelled.
+    The consuming merge iterates :meth:`batches`, blocking only when it
+    has outrun the producer.
 
     The buffer is unbounded — a shard may finish long before the merge
     reaches it — but holds only what the consumer has not yet taken.
     """
 
     __slots__ = ("stream_id", "_chunks", "_done", "_error", "_result",
-                 "_cond", "chunks_received", "_consumed")
+                 "_cond", "chunks_received", "_consumed", "done_at")
 
     def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
@@ -173,6 +175,8 @@ class ShardStream:
         self._cond = threading.Condition()
         self.chunks_received = 0
         self._consumed = False
+        #: ``time.perf_counter()`` when the DONE sentinel arrived.
+        self.done_at: Optional[float] = None
 
     def put(self, chunk: list[tuple]) -> None:
         with self._cond:
@@ -186,6 +190,7 @@ class ShardStream:
         with self._cond:
             if self._done:
                 return
+            self.done_at = time.perf_counter()
             self._result = result
             self._done = True
             self._cond.notify_all()

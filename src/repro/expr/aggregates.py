@@ -7,8 +7,10 @@ an output column name, e.g. Query 5's
 
 Aggregates are implemented as classic init/step/final state machines so
 both the sort-based (streaming) and hash-based (dict of states)
-aggregation operators share them; most also have a *bulk* form that
-aggregates one whole group's values in a single C-level call.
+aggregation operators share them.  Each also has a *fold* form that
+advances a state over a whole run of values in one call, and most a
+*bulk* form that aggregates one whole group's values in a single C-level
+call.
 """
 
 from __future__ import annotations
@@ -27,19 +29,55 @@ class AggregateFunction:
     """An incremental aggregate: ``init() → state``, ``step(state, v)``,
     ``final(state) → value``.
 
+    ``fold(state, values)`` is ``step`` folded over a sequence holding
+    no value the aggregate ignores, in one call: the same additions in
+    the same order, the same pick among ties; an empty sequence leaves
+    *state* as it is.
+
     ``bulk(values)``, where there is one, is the aggregate of a whole
     group at once: for a non-empty sequence holding no value the
     aggregate ignores, exactly ``final`` of ``step`` folded over it from
-    ``init()`` — the same additions in the same order, the same pick
-    among ties.
+    ``init()``.
     """
 
     name: str
     init: Callable[[], Any]
     step: Callable[[Any, Any], Any]
     final: Callable[[Any], Any]
+    fold: Callable[[Any, Sequence], Any]
     ignores_null: bool = True
     bulk: Optional[Callable[[Sequence], Any]] = None
+
+
+def _count_fold(state: int, values: Sequence) -> int:
+    return state + len(values)
+
+
+def _sum_fold(state, values: Sequence):
+    # Left to right from the state, like ``step`` (builtin ``sum``
+    # starts from 0 and may reassociate float additions).
+    if state is None:
+        return reduce(add, values) if values else None
+    return reduce(add, values, state)
+
+
+def _min_fold(state, values: Sequence):
+    if not values:
+        return state
+    low = min(values)  # the first of tied minima, as ``step`` keeps
+    return low if state is None or low < state else state
+
+
+def _max_fold(state, values: Sequence):
+    if not values:
+        return state
+    high = max(values)
+    return high if state is None or high > state else state
+
+
+def _avg_fold(state: tuple[float, int], values: Sequence) -> tuple[float, int]:
+    total, count = state
+    return reduce(add, values, total), count + len(values)
 
 
 def _avg_final(state: tuple[float, int]) -> Optional[float]:
@@ -50,36 +88,35 @@ def _avg_final(state: tuple[float, int]) -> Optional[float]:
 AGGREGATES: dict[str, AggregateFunction] = {
     "count": AggregateFunction(
         "count", init=lambda: 0, step=lambda s, v: s + 1, final=lambda s: s,
-        bulk=len,
+        fold=_count_fold, bulk=len,
     ),
     "sum": AggregateFunction(
         "sum", init=lambda: None,
         step=lambda s, v: v if s is None else s + v,
         final=lambda s: s,
-        # Left to right like ``step`` (builtin ``sum`` starts from 0 and
-        # may reassociate float additions).
-        bulk=partial(reduce, add),
+        fold=_sum_fold, bulk=partial(reduce, add),
     ),
     "min": AggregateFunction(
         "min", init=lambda: None,
         step=lambda s, v: v if s is None else min(s, v),
         final=lambda s: s,
-        bulk=min,
+        fold=_min_fold, bulk=min,
     ),
     "max": AggregateFunction(
         "max", init=lambda: None,
         step=lambda s, v: v if s is None else max(s, v),
         final=lambda s: s,
-        bulk=max,
+        fold=_max_fold, bulk=max,
     ),
     "avg": AggregateFunction(
         "avg", init=lambda: (0.0, 0),
         step=lambda s, v: (s[0] + v, s[1] + 1),
         final=_avg_final,
+        fold=_avg_fold,
     ),
     "count_star": AggregateFunction(
         "count_star", init=lambda: 0, step=lambda s, v: s + 1, final=lambda s: s,
-        ignores_null=False, bulk=len,
+        fold=_count_fold, ignores_null=False, bulk=len,
     ),
 }
 

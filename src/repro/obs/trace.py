@@ -22,8 +22,8 @@ design constraints, in order:
   and a span-id prefix (``"<parent span id>."`` — collision-free by
   construction), ships its spans back as picklable records (exactly
   like counter tallies), and the parent re-attaches them with
-  :meth:`Trace.attach`, rebasing the worker-relative offsets onto the
-  dispatch span's start.
+  :meth:`Trace.attach`, rebasing the worker-relative offsets so the
+  worker's root span ends where the parent saw the worker finish.
 
 Ambient propagation is explicit at thread boundaries: the dispatch
 thread enters ``trace.activate(root_span)`` and every nested
@@ -196,9 +196,8 @@ class Trace:
     def attach(self, records: list, base_offset: float = 0.0) -> None:
         """Graft shipped span records (a worker's :meth:`to_records`)
         into this trace, rebasing their trace-relative offsets by
-        *base_offset* (the dispatch span's start — worker clocks are not
-        comparable with ours, so the worker's timeline is anchored where
-        its dispatch began)."""
+        *base_offset* (worker clocks are not comparable with ours, so the
+        caller anchors the worker's timeline on one of its own readings)."""
         grafted = []
         for span_id, parent_id, name, start, end, tags in records:
             span = Span(self, span_id, parent_id, name,

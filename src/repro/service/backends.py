@@ -38,6 +38,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import time
 from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
 from typing import Optional
 
@@ -406,15 +407,41 @@ class ProcessPoolBackend(ExecutionBackend):
                 parent.trace.finish(span)
 
     @staticmethod
-    def _attach_worker_spans(parent, span, records) -> None:
-        """Finish one shard's dispatch span and graft the worker's span
-        records under it, rebased onto the dispatch span's start (worker
-        clocks are not comparable with ours)."""
-        if span is None:
+    def _attach_worker_spans(parent, spans, streams) -> None:
+        """Finish the shard dispatch spans and graft each worker's span
+        records under its own, placed where the worker ran: a shard that
+        queued for a busy worker shows as queued, not as running beside
+        the shards ahead of it.
+
+        Worker clocks are not comparable with ours, so a worker's root
+        span is placed to end when the router saw its DONE sentinel, and
+        to start no earlier than its dispatch did.  A DONE can reach the
+        router late: the worker's queue feeder thread ships it while the
+        worker already runs its next shard.  One process runs one task
+        at a time, so a task also ends no later than the next task of
+        the same worker process (its ``pid`` tag) began."""
+        if parent is None:
             return
-        parent.trace.finish(span)
-        if records:
-            parent.trace.attach(records, base_offset=span.start)
+        placed = []
+        for span, stream in zip(spans, streams):
+            parent.trace.finish(span)
+            records = stream.spans
+            if not records:
+                continue
+            _, _, _, start, end, tags = next(r for r in records
+                                             if r[1] == span.span_id)
+            done = span.end - (time.perf_counter() - stream.done_at)
+            floor = span.start - start
+            placed.append((dict(tags)["pid"], max(done - end, floor), floor,
+                           start, end, records))
+        next_start: dict[int, float] = {}
+        # Per process, its latest task first.
+        for pid, base, floor, start, end, records in sorted(
+                placed, key=lambda p: (p[0], p[1] + p[3]), reverse=True):
+            if pid in next_start:
+                base = max(floor, min(base, next_start[pid] - end))
+            next_start[pid] = base + start
+            parent.trace.attach(records, base_offset=base)
 
     def _run_streaming(self, handle: _PoolHandle, plan, occurrences, tasks,
                        catalog: Catalog, batch_size, check_orders,
@@ -465,9 +492,9 @@ class ProcessPoolBackend(ExecutionBackend):
         # worker tallies are in hand; fold them in task order, after the
         # merge's own charges — the sums are commutative, so the fold
         # order cannot change the totals.
-        for stream, span in zip(streams, spans):
+        for stream in streams:
             local.absorb_tallies(stream.tallies)
-            self._attach_worker_spans(parent, span, stream.spans)
+        self._attach_worker_spans(parent, spans, streams)
         with self._lock:
             self._streamed_queries += 1
             self._streamed_chunks += sum(s.chunks_received for s in streams)

@@ -2,9 +2,10 @@
 
 These are the engine's former row paths — the ``srs_sort`` selection
 heap and the ``mrs_sort`` loop with their run store and merges, the
-``_GroupReader`` merge join and the per-row sort-aggregate fold — kept
-verbatim in behaviour: one Python step per row, every key NULL-safe
-*wrapped* up front, one ``counter.add()`` per row.  Only what a k-way
+``_GroupReader`` merge join, the per-row sort-aggregate fold and the
+per-row dict fold of the hash aggregate — kept verbatim in behaviour:
+one Python step per row, every key NULL-safe *wrapped* up front, one
+``counter.add()`` per row.  Only what a k-way
 merge, a selection tree and an in-memory segment sort charge is restated
 by the engine's rules (``merge_sorted_streams``, ``srs_sort`` and
 ``mrs_sort``'s ``sort_in_memory`` below).  The batch engine in ``src/``
@@ -349,6 +350,33 @@ def sort_aggregate(rows: Iterable[tuple], key_positions: Sequence[int],
             states[j] = func.step(states[j], value)
     if current_key is not None:
         yield current_group + tuple(f.final(s) for f, s in zip(funcs, states))
+
+
+# -- hash aggregate ----------------------------------------------------------------------
+def hash_aggregate(rows: Iterable[tuple], key_positions: Sequence[int],
+                   arg_fns: Sequence[Callable], funcs: Sequence,
+                   ctx: ExecutionContext, row_bytes: int) -> Iterator[tuple]:
+    """The per-row dict GROUP BY fold: groups emitted in first-seen
+    order under the key their first row spelled, and one spill write and
+    read of the group table when it outgrows sort memory."""
+    key_of = tuple_getter(key_positions)
+    groups: dict[tuple, list] = {}
+    for row in rows:
+        key = key_of(row)
+        states = groups.get(key)
+        if states is None:
+            states = groups[key] = [f.init() for f in funcs]
+        for j, func in enumerate(funcs):
+            value = arg_fns[j](row)
+            if value is None and func.ignores_null:
+                continue
+            states[j] = func.step(states[j], value)
+    if len(groups) * row_bytes > ctx.params.sort_memory_bytes:
+        for direction in ("write", "read"):
+            ctx.charge_blocks_for_rows(len(groups), row_bytes,
+                                       direction=direction, category="partition")
+    for key, states in groups.items():
+        yield key + tuple(f.final(s) for f, s in zip(funcs, states))
 
 
 # -- nested loops ------------------------------------------------------------------------

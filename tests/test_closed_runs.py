@@ -2,7 +2,8 @@
 
 PartialSort, MergeJoin and SortAggregate/SortedCombine handle every run
 (segment, group) that closes inside the current batch in one step and
-carry only the run left open at the batch's end.  Where a batch ends is
+carry only the run left open at the batch's end; HashAggregate folds
+each run of a batch in one call per aggregate.  Where a batch ends is
 therefore the whole risk: these properties draw the runs — from
 all-singleton inputs to one run spanning several batches, NULLs in any
 key position (an int against a NULL in one column raises ``TypeError``
@@ -25,6 +26,7 @@ from repro.core.sort_order import SortOrder
 from repro.engine import (
     AGGREGATE_COMBINERS,
     ExecutionContext,
+    HashAggregate,
     MergeJoin,
     RowSource,
     Sort,
@@ -239,17 +241,49 @@ def test_sorted_combine_regions(groups, data):
 
 def test_bulk_forms_are_the_step_fold():
     """``AggregateFunction.bulk`` on NULL-free values is ``final`` of the
-    ``step`` fold: the same float additions in the same order, the first
-    of tied minima and maxima."""
-    values = [0.1, 0.2, 0.3, 1e16, 1, -1e16, 1.0, True, 0.7]
-    for func in AGGREGATES.values():
-        if func.bulk is None:
-            assert func.name == "avg"
-            continue
-        for end in range(1, len(values) + 1):
-            state = func.init()
-            for value in values[:end]:
-                state = func.step(state, value)
-            assert repr(func.bulk(values[:end])) == repr(func.final(state))
+    ``step`` fold, and ``fold`` over any split of them is that fold's
+    state: the same float additions in the same order, the first of tied
+    minima and maxima; ``fold`` over no values keeps the state."""
+    for values in ([0.1, 0.2, 0.3, 1e16, 1, -1e16, 1.0, True, 0.7],
+                   [1.0, 1, True, 1, 1.0]):
+        for func in AGGREGATES.values():
+            assert (func.bulk is None) == (func.name == "avg")
+            for end in range(len(values) + 1):
+                state = func.init()
+                for value in values[:end]:
+                    state = func.step(state, value)
+                if end and func.bulk is not None:
+                    assert repr(func.bulk(values[:end])) == repr(func.final(state))
+                for split in range(end + 1):
+                    folded = func.fold(func.fold(func.init(), values[:split]),
+                                       values[split:end])
+                    assert repr(folded) == repr(state), (func.name, end, split)
+                    assert repr(func.fold(folded, [])) == repr(folded)
     assert repr(AGGREGATES["min"].bulk([1.0, 1, True])) == "1.0"
     assert repr(AGGREGATES["max"].bulk([True, 1, 1.0])) == "True"
+    assert repr(AGGREGATES["min"].fold(1.0, [True, 1])) == "1.0"
+    assert repr(AGGREGATES["max"].fold(True, [1.0, 1])) == "True"
+
+
+# -- hash aggregate ----------------------------------------------------------------------
+@given(groups=runs(), data=st.data(), params=SORT_MEMORY)
+@settings(max_examples=100, deadline=None)
+def test_hash_aggregate_regions(groups, data, params):
+    """A batch whose runs average two rows or more is folded a run at a
+    time, any other row by row (batch size 1 always): in drawn order,
+    shuffled, and the drawn order twice over (every run of the second
+    pass meets a group already open), rows, first-seen emission order
+    and tallies are the per-row dict fold's."""
+    n = sum(size for _, size in groups)
+    rows = rows_of(groups, data.draw(st.lists(AGG_VALUES, min_size=n, max_size=n)))
+    arg_fns = [row_oracle.evaluate(spec.arg, SORTED) for spec in AGGS]
+    funcs = [spec.function for spec in AGGS]
+    for order in (rows, data.draw(st.permutations(rows)), rows + rows):
+        plan = HashAggregate(RowSource(SORTED, order), ["k1", "k2"], AGGS)
+        oracle_ctx = ExecutionContext(params=params)
+        expected = list(row_oracle.hash_aggregate(
+            order, (0, 1), arg_fns, funcs, oracle_ctx, plan.schema.row_bytes))
+        for batch_size in BATCH_SIZES:
+            ctx = ExecutionContext(params=params, batch_size=batch_size)
+            same(plan.run(ctx), expected)
+            assert ctx.tallies() == oracle_ctx.tallies(), batch_size

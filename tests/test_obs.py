@@ -4,6 +4,7 @@ estimated-vs-actual annotations, the histogram-backed latency tracker,
 Prometheus/JSON exposition, the slow-query log, and the fuzz-corpus pin
 that tracing changes no rows and no tallies."""
 
+import itertools
 import json
 import random
 import threading
@@ -365,6 +366,23 @@ class TestServerTracing:
         # Cache-status agreement between the span and the result.
         assert result.trace.find("plan").tags["cache_hit"] \
             == result.from_cache
+
+    def test_worker_spans_sit_where_the_workers_ran(self):
+        """Four shards on two workers: two shards queue until a worker
+        frees, and their spans say so.  Worker spans are placed where
+        the workers ran, so no three worker ``run`` spans overlap by
+        more than 1 ms (placing them at their dispatch's start overlaps
+        all four)."""
+        catalog = serving_catalog(num_rows=20_000, memory_blocks=200)
+        with QueryServer(catalog, backend="process", parallelism=4,
+                         pool_workers=2, obs=True) as server:
+            result = server.execute(serving_queries()[0])
+        runs = result.trace.find_all("run")
+        assert len(runs) == 4
+        for trio in itertools.combinations(runs, 3):
+            overlap = (min(s.end for s in trio)
+                       - max(s.start for s in trio))
+            assert overlap <= 0.001, [(s.start, s.end) for s in runs]
 
     def test_whole_plan_stream_reattaches_worker_without_merge(self):
         """A plan with no exchange ships as one streamed task: one
