@@ -116,7 +116,8 @@ def main() -> None:
         stats = server.stats()
         for key in ("submitted", "completed", "rejected_queue_full",
                     "rejected_quota", "rejected_circuit", "timeouts",
-                    "circuit_state", "streamed_queries", "streamed_chunks",
+                    "circuit_state", "local_queries", "streamed_queries",
+                    "streamed_chunks",
                     "subplan_cache_hits", "cache_hits", "cache_misses",
                     "sessions", "shard_merge_plans", "latency_p50_ms",
                     "latency_p95_ms", "worker_utilization"):

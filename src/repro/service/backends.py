@@ -12,19 +12,22 @@ strategies:
   own, or a dispatch-pool thread.  Concurrency across queries comes from
   the server's ``max_inflight`` slots, but CPython's GIL serializes the
   CPU work.
-* :class:`ProcessPoolBackend` — ships per-shard subplans (or the whole
-  plan, when it has no exchange) to worker processes and gathers them
-  through the order-preserving merge in the serving process
-  (:mod:`repro.engine.subplan`).  This is the one backend that gives the
-  sharded enforcers true multi-core parallelism beyond the GIL.
+* :class:`ProcessPoolBackend` — ships per-shard subplans to worker
+  processes and gathers them through the order-preserving merge in the
+  serving process (:mod:`repro.engine.subplan`).  This is the one
+  backend that gives the sharded enforcers true multi-core parallelism
+  beyond the GIL.  A plan with no exchange has no shard to run in
+  parallel: while no other query is in flight on the backend and the
+  pool's snapshot is current, it runs in the calling thread exactly as
+  :class:`SerialBackend` runs it; otherwise it ships whole, as one task.
 
 Every backend returns rows **bit-identical** to serial execution: shard
 pipelines are cut only at exchange boundaries, workers run the exact
 per-shard plans, and the serving-side gather performs the same stable
 merge (ties to the lowest shard index) the local exchange would.
 
-The process backend has one transfer path: every task — a shard
-pipeline or a whole plan — ships its rows back chunk by chunk on a
+The process backend has one transfer path: every shipped task — a shard
+pipeline or a whole plan — sends its rows back chunk by chunk on a
 shared results queue, so the serving-side merge starts on the fastest
 shard's first chunk while the slowest shard is still sorting, and
 unpickling overlaps with worker execution.  Workers keep a warm LRU of
@@ -94,15 +97,24 @@ class SerialBackend(ExecutionBackend):
                  batch_size: Optional[int] = None,
                  check_orders: bool = False,
                  ctx: Optional[ExecutionContext] = None) -> list[tuple]:
-        ctx = ctx or ExecutionContext(catalog, batch_size=batch_size,
-                                      check_orders=check_orders)
-        # child_span is ambient: a no-op unless the caller is inside an
-        # active trace (the server's execute span), so untraced paths
-        # pay one ContextVar read.
-        with child_span("local_execute", backend=self.name) as span:
-            rows = plan.execute(catalog, ctx)
-            span.tag(rows=len(rows))
-        return rows
+        return _run_in_process(self.name, plan, catalog, batch_size,
+                               check_orders, ctx)
+
+
+def _run_in_process(backend: str, plan, catalog: Catalog,
+                    batch_size: Optional[int], check_orders: bool,
+                    ctx: Optional[ExecutionContext]) -> list[tuple]:
+    """Run *plan* on the calling thread: the serial backend's execution,
+    and the process backend's for a whole plan on an idle backend."""
+    ctx = ctx or ExecutionContext(catalog, batch_size=batch_size,
+                                  check_orders=check_orders)
+    # child_span is ambient: a no-op unless the caller is inside an
+    # active trace (the server's execute span), so untraced paths pay
+    # one ContextVar read.
+    with child_span("local_execute", backend=backend) as span:
+        rows = plan.execute(catalog, ctx)
+        span.tag(rows=len(rows))
+    return rows
 
 
 class _StreamRouter:
@@ -199,9 +211,16 @@ class ProcessPoolBackend(ExecutionBackend):
     server's dispatch threads start) with each worker holding its own
     catalog copy from a :func:`~repro.storage.handoff.catalog_payload`
     snapshot.  Per query, the plan's maximal exchanges are cut into
-    per-shard tasks (:func:`~repro.engine.subplan.shard_subplans`);
-    plans without exchanges ship whole — the pool then provides
-    inter-query parallelism instead.
+    per-shard tasks (:func:`~repro.engine.subplan.shard_subplans`).
+
+    Where a plan without exchanges runs is decided per execution, by
+    one in-flight count: when no other query is in flight on this
+    backend and the pool's snapshot is current (not :meth:`stale`, so a
+    local run reads the rows a worker would), it runs in the calling
+    thread through the serial backend's code — a worker would add
+    pickling, dispatch and the stream router and buy no parallelism.
+    Otherwise it ships whole, as a single task, and the pool provides
+    inter-query parallelism instead.  Sharded plans always ship.
 
     ``mp_context`` picks the multiprocessing start method; the default
     prefers ``fork`` (cheap worker startup, payload inherited by
@@ -246,8 +265,11 @@ class ProcessPoolBackend(ExecutionBackend):
         self._lock = threading.Lock()
         self._handle: Optional[_PoolHandle] = None
         self._forked_once = False
+        #: Queries inside :meth:`run_plan` (under self._lock).
+        self._in_flight = 0
         # Telemetry (under self._lock).
         self._rebuilds = 0
+        self._local_queries = 0
         self._streamed_chunks = 0
         self._streamed_queries = 0
         self._cache_hits = 0
@@ -319,6 +341,10 @@ class ProcessPoolBackend(ExecutionBackend):
         """Whether the catalog changed since the workers were built."""
         with self._lock:
             handle = self._handle
+        return self._snapshot_stale(handle)
+
+    def _snapshot_stale(self, handle: Optional[_PoolHandle]) -> bool:
+        """Whether *handle*'s workers hold an older catalog version."""
         return (handle is not None
                 and handle.version != self.catalog.stats_version)
 
@@ -346,6 +372,33 @@ class ProcessPoolBackend(ExecutionBackend):
                  batch_size: Optional[int] = None,
                  check_orders: bool = False,
                  ctx: Optional[ExecutionContext] = None) -> list[tuple]:
+        occurrences, _ = shard_subplans(plan)
+        # A worker buys an exchange-free plan nothing while no other
+        # query is in flight; a current snapshot means both places read
+        # the same rows.
+        with self._lock:
+            here = (not occurrences and not self._in_flight
+                    and not self._snapshot_stale(self._handle))
+            self._in_flight += 1
+        try:
+            if not here:
+                return self._run_pooled(plan, catalog, batch_size,
+                                        check_orders, ctx)
+            rows = _run_in_process(self.name, plan, catalog, batch_size,
+                                   check_orders, ctx)
+            with self._lock:
+                self._local_queries += 1
+            return rows
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+    def _run_pooled(self, plan, catalog: Catalog,
+                    batch_size: Optional[int] = None,
+                    check_orders: bool = False,
+                    ctx: Optional[ExecutionContext] = None) -> list[tuple]:
+        """Run *plan* on the pool, whatever else is in flight: its shard
+        tasks, or the whole plan as one task."""
         # Tracing rides the ambient span (the server's execute span):
         # run_plan's signature stays trace-free for third-party
         # backends, and untraced queries pay one ContextVar read.
@@ -511,13 +564,13 @@ class ProcessPoolBackend(ExecutionBackend):
                 "pool_workers": self.workers,
                 "chunk_rows": self.chunk_rows,
                 "pool_rebuilds": self._rebuilds,
+                "local_queries": self._local_queries,
                 "streamed_queries": self._streamed_queries,
                 "streamed_chunks": self._streamed_chunks,
                 "subplan_cache_hits": self._cache_hits,
                 "subplan_cache_misses": self._cache_misses,
             }
-        out["pool_stale"] = (handle is not None
-                             and handle.version != self.catalog.stats_version)
+        out["pool_stale"] = self._snapshot_stale(handle)
         return out
 
 

@@ -40,7 +40,12 @@ via :meth:`QueryServer.execute` — pass one admission control and share
    thread.  Every other query — no slot free, a deadline to watch, or
    any :meth:`QueryServer.submit` (which must not block its event loop)
    — goes to the dispatch pool, whose threads take a slot before they
-   run it.
+   run it.  On the process backend the same rule holds one layer down:
+   a plan with no exchange runs in the serving process, on the thread
+   holding the slot, when no other query is in flight on the backend and
+   the pool's snapshot is current; otherwise it ships whole to a worker.
+   Sharded plans always ship.  ``stats()`` counts the two placements as
+   ``local_queries`` and ``streamed_queries``.
 5. **Deadlines** — ``timeout`` (per call or ``default_timeout``) covers
    queue wait + execution; an expired query raises
    :class:`QueryTimeout` and is counted.  A query whose slot never

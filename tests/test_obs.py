@@ -385,30 +385,40 @@ class TestServerTracing:
             assert overlap <= 0.001, [(s.start, s.end) for s in runs]
 
     def test_whole_plan_stream_reattaches_worker_without_merge(self):
-        """A plan with no exchange ships as one streamed task: one
-        dispatch with its worker subtree, and no merge span since
-        nothing is merged."""
+        """A plan with no exchange sent to the pool ships as one
+        streamed task: one dispatch with its worker subtree, and no
+        merge span since nothing is merged.  (An idle backend runs the
+        same plan in process — see ``test_in_process_backends_trace``.)"""
         catalog = serving_catalog()
-        with QueryServer(catalog, backend="process", parallelism=1,
-                         pool_workers=2, obs=True) as server:
-            result = server.execute(serving_queries()[0])
-            assert server.stats()["streamed_chunks"] >= 1
-        trace = result.trace
+        plan = QuerySession(catalog).prepare(serving_queries()[0]).plan
+        backend = ProcessPoolBackend(catalog, workers=2)
+        try:
+            trace = Tracer().start("whole")
+            execute = trace.begin("execute")
+            with trace.activate(execute):
+                rows = backend._run_pooled(plan, catalog)
+            trace.finish(execute)
+            assert backend.describe()["streamed_chunks"] >= 1
+        finally:
+            backend.close()
         (dispatch,) = trace.find_all("shard_dispatch")
-        assert dispatch.parent_id == trace.find("execute").span_id
+        assert dispatch.parent_id == execute.span_id
         (worker,) = trace.find_all("worker_execute")
         assert worker.parent_id == dispatch.span_id
         assert worker.trace_id == trace.trace_id
-        assert trace.find("run").tags["rows"] == len(result.rows)
+        assert trace.find("run").tags["rows"] == len(rows)
         assert trace.find("merge") is None
 
-    @pytest.mark.parametrize("backend", ["serial"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_in_process_backends_trace(self, backend):
+        """The serial backend, and the process backend with a whole plan
+        and nothing else in flight, trace one ``local_execute``."""
         catalog = serving_catalog(num_rows=600)
-        with QueryServer(catalog, backend=backend, parallelism=2,
-                         obs=True) as server:
+        with QueryServer(catalog, backend=backend, parallelism=1,
+                         pool_workers=1, obs=True) as server:
             result = server.execute(serving_queries()[0])
         trace = result.trace
+        assert trace.find("shard_dispatch") is None
         for name in ("admission", "queue_wait", "plan", "bind", "execute",
                      "local_execute"):
             assert trace.find(name) is not None, name
@@ -417,22 +427,28 @@ class TestServerTracing:
         assert local.tags["rows"] == len(result.rows)
 
     def test_trace_survives_pool_rebuild_mid_query(self):
-        """BrokenExecutor retry: the retried attempt's spans land in the
-        same trace (attempt tag distinguishes them) and the result is
-        still correct."""
+        """BrokenExecutor retry on the pooled path: the retried
+        attempt's spans land in the same trace (attempt tag distinguishes
+        them) and the result is still correct."""
         catalog = serving_catalog(num_rows=800, seed=5)
         query = serving_queries()[0]
-        reference = QuerySession(catalog).execute(query)
+        session = QuerySession(catalog)
+        reference = session.execute(query)
+        plan = session.prepare(query, parallelism=2).plan
         backend = ProcessPoolBackend(catalog, workers=2)
-        with QueryServer(catalog, backend=backend, parallelism=2,
-                         obs=True) as server:
+        try:
             handle = backend._ensure_pool()
             doomed = handle.pool.submit(_worker_suicide, 0)
             with pytest.raises(BrokenExecutor):
                 doomed.result(timeout=30)
-            result = server.execute(query)
-        assert result.rows == reference
-        trace = result.trace
+            trace = Tracer().start("rebuild")
+            root = trace.begin("query")
+            with trace.activate(root):
+                rows = backend._run_pooled(plan, catalog)
+            trace.finish(root)
+        finally:
+            backend.close()
+        assert rows == reference
         dispatches = trace.find_all("shard_dispatch")
         attempts = {d.tags["attempt"] for d in dispatches}
         assert attempts == {0, 1}, "first attempt + rebuilt retry"
@@ -441,8 +457,7 @@ class TestServerTracing:
         workers = [w for w in trace.find_all("worker_execute")]
         assert workers and all(w.trace_id == trace.trace_id
                                for w in workers)
-        assert trace.root.tags.get("retries") is None \
-            or trace.root.tags["retries"] >= 1
+        assert root.tags["retries"] == 1
 
     def test_per_call_trace_override(self):
         catalog = serving_catalog(num_rows=400)
@@ -503,16 +518,18 @@ class TestTracingDeterminism:
                 query, parallelism=4).plan
             backend = ProcessPoolBackend(fuzz_catalog, workers=2)
             try:
+                # The pooled entry point: an idle backend would run the
+                # corpus's exchange-free plans in process.
                 ctx_off = ExecutionContext(fuzz_catalog)
-                rows_off = backend.run_plan(plan, fuzz_catalog,
-                                            parallelism=4, ctx=ctx_off)
+                rows_off = backend._run_pooled(plan, fuzz_catalog,
+                                               ctx=ctx_off)
                 tracer = Tracer()
                 trace = tracer.start("fuzz")
                 root = trace.begin("query")
                 ctx_on = ExecutionContext(fuzz_catalog, meter_timing=True)
                 with trace.activate(root):
-                    rows_on = backend.run_plan(plan, fuzz_catalog,
-                                               parallelism=4, ctx=ctx_on)
+                    rows_on = backend._run_pooled(plan, fuzz_catalog,
+                                                  ctx=ctx_on)
                 trace.finish(root)
             finally:
                 backend.close()

@@ -79,10 +79,11 @@ def expected(catalog: Catalog, hi: int) -> list[tuple]:
 
 # -- value independence -------------------------------------------------------------------
 def test_five_thousand_values_compile_and_lower_nothing(catalog):
-    """Serial backend, then a one-worker pool: after the first execution
-    the kernel counters and the cache size are flat, the worker hits its
-    lowered-subplan cache for every task, and a plan that was cached
-    before the flood still finds every kernel it needs."""
+    """Serial backend, then a one-worker pool (through its pooled entry
+    point, which ships the exchange-free plan whole): after the first
+    execution the kernel counters and the cache size are flat, the worker
+    hits its lowered-subplan cache for every task, and a plan that was
+    cached before the flood still finds every kernel it needs."""
     session = QuerySession(catalog)
     other = session.prepare(Query.table("t").where(col("g").eq(3))
                             .compute(w=col("v") + 1).order_by("k", "w"))
@@ -92,15 +93,15 @@ def test_five_thousand_values_compile_and_lower_nothing(catalog):
     serial = SerialBackend()
     pool = ProcessPoolBackend(catalog, workers=1)
     try:
-        for backend in (serial, pool):
-            assert backend.run_plan(prepared.bind(hi=-1), catalog) == []
+        assert serial.run_plan(prepared.bind(hi=-1), catalog) == []
+        assert pool._run_pooled(prepared.bind(hi=-1), catalog) == []
         compiled = kernel_stats()["kernels_compiled"]
         cached = len(KERNELS._cache)
         tree = prepared.prepared.operator(catalog)
         for hi in range(VALUES):
             bound = session.prepare(template()).bind(hi=hi)
             rows = serial.run_plan(bound, catalog)
-            assert pool.run_plan(bound, catalog) == rows
+            assert pool._run_pooled(bound, catalog) == rows
             if hi % 250 == 0:
                 assert rows == expected(catalog, hi)
         assert kernel_stats()["kernels_compiled"] == compiled

@@ -9,6 +9,7 @@ import asyncio
 import multiprocessing
 import os
 import random
+import sys
 import threading
 import time
 from concurrent.futures import BrokenExecutor
@@ -283,6 +284,71 @@ class TestConcurrencyStress:
         assert stats["timeouts"] == 0
         assert stats["cache_hit_rate"] == (n - len(workload)) / n
 
+    def test_whole_plan_placement_under_mixed_clients(self, catalog,
+                                                      references):
+        """Six thread clients mix whole and sharded plans on a process
+        backend: each whole plan runs in the serving process or ships,
+        as the in-flight count finds the backend, and every result is
+        the serial one.  Local plus pooled whole plans are exactly the
+        whole plans submitted, both placements happen, and nothing is
+        left in flight.  CI runs this test again under ``-X dev``."""
+        from repro.engine.subplan import shard_subplans
+
+        queries = serving_queries()
+        binds = [{}, {"lim": 30}, {}]
+        session = QuerySession(catalog)
+        mix = [(pick, p) for pick in range(3) for p in (1, 4)]
+        sharded = {(pick, p): bool(shard_subplans(
+            session.prepare(queries[pick], parallelism=p).plan)[0])
+            for pick, p in mix}
+        assert set(sharded.values()) == {False, True}
+        CLIENTS, CALLS = 6, 8
+        mismatches: list = []
+        errors: list = []
+        submitted = {False: 0, True: 0}
+        count_lock = threading.Lock()
+
+        def client(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(CALLS):
+                    pick, p = rng.choice(mix)
+                    with count_lock:
+                        submitted[sharded[pick, p]] += 1
+                    rows = server.execute(queries[pick], parallelism=p,
+                                          **binds[pick]).rows
+                    if rows != references[pick]:
+                        mismatches.append((seed, pick, p))
+            except BaseException as exc:  # reported by the assert below
+                errors.append(exc)
+                raise
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryServer(catalog, backend="process", pool_workers=2,
+                             max_inflight=4, queue_limit=64) as server:
+                threads = [threading.Thread(target=client, args=(seed,))
+                           for seed in range(CLIENTS)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                    assert not thread.is_alive()
+                # Quiescent: the next whole plan finds the backend idle.
+                assert server.execute(queries[0]).rows == references[0]
+                submitted[False] += 1
+                stats = wait_quiescent(server)
+                in_flight = server.backend._in_flight
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert errors == [] and mismatches == []
+        assert stats["completed"] == CLIENTS * CALLS + 1
+        pooled_whole = stats["streamed_queries"] - submitted[True]
+        assert stats["local_queries"] + pooled_whole == submitted[False]
+        assert stats["local_queries"] >= 1 and pooled_whole >= 1
+        assert in_flight == 0
+
     def test_sessions_share_the_plan_cache(self, catalog):
         """Two explicit sessions over one SharedPlanCache: a plan
         optimized by the first is served to the second from cache."""
@@ -333,11 +399,56 @@ class TestProcessBackend:
             assert server.execute(serving_queries()[0]).rows == references[0]
 
     def test_whole_plan_fallback_without_exchange(self, catalog, references):
-        """parallelism=1 plans carry no exchange and ship whole — the
-        pool then parallelizes across queries instead of within one."""
+        """parallelism=1 plans carry no exchange: on an idle server the
+        query runs in the serving process, and the stats say so."""
         with QueryServer(catalog, backend="process", parallelism=1,
                          pool_workers=2) as server:
             assert server.execute(serving_queries()[2]).rows == references[2]
+            stats = server.stats()
+        assert stats["local_queries"] == 1
+        assert stats["streamed_queries"] == 0
+
+    def test_idle_whole_plan_runs_in_process(self, references):
+        """An exchange-free plan on an idle backend with a current pool
+        runs in the calling thread: rows, order and tallies are the
+        serial backend's, and no stream is registered.  A sharded plan
+        on the same idle backend still ships, and so does the whole plan
+        once the pool's snapshot is stale."""
+        from repro.engine import ExecutionContext
+        from repro.engine.subplan import shard_subplans
+        from repro.service import SerialBackend
+
+        catalog = serving_catalog()
+        session = QuerySession(catalog)
+        whole = session.prepare(serving_queries()[0]).plan
+        sharded = session.prepare(serving_queries()[0], parallelism=4).plan
+        assert shard_subplans(whole)[0] == [] and shard_subplans(sharded)[0]
+        serial_ctx = ExecutionContext(catalog, check_orders=True)
+        serial_rows = SerialBackend().run_plan(whole, catalog, ctx=serial_ctx)
+        assert serial_rows == references[0]
+        backend = ProcessPoolBackend(catalog, workers=1)
+        try:
+            router = backend._ensure_pool().router
+            ctx = ExecutionContext(catalog, check_orders=True)
+            assert backend.run_plan(whole, catalog, ctx=ctx) == serial_rows
+            assert ctx.tallies() == serial_ctx.tallies()
+            assert router._next_id == 0  # no stream was ever registered
+            d = backend.describe()
+            assert (d["local_queries"], d["streamed_queries"]) == (1, 0)
+
+            assert backend.run_plan(sharded, catalog) == serial_rows
+            assert router._next_id == len(shard_subplans(sharded)[1])
+            d = backend.describe()
+            assert (d["local_queries"], d["streamed_queries"]) == (1, 1)
+
+            catalog.refresh_stats("t")  # same rows, newer version
+            assert backend.stale()
+            assert backend.run_plan(whole, catalog) == serial_rows
+            d = backend.describe()
+            assert (d["local_queries"], d["streamed_queries"]) == (1, 2)
+            assert backend._in_flight == 0
+        finally:
+            backend.close()
 
     def test_stale_pool_detection_and_refresh(self):
         catalog = serving_catalog(num_rows=500, seed=3)
@@ -620,7 +731,8 @@ class TestPoolResilience:
         """Many dispatch threads hitting one broken pool: the first
         attempt's futures are cancelled, exactly one replacement pool is
         built (the expectation guard makes racing rebuilds idempotent),
-        and every query succeeds on retry."""
+        and every query succeeds on retry.  The plan has no exchange, so
+        it is sent through the pooled path, which ships it whole."""
         catalog = serving_catalog(num_rows=800, seed=5)
         query = Query.table("t").order_by("b", "a", "c")
         session = QuerySession(catalog)
@@ -637,8 +749,7 @@ class TestPoolResilience:
 
             def client(i):
                 try:
-                    results[i] = backend.run_plan(plan, catalog,
-                                                  parallelism=2)
+                    results[i] = backend._run_pooled(plan, catalog)
                 except Exception as exc:  # pragma: no cover - diagnostic
                     errors.append(exc)
 
@@ -681,7 +792,7 @@ class TestPoolResilience:
         monkeypatch.undo()
         try:
             first = backend._ensure_pool()
-            assert backend.run_plan(plan, catalog) == reference
+            assert backend._run_pooled(plan, catalog) == reference
             d = backend.describe()
             assert d["pool_rebuilds"] == 1
             assert d["streamed_queries"] == 1
@@ -743,7 +854,8 @@ class TestStreamingTransfer:
         """The process backend's one transfer path — shard pipelines
         under a gather, or a whole plan as a single stream — is
         bit-identical to in-process execution, rows and absorbed worker
-        tallies alike, and its telemetry counts every task."""
+        tallies alike, and its telemetry counts every task.  The pooled
+        entry point ships a whole plan even on an idle backend."""
         from repro.engine import ExecutionContext
         from repro.engine.subplan import shard_subplans
         from repro.service import SerialBackend
@@ -761,8 +873,8 @@ class TestStreamingTransfer:
         backend = ProcessPoolBackend(catalog, workers=1, **options)
         try:
             ctx = ExecutionContext(catalog)
-            rows = backend.run_plan(plan, catalog, parallelism=parallelism,
-                                    check_orders=True, ctx=ctx)
+            rows = backend._run_pooled(plan, catalog, check_orders=True,
+                                       ctx=ctx)
             assert rows == references[0]
             assert ctx.tallies() == serial_ctx.tallies()
 
@@ -776,8 +888,7 @@ class TestStreamingTransfer:
 
             # Re-serve the identical plan: the single worker has every
             # task warm.
-            assert backend.run_plan(plan, catalog,
-                                    parallelism=parallelism) == references[0]
+            assert backend._run_pooled(plan, catalog) == references[0]
             assert backend.describe()["subplan_cache_hits"] == len(tasks)
         finally:
             backend.close()
@@ -790,6 +901,7 @@ class TestStreamingTransfer:
             assert server.execute(serving_queries()[0]).rows == references[0]
             stats = server.stats()
             assert stats["streamed_queries"] == 1
+            assert stats["local_queries"] == 0
             assert stats["streamed_chunks"] > 0
 
     def test_shard_stream_hands_each_chunk_over_once(self):
