@@ -15,7 +15,6 @@ from .batch import (
     RowBatch,
     batches_of,
     collect_rows,
-    columnar_batches_total,
     flatten_batches,
 )
 from .context import (
@@ -100,7 +99,6 @@ __all__ = [
     "assemble_streams",
     "batches_of",
     "collect_rows",
-    "columnar_batches_total",
     "combinable",
     "exchange_occurrences",
     "execute_subplan_stream",

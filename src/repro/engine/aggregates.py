@@ -30,7 +30,7 @@ from ..expr.aggregates import AGGREGATES, AggSpec, aggregate_output_schema
 from .batch import RowBatch, batches_of, drain_full, gather, run_starts
 from .context import ExecutionContext
 from .iterators import Operator, tuple_getter
-from .kernels import expression_kernels
+from .kernels import KERNELS, VALUES
 
 #: Aggregates whose partials combine exactly: the combiner applied to
 #: per-shard results equals the aggregate over the whole group.  ``avg``
@@ -175,24 +175,20 @@ class SortAggregate(Operator):
         self.group_order = group_order
         self.group_columns = group_columns
         self.aggregates = list(aggregates)
-        self._kernels = expression_kernels(
-            [spec.arg for spec in self.aggregates], child.schema)
+        self._kernel = KERNELS.get(
+            VALUES, [spec.arg for spec in self.aggregates], child.schema)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         child = self.children[0]
         positions = child.schema.positions(list(self.group_order))
-        kernels = self._kernels
-        if kernels is None:  # parameterized: this execution's values
-            kernels = expression_kernels(
-                [spec.arg for spec in self.aggregates], child.schema,
-                ctx.binds)
+        kernel, binds = self._kernel, ctx.binds
         batches: Iterable[RowBatch] = child.execute_batches(ctx)
         if ctx.check_orders:
             batches = self._checked_group_batches(batches, positions)
         return _fold_sorted_groups(
             batches, positions,
             tuple_getter(child.schema.positions(self.group_columns)),
-            lambda batch: [fn(batch) for fn in kernels],
+            lambda batch: kernel(batch.rows, binds),
             [spec.function for spec in self.aggregates], ctx)
 
     def _checked_group_batches(self, batches: Iterable[RowBatch],
@@ -291,17 +287,13 @@ class HashAggregate(Operator):
         super().__init__(schema, EMPTY_ORDER, [child])
         self.group_columns = list(group_columns)
         self.aggregates = list(aggregates)
-        self._kernels = expression_kernels(
-            [spec.arg for spec in self.aggregates], child.schema)
+        self._kernel = KERNELS.get(
+            VALUES, [spec.arg for spec in self.aggregates], child.schema)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         child = self.children[0]
         positions = child.schema.positions(self.group_columns)
-        kernels = self._kernels
-        if kernels is None:  # parameterized: this execution's values
-            kernels = expression_kernels(
-                [spec.arg for spec in self.aggregates], child.schema,
-                ctx.binds)
+        kernel, binds = self._kernel, ctx.binds
         funcs = [spec.function for spec in self.aggregates]
         inits = [f.init for f in funcs]
         steps = [(j, f.step, f.ignores_null) for j, f in enumerate(funcs)]
@@ -309,7 +301,7 @@ class HashAggregate(Operator):
         groups: dict[tuple, list] = {}
         for batch in child.execute_batches(ctx):
             keys = batch.key_tuples(positions)
-            arg_cols = [fn(batch) for fn in kernels]
+            arg_cols = kernel(batch.rows, binds)
             starts = run_starts(keys)
             if 2 * len(starts) > len(keys):
                 # Runs of under two rows on average: a step per row costs

@@ -1,14 +1,13 @@
 """Tuple-transforming operators: filter, project, compute, sort
-enforcers, limit — batch-vectorized, with whole-column kernels.
+enforcers, limit — batch-vectorized, with generated row kernels.
 
-Filter and compute compile their expressions **once, at construction**
-(through the process-global kernel cache, see
-:mod:`repro.engine.kernels`) to whole-column kernels; an expression
-holding query parameters is specialised on the execution's values when
-``execute_batches`` starts.  Every batch, whatever its size or layout,
-costs one kernel call per expression instead of one Python call per
-row.  Selective operators emit one (possibly smaller) batch per input
-batch instead of re-buffering.
+Filter and compute each build **one kernel, at construction** (through
+the process-global kernel cache, see :mod:`repro.engine.kernels`): a
+generated function that runs the operator's expressions over a whole
+batch's rows.  Every batch, whatever its size, costs one kernel call,
+``kernel(batch.rows, ctx.binds)``, with the execution's parameter values
+as an argument.  Selective operators emit one (possibly smaller) batch
+per input batch instead of re-buffering.
 
 ``Sort`` is the order *enforcer* of the paper: it knows both the target
 order and the order already guaranteed by its input, and picks MRS
@@ -29,7 +28,7 @@ from ..storage.schema import Column, Schema
 from .batch import RowBatch
 from .context import ExecutionContext
 from .iterators import Operator, assert_sorted_batches
-from .kernels import expression_kernels
+from .kernels import COMPUTE, FILTER, KERNELS
 from .sorting import sort_batches
 
 
@@ -44,20 +43,14 @@ class Filter(Operator):
             raise ValueError(f"filter references missing columns {missing}")
         super().__init__(child.schema, child.output_order, [child])
         self.predicate = predicate
-        self._kernels = expression_kernels((predicate,), child.schema)
+        self._kernel = KERNELS.get(FILTER, (predicate,), child.schema)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        kernels = self._kernels
-        if kernels is None:  # parameterized: this execution's values
-            kernels = expression_kernels((self.predicate,), self.schema,
-                                         ctx.binds)
-        return self._filtered(ctx, kernels[0])
-
-    def _filtered(self, ctx: ExecutionContext, kernel) -> Iterator[RowBatch]:
+        kernel, binds = self._kernel, ctx.binds
         for batch in self.children[0].execute_batches(ctx):
-            kept = batch.compress(kernel(batch))
+            kept = kernel(batch.rows, binds)
             if kept:
-                yield kept
+                yield RowBatch(kept)
 
     def details(self) -> str:
         return repr(self.predicate)
@@ -86,8 +79,6 @@ class Project(Operator):
             # Pure rename: pass batches through untouched (zero copies).
             return child.execute_batches(ctx)
         positions = self._positions
-        # ``project`` re-uses the input's column objects when columnar
-        # and builds tuples via itemgetter otherwise.
         return (batch.project(positions)
                 for batch in child.execute_batches(ctx))
 
@@ -110,35 +101,16 @@ class Compute(Operator):
         schema = Schema(list(child.schema) + new_cols)
         super().__init__(schema, child.output_order, [child])
         self.outputs = list(outputs)
-        self._kernels = expression_kernels(
-            [expr for _, expr in self.outputs], child.schema)
+        self._kernel = (KERNELS.get(COMPUTE, [e for _, e in self.outputs],
+                                    child.schema) if self.outputs else None)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         child = self.children[0]
         if not self.outputs:
             return child.execute_batches(ctx)
-        kernels = self._kernels
-        if kernels is None:  # parameterized: this execution's values
-            kernels = expression_kernels(
-                [expr for _, expr in self.outputs], child.schema, ctx.binds)
-        return self._computed(ctx, kernels)
-
-    def _computed(self, ctx: ExecutionContext, kernels) -> Iterator[RowBatch]:
-        for batch in self.children[0].execute_batches(ctx):
-            new_cols = [fn(batch) for fn in kernels]
-            if batch.is_columnar:
-                cols = list(batch.columns)
-                cols.extend(new_cols)
-                yield RowBatch.from_columns(cols, len(batch))
-            elif len(new_cols) == 1:
-                # Row-backed input stays row-backed: append the kernel's
-                # values without transposing the old columns there and
-                # back.
-                yield RowBatch([row + (v,) for row, v
-                                in zip(batch.rows, new_cols[0])])
-            else:
-                yield RowBatch([row + ext for row, ext
-                                in zip(batch.rows, zip(*new_cols))])
+        kernel, binds = self._kernel, ctx.binds
+        return (RowBatch(kernel(batch.rows, binds))
+                for batch in child.execute_batches(ctx))
 
     def details(self) -> str:
         return ", ".join(f"{name}={expr}" for name, expr in self.outputs)

@@ -5,16 +5,9 @@ yields :class:`RowBatch` chunks instead of single tuples, so the
 Python-level dispatch cost (one generator resumption, one virtual call)
 is paid once per *batch* rather than once per *row*.
 
-A batch keeps a **dual representation**: a list of row tuples
-(array-of-structs, the seed engine's layout) and a struct-of-arrays
-column list.  Either side is materialised lazily from the other with a
-single C-level ``zip`` transpose and then cached, so row-level consumers
-(``batch.rows``) and whole-column kernels (``batch.column``,
-:meth:`Expression.compile_batch <repro.expr.expressions.Expression.compile_batch>`)
-each pay at most one transpose per batch.  Column views are zero-copy:
-``column()`` returns the cached column object itself, and columnar
-projection (:meth:`RowBatch.project`) re-uses the input's column objects
-without copying values.
+A batch is a list of row tuples.  The operators that evaluate
+expressions run one generated kernel over that list
+(:mod:`repro.engine.kernels`), so no operator needs a column layout.
 
 Contract (see ``docs/execution.md``):
 
@@ -27,10 +20,8 @@ Contract (see ``docs/execution.md``):
   comparison counts are **independent of the batch size** for
   run-to-completion queries (early-terminating consumers pay I/O at
   batch granularity; ``batch_size=1`` reproduces row-level payment);
-* an expression has one evaluator, its whole-column kernel, which takes
-  a batch of any size and either layout; a batch's layout (row-backed
-  or column-backed) changes wall-clock only, never rows, tallies or
-  block charges.
+* an expression has one evaluator, the generated kernel of the operator
+  holding it, which takes a batch of any size.
 
 ``BlockCharger`` implements batch-aware block accounting: it charges
 each simulated disk block exactly once as the scan cursor crosses it,
@@ -49,89 +40,21 @@ from typing import Iterable, Iterator, Optional, Sequence
 DEFAULT_BATCH_SIZE = 1024
 
 
-class _ColumnarTelemetry:
-    """Process-wide count of batches that materialised a columnar side.
-
-    A plain attribute bump (GIL-atomic enough for telemetry); surfaced
-    through ``QuerySession.stats()`` / ``QueryServer.stats()`` together
-    with the kernel-cache counters.
-    """
-
-    __slots__ = ("columnar_batches",)
-
-    def __init__(self) -> None:
-        self.columnar_batches = 0
-
-
-_TELEMETRY = _ColumnarTelemetry()
-
-
-def columnar_batches_total() -> int:
-    """How many batches have been built or transposed columnar so far."""
-    return _TELEMETRY.columnar_batches
-
-
-def reset_columnar_batches() -> None:
-    """Reset the columnar-batch counter (tests and benchmarks)."""
-    _TELEMETRY.columnar_batches = 0
-
-
 class RowBatch:
-    """A chunk of rows flowing between operators (dual row/column layout).
+    """A chunk of rows flowing between operators.
 
-    Deliberately minimal: iteration, length, indexing, and columnar
-    accessors.  The wrapped row list / column lists are owned by the
-    batch — operators that need to mutate rows must copy.
+    Deliberately minimal: iteration, length, indexing and positional
+    projection.  The wrapped row list is owned by the batch — operators
+    that need to mutate rows must copy.
     """
 
-    __slots__ = ("_rows", "_cols", "_colmemo", "_length")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: list[tuple]) -> None:
-        self._rows = rows
-        self._cols: Optional[list] = None
-        self._colmemo: Optional[dict] = None
-        self._length = len(rows)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], length: int) -> "RowBatch":
-        """Build a columnar batch from equal-length column sequences.
-
-        ``length`` is explicit so zero-column schemas keep their row
-        count.  The column objects are adopted, not copied.
-        """
-        batch = cls.__new__(cls)
-        batch._rows = None
-        batch._cols = list(columns)
-        batch._colmemo = None
-        batch._length = length
-        _TELEMETRY.columnar_batches += 1
-        return batch
-
-    # -- representation ---------------------------------------------------------------
-    @property
-    def is_columnar(self) -> bool:
-        """True when the struct-of-arrays side is materialised."""
-        return self._cols is not None
-
-    @property
-    def rows(self) -> list[tuple]:
-        """The rows as a list of tuples (transposed from columns lazily)."""
-        if self._rows is None:
-            cols = self._cols
-            self._rows = list(zip(*cols)) if cols else [()] * self._length
-        return self._rows
-
-    @property
-    def columns(self) -> list:
-        """All columns (transposed from rows lazily; zero-copy thereafter)."""
-        if self._cols is None:
-            self._cols = list(zip(*self._rows))
-            if self._colmemo is None:  # already counted on first column()
-                _TELEMETRY.columnar_batches += 1
-        return self._cols
+        self.rows = rows
 
     def __len__(self) -> int:
-        return self._length
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
@@ -140,34 +63,10 @@ class RowBatch:
         return self.rows[i]
 
     def __bool__(self) -> bool:
-        return self._length > 0
-
-    # -- columnar access -------------------------------------------------------------
-    def column(self, position: int) -> Sequence:
-        """All values of one column (by schema position); zero-copy view.
-
-        On a row-backed batch this extracts *only* the requested column
-        (one C-level pass) and memoizes it — a kernel touching two of
-        ten columns never pays for the other eight.  The full transpose
-        happens only when ``columns`` itself is asked for.
-        """
-        if self._length == 0:
-            return []
-        cols = self._cols
-        if cols is not None:
-            return cols[position]
-        memo = self._colmemo
-        if memo is None:
-            memo = self._colmemo = {}
-            _TELEMETRY.columnar_batches += 1
-        col = memo.get(position)
-        if col is None:
-            col = memo[position] = list(map(itemgetter(position), self._rows))
-        return col
+        return bool(self.rows)
 
     def _is_identity(self, positions: Sequence[int]) -> bool:
-        width = (len(self._cols) if self._cols is not None
-                 else (len(self._rows[0]) if self._rows else 0))
+        width = len(self.rows[0]) if self.rows else 0
         return len(positions) == width and list(positions) == list(range(width))
 
     def take(self, positions: Sequence[int]) -> list[tuple]:
@@ -176,73 +75,39 @@ class RowBatch:
         Identity projections return the batch's own row list without
         building new tuples.
         """
-        if not self._length:
+        rows = self.rows
+        if not rows:
             return []
         if self._is_identity(positions):
-            return self.rows
+            return rows
         if len(positions) == 1:
-            pos = positions[0]
-            return list(zip(self._cols[pos] if self._cols is not None
-                            else map(itemgetter(pos), self._rows)))
-        return list(map(itemgetter(*positions), self.rows))
+            return list(zip(map(itemgetter(positions[0]), rows)))
+        return list(map(itemgetter(*positions), rows))
 
     def project(self, positions: Sequence[int]) -> "RowBatch":
-        """A batch projected to the given positions.
-
-        Identity projections return ``self``; columnar inputs re-use the
-        column objects (zero copies); row-backed inputs build new tuples.
-        """
+        """A batch projected to the given positions (``self`` for an
+        identity projection)."""
         if self._is_identity(positions):
             return self
-        if self._cols is not None:
-            cols = self._cols
-            return RowBatch.from_columns([cols[p] for p in positions], self._length)
         return RowBatch(self.take(positions))
 
     def key_tuples(self, positions: Sequence[int]) -> list[tuple]:
         """Per-row key tuples over the given positions (join/group keys)."""
-        if not self._length:
+        rows = self.rows
+        if not rows:
             return []
         if not positions:
-            return [()] * self._length
-        if self._cols is not None:
-            cols = self._cols
-            return list(zip(*[cols[p] for p in positions]))
+            return [()] * len(rows)
         if len(positions) == 1:
-            return list(zip(map(itemgetter(positions[0]), self._rows)))
-        return list(map(itemgetter(*positions), self._rows))
-
-    def compress(self, mask: Sequence) -> "RowBatch":
-        """Rows at truthy mask positions (the selection-vector apply).
-
-        Returns ``self`` untouched when every row survives, and an empty
-        (falsy) batch when none do.
-        """
-        # Prefer the row side when it exists: one C-level compress (its
-        # length is the survivor count) beats a per-column compress plus
-        # the transpose a row consumer would pay downstream.
-        if self._rows is not None:
-            kept = list(compress(self._rows, mask))
-            return self if len(kept) == self._length else RowBatch(kept)
-        alive = sum(map(bool, mask))
-        if alive == self._length:
-            return self
-        if alive == 0:
-            return RowBatch([])
-        return RowBatch.from_columns(
-            [tuple(compress(col, mask)) for col in self._cols], alive)
+            return list(zip(map(itemgetter(positions[0]), rows)))
+        return list(map(itemgetter(*positions), rows))
 
     def head(self, n: int) -> "RowBatch":
         """The first *n* rows (``self`` when the batch is no longer)."""
-        if n >= self._length:
-            return self
-        if self._rows is not None:
-            return RowBatch(self._rows[:n])
-        return RowBatch.from_columns([col[:n] for col in self._cols], n)
+        return self if n >= len(self.rows) else RowBatch(self.rows[:n])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        layout = "columnar" if self._cols is not None else "rows"
-        return f"RowBatch({self._length} rows, {layout})"
+        return f"RowBatch({len(self.rows)} rows)"
 
 
 def batches_of(rows: Iterable[tuple], batch_size: int) -> Iterator[RowBatch]:

@@ -270,7 +270,7 @@ class HashJoin(Operator):
         out = BatchBuilder(ctx.batch_size)
         for rbatch in right.execute_batches(ctx):
             probe_count += len(rbatch)
-            # Whole-batch key extraction (columnar zip or itemgetter map).
+            # Whole-batch key extraction (one itemgetter map).
             for rrow, key in zip(rbatch.rows, rbatch.key_tuples(rpos)):
                 group = None if any(v is None for v in key) else table.get(key)
                 if group:

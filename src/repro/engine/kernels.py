@@ -1,49 +1,133 @@
-"""Compiled expression kernels and the process-global cache that holds them.
+"""Generated row kernels and the process-global cache that holds them.
 
-An expression has one compiled form, the whole-column kernel of
-:meth:`Expression.compile_batch <repro.expr.expressions.Expression.compile_batch>`.
-The operator that evaluates an expression (Filter, Compute and the two
-aggregates) compiles it at construction, that is when a plan-cache
-entry lowers its operator tree (:mod:`repro.engine.prepared`), so a warm
-execution compiles nothing for an expression without parameters.
+Each operator that evaluates expressions (Filter, Compute and the two
+aggregates) runs one generated Python function over a batch's rows,
+``kernel(rows, binds)``, in one of three shapes:
 
-:data:`KERNELS` keeps the compilations that do happen — fresh plans,
-re-prepares, pool workers — from repeating: a process-global LRU keyed
-by ``(expression, schema column names)``.  Expressions are frozen
-dataclasses (hashable, structurally equal), so any operator compiled
-against the same schema anywhere in the process reuses the closure.
-Unhashable expressions (a ``Const`` holding a list, say) are compiled
-uncached.  No key ever contains a bind value: the cache holds templates
-only.
+* ``filter`` — ``[r for r in rows if P]``;
+* ``compute`` — ``[r + (E1, …, Ek) for r in rows]``;
+* ``values`` — one list per aggregate argument: ``[E for r in rows]``,
+  with a bare column read by ``list(map(itemgetter(i), rows))`` and a
+  constant repeated.
 
-An operator whose expressions hold parameters gets ``None`` from
-:func:`expression_kernels` at construction and calls it again, with the
-execution's values, when its ``execute_batches`` starts: the bound
-expressions compile directly — a ``Col op Const`` column loop like any
-literal's — and the closures go with the execution.
+The source is written by the expressions themselves
+(:meth:`Expression.emit <repro.expr.expressions.Expression.emit>`)
+through a :class:`KernelSource`, compiled with ``exec`` once, and cached.
+Only names the generator makes, integer column positions and operator
+tokens from a fixed table enter the source.  Constant values and
+parameter names reach the function as globals; a parameter is a local
+read from ``binds`` once per call, and a missing one raises
+:class:`~repro.expr.expressions.UnboundParamError` naming it.
 
-Kernels close over Python functions and never ride a plan: a plan holds
-expressions only, so it pickles as it is, and each process-pool worker
-compiles the subplans it lowers through its own :data:`KERNELS` — once
-per plan template, whatever the values.
+:data:`KERNELS` is a process-global LRU keyed by ``(shape, expressions,
+schema column names)``.  Expressions are frozen dataclasses (hashable,
+structurally equal), so operators of the same shape against the same
+schema anywhere in the process share the function, and a parameterized
+template compiles once, whatever its values.  Unhashable expressions (a
+``Const`` holding a list, say) compile uncached.  The operator builds its
+kernel at construction, that is when a plan-cache entry lowers its
+operator tree (:mod:`repro.engine.prepared`), so a warm execution
+compiles nothing.
+
+Kernels never ride a plan: a plan holds expressions only, so it pickles
+as it is, and each process-pool worker compiles the subplans it lowers
+through its own :data:`KERNELS`.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Mapping, Sequence
 
-from ..expr.expressions import (
-    Expression,
-    UnboundParamError,
-    bind_expression,
-)
-from .batch import columnar_batches_total, reset_columnar_batches
+from ..expr.expressions import Col, Const, Expression, UnboundParamError
+
+#: ``kernel(rows, binds) -> list``.
+Kernel = Callable[[list, Mapping[str, Any]], list]
+
+FILTER, COMPUTE, VALUES = "filter", "compute", "values"
+
+
+def _bound(binds: Mapping[str, Any], name: str) -> Any:
+    """The value *binds* gives parameter *name*."""
+    try:
+        return binds[name]
+    except KeyError:
+        raise UnboundParamError(
+            f"unbound query parameter :{name}; execute the query through a "
+            "prepared statement that supplies a binding") from None
+
+
+class KernelSource:
+    """The names one kernel's source may use, handed out while its
+    expressions emit: ``r[i]`` for a column, ``_cN`` globals for constants
+    and getters, ``_pN`` locals for parameters (read from ``binds`` by a
+    line of :attr:`prologue`) and ``_tN`` temporaries."""
+
+    def __init__(self, schema) -> None:
+        self.schema = schema
+        self.namespace: dict[str, Any] = {"_bound": _bound}
+        self.prologue: list[str] = []
+        self._params: dict[str, str] = {}
+        self._temps = 0
+
+    def column(self, name: str) -> str:
+        return f"r[{self.schema.position(name):d}]"
+
+    def const(self, value: Any) -> str:
+        name = f"_c{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def param(self, name: str) -> str:
+        local = self._params.get(name)
+        if local is None:
+            local = self._params[name] = f"_p{len(self._params)}"
+            self.prologue.append(f"{local} = _bound(binds, {self.const(name)})")
+        return local
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"_t{self._temps}"
+
+
+def _value_list(expr: Expression, gen: KernelSource) -> str:
+    if isinstance(expr, Col):
+        return f"list(map({gen.const(itemgetter(gen.schema.position(expr.name)))}, rows))"
+    if isinstance(expr, Const):
+        return f"[{expr.emit(gen)}] * len(rows)"
+    return f"[{expr.emit(gen)} for r in rows]"
+
+
+def kernel_source(shape: str, exprs: Sequence[Expression],
+                  schema) -> tuple[str, dict[str, Any]]:
+    """The source of the *shape* kernel over *exprs* against *schema*,
+    and the globals it runs in."""
+    gen = KernelSource(schema)
+    if shape == FILTER:
+        (predicate,) = exprs
+        body = f"[r for r in rows if {predicate.emit(gen)}]"
+    elif shape == COMPUTE:
+        row = "".join(f"{e.emit(gen)}, " for e in exprs)
+        body = f"[r + ({row}) for r in rows]"
+    elif shape == VALUES:
+        body = "[" + ", ".join(_value_list(e, gen) for e in exprs) + "]"
+    else:
+        raise ValueError(f"unknown kernel shape {shape!r}")
+    lines = ["def kernel(rows, binds):",
+             *(f"    {line}" for line in gen.prologue), f"    return {body}"]
+    return "\n".join(lines) + "\n", gen.namespace
+
+
+def compile_kernel(shape: str, exprs: Sequence[Expression], schema) -> Kernel:
+    source, namespace = kernel_source(shape, exprs, schema)
+    exec(compile(source, f"<{shape} kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 class KernelCache:
-    """Thread-safe process-global LRU of compiled expression kernels."""
+    """Thread-safe process-global LRU of generated kernels."""
 
     def __init__(self, capacity: int = 4096) -> None:
         self.capacity = capacity
@@ -52,10 +136,10 @@ class KernelCache:
         self.kernels_compiled = 0
         self.kernel_cache_hits = 0
 
-    def get(self, expr: Expression, schema):
-        """The whole-column kernel of *expr* against *schema*."""
+    def get(self, shape: str, exprs: Sequence[Expression], schema) -> Kernel:
+        """The *shape* kernel over *exprs* against *schema*."""
         try:
-            key = (expr, tuple(schema.names))
+            key = (shape, tuple(exprs), tuple(schema.names))
             hash(key)
         except TypeError:
             key = None  # unhashable payload (e.g. Const([...])) → uncached
@@ -66,8 +150,7 @@ class KernelCache:
                     self._cache.move_to_end(key)
                     self.kernel_cache_hits += 1
                     return fn
-        # Compile outside the lock; UnboundParamError propagates uncounted.
-        fn = expr.compile_batch(schema)
+        fn = compile_kernel(shape, exprs, schema)  # outside the lock
         with self._lock:
             self.kernels_compiled += 1
             if key is not None:
@@ -99,33 +182,9 @@ def kernel_stats() -> dict[str, int]:
     return {
         "kernels_compiled": KERNELS.kernels_compiled,
         "kernel_cache_hits": KERNELS.kernel_cache_hits,
-        "columnar_batches": columnar_batches_total(),
     }
 
 
 def reset_kernel_stats() -> None:
     """Zero the kernel counters (tests and benchmarks)."""
     KERNELS.reset_stats()
-    reset_columnar_batches()
-
-
-def expression_kernels(exprs: Sequence[Expression], schema,
-                       binds: Optional[Mapping[str, Any]] = None
-                       ) -> Optional[tuple]:
-    """One kernel per expression of *exprs*, compiled against *schema*.
-
-    Without *binds* (operator construction) through :data:`KERNELS`, or
-    ``None`` when the expressions hold parameters.  With *binds* (an
-    execution of such an operator) the expressions are bound and
-    compiled directly, never through :data:`KERNELS`: a value-keyed
-    entry would be used once and push a template out of the LRU.  A
-    parameter left unbound then raises the seed engine's ``ValueError``
-    (:class:`~repro.expr.expressions.UnboundParamError`) naming it.
-    """
-    if binds is not None:
-        return tuple([bind_expression(e, binds).compile_batch(schema)
-                      for e in exprs])
-    try:
-        return tuple([KERNELS.get(e, schema) for e in exprs])
-    except UnboundParamError:
-        return None

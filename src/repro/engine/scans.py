@@ -18,12 +18,6 @@ list directly into :class:`~repro.engine.batch.RowBatch` chunks and
 charge block I/O per batch via :class:`~repro.engine.batch.BlockCharger`
 (totals identical to the seed's per-row progressive charging).
 
-Scan batches are deliberately *row-backed*: storage holds row tuples, so
-transposing eagerly here would pay for columns no consumer wants.  The
-first columnar consumer above (a kernel-bearing Filter/Compute/aggregate)
-triggers the one C-level transpose via ``RowBatch.columns``, and the
-batch caches it — scans never transpose on a pure row-pipeline plan.
-
 **Sharding**: every table scan carries a partition spec
 ``(shard_count, shard_index)``; shard *i* covers the contiguous row
 range ``[i·n/count, (i+1)·n/count)``.  Contiguous ranges mean each shard

@@ -12,7 +12,6 @@ from .expressions import (
     Param,
     Predicate,
     UnboundParamError,
-    bind_expression,
     col,
     expression_params,
     param,
@@ -35,7 +34,6 @@ __all__ = [
     "Param",
     "Predicate",
     "UnboundParamError",
-    "bind_expression",
     "col",
     "expression_params",
     "param",

@@ -5,54 +5,37 @@ paper's evaluation (Queries 1–6 plus Example 1): column references,
 constants, arithmetic (Query 5 computes ``Quantity * Price``),
 comparisons, conjunction/disjunction, and equality join predicates.
 
-An expression compiles against a :class:`~repro.storage.schema.Schema`
-to one form, :meth:`Expression.compile_batch`: a **whole-column kernel**
-over a :class:`~repro.engine.batch.RowBatch`, returning one output value
-per row as a list.  Kernels evaluate a batch of any size, one row
-included, with a handful of C-level calls (``itemgetter``, one list
-comprehension per node) instead of a Python call per row, and
-``And``/``Or`` short-circuit with a selection vector: later conjuncts
-only evaluate the rows still undecided.  Semantics are SQL's: NULL
-operands propagate through arithmetic, and a comparison with a NULL
-operand is UNKNOWN, which a filter rejects.
+An expression is compiled by emitting Python source:
+:meth:`Expression.emit` returns one Python expression over a row tuple
+named ``r``, and :mod:`repro.engine.kernels` places it in a generated
+kernel that runs over a whole batch of rows.  A column reads
+``r[position]``; a constant is a global of the kernel and a parameter a
+local it reads from the execution's binds, so neither a value nor a
+parameter name is ever spelled in the source.  Semantics are SQL's:
+NULL operands propagate through arithmetic, and a comparison with a NULL
+operand is UNKNOWN, which a filter rejects (it reads ``False``).
+``And``/``Or`` are Python's short-circuiting ``and``/``or``: a later
+conjunct only runs for the rows still undecided.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Union
-
-from ..storage.schema import Schema
-
-#: A batch kernel: RowBatch → list of one output value per row.  Typed
-#: loosely to keep this module import-free of the engine package.
-BatchFn = Callable[[Any], list]
+from typing import Any, Iterable, Union
 
 
 class UnboundParamError(ValueError):
-    """Compiling an expression that still contains a :class:`Param`.
+    """Running a kernel whose :class:`Param` the execution did not bind.
 
     A ``ValueError`` subclass so seed-era callers that catch/assert
-    ``ValueError`` keep working; the engine's operators catch this
-    specific type to defer compilation until parameters are bound.
+    ``ValueError`` keep working.
     """
 
-_BIN_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
 
-_CMP_OPS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+#: The Python operator token of each SQL operator: the only operator
+#: text a generated kernel may contain.
+_BIN_OPS = {"+": "+", "-": "-", "*": "*", "/": "/"}
+_CMP_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 class Expression:
@@ -62,9 +45,13 @@ class Expression:
         """All column names referenced by the expression."""
         raise NotImplementedError
 
-    def compile_batch(self, schema: Schema) -> BatchFn:
-        """Compile to a batch → column (list of per-row values) kernel
-        positionally bound to *schema*."""
+    def emit(self, gen) -> str:
+        """Python source of this expression over a row named ``r``.
+
+        *gen* (a :class:`repro.engine.kernels.KernelSource`) gives column
+        positions and names the kernel's constants, parameters and
+        temporaries.
+        """
         raise NotImplementedError
 
     # -- operator sugar ----------------------------------------------------------
@@ -115,10 +102,8 @@ class Col(Expression):
     def columns(self) -> frozenset[str]:
         return frozenset({self.name})
 
-    def compile_batch(self, schema: Schema) -> BatchFn:
-        pos = schema.position(self.name)
-        # Zero-copy: the batch's cached column object itself.
-        return lambda batch: batch.column(pos)
+    def emit(self, gen) -> str:
+        return gen.column(self.name)
 
     def __repr__(self) -> str:
         return self.name
@@ -133,9 +118,8 @@ class Const(Expression):
     def columns(self) -> frozenset[str]:
         return frozenset()
 
-    def compile_batch(self, schema: Schema) -> BatchFn:
-        value = self.value
-        return lambda batch: [value] * len(batch)
+    def emit(self, gen) -> str:
+        return gen.const(self.value)
 
     def __repr__(self) -> str:
         return repr(self.value)
@@ -148,9 +132,9 @@ class Param(Expression):
     Parameters make a query *preparable*: the optimizer plans the
     template once (selectivity estimates in this model never depend on
     literal values, so the plan is bind-independent) and each execution
-    brings its own values: the operator holding the expression
-    substitutes them when it starts (:func:`bind_expression`).
-    Compiling an unbound parameter is an error.
+    brings its own values, which the operator holding the expression
+    passes to its kernel.  Running a kernel without a value for the
+    parameter raises :class:`UnboundParamError`.
     """
 
     name: str
@@ -158,10 +142,8 @@ class Param(Expression):
     def columns(self) -> frozenset[str]:
         return frozenset()
 
-    def compile_batch(self, schema: Schema) -> BatchFn:
-        raise UnboundParamError(
-            f"unbound query parameter :{self.name}; execute the query "
-            "through a prepared statement that supplies a binding")
+    def emit(self, gen) -> str:
+        return gen.param(self.name)
 
     def __repr__(self) -> str:
         return f":{self.name}"
@@ -187,31 +169,36 @@ class BinOp(Expression):
     def columns(self) -> frozenset[str]:
         return self.left.columns() | self.right.columns()
 
-    def compile_batch(self, schema: Schema) -> BatchFn:
+    def emit(self, gen) -> str:
         # SQL arithmetic: NULL operands propagate (outer-join padding
         # flows through computed columns as NULL, not a TypeError).
-        fn = _BIN_OPS[self.op]
-        left, right = self.left, self.right
-        # col ⊗ const (and mirrored): one comprehension over the column,
-        # no per-row operand dispatch.
-        if isinstance(left, Col) and isinstance(right, Const):
-            pos, k = schema.position(left.name), right.value
-            if k is None:
-                return lambda batch: [None] * len(batch)
-            return lambda batch: [None if v is None else fn(v, k)
-                                  for v in batch.column(pos)]
-        if isinstance(left, Const) and isinstance(right, Col):
-            pos, k = schema.position(right.name), left.value
-            if k is None:
-                return lambda batch: [None] * len(batch)
-            return lambda batch: [None if v is None else fn(k, v)
-                                  for v in batch.column(pos)]
-        lf, rf = left.compile_batch(schema), right.compile_batch(schema)
-        return lambda batch: [None if a is None or b is None else fn(a, b)
-                              for a, b in zip(lf(batch), rf(batch))]
+        return _null_guarded(gen, self.left, _BIN_OPS[self.op], self.right,
+                             "None")
 
     def __repr__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
+
+
+def _null_guarded(gen, left: Expression, token: str, right: Expression,
+                  unknown: str) -> str:
+    """Source of ``left token right`` under SQL's NULL rule: *unknown*
+    when either operand is NULL.  Each operand is evaluated once, into a
+    temporary; a non-NULL constant needs no test and a NULL one decides
+    the result."""
+    operands, tests = [], []
+    for side in (left, right):
+        if isinstance(side, Const):
+            if side.value is None:
+                return unknown
+            operands.append(side.emit(gen))
+            continue
+        temp = gen.temp()
+        tests.append(f"({temp} := {side.emit(gen)}) is None")
+        operands.append(temp)
+    value = f"{operands[0]} {token} {operands[1]}"
+    if not tests:
+        return f"({value})"
+    return f"({unknown} if {' or '.join(tests)} else {value})"
 
 
 class Predicate(Expression):
@@ -240,34 +227,12 @@ class Comparison(Predicate):
     def columns(self) -> frozenset[str]:
         return self.left.columns() | self.right.columns()
 
-    def compile_batch(self, schema: Schema) -> BatchFn:
-        fn = _CMP_OPS[self.op]
-        left, right = self.left, self.right
+    def emit(self, gen) -> str:
         # SQL three-valued logic collapsed for filtering: a NULL operand
         # makes the comparison UNKNOWN, which WHERE rejects (outer-join
-        # padding must not crash downstream filters).  The dominant
-        # filter shapes get dedicated column loops.
-        if isinstance(left, Col) and isinstance(right, Const):
-            pos, k = schema.position(left.name), right.value
-            if k is None:
-                return lambda batch: [False] * len(batch)
-            return lambda batch: [v is not None and fn(v, k)
-                                  for v in batch.column(pos)]
-        if isinstance(left, Const) and isinstance(right, Col):
-            pos, k = schema.position(right.name), left.value
-            if k is None:
-                return lambda batch: [False] * len(batch)
-            return lambda batch: [v is not None and fn(k, v)
-                                  for v in batch.column(pos)]
-        if isinstance(left, Col) and isinstance(right, Col):
-            lpos, rpos = schema.position(left.name), schema.position(right.name)
-            return lambda batch: [
-                a is not None and b is not None and fn(a, b)
-                for a, b in zip(batch.column(lpos), batch.column(rpos))]
-        lf, rf = left.compile_batch(schema), right.compile_batch(schema)
-        return lambda batch: [
-            a is not None and b is not None and fn(a, b)
-            for a, b in zip(lf(batch), rf(batch))]
+        # padding must not crash downstream filters).
+        return _null_guarded(gen, self.left, _CMP_OPS[self.op], self.right,
+                             "False")
 
     def selectivity(self, stats) -> float:
         if self.op == "=":
@@ -306,31 +271,10 @@ class And(Predicate):
             out |= p.columns()
         return out
 
-    def compile_batch(self, schema: Schema) -> BatchFn:
-        fns = [p.compile_batch(schema) for p in self.parts]
-        if not fns:
-            return lambda batch: [True] * len(batch)
-        if len(fns) == 1:
-            return fns[0]
-        first, rest = fns[0], fns[1:]
-
-        def kernel(batch) -> list:
-            # Selection-vector short-circuit: each later conjunct only
-            # evaluates the rows still alive, on a compressed sub-batch,
-            # and its verdicts are scattered back into the mask.
-            mask = list(first(batch))
-            for fn in rest:
-                alive = sum(1 for m in mask if m)
-                if alive == 0:
-                    return mask
-                if alive == len(mask):
-                    mask = list(fn(batch))
-                    continue
-                verdicts = iter(fn(batch.compress(mask)))
-                mask = [next(verdicts) if m else False for m in mask]
-            return mask
-
-        return kernel
+    def emit(self, gen) -> str:
+        if not self.parts:
+            return "True"
+        return "(" + " and ".join(p.emit(gen) for p in self.parts) + ")"
 
     def selectivity(self, stats) -> float:
         sel = 1.0
@@ -363,30 +307,10 @@ class Or(Predicate):
             out |= p.columns()
         return out
 
-    def compile_batch(self, schema: Schema) -> BatchFn:
-        fns = [p.compile_batch(schema) for p in self.parts]
-        if not fns:
-            return lambda batch: [False] * len(batch)
-        if len(fns) == 1:
-            return fns[0]
-        first, rest = fns[0], fns[1:]
-
-        def kernel(batch) -> list:
-            # Dual of the And kernel: later disjuncts only evaluate the
-            # rows not yet accepted.
-            mask = list(first(batch))
-            for fn in rest:
-                undecided = sum(1 for m in mask if not m)
-                if undecided == 0:
-                    return mask
-                if undecided == len(mask):
-                    mask = list(fn(batch))
-                    continue
-                verdicts = iter(fn(batch.compress([not m for m in mask])))
-                mask = [m if m else next(verdicts) for m in mask]
-            return mask
-
-        return kernel
+    def emit(self, gen) -> str:
+        if not self.parts:
+            return "False"
+        return "(" + " or ".join(p.emit(gen) for p in self.parts) + ")"
 
     def selectivity(self, stats) -> float:
         miss = 1.0
@@ -447,29 +371,6 @@ class JoinPredicate:
 def col(name: str) -> Col:
     """Convenience constructor, mirrors SQL column references."""
     return Col(name)
-
-
-def bind_expression(expr: Expression, binds: Mapping[str, Any]) -> Expression:
-    """Substitute :class:`Param` nodes with :class:`Const` bindings.
-
-    Returns the *same* object when nothing changed.  A parameter *binds*
-    does not name stays a :class:`Param`, so compiling the result raises
-    the :class:`UnboundParamError` that names it.
-    """
-    if isinstance(expr, Param):
-        return Const(binds[expr.name]) if expr.name in binds else expr
-    if isinstance(expr, (Comparison, BinOp)):
-        left = bind_expression(expr.left, binds)
-        right = bind_expression(expr.right, binds)
-        if left is expr.left and right is expr.right:
-            return expr
-        return type(expr)(expr.op, left, right)
-    if isinstance(expr, (And, Or)):
-        parts = tuple(bind_expression(p, binds) for p in expr.parts)
-        if all(n is o for n, o in zip(parts, expr.parts)):
-            return expr
-        return type(expr)(*parts)
-    return expr
 
 
 def expression_params(expr: Expression) -> frozenset[str]:

@@ -10,8 +10,8 @@ Nothing here substitutes values.  The cost model's selectivity estimates
 never depend on literal values, so a plan is bind-independent by
 construction: it is lowered once, and each execution's values travel in
 its :class:`~repro.engine.context.ExecutionContext` to the operators
-whose expressions hold the placeholders
-(:func:`~repro.expr.expressions.bind_expression`).
+whose expressions hold the placeholders, which pass them to their
+generated kernels (:mod:`repro.engine.kernels`).
 """
 
 from __future__ import annotations

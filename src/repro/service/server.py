@@ -579,8 +579,8 @@ class QueryServer:
         out["cache_ttl_seconds"] = self.cache.ttl_seconds
         for name, value in self.cache.stats.as_dict().items():
             out[f"cache_{name}"] = value
-        # Process-global kernel/columnar telemetry — taken once from the
-        # shared caches, NOT summed per session (sessions all read the
+        # Process-global kernel telemetry — taken once from the shared
+        # cache, NOT summed per session (sessions all read the
         # same process-wide counters; summing would multiply them).
         out.update(kernel_stats())
         if self.tracer is not None:

@@ -393,8 +393,8 @@ class QuerySession:
         }
         for name, value in self.cache.stats.as_dict().items():
             out[f"cache_{name}"] = value
-        # Kernel/columnar counters are process-global (the kernel cache
-        # and batch telemetry are shared across sessions), surfaced here
-        # so one serving process's /metrics shows compilation behaviour.
+        # Kernel counters are process-global (the kernel cache is shared
+        # across sessions), surfaced here so one serving process's
+        # /metrics shows compilation behaviour.
         out.update(kernel_stats())
         return out

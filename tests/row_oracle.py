@@ -16,7 +16,7 @@ search path or ``PlanBuilder`` method produces it, so it serves
 ``tests/test_joins.py`` as a reference beside the merge and hash joins.
 :func:`evaluate` is the row semantics of scalar expressions, stated from
 the SQL rules and never through a kernel: the reference the engine's one
-compiled form (``Expression.compile_batch``) is held to, and the row
+generated kernels (``repro.engine.kernels``) are held to, and the row
 function of every oracle here that evaluates an expression.
 Nothing under ``src/`` imports this module.
 """
@@ -47,6 +47,7 @@ from repro.expr.expressions import (
     Expression,
     JoinPredicate,
     Or,
+    Param,
     Predicate,
 )
 
@@ -67,8 +68,10 @@ _COMPARISON = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def evaluate(expr: Expression, schema) -> Callable[[tuple], object]:
-    """A row -> value function for *expr* over rows of *schema*.
+def evaluate(expr: Expression, schema,
+             binds: Optional[dict] = None) -> Callable[[tuple], object]:
+    """A row -> value function for *expr* over rows of *schema*, with
+    each parameter standing for its value in *binds*.
 
     SQL's rules, one row at a time: arithmetic with a NULL operand is
     NULL; a comparison with a NULL operand is UNKNOWN, which a filter
@@ -78,8 +81,12 @@ def evaluate(expr: Expression, schema) -> Callable[[tuple], object]:
         return operator.itemgetter(schema.position(expr.name))
     if isinstance(expr, Const):
         return lambda row: expr.value
+    if isinstance(expr, Param):
+        value = (binds or {})[expr.name]
+        return lambda row: value
     if isinstance(expr, (BinOp, Comparison)):
-        left, right = evaluate(expr.left, schema), evaluate(expr.right, schema)
+        left = evaluate(expr.left, schema, binds)
+        right = evaluate(expr.right, schema, binds)
         if isinstance(expr, BinOp):
             fn, unknown = _ARITHMETIC[expr.op], None
         else:
@@ -91,7 +98,7 @@ def evaluate(expr: Expression, schema) -> Callable[[tuple], object]:
 
         return apply
     if isinstance(expr, (And, Or)):
-        parts = [evaluate(p, schema) for p in expr.parts]
+        parts = [evaluate(p, schema, binds) for p in expr.parts]
         combine = all if isinstance(expr, And) else any
         return lambda row: combine(part(row) for part in parts)
     raise TypeError(f"no row semantics for {expr!r}")

@@ -43,14 +43,10 @@ class TestRowBatch:
         assert list(batch) == [(1, 2), (3, 4)]
         assert batch[1] == (3, 4)
         assert not RowBatch([])
-
-    def test_columnar_accessors(self):
-        batch = RowBatch([(1, 2, 3), (4, 5, 6)])
-        assert list(batch.column(1)) == [2, 5]
-        # Zero-copy contract: the same cached column object comes back.
-        assert batch.column(1) is batch.column(1)
-        assert batch.take([2, 0]) == [(3, 1), (6, 4)]
-        assert batch.compress([False, True]).rows == [(4, 5, 6)]
+        wide = RowBatch([(1, 2, 3), (4, 5, 6)])
+        assert wide.take([2, 0]) == [(3, 1), (6, 4)]
+        assert wide.project([0, 1, 2]) is wide
+        assert wide.head(1).rows == [(1, 2, 3)]
 
     def test_batches_of_chunking(self):
         batches = list(batches_of(iter([(i,) for i in range(10)]), 4))

@@ -1,9 +1,9 @@
-"""Expression language tests: compilation, selectivity, join predicates,
+"""Expression language tests: evaluation, selectivity, join predicates,
 aggregate specs."""
 
 import pytest
 
-from repro.engine import RowBatch
+from repro.engine.kernels import VALUES, compile_kernel
 from repro.expr import And, Col, Comparison, Const, JoinPredicate, Or, col
 from repro.expr.aggregates import (
     AGGREGATES,
@@ -22,9 +22,9 @@ SCHEMA = Schema.of(("a", "int", 8), ("b", "int", 8), ("s", "str", 10))
 
 
 def value(expr, row):
-    """*expr* on one row: its kernel's value over a one-row batch, which
-    must be the row oracle's too."""
-    got = expr.compile_batch(SCHEMA)(RowBatch([row]))[0]
+    """*expr* on one row: its generated kernel's value over a one-row
+    batch, which must be the row oracle's too."""
+    got = compile_kernel(VALUES, [expr], SCHEMA)([row], {})[0][0]
     assert got == row_oracle.evaluate(expr, SCHEMA)(row)
     return got
 

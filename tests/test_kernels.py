@@ -1,26 +1,30 @@
-"""Batch kernels, the one compiled form of an expression: NULL
-propagation and short-circuit semantics held to the row oracle at every
-batch size and layout, the kernel cache, plans that carry no compiled
-code, and the zero-recompilation serving contract."""
+"""Generated row kernels, the one compiled form of an expression: the
+filter, compute and values shapes held to the row oracle at every batch
+size with every parameter bound at call time, what may enter their
+source, the kernel cache, plans that carry no compiled code, and the
+zero-recompilation serving contract."""
 
+import io
 import pathlib
 import pickle
 import re
+import tokenize
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.sort_order import SortOrder
-from repro.engine import (
-    KERNELS,
-    ExecutionContext,
-    RowBatch,
-    kernel_stats,
-    strip_plan,
+from repro.engine import KERNELS, ExecutionContext, kernel_stats, strip_plan
+from repro.engine.kernels import (
+    COMPUTE,
+    FILTER,
+    VALUES,
+    compile_kernel,
+    kernel_source,
 )
 from repro.expr import And, Const, Or, UnboundParamError, col, param
-from repro.expr.aggregates import AggSpec
+from repro.expr.aggregates import AggSpec, count_star
 from repro.expr.expressions import BinOp, Comparison, Expression
 from repro.logical import Query
 from repro.service import QuerySession
@@ -30,15 +34,17 @@ from tests import row_oracle
 SCHEMA = Schema.of(("a", "int", 8), ("b", "int", 8), ("c", "int", 8))
 
 
-def batch_eval(expr, rows):
-    """Evaluate *expr* over *rows* via the whole-column kernel."""
-    return list(expr.compile_batch(SCHEMA)(RowBatch(rows)))
-
-
-def row_eval(expr, rows):
-    """Reference: the row oracle's SQL semantics, row by row."""
-    fn = row_oracle.evaluate(expr, SCHEMA)
-    return [fn(r) for r in rows]
+def assert_shapes_match_oracle(exprs, predicate, rows, binds, schema):
+    """The values and compute kernels over *exprs* and the filter kernel
+    over *predicate* equal the row oracle on *rows*."""
+    columns = [[fn(row) for row in rows]
+               for fn in (row_oracle.evaluate(e, schema, binds) for e in exprs)]
+    keep = row_oracle.evaluate(predicate, schema, binds)
+    assert compile_kernel(VALUES, exprs, schema)(rows, binds) == columns
+    assert compile_kernel(COMPUTE, exprs, schema)(rows, binds) == \
+        [row + tuple(values) for row, *values in zip(rows, *columns)]
+    assert compile_kernel(FILTER, [predicate], schema)(rows, binds) == \
+        [row for row in rows if keep(row)]
 
 
 NULLY_ROWS = [
@@ -72,52 +78,50 @@ EXPRESSIONS = [
 class TestKernelParity:
     @pytest.mark.parametrize("expr", EXPRESSIONS, ids=str)
     def test_matches_row_compile_under_nulls(self, expr):
-        assert batch_eval(expr, NULLY_ROWS) == row_eval(expr, NULLY_ROWS)
+        assert_shapes_match_oracle([expr], expr, NULLY_ROWS, {}, SCHEMA)
 
     @pytest.mark.parametrize("expr", EXPRESSIONS, ids=str)
     def test_empty_and_singleton_batches(self, expr):
-        assert batch_eval(expr, []) == []
+        assert_shapes_match_oracle([expr], expr, [], {}, SCHEMA)
         for row in NULLY_ROWS:
-            assert batch_eval(expr, [row]) == row_eval(expr, [row])
+            assert_shapes_match_oracle([expr], expr, [row], {}, SCHEMA)
 
     def test_conjunction_short_circuit_matches_eager(self):
-        # All-False first conjunct: the selection vector empties out and
-        # later conjuncts never run — the verdicts must still line up.
+        # All-False first conjunct: later conjuncts never run — the
+        # verdicts must still line up.
         expr = And(col("a").lt(-100), col("b").ge(0))
-        assert batch_eval(expr, NULLY_ROWS) == row_eval(expr, NULLY_ROWS)
+        assert_shapes_match_oracle([expr], expr, NULLY_ROWS, {}, SCHEMA)
         # All-True first disjunct: dual case for Or.
         expr = Or(col("a").eq(col("a")), col("b").lt(0))
-        assert batch_eval(expr, NULLY_ROWS) == row_eval(expr, NULLY_ROWS)
-
-    def test_columnar_batch_input(self):
-        cols = [tuple(r[i] for r in NULLY_ROWS) for i in range(3)]
-        batch = RowBatch.from_columns(cols, len(NULLY_ROWS))
-        expr = (col("a") + col("b")).lt(5)
-        assert list(expr.compile_batch(SCHEMA)(batch)) == \
-            row_eval(expr, NULLY_ROWS)
+        assert_shapes_match_oracle([expr], expr, NULLY_ROWS, {}, SCHEMA)
 
     def test_unbound_param_raises(self):
-        with pytest.raises(UnboundParamError):
-            col("a").lt(param("x")).compile_batch(SCHEMA)
-        with pytest.raises(ValueError):  # seed-era contract: a ValueError
-            (col("a") + param("x")).compile_batch(SCHEMA)
+        """A kernel over a parameter generates and compiles; running it
+        without the value raises the seed-era ``ValueError`` naming it."""
+        kernel = compile_kernel(FILTER, [col("a").lt(param("x"))], SCHEMA)
+        with pytest.raises(UnboundParamError, match=":x"):
+            kernel([(1, 2, 3)], {})
+        kernel = compile_kernel(COMPUTE, [col("a") + param("x")], SCHEMA)
+        with pytest.raises(ValueError, match=":x"):
+            kernel([(1, 2, 3)], {"y": 1})
+        assert kernel([(1, 2, 3)], {"x": None}) == [(1, 2, 3, None)]
 
 
-# -- kernels against the row oracle, at every batch size and layout ----------------------
+# -- kernels against the row oracle, at every batch size ---------------------------------
 PROP_SCHEMA = Schema.of(("i", "int", 8), ("j", "int", 8),
                         ("s", "str", 8), ("t", "str", 8))
 INTS = st.sampled_from([None, -2, -1, 0, 1, 2, 3])
 STRS = st.sampled_from([None, "", "a", "b", "ab"])
-INT_COLS = st.sampled_from([col("i"), col("j")])
+INT_LEAVES = st.sampled_from([col("i"), col("j"), param("x"), param("y")])
 INT_EXPR = st.recursive(
-    st.one_of(INT_COLS, INT_COLS, INTS.map(Const)),
+    st.one_of(INT_LEAVES, INT_LEAVES, INTS.map(Const)),
     lambda inner: st.one_of(
         st.builds(BinOp, st.sampled_from("+-*"), inner, inner),
         st.builds(BinOp, st.just("/"), inner,
                   st.sampled_from([1, 2, -3]).map(Const))),
     max_leaves=6)
-STR_COLS = st.sampled_from([col("s"), col("t")])
-STR_EXPR = st.one_of(STR_COLS, STR_COLS, STRS.map(Const))
+STR_LEAVES = st.sampled_from([col("s"), col("t"), param("u")])
+STR_EXPR = st.one_of(STR_LEAVES, STR_LEAVES, STRS.map(Const))
 COMPARISON = st.one_of(*(
     st.builds(Comparison, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
               side, side)
@@ -130,33 +134,76 @@ PREDICATE = st.recursive(
     max_leaves=6)
 
 
-@given(expr=st.one_of(INT_EXPR, STR_EXPR, PREDICATE, PREDICATE),
+@given(exprs=st.lists(st.one_of(INT_EXPR, STR_EXPR, PREDICATE), min_size=1,
+                      max_size=3),
+       predicate=PREDICATE,
        pool=st.lists(st.tuples(INTS, INTS, STRS, STRS), min_size=1,
-                     max_size=12))
+                     max_size=12),
+       binds=st.fixed_dictionaries({"x": INTS, "y": INTS, "u": STRS}))
 @settings(max_examples=300, deadline=None)
-def test_kernel_matches_row_oracle(expr, pool):
-    """Random trees over int and str columns with NULLs: the kernel
-    equals the oracle row by row on row-backed and column-backed batches
-    of 0, 1, 7, 8 and 1024 rows (the sizes under 8 once took a row
-    path of their own)."""
-    oracle = row_oracle.evaluate(expr, PROP_SCHEMA)
-    kernel = expr.compile_batch(PROP_SCHEMA)
+def test_kernel_matches_row_oracle(exprs, predicate, pool, binds):
+    """Random trees over int and str columns and parameters, NULLs in
+    both: the values, compute and filter kernels equal the oracle row by
+    row on batches of 0, 1, 7, 8 and 1024 rows, with every parameter
+    bound at call time (``None`` included)."""
     for size in (0, 1, 7, 8, 1024):
         rows = (pool * (size // len(pool) + 1))[:size]
-        expected = [oracle(row) for row in rows]
-        assert list(kernel(RowBatch(rows))) == expected, size
-        columns = [tuple(row[i] for row in rows) for i in range(4)]
-        assert list(kernel(RowBatch.from_columns(columns, size))) == \
-            expected, size
+        assert_shapes_match_oracle(exprs, predicate, rows, binds, PROP_SCHEMA)
+
+
+# -- what may enter the source -----------------------------------------------------------
+#: Every name a generated kernel may spell besides the generator's own
+#: ``_cN`` globals, ``_pN`` parameter locals and ``_tN`` temporaries.
+KERNEL_WORDS = {"def", "kernel", "rows", "binds", "return", "r", "for", "in",
+                "if", "else", "is", "and", "or", "None", "True", "False",
+                "list", "map", "len", "_bound"}
+GENERATED = re.compile(r"_[cpt]\d+")
+
+
+def test_no_constant_or_parameter_name_enters_the_source():
+    nasty = 'a"b\'\nc" + __import__("os").getcwd() + "'
+    exprs = [col("s").eq(Const(nasty)), col("t").ne(param("secret_name")),
+             Const(nasty), col("s")]
+    predicate = Or(*exprs[:2])
+    for shape, shaped in ((FILTER, [predicate]), (COMPUTE, exprs),
+                          (VALUES, exprs)):
+        source, namespace = kernel_source(shape, shaped, PROP_SCHEMA)
+        assert "__import__" not in source and "secret_name" not in source
+        assert nasty not in source and repr(nasty) not in source
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert token.string in KERNEL_WORDS \
+                    or GENERATED.fullmatch(token.string), token
+            assert token.type != tokenize.STRING, token
+            if token.type == tokenize.NUMBER:
+                assert token.string.isdigit(), token
+        assert nasty in namespace.values() and "secret_name" in namespace.values()
+    rows = [(0, 0, nasty, "x"), (0, 0, "x", "x"), (0, 0, None, "y")]
+    binds = {"secret_name": "x"}
+    assert_shapes_match_oracle(exprs, predicate, rows, binds, PROP_SCHEMA)
+
+
+def test_a_parameterized_template_compiles_once():
+    expr = And(col("a").lt(param("hi")), col("b").ne(param("skip")))
+    rows = [(i % 13, i % 3, i) for i in range(40)]
+    KERNELS.clear()
+    before = kernel_stats()
+    for hi in range(50):
+        kernel = KERNELS.get(FILTER, [expr], SCHEMA)
+        assert kernel(rows, {"hi": hi, "skip": hi % 3}) == \
+            [r for r in rows if r[0] < hi and r[1] != hi % 3]
+    after = kernel_stats()
+    assert after["kernels_compiled"] == before["kernels_compiled"] + 1
+    assert after["kernel_cache_hits"] == before["kernel_cache_hits"] + 49
 
 
 class TestKernelCache:
     def test_hits_and_compiles_are_counted(self):
-        expr = col("a") + col("b") + Const(17)  # unlikely to collide
+        exprs = [col("a") + col("b") + Const(17)]  # unlikely to collide
         KERNELS.clear()
         before = kernel_stats()
-        first = KERNELS.get(expr, SCHEMA)
-        second = KERNELS.get(expr, SCHEMA)
+        first = KERNELS.get(VALUES, exprs, SCHEMA)
+        second = KERNELS.get(VALUES, exprs, SCHEMA)
         after = kernel_stats()
         assert first is second
         assert after["kernels_compiled"] == before["kernels_compiled"] + 1
@@ -165,15 +212,20 @@ class TestKernelCache:
     def test_schema_is_part_of_the_key(self):
         other = Schema.of(("b", "int", 8), ("a", "int", 8))
         KERNELS.clear()
-        fn1 = KERNELS.get(col("a"), SCHEMA)
-        fn2 = KERNELS.get(col("a"), other)
-        assert fn1(RowBatch([(10, 20, 30)])) == [10]
-        assert fn2(RowBatch([(10, 20)])) == [20]
+        fn1 = KERNELS.get(VALUES, [col("a")], SCHEMA)
+        fn2 = KERNELS.get(VALUES, [col("a")], other)
+        assert fn1([(10, 20, 30)], {}) == [[10]]
+        assert fn2([(10, 20)], {}) == [[20]]
 
     def test_unhashable_expression_compiles_uncached(self):
         expr = col("a").eq(Const([1, 2]))  # list payload: unhashable
-        fn = KERNELS.get(expr, SCHEMA)
-        assert fn(RowBatch([([1, 2], 0, 0)])) == [True]
+        cached = len(KERNELS._cache)
+        compiled = kernel_stats()["kernels_compiled"]
+        for _ in range(2):
+            fn = KERNELS.get(FILTER, [expr], SCHEMA)
+            assert fn([([1, 2], 0, 0), ([1], 0, 0)], {}) == [([1, 2], 0, 0)]
+        assert kernel_stats()["kernels_compiled"] == compiled + 2
+        assert len(KERNELS._cache) == cached
 
 
 def _catalog():
@@ -188,7 +240,7 @@ def _catalog():
 def _query():
     return (Query.table("t").where(col("v").lt(9))
             .compute(w=col("v") + 1)
-            .group_by(["k"], AggSpec("sum", col("w"), "s"))
+            .group_by(["k"], AggSpec("sum", col("w"), "s"), count_star("n"))
             .order_by("k"))
 
 
@@ -204,7 +256,8 @@ class TestPlanBundles:
         prepared = session.prepare(_query())
         assert kernel_stats()["kernels_compiled"] == before
         prepared.execute()
-        # v < 9, v + 1 and the sum's w: one kernel each, when lowered.
+        # Four expressions (v < 9, v + 1, the sum's w and the count's
+        # constant) in three operators: one kernel each, when lowered.
         assert kernel_stats()["kernels_compiled"] == before + 3
 
     def test_bundles_do_not_leak_into_explain(self):
@@ -220,7 +273,7 @@ class TestPlanBundles:
         prepared = session.prepare(q)
         for node in prepared.plan.walk():
             assert not any(callable(value) for _, value in node.args)
-        # Binding compiles at execute time, same answer as a literal.
+        # The value arrives at execute time, same answer as a literal.
         expected = session.execute(
             Query.table("t").where(col("v").lt(5)).order_by("k", "v"))
         assert prepared.execute(cut=5) == expected
@@ -247,16 +300,19 @@ def test_compute_without_outputs_passes_rows_through(batch_size):
 
 
 def test_removed_names_stay_gone():
-    """One compiled form: the row closures, the switch that picked
-    between the forms and the prepare-time bundle are gone, and a stale
-    caller of the row form fails loudly."""
-    assert not hasattr(Expression, "compile")
-    with pytest.raises(AttributeError):
-        col("a").compile(SCHEMA)
+    """One compiled form, generated per operator: the row closures, the
+    per-expression column closures, the per-execution re-binding, the
+    column side of ``RowBatch`` and the switches between them are gone,
+    and a stale caller of either old form fails loudly."""
+    for name in ("compile", "compile_batch"):
+        assert not hasattr(Expression, name)
+        with pytest.raises(AttributeError):
+            getattr(col("a"), name)(SCHEMA)
     src = pathlib.Path(repro.__file__).parent
     docs = pathlib.Path(__file__).parent.parent / "docs"
     gone = re.compile(r"COLUMNAR_MIN_ROWS|attach_plan_kernels|OperatorKernels"
-                      r"|\brow_fns?\b")
+                      r"|\brow_fns?\b|compile_batch|expression_kernels"
+                      r"|bind_expression|from_columns|columnar_batches")
     hits = [f"{path.parent.name}/{path.name}:{number}"
             for path in sorted(src.rglob("*.py")) + sorted(docs.glob("*.md"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
@@ -268,7 +324,7 @@ def test_removed_names_stay_gone():
 class TestZeroRecompilationServing:
     def test_cached_plan_reexecution_compiles_nothing(self):
         """The acceptance pin: prepare once, then every further execute
-        of the cached plan performs zero expression compilations."""
+        of the cached plan performs zero kernel compilations."""
         cat = _catalog()
         session = QuerySession(cat)
         query = _query()
@@ -281,13 +337,6 @@ class TestZeroRecompilationServing:
         assert prepared.execute() == first
         assert kernel_stats()["kernels_compiled"] == baseline
 
-    def test_columnar_batches_counter_moves(self):
-        cat = _catalog()
-        session = QuerySession(cat)
-        before = kernel_stats()["columnar_batches"]
-        session.execute(_query())
-        assert kernel_stats()["columnar_batches"] > before
-
     def test_session_and_server_stats_expose_kernel_counters(self):
         from repro.service import QueryServer
 
@@ -295,12 +344,10 @@ class TestZeroRecompilationServing:
         session = QuerySession(cat)
         session.execute(_query())
         stats = session.stats()
-        for key in ("kernels_compiled", "kernel_cache_hits",
-                    "columnar_batches"):
+        for key in ("kernels_compiled", "kernel_cache_hits"):
             assert key in stats and stats[key] >= 0
         with QueryServer(cat) as server:
             server.execute(_query())
             sstats = server.stats()
-        for key in ("kernels_compiled", "kernel_cache_hits",
-                    "columnar_batches"):
+        for key in ("kernels_compiled", "kernel_cache_hits"):
             assert key in sstats and sstats[key] >= 0

@@ -27,8 +27,6 @@ from repro.engine import (
     AGGREGATE_COMBINERS,
     ExecutionContext,
     MergeJoin,
-    Operator,
-    RowBatch,
     RowSource,
     Sort,
     SortAggregate,
@@ -39,9 +37,10 @@ from repro.engine import (
     null_safe_wrap,
 )
 from repro.engine.sorting import srs_sort
-from repro.expr import col
+from repro.expr import col, param
 from repro.expr.aggregates import (
     AGGREGATES,
+    AggSpec,
     agg_avg,
     agg_max,
     agg_min,
@@ -239,34 +238,30 @@ def grouped_rows(seed):
     return sorted_nulls_first(rows, (0, 1))
 
 
-class ColumnBacked(Operator):
-    """Re-emits its child's batches column-backed, as a kernel-bearing
-    operator below would hand them over."""
-
-    def __init__(self, child):
-        super().__init__(child.schema, child.output_order, [child])
-
-    def execute_batches(self, ctx):
-        for batch in self.children[0].execute_batches(ctx):
-            yield RowBatch.from_columns(batch.columns, len(batch))
+#: ``AGGS`` with every argument shifted by a parameter bound to 0: the
+#: same values, read by the kernel from the execution's binds.
+BOUND_AGGS = [AggSpec(spec.func, spec.arg + param("shift"), spec.output_name)
+              for spec in AGGS]
 
 
 @pytest.mark.parametrize("check_orders", [False, True])
-@pytest.mark.parametrize("columnar", [True, False])
+@pytest.mark.parametrize("parameterized", [True, False])
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_sort_aggregate_matches_row_oracle(batch_size, columnar, check_orders):
-    """The aggregate inputs' kernels over both batch layouts, column-
-    backed and row-backed, at every batch size, against the row fold
-    evaluating them by the oracle's SQL rules."""
+def test_sort_aggregate_matches_row_oracle(batch_size, parameterized,
+                                           check_orders):
+    """The aggregate inputs' kernel, with and without a parameter bound
+    at call time, at every batch size, against the row fold evaluating
+    them by the oracle's SQL rules."""
     rows = grouped_rows(21)
     order = SortOrder(["k1", "k2"])
+    aggs, binds = (BOUND_AGGS, {"shift": 0}) if parameterized else (AGGS, {})
     ctx, oracle_ctx = contexts(SystemParameters(), batch_size, check_orders)
-    source = RowSource(SCHEMA, rows, order)
-    plan = SortAggregate(ColumnBacked(source) if columnar else source,
-                         order, AGGS)
+    ctx.binds = binds
+    plan = SortAggregate(RowSource(SCHEMA, rows, order), order, aggs)
     expected = list(row_oracle.sort_aggregate(
-        rows, (0, 1), (0, 1), [row_oracle.evaluate(spec.arg, SCHEMA) for spec in AGGS],
-        [spec.function for spec in AGGS], oracle_ctx))
+        rows, (0, 1), (0, 1),
+        [row_oracle.evaluate(spec.arg, SCHEMA, binds) for spec in aggs],
+        [spec.function for spec in aggs], oracle_ctx))
     assert plan.run(ctx) == expected
     assert ctx.tallies() == oracle_ctx.tallies()
     assert (3, 0, None, 0, 4, None, None, None) in expected

@@ -168,8 +168,8 @@ def parameterized_operators(value) -> dict[str, Operator]:
 def test_operator_reads_its_parameters_from_the_context(name, batch_size):
     """Small batches and full ones alike: the operator built on ``Param("x")`` run with ``x=7`` is the one built on
     ``Const(7)``; run without a value it raises the seed engine's
-    ``ValueError`` naming the parameter — and it never touches the
-    process-global kernel cache."""
+    ``ValueError`` naming the parameter — and running it never touches
+    the process-global kernel cache: the values are kernel arguments."""
     op = parameterized_operators(param("x"))[name]
     literal = parameterized_operators(Const(7))[name]
     before = kernel_stats()

@@ -1,7 +1,7 @@
 """Repository paths, test ids and search/builder function names cited
 in the docs, the CI workflow and the verify notes must exist, CI must
-run nothing under ``benchmarks/``, and no code imports a package CI
-does not install."""
+run nothing under ``benchmarks/``, no code imports a package CI does
+not install, and only the kernel generator turns text into code."""
 
 import ast
 import pathlib
@@ -106,3 +106,17 @@ def test_every_import_is_stdlib_test_tooling_repro_or_a_sibling():
                 foreign += [f"{path.relative_to(ROOT)}: {name}" for name in names
                             if name.split(".")[0] not in allowed | siblings]
     assert foreign == []
+
+
+def test_only_the_kernel_generator_executes_source():
+    """The builtins ``exec``, ``eval`` and ``compile`` are called under
+    ``src/repro`` only by ``engine/kernels.py``, which writes every
+    string it runs from names it made itself."""
+    callers = sorted(
+        f"{path.relative_to(ROOT)}: {node.func.id}"
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"exec", "eval", "compile"})
+    assert callers == ["src/repro/engine/kernels.py: compile",
+                       "src/repro/engine/kernels.py: exec"]
