@@ -10,7 +10,6 @@ from .aggregates import (
 from .basic import Compute, Filter, Limit, PartialSort, Project, Sort
 from .batch import (
     DEFAULT_BATCH_SIZE,
-    BatchBuilder,
     BlockCharger,
     RowBatch,
     batches_of,
@@ -58,7 +57,6 @@ from .subplan import (
 
 __all__ = [
     "AGGREGATE_COMBINERS",
-    "BatchBuilder",
     "BatchedExecutor",
     "BlockCharger",
     "BoundPlan",

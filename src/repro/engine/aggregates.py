@@ -1,4 +1,11 @@
-"""Grouping/aggregation operators — batch-vectorized.
+"""Grouping/aggregation operators — one generated kernel per batch.
+
+Each operator holds one aggregate kernel (:mod:`repro.engine.kernels`):
+one loop over a batch's rows that builds the group key inline, finds or
+opens the group, and advances every aggregate's state with inline
+statements, so no Python call is made per row or per group.  With no
+group columns every operator here emits exactly one row, over empty
+input too.
 
 * :class:`SortAggregate` ("Group Aggregate" in the paper's plans) —
   streaming aggregation over input sorted on *any permutation* of the
@@ -21,16 +28,15 @@
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
-from ..expr.aggregates import AGGREGATES, AggSpec, aggregate_output_schema
-from .batch import RowBatch, batches_of, drain_full, gather, run_starts
+from ..expr.aggregates import AggSpec, aggregate_output_schema
+from ..expr.expressions import Col
+from .batch import RowBatch, batches_of, drain_full
 from .context import ExecutionContext
-from .iterators import Operator, tuple_getter
-from .kernels import KERNELS, VALUES
+from .iterators import Operator
+from .kernels import HASH_AGGREGATE, KERNELS, SORT_AGGREGATE
 
 #: Aggregates whose partials combine exactly: the combiner applied to
 #: per-shard results equals the aggregate over the whole group.  ``avg``
@@ -50,97 +56,20 @@ def combinable(aggregates: Iterable[AggSpec]) -> bool:
     return all(spec.func in AGGREGATE_COMBINERS for spec in aggregates)
 
 
-def _fold_sorted_groups(batches: Iterable[RowBatch], positions: Sequence[int],
-                        head_of: Callable[[tuple], tuple],
-                        values_of: Callable[[RowBatch], Sequence[Sequence]],
-                        funcs: Sequence, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    """Streaming group fold shared by the sort-based aggregations.
-
-    Groups are runs of equal raw keys, found a batch at a time
-    (:func:`~repro.engine.batch.run_starts`).  Only the group open at
-    the end of a batch carries its *states* (O(1) memory) into the next
-    batch; each aggregate advances them with one ``fold`` call over the
-    group's slice of the batch.  The groups that close inside a batch
-    are aggregated together, a column at a time (:func:`_closed_groups`).
-    ``head_of`` gives a group's leading output columns from its first
-    row, ``values_of`` one input column per aggregate for a whole batch.
-    One comparison is tallied per input row (the group-boundary test),
-    in bulk.
-    """
-    counter, size = ctx.comparisons, ctx.batch_size
-    inits = [func.init for func in funcs]
-    finals = [func.final for func in funcs]
-    folds = [(func.fold, func.ignores_null) for func in funcs]
-
-    def fold(columns: Sequence[Sequence], start: int, end: Optional[int]) -> None:
-        for j, (fold_run, skip_null) in enumerate(folds):
-            values = columns[j][start:end]
-            states[j] = fold_run(states[j],
-                                 _without_nulls(values) if skip_null else values)
-
-    def closed() -> tuple:
-        return head + tuple([final(s) for final, s in zip(finals, states)])
-
-    current_key: Optional[tuple] = None
-    head: tuple = ()
-    states: list = []
+def _sorted_groups(batches: Iterable[RowBatch], kernel, ctx: ExecutionContext
+                   ) -> Iterator[RowBatch]:
+    """Run a sort-aggregate *kernel* over *batches*, tallying one
+    comparison per input row (the group-boundary test) in bulk."""
+    counter, binds, size = ctx.comparisons, ctx.binds, ctx.batch_size
+    carry: list = []
     out: list[tuple] = []
     for batch in batches:
-        rows, keys = batch.rows, batch.key_tuples(positions)
-        columns = values_of(batch)
-        counter.value += len(keys)
-        starts = run_starts(keys)
-        last = starts[-1]
-        first = 0  # index in *starts* of the first run not dealt with
-        if current_key is not None:
-            if keys[0] == current_key:
-                fold(columns, 0, starts[1] if last else None)
-                if not last:
-                    continue  # still open at the end of this batch
-                first = 1
-            out.append(closed())
-        if starts[first] < last:
-            out.extend(_closed_groups(rows, columns, starts[first:], head_of,
-                                      funcs))
-        current_key, head = keys[last], head_of(rows[last])
-        states = [init() for init in inits]
-        fold(columns, last, None)
+        counter.value += len(batch.rows)
+        out += kernel(batch.rows, binds, carry)
         if len(out) >= size:
             yield from drain_full(out, size)
-    if current_key is not None:
-        out.append(closed())
+    out += kernel(None, binds, carry)
     yield from batches_of(out, size)
-
-
-def _closed_groups(rows: list[tuple], columns: Sequence[Sequence],
-                   starts: list[int], head_of: Callable[[tuple], tuple],
-                   funcs: Sequence) -> Iterator[tuple]:
-    """Output rows of the groups ``rows[starts[i]:starts[i + 1]]`` (the
-    last entry of *starts* only ends the last group).
-
-    Each aggregate takes its ``bulk`` form over every group's slice of
-    its column — no Python step per group — when the region holds no
-    value it would ignore, and one ``fold`` call per group otherwise.
-    """
-    begins, ends = starts[:-1], starts[1:]
-    lo, hi = starts[0], starts[-1]
-    results = []
-    for func, column in zip(funcs, columns):
-        groups = map(column.__getitem__, map(slice, begins, ends))
-        if func.ignores_null and None in column[lo:hi]:
-            groups = map(_without_nulls, groups)
-        elif func.bulk is not None:
-            results.append(map(func.bulk, groups))
-            continue
-        init, fold, final = func.init, func.fold, func.final
-        results.append([final(fold(init(), values)) for values in groups])
-    return map(add, map(head_of, gather(rows, begins)),
-               zip(*results) if results else repeat(()))
-
-
-def _without_nulls(values: Sequence) -> Sequence:
-    """*values* less its NULLs (*values* itself when it holds none)."""
-    return [v for v in values if v is not None] if None in values else values
 
 
 class SortAggregate(Operator):
@@ -176,20 +105,17 @@ class SortAggregate(Operator):
         self.group_columns = group_columns
         self.aggregates = list(aggregates)
         self._kernel = KERNELS.get(
-            VALUES, [spec.arg for spec in self.aggregates], child.schema)
+            SORT_AGGREGATE, (tuple(group_order), tuple(group_columns),
+                             tuple((spec.func, spec.arg) for spec in self.aggregates)),
+            child.schema)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         child = self.children[0]
-        positions = child.schema.positions(list(self.group_order))
-        kernel, binds = self._kernel, ctx.binds
         batches: Iterable[RowBatch] = child.execute_batches(ctx)
         if ctx.check_orders:
-            batches = self._checked_group_batches(batches, positions)
-        return _fold_sorted_groups(
-            batches, positions,
-            tuple_getter(child.schema.positions(self.group_columns)),
-            lambda batch: kernel(batch.rows, binds),
-            [spec.function for spec in self.aggregates], ctx)
+            batches = self._checked_group_batches(
+                batches, child.schema.positions(list(self.group_order)))
+        return _sorted_groups(batches, self._kernel, ctx)
 
     def _checked_group_batches(self, batches: Iterable[RowBatch],
                                positions: Sequence[int]) -> Iterator[RowBatch]:
@@ -246,17 +172,15 @@ class SortedGroupCombine(Operator):
         self.group_order = group_order
         self.group_columns = group_columns
         self.aggregates = list(aggregates)
+        self._kernel = KERNELS.get(
+            SORT_AGGREGATE, (tuple(group_order), tuple(group_columns),
+                             tuple((AGGREGATE_COMBINERS[spec.func], Col(spec.output_name))
+                                   for spec in self.aggregates)),
+            child.schema)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        width = len(self.group_columns)
-        partials = range(width, width + len(self.aggregates))
-        return _fold_sorted_groups(
-            self.children[0].execute_batches(ctx),
-            self.schema.positions(list(self.group_order)),
-            itemgetter(slice(width)),
-            lambda batch: [[row[p] for row in batch.rows] for p in partials],
-            [AGGREGATES[AGGREGATE_COMBINERS[spec.func]]
-             for spec in self.aggregates], ctx)
+        return _sorted_groups(self.children[0].execute_batches(ctx),
+                              self._kernel, ctx)
 
     def details(self) -> str:
         aggs = ", ".join(AGGREGATE_COMBINERS[s.func] + f"({s.output_name})"
@@ -267,15 +191,11 @@ class SortedGroupCombine(Operator):
 class HashAggregate(Operator):
     """Hash-based GROUP BY; no order requirement, no order guarantee.
 
-    Input clustered on the group key is folded a run at a time: each run
-    of equal adjacent keys in a batch looks its group up once, and each
-    aggregate advances that group's state with one ``fold`` call over
-    the run's slice of its column.  A batch whose runs average under two
-    rows keeps the per-row ``step`` loop, which is then the cheaper.
-    Groups are emitted in the order they were first seen either way.
-
-    When the group table exceeds sort memory, charges one spill
-    write+read of the group state (the standard two-pass model).
+    Its kernel folds each batch into one dict from group key to state
+    slots, and the groups are emitted in the order they were first seen,
+    under the key spelling their first row had.  When the group table
+    exceeds sort memory, charges one spill write+read of the group state
+    (the standard two-pass model).
     """
 
     name = "HashAggregate"
@@ -288,48 +208,15 @@ class HashAggregate(Operator):
         self.group_columns = list(group_columns)
         self.aggregates = list(aggregates)
         self._kernel = KERNELS.get(
-            VALUES, [spec.arg for spec in self.aggregates], child.schema)
+            HASH_AGGREGATE, (tuple(group_columns),
+                             tuple((spec.func, spec.arg) for spec in self.aggregates)),
+            child.schema)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        child = self.children[0]
-        positions = child.schema.positions(self.group_columns)
         kernel, binds = self._kernel, ctx.binds
-        funcs = [spec.function for spec in self.aggregates]
-        inits = [f.init for f in funcs]
-        steps = [(j, f.step, f.ignores_null) for j, f in enumerate(funcs)]
-
-        groups: dict[tuple, list] = {}
-        for batch in child.execute_batches(ctx):
-            keys = batch.key_tuples(positions)
-            arg_cols = kernel(batch.rows, binds)
-            starts = run_starts(keys)
-            if 2 * len(starts) > len(keys):
-                # Runs of under two rows on average: a step per row costs
-                # less than a lookup and a fold call per run.
-                for i, key in enumerate(keys):
-                    states = groups.get(key)
-                    if states is None:
-                        states = groups[key] = [init() for init in inits]
-                    for j, step, skip_null in steps:
-                        value = arg_cols[j][i]
-                        if value is not None or not skip_null:
-                            states[j] = step(states[j], value)
-                continue
-            run_states = []
-            for key in gather(keys, starts):
-                states = groups.get(key)
-                if states is None:
-                    states = groups[key] = [init() for init in inits]
-                run_states.append(states)
-            ends = starts[1:]
-            ends.append(len(keys))
-            for j, (func, column) in enumerate(zip(funcs, arg_cols)):
-                runs = map(column.__getitem__, map(slice, starts, ends))
-                if func.ignores_null and None in column:
-                    runs = map(_without_nulls, runs)
-                fold = func.fold
-                for states, values in zip(run_states, runs):
-                    states[j] = fold(states[j], values)
+        groups: dict = {}
+        for batch in self.children[0].execute_batches(ctx):
+            kernel(batch.rows, binds, groups)
 
         state_bytes = len(groups) * self.schema.row_bytes
         if state_bytes > ctx.params.sort_memory_bytes:
@@ -338,10 +225,7 @@ class HashAggregate(Operator):
             ctx.charge_blocks_for_rows(len(groups), self.schema.row_bytes,
                                        direction="read", category="partition")
 
-        yield from batches_of(
-            (key + tuple(f.final(s) for f, s in zip(funcs, states))
-             for key, states in groups.items()),
-            ctx.batch_size)
+        yield from batches_of(kernel(None, binds, groups), ctx.batch_size)
 
     def details(self) -> str:
         aggs = ", ".join(repr(a) for a in self.aggregates)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, islice
 from operator import itemgetter, ne
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Default number of rows per batch.  Large enough to amortize operator
 #: dispatch, small enough that a batch of wide rows stays cache-friendly.
@@ -226,52 +226,6 @@ class GroupCursor:
             self._load()
             if self.key != key:  # ... or at its end; else it continues
                 return group
-
-
-class BatchBuilder:
-    """Accumulates output rows and emits full batches.
-
-    Usage inside an operator generator::
-
-        out = BatchBuilder(ctx.batch_size)
-        for batch in child.execute_batches(ctx):
-            for row in batch:
-                ...
-                full = out.append(result_row)
-                if full is not None:
-                    yield full
-        tail = out.flush()
-        if tail is not None:
-            yield tail
-    """
-
-    __slots__ = ("batch_size", "_rows")
-
-    def __init__(self, batch_size: int) -> None:
-        self.batch_size = batch_size
-        self._rows: list[tuple] = []
-
-    def append(self, row: tuple) -> Optional[RowBatch]:
-        """Add one row; returns a full batch when the buffer fills."""
-        self._rows.append(row)
-        if len(self._rows) >= self.batch_size:
-            return self.flush()
-        return None
-
-    def extend(self, rows: Iterable[tuple]) -> Optional[RowBatch]:
-        """Add many rows; returns a (possibly oversized) batch when full."""
-        self._rows.extend(rows)
-        if len(self._rows) >= self.batch_size:
-            return self.flush()
-        return None
-
-    def flush(self) -> Optional[RowBatch]:
-        """Emit whatever is buffered (None when empty)."""
-        if not self._rows:
-            return None
-        batch = RowBatch(self._rows)
-        self._rows = []
-        return batch
 
 
 class BlockCharger:

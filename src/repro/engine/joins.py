@@ -10,7 +10,9 @@ Its group-by-group merge finds the groups a batch at a time on raw keys
 
 The hash join models Grace-style partitioning I/O when the build side
 exceeds memory, so the optimizer's hash-vs-merge trade-off (Figure 11)
-is faithful; it builds from batches and probes a whole batch at a time.
+is faithful.  Its build and probe are plain loops over each batch's rows
+and raw keys, with no Python call per row; output follows the probe
+side.
 """
 
 from __future__ import annotations
@@ -22,16 +24,9 @@ from typing import Iterator, Optional
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..expr.expressions import JoinPredicate
-from .batch import (
-    BatchBuilder,
-    GroupCursor,
-    RowBatch,
-    collect_rows,
-    drain_full,
-    gather,
-)
+from .batch import GroupCursor, RowBatch, batches_of, drain_full, gather
 from .context import ComparisonCounter, ExecutionContext, key_lt
-from .iterators import Operator, assert_sorted_batches, tuple_getter
+from .iterators import Operator, assert_sorted_batches
 
 JOIN_TYPES = ("inner", "left", "full")
 
@@ -208,15 +203,43 @@ class MergeJoin(Operator):
         return f"{self.predicate}{kind} on {self.output_order}"
 
 
+def _hash_table(batches: Iterator[RowBatch], positions: list[int]
+                ) -> tuple[dict[tuple, list[tuple]], list[tuple], int]:
+    """The build side as a table from key to its rows (in input order),
+    the rows whose key holds a NULL (they never join), and the row count."""
+    table: dict[tuple, list[tuple]] = {}
+    null_rows: list[tuple] = []
+    count = 0
+    get = table.get
+    for batch in batches:
+        count += len(batch.rows)
+        for row, key in zip(batch.rows, batch.key_tuples(positions)):
+            if None in key:
+                null_rows.append(row)
+                continue
+            group = get(key)
+            if group is None:
+                table[key] = [row]
+            else:
+                group.append(row)
+    return table, null_rows, count
+
+
 class HashJoin(Operator):
     """In-memory hash join with simulated Grace partitioning I/O.
 
-    Builds on the left input, probes with the right — one whole batch
-    per probe step.  When the build side exceeds sort memory, both
-    inputs are charged one extra write+read (partitioning pass), the
-    classic Grace cost ``2(B_l + B_r)`` on top of the scans.  Output
-    order is unspecified (ε) — hash partitioning destroys order, which
-    is what the paper assumes for hash operators.
+    Inner and FULL OUTER joins build on the left input and probe with the
+    right; a LEFT OUTER join builds on the right and probes with the left.
+    Build and probe are plain loops over each batch's rows and keys: a
+    probe key holding a NULL is never in the table, so the probe needs no
+    NULL test.  Output follows the probe side, a key's build rows in
+    build order; a FULL OUTER join then emits its unmatched build groups
+    in first-seen key order, then its NULL-key build rows.  When the
+    build side exceeds sort memory, both inputs are charged one extra
+    write+read (partitioning pass), the classic Grace cost
+    ``2(B_l + B_r)`` on top of the scans.  The declared output order is
+    unspecified (ε) — hash partitioning destroys order, which is what
+    the paper assumes for hash operators.
     """
 
     name = "HashJoin"
@@ -230,11 +253,6 @@ class HashJoin(Operator):
         self.predicate = predicate
         self.join_type = join_type
 
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if self.join_type == "left":
-            return self._left_outer(ctx)
-        return self._build_left(ctx)
-
     def _charge_grace(self, ctx: ExecutionContext, num_rows: int, row_bytes: int) -> None:
         """One partition write + read for *num_rows* (Grace overflow)."""
         ctx.charge_blocks_for_rows(num_rows, row_bytes, direction="write",
@@ -242,101 +260,66 @@ class HashJoin(Operator):
         ctx.charge_blocks_for_rows(num_rows, row_bytes, direction="read",
                                    category="partition")
 
-    def _build_left(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """Inner and FULL OUTER: build on left, probe with right."""
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         left, right = self.children
         lpos = left.schema.positions(list(self.predicate.left_columns))
         rpos = right.schema.positions(list(self.predicate.right_columns))
-        lwidth, rwidth = len(left.schema), len(right.schema)
+        left_outer = self.join_type == "left"
         full = self.join_type == "full"
-
-        build_rows = collect_rows(left.execute_batches(ctx))
-        spills = len(build_rows) * left.schema.row_bytes > ctx.params.sort_memory_bytes
+        build, probe = (right, left) if left_outer else (left, right)
+        table, null_rows, built = _hash_table(
+            build.execute_batches(ctx), rpos if left_outer else lpos)
+        spills = built * build.schema.row_bytes > ctx.params.sort_memory_bytes
         if spills:
-            self._charge_grace(ctx, len(build_rows), left.schema.row_bytes)
+            self._charge_grace(ctx, built, build.schema.row_bytes)
 
-        lgetter = tuple_getter(lpos)
-        table: dict[tuple, list[tuple]] = {}
-        null_build_rows: list[tuple] = []
-        for row in build_rows:
-            key = lgetter(row)
-            if any(v is None for v in key):
-                null_build_rows.append(row)  # NULLs never join
+        size = ctx.batch_size
+        get = table.get
+        pad = _pad(len(build.schema))  # for a probe row without a match
+        matched: set[tuple] = set()
+        probed = 0
+        out: list[tuple] = []
+        append = out.append
+        for batch in probe.execute_batches(ctx):
+            probed += len(batch.rows)
+            keys = batch.key_tuples(lpos if left_outer else rpos)
+            if left_outer:
+                for lrow, key in zip(batch.rows, keys):
+                    group = get(key)
+                    if group is None:
+                        append(lrow + pad)
+                    else:
+                        for rrow in group:
+                            append(lrow + rrow)
+            elif full:
+                for rrow, key in zip(batch.rows, keys):
+                    group = get(key)
+                    if group is None:
+                        append(pad + rrow)
+                    else:
+                        matched.add(key)
+                        for lrow in group:
+                            append(lrow + rrow)
             else:
-                table.setdefault(key, []).append(row)
-
-        matched_keys: set[tuple] = set()
-        probe_count = 0
-        out = BatchBuilder(ctx.batch_size)
-        for rbatch in right.execute_batches(ctx):
-            probe_count += len(rbatch)
-            # Whole-batch key extraction (one itemgetter map).
-            for rrow, key in zip(rbatch.rows, rbatch.key_tuples(rpos)):
-                group = None if any(v is None for v in key) else table.get(key)
-                if group:
-                    if full:
-                        matched_keys.add(key)
-                    emitted = out.extend(lrow + rrow for lrow in group)
-                elif full:
-                    emitted = out.append(_pad(lwidth) + rrow)
-                else:
-                    emitted = None
-                if emitted is not None:
-                    yield emitted
+                for rrow, key in zip(batch.rows, keys):
+                    group = get(key)
+                    if group is not None:
+                        for lrow in group:
+                            append(lrow + rrow)
+            if len(out) >= size:
+                yield from drain_full(out, size)
         if spills:
-            self._charge_grace(ctx, probe_count, right.schema.row_bytes)
+            self._charge_grace(ctx, probed, probe.schema.row_bytes)
 
         if full:
-            pad = _pad(rwidth)
+            pad = _pad(len(probe.schema))
             for key, group in table.items():
-                if key in matched_keys:
-                    continue
-                emitted = out.extend(lrow + pad for lrow in group)
-                if emitted is not None:
-                    yield emitted
-            emitted = out.extend(lrow + pad for lrow in null_build_rows)
-            if emitted is not None:
-                yield emitted
-        tail = out.flush()
-        if tail is not None:
-            yield tail
-
-    def _left_outer(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """LEFT OUTER: build on right, stream left, pad misses."""
-        left, right = self.children
-        lpos = left.schema.positions(list(self.predicate.left_columns))
-        rpos = right.schema.positions(list(self.predicate.right_columns))
-        rwidth = len(right.schema)
-
-        build_rows = collect_rows(right.execute_batches(ctx))
-        spills = len(build_rows) * right.schema.row_bytes > ctx.params.sort_memory_bytes
-        if spills:
-            self._charge_grace(ctx, len(build_rows), right.schema.row_bytes)
-        rgetter = tuple_getter(rpos)
-        rtable: dict[tuple, list[tuple]] = {}
-        for rrow in build_rows:
-            key = rgetter(rrow)
-            if not any(v is None for v in key):
-                rtable.setdefault(key, []).append(rrow)
-
-        pad = _pad(rwidth)
-        probe_count = 0
-        out = BatchBuilder(ctx.batch_size)
-        for lbatch in left.execute_batches(ctx):
-            probe_count += len(lbatch)
-            for lrow, key in zip(lbatch.rows, lbatch.key_tuples(lpos)):
-                group = None if any(v is None for v in key) else rtable.get(key)
-                if group:
-                    emitted = out.extend(lrow + rrow for rrow in group)
-                else:
-                    emitted = out.append(lrow + pad)
-                if emitted is not None:
-                    yield emitted
-        if spills:
-            self._charge_grace(ctx, probe_count, left.schema.row_bytes)
-        tail = out.flush()
-        if tail is not None:
-            yield tail
+                if key not in matched:
+                    for lrow in group:
+                        append(lrow + pad)
+            for lrow in null_rows:
+                append(lrow + pad)
+        yield from batches_of(out, size)
 
     def details(self) -> str:
         kind = "" if self.join_type == "inner" else f" {self.join_type.upper()} OUTER"

@@ -1,33 +1,48 @@
 """Generated row kernels and the process-global cache that holds them.
 
-Each operator that evaluates expressions (Filter, Compute and the two
-aggregates) runs one generated Python function over a batch's rows,
-``kernel(rows, binds)``, in one of three shapes:
+Each operator that evaluates expressions or aggregates (Filter, Compute,
+HashAggregate, SortAggregate and SortedCombine) runs one generated
+Python function over a batch's rows, in one of four shapes:
 
-* ``filter`` — ``[r for r in rows if P]``;
-* ``compute`` — ``[r + (E1, …, Ek) for r in rows]``;
-* ``values`` — one list per aggregate argument: ``[E for r in rows]``,
-  with a bare column read by ``list(map(itemgetter(i), rows))`` and a
-  constant repeated.
+* ``filter`` — ``kernel(rows, binds)`` is ``[r for r in rows if P]``;
+* ``compute`` — ``kernel(rows, binds)`` is ``[r + (E1, …, Ek) for r in rows]``;
+* ``hash_aggregate`` — ``kernel(rows, binds, groups)`` folds every row
+  into ``groups``, a dict from group key to state slots, and
+  ``kernel(None, binds, groups)`` returns the output rows in first-seen
+  group order;
+* ``sort_aggregate`` — ``kernel(rows, binds, carry)`` folds rows grouped
+  on the key and returns the rows of the groups that close in the
+  batch; ``carry`` (a list, empty at first) holds the open group between
+  calls, and ``kernel(None, binds, carry)`` returns its row.
+
+An aggregate kernel is one loop over the rows.  It builds the group key
+inline (a bare value for one column, else a tuple), finds or opens the
+group, and advances every aggregate with the inline statements its
+:class:`~repro.expr.aggregates.AggregateFunction` states as templates:
+each distinct column argument is read once, and the aggregates that
+skip NULLs on it share one test.  With no group columns there is one
+group, and it has a row even over no input, as SQL requires.
 
 The source is written by the expressions themselves
-(:meth:`Expression.emit <repro.expr.expressions.Expression.emit>`)
-through a :class:`KernelSource`, compiled with ``exec`` once, and cached.
-Only names the generator makes, integer column positions and operator
-tokens from a fixed table enter the source.  Constant values and
-parameter names reach the function as globals; a parameter is a local
-read from ``binds`` once per call, and a missing one raises
+(:meth:`Expression.emit <repro.expr.expressions.Expression.emit>`) and
+the aggregate templates through a :class:`KernelSource`, compiled with
+``exec`` once, and cached.  Only names the generator makes, integer
+column positions, operator tokens from a fixed table and the templates'
+own literals enter the source.  Constant values and parameter names
+reach the function as globals; a parameter is a local read from
+``binds`` once per call, and a missing one raises
 :class:`~repro.expr.expressions.UnboundParamError` naming it.
 
-:data:`KERNELS` is a process-global LRU keyed by ``(shape, expressions,
-schema column names)``.  Expressions are frozen dataclasses (hashable,
-structurally equal), so operators of the same shape against the same
-schema anywhere in the process share the function, and a parameterized
-template compiles once, whatever its values.  Unhashable expressions (a
-``Const`` holding a list, say) compile uncached.  The operator builds its
-kernel at construction, that is when a plan-cache entry lowers its
-operator tree (:mod:`repro.engine.prepared`), so a warm execution
-compiles nothing.
+:data:`KERNELS` is a process-global LRU keyed by ``(shape, spec, schema
+column names)``.  The spec is the predicate, the computed expressions,
+or an aggregate's group columns and ``(function, argument)`` pairs.
+Expressions are frozen dataclasses (hashable, structurally equal), so
+operators of the same shape against the same schema anywhere in the
+process share the function, and a parameterized template compiles once,
+whatever its values.  Unhashable expressions (a ``Const`` holding a
+list, say) compile uncached.  The operator builds its kernel at
+construction, that is when a plan-cache entry lowers its operator tree
+(:mod:`repro.engine.prepared`), so a warm execution compiles nothing.
 
 Kernels never ride a plan: a plan holds expressions only, so it pickles
 as it is, and each process-pool worker compiles the subplans it lowers
@@ -38,15 +53,19 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
-from ..expr.expressions import Col, Const, Expression, UnboundParamError
+from ..expr.aggregates import AGGREGATES
+from ..expr.expressions import Col, UnboundParamError
 
-#: ``kernel(rows, binds) -> list``.
-Kernel = Callable[[list, Mapping[str, Any]], list]
+#: ``kernel(rows, binds[, state]) -> list``.
+Kernel = Callable[..., Any]
 
-FILTER, COMPUTE, VALUES = "filter", "compute", "values"
+FILTER, COMPUTE = "filter", "compute"
+HASH_AGGREGATE, SORT_AGGREGATE = "hash_aggregate", "sort_aggregate"
+
+#: The key of the group a sort-aggregate kernel has not opened yet.
+_NO_GROUP = object()
 
 
 def _bound(binds: Mapping[str, Any], name: str) -> Any:
@@ -92,36 +111,110 @@ class KernelSource:
         return f"_t{self._temps}"
 
 
-def _value_list(expr: Expression, gen: KernelSource) -> str:
-    if isinstance(expr, Col):
-        return f"list(map({gen.const(itemgetter(gen.schema.position(expr.name)))}, rows))"
-    if isinstance(expr, Const):
-        return f"[{expr.emit(gen)}] * len(rows)"
-    return f"[{expr.emit(gen)} for r in rows]"
+def _tuple(items: Sequence[str]) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
-def kernel_source(shape: str, exprs: Sequence[Expression],
-                  schema) -> tuple[str, dict[str, Any]]:
-    """The source of the *shape* kernel over *exprs* against *schema*,
+def _group_key(gen: KernelSource, columns: Sequence[str]) -> str:
+    cells = [gen.column(name) for name in columns]
+    return cells[0] if len(cells) == 1 else _tuple(cells)
+
+
+def _aggregate_parts(gen: KernelSource, aggregates: Sequence[tuple],
+                     slot: Callable[[int], str]):
+    """The state slots' initial values, the statements folding row ``r``
+    into them (slot *i* is named ``slot(i)``) and each aggregate's
+    output expression."""
+    inits: list[str] = []
+    results: list[str] = []
+    plain: list[str] = []
+    guarded: dict[Any, tuple[str, str, list[str]]] = {}
+    for j, (name, arg) in enumerate(aggregates):
+        func = AGGREGATES[name]
+        names = {f"s{i}": slot(len(inits) + i) for i in range(len(func.slots))}
+        inits += func.slots
+        results.append(func.result.format(**names))
+        if not func.ignores_null:
+            plain += func.advance.format(**names).splitlines()
+            continue
+        key = arg.name if isinstance(arg, Col) else j
+        if key not in guarded:
+            guarded[key] = (gen.temp(), arg.emit(gen), [])
+        value, _, body = guarded[key]
+        body += func.advance.format(v=value, **names).splitlines()
+    lines = []
+    for value, source, body in guarded.values():
+        lines += [f"{value} = {source}", f"if {value} is not None:",
+                  *(f"    {line}" for line in body)]
+    return inits, lines + plain, results
+
+
+def _hash_aggregate(gen: KernelSource, keys: Sequence[str],
+                    aggregates: Sequence[tuple]) -> tuple[list[str], list[str]]:
+    inits, advance, results = _aggregate_parts(gen, aggregates, "s[{}]".format)
+    state = "[" + ", ".join(inits) + "]"
+    finals = "".join(f"{result}, " for result in results)
+    row = f"(k, {finals})" if len(keys) == 1 else f"k + ({finals})"
+    finish = ["if rows is None:"]
+    if not keys:
+        finish.append(f"    if not groups: groups[()] = {state}")
+    finish.append(f"    return [{row} for k, s in groups.items()]")
+    loop = ["get = groups.get", "for r in rows:", f"    k = {_group_key(gen, keys)}",
+            "    s = get(k)", "    if s is None:", f"        s = groups[k] = {state}",
+            *(f"    {line}" for line in advance)]
+    return finish, loop
+
+
+def _sort_aggregate(gen: KernelSource, keys: Sequence[str], heads: Sequence[str],
+                    aggregates: Sequence[tuple]) -> tuple[list[str], list[str]]:
+    inits, advance, results = _aggregate_parts(gen, aggregates, "_s{}".format)
+    slots = [f"_s{i}" for i in range(len(inits))]
+    carried = ", ".join(["key", "head", *slots])
+    none = gen.const(_NO_GROUP)
+    row = "head + " + _tuple(results)
+    if list(heads) != list(keys):
+        head = _tuple([gen.column(name) for name in heads])
+    else:
+        head = "(k, )" if len(keys) == 1 else "k"
+    finish = [f"{carried} = carry or {_tuple([none, '()', *inits])}",
+              "if rows is None:",
+              f"    return [{row}]" if not heads
+              else f"    return [] if key is {none} else [{row}]"]
+    loop = ["out = []", "for r in rows:", f"    k = {_group_key(gen, keys)}",
+            "    if k != key:", f"        if key is not {none}:",
+            f"            out.append({row})", "        key = k", f"        head = {head}",
+            *(f"        {name} = {value}" for name, value in zip(slots, inits)),
+            *(f"    {line}" for line in advance),
+            f"carry[:] = {carried}", "return out"]
+    return finish, loop
+
+
+def kernel_source(shape: str, spec: Sequence, schema) -> tuple[str, dict[str, Any]]:
+    """The source of the *shape* kernel over *spec* against *schema*,
     and the globals it runs in."""
     gen = KernelSource(schema)
+    state = ""
     if shape == FILTER:
-        (predicate,) = exprs
-        body = f"[r for r in rows if {predicate.emit(gen)}]"
+        (predicate,) = spec
+        finish, loop = [], [f"return [r for r in rows if {predicate.emit(gen)}]"]
     elif shape == COMPUTE:
-        row = "".join(f"{e.emit(gen)}, " for e in exprs)
-        body = f"[r + ({row}) for r in rows]"
-    elif shape == VALUES:
-        body = "[" + ", ".join(_value_list(e, gen) for e in exprs) + "]"
+        row = "".join(f"{e.emit(gen)}, " for e in spec)
+        finish, loop = [], [f"return [r + ({row}) for r in rows]"]
+    elif shape == HASH_AGGREGATE:
+        state = ", groups"
+        finish, loop = _hash_aggregate(gen, *spec)
+    elif shape == SORT_AGGREGATE:
+        state = ", carry"
+        finish, loop = _sort_aggregate(gen, *spec)
     else:
         raise ValueError(f"unknown kernel shape {shape!r}")
-    lines = ["def kernel(rows, binds):",
-             *(f"    {line}" for line in gen.prologue), f"    return {body}"]
+    lines = [f"def kernel(rows, binds{state}):",
+             *(f"    {line}" for line in [*finish, *gen.prologue, *loop])]
     return "\n".join(lines) + "\n", gen.namespace
 
 
-def compile_kernel(shape: str, exprs: Sequence[Expression], schema) -> Kernel:
-    source, namespace = kernel_source(shape, exprs, schema)
+def compile_kernel(shape: str, spec: Sequence, schema) -> Kernel:
+    source, namespace = kernel_source(shape, spec, schema)
     exec(compile(source, f"<{shape} kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -136,10 +229,10 @@ class KernelCache:
         self.kernels_compiled = 0
         self.kernel_cache_hits = 0
 
-    def get(self, shape: str, exprs: Sequence[Expression], schema) -> Kernel:
-        """The *shape* kernel over *exprs* against *schema*."""
+    def get(self, shape: str, spec: Sequence, schema) -> Kernel:
+        """The *shape* kernel over *spec* against *schema*."""
         try:
-            key = (shape, tuple(exprs), tuple(schema.names))
+            key = (shape, tuple(spec), tuple(schema.names))
             hash(key)
         except TypeError:
             key = None  # unhashable payload (e.g. Const([...])) → uncached
@@ -150,7 +243,7 @@ class KernelCache:
                     self._cache.move_to_end(key)
                     self.kernel_cache_hits += 1
                     return fn
-        fn = compile_kernel(shape, exprs, schema)  # outside the lock
+        fn = compile_kernel(shape, spec, schema)  # outside the lock
         with self._lock:
             self.kernels_compiled += 1
             if key is not None:

@@ -5,79 +5,47 @@ an output column name, e.g. Query 5's
 ``SUM(T2.Quantity * T2.Price) AS ExecutedValue`` becomes
 ``AggSpec("sum", col("t2_quantity") * col("t2_price"), "executedvalue")``.
 
-Aggregates are implemented as classic init/step/final state machines so
-both the sort-based (streaming) and hash-based (dict of states)
-aggregation operators share them.  Each also has a *fold* form that
-advances a state over a whole run of values in one call, and most a
-*bulk* form that aggregates one whole group's values in a single C-level
-call.
+Each aggregate is stated twice, side by side: as an ``init``/``step``/
+``final`` state machine over Python values, the row-at-a-time semantics
+that ``tests/row_oracle.py`` runs, and as source templates that the
+generated aggregate kernels (:mod:`repro.engine.kernels`) inline into
+their one loop over a batch's rows.  A property test holds the two to
+the same rows, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from operator import add
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from ..storage.schema import Column, Schema
-from .expressions import Col, Expression, wrap
+from .expressions import Expression, wrap
 
 
 @dataclass(frozen=True)
 class AggregateFunction:
     """An incremental aggregate: ``init() → state``, ``step(state, v)``,
-    ``final(state) → value``.
+    ``final(state) → value``, with NULL inputs skipped when
+    ``ignores_null``.
 
-    ``fold(state, values)`` is ``step`` folded over a sequence holding
-    no value the aggregate ignores, in one call: the same additions in
-    the same order, the same pick among ties; an empty sequence leaves
-    *state* as it is.
-
-    ``bulk(values)``, where there is one, is the aggregate of a whole
-    group at once: for a non-empty sequence holding no value the
-    aggregate ignores, exactly ``final`` of ``step`` folded over it from
-    ``init()``.
+    The kernel form keeps the state in ``len(slots)`` slots, ``slots``
+    holding each one's initial value as source.  ``advance`` is the
+    statements that fold one non-skipped value ``{v}`` into the slots
+    ``{s0}``, ``{s1}``, …, and ``result`` the output expression over
+    them.  An aggregate that keeps NULLs reads no value.  The templates
+    do what ``step`` and ``final`` do: sums add left to right from the
+    state, so float sums are not reassociated, and ``min``/``max`` keep
+    the first of ties.
     """
 
     name: str
     init: Callable[[], Any]
     step: Callable[[Any, Any], Any]
     final: Callable[[Any], Any]
-    fold: Callable[[Any, Sequence], Any]
+    slots: tuple[str, ...]
+    advance: str
+    result: str = "{s0}"
     ignores_null: bool = True
-    bulk: Optional[Callable[[Sequence], Any]] = None
-
-
-def _count_fold(state: int, values: Sequence) -> int:
-    return state + len(values)
-
-
-def _sum_fold(state, values: Sequence):
-    # Left to right from the state, like ``step`` (builtin ``sum``
-    # starts from 0 and may reassociate float additions).
-    if state is None:
-        return reduce(add, values) if values else None
-    return reduce(add, values, state)
-
-
-def _min_fold(state, values: Sequence):
-    if not values:
-        return state
-    low = min(values)  # the first of tied minima, as ``step`` keeps
-    return low if state is None or low < state else state
-
-
-def _max_fold(state, values: Sequence):
-    if not values:
-        return state
-    high = max(values)
-    return high if state is None or high > state else state
-
-
-def _avg_fold(state: tuple[float, int], values: Sequence) -> tuple[float, int]:
-    total, count = state
-    return reduce(add, values, total), count + len(values)
 
 
 def _avg_final(state: tuple[float, int]) -> Optional[float]:
@@ -88,35 +56,36 @@ def _avg_final(state: tuple[float, int]) -> Optional[float]:
 AGGREGATES: dict[str, AggregateFunction] = {
     "count": AggregateFunction(
         "count", init=lambda: 0, step=lambda s, v: s + 1, final=lambda s: s,
-        fold=_count_fold, bulk=len,
+        slots=("0",), advance="{s0} += 1",
     ),
     "sum": AggregateFunction(
         "sum", init=lambda: None,
         step=lambda s, v: v if s is None else s + v,
         final=lambda s: s,
-        fold=_sum_fold, bulk=partial(reduce, add),
+        slots=("None",), advance="{s0} = {v} if {s0} is None else {s0} + {v}",
     ),
     "min": AggregateFunction(
         "min", init=lambda: None,
         step=lambda s, v: v if s is None else min(s, v),
         final=lambda s: s,
-        fold=_min_fold, bulk=min,
+        slots=("None",), advance="if {s0} is None or {v} < {s0}: {s0} = {v}",
     ),
     "max": AggregateFunction(
         "max", init=lambda: None,
         step=lambda s, v: v if s is None else max(s, v),
         final=lambda s: s,
-        fold=_max_fold, bulk=max,
+        slots=("None",), advance="if {s0} is None or {v} > {s0}: {s0} = {v}",
     ),
     "avg": AggregateFunction(
         "avg", init=lambda: (0.0, 0),
         step=lambda s, v: (s[0] + v, s[1] + 1),
         final=_avg_final,
-        fold=_avg_fold,
+        slots=("0.0", "0"), advance="{s0} += {v}\n{s1} += 1",
+        result="({s0} / {s1} if {s1} else None)",
     ),
     "count_star": AggregateFunction(
         "count_star", init=lambda: 0, step=lambda s, v: s + 1, final=lambda s: s,
-        fold=_count_fold, ignores_null=False, bulk=len,
+        slots=("0",), advance="{s0} += 1", ignores_null=False,
     ),
 }
 

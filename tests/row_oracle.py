@@ -3,7 +3,10 @@
 These are the engine's former row paths — the ``srs_sort`` selection
 heap and the ``mrs_sort`` loop with their run store and merges, the
 ``_GroupReader`` merge join, the per-row sort-aggregate fold and the
-per-row dict fold of the hash aggregate — kept verbatim in behaviour:
+per-row dict fold of the hash aggregate (both calling each aggregate's
+``init``/``step``/``final``, never the templates the engine's generated
+aggregate kernels inline), and the hash join's row order — kept
+verbatim in behaviour:
 one Python step per row, every key NULL-safe *wrapped* up front, one
 ``counter.add()`` per row.  Only what a k-way
 merge, a selection tree and an in-memory segment sort charge is restated
@@ -30,14 +33,15 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.engine import (
-    BatchBuilder,
     ExecutionContext,
     Operator,
     RowBatch,
+    batches_of,
     collect_rows,
     null_safe_wrap,
     tuple_getter,
 )
+from repro.engine.batch import drain_full
 from repro.expr.expressions import (
     And,
     BinOp,
@@ -330,11 +334,18 @@ def merge_join(lrows: Iterable[tuple], rrows: Iterable[tuple],
             yield lpad + rrow
 
 
+#: SQL's aggregates skip NULL inputs, all but ``COUNT(*)``, which counts
+#: rows.  Stated here, not read off ``AggregateFunction.ignores_null``.
+KEEPS_NULL = {"count_star"}
+
+
 # -- sort aggregate ----------------------------------------------------------------------
 def sort_aggregate(rows: Iterable[tuple], key_positions: Sequence[int],
                    out_positions: Sequence[int], arg_fns: Sequence[Callable],
                    funcs: Sequence, ctx: ExecutionContext) -> Iterator[tuple]:
-    """The per-row streaming GROUP BY fold over key-grouped input."""
+    """The per-row streaming GROUP BY fold over key-grouped input.  With
+    no group columns there is one group, which has a row over no input
+    too (SQL's global aggregate)."""
     key_of = tuple_getter(key_positions)
     out_getter = tuple_getter(out_positions)
     current_key: Optional[tuple] = None
@@ -352,11 +363,13 @@ def sort_aggregate(rows: Iterable[tuple], key_positions: Sequence[int],
             states = [f.init() for f in funcs]
         for j, func in enumerate(funcs):
             value = arg_fns[j](row)
-            if value is None and func.ignores_null:
+            if value is None and func.name not in KEEPS_NULL:
                 continue
             states[j] = func.step(states[j], value)
     if current_key is not None:
         yield current_group + tuple(f.final(s) for f, s in zip(funcs, states))
+    elif not out_positions:
+        yield tuple(f.final(f.init()) for f in funcs)
 
 
 # -- hash aggregate ----------------------------------------------------------------------
@@ -365,7 +378,8 @@ def hash_aggregate(rows: Iterable[tuple], key_positions: Sequence[int],
                    ctx: ExecutionContext, row_bytes: int) -> Iterator[tuple]:
     """The per-row dict GROUP BY fold: groups emitted in first-seen
     order under the key their first row spelled, and one spill write and
-    read of the group table when it outgrows sort memory."""
+    read of the group table when it outgrows sort memory.  With no group
+    columns there is one group, which has a row over no input too."""
     key_of = tuple_getter(key_positions)
     groups: dict[tuple, list] = {}
     for row in rows:
@@ -375,15 +389,78 @@ def hash_aggregate(rows: Iterable[tuple], key_positions: Sequence[int],
             states = groups[key] = [f.init() for f in funcs]
         for j, func in enumerate(funcs):
             value = arg_fns[j](row)
-            if value is None and func.ignores_null:
+            if value is None and func.name not in KEEPS_NULL:
                 continue
             states[j] = func.step(states[j], value)
     if len(groups) * row_bytes > ctx.params.sort_memory_bytes:
         for direction in ("write", "read"):
             ctx.charge_blocks_for_rows(len(groups), row_bytes,
                                        direction=direction, category="partition")
+    if not key_positions and not groups:
+        groups[()] = [f.init() for f in funcs]
     for key, states in groups.items():
         yield key + tuple(f.final(s) for f, s in zip(funcs, states))
+
+
+# -- hash join ---------------------------------------------------------------------------
+def hash_join(lrows: Sequence[tuple], rrows: Sequence[tuple], lschema, rschema,
+              predicate: JoinPredicate, join_type: str,
+              ctx: ExecutionContext) -> list[tuple]:
+    """The hash join's rows in the hash join's order, a row at a time.
+
+    Inner and full joins build on the left and emit in probe (right)
+    order, a key's build rows in build order; a full join then emits its
+    unmatched build groups in first-seen key order, then its NULL-key
+    build rows.  A left outer join builds on the right and emits in left
+    order.  NULL keys never join.  A build side larger than sort memory
+    charges one partition write and read of both inputs (Grace)."""
+    left_outer = join_type == "left"
+    build, probe = (rrows, lrows) if left_outer else (lrows, rrows)
+    bschema, pschema = (rschema, lschema) if left_outer else (lschema, rschema)
+    bcols, pcols = predicate.right_columns, predicate.left_columns
+    if not left_outer:
+        bcols, pcols = pcols, bcols
+    build_key = tuple_getter(bschema.positions(list(bcols)))
+    probe_key = tuple_getter(pschema.positions(list(pcols)))
+
+    def grace(rows: Sequence[tuple], schema) -> None:
+        for direction in ("write", "read"):
+            ctx.charge_blocks_for_rows(len(rows), schema.row_bytes,
+                                       direction=direction, category="partition")
+
+    spills = len(build) * bschema.row_bytes > ctx.params.sort_memory_bytes
+    if spills:
+        grace(build, bschema)
+    table: dict[tuple, list[tuple]] = {}
+    null_rows = []
+    for row in build:
+        key = build_key(row)
+        if any(v is None for v in key):
+            null_rows.append(row)
+        else:
+            table.setdefault(key, []).append(row)
+    pad = (None,) * len(bschema)
+    out, matched = [], []
+    for row in probe:
+        key = probe_key(row)
+        group = [] if any(v is None for v in key) else table.get(key, [])
+        if left_outer:
+            out += [row + other for other in group] or [row + pad]
+            continue
+        if group:
+            matched.append(key)
+        out += [other + row for other in group]
+        if not group and join_type == "full":
+            out.append(pad + row)
+    if spills:
+        grace(probe, pschema)
+    if join_type == "full":
+        pad = (None,) * len(pschema)
+        for key, group in table.items():
+            if key not in matched:
+                out += [row + pad for row in group]
+        out += [row + pad for row in null_rows]
+    return out
 
 
 # -- nested loops ------------------------------------------------------------------------
@@ -423,7 +500,7 @@ class NestedLoopsJoin(Operator):
         inner_keyed = [(rrow, rgetter(rrow)) for rrow in inner]
 
         def stream() -> Iterator[RowBatch]:
-            out = BatchBuilder(ctx.batch_size)
+            out: list[tuple] = []
             i = 0
             for lbatch in left.execute_batches(ctx):
                 for lrow in lbatch.rows:
@@ -439,14 +516,11 @@ class NestedLoopsJoin(Operator):
                             if lkey != rkey or lkey_has_null:
                                 continue
                         row = lrow + rrow
-                        if residual_fn is not None and not residual_fn(row):
-                            continue
-                        emitted = out.append(row)
-                        if emitted is not None:
-                            yield emitted
-            tail = out.flush()
-            if tail is not None:
-                yield tail
+                        if residual_fn is None or residual_fn(row):
+                            out.append(row)
+                if len(out) >= ctx.batch_size:
+                    yield from drain_full(out, ctx.batch_size)
+            yield from batches_of(out, ctx.batch_size)
 
         return stream()
 

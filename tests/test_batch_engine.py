@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.engine import (
-    BatchBuilder,
     BatchedExecutor,
     BlockCharger,
     ExchangeUnion,
@@ -55,14 +54,6 @@ class TestRowBatch:
         assert list(batches_of([], 4)) == []
         with pytest.raises(ValueError):
             list(batches_of([(1,)], 0))
-
-    def test_batch_builder(self):
-        out = BatchBuilder(3)
-        emitted = [out.append((i,)) for i in range(4)]
-        assert [e for e in emitted if e is not None][0].rows == [(0,), (1,), (2,)]
-        tail = out.flush()
-        assert tail.rows == [(3,)]
-        assert out.flush() is None
 
 
 class TestBlockCharger:

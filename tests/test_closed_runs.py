@@ -1,10 +1,12 @@
-"""Batch edges of the closed-run steps, against the row-at-a-time oracle.
+"""Batch edges of the closed-run steps and the aggregate kernels, against
+the row-at-a-time oracle.
 
-PartialSort, MergeJoin and SortAggregate/SortedCombine handle every run
-(segment, group) that closes inside the current batch in one step and
-carry only the run left open at the batch's end; HashAggregate folds
-each run of a batch in one call per aggregate.  Where a batch ends is
-therefore the whole risk: these properties draw the runs — from
+PartialSort and MergeJoin handle every run (segment, group) that closes
+inside the current batch in one step and carry only the run left open
+at the batch's end; SortAggregate/SortedCombine carry their open group
+between calls of one generated kernel, and HashAggregate its group
+table.  Where a batch ends is therefore the whole risk: these
+properties draw the runs — from
 all-singleton inputs to one run spanning several batches, NULLs in any
 key position (an int against a NULL in one column raises ``TypeError``
 *inside* a region), ``1`` / ``1.0`` / ``True`` keys that are one group
@@ -34,7 +36,8 @@ from repro.engine import (
     SortedGroupCombine,
     null_safe_wrap,
 )
-from repro.expr import col
+from repro.engine.kernels import HASH_AGGREGATE, SORT_AGGREGATE, compile_kernel
+from repro.expr import col, param
 from repro.expr.aggregates import (
     AGGREGATES,
     agg_avg,
@@ -239,41 +242,60 @@ def test_sorted_combine_regions(groups, data):
         assert ctx.tallies() == oracle_ctx.tallies(), batch_size
 
 
+VALUES = Schema.of(("v", "float", 8))
+
+
+def _kernel_rows(shape, names, values, split):
+    """The one output row of the *shape* kernel, with no group columns,
+    over *values* fed as three batches: ``values[:split]``, none, and
+    the rest."""
+    aggregates = tuple((name, col("v")) for name in names)
+    if shape == HASH_AGGREGATE:
+        spec, state = ((), aggregates), {}
+    else:
+        spec, state = ((), (), aggregates), []
+    kernel = compile_kernel(shape, spec, VALUES)
+    rows = [(v,) for v in values]
+    for batch in (rows[:split], [], rows[split:]):
+        kernel(batch, {}, state)
+    (row,) = kernel(None, {}, state)
+    return row
+
+
 def test_bulk_forms_are_the_step_fold():
-    """``AggregateFunction.bulk`` on NULL-free values is ``final`` of the
-    ``step`` fold, and ``fold`` over any split of them is that fold's
-    state: the same float additions in the same order, the first of tied
-    minima and maxima; ``fold`` over no values keeps the state."""
+    """Both aggregate kernel shapes, the bulk form of every function, on
+    NULL-free values split across batches anywhere (an empty batch
+    between) return ``final`` of the ``step`` fold: the same float
+    additions in the same order, the first of tied minima and maxima,
+    and ``final(init())`` over no values."""
+    names = list(AGGREGATES)
     for values in ([0.1, 0.2, 0.3, 1e16, 1, -1e16, 1.0, True, 0.7],
                    [1.0, 1, True, 1, 1.0]):
-        for func in AGGREGATES.values():
-            assert (func.bulk is None) == (func.name == "avg")
-            for end in range(len(values) + 1):
+        for end in range(len(values) + 1):
+            expected = []
+            for func in AGGREGATES.values():
                 state = func.init()
                 for value in values[:end]:
                     state = func.step(state, value)
-                if end and func.bulk is not None:
-                    assert repr(func.bulk(values[:end])) == repr(func.final(state))
+                expected.append(func.final(state))
+            for shape in (HASH_AGGREGATE, SORT_AGGREGATE):
                 for split in range(end + 1):
-                    folded = func.fold(func.fold(func.init(), values[:split]),
-                                       values[split:end])
-                    assert repr(folded) == repr(state), (func.name, end, split)
-                    assert repr(func.fold(folded, [])) == repr(folded)
-    assert repr(AGGREGATES["min"].bulk([1.0, 1, True])) == "1.0"
-    assert repr(AGGREGATES["max"].bulk([True, 1, 1.0])) == "True"
-    assert repr(AGGREGATES["min"].fold(1.0, [True, 1])) == "1.0"
-    assert repr(AGGREGATES["max"].fold(True, [1.0, 1])) == "True"
+                    got = _kernel_rows(shape, names, values[:end], split)
+                    assert repr(got) == repr(tuple(expected)), (shape, end, split)
+    for shape in (HASH_AGGREGATE, SORT_AGGREGATE):
+        assert repr(_kernel_rows(shape, ["min"], [1.0, 1, True], 1)) == "(1.0,)"
+        assert repr(_kernel_rows(shape, ["max"], [True, 1, 1.0], 1)) == "(True,)"
 
 
 # -- hash aggregate ----------------------------------------------------------------------
 @given(groups=runs(), data=st.data(), params=SORT_MEMORY)
 @settings(max_examples=100, deadline=None)
 def test_hash_aggregate_regions(groups, data, params):
-    """A batch whose runs average two rows or more is folded a run at a
-    time, any other row by row (batch size 1 always): in drawn order,
-    shuffled, and the drawn order twice over (every run of the second
-    pass meets a group already open), rows, first-seen emission order
-    and tallies are the per-row dict fold's."""
+    """One kernel call per batch folds every row into the group table (at
+    batch size 1 a call per row): in drawn order, shuffled, and the
+    drawn order twice over (every run of the second pass meets a group
+    already open), rows, first-seen emission order and tallies are the
+    per-row dict fold's."""
     n = sum(size for _, size in groups)
     rows = rows_of(groups, data.draw(st.lists(AGG_VALUES, min_size=n, max_size=n)))
     arg_fns = [row_oracle.evaluate(spec.arg, SORTED) for spec in AGGS]
@@ -285,5 +307,66 @@ def test_hash_aggregate_regions(groups, data, params):
             order, (0, 1), arg_fns, funcs, oracle_ctx, plan.schema.row_bytes))
         for batch_size in BATCH_SIZES:
             ctx = ExecutionContext(params=params, batch_size=batch_size)
+            same(plan.run(ctx), expected)
+            assert ctx.tallies() == oracle_ctx.tallies(), batch_size
+
+
+# -- aggregate kernels -------------------------------------------------------------------
+#: Every function on the bare column, and two arguments through a
+#: parameter (``None`` among its values makes every argument NULL).
+KERNEL_AGGS = AGGS + [agg_sum(col("v") + param("x"), "sx"),
+                      agg_max(col("v") * param("x"), "mx")]
+#: (group order, group columns): two key columns, one (a bare-value key),
+#: a head wider than the key, and none (one group, a row even over no
+#: input).
+GROUPINGS = [(("k1", "k2"), ("k1", "k2")), (("k1",), ("k1",)),
+             (("k1",), ("k2", "k1")), ((), ())]
+
+
+@pytest.mark.parametrize("shape", [HASH_AGGREGATE, SORT_AGGREGATE])
+@given(groups=runs(), data=st.data(), grouping=st.sampled_from(GROUPINGS),
+       x=st.sampled_from([None, 0, 1, 1.0, True, 0.5]), params=SORT_MEMORY)
+@settings(max_examples=100, deadline=None)
+def test_aggregate_kernels_match_row_oracle(shape, groups, data, grouping, x,
+                                            params):
+    """Both kernel shapes and all six functions against ``init``/``step``
+    /``final`` row by row: NULL arguments, ``1``/``1.0``/``True`` keys
+    under the spelling of their first row, float sums whose value
+    depends on the order of addition, tied minima and maxima, a
+    parameter inside an argument, and batch sizes 1, 2, 7 and 1024.
+    Rows (by ``repr``), group order and tallies are the oracle's.  The
+    sort shape reads the drawn (grouped) order; the hash shape reads it,
+    shuffled, and twice over, where every row of the second pass meets a
+    group already open."""
+    order, columns = grouping
+    n = sum(size for _, size in groups)
+    rows = rows_of(groups, data.draw(st.lists(AGG_VALUES, min_size=n, max_size=n)))
+    binds = {"x": x}
+    arg_fns = [row_oracle.evaluate(spec.arg, SORTED, binds) for spec in KERNEL_AGGS]
+    funcs = [spec.function for spec in KERNEL_AGGS]
+    if shape == SORT_AGGREGATE:
+        inputs = [rows]
+    else:
+        inputs = [rows, data.draw(st.permutations(rows)), rows + rows]
+    for drawn in inputs:
+        source = RowSource(SORTED, drawn, SortOrder(list(order)))
+        oracle_ctx = ExecutionContext(params=params)
+        if shape == SORT_AGGREGATE:
+            plan = SortAggregate(source, SortOrder(list(order)), KERNEL_AGGS,
+                                 list(columns))
+            expected = list(row_oracle.sort_aggregate(
+                drawn, SORTED.positions(list(order)),
+                SORTED.positions(list(columns)), arg_fns, funcs, oracle_ctx))
+        else:
+            plan = HashAggregate(source, list(columns), KERNEL_AGGS)
+            expected = list(row_oracle.hash_aggregate(
+                drawn, SORTED.positions(list(columns)), arg_fns, funcs,
+                oracle_ctx, plan.schema.row_bytes))
+        if not columns:
+            assert len(expected) == 1
+        for batch_size in (1, 2, 7, 1024):
+            ctx = ExecutionContext(params=params, batch_size=batch_size,
+                                   check_orders=True)
+            ctx.binds = binds
             same(plan.run(ctx), expected)
             assert ctx.tallies() == oracle_ctx.tallies(), batch_size

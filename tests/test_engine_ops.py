@@ -200,6 +200,56 @@ class TestAggregateOps:
         assert op.run() == [(1, 5, 2)]  # sum skips NULL, count(*) does not
 
 
+class TestGlobalAggregate:
+    """SQL's global aggregate: no group columns, one row, over empty
+    input too (``count`` 0, the others NULL); with a group column, empty
+    input has no rows."""
+
+    EMPTY = col("a").ge(100)  # no row of ``t`` passes
+
+    def query(self, group_columns):
+        from repro.logical import Query
+        return (Query.table("t").where(self.EMPTY)
+                .group_by(group_columns, count_star("n"), agg_sum(col("b"), "s")))
+
+    @pytest.mark.parametrize("hash_aggregate", [True, False])
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_both_operators_on_both_backends(self, catalog, hash_aggregate,
+                                             parallelism):
+        from repro.service import QueryServer, QuerySession
+        session = QuerySession(catalog, enable_hash_aggregate=hash_aggregate)
+        op = "HashAggregate" if hash_aggregate else "SortAggregate"
+        prepared = session.prepare(self.query([]), parallelism=parallelism)
+        assert op in {node.op for node in prepared.plan.walk()}
+        assert prepared.execute() == [(0, None)]
+        assert session.execute(self.query(["a"]), parallelism=parallelism) == []
+        with QueryServer(catalog, backend="process", parallelism=parallelism,
+                         pool_workers=2,
+                         enable_hash_aggregate=hash_aggregate) as server:
+            assert server.execute(self.query([])).rows == [(0, None)]
+            assert server.execute(self.query(["a"])).rows == []
+
+    def test_sharded_partials_and_combine(self, catalog):
+        """Four per-shard partial aggregates, each with its one row, and
+        their combine: one row, in process and on the pool."""
+        from repro.optimizer.manual import PlanBuilder
+        from repro.service.backends import ProcessPoolBackend
+        b = PlanBuilder(catalog)
+        scan = b.table_scan("t")
+        aggs = [count_star("n"), agg_sum(col("b"), "s")]
+        partials = [b.sort_aggregate(b.filter(b.shard_of(scan, 4, i, 0.25), self.EMPTY),
+                                     EMPTY_ORDER, aggs) for i in range(4)]
+        whole = b.sort_aggregate(b.filter(scan, self.EMPTY), EMPTY_ORDER, aggs)
+        plan = b.sorted_combine(b.gather(partials, EMPTY_ORDER, whole.stats), [],
+                                aggs, whole.stats)
+        assert plan.execute(catalog) == whole.execute(catalog) == [(0, None)]
+        backend = ProcessPoolBackend(catalog, workers=2)
+        try:
+            assert backend._run_pooled(plan, catalog) == [(0, None)]
+        finally:
+            backend.close()
+
+
 class TestSetOps:
     def test_union_all(self):
         l = RowSource(SCHEMA, [(1, 1, 1)])

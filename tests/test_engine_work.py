@@ -28,10 +28,13 @@ import repro
 from repro.core.sort_order import SortOrder
 from repro.engine import (
     ExecutionContext,
+    HashAggregate,
+    HashJoin,
     MergeJoin,
     RowSource,
     Sort,
     SortAggregate,
+    SortedGroupCombine,
 )
 from repro.expr import col, param
 from repro.expr.aggregates import agg_min, agg_sum, count
@@ -42,8 +45,7 @@ from repro.storage import Catalog, Schema, SystemParameters
 
 BATCHES, BATCH_SIZE = 8, 1024
 ROWS = BATCHES * BATCH_SIZE
-#: Python calls allowed per input batch (measured: 16 to 39, the most
-#: for three aggregates' init/step/final on the one open group).
+#: Python calls allowed per input batch (measured: 16 to 39).
 PER_BATCH = 64
 
 PACKAGE = repro.__path__[0]
@@ -146,6 +148,47 @@ def test_sort_aggregate_of_singleton_groups_is_a_pass_per_batch():
                           agg_min(col("v"), "lo")])
     calls, out, ctx = python_calls(plan)
     assert out == [(k1, k2, v, 1, v) for k1, k2, v in rows]
+    assert ctx.comparisons.value == ROWS
+    assert sum(calls.values()) <= PER_BATCH * BATCHES, calls
+
+
+def test_hash_aggregate_of_shuffled_singleton_groups_is_a_pass_per_batch():
+    """One kernel call per batch however many groups it opens: no
+    Python step per row or per group, their output rows included."""
+    rng = random.Random(6)
+    rows = [(i, 0, rng.randrange(100)) for i in range(ROWS)]
+    rng.shuffle(rows)
+    plan = HashAggregate(RowSource(SCHEMA, rows), ["k1", "k2"],
+                         [agg_sum(col("v"), "s"), count(col("v"), "c"),
+                          agg_min(col("v"), "lo")])
+    calls, out, ctx = python_calls(plan)
+    assert out == [(k1, k2, v, 1, v) for k1, k2, v in rows]
+    assert sum(calls.values()) <= PER_BATCH * BATCHES, calls
+
+
+def test_hash_join_with_one_match_per_probe_row_is_a_pass_per_batch():
+    """Build and probe are plain loops over a batch: no generator, no
+    ``any()`` and no buffer call per row."""
+    left = [(i, 0, i) for i in range(ROWS)]
+    right = [(ROWS - 1 - i, 0, -i) for i in range(ROWS)]
+    plan = HashJoin(RowSource(SCHEMA, left), RowSource(OTHER, right),
+                    JoinPredicate([("k1", "j1"), ("k2", "j2")]))
+    calls, out, ctx = python_calls(plan)
+    assert out == [left[k1] + (k1, k2, w) for k1, k2, w in right]
+    assert sum(calls.values()) <= PER_BATCH * 2 * BATCHES, calls
+
+
+def test_sorted_combine_is_a_pass_per_batch():
+    """Partials of groups that straddle two shards, folded by one kernel
+    call per batch."""
+    specs = [agg_sum(col("v"), "s"), count(col("v"), "c"), agg_min(col("v"), "lo")]
+    order = SortOrder(["k1", "k2"])
+    partials = [(i // 2, 0, i, 1, i) for i in range(ROWS)]
+    schema = SortAggregate(RowSource(SCHEMA, [], order), order, specs).schema
+    plan = SortedGroupCombine(RowSource(schema, partials, order), order,
+                              ["k1", "k2"], specs)
+    calls, out, ctx = python_calls(plan)
+    assert out == [(k, 0, 4 * k + 1, 2, 2 * k) for k in range(ROWS // 2)]
     assert ctx.comparisons.value == ROWS
     assert sum(calls.values()) <= PER_BATCH * BATCHES, calls
 

@@ -3,7 +3,7 @@ aggregate specs."""
 
 import pytest
 
-from repro.engine.kernels import VALUES, compile_kernel
+from repro.engine.kernels import COMPUTE, compile_kernel
 from repro.expr import And, Col, Comparison, Const, JoinPredicate, Or, col
 from repro.expr.aggregates import (
     AGGREGATES,
@@ -24,7 +24,7 @@ SCHEMA = Schema.of(("a", "int", 8), ("b", "int", 8), ("s", "str", 10))
 def value(expr, row):
     """*expr* on one row: its generated kernel's value over a one-row
     batch, which must be the row oracle's too."""
-    got = compile_kernel(VALUES, [expr], SCHEMA)([row], {})[0][0]
+    got = compile_kernel(COMPUTE, [expr], SCHEMA)([row], {})[0][-1]
     assert got == row_oracle.evaluate(expr, SCHEMA)(row)
     return got
 

@@ -16,6 +16,7 @@ from repro.engine import (
 )
 from repro.expr import JoinPredicate
 from repro.storage import Schema, SystemParameters
+from tests import row_oracle
 from tests.row_oracle import NestedLoopsJoin
 
 LEFT = Schema.of(("a", "int", 8), ("b", "int", 8), ("x", "int", 8))
@@ -64,6 +65,16 @@ def run_hash(lrows, rrows, join_type="inner"):
 ROWS = st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 4)),
                           st.one_of(st.none(), st.integers(0, 3)),
                           st.integers(0, 99)), max_size=40)
+
+
+#: Few distinct keys, so build keys repeat; ``1``/``1.0``/``True`` are one.
+ORDER_KEY = st.sampled_from([None, 0, 1, 1.0, True, 2])
+ORDER_ROWS = st.lists(st.tuples(ORDER_KEY, ORDER_KEY, st.integers(0, 99)),
+                      max_size=30)
+#: A right side wider than the left, so each side's padding has its width.
+WIDE = Schema.of(("c", "int", 8), ("d", "int", 8), ("y", "int", 8), ("z", "int", 8))
+WIDE_ROWS = st.lists(st.tuples(ORDER_KEY, ORDER_KEY, st.integers(0, 99),
+                               st.integers(0, 9)), max_size=30)
 
 
 class TestJoinCorrectness:
@@ -156,6 +167,28 @@ class TestJoinProperties:
         ctx = ExecutionContext(params=params)
         op.run(ctx)
         assert ctx.io.partition_blocks > 0
+
+    @pytest.mark.parametrize("join_type", ["inner", "left", "full"])
+    @given(lrows=ORDER_ROWS, rrows=WIDE_ROWS,
+           params=st.sampled_from([SystemParameters(),
+                                   SystemParameters(block_size=24,
+                                                    sort_memory_blocks=2)]))
+    @settings(max_examples=80, deadline=None)
+    def test_hash_join_row_order(self, join_type, lrows, rrows, params):
+        """The hash join's output *in order* is the row oracle's
+        (``row_oracle.hash_join``), with equal tallies, the Grace spill
+        charge included, at batch sizes 1, 7 and 1024: NULL keys on both
+        sides, duplicate build keys, empty sides and ``1``/``1.0``/
+        ``True`` keys, which are one key under three spellings."""
+        oracle_ctx = ExecutionContext(params=params)
+        expected = row_oracle.hash_join(lrows, rrows, LEFT, WIDE, PRED,
+                                        join_type, oracle_ctx)
+        op = HashJoin(RowSource(LEFT, lrows), RowSource(WIDE, rrows), PRED,
+                      join_type)
+        for batch_size in (1, 7, 1024):
+            ctx = ExecutionContext(params=params, batch_size=batch_size)
+            assert list(map(repr, op.run(ctx))) == list(map(repr, expected))
+            assert ctx.tallies() == oracle_ctx.tallies(), batch_size
 
     def test_hash_join_no_spill_when_fits(self):
         op = HashJoin(RowSource(LEFT, [(1, 1, 1)]), RowSource(RIGHT, [(1, 1, 2)]),

@@ -1,8 +1,9 @@
 """Generated row kernels, the one compiled form of an expression: the
-filter, compute and values shapes held to the row oracle at every batch
-size with every parameter bound at call time, what may enter their
-source, the kernel cache, plans that carry no compiled code, and the
-zero-recompilation serving contract."""
+filter and compute shapes held to the row oracle at every batch size
+with every parameter bound at call time, what may enter the source of
+every shape (the aggregate shapes' rows are held to the oracle in
+``tests/test_closed_runs.py``), the kernel cache, plans that carry no
+compiled code, and the zero-recompilation serving contract."""
 
 import io
 import pathlib
@@ -19,12 +20,13 @@ from repro.engine import KERNELS, ExecutionContext, kernel_stats, strip_plan
 from repro.engine.kernels import (
     COMPUTE,
     FILTER,
-    VALUES,
+    HASH_AGGREGATE,
+    SORT_AGGREGATE,
     compile_kernel,
     kernel_source,
 )
 from repro.expr import And, Const, Or, UnboundParamError, col, param
-from repro.expr.aggregates import AggSpec, count_star
+from repro.expr.aggregates import AGGREGATES, AggSpec, count_star
 from repro.expr.expressions import BinOp, Comparison, Expression
 from repro.logical import Query
 from repro.service import QuerySession
@@ -35,12 +37,11 @@ SCHEMA = Schema.of(("a", "int", 8), ("b", "int", 8), ("c", "int", 8))
 
 
 def assert_shapes_match_oracle(exprs, predicate, rows, binds, schema):
-    """The values and compute kernels over *exprs* and the filter kernel
-    over *predicate* equal the row oracle on *rows*."""
+    """The compute kernel over *exprs* and the filter kernel over
+    *predicate* equal the row oracle on *rows*."""
     columns = [[fn(row) for row in rows]
                for fn in (row_oracle.evaluate(e, schema, binds) for e in exprs)]
     keep = row_oracle.evaluate(predicate, schema, binds)
-    assert compile_kernel(VALUES, exprs, schema)(rows, binds) == columns
     assert compile_kernel(COMPUTE, exprs, schema)(rows, binds) == \
         [row + tuple(values) for row, *values in zip(rows, *columns)]
     assert compile_kernel(FILTER, [predicate], schema)(rows, binds) == \
@@ -143,7 +144,7 @@ PREDICATE = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_row_oracle(exprs, predicate, pool, binds):
     """Random trees over int and str columns and parameters, NULLs in
-    both: the values, compute and filter kernels equal the oracle row by
+    both: the compute and filter kernels equal the oracle row by
     row on batches of 0, 1, 7, 8 and 1024 rows, with every parameter
     bound at call time (``None`` included)."""
     for size in (0, 1, 7, 8, 1024):
@@ -153,11 +154,13 @@ def test_kernel_matches_row_oracle(exprs, predicate, pool, binds):
 
 # -- what may enter the source -----------------------------------------------------------
 #: Every name a generated kernel may spell besides the generator's own
-#: ``_cN`` globals, ``_pN`` parameter locals and ``_tN`` temporaries.
+#: ``_cN`` globals, ``_pN`` parameter locals, ``_tN`` temporaries and
+#: ``_sN`` aggregate state slots.
 KERNEL_WORDS = {"def", "kernel", "rows", "binds", "return", "r", "for", "in",
-                "if", "else", "is", "and", "or", "None", "True", "False",
-                "list", "map", "len", "_bound"}
-GENERATED = re.compile(r"_[cpt]\d+")
+                "if", "else", "is", "and", "or", "not", "None", "True",
+                "False", "_bound", "groups", "get", "k", "s", "carry", "key",
+                "head", "out", "append", "items"}
+GENERATED = re.compile(r"_[cpst]\d+")
 
 
 def test_no_constant_or_parameter_name_enters_the_source():
@@ -165,8 +168,12 @@ def test_no_constant_or_parameter_name_enters_the_source():
     exprs = [col("s").eq(Const(nasty)), col("t").ne(param("secret_name")),
              Const(nasty), col("s")]
     predicate = Or(*exprs[:2])
+    aggregates = tuple((name, arg) for name in ("count", "sum", "min", "max",
+                                                "avg", "count_star")
+                       for arg in exprs)
     for shape, shaped in ((FILTER, [predicate]), (COMPUTE, exprs),
-                          (VALUES, exprs)):
+                          (HASH_AGGREGATE, (("s", "t"), aggregates)),
+                          (SORT_AGGREGATE, (("s",), ("t", "s"), aggregates))):
         source, namespace = kernel_source(shape, shaped, PROP_SCHEMA)
         assert "__import__" not in source and "secret_name" not in source
         assert nasty not in source and repr(nasty) not in source
@@ -176,7 +183,7 @@ def test_no_constant_or_parameter_name_enters_the_source():
                     or GENERATED.fullmatch(token.string), token
             assert token.type != tokenize.STRING, token
             if token.type == tokenize.NUMBER:
-                assert token.string.isdigit(), token
+                assert token.string.isdigit() or token.string == "0.0", token
         assert nasty in namespace.values() and "secret_name" in namespace.values()
     rows = [(0, 0, nasty, "x"), (0, 0, "x", "x"), (0, 0, None, "y")]
     binds = {"secret_name": "x"}
@@ -202,8 +209,8 @@ class TestKernelCache:
         exprs = [col("a") + col("b") + Const(17)]  # unlikely to collide
         KERNELS.clear()
         before = kernel_stats()
-        first = KERNELS.get(VALUES, exprs, SCHEMA)
-        second = KERNELS.get(VALUES, exprs, SCHEMA)
+        first = KERNELS.get(COMPUTE, exprs, SCHEMA)
+        second = KERNELS.get(COMPUTE, exprs, SCHEMA)
         after = kernel_stats()
         assert first is second
         assert after["kernels_compiled"] == before["kernels_compiled"] + 1
@@ -212,10 +219,10 @@ class TestKernelCache:
     def test_schema_is_part_of_the_key(self):
         other = Schema.of(("b", "int", 8), ("a", "int", 8))
         KERNELS.clear()
-        fn1 = KERNELS.get(VALUES, [col("a")], SCHEMA)
-        fn2 = KERNELS.get(VALUES, [col("a")], other)
-        assert fn1([(10, 20, 30)], {}) == [[10]]
-        assert fn2([(10, 20)], {}) == [[20]]
+        fn1 = KERNELS.get(COMPUTE, [col("a")], SCHEMA)
+        fn2 = KERNELS.get(COMPUTE, [col("a")], other)
+        assert fn1([(10, 20, 30)], {}) == [(10, 20, 30, 10)]
+        assert fn2([(10, 20)], {}) == [(10, 20, 20)]
 
     def test_unhashable_expression_compiles_uncached(self):
         expr = col("a").eq(Const([1, 2]))  # list payload: unhashable
@@ -302,8 +309,12 @@ def test_compute_without_outputs_passes_rows_through(batch_size):
 def test_removed_names_stay_gone():
     """One compiled form, generated per operator: the row closures, the
     per-expression column closures, the per-execution re-binding, the
-    column side of ``RowBatch`` and the switches between them are gone,
-    and a stale caller of either old form fails loudly."""
+    column side of ``RowBatch``, the aggregates' run folds, bulk forms
+    and argument-column kernels, the join's row buffer and the switches
+    between them are gone, and a stale caller of either old form fails
+    loudly."""
+    for name in ("fold", "bulk"):
+        assert not hasattr(AGGREGATES["sum"], name)
     for name in ("compile", "compile_batch"):
         assert not hasattr(Expression, name)
         with pytest.raises(AttributeError):
@@ -312,7 +323,9 @@ def test_removed_names_stay_gone():
     docs = pathlib.Path(__file__).parent.parent / "docs"
     gone = re.compile(r"COLUMNAR_MIN_ROWS|attach_plan_kernels|OperatorKernels"
                       r"|\brow_fns?\b|compile_batch|expression_kernels"
-                      r"|bind_expression|from_columns|columnar_batches")
+                      r"|bind_expression|from_columns|columnar_batches"
+                      r"|_fold_sorted_groups|_closed_groups|\bVALUES\b|\.bulk\b"
+                      r"|BatchBuilder")
     hits = [f"{path.parent.name}/{path.name}:{number}"
             for path in sorted(src.rglob("*.py")) + sorted(docs.glob("*.md"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
