@@ -255,17 +255,14 @@ class ExecutionContext:
         self.sort_metrics.rows_spilled += tallies["rows_spilled"]
         self.sort_metrics.merge_passes += tallies["merge_passes"]
         self.sort_metrics.in_memory_sorts += tallies["in_memory_sorts"]
-        # ``.get``: pre-existing tally dicts (old snapshots, third-party
-        # backends) may not carry the per-operator key.
-        for tag, (estimated, actual) in tallies.get("operator_rows", {}).items():
+        for tag, (estimated, actual) in tallies["operator_rows"].items():
             cell = self.operator_rows.get(tag)
             if cell is None:
                 self.operator_rows[tag] = [estimated, actual]
             else:
                 cell[0] += estimated
                 cell[1] += actual
-        for tag, (seconds, batches) in tallies.get("operator_times",
-                                                   {}).items():
+        for tag, (seconds, batches) in tallies["operator_times"].items():
             cell = self.operator_times.get(tag)
             if cell is None:
                 self.operator_times[tag] = [seconds, batches]

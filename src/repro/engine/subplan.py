@@ -18,9 +18,10 @@ pieces:
   the shipped bytes carry only what lowering needs;
 * :func:`execute_subplan_stream` — the worker entrypoint: lowers a task
   against the worker's catalog (installed once per pool by
-  :func:`init_worker`) and pushes fixed-size row chunks onto the pool's
-  shared results queue as they are produced, so the serving-side merge
-  starts consuming the fastest shard while the slowest is still sorting;
+  :func:`init_worker`) and pushes row chunks of :data:`CHUNK_ROWS` rows
+  onto the pool's shared results queue as they are produced, so the
+  serving-side merge starts consuming the fastest shard while the
+  slowest is still sorting;
 * :class:`ShardStream` / :class:`StreamSource` — the serving-side
   receiving end: a thread-safe chunk buffer fed by the backend's queue
   router, wrapped as an operator so the exchange gather can merge live
@@ -32,7 +33,7 @@ pieces:
   everything above it runs locally and the result is **bit-identical**
   to single-process execution.
 
-Workers also keep a small LRU of *lowered* subplans keyed by the task
+Workers also keep an LRU of 32 *lowered* subplans keyed by the task
 template's pickled fingerprint: operators are plans, not live cursors
 (they may be re-executed), and a pool's catalog snapshot is immutable
 for the pool's lifetime, so a repeated query — the plan-cache steady
@@ -73,6 +74,10 @@ from .prepared import BoundPlan, BoundRoot, PreparedPlan
 #: The gather operators whose children are independently executable
 #: shard pipelines.
 EXCHANGE_OPS = ("MergeExchange", "ExchangeUnion")
+
+#: Rows per chunk a worker puts on the results queue (the last chunk of
+#: a stream may be shorter).
+CHUNK_ROWS = 2048
 
 
 def exchange_occurrences(plan) -> list:
@@ -337,8 +342,7 @@ def assemble_streams(plan, occurrences: Sequence[Any],
 # -- worker side -------------------------------------------------------------------------
 #: Installed once per worker process by :func:`init_worker`.
 _WORKER_CATALOG = None
-#: The pool's shared results queue; ``None`` when the pool was built
-#: without one — the worker entrypoint then refuses.
+#: The pool's shared results queue, installed with the catalog.
 _WORKER_QUEUE = None
 #: Warm cache of lowered subplans, keyed by task fingerprint.  Safe for
 #: the pool's lifetime: the worker catalog is an immutable snapshot
@@ -347,18 +351,16 @@ _SUBPLAN_CACHE: "OrderedDict[str, Operator]" = OrderedDict()
 _SUBPLAN_CACHE_SIZE = 32
 
 
-def init_worker(payload, results_queue=None, cache_size: int = 32) -> None:
-    """Process-pool initializer: build this worker's catalog copy, adopt
-    the pool's shared results queue, and size the
-    warm subplan cache.  ``results_queue`` must arrive through the pool's
-    ``initargs`` — multiprocessing queues only cross the boundary at
-    process creation, never inside task pickles."""
-    global _WORKER_CATALOG, _WORKER_QUEUE, _SUBPLAN_CACHE_SIZE
+def init_worker(payload, results_queue) -> None:
+    """Process-pool initializer: build this worker's catalog copy and
+    adopt the pool's shared results queue.  ``results_queue`` must arrive
+    through the pool's ``initargs`` — multiprocessing queues only cross
+    the boundary at process creation, never inside task pickles."""
+    global _WORKER_CATALOG, _WORKER_QUEUE
     from ..storage.handoff import build_catalog
 
     _WORKER_CATALOG = build_catalog(payload)
     _WORKER_QUEUE = results_queue
-    _SUBPLAN_CACHE_SIZE = max(0, cache_size)
     _SUBPLAN_CACHE.clear()
 
 
@@ -371,8 +373,6 @@ def _lowered_cached(plan) -> tuple[Operator, bool]:
     template alone, so it hits for every bind value.  Returns
     ``(operator, was_hit)``.
     """
-    if _SUBPLAN_CACHE_SIZE <= 0:
-        return plan.to_operator(_WORKER_CATALOG), False
     key = hashlib.sha1(
         pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)).hexdigest()
     op = _SUBPLAN_CACHE.get(key)
@@ -416,7 +416,6 @@ def _worker_trace(trace_ctx: Optional[tuple]) -> tuple[Optional[Trace],
 def execute_subplan_stream(plan, stream_id: int,
                            batch_size: Optional[int] = None,
                            check_orders: bool = False,
-                           chunk_rows: int = 2048,
                            meter_timing: bool = False,
                            trace_ctx: Optional[tuple] = None) -> None:
     """Worker entrypoint: run one shipped task, shipping its rows chunk
@@ -425,7 +424,7 @@ def execute_subplan_stream(plan, stream_id: int,
     Protocol (all items on the one queue, routed by ``stream_id``):
 
     * ``(stream_id, seq, rows)`` — the next chunk, ``seq`` increasing
-      from 0; at most ``chunk_rows`` rows each;
+      from 0; at most :data:`CHUNK_ROWS` rows each;
     * ``(stream_id, -1, (tallies, cache_hit[, span_records]))`` — the
       DONE sentinel; the third element rides along exactly like the
       tallies when the task was traced (*trace_ctx* given).  Per-stream
@@ -436,11 +435,6 @@ def execute_subplan_stream(plan, stream_id: int,
     task future, whose done-callback fails the parent-side stream.
     """
     _require_worker_catalog()
-    if _WORKER_QUEUE is None:
-        raise RuntimeError("worker pool has no results queue; streaming "
-                           "requires init_worker(..., results_queue=...)")
-    if chunk_rows < 1:
-        raise ValueError("chunk_rows must be >= 1")
     ctx = ExecutionContext(_WORKER_CATALOG, batch_size=batch_size,
                            check_orders=check_orders,
                            meter_timing=meter_timing)
@@ -458,11 +452,11 @@ def execute_subplan_stream(plan, stream_id: int,
     pending: list[tuple] = []
     for batch in op.execute_batches(ctx):
         pending.extend(batch.rows)
-        while len(pending) >= chunk_rows:
-            chunk = pending[:chunk_rows]
+        while len(pending) >= CHUNK_ROWS:
+            chunk = pending[:CHUNK_ROWS]
             _WORKER_QUEUE.put((stream_id, seq, chunk))
             shipped += len(chunk)
-            del pending[:chunk_rows]
+            del pending[:CHUNK_ROWS]
             seq += 1
     if pending:
         _WORKER_QUEUE.put((stream_id, seq, pending))

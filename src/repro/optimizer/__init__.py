@@ -7,7 +7,6 @@ from .pipeline import (
     ExhaustiveEnumerator,
     GreedyManyToManyEnumerator,
     JoinOrderEnumerator,
-    OptimizationPipeline,
     SimpliSquaredEnumerator,
     make_enumerator,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "ExhaustiveEnumerator",
     "GreedyManyToManyEnumerator",
     "JoinOrderEnumerator",
-    "OptimizationPipeline",
     "Optimizer",
     "OptimizerConfig",
     "PhysicalPlan",

@@ -1,7 +1,18 @@
-"""The staged optimizer pipeline: pre-check → join enumeration →
-physical selection → parameterization, composed by
-:class:`OptimizationPipeline` (see :mod:`.pipeline` for the overview
-and ``docs/optimizer.md`` for the guide)."""
+"""The staged optimizer pipeline, in order:
+
+1. **pre_check** (:mod:`.pre_check`) — validate an
+   :class:`OptimizerConfig`, resolve its strategy and join-order
+   enumerator (once per :class:`~repro.optimizer.volcano.Optimizer`);
+2. **join_enumeration** (:mod:`.join_enumeration`) — logical tree → the
+   tree to search (join order is decided here);
+3. **physical_selection** (:mod:`.physical_selection`) — cost-based
+   Volcano search of that tree (one :class:`PhysicalSelection` per
+   query);
+4. **parameterization** (:mod:`.parameterization`) — the chosen plan's
+   parameter names, for the plan cache.
+
+:class:`~repro.optimizer.volcano.Optimizer` holds stage 1's result and
+drives stages 2–4 per query; ``docs/optimizer.md`` is the guide."""
 
 from .join_enumeration import (
     ENUMERATORS,
@@ -17,7 +28,6 @@ from .physical_selection import (
     enforcement_chain_scan,
     shardable_enforcement_input,
 )
-from .pipeline import OptimizationPipeline
 from .pre_check import OptimizerConfig, PreCheckError, run_pre_check
 
 __all__ = [
@@ -25,7 +35,6 @@ __all__ = [
     "ExhaustiveEnumerator",
     "GreedyManyToManyEnumerator",
     "JoinOrderEnumerator",
-    "OptimizationPipeline",
     "OptimizerConfig",
     "PhysicalSelection",
     "PreCheckError",

@@ -21,14 +21,15 @@ one search engine.  Phase-2 refinement (Section 5.2.2) lives in
 
 This module is the *driver*: the search itself lives in
 :mod:`repro.optimizer.pipeline` as four explicit stages (pre-check →
-join enumeration → physical selection → parameterization).  The
-:class:`Optimizer` facade resolves its
-:class:`~repro.optimizer.pipeline.OptimizerConfig` into one pipeline,
-and :meth:`Optimizer.optimize` is what happens to a query: stage 2 maps
-its tree to the tree to search (join order is fixed there), stage 3 is
-one :class:`~repro.optimizer.pipeline.PhysicalSelection` on that tree,
-phase 2 re-searches it on that search's group table, and stage 4 reads
-the parameter names off the winner.  See ``docs/optimizer.md``.
+join enumeration → physical selection → parameterization).  An
+:class:`Optimizer` takes its options as keyword names of
+:class:`~repro.optimizer.pipeline.OptimizerConfig` fields and runs
+stage 1 once, keeping the resolved config, order strategy and join-order
+enumerator; :meth:`Optimizer.optimize` is what happens to a query: stage
+2 maps its tree to the tree to search (join order is fixed there), stage
+3 is one :class:`~repro.optimizer.pipeline.PhysicalSelection` on that
+tree, phase 2 re-searches it on that search's group table, and stage 4
+reads the parameter names off the winner.  See ``docs/optimizer.md``.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from ..storage.catalog import Catalog
 from .plans import PhysicalPlan
 from .pipeline import (
     JoinOrderEnumerator,
-    OptimizationPipeline,
     OptimizerConfig,
     PhysicalSelection,
     plan_params,
+    run_pre_check,
 )
 from .pipeline.groups import GroupTable
 
@@ -102,22 +103,14 @@ def reordered_tree(catalog: Catalog, enumerator: JoinOrderEnumerator,
 class Optimizer:
     """Public facade: one instance per catalog, reusable across queries."""
 
-    def __init__(self, catalog: Catalog, strategy: Optional[str] = None,
-                 config: Optional[OptimizerConfig] = None, **overrides) -> None:
-        # A private copy: never mutate the caller's config.
-        config = OptimizerConfig() if config is None else replace(config)
-        if strategy is not None:
-            overrides["strategy"] = strategy
-        for key, value in overrides.items():
-            if not hasattr(config, key):
-                raise TypeError(f"unknown optimizer option {key!r}")
-            setattr(config, key, value)
+    def __init__(self, catalog: Catalog, **options) -> None:
         self.catalog = catalog
         #: Stage 1 runs here, once: every later entry point — optimize,
-        #: refinement, cost_of — reuses this pipeline (same resolved
-        #: strategy *and* enumerator), never a rebuilt default.
-        self.pipeline = OptimizationPipeline.from_config(config)
-        self.config = self.pipeline.config
+        #: refinement, cost_of — reuses this config, strategy and
+        #: enumerator, never rebuilt ones.  An unknown option name is a
+        #: ``TypeError`` from :class:`OptimizerConfig` itself.
+        self.config, self.strategy, self.enumerator = run_pre_check(
+            OptimizerConfig(**options))
         #: Per-stage telemetry of the most recent :meth:`optimize` call
         #: (its refinement re-search included); see ``docs/optimizer.md``.
         self.last_telemetry: dict[str, float] = {}
@@ -141,13 +134,13 @@ class Optimizer:
         # Stage spans are ambient no-ops unless a query trace is active
         # (the serving layer activates one around plan preparation).
         with child_span("pre_check", strategy=self.config.strategy):
-            pipeline = self.pipeline.with_parallelism(parallelism)
+            config = self._config_at(parallelism)
         with child_span("join_enumeration", candidates=1,
-                        enumerator=type(pipeline.enumerator).__name__
+                        enumerator=type(self.enumerator).__name__
                         ) as enum_span:
             start = time.perf_counter()
             try:
-                tree = reordered_tree(self.catalog, pipeline.enumerator, expr)
+                tree = reordered_tree(self.catalog, self.enumerator, expr)
             except Exception as exc:
                 # The plug-in boundary: whatever a custom enumerator got
                 # wrong, the query as written is always a valid tree.
@@ -155,8 +148,8 @@ class Optimizer:
                 enum_span.tag(rejected=repr(exc))
             enumerator_seconds = time.perf_counter() - start
         with child_span("physical_selection") as select_span:
-            search = PhysicalSelection(self.catalog, tree, pipeline.strategy,
-                                       pipeline.config)
+            search = PhysicalSelection(self.catalog, tree, self.strategy,
+                                       config)
             plan = search.optimize_goal(tree, required)
             plan = search.ensure_schema(plan, tree)
             select_span.tag(candidates=1, cost=plan.total_cost)
@@ -167,7 +160,7 @@ class Optimizer:
             # that search's group table.
             def replan(forced: dict[LogicalExpr, SortOrder]) -> PhysicalPlan:
                 refined, again = self._forced_search(
-                    tree, required, forced, pipeline, search.groups)
+                    tree, required, forced, config, search.groups)
                 for name in _SEARCH_COUNTERS:
                     effort[name] += getattr(again, name)
                 return refined
@@ -192,18 +185,24 @@ class Optimizer:
         only under the strategy that searched them).
         """
         return self._forced_search(expr, required or EMPTY_ORDER, forced,
-                                   self.pipeline.with_parallelism(parallelism),
-                                   groups)[0]
+                                   self._config_at(parallelism), groups)[0]
+
+    def _config_at(self, parallelism: Optional[int]) -> OptimizerConfig:
+        """The config at another shard fan-out (the same object when
+        *parallelism* is unset or already the config's)."""
+        if parallelism is None or parallelism == self.config.parallelism:
+            return self.config
+        return replace(self.config, parallelism=max(1, parallelism))
 
     def _forced_search(self, expr: LogicalExpr, required: SortOrder,
                        forced: dict[LogicalExpr, SortOrder],
-                       pipeline: OptimizationPipeline,
+                       config: OptimizerConfig,
                        groups: Optional[GroupTable]
                        ) -> tuple[PhysicalPlan, PhysicalSelection]:
         """The forced re-search's plan, and the search for its effort."""
         search = PhysicalSelection(
-            self.catalog, expr, ForcedOrderStrategy(pipeline.strategy, forced),
-            pipeline.config, groups)
+            self.catalog, expr, ForcedOrderStrategy(self.strategy, forced),
+            config, groups)
         plan = search.optimize_goal(expr, required)
         return search.ensure_schema(plan, expr), search
 

@@ -24,7 +24,7 @@ from .client import (
 )
 from .feedback import FeedbackConfig
 from .metrics import CircuitBreaker, LatencyTracker, ServerMetrics
-from .plan_cache import CacheStats, PlanCache, SharedPlanCache
+from .plan_cache import CacheStats, PlanCache
 # Re-exported so serving callers configure observability without a
 # second import (`QueryServer(..., obs=ObservabilityConfig(...))`).
 from ..obs import ObservabilityConfig, Tracer
@@ -61,7 +61,6 @@ __all__ = [
     "SerialBackend",
     "ServerMetrics",
     "SessionMetrics",
-    "SharedPlanCache",
     "TokenBucket",
     "TracedResult",
     "Tracer",

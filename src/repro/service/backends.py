@@ -27,11 +27,12 @@ per-shard plans, and the serving-side gather performs the same stable
 merge (ties to the lowest shard index) the local exchange would.
 
 The process backend has one transfer path: every shipped task — a shard
-pipeline or a whole plan — sends its rows back chunk by chunk on a
-shared results queue, so the serving-side merge starts on the fastest
+pipeline or a whole plan — sends its rows back in chunks of
+:data:`~repro.engine.subplan.CHUNK_ROWS` (2048) rows on a shared
+results queue, so the serving-side merge starts on the fastest
 shard's first chunk while the slowest shard is still sorting, and
 unpickling overlaps with worker execution.  Workers keep a warm LRU of
-lowered subplans keyed by the task template's fingerprint, so the
+32 lowered subplans keyed by the task template's fingerprint, so the
 plan-cache steady state (the same physical plan served repeatedly, with
 whatever parameter values) skips lowering on warm workers.
 """
@@ -251,17 +252,13 @@ class ProcessPoolBackend(ExecutionBackend):
     MAX_RETRIES = 2
 
     def __init__(self, catalog: Catalog, workers: Optional[int] = None,
-                 mp_context: Optional[str] = None,
-                 chunk_rows: int = 2048) -> None:
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
+                 mp_context: Optional[str] = None) -> None:
         self.catalog = catalog
         self.workers = workers or os.cpu_count() or 1
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else None
         self._mp_context = mp_context
-        self.chunk_rows = chunk_rows
         self._lock = threading.Lock()
         self._handle: Optional[_PoolHandle] = None
         self._forked_once = False
@@ -517,8 +514,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 spans.append(span)
                 future = handle.pool.submit(
                     execute_subplan_stream, task, stream.stream_id,
-                    batch_size, check_orders, self.chunk_rows,
-                    meter_timing, trace_ctx)
+                    batch_size, check_orders, meter_timing, trace_ctx)
                 future.add_done_callback(_stream_failer(stream))
                 streams.append(stream)
                 futures.append(future)
@@ -562,7 +558,6 @@ class ProcessPoolBackend(ExecutionBackend):
             out = {
                 "backend": self.name,
                 "pool_workers": self.workers,
-                "chunk_rows": self.chunk_rows,
                 "pool_rebuilds": self._rebuilds,
                 "local_queries": self._local_queries,
                 "streamed_queries": self._streamed_queries,
@@ -612,8 +607,7 @@ def _noop(_: int) -> None:
 
 def make_backend(kind, catalog: Catalog,
                  pool_workers: Optional[int] = None,
-                 mp_context: Optional[str] = None,
-                 chunk_rows: int = 2048) -> ExecutionBackend:
+                 mp_context: Optional[str] = None) -> ExecutionBackend:
     """Resolve a backend spec: an instance passes through, a name
     (``"serial"`` / ``"process"``) is constructed."""
     if isinstance(kind, ExecutionBackend):
@@ -622,7 +616,6 @@ def make_backend(kind, catalog: Catalog,
         return SerialBackend()
     if kind == "process":
         return ProcessPoolBackend(catalog, workers=pool_workers,
-                                  mp_context=mp_context,
-                                  chunk_rows=chunk_rows)
+                                  mp_context=mp_context)
     raise ValueError(f"unknown backend {kind!r}; "
                      "have 'serial', 'process'")

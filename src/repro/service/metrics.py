@@ -177,9 +177,9 @@ class CircuitBreaker:
 
     States: **closed** (normal service) → **open** after
     ``failure_threshold`` consecutive backend failures (every submission
-    is rejected for ``reset_timeout`` seconds) → **half-open** (at most
-    ``half_open_max`` probe queries admitted) → **closed** again on a
-    probe success, or straight back to **open** on a probe failure.
+    is rejected for ``reset_timeout`` seconds) → **half-open** (one probe
+    query admitted) → **closed** again on a probe success, or straight
+    back to **open** on a probe failure.
 
     Only *backend* failures trip the breaker — a malformed query or an
     expired deadline says nothing about the backend's health.  Thread-
@@ -190,23 +190,19 @@ class CircuitBreaker:
 
     def __init__(self, failure_threshold: int = 5,
                  reset_timeout: float = 1.0,
-                 half_open_max: int = 1,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if reset_timeout <= 0:
             raise ValueError("reset_timeout must be positive")
-        if half_open_max < 1:
-            raise ValueError("half_open_max must be >= 1")
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_max = half_open_max
         self._clock = clock
         self._lock = threading.Lock()
         self._state = self.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_in_flight = 0
+        self._probe_in_flight = False
         #: Transition counters (observable through ``stats()``).
         self.opens = 0
         self.half_opens = 0
@@ -223,7 +219,7 @@ class CircuitBreaker:
         if self._state == self.OPEN and \
                 self._clock() - self._opened_at >= self.reset_timeout:
             self._state = self.HALF_OPEN
-            self._probes_in_flight = 0
+            self._probe_in_flight = False
             self.half_opens += 1
 
     def check(self) -> Optional[float]:
@@ -238,10 +234,10 @@ class CircuitBreaker:
             if self._state == self.CLOSED:
                 return None
             if self._state == self.HALF_OPEN:
-                if self._probes_in_flight < self.half_open_max:
-                    self._probes_in_flight += 1
+                if not self._probe_in_flight:
+                    self._probe_in_flight = True
                     return None
-                # Probes already in flight: come back when they resolve.
+                # The probe is in flight: come back when it resolves.
                 return self.reset_timeout / 2.0
             remaining = self.reset_timeout - (self._clock() - self._opened_at)
             return max(remaining, 0.001)
@@ -251,15 +247,15 @@ class CircuitBreaker:
         it to the backend (admission rejected it): release the slot so
         the breaker cannot get stuck half-open with phantom probes."""
         with self._lock:
-            if self._state == self.HALF_OPEN and self._probes_in_flight > 0:
-                self._probes_in_flight -= 1
+            if self._state == self.HALF_OPEN:
+                self._probe_in_flight = False
 
     def record_success(self) -> None:
         with self._lock:
             if self._state == self.HALF_OPEN:
                 self._state = self.CLOSED
                 self.closes += 1
-                self._probes_in_flight = 0
+                self._probe_in_flight = False
             self._consecutive_failures = 0
 
     def record_failure(self) -> None:
@@ -275,7 +271,7 @@ class CircuitBreaker:
         """Lock held: move to open and start the reset clock."""
         self._state = self.OPEN
         self._opened_at = self._clock()
-        self._probes_in_flight = 0
+        self._probe_in_flight = False
         self.opens += 1
 
     def as_dict(self) -> dict:

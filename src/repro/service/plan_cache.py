@@ -1,5 +1,4 @@
-"""The plan cache: fingerprint-keyed, version-tokened, LRU-bounded,
-optionally TTL-expired.
+"""The plan cache: fingerprint-keyed, version-tokened, LRU-bounded.
 
 Production optimizers are rarely the latency bottleneck because they are
 rarely *run*: repeated and parameterized queries are served from a plan
@@ -12,25 +11,33 @@ and index-registration versions of **only the tables the plan reads** —
 so a statistics refresh or new index invalidates exactly the plans that
 depend on it and leaves everything else cached.  (Any hashable token
 works; the cache compares by equality and stays free of catalog
-imports.)
+imports.)  Plans whose *rows* drifted without a refresh are caught by
+adaptive-statistics feedback (:mod:`repro.service.feedback`), whose
+refresh bumps the token.
 
-Admission policy:
+The least-recently-used entry is evicted when the cache exceeds
+``capacity`` (counted in ``stats.evictions``).
 
-* **LRU capacity** — the least-recently-used entry is evicted when the
-  cache exceeds ``capacity`` (counted in ``stats.evictions``);
-* **TTL** — with ``ttl_seconds`` set, an entry older than the TTL is
-  dropped at lookup time (counted in ``stats.expirations``).  A TTL
-  bounds the lifetime of plans whose *data* changed without a stats
-  refresh — cheap insurance when auto-analyze is not wired up.
+One class serves a single session and the serving tier alike: a
+:class:`~repro.service.server.QueryServer` hands one instance to every
+:class:`~repro.service.session.QuerySession` it creates, so a plan
+optimized on one dispatch thread serves every other.  Cached
+:class:`~repro.engine.prepared.PreparedPlan` values hold an immutable
+plan and the operator tree lowered from it once, which is re-entrant (no
+operator keeps per-execution state; parameter values travel in each
+execution's context), so sharing the *values* is safe; the cache only
+has to make its *bookkeeping* (LRU order, counters) atomic, which one
+lock around each public operation does.  The counters in
+:attr:`PlanCache.stats` change only under that lock, so ``hits + misses
+== lookups`` holds at every observable instant.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, Optional, TypeVar
+from typing import Generic, Hashable, Optional, TypeVar
 
 PlanT = TypeVar("PlanT")
 
@@ -43,7 +50,6 @@ class CacheStats:
     misses: int = 0
     invalidations: int = 0
     evictions: int = 0
-    expirations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -57,7 +63,6 @@ class CacheStats:
         return {"hits": self.hits, "misses": self.misses,
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
-                "expirations": self.expirations,
                 "hit_rate": self.hit_rate}
 
 
@@ -65,123 +70,67 @@ class CacheStats:
 class _Entry(Generic[PlanT]):
     plan: PlanT
     stats_version: Hashable
-    created_at: float
-    uses: int = 0
 
 
 class PlanCache(Generic[PlanT]):
-    """LRU+TTL cache of optimized plans keyed by query fingerprint.
+    """Thread-safe LRU cache of optimized plans keyed by query fingerprint.
 
     ``get``/``put`` take the *current* version token for the plan's
     referenced tables; an entry cached under a different token is
     dropped at lookup time and counted as an invalidation (which is also
-    a miss — the caller must re-optimize).  ``clock`` is injectable for
-    deterministic TTL tests.
+    a miss — the caller must re-optimize).
     """
 
-    def __init__(self, capacity: int = 128,
-                 ttl_seconds: Optional[float] = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None)")
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
         self._entries: "OrderedDict[Hashable, _Entry[PlanT]]" = OrderedDict()
+        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        with self._lock:
+            return key in self._entries
 
     def get(self, key: Hashable, stats_version: Hashable) -> Optional[PlanT]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        if self.ttl_seconds is not None and \
-                self._clock() - entry.created_at >= self.ttl_seconds:
-            # Too old to trust, whatever the catalog says.
-            del self._entries[key]
-            self.stats.expirations += 1
-            self.stats.misses += 1
-            return None
-        if entry.stats_version != stats_version:
-            # The world changed under the plan: drop it.
-            del self._entries[key]
-            self.stats.invalidations += 1
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        entry.uses += 1
-        self.stats.hits += 1
-        return entry.plan
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.stats.misses += 1
+                return None
+            if entry.stats_version != stats_version:
+                # The world changed under the plan: drop it.
+                del self._entries[key]
+                self.stats.invalidations += 1
+                self.stats.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return entry.plan
 
     def put(self, key: Hashable, plan: PlanT, stats_version: Hashable) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = _Entry(plan, stats_version, self._clock())
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = _Entry(plan, stats_version)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
 
     def invalidate_all(self) -> int:
         """Drop every entry (e.g. after a bulk load); returns the count."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        self.stats.invalidations += dropped
-        return dropped
+        with self._lock:
+            dropped = len(self._entries)
+            self._entries.clear()
+            self.stats.invalidations += dropped
+            return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats
-        return (f"PlanCache({len(self._entries)}/{self.capacity} entries, "
+        return (f"PlanCache({len(self)}/{self.capacity} entries, "
                 f"{s.hits} hits / {s.misses} misses)")
-
-
-class SharedPlanCache(PlanCache[PlanT]):
-    """A concurrency-safe plan cache shared across many sessions.
-
-    The cross-session cache of the serving tier: one instance is handed
-    to every :class:`~repro.service.session.QuerySession` a
-    :class:`~repro.service.server.QueryServer` creates, so a plan
-    optimized on one dispatch thread serves every other.  Cached
-    :class:`~repro.engine.prepared.PreparedPlan` values hold an
-    immutable plan and the operator tree lowered from it once, which is
-    re-entrant (no operator keeps per-execution state; parameter values
-    travel in each execution's context), so sharing the *values* is
-    safe; this class only has to make the cache *bookkeeping* (LRU
-    order, TTL expiry, counters) atomic, which one lock around each
-    public operation does.  The
-    counters in :attr:`stats` are mutated exclusively under the lock, so
-    ``hits + misses == lookups`` holds at every observable instant.
-    """
-
-    def __init__(self, capacity: int = 128,
-                 ttl_seconds: Optional[float] = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        super().__init__(capacity, ttl_seconds, clock)
-        self._lock = threading.RLock()
-
-    def get(self, key: Hashable, stats_version: Hashable) -> Optional[PlanT]:
-        with self._lock:
-            return super().get(key, stats_version)
-
-    def put(self, key: Hashable, plan: PlanT, stats_version: Hashable) -> None:
-        with self._lock:
-            super().put(key, plan, stats_version)
-
-    def invalidate_all(self) -> int:
-        with self._lock:
-            return super().invalidate_all()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return super().__len__()
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return super().__contains__(key)

@@ -21,8 +21,8 @@ via :meth:`QueryServer.execute` — pass one admission control and share
    used by two threads at once, and there are never more than
    ``max_inflight`` sessions however many client threads come and go.
    Every session shares one
-   :class:`~repro.service.plan_cache.SharedPlanCache`: a plan optimized
-   for any client serves all of them, still keyed by
+   :class:`~repro.service.plan_cache.PlanCache`: a plan optimized for
+   any client serves all of them, still keyed by
    fingerprint × parallelism × referenced-table versions.
 3. **Execution** — the bound plan (the cache entry's executable, shared
    by every slot, plus this query's parameter values) runs on
@@ -33,7 +33,7 @@ via :meth:`QueryServer.execute` — pass one admission control and share
    order-preserving merge.  Backend failures feed the
    :class:`~repro.service.metrics.CircuitBreaker`; after
    ``circuit_threshold`` consecutive failures the breaker opens and
-   sheds load until a half-open probe succeeds.
+   sheds load until its one half-open probe succeeds.
 4. **Where a query runs** — a thread client with no deadline (no
    ``timeout`` and no ``default_timeout``) that finds a slot free runs
    its query on its own thread: an idle server hands nothing to another
@@ -93,7 +93,7 @@ from .metrics import (
     QueryOutcome,
     ServerMetrics,
 )
-from .plan_cache import SharedPlanCache
+from .plan_cache import PlanCache
 from .session import QuerySession, SessionMetrics
 
 __all__ = ["CircuitOpen", "QueryRejected", "QueryResult", "QueryServer",
@@ -160,6 +160,11 @@ class TracedResult(QueryResult):
                               len(self.rows))
 
 
+def _check_batch_size(batch_size: Optional[int]) -> None:
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+
+
 class QueryServer:
     """Admission-controlled concurrent query serving over one catalog.
 
@@ -169,10 +174,12 @@ class QueryServer:
     plan cache.
 
     ``tenant_weights`` maps tenant name → weight for the weighted-fair
-    admission quota (unknown tenants weigh ``default_tenant_weight``);
+    admission quota (a tenant with no listed weight weighs 1.0);
     ``circuit_threshold`` / ``circuit_reset_timeout`` configure the
     execution circuit breaker (consecutive backend failures to open,
-    seconds until the half-open probe).
+    seconds until the half-open probe).  Every other keyword is an
+    optimizer option (an :class:`~repro.optimizer.pipeline.OptimizerConfig`
+    field by name) that every slot's session is built with.
     """
 
     def __init__(self, catalog: Catalog, *,
@@ -183,26 +190,21 @@ class QueryServer:
                  queue_limit: int = 32,
                  default_timeout: Optional[float] = None,
                  cache_capacity: int = 256,
-                 cache_ttl: Optional[float] = None,
-                 strategy: Optional[str] = None,
-                 config: Any = None,
                  pool_workers: Optional[int] = None,
                  mp_context: Optional[str] = None,
                  tenant_weights: Optional[Mapping[str, float]] = None,
-                 default_tenant_weight: float = 1.0,
                  circuit_threshold: int = 5,
                  circuit_reset_timeout: float = 1.0,
                  feedback: Any = None,
                  obs: Any = None,
-                 **overrides: Any) -> None:
+                 **options: Any) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if default_tenant_weight <= 0:
-            raise ValueError("default_tenant_weight must be positive")
+        _check_batch_size(batch_size)
         if tenant_weights and any(w <= 0 for w in tenant_weights.values()):
             raise ValueError("tenant weights must be positive")
         self.catalog = catalog
@@ -212,9 +214,7 @@ class QueryServer:
         self.queue_limit = queue_limit
         self.default_timeout = default_timeout
         self.tenant_weights = dict(tenant_weights or {})
-        self.default_tenant_weight = default_tenant_weight
-        self.cache: SharedPlanCache = SharedPlanCache(
-            cache_capacity, ttl_seconds=cache_ttl)
+        self.cache: PlanCache = PlanCache(cache_capacity)
         #: The ``max_inflight`` execution slots.  A free slot is its
         #: session, waiting in :attr:`_free_slots`; a query runs only on a
         #: thread that took one — a client thread inline, or a dispatch
@@ -222,8 +222,8 @@ class QueryServer:
         #: max_inflight`` holds across both paths.  Made before the
         #: backend, so that a bad optimizer option starts no worker pool.
         self._sessions = [
-            QuerySession(catalog, strategy, config, cache=self.cache,
-                         feedback=feedback, **overrides)
+            QuerySession(catalog, cache=self.cache, feedback=feedback,
+                         **options)
             for _ in range(max_inflight)]
         self._free_slots: SimpleQueue[QuerySession] = SimpleQueue()
         for session in self._sessions:
@@ -282,7 +282,7 @@ class QueryServer:
 
     # -- admission helpers -------------------------------------------------------------
     def _weight_of(self, tenant: str) -> float:
-        return self.tenant_weights.get(tenant, self.default_tenant_weight)
+        return self.tenant_weights.get(tenant, 1.0)
 
     def _retry_after(self) -> float:
         return self.metrics.retry_after(self.max_inflight)
@@ -320,26 +320,19 @@ class QueryServer:
                                            parallelism=parallelism)
                 with child_span("bind", params=len(binds)):
                     plan = prepared.bind(**binds)
-                # With feedback or tracing on, collect the execution's
-                # tallies (the process backend folds worker tallies into
-                # the given ctx): feedback checks estimated-vs-actual
-                # drift, tracing feeds EXPLAIN ANALYZE.  The ctx kwarg is
-                # only passed when needed — pre-ctx third-party backends
-                # keep working as long as both stay off.
-                ctx = None
-                run_kwargs: dict[str, Any] = {}
-                if self.feedback is not None or trace is not None:
-                    ctx = ExecutionContext(
-                        self.catalog, batch_size=batch_size,
-                        meter_timing=(trace is not None
-                                      and self.obs.meter_timing))
-                    run_kwargs["ctx"] = ctx
+                # The execution's tallies land in this ctx (the process
+                # backend folds worker tallies into it): feedback checks
+                # estimated-vs-actual drift, tracing feeds EXPLAIN ANALYZE.
+                ctx = ExecutionContext(
+                    self.catalog, batch_size=batch_size,
+                    meter_timing=(trace is not None
+                                  and self.obs.meter_timing))
                 try:
                     with child_span("execute",
                                     backend=self.backend.name) as espan:
                         rows = self.backend.run_plan(plan, self.catalog,
                                                      batch_size=batch_size,
-                                                     **run_kwargs)
+                                                     ctx=ctx)
                         espan.tag(rows=len(rows))
                 except Exception:
                     # Only backend execution trips the breaker — plan and
@@ -353,8 +346,7 @@ class QueryServer:
                 # PreparedQuery.execute — keep the session's execution
                 # counter truthful for aggregated stats().
                 session.metrics.executions += 1
-                if ctx is not None:
-                    session.observe_execution(prepared, ctx)
+                session.observe_execution(prepared, ctx)
                 disposition = "completed"
                 elapsed = time.perf_counter() - started
                 if self.slow_log is not None:
@@ -411,6 +403,9 @@ class QueryServer:
         timeout = self.default_timeout if timeout is None else timeout
         parallelism = self.parallelism if parallelism is None else parallelism
         batch_size = self.batch_size if batch_size is None else batch_size
+        # A bad batch size is the caller's error, not the backend's: it
+        # must reach neither the breaker nor the admission counters.
+        _check_batch_size(batch_size)
         # Per-call ``trace=`` overrides the config default; either way a
         # trace only exists when the server was built with ``obs=``.
         want_trace = (self.obs is not None and self.obs.trace_queries) \
@@ -576,7 +571,6 @@ class QueryServer:
             out[f.name] = getattr(totals, f.name)
         out["cache_size"] = len(self.cache)
         out["cache_capacity"] = self.cache.capacity
-        out["cache_ttl_seconds"] = self.cache.ttl_seconds
         for name, value in self.cache.stats.as_dict().items():
             out[f"cache_{name}"] = value
         # Process-global kernel telemetry — taken once from the shared

@@ -46,11 +46,7 @@ from ..obs.analyze import ExplainAnalyze
 from ..obs.trace import child_span
 from ..optimizer.pipeline.physical_selection import shardable_enforcement_input
 from ..optimizer.plans import PhysicalPlan
-from ..optimizer.volcano import (
-    Optimizer,
-    OptimizerConfig,
-    split_required_order,
-)
+from ..optimizer.volcano import Optimizer, split_required_order
 from ..storage.catalog import Catalog
 from .feedback import FeedbackConfig, scan_table
 from .plan_cache import PlanCache
@@ -161,21 +157,19 @@ class QuerySession:
     forces a fresh search.
     """
 
-    def __init__(self, catalog: Catalog, strategy: Optional[str] = None,
-                 config: Optional[OptimizerConfig] = None,
-                 cache_capacity: int = 128,
-                 cache_ttl: Optional[float] = None,
+    def __init__(self, catalog: Catalog, *,
                  cache: Optional[PlanCache[PreparedPlan]] = None,
                  feedback: Optional[FeedbackConfig] = None,
-                 **overrides: Any) -> None:
+                 **options: Any) -> None:
         self.catalog = catalog
-        self.optimizer = Optimizer(catalog, strategy, config, **overrides)
-        #: *cache* may be a shared, cross-session instance (the serving
-        #: tier passes one :class:`~repro.service.plan_cache.SharedPlanCache`
-        #: to every session it creates); ``cache_capacity``/``cache_ttl``
-        #: then belong to the shared cache's owner and are ignored here.
+        #: *options* are :class:`~repro.optimizer.pipeline.OptimizerConfig`
+        #: fields by name (``strategy=``, ``join_enumerator=``, …).
+        self.optimizer = Optimizer(catalog, **options)
+        #: *cache* may be shared across sessions (the serving tier passes
+        #: one to every session it creates); without one the session
+        #: keeps a private 128-entry cache.
         self.cache: PlanCache[PreparedPlan] = cache if cache is not None \
-            else PlanCache(cache_capacity, ttl_seconds=cache_ttl)
+            else PlanCache()
         #: Adaptive-statistics feedback; ``None`` (the default) disables
         #: drift detection entirely — see :mod:`repro.service.feedback`.
         self.feedback = feedback
@@ -218,7 +212,7 @@ class QuerySession:
         # query, so they must never collide in a (shared) cache.  The
         # default exhaustive enumerator salts with "" — pre-pipeline
         # fingerprints stay valid.
-        enumerator_salt = self.optimizer.pipeline.cache_salt
+        enumerator_salt = self.optimizer.enumerator.cache_salt
         if enumerator_salt:
             fp = f"{fp}#j{enumerator_salt}"
         tables = referenced_tables(expr)
@@ -377,7 +371,7 @@ class QuerySession:
             "sharded_join_plans": self.metrics.sharded_join_plans,
             "sharded_agg_plans": self.metrics.sharded_agg_plans,
             "sharded_distinct_plans": self.metrics.sharded_distinct_plans,
-            "join_enumerator": self.optimizer.pipeline.enumerator.name,
+            "join_enumerator": self.optimizer.enumerator.name,
             "enumerator_seconds": self.metrics.enumerator_seconds,
             "join_order_candidates": self.metrics.join_order_candidates,
             "goals_examined": self.metrics.goals_examined,
@@ -389,7 +383,6 @@ class QuerySession:
             "feedback_refreshes": self.metrics.feedback_refreshes,
             "cache_size": len(self.cache),
             "cache_capacity": self.cache.capacity,
-            "cache_ttl_seconds": self.cache.ttl_seconds,
         }
         for name, value in self.cache.stats.as_dict().items():
             out[f"cache_{name}"] = value

@@ -1,12 +1,11 @@
-"""Plan-cache admission policy (LRU + TTL), per-table invalidation
-granularity, and session-level observability via QuerySession.stats()."""
-
-import pytest
+"""Plan-cache admission policy (LRU), one cache shared by a server's
+sessions, per-table invalidation granularity, and session-level
+observability via QuerySession.stats()."""
 
 from repro.core.sort_order import SortOrder
 from repro.expr import col
 from repro.logical import Query, referenced_tables
-from repro.service import PlanCache, QuerySession
+from repro.service import PlanCache, QueryServer, QuerySession
 from repro.storage import Catalog, Schema, TableStats
 
 
@@ -32,53 +31,6 @@ def orders_query():
 
 def items_query():
     return Query.table("items").order_by("i_id")
-
-
-# -- TTL ---------------------------------------------------------------------------------
-class TestTTL:
-    def test_entries_expire(self):
-        now = [0.0]
-        cache = PlanCache(capacity=4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("k", "plan", stats_version=1)
-        assert cache.get("k", 1) == "plan"
-        now[0] = 9.9
-        assert cache.get("k", 1) == "plan"
-        now[0] = 10.0
-        assert cache.get("k", 1) is None
-        assert cache.stats.expirations == 1
-        assert "k" not in cache
-
-    def test_put_refreshes_age(self):
-        now = [0.0]
-        cache = PlanCache(capacity=4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("k", "old", 1)
-        now[0] = 8.0
-        cache.put("k", "new", 1)
-        now[0] = 15.0
-        assert cache.get("k", 1) == "new"
-
-    def test_no_ttl_never_expires(self):
-        now = [0.0]
-        cache = PlanCache(capacity=4, clock=lambda: now[0])
-        cache.put("k", "plan", 1)
-        now[0] = 1e9
-        assert cache.get("k", 1) == "plan"
-        assert cache.stats.expirations == 0
-
-    def test_ttl_validation(self):
-        with pytest.raises(ValueError):
-            PlanCache(ttl_seconds=0)
-
-    def test_session_ttl_forces_reoptimization(self):
-        now = [0.0]
-        session = QuerySession(make_catalog(), cache_ttl=30.0)
-        session.cache._clock = lambda: now[0]
-        session.prepare(orders_query())
-        assert session.prepare(orders_query()).from_cache
-        now[0] = 31.0
-        assert not session.prepare(orders_query()).from_cache
-        assert session.stats()["cache_expirations"] == 1
-        assert session.metrics.optimizations == 2
 
 
 # -- per-table invalidation --------------------------------------------------------------
@@ -145,7 +97,7 @@ class TestPerTableInvalidation:
 # -- observability -----------------------------------------------------------------------
 class TestSessionStats:
     def test_stats_surface_all_counters(self):
-        session = QuerySession(make_catalog(), cache_capacity=1)
+        session = QuerySession(make_catalog(), cache=PlanCache(capacity=1))
         session.prepare(orders_query())
         session.prepare(orders_query())
         session.prepare(items_query())  # evicts the orders plan (capacity 1)
@@ -158,6 +110,21 @@ class TestSessionStats:
         assert stats["cache_evictions"] == 2
         assert stats["cache_size"] == 1
         assert stats["cache_capacity"] == 1
-        assert stats["cache_ttl_seconds"] is None
         assert 0.0 < stats["cache_hit_rate"] < 1.0
         assert stats["optimize_seconds"] > 0.0
+
+
+# -- the server's shared cache -----------------------------------------------------------
+class TestSharedCache:
+    def test_server_cache_capacity_bounds_the_shared_cache(self):
+        with QueryServer(make_catalog(), cache_capacity=1,
+                         max_inflight=2) as server:
+            first, second = server._sessions
+            first.prepare(orders_query())
+            assert second.prepare(orders_query()).from_cache
+            second.prepare(items_query())  # evicts the orders plan
+            assert not first.prepare(orders_query()).from_cache
+            stats = server.stats()
+        assert stats["cache_capacity"] == 1 and stats["cache_size"] == 1
+        assert stats["cache_evictions"] == 2
+        assert stats["cache_hits"] == 1 and stats["cache_misses"] == 3

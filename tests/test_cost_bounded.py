@@ -16,7 +16,7 @@ from repro.engine import ExecutionContext, sort_stream
 from repro.logical import Query, Union
 from repro.logical.algebra import OrderBy
 from repro.optimizer import Optimizer, OptimizerConfig
-from repro.optimizer.pipeline import PhysicalSelection
+from repro.optimizer.pipeline import PhysicalSelection, run_pre_check
 from repro.storage import Catalog, Schema, SystemParameters, TableStats
 from repro.workloads import query5, trading_stats_catalog
 from tests.conftest import fig16_cases
@@ -210,15 +210,14 @@ class TestStrategyFlagRegression:
         opt = Optimizer(stats_catalog, strategy="pyro-o-")
         assert opt.config.partial_sort_enforcers is False
 
-    def test_caller_config_not_mutated(self, stats_catalog):
-        config = OptimizerConfig(strategy="pyro-o-")
+    def test_caller_config_not_mutated(self):
+        config = OptimizerConfig(strategy="pyro-o-", enable_hash_join=False)
         assert config.partial_sort_enforcers is True
-        opt = Optimizer(stats_catalog, config=config, enable_hash_join=False)
-        # The optimizer's working copy changed; the caller's object did not.
-        assert opt.config.partial_sort_enforcers is False
-        assert opt.config.enable_hash_join is False
+        checked, _, _ = run_pre_check(config)
+        # Pre-check's working copy changed; the caller's object did not.
+        assert checked.partial_sort_enforcers is False
+        assert checked.enable_hash_join is False
         assert config.partial_sort_enforcers is True
-        assert config.enable_hash_join is True
 
 
 class TestSortCapacityRegression:

@@ -193,18 +193,11 @@ class TestOperatorRowTallies:
         ctx = ExecutionContext()
         cell = ctx.meter_start("Sort", 10)
         cell[1] += 7
-        child = {"blocks_read": 0, "blocks_written": 0, "scan_blocks": 0,
-                 "run_blocks_written": 0, "run_blocks_read": 0,
-                 "partition_blocks": 0, "comparisons": 0, "runs_created": 0,
-                 "segments_sorted": 0, "rows_spilled": 0, "merge_passes": 0,
-                 "in_memory_sorts": 0,
+        child = {**ExecutionContext().tallies(),
                  "operator_rows": {"Sort": (10, 8), "TableScan:t": (5, 5)}}
         ctx.absorb_tallies(child)
         assert ctx.tallies()["operator_rows"] == {
             "Sort": (20, 15), "TableScan:t": (5, 5)}
-        # Pre-operator-rows tally dicts (older snapshots) still absorb.
-        del child["operator_rows"]
-        ctx.absorb_tallies(child)
         ctx.reset()
         assert ctx.operator_rows == {}
 

@@ -240,27 +240,29 @@ class TestPlanStructure:
                 QuerySession(stats_catalog, **{option: True})
 
     def test_strategy_is_an_override_next_to_a_config(self, stats_catalog):
-        """``strategy=`` applies like any other override when ``config=``
-        is also passed (it was silently dropped), through all three
-        constructors; absent, the config's own strategy stands."""
+        """Optimizer options have one spelling, keyword names of
+        ``OptimizerConfig`` fields: through all three constructors they
+        reach every optimizer made (once ``strategy=`` beside a
+        ``config=`` object was silently dropped), and a ``config=``
+        object or a positional strategy is refused."""
         from repro.service import QueryServer, QuerySession
-        config = OptimizerConfig(refine=False)
+        options = {"strategy": "pyro-e", "refine": False}
         made = {
-            "optimizer": Optimizer(stats_catalog, "pyro-e", config=config),
-            "session": QuerySession(stats_catalog, strategy="pyro-e",
-                                    config=config).optimizer,
+            "optimizer": Optimizer(stats_catalog, **options),
+            "session": QuerySession(stats_catalog, **options).optimizer,
         }
-        with QueryServer(stats_catalog, strategy="pyro-e",
-                         config=config) as server:
+        with QueryServer(stats_catalog, **options) as server:
             # Every execution slot's session, not just one of them.
             made.update((f"server slot {i}", session.optimizer)
                         for i, session in enumerate(server._sessions))
         assert {name: (o.config.strategy, o.config.refine)
                 for name, o in made.items()} == dict.fromkeys(
                     made, ("pyro-e", False))
-        assert config.strategy == "pyro-o"  # the caller's stays untouched
-        kept = Optimizer(stats_catalog, config=OptimizerConfig(strategy="pyro-p"))
-        assert kept.config.strategy == "pyro-p"
+        for make in (Optimizer, QuerySession, QueryServer):
+            with pytest.raises(TypeError):
+                make(stats_catalog, config=OptimizerConfig())
+            with pytest.raises(TypeError):
+                make(stats_catalog, "pyro-e")
 
     def test_cost_of_helper(self, stats_catalog):
         q = Query.table("r").order_by("b")

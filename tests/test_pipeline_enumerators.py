@@ -27,7 +27,7 @@ from repro.optimizer import (
     SimpliSquaredEnumerator,
     make_enumerator,
 )
-from repro.optimizer.pipeline import OptimizationPipeline, PreCheckError
+from repro.optimizer.pipeline import PreCheckError
 from repro.service import PlanCache, QueryServer, QuerySession
 from repro.workloads import (
     many_join_catalog,
@@ -133,9 +133,9 @@ def _sharded_plans():
     # generator with the gate held open.
     left = Query.table("r").join("dim", on=[("c2", "d2")], how="left")
     expr, required = split_required_order(left.order_by("c2"))
-    pipeline = Optimizer(broadcast_catalog, parallelism=4).pipeline
+    optimizer = Optimizer(broadcast_catalog, parallelism=4)
     run = physical_selection.PhysicalSelection(
-        broadcast_catalog, expr, pipeline.strategy, pipeline.config)
+        broadcast_catalog, expr, optimizer.strategy, optimizer.config)
     with mock.patch.object(physical_selection, "prefer_sharded",
                            lambda sharded, unsharded: True):
         plans["broadcast_merge_join_left"] = broadcast_catalog, left, next(
@@ -385,36 +385,53 @@ class _CountingEnumerator(ExhaustiveEnumerator):
 
 
 def test_pipeline_reused_across_optimize_refine_and_cost_of():
-    """`Optimizer` builds its pipeline once: refinement and ``cost_of``
-    see the exact enumerator instance `optimize` used (the historical
-    bug was rebuilding a default config per parallelism)."""
+    """`Optimizer` runs pre-check once: refinement, ``cost_of`` and an
+    optimize at another parallelism see the exact enumerator instance
+    `optimize` used (the historical bug was rebuilding a default config
+    per parallelism)."""
     catalog = trading_stats_catalog()
     enum = _CountingEnumerator()
     optimizer = Optimizer(catalog, join_enumerator=enum)
-    assert optimizer.pipeline.enumerator is enum
-    # with_parallelism must share the enumerator, not rebuild one.
-    assert optimizer.pipeline.with_parallelism(4).enumerator is enum
-    assert optimizer.pipeline.with_parallelism(4).config.parallelism == 4
+    assert optimizer.enumerator is enum
+    optimizer.optimize(query5(), parallelism=4)
+    assert enum.calls == 1
+    enum.calls = 0
     optimizer.optimize(query5())
     # Refinement re-searches the chosen tree without re-enumerating:
     # exactly one reorder call per optimize().
     assert enum.calls == 1
     optimizer.cost_of(query5())
     assert enum.calls == 2
-    assert optimizer.pipeline.enumerator is enum
+    assert optimizer.enumerator is enum
 
 
 def test_pipeline_with_parallelism_identity():
-    catalog = trading_stats_catalog()
-    optimizer = Optimizer(catalog)
-    pipeline = optimizer.pipeline
-    assert pipeline.with_parallelism(None) is pipeline
-    assert pipeline.with_parallelism(pipeline.config.parallelism) is pipeline
-    wide = pipeline.with_parallelism(4)
-    assert wide is not pipeline
-    assert wide.strategy is pipeline.strategy
-    assert wide.enumerator is pipeline.enumerator
-    assert isinstance(pipeline, OptimizationPipeline)
+    """A per-call parallelism searches with the optimizer's own strategy
+    object and a config that differs from its own in the fan-out alone;
+    without one, or at the config's own, the search gets that config."""
+    from dataclasses import replace
+    from unittest import mock
+
+    from repro.optimizer import volcano
+
+    optimizer = Optimizer(trading_stats_catalog())
+    searched = []
+    real = volcano.PhysicalSelection
+
+    def spy(catalog, tree, strategy, config, *rest):
+        searched.append((strategy, config))
+        return real(catalog, tree, strategy, config, *rest)
+
+    with mock.patch.object(volcano, "PhysicalSelection", spy):
+        for parallelism in (None, 1, 4):
+            optimizer.optimize(query5(), parallelism=parallelism,
+                               refine=False)
+    assert all(strategy is optimizer.strategy for strategy, _ in searched)
+    assert [config is optimizer.config for _, config in searched] == [
+        True, True, False]
+    wide = searched[2][1]
+    assert wide == replace(optimizer.config, parallelism=4)
+    assert optimizer.config.parallelism == 1
 
 
 # -- the plug-in boundary: a custom enumerator is checked, not trusted --------------------

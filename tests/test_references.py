@@ -1,9 +1,13 @@
 """Repository paths, test ids and search/builder function names cited
 in the docs, the CI workflow and the verify notes must exist, CI must
 run nothing under ``benchmarks/``, no code imports a package CI does
-not install, and only the kernel generator turns text into code."""
+not install, only the kernel generator turns text into code, every
+constructor setting has a caller, and removed settings stay gone."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import pathlib
 import re
 import sys
@@ -120,3 +124,76 @@ def test_only_the_kernel_generator_executes_source():
         and node.func.id in {"exec", "eval", "compile"})
     assert callers == ["src/repro/engine/kernels.py: compile",
                        "src/repro/engine/kernels.py: exec"]
+
+
+#: The public constructors and their parameters, in order.  ``**options``
+#: are the optimizer's: the fields of ``OptimizerConfig``.
+CONSTRUCTORS = {
+    "repro.service.QueryServer":
+        "catalog backend parallelism batch_size max_inflight queue_limit"
+        " default_timeout cache_capacity pool_workers mp_context"
+        " tenant_weights circuit_threshold circuit_reset_timeout feedback"
+        " obs **options",
+    "repro.service.QuerySession": "catalog cache feedback **options",
+    "repro.optimizer.Optimizer": "catalog **options",
+    "repro.service.ProcessPoolBackend": "catalog workers mp_context",
+    "repro.service.PlanCache": "capacity",
+    "repro.service.CircuitBreaker": "failure_threshold reset_timeout clock",
+}
+
+
+def _code_spans(paths) -> str:
+    """Every inline code span and fenced block of the Markdown *paths*."""
+    return "\n".join(span for path in paths
+                     for span in re.findall(r"`+([^`]+)`+", path.read_text()))
+
+
+def test_constructor_census():
+    """Each constructor takes exactly the pinned parameters, and every
+    one of them (and every optimizer option) is set by name in a tier-1
+    test and named by the e2e benchmark or in the docs; a setting with
+    no caller is deleted, not documented."""
+    from repro.optimizer import OptimizerConfig
+
+    for dotted, expected in CONSTRUCTORS.items():
+        module, name = dotted.rsplit(".", 1)
+        params = inspect.signature(
+            getattr(importlib.import_module(module), name)).parameters
+        assert [("**" if p.kind is p.VAR_KEYWORD else "") + p.name
+                for p in params.values()] == expected.split(), dotted
+    names = {name for expected in CONSTRUCTORS.values()
+             for name in expected.split()
+             if name != "catalog" and not name.startswith("**")}
+    names |= {field.name for field in dataclasses.fields(OptimizerConfig)}
+    tests = "\n".join(path.read_text()
+                      for path in sorted((ROOT / "tests").glob("*.py"))
+                      if path.name != pathlib.Path(__file__).name)
+    bench = "\n".join(path.read_text() for path in
+                      sorted((ROOT / "benchmarks" / "e2e").glob("*.py")))
+    docs = _code_spans(sorted((ROOT / "docs").glob("*.md")))
+    untested = sorted(n for n in names if not re.search(rf"\b{n}=", tests))
+    unnamed = sorted(
+        n for n in names
+        if not re.search(rf"\b{n}=|[\"']{n}[\"']", bench)
+        and not re.search(rf"\b{n}\b", docs))
+    assert (untested, unnamed) == ([], [])
+
+
+def test_removed_settings_stay_gone():
+    """One spelling of the optimizer options, one plan cache, and no
+    setting that only tests varied: the second cache class, the pipeline
+    wrapper, the plan-cache TTL, the chunk-size, default-tenant-weight
+    and half-open-probe settings, and a ``config=`` object on the three
+    constructors are named nowhere in the program or its docs."""
+    gone = re.compile(r"SharedPlanCache|OptimizationPipeline|ttl_seconds"
+                      r"|cache_ttl|chunk_rows=|default_tenant_weight"
+                      r"|half_open_max")
+    config_kwarg = re.compile(
+        r"\b(?:Optimizer|QuerySession|QueryServer)\([^)]*\bconfig=")
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted(
+        (ROOT / "docs").glob("*.md"))
+    hits = [f"{path.relative_to(ROOT)}: {match.group(0)[:40]}"
+            for path in paths
+            for pattern in (gone, config_kwarg)
+            for match in pattern.finditer(path.read_text())]
+    assert hits == []

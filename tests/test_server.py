@@ -24,12 +24,12 @@ from repro.logical import Query
 from repro.service import (
     CircuitOpen,
     ExecutionBackend,
+    PlanCache,
     ProcessPoolBackend,
     QueryRejected,
     QueryServer,
     QuerySession,
     QueryTimeout,
-    SharedPlanCache,
     make_backend,
 )
 from repro.storage import Catalog, Schema, SystemParameters
@@ -84,6 +84,11 @@ def catalog():
 
 
 @pytest.fixture(scope="module")
+def large_catalog():
+    return serving_catalog(num_rows=10_000, memory_blocks=100)
+
+
+@pytest.fixture(scope="module")
 def references(catalog):
     session = QuerySession(catalog)
     q0, q1, q2 = serving_queries()
@@ -101,7 +106,7 @@ class _BlockingBackend(ExecutionBackend):
         self.release = threading.Event()
 
     def run_plan(self, plan, catalog, parallelism=1, batch_size=None,
-                 check_orders=False):
+                 check_orders=False, ctx=None):
         self.started.set()
         assert self.release.wait(timeout=10)
         return [("done",)]
@@ -350,9 +355,9 @@ class TestConcurrencyStress:
         assert in_flight == 0
 
     def test_sessions_share_the_plan_cache(self, catalog):
-        """Two explicit sessions over one SharedPlanCache: a plan
-        optimized by the first is served to the second from cache."""
-        cache = SharedPlanCache(capacity=16)
+        """Two explicit sessions over one PlanCache: a plan optimized
+        by the first is served to the second from cache."""
+        cache = PlanCache(capacity=16)
         s1 = QuerySession(catalog, cache=cache)
         s2 = QuerySession(catalog, cache=cache)
         query = Query.table("t").order_by("b", "a", "c")
@@ -656,6 +661,51 @@ class TestBackpressure:
             assert stats["failed"] == 3 and stats["completed"] == 1
             assert reconciles(stats)
 
+    def test_half_open_circuit_admits_one_probe(self):
+        """After ``reset_timeout`` the breaker admits exactly one probe;
+        every other submission is held back until the probe resolves,
+        and a probe that never reached the backend frees its turn."""
+        from repro.service import CircuitBreaker
+
+        now = [0.0]
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=1.0,
+                                 clock=lambda: now[0])
+        breaker.record_failure()
+        assert breaker.check() is None and breaker.state == "closed"
+        breaker.record_failure()
+        assert breaker.state == "open"
+        assert breaker.check() == pytest.approx(1.0)
+        now[0] = 1.0
+        assert breaker.check() is None  # the probe
+        assert breaker.state == "half_open"
+        assert breaker.check() == pytest.approx(0.5)
+        breaker.abort_probe()
+        assert breaker.check() is None  # the next probe
+        assert breaker.check() is not None
+        breaker.record_success()
+        assert breaker.state == "closed"
+        assert breaker.check() is None and breaker.check() is None
+
+    def test_bad_batch_size_never_trips_the_circuit(self, catalog):
+        """A batch size below 1 is the caller's error: it is refused at
+        construction and at admission, before the breaker or the
+        admission counters see the query (five such calls once opened
+        the circuit for every tenant)."""
+        query = Query.table("t").order_by("a")
+        with QueryServer(catalog, circuit_threshold=5) as server:
+            for _ in range(5):
+                with pytest.raises(ValueError):
+                    server.execute(query, batch_size=0)
+            with pytest.raises(ValueError):
+                asyncio.run(server.submit(query, batch_size=0))
+            stats = server.stats()
+            assert stats["circuit_state"] == "closed"
+            assert stats["circuit_consecutive_failures"] == 0
+            assert stats["submitted"] == 0 and reconciles(stats)
+            assert server.execute(query).rows
+        with pytest.raises(ValueError):
+            QueryServer(catalog, batch_size=0)
+
     def test_tenant_quota_weighted_fairness(self, catalog):
         """Under contention (wait queue at least half full), a tenant
         over its weighted-fair share is rejected with reason "quota"
@@ -787,12 +837,13 @@ class TestPoolResilience:
         monkeypatch.setattr(
             subplan, "_lowered_cached",
             lambda task: (_DiesMidStream(lower(task)[0]), False))
-        backend = ProcessPoolBackend(catalog, workers=1, mp_context="fork",
-                                     chunk_rows=64)
+        backend = ProcessPoolBackend(catalog, workers=1, mp_context="fork")
         monkeypatch.undo()
         try:
             first = backend._ensure_pool()
-            assert backend._run_pooled(plan, catalog) == reference
+            # One 3000-row batch: a full chunk ships before the death.
+            assert backend._run_pooled(plan, catalog,
+                                       batch_size=4096) == reference
             d = backend.describe()
             assert d["pool_rebuilds"] == 1
             assert d["streamed_queries"] == 1
@@ -845,50 +896,52 @@ class TestPoolResilience:
 
 # -- streamed task transfer --------------------------------------------------------------
 class TestStreamingTransfer:
-    @pytest.mark.parametrize("chunk_rows", [256, None],
-                             ids=["256", "default"])
+    @pytest.mark.parametrize("size", ["large", "default"])
     @pytest.mark.parametrize("parallelism", [4, 1],
                              ids=["sharded", "whole"])
-    def test_process_matches_serial_backend(
-            self, catalog, references, parallelism, chunk_rows):
+    def test_process_matches_serial_backend(self, request, parallelism, size):
         """The process backend's one transfer path — shard pipelines
         under a gather, or a whole plan as a single stream — is
         bit-identical to in-process execution, rows and absorbed worker
         tallies alike, and its telemetry counts every task.  The pooled
-        entry point ships a whole plan even on an idle backend."""
+        entry point ships a whole plan even on an idle backend.  The
+        large table holds more rows than four 2048-row chunks, so at
+        least one stream ships several chunks, whole or sharded."""
         from repro.engine import ExecutionContext
-        from repro.engine.subplan import shard_subplans
+        from repro.engine.subplan import CHUNK_ROWS, shard_subplans
         from repro.service import SerialBackend
 
+        catalog = request.getfixturevalue(
+            "large_catalog" if size == "large" else "catalog")
         session = QuerySession(catalog)
-        plan = session.prepare(serving_queries()[0],
-                               parallelism=parallelism).plan
+        query = serving_queries()[0]
+        reference = session.execute(query)
+        plan = session.prepare(query, parallelism=parallelism).plan
         occurrences, tasks = shard_subplans(plan)
         assert bool(occurrences) == (parallelism > 1)
         serial_ctx = ExecutionContext(catalog, check_orders=True)
         assert SerialBackend().run_plan(
             plan, catalog, parallelism=parallelism,
-            ctx=serial_ctx) == references[0]
-        options = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
-        backend = ProcessPoolBackend(catalog, workers=1, **options)
+            ctx=serial_ctx) == reference
+        backend = ProcessPoolBackend(catalog, workers=1)
         try:
             ctx = ExecutionContext(catalog)
             rows = backend._run_pooled(plan, catalog, check_orders=True,
                                        ctx=ctx)
-            assert rows == references[0]
+            assert rows == reference
             assert ctx.tallies() == serial_ctx.tallies()
 
             d = backend.describe()
             assert d["streamed_queries"] == 1
-            if chunk_rows == 256:
-                # 4000 rows in 256-row chunks, whole or over 4 shards.
-                assert d["streamed_chunks"] >= 16
+            if size == "large":
+                assert len(reference) > 4 * CHUNK_ROWS
+                assert d["streamed_chunks"] > len(tasks)
             assert d["subplan_cache_misses"] == len(tasks)
             assert d["subplan_cache_hits"] == 0
 
             # Re-serve the identical plan: the single worker has every
             # task warm.
-            assert backend._run_pooled(plan, catalog) == references[0]
+            assert backend._run_pooled(plan, catalog) == reference
             assert backend.describe()["subplan_cache_hits"] == len(tasks)
         finally:
             backend.close()
