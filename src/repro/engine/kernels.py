@@ -15,6 +15,23 @@ Python function over a batch's rows, in one of four shapes:
   batch; ``carry`` (a list, empty at first) holds the open group between
   calls, and ``kernel(None, binds, carry)`` returns its row.
 
+A filter or compute kernel evaluates its comprehension in two passes.
+The **two-valued pass** runs first and writes most operands bare: an
+ordering comparison and arithmetic, because a NULL operand raises
+``TypeError`` there, and ``=`` with at most one column operand, because
+a NULL column then reads ``False`` as SQL's UNKNOWN does (a constant is
+never NULL, arithmetic raises, and a parameter operand of ``=`` is
+tested against ``None`` once in the prologue).  ``!=`` and column
+``=`` column keep their NULL tests.  If the pass raises, the **exact
+pass**, SQL's NULL rule operand by operand, runs over the whole batch,
+so rows and errors are exactly the exact pass's: it catches any
+exception, because a NULL that short-circuits an operand in the exact
+pass (``a < b / c`` with ``a`` NULL never divides) does not in the
+two-valued one.  A NULL-free batch is evaluated once; a batch that meets
+a NULL in an ordering comparison or in arithmetic is evaluated twice,
+and ``kernel_fallbacks`` (:func:`kernel_stats`) counts it.  Aggregate
+kernels have one pass: their NULL skipping is semantics.
+
 An aggregate kernel is one loop over the rows.  It builds the group key
 inline (a bare value for one column, else a tuple), finds or opens the
 group, and advances every aggregate with the inline statements its
@@ -78,16 +95,29 @@ def _bound(binds: Mapping[str, Any], name: str) -> Any:
             "prepared statement that supplies a binding") from None
 
 
+def _fell_back() -> None:
+    """Count a batch that a two-valued pass handed to the exact pass."""
+    KERNELS.count_fallback()
+
+
 class KernelSource:
     """The names one kernel's source may use, handed out while its
     expressions emit: ``r[i]`` for a column, ``_cN`` globals for constants
     and getters, ``_pN`` locals for parameters (read from ``binds`` by a
-    line of :attr:`prologue`) and ``_tN`` temporaries."""
+    line of :attr:`prologue`) and ``_tN`` temporaries.  A constant keeps
+    its name for the kernel, so both passes spell it alike.
+
+    :attr:`two_valued` tells the expressions which pass they emit for
+    (see :meth:`two_passes`)."""
 
     def __init__(self, schema) -> None:
         self.schema = schema
-        self.namespace: dict[str, Any] = {"_bound": _bound}
+        self.namespace: dict[str, Any] = {"_bound": _bound,
+                                          "_fell_back": _fell_back}
         self.prologue: list[str] = []
+        self.two_valued = False
+        self._nonnull: dict[str, None] = {}
+        self._consts: dict[int, str] = {}
         self._params: dict[str, str] = {}
         self._temps = 0
 
@@ -95,8 +125,12 @@ class KernelSource:
         return f"r[{self.schema.position(name):d}]"
 
     def const(self, value: Any) -> str:
-        name = f"_c{len(self.namespace)}"
-        self.namespace[name] = value
+        # Keyed by identity: the namespace holds the value, so its id is
+        # not reused, and 1, 1.0 and True keep their own names.
+        name = self._consts.get(id(value))
+        if name is None:
+            name = self._consts[id(value)] = f"_c{len(self._consts)}"
+            self.namespace[name] = value
         return name
 
     def param(self, name: str) -> str:
@@ -109,6 +143,33 @@ class KernelSource:
     def temp(self) -> str:
         self._temps += 1
         return f"_t{self._temps}"
+
+    def nonnull(self, local: str) -> None:
+        """Run the two-valued pass only when parameter *local* is bound
+        to a value: one test per call, in the kernel's prologue."""
+        self._nonnull[local] = None
+
+    def two_passes(self, comprehension: Callable[[], str]) -> list[str]:
+        """The statements of a kernel that returns *comprehension*, a
+        list comprehension over ``rows`` emitted once per pass.
+
+        The two-valued pass runs first when every parameter it passed to
+        :meth:`nonnull` is bound to a value.  If it raises, the exact
+        pass (SQL's NULL rules, operand by operand) runs over the whole
+        batch and gives its rows or its error.  When the two passes
+        would emit the same source there is one."""
+        self.two_valued, self._temps = True, 0
+        fast = comprehension()
+        self.two_valued, self._temps = False, 0
+        exact = comprehension()
+        if fast == exact:
+            return [f"return {exact}"]
+        lines = ["try:", f"    return {fast}", "except Exception:",
+                 "    _fell_back()"]
+        if self._nonnull:
+            test = " and ".join(f"{local} is not None" for local in self._nonnull)
+            lines = [f"if {test}:", *(f"    {line}" for line in lines)]
+        return [*lines, f"return {exact}"]
 
 
 def _tuple(items: Sequence[str]) -> str:
@@ -196,10 +257,12 @@ def kernel_source(shape: str, spec: Sequence, schema) -> tuple[str, dict[str, An
     state = ""
     if shape == FILTER:
         (predicate,) = spec
-        finish, loop = [], [f"return [r for r in rows if {predicate.emit(gen)}]"]
+        finish, loop = [], gen.two_passes(
+            lambda: f"[r for r in rows if {predicate.emit(gen)}]")
     elif shape == COMPUTE:
-        row = "".join(f"{e.emit(gen)}, " for e in spec)
-        finish, loop = [], [f"return [r + ({row}) for r in rows]"]
+        finish, loop = [], gen.two_passes(
+            lambda: "[r + (" + "".join(f"{e.emit(gen)}, " for e in spec)
+            + ") for r in rows]")
     elif shape == HASH_AGGREGATE:
         state = ", groups"
         finish, loop = _hash_aggregate(gen, *spec)
@@ -228,6 +291,7 @@ class KernelCache:
         self._cache: OrderedDict = OrderedDict()
         self.kernels_compiled = 0
         self.kernel_cache_hits = 0
+        self.kernel_fallbacks = 0
 
     def get(self, shape: str, spec: Sequence, schema) -> Kernel:
         """The *shape* kernel over *spec* against *schema*."""
@@ -256,10 +320,15 @@ class KernelCache:
         with self._lock:
             self._cache.clear()
 
+    def count_fallback(self) -> None:
+        with self._lock:
+            self.kernel_fallbacks += 1
+
     def reset_stats(self) -> None:
         with self._lock:
             self.kernels_compiled = 0
             self.kernel_cache_hits = 0
+            self.kernel_fallbacks = 0
 
 
 #: The process-global kernel cache (one per serving process / pool worker).
@@ -275,6 +344,7 @@ def kernel_stats() -> dict[str, int]:
     return {
         "kernels_compiled": KERNELS.kernels_compiled,
         "kernel_cache_hits": KERNELS.kernel_cache_hits,
+        "kernel_fallbacks": KERNELS.kernel_fallbacks,
     }
 
 

@@ -16,6 +16,15 @@ NULL operands propagate through arithmetic, and a comparison with a NULL
 operand is UNKNOWN, which a filter rejects (it reads ``False``).
 ``And``/``Or`` are Python's short-circuiting ``and``/``or``: a later
 conjunct only runs for the rows still undecided.
+
+A filter or compute kernel emits its expressions twice (see
+:meth:`repro.engine.kernels.KernelSource.two_passes`).  The exact form
+tests each operand against ``None`` (``_null_guarded``).  The two-valued
+form, tried first, drops the test wherever a NULL operand makes Python
+raise (``<``, ``<=``, ``>``, ``>=`` and arithmetic) or gives ``False``
+anyway (``=`` with at most one column operand, its parameter operands
+tested once per call).  ``!=`` and column ``=`` column are the same in
+both forms: ``None != 1`` and ``None == None`` are true in Python.
 """
 
 from __future__ import annotations
@@ -171,7 +180,11 @@ class BinOp(Expression):
 
     def emit(self, gen) -> str:
         # SQL arithmetic: NULL operands propagate (outer-join padding
-        # flows through computed columns as NULL, not a TypeError).
+        # flows through computed columns as NULL, not a TypeError).  In
+        # the two-valued pass any NULL operand, a constant one too,
+        # raises TypeError instead, so its value is never NULL.
+        if gen.two_valued:
+            return f"({self.left.emit(gen)} {_BIN_OPS[self.op]} {self.right.emit(gen)})"
         return _null_guarded(gen, self.left, _BIN_OPS[self.op], self.right,
                              "None")
 
@@ -180,21 +193,25 @@ class BinOp(Expression):
 
 
 def _null_guarded(gen, left: Expression, token: str, right: Expression,
-                  unknown: str) -> str:
+                  unknown: str, bare: bool = False) -> str:
     """Source of ``left token right`` under SQL's NULL rule: *unknown*
-    when either operand is NULL.  Each operand is evaluated once, into a
-    temporary; a non-NULL constant needs no test and a NULL one decides
-    the result."""
+    when either operand is NULL.  A non-NULL constant needs no test and a
+    NULL one decides the result.  Every other operand is evaluated once,
+    into a temporary tested against ``None``, unless *bare*: then it is
+    written as it is, and the caller states why a NULL there either
+    raises or gives *unknown* anyway."""
     operands, tests = [], []
     for side in (left, right):
         if isinstance(side, Const):
             if side.value is None:
                 return unknown
             operands.append(side.emit(gen))
-            continue
-        temp = gen.temp()
-        tests.append(f"({temp} := {side.emit(gen)}) is None")
-        operands.append(temp)
+        elif bare:
+            operands.append(side.emit(gen))
+        else:
+            temp = gen.temp()
+            tests.append(f"({temp} := {side.emit(gen)}) is None")
+            operands.append(temp)
     value = f"{operands[0]} {token} {operands[1]}"
     if not tests:
         return f"({value})"
@@ -230,9 +247,18 @@ class Comparison(Predicate):
     def emit(self, gen) -> str:
         # SQL three-valued logic collapsed for filtering: a NULL operand
         # makes the comparison UNKNOWN, which WHERE rejects (outer-join
-        # padding must not crash downstream filters).
+        # padding must not crash downstream filters).  The two-valued
+        # pass compares bare where a NULL raises (an ordering) or reads
+        # False (``=`` against a value); see the module docstring.
+        bare = gen.two_valued and self.op != "!=" and not (
+            self.op == "=" and isinstance(self.left, Col)
+            and isinstance(self.right, Col))
+        if bare and self.op == "=":
+            for side in (self.left, self.right):
+                if isinstance(side, Param):
+                    gen.nonnull(side.emit(gen))
         return _null_guarded(gen, self.left, _CMP_OPS[self.op], self.right,
-                             "False")
+                             "False", bare)
 
     def selectivity(self, stats) -> float:
         if self.op == "=":

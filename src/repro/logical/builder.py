@@ -30,8 +30,13 @@ from .algebra import (
 class Query:
     """Immutable builder wrapping a :class:`LogicalExpr`."""
 
+    __slots__ = ("expr", "_plan_key")
+
     def __init__(self, expr: LogicalExpr) -> None:
         self.expr = expr
+        #: The plan-cache key of the last ``prepare`` of this object,
+        #: kept by :mod:`repro.service.session`.
+        self._plan_key = None
 
     # -- sources ---------------------------------------------------------------
     @staticmethod

@@ -253,6 +253,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def __init__(self, catalog: Catalog, workers: Optional[int] = None,
                  mp_context: Optional[str] = None) -> None:
+        if workers is not None and workers < 1:
+            raise ValueError("pool_workers must be >= 1")
         self.catalog = catalog
         self.workers = workers or os.cpu_count() or 1
         if mp_context is None:

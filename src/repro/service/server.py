@@ -205,6 +205,8 @@ class QueryServer:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         _check_batch_size(batch_size)
+        if pool_workers is not None and pool_workers < 1:
+            raise ValueError("pool_workers must be >= 1")
         if tenant_weights and any(w <= 0 for w in tenant_weights.values()):
             raise ValueError("tenant weights must be positive")
         self.catalog = catalog

@@ -5,7 +5,10 @@ execution engine into the loop a production system actually runs:
 
 1. ``prepare(query)`` — fingerprint the logical tree, look the plan up
    in the :class:`~repro.service.plan_cache.PlanCache`; only on a miss
-   pay for a full (cost-bounded) Volcano search.
+   pay for a full (cost-bounded) Volcano search.  A :class:`Query`
+   object is normalized, fingerprinted and searched for its tables once
+   per requested order; each prepare still salts the key with its
+   parallelism and join enumerator and reads the tables' versions.
 2. ``PreparedQuery.execute(**binds)`` — run the cache entry's lowered
    operator tree (built by the entry's first execution) with the
    parameter bindings as run-time values.
@@ -50,6 +53,31 @@ from ..optimizer.volcano import Optimizer, split_required_order
 from ..storage.catalog import Catalog
 from .feedback import FeedbackConfig, scan_table
 from .plan_cache import PlanCache
+
+
+def _logical_key(query: TUnion[Query, LogicalExpr],
+                 required_order: Optional[SortOrder]
+                 ) -> tuple[LogicalExpr, SortOrder, str, frozenset[str]]:
+    """The tree to plan, its required order, its unsalted fingerprint and
+    the tables it reads.
+
+    The normalization is the one :meth:`Optimizer.optimize` applies, so
+    the cache key always describes exactly the tree that gets planned.
+    A :class:`Query` keeps the answer for its last requested order in
+    its private slot (one entry, so it cannot grow); a ``LogicalExpr``
+    is walked on every call.  Two threads may fill one slot: both write
+    the same value, in one assignment.
+    """
+    if isinstance(query, Query):
+        memo = query._plan_key
+        if memo is not None and memo[0] == required_order:
+            return memo[1]
+    expr, required = split_required_order(query, required_order)
+    key = (expr, required, logical_fingerprint(expr, required),
+           referenced_tables(expr))
+    if isinstance(query, Query):
+        query._plan_key = (required_order, key)
+    return key
 
 
 # -- the session ------------------------------------------------------------------------
@@ -201,10 +229,7 @@ class QuerySession:
                  parallelism: int = 1) -> PreparedQuery:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        # The same normalization Optimizer.optimize applies, so the cache
-        # key always describes exactly the tree that gets planned.
-        expr, required = split_required_order(query, required_order)
-        fp = logical_fingerprint(expr, required)
+        expr, required, fp, tables = _logical_key(query, required_order)
         if parallelism > 1:
             fp = f"{fp}#p{parallelism}"
         # Like the parallelism salt: plans from different join-order
@@ -215,7 +240,6 @@ class QuerySession:
         enumerator_salt = self.optimizer.enumerator.cache_salt
         if enumerator_salt:
             fp = f"{fp}#j{enumerator_salt}"
-        tables = referenced_tables(expr)
         # Per-table invalidation: the token covers only the tables this
         # query reads, so refreshes elsewhere leave the entry valid.
         version = self.catalog.table_versions(tables)

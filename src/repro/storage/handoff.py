@@ -16,11 +16,15 @@ payload is inherited by reference and never actually serialized; under
 
 The payload also carries the source catalog's aggregate
 :attr:`~repro.storage.catalog.Catalog.stats_version` as
-:attr:`CatalogPayload.version_token`, so a pool can cheaply detect that
-its workers were built against a catalog that has since changed
-(statistics refresh, new index, new partitioning) and rebuild itself.
-Statistics changes alone never alter query *results* — only row changes
-do — but the token is bumped by both, which errs on the safe side.
+:attr:`CatalogPayload.version_token`, so the process backend can cheaply
+tell (``ProcessPoolBackend.stale()``) that its workers were built against
+a catalog that has since changed (statistics refresh, new index, new
+partitioning).  The pool does not rebuild itself on that: only
+``ProcessPoolBackend.refresh()`` rebuilds it against the current
+catalog, and until then every plan ships to the stale workers (none
+runs in the serving process).  Statistics changes alone never alter
+query *results* — only row changes do — but the token is bumped by
+both, which errs on the safe side.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Plan-cache admission policy (LRU), one cache shared by a server's
-sessions, per-table invalidation granularity, and session-level
-observability via QuerySession.stats()."""
+sessions, per-table invalidation granularity, the cache key a Query
+object keeps, and session-level observability via QuerySession.stats()."""
 
+import threading
+
+import repro.service.session as session_module
 from repro.core.sort_order import SortOrder
 from repro.expr import col
 from repro.logical import Query, referenced_tables
@@ -92,6 +95,110 @@ class TestPerTableInvalidation:
         cat.refresh_stats("customers", TableStats(6_000, {"c_id": 6_000,
                                                           "c_region": 10}))
         assert not session.prepare(join).from_cache
+
+
+# -- the key a Query object keeps ---------------------------------------------------------
+def count_fingerprints(monkeypatch) -> list:
+    """Patch the session's ``logical_fingerprint`` to record each call."""
+    calls = []
+    real = session_module.logical_fingerprint
+
+    def counted(expr, required):
+        calls.append(expr)
+        return real(expr, required)
+
+    monkeypatch.setattr(session_module, "logical_fingerprint", counted)
+    return calls
+
+
+class TestQueryKeyMemo:
+    def test_second_prepare_of_one_query_fingerprints_nothing(self, monkeypatch):
+        calls = count_fingerprints(monkeypatch)
+        session = QuerySession(make_catalog())
+        query = orders_query()
+        first = session.prepare(query)
+        second = session.prepare(query)
+        assert len(calls) == 1
+        assert second.from_cache and second.fingerprint == first.fingerprint
+        assert second.tables == first.tables == frozenset({"orders"})
+        assert second.required_order == SortOrder(["o_id"])
+        # A bare LogicalExpr is walked on every prepare.
+        session.prepare(query.expr)
+        session.prepare(query.expr)
+        assert len(calls) == 3
+
+    def test_equal_queries_share_one_entry(self, monkeypatch):
+        calls = count_fingerprints(monkeypatch)
+        session = QuerySession(make_catalog())
+        first = session.prepare(orders_query())
+        second = session.prepare(orders_query())
+        assert len(calls) == 2  # one per object
+        assert second.from_cache and second.plan is first.plan
+        assert len(session.cache) == 1
+
+    def test_order_parallelism_and_enumerator_never_collide(self):
+        cat = make_catalog()
+        cache = PlanCache()
+        session = QuerySession(cat, cache=cache)
+        other = QuerySession(cat, cache=cache, join_enumerator="greedy-m2m")
+        query = (Query.table("orders")
+                 .join("customers", on=[("o_cust", "c_id")]))
+        by_o_id = SortOrder(["o_id"])
+        keys = {}
+        for name, prepare in (
+                ("plain", lambda q: session.prepare(q)),
+                ("o_id", lambda q: session.prepare(q, by_o_id)),
+                ("c_id", lambda q: session.prepare(q, SortOrder(["c_id"]))),
+                ("p4", lambda q: session.prepare(q, by_o_id, parallelism=4)),
+                ("greedy", lambda q: other.prepare(q, by_o_id)),
+                ("o_id again", lambda q: session.prepare(q, by_o_id))):
+            prepared = prepare(query)
+            fresh = prepare(query.expr)  # keyed without the memo
+            assert prepared.fingerprint == fresh.fingerprint, name
+            assert fresh.from_cache, name
+            keys[name] = prepared.fingerprint
+        assert keys.pop("o_id again") == keys["o_id"]
+        assert len(set(keys.values())) == len(keys) == len(cache)
+
+    def test_refresh_invalidates_a_memoized_query(self, monkeypatch):
+        calls = count_fingerprints(monkeypatch)
+        cat = make_catalog()
+        session = QuerySession(cat)
+        query = orders_query()
+        session.prepare(query)
+        assert session.prepare(query).from_cache
+        cat.refresh_stats("orders", TableStats(200_000, {"o_id": 200_000,
+                                                         "o_cust": 5_000}))
+        assert not session.prepare(query).from_cache
+        assert session.prepare(query).from_cache
+        assert len(calls) == 1
+        assert session.cache.stats.invalidations == 1
+
+    def test_threads_fill_one_memo(self, monkeypatch):
+        """Sessions on four threads prepare one Query object at once:
+        each thread fingerprints it at most once (the threads may race
+        to fill the slot), and every prepare gets the same key."""
+        calls = count_fingerprints(monkeypatch)
+        cache = PlanCache()
+        cat = make_catalog()
+        query = orders_query()
+        prints: list = []
+        start = threading.Barrier(4)
+
+        def run() -> None:
+            session = QuerySession(cat, cache=cache)
+            start.wait()
+            prints.extend(session.prepare(query).fingerprint
+                          for _ in range(50))
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert 1 <= len(calls) <= 4
+        assert len(prints) == 200 and len(set(prints)) == 1
+        assert len(cache) == 1
 
 
 # -- observability -----------------------------------------------------------------------

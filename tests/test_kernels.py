@@ -12,7 +12,7 @@ import re
 import tokenize
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.core.sort_order import SortOrder
@@ -135,21 +135,129 @@ PREDICATE = st.recursive(
     max_leaves=6)
 
 
+NO_NULLS = {"x": 1, "y": -1, "u": "a"}
+NULL_BINDS = {"x": None, "y": None, "u": None}
+
+
+def without_nulls(pool, binds):
+    """*pool* and *binds* with every NULL replaced by a value of its
+    column's or parameter's type."""
+    fill = (1, -1, "a", "b")
+    return ([tuple(f if v is None else v for v, f in zip(row, fill))
+             for row in pool],
+            {name: NO_NULLS[name] if v is None else v
+             for name, v in binds.items()})
+
+
 @given(exprs=st.lists(st.one_of(INT_EXPR, STR_EXPR, PREDICATE), min_size=1,
                       max_size=3),
        predicate=PREDICATE,
        pool=st.lists(st.tuples(INTS, INTS, STRS, STRS), min_size=1,
                      max_size=12),
        binds=st.fixed_dictionaries({"x": INTS, "y": INTS, "u": STRS}))
+# A batch for each case of the two-valued pass: no NULL, a NULL in an
+# ordering-compared column, ``= :param`` bound to NULL, ``!=`` and
+# column ``=`` column over NULLs.
+@example(exprs=[col("i") * col("j")], predicate=col("i").le(col("j")),
+         pool=[(1, 2, "a", "b"), (2, 1, "b", "a")], binds=NO_NULLS)
+@example(exprs=[col("i") + param("x")],
+         predicate=And(col("s").eq("a"), col("i").gt(param("y"))),
+         pool=[(1, 2, "a", "b"), (None, 2, "a", "b"), (3, 1, "a", "a")],
+         binds=NO_NULLS)
+@example(exprs=[col("i").eq(param("x")), col("s").eq(param("u"))],
+         predicate=Or(col("i").eq(param("x")), col("s").eq(param("u"))),
+         pool=[(None, 1, None, "a"), (1, 1, "a", "a")], binds=NULL_BINDS)
+@example(exprs=[col("i").ne(Const(1)), col("s").ne(col("t"))],
+         predicate=Or(col("i").ne(param("x")), col("s").ne(col("t"))),
+         pool=[(None, 1, None, "a"), (2, 1, "a", None), (1, 1, "a", "a")],
+         binds=NO_NULLS)
+@example(exprs=[col("i").eq(col("j")), col("s").eq(col("t"))],
+         predicate=Or(col("i").eq(col("j")), col("s").eq(col("t"))),
+         pool=[(None, None, None, None), (1, 1, "a", "b"), (2, 1, "a", "a")],
+         binds=NO_NULLS)
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_row_oracle(exprs, predicate, pool, binds):
     """Random trees over int and str columns and parameters, NULLs in
     both: the compute and filter kernels equal the oracle row by
     row on batches of 0, 1, 7, 8 and 1024 rows, with every parameter
-    bound at call time (``None`` included)."""
-    for size in (0, 1, 7, 8, 1024):
-        rows = (pool * (size // len(pool) + 1))[:size]
-        assert_shapes_match_oracle(exprs, predicate, rows, binds, PROP_SCHEMA)
+    bound at call time (``None`` included).  Each case also runs with
+    its NULLs replaced, so the two-valued pass decides it whole as well
+    as handing NULL-bearing batches to the exact pass."""
+    for rows_of, values in ((pool, binds), without_nulls(pool, binds)):
+        for size in (0, 1, 7, 8, 1024):
+            rows = (rows_of * (size // len(rows_of) + 1))[:size]
+            assert_shapes_match_oracle(exprs, predicate, rows, values,
+                                       PROP_SCHEMA)
+
+
+def test_an_error_not_caused_by_a_null_still_raises():
+    """The exact pass re-raises what the two-valued pass could not
+    decide: a string against an int is a TypeError with or without a
+    NULL in the batch."""
+    for rows in ([(0, 0, "a", "b")], [(0, 0, None, "b"), (0, 0, "a", "b")]):
+        with pytest.raises(TypeError):
+            compile_kernel(FILTER, [col("s").ge(Const(1))], PROP_SCHEMA)(rows, {})
+        with pytest.raises(TypeError):
+            compile_kernel(COMPUTE, [col("s") + Const(1)], PROP_SCHEMA)(rows, {})
+
+
+def test_a_null_that_short_circuits_an_operand_raises_nothing():
+    """``a < b / c`` with ``a`` NULL never divides in the exact pass, so
+    the ZeroDivisionError the two-valued pass meets first must not
+    escape."""
+    expr = col("a").lt(col("b") / col("c"))
+    rows = [(None, 1, 0), (1, 4, 2), (3, 4, 2)]
+    assert compile_kernel(FILTER, [expr], SCHEMA)(rows, {}) == [(1, 4, 2)]
+    assert compile_kernel(COMPUTE, [expr], SCHEMA)(rows, {}) == \
+        [(None, 1, 0, False), (1, 4, 2, True), (3, 4, 2, False)]
+    with pytest.raises(ZeroDivisionError):
+        compile_kernel(FILTER, [expr], SCHEMA)([(1, 4, 0)], {})
+
+
+def test_a_kernel_with_no_bare_operand_has_one_pass():
+    """``!=`` and column ``=`` column keep their NULL tests in the
+    two-valued pass, so a kernel of only those holds one comprehension;
+    a constant spelled by both passes gets one name."""
+    for predicate in (col("i").ne(Const(1)), col("i").eq(col("j")),
+                      And(col("s").ne(Const("a")), col("i").ne(param("x")))):
+        source, _ = kernel_source(FILTER, [predicate], PROP_SCHEMA)
+        assert "try" not in source and source.count("for r in rows") == 1
+    source, namespace = kernel_source(FILTER, [col("i").lt(Const(1))],
+                                      PROP_SCHEMA)
+    assert source.count("for r in rows") == 2
+    assert [name for name in namespace if GENERATED.fullmatch(name)] == ["_c0"]
+
+
+def test_fallbacks_count_the_batches_the_exact_pass_decides():
+    """``kernel_fallbacks`` counts a batch the two-valued pass could not
+    decide, and only such a batch."""
+    ge = compile_kernel(FILTER, [col("i").ge(param("x"))], PROP_SCHEMA)
+    eq = compile_kernel(FILTER, [col("i").eq(param("x"))], PROP_SCHEMA)
+    plain, padded = [(1, 0, "a", "b")], [(1, 0, "a", "b"), (None, 0, "a", "b")]
+    for kernel, rows, binds, fell_back in (
+            (ge, plain, {"x": 0}, 0), (ge, padded, {"x": 0}, 1),
+            (ge, plain, {"x": None}, 1),
+            (eq, padded, {"x": 1}, 0), (eq, padded, {"x": None}, 0)):
+        before = kernel_stats()["kernel_fallbacks"]
+        kernel(rows, binds)
+        assert kernel_stats()["kernel_fallbacks"] - before == fell_back, \
+            (rows, binds)
+
+
+def test_a_compute_over_outer_join_padding_falls_back_per_batch():
+    """Arithmetic over a left join's padded column: every batch holding
+    a padded row is decided by the exact pass, and the rows are SQL's."""
+    cat = Catalog(SystemParameters())
+    cat.create_table("l", Schema.of(("lk", "int", 8)),
+                     rows=[(i,) for i in range(40)])
+    cat.create_table("r", Schema.of(("rk", "int", 8), ("rv", "int", 8)),
+                     rows=[(i, i) for i in range(40) if i % 10 != 9])
+    query = (Query.table("l").left_outer_join("r", on=[("lk", "rk")])
+             .compute(w=col("rv") + 1).select("lk", "w").order_by("lk"))
+    before = kernel_stats()["kernel_fallbacks"]
+    rows = QuerySession(cat).execute(query, batch_size=10)
+    assert rows == [(i, None if i % 10 == 9 else i + 1) for i in range(40)]
+    assert kernel_stats()["kernel_fallbacks"] - before >= 1
 
 
 # -- what may enter the source -----------------------------------------------------------
@@ -159,7 +267,8 @@ def test_kernel_matches_row_oracle(exprs, predicate, pool, binds):
 KERNEL_WORDS = {"def", "kernel", "rows", "binds", "return", "r", "for", "in",
                 "if", "else", "is", "and", "or", "not", "None", "True",
                 "False", "_bound", "groups", "get", "k", "s", "carry", "key",
-                "head", "out", "append", "items"}
+                "head", "out", "append", "items", "try", "except",
+                "Exception", "_fell_back"}
 GENERATED = re.compile(r"_[cpst]\d+")
 
 
@@ -357,10 +466,12 @@ class TestZeroRecompilationServing:
         session = QuerySession(cat)
         session.execute(_query())
         stats = session.stats()
-        for key in ("kernels_compiled", "kernel_cache_hits"):
+        for key in ("kernels_compiled", "kernel_cache_hits",
+                    "kernel_fallbacks"):
             assert key in stats and stats[key] >= 0
         with QueryServer(cat) as server:
             server.execute(_query())
             sstats = server.stats()
-        for key in ("kernels_compiled", "kernel_cache_hits"):
+        for key in ("kernels_compiled", "kernel_cache_hits",
+                    "kernel_fallbacks"):
             assert key in sstats and sstats[key] >= 0

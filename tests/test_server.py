@@ -706,6 +706,17 @@ class TestBackpressure:
         with pytest.raises(ValueError):
             QueryServer(catalog, batch_size=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_pool_workers_below_one_starts_no_pool(self, catalog, workers):
+        """``pool_workers=0`` once started ``os.cpu_count()`` workers; a
+        count below 1 is refused before any session or worker exists."""
+        before = multiprocessing.active_children()
+        with pytest.raises(ValueError, match="pool_workers"):
+            QueryServer(catalog, backend="process", pool_workers=workers)
+        with pytest.raises(ValueError, match="pool_workers"):
+            ProcessPoolBackend(catalog, workers=workers)
+        assert multiprocessing.active_children() == before
+
     def test_tenant_quota_weighted_fairness(self, catalog):
         """Under contention (wait queue at least half full), a tenant
         over its weighted-fair share is rejected with reason "quota"
