@@ -21,6 +21,7 @@ from .context import (
     ExecutionContext,
     IOAccountant,
     SortMetrics,
+    collector_paused,
     key_lt,
     null_safe_wrap,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "assemble_streams",
     "batches_of",
     "collect_rows",
+    "collector_paused",
     "combinable",
     "exchange_occurrences",
     "execute_subplan_stream",

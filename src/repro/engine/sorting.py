@@ -17,7 +17,9 @@ Two algorithms:
   the next segment starts.  If a segment fits in memory the whole sort
   does **zero** disk I/O, output begins immediately (pipelined), and
   comparisons drop from ``O(n log n)`` to ``O(n log(n/k))`` on fewer
-  attributes.
+  attributes.  The segments that close inside an input batch are put in
+  order by one loop that sorts each multi-row one in place and sums its
+  tally; tally and counters are charged once per batch.
 
 Both charge block transfers to the :class:`~repro.engine.context.ExecutionContext`
 and count comparisons, making Experiments A1–A4 reproducible.
@@ -275,9 +277,9 @@ def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
     ``suffix_positions`` the remaining attributes to sort within a
     segment.  Segments are runs of equal raw prefix keys, found a batch at
     a time: every segment that closes inside an input batch is put in
-    order in one step for the whole batch, and only the one still open at
-    the batch's end is carried into the next.  Output starts as soon as
-    the first segments fill a batch, enabling fully pipelined execution.
+    order by one loop over the batch's segments, and only the one still
+    open at the batch's end is carried into the next.  Output starts as
+    soon as the first segments fill a batch (fully pipelined).
 
     Oversized segments (larger than sort memory) degrade gracefully: full
     memory loads are sorted and spilled as runs, then merged — per
@@ -292,19 +294,18 @@ def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
     counter, metrics, size = ctx.comparisons, ctx.sort_metrics, ctx.batch_size
     suffix_key = itemgetter(*suffix_positions)
     suffix_of = tuple_getter(suffix_positions)
+    wrapped_key = lambda row: null_safe_wrap(suffix_of(row))  # noqa: E731
 
     def in_memory(rows: list[tuple]) -> list[tuple]:
         # The stated rule: sorting n > 1 rows in memory is n * ceil(log2 n)
         # comparisons.  ``sorted`` leaves *rows* as they were, so the redo
         # after a NULL-vs-value TypeError is stable on the input order.
         n = len(rows)
-        if n < 2:
-            return rows
         counter.value += n * (n - 1).bit_length()
         try:
             return sorted(rows, key=suffix_key)
         except TypeError:
-            return sorted(rows, key=lambda row: null_safe_wrap(suffix_of(row)))
+            return sorted(rows, key=wrapped_key)
 
     def spilled(segment: list[tuple]) -> Iterator[tuple]:
         # Sort and spill one memory load at a time, sort the in-memory
@@ -325,52 +326,53 @@ def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
         return flatten_batches(
             merge_sorted_streams(streams, suffix_positions, ctx))
 
-    def ordered(segment: list[tuple]) -> Iterable[tuple]:
-        # One complete segment in target order (as many rows as it holds).
-        metrics.segments_sorted += 1
-        if len(segment) < capacity:
-            metrics.in_memory_sorts += 1
-            return in_memory(segment)
-        return spilled(segment)
-
     out: list[tuple] = []
+
+    def close(rows: list[tuple], bounds: list[int]) -> None:
+        # Segments rows[bounds[i]:bounds[i + 1]] go out as they stand, and
+        # one loop sorts each multi-row one in place and sums its tally; a
+        # spilling segment charges its own loads and merge.
+        ends = bounds[1:]
+        longer = list(map(gt, map(sub, ends, bounds), repeat(1)))
+        base = len(out) - bounds[0]
+        out.extend(rows[bounds[0]:bounds[-1]])
+        charged = spills = 0
+        for start, end in zip(compress(bounds, longer), compress(ends, longer)):
+            n, segment = end - start, rows[start:end]
+            if n >= capacity:
+                spills += 1
+                out[base + start:base + end] = spilled(segment)
+                continue
+            charged += n * (n - 1).bit_length()
+            try:
+                segment.sort(key=suffix_key)
+            except TypeError:  # a NULL met a value; the failed sort moved rows
+                segment = sorted(rows[start:end], key=wrapped_key)
+            out[base + start:base + end] = segment
+        counter.value += charged
+        metrics.segments_sorted += len(ends)
+        metrics.in_memory_sorts += len(ends) - spills
+
     open_key: Optional[tuple] = None
     open_segment: list[tuple] = []
     for batch in batches:
         rows, keys = batch.rows, batch.key_tuples(prefix_positions)
         # The segment-boundary test is one key comparison per input row.
         counter.value += len(keys)
-        starts = run_starts(keys)
-        last = starts[-1]
-        first = 0  # index in *starts* of the first run not dealt with
+        bounds = run_starts(keys)
         if open_segment:
             if keys[0] == open_key:
-                open_segment += rows[:starts[1]] if last else rows
-                if not last:
+                del bounds[0]  # the batch's first run continues the segment
+                open_segment += rows[:bounds[0]] if bounds else rows
+                if not bounds:
                     continue  # still open at the end of this batch
-                first = 1
-            out.extend(ordered(open_segment))
-        # The runs between the carried segment and the batch's last run
-        # close inside this batch.  They go out as they stand — one-row
-        # segments are in order already — and only the longer ones are
-        # then replaced, in place, by their sorted selves.
-        lo = starts[first]
-        if lo < last:
-            base = len(out) - lo
-            out += rows[lo:last]
-            begins, ends = starts[first:-1], starts[first + 1:]
-            longer = list(compress(zip(begins, ends),
-                                   map(gt, map(sub, ends, begins), repeat(1))))
-            one_row = len(ends) - len(longer)
-            metrics.segments_sorted += one_row
-            metrics.in_memory_sorts += one_row
-            for start, end in longer:
-                out[base + start:base + end] = ordered(rows[start:end])
-        open_key, open_segment = keys[last], rows[last:]
+            close(open_segment, [0, len(open_segment)])
+        close(rows, bounds)
+        open_key, open_segment = keys[-1], rows[bounds[-1]:]
         if len(out) >= size:
             yield from drain_full(out, size)
     if open_segment:
-        out.extend(ordered(open_segment))
+        close(open_segment, [0, len(open_segment)])
     yield from batches_of(out, size)
 
 

@@ -65,7 +65,7 @@ from ..obs.trace import _NULL_SPAN as _NULL_CM, Trace
 
 from ..core.sort_order import EMPTY_ORDER
 from .batch import RowBatch
-from .context import ExecutionContext
+from .context import ExecutionContext, collector_paused
 from .exchange import ExchangeUnion, MergeExchange
 from .iterators import Operator
 from .lowering import meter_for, operators_from_plan
@@ -432,40 +432,42 @@ def execute_subplan_stream(plan, stream_id: int,
       stream sequentially and queue feeds preserve per-process order.
 
     Errors are **not** sent on the queue: they propagate through the
-    task future, whose done-callback fails the parent-side stream.
+    task future, whose done-callback fails the parent-side stream.  The
+    task runs with the cyclic collector paused (:class:`collector_paused`).
     """
     _require_worker_catalog()
-    ctx = ExecutionContext(_WORKER_CATALOG, batch_size=batch_size,
-                           check_orders=check_orders,
-                           meter_timing=meter_timing)
-    if isinstance(plan, BoundPlan):
-        ctx.binds, plan = plan.binds, plan.plan
-    trace, root = _worker_trace(trace_ctx)
-    with (trace.span("lower", parent=root) if trace is not None
-          else _NULL_CM) as lower_span:
-        op, cache_hit = _lowered_cached(plan)
-        lower_span.tag(cache_hit=cache_hit)
-    run_span = trace.begin("run", parent_id=root.span_id) \
-        if trace is not None else None
-    seq = 0
-    shipped = 0
-    pending: list[tuple] = []
-    for batch in op.execute_batches(ctx):
-        pending.extend(batch.rows)
-        while len(pending) >= CHUNK_ROWS:
-            chunk = pending[:CHUNK_ROWS]
-            _WORKER_QUEUE.put((stream_id, seq, chunk))
-            shipped += len(chunk)
-            del pending[:CHUNK_ROWS]
-            seq += 1
-    if pending:
-        _WORKER_QUEUE.put((stream_id, seq, pending))
-        shipped += len(pending)
-    if trace is None:
-        _WORKER_QUEUE.put((stream_id, -1, (ctx.tallies(), cache_hit)))
-        return
-    run_span.tag(rows=shipped, chunks=seq + (1 if pending else 0))
-    trace.finish(run_span)
-    trace.finish(root)
-    _WORKER_QUEUE.put((stream_id, -1,
-                       (ctx.tallies(), cache_hit, trace.to_records())))
+    with collector_paused():
+        ctx = ExecutionContext(_WORKER_CATALOG, batch_size=batch_size,
+                               check_orders=check_orders,
+                               meter_timing=meter_timing)
+        if isinstance(plan, BoundPlan):
+            ctx.binds, plan = plan.binds, plan.plan
+        trace, root = _worker_trace(trace_ctx)
+        with (trace.span("lower", parent=root) if trace is not None
+              else _NULL_CM) as lower_span:
+            op, cache_hit = _lowered_cached(plan)
+            lower_span.tag(cache_hit=cache_hit)
+        run_span = trace.begin("run", parent_id=root.span_id) \
+            if trace is not None else None
+        seq = 0
+        shipped = 0
+        pending: list[tuple] = []
+        for batch in op.execute_batches(ctx):
+            pending.extend(batch.rows)
+            while len(pending) >= CHUNK_ROWS:
+                chunk = pending[:CHUNK_ROWS]
+                _WORKER_QUEUE.put((stream_id, seq, chunk))
+                shipped += len(chunk)
+                del pending[:CHUNK_ROWS]
+                seq += 1
+        if pending:
+            _WORKER_QUEUE.put((stream_id, seq, pending))
+            shipped += len(pending)
+        if trace is None:
+            _WORKER_QUEUE.put((stream_id, -1, (ctx.tallies(), cache_hit)))
+            return
+        run_span.tag(rows=shipped, chunks=seq + (1 if pending else 0))
+        trace.finish(run_span)
+        trace.finish(root)
+        _WORKER_QUEUE.put((stream_id, -1,
+                           (ctx.tallies(), cache_hit, trace.to_records())))

@@ -46,7 +46,7 @@ import time
 from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
 from typing import Optional
 
-from ..engine.context import ExecutionContext
+from ..engine.context import ExecutionContext, collector_paused
 from ..obs.trace import _NULL_SPAN, active_span, child_span
 from ..engine.subplan import (
     ShardStream,
@@ -112,7 +112,7 @@ def _run_in_process(backend: str, plan, catalog: Catalog,
     # child_span is ambient: a no-op unless the caller is inside an
     # active trace (the server's execute span), so untraced paths pay
     # one ContextVar read.
-    with child_span("local_execute", backend=backend) as span:
+    with child_span("local_execute", backend=backend) as span, collector_paused():
         rows = plan.execute(catalog, ctx)
         span.tag(rows=len(rows))
     return rows

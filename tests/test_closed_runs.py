@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.sort_order import SortOrder
 from repro.engine import (
@@ -166,6 +166,66 @@ def test_partial_sort_regions(rows, params):
                     known_prefix=prefix, algorithm="mrs")
         same(plan.run(ctx), expected)
         assert ctx.tallies() == oracle_ctx.tallies(), batch_size
+
+
+WIDE = Schema.of(("k1", "int", 8), ("k2", "int", 8), ("k3", "int", 8),
+                 ("v", "int", 8))
+
+#: Two and eight rows of sort memory for WIDE's 32-byte rows.
+WIDE_SORT_MEMORY = st.sampled_from([
+    SystemParameters(block_size=32, sort_memory_blocks=2),
+    SystemParameters(block_size=128, sort_memory_blocks=2)])
+
+#: The first suffix column: no NULL, and few values, so it ties often.
+TIED_VALUES = st.sampled_from([0, 1, 1.0, True, 2])
+
+
+@st.composite
+def two_column_segments(draw):
+    """Rows sorted on k1 (one segment per distinct value, NULL first),
+    with (k2, k3) left to sort.  k2 is never NULL and k3 often is: a raw
+    suffix tuple compare raises only where k2 ties.  One segment has
+    9-22 rows, so it spills at eight rows of sort memory (and at two)
+    between in-memory neighbours of the same batch."""
+    prefixes = sorted(draw(st.sets(st.one_of(st.none(), st.integers(0, 30)),
+                                   min_size=1, max_size=12)),
+                      key=lambda v: null_safe_wrap((v,)))
+    spilling = draw(st.sampled_from(prefixes))
+    rows = []
+    for prefix in prefixes:
+        size = draw(st.integers(9, 22) if prefix == spilling else RUN_SIZES)
+        for _ in range(size):
+            rows.append((prefix, draw(TIED_VALUES), draw(KEY_VALUES), len(rows)))
+    return rows
+
+
+@given(rows=two_column_segments(), params=WIDE_SORT_MEMORY)
+@example(rows=[(0, 1, None, 0), (0, 1, 2, 1), (0, 0, 3, 2)]
+         + [(1, 1, (None, 5)[i % 2], 3 + i) for i in range(12)]
+         + [(2, 2, 1, 15), (2, 2, None, 16), (3, 0, 0, 17)],
+         params=SystemParameters(block_size=128, sort_memory_blocks=2))
+@settings(max_examples=120, deadline=None)
+def test_partial_sort_two_column_suffix_regions(rows, params):
+    """A NULL behind a tie in the first suffix column makes the raw sort
+    of its segment raise part way; that segment, and only it, is redone
+    on wrapped keys from its input order.  Rows, tallies and the two
+    segment counters are the row oracle's at every batch size."""
+    prefix, target = SortOrder(["k1"]), SortOrder(["k1", "k2", "k3"])
+    oracle_ctx = ExecutionContext(params=params)
+    expected = list(row_oracle.mrs_sort(rows, [0], [1, 2], oracle_ctx,
+                                        WIDE.row_bytes))
+    assert oracle_ctx.sort_metrics.runs_created > 0
+    for batch_size in BATCH_SIZES:
+        ctx = ExecutionContext(params=params, batch_size=batch_size,
+                               check_orders=True)
+        plan = Sort(RowSource(WIDE, rows, prefix), target,
+                    known_prefix=prefix, algorithm="mrs")
+        same(plan.run(ctx), expected)
+        assert ctx.tallies() == oracle_ctx.tallies(), batch_size
+        for counter in ("segments_sorted", "in_memory_sorts"):
+            assert (getattr(ctx.sort_metrics, counter)
+                    == getattr(oracle_ctx.sort_metrics, counter)), (counter,
+                                                                    batch_size)
 
 
 def test_partial_sort_spills_in_the_middle_of_a_region():
