@@ -18,13 +18,13 @@ ROWS_PER_SEGMENT = 50
 K = 100
 
 
-def run(algorithm: str):
+def run(prefix: SortOrder):
+    """Top-k over a sort told *prefix* of its target: ε is a full sort
+    (SRS), ``(c1)`` the partial sort (MRS)."""
     params = SystemParameters(block_size=4096, sort_memory_blocks=64)
     catalog = segmented_catalog(NUM_ROWS, ROWS_PER_SEGMENT, params=params)
     scan = TableScan(catalog.table("r"))
-    prefix = SortOrder(["c1"]) if algorithm == "mrs" else SortOrder(())
-    sort = Sort(scan, SortOrder(["c1", "c2"]), algorithm=algorithm,
-                known_prefix=prefix)
+    sort = Sort(scan, SortOrder(["c1", "c2"]), known_prefix=prefix)
     plan = Limit(sort, K)
     ctx = ExecutionContext(catalog)
     rows = plan.run(ctx)
@@ -32,8 +32,8 @@ def run(algorithm: str):
 
 
 def main() -> None:
-    srs_rows, srs_ctx = run("srs")
-    mrs_rows, mrs_ctx = run("mrs")
+    srs_rows, srs_ctx = run(SortOrder(()))
+    mrs_rows, mrs_ctx = run(SortOrder(["c1"]))
     assert [r[:2] for r in srs_rows] == [r[:2] for r in mrs_rows]
 
     print(f"Top-{K} of ORDER BY (c1, c2) over {NUM_ROWS} rows clustered on c1")

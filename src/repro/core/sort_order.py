@@ -85,10 +85,6 @@ class AttributeEquivalence:
         """Canonical representative of *a*'s equivalence class."""
         return self._find(a)
 
-    def classmates(self, a: str, universe: Iterable[str]) -> list[str]:
-        """All attributes in *universe* equivalent to *a* (including *a* itself)."""
-        return [b for b in universe if self.same(a, b)]
-
     @staticmethod
     def of(pairs: Iterable[tuple[str, str]]) -> "AttributeEquivalence":
         """The classes generated by *pairs* of interchangeable attributes."""
@@ -298,17 +294,6 @@ def extend_to_set(order: SortOrder, attr_set: Iterable[str]) -> SortOrder:
     construction used throughout Section 5)."""
     remaining = set(attr_set) - order.attrs()
     return order.concat(arbitrary_permutation(remaining))
-
-
-def order_key(rows_schema_positions: Sequence[int]):
-    """Build a tuple-extraction key function for sorting rows (tuples) by the
-    given column positions.  Shared by the executor and tests."""
-    positions = tuple(rows_schema_positions)
-
-    def key(row: tuple) -> tuple:
-        return tuple(row[i] for i in positions)
-
-    return key
 
 
 def null_safe_wrap(values: Iterable) -> tuple:

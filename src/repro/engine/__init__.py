@@ -7,7 +7,7 @@ from .aggregates import (
     SortedGroupCombine,
     combinable,
 )
-from .basic import Compute, Filter, Limit, PartialSort, Project, Sort
+from .basic import Compute, Filter, Limit, Project, Sort
 from .batch import (
     DEFAULT_BATCH_SIZE,
     BlockCharger,
@@ -33,11 +33,9 @@ from .kernels import KERNELS, kernel_stats, reset_kernel_stats
 from .lowering import operators_from_plan
 from .prepared import BoundPlan, PreparedPlan
 from .scans import (
-    ClusteringIndexScan,
     CoveringIndexScan,
     RangePartitionScan,
     RowSource,
-    ShardedScan,
     TableScan,
     range_shardable,
     shard_bounds,
@@ -61,7 +59,6 @@ __all__ = [
     "BatchedExecutor",
     "BlockCharger",
     "BoundPlan",
-    "ClusteringIndexScan",
     "ComparisonCounter",
     "Compute",
     "CoveringIndexScan",
@@ -80,14 +77,12 @@ __all__ = [
     "MergeJoin",
     "MergeUnion",
     "Operator",
-    "PartialSort",
     "PreparedPlan",
     "Project",
     "RangePartitionScan",
     "RowBatch",
     "RowSource",
     "ShardStream",
-    "ShardedScan",
     "Sort",
     "SortAggregate",
     "SortMetrics",

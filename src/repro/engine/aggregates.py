@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ..core.sort_order import EMPTY_ORDER, SortOrder
+from ..core.sort_order import SortOrder
 from ..expr.aggregates import AggSpec, aggregate_output_schema
 from ..expr.expressions import Col
 from .batch import RowBatch, batches_of, drain_full
@@ -86,8 +86,6 @@ class SortAggregate(Operator):
     values are taken from the group's first row.
     """
 
-    name = "GroupAggregate"
-
     def __init__(self, child: Operator, group_order: SortOrder,
                  aggregates: Sequence[AggSpec],
                  group_columns: Optional[Sequence[str]] = None) -> None:
@@ -100,7 +98,7 @@ class SortAggregate(Operator):
             missing = set(group_columns) - set(child.schema.names)
             raise ValueError(f"group columns missing from input: {missing}")
         schema = aggregate_output_schema(group_columns, child.schema, list(aggregates))
-        super().__init__(schema, group_order, [child])
+        super().__init__(schema, [child])
         self.group_order = group_order
         self.group_columns = group_columns
         self.aggregates = list(aggregates)
@@ -132,10 +130,6 @@ class SortAggregate(Operator):
                     prev = key
             yield batch
 
-    def details(self) -> str:
-        aggs = ", ".join(repr(a) for a in self.aggregates)
-        return f"by {self.group_order}: {aggs}"
-
 
 class SortedGroupCombine(Operator):
     """Fold key-sorted *partial* aggregate rows into final groups.
@@ -150,8 +144,6 @@ class SortedGroupCombine(Operator):
     per-shard-aggregate → merge → combine pipeline is row-identical to a
     single aggregation over the merged input.
     """
-
-    name = "SortedCombine"
 
     def __init__(self, child: Operator, group_order: SortOrder,
                  group_columns: Sequence[str],
@@ -168,7 +160,7 @@ class SortedGroupCombine(Operator):
             raise ValueError(
                 f"combine input schema {list(child.schema.names)} does not "
                 f"match group columns + aggregate outputs {expected}")
-        super().__init__(child.schema, group_order, [child])
+        super().__init__(child.schema, [child])
         self.group_order = group_order
         self.group_columns = group_columns
         self.aggregates = list(aggregates)
@@ -182,11 +174,6 @@ class SortedGroupCombine(Operator):
         return _sorted_groups(self.children[0].execute_batches(ctx),
                               self._kernel, ctx)
 
-    def details(self) -> str:
-        aggs = ", ".join(AGGREGATE_COMBINERS[s.func] + f"({s.output_name})"
-                         for s in self.aggregates)
-        return f"by {self.group_order}: {aggs}"
-
 
 class HashAggregate(Operator):
     """Hash-based GROUP BY; no order requirement, no order guarantee.
@@ -198,13 +185,11 @@ class HashAggregate(Operator):
     (the standard two-pass model).
     """
 
-    name = "HashAggregate"
-
     def __init__(self, child: Operator, group_columns: Sequence[str],
                  aggregates: Sequence[AggSpec]) -> None:
         schema = aggregate_output_schema(list(group_columns), child.schema,
                                          list(aggregates))
-        super().__init__(schema, EMPTY_ORDER, [child])
+        super().__init__(schema, [child])
         self.group_columns = list(group_columns)
         self.aggregates = list(aggregates)
         self._kernel = KERNELS.get(
@@ -227,6 +212,3 @@ class HashAggregate(Operator):
 
         yield from batches_of(kernel(None, binds, groups), ctx.batch_size)
 
-    def details(self) -> str:
-        aggs = ", ".join(repr(a) for a in self.aggregates)
-        return f"by {{{', '.join(self.group_columns)}}}: {aggs}"

@@ -9,20 +9,19 @@ batch's rows.  Every batch, whatever its size, costs one kernel call,
 as an argument.  Selective operators emit one (possibly smaller) batch
 per input batch instead of re-buffering.
 
-``Sort`` is the order *enforcer* of the paper: it knows both the target
-order and the order already guaranteed by its input, and picks MRS
-(partial sort) whenever a non-empty prefix is available — unless
-explicitly forced to behave like the standard engines of Experiment A1
-(``algorithm="srs"``).  MRS finds its segments a batch at a time on raw
-keys (SRS keeps its row-at-a-time selection heap); comparison and I/O
-tallies are independent of the batch size either way.
+``Sort`` is the order *enforcer* of the paper: lowering hands it the
+target order and the prefix of it the input already delivers (the plan's
+``prefix`` arg), and it runs MRS (partial sort) exactly when that prefix
+is non-empty, SRS (full sort) otherwise.  MRS finds its segments a batch
+at a time on raw keys (SRS keeps its row-at-a-time selection heap);
+comparison and I/O tallies are independent of the batch size either way.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from ..core.sort_order import EMPTY_ORDER, SortOrder, longest_common_prefix
+from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..expr.expressions import Expression, Predicate
 from ..storage.schema import Column, Schema
 from .batch import RowBatch
@@ -35,13 +34,11 @@ from .sorting import sort_batches
 class Filter(Operator):
     """σ: keep rows satisfying a predicate; preserves input order."""
 
-    name = "Filter"
-
     def __init__(self, child: Operator, predicate: Predicate) -> None:
         if not child.schema.has_all(predicate.columns()):
             missing = set(predicate.columns()) - set(child.schema.names)
             raise ValueError(f"filter references missing columns {missing}")
-        super().__init__(child.schema, child.output_order, [child])
+        super().__init__(child.schema, [child])
         self.predicate = predicate
         self._kernel = KERNELS.get(FILTER, (predicate,), child.schema)
 
@@ -52,24 +49,12 @@ class Filter(Operator):
             if kept:
                 yield RowBatch(kept)
 
-    def details(self) -> str:
-        return repr(self.predicate)
-
 
 class Project(Operator):
-    """π: positional projection to a subset of columns.
-
-    The guaranteed output order is the longest prefix of the input order
-    that survives the projection.
-    """
-
-    name = "Project"
+    """π: positional projection to a subset of columns."""
 
     def __init__(self, child: Operator, columns: Sequence[str]) -> None:
-        schema = child.schema.project(list(columns))
-        kept = set(columns)
-        order = child.output_order.restrict_prefix_to(kept)
-        super().__init__(schema, order, [child])
+        super().__init__(child.schema.project(list(columns)), [child])
         self._positions = child.schema.positions(list(columns))
         self._identity = list(self._positions) == list(range(len(child.schema)))
 
@@ -82,9 +67,6 @@ class Project(Operator):
         return (batch.project(positions)
                 for batch in child.execute_batches(ctx))
 
-    def details(self) -> str:
-        return ", ".join(self.schema.names)
-
 
 class Compute(Operator):
     """Extend each row with computed expressions (e.g. Quantity*Price).
@@ -93,13 +75,11 @@ class Compute(Operator):
     With no pairs the input batches pass through.
     """
 
-    name = "Compute"
-
     def __init__(self, child: Operator, outputs: Sequence[tuple[str, Expression]],
                  output_size: int = 8) -> None:
         new_cols = [Column(name, "num", output_size) for name, _ in outputs]
         schema = Schema(list(child.schema) + new_cols)
-        super().__init__(schema, child.output_order, [child])
+        super().__init__(schema, [child])
         self.outputs = list(outputs)
         self._kernel = (KERNELS.get(COMPUTE, [e for _, e in self.outputs],
                                     child.schema) if self.outputs else None)
@@ -112,62 +92,36 @@ class Compute(Operator):
         return (RowBatch(kernel(batch.rows, binds))
                 for batch in child.execute_batches(ctx))
 
-    def details(self) -> str:
-        return ", ".join(f"{name}={expr}" for name, expr in self.outputs)
-
 
 class Sort(Operator):
-    """Order enforcer: SRS full sort or MRS partial sort.
+    """Order enforcer: sort the input to *target_order*.
 
-    ``known_prefix`` defaults to the usable prefix of the child's
-    guaranteed order — the paper's partial sort enforcer ``o' → o``.
+    *known_prefix* is the prefix of *target_order* the input already
+    delivers — the paper's partial sort enforcer ``o' → o`` (MRS) when
+    non-empty, a full sort (SRS) when empty.
     """
 
-    name = "Sort"
-
     def __init__(self, child: Operator, target_order: SortOrder,
-                 known_prefix: Optional[SortOrder] = None,
-                 algorithm: str = "auto") -> None:
+                 known_prefix: SortOrder = EMPTY_ORDER) -> None:
         if not child.schema.has_all(list(target_order)):
             missing = set(target_order) - set(child.schema.names)
             raise ValueError(f"sort references missing columns {missing}")
-        if known_prefix is None:
-            known_prefix = longest_common_prefix(child.output_order, target_order)
-        super().__init__(child.schema, target_order, [child])
+        super().__init__(child.schema, [child])
+        self.target_order = target_order
         self.known_prefix = known_prefix
-        self.algorithm = algorithm
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         batches = self.children[0].execute_batches(ctx)
         if ctx.check_orders and self.known_prefix:
             batches = assert_sorted_batches(
                 batches, self.schema.positions(list(self.known_prefix)),
-                f"Sort input (declared prefix {self.known_prefix})")
-        out = sort_batches(batches, self.schema, self.output_order, ctx,
-                           known_prefix=self.known_prefix, algorithm=self.algorithm)
+                f"Sort input (known prefix {self.known_prefix})")
+        out = sort_batches(batches, self.schema, self.target_order, ctx,
+                           known_prefix=self.known_prefix)
         if ctx.check_orders:
             out = assert_sorted_batches(
-                out, self.schema.positions(list(self.output_order)), "Sort output")
+                out, self.schema.positions(list(self.target_order)), "Sort output")
         return out
-
-    @property
-    def is_partial(self) -> bool:
-        return bool(self.known_prefix) and self.algorithm != "srs"
-
-    def details(self) -> str:
-        if self.is_partial:
-            return f"{self.known_prefix} --> {self.output_order}"
-        return f"ε --> {self.output_order}"
-
-
-class PartialSort(Sort):
-    """Alias emphasising a partial sort enforcer in explain output."""
-
-    name = "PartialSort"
-
-    def __init__(self, child: Operator, target_order: SortOrder,
-                 known_prefix: Optional[SortOrder] = None) -> None:
-        super().__init__(child, target_order, known_prefix, algorithm="mrs")
 
 
 class Limit(Operator):
@@ -177,12 +131,10 @@ class Limit(Operator):
     termination at batch granularity, so upstream stops paying I/O.
     """
 
-    name = "Limit"
-
     def __init__(self, child: Operator, k: int) -> None:
         if k < 0:
             raise ValueError("limit must be non-negative")
-        super().__init__(child.schema, child.output_order, [child])
+        super().__init__(child.schema, [child])
         self.k = k
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
@@ -196,6 +148,3 @@ class Limit(Operator):
             else:
                 yield batch.head(remaining)
                 return
-
-    def details(self) -> str:
-        return f"k={self.k}"

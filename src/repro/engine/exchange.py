@@ -3,10 +3,12 @@
 :class:`ExchangeUnion` is the gather side of a scan fan-out: its
 children are the shards of one logical stream (the optimizer's sharded
 plans put them there), and it concatenates their batches in shard order.
-Because :class:`~repro.engine.scans.ShardedScan` partitions a table into
-*contiguous* row ranges, concatenation in shard order reproduces the
-unsharded scan's row sequence exactly — including its clustering order —
-so everything above the exchange is oblivious to the sharding.
+Because a sharded :class:`~repro.engine.scans.TableScan` partitions a
+table into *contiguous* row ranges, concatenation in shard order
+reproduces the unsharded scan's row sequence exactly, so everything
+above the exchange is oblivious to the sharding.  Even so, the plan
+claims no order for an ``ExchangeUnion`` (ε): an order above the gather
+is enforced there, or below it by a ``MergeExchange``.
 
 :class:`MergeExchange` is the *order-preserving* gather: its children
 each deliver rows already sorted on the merge order (typically per-shard
@@ -32,51 +34,15 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Sequence
 
-from ..core.sort_order import EMPTY_ORDER, SortOrder
-from .basic import Compute, Filter, Project
+from ..core.sort_order import SortOrder
 from .batch import RowBatch, batches_of, flatten_batches
 from .context import ExecutionContext
 from .iterators import Operator, assert_sorted_batches
-from .scans import RangePartitionScan, TableScan
 from .sorting import merge_sorted_streams
 
 
-def _common_contiguous_order(children: Sequence[Operator]):
-    """The order preserved by concatenating *children* in sequence.
-
-    Guaranteed when the children are consecutive contiguous shards of one
-    table (the shape a sharded plan's fan-out lowers to), or the full set of
-    range partitions of a table *clustered on the partition column* (the
-    partitions then tile the clustered row sequence); anything else gets
-    ε — concatenating independently sorted streams is not sorted.
-    """
-    if all(isinstance(c, RangePartitionScan) for c in children):
-        table = children[0].table  # type: ignore[attr-defined]
-        if (not table.partition_contiguous
-                or table.partitioning.num_partitions != len(children)):
-            return EMPTY_ORDER
-        for i, child in enumerate(children):
-            if child.table is not table or child.partition_index != i:  # type: ignore[attr-defined]
-                return EMPTY_ORDER
-        return children[0].output_order
-    if not all(isinstance(c, TableScan) for c in children):
-        return EMPTY_ORDER
-    table = children[0].table  # type: ignore[attr-defined]
-    count = children[0].shard_count  # type: ignore[attr-defined]
-    if count != len(children):
-        return EMPTY_ORDER
-    for i, child in enumerate(children):
-        if (child.table is not table or child.shard_count != count
-                or child.shard_index != i):  # type: ignore[attr-defined]
-            return EMPTY_ORDER
-    return children[0].output_order
-
-
 class ExchangeUnion(Operator):
-    """Concatenate N shard streams in shard order (order-preserving
-    gather for contiguous shards)."""
-
-    name = "ExchangeUnion"
+    """Concatenate N shard streams in shard order."""
 
     def __init__(self, children: Sequence[Operator]) -> None:
         if not children:
@@ -85,14 +51,11 @@ class ExchangeUnion(Operator):
         for child in children[1:]:
             if child.schema.names != first.names:
                 raise ValueError("ExchangeUnion children must share a schema")
-        super().__init__(first, _common_contiguous_order(children), children)
+        super().__init__(first, children)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         for child in self.children:
             yield from child.execute_batches(ctx)
-
-    def details(self) -> str:
-        return f"{len(self.children)} shards"
 
 
 class MergeExchange(Operator):
@@ -112,8 +75,6 @@ class MergeExchange(Operator):
     instead of merging.
     """
 
-    name = "MergeExchange"
-
     def __init__(self, children: Sequence[Operator], order: SortOrder,
                  disjoint: bool = False) -> None:
         if not children:
@@ -127,7 +88,8 @@ class MergeExchange(Operator):
         if not first.has_all(list(order)):
             missing = set(order) - set(first.names)
             raise ValueError(f"merge order references missing columns {missing}")
-        super().__init__(first, order, children)
+        super().__init__(first, children)
+        self.order = order
         #: The plan node's ``disjoint`` arg, proved by the planner from
         #: the catalog's partitioning and the only witness that survives
         #: re-assembly over :class:`~repro.engine.subplan.StreamSource`
@@ -137,7 +99,7 @@ class MergeExchange(Operator):
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         streams = [child.execute_batches(ctx) for child in self.children]
-        positions = self.schema.positions(list(self.output_order))
+        positions = self.schema.positions(list(self.order))
         if ctx.check_orders:
             streams = [assert_sorted_batches(s, positions,
                                              f"MergeExchange input shard {i}")
@@ -153,15 +115,3 @@ class MergeExchange(Operator):
             return out
         return batches_of(flatten_batches(
             merge_sorted_streams(streams, positions, ctx)), ctx.batch_size)
-
-    def details(self) -> str:
-        suffix = ", disjoint concat" if self.partition_disjoint else ""
-        return f"{len(self.children)} shards on {self.output_order}{suffix}"
-
-
-#: Per-row unaries that commute with sharding, by plan-op name: applying
-#: them to each contiguous shard and concatenating equals applying them to
-#: the whole stream, and each shard's output order equals the whole-stream
-#: order.  The optimizer's shard-aware enforcer placement imports this to
-#: decide which shapes are shard-transparent.
-ORDER_PRESERVING_UNARY_OPS = (Filter.name, Project.name, Compute.name)

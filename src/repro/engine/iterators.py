@@ -3,15 +3,19 @@
 Every operator exposes:
 
 * ``schema`` — output :class:`~repro.storage.schema.Schema`;
-* ``output_order`` — the :class:`~repro.core.sort_order.SortOrder`
-  *guaranteed* on its output stream;
 * ``execute_batches(ctx)`` — the one execution method: a generator of
   :class:`~repro.engine.batch.RowBatch` chunks, charging simulated I/O
   and comparisons to the
   :class:`~repro.engine.context.ExecutionContext`
   (``flatten_batches(op.execute_batches(ctx))`` is the row view);
-* ``run(ctx)`` — the drive loop: pull every batch, return the rows;
-* ``explain()`` — a pretty-printed plan tree like the paper's figures.
+* ``run(ctx)`` — the drive loop: pull every batch, return the rows.
+
+An operator states no sort order of its own and renders nothing: the
+order each plan node delivers is stated once, by the optimizer's
+:class:`~repro.optimizer.manual.PlanBuilder`, and the plan is what
+EXPLAIN prints.  An operator that acts on an order (a sort's target and
+known prefix, a merge's order, a group order) receives it as a
+constructor argument from :mod:`repro.engine.lowering`.
 
 Operators are *plans*, not live cursors: ``execute_batches`` may be
 called repeatedly (each call is an independent execution), which the
@@ -25,7 +29,6 @@ import time
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..storage.schema import Schema
 from .batch import RowBatch, collect_rows
 from .context import ExecutionContext, key_lt
@@ -92,8 +95,6 @@ def _metered(fn):
 class Operator:
     """Base class of all physical operators."""
 
-    name: str = "operator"
-
     #: Optional ``(tag, estimated_rows)`` meter, stamped on lowered
     #: instances by :mod:`repro.engine.lowering` from the plan node's
     #: cost-model stats.  ``None`` (the class default) disables metering.
@@ -104,10 +105,9 @@ class Operator:
         if "execute_batches" in cls.__dict__:
             cls.execute_batches = _metered(cls.__dict__["execute_batches"])
 
-    def __init__(self, schema: Schema, output_order: SortOrder = EMPTY_ORDER,
+    def __init__(self, schema: Schema,
                  children: Sequence["Operator"] = ()) -> None:
         self.schema = schema
-        self.output_order = output_order
         self.children: tuple[Operator, ...] = tuple(children)
 
     # -- execution ---------------------------------------------------------------
@@ -122,27 +122,11 @@ class Operator:
         return collect_rows(self.execute_batches(ctx))
 
     # -- introspection ---------------------------------------------------------------
-    def details(self) -> str:
-        """One-line operator-specific annotation for ``explain``."""
-        return ""
-
-    def explain(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        extra = self.details()
-        order = f" [order: {self.output_order}]" if self.output_order else ""
-        line = f"{pad}{self.name}{f' ({extra})' if extra else ''}{order}"
-        parts = [line]
-        parts.extend(child.explain(indent + 1) for child in self.children)
-        return "\n".join(parts)
-
     def walk(self) -> Iterator["Operator"]:
         """Pre-order traversal of the operator tree."""
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.details()})"
 
 
 def assert_sorted_batches(batches: Iterable[RowBatch],

@@ -22,7 +22,6 @@ from itertools import chain, compress, count, repeat
 from operator import add, is_not, mul, ne, sub
 from typing import Iterator, Optional
 
-from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..expr.expressions import JoinPredicate
 from .batch import GroupCursor, RowBatch, batches_of, drain_full, gather
 from .context import ComparisonCounter, ExecutionContext, key_lt
@@ -104,11 +103,10 @@ class MergeJoin(Operator):
 
     ``predicate.pairs`` must be listed **in the sort-order permutation**
     the optimizer chose — position *i* of the left and right sort keys is
-    pair *i*.  Output order is the left-side permutation (the right-side
-    names are equivalent modulo the join equalities).
+    pair *i*.  The plan claims the left-side permutation as the output
+    order (ε for a FULL OUTER join, whose NULL-padded unmatched right
+    rows interleave with it).
     """
-
-    name = "MergeJoin"
 
     def __init__(self, left: Operator, right: Operator, predicate: JoinPredicate,
                  join_type: str = "inner") -> None:
@@ -119,14 +117,7 @@ class MergeJoin(Operator):
                 raise ValueError(f"merge join: left column {l!r} missing")
             if r not in right.schema:
                 raise ValueError(f"merge join: right column {r!r} missing")
-        schema = left.schema.concat(right.schema)
-        # A FULL OUTER merge join pads *left* key columns of unmatched
-        # right rows with NULLs, interleaved wherever the right key falls
-        # — under NULLS FIRST ordering the output is not sorted on the
-        # left permutation, so no order may be guaranteed.
-        order = (EMPTY_ORDER if join_type == "full"
-                 else SortOrder(predicate.left_columns))
-        super().__init__(schema, order, [left, right])
+        super().__init__(left.schema.concat(right.schema), [left, right])
         self.predicate = predicate
         self.join_type = join_type
 
@@ -198,10 +189,6 @@ class MergeJoin(Operator):
         if out:
             yield RowBatch(out)
 
-    def details(self) -> str:
-        kind = "" if self.join_type == "inner" else f" {self.join_type.upper()} OUTER"
-        return f"{self.predicate}{kind} on {self.output_order}"
-
 
 def _hash_table(batches: Iterator[RowBatch], positions: list[int]
                 ) -> tuple[dict[tuple, list[tuple]], list[tuple], int]:
@@ -237,19 +224,16 @@ class HashJoin(Operator):
     in first-seen key order, then its NULL-key build rows.  When the
     build side exceeds sort memory, both inputs are charged one extra
     write+read (partitioning pass), the classic Grace cost
-    ``2(B_l + B_r)`` on top of the scans.  The declared output order is
-    unspecified (ε) — hash partitioning destroys order, which is what
-    the paper assumes for hash operators.
+    ``2(B_l + B_r)`` on top of the scans.  The plan claims no output
+    order (ε) — hash partitioning destroys order, which is what the
+    paper assumes for hash operators.
     """
-
-    name = "HashJoin"
 
     def __init__(self, left: Operator, right: Operator, predicate: JoinPredicate,
                  join_type: str = "inner") -> None:
         if join_type not in JOIN_TYPES:
             raise ValueError(f"join_type must be one of {JOIN_TYPES}")
-        schema = left.schema.concat(right.schema)
-        super().__init__(schema, EMPTY_ORDER, [left, right])
+        super().__init__(left.schema.concat(right.schema), [left, right])
         self.predicate = predicate
         self.join_type = join_type
 
@@ -320,7 +304,3 @@ class HashJoin(Operator):
             for lrow in null_rows:
                 append(lrow + pad)
         yield from batches_of(out, size)
-
-    def details(self) -> str:
-        kind = "" if self.join_type == "inner" else f" {self.join_type.upper()} OUTER"
-        return f"{self.predicate}{kind}"

@@ -2,6 +2,12 @@
 executable engine operators (once per cached plan: see
 :mod:`repro.engine.prepared`).
 
+The plan is the one statement of what each operator delivers: the order
+on a plan node is the one its
+:class:`~repro.optimizer.manual.PlanBuilder` constructor claims, and
+lowering passes an operator only the order it acts on (the column below
+says which).  Operators declare no order of their own.
+
 Payload (``args``) conventions per plan ``op`` — what the lowering below
 reads; each op's args are produced in one place, its constructor on
 :class:`~repro.optimizer.manual.PlanBuilder`:
@@ -19,8 +25,8 @@ op                     args
 ``Filter``             ``predicate``
 ``Project``            ``columns`` (tuple of names)
 ``Compute``            ``outputs`` (tuple of (name, expression))
-``Sort``               target = plan.order; ``prefix``; ``algorithm``
-``PartialSort``        same, algorithm forced to MRS
+``Sort``               target = plan.order; ``prefix`` = ε (SRS)
+``PartialSort``        target = plan.order; ``prefix`` non-empty (MRS)
 ``MergeJoin``          ``predicate`` (pairs in permutation order), ``join_type``
 ``HashJoin``           ``predicate``, ``join_type``
 ``SortAggregate``      group order = plan.order; ``group_columns``, ``aggregates``
@@ -36,26 +42,23 @@ op                     args
 Args hold expressions, never compiled code: the expression-bearing
 operators (``Filter``, ``Compute``, ``SortAggregate``,
 ``HashAggregate``) compile their kernels when lowering constructs them
-(:mod:`repro.engine.kernels`).
+(:mod:`repro.engine.kernels`).  ``ShardedScan`` and
+``ClusteringIndexScan`` lower to a :class:`~repro.engine.scans.TableScan`
+and ``PartialSort`` to a :class:`~repro.engine.basic.Sort`; row meters
+are tagged by ``plan.op`` (:func:`meter_for`), not by the operator.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING
 
-from ..core.sort_order import EMPTY_ORDER, SortOrder
+from ..core.sort_order import EMPTY_ORDER
 from .aggregates import HashAggregate, SortAggregate, SortedGroupCombine
 from .basic import Compute, Filter, Limit, Project, Sort
 from .exchange import ExchangeUnion, MergeExchange
 from .iterators import Operator
 from .joins import HashJoin, MergeJoin
-from .scans import (
-    ClusteringIndexScan,
-    CoveringIndexScan,
-    RangePartitionScan,
-    ShardedScan,
-    TableScan,
-)
+from .scans import CoveringIndexScan, RangePartitionScan, TableScan
 from .sets import Dedup, HashDedup, MergeUnion, UnionAll
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,11 +120,11 @@ def _lower(plan, catalog: "Catalog",
     children = [operators_from_plan(c, catalog, replace) for c in plan.children]
     op = plan.op
 
-    if op == "TableScan":
+    if op in ("TableScan", "ClusteringIndexScan"):
         return TableScan(catalog.table(plan.arg("table")))
     if op == "ShardedScan":
-        return ShardedScan(catalog.table(plan.arg("table")),
-                           plan.arg("shard_count"), plan.arg("shard_index"))
+        return TableScan(catalog.table(plan.arg("table")),
+                         plan.arg("shard_count"), plan.arg("shard_index"))
     if op == "RangePartitionScan":
         return RangePartitionScan(catalog.table(plan.arg("table")),
                                   plan.arg("partition_index"))
@@ -130,8 +133,6 @@ def _lower(plan, catalog: "Catalog",
     if op == "MergeExchange":
         return MergeExchange(children, plan.order,
                              disjoint=plan.arg("disjoint", False))
-    if op == "ClusteringIndexScan":
-        return ClusteringIndexScan(catalog.table(plan.arg("table")))
     if op == "CoveringIndexScan":
         return CoveringIndexScan(
             catalog.index(plan.arg("table"), plan.arg("index")))
@@ -143,11 +144,9 @@ def _lower(plan, catalog: "Catalog",
         return Compute(children[0], list(plan.arg("outputs")))
     if op in ("Sort", "PartialSort"):
         prefix = plan.arg("prefix", EMPTY_ORDER)
-        algorithm = plan.arg("algorithm", "auto")
         if op == "PartialSort" and not prefix:
             raise ValueError("PartialSort plan without a known prefix")
-        return Sort(children[0], plan.order, known_prefix=prefix,
-                    algorithm=algorithm)
+        return Sort(children[0], plan.order, known_prefix=prefix)
     if op == "MergeJoin":
         return MergeJoin(children[0], children[1], plan.arg("predicate"),
                          plan.arg("join_type", "inner"))

@@ -28,19 +28,13 @@ class BoundRoot(Operator):
     """A lowered tree under one execution's parameter values: puts them
     into whatever context it is run with, and is otherwise its child."""
 
-    name = "Bound"
-
     def __init__(self, child: Operator, binds: Mapping[str, Any]) -> None:
-        super().__init__(child.schema, child.output_order, [child])
+        super().__init__(child.schema, [child])
         self.binds = binds
 
     def execute_batches(self, ctx: ExecutionContext):
         ctx.binds = self.binds
         return self.children[0].execute_batches(ctx)
-
-    def details(self) -> str:
-        return ", ".join(f":{name}={value!r}"
-                         for name, value in self.binds.items())
 
 
 class PreparedPlan:

@@ -1,13 +1,12 @@
-"""Scan operators: table scan, clustering-index scan, covering-index
-scan, and sharded (partitioned) table scans.
+"""Scan operators: table scan, covering-index scan, and sharded
+(partitioned) table scans.
 
 The distinction the paper draws (Figures 1, 2, 10, 11):
 
-* **Table scan** — reads all data blocks; output carries the table's
-  physical (clustering) order since our tables are stored clustered.
-* **Clustering-index scan** ("C.Idx Scan") — same block count, output
-  order is the clustering order; kept as a separate operator so plans
-  read like the paper's.
+* **Table scan** — reads all data blocks in the table's physical
+  (clustering) order, since our tables are stored clustered.  A plan's
+  clustering-index scan ("C.Idx Scan") costs and reads the same, so it
+  lowers to a table scan too; only the plan keeps the separate name.
 * **Covering-index scan** ("Cov. Idx Scan") — reads only the (narrower)
   index leaf blocks and delivers the *index key order* without touching
   data pages; this is what makes alternative sort orders cheap and is
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..core.sort_order import EMPTY_ORDER, SortOrder
 from ..storage.table import Index, Table
 from .batch import BlockCharger, RowBatch, batches_of
 from .context import ExecutionContext
@@ -86,10 +84,10 @@ class TableScan(Operator):
     """Full scan of a materialised table, optionally one shard of it.
 
     ``shard_count``/``shard_index`` select a contiguous partition of the
-    stored rows; the default ``(1, 0)`` spec scans everything.
+    stored rows; the default ``(1, 0)`` spec scans everything.  A plan's
+    ``ShardedScan`` lowers to ``TableScan(table, shard_count,
+    shard_index)``.
     """
-
-    name = "TableScan"
 
     def __init__(self, table: Table, shard_count: int = 1,
                  shard_index: int = 0) -> None:
@@ -97,7 +95,7 @@ class TableScan(Operator):
             raise ValueError("shard_count must be >= 1")
         if not 0 <= shard_index < shard_count:
             raise ValueError(f"shard_index {shard_index} outside [0, {shard_count})")
-        super().__init__(table.schema, table.clustering_order)
+        super().__init__(table.schema)
         self.table = table
         self.shard_count = shard_count
         self.shard_index = shard_index
@@ -108,35 +106,14 @@ class TableScan(Operator):
         per_block = ctx.rows_per_block(self.schema.row_bytes)
         return _charged_slices(rows, lo, hi, per_block, ctx)
 
-    def details(self) -> str:
-        if self.shard_count > 1:
-            return f"{self.table.name} shard {self.shard_index}/{self.shard_count}"
-        return self.table.name
-
-
-class ShardedScan(TableScan):
-    """One shard of a table scan — explicit name for explain output.
-
-    Semantically identical to ``TableScan(table, shard_count, shard_index)``;
-    sharded plans lower to these under an ExchangeUnion or MergeExchange.
-    """
-
-    name = "ShardedScan"
-
-    def __init__(self, table: Table, shard_count: int, shard_index: int) -> None:
-        if shard_count < 2:
-            raise ValueError("ShardedScan needs shard_count >= 2; "
-                             "use TableScan for an unsharded scan")
-        super().__init__(table, shard_count, shard_index)
-
 
 class RangePartitionScan(Operator):
     """Scan one value-range partition of a table.
 
     When the table is clustered on the partition column the partition is
     a contiguous row range and the scan slices it directly, charging only
-    that slice's blocks (like a :class:`ShardedScan` with value-derived
-    bounds).  Otherwise the partition's rows are scattered, so the scan
+    that slice's blocks (like a sharded :class:`TableScan` with
+    value-derived bounds).  Otherwise the partition's rows are scattered, so the scan
     reads **every** data block and filters — the realistic cost of
     range-sharding a table whose physical layout doesn't match the spec,
     and the reason the optimizer prices the two layouts differently.
@@ -147,8 +124,6 @@ class RangePartitionScan(Operator):
     :class:`~repro.engine.exchange.MergeExchange` exploits.
     """
 
-    name = "RangePartitionScan"
-
     def __init__(self, table: Table, partition_index: int) -> None:
         part = table.partitioning
         if part is None:
@@ -156,7 +131,7 @@ class RangePartitionScan(Operator):
         if not 0 <= partition_index < part.num_partitions:
             raise ValueError(f"partition_index {partition_index} outside "
                              f"[0, {part.num_partitions})")
-        super().__init__(table.schema, table.clustering_order)
+        super().__init__(table.schema)
         self.table = table
         self.partitioning = part
         self.partition_index = partition_index
@@ -187,32 +162,6 @@ class RangePartitionScan(Operator):
             if kept:
                 yield RowBatch(kept)
 
-    def details(self) -> str:
-        part = self.partitioning
-        layout = "clustered" if self.table.partition_contiguous else "filtered"
-        return (f"{self.table.name} partition {self.partition_index}/"
-                f"{part.num_partitions} on {part.column} ({layout})")
-
-
-class ClusteringIndexScan(Operator):
-    """Scan in clustering order; identical cost to a table scan here."""
-
-    name = "ClusteringIndexScan"
-
-    def __init__(self, table: Table) -> None:
-        if not table.clustering_order:
-            raise ValueError(f"table {table.name} has no clustering order")
-        super().__init__(table.schema, table.clustering_order)
-        self.table = table
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        rows = self.table.rows
-        per_block = ctx.rows_per_block(self.schema.row_bytes)
-        return _charged_slices(rows, 0, len(rows), per_block, ctx)
-
-    def details(self) -> str:
-        return f"{self.table.name} via {self.output_order}"
-
 
 class CoveringIndexScan(Operator):
     """Scan the leaf level of a covering secondary index.
@@ -221,10 +170,8 @@ class CoveringIndexScan(Operator):
     I/O at the (narrow) index-entry width rather than the full row width.
     """
 
-    name = "CoveringIndexScan"
-
     def __init__(self, index: Index) -> None:
-        super().__init__(index.leaf_schema, index.key)
+        super().__init__(index.leaf_schema)
         self.index = index
         self._entry_bytes = index.entry_bytes()
 
@@ -237,20 +184,14 @@ class CoveringIndexScan(Operator):
         per_block = max(1, ctx.params.block_size // self._entry_bytes)
         yield from _charged_slices(leaf_rows, 0, len(leaf_rows), per_block, ctx)
 
-    def details(self) -> str:
-        inc = f" include {list(self.index.included)}" if self.index.included else ""
-        return f"{self.index.table.name}.{self.index.name} {self.index.key}{inc}"
-
 
 class RowSource(Operator):
     """An in-memory row source (for tests and sub-plans); charges no I/O
     unless ``charge_io`` is set."""
 
-    name = "RowSource"
-
-    def __init__(self, schema, rows: list[tuple], output_order: SortOrder = EMPTY_ORDER,
+    def __init__(self, schema, rows: list[tuple], *,
                  charge_io: bool = False) -> None:
-        super().__init__(schema, output_order)
+        super().__init__(schema)
         self.rows_data = rows
         self.charge_io = charge_io
 
@@ -260,6 +201,3 @@ class RowSource(Operator):
             return _charged_slices(self.rows_data, 0, len(self.rows_data),
                                    per_block, ctx)
         return batches_of(self.rows_data, ctx.batch_size)
-
-    def details(self) -> str:
-        return f"{len(self.rows_data)} rows"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..core.sort_order import EMPTY_ORDER, SortOrder
+from ..core.sort_order import SortOrder
 from .batch import RowBatch, batches_of, gather, run_starts
 from .context import ExecutionContext, key_lt
 from .iterators import Operator, assert_sorted_batches
@@ -24,13 +24,11 @@ def _check_compatible(left: Operator, right: Operator, what: str) -> None:
 
 
 class UnionAll(Operator):
-    """Bag union: concatenate the two inputs; no order guarantee."""
-
-    name = "UnionAll"
+    """Bag union: concatenate the two inputs."""
 
     def __init__(self, left: Operator, right: Operator) -> None:
         _check_compatible(left, right, "UnionAll")
-        super().__init__(left.schema, EMPTY_ORDER, [left, right])
+        super().__init__(left.schema, [left, right])
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         for child in self.children:
@@ -45,19 +43,18 @@ class MergeUnion(Operator):
     the order — a favorable order for operators above.
     """
 
-    name = "MergeUnion"
-
     def __init__(self, left: Operator, right: Operator, order: SortOrder) -> None:
         _check_compatible(left, right, "MergeUnion")
         if set(order) != set(left.schema.names):
             raise ValueError(
                 f"MergeUnion order {order} must be a permutation of all "
                 f"columns {left.schema.names}")
-        super().__init__(left.schema, order, [left, right])
+        super().__init__(left.schema, [left, right])
+        self.order = order
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         # Both inputs share the left schema's column positions.
-        positions = self.children[0].schema.positions(list(self.output_order))
+        positions = self.children[0].schema.positions(list(self.order))
         counter, size = ctx.comparisons, ctx.batch_size
 
         def keyed(child: Operator, what: str) -> Iterator[tuple[tuple, tuple]]:
@@ -91,22 +88,18 @@ class MergeUnion(Operator):
         if out:
             yield RowBatch(out)
 
-    def details(self) -> str:
-        return f"on {self.output_order}"
-
 
 class Dedup(Operator):
     """Streaming DISTINCT over input sorted on a permutation of all columns."""
 
-    name = "Dedup"
-
     def __init__(self, child: Operator, order: SortOrder) -> None:
         if set(order) != set(child.schema.names):
             raise ValueError("Dedup order must cover every column")
-        super().__init__(child.schema, order, [child])
+        super().__init__(child.schema, [child])
+        self.order = order
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        positions = self.schema.positions(list(self.output_order))
+        positions = self.schema.positions(list(self.order))
         batches = self.children[0].execute_batches(ctx)
         if ctx.check_orders:
             batches = assert_sorted_batches(batches, positions, "Dedup input")
@@ -129,17 +122,12 @@ class Dedup(Operator):
             elif starts:
                 yield RowBatch(list(gather(batch.rows, starts)))
 
-    def details(self) -> str:
-        return f"on {self.output_order}"
-
 
 class HashDedup(Operator):
-    """Hash-based DISTINCT; no order requirement or guarantee."""
-
-    name = "HashDedup"
+    """Hash-based DISTINCT; no order requirement."""
 
     def __init__(self, child: Operator) -> None:
-        super().__init__(child.schema, EMPTY_ORDER, [child])
+        super().__init__(child.schema, [child])
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         seen: set[tuple] = set()

@@ -382,25 +382,15 @@ def sort_batches(
     target_order: SortOrder,
     ctx: ExecutionContext,
     known_prefix: SortOrder = SortOrder(),
-    algorithm: str = "auto",
 ) -> Iterator[RowBatch]:
-    """Sort a batch stream to *target_order*, dispatching SRS vs MRS.
-
-    ``known_prefix`` is the sort order already guaranteed on the input
-    (must be a prefix of *target_order*).  ``algorithm`` may force
-    ``"srs"`` (ignore the prefix, as the systems in Experiment A1 do) or
-    ``"mrs"``; ``"auto"`` uses MRS exactly when a usable prefix exists.
-    """
-    if algorithm not in ("auto", "srs", "mrs"):
-        raise ValueError(f"unknown sort algorithm {algorithm!r}")
+    """Sort a batch stream to *target_order*: MRS exactly when
+    ``known_prefix`` — the sort order already guaranteed on the input,
+    a prefix of *target_order* — is non-empty, SRS otherwise."""
     if not known_prefix.is_prefix_of(target_order):
         raise ValueError(f"known prefix {known_prefix} is not a prefix of {target_order}")
     k = len(known_prefix)
-    if algorithm == "mrs" and k == 0:
-        raise ValueError("MRS requires a non-empty known sort-order prefix")
-
     positions = schema.positions(list(target_order))
-    if algorithm == "mrs" or (algorithm == "auto" and 0 < k):
+    if k:
         if k >= len(target_order):
             # Input already fully sorted; nothing to do.
             return iter(batches)
@@ -410,9 +400,9 @@ def sort_batches(
 
 
 def sort_stream(rows: Iterable[tuple], schema: Schema, target_order: SortOrder,
-                ctx: ExecutionContext, known_prefix: SortOrder = SortOrder(),
-                algorithm: str = "auto") -> Iterator[tuple]:
+                ctx: ExecutionContext,
+                known_prefix: SortOrder = SortOrder()) -> Iterator[tuple]:
     """Row adapter over :func:`sort_batches` (tests and examples)."""
     return flatten_batches(sort_batches(
         batches_of(rows, ctx.batch_size), schema, target_order, ctx,
-        known_prefix, algorithm))
+        known_prefix))

@@ -63,7 +63,6 @@ from typing import Any, Iterator, Optional, Sequence
 
 from ..obs.trace import _NULL_SPAN as _NULL_CM, Trace
 
-from ..core.sort_order import EMPTY_ORDER
 from .batch import RowBatch
 from .context import ExecutionContext, collector_paused
 from .exchange import ExchangeUnion, MergeExchange
@@ -264,11 +263,8 @@ class StreamSource(Operator):
     silently returning an empty stream.
     """
 
-    name = "StreamSource"
-
-    def __init__(self, schema, stream: ShardStream,
-                 output_order=EMPTY_ORDER) -> None:
-        super().__init__(schema, output_order)
+    def __init__(self, schema, stream: ShardStream) -> None:
+        super().__init__(schema)
         self.stream = stream
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
@@ -279,9 +275,6 @@ class StreamSource(Operator):
         for chunk in self.stream.batches():
             yield RowBatch(chunk)
 
-    def details(self) -> str:
-        return f"shard stream {self.stream.stream_id}"
-
 
 def assemble_streams(plan, occurrences: Sequence[Any],
                      streams: Sequence[ShardStream], catalog) -> Operator:
@@ -289,9 +282,9 @@ def assemble_streams(plan, occurrences: Sequence[Any],
 
     *streams* holds one live :class:`ShardStream` per task, in the order
     :func:`shard_subplans` cut them.  Each exchange is rebuilt over
-    :class:`StreamSource` children declaring the exchange's merge order
-    (their streams are sorted on it by construction — the workers ran
-    the per-shard enforcers), so a ``MergeExchange`` performs the exact
+    :class:`StreamSource` children on the plan node's merge order (their
+    streams are sorted on it by construction — the workers ran the
+    per-shard enforcers), so a ``MergeExchange`` performs the exact
     stable k-way merge it would have performed over local children, and
     ``check_orders`` execution still verifies every input; it just
     starts as soon as the first chunks land.  A whole-plan task
@@ -304,7 +297,7 @@ def assemble_streams(plan, occurrences: Sequence[Any],
                                           catalog), plan.binds)
     if not occurrences:
         (stream,) = streams
-        return StreamSource(plan.schema, stream, plan.order)
+        return StreamSource(plan.schema, stream)
     remaining = []
     cursor = 0
     for node in occurrences:
@@ -316,17 +309,13 @@ def assemble_streams(plan, occurrences: Sequence[Any],
         for i, (occ, shard_streams) in enumerate(remaining):
             if occ is node:
                 del remaining[i]
+                children = [StreamSource(c.schema, stream)
+                            for c, stream in zip(node.children, shard_streams)]
                 if node.op == "MergeExchange":
-                    children = [StreamSource(c.schema, stream, node.order)
-                                for c, stream in zip(node.children,
-                                                     shard_streams)]
                     exchange: Operator = MergeExchange(
                         children, node.order,
                         disjoint=node.arg("disjoint", False))
                 else:
-                    children = [StreamSource(c.schema, stream)
-                                for c, stream in zip(node.children,
-                                                     shard_streams)]
                     exchange = ExchangeUnion(children)
                 exchange._meter = meter_for(node)
                 return exchange

@@ -90,8 +90,7 @@ class ExplainAnalyze:
         def emit(node, indent: int) -> None:
             pad = "  " * indent
             cost = f" cost={node.total_cost:,.0f}" if with_cost else ""
-            order = f" [order: {node.order}]" if node.order else ""
-            lines.append(f"{pad}{node.op} ({node.describe()}){order}{cost}  "
+            lines.append(f"{pad}{node.label()}{cost}  "
                          f"{self.node_annotation(node, multiplicity)}")
             for child in node.children:
                 emit(child, indent + 1)

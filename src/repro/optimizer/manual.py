@@ -99,6 +99,8 @@ class PlanBuilder:
                          stats, self.cost.table_scan(stats), table=table_name)
 
     def clustering_scan(self, table_name: str) -> PhysicalPlan:
+        if not self.catalog.table(table_name).clustering_order:
+            raise ValueError(f"table {table_name} has no clustering order")
         return replace(self.table_scan(table_name), op="ClusteringIndexScan")
 
     def covering_scan(self, table_name: str, index_name: str) -> PhysicalPlan:
@@ -191,9 +193,9 @@ class PlanBuilder:
             stats = on
         if prefix:
             return make_plan("PartialSort", child.schema, order, stats, cost,
-                             [child], prefix=prefix, algorithm="mrs")
+                             [child], prefix=prefix)
         return make_plan("Sort", child.schema, order, stats, cost, [child],
-                         prefix=EMPTY_ORDER, algorithm="srs")
+                         prefix=EMPTY_ORDER)
 
     # -- joins --------------------------------------------------------------------------
     def _join_stats(self, pairs: Sequence[tuple[str, str]], join_type: str,
@@ -251,9 +253,9 @@ class PlanBuilder:
                                  f"enforce pairs above the merge")
             merged = self._join_stats(pairs, join_type, left.stats, right.stats)
         # FULL OUTER pads left key columns of right-unmatched rows with
-        # NULLs mid-stream, so its output guarantees no order (mirrors
-        # engine/joins.py — the two must agree or enforcers get skipped
-        # above plans that cannot honour them).
+        # NULLs mid-stream, wherever the right key falls: under NULLS
+        # FIRST the output is not sorted on the left permutation, so it
+        # claims no order (a wrong claim would skip an enforcer above).
         out_order = EMPTY_ORDER if join_type == "full" else perm
         join = make_plan("MergeJoin", schema, out_order, merged,
                          self.cost.merge_join(left.stats, right.stats, merged.N),

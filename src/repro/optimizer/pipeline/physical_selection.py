@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Optional
 from ...core.interesting import OrderContext, OrderStrategy
 from ...core.sort_order import AttributeEquivalence, EMPTY_ORDER, SortOrder
 from ...engine.aggregates import combinable
-from ...engine.exchange import ORDER_PRESERVING_UNARY_OPS
 from ...engine.scans import range_shardable, shardable
 from ...logical.algebra import (
     BaseRelation,
@@ -49,6 +48,14 @@ from ..manual import PlanBuilder
 from ..plans import PhysicalPlan
 from .groups import Group, GroupTable
 from .pre_check import OptimizerConfig
+
+#: Per-row unaries that commute with sharding, by plan op: applying them
+#: to each contiguous shard and concatenating equals applying them to
+#: the whole stream, and each shard's output order equals the
+#: whole-stream order — the shapes shard-aware enforcer placement treats
+#: as shard-transparent.
+ORDER_PRESERVING_UNARY_OPS = ("Filter", "Project", "Compute")
+
 
 def enforcement_chain_scan(plan: PhysicalPlan) -> Optional[PhysicalPlan]:
     """The scan under a chain of per-row, order-preserving unaries, or

@@ -107,12 +107,16 @@ class PhysicalPlan:
         suffix = f" [{join_type} outer]" if join_type in ("left", "full") else ""
         return (detail() if detail else "") + suffix
 
+    def label(self) -> str:
+        """``op (describe) [order: …]``: this node's line in EXPLAIN and
+        in EXPLAIN ANALYZE, before the cost each of them appends."""
+        order = f" [order: {self.order}]" if self.order else ""
+        return f"{self.op} ({self.describe()}){order}"
+
     def explain(self, indent: int = 0, with_cost: bool = True) -> str:
         pad = "  " * indent
         cost = f"  (cost={self.total_cost:,.0f}, rows={self.rows:,.0f})" if with_cost else ""
-        order = f" [order: {self.order}]" if self.order else ""
-        line = f"{pad}{self.op} ({self.describe()}){order}{cost}"
-        parts = [line]
+        parts = [f"{pad}{self.label()}{cost}"]
         parts.extend(c.explain(indent + 1, with_cost) for c in self.children)
         return "\n".join(parts)
 

@@ -221,8 +221,9 @@ class QueryServer:
         #: session, waiting in :attr:`_free_slots`; a query runs only on a
         #: thread that took one — a client thread inline, or a dispatch
         #: thread — and gives it back when done, so ``in_flight <=
-        #: max_inflight`` holds across both paths.  Made before the
-        #: backend, so that a bad optimizer option starts no worker pool.
+        #: max_inflight`` holds across both paths.  The slots, the
+        #: breaker and the slow log are made before the backend, so that
+        #: a bad setting for any of them starts no worker pool.
         self._sessions = [
             QuerySession(catalog, cache=self.cache, feedback=feedback,
                          **options)
@@ -230,9 +231,6 @@ class QueryServer:
         self._free_slots: SimpleQueue[QuerySession] = SimpleQueue()
         for session in self._sessions:
             self._free_slots.put(session)
-        self.backend: ExecutionBackend = make_backend(
-            backend, catalog, pool_workers=pool_workers,
-            mp_context=mp_context)
         self.metrics = ServerMetrics()
         self.breaker = CircuitBreaker(
             failure_threshold=circuit_threshold,
@@ -257,6 +255,9 @@ class QueryServer:
         else:
             self.tracer = None
             self.slow_log = None
+        self.backend: ExecutionBackend = make_backend(
+            backend, catalog, pool_workers=pool_workers,
+            mp_context=mp_context)
         self._dispatch = ThreadPoolExecutor(
             max_workers=max_inflight, thread_name_prefix="repro-serve")
         self._closed = False

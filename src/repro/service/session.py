@@ -35,7 +35,7 @@ key); execution runs the plan exactly as planned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional, Union as TUnion
 
 from ..engine.context import ExecutionContext
@@ -385,29 +385,11 @@ class QuerySession:
 
         Flat, JSON-friendly dict — what a /metrics endpoint would expose.
         """
-        out: dict[str, Any] = {
-            "prepares": self.metrics.prepares,
-            "optimizations": self.metrics.optimizations,
-            "executions": self.metrics.executions,
-            "optimize_seconds": self.metrics.optimize_seconds,
-            "shard_merge_plans": self.metrics.shard_merge_plans,
-            "post_union_sort_plans": self.metrics.post_union_sort_plans,
-            "sharded_join_plans": self.metrics.sharded_join_plans,
-            "sharded_agg_plans": self.metrics.sharded_agg_plans,
-            "sharded_distinct_plans": self.metrics.sharded_distinct_plans,
-            "join_enumerator": self.optimizer.enumerator.name,
-            "enumerator_seconds": self.metrics.enumerator_seconds,
-            "join_order_candidates": self.metrics.join_order_candidates,
-            "goals_examined": self.metrics.goals_examined,
-            "goals_pruned": self.metrics.goals_pruned,
-            "memo_hits": self.metrics.memo_hits,
-            "failure_memo_hits": self.metrics.failure_memo_hits,
-            "drift_checks": self.metrics.drift_checks,
-            "drift_events": self.metrics.drift_events,
-            "feedback_refreshes": self.metrics.feedback_refreshes,
-            "cache_size": len(self.cache),
-            "cache_capacity": self.cache.capacity,
-        }
+        out: dict[str, Any] = {f.name: getattr(self.metrics, f.name)
+                               for f in fields(SessionMetrics)}
+        out["join_enumerator"] = self.optimizer.enumerator.name
+        out["cache_size"] = len(self.cache)
+        out["cache_capacity"] = self.cache.capacity
         for name, value in self.cache.stats.as_dict().items():
             out[f"cache_{name}"] = value
         # Kernel counters are process-global (the kernel cache is shared

@@ -318,20 +318,11 @@ class StatsView:
         return StatsView(schema, self.num_rows, distinct, self._eq, keys, groups,
                          sketches)
 
-    def with_eq(self, eq: AttributeEquivalence) -> "StatsView":
-        return StatsView(self.schema, self.num_rows, self._distinct, eq,
-                         self.keys, self.group_distinct, self._sketches)
-
     def with_rows(self, num_rows: float) -> "StatsView":
         distinct = {c: min(d, num_rows) for c, d in self._distinct.items()}
         groups = {g: min(d, num_rows) for g, d in self.group_distinct.items()}
         return StatsView(self.schema, num_rows, distinct, self._eq, self.keys, groups,
                          self._sketches)
-
-    def with_keys(self, keys: Iterable[frozenset]) -> "StatsView":
-        return StatsView(self.schema, self.num_rows, self._distinct, self._eq,
-                         tuple(self.keys) + tuple(frozenset(k) for k in keys),
-                         self.group_distinct, self._sketches)
 
     def join(self, other: "StatsView",
              join_pairs: list[tuple[str, str]],

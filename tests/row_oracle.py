@@ -472,13 +472,11 @@ class NestedLoopsJoin(Operator):
     ``B_outer + ⌈B_outer / (M-1)⌉ · B_inner`` pattern.
     """
 
-    name = "NestedLoopsJoin"
-
     def __init__(self, left: Operator, right: Operator,
                  predicate: Optional[JoinPredicate] = None,
                  residual: Optional[Predicate] = None) -> None:
         schema = left.schema.concat(right.schema)
-        super().__init__(schema, left.output_order, [left, right])
+        super().__init__(schema, [left, right])
         self.predicate = predicate
         self.residual = residual
 

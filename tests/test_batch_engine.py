@@ -14,7 +14,6 @@ from repro.engine import (
     Project,
     RowBatch,
     RowSource,
-    ShardedScan,
     Sort,
     TableScan,
     batches_of,
@@ -22,6 +21,7 @@ from repro.engine import (
     shard_bounds,
 )
 from repro.expr import col
+from repro.optimizer.manual import PlanBuilder
 from repro.storage import Catalog, Schema, SystemParameters
 
 SCHEMA = Schema.of(("a", "int", 8), ("b", "int", 8), ("v", "int", 8))
@@ -94,13 +94,11 @@ class TestShardedScans:
         full = TableScan(table).run(ExecutionContext(catalog))
         pieces = []
         for i in range(3):
-            pieces.extend(ShardedScan(table, 3, i).run(ExecutionContext(catalog)))
+            pieces.extend(TableScan(table, 3, i).run(ExecutionContext(catalog)))
         assert pieces == full
 
     def test_shard_validation(self, catalog):
         table = catalog.table("t")
-        with pytest.raises(ValueError):
-            ShardedScan(table, 1, 0)  # use TableScan for unsharded
         with pytest.raises(ValueError):
             TableScan(table, 4, 4)
         with pytest.raises(ValueError):
@@ -108,16 +106,24 @@ class TestShardedScans:
 
     def test_exchange_union_preserves_contiguous_order(self, catalog):
         table = catalog.table("t")
-        exchange = ExchangeUnion([ShardedScan(table, 4, i) for i in range(4)])
-        assert exchange.output_order == table.clustering_order
+        exchange = ExchangeUnion([TableScan(table, 4, i) for i in range(4)])
+        # The checked partial sort asserts its input is sorted on the
+        # clustering order it is told of.
         ctx = ExecutionContext(catalog, check_orders=True)
-        out = Sort(exchange, SortOrder(["a", "b"])).run(ctx)
+        out = Sort(exchange, SortOrder(["a", "b"]),
+                   known_prefix=table.clustering_order).run(ctx)
         assert [(r[0], r[1]) for r in out] == sorted((r[0], r[1]) for r in out)
 
-    def test_exchange_union_unrelated_children_get_no_order(self):
-        l = RowSource(SCHEMA, [(1, 1, 1)], SortOrder(["a"]))
-        r = RowSource(SCHEMA, [(0, 0, 0)], SortOrder(["a"]))
-        assert ExchangeUnion([l, r]).output_order == EMPTY_ORDER
+    def test_exchange_union_unrelated_children_get_no_order(self, catalog):
+        """The plan claims ε for every ExchangeUnion, whatever its
+        children deliver: an order above the gather is enforced there."""
+        b = PlanBuilder(catalog)
+        scan = b.table_scan("t")
+        assert scan.order == SortOrder(["a"])
+        gather = b.gather([scan, scan], EMPTY_ORDER, scan.stats)
+        assert gather.op == "ExchangeUnion" and gather.order == EMPTY_ORDER
+        merge = b.gather([scan, scan], SortOrder(["a"]), scan.stats)
+        assert merge.op == "MergeExchange" and merge.order == SortOrder(["a"])
 
     def test_exchange_union_rejects_mismatched_schemas(self, catalog):
         other = Schema.of(("x", "int", 8))

@@ -103,8 +103,8 @@ def test_merge_join_regions(join_type, left, right):
                                           join_type, oracle_ctx))
     for batch_size in BATCH_SIZES:
         ctx = ExecutionContext(batch_size=batch_size, check_orders=True)
-        plan = MergeJoin(RowSource(LEFT, lrows, SortOrder(["a", "b"])),
-                         RowSource(RIGHT, rrows, SortOrder(["c", "d"])),
+        plan = MergeJoin(RowSource(LEFT, lrows),
+                         RowSource(RIGHT, rrows),
                          JoinPredicate([("a", "c"), ("b", "d")]), join_type)
         same(plan.run(ctx), expected)
         assert ctx.tallies() == oracle_ctx.tallies(), batch_size
@@ -122,8 +122,8 @@ def test_merge_join_region_with_one_side_exhausting_mid_batch():
                                               3, join_type, oracle_ctx))
         for batch_size in BATCH_SIZES:
             ctx = ExecutionContext(batch_size=batch_size)
-            plan = MergeJoin(RowSource(LEFT, lrows, SortOrder(["a", "b"])),
-                             RowSource(RIGHT, rrows, SortOrder(["c", "d"])),
+            plan = MergeJoin(RowSource(LEFT, lrows),
+                             RowSource(RIGHT, rrows),
                              JoinPredicate([("a", "c"), ("b", "d")]), join_type)
             same(plan.run(ctx), expected)
             assert ctx.tallies() == oracle_ctx.tallies(), (join_type, batch_size)
@@ -162,8 +162,7 @@ def test_partial_sort_regions(rows, params):
     for batch_size in BATCH_SIZES:
         ctx = ExecutionContext(params=params, batch_size=batch_size,
                                check_orders=True)
-        plan = Sort(RowSource(SORTED, rows, prefix), target,
-                    known_prefix=prefix, algorithm="mrs")
+        plan = Sort(RowSource(SORTED, rows), target, known_prefix=prefix)
         same(plan.run(ctx), expected)
         assert ctx.tallies() == oracle_ctx.tallies(), batch_size
 
@@ -218,8 +217,7 @@ def test_partial_sort_two_column_suffix_regions(rows, params):
     for batch_size in BATCH_SIZES:
         ctx = ExecutionContext(params=params, batch_size=batch_size,
                                check_orders=True)
-        plan = Sort(RowSource(WIDE, rows, prefix), target,
-                    known_prefix=prefix, algorithm="mrs")
+        plan = Sort(RowSource(WIDE, rows), target, known_prefix=prefix)
         same(plan.run(ctx), expected)
         assert ctx.tallies() == oracle_ctx.tallies(), batch_size
         for counter in ("segments_sorted", "in_memory_sorts"):
@@ -241,7 +239,7 @@ def test_partial_sort_spills_in_the_middle_of_a_region():
     oracle_ctx = ExecutionContext(params=params)
     expected = list(row_oracle.mrs_sort(rows, [0], [1], oracle_ctx,
                                         SORTED.row_bytes))
-    plan = Sort(RowSource(SORTED, rows, SortOrder(["k1"])),
+    plan = Sort(RowSource(SORTED, rows),
                 SortOrder(["k1", "k2"]), known_prefix=SortOrder(["k1"]))
     assert plan.run(ctx) == expected
     assert ctx.tallies() == oracle_ctx.tallies()
@@ -273,7 +271,7 @@ def test_sort_aggregate_regions(groups, data):
         [spec.function for spec in AGGS], oracle_ctx))
     for batch_size in BATCH_SIZES:
         ctx = ExecutionContext(batch_size=batch_size, check_orders=True)
-        plan = SortAggregate(RowSource(SORTED, rows, order), order, AGGS)
+        plan = SortAggregate(RowSource(SORTED, rows), order, AGGS)
         same(plan.run(ctx), expected)
         assert ctx.tallies() == oracle_ctx.tallies(), batch_size
 
@@ -289,14 +287,14 @@ def test_sorted_combine_regions(groups, data):
                 for key, size in groups for i in range(size)]
     assert len(partials) == n
     order = SortOrder(["k1", "k2"])
-    schema = SortAggregate(RowSource(SORTED, [], order), order, specs).schema
+    schema = SortAggregate(RowSource(SORTED, []), order, specs).schema
     oracle_ctx = ExecutionContext()
     expected = list(row_oracle.sort_aggregate(
         partials, (0, 1), (0, 1), [itemgetter(2 + j) for j in range(len(specs))],
         [AGGREGATES[AGGREGATE_COMBINERS[s.func]] for s in specs], oracle_ctx))
     for batch_size in BATCH_SIZES:
         ctx = ExecutionContext(batch_size=batch_size)
-        plan = SortedGroupCombine(RowSource(schema, partials, order), order,
+        plan = SortedGroupCombine(RowSource(schema, partials), order,
                                   ["k1", "k2"], specs)
         same(plan.run(ctx), expected)
         assert ctx.tallies() == oracle_ctx.tallies(), batch_size
@@ -409,7 +407,7 @@ def test_aggregate_kernels_match_row_oracle(shape, groups, data, grouping, x,
     else:
         inputs = [rows, data.draw(st.permutations(rows)), rows + rows]
     for drawn in inputs:
-        source = RowSource(SORTED, drawn, SortOrder(list(order)))
+        source = RowSource(SORTED, drawn)
         oracle_ctx = ExecutionContext(params=params)
         if shape == SORT_AGGREGATE:
             plan = SortAggregate(source, SortOrder(list(order)), KERNEL_AGGS,

@@ -198,7 +198,7 @@ class _CollectorProbe(Operator):
     name = "CollectorProbe"
 
     def __init__(self, child, fail: bool) -> None:
-        super().__init__(child.schema, child.output_order, [child])
+        super().__init__(child.schema, [child])
         self.fail = fail
 
     def execute_batches(self, ctx):

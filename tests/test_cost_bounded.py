@@ -237,7 +237,7 @@ class TestSortCapacityRegression:
         rng = random.Random(3)
         rows = [(rng.randrange(100), rng.randrange(100), i) for i in range(300)]
         out = list(sort_stream(rows, self.SCHEMA, SortOrder(["k1", "k2"]),
-                               zero_capacity_ctx, algorithm="srs"))
+                               zero_capacity_ctx))
         assert len(out) == len(rows)
         assert [r[:2] for r in out] == sorted(r[:2] for r in rows)
 
@@ -247,8 +247,7 @@ class TestSortCapacityRegression:
                       key=lambda r: r[0])
         out = list(sort_stream(rows, self.SCHEMA, SortOrder(["k1", "k2"]),
                                zero_capacity_ctx,
-                               known_prefix=SortOrder(["k1"]),
-                               algorithm="mrs"))
+                               known_prefix=SortOrder(["k1"])))
         assert len(out) == len(rows)
         assert [r[:2] for r in out] == sorted(r[:2] for r in rows)
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.engine import (
-    ClusteringIndexScan,
     Compute,
     CoveringIndexScan,
     Dedup,
@@ -17,16 +16,17 @@ from repro.engine import (
     HashDedup,
     Limit,
     MergeUnion,
-    PartialSort,
     Project,
     RowSource,
     Sort,
     SortAggregate,
     TableScan,
     UnionAll,
+    operators_from_plan,
 )
 from repro.expr import col
 from repro.expr.aggregates import agg_sum, count_star
+from repro.optimizer.manual import PlanBuilder
 from repro.storage import Catalog, Schema, SystemParameters
 
 SCHEMA = Schema.of(("a", "int", 8), ("b", "int", 8), ("v", "int", 8))
@@ -49,21 +49,21 @@ class TestScans:
         assert ctx.io.blocks_read == catalog.table("t").num_blocks
 
     def test_table_scan_order_is_clustering(self, catalog):
-        op = TableScan(catalog.table("t"))
-        assert op.output_order == SortOrder(["a"])
-        out = op.run(ExecutionContext(catalog))
+        assert PlanBuilder(catalog).table_scan("t").order == SortOrder(["a"])
+        out = TableScan(catalog.table("t")).run(ExecutionContext(catalog))
         assert [r[0] for r in out] == sorted(r[0] for r in out)
 
     def test_clustering_scan_requires_clustering(self):
         cat = Catalog()
-        t = cat.create_table("u", SCHEMA, rows=[(1, 1, 1)])
+        cat.create_table("u", SCHEMA, rows=[(1, 1, 1)])
         with pytest.raises(ValueError):
-            ClusteringIndexScan(t)
+            PlanBuilder(cat).clustering_scan("u")
 
     def test_covering_scan_order_and_schema(self, catalog):
         ix = catalog.indexes_of("t")[0]
         op = CoveringIndexScan(ix)
-        assert op.output_order == SortOrder(["a", "b"])
+        plan = PlanBuilder(catalog).covering_scan("t", ix.name)
+        assert plan.order == SortOrder(["a", "b"])
         assert op.schema.names == ("a", "b", "v")
         out = op.run(ExecutionContext(catalog))
         keys = [(r[0], r[1]) for r in out]
@@ -87,19 +87,24 @@ class TestRowOps:
         op = Filter(TableScan(catalog.table("t")), col("a").eq(3))
         out = op.run(ExecutionContext(catalog))
         assert all(r[0] == 3 for r in out)
-        assert op.output_order == SortOrder(["a"])
+        b = PlanBuilder(catalog)
+        assert b.filter(b.table_scan("t"), col("a").eq(3)).order == SortOrder(["a"])
 
     def test_filter_missing_column(self, catalog):
         with pytest.raises(ValueError):
             Filter(TableScan(catalog.table("t")), col("zz").eq(1))
 
     def test_project_schema_and_order(self, catalog):
-        scan = TableScan(catalog.table("t"))
-        op = Project(scan, ["a", "v"])
+        """The plan claims the prefix of its input's order that survives
+        the projection."""
+        op = Project(TableScan(catalog.table("t")), ["a", "v"])
         assert op.schema.names == ("a", "v")
-        assert op.output_order == SortOrder(["a"])
-        dropped = Project(scan, ["v"])
-        assert dropped.output_order == EMPTY_ORDER
+        out = op.run(ExecutionContext(catalog))
+        assert [r[0] for r in out] == sorted(r[0] for r in out)
+        b = PlanBuilder(catalog)
+        scan = b.table_scan("t")
+        assert b.project(scan, ["a", "v"]).order == SortOrder(["a"])
+        assert b.project(scan, ["v"]).order == EMPTY_ORDER
 
     def test_compute(self):
         src = RowSource(SCHEMA, [(1, 2, 3), (4, 5, 6)])
@@ -111,31 +116,42 @@ class TestRowOps:
 
 class TestSortOperator:
     def test_auto_uses_child_prefix(self, catalog):
-        op = Sort(TableScan(catalog.table("t")), SortOrder(["a", "b"]))
+        """The plan's enforcer takes its known prefix from the child's
+        order, and lowering hands that prefix to the Sort."""
+        b = PlanBuilder(catalog)
+        plan = b.sort(b.table_scan("t"), SortOrder(["a", "b"]))
+        assert plan.arg("prefix") == SortOrder(["a"])
+        op = operators_from_plan(plan, catalog)
         assert op.known_prefix == SortOrder(["a"])
-        assert op.is_partial
         ctx = ExecutionContext(catalog, check_orders=True)
         out = op.run(ctx)
         assert [(r[0], r[1]) for r in out] == sorted((r[0], r[1]) for r in out)
         assert ctx.sort_metrics.segments_sorted > 0
 
     def test_forced_srs_ignores_prefix(self, catalog):
-        op = Sort(TableScan(catalog.table("t")), SortOrder(["a", "b"]),
-                  algorithm="srs")
-        assert not op.is_partial
+        b = PlanBuilder(catalog)
+        plan = b.sort(b.table_scan("t"), SortOrder(["a", "b"]), full=True)
+        assert plan.op == "Sort" and plan.arg("prefix") == EMPTY_ORDER
+        op = operators_from_plan(plan, catalog)
+        assert op.known_prefix == EMPTY_ORDER
         ctx = ExecutionContext(catalog)
         out = op.run(ctx)
         assert [(r[0], r[1]) for r in out] == sorted((r[0], r[1]) for r in out)
         assert ctx.sort_metrics.segments_sorted == 0
 
     def test_partial_sort_alias(self, catalog):
-        op = PartialSort(TableScan(catalog.table("t")), SortOrder(["a", "b"]))
-        assert op.name == "PartialSort"
-        assert op.is_partial
+        """A ``PartialSort`` plan node lowers to a ``Sort`` given its prefix;
+        its meter keeps the plan's name."""
+        b = PlanBuilder(catalog)
+        plan = b.sort(b.table_scan("t"), SortOrder(["a", "b"]))
+        assert plan.op == "PartialSort"
+        op = operators_from_plan(plan, catalog)
+        assert type(op) is Sort and op.known_prefix == plan.arg("prefix")
+        assert op._meter[0] == "PartialSort"
 
     def test_input_prefix_violation_detected(self):
-        src = RowSource(SCHEMA, [(2, 1, 1), (1, 1, 2)], SortOrder(["a"]))
-        op = Sort(src, SortOrder(["a", "b"]))
+        src = RowSource(SCHEMA, [(2, 1, 1), (1, 1, 2)])
+        op = Sort(src, SortOrder(["a", "b"]), known_prefix=SortOrder(["a"]))
         with pytest.raises(AssertionError):
             op.run(ExecutionContext(check_orders=True))
 
@@ -159,14 +175,19 @@ class TestAggregateOps:
         op = SortAggregate(self.make_sorted(catalog), SortOrder(["a", "b"]),
                            [count_star("n"), agg_sum(col("v"), "sv")])
         out = op.run(ExecutionContext(catalog, check_orders=True))
-        assert sorted(out) == self.reference(catalog)
-        assert op.output_order == SortOrder(["a", "b"])
+        assert out == self.reference(catalog)  # sorted on (a, b)
+        b = PlanBuilder(catalog)
+        plan = b.sort_aggregate(b.sort(b.table_scan("t"), SortOrder(["a", "b"])),
+                                SortOrder(["a", "b"]), [count_star("n")])
+        assert plan.order == SortOrder(["a", "b"])
 
     def test_hash_aggregate_agrees(self, catalog):
         op = HashAggregate(TableScan(catalog.table("t")), ["a", "b"],
                            [count_star("n"), agg_sum(col("v"), "sv")])
         assert sorted(op.run(ExecutionContext(catalog))) == self.reference(catalog)
-        assert op.output_order == EMPTY_ORDER
+        b = PlanBuilder(catalog)
+        plan = b.hash_aggregate(b.table_scan("t"), ["a", "b"], [count_star("n")])
+        assert plan.order == EMPTY_ORDER
 
     def test_fd_reduced_group_columns(self, catalog):
         """Sort key (a, b) but emit group columns (a, b, v)-style superset
@@ -187,14 +208,13 @@ class TestAggregateOps:
                           [count_star("n")], group_columns=["a"])
 
     def test_sort_aggregate_detects_bad_grouping(self):
-        src = RowSource(SCHEMA, [(1, 0, 0), (2, 0, 0), (1, 0, 0)],
-                        SortOrder(["a"]))
+        src = RowSource(SCHEMA, [(1, 0, 0), (2, 0, 0), (1, 0, 0)])
         op = SortAggregate(src, SortOrder(["a"]), [count_star("n")])
         with pytest.raises(AssertionError):
             op.run(ExecutionContext(check_orders=True))
 
     def test_null_handling(self):
-        src = RowSource(SCHEMA, [(1, 1, None), (1, 1, 5)], SortOrder(["a"]))
+        src = RowSource(SCHEMA, [(1, 1, None), (1, 1, 5)])
         op = SortAggregate(src, SortOrder(["a"]),
                            [agg_sum(col("v"), "sv"), count_star("n")])
         assert op.run() == [(1, 5, 2)]  # sum skips NULL, count(*) does not
@@ -258,8 +278,8 @@ class TestSetOps:
 
     def test_merge_union_dedups(self):
         order = SortOrder(["a", "b", "v"])
-        l = RowSource(SCHEMA, [(1, 1, 1), (2, 2, 2)], order)
-        r = RowSource(SCHEMA, [(1, 1, 1), (3, 3, 3)], order)
+        l = RowSource(SCHEMA, [(1, 1, 1), (2, 2, 2)])
+        r = RowSource(SCHEMA, [(1, 1, 1), (3, 3, 3)])
         out = MergeUnion(l, r, order).run(ExecutionContext(check_orders=True))
         assert out == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
 
@@ -271,14 +291,16 @@ class TestSetOps:
 
     def test_dedup(self):
         order = SortOrder(["a", "b", "v"])
-        src = RowSource(SCHEMA, [(1, 1, 1), (1, 1, 1), (2, 1, 1)], order)
+        src = RowSource(SCHEMA, [(1, 1, 1), (1, 1, 1), (2, 1, 1)])
         assert Dedup(src, order).run() == [(1, 1, 1), (2, 1, 1)]
 
-    def test_hash_dedup(self, rng):
+    def test_hash_dedup(self, rng, catalog):
         rows = [(rng.randrange(3), rng.randrange(3), rng.randrange(2))
                 for _ in range(50)]
         out = HashDedup(RowSource(SCHEMA, rows)).run()
         assert sorted(out) == sorted(set(rows))
+        b = PlanBuilder(catalog)
+        assert b.hash_dedup(b.table_scan("t")).order == EMPTY_ORDER
 
 
 class TestLimitTopK:
@@ -297,12 +319,15 @@ class TestLimitTopK:
 
 class TestExplain:
     def test_tree_rendering(self, catalog):
-        op = Filter(Sort(TableScan(catalog.table("t")), SortOrder(["a", "b"])),
-                    col("a").eq(1))
-        text = op.explain()
-        assert "Filter" in text and "Sort" in text and "TableScan" in text
+        """The plan is what EXPLAIN renders; its operators render nothing."""
+        b = PlanBuilder(catalog)
+        plan = b.filter(b.sort(b.table_scan("t"), SortOrder(["a", "b"])),
+                        col("a").eq(1))
+        text = plan.explain()
+        assert "Filter" in text and "PartialSort" in text and "TableScan" in text
         assert "(a, b)" in text
+        assert not hasattr(plan.to_operator(catalog), "explain")
 
     def test_walk(self, catalog):
         op = Filter(TableScan(catalog.table("t")), col("a").eq(1))
-        assert [o.name for o in op.walk()] == ["Filter", "TableScan"]
+        assert [type(o) for o in op.walk()] == [Filter, TableScan]

@@ -102,7 +102,7 @@ def test_full_sort_that_spills_never_compares_in_python():
 def test_partial_sort_of_singleton_segments_is_a_pass_per_batch():
     rng = random.Random(1)
     rows = [(i, rng.randrange(100), i) for i in range(ROWS)]
-    plan = Sort(RowSource(SCHEMA, rows, SortOrder(["k1"])),
+    plan = Sort(RowSource(SCHEMA, rows),
                 SortOrder(["k1", "k2"]), known_prefix=SortOrder(["k1"]))
     calls, out, ctx = python_calls(plan)
     assert out == rows
@@ -115,7 +115,7 @@ def test_partial_sort_never_compares_in_python():
     Python ``__lt__`` per comparison."""
     rng = random.Random(2)
     rows = [(i // 4, rng.randrange(100), i) for i in range(ROWS)]
-    plan = Sort(RowSource(SCHEMA, rows, SortOrder(["k1"])),
+    plan = Sort(RowSource(SCHEMA, rows),
                 SortOrder(["k1", "k2"]), known_prefix=SortOrder(["k1"]))
     calls, out, ctx = python_calls(plan)
     assert out == sorted(rows, key=lambda r: r[:2])
@@ -128,8 +128,8 @@ def test_partial_sort_never_compares_in_python():
 def test_merge_join_of_singleton_groups_is_a_pass_per_batch():
     left = [(i, 0, i) for i in range(ROWS)]
     right = [(2 * i, 0, -i) for i in range(ROWS)]
-    plan = MergeJoin(RowSource(SCHEMA, left, SortOrder(["k1", "k2"])),
-                     RowSource(OTHER, right, SortOrder(["j1", "j2"])),
+    plan = MergeJoin(RowSource(SCHEMA, left),
+                     RowSource(OTHER, right),
                      JoinPredicate([("k1", "j1"), ("k2", "j2")]))
     calls, out, ctx = python_calls(plan)
     assert out == [(2 * i, 0, 2 * i, 2 * i, 0, -i) for i in range(ROWS // 2)]
@@ -143,7 +143,7 @@ def test_sort_aggregate_of_singleton_groups_is_a_pass_per_batch():
     rng = random.Random(3)
     rows = [(i, 0, rng.randrange(100)) for i in range(ROWS)]
     order = SortOrder(["k1", "k2"])
-    plan = SortAggregate(RowSource(SCHEMA, rows, order), order,
+    plan = SortAggregate(RowSource(SCHEMA, rows), order,
                          [agg_sum(col("v"), "s"), count(col("v"), "c"),
                           agg_min(col("v"), "lo")])
     calls, out, ctx = python_calls(plan)
@@ -184,8 +184,8 @@ def test_sorted_combine_is_a_pass_per_batch():
     specs = [agg_sum(col("v"), "s"), count(col("v"), "c"), agg_min(col("v"), "lo")]
     order = SortOrder(["k1", "k2"])
     partials = [(i // 2, 0, i, 1, i) for i in range(ROWS)]
-    schema = SortAggregate(RowSource(SCHEMA, [], order), order, specs).schema
-    plan = SortedGroupCombine(RowSource(schema, partials, order), order,
+    schema = SortAggregate(RowSource(SCHEMA, []), order, specs).schema
+    plan = SortedGroupCombine(RowSource(schema, partials), order,
                               ["k1", "k2"], specs)
     calls, out, ctx = python_calls(plan)
     assert out == [(k, 0, 4 * k + 1, 2, 2 * k) for k in range(ROWS // 2)]

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sort_order import SortOrder
+from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.engine import (
     ExecutionContext,
     HashJoin,
@@ -15,7 +15,8 @@ from repro.engine import (
     Sort,
 )
 from repro.expr import JoinPredicate
-from repro.storage import Schema, SystemParameters
+from repro.optimizer.manual import PlanBuilder
+from repro.storage import Catalog, Schema, SystemParameters
 from tests import row_oracle
 from tests.row_oracle import NestedLoopsJoin
 
@@ -120,12 +121,30 @@ class TestJoinCorrectness:
 
 class TestJoinProperties:
     def test_merge_output_order_guarantee(self):
+        """The plan states each join's order: a merge join claims its
+        left permutation, a FULL OUTER merge join and a hash join claim
+        ε.  The merge join's rows hold to the claim."""
         rng = random.Random(9)
         lrows = [(rng.randrange(6), rng.randrange(4), i) for i in range(100)]
         rrows = [(rng.randrange(6), rng.randrange(4), i) for i in range(80)]
+        cat = Catalog()
+        cat.create_table("l", LEFT, rows=lrows)
+        cat.create_table("r", RIGHT, rows=rrows)
+        b = PlanBuilder(cat)
+        pairs = [("b", "d"), ("a", "c")]
+        join = b.merge_join(b.table_scan("l"), b.table_scan("r"), pairs)
+        assert join.order == SortOrder(["b", "a"])
+        full = b.merge_join(b.table_scan("l"), b.table_scan("r"), pairs, "full")
+        assert full.order == EMPTY_ORDER
+        for join_type in ("inner", "left", "full"):
+            hashed = b.hash_join(b.table_scan("l"), b.table_scan("r"), pairs,
+                                 join_type)
+            assert hashed.order == EMPTY_ORDER
+        out = join.execute(cat, ExecutionContext(cat, check_orders=True))
+        keys = [(r[1], r[0]) for r in out]
+        assert keys == sorted(keys)
         op = MergeJoin(sorted_source(LEFT, lrows, ["a", "b"]),
                        sorted_source(RIGHT, rrows, ["c", "d"]), PRED)
-        assert op.output_order == SortOrder(["a", "b"])
         out = op.run(ExecutionContext(check_orders=True))
         keys = [(r[0], r[1]) for r in out]
         assert keys == sorted(keys)
@@ -133,7 +152,7 @@ class TestJoinProperties:
     def test_merge_requires_sorted_inputs(self):
         lrows = [(2, 1, 0), (1, 1, 1)]  # unsorted; right key larger so the
         # merge must consume the whole left stream and hit the violation
-        op = MergeJoin(RowSource(LEFT, lrows, SortOrder(["a", "b"])),
+        op = MergeJoin(RowSource(LEFT, lrows),
                        sorted_source(RIGHT, [(3, 1, 5)], ["c", "d"]), PRED)
         with pytest.raises(AssertionError):
             op.run(ExecutionContext(check_orders=True))
@@ -151,10 +170,9 @@ class TestJoinProperties:
 
     def test_nested_loops_preserves_outer_order(self):
         lrows = [(i // 10, i % 10, i) for i in range(50)]
-        op = NestedLoopsJoin(RowSource(LEFT, lrows, SortOrder(["a", "b"])),
+        op = NestedLoopsJoin(RowSource(LEFT, lrows),
                              RowSource(RIGHT, [(i // 10, i % 10, i)
                                                for i in range(30)]), PRED)
-        assert op.output_order == SortOrder(["a", "b"])
         out = op.run(ExecutionContext())
         keys = [(r[0], r[1]) for r in out]
         assert keys == sorted(keys)

@@ -21,8 +21,10 @@ def test_engine_never_imports_the_cost_model():
     the optimizer's search: no engine module may import the cost model
     (at module level or inside a function), and no engine or service
     module may define or call a scan-sharding rewrite — shard scans come
-    into being only where ``lowering.py`` lowers the plan's own nodes."""
-    shard_builders = {"ShardedScan", "RangePartitionScan", "shard_scans"}
+    into being only where ``lowering.py`` lowers the plan's own nodes (a
+    ``TableScan`` given a shard spec is a shard scan too)."""
+    shard_builders = {"ShardedScan", "RangePartitionScan", "shard_scans",
+                      "TableScan(shard)"}
     offenders = []
     engine_dir = Path(repro.engine.__file__).parent
     service_dir = Path(repro.service.__file__).parent
@@ -37,6 +39,8 @@ def test_engine_never_imports_the_cost_model():
             elif isinstance(node, ast.Call):
                 called = getattr(node.func, "id",
                                  getattr(node.func, "attr", None))
+                if called == "TableScan" and len(node.args) + len(node.keywords) > 1:
+                    called = "TableScan(shard)"
             elif isinstance(node, ast.FunctionDef):
                 called = node.name
             if path.parent == engine_dir and any(
@@ -44,6 +48,23 @@ def test_engine_never_imports_the_cost_model():
                 offenders.append(f"{path.name}:{node.lineno}")
             if called in shard_builders and path.name != "lowering.py":
                 offenders.append(f"{path.name}:{node.lineno} {called}")
+    assert offenders == []
+
+
+def test_engine_states_no_order_of_its_own():
+    """The plan is the one statement of what each operator delivers
+    (``PlanBuilder`` claims every node's order): no engine module derives
+    an order with ``longest_common_prefix`` or ``restrict_prefix_to``, or
+    names ``output_order``.  An operator gets the order it acts on from
+    lowering, as a constructor argument."""
+    derived = {"longest_common_prefix", "restrict_prefix_to", "output_order"}
+    offenders = []
+    for path in sorted(Path(repro.engine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, field, None)
+                     for field in ("id", "attr", "arg", "name")}
+            for name in names & derived:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
 
 
@@ -178,7 +199,7 @@ class TestLowering:
 
         class FirstPull(Operator):
             def __init__(self, child):
-                super().__init__(child.schema, child.output_order, [child])
+                super().__init__(child.schema, [child])
                 self.pulled = False
 
             def execute_batches(self, ctx):

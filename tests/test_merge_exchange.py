@@ -12,7 +12,6 @@ from repro.engine import (
     MergeExchange,
     RowBatch,
     RowSource,
-    ShardedScan,
     Sort,
     TableScan,
     collect_rows,
@@ -26,8 +25,8 @@ SCHEMA = Schema.of(("k", "int", 8), ("v", "int", 8))
 ORDER_K = SortOrder(["k"])
 
 
-def source(rows, order=ORDER_K):
-    return RowSource(SCHEMA, rows, output_order=order)
+def source(rows):
+    return RowSource(SCHEMA, rows)
 
 
 def _counters(ctx):
@@ -40,7 +39,6 @@ class TestMergeExchangeShapes:
         left = source([(1, 0), (3, 0), (5, 0)])
         right = source([(2, 1), (4, 1), (6, 1)])
         merged = MergeExchange([left, right], ORDER_K)
-        assert merged.output_order == ORDER_K
         assert merged.run() == [(1, 0), (2, 1), (3, 0), (4, 1), (5, 0), (6, 1)]
 
     def test_empty_shards_are_skipped(self):
@@ -79,7 +77,7 @@ class TestMergeExchangeShapes:
         rows = [(3, 0), (1, 1), (2, 2)]
         cat.create_table("tiny", SCHEMA, rows=rows)
         table = cat.table("tiny")
-        shards = [Sort(ShardedScan(table, 8, i), ORDER_K) for i in range(8)]
+        shards = [Sort(TableScan(table, 8, i), ORDER_K) for i in range(8)]
         merged = MergeExchange(shards, ORDER_K)
         assert merged.run(ExecutionContext(cat)) == \
             sorted(table.rows, key=lambda r: r[0])
@@ -96,7 +94,7 @@ class TestMergeExchangeShapes:
             MergeExchange([source([]), other], ORDER_K)
 
     def test_check_orders_catches_lying_child(self):
-        liar = source([(5, 0), (1, 0)])  # declares (k) but is not sorted
+        liar = source([(5, 0), (1, 0)])  # merged on (k) but not sorted
         merged = MergeExchange([liar], ORDER_K)
         ctx = ExecutionContext(check_orders=True)
         with pytest.raises(AssertionError, match="MergeExchange input shard 0"):
@@ -112,7 +110,7 @@ class TestMergeExchangeCosts:
         rows = [(rng.randrange(50), i) for i in range(num_rows)]
         cat.create_table("t", SCHEMA, rows=rows)
         table = cat.table("t")
-        shards = [Sort(ShardedScan(table, shard_count, i), ORDER_K)
+        shards = [Sort(TableScan(table, shard_count, i), ORDER_K)
                   for i in range(shard_count)]
         return cat, table, MergeExchange(shards, ORDER_K)
 
@@ -199,7 +197,7 @@ class TestRoundMerge:
     @settings(max_examples=60, deadline=None)
     def test_exchange_agrees_and_checks_orders(self, streams):
         schema = Schema.of(("k", "int", 8), ("s", "int", 8), ("i", "int", 8))
-        children = [RowSource(schema, rows, ORDER_K) for rows in streams]
+        children = [RowSource(schema, rows) for rows in streams]
         expected = sorted((row for rows in streams for row in rows),
                           key=wrapped_key)
         for batch_size in BATCH_SIZES:
@@ -232,7 +230,7 @@ class TestRoundMerge:
         class Counting(RowSource):
             def __init__(self, index):
                 rows = [(index + 3 * i, index) for i in range(16)]
-                super().__init__(SCHEMA, rows, ORDER_K)
+                super().__init__(SCHEMA, rows)
                 self.index = index
 
             def execute_batches(self, ctx):

@@ -5,14 +5,16 @@ For seeded random tables (row counts including empty, duplicate-heavy key
 domains, varying clustering), random required orders, shard counts and
 batch sizes, the pipeline
 
-    MergeExchange([Sort(ShardedScan_i)] ...)
+    MergeExchange([Sort(TableScan(t, k, i))] ...)
 
 must return exactly the rows, in exactly the order, of
 
-    Sort(ExchangeUnion([ShardedScan_i] ...))
+    Sort(ExchangeUnion([TableScan(t, k, i)] ...))
 
 — both are stable, and the merge breaks ties by shard index, which equals
-the concatenation's arrival order.  The same property is checked through
+the concatenation's arrival order.  Each sort is told the prefix of the
+target the clustering order delivers (contiguous shards concatenate to
+the clustered sequence), which checked execution verifies.  The same property is checked through
 the serving layer, where the optimizer (not the test) decides the plan
 shape."""
 
@@ -20,12 +22,11 @@ import random
 
 import pytest
 
-from repro.core.sort_order import SortOrder
+from repro.core.sort_order import SortOrder, longest_common_prefix
 from repro.engine import (
     ExchangeUnion,
     ExecutionContext,
     MergeExchange,
-    ShardedScan,
     Sort,
     TableScan,
 )
@@ -64,17 +65,23 @@ def random_target(rng: random.Random) -> SortOrder:
 def shard_sources(table, shard_count):
     if shard_count == 1:
         return [TableScan(table)]
-    return [ShardedScan(table, shard_count, i) for i in range(shard_count)]
+    return [TableScan(table, shard_count, i) for i in range(shard_count)]
+
+
+def known_prefix(table, target):
+    return longest_common_prefix(table.clustering_order, target)
 
 
 def post_union_pipeline(table, shard_count, target):
     sources = shard_sources(table, shard_count)
     src = sources[0] if shard_count == 1 else ExchangeUnion(sources)
-    return Sort(src, target)
+    return Sort(src, target, known_prefix(table, target))
 
 
 def merge_pipeline(table, shard_count, target):
-    shards = [Sort(src, target) for src in shard_sources(table, shard_count)]
+    prefix = known_prefix(table, target)
+    shards = [Sort(src, target, prefix)
+              for src in shard_sources(table, shard_count)]
     return MergeExchange(shards, target)
 
 

@@ -110,8 +110,7 @@ SRS_CASES = {
 def test_full_sort_matches_row_oracle(case, batch_size, check_orders):
     params, rows = SRS_CASES[case]
     ctx, oracle_ctx = contexts(params, batch_size, check_orders)
-    plan = Sort(RowSource(SCHEMA, rows), SortOrder(["k1", "k2"]),
-                algorithm="srs")
+    plan = Sort(RowSource(SCHEMA, rows), SortOrder(["k1", "k2"]))
     expected = list(row_oracle.srs_sort(rows, [0, 1], oracle_ctx,
                                         SCHEMA.row_bytes))
     assert repr(plan.run(ctx)) == repr(expected)
@@ -172,8 +171,7 @@ def test_partial_sort_matches_row_oracle(case, batch_size, check_orders):
     if case == "capacity_2":
         assert ctx.memory_capacity_rows(SCHEMA.row_bytes) == 2
     prefix, target = SortOrder(["k1"]), SortOrder(["k1", "k2"])
-    plan = Sort(RowSource(SCHEMA, rows, prefix), target, known_prefix=prefix,
-                algorithm="mrs")
+    plan = Sort(RowSource(SCHEMA, rows), target, known_prefix=prefix)
     expected = list(row_oracle.mrs_sort(rows, [0], [1], oracle_ctx,
                                         SCHEMA.row_bytes))
     assert plan.run(ctx) == expected
@@ -214,8 +212,8 @@ JOIN_CASES = {
 def test_merge_join_matches_row_oracle(case, join_type, batch_size, check_orders):
     lrows, rrows = JOIN_CASES[case]
     ctx, oracle_ctx = contexts(SystemParameters(), batch_size, check_orders)
-    plan = MergeJoin(RowSource(LEFT, lrows, SortOrder(["a", "b"])),
-                     RowSource(RIGHT, rrows, SortOrder(["c", "d"])),
+    plan = MergeJoin(RowSource(LEFT, lrows),
+                     RowSource(RIGHT, rrows),
                      JoinPredicate([("a", "c"), ("b", "d")]), join_type)
     expected = list(row_oracle.merge_join(lrows, rrows, (0, 1), (0, 1), 3, 3,
                                           join_type, oracle_ctx))
@@ -257,7 +255,7 @@ def test_sort_aggregate_matches_row_oracle(batch_size, parameterized,
     aggs, binds = (BOUND_AGGS, {"shift": 0}) if parameterized else (AGGS, {})
     ctx, oracle_ctx = contexts(SystemParameters(), batch_size, check_orders)
     ctx.binds = binds
-    plan = SortAggregate(RowSource(SCHEMA, rows, order), order, aggs)
+    plan = SortAggregate(RowSource(SCHEMA, rows), order, aggs)
     expected = list(row_oracle.sort_aggregate(
         rows, (0, 1), (0, 1),
         [row_oracle.evaluate(spec.arg, SCHEMA, binds) for spec in aggs],
@@ -276,19 +274,19 @@ def test_sorted_combine_matches_row_oracle(batch_size):
     rows = grouped_rows(22)
     partials = []
     for shard in (rows[0::3], rows[1::3], rows[2::3]):
-        partials += SortAggregate(RowSource(SCHEMA, shard, order), order,
+        partials += SortAggregate(RowSource(SCHEMA, shard), order,
                                   specs).run()
     partials = sorted_nulls_first(partials, (0, 1))
-    schema = SortAggregate(RowSource(SCHEMA, [], order), order, specs).schema
+    schema = SortAggregate(RowSource(SCHEMA, []), order, specs).schema
     ctx, oracle_ctx = contexts(SystemParameters(), batch_size, False)
-    plan = SortedGroupCombine(RowSource(schema, partials, order), order,
+    plan = SortedGroupCombine(RowSource(schema, partials), order,
                               ["k1", "k2"], specs)
     expected = list(row_oracle.sort_aggregate(
         partials, (0, 1), (0, 1), [itemgetter(2 + j) for j in range(len(specs))],
         [AGGREGATES[AGGREGATE_COMBINERS[s.func]] for s in specs], oracle_ctx))
     assert plan.run(ctx) == expected
     assert ctx.tallies() == oracle_ctx.tallies()
-    assert expected == SortAggregate(RowSource(SCHEMA, rows, order), order,
+    assert expected == SortAggregate(RowSource(SCHEMA, rows), order,
                                      specs).run()
 
 

@@ -120,8 +120,7 @@ def meter(plan, catalog):
 
 def sort(child, target, prefix, algorithm):
     """SRS ignores the known *prefix* of its input; MRS exploits it."""
-    return Sort(child, target, algorithm=algorithm,
-                known_prefix=prefix if algorithm == "mrs" else SortOrder(()))
+    return Sort(child, target, prefix if algorithm == "mrs" else SortOrder(()))
 
 
 def ops(plan):
@@ -202,7 +201,7 @@ def test_fig7_mrs_exploits_the_index_prefix():
     scan = CoveringIndexScan(index(cat, "lineitem", "li_suppkey_cov"))
     target, prefix = SortOrder(["l_suppkey", "l_partkey"]), SortOrder(["l_suppkey"])
     srs, mrs = (meter(sort(scan, target, prefix, a), cat) for a in ("srs", "mrs"))
-    swapped = meter(Sort(scan, SortOrder(["l_partkey", "l_suppkey"]), algorithm="srs"), cat)
+    swapped = meter(Sort(scan, SortOrder(["l_partkey", "l_suppkey"])), cat)
     assert len(srs.rows) == len(mrs.rows) > 0
     assert srs.cost / mrs.cost >= 2.0
     assert mrs.written == 0 < srs.written

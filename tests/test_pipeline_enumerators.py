@@ -213,8 +213,8 @@ def _unlike_the_builders(catalog, query, plan):
     of their children.  The clones of a scan chain below a gather are
     passed over: each carries a share of its whole, not a function of
     its child."""
-    from repro.engine.exchange import ORDER_PRESERVING_UNARY_OPS
     from repro.optimizer.manual import PlanBuilder
+    from repro.optimizer.pipeline.physical_selection import ORDER_PRESERVING_UNARY_OPS
     from repro.optimizer.volcano import split_required_order
     expr, _ = split_required_order(query)
     builder = PlanBuilder(catalog, Annotator(catalog, expr).eq)

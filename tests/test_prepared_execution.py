@@ -149,7 +149,7 @@ def parameterized_operators(value) -> dict[str, Operator]:
     """Each expression-bearing operator over ``b * value`` (*value* a
     ``Param`` or the ``Const`` it stands for)."""
     def source():
-        return RowSource(SOURCE_SCHEMA, SOURCE_ROWS, SortOrder(["a"]))
+        return RowSource(SOURCE_SCHEMA, SOURCE_ROWS)
     scaled = AggSpec("sum", col("b") * value, "s")
     return {
         "Filter": Filter(source(), col("b").lt(value)),

@@ -21,6 +21,7 @@ from repro.engine import Operator
 from repro.expr import col, param
 from repro.expr.aggregates import agg_sum
 from repro.logical import Query
+from repro.obs import ObservabilityConfig
 from repro.service import (
     CircuitOpen,
     ExecutionBackend,
@@ -717,6 +718,27 @@ class TestBackpressure:
             ProcessPoolBackend(catalog, workers=workers)
         assert multiprocessing.active_children() == before
 
+    @pytest.mark.parametrize("setting", [
+        {"circuit_threshold": 0},
+        {"circuit_reset_timeout": 0.0},
+        {"obs": ObservabilityConfig(slow_log_capacity=0)},
+        {"obs": ObservabilityConfig(slow_query_seconds=-1.0)},
+    ], ids=["threshold", "reset_timeout", "slow_log_capacity",
+            "slow_query_seconds"])
+    def test_bad_breaker_or_slow_log_setting_starts_no_pool(self, catalog,
+                                                            setting):
+        """The breaker and the slow log are built before the backend, so
+        a bad setting for either raises with no worker process and no
+        pool thread left behind."""
+        processes = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                QueryServer(catalog, backend="process", pool_workers=1,
+                            **setting)
+        assert set(multiprocessing.active_children()) <= processes
+        assert set(threading.enumerate()) <= threads
+
     def test_tenant_quota_weighted_fairness(self, catalog):
         """Under contention (wait queue at least half full), a tenant
         over its weighted-fair share is rejected with reason "quota"
@@ -778,7 +800,7 @@ class _DiesMidStream(Operator):
     name = "DiesMidStream"
 
     def __init__(self, child) -> None:
-        super().__init__(child.schema, child.output_order, [child])
+        super().__init__(child.schema, [child])
 
     def execute_batches(self, ctx):
         for batch in self.children[0].execute_batches(ctx):

@@ -170,7 +170,6 @@ class TestAcceptance:
 # -- shard-aware enforcement under joins and aggregates -----------------------------------
 import random
 
-from repro.core.sort_order import EMPTY_ORDER
 from repro.expr import col
 from repro.expr.aggregates import agg_avg, agg_sum, count_star
 from repro.optimizer.cost import CostModel, prefer_sharded
@@ -540,7 +539,7 @@ class TestRangePartitionedEnforcement:
 
         schema = Schema.of(("k", "int", 8), ("v", "int", 8))
         order = SortOrder(["k", "v"])
-        shards = [RowSource(schema, [(k, s) for k in range(s, 12, 2)], order)
+        shards = [RowSource(schema, [(k, s) for k in range(s, 12, 2)])
                   for s in range(2)]
         exchange = EngineMergeExchange(shards, order, disjoint=True)
         with pytest.raises(AssertionError, match="disjoint concat output"):
@@ -558,8 +557,8 @@ class TestRangePartitionedEnforcement:
 
         schema = Schema.of(("k", "int", 8), ("v", "int", 8))
         order = SortOrder(["k", "v"])
-        shards = [RowSource(schema, [(10 * s + i // 3, i) for i in range(7)],
-                            order) for s in range(3)]
+        shards = [RowSource(schema, [(10 * s + i // 3, i) for i in range(7)])
+                  for s in range(3)]
         exchange = EngineMergeExchange(shards, order, disjoint=True)
         produced: list = []
 
@@ -599,9 +598,9 @@ class TestRangePartitionedEnforcement:
     def test_all_partitions_keep_clustered_order(self):
         """The range partitions of a table clustered on the partition
         column tile the clustered sequence: an ExchangeUnion over all of
-        them, in order, guarantees the clustering order and concatenates
-        to exactly the full scan — so an enforcer above may use it as a
-        known prefix.  A subset of the partitions guarantees nothing."""
+        them, in order, concatenates to exactly the full scan — so a
+        checked enforcer above, told the clustering order as its known
+        prefix, finds its input sorted on it."""
         rng = random.Random(11)
         catalog = Catalog(SystemParameters(sort_memory_blocks=20))
         schema = Schema.of(("k", "int", 64), ("v", "int", 64))
@@ -612,15 +611,12 @@ class TestRangePartitionedEnforcement:
         table = catalog.table("t")
         partitions = [RangePartitionScan(table, i) for i in range(4)]
         gather = ExchangeUnion(partitions)
-        assert gather.output_order == table.clustering_order
-        assert ExchangeUnion(partitions[1:]).output_order == EMPTY_ORDER
         assert gather.run(ExecutionContext(catalog)) == \
             TableScan(table).run(ExecutionContext(catalog))
         order = SortOrder(["k", "v"])
         checked = ExecutionContext(catalog, check_orders=True)
-        assert Sort(gather, order).run(checked) == \
-            Sort(TableScan(table), order, algorithm="srs").run(
-                ExecutionContext(catalog))
+        assert Sort(gather, order, table.clustering_order).run(checked) == \
+            Sort(TableScan(table), order).run(ExecutionContext(catalog))
 
 
 class TestServingKnobs:

@@ -34,14 +34,13 @@ class TestSrs:
         rng = random.Random(1)
         rows = [(rng.randrange(50), rng.randrange(50), i) for i in range(500)]
         ctx = ExecutionContext()
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
-                               algorithm="srs"))
+        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx))
         assert [r[:2] for r in out] == sorted(r[:2] for r in rows)
 
     def test_in_memory_no_io(self):
         rows = [(i % 5, i, i) for i in range(100)]
         ctx = ctx_with(memory_blocks=1000)
-        list(sort_stream(rows, SCHEMA, SortOrder(["k2"]), ctx, algorithm="srs"))
+        list(sort_stream(rows, SCHEMA, SortOrder(["k2"]), ctx))
         assert ctx.io.total_blocks == 0
         assert ctx.sort_metrics.in_memory_sorts == 1
 
@@ -49,8 +48,7 @@ class TestSrs:
         rng = random.Random(2)
         rows = [(rng.randrange(1000), 0, i) for i in range(2000)]
         ctx = ctx_with(block_size=256, memory_blocks=4)
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx,
-                               algorithm="srs"))
+        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx))
         assert [r[0] for r in out] == sorted(r[0] for r in rows)
         assert ctx.io.blocks_written > 0
         assert ctx.io.blocks_read > 0
@@ -62,7 +60,7 @@ class TestSrs:
         n = 4000
         rows = [(rng.randrange(10**6), 0, i) for i in range(n)]
         ctx = ctx_with(block_size=240, memory_blocks=10)  # 100 rows of memory
-        list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx, algorithm="srs"))
+        list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx))
         capacity = ctx.memory_capacity_rows(SCHEMA.row_bytes)
         naive_runs = n / capacity
         assert ctx.sort_metrics.runs_created < naive_runs * 0.8
@@ -72,8 +70,7 @@ class TestSrs:
         run and reads it back."""
         rows = [(i, 0, i) for i in range(2000)]
         ctx = ctx_with(block_size=256, memory_blocks=4)
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
-                               algorithm="srs"))
+        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx))
         assert [r[0] for r in out] == list(range(2000))
         assert ctx.sort_metrics.runs_created == 1
         assert ctx.io.blocks_written > 0   # the pipeline-breaking run I/O
@@ -82,8 +79,7 @@ class TestSrs:
         rng = random.Random(4)
         rows = [(rng.randrange(10**6), 0, i) for i in range(3000)]
         ctx = ctx_with(block_size=256, memory_blocks=3)  # fan-in 2
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx,
-                               algorithm="srs"))
+        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx))
         assert [r[0] for r in out] == sorted(r[0] for r in rows)
         assert ctx.sort_metrics.merge_passes >= 2
 
@@ -98,8 +94,7 @@ class TestSrs:
                 params=SystemParameters(block_size=256,
                                         sort_memory_blocks=memory_blocks),
                 batch_size=batch_size)
-            out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
-                                   algorithm="srs"))
+            out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx))
             assert out == sorted(rows, key=lambda r: r[:2])  # stable
             assert (ctx.sort_metrics.runs_created > 0) == (memory_blocks == 4)
             seen.add(repr(ctx.tallies()))
@@ -116,20 +111,20 @@ class TestSrs:
         # In memory, P = N: n * ceil(log2 n), presorted or not.
         for case in (rows, sorted(rows)):
             ctx = ExecutionContext()
-            list(sort_stream(case, SCHEMA, target, ctx, algorithm="srs"))
+            list(sort_stream(case, SCHEMA, target, ctx))
             assert ctx.comparisons.value == 200 * 8
         # The smallest cases by hand.
         for n, expected in ((0, 0), (1, 0), (2, 2), (3, 6)):
             ctx = ExecutionContext()
             out = list(sort_stream([(n - i, 0, i) for i in range(n)], SCHEMA,
-                                   SortOrder(["k1"]), ctx, algorithm="srs"))
+                                   SortOrder(["k1"]), ctx))
             assert [r[0] for r in out] == list(range(1, n + 1))
             assert ctx.comparisons.value == expected
         # Spilled: 85 rows of sort memory, 500 rows, one merge pass.
         rows = [(rng.randrange(10**6), 0, i) for i in range(500)]
         ctx = ctx_with(block_size=256, memory_blocks=8)
         assert ctx.memory_capacity_rows(SCHEMA.row_bytes) == 85
-        out = list(sort_stream(rows, SCHEMA, target, ctx, algorithm="srs"))
+        out = list(sort_stream(rows, SCHEMA, target, ctx))
         assert out == sorted(rows)
         runs = ctx.sort_metrics.runs_created
         assert 1 < runs <= 7 and ctx.sort_metrics.merge_passes == 1
@@ -142,9 +137,9 @@ class TestMrs:
         rows = presorted_rows(1000, segments=20)
         target = SortOrder(["k1", "k2"])
         ctx1, ctx2 = ExecutionContext(), ExecutionContext()
-        srs = list(sort_stream(rows, SCHEMA, target, ctx1, algorithm="srs"))
+        srs = list(sort_stream(rows, SCHEMA, target, ctx1))
         mrs = list(sort_stream(rows, SCHEMA, target, ctx2,
-                               known_prefix=SortOrder(["k1"]), algorithm="mrs"))
+                               known_prefix=SortOrder(["k1"])))
         assert [r[:2] for r in srs] == [r[:2] for r in mrs]
 
     def test_zero_io_when_segments_fit(self):
@@ -160,7 +155,7 @@ class TestMrs:
         rows = presorted_rows(3000, segments=30)
         target = SortOrder(["k1", "k2"])
         ctx_srs, ctx_mrs = ExecutionContext(), ExecutionContext()
-        list(sort_stream(rows, SCHEMA, target, ctx_srs, algorithm="srs"))
+        list(sort_stream(rows, SCHEMA, target, ctx_srs))
         list(sort_stream(rows, SCHEMA, target, ctx_mrs,
                          known_prefix=SortOrder(["k1"])))
         # Both by the same rule, n * ceil(log2 n) per sort unit, so the gap
@@ -191,10 +186,10 @@ class TestMrs:
         assert segment_rows < consumed[0] <= segment_rows + batch_size
 
     def test_limit_over_partial_sort_stops_pulling_child_batches(self):
-        """Operator-level early output: ``Limit(PartialSort(TableScan))``
+        """Operator-level early output: ``Limit(Sort(TableScan))``, the sort partial
         pulls no more child batches than the first closed segment needs —
         the segment's own batches plus the one that closes it."""
-        from repro.engine import Limit, PartialSort, RowBatch, TableScan
+        from repro.engine import Limit, Sort, TableScan
 
         batch_size, segment_rows = 16, 100
         cat = Catalog()
@@ -209,8 +204,8 @@ class TestMrs:
                     pulled[0] += 1
                     yield batch
 
-        plan = Limit(PartialSort(CountingScan(cat.table("t")),
-                                 SortOrder(["k1", "k2"])), 5)
+        plan = Limit(Sort(CountingScan(cat.table("t")), SortOrder(["k1", "k2"]),
+                          known_prefix=SortOrder(["k1"])), 5)
         ctx = ExecutionContext(cat, batch_size=batch_size)
         rows = plan.run(ctx)
         assert [r[0] for r in rows] == [0] * 5
@@ -237,8 +232,7 @@ class TestMrs:
                                known_prefix=SortOrder(["k1"])))
         assert [r[1] for r in out] == sorted(r[1] for r in rows)
         ctx_srs = ctx_with(block_size=256, memory_blocks=4)
-        list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx_srs,
-                         algorithm="srs"))
+        list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx_srs))
         # Same order of magnitude of I/O: MRS has no advantage left.
         assert ctx_mrs.io.total_blocks >= ctx_srs.io.total_blocks * 0.5
 
@@ -252,20 +246,10 @@ class TestMrs:
 
 
 class TestDispatch:
-    def test_bad_algorithm(self):
-        with pytest.raises(ValueError):
-            list(sort_stream([], SCHEMA, SortOrder(["k1"]), ExecutionContext(),
-                             algorithm="quick"))
-
     def test_prefix_must_prefix_target(self):
         with pytest.raises(ValueError):
             list(sort_stream([], SCHEMA, SortOrder(["k1"]), ExecutionContext(),
                              known_prefix=SortOrder(["k2"])))
-
-    def test_mrs_requires_prefix(self):
-        with pytest.raises(ValueError):
-            list(sort_stream([], SCHEMA, SortOrder(["k1"]), ExecutionContext(),
-                             algorithm="mrs"))
 
     def test_empty_input(self):
         ctx = ExecutionContext()
@@ -314,11 +298,10 @@ class TestPropertyBased:
         rows = sorted(rows, key=lambda r: r[0])
         target = SortOrder(["k1", "k2"])
         srs = list(sort_stream(rows, SCHEMA, target,
-                               ctx_with(block_size=64, memory_blocks=4),
-                               algorithm="srs"))
+                               ctx_with(block_size=64, memory_blocks=4)))
         mrs = list(sort_stream(rows, SCHEMA, target,
                                ctx_with(block_size=64, memory_blocks=4),
-                               known_prefix=SortOrder(["k1"]), algorithm="mrs"))
+                               known_prefix=SortOrder(["k1"])))
         assert [r[:2] for r in srs] == [r[:2] for r in mrs]
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.one_of(st.none(),
