@@ -91,12 +91,14 @@ def main() -> None:
     # Statistics refresh → version bump → the cached plan is stale and
     # the next prepare re-optimizes against the new statistics.  The
     # cache keys plans on the versions of the tables they *reference*,
-    # so only plans reading "items" are invalidated.
+    # so only plans reading "items" are invalidated.  The re-prepare
+    # re-costs on the previous search's statistics-free group table.
     catalog.refresh_stats("items")
     refreshed = session.prepare(template)
     print(f"\nAfter stats refresh: from_cache={refreshed.from_cache}, "
           f"invalidations={session.cache.stats.invalidations}, "
-          f"optimizations={session.metrics.optimizations}")
+          f"optimizations={session.metrics.optimizations}, "
+          f"reprepares={session.metrics.reprepares}")
 
     print("\nSession stats():")
     for key, value in session.stats().items():

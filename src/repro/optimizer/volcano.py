@@ -118,6 +118,9 @@ class Optimizer:
         #: returned: the plan cache's miss path reads it, so a cold
         #: prepare walks its plan once.
         self.last_param_names: frozenset[str] = frozenset()
+        #: The group table the most recent :meth:`optimize` searched on:
+        #: the serving layer keeps it for the query's next re-prepare.
+        self.last_groups: Optional[GroupTable] = None
 
     def optimize(self, query, required_order: Optional[SortOrder] = None,
                  refine: Optional[bool] = None,
@@ -131,6 +134,17 @@ class Optimizer:
         execution-time knob through).
         """
         expr, required = split_required_order(query, required_order)
+        return self._optimize(expr, required, refine, parallelism)
+
+    def _optimize(self, expr: LogicalExpr, required: SortOrder,
+                  refine: Optional[bool] = None,
+                  parallelism: Optional[int] = None,
+                  groups: Optional[GroupTable] = None) -> PhysicalPlan:
+        """:meth:`optimize` after normalization.  *groups*, a group table
+        of an earlier search whose catalog registrations still hold (the
+        serving layer's re-prepare), is searched on when stage 2 hands
+        back the very tree it was built for; otherwise the search builds
+        its own.  The table used is left in :attr:`last_groups`."""
         # Stage spans are ambient no-ops unless a query trace is active
         # (the serving layer activates one around plan preparation).
         with child_span("pre_check", strategy=self.config.strategy):
@@ -148,8 +162,10 @@ class Optimizer:
                 enum_span.tag(rejected=repr(exc))
             enumerator_seconds = time.perf_counter() - start
         with child_span("physical_selection") as select_span:
+            if groups is not None and groups.root.expr is not tree:
+                groups = None
             search = PhysicalSelection(self.catalog, tree, self.strategy,
-                                       config)
+                                       config, groups)
             plan = search.optimize_goal(tree, required)
             plan = search.ensure_schema(plan, tree)
             select_span.tag(candidates=1, cost=plan.total_cost)
@@ -167,6 +183,7 @@ class Optimizer:
             plan = refine_plan(plan, search.groups, replan)
         with child_span("parameterization"):
             self.last_param_names = plan_params(plan)
+        self.last_groups = search.groups
         self.last_telemetry = {"enumerator_seconds": enumerator_seconds,
                                "join_order_candidates": 1, **effort}
         return plan

@@ -17,9 +17,10 @@ turns those tallies into catalog refreshes:
    table's *declared* ``stats.num_rows`` must itself disagree with the
    materialised row count by the same threshold.
 3. Verified drift calls ``catalog.refresh_stats(table)``, re-measuring
-   statistics (including the per-column distinct sketches) from the
-   rows.  That bumps the table's ``stats_version``, the catalog token
-   cached plans are keyed on — so every cached plan reading the table is
+   row counts and exact distinct counts from the rows (the per-column
+   distinct sketches are deferred: built from the rows only if read).
+   That bumps the table's ``stats_version``, the catalog token cached
+   plans are keyed on — so every cached plan reading the table is
    invalidated and the next ``prepare`` re-optimizes cost-first, under
    live traffic, with estimates that now match reality.
 

@@ -23,7 +23,10 @@ Cached plans are keyed on the versions of **only the tables they
 reference** (:meth:`repro.storage.catalog.Catalog.table_versions`):
 ``refresh_stats("orders")`` or a new index on ``orders`` invalidates
 exactly the plans that read ``orders`` and leaves the rest of the cache
-hot.
+hot.  The re-prepare of an invalidated plan re-costs only: it searches
+on the group table of the session's previous search of that query
+(statistics-free), unless an index landed on one of its tables or the
+join enumerator rebuilt its tree.
 
 Execution is batch-vectorized: ``execute`` accepts a ``batch_size``
 (rows per :class:`~repro.engine.batch.RowBatch`).  ``parallelism`` is a
@@ -35,6 +38,7 @@ key); execution runs the plan exactly as planned.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Optional, Union as TUnion
 
@@ -47,6 +51,7 @@ from ..logical.fingerprint import logical_fingerprint
 from ..core.sort_order import SortOrder
 from ..obs.analyze import ExplainAnalyze
 from ..obs.trace import child_span
+from ..optimizer.pipeline.groups import GroupTable
 from ..optimizer.pipeline.physical_selection import shardable_enforcement_input
 from ..optimizer.plans import PhysicalPlan
 from ..optimizer.volcano import Optimizer, split_required_order
@@ -87,6 +92,10 @@ class SessionMetrics:
 
     prepares: int = 0
     optimizations: int = 0
+    #: Optimizations that reused the group table of this session's
+    #: previous search of the query (a re-prepare after a statistics
+    #: change: only costing is redone).
+    reprepares: int = 0
     executions: int = 0
     optimize_seconds: float = 0.0
     #: Shard-aware enforcer placement decisions, counted once per fresh
@@ -202,6 +211,11 @@ class QuerySession:
         #: drift detection entirely — see :mod:`repro.service.feedback`.
         self.feedback = feedback
         self.metrics = SessionMetrics()
+        #: Cache key -> (registry versions of its tables, group table of
+        #: its last search), LRU-bounded by the cache's capacity.  Only
+        #: one search holds a table: a re-prepare pops it while it runs.
+        self._groups: "OrderedDict[str, tuple[tuple, GroupTable]]" = \
+            OrderedDict()
 
     # -- public API ------------------------------------------------------------------
     def prepare(self, query: TUnion[Query, LogicalExpr],
@@ -248,10 +262,24 @@ class QuerySession:
         if entry is not None:
             return PreparedQuery(self, entry, fp, required, from_cache=True,
                                  tables=tables)
+        # A re-prepare keeps the statistics-free half of the last search
+        # (groups, annotations, favorable orders) unless an index landed
+        # on one of the query's tables since; the optimizer checks that
+        # stage 2 hands back the same tree.
+        registry = self.catalog.registry_versions(tables)
+        held = self._groups.pop(fp, None)
+        reuse = held[1] if held is not None and held[0] == registry else None
         start = time.perf_counter()
-        plan = self.optimizer.optimize(expr, required, parallelism=parallelism)
+        plan = self.optimizer._optimize(expr, required,
+                                        parallelism=parallelism, groups=reuse)
         self.metrics.optimize_seconds += time.perf_counter() - start
         self.metrics.optimizations += 1
+        groups = self.optimizer.last_groups
+        if groups is reuse:
+            self.metrics.reprepares += 1
+        self._groups[fp] = (registry, groups)
+        if len(self._groups) > self.cache.capacity:
+            self._groups.popitem(last=False)
         telemetry = self.optimizer.last_telemetry
         for name in ("enumerator_seconds", "join_order_candidates",
                      "goals_examined", "goals_pruned", "memo_hits",
@@ -345,10 +373,12 @@ class QuerySession:
         ``stats.num_rows`` also disagrees with the materialised row count
         (i.e. the catalog statistics themselves are stale — not a benign
         early-terminated scan under a ``Limit``) is
-        ``catalog.refresh_stats`` invoked.  The refresh re-measures
-        distinct sketches and row counts from the rows and bumps the
-        table's ``stats_version``, invalidating exactly the cached plans
-        that read it; the next ``prepare`` re-optimizes cost-first.
+        ``catalog.refresh_stats`` invoked.  The refresh re-measures row
+        and distinct counts from the rows (distinct sketches are built
+        later, only if read) and bumps the table's ``stats_version``,
+        invalidating exactly the cached plans that read it; the next
+        ``prepare`` re-optimizes cost-first, re-costing on the group
+        table of this session's previous search of the query.
 
         Returns the number of tables refreshed.  No-op (returning 0)
         when the session was built without a :class:`FeedbackConfig`.

@@ -67,7 +67,9 @@ class Catalog:
     def refresh_stats(self, table_name: str,
                       stats: Optional["TableStats"] = None) -> "TableStats":
         """Replace (or re-measure) one table's statistics, bumping the
-        catalog :attr:`stats_version` so cached plans are invalidated."""
+        catalog :attr:`stats_version` so cached plans are invalidated.
+        A stats-only table takes only explicit *stats* (``ValueError``
+        otherwise: it has no rows to measure)."""
         return self.table(table_name).update_stats(stats)
 
     def table_version(self, table_name: str) -> int:
@@ -75,6 +77,14 @@ class Catalog:
         table*: its statistics version plus its index registrations."""
         return (self.table(table_name).stats_version
                 + self._table_registry.get(table_name, 0))
+
+    def registry_versions(self, table_names: Iterable[str]
+                          ) -> tuple[tuple[str, int], ...]:
+        """Like :meth:`table_versions`, but counting only registrations
+        (index additions), not statistics: what a re-prepare checks
+        before it keeps a search's statistics-free group table."""
+        return tuple(sorted((name, self._table_registry.get(name, 0))
+                            for name in set(table_names)))
 
     def table_versions(self, table_names: Iterable[str]
                        ) -> tuple[tuple[str, int], ...]:

@@ -24,10 +24,12 @@ catalog knowledge:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from hashlib import blake2b
+from itertools import islice
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from ..core.sort_order import AttributeEquivalence
 from .schema import Schema
@@ -53,40 +55,45 @@ class DistinctSketch:
     sketches travel to pool workers inside catalog snapshots, so two
     processes must bucket the same value identically for merges to be
     meaningful.
+
+    A sketch of measured statistics is *deferred*: it holds where its
+    values are (:class:`_RowSubset`) and hashes them when its
+    :attr:`registers` are first read, to exactly the registers of
+    :meth:`of_values` over those rows.  Copying or pickling one builds
+    nothing: it pickles as where its values are (a catalog snapshot
+    ships those rows anyway).
     """
 
-    __slots__ = ("p", "registers")
+    __slots__ = ("p", "_registers", "_source")
 
     def __init__(self, p: int = DEFAULT_SKETCH_PRECISION,
                  registers: Optional[bytes] = None) -> None:
         if not 4 <= p <= 16:
             raise ValueError("sketch precision must be in [4, 16]")
         self.p = p
-        m = 1 << p
+        self._source: Optional[tuple[_RowSubset, int]] = None
+        if registers is not None and len(registers) != 1 << p:
+            raise ValueError("register array does not match precision")
+        self._registers = bytearray(1 << p if registers is None else registers)
+
+    @property
+    def registers(self) -> bytearray:
+        registers = self._registers
         if registers is None:
-            self.registers = bytearray(m)
-        else:
-            if len(registers) != m:
-                raise ValueError("register array does not match precision")
-            self.registers = bytearray(registers)
+            # Two threads may both build: each folds the same values.
+            subset, position = self._source
+            registers = self._registers = _fold(bytearray(1 << self.p), set(
+                map(itemgetter(position), subset.scan())), self.p)
+        return registers
 
     def add(self, value: object) -> None:
-        digest = hashlib.blake2b(repr(value).encode("utf-8", "backslashreplace"),
-                                 digest_size=8).digest()
-        h = int.from_bytes(digest, "big")
-        index = h >> (64 - self.p)
-        width = 64 - self.p
-        rest = h & ((1 << width) - 1)
-        rank = width - rest.bit_length() + 1
-        if rank > self.registers[index]:
-            self.registers[index] = rank
+        _fold(self.registers, (value,), self.p)
 
     @staticmethod
     def of_values(values: Iterable[object],
                   p: int = DEFAULT_SKETCH_PRECISION) -> "DistinctSketch":
         sketch = DistinctSketch(p)
-        for value in values:
-            sketch.add(value)
+        _fold(sketch.registers, values, p)
         return sketch
 
     def union(self, other: "DistinctSketch") -> "DistinctSketch":
@@ -112,10 +119,56 @@ class DistinctSketch:
         return raw
 
     def __reduce__(self):
+        if self._source is not None:
+            return (_deferred_sketch, (*self._source, self.p))
         return (DistinctSketch, (self.p, bytes(self.registers)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DistinctSketch(p={self.p}, estimate~{self.estimate():.0f})"
+
+
+def _fold(registers: bytearray, values: Iterable[object], p: int) -> bytearray:
+    """Add each of *values* to *registers* (a ``2**p`` sketch), in place."""
+    width = 64 - p
+    mask = (1 << width) - 1
+    for value in values:
+        h = int.from_bytes(blake2b(repr(value).encode("utf-8", "backslashreplace"),
+                                   digest_size=8).digest(), "big")
+        index = h >> width
+        rank = width - (h & mask).bit_length() + 1
+        if rank > registers[index]:
+            registers[index] = rank
+    return registers
+
+
+class _RowSubset(NamedTuple):
+    """The rows one measured :class:`TableStats` describes, by reference:
+    ``rows[lo:hi]``, or with *partition* ``(position, index_of, i)`` those
+    of them whose partition value maps to range partition ``i``.  A
+    deferred sketch reads its column from here, so it keeps no copy:
+    a table's stats, shards and partitions share the table's row list."""
+
+    rows: list
+    lo: int
+    hi: int
+    partition: Optional[tuple] = None
+
+    def scan(self) -> Iterator[tuple]:
+        rows = islice(self.rows, self.lo, self.hi)
+        if self.partition is None:
+            return rows
+        at, index_of, i = self.partition
+        return (row for row in rows if index_of(row[at]) == i)
+
+
+def _deferred_sketch(subset: _RowSubset, position: int,
+                     p: int = DEFAULT_SKETCH_PRECISION) -> DistinctSketch:
+    """The sketch of column *position* of *subset*, built when read."""
+    sketch = DistinctSketch.__new__(DistinctSketch)
+    sketch.p = p
+    sketch._registers = None
+    sketch._source = (subset, position)
+    return sketch
 
 
 def blocks_for(num_rows: float, row_bytes: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
@@ -150,20 +203,23 @@ class TableStats:
     def measure(rows: list[tuple], schema: Schema) -> "TableStats":
         """Exact statistics computed from materialised rows.
 
-        Alongside exact distinct counts, each column gets a
-        :class:`DistinctSketch` built from the same distinct value set
-        (adding duplicates is idempotent, so hashing only the distinct
-        values is both cheaper and identical).  Per-shard and
-        per-partition stats therefore carry mergeable sketches for free.
+        Distinct counts are exact.  Each column also gets a deferred
+        :class:`DistinctSketch` over the same rows, hashed only if
+        something reads it (the union estimate, the greedy many-to-many
+        scorer), so a refresh costs the distinct-value sets alone.
         """
-        distinct: dict[str, int] = {}
-        sketches: dict[str, DistinctSketch] = {}
-        for i, col in enumerate(schema):
-            values = {row[i] for row in rows}
-            distinct[col.name] = len(values)
-            sketches[col.name] = DistinctSketch.of_values(values)
-        return TableStats(num_rows=len(rows), distinct=distinct,
-                          sketches=sketches)
+        return _measured(_RowSubset(rows, 0, len(rows)), schema)
+
+
+def _measured(subset: _RowSubset, schema: Schema) -> TableStats:
+    """Exact statistics of the rows *subset* refers to."""
+    rows = list(subset.scan())
+    return TableStats(
+        num_rows=len(rows),
+        distinct={c.name: len(set(map(itemgetter(i), rows)))
+                  for i, c in enumerate(schema)},
+        sketches={c.name: _deferred_sketch(subset, i)
+                  for i, c in enumerate(schema)})
 
 
 def measure_shards(rows: list[tuple], schema: Schema,
@@ -175,15 +231,14 @@ def measure_shards(rows: list[tuple], schema: Schema,
     shard-aware placement is priced with the distinct counts and row
     counts each shard will *actually* see, not the uniform ``scaled(1/k)``
     approximation (which is exact on row counts for contiguous shards but
-    can be wildly wrong on distincts under clustering skew).
+    can be wildly wrong on distincts under clustering skew).  Sketches
+    are deferred, over the shard's range of *rows* itself: no slice is
+    kept to build them from.
     """
     n = len(rows)
-    out = []
-    for i in range(shard_count):
-        lo = i * n // shard_count
-        hi = (i + 1) * n // shard_count
-        out.append(TableStats.measure(rows[lo:hi], schema))
-    return out
+    return [_measured(_RowSubset(rows, i * n // shard_count,
+                                 (i + 1) * n // shard_count), schema)
+            for i in range(shard_count)]
 
 
 def measure_partitions(rows: list[tuple], schema: Schema, position: int,
@@ -193,12 +248,12 @@ def measure_partitions(rows: list[tuple], schema: Schema, position: int,
     ``index_of(value)`` maps a partition-column value (at tuple
     *position*) to its partition index.  Unlike contiguous shards, range
     partitions skew on *row counts* too, which is what makes measured
-    statistics load-bearing for the placement decision.
+    statistics load-bearing for the placement decision.  Sketches are
+    deferred as in :func:`measure_shards`.
     """
-    buckets: list[list[tuple]] = [[] for _ in range(num_partitions)]
-    for row in rows:
-        buckets[index_of(row[position])].append(row)
-    return [TableStats.measure(bucket, schema) for bucket in buckets]
+    return [_measured(_RowSubset(rows, 0, len(rows), (position, index_of, i)),
+                      schema)
+            for i in range(num_partitions)]
 
 
 class StatsView:
@@ -228,6 +283,12 @@ class StatsView:
         #: values a column *may* hold, so it survives filters and joins
         #: (which only shrink the domain) and merges under unions.
         self._sketches = dict(sketches or {})
+
+    def __reduce__(self):
+        # Shipped with a plan to workers that only lower and run it: the
+        # sketches stay here (a deferred one would carry its table's rows).
+        return (StatsView, (self.schema, self.num_rows, self._distinct,
+                            self._eq, self.keys, self.group_distinct))
 
     # -- core quantities ---------------------------------------------------------
     @property

@@ -126,9 +126,13 @@ class Table:
 
     def update_stats(self, new_stats: Optional[TableStats] = None) -> TableStats:
         """Replace the table's statistics (re-measuring from rows when no
-        explicit stats are given) and bump :attr:`stats_version`."""
+        explicit stats are given) and bump :attr:`stats_version`.  A
+        stats-only table has no rows to measure: it needs *new_stats*."""
         if new_stats is None:
-            new_stats = TableStats.measure(self._rows or [], self.schema)
+            if self._rows is None:
+                raise ValueError(f"table {self.name} is stats-only: its "
+                                 "statistics cannot be re-measured")
+            new_stats = TableStats.measure(self._rows, self.schema)
         self.stats = new_stats
         return new_stats
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.sort_order import AttributeEquivalence
-from repro.storage import Schema, StatsView, TableStats
+from repro.storage import DistinctSketch, Schema, StatsView, TableStats
 
 
 def view(schema_cols, n, distinct, keys=(), groups=None):
@@ -255,3 +255,208 @@ class TestRangePartitioning:
                       partitioning=RangePartitioning("k", (2,)))
         assert not table.partition_contiguous
         assert table.partition_row_bounds(0) is None
+
+
+# -- deferred distinct sketches ------------------------------------------------------------
+def _eager(values):
+    """Registers of the eager build: one sketch over the distinct values."""
+    return bytes(DistinctSketch.of_values(set(values)).registers)
+
+
+def _sketched_catalogs():
+    """The TPC-H and trading catalogs, each with one table range
+    partitioned, so tables, aliases, shards and partitions all appear."""
+    from repro.storage import RangePartitioning
+    from repro.workloads import tpch_catalog, trading_catalog
+
+    tpch = tpch_catalog(scale=0.005, seed=7)
+    tpch.table("lineitem").set_partitioning(RangePartitioning("l_orderkey", (20, 45)))
+    trading = trading_catalog()
+    trading.table("basket").set_partitioning(RangePartitioning("b_symbol", ("SYM0100",)))
+    return tpch, trading
+
+
+def _measured_stats(table, shards=4):
+    """``(stats, rows it describes)`` of *table*, its shards and its
+    partitions, the rows computed here independently of the storage code."""
+    from repro.engine import shard_bounds
+
+    rows = table.rows
+    out = [(table.stats, rows)]
+    for i, stats in enumerate(table.shard_stats(shards)):
+        lo, hi = shard_bounds(len(rows), shards, i)
+        out.append((stats, rows[lo:hi]))
+    if table.partitioning is not None:
+        part = table.partitioning
+        at = table.schema.names.index(part.column)
+        for i, stats in enumerate(table.partition_stats()):
+            out.append((stats, [r for r in rows
+                                if part.partition_index(r[at]) == i]))
+    return out
+
+
+def _all_sketches(catalog):
+    for table in catalog.tables():
+        for stats, _ in _measured_stats(table):
+            yield from stats.sketches.values()
+
+
+class TestDeferredSketches:
+    def test_registers_match_the_eager_build(self):
+        """Every column of every table (aliases included), shard and
+        range partition holds exactly the eager build's registers."""
+        checked = 0
+        for catalog in _sketched_catalogs():
+            for table in catalog.tables():
+                for stats, rows in _measured_stats(table):
+                    assert set(stats.sketches) == set(table.schema.names)
+                    for i, name in enumerate(table.schema.names):
+                        assert bytes(stats.sketches[name].registers) == \
+                            _eager(r[i] for r in rows), (table.name, name)
+                        checked += 1
+        assert checked > 250
+
+    def test_refresh_and_copies_build_nothing(self):
+        """A refresh, then every place that copies or ships a sketch
+        map, reads no sketch."""
+        import pickle
+
+        from repro.storage import catalog_payload
+
+        for catalog in _sketched_catalogs():
+            for table in list(catalog.tables()):
+                catalog.refresh_stats(table.name)
+            catalog.alias_table("tran" if catalog.has_table("tran")
+                                else "part", "copy", "c_")
+            views = []
+            for table in catalog.tables():
+                first = table.schema.names[0]
+                for stats, _ in _measured_stats(table):
+                    view = StatsView.of_table(table.schema, stats)
+                    views += [view, view.projected([first]),
+                              view.grouped([first], view.schema.project([first]))]
+            tables = [StatsView.of_table(t.schema, t.stats)
+                      for t in catalog.tables()]
+            for left, right in zip(tables, tables[1:]):
+                views.append(left.join(right, [(left.schema.names[0],
+                                                right.schema.names[0])]))
+            pickle.dumps(views, pickle.HIGHEST_PROTOCOL)
+            pickle.dumps(catalog_payload(catalog), pickle.HIGHEST_PROTOCOL)
+            assert all(s._registers is None for s in _all_sketches(catalog))
+
+    def test_shipped_views_carry_no_sketches(self):
+        import pickle
+
+        catalog, _ = _sketched_catalogs()
+        table = catalog.table("part")
+        view = StatsView.of_table(table.schema, table.stats)
+        clone = pickle.loads(pickle.dumps(view, pickle.HIGHEST_PROTOCOL))
+        assert clone.sketch_of("p_partkey") is None
+        assert clone.distinct_of("p_partkey") == view.distinct_of("p_partkey")
+        assert clone.schema == view.schema and clone.keys == view.keys
+
+    def test_payload_bytes_do_not_depend_on_reads(self):
+        """A deferred sketch pickles as where its values are, built or
+        not, so the worker handoff is the same size either way."""
+        import pickle
+
+        from repro.storage import catalog_payload
+
+        for catalog in _sketched_catalogs():
+            before = pickle.dumps(catalog_payload(catalog),
+                                  pickle.HIGHEST_PROTOCOL)
+            for sketch in _all_sketches(catalog):
+                sketch.estimate()
+            after = pickle.dumps(catalog_payload(catalog),
+                                 pickle.HIGHEST_PROTOCOL)
+            assert len(after) == len(before)
+
+    def test_union_estimate_reads_the_same_values(self):
+        from repro.storage import Catalog
+
+        catalog = Catalog()
+        schema = Schema.of(("a", "int", 8), ("b", "int", 8))
+        for name, shift in (("u1", 0), ("u2", 17)):
+            catalog.create_table(name, schema, rows=[
+                ((i * 7 + shift) % 41, i % 5) for i in range(300)])
+        u1, u2 = catalog.table("u1"), catalog.table("u2")
+        merged = StatsView.of_table(u1.schema, u1.stats).union(
+            StatsView.of_table(u2.schema, u2.stats))
+        for i, name in enumerate(("a", "b")):
+            eager = DistinctSketch.of_values({r[i] for r in u1.rows}).union(
+                DistinctSketch.of_values({r[i] for r in u2.rows}))
+            no_overlap = u1.stats.distinct[name] + u2.stats.distinct[name]
+            assert merged.distinct_of(name) == min(
+                600, no_overlap, eager.estimate())
+            assert bytes(merged.sketch_of(name).registers) == \
+                bytes(eager.registers)
+
+    def test_greedy_m2m_shard_merge_reads_the_same_values(self):
+        """The many-to-many scorer merges per-shard sketches for a
+        column the declared statistics leave out."""
+        from repro.engine import shard_bounds
+        from repro.logical.algebra import BaseRelation
+        from repro.optimizer.pipeline.join_enumeration import (
+            _SKEW_PROBE_SHARDS,
+            _leaf_attr_stats,
+        )
+        from repro.storage import Catalog
+
+        catalog = Catalog()
+        rows = [(i % 5, i % 9) for i in range(600)]
+        catalog.create_table("c", Schema.of(("c_y", "int", 8), ("c_v", "int", 8)),
+                             rows=rows, stats=TableStats(600, {"c_v": 9}))
+        eager = None
+        for i in range(_SKEW_PROBE_SHARDS):
+            lo, hi = shard_bounds(600, _SKEW_PROBE_SHARDS, i)
+            shard = DistinctSketch.of_values({r[0] for r in rows[lo:hi]})
+            eager = shard if eager is None else eager.union(shard)
+        _, distinct, _ = _leaf_attr_stats(catalog, BaseRelation("c"))["c_y"]
+        assert distinct == max(1.0, min(600.0, eager.estimate()))
+        assert distinct < 10
+
+    def test_sketch_built_in_a_spawned_worker_equals_the_parents(self):
+        """The worker handoff carries deferred sketches as references
+        into the rows it ships: a spawned process builds the same
+        registers from the payload alone."""
+        import multiprocessing
+
+        from repro.storage import catalog_payload
+
+        catalog, _ = _sketched_catalogs()
+        payload = catalog_payload(catalog)
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            built = pool.apply(_registers_from_payload, (payload,))
+        assert built == _registers_by_table(catalog)
+        assert len(built) == 4
+
+
+def _registers_by_table(catalog):
+    return {t.name: {n: bytes(s.registers) for n, s in t.stats.sketches.items()}
+            for t in catalog.tables()}
+
+
+def _registers_from_payload(payload):
+    from repro.storage import build_catalog
+
+    return _registers_by_table(build_catalog(payload))
+
+
+class TestRefreshStats:
+    def test_stats_only_table_refuses_to_re_measure(self):
+        """Re-measuring a stats-only table used to replace its declared
+        statistics with those of an empty row list (``partsupp`` fell
+        from 800,000 rows to 0) and still bump its version."""
+        from repro.workloads import tpch_stats_catalog
+
+        catalog = tpch_stats_catalog()
+        declared = catalog.table("partsupp").stats
+        version = catalog.stats_version
+        with pytest.raises(ValueError, match="partsupp"):
+            catalog.refresh_stats("partsupp")
+        assert catalog.table("partsupp").stats is declared
+        assert declared.num_rows == 800_000
+        assert catalog.stats_version == version
+        replaced = TableStats(1_000, {"ps_partkey": 100})
+        assert catalog.refresh_stats("partsupp", replaced) is replaced
+        assert catalog.stats_version == version + 1
