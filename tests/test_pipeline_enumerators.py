@@ -55,20 +55,57 @@ def test_exhaustive_bit_identical_on_fig16():
         assert plan.total_cost == golden["cost"], name
 
 
-def test_exhaustive_bit_identical_on_fuzz_corpus():
-    """Plan explains over the 40-seed fuzz corpus (parallelism 1 and 4)
-    hash to the pre-refactor golden digest."""
+def _fuzz_digest(**options) -> str:
+    """SHA-256 of the plan explains over the 40-seed fuzz corpus at
+    parallelism 1 and 4, planned by a session with *options*."""
     import test_plan_fuzz as fuzz
     h = hashlib.sha256()
     for seed in range(GOLDEN["fuzz"]["seeds"]):
         rng = random.Random(seed)
         catalog = fuzz.random_catalog(rng)
         query = fuzz.random_query(rng, catalog)
-        session = QuerySession(catalog)
+        session = QuerySession(catalog, **options)
         for parallelism in (1, 4):
             plan = session.prepare(query, parallelism=parallelism).plan
             h.update(plan.explain().encode())
-    assert h.hexdigest() == GOLDEN["fuzz"]["sha256"]
+    return h.hexdigest()
+
+
+def test_exhaustive_bit_identical_on_fuzz_corpus():
+    """Plan explains over the 40-seed fuzz corpus (parallelism 1 and 4)
+    hash to the pre-refactor golden digest."""
+    assert _fuzz_digest() == GOLDEN["fuzz"]["sha256"]
+
+
+#: The strategies other than the default PYRO-O, pinned under
+#: ``GOLDEN["strategies"]``: PYRO-E's factorial goal count is where the
+#: search does the most work per group, so a change to how candidates
+#: are built shows there first.
+OTHER_STRATEGIES = ("pyro", "pyro-p", "pyro-o-", "pyro-e")
+
+
+def strategy_pins(strategy: str) -> dict:
+    """Explain and cost of Fig. 16 Q3-Q6 and the many-join query, and
+    the fuzz-corpus digest, planned under *strategy*."""
+    cases = fig16_cases() + [
+        ("many_join", many_join_catalog(), many_join_query())]
+    pins = {}
+    for name, catalog, query in cases:
+        plan = Optimizer(catalog, strategy=strategy).optimize(query)
+        pins[name] = {"cost": plan.total_cost, "explain": plan.explain()}
+    pins["fuzz_sha256"] = _fuzz_digest(strategy=strategy)
+    return pins
+
+
+@pytest.mark.parametrize("strategy", OTHER_STRATEGIES)
+def test_other_strategies_bit_identical(strategy):
+    """Every strategy plans Q3-Q6, the many-join query and the fuzz
+    corpus byte for byte as pinned."""
+    golden = GOLDEN["strategies"][strategy]
+    pins = strategy_pins(strategy)
+    assert set(pins) == set(golden)
+    for name, pin in pins.items():
+        assert pin == golden[name], (strategy, name)
 
 
 def _sharded_plans():
