@@ -85,11 +85,14 @@ class CostModel:
         return num_blocks * (2 * passes + 1) + cpu
 
     def coe(self, stats: StatsView, from_order: SortOrder, to_order: SortOrder,
-            partial_enabled: bool = True) -> float:
-        """Cost of enforcing *to_order* given guaranteed *from_order*."""
-        if not to_order or to_order.is_prefix_of(from_order, self.eq):
+            partial_enabled: bool = True,
+            eq: Optional[AttributeEquivalence] = None) -> float:
+        """Cost of enforcing *to_order* given guaranteed *from_order*, the
+        shared prefix matched under *eq* (default: the model's)."""
+        eq = self.eq if eq is None else eq
+        if not to_order or to_order.is_prefix_of(from_order, eq):
             return 0.0
-        shared = longest_common_prefix(to_order, from_order, self.eq)
+        shared = longest_common_prefix(to_order, from_order, eq)
         if not partial_enabled:
             shared = EMPTY_ORDER
         N, B = stats.N, stats.B(self.params.block_size)
@@ -120,11 +123,12 @@ class CostModel:
                     to_order: SortOrder, shard_count: int,
                     partial_enabled: bool = True,
                     shard_stats: Optional[Sequence[StatsView]] = None,
-                    disjoint_merge: bool = False) -> float:
+                    disjoint_merge: bool = False,
+                    eq: Optional[AttributeEquivalence] = None) -> float:
         """``coe`` with the enforcer pushed below a shard fan-out: *k*
         independent enforcers over the shards (each inheriting the
-        input's guaranteed order) plus the order-preserving merge that
-        gathers them.
+        input's guaranteed order, its prefix matched under *eq*) plus the
+        order-preserving merge that gathers them.
 
         *shard_stats*, when given, holds the **measured** per-shard
         statistics (actual row counts and distinct counts from the
@@ -144,16 +148,18 @@ class CostModel:
         (``Σ nᵢ·log2(nᵢ) < N·log2(N)``).
         """
         if shard_count <= 1:
-            return self.coe(stats, from_order, to_order, partial_enabled)
-        if not to_order or to_order.is_prefix_of(from_order, self.eq):
+            return self.coe(stats, from_order, to_order, partial_enabled, eq)
+        if not to_order or to_order.is_prefix_of(
+                from_order, self.eq if eq is None else eq):
             return 0.0
         if shard_stats is not None:
-            per_shard = sum(self.coe(s, from_order, to_order, partial_enabled)
+            per_shard = sum(self.coe(s, from_order, to_order, partial_enabled,
+                                     eq)
                             for s in shard_stats)
         else:
             uniform = stats.scaled(1.0 / shard_count)
             per_shard = shard_count * self.coe(uniform, from_order, to_order,
-                                               partial_enabled)
+                                               partial_enabled, eq)
         return per_shard + self.merge_exchange(stats.N, shard_count,
                                                disjoint=disjoint_merge)
 

@@ -27,6 +27,7 @@ per-partition statistics of the inputs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -170,7 +171,8 @@ class PlanBuilder:
     # -- sorting -----------------------------------------------------------------------
     def sort(self, child: PhysicalPlan, order: SortOrder, full: bool = False,
              eq: Optional[AttributeEquivalence] = None,
-             on: Optional[StatsView] = None) -> PhysicalPlan:
+             on: Optional[StatsView] = None,
+             limit: float = math.inf) -> Optional[PhysicalPlan]:
         """Sort enforcer — *child* itself when it already delivers
         *order*; a partial sort when its order shares a prefix (unless
         *full* forces the SRS behaviour of Experiment A1).
@@ -178,17 +180,23 @@ class PlanBuilder:
         *eq* narrows the equivalences the prefix is matched under (the
         search passes the goal's own subtree's: a sibling union branch's
         join equivalence must not donate a prefix the stream does not
-        have).  *on* are the measured statistics of a shard: the enforcer
-        is priced on them, and carries them (schema permitting) so the
-        per-shard operators above it see real distinct counts."""
-        prefix = longest_common_prefix(order, child.order, eq or self.eq)
+        have), and the enforcer is priced under the same ones.  *on* are
+        the measured statistics of a shard: the enforcer is priced on
+        them, and carries them (schema permitting) so the per-shard
+        operators above it see real distinct counts.  The enforcer is
+        priced before it is built: ``None`` when the sorted plan would
+        cost *limit* or more (the search's budget)."""
+        eq = eq or self.eq
+        prefix = longest_common_prefix(order, child.order, eq)
         if prefix == order:
             return child
         if full:
             prefix = EMPTY_ORDER
         stats = child.stats
         cost = self.cost.coe(stats if on is None else on, child.order, order,
-                             partial_enabled=not full)
+                             not full, eq)
+        if child.total_cost + cost >= limit:
+            return None
         if on is not None and list(on.schema.names) == list(child.schema.names):
             stats = on
         if prefix:
@@ -330,13 +338,20 @@ class PlanBuilder:
             left = self.sort(left, order)
             right = self.sort(right, order.translate(
                 dict(zip(left.schema.names, right.schema.names))))
-        stats = left.stats.union(right.stats, self.eq)
+        stats = self._union_stats(left, right)
         return make_plan("MergeUnion", left.schema, order, stats,
                          self.cost.merge_union(left.stats, right.stats),
                          [left, right])
 
+    def _union_stats(self, left: PhysicalPlan,
+                     right: PhysicalPlan) -> StatsView:
+        """The union estimate — one per pair of input statistics, however
+        many permutations a merge union runs its inputs in (merging the
+        branches' distinct sketches is the expensive part)."""
+        return self._once(StatsView.union, left.stats, right.stats, self.eq)
+
     def union_all(self, left: PhysicalPlan, right: PhysicalPlan) -> PhysicalPlan:
-        stats = left.stats.union(right.stats, self.eq)
+        stats = self._union_stats(left, right)
         return make_plan("UnionAll", left.schema, EMPTY_ORDER, stats, 0.0,
                          [left, right])
 

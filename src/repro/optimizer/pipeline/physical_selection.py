@@ -12,10 +12,10 @@ stage 2 decided on (the pipeline driver in :mod:`repro.optimizer.volcano`
 builds one per query, and one more on the same group table when phase 2
 forces orders).  The search is split the Cascades way: what is true
 of a logical node's *result* lives once per group in the
-:class:`~.groups.GroupTable`; the search itself only holds what depends
-on a requested order — the memo of ``(group id, canonical order)``
-goals and the plans under them.  See "Groups and goals" in
-``docs/optimizer.md``.
+:class:`~.groups.GroupTable`; the search itself holds what depends on a
+requested order — the memo of ``(group id, canonical order)`` goals —
+and the physical alternatives it builds once and hands to every goal
+that reaches them.  See "Groups and goals" in ``docs/optimizer.md``.
 """
 
 from __future__ import annotations
@@ -127,6 +127,8 @@ class PhysicalSelection:
         self.builder = PlanBuilder(catalog, self.eq)
         #: The builder's once-per-input derivations, one table per search.
         self._derived = self.builder._derived
+        #: Physical alternatives, once per search: see :meth:`_alternatives`.
+        self._built: dict[tuple, tuple] = {}
         self.order_ctx = OrderContext(self.favorable, self.fds, self.eq)
         #: Goal → exact optimum, keyed ``(group id, canonical order)``.
         self._memo: dict[tuple, PhysicalPlan] = {}
@@ -257,9 +259,15 @@ class PhysicalSelection:
         if translated is None:
             return None
         partial_ok = self.config.partial_sort_enforcers
+        if not shardable_enforcement_input(plan, self.catalog,
+                                           self.config.parallelism):
+            # No below-the-exchange placement can undercut the post-union
+            # sort, so it is priced against *limit* before it is built.
+            return self.builder.sort(plan, translated, not partial_ok, eq,
+                                     limit=limit)
         sort = self.builder.sort(plan, translated, full=not partial_ok, eq=eq)
         # (An equivalence-collapsed *translated* may already hold.)
-        if sort is not plan and self.config.parallelism > 1:
+        if sort is not plan:
             sort = self._sharded_enforcement(sort, partial_ok, eq) or sort
         return sort if sort.total_cost < limit else None
 
@@ -331,14 +339,15 @@ class PhysicalSelection:
         replaces: ties resolve to the simpler unsharded plan
         (:func:`prefer_sharded`).  *finish* says the shards emit *partial*
         results (a row per per-shard group or distinct value): the gather
-        carries the sum of their counts and ``finish(gather)`` is the
-        operator above it that folds what straddled shard boundaries."""
+        carries the sum of their counts and ``finish(gather, unsharded)``
+        is the operator above it that folds what straddled shard
+        boundaries into what *unsharded* emits."""
         stats = unsharded.stats
         if finish is not None:
             stats = stats.with_rows(sum(node.stats.N for node in nodes))
         plan = self.builder.gather(nodes, unsharded.order, stats, disjoint)
         if finish is not None:
-            plan = finish(plan)
+            plan = finish(plan, unsharded)
         return (plan if prefer_sharded(plan.total_cost, unsharded.total_cost)
                 else None)
 
@@ -360,7 +369,7 @@ class PhysicalSelection:
             est = chain.total_cost + self.builder.cost.sharded_coe(
                 chain.stats, chain.order, translated, len(views),
                 partial_enabled=partial_ok, shard_stats=views,
-                disjoint_merge=disjoint)
+                disjoint_merge=disjoint, eq=eq)
             if table is not None and not table.partition_contiguous:
                 # Non-contiguous partitions each re-read the whole table.
                 est += ((len(views) - 1)
@@ -374,11 +383,11 @@ class PhysicalSelection:
                                  not partial_ok, eq)
         return self._gathered(shards, disjoint, unsharded)
 
-    def _and_sharded(self, unsharded: PhysicalPlan, construct: Callable,
+    def _and_sharded(self, construct: Callable, inputs: tuple,
                      fan: Callable, finish: Optional[Callable] = None
                      ) -> Iterable[PhysicalPlan]:
-        """The *unsharded* operator (``construct`` over its inputs), then
-        — when planning for a fan-out — its below-the-exchange form if it
+        """The unsharded operator, *construct* over its *inputs*, then —
+        when planning for a fan-out — its below-the-exchange form if it
         applies and wins: *construct* over each shard's inputs, gathered.
 
         ``fan()`` says whether it applies (the site's guard) and how the
@@ -390,6 +399,7 @@ class PhysicalSelection:
         unsharded estimate apportioned by weight.  With one they emit
         partial results, estimated from the shard by *construct* itself.
         """
+        unsharded = construct(*inputs)
         yield unsharded
         fanned = self.config.parallelism > 1 and fan()
         if not fanned:
@@ -491,15 +501,37 @@ class PhysicalSelection:
         return self.builder.project(plan, target.names)
 
     # -- candidate generation ----------------------------------------------------------------
+    def _alternatives(self, build: Callable, expr: LogicalExpr,
+                      inputs: tuple = (), variant=None) -> tuple:
+        """The physical alternatives ``build()`` makes of *expr* over the
+        input plans *inputs*, built once per search and handed to every
+        goal that reaches them: none depends on the goal's required
+        order, which is the enforcer's business (:meth:`enforce`).
+        *variant* is the permutation or order an order-based alternative
+        is built on (hashable), ``None`` for the operator's order-free
+        one.  Keyed in :meth:`PlanBuilder._once`'s idiom: the entry holds
+        *expr* and *inputs*, so an ``id()`` is never reused.  The key is
+        the logical node object, not its group: merge joins and sort
+        aggregates carry it for phase-2 refinement, and structurally
+        equal nodes share a group."""
+        key = (id(expr), *map(id, inputs), variant)
+        hit = self._built.get(key)
+        if hit is None:
+            hit = self._built[key] = (tuple(build()), expr, inputs)
+        return hit[0]
+
+    def _scans(self, expr: BaseRelation) -> Iterable[PhysicalPlan]:
+        yield self.builder.table_scan(expr.table_name)
+        used = self.annotator.used_attrs(expr.table_name)
+        for index in self.catalog.indexes_of(expr.table_name):
+            if index.covers(used):
+                yield self.builder.covering_scan(expr.table_name, index.name)
+
     def _native_candidates(self, expr: LogicalExpr, required: SortOrder,
                            bound: _Bound) -> Iterable[PhysicalPlan]:
         build = self.builder
         if isinstance(expr, BaseRelation):
-            yield build.table_scan(expr.table_name)
-            used = self.annotator.used_attrs(expr.table_name)
-            for index in self.catalog.indexes_of(expr.table_name):
-                if index.covers(used):
-                    yield build.covering_scan(expr.table_name, index.name)
+            yield from self._alternatives(lambda: self._scans(expr), expr)
         elif isinstance(expr, Select):
             yield from self._unary_candidates(
                 expr, required, bound, self._nameable(required, expr.child),
@@ -528,7 +560,8 @@ class PhysicalSelection:
         elif isinstance(expr, Limit):
             child = self.optimize_goal(expr.child, required, bound.value)
             if child is not None:
-                yield build.limit(child, expr.k)
+                yield from self._alternatives(
+                    lambda: (build.limit(child, expr.k),), expr, (child,))
         else:
             raise TypeError(f"cannot plan {type(expr).__name__}")
 
@@ -553,7 +586,8 @@ class PhysicalSelection:
         for child_req in child_reqs:
             child = self.optimize_goal(expr.child, child_req, bound.value)
             if child is not None and child.schema.has_all(needs):
-                yield construct(child)
+                yield from self._alternatives(lambda: (construct(child),),
+                                              expr, (child,))
 
     def _input_plans(self, expr: LogicalExpr, left_required: SortOrder,
                      right_required: SortOrder, bound: _Bound):
@@ -608,10 +642,12 @@ class PhysicalSelection:
             # join would duplicate right-unmatched rows per shard.  The
             # gather stays heap-free only when the shards were range
             # partitions disjoint on the permutation's leading attribute.
-            yield from self._and_sharded(
-                merge_join(left_plan, right_plan), merge_join,
-                lambda: expr.join_type != "full" and self._sorted_shards_of(
-                    left_plan, left_eq, right_plan, leading=perm))
+            yield from self._alternatives(
+                lambda: self._and_sharded(
+                    merge_join, inputs,
+                    lambda: expr.join_type != "full" and self._sorted_shards_of(
+                        left_plan, left_eq, right_plan, leading=perm)),
+                expr, inputs, tuple(partners))
         if self.config.enable_hash_join:
             inputs = self._input_plans(expr, EMPTY_ORDER, EMPTY_ORDER, bound)
             if inputs is not None:
@@ -624,9 +660,11 @@ class PhysicalSelection:
                 # in sort memory skip the partition-spill I/O a monolithic
                 # build pays.  Hash output is unordered anyway, so the
                 # gather is a plain exchange union, costing nothing.
-                yield from self._and_sharded(
-                    hash_join(*inputs), hash_join,
-                    lambda: self._copartitions(*inputs, pairs))
+                yield from self._alternatives(
+                    lambda: self._and_sharded(
+                        hash_join, inputs,
+                        lambda: self._copartitions(*inputs, pairs)),
+                    expr, inputs)
 
     # -- aggregation --------------------------------------------------------------------------
     def _group_candidates(self, expr: GroupBy, required: SortOrder,
@@ -647,7 +685,6 @@ class PhysicalSelection:
             def aggregate(shard):
                 return self.builder.sort_aggregate(
                     shard, perm, expr.aggregates, group_cols, logical=expr)
-            whole = aggregate(child)
             # Per shard: each aggregates its (sorted) slice, the merge
             # gathers one *partial* row per per-shard group (real
             # per-shard distinct counts — under clustering skew far fewer
@@ -656,17 +693,21 @@ class PhysicalSelection:
             # aggregates with an exact combiner qualify (``avg`` would
             # need a sum+count split), so recombined results are
             # bit-identical to the unsharded plan.
-            yield from self._and_sharded(
-                whole, aggregate,
-                lambda: combinable(expr.aggregates)
-                and self._sorted_shards_of(child, child_eq),
-                finish=lambda gather: self.builder.sorted_combine(
-                    gather, group_cols, expr.aggregates, whole.stats))
+            yield from self._alternatives(
+                lambda: self._and_sharded(
+                    aggregate, (child,),
+                    lambda: combinable(expr.aggregates)
+                    and self._sorted_shards_of(child, child_eq),
+                    finish=lambda gather, whole: self.builder.sorted_combine(
+                        gather, group_cols, expr.aggregates, whole.stats)),
+                expr, (child,), perm.as_tuple)
         if self.config.enable_hash_aggregate:
             child = self.optimize_goal(expr.child, EMPTY_ORDER, bound.value)
             if child is not None and child.schema.has_all(needs):
-                yield self.builder.hash_aggregate(child, group_cols,
-                                                  expr.aggregates)
+                yield from self._alternatives(
+                    lambda: (self.builder.hash_aggregate(
+                        child, group_cols, expr.aggregates),),
+                    expr, (child,))
 
     # -- set operations --------------------------------------------------------------------------
     @staticmethod
@@ -712,7 +753,6 @@ class PhysicalSelection:
 
             def dedup(shard, stats=None):
                 return self.builder.dedup(shard, full_order, columns, stats)
-            whole = dedup(child)
             # Per shard: each deduplicates its (sorted) slice, the
             # order-preserving merge gathers one row per per-shard
             # distinct value, and the same Dedup above the merge drops
@@ -721,12 +761,18 @@ class PhysicalSelection:
             # one.  Wins when in-shard duplicates shrink the merge input
             # (the DISTINCT analogue of the per-shard aggregation) or when
             # the per-shard enforcers below already avoided a spill.
-            yield from self._and_sharded(
-                whole, dedup, lambda: self._sorted_shards_of(child, child_eq),
-                finish=lambda gather: dedup(gather, stats=whole.stats))
+            yield from self._alternatives(
+                lambda: self._and_sharded(
+                    dedup, (child,),
+                    lambda: self._sorted_shards_of(child, child_eq),
+                    finish=lambda gather, whole: dedup(gather,
+                                                       stats=whole.stats)),
+                expr, (child,), perm.as_tuple)
         child = self.optimize_goal(expr.child, EMPTY_ORDER, bound.value)
         if child is not None:
-            yield self.builder.hash_dedup(child, columns)
+            yield from self._alternatives(
+                lambda: (self.builder.hash_dedup(child, columns),),
+                expr, (child,))
 
     def _union_candidates(self, expr: Union, required: SortOrder,
                           bound: _Bound) -> Iterable[PhysicalPlan]:
@@ -742,9 +788,13 @@ class PhysicalSelection:
             inputs = self._input_plans(expr, perm, perm.translate(rename),
                                        bound)
             if inputs is not None:
-                yield self.builder.merge_union(*inputs, full_order,
-                                               sort_inputs=False)
+                yield from self._alternatives(
+                    lambda: (self.builder.merge_union(
+                        *inputs, full_order, sort_inputs=False),),
+                    expr, inputs, perm.as_tuple)
         inputs = self._input_plans(expr, EMPTY_ORDER, EMPTY_ORDER, bound)
         if inputs is not None:
-            yield self.builder.hash_dedup(self.builder.union_all(*inputs),
-                                          columns)
+            yield from self._alternatives(
+                lambda: (self.builder.hash_dedup(
+                    self.builder.union_all(*inputs), columns),),
+                expr, inputs)

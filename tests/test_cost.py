@@ -192,3 +192,86 @@ class TestShardedFormulas:
             chain.stats, chain.order, target, 4, partial_enabled=False,
             shard_stats=views, disjoint_merge=fan_out == "range")
         assert built.total_cost == pytest.approx(chain.total_cost + estimate)
+
+
+class TestEnforcerPricing:
+    """:meth:`PlanBuilder.sort` matches the enforcer's prefix under the
+    equivalences it is handed (the search hands in the goal group's) and
+    prices the enforcer under the same ones, before it builds a node."""
+
+    ENFORCED = SortOrder(["a", "b"])
+
+    @staticmethod
+    def builder_and_child(eq=None):
+        """A builder on *eq* and a scan of 10,000 rows clustered on
+        ``x``: 100 ``x`` values, each a segment of a partial sort."""
+        from repro.optimizer.manual import PlanBuilder
+        from repro.storage import Catalog, TableStats
+
+        catalog = Catalog(SystemParameters(sort_memory_blocks=10))
+        catalog.create_table(
+            "t", Schema.of(("a", "int", 40), ("b", "int", 40), ("x", "int", 20)),
+            stats=TableStats(10_000, {"a": 100, "b": 1000, "x": 100}),
+            clustering_order=SortOrder(["x"]))
+        builder = PlanBuilder(catalog, eq)
+        return builder, builder.table_scan("t")
+
+    def test_a_narrower_eq_prices_the_full_sort_it_builds(self):
+        """The builder's equivalences say ``x = a``; the goal's do not,
+        so no prefix is shared and the enforcer is a full sort, priced
+        as one (not as the partial sort the builder's classes allow)."""
+        builder, child = self.builder_and_child(AttributeEquivalence.of([("a", "x")]))
+        narrower = AttributeEquivalence()
+        sort = builder.sort(child, self.ENFORCED, eq=narrower)
+        assert sort.op == "Sort"
+        full = builder.cost.coe(child.stats, EMPTY_ORDER, self.ENFORCED)
+        partial = builder.cost.coe(child.stats, child.order, self.ENFORCED)
+        assert partial < full / 10
+        assert sort.self_cost == full
+        assert sort.self_cost == builder.cost.coe(
+            child.stats, child.order, self.ENFORCED, eq=narrower)
+
+    def test_a_wider_eq_prices_the_partial_sort_it_builds(self):
+        """The other way round (fuzz seed 58's shape): the goal's classes
+        say ``x = a``, the builder's do not.  The partial sort the goal's
+        prefix allows is priced as a partial sort."""
+        builder, child = self.builder_and_child()
+        wider = AttributeEquivalence.of([("a", "x")])
+        sort = builder.sort(child, self.ENFORCED, eq=wider)
+        assert sort.op == "PartialSort" and sort.arg("prefix") == SortOrder(["a"])
+        assert sort.self_cost == builder.cost.coe(
+            child.stats, child.order, self.ENFORCED, eq=wider)
+        assert sort.self_cost < builder.cost.coe(
+            child.stats, EMPTY_ORDER, self.ENFORCED) / 10
+
+    def test_sharded_coe_matches_under_the_eq_it_is_given(self):
+        cm = make()
+        wider = AttributeEquivalence.of([("a", "x")])
+        whole = stats(10_000, {"a": 100, "x": 100})
+        views = [stats(2_500, {"a": 100, "x": 100}) for _ in range(4)]
+        given_eq = cm.sharded_coe(whole, SortOrder(["x"]), self.ENFORCED, 4,
+                                  shard_stats=views, eq=wider)
+        assert given_eq == pytest.approx(
+            sum(cm.coe(v, SortOrder(["x"]), self.ENFORCED, eq=wider)
+                for v in views) + cm.merge_exchange(10_000, 4))
+        assert given_eq < cm.sharded_coe(whole, SortOrder(["x"]),
+                                         self.ENFORCED, 4, shard_stats=views)
+
+    def test_an_enforcer_over_its_budget_is_not_built(self, monkeypatch):
+        from repro.optimizer import manual
+
+        builder, child = self.builder_and_child()
+        sort = builder.sort(child, self.ENFORCED)
+        built = []
+        make_plan = manual.make_plan
+        monkeypatch.setattr(manual, "make_plan",
+                            lambda op, *args, **kw: built.append(op)
+                            or make_plan(op, *args, **kw))
+        assert builder.sort(child, self.ENFORCED,
+                            limit=sort.total_cost) is None
+        assert built == []
+        below = builder.sort(child, self.ENFORCED,
+                             limit=math.nextafter(sort.total_cost, math.inf))
+        assert below == sort and built == ["Sort"]
+        # A child that already delivers the order is returned as it is.
+        assert builder.sort(child, SortOrder(["x"]), limit=0.0) is child

@@ -11,6 +11,7 @@ of logical subtrees: structural interning, identity keys that keep
 their objects alive, and trees that cross a pickle / hash-seed boundary.
 """
 
+import collections
 import gc
 import os
 import pathlib
@@ -29,7 +30,7 @@ from repro.expr import col
 from repro.logical import Query
 from repro.logical import fds
 from repro.logical.algebra import Annotator, Union
-from repro.optimizer import Optimizer, OptimizerConfig
+from repro.optimizer import Optimizer, OptimizerConfig, manual
 from repro.optimizer.pipeline import groups as groups_module
 from repro.optimizer.pipeline.groups import GroupTable
 from repro.optimizer.pipeline.physical_selection import PhysicalSelection
@@ -57,9 +58,11 @@ def assert_costs_stored(plan: PhysicalPlan) -> None:
 @pytest.fixture
 def counted_prepare(request, monkeypatch):
     """One cold prepare of the many-join query (exhaustive x pyro-e,
-    parallelism 1) with the derivation entry points counted; an indirect
+    parallelism 1) with the derivation entry points counted, and the
+    plan nodes built (``counts["built"]``, per operator); an indirect
     parameter names another join enumerator."""
-    counts = {"group_tables": 0, "annotators": 0, "fd_nodes": 0, "joins": 0}
+    counts = {"group_tables": 0, "annotators": 0, "fd_nodes": 0, "joins": 0,
+              "built": collections.Counter()}
     join_inputs = []  # (left, right, pairs) — held, so ids stay distinct
 
     table_init = GroupTable.__init__
@@ -88,6 +91,12 @@ def counted_prepare(request, monkeypatch):
         return stats_join(self, other, join_pairs, eq)
     monkeypatch.setattr(StatsView, "join", counting_join)
 
+    make_plan = manual.make_plan
+    def counting_make_plan(op, *args, **kwargs):
+        counts["built"][op] += 1
+        return make_plan(op, *args, **kwargs)
+    monkeypatch.setattr(manual, "make_plan", counting_make_plan)
+
     session = QuerySession(
         many_join_catalog(), strategy="pyro-e",
         join_enumerator=getattr(request, "param", "exhaustive"))
@@ -101,6 +110,20 @@ def test_search_effort_counters_are_pinned(counted_prepare):
     stats = session.stats()
     assert stats["goals_examined"] == 267
     assert stats["memo_hits"] == 976
+
+
+def test_each_alternative_is_built_once_per_search(counted_prepare):
+    """The top join is asked for 120 orders, each answered by the same
+    few alternatives plus an enforcer.  A merge join is built once per
+    distinct (input plans, permutation) and a hash join once per distinct
+    input plans (370 and 251 builds when every goal built its own), and
+    an enforcer over the budget is priced but never built."""
+    _, _, _, counts, _ = counted_prepare
+    built = counts["built"]
+    assert built["MergeJoin"] == 126
+    assert built["HashJoin"] == 7
+    assert built["TableScan"] == 8  # one per relation
+    assert sum(built.values()) == 631  # 1,246 before
 
 
 def test_join_statistics_once_per_distinct_input(counted_prepare):
@@ -265,6 +288,9 @@ def test_identity_keys_keep_their_objects_alive(rs_catalog):
     assert run._derived
     for key, (_, inputs) in run._derived.items():
         assert key[1:] == tuple(map(id, inputs))
+    assert run._built
+    for key, (_, expr, inputs) in run._built.items():
+        assert key[:-1] == (id(expr), *map(id, inputs))
 
 
 _CHILD = """

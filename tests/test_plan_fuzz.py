@@ -34,6 +34,7 @@ The seed base is ``REPRO_FUZZ_SEED`` (default 0 — what CI pins) and the
 plan count ``REPRO_FUZZ_PLANS`` (default 200, per the acceptance bar).
 """
 
+import math
 import os
 import random
 
@@ -45,7 +46,17 @@ from repro.expr import col, param
 from repro.expr.aggregates import AggSpec, count_star
 from repro.expr.expressions import Comparison
 from repro.logical import Query
-from repro.logical.algebra import Annotator, BaseRelation, Join, Limit, OrderBy
+from repro.core.interesting import EXHAUSTIVE_LIMIT
+from repro.logical.algebra import (
+    Annotator,
+    BaseRelation,
+    Distinct,
+    GroupBy,
+    Join,
+    Limit,
+    OrderBy,
+    Union,
+)
 from repro.service import ProcessPoolBackend, QuerySession, SerialBackend
 from repro.storage import Catalog, RangePartitioning, Schema, SystemParameters
 
@@ -397,6 +408,94 @@ def test_reduced_merge_key_keeps_every_join_pair():
     reduced = [node for node in plan.walk() if node.op == "Filter"
                and node.children[0].op == "MergeJoin"]
     assert [repr(node.arg("predicate")) for node in reduced] == ["t2_c0 = t1_c1"]
+
+
+# -- strategies against each other -------------------------------------------------------
+STRATEGIES = ("pyro", "pyro-p", "pyro-o", "pyro-o-", "pyro-e")
+
+#: PYRO-E enumerates k! orders at a node permuting k attributes, once per
+#: order its parent asks for, so stacked order-flexible operators
+#: multiply: a DISTINCT over a DISTINCT of 8 columns is 8!·8! ≈ 1.6e9
+#: candidate orders, hours of search.  Queries past this product (or
+#: with a node past ``EXHAUSTIVE_LIMIT`` attributes, where PYRO-E
+#: refuses) are held to the other strategies' relations only.
+EXHAUSTIVE_TRACTABLE = 10 ** 6
+
+
+def exhaustive_tractable(catalog: Catalog, expr) -> bool:
+    """Whether PYRO-E can search *expr*: per root-to-leaf path, the
+    product of ``k!`` over the operators permuting ``k`` attributes (a
+    DISTINCT or UNION its output columns, a GROUP BY its group columns,
+    a join its pairs) is at most :data:`EXHAUSTIVE_TRACTABLE`."""
+    annotator = Annotator(catalog, expr)
+
+    def orders(node) -> float:
+        if isinstance(node, (Distinct, Union)):
+            k = len(annotator.schema_of(node).names)
+        elif isinstance(node, GroupBy):
+            k = len(node.group_columns)
+        elif isinstance(node, Join):
+            k = len(node.predicate.pairs)
+        else:
+            k = 0
+        if k > EXHAUSTIVE_LIMIT:
+            return math.inf
+        return math.factorial(k) * max(map(orders, node.children), default=1)
+
+    return orders(expr) <= EXHAUSTIVE_TRACTABLE
+
+
+def test_strategies_cost_in_the_order_their_searches_nest():
+    """PYRO-E tries every permutation, so no strategy finds a cheaper
+    plan; PYRO-P's orders (one per leading attribute) include PYRO's
+    arbitrary one; PYRO-O- is PYRO-O without partial sort enforcers.
+    PYRO-P against PYRO-O is not ordered: on fuzz seed 58 PYRO-P wins."""
+    exhaustive = 0
+    for seed in range(BASE_SEED, BASE_SEED + NUM_PLANS):
+        rng = random.Random(seed)
+        catalog = random_catalog(rng)
+        query = random_query(rng, catalog)
+        strategies = STRATEGIES
+        if exhaustive_tractable(catalog, query.expr):
+            exhaustive += 1
+        else:
+            strategies = STRATEGIES[:-1]
+        for parallelism in (1, 4):
+            cost = {strategy: QuerySession(catalog, strategy=strategy).prepare(
+                        query, parallelism=parallelism).total_cost
+                    for strategy in strategies}
+            where = f"fuzz seed {seed} at parallelism {parallelism}: {cost}"
+            if "pyro-e" in cost:
+                assert cost["pyro-e"] <= min(cost.values()), where
+            assert cost["pyro-p"] <= cost["pyro"], where
+            assert cost["pyro-o"] <= cost["pyro-o-"], where
+    assert exhaustive >= 0.95 * NUM_PLANS, exhaustive
+
+
+def test_enforcers_are_priced_under_the_goal_equivalences():
+    """Fuzz seed 58: a DISTINCT over the union of two identical grouped
+    joins on ``t0_c1 = t1_c1``.  The union leaves the query no
+    equivalence class, but inside each branch ``t0_c1 = t1_c1`` holds, so
+    the partial sort ``(t1_c1) --> (t1_c1, t0_c3)`` over the merge join
+    ordered on ``t0_c1`` sorts tiny segments.  It was priced under the
+    query's classes, as a full sort (65.00 instead of 0.0024), and PYRO-E
+    and PYRO-P chose a 38.004 plan over this 10.013 one."""
+    rng = random.Random(58)
+    catalog = random_catalog(rng)
+    query = random_query(rng, catalog)
+    reference = QuerySession(catalog).execute(query)
+    for strategy in ("pyro-e", "pyro-p"):
+        session = QuerySession(catalog, strategy=strategy)
+        for parallelism in (1, 4):
+            plan = session.prepare(query, parallelism=parallelism).plan
+            assert round(plan.total_cost, 3) == 10.013, (strategy, parallelism)
+            partial = plan.find_all("PartialSort")
+            assert partial and all(node.self_cost < 0.01 for node in partial)
+            checked = ExecutionContext(catalog, check_orders=True)
+            rows = session.execute(query, parallelism=parallelism, ctx=checked)
+            assert rows == reference, (strategy, parallelism)
+    assert QuerySession(catalog, strategy="pyro-o").prepare(
+        query).total_cost > 38
 
 
 # -- backend parity: the plan is the only statement of what executes ---------------------
