@@ -147,15 +147,14 @@ class CostModel:
         even all-in-memory skewed partitions win on comparisons
         (``Σ nᵢ·log2(nᵢ) < N·log2(N)``).
         """
+        eq = self.eq if eq is None else eq
         if shard_count <= 1:
             return self.coe(stats, from_order, to_order, partial_enabled, eq)
-        if not to_order or to_order.is_prefix_of(
-                from_order, self.eq if eq is None else eq):
+        if not to_order or to_order.is_prefix_of(from_order, eq):
             return 0.0
         if shard_stats is not None:
             per_shard = sum(self.coe(s, from_order, to_order, partial_enabled,
-                                     eq)
-                            for s in shard_stats)
+                                     eq) for s in shard_stats)
         else:
             uniform = stats.scaled(1.0 / shard_count)
             per_shard = shard_count * self.coe(uniform, from_order, to_order,

@@ -263,8 +263,8 @@ class PhysicalSelection:
                                            self.config.parallelism):
             # No below-the-exchange placement can undercut the post-union
             # sort, so it is priced against *limit* before it is built.
-            return self.builder.sort(plan, translated, not partial_ok, eq,
-                                     limit=limit)
+            return self.builder.sort(plan, translated, full=not partial_ok,
+                                     eq=eq, limit=limit)
         sort = self.builder.sort(plan, translated, full=not partial_ok, eq=eq)
         # (An equivalence-collapsed *translated* may already hold.)
         if sort is not plan:

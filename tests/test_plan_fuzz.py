@@ -416,9 +416,10 @@ STRATEGIES = ("pyro", "pyro-p", "pyro-o", "pyro-o-", "pyro-e")
 #: PYRO-E enumerates k! orders at a node permuting k attributes, once per
 #: order its parent asks for, so stacked order-flexible operators
 #: multiply: a DISTINCT over a DISTINCT of 8 columns is 8!·8! ≈ 1.6e9
-#: candidate orders, hours of search.  Queries past this product (or
-#: with a node past ``EXHAUSTIVE_LIMIT`` attributes, where PYRO-E
-#: refuses) are held to the other strategies' relations only.
+#: candidate orders, a search that does not finish in minutes.  Queries
+#: past this product (or with a node past ``EXHAUSTIVE_LIMIT``
+#: attributes, where PYRO-E refuses) are held to the other strategies'
+#: relations only.
 EXHAUSTIVE_TRACTABLE = 10 ** 6
 
 
