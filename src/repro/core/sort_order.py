@@ -37,7 +37,8 @@ predicates — and treats equivalent attributes as equal.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from itertools import compress, islice, repeat
+from operator import gt, itemgetter, lt, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -307,16 +308,45 @@ def null_safe_wrap(values: Iterable) -> tuple:
     return tuple((False, 0) if v is None else (True, v) for v in values)
 
 
-def sorted_nulls_first(rows: Iterable[tuple],
+def sorted_nulls_first(rows: Sequence[tuple],
                        positions: Sequence[int]) -> list[tuple]:
     """*rows* stable-sorted on the columns at *positions*, NULLS FIRST.
 
-    One C-level ``sorted`` on raw keys (one ``itemgetter``); only when a
-    NULL meets a value there — a ``TypeError`` — is it redone on
-    :func:`null_safe_wrap` keys, from the input ``sorted`` left untouched.
+    One C-level ``sorted`` on the leading column alone (a bare
+    ``itemgetter``, no key tuple per row), then one loop that sorts each
+    run of equal leading values in place on the remaining columns, as
+    MRS sorts a partial sort segment: a stable sort of each contiguous
+    run after a stable sort on the lead is the stable lexicographic sort.
+    A run ends where its lead is less than the next one, so a value is
+    equal to itself, as in tuple comparison (rows led by one reused
+    ``float('nan')`` object are one run).  A one-column key, or fewer
+    than two rows, is the single ``sorted``.  Only when a NULL meets a
+    value anywhere (a ``TypeError``) is the whole input redone on
+    :func:`null_safe_wrap` keys, from *rows* left untouched: a
+    one-shot iterable is materialised first, so the redo loses no row.
     """
+    if not isinstance(rows, list):
+        rows = list(rows)
     try:
-        return sorted(rows, key=itemgetter(*positions))
+        if len(positions) < 2 or len(rows) < 2:
+            return sorted(rows, key=itemgetter(*positions))
+        lead = itemgetter(positions[0])
+        out = sorted(rows, key=lead)
+        n = len(out)
+        leads = list(map(lead, out))
+        bounds = [0, *compress(range(1, n), map(
+            lt, leads, islice(leads, 1, None))), n]
+        if len(bounds) > n:
+            return out  # every lead distinct: no run to sort
+        longer = list(map(gt, map(sub, islice(bounds, 1, None), bounds),
+                          repeat(1)))
+        rest = itemgetter(*positions[1:])
+        for start, end in zip(compress(bounds, longer),
+                              compress(islice(bounds, 1, None), longer)):
+            run = out[start:end]
+            run.sort(key=rest)
+            out[start:end] = run
+        return out
     except TypeError:
         return sorted(rows, key=lambda row: null_safe_wrap(
             [row[i] for i in positions]))

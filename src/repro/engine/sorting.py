@@ -298,14 +298,10 @@ def mrs_sort(batches: Iterable[RowBatch], prefix_positions: Sequence[int],
 
     def in_memory(rows: list[tuple]) -> list[tuple]:
         # The stated rule: sorting n > 1 rows in memory is n * ceil(log2 n)
-        # comparisons.  ``sorted`` leaves *rows* as they were, so the redo
-        # after a NULL-vs-value TypeError is stable on the input order.
+        # comparisons, whatever the one in-memory sort routine compares.
         n = len(rows)
         counter.value += n * (n - 1).bit_length()
-        try:
-            return sorted(rows, key=suffix_key)
-        except TypeError:
-            return sorted(rows, key=wrapped_key)
+        return sorted_nulls_first(rows, suffix_positions)
 
     def spilled(segment: list[tuple]) -> Iterator[tuple]:
         # Sort and spill one memory load at a time, sort the in-memory

@@ -24,6 +24,8 @@ import random
 import sys
 from collections import Counter
 
+import pytest
+
 import repro
 from repro.core.sort_order import SortOrder
 from repro.engine import (
@@ -80,6 +82,25 @@ def test_full_sort_in_memory_is_a_pass_per_batch():
     assert ctx.sort_metrics.in_memory_sorts == 1
     assert ctx.comparisons.value == ROWS * 13  # ceil(log2 8192)
     assert not [name for name in calls if "__lt__" in name], calls
+    assert sum(calls.values()) <= PER_BATCH * BATCHES, calls
+
+
+@pytest.mark.parametrize("leads", [8, ROWS], ids=["8_leads", "distinct_leads"])
+def test_full_sort_in_memory_of_tied_or_distinct_leads_is_a_pass_per_batch(leads):
+    """The in-memory sort is one sort on the leading column plus one loop
+    over its runs of equal leads: with 8 leads every row is in a tie run
+    of about a thousand, with distinct leads there is no run to sort.
+    Neither costs a Python call per run, and the tally is the rule."""
+    rng = random.Random(7)
+    rows = [(rng.randrange(leads) if leads < ROWS else i, rng.randrange(100), i)
+            for i in range(ROWS)]
+    rng.shuffle(rows)
+    plan = Sort(RowSource(SCHEMA, rows), SortOrder(["k1", "k2"]))
+    calls, out, ctx = python_calls(plan)
+    assert out == sorted(rows, key=lambda r: r[:2])
+    assert ctx.comparisons.value == ROWS * 13  # ceil(log2 8192)
+    assert ctx.sort_metrics.in_memory_sorts == 1
+    assert ctx.sort_metrics.segments_sorted == 0
     assert sum(calls.values()) <= PER_BATCH * BATCHES, calls
 
 
