@@ -37,8 +37,8 @@ predicates — and treats equivalent attributes as equal.
 from __future__ import annotations
 
 import itertools
-from itertools import compress, islice, repeat
-from operator import gt, itemgetter, lt, sub
+from itertools import islice
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -332,20 +332,19 @@ def sorted_nulls_first(rows: Sequence[tuple],
             return sorted(rows, key=itemgetter(*positions))
         lead = itemgetter(positions[0])
         out = sorted(rows, key=lead)
-        n = len(out)
         leads = list(map(lead, out))
-        bounds = [0, *compress(range(1, n), map(
-            lt, leads, islice(leads, 1, None))), n]
-        if len(bounds) > n:
-            return out  # every lead distinct: no run to sort
-        longer = list(map(gt, map(sub, islice(bounds, 1, None), bounds),
-                          repeat(1)))
+        # rises[i] is 1 where row i + 1's lead is greater than row i's, so
+        # zeros i..j make rows i..j + 1 a run of equal leads; a run with
+        # no rise after it (find gives -1) reaches the end.
+        rises = bytes(map(lt, leads, islice(leads, 1, None)))
         rest = itemgetter(*positions[1:])
-        for start, end in zip(compress(bounds, longer),
-                              compress(islice(bounds, 1, None), longer)):
+        start = rises.find(0)
+        while start >= 0:
+            end = rises.find(1, start) + 1 or len(out)
             run = out[start:end]
             run.sort(key=rest)
             out[start:end] = run
+            start = rises.find(0, end)
         return out
     except TypeError:
         return sorted(rows, key=lambda row: null_safe_wrap(
