@@ -205,10 +205,7 @@ class HashAggregate(Operator):
 
         state_bytes = len(groups) * self.schema.row_bytes
         if state_bytes > ctx.params.sort_memory_bytes:
-            ctx.charge_blocks_for_rows(len(groups), self.schema.row_bytes,
-                                       direction="write", category="partition")
-            ctx.charge_blocks_for_rows(len(groups), self.schema.row_bytes,
-                                       direction="read", category="partition")
+            ctx.charge_grace(len(groups), self.schema.row_bytes)
 
         yield from batches_of(kernel(None, binds, groups), ctx.batch_size)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Iterator, Mapping, Optional, TYPE_CHECKING
 
 from ..core.sort_order import null_safe_wrap
@@ -125,12 +125,6 @@ class IOAccountant:
     def total_blocks(self) -> int:
         return self.blocks_read + self.blocks_written
 
-    def snapshot(self) -> "IOAccountant":
-        return IOAccountant(
-            self.blocks_read, self.blocks_written, self.scan_blocks,
-            self.run_blocks_written, self.run_blocks_read, self.partition_blocks,
-        )
-
 
 @dataclass
 class SortMetrics:
@@ -141,6 +135,15 @@ class SortMetrics:
     rows_spilled: int = 0
     merge_passes: int = 0
     in_memory_sorts: int = 0
+
+
+#: The flat counters of :meth:`ExecutionContext.tallies` besides
+#: ``comparisons``: a field declared on either dataclass is shipped home
+#: by workers and folded in by the parent with no other edit.
+_IO_TALLIES = tuple(f.name for f in fields(IOAccountant))
+_SORT_TALLIES = tuple(f.name for f in fields(SortMetrics))
+#: The per-tag meter maps, each cell a pair of sums.
+_METERS = ("operator_rows", "operator_times")
 
 
 class ExecutionContext:
@@ -247,6 +250,14 @@ class ExecutionContext:
             self.operator_times[tag] = cell
         return cell
 
+    def charge_grace(self, num_rows: int, row_bytes: int) -> None:
+        """One partition write and read of *num_rows* rows: the Grace
+        overflow pass of a hash operator whose state exceeds sort memory."""
+        self.charge_blocks_for_rows(num_rows, row_bytes, direction="write",
+                                    category="partition")
+        self.charge_blocks_for_rows(num_rows, row_bytes, direction="read",
+                                    category="partition")
+
     # -- cross-process tallies ----------------------------------------------------------
     def tallies(self) -> dict:
         """All counters as a flat, picklable dict.
@@ -256,57 +267,33 @@ class ExecutionContext:
         with :meth:`absorb_tallies` in shard order, so totals stay
         deterministic across worker scheduling.
         """
-        return {
-            "blocks_read": self.io.blocks_read,
-            "blocks_written": self.io.blocks_written,
-            "scan_blocks": self.io.scan_blocks,
-            "run_blocks_written": self.io.run_blocks_written,
-            "run_blocks_read": self.io.run_blocks_read,
-            "partition_blocks": self.io.partition_blocks,
-            "comparisons": self.comparisons.value,
-            "runs_created": self.sort_metrics.runs_created,
-            "segments_sorted": self.sort_metrics.segments_sorted,
-            "rows_spilled": self.sort_metrics.rows_spilled,
-            "merge_passes": self.sort_metrics.merge_passes,
-            "in_memory_sorts": self.sort_metrics.in_memory_sorts,
-            "operator_rows": {tag: (cell[0], cell[1])
-                              for tag, cell in self.operator_rows.items()},
-            "operator_times": {tag: (cell[0], cell[1])
-                               for tag, cell in self.operator_times.items()},
-        }
+        out = {name: getattr(self.io, name) for name in _IO_TALLIES}
+        out["comparisons"] = self.comparisons.value
+        out.update((name, getattr(self.sort_metrics, name))
+                   for name in _SORT_TALLIES)
+        for name in _METERS:
+            out[name] = {tag: (cell[0], cell[1])
+                         for tag, cell in getattr(self, name).items()}
+        return out
 
     def absorb_tallies(self, tallies: dict) -> None:
         """Fold a :meth:`tallies` dict (e.g. from a worker process) in."""
-        self.io.blocks_read += tallies["blocks_read"]
-        self.io.blocks_written += tallies["blocks_written"]
-        self.io.scan_blocks += tallies["scan_blocks"]
-        self.io.run_blocks_written += tallies["run_blocks_written"]
-        self.io.run_blocks_read += tallies["run_blocks_read"]
-        self.io.partition_blocks += tallies["partition_blocks"]
+        for counters, names in ((self.io, _IO_TALLIES),
+                                (self.sort_metrics, _SORT_TALLIES)):
+            for name in names:
+                setattr(counters, name, getattr(counters, name) + tallies[name])
         self.comparisons.value += tallies["comparisons"]
-        self.sort_metrics.runs_created += tallies["runs_created"]
-        self.sort_metrics.segments_sorted += tallies["segments_sorted"]
-        self.sort_metrics.rows_spilled += tallies["rows_spilled"]
-        self.sort_metrics.merge_passes += tallies["merge_passes"]
-        self.sort_metrics.in_memory_sorts += tallies["in_memory_sorts"]
-        for tag, (estimated, actual) in tallies["operator_rows"].items():
-            cell = self.operator_rows.get(tag)
-            if cell is None:
-                self.operator_rows[tag] = [estimated, actual]
-            else:
-                cell[0] += estimated
-                cell[1] += actual
-        for tag, (seconds, batches) in tallies["operator_times"].items():
-            cell = self.operator_times.get(tag)
-            if cell is None:
-                self.operator_times[tag] = [seconds, batches]
-            else:
-                cell[0] += seconds
-                cell[1] += batches
+        for name in _METERS:
+            meters = getattr(self, name)
+            for tag, (first, second) in tallies[name].items():
+                cell = meters.get(tag)
+                if cell is None:
+                    meters[tag] = [first, second]
+                else:
+                    cell[0] += first
+                    cell[1] += second
 
     def reset(self) -> None:
-        self.io = IOAccountant()
-        self.comparisons = ComparisonCounter()
-        self.sort_metrics = SortMetrics()
-        self.operator_rows = {}
-        self.operator_times = {}
+        """Zero every tally (the settings stay)."""
+        self.__init__(self.catalog, self.params, self.check_orders,
+                      self.batch_size, self.meter_timing)

@@ -237,13 +237,6 @@ class HashJoin(Operator):
         self.predicate = predicate
         self.join_type = join_type
 
-    def _charge_grace(self, ctx: ExecutionContext, num_rows: int, row_bytes: int) -> None:
-        """One partition write + read for *num_rows* (Grace overflow)."""
-        ctx.charge_blocks_for_rows(num_rows, row_bytes, direction="write",
-                                   category="partition")
-        ctx.charge_blocks_for_rows(num_rows, row_bytes, direction="read",
-                                   category="partition")
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         left, right = self.children
         lpos = left.schema.positions(list(self.predicate.left_columns))
@@ -255,7 +248,7 @@ class HashJoin(Operator):
             build.execute_batches(ctx), rpos if left_outer else lpos)
         spills = built * build.schema.row_bytes > ctx.params.sort_memory_bytes
         if spills:
-            self._charge_grace(ctx, built, build.schema.row_bytes)
+            ctx.charge_grace(built, build.schema.row_bytes)
 
         size = ctx.batch_size
         get = table.get
@@ -293,7 +286,7 @@ class HashJoin(Operator):
             if len(out) >= size:
                 yield from drain_full(out, size)
         if spills:
-            self._charge_grace(ctx, probed, probe.schema.row_bytes)
+            ctx.charge_grace(probed, probe.schema.row_bytes)
 
         if full:
             pad = _pad(len(probe.schema))

@@ -285,8 +285,10 @@ def compile_kernel(shape: str, spec: Sequence, schema) -> Kernel:
 class KernelCache:
     """Thread-safe process-global LRU of generated kernels."""
 
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
+    #: Kernels kept before the least recently used is dropped.
+    CAPACITY = 4096
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cache: OrderedDict = OrderedDict()
         self.kernels_compiled = 0
@@ -312,7 +314,7 @@ class KernelCache:
             self.kernels_compiled += 1
             if key is not None:
                 self._cache[key] = fn
-                if len(self._cache) > self.capacity:
+                if len(self._cache) > self.CAPACITY:
                     self._cache.popitem(last=False)
         return fn
 

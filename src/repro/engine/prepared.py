@@ -6,7 +6,7 @@ its lowered operator tree.  Nothing in that tree depends on a bind
 value, operators keep no per-execution state on ``self``, and every
 execution charges its own :class:`~repro.engine.context.ExecutionContext`,
 so one tree serves every execution of the entry, from any thread, and
-dies with the entry (version token, LRU, TTL).  :class:`BoundPlan` is
+dies with the entry (version token, LRU).  :class:`BoundPlan` is
 that entry plus one execution's values — what ``PreparedQuery.bind``
 returns and every backend runs; :class:`BoundRoot` is how the values
 reach the context of whoever runs the tree.

@@ -138,8 +138,5 @@ class HashDedup(Operator):
                     seen.add(row)
                     distinct.append(row)
         if len(distinct) * self.schema.row_bytes > ctx.params.sort_memory_bytes:
-            ctx.charge_blocks_for_rows(len(distinct), self.schema.row_bytes,
-                                       direction="write", category="partition")
-            ctx.charge_blocks_for_rows(len(distinct), self.schema.row_bytes,
-                                       direction="read", category="partition")
+            ctx.charge_grace(len(distinct), self.schema.row_bytes)
         yield from batches_of(distinct, ctx.batch_size)

@@ -53,17 +53,16 @@ __all__ = [
 class ObservabilityConfig:
     """Server-side observability knobs (see :class:`QueryServer`).
 
-    ``tracer=None`` means the server builds its own (enabled)
-    :class:`Tracer`; inject one with a fake clock for deterministic
-    tests.  ``trace_queries`` is the per-query default — individual
-    ``submit``/``execute`` calls may override it with ``trace=``.
-    ``meter_timing`` extends the per-operator row meters with wall
-    time/batch counts on traced queries (opt-in because wall times are
-    not deterministic, unlike every other tally).
+    ``tracer=None`` means the server builds its own :class:`Tracer`;
+    inject one with a fake clock for deterministic tests.
+    ``trace_queries`` is the per-query default — individual
+    ``submit``/``execute`` calls may override it with ``trace=``.  A
+    traced query's per-operator row meters also record wall time and
+    batch counts; an untraced one's do not, because wall times are not
+    deterministic, unlike every other tally.
     """
 
     tracer: Optional[Tracer] = None
     trace_queries: bool = True
-    meter_timing: bool = True
     slow_query_seconds: float = 0.1
     slow_log_capacity: int = 64

@@ -258,25 +258,18 @@ class Trace:
 
 
 class Tracer:
-    """Trace factory: one per server (or per test).
+    """Trace factory: one per server (or per test).  A server built
+    without ``obs=`` has none, so its queries start no trace and every
+    :func:`child_span` down the stack takes the shared no-op path."""
 
-    ``enabled=False`` makes :meth:`start` return ``None`` — the caller
-    then never activates anything and every :func:`child_span` down the
-    stack takes the shared no-op path.
-    """
-
-    def __init__(self, enabled: bool = True,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
-        self.enabled = enabled
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
         #: Total traces handed out (observable through server stats).
         self.traces_started = 0
 
-    def start(self, name: str = "trace") -> Optional[Trace]:
-        if not self.enabled:
-            return None
+    def start(self, name: str = "trace") -> Trace:
         with self._lock:
             n = next(self._counter)
             self.traces_started += 1

@@ -266,13 +266,11 @@ class ProcessPoolBackend(ExecutionBackend):
         self._forked_once = False
         #: Queries inside :meth:`run_plan` (under self._lock).
         self._in_flight = 0
-        # Telemetry (under self._lock).
-        self._rebuilds = 0
-        self._local_queries = 0
-        self._streamed_chunks = 0
-        self._streamed_queries = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
+        #: Counters (under self._lock), as :meth:`describe` reports them.
+        self._telemetry = dict.fromkeys((
+            "pool_rebuilds", "local_queries", "streamed_queries",
+            "streamed_chunks", "subplan_cache_hits", "subplan_cache_misses",
+        ), 0)
         self._ensure_pool()
 
     # -- pool lifecycle ---------------------------------------------------------------
@@ -330,7 +328,7 @@ class ProcessPoolBackend(ExecutionBackend):
             else:
                 self._handle = fresh
                 if replacing is not None:
-                    self._rebuilds += 1
+                    self._telemetry["pool_rebuilds"] += 1
                 stale, winner = replacing, fresh
         if stale is not None:
             _retire_handle_async(stale)
@@ -386,7 +384,7 @@ class ProcessPoolBackend(ExecutionBackend):
             rows = _run_in_process(self.name, plan, catalog, batch_size,
                                    check_orders, ctx)
             with self._lock:
-                self._local_queries += 1
+                self._telemetry["local_queries"] += 1
             return rows
         finally:
             with self._lock:
@@ -546,27 +544,21 @@ class ProcessPoolBackend(ExecutionBackend):
         for stream in streams:
             local.absorb_tallies(stream.tallies)
         self._attach_worker_spans(parent, spans, streams)
+        hits = sum(1 for s in streams if s.cache_hit)
         with self._lock:
-            self._streamed_queries += 1
-            self._streamed_chunks += sum(s.chunks_received for s in streams)
-            hits = sum(1 for s in streams if s.cache_hit)
-            self._cache_hits += hits
-            self._cache_misses += len(streams) - hits
+            telemetry = self._telemetry
+            telemetry["streamed_queries"] += 1
+            telemetry["streamed_chunks"] += sum(s.chunks_received
+                                                for s in streams)
+            telemetry["subplan_cache_hits"] += hits
+            telemetry["subplan_cache_misses"] += len(streams) - hits
         return rows, local
 
     def describe(self) -> dict:
         with self._lock:
             handle = self._handle
-            out = {
-                "backend": self.name,
-                "pool_workers": self.workers,
-                "pool_rebuilds": self._rebuilds,
-                "local_queries": self._local_queries,
-                "streamed_queries": self._streamed_queries,
-                "streamed_chunks": self._streamed_chunks,
-                "subplan_cache_hits": self._cache_hits,
-                "subplan_cache_misses": self._cache_misses,
-            }
+            out = {"backend": self.name, "pool_workers": self.workers,
+                   **self._telemetry}
         out["pool_stale"] = self._snapshot_stale(handle)
         return out
 

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine.lowering import _TABLE_SCAN_OPS
+
 #: Meter-tag prefixes whose actual row counts describe a base table (the
-#: tag's suffix after ``:`` names it).  Mirrors
-#: :data:`repro.engine.lowering._TABLE_SCAN_OPS` minus covering-index
-#: scans, whose row counts describe the index, not the table.
-SCAN_TAG_OPS = frozenset((
-    "TableScan", "ShardedScan", "RangePartitionScan", "ClusteringIndexScan",
-))
+#: tag's suffix after ``:`` names it): the table-scan ops minus
+#: covering-index scans, whose row counts describe the index, not the
+#: table.
+SCAN_TAG_OPS = _TABLE_SCAN_OPS - {"CoveringIndexScan"}
 
 
 @dataclass(frozen=True)

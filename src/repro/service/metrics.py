@@ -24,6 +24,9 @@ queued-deadline expiry as both ``failed`` and ``timeouts``, and counted
 a client-abandoned still-running query as ``completed`` after already
 counting its ``timeout``.
 
+Each outcome is counted once, on the query's tenant; the server's
+totals are the sums over its tenants, so they partition exactly.
+
 **Backpressure.**  :meth:`ServerMetrics.retry_after` turns the current
 queue depth and observed p50 latency into the cooperative retry hint a
 rejection carries (see ``QueryRejected.retry_after``): the estimated
@@ -44,20 +47,22 @@ from typing import Callable, Optional
 DEFAULT_TENANT = "default"
 
 
-def _log_spaced_bounds(lowest: float = 1e-4, highest: float = 60.0,
-                       factor: float = 2 ** 0.25) -> tuple[float, ...]:
-    """Histogram bucket upper bounds from *lowest* to past *highest*,
-    each ``factor`` apart (log-spaced): ~77 buckets at the defaults."""
-    bounds = [lowest]
-    while bounds[-1] < highest:
-        bounds.append(bounds[-1] * factor)
+def _log_spaced_bounds() -> tuple[float, ...]:
+    """Histogram bucket upper bounds from 0.1 ms to past 60 s, each
+    ``2 ** 0.25`` apart (log-spaced): ~77 buckets."""
+    bounds = [1e-4]
+    while bounds[-1] < 60.0:
+        bounds.append(bounds[-1] * 2 ** 0.25)
     return tuple(bounds)
 
 
-#: Shared by every tracker: 0.1ms … 60s at 2**0.25 (≈19%) spacing, so a
-#: quantile read off the histogram is within half a bucket (~9%) of the
-#: exact sample quantile — plenty for latency telemetry.
+#: Shared by every tracker: at 2**0.25 (≈19%) spacing a quantile read off
+#: the histogram is within half a bucket (~9%) of the exact sample
+#: quantile — plenty for latency telemetry.
 _LATENCY_BOUNDS = _log_spaced_bounds()
+
+#: The retry hint's clamp, in seconds.
+_RETRY_FLOOR, _RETRY_CEILING = 0.05, 30.0
 
 
 class LatencyTracker:
@@ -127,7 +132,10 @@ class LatencyTracker:
 
 @dataclass
 class TenantMetrics:
-    """Admission outcomes for one tenant (same taxonomy as the server)."""
+    """Admission outcomes for one tenant, each query counted on its own
+    tenant only.  ``submitted`` equals the three rejection counters plus
+    ``admitted``; every admitted query resolves to exactly one of
+    ``completed`` / ``failed`` / ``timeouts`` (see :class:`QueryOutcome`)."""
 
     submitted: int = 0
     admitted: int = 0
@@ -149,6 +157,12 @@ class TenantMetrics:
         out["latency_p50_ms"] = self.latency.quantile(0.50) * 1000.0
         out["latency_p95_ms"] = self.latency.quantile(0.95) * 1000.0
         return out
+
+
+#: The outcome counters of :class:`TenantMetrics`; the server reports
+#: each as its sum over the tenants.
+_OUTCOMES = tuple(f.name for f in fields(TenantMetrics)
+                  if f.name not in ("occupancy", "latency"))
 
 
 class QueryOutcome:
@@ -292,18 +306,6 @@ class ServerMetrics:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.latency = LatencyTracker()
-        #: Admission outcomes.  ``submitted`` equals the sum of the three
-        #: rejection counters plus ``admitted``; every admitted query
-        #: eventually resolves to exactly one of ``completed`` /
-        #: ``failed`` / ``timeouts`` (see :class:`QueryOutcome`).
-        self.submitted = 0
-        self.admitted = 0
-        self.rejected_queue_full = 0
-        self.rejected_quota = 0
-        self.rejected_circuit = 0
-        self.timeouts = 0
-        self.completed = 0
-        self.failed = 0
         #: A query that resolved after its client stopped waiting (the
         #: client already claimed the timeout): informational only —
         #: never double-counted into completed/failed.
@@ -344,11 +346,9 @@ class ServerMetrics:
         tenant may burst.
         """
         with self._lock:
-            self.submitted += 1
             t = self._tenant(tenant)
             t.submitted += 1
             if self.queued >= queue_limit:
-                self.rejected_queue_full += 1
                 t.rejected_queue_full += 1
                 return "queue_full", None
             if capacity is not None and weight_of is not None \
@@ -361,10 +361,8 @@ class ServerMetrics:
                     share = capacity * weight_of(tenant) / total_weight
                     entitlement = max(1, math.floor(share))
                     if t.occupancy >= entitlement:
-                        self.rejected_quota += 1
                         t.rejected_quota += 1
                         return "quota", None
-            self.admitted += 1
             t.admitted += 1
             self.queued += 1
             t.occupancy += 1
@@ -374,8 +372,6 @@ class ServerMetrics:
     def count_rejected_circuit(self, tenant: str = DEFAULT_TENANT) -> None:
         """A submission turned away by the open circuit breaker."""
         with self._lock:
-            self.submitted += 1
-            self.rejected_circuit += 1
             t = self._tenant(tenant)
             t.submitted += 1
             t.rejected_circuit += 1
@@ -397,7 +393,6 @@ class ServerMetrics:
             self.queued -= 1
             self._tenant(outcome.tenant).occupancy -= 1
             if outcome.claim():
-                self.failed += 1
                 self._tenant(outcome.tenant).failed += 1
 
     def start_execution(self, outcome: Optional[QueryOutcome] = None) -> None:
@@ -429,15 +424,12 @@ class ServerMetrics:
                 self.abandoned += 1
                 return
             if disposition == "completed":
-                self.completed += 1
                 tenant.completed += 1
                 self.latency.record(seconds)
                 tenant.latency.record(seconds)
             elif disposition == "timeout":
-                self.timeouts += 1
                 tenant.timeouts += 1
             else:
-                self.failed += 1
                 tenant.failed += 1
 
     def count_timeout(self, outcome: Optional[QueryOutcome] = None) -> bool:
@@ -447,28 +439,27 @@ class ServerMetrics:
         with self._lock:
             if outcome is not None and not outcome.claim():
                 return False
-            self.timeouts += 1
             tenant = outcome.tenant if outcome is not None else DEFAULT_TENANT
             self._tenant(tenant).timeouts += 1
             return True
 
     # -- backpressure ---------------------------------------------------------------
-    def retry_after(self, max_inflight: int,
-                    floor: float = 0.05, ceiling: float = 30.0) -> float:
+    def retry_after(self, max_inflight: int) -> float:
         """Cooperative retry hint for a rejected submission.
 
         Estimates the time until the wait queue drains one scheduling
         round: (queued + in-flight) queries ahead, served ``max_inflight``
         at a time, each taking about the observed p50 latency (mean as
-        the cold-start fallback).  Clamped to ``[floor, ceiling]``.
+        the cold-start fallback).  Clamped to
+        ``[_RETRY_FLOOR, _RETRY_CEILING]``.
         """
         with self._lock:
             backlog = self.queued + self.in_flight
             per_query = self.latency.quantile(0.50) or self.latency.mean
         if per_query <= 0.0:
-            per_query = floor
+            per_query = _RETRY_FLOOR
         rounds = math.ceil((backlog + 1) / max(1, max_inflight))
-        return min(ceiling, max(floor, rounds * per_query))
+        return min(_RETRY_CEILING, max(_RETRY_FLOOR, rounds * per_query))
 
     # -- reading -------------------------------------------------------------------
     def utilization(self, slots: int) -> float:
@@ -484,15 +475,10 @@ class ServerMetrics:
 
     def as_dict(self, slots: int) -> dict:
         with self._lock:
+            tenants = self._tenants.values()
             return {
-                "submitted": self.submitted,
-                "admitted": self.admitted,
-                "rejected_queue_full": self.rejected_queue_full,
-                "rejected_quota": self.rejected_quota,
-                "rejected_circuit": self.rejected_circuit,
-                "timeouts": self.timeouts,
-                "completed": self.completed,
-                "failed": self.failed,
+                **{name: sum(getattr(t, name) for t in tenants)
+                   for name in _OUTCOMES},
                 "abandoned": self.abandoned,
                 "queue_depth": self.queued,
                 "in_flight": self.in_flight,

@@ -81,7 +81,6 @@ from typing import Any, Mapping, Optional
 
 from ..core.sort_order import SortOrder
 from ..engine.context import ExecutionContext
-from ..engine.kernels import kernel_stats
 from ..obs import ObservabilityConfig
 from ..obs.export import SlowQueryLog, json_snapshot, prometheus_text
 from ..obs.trace import Trace, Tracer, child_span
@@ -94,7 +93,7 @@ from .metrics import (
     ServerMetrics,
 )
 from .plan_cache import PlanCache
-from .session import QuerySession, SessionMetrics
+from .session import QuerySession, SessionMetrics, cache_and_kernel_stats
 
 __all__ = ["CircuitOpen", "QueryRejected", "QueryResult", "QueryServer",
            "QueryTimeout", "TracedResult"]
@@ -326,10 +325,8 @@ class QueryServer:
                 # The execution's tallies land in this ctx (the process
                 # backend folds worker tallies into it): feedback checks
                 # estimated-vs-actual drift, tracing feeds EXPLAIN ANALYZE.
-                ctx = ExecutionContext(
-                    self.catalog, batch_size=batch_size,
-                    meter_timing=(trace is not None
-                                  and self.obs.meter_timing))
+                ctx = ExecutionContext(self.catalog, batch_size=batch_size,
+                                       meter_timing=trace is not None)
                 try:
                     with child_span("execute",
                                     backend=self.backend.name) as espan:
@@ -565,21 +562,10 @@ class QueryServer:
         out["parallelism"] = self.parallelism
         out["tenants"] = self.metrics.tenants_dict()
         out["sessions"] = len(self._sessions)
-        totals = SessionMetrics()
-        for session in self._sessions:
-            for f in fields(SessionMetrics):
-                setattr(totals, f.name, getattr(totals, f.name)
-                        + getattr(session.metrics, f.name))
         for f in fields(SessionMetrics):
-            out[f.name] = getattr(totals, f.name)
-        out["cache_size"] = len(self.cache)
-        out["cache_capacity"] = self.cache.capacity
-        for name, value in self.cache.stats.as_dict().items():
-            out[f"cache_{name}"] = value
-        # Process-global kernel telemetry — taken once from the shared
-        # cache, NOT summed per session (sessions all read the
-        # same process-wide counters; summing would multiply them).
-        out.update(kernel_stats())
+            out[f.name] = sum(getattr(session.metrics, f.name)
+                              for session in self._sessions)
+        out.update(cache_and_kernel_stats(self.cache))
         if self.tracer is not None:
             out["traces_started"] = self.tracer.traces_started
         if self.slow_log is not None:

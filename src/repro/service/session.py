@@ -133,6 +133,17 @@ class SessionMetrics:
     feedback_refreshes: int = 0
 
 
+def cache_and_kernel_stats(cache: PlanCache) -> dict[str, Any]:
+    """The plan cache's size and counters (``cache_*``) and the kernel
+    counters, as ``QuerySession.stats()`` and ``QueryServer.stats()``
+    report them.  The kernel cache is process-global, so a server reads
+    its counters once, not once per session."""
+    return {"cache_size": len(cache), "cache_capacity": cache.capacity,
+            **{f"cache_{name}": value
+               for name, value in cache.stats.as_dict().items()},
+            **kernel_stats()}
+
+
 class PreparedQuery:
     """An optimized, cached plan ready for (repeated) execution."""
 
@@ -418,12 +429,5 @@ class QuerySession:
         out: dict[str, Any] = {f.name: getattr(self.metrics, f.name)
                                for f in fields(SessionMetrics)}
         out["join_enumerator"] = self.optimizer.enumerator.name
-        out["cache_size"] = len(self.cache)
-        out["cache_capacity"] = self.cache.capacity
-        for name, value in self.cache.stats.as_dict().items():
-            out[f"cache_{name}"] = value
-        # Kernel counters are process-global (the kernel cache is shared
-        # across sessions), surfaced here so one serving process's
-        # /metrics shows compilation behaviour.
-        out.update(kernel_stats())
+        out.update(cache_and_kernel_stats(self.cache))
         return out

@@ -85,13 +85,6 @@ class TestIOAccounting:
         with pytest.raises(ValueError):
             io.read(-1)
 
-    def test_snapshot_isolated(self):
-        io = IOAccountant()
-        io.read(1)
-        snap = io.snapshot()
-        io.read(1)
-        assert snap.blocks_read == 1 and io.blocks_read == 2
-
     def test_charged_stream_per_block(self):
         ctx = ExecutionContext(params=SystemParameters(block_size=100))
         rows = [(i,) for i in range(25)]

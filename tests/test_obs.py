@@ -151,13 +151,10 @@ class TestTracePrimitives:
         assert grafted.end == pytest.approx(10.0 + w.end)
         assert grafted.trace_id == parent.trace_id
 
-    def test_disabled_tracer_starts_nothing(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.start("query") is None
-        assert tracer.traces_started == 0
-        enabled = Tracer(clock=FakeClock())
-        t1, t2 = enabled.start(), enabled.start()
-        assert enabled.traces_started == 2
+    def test_each_started_trace_has_its_own_id(self):
+        tracer = Tracer(clock=FakeClock())
+        t1, t2 = tracer.start(), tracer.start()
+        assert tracer.traces_started == 2
         assert t1.trace_id != t2.trace_id
 
     def test_render_contains_every_span(self):
