@@ -41,11 +41,6 @@ class PathOrderResult:
     permutations: tuple[SortOrder, ...]
     benefit: int
 
-    def achieved_benefit(self) -> int:
-        """Σ |lcp| actually realised by the permutations (sanity check —
-        equals :attr:`benefit` by construction)."""
-        return path_benefit(self.permutations)
-
 
 def path_benefit(permutations: Sequence[SortOrder]) -> int:
     """Objective value of a permutation assignment along a path."""

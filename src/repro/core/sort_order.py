@@ -166,9 +166,6 @@ class SortOrder:
         """``attrs(o)``: the set of attributes in the order."""
         return frozenset(self._attrs)
 
-    def is_empty(self) -> bool:
-        return not self._attrs
-
     def is_prefix_of(self, other: "SortOrder", eq: Optional[AttributeEquivalence] = None) -> bool:
         """``self ≤ other``: *other* subsumes *self* (*self* is a prefix)."""
         if len(self) > len(other):
@@ -229,28 +226,6 @@ class SortOrder:
     def translate(self, mapping: dict[str, str]) -> "SortOrder":
         """Rename attributes through *mapping* (identity for absent keys)."""
         return SortOrder(tuple(mapping.get(a, a) for a in self._attrs))
-
-    def project_onto(self, attr_set: Iterable[str],
-                     eq: Optional[AttributeEquivalence] = None) -> "SortOrder":
-        """Rewrite each attribute into a member of *attr_set* via *eq*.
-
-        Returns the longest prefix of ``self`` rewritable into *attr_set*;
-        used to express a guaranteed order in terms of another operator's
-        column names.
-        """
-        attr_list = list(attr_set)
-        out: list[str] = []
-        for a in self._attrs:
-            if a in attr_list:
-                out.append(a)
-                continue
-            if eq is not None:
-                mate = next((s for s in attr_list if eq.same(a, s)), None)
-                if mate is not None:
-                    out.append(mate)
-                    continue
-            break
-        return SortOrder(out)
 
 
 #: The empty sort order ``ε``.

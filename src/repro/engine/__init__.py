@@ -29,7 +29,7 @@ from .exchange import ExchangeUnion, MergeExchange
 from .executor import BatchedExecutor
 from .iterators import Operator, tuple_getter
 from .joins import HashJoin, MergeJoin
-from .kernels import KERNELS, kernel_stats, reset_kernel_stats
+from .kernels import KERNELS, kernel_stats
 from .lowering import operators_from_plan
 from .prepared import BoundPlan, PreparedPlan
 from .scans import (
@@ -44,11 +44,10 @@ from .scans import (
 from .sets import Dedup, HashDedup, MergeUnion, UnionAll
 from .sorting import merge_sorted_streams, mrs_sort, sort_batches, sort_stream, srs_sort
 from .subplan import (
-    ShardStream,
-    StreamSource,
-    assemble_streams,
+    TaskSource,
+    assemble_tasks,
     exchange_occurrences,
-    execute_subplan_stream,
+    execute_subplan,
     init_worker,
     shard_subplans,
     strip_plan,
@@ -82,21 +81,20 @@ __all__ = [
     "RangePartitionScan",
     "RowBatch",
     "RowSource",
-    "ShardStream",
     "Sort",
     "SortAggregate",
     "SortMetrics",
     "SortedGroupCombine",
-    "StreamSource",
     "TableScan",
+    "TaskSource",
     "UnionAll",
-    "assemble_streams",
+    "assemble_tasks",
     "batches_of",
     "collect_rows",
     "collector_paused",
     "combinable",
     "exchange_occurrences",
-    "execute_subplan_stream",
+    "execute_subplan",
     "flatten_batches",
     "init_worker",
     "kernel_stats",
@@ -104,7 +102,6 @@ __all__ = [
     "merge_sorted_streams",
     "mrs_sort",
     "null_safe_wrap",
-    "reset_kernel_stats",
     "operators_from_plan",
     "range_shardable",
     "shard_bounds",

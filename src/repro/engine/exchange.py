@@ -23,7 +23,7 @@ Both exchanges pull their children lazily on the calling thread, so the
 gather stays pipelined and an early-terminating consumer stops paying.
 Multi-core execution does not happen here: the process backend cuts a
 plan at its exchanges, runs the children in pool workers and grafts
-their streams back under the same operators
+their results back under the same operators
 (:mod:`repro.engine.subplan`).  Where an enforcer goes relative to an
 exchange is the optimizer's decision alone; the engine runs the plan it
 is given.
@@ -92,7 +92,7 @@ class MergeExchange(Operator):
         self.order = order
         #: The plan node's ``disjoint`` arg, proved by the planner from
         #: the catalog's partitioning and the only witness that survives
-        #: re-assembly over :class:`~repro.engine.subplan.StreamSource`
+        #: re-assembly over :class:`~repro.engine.subplan.TaskSource`
         #: children.  The engine does not second-guess it;
         #: ``ctx.check_orders`` verifies the concatenated output.
         self.partition_disjoint = disjoint

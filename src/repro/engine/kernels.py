@@ -326,12 +326,6 @@ class KernelCache:
         with self._lock:
             self.kernel_fallbacks += 1
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.kernels_compiled = 0
-            self.kernel_cache_hits = 0
-            self.kernel_fallbacks = 0
-
 
 #: The process-global kernel cache (one per serving process / pool worker).
 KERNELS = KernelCache()
@@ -348,8 +342,3 @@ def kernel_stats() -> dict[str, int]:
         "kernel_cache_hits": KERNELS.kernel_cache_hits,
         "kernel_fallbacks": KERNELS.kernel_fallbacks,
     }
-
-
-def reset_kernel_stats() -> None:
-    """Zero the kernel counters (tests and benchmarks)."""
-    KERNELS.reset_stats()

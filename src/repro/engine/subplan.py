@@ -16,19 +16,14 @@ pieces:
 * :func:`strip_plan` — drop optimizer-only payload (the ``logical``
   back-references candidate generation attaches) before pickling, so
   the shipped bytes carry only what lowering needs;
-* :func:`execute_subplan_stream` — the worker entrypoint: lowers a task
+* :func:`execute_subplan` — the worker entrypoint: lowers a task
   against the worker's catalog (installed once per pool by
-  :func:`init_worker`) and pushes row chunks of :data:`CHUNK_ROWS` rows
-  onto the pool's shared results queue as they are produced, so the
-  serving-side merge starts consuming the fastest shard while the
-  slowest is still sorting;
-* :class:`ShardStream` / :class:`StreamSource` — the serving-side
-  receiving end: a thread-safe chunk buffer fed by the backend's queue
-  router, wrapped as an operator so the exchange gather can merge live
-  shard streams exactly as it would merge local children;
-* :func:`assemble_streams` — rebuild the serving-side operator tree with
-  each shipped child replaced by a :class:`StreamSource` over its live
-  chunk stream (a whole-plan task's stream is the root itself), so the
+  :func:`init_worker`), runs it to completion and returns its rows,
+  tallies and span records, which reach the serving process as the
+  task future's result;
+* :func:`assemble_tasks` — rebuild the serving-side operator tree with
+  each shipped child replaced by a :class:`TaskSource` over its task's
+  future (a whole-plan task's source is the root itself), so the
   gather (stable k-way merge, ties to the lowest shard index) and
   everything above it runs locally and the result is **bit-identical**
   to single-process execution.
@@ -42,10 +37,12 @@ prepared query's task (a :class:`~repro.engine.prepared.BoundPlan`) is
 its template plus the parameter values: one subplan serves every value.
 
 Determinism: tasks are generated in plan pre-order and, per exchange, in
-shard order; the parent absorbs worker tallies in exactly that order, so
-counters never depend on worker scheduling.  Lowering and re-assembly
-both build a :class:`~repro.engine.exchange.MergeExchange` from the plan
-node's ``disjoint`` arg (the planner's proof, which survives
+shard order; the parent absorbs worker tallies in exactly that order,
+once every task's future has completed (also when a ``LIMIT`` stopped
+the gather early), so counters never depend on worker scheduling.
+Lowering and re-assembly both build a
+:class:`~repro.engine.exchange.MergeExchange` from the plan node's
+``disjoint`` arg (the planner's proof, which survives
 :func:`strip_plan`), so the re-assembled gather concatenates heap-free
 exactly where local execution does and comparison tallies stay
 bit-identical across backends.
@@ -56,14 +53,12 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import threading
-import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Any, Iterator, Optional, Sequence
 
 from ..obs.trace import _NULL_SPAN as _NULL_CM, Trace
 
-from .batch import RowBatch
+from .batch import RowBatch, batches_of
 from .context import ExecutionContext, collector_paused
 from .exchange import ExchangeUnion, MergeExchange
 from .iterators import Operator
@@ -73,10 +68,6 @@ from .prepared import BoundPlan, BoundRoot, PreparedPlan
 #: The gather operators whose children are independently executable
 #: shard pipelines.
 EXCHANGE_OPS = ("MergeExchange", "ExchangeUnion")
-
-#: Rows per chunk a worker puts on the results queue (the last chunk of
-#: a stream may be shorter).
-CHUNK_ROWS = 2048
 
 
 def exchange_occurrences(plan) -> list:
@@ -150,167 +141,58 @@ def shard_subplans(plan) -> tuple[list, list[Any]]:
     return occurrences, tasks
 
 
-# -- serving side: live shard streams ----------------------------------------------------
-class ShardStream:
-    """Thread-safe chunk buffer for one in-flight shard.
+# -- serving side: shipped task results ------------------------------------------------
+class TaskSource(Operator):
+    """The rows of one shipped task, grafted under the re-assembled
+    exchange: its execution waits for the task's future and yields the
+    rows the worker returned, in ``ctx.batch_size`` batches.
 
-    The backend's queue-router thread calls :meth:`put` for each row
-    chunk a worker ships, :meth:`finish` when the worker's DONE sentinel
-    (carrying its tallies) arrives — recording when, in ``done_at`` —
-    and :meth:`fail` when the worker's future errors or is cancelled.
-    The consuming merge iterates :meth:`batches`, blocking only when it
-    has outrun the producer.
+    Reading a future does not consume it, so a TaskSource re-executes
+    like every other operator."""
 
-    The buffer is unbounded — a shard may finish long before the merge
-    reaches it — but holds only what the consumer has not yet taken.
-    """
-
-    __slots__ = ("stream_id", "_chunks", "_done", "_error", "_result",
-                 "_cond", "chunks_received", "_consumed", "done_at")
-
-    def __init__(self, stream_id: int) -> None:
-        self.stream_id = stream_id
-        self._chunks: deque[list[tuple]] = deque()
-        self._done = False
-        self._error: Optional[BaseException] = None
-        #: The DONE payload: ``(tallies, cache_hit)`` untraced,
-        #: ``(tallies, cache_hit, span_records)`` when traced.
-        self._result: Optional[tuple] = None
-        self._cond = threading.Condition()
-        self.chunks_received = 0
-        self._consumed = False
-        #: ``time.perf_counter()`` when the DONE sentinel arrived.
-        self.done_at: Optional[float] = None
-
-    def put(self, chunk: list[tuple]) -> None:
-        with self._cond:
-            if self._done:
-                return  # stale chunk after a failure: drop it
-            self._chunks.append(chunk)
-            self.chunks_received += 1
-            self._cond.notify_all()
-
-    def finish(self, result: tuple) -> None:
-        with self._cond:
-            if self._done:
-                return
-            self.done_at = time.perf_counter()
-            self._result = result
-            self._done = True
-            self._cond.notify_all()
-
-    def fail(self, error: BaseException) -> None:
-        """Mark the stream broken; a no-op once finished (a worker that
-        already delivered its DONE sentinel has nothing left to fail)."""
-        with self._cond:
-            if self._done:
-                return
-            self._error = error
-            self._done = True
-            self._cond.notify_all()
-
-    def batches(self) -> Iterator[list[tuple]]:
-        """Yield chunks in arrival order, blocking on the producer;
-        raises the stream's failure as soon as it is observed.  Each
-        chunk is handed over exactly once — the stream lets go of it, so
-        a consumer that reduces rows frees them as it goes."""
-        while True:
-            with self._cond:
-                while not self._chunks and not self._done:
-                    self._cond.wait()
-                if not self._chunks:
-                    if self._error is not None:
-                        raise self._error
-                    return
-                chunk = self._chunks.popleft()
-            yield chunk
-
-    @property
-    def tallies(self) -> dict:
-        """The worker's counter tallies (valid after a clean finish)."""
-        if self._result is None:
-            raise RuntimeError("shard stream has no tallies "
-                               "(not finished, or failed)")
-        return self._result[0]
-
-    @property
-    def cache_hit(self) -> bool:
-        """Whether the worker served this task from its warm subplan
-        cache (valid after a clean finish)."""
-        if self._result is None:
-            raise RuntimeError("shard stream has no result "
-                               "(not finished, or failed)")
-        return self._result[1]
-
-    @property
-    def spans(self) -> Optional[list]:
-        """The worker's span records (valid after a clean finish);
-        ``None`` for untraced tasks."""
-        if self._result is None:
-            raise RuntimeError("shard stream has no result "
-                               "(not finished, or failed)")
-        return self._result[2] if len(self._result) > 2 else None
-
-
-class StreamSource(Operator):
-    """Operator view of a :class:`ShardStream`, for grafting under the
-    re-assembled exchange.
-
-    Unlike every other operator, a StreamSource is **one-shot**: the
-    underlying stream is consumed as it is read.  The process backend
-    builds a fresh one per attempt and never caches the grafted tree, so
-    the restriction never escapes; re-execution raises rather than
-    silently returning an empty stream.
-    """
-
-    def __init__(self, schema, stream: ShardStream) -> None:
+    def __init__(self, schema, future) -> None:
         super().__init__(schema)
-        self.stream = stream
+        self.future = future
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if self.stream._consumed:
-            raise RuntimeError("StreamSource is one-shot and was already "
-                               "executed")
-        self.stream._consumed = True
-        for chunk in self.stream.batches():
-            yield RowBatch(chunk)
+        yield from batches_of(self.future.result()[0], ctx.batch_size)
 
 
-def assemble_streams(plan, occurrences: Sequence[Any],
-                     streams: Sequence[ShardStream], catalog) -> Operator:
+def assemble_tasks(plan, occurrences: Sequence[Any],
+                   futures: Sequence[Any], catalog) -> Operator:
     """Serving-side operator tree with the shipped tasks grafted back in.
 
-    *streams* holds one live :class:`ShardStream` per task, in the order
-    :func:`shard_subplans` cut them.  Each exchange is rebuilt over
-    :class:`StreamSource` children on the plan node's merge order (their
-    streams are sorted on it by construction — the workers ran the
+    *futures* holds one future per task, in the order
+    :func:`shard_subplans` cut them; each resolves to the tuple
+    :func:`execute_subplan` returns.  Each exchange is rebuilt over
+    :class:`TaskSource` children on the plan node's merge order (their
+    rows are sorted on it by construction — the workers ran the
     per-shard enforcers), so a ``MergeExchange`` performs the exact
     stable k-way merge it would have performed over local children, and
-    ``check_orders`` execution still verifies every input; it just
-    starts as soon as the first chunks land.  A whole-plan task
-    (``occurrences == []``) has nothing to rebuild: its one stream is
-    the root.  A :class:`~repro.engine.prepared.BoundPlan`'s tree is
+    ``check_orders`` execution still verifies every input.  A whole-plan
+    task (``occurrences == []``) has nothing to rebuild: its one source
+    is the root.  A :class:`~repro.engine.prepared.BoundPlan`'s tree is
     built fresh like any other and carries its binds.
     """
     if isinstance(plan, BoundPlan):
-        return BoundRoot(assemble_streams(plan.plan, occurrences, streams,
-                                          catalog), plan.binds)
+        return BoundRoot(assemble_tasks(plan.plan, occurrences, futures,
+                                        catalog), plan.binds)
     if not occurrences:
-        (stream,) = streams
-        return StreamSource(plan.schema, stream)
+        (future,) = futures
+        return TaskSource(plan.schema, future)
     remaining = []
     cursor = 0
     for node in occurrences:
         width = len(node.children)
-        remaining.append((node, streams[cursor:cursor + width]))
+        remaining.append((node, futures[cursor:cursor + width]))
         cursor += width
 
     def replace(node) -> Optional[Operator]:
-        for i, (occ, shard_streams) in enumerate(remaining):
+        for i, (occ, shard_futures) in enumerate(remaining):
             if occ is node:
                 del remaining[i]
-                children = [StreamSource(c.schema, stream)
-                            for c, stream in zip(node.children, shard_streams)]
+                children = [TaskSource(c.schema, future)
+                            for c, future in zip(node.children, shard_futures)]
                 if node.op == "MergeExchange":
                     exchange: Operator = MergeExchange(
                         children, node.order,
@@ -323,7 +205,7 @@ def assemble_streams(plan, occurrences: Sequence[Any],
 
     root = operators_from_plan(plan, catalog, replace=replace)
     if remaining:  # pragma: no cover - defensive
-        raise RuntimeError("assemble_streams: not every shipped exchange "
+        raise RuntimeError("assemble_tasks: not every shipped exchange "
                            "was grafted")
     return root
 
@@ -331,8 +213,6 @@ def assemble_streams(plan, occurrences: Sequence[Any],
 # -- worker side -------------------------------------------------------------------------
 #: Installed once per worker process by :func:`init_worker`.
 _WORKER_CATALOG = None
-#: The pool's shared results queue, installed with the catalog.
-_WORKER_QUEUE = None
 #: Warm cache of lowered subplans, keyed by task fingerprint.  Safe for
 #: the pool's lifetime: the worker catalog is an immutable snapshot
 #: (rebuilds spawn fresh workers), and operators are re-executable plans.
@@ -340,16 +220,12 @@ _SUBPLAN_CACHE: "OrderedDict[str, Operator]" = OrderedDict()
 _SUBPLAN_CACHE_SIZE = 32
 
 
-def init_worker(payload, results_queue) -> None:
-    """Process-pool initializer: build this worker's catalog copy and
-    adopt the pool's shared results queue.  ``results_queue`` must arrive
-    through the pool's ``initargs`` — multiprocessing queues only cross
-    the boundary at process creation, never inside task pickles."""
-    global _WORKER_CATALOG, _WORKER_QUEUE
+def init_worker(payload) -> None:
+    """Process-pool initializer: build this worker's catalog copy."""
+    global _WORKER_CATALOG
     from ..storage.handoff import build_catalog
 
     _WORKER_CATALOG = build_catalog(payload)
-    _WORKER_QUEUE = results_queue
     _SUBPLAN_CACHE.clear()
 
 
@@ -402,27 +278,17 @@ def _worker_trace(trace_ctx: Optional[tuple]) -> tuple[Optional[Trace],
     return trace, root
 
 
-def execute_subplan_stream(plan, stream_id: int,
-                           batch_size: Optional[int] = None,
-                           check_orders: bool = False,
-                           meter_timing: bool = False,
-                           trace_ctx: Optional[tuple] = None) -> None:
-    """Worker entrypoint: run one shipped task, shipping its rows chunk
-    by chunk on the pool's shared results queue.
+def execute_subplan(plan, batch_size: Optional[int] = None,
+                    check_orders: bool = False,
+                    meter_timing: bool = False,
+                    trace_ctx: Optional[tuple] = None) -> tuple:
+    """Worker entrypoint: run one shipped task to completion.
 
-    Protocol (all items on the one queue, routed by ``stream_id``):
-
-    * ``(stream_id, seq, rows)`` — the next chunk, ``seq`` increasing
-      from 0; at most :data:`CHUNK_ROWS` rows each;
-    * ``(stream_id, -1, (tallies, cache_hit[, span_records]))`` — the
-      DONE sentinel; the third element rides along exactly like the
-      tallies when the task was traced (*trace_ctx* given).  Per-stream
-      ordering is guaranteed because one worker produces the whole
-      stream sequentially and queue feeds preserve per-process order.
-
-    Errors are **not** sent on the queue: they propagate through the
-    task future, whose done-callback fails the parent-side stream.  The
-    task runs with the cyclic collector paused (:class:`collector_paused`).
+    Returns ``(rows, tallies, cache_hit, span_records)``, which reaches
+    the serving process as the task future's result; ``span_records`` is
+    ``None`` unless the task was traced (*trace_ctx* given).  Errors
+    propagate through the future too.  The task runs with the cyclic
+    collector paused (:class:`collector_paused`).
     """
     _require_worker_catalog()
     with collector_paused():
@@ -436,27 +302,10 @@ def execute_subplan_stream(plan, stream_id: int,
               else _NULL_CM) as lower_span:
             op, cache_hit = _lowered_cached(plan)
             lower_span.tag(cache_hit=cache_hit)
-        run_span = trace.begin("run", parent_id=root.span_id) \
-            if trace is not None else None
-        seq = 0
-        shipped = 0
-        pending: list[tuple] = []
-        for batch in op.execute_batches(ctx):
-            pending.extend(batch.rows)
-            while len(pending) >= CHUNK_ROWS:
-                chunk = pending[:CHUNK_ROWS]
-                _WORKER_QUEUE.put((stream_id, seq, chunk))
-                shipped += len(chunk)
-                del pending[:CHUNK_ROWS]
-                seq += 1
-        if pending:
-            _WORKER_QUEUE.put((stream_id, seq, pending))
-            shipped += len(pending)
         if trace is None:
-            _WORKER_QUEUE.put((stream_id, -1, (ctx.tallies(), cache_hit)))
-            return
-        run_span.tag(rows=shipped, chunks=seq + (1 if pending else 0))
-        trace.finish(run_span)
+            return op.run(ctx), ctx.tallies(), cache_hit, None
+        with trace.span("run", parent=root) as run_span:
+            rows = op.run(ctx)
+            run_span.tag(rows=len(rows))
         trace.finish(root)
-        _WORKER_QUEUE.put((stream_id, -1,
-                           (ctx.tallies(), cache_hit, trace.to_records())))
+        return rows, ctx.tallies(), cache_hit, trace.to_records()

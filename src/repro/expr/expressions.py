@@ -375,18 +375,6 @@ class JoinPredicate:
     def right_columns(self) -> tuple[str, ...]:
         return tuple(r for _, r in self.pairs)
 
-    def left_for_right(self, right_col: str) -> str:
-        for l, r in self.pairs:
-            if r == right_col:
-                return l
-        raise KeyError(right_col)
-
-    def right_for_left(self, left_col: str) -> str:
-        for l, r in self.pairs:
-            if l == left_col:
-                return r
-        raise KeyError(left_col)
-
     def __len__(self) -> int:
         return len(self.pairs)
 

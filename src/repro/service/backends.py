@@ -26,15 +26,16 @@ pipelines are cut only at exchange boundaries, workers run the exact
 per-shard plans, and the serving-side gather performs the same stable
 merge (ties to the lowest shard index) the local exchange would.
 
-The process backend has one transfer path: every shipped task — a shard
-pipeline or a whole plan — sends its rows back in chunks of
-:data:`~repro.engine.subplan.CHUNK_ROWS` (2048) rows on a shared
-results queue, so the serving-side merge starts on the fastest
-shard's first chunk while the slowest shard is still sorting, and
-unpickling overlaps with worker execution.  Workers keep a warm LRU of
-32 lowered subplans keyed by the task template's fingerprint, so the
-plan-cache steady state (the same physical plan served repeatedly, with
-whatever parameter values) skips lowering on warm workers.
+The process backend has one way back from a worker: every shipped task
+— a shard pipeline or a whole plan — runs to completion and returns its
+rows, tallies and span records as its future's result.  The serving
+side grafts each future under the re-assembled gather, and after the
+gather folds every task's tallies in task order, waiting for any task a
+``LIMIT`` left unread, so each shard's work is counted.  Workers keep a
+warm LRU of 32 lowered subplans keyed by the task template's
+fingerprint, so the plan-cache steady state (the same physical plan
+served repeatedly, with whatever parameter values) skips lowering on
+warm workers.
 """
 
 from __future__ import annotations
@@ -43,15 +44,14 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Optional
 
 from ..engine.context import ExecutionContext, collector_paused
 from ..obs.trace import _NULL_SPAN, active_span, child_span
 from ..engine.subplan import (
-    ShardStream,
-    assemble_streams,
-    execute_subplan_stream,
+    assemble_tasks,
+    execute_subplan,
     init_worker,
     shard_subplans,
 )
@@ -118,90 +118,16 @@ def _run_in_process(backend: str, plan, catalog: Catalog,
     return rows
 
 
-class _StreamRouter:
-    """Owns one pool's shared results queue and fans chunks out to the
-    per-shard :class:`ShardStream` buffers.
-
-    One daemon thread per pool generation: items are ``(stream_id, seq,
-    payload)`` tuples (see
-    :func:`~repro.engine.subplan.execute_subplan_stream`); unknown
-    stream ids — chunks from an attempt that was cancelled or failed —
-    are dropped on the floor.  A queue-level failure (e.g. a worker
-    killed mid-pickle corrupting the pipe) fails every registered stream
-    so no consumer blocks forever.
-    """
-
-    def __init__(self, queue) -> None:
-        self.queue = queue
-        self._streams: dict[int, ShardStream] = {}
-        self._lock = threading.Lock()
-        self._next_id = 0
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="shard-stream-router")
-        self._thread.start()
-
-    def register(self) -> ShardStream:
-        with self._lock:
-            stream = ShardStream(self._next_id)
-            self._streams[stream.stream_id] = stream
-            self._next_id += 1
-            return stream
-
-    def unregister(self, stream_id: int) -> None:
-        with self._lock:
-            self._streams.pop(stream_id, None)
-
-    def _run(self) -> None:
-        while True:
-            try:
-                item = self.queue.get()
-            except (EOFError, OSError, ValueError) as exc:
-                self._fail_all(exc)
-                return
-            if item is None:  # stop sentinel from stop()
-                self._fail_all(RuntimeError("stream router stopped"))
-                return
-            stream_id, seq, payload = item
-            with self._lock:
-                stream = self._streams.get(stream_id)
-            if stream is None:
-                continue  # stale chunk from a cancelled/failed attempt
-            if seq == -1:
-                stream.finish(payload)
-                self.unregister(stream_id)
-            else:
-                stream.put(payload)
-
-    def _fail_all(self, exc: BaseException) -> None:
-        with self._lock:
-            streams, self._streams = list(self._streams.values()), {}
-        for stream in streams:
-            stream.fail(exc)
-
-    def stop(self) -> None:
-        """Post the stop sentinel (drained FIFO, so items already queued
-        are still routed first) and join the router thread."""
-        try:
-            self.queue.put(None)
-        except (OSError, ValueError):  # queue already torn down
-            pass
-        self._thread.join(timeout=5.0)
-
-
 class _PoolHandle:
-    """One pool generation: executor + results queue + router + the
-    catalog version it was built against.  Handles are immutable and
-    swapped atomically under the backend lock, so a dispatch thread
-    holding an old generation keeps a consistent (pool, queue, router)
-    triple even while a refresh installs the next one."""
+    """One pool generation: executor + the catalog version it was built
+    against.  Handles are immutable and swapped atomically under the
+    backend lock, so a dispatch thread holding an old generation keeps a
+    consistent pair even while a refresh installs the next one."""
 
-    __slots__ = ("pool", "queue", "router", "version")
+    __slots__ = ("pool", "version")
 
-    def __init__(self, pool: ProcessPoolExecutor, queue, router: _StreamRouter,
-                 version) -> None:
+    def __init__(self, pool: ProcessPoolExecutor, version) -> None:
         self.pool = pool
-        self.queue = queue
-        self.router = router
         self.version = version
 
 
@@ -219,7 +145,7 @@ class ProcessPoolBackend(ExecutionBackend):
     backend and the pool's snapshot is current (not :meth:`stale`, so a
     local run reads the rows a worker would), it runs in the calling
     thread through the serial backend's code — a worker would add
-    pickling, dispatch and the stream router and buy no parallelism.
+    pickling and dispatch and buy no parallelism.
     Otherwise it ships whole, as a single task, and the pool provides
     inter-query parallelism instead.  Sharded plans always ship.
 
@@ -269,7 +195,7 @@ class ProcessPoolBackend(ExecutionBackend):
         #: Counters (under self._lock), as :meth:`describe` reports them.
         self._telemetry = dict.fromkeys((
             "pool_rebuilds", "local_queries", "streamed_queries",
-            "streamed_chunks", "subplan_cache_hits", "subplan_cache_misses",
+            "subplan_cache_hits", "subplan_cache_misses",
         ), 0)
         self._ensure_pool()
 
@@ -288,21 +214,18 @@ class ProcessPoolBackend(ExecutionBackend):
         spawning workers is slow and must not block dispatch threads
         running on the current generation)."""
         payload = catalog_payload(self.catalog)
-        context = self._build_context()
-        queue = (context or multiprocessing).Queue()
         pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=context,
-            initializer=init_worker, initargs=(payload, queue))
+            max_workers=self.workers, mp_context=self._build_context(),
+            initializer=init_worker, initargs=(payload,))
         try:
             # Touch every worker now, not at first traffic.
             list(pool.map(_noop, range(self.workers)))
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-        router = _StreamRouter(queue)
         if self._mp_context == "fork":
             self._forked_once = True
-        return _PoolHandle(pool, queue, router, payload.version_token)
+        return _PoolHandle(pool, payload.version_token)
 
     def _ensure_pool(self) -> _PoolHandle:
         with self._lock:
@@ -362,7 +285,6 @@ class ProcessPoolBackend(ExecutionBackend):
             handle, self._handle = self._handle, None
         if handle is not None:
             handle.pool.shutdown(wait=True, cancel_futures=True)
-            handle.router.stop()
 
     # -- execution -------------------------------------------------------------------
     def run_plan(self, plan, catalog: Catalog, parallelism: int = 1,
@@ -406,7 +328,7 @@ class ProcessPoolBackend(ExecutionBackend):
         while True:
             handle = self._ensure_pool()
             try:
-                rows, local = self._run_streaming(
+                rows, local = self._run_tasks(
                     handle, plan, occurrences, tasks, catalog,
                     batch_size, check_orders, parent, meter_timing,
                     attempts)
@@ -457,30 +379,34 @@ class ProcessPoolBackend(ExecutionBackend):
                 parent.trace.finish(span)
 
     @staticmethod
-    def _attach_worker_spans(parent, spans, streams) -> None:
+    def _attach_worker_spans(parent, spans, results, done_at) -> None:
         """Finish the shard dispatch spans and graft each worker's span
         records under its own, placed where the worker ran: a shard that
         queued for a busy worker shows as queued, not as running beside
         the shards ahead of it.
 
         Worker clocks are not comparable with ours, so a worker's root
-        span is placed to end when the router saw its DONE sentinel, and
-        to start no earlier than its dispatch did.  A DONE can reach the
-        router late: the worker's queue feeder thread ships it while the
-        worker already runs its next shard.  One process runs one task
-        at a time, so a task also ends no later than the next task of
-        the same worker process (its ``pid`` tag) began."""
+        span is placed to end when its future completed (*done_at*,
+        stamped by a done-callback), and to start no earlier than its
+        dispatch did.  A future can complete late: the pool's result
+        thread needs the GIL while the worker already runs its next
+        shard.  One process runs one task at a time, so a task also ends
+        no later than the next task of the same worker process (its
+        ``pid`` tag) began."""
         if parent is None:
             return
         placed = []
-        for span, stream in zip(spans, streams):
+        for span, result, finished in zip(spans, results, done_at):
             parent.trace.finish(span)
-            records = stream.spans
+            records = result[3]
             if not records:
                 continue
             _, _, _, start, end, tags = next(r for r in records
                                              if r[1] == span.span_id)
-            done = span.end - (time.perf_counter() - stream.done_at)
+            # A callback still running when the result was read stamps
+            # no earlier than now.
+            now = time.perf_counter()
+            done = span.end - (now - (finished or now))
             floor = span.start - start
             placed.append((dict(tags)["pid"], max(done - end, floor), floor,
                            start, end, records))
@@ -493,65 +419,55 @@ class ProcessPoolBackend(ExecutionBackend):
             next_start[pid] = base + start
             parent.trace.attach(records, base_offset=base)
 
-    def _run_streaming(self, handle: _PoolHandle, plan, occurrences, tasks,
-                       catalog: Catalog, batch_size, check_orders,
-                       parent=None, meter_timing: bool = False,
-                       attempt: int = 0
-                       ) -> tuple[list[tuple], ExecutionContext]:
-        """Chunked transfer: the gather consumes live task streams.
-
-        Stream ids are unique per attempt (the router hands them out),
-        so chunks from a failed attempt still in the queue can never
-        corrupt a retry's buffers — the router drops unknown ids.
-        """
-        streams: list[ShardStream] = []
+    def _run_tasks(self, handle: _PoolHandle, plan, occurrences, tasks,
+                   catalog: Catalog, batch_size, check_orders,
+                   parent=None, meter_timing: bool = False,
+                   attempt: int = 0) -> tuple[list[tuple], ExecutionContext]:
+        """Ship every task, gather the futures' rows through the
+        re-assembled plan, then fold every task's tallies in task order.
+        A ``LIMIT`` may stop the gather before it read every task; the
+        fold still waits for them all, so every shard's work counts."""
         futures = []
         spans = []
+        done_at: list[Optional[float]] = [None] * len(tasks)
         try:
             for i, task in enumerate(tasks):
-                stream = handle.router.register()
                 span, trace_ctx = self._dispatch_span(parent, i, attempt)
                 spans.append(span)
                 future = handle.pool.submit(
-                    execute_subplan_stream, task, stream.stream_id,
-                    batch_size, check_orders, meter_timing, trace_ctx)
-                future.add_done_callback(_stream_failer(stream))
-                streams.append(stream)
+                    execute_subplan, task, batch_size, check_orders,
+                    meter_timing, trace_ctx)
+                future.add_done_callback(_stamp_done(done_at, i))
                 futures.append(future)
 
-            root = assemble_streams(plan, occurrences, streams, catalog)
+            root = assemble_tasks(plan, occurrences, futures, catalog)
             local = ExecutionContext(catalog, batch_size=batch_size,
                                      check_orders=check_orders,
                                      meter_timing=meter_timing)
-            # The "merge" span overlaps worker execution by design — it
-            # covers first-chunk to last-row of the gather.  A whole-plan
-            # task merges nothing, so it opens none.
+            # The "merge" span covers the gather, its waits for the
+            # shards included.  A whole-plan task merges nothing, so it
+            # opens none.
             with (child_span("merge", shards=len(tasks)) if occurrences
                   else _NULL_SPAN) as merge_span:
                 rows = root.run(local)
                 merge_span.tag(rows=len(rows))
+            results = [future.result() for future in futures]
         except BaseException as exc:
             for future in futures:
                 future.cancel()
-            for stream in streams:
-                handle.router.unregister(stream.stream_id)
             self._close_failed_spans(parent, spans, exc)
             raise
-        # The merge consumed every stream to its DONE sentinel, so the
-        # worker tallies are in hand; fold them in task order, after the
-        # merge's own charges — the sums are commutative, so the fold
-        # order cannot change the totals.
-        for stream in streams:
-            local.absorb_tallies(stream.tallies)
-        self._attach_worker_spans(parent, spans, streams)
-        hits = sum(1 for s in streams if s.cache_hit)
+        # After the merge's own charges; the sums are commutative, so
+        # the fold order cannot change the totals.
+        for _, tallies, _, _ in results:
+            local.absorb_tallies(tallies)
+        self._attach_worker_spans(parent, spans, results, done_at)
+        hits = sum(1 for result in results if result[2])
         with self._lock:
             telemetry = self._telemetry
             telemetry["streamed_queries"] += 1
-            telemetry["streamed_chunks"] += sum(s.chunks_received
-                                                for s in streams)
             telemetry["subplan_cache_hits"] += hits
-            telemetry["subplan_cache_misses"] += len(streams) - hits
+            telemetry["subplan_cache_misses"] += len(results) - hits
         return rows, local
 
     def describe(self) -> dict:
@@ -563,17 +479,10 @@ class ProcessPoolBackend(ExecutionBackend):
         return out
 
 
-def _stream_failer(stream: ShardStream):
-    """Done-callback failing *stream* when its producing task cannot
-    deliver the DONE sentinel (error or cancellation); a no-op for tasks
-    that finished cleanly (the sentinel already closed the stream)."""
-    def callback(future) -> None:
-        if future.cancelled():
-            stream.fail(CancelledError("shard task cancelled"))
-            return
-        exc = future.exception()
-        if exc is not None:
-            stream.fail(exc)
+def _stamp_done(done_at: list, i: int):
+    """Done-callback recording when task *i*'s future completed."""
+    def callback(_future) -> None:
+        done_at[i] = time.perf_counter()
     return callback
 
 
@@ -581,18 +490,13 @@ def _retire_handle_async(handle: _PoolHandle) -> None:
     """Retire an old pool generation without blocking the swapper.
 
     In-flight futures on the old pool are allowed to drain (dispatch
-    threads may still be waiting on them); the router stops only after
-    ``shutdown(wait=True)`` returns, i.e. after every worker exited — so
-    queries on the old generation route to completion first.
-    A broken pool's futures were cancelled by the failing ``run_plan``
-    before the rebuild, so retirement is prompt there too.
+    threads may still be waiting on them).  A broken pool's futures were
+    cancelled by the failing ``run_plan`` before the rebuild, so
+    retirement is prompt there too.
     """
-    def retire() -> None:
-        handle.pool.shutdown(wait=True, cancel_futures=False)
-        handle.router.stop()
-
-    threading.Thread(target=retire, daemon=True,
-                     name="pool-retirement").start()
+    threading.Thread(target=handle.pool.shutdown,
+                     kwargs={"wait": True, "cancel_futures": False},
+                     daemon=True, name="pool-retirement").start()
 
 
 def _noop(_: int) -> None:

@@ -29,7 +29,7 @@ via :meth:`QueryServer.execute` — pass one admission control and share
    the configured backend
    (:mod:`repro.service.backends`): in-process serial/threaded, or the
    **process pool**, which ships per-shard subplans to worker processes
-   and streams their results back batch-at-a-time through the
+   and gathers the rows each task's future returns through the
    order-preserving merge.  Backend failures feed the
    :class:`~repro.service.metrics.CircuitBreaker`; after
    ``circuit_threshold`` consecutive failures the breaker opens and

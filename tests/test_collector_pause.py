@@ -3,7 +3,7 @@
 ``repro.engine.collector_paused`` wraps the serial execution of a plan
 (``backends._run_in_process``: the serial backend, and the process
 backend's in-process runs) and the pool worker's task entrypoint
-(``subplan.execute_subplan_stream``).  What must hold: the collector is
+(``subplan.execute_subplan``).  What must hold: the collector is
 off inside, on again after a run and after a run that raises, still off
 when the caller had turned it off, and on after overlapping queries on
 several threads, whichever of them finishes first.
@@ -213,7 +213,7 @@ class _CollectorProbe(Operator):
 def test_a_pool_worker_pauses_each_task_and_then_restores(collector_on,
                                                           monkeypatch,
                                                           catalog):
-    """``execute_subplan_stream`` through the process backend: the task
+    """``execute_subplan`` through the process backend: the task
     runs with the worker's collector off, and the worker's collector is
     on after a task, after a task that raises, and after a sharded
     query's shard tasks."""

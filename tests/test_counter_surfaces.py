@@ -59,7 +59,7 @@ SERVER_KEYS = (SESSION_KEYS | OUTCOMES | {
 
 PROCESS_DESCRIBE_KEYS = {
     "backend", "pool_workers", "pool_rebuilds", "local_queries",
-    "streamed_queries", "streamed_chunks", "subplan_cache_hits",
+    "streamed_queries", "subplan_cache_hits",
     "subplan_cache_misses", "pool_stale",
 }
 

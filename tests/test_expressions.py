@@ -96,8 +96,6 @@ class TestJoinPredicate:
         p = JoinPredicate([("a", "x"), ("b", "y")])
         assert p.left_columns == ("a", "b")
         assert p.right_columns == ("x", "y")
-        assert p.right_for_left("a") == "x"
-        assert p.left_for_right("y") == "b"
         assert len(p) == 2
 
     def test_empty_rejected(self):

@@ -36,7 +36,7 @@ import pytest
 from repro.core.sort_order import SortOrder
 from repro.engine import ExecutionContext
 from repro.engine.exchange import MergeExchange
-from repro.engine.subplan import ShardStream, assemble_streams, shard_subplans
+from repro.engine.subplan import assemble_tasks, shard_subplans
 from repro.logical import Query
 from repro.optimizer import GreedyManyToManyEnumerator, Optimizer
 from repro.service import FeedbackConfig, QuerySession, QueryServer, make_backend
@@ -370,25 +370,22 @@ def disjoint_plan_case():
 
 class TestDisjointGatherParity:
     def test_reassembled_gather_keeps_disjoint_concat(self):
-        """The re-assembled exchange's children are StreamSources: the
+        """The re-assembled exchange's children are TaskSources: the
         forwarded plan arg is the only witness of disjointness.
         Without it the gather heap-merges and pays extra comparisons."""
         catalog, prepared = disjoint_plan_case()
         occurrences, tasks = shard_subplans(prepared.plan)
-        task_rows = [task.to_operator(catalog).run(ExecutionContext(catalog))
-                     for task in tasks]
+        futures = []
+        for task in tasks:
+            future = concurrent.futures.Future()
+            future.set_result((task.to_operator(catalog).run(
+                ExecutionContext(catalog)), {}, False, None))
+            futures.append(future)
 
         def reassemble():
-            """A fresh graft over pre-filled streams (StreamSource is
-            one-shot, so every execution needs its own set)."""
-            streams = []
-            for i, rows in enumerate(task_rows):
-                stream = ShardStream(i)
-                stream.put(rows)
-                stream.finish(({}, False))
-                streams.append(stream)
-            root = assemble_streams(prepared.plan, occurrences, streams,
-                                    catalog)
+            """A fresh graft over completed futures."""
+            root = assemble_tasks(prepared.plan, occurrences, futures,
+                                  catalog)
             return root, [op for op in operators(root)
                           if isinstance(op, MergeExchange)]
 

@@ -383,7 +383,7 @@ class TestServerTracing:
 
     def test_whole_plan_stream_reattaches_worker_without_merge(self):
         """A plan with no exchange sent to the pool ships as one
-        streamed task: one dispatch with its worker subtree, and no
+        task: one dispatch with its worker subtree, and no
         merge span since nothing is merged.  (An idle backend runs the
         same plan in process — see ``test_in_process_backends_trace``.)"""
         catalog = serving_catalog()
@@ -395,7 +395,7 @@ class TestServerTracing:
             with trace.activate(execute):
                 rows = backend._run_pooled(plan, catalog)
             trace.finish(execute)
-            assert backend.describe()["streamed_chunks"] >= 1
+            assert backend.describe()["streamed_queries"] == 1
         finally:
             backend.close()
         (dispatch,) = trace.find_all("shard_dispatch")

@@ -12,7 +12,7 @@ execution on ``self`` and the values travel in each execution's
 context.
 
 CI runs this module a second time under ``python -X dev -W
-error::ResourceWarning``: leaked pool or router threads and unclosed
+error::ResourceWarning``: leaked pool threads and unclosed
 pipes surface there.
 """
 
@@ -282,9 +282,7 @@ def test_two_executions_of_one_tree_interleave(catalog):
 
 def test_no_operator_keeps_execution_state_on_self():
     """The audit behind sharing a tree: outside ``__init__`` no engine
-    operator assigns to an attribute of ``self``.  (``StreamSource``
-    marks its *stream* consumed — it is one-shot by design, and the
-    process backend never caches the tree it is grafted into.)"""
+    operator assigns to an attribute of ``self``."""
     offenders = []
     for name, cls in vars(repro.engine).items():
         if not (isinstance(cls, type) and issubclass(cls, Operator)):

@@ -2,7 +2,7 @@
 cross-session plan cache, backend parity (including the process pool on
 the fuzz-suite plan corpus), cooperative backpressure (retry-after,
 tenant quotas, circuit breaker), pool resilience under breakage and
-refresh, streamed task transfer, and the many-clients stress tests
+refresh, task transfer through the pool's futures, and the many-clients stress tests
 that pin the admission-counter reconciliation invariant."""
 
 import asyncio
@@ -417,7 +417,7 @@ class TestProcessBackend:
     def test_idle_whole_plan_runs_in_process(self, references):
         """An exchange-free plan on an idle backend with a current pool
         runs in the calling thread: rows, order and tallies are the
-        serial backend's, and no stream is registered.  A sharded plan
+        serial backend's, and no task is shipped.  A sharded plan
         on the same idle backend still ships, and so does the whole plan
         once the pool's snapshot is stale."""
         from repro.engine import ExecutionContext
@@ -434,16 +434,19 @@ class TestProcessBackend:
         assert serial_rows == references[0]
         backend = ProcessPoolBackend(catalog, workers=1)
         try:
-            router = backend._ensure_pool().router
+            def shipped():
+                d = backend.describe()
+                return d["subplan_cache_hits"] + d["subplan_cache_misses"]
+
             ctx = ExecutionContext(catalog, check_orders=True)
             assert backend.run_plan(whole, catalog, ctx=ctx) == serial_rows
             assert ctx.tallies() == serial_ctx.tallies()
-            assert router._next_id == 0  # no stream was ever registered
+            assert shipped() == 0
             d = backend.describe()
             assert (d["local_queries"], d["streamed_queries"]) == (1, 0)
 
             assert backend.run_plan(sharded, catalog) == serial_rows
-            assert router._next_id == len(shard_subplans(sharded)[1])
+            assert shipped() == len(shard_subplans(sharded)[1])
             d = backend.describe()
             assert (d["local_queries"], d["streamed_queries"]) == (1, 1)
 
@@ -794,10 +797,10 @@ def _worker_suicide(_: int) -> None:
     os._exit(17)
 
 
-class _DiesMidStream(Operator):
+class _DiesMidTask(Operator):
     """Passes its child's first batch through, then kills the process."""
 
-    name = "DiesMidStream"
+    name = "DiesMidTask"
 
     def __init__(self, child) -> None:
         super().__init__(child.schema, [child])
@@ -805,7 +808,6 @@ class _DiesMidStream(Operator):
     def execute_batches(self, ctx):
         for batch in self.children[0].execute_batches(ctx):
             yield batch
-            time.sleep(0.05)  # let the queue feeder ship the chunks
             os._exit(17)
 
 
@@ -852,11 +854,11 @@ class TestPoolResilience:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="the fault is injected into workers through fork")
     def test_worker_death_during_whole_plan_stream(self, monkeypatch):
-        """The one worker running a whole-plan task dies after shipping
-        its first chunks: the stream fails instead of blocking the
-        gather, the query retries once on a rebuilt pool, and no stream
-        stays registered on either generation's router."""
+        """The one worker running a whole-plan task dies mid-task: the
+        task's future fails instead of blocking the gather, and the
+        query retries once on a rebuilt pool."""
         from repro.engine import subplan
+        from repro.obs.trace import Tracer
 
         catalog = serving_catalog(num_rows=3000, seed=5)
         query = Query.table("t").order_by("b", "a", "c")
@@ -869,19 +871,19 @@ class TestPoolResilience:
         # imports the module afresh and runs the real function.
         monkeypatch.setattr(
             subplan, "_lowered_cached",
-            lambda task: (_DiesMidStream(lower(task)[0]), False))
+            lambda task: (_DiesMidTask(lower(task)[0]), False))
         backend = ProcessPoolBackend(catalog, workers=1, mp_context="fork")
         monkeypatch.undo()
         try:
-            first = backend._ensure_pool()
-            # One 3000-row batch: a full chunk ships before the death.
-            assert backend._run_pooled(plan, catalog,
-                                       batch_size=4096) == reference
+            trace = Tracer().start("death")
+            root = trace.begin("query")
+            with trace.activate(root):
+                assert backend._run_pooled(plan, catalog,
+                                           batch_size=4096) == reference
             d = backend.describe()
             assert d["pool_rebuilds"] == 1
             assert d["streamed_queries"] == 1
-            assert first.router._streams == {}
-            assert backend._ensure_pool().router._streams == {}
+            assert root.tags["retries"] == 1
         finally:
             backend.close()
 
@@ -927,21 +929,20 @@ class TestPoolResilience:
             backend.close()
 
 
-# -- streamed task transfer --------------------------------------------------------------
+# -- task transfer through the pool's futures --------------------------------------------
 class TestStreamingTransfer:
     @pytest.mark.parametrize("size", ["large", "default"])
     @pytest.mark.parametrize("parallelism", [4, 1],
                              ids=["sharded", "whole"])
     def test_process_matches_serial_backend(self, request, parallelism, size):
         """The process backend's one transfer path — shard pipelines
-        under a gather, or a whole plan as a single stream — is
+        under a gather, or a whole plan as a single task — is
         bit-identical to in-process execution, rows and absorbed worker
         tallies alike, and its telemetry counts every task.  The pooled
         entry point ships a whole plan even on an idle backend.  The
-        large table holds more rows than four 2048-row chunks, so at
-        least one stream ships several chunks, whole or sharded."""
+        large table's rows span many batches, whole or sharded."""
         from repro.engine import ExecutionContext
-        from repro.engine.subplan import CHUNK_ROWS, shard_subplans
+        from repro.engine.subplan import shard_subplans
         from repro.service import SerialBackend
 
         catalog = request.getfixturevalue(
@@ -966,9 +967,6 @@ class TestStreamingTransfer:
 
             d = backend.describe()
             assert d["streamed_queries"] == 1
-            if size == "large":
-                assert len(reference) > 4 * CHUNK_ROWS
-                assert d["streamed_chunks"] > len(tasks)
             assert d["subplan_cache_misses"] == len(tasks)
             assert d["subplan_cache_hits"] == 0
 
@@ -980,47 +978,40 @@ class TestStreamingTransfer:
             backend.close()
 
     def test_streaming_server_end_to_end(self, catalog, references):
-        """The default process backend streams: full server round trip
-        stays bit-identical, and the telemetry surfaces in stats()."""
+        """A sharded query on the process backend goes to the pool: the
+        full server round trip stays bit-identical, and the telemetry
+        surfaces in stats()."""
         with QueryServer(catalog, backend="process", parallelism=4,
                          pool_workers=2) as server:
             assert server.execute(serving_queries()[0]).rows == references[0]
             stats = server.stats()
             assert stats["streamed_queries"] == 1
             assert stats["local_queries"] == 0
-            assert stats["streamed_chunks"] > 0
+            assert stats["subplan_cache_misses"] == 4
 
-    def test_shard_stream_hands_each_chunk_over_once(self):
-        """A consumed chunk belongs to the consumer alone: the stream
-        keeps nothing the gather has already taken."""
-        from repro.engine.subplan import ShardStream
+    def test_sharded_limit_succeeds_on_every_execution(self):
+        """A LIMIT stops the gather after ten rows, long before the
+        workers' shards are read out.  Every execution still returns the
+        session's rows and waits for every shard's tallies: none fails,
+        and the circuit stays closed."""
+        from repro.engine.subplan import shard_subplans
 
-        stream = ShardStream(0)
-        chunks = [[(i, 0)] for i in range(3)]
-        for chunk in chunks[:2]:
-            stream.put(chunk)
-        consumer = stream.batches()
-        assert next(consumer) is chunks[0]
-        assert list(stream._chunks) == [chunks[1]]
-        stream.put(chunks[2])
-        stream.finish(({}, False))
-        assert list(consumer) == chunks[1:]
-        assert not stream._chunks and stream.chunks_received == 3
-
-    def test_shard_stream_failure_reaches_a_partial_consumer(self):
-        from repro.engine.subplan import ShardStream
-
-        stream = ShardStream(0)
-        stream.put([(1, 0)])
-        stream.put([(2, 0)])
-        consumer = stream.batches()
-        assert next(consumer) == [(1, 0)]
-        stream.fail(RuntimeError("worker died"))
-        stream.put([(3, 0)])  # stale chunk after the failure: dropped
-        assert next(consumer) == [(2, 0)]  # what arrived is still served
-        with pytest.raises(RuntimeError, match="worker died"):
-            next(consumer)
-        assert not stream._chunks
+        catalog = serving_catalog(num_rows=40_000, memory_blocks=400)
+        query = serving_queries()[0].limit(10)
+        session = QuerySession(catalog)
+        reference = session.execute(query)
+        assert len(reference) == 10
+        plan = session.prepare(query, parallelism=4).plan
+        assert len(shard_subplans(plan)[1]) == 4
+        with QueryServer(catalog, backend="process", parallelism=4,
+                         pool_workers=2) as server:
+            for _ in range(3):
+                assert server.execute(query).rows == reference
+            stats = server.stats()
+        assert stats["failed"] == 0 and stats["completed"] == 3
+        assert stats["circuit_state"] == "closed"
+        assert stats["subplan_cache_misses"] + stats["subplan_cache_hits"] \
+            == 12
 
 
 # -- the chaos reconciliation suite ------------------------------------------------------
