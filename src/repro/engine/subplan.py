@@ -40,12 +40,12 @@ Determinism: tasks are generated in plan pre-order and, per exchange, in
 shard order; the parent absorbs worker tallies in exactly that order,
 once every task's future has completed (also when a ``LIMIT`` stopped
 the gather early), so counters never depend on worker scheduling.
-Lowering and re-assembly both build a
-:class:`~repro.engine.exchange.MergeExchange` from the plan node's
-``disjoint`` arg (the planner's proof, which survives
-:func:`strip_plan`), so the re-assembled gather concatenates heap-free
-exactly where local execution does and comparison tallies stay
-bit-identical across backends.
+Re-assembly lowers each gather through the same
+:func:`~repro.engine.lowering.lower_node` as local execution, from the
+plan node's merge order and ``disjoint`` arg (the planner's proof, which
+survives :func:`strip_plan`), so the re-assembled gather concatenates
+heap-free exactly where local execution does and comparison tallies
+stay bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -60,14 +60,14 @@ from ..obs.trace import _NULL_SPAN as _NULL_CM, Trace
 
 from .batch import RowBatch, batches_of
 from .context import ExecutionContext, collector_paused
-from .exchange import ExchangeUnion, MergeExchange
 from .iterators import Operator
-from .lowering import meter_for, operators_from_plan
+from .lowering import LOWERINGS, lower_node, operators_from_plan
 from .prepared import BoundPlan, BoundRoot, PreparedPlan
 
-#: The gather operators whose children are independently executable
-#: shard pipelines.
-EXCHANGE_OPS = ("MergeExchange", "ExchangeUnion")
+#: The gather operators, lowered over a list of children: each child is
+#: an independently executable shard pipeline.
+EXCHANGE_OPS = frozenset(op for op, row in LOWERINGS.items()
+                         if "children" in row.args)
 
 
 def exchange_occurrences(plan) -> list:
@@ -164,10 +164,11 @@ def assemble_tasks(plan, occurrences: Sequence[Any],
 
     *futures* holds one future per task, in the order
     :func:`shard_subplans` cut them; each resolves to the tuple
-    :func:`execute_subplan` returns.  Each exchange is rebuilt over
-    :class:`TaskSource` children on the plan node's merge order (their
-    rows are sorted on it by construction — the workers ran the
-    per-shard enforcers), so a ``MergeExchange`` performs the exact
+    :func:`execute_subplan` returns.  Each exchange is lowered by
+    :func:`~repro.engine.lowering.lower_node`, as local execution lowers
+    it, over :class:`TaskSource` children (their rows are sorted on its
+    merge order by construction — the workers ran the per-shard
+    enforcers), so a ``MergeExchange`` performs the exact
     stable k-way merge it would have performed over local children, and
     ``check_orders`` execution still verifies every input.  A whole-plan
     task (``occurrences == []``) has nothing to rebuild: its one source
@@ -180,34 +181,17 @@ def assemble_tasks(plan, occurrences: Sequence[Any],
     if not occurrences:
         (future,) = futures
         return TaskSource(plan.schema, future)
-    remaining = []
-    cursor = 0
-    for node in occurrences:
-        width = len(node.children)
-        remaining.append((node, futures[cursor:cursor + width]))
-        cursor += width
+    shipped = iter(futures)
 
-    def replace(node) -> Optional[Operator]:
-        for i, (occ, shard_futures) in enumerate(remaining):
-            if occ is node:
-                del remaining[i]
-                children = [TaskSource(c.schema, future)
-                            for c, future in zip(node.children, shard_futures)]
-                if node.op == "MergeExchange":
-                    exchange: Operator = MergeExchange(
-                        children, node.order,
-                        disjoint=node.arg("disjoint", False))
-                else:
-                    exchange = ExchangeUnion(children)
-                exchange._meter = meter_for(node)
-                return exchange
-        return None
+    def graft(node) -> Optional[Operator]:
+        # Visited in pre-order, nothing below a grafted exchange: the
+        # exchanges grafted are the occurrences, in the tasks' order.
+        if node.op not in EXCHANGE_OPS:
+            return None
+        return lower_node(node, [TaskSource(c.schema, next(shipped))
+                                 for c in node.children], catalog)
 
-    root = operators_from_plan(plan, catalog, replace=replace)
-    if remaining:  # pragma: no cover - defensive
-        raise RuntimeError("assemble_tasks: not every shipped exchange "
-                           "was grafted")
-    return root
+    return operators_from_plan(plan, catalog, replace=graft)
 
 
 # -- worker side -------------------------------------------------------------------------

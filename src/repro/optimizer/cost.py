@@ -17,6 +17,10 @@ on a result that already has order *o1*:
   assumption) — i.e. sort each segment independently and multiply by the
   number of segments.
 
+Each operator's own cost is written inline in its
+:class:`~repro.optimizer.manual.PlanBuilder` constructor; only the
+formulas operators share live here.
+
 CPU comparisons are translated into I/O units by the
 ``cpu_comparisons_per_io`` system parameter (the paper's translation
 constant is unpublished; the default is this reproduction's assumption,
@@ -35,7 +39,7 @@ from ..core.sort_order import (
     longest_common_prefix,
 )
 from ..storage.catalog import SystemParameters
-from ..storage.statistics import StatsView, blocks_for
+from ..storage.statistics import StatsView
 
 #: Relative margin a per-shard-sort-plus-merge plan must win by before it
 #: replaces the post-union sort.  With everything in memory the two CPU
@@ -162,53 +166,13 @@ class CostModel:
         return per_shard + self.merge_exchange(stats.N, shard_count,
                                                disjoint=disjoint_merge)
 
-    def combine_groups(self, partial_rows: float) -> float:
-        """The finisher above a gather of per-shard partial results (the
-        combine of a sharded aggregation, the final dedup of a sharded
-        DISTINCT): one pass over the merged partial rows."""
-        return self.cpu(partial_rows)
-
-    # -- scans ----------------------------------------------------------------------
-    def table_scan(self, stats: StatsView) -> float:
-        return float(stats.B(self.params.block_size))
-
-    def index_scan(self, num_rows: float, entry_bytes: int) -> float:
-        return float(blocks_for(num_rows, entry_bytes, self.params.block_size))
-
-    # -- joins ----------------------------------------------------------------------
-    def merge_join(self, left: StatsView, right: StatsView, out_rows: float) -> float:
-        return self.cpu(left.N + right.N + out_rows)
-
-    def hash_join(self, build: StatsView, probe: StatsView, out_rows: float) -> float:
-        cpu_units = (build.N + probe.N) / self.params.hash_build_rows_per_io
-        cost = cpu_units + self.cpu(out_rows)
-        if build.B(self.params.block_size) > self.params.sort_memory_blocks:
-            cost += 2.0 * (build.B(self.params.block_size)
-                           + probe.B(self.params.block_size))
+    # -- hashing ----------------------------------------------------------------------
+    def hash_table(self, in_rows: float, table: StatsView) -> float:
+        """A hash table of *table*'s rows built from *in_rows* input rows
+        (hash aggregate, hash DISTINCT), spilling to grace partitions —
+        written and read back once — when it outgrows sort memory."""
+        cost = in_rows / self.params.hash_build_rows_per_io
+        blocks = table.B(self.params.block_size)
+        if blocks > self.params.sort_memory_blocks:
+            cost += 2.0 * blocks
         return cost
-
-    # -- aggregation / sets ------------------------------------------------------------
-    def sort_aggregate(self, in_stats: StatsView) -> float:
-        return self.cpu(in_stats.N)
-
-    def hash_aggregate(self, in_stats: StatsView, out_stats: StatsView) -> float:
-        cost = in_stats.N / self.params.hash_build_rows_per_io
-        out_blocks = out_stats.B(self.params.block_size)
-        if out_blocks > self.params.sort_memory_blocks:
-            cost += 2.0 * out_blocks
-        return cost
-
-    def merge_union(self, left: StatsView, right: StatsView) -> float:
-        return self.cpu(left.N + right.N)
-
-    def dedup(self, stats: StatsView) -> float:
-        return self.cpu(stats.N)
-
-    def hash_dedup(self, in_stats: StatsView, out_stats: StatsView) -> float:
-        return self.hash_aggregate(in_stats, out_stats)
-
-    def filter(self, in_stats: StatsView) -> float:
-        return self.cpu(in_stats.N)
-
-    def project(self, in_stats: StatsView) -> float:
-        return self.cpu(0.1 * in_stats.N)

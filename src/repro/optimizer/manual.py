@@ -3,8 +3,10 @@
 :class:`PlanBuilder` is the only code that makes
 :class:`~repro.optimizer.plans.PhysicalPlan` nodes.  Each method states
 once how an operator's output schema, guaranteed order, statistics and
-cost follow from its inputs, and writes the ``args`` its lowering reads
-(:mod:`repro.engine.lowering`).  It has two kinds of caller:
+cost follow from its inputs (the cost formula inline, over the shared
+ones of :class:`~repro.optimizer.cost.CostModel`), and writes the
+``args`` its row of :data:`~repro.engine.lowering.LOWERINGS` reads.  It
+has two kinds of caller:
 
 * the Volcano search: a
   :class:`~repro.optimizer.pipeline.PhysicalSelection` holds one, on the
@@ -49,7 +51,7 @@ from ..expr.expressions import (
 from ..logical.algebra import LogicalExpr
 from ..storage.catalog import Catalog
 from ..storage.schema import Column, Schema
-from ..storage.statistics import StatsView
+from ..storage.statistics import StatsView, blocks_for
 from .cost import CostModel
 from .plans import PhysicalPlan, make_plan
 
@@ -97,7 +99,8 @@ class PlanBuilder:
         table = self.catalog.table(table_name)
         stats = self._once(self._table_stats, table)
         return make_plan("TableScan", table.schema, table.clustering_order,
-                         stats, self.cost.table_scan(stats), table=table_name)
+                         stats, float(stats.B(self.catalog.params.block_size)),
+                         table=table_name)
 
     def clustering_scan(self, table_name: str) -> PhysicalPlan:
         if not self.catalog.table(table_name).clustering_order:
@@ -110,7 +113,8 @@ class PlanBuilder:
         leaf_schema = index.leaf_schema
         return make_plan("CoveringIndexScan", leaf_schema, index.key,
                          stats.projected(list(leaf_schema.names)),
-                         self.cost.index_scan(stats.N, index.entry_bytes()),
+                         float(blocks_for(stats.N, index.entry_bytes(),
+                                          self.catalog.params.block_size)),
                          table=table_name, index=index_name)
 
     # -- row operators ---------------------------------------------------------------
@@ -119,7 +123,7 @@ class PlanBuilder:
         if stats is None:
             stats = child.stats.scaled(predicate.selectivity(child.stats))
         return make_plan("Filter", child.schema, child.order, stats,
-                         self.cost.filter(child.stats), [child],
+                         self.cost.cpu(child.stats.N), [child],
                          predicate=predicate)
 
     def project(self, child: PhysicalPlan, columns: Sequence[str]) -> PhysicalPlan:
@@ -127,7 +131,7 @@ class PlanBuilder:
         order = child.order.restrict_prefix_to(columns, self.eq)
         return make_plan("Project", schema, order,
                          child.stats.projected(list(columns)),
-                         self.cost.project(child.stats), [child],
+                         self.cost.cpu(0.1 * child.stats.N), [child],
                          columns=tuple(columns))
 
     def compute(self, child: PhysicalPlan,
@@ -138,7 +142,7 @@ class PlanBuilder:
                           {c: child.stats.distinct_of(c)
                            for c in child.schema.names}, self.eq)
         return make_plan("Compute", schema, child.order, stats,
-                         self.cost.project(child.stats), [child],
+                         self.cost.cpu(0.1 * child.stats.N), [child],
                          outputs=tuple(outputs))
 
     def shard_of(self, node: PhysicalPlan, shard_count: int, shard_index: int,
@@ -266,7 +270,7 @@ class PlanBuilder:
         # claims no order (a wrong claim would skip an enforcer above).
         out_order = EMPTY_ORDER if join_type == "full" else perm
         join = make_plan("MergeJoin", schema, out_order, merged,
-                         self.cost.merge_join(left.stats, right.stats, merged.N),
+                         self.cost.cpu(left.stats.N + right.stats.N + merged.N),
                          [left, right], predicate=JoinPredicate(pairs),
                          join_type=join_type, logical=logical)
         if not residual:
@@ -284,8 +288,11 @@ class PlanBuilder:
         ``(build, probe)`` statistics of one partition pair."""
         stats, schema = self._join_output(left, right, pairs, join_type, stats)
         build, probe = on or (left.stats, right.stats)
-        return make_plan("HashJoin", schema, EMPTY_ORDER, stats,
-                         self.cost.hash_join(build, probe, stats.N),
+        p = self.catalog.params
+        cost = (build.N + probe.N) / p.hash_build_rows_per_io + self.cost.cpu(stats.N)
+        if build.B(p.block_size) > p.sort_memory_blocks:
+            cost += 2.0 * (build.B(p.block_size) + probe.B(p.block_size))
+        return make_plan("HashJoin", schema, EMPTY_ORDER, stats, cost,
                          [left, right],
                          predicate=self._once(JoinPredicate, pairs),
                          join_type=join_type)
@@ -304,7 +311,7 @@ class PlanBuilder:
         group_columns = tuple(group_columns or group_order)
         schema, stats = self._grouped(child, group_columns, aggregates)
         return make_plan("SortAggregate", schema, group_order, stats,
-                         self.cost.sort_aggregate(child.stats), [child],
+                         self.cost.cpu(child.stats.N), [child],
                          group_columns=group_columns,
                          aggregates=tuple(aggregates), logical=logical)
 
@@ -313,7 +320,7 @@ class PlanBuilder:
                        aggregates: Sequence[AggSpec]) -> PhysicalPlan:
         schema, stats = self._grouped(child, group_columns, aggregates)
         return make_plan("HashAggregate", schema, EMPTY_ORDER, stats,
-                         self.cost.hash_aggregate(child.stats, stats), [child],
+                         self.cost.hash_table(child.stats.N, stats), [child],
                          group_columns=tuple(group_columns),
                          aggregates=tuple(aggregates))
 
@@ -325,7 +332,7 @@ class PlanBuilder:
         aggregates: folds the groups that straddled shard boundaries
         into *stats*, what the unsharded aggregate emits."""
         return make_plan("SortedCombine", gather.schema, gather.order, stats,
-                         self.cost.combine_groups(gather.stats.N), [gather],
+                         self.cost.cpu(gather.stats.N), [gather],
                          group_columns=tuple(group_columns),
                          aggregates=tuple(aggregates))
 
@@ -340,7 +347,7 @@ class PlanBuilder:
                 dict(zip(left.schema.names, right.schema.names))))
         stats = self._union_stats(left, right)
         return make_plan("MergeUnion", left.schema, order, stats,
-                         self.cost.merge_union(left.stats, right.stats),
+                         self.cost.cpu(left.stats.N + right.stats.N),
                          [left, right])
 
     def _union_stats(self, left: PhysicalPlan,
@@ -371,13 +378,13 @@ class PlanBuilder:
         if stats is None:
             stats = self._distinct_stats(child, columns)
         return make_plan("Dedup", child.schema, order, stats,
-                         self.cost.dedup(child.stats), [child])
+                         self.cost.cpu(child.stats.N), [child])
 
     def hash_dedup(self, child: PhysicalPlan,
                    columns: Optional[Sequence[str]] = None) -> PhysicalPlan:
         stats = self._distinct_stats(child, columns)
         return make_plan("HashDedup", child.schema, EMPTY_ORDER, stats,
-                         self.cost.hash_dedup(child.stats, stats), [child])
+                         self.cost.hash_table(child.stats.N, stats), [child])
 
     def limit(self, child: PhysicalPlan, k: int) -> PhysicalPlan:
         stats = child.stats.with_rows(min(child.stats.N, k))

@@ -4,9 +4,10 @@ A :class:`PhysicalPlan` is an immutable costed plan node; trees of them
 are what the optimizer searches over and what phase-2 refinement
 rewrites.  Unlike the engine's operators, physical plans carry
 statistics and estimated costs, so stats-only catalogs (the paper-scale
-optimizer experiments) can be planned without any data.  For
-materialised catalogs, :meth:`PhysicalPlan.to_operator` lowers a plan to
-an executable engine operator tree.
+optimizer experiments) can be planned without any data.  A node's op
+names its row of :data:`~repro.engine.lowering.LOWERINGS`, which gives
+the node's EXPLAIN detail and, for materialised catalogs, the engine
+operator :meth:`PhysicalPlan.to_operator` lowers it to.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
 
 from ..core.sort_order import EMPTY_ORDER, SortOrder
-from ..engine import operators_from_plan  # circular-safe: see engine/lowering.py
+from ..engine.lowering import LOWERINGS, operators_from_plan
 from ..storage.schema import Schema
 from ..storage.statistics import StatsView
 
@@ -25,9 +26,10 @@ class PhysicalPlan:
     """One physical operator with children, statistics and cost.
 
     ``args`` holds operator-specific payload (table name, predicate,
-    target order, …) keyed by convention per ``op``: written by the op's
+    known prefix, …) keyed by convention per ``op``: written by the op's
     constructor on :class:`~repro.optimizer.manual.PlanBuilder`, read by
-    :mod:`repro.engine.lowering`, which has the authoritative list.
+    the op's row of :data:`~repro.engine.lowering.LOWERINGS`, which also
+    gives the node's EXPLAIN detail.
     """
 
     op: str
@@ -77,35 +79,9 @@ class PhysicalPlan:
 
     # -- presentation ------------------------------------------------------------------
     def describe(self) -> str:
-        detail = {
-            "TableScan": lambda: self.arg("table"),
-            "ShardedScan": lambda: (f"{self.arg('table')} shard "
-                                    f"{self.arg('shard_index')}/{self.arg('shard_count')}"),
-            "RangePartitionScan": lambda: (
-                f"{self.arg('table')} partition "
-                f"{self.arg('partition_index')}/{self.arg('partition_count')}"),
-            "ExchangeUnion": lambda: f"{len(self.children)} shards",
-            "MergeExchange": lambda: (
-                f"{len(self.children)} shards on {self.order}"
-                + (", disjoint concat" if self.arg("disjoint") else "")),
-            "SortedCombine": lambda: f"combine by {self.order}",
-            "ClusteringIndexScan": lambda: f"{self.arg('table')} {self.order}",
-            "CoveringIndexScan": lambda: f"{self.arg('table')}.{self.arg('index')} {self.order}",
-            "Filter": lambda: f"{self.arg('predicate')}",
-            "Project": lambda: ", ".join(self.schema.names),
-            "Compute": lambda: ", ".join(n for n, _ in self.arg("outputs", ())),
-            "Sort": lambda: f"ε --> {self.order}",
-            "PartialSort": lambda: f"{self.arg('prefix')} --> {self.order}",
-            "MergeJoin": lambda: f"{self.arg('predicate')} on {self.order}",
-            "HashJoin": lambda: f"{self.arg('predicate')}",
-            "SortAggregate": lambda: f"by {self.order}",
-            "HashAggregate": lambda: f"by {{{', '.join(self.arg('group_columns', ()))}}}",
-            "MergeUnion": lambda: f"on {self.order}",
-            "Dedup": lambda: f"on {self.order}",
-        }.get(self.op)
-        join_type = self.arg("join_type")
-        suffix = f" [{join_type} outer]" if join_type in ("left", "full") else ""
-        return (detail() if detail else "") + suffix
+        """This node's EXPLAIN detail, from its lowering row."""
+        row = LOWERINGS.get(self.op)
+        return row.detail(self) if row else ""
 
     def label(self) -> str:
         """``op (describe) [order: …]``: this node's line in EXPLAIN and

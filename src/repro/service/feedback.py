@@ -33,13 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.lowering import _TABLE_SCAN_OPS
+from ..engine.lowering import LOWERINGS
 
 #: Meter-tag prefixes whose actual row counts describe a base table (the
-#: tag's suffix after ``:`` names it): the table-scan ops minus
-#: covering-index scans, whose row counts describe the index, not the
-#: table.
-SCAN_TAG_OPS = _TABLE_SCAN_OPS - {"CoveringIndexScan"}
+#: tag's suffix after ``:`` names it): the ops lowered over a catalog
+#: table — not covering-index scans, whose row counts describe the
+#: index, not the table.
+SCAN_TAG_OPS = frozenset(op for op, row in LOWERINGS.items()
+                         if "table" in row.args)
 
 
 @dataclass(frozen=True)

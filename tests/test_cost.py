@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sort_order import AttributeEquivalence, EMPTY_ORDER, SortOrder
+from repro.expr.aggregates import count_star
 from repro.optimizer.cost import CostModel
 from repro.storage import Schema, StatsView, SystemParameters
 
@@ -98,37 +99,62 @@ class TestPartialSortFormula:
         assert 0 <= partial <= full * 1.01
 
 
+def builder(params=None, **tables):
+    """A :class:`PlanBuilder` over stats-only tables of SCHEMA's widths,
+    *tables* mapping each name to ``(rows, distinct values of its a)``;
+    each table's columns carry its name as a prefix."""
+    from repro.optimizer.manual import PlanBuilder
+    from repro.storage import Catalog, TableStats
+
+    catalog = Catalog(params or SystemParameters())
+    for name, (rows, distinct) in tables.items():
+        catalog.create_table(
+            name, Schema.of(*((f"{name}_{c.name}", c.type, c.avg_size)
+                              for c in SCHEMA)),
+            stats=TableStats(rows, {f"{name}_a": distinct}))
+    return PlanBuilder(catalog)
+
+
 class TestOperatorCosts:
+    """Each operator's cost, as its :class:`PlanBuilder` constructor
+    writes it on the node it builds."""
+
     def test_scan_is_blocks(self):
-        cm = make()
-        s = stats(10_000)
-        assert cm.table_scan(s) == s.B(4096)
+        scan = builder(t=(10_000, 100)).table_scan("t")
+        assert scan.self_cost == scan.stats.B(4096)
 
     def test_index_scan_uses_entry_width(self):
-        cm = make()
-        assert cm.index_scan(10_000, 20) < cm.index_scan(10_000, 200)
+        b = builder(t=(10_000, 100))
+        b.catalog.create_index("narrow", "t", SortOrder(["t_c"]))
+        b.catalog.create_index("wide", "t", SortOrder(["t_c"]),
+                               included=["t_a", "t_b"])
+        assert b.covering_scan("t", "narrow").self_cost < \
+            b.covering_scan("t", "wide").self_cost
 
     def test_hash_join_spill_penalty(self):
-        params = SystemParameters(sort_memory_blocks=5)
-        cm = make(params)
-        big = stats(100_000)
-        small = stats(100)
-        assert cm.hash_join(big, small, 100) > \
-            cm.hash_join(small, big, 100)  # build side drives the spill
+        b = builder(SystemParameters(sort_memory_blocks=5),
+                    big=(100_000, 100), small=(100, 100))
+        big, small = b.table_scan("big"), b.table_scan("small")
+        # The build side drives the spill.
+        assert b.hash_join(big, small, [("big_a", "small_a")]).self_cost > \
+            b.hash_join(small, big, [("small_a", "big_a")]).self_cost
 
     def test_merge_join_linear(self):
-        cm = make()
-        a, b = stats(1000), stats(2000)
-        assert cm.merge_join(a, b, 100) == pytest.approx(
-            cm.cpu(1000 + 2000 + 100))
+        b = builder(l=(1000, 100), r=(2000, 100))
+        join = b.merge_join(b.table_scan("l"), b.table_scan("r"),
+                            [("l_a", "r_a")], sort_inputs=False)
+        assert join.self_cost == pytest.approx(
+            b.cost.cpu(1000 + 2000 + join.stats.N))
 
     def test_hash_aggregate_spill(self):
-        params = SystemParameters(sort_memory_blocks=2)
-        cm = make(params)
-        in_stats, out_stats = stats(100_000), stats(90_000)
-        spilled = cm.hash_aggregate(in_stats, out_stats)
-        fit = CostModel(SystemParameters()).hash_aggregate(in_stats, out_stats)
-        assert spilled > fit
+        def aggregate(params):
+            b = builder(params, t=(100_000, 90_000))
+            return b.hash_aggregate(b.table_scan("t"), ["t_a"],
+                                    [count_star("n")])
+        spilled = aggregate(SystemParameters(sort_memory_blocks=2))
+        fit = aggregate(SystemParameters())
+        assert spilled.stats.N == fit.stats.N == 90_000
+        assert spilled.self_cost > fit.self_cost
 
     def test_cpu_translation(self):
         cm = make(SystemParameters(cpu_comparisons_per_io=100.0))

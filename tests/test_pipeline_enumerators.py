@@ -273,16 +273,67 @@ def _unlike_the_builders(catalog, query, plan):
     return unlike
 
 
+class _ReadArgs:
+    """A plan node that records the names of the args read from it."""
+
+    def __init__(self, node):
+        self.node, self.read = node, set()
+
+    def __getattr__(self, name):
+        return getattr(self.node, name)
+
+    def arg(self, name, default=None):
+        self.read.add(name)
+        return self.node.arg(name, default)
+
+
+def _unlike_its_lowering_row(catalog, plan):
+    """Nodes of *plan* whose op has no lowering row, or whose row —
+    lowering and EXPLAIN detail — reads an arg the node's constructor
+    did not write or leaves one unread (but ``logical``, the
+    back-reference phase-2 refinement reads)."""
+    from repro.engine.lowering import LOWERINGS, lower_node
+    from repro.engine.scans import RowSource
+
+    unlike = []
+    for node in plan.walk():
+        if node.op not in LOWERINGS:
+            unlike.append((node.op, "no row"))
+            continue
+        reads = _ReadArgs(node)
+        lower_node(reads, [RowSource(c.schema, []) for c in node.children],
+                   catalog)
+        LOWERINGS[node.op].detail(reads)
+        written = {name for name, _ in node.args}
+        if reads.read - written or written - reads.read - {"logical"}:
+            unlike.append((node.op, sorted(reads.read), sorted(written)))
+    return unlike
+
+
 def test_every_planned_node_is_what_the_builder_makes_of_its_children():
     """Op, schema, order, row count, distincts and cost of every node of
-    the golden plans and the fuzz corpus follow from the node's children
-    by the public :class:`PlanBuilder` rule — the one hand-built baseline
-    plans are made by, so the two are comparable on estimated cost."""
+    the golden plans, the fuzz corpus and the hand-built baseline plans
+    follow from the node's children by the public :class:`PlanBuilder`
+    rule — the one the baselines are made by, so the two are comparable
+    on estimated cost.  Every node's lowering row reads exactly the args
+    its constructor wrote, and every row is reached."""
     import test_plan_fuzz as fuzz
+    from repro.engine.lowering import LOWERINGS
+    from repro.optimizer import baselines
+
+    fig16 = fig16_cases()
     cases = [(name, catalog, query, Optimizer(catalog).optimize(query))
-             for name, catalog, query in fig16_cases() + [
+             for name, catalog, query in fig16 + [
                  ("many_join", many_join_catalog(), many_join_query())]]
     cases += [(name, *case) for name, case in _sharded_plans().items()]
+    (_, q3_catalog, q3), (_, q4_catalog, q4) = fig16[:2]
+    cases += [(build.__name__, q3_catalog, q3, build(q3_catalog))
+              for build in (baselines.postgres_default_q3,
+                            baselines.pyro_o_q3, baselines.sys1_default_q3,
+                            baselines.sys1_merge_q3)]
+    cases += [(build.__name__, q4_catalog, q4, build(q4_catalog))
+              for build in (baselines.sys_default_q4, baselines.pyro_o_q4,
+                            baselines.sys2_union_q4)]
     for seed in range(GOLDEN["fuzz"]["seeds"]):
         rng = random.Random(seed)
         catalog = fuzz.random_catalog(rng)
@@ -291,11 +342,14 @@ def test_every_planned_node_is_what_the_builder_makes_of_its_children():
                    QuerySession(catalog).prepare(
                        query, parallelism=parallelism).plan)
                   for parallelism in (1, 4)]
-    nodes = 0
+    nodes, ops = 0, set()
     for name, catalog, query, plan in cases:
         assert _unlike_the_builders(catalog, query, plan) == [], name
+        assert _unlike_its_lowering_row(catalog, plan) == [], name
         nodes += sum(1 for _ in plan.walk())
+        ops.update(node.op for node in plan.walk())
     assert nodes > 700
+    assert set(LOWERINGS) - ops == set()
 
 
 # -- registry and pre-check --------------------------------------------------------------
