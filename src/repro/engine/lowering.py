@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, NamedTuple, Optional, TYPE_CHECKING
 
+from ..core.sort_order import SortOrder
 from .aggregates import HashAggregate, SortAggregate, SortedGroupCombine
 from .basic import Compute, Filter, Limit, Project, Sort
 from .exchange import ExchangeUnion, MergeExchange
@@ -84,8 +85,10 @@ LOWERINGS: dict[str, Lowering] = {
     "Sort": Lowering(Sort, ("order", "prefix"), lambda p: f"ε --> {p.order}"),
     "PartialSort": Lowering(_partial_sort, ("order", "prefix"),
                             lambda p: f"{p.arg('prefix')} --> {p.order}"),
+    # The merge key, not the output order: a FULL OUTER join claims none.
     "MergeJoin": Lowering(MergeJoin, ("predicate", "join_type"),
-                          lambda p: f"{p.arg('predicate')} on {p.order}{_outer(p)}"),
+                          lambda p: f"{p.arg('predicate')} on "
+                          f"{SortOrder(p.arg('predicate').left_columns)}{_outer(p)}"),
     "HashJoin": Lowering(HashJoin, ("predicate", "join_type"),
                          lambda p: f"{p.arg('predicate')}{_outer(p)}"),
     "SortAggregate": Lowering(SortAggregate, ("order", "aggregates", "group_columns"),

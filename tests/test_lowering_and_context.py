@@ -275,6 +275,21 @@ class TestLowering:
         assert plan.describe()
         assert plan.arg("missing", 42) == 42
 
+    def test_full_outer_merge_join_names_its_merge_key(self):
+        """A FULL OUTER merge join claims no output order, yet EXPLAIN
+        names the permutation it merges on, as for the other joins."""
+        from repro.workloads import identical_r_tables, query4
+
+        plan = Optimizer(identical_r_tables(2000),
+                         enable_hash_join=False).optimize(query4())
+        joins = plan.find_all("MergeJoin")
+        assert [join.order for join in joins] == [EMPTY_ORDER, EMPTY_ORDER]
+        assert [join.describe() for join in joins] == [
+            "r1_c1=r3_c1 AND r1_c4=r3_c4 AND r1_c5=r3_c5"
+            " on (r1_c1, r1_c4, r1_c5) [full outer]",
+            "r1_c3=r2_c3 AND r1_c4=r2_c4 AND r1_c5=r2_c5"
+            " on (r1_c3, r1_c4, r1_c5) [full outer]"]
+
 
 class TestPaperClaims:
     """Integration checks of headline statements in the paper's text."""
