@@ -12,6 +12,7 @@ Run:  python examples/serving_quickstart.py
 import random
 
 from repro.core.sort_order import SortOrder
+from repro.engine import ExecutionContext
 from repro.expr import col, param
 from repro.expr.aggregates import agg_sum, count_star
 from repro.logical import Query
@@ -80,11 +81,11 @@ def main() -> None:
     # Parallelism is a planning input: preparing for a 4-way fan-out
     # lets the search shard scans and place enforcers per shard where
     # that pays (its own cache entry); execution runs the plan as
-    # planned.  batch_size only changes execution granularity.  Answers
-    # are identical.
+    # planned.  The execution context's batch_size only changes
+    # execution granularity.  Answers are identical.
     serial = prepared.execute(region="region3")
     sharded = session.prepare(template, parallelism=4).execute(
-        region="region3", batch_size=2048)
+        ExecutionContext(catalog, batch_size=2048), region="region3")
     print(f"\nPlan prepared for parallelism=4 matches serial: "
           f"{serial == sharded} (batch_size=2048)")
 

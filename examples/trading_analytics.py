@@ -24,10 +24,10 @@ def main() -> None:
                     ("Q6 basket analytics", query6())):
         costs = {}
         for s in STRATEGIES:
-            refine = s in ("pyro-o", "pyro-o-")
             opt = Optimizer(stats, strategy=s, enable_hash_join=False,
-                            enable_hash_aggregate=False)
-            costs[s] = opt.optimize(q, refine=refine).total_cost
+                            enable_hash_aggregate=False,
+                            refine=s in ("pyro-o", "pyro-o-"))
+            costs[s] = opt.optimize(q).total_cost
         print(f"{name:<20}" + "".join(
             f"{100 * costs[s] / costs['pyro-e']:>9.1f}" for s in STRATEGIES))
 

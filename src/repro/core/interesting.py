@@ -17,11 +17,12 @@ paper evaluates in Figure 15:
 ``PYRO-E``   all n! permutations (exhaustive; optimal reference)
 ===========  =====================================================================
 
-``PYRO-O−`` differs from ``PYRO-O`` only in the optimizer flag, so this
-module exposes four strategy classes plus :func:`make_strategy` which
-also wires that flag.  :class:`ForcedOrderStrategy` overlays explicit
-permutations on chosen join nodes — the mechanism phase-2 refinement
-uses to re-plan with reworked orders.
+``PYRO-O−`` differs from ``PYRO-O`` only in denying partial sorts, so
+this module exposes four strategy classes plus :func:`make_strategy`,
+which sets the registry's flag on the instance it builds
+(:attr:`OrderStrategy.partial_sorts`).  :class:`ForcedOrderStrategy`
+overlays explicit permutations on chosen join nodes — the mechanism
+phase-2 refinement uses to re-plan with reworked orders.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class OrderStrategy:
     flexible attribute set."""
 
     name = "abstract"
+    #: Whether the search may enforce an order with a partial sort.
+    partial_sorts = True
 
     def join_orders(self, octx: OrderContext, join: Join,
                     required: SortOrder) -> list[SortOrder]:
@@ -244,6 +247,7 @@ class ForcedOrderStrategy(OrderStrategy):
                  forced: dict[LogicalExpr, SortOrder]) -> None:
         self.base = base
         self.forced = dict(forced)
+        self.partial_sorts = base.partial_sorts
 
     def join_orders(self, octx, join, required):
         forced = self.forced.get(join)
@@ -268,13 +272,15 @@ STRATEGY_VARIANTS = {
 }
 
 
-def make_strategy(name: str) -> tuple[OrderStrategy, bool]:
-    """Return ``(strategy instance, partial_sort_enabled)`` for a variant
-    name as used in the paper's Figure 15."""
+def make_strategy(name: str) -> OrderStrategy:
+    """The strategy for a variant name as used in the paper's Figure 15,
+    with its registry flag as :attr:`OrderStrategy.partial_sorts`."""
     try:
         cls, partial = STRATEGY_VARIANTS[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown strategy {name!r}; have {sorted(STRATEGY_VARIANTS)}"
         ) from None
-    return cls(), partial
+    strategy = cls()
+    strategy.partial_sorts = partial
+    return strategy

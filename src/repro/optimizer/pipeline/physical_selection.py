@@ -258,7 +258,7 @@ class PhysicalSelection:
         translated = self._translate_order(target, plan.schema, eq)
         if translated is None:
             return None
-        partial_ok = self.config.partial_sort_enforcers
+        partial_ok = self.strategy.partial_sorts
         if not shardable_enforcement_input(plan, self.catalog,
                                            self.config.parallelism):
             # No below-the-exchange placement can undercut the post-union

@@ -12,7 +12,7 @@ fully-resolved configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union as TUnion
 
 from ...core.interesting import OrderStrategy, make_strategy
@@ -25,8 +25,11 @@ __all__ = ["OptimizerConfig", "PreCheckError", "run_pre_check"]
 class OptimizerConfig:
     """Feature switches; defaults correspond to PYRO-O."""
 
+    #: Interesting-order strategy: a ``STRATEGY_VARIANTS`` name, whose
+    #: registry flag also decides whether partial sort enforcers exist
+    #: (``"pyro-o-"`` is PYRO-O without them).
     strategy: str = "pyro-o"
-    partial_sort_enforcers: bool = True
+    #: Phase-2 refinement (Section 5.2.2) after the search.
     refine: bool = True
     enable_hash_join: bool = True
     enable_hash_aggregate: bool = True
@@ -52,28 +55,17 @@ class PreCheckError(ValueError):
 
 
 def run_pre_check(config: OptimizerConfig
-                  ) -> tuple[OptimizerConfig, OrderStrategy,
-                             JoinOrderEnumerator]:
-    """Validate *config* and resolve its pluggable pieces.
-
-    Returns a private copy of the config (normalized: registry-driven
-    feature flags applied, never the caller's object) together with the
-    resolved order strategy and join-order enumerator.
+                  ) -> tuple[OrderStrategy, JoinOrderEnumerator]:
+    """Validate *config* and resolve its pluggable pieces: the order
+    strategy (carrying its registry's partial-sort flag) and the
+    join-order enumerator.  The config itself is read, never rewritten.
     """
-    config = replace(config)  # never mutate the caller's config
     if not isinstance(config.parallelism, int) or config.parallelism < 1:
         raise PreCheckError(
             f"parallelism must be a positive int, got {config.parallelism!r}")
     try:
-        strategy, partial = make_strategy(config.strategy)
-    except ValueError as exc:
-        raise PreCheckError(str(exc)) from None
-    if not partial:
-        # Honour the registry flag: any partial-disabled variant in
-        # STRATEGY_VARIANTS (not just "pyro-o-") loses its enforcers.
-        config.partial_sort_enforcers = False
-    try:
+        strategy = make_strategy(config.strategy)
         enumerator = make_enumerator(config.join_enumerator)
     except ValueError as exc:
         raise PreCheckError(str(exc)) from None
-    return config, strategy, enumerator
+    return strategy, enumerator

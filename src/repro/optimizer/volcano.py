@@ -109,8 +109,8 @@ class Optimizer:
         #: refinement, cost_of — reuses this config, strategy and
         #: enumerator, never rebuilt ones.  An unknown option name is a
         #: ``TypeError`` from :class:`OptimizerConfig` itself.
-        self.config, self.strategy, self.enumerator = run_pre_check(
-            OptimizerConfig(**options))
+        self.config = OptimizerConfig(**options)
+        self.strategy, self.enumerator = run_pre_check(self.config)
         #: Per-stage telemetry of the most recent :meth:`optimize` call
         #: (its refinement re-search included); see ``docs/optimizer.md``.
         self.last_telemetry: dict[str, float] = {}
@@ -123,21 +123,18 @@ class Optimizer:
         self.last_groups: Optional[GroupTable] = None
 
     def optimize(self, query, required_order: Optional[SortOrder] = None,
-                 refine: Optional[bool] = None,
                  parallelism: Optional[int] = None) -> PhysicalPlan:
         """Optimize a :class:`Query` (or raw logical tree) to a physical plan.
 
         A root :class:`OrderBy` turns into the required output order.
-        Phase-2 refinement is applied according to the config unless
-        overridden by *refine*.  *parallelism* overrides the config's
-        shard fan-out for this call (the serving layer passes the
-        execution-time knob through).
+        Phase-2 refinement runs when the config's ``refine`` is set.
+        *parallelism* overrides the config's shard fan-out for this call
+        (the serving layer passes the execution-time knob through).
         """
         expr, required = split_required_order(query, required_order)
-        return self._optimize(expr, required, refine, parallelism)
+        return self._optimize(expr, required, parallelism)
 
     def _optimize(self, expr: LogicalExpr, required: SortOrder,
-                  refine: Optional[bool] = None,
                   parallelism: Optional[int] = None,
                   groups: Optional[GroupTable] = None) -> PhysicalPlan:
         """:meth:`optimize` after normalization.  *groups*, a group table
@@ -170,7 +167,7 @@ class Optimizer:
             plan = search.ensure_schema(plan, tree)
             select_span.tag(candidates=1, cost=plan.total_cost)
         effort = {name: getattr(search, name) for name in _SEARCH_COUNTERS}
-        if self.config.refine if refine is None else refine:
+        if self.config.refine:
             # Phase 2 pins orders onto nodes of the tree that was searched
             # (under a reordering enumerator not the as-written one), on
             # that search's group table.

@@ -62,10 +62,14 @@ from ..storage.handoff import catalog_payload
 class ExecutionBackend:
     """Interface: run one executable plan to completion.
 
-    *ctx*, when supplied, receives the execution's counter tallies
-    (simulated I/O, comparisons, sort metrics) — for the process
-    backend these are the worker tallies folded in shard order, so
-    totals match in-process execution's determinism.
+    The plan runs under *ctx*'s settings (``batch_size``,
+    ``check_orders``, ``meter_timing``) wherever it runs — in the
+    calling thread, in a pooled attempt's gather and in every shipped
+    task — and *ctx* receives the execution's counter tallies (simulated
+    I/O, comparisons, sort metrics); for the process backend these are
+    the worker tallies folded in shard order, so totals match in-process
+    execution's determinism.  Without a *ctx* the plan runs under a
+    default :class:`~repro.engine.context.ExecutionContext`.
 
     ``parallelism`` selects nothing: the fan-out a plan was *prepared*
     for is already in the plan, and every backend runs the plan as
@@ -76,8 +80,6 @@ class ExecutionBackend:
     name = "backend"
 
     def run_plan(self, plan, catalog: Catalog, parallelism: int = 1,
-                 batch_size: Optional[int] = None,
-                 check_orders: bool = False,
                  ctx: Optional[ExecutionContext] = None) -> list[tuple]:
         raise NotImplementedError
 
@@ -95,20 +97,15 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def run_plan(self, plan, catalog: Catalog, parallelism: int = 1,
-                 batch_size: Optional[int] = None,
-                 check_orders: bool = False,
                  ctx: Optional[ExecutionContext] = None) -> list[tuple]:
-        return _run_in_process(self.name, plan, catalog, batch_size,
-                               check_orders, ctx)
+        return _run_in_process(self.name, plan, catalog, ctx)
 
 
 def _run_in_process(backend: str, plan, catalog: Catalog,
-                    batch_size: Optional[int], check_orders: bool,
                     ctx: Optional[ExecutionContext]) -> list[tuple]:
     """Run *plan* on the calling thread: the serial backend's execution,
     and the process backend's for a whole plan on an idle backend."""
-    ctx = ctx or ExecutionContext(catalog, batch_size=batch_size,
-                                  check_orders=check_orders)
+    ctx = ctx or ExecutionContext(catalog)
     # child_span is ambient: a no-op unless the caller is inside an
     # active trace (the server's execute span), so untraced paths pay
     # one ContextVar read.
@@ -288,8 +285,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # -- execution -------------------------------------------------------------------
     def run_plan(self, plan, catalog: Catalog, parallelism: int = 1,
-                 batch_size: Optional[int] = None,
-                 check_orders: bool = False,
                  ctx: Optional[ExecutionContext] = None) -> list[tuple]:
         occurrences, _ = shard_subplans(plan)
         # A worker buys an exchange-free plan nothing while no other
@@ -301,10 +296,8 @@ class ProcessPoolBackend(ExecutionBackend):
             self._in_flight += 1
         try:
             if not here:
-                return self._run_pooled(plan, catalog, batch_size,
-                                        check_orders, ctx)
-            rows = _run_in_process(self.name, plan, catalog, batch_size,
-                                   check_orders, ctx)
+                return self._run_pooled(plan, catalog, ctx)
+            rows = _run_in_process(self.name, plan, catalog, ctx)
             with self._lock:
                 self._telemetry["local_queries"] += 1
             return rows
@@ -313,8 +306,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._in_flight -= 1
 
     def _run_pooled(self, plan, catalog: Catalog,
-                    batch_size: Optional[int] = None,
-                    check_orders: bool = False,
                     ctx: Optional[ExecutionContext] = None) -> list[tuple]:
         """Run *plan* on the pool, whatever else is in flight: its shard
         tasks, or the whole plan as one task."""
@@ -322,15 +313,14 @@ class ProcessPoolBackend(ExecutionBackend):
         # run_plan's signature stays trace-free for third-party
         # backends, and untraced queries pay one ContextVar read.
         parent = active_span()
-        meter_timing = ctx is not None and ctx.meter_timing
+        ctx = ctx or ExecutionContext(catalog)
         occurrences, tasks = shard_subplans(plan)
         attempts = 0
         while True:
             handle = self._ensure_pool()
             try:
                 rows, local = self._run_tasks(
-                    handle, plan, occurrences, tasks, catalog,
-                    batch_size, check_orders, parent, meter_timing,
+                    handle, plan, occurrences, tasks, catalog, ctx, parent,
                     attempts)
                 break
             except BrokenExecutor:
@@ -353,8 +343,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     raise
         if parent is not None and attempts:
             parent.tag(retries=attempts)
-        if ctx is not None:
-            ctx.absorb_tallies(local.tallies())
+        ctx.absorb_tallies(local.tallies())
         return rows
 
     @staticmethod
@@ -420,13 +409,15 @@ class ProcessPoolBackend(ExecutionBackend):
             parent.trace.attach(records, base_offset=base)
 
     def _run_tasks(self, handle: _PoolHandle, plan, occurrences, tasks,
-                   catalog: Catalog, batch_size, check_orders,
-                   parent=None, meter_timing: bool = False,
+                   catalog: Catalog, ctx: ExecutionContext, parent=None,
                    attempt: int = 0) -> tuple[list[tuple], ExecutionContext]:
         """Ship every task, gather the futures' rows through the
         re-assembled plan, then fold every task's tallies in task order.
-        A ``LIMIT`` may stop the gather before it read every task; the
-        fold still waits for them all, so every shard's work counts."""
+        The gather and every task run under *ctx*'s settings; the
+        tallies land in a context of this attempt's own, so a retried
+        attempt's partial work is not counted.  A ``LIMIT`` may stop the
+        gather before it read every task; the fold still waits for them
+        all, so every shard's work counts."""
         futures = []
         spans = []
         done_at: list[Optional[float]] = [None] * len(tasks)
@@ -435,15 +426,15 @@ class ProcessPoolBackend(ExecutionBackend):
                 span, trace_ctx = self._dispatch_span(parent, i, attempt)
                 spans.append(span)
                 future = handle.pool.submit(
-                    execute_subplan, task, batch_size, check_orders,
-                    meter_timing, trace_ctx)
+                    execute_subplan, task, ctx.batch_size, ctx.check_orders,
+                    ctx.meter_timing, trace_ctx)
                 future.add_done_callback(_stamp_done(done_at, i))
                 futures.append(future)
 
             root = assemble_tasks(plan, occurrences, futures, catalog)
-            local = ExecutionContext(catalog, batch_size=batch_size,
-                                     check_orders=check_orders,
-                                     meter_timing=meter_timing)
+            local = ExecutionContext(catalog, batch_size=ctx.batch_size,
+                                     check_orders=ctx.check_orders,
+                                     meter_timing=ctx.meter_timing)
             # The "merge" span covers the gather, its waits for the
             # shards included.  A whole-plan task merges nothing, so it
             # opens none.

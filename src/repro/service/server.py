@@ -294,7 +294,7 @@ class QueryServer:
                       deadline: Optional[float], trace: Optional[Trace],
                       root, queue_span, query,
                       required_order: Optional[SortOrder],
-                      parallelism: int, batch_size: Optional[int],
+                      parallelism: int, ctx: ExecutionContext,
                       binds: dict[str, Any]) -> QueryResult:
         """Serve one admitted query with the *session* of the slot the
         calling thread holds; the arguments after it are what
@@ -322,16 +322,13 @@ class QueryServer:
                                            parallelism=parallelism)
                 with child_span("bind", params=len(binds)):
                     plan = prepared.bind(**binds)
-                # The execution's tallies land in this ctx (the process
+                # The execution's tallies land in ctx (the process
                 # backend folds worker tallies into it): feedback checks
                 # estimated-vs-actual drift, tracing feeds EXPLAIN ANALYZE.
-                ctx = ExecutionContext(self.catalog, batch_size=batch_size,
-                                       meter_timing=trace is not None)
                 try:
                     with child_span("execute",
                                     backend=self.backend.name) as espan:
                         rows = self.backend.run_plan(plan, self.catalog,
-                                                     batch_size=batch_size,
                                                      ctx=ctx)
                         espan.tag(rows=len(rows))
                 except Exception:
@@ -448,8 +445,12 @@ class QueryServer:
             # a slot for the query — the gap IS the queue wait.
             queue_span = tr.begin("queue_wait", parent_id=root.span_id)
         deadline = None if timeout is None else time.monotonic() + timeout
+        # The one statement of how the query executes: the backend runs
+        # the plan under this context's settings, wherever it runs.
+        ctx = ExecutionContext(self.catalog, batch_size=batch_size,
+                               meter_timing=tr is not None)
         return (outcome, deadline, tr, root, queue_span, query, required_order,
-                parallelism, batch_size, binds), timeout
+                parallelism, ctx, binds), timeout
 
     def _run_in_slot(self, admitted: tuple) -> QueryResult:
         """A dispatch-pool task: wait for a slot, serve, give it back."""

@@ -28,8 +28,9 @@ on the group table of the session's previous search of that query
 (statistics-free), unless an index landed on one of its tables or the
 join enumerator rebuilt its tree.
 
-Execution is batch-vectorized: ``execute`` accepts a ``batch_size``
-(rows per :class:`~repro.engine.batch.RowBatch`).  ``parallelism`` is a
+Execution is batch-vectorized: ``execute`` runs under an
+:class:`~repro.engine.context.ExecutionContext`, whose ``batch_size`` is
+the rows per :class:`~repro.engine.batch.RowBatch`.  ``parallelism`` is a
 *planning* input: ``prepare(parallelism=k)`` lets the search place shard
 fan-outs and per-shard enforcers where they pay (and salts the cache
 key); execution runs the plan exactly as planned.
@@ -181,17 +182,13 @@ class PreparedQuery:
         return BoundPlan(self.prepared, binds)
 
     def execute(self, ctx: Optional[ExecutionContext] = None,
-                batch_size: Optional[int] = None,
                 **binds: Any) -> list[tuple]:
-        """Run the plan, exactly as planned, on the batched engine.
-
-        ``batch_size`` sets the rows-per-batch of a context created here
-        (ignored when *ctx* is supplied).
-        """
+        """Run the plan, exactly as planned, on the batched engine,
+        under *ctx* (its ``batch_size``, ``check_orders`` and
+        ``meter_timing``; a default context when none is given)."""
         plan = self.bind(**binds)
         self.session.metrics.executions += 1
-        ctx = ctx or ExecutionContext(self.session.catalog,
-                                      batch_size=batch_size)
+        ctx = ctx or ExecutionContext(self.session.catalog)
         rows = plan.execute(self.session.catalog, ctx)
         self.session.observe_execution(self, ctx)
         return rows
@@ -326,11 +323,10 @@ class QuerySession:
     def execute(self, query: TUnion[Query, LogicalExpr],
                 required_order: Optional[SortOrder] = None,
                 ctx: Optional[ExecutionContext] = None,
-                parallelism: int = 1, batch_size: Optional[int] = None,
-                **binds: Any) -> list[tuple]:
+                parallelism: int = 1, **binds: Any) -> list[tuple]:
         """Prepare (served from cache when possible) and execute."""
-        return self.prepare(query, required_order, parallelism=parallelism).execute(
-            ctx, batch_size=batch_size, **binds)
+        return self.prepare(query, required_order,
+                            parallelism=parallelism).execute(ctx, **binds)
 
     def explain(self, query: TUnion[Query, LogicalExpr],
                 required_order: Optional[SortOrder] = None,

@@ -174,5 +174,7 @@ class TestSessionKnobs:
     def test_session_batch_size_knob(self, catalog):
         from repro.service import QuerySession
         session = QuerySession(catalog)
-        assert session.execute(self.query(), batch_size=1) == \
-            session.execute(self.query(), batch_size=4096)
+        assert session.execute(
+            self.query(), ctx=ExecutionContext(catalog, batch_size=1)) == \
+            session.execute(self.query(),
+                            ctx=ExecutionContext(catalog, batch_size=4096))

@@ -121,10 +121,12 @@ def test_limit_row_parity(tpch_mini):
              .order_by("ps_partkey", "ps_suppkey")
              .limit(25))
     session = QuerySession(tpch_mini)
-    reference = session.execute(query, batch_size=1)
+    reference = session.execute(
+        query, ctx=ExecutionContext(tpch_mini, batch_size=1))
     assert len(reference) == 25
     for batch_size in BATCH_SIZES[1:]:
-        assert session.execute(query, batch_size=batch_size) == reference
+        assert session.execute(query, ctx=ExecutionContext(
+            tpch_mini, batch_size=batch_size)) == reference
 
 
 def test_parallel_execution_row_parity(tpch_mini, query3):

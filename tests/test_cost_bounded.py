@@ -1,6 +1,7 @@
 """Cost-bounded (branch-and-bound) search invariants and regression
 tests for the strategy-flag, sort-capacity and union-stats bugfixes."""
 
+import dataclasses
 import math
 import random
 
@@ -27,11 +28,8 @@ def _run_goal(cat, query, strategy, prune):
     required = EMPTY_ORDER
     if isinstance(expr, OrderBy):
         required, expr = expr.order, expr.child
-    strat, partial = make_strategy(strategy)
-    config = OptimizerConfig(strategy=strategy,
-                             partial_sort_enforcers=partial,
-                             cost_bound_pruning=prune)
-    run = PhysicalSelection(cat, expr, strat, config)
+    config = OptimizerConfig(strategy=strategy, cost_bound_pruning=prune)
+    run = PhysicalSelection(cat, expr, make_strategy(strategy), config)
     plan = run.optimize_goal(expr, required)
     return plan, run
 
@@ -66,7 +64,7 @@ class TestBranchAndBound:
         q = query5()
         _, run = _run_goal(cat, q, "pyro-o", True)
         expr = q.expr.child if isinstance(q.expr, OrderBy) else q.expr
-        fresh = PhysicalSelection(cat, expr, make_strategy("pyro-o")[0],
+        fresh = PhysicalSelection(cat, expr, make_strategy("pyro-o"),
                                 OptimizerConfig())
         assert fresh.optimize_goal(expr, EMPTY_ORDER, limit=0.0) is None
         assert fresh.goals_pruned == 1
@@ -84,7 +82,7 @@ class TestBranchAndBound:
             stats=TableStats(100_000, {"a": 50, "b": 5000}),
             clustering_order=SortOrder(["a"]))
         expr = Query.table("r").expr
-        run = PhysicalSelection(cat, expr, make_strategy("pyro-o")[0],
+        run = PhysicalSelection(cat, expr, make_strategy("pyro-o"),
                               OptimizerConfig())
         scan = run.optimize_goal(expr, EMPTY_ORDER)
         enforced = run.enforce(scan, SortOrder(["b"]))
@@ -116,7 +114,7 @@ class TestFailureMemo:
             stats=TableStats(500_000, {"a": 50, "b": 5000}),
             clustering_order=SortOrder(["a"]))
         expr = Query.table("r").expr
-        run = PhysicalSelection(cat, expr, make_strategy("pyro-o")[0],
+        run = PhysicalSelection(cat, expr, make_strategy("pyro-o"),
                               OptimizerConfig())
         return run, expr
 
@@ -148,7 +146,7 @@ class TestFailureMemo:
         run, expr = run_and_goal
         required = SortOrder(["b"])
         unbounded = PhysicalSelection(run.catalog, expr,
-                                    make_strategy("pyro-o")[0],
+                                    make_strategy("pyro-o"),
                                     OptimizerConfig(cost_bound_pruning=False))
         exact = unbounded.optimize_goal(expr, required)
         bounded = run.optimize_goal(expr, required,
@@ -162,7 +160,7 @@ class TestFailureMemo:
         just above the optimum must succeed after a failure just below."""
         run, expr = run_and_goal
         required = SortOrder(["b"])
-        probe = PhysicalSelection(run.catalog, expr, make_strategy("pyro-o")[0],
+        probe = PhysicalSelection(run.catalog, expr, make_strategy("pyro-o"),
                                 OptimizerConfig(cost_bound_pruning=False))
         optimum = probe.optimize_goal(expr, required).total_cost
         assert run.optimize_goal(expr, required, limit=optimum * 0.5) is None
@@ -202,22 +200,21 @@ class TestStrategyFlagRegression:
         monkeypatch.setitem(STRATEGY_VARIANTS, "pyro-p-",
                             (PostgresHeuristicStrategy, False))
         opt = Optimizer(stats_catalog, strategy="pyro-p-")
-        assert opt.config.partial_sort_enforcers is False
+        assert opt.strategy.partial_sorts is False
         plan = opt.optimize(Query.table("r").order_by("a", "b"))
         assert plan.op == "Sort"  # not PartialSort
 
     def test_pyro_o_minus_still_disables_partial(self, stats_catalog):
         opt = Optimizer(stats_catalog, strategy="pyro-o-")
-        assert opt.config.partial_sort_enforcers is False
+        assert opt.strategy.partial_sorts is False
 
     def test_caller_config_not_mutated(self):
         config = OptimizerConfig(strategy="pyro-o-", enable_hash_join=False)
-        assert config.partial_sort_enforcers is True
-        checked, _, _ = run_pre_check(config)
-        # Pre-check's working copy changed; the caller's object did not.
-        assert checked.partial_sort_enforcers is False
-        assert checked.enable_hash_join is False
-        assert config.partial_sort_enforcers is True
+        before = dataclasses.replace(config)
+        strategy, _ = run_pre_check(config)
+        # The strategy carries the registry flag; the config is only read.
+        assert strategy.partial_sorts is False
+        assert config == before
 
 
 class TestSortCapacityRegression:

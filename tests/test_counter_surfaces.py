@@ -158,8 +158,7 @@ class _GateBackend(ExecutionBackend):
         self.started = threading.Semaphore(0)
         self.fail = False
 
-    def run_plan(self, plan, catalog, parallelism=1, batch_size=None,
-                 check_orders=False, ctx=None):
+    def run_plan(self, plan, catalog, parallelism=1, ctx=None):
         self.started.release()
         assert self.gate.wait(timeout=10)
         if self.fail:

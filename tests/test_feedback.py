@@ -305,7 +305,8 @@ class TestDriftReoptimization:
         # Small batches so the lazy scan stops almost immediately: the
         # scan meter reads ~64 of 2000 estimated rows — way past the
         # drift threshold.
-        session.execute(Query.table("u1").limit(5), batch_size=64)
+        session.execute(Query.table("u1").limit(5),
+                        ctx=ExecutionContext(catalog, batch_size=64))
         assert session.metrics.drift_checks == 1
         assert session.metrics.drift_events == 1
         assert session.metrics.feedback_refreshes == 0

@@ -124,10 +124,8 @@ class TestRegistry:
                                           "pyro-o-", "pyro-e"}
 
     def test_make_strategy_partial_flag(self):
-        _, partial_o = make_strategy("pyro-o")
-        _, partial_minus = make_strategy("pyro-o-")
-        assert partial_o is True
-        assert partial_minus is False
+        assert make_strategy("pyro-o").partial_sorts is True
+        assert make_strategy("pyro-o-").partial_sorts is False
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):

@@ -255,7 +255,8 @@ def test_a_compute_over_outer_join_padding_falls_back_per_batch():
     query = (Query.table("l").left_outer_join("r", on=[("lk", "rk")])
              .compute(w=col("rv") + 1).select("lk", "w").order_by("lk"))
     before = kernel_stats()["kernel_fallbacks"]
-    rows = QuerySession(cat).execute(query, batch_size=10)
+    rows = QuerySession(cat).execute(
+        query, ctx=ExecutionContext(cat, batch_size=10))
     assert rows == [(i, None if i % 10 == 9 else i + 1) for i in range(40)]
     assert kernel_stats()["kernel_fallbacks"] - before >= 1
 
@@ -410,8 +411,9 @@ def test_compute_without_outputs_passes_rows_through(batch_size):
     rows = [(i, i % 3) for i in range(20)]
     cat.create_table("t", Schema.of(("k", "int", 8), ("v", "int", 8)),
                      rows=rows)
-    got = QuerySession(cat).execute(Query.table("t").compute(),
-                                    batch_size=batch_size)
+    got = QuerySession(cat).execute(
+        Query.table("t").compute(),
+        ctx=ExecutionContext(cat, batch_size=batch_size))
     assert got == rows
 
 

@@ -16,38 +16,54 @@ from repro.optimizer.manual import PlanBuilder
 from repro.storage import Catalog, Schema, SystemParameters
 
 
+def _name(node) -> str:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
 def test_engine_never_imports_the_cost_model():
     """Where an enforcer goes, and which scans fan out, is decided inside
     the optimizer's search: no engine module may import the cost model
     (at module level or inside a function), and no engine or service
-    module may define or call a scan-sharding rewrite — shard scans come
-    into being only where ``lowering.py`` lowers the plan's own nodes (a
-    ``TableScan`` given a shard spec is a shard scan too)."""
+    module may define or call a scan-sharding rewrite.  Shard scans come
+    into being only where ``lowering.py`` lowers the plan's own nodes:
+    outside it, ``scans.py`` (the definitions) and ``engine/__init__.py``
+    (the re-export), no module names ``RangePartitionScan`` at all, nor
+    hands a ``TableScan`` a shard spec (more than one argument, also
+    through a ``functools.partial``)."""
     shard_builders = {"ShardedScan", "RangePartitionScan", "shard_scans",
                       "TableScan(shard)"}
     offenders = []
     engine_dir = Path(repro.engine.__file__).parent
     service_dir = Path(repro.service.__file__).parent
+    homes = {engine_dir / name
+             for name in ("lowering.py", "scans.py", "__init__.py")}
     for path in sorted([*engine_dir.glob("*.py"), *service_dir.glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text())):
-            imported, called = [], None
+            imported, named = [], None
             if isinstance(node, ast.ImportFrom):
                 module = node.module or ""
                 imported = [f"{module}.{alias.name}" for alias in node.names]
             elif isinstance(node, ast.Import):
                 imported = [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                named = _name(node)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named = node.name
             elif isinstance(node, ast.Call):
-                called = getattr(node.func, "id",
-                                 getattr(node.func, "attr", None))
-                if called == "TableScan" and len(node.args) + len(node.keywords) > 1:
-                    called = "TableScan(shard)"
-            elif isinstance(node, ast.FunctionDef):
-                called = node.name
+                # TableScan as the callee or as an argument (a partial):
+                # more than one argument after it is a shard spec.
+                callee = [node.func, *node.args]
+                at = [i for i, arg in enumerate(callee)
+                      if _name(arg) == "TableScan"]
+                if at and len(callee) + len(node.keywords) - at[0] > 2:
+                    named = "TableScan(shard)"
             if path.parent == engine_dir and any(
                     "optimizer.cost" in name for name in imported):
                 offenders.append(f"{path.name}:{node.lineno}")
-            if called in shard_builders and path.name != "lowering.py":
-                offenders.append(f"{path.name}:{node.lineno} {called}")
+            names = {named, *(name.rsplit(".", 1)[-1] for name in imported)}
+            if names & shard_builders and path not in homes:
+                offenders.append(f"{path.name}:{node.lineno} "
+                                 f"{sorted(names & shard_builders)}")
     assert offenders == []
 
 

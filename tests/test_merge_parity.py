@@ -151,6 +151,7 @@ def test_session_parity_optimizer_chooses(seed):
     reference = post_union.execute()
     for parallelism in (2, 4):
         for batch_size in BATCH_SIZES:
-            assert session.execute(query, parallelism=parallelism,
-                                   batch_size=batch_size) == reference, \
-                (seed, parallelism, batch_size)
+            assert session.execute(
+                query, parallelism=parallelism,
+                ctx=ExecutionContext(catalog, batch_size=batch_size)
+            ) == reference, (seed, parallelism, batch_size)

@@ -211,7 +211,7 @@ class TestPlanStructure:
         from repro.optimizer.pipeline import PhysicalSelection
         from repro.core.interesting import make_strategy
         q = Query.table("r").join("s", on=[("a", "x"), ("b", "y")])
-        strategy, _ = make_strategy("pyro-e")
+        strategy = make_strategy("pyro-e")
         run = PhysicalSelection(stats_catalog, q.expr, strategy, OptimizerConfig())
         run.optimize_goal(q.expr, EMPTY_ORDER)
         first = run.goals_examined

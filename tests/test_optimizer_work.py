@@ -236,7 +236,7 @@ def test_equal_but_distinct_subtrees_share_a_group(rs_catalog):
     assert table.of(other) is not table.of(left.child)
     # One memo slot per (group, order): the second branch's goal is a hit.
     run = PhysicalSelection(rs_catalog, Union(left, right),
-                          make_strategy("pyro-o")[0], OptimizerConfig())
+                          make_strategy("pyro-o"), OptimizerConfig())
     plan = run.optimize_goal(left, SortOrder(["a"]))
     before = run.goals_examined
     assert run.optimize_goal(right, SortOrder(["a"])) is plan
@@ -282,7 +282,7 @@ def test_identity_keys_keep_their_objects_alive(rs_catalog):
     gc.collect()
     assert ref() is not None and table.of(ref()) is group
 
-    run = PhysicalSelection(rs_catalog, root, make_strategy("pyro-o")[0],
+    run = PhysicalSelection(rs_catalog, root, make_strategy("pyro-o"),
                           OptimizerConfig())
     run.optimize_goal(root, EMPTY_ORDER)
     assert run._derived

@@ -41,6 +41,7 @@ from repro.workloads import (
     add_query1_indexes, add_query2_indexes, add_query3_indexes,
     consolidation_stats_catalog, example1_query, identical_r_tables, query3, query4,
     segmented_catalog, tpch_catalog, tpch_stats_catalog)
+from repro.workloads.synthetic import R_SCHEMA
 
 DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "reproduction.md"
 SORT_ONLY = dict(enable_hash_join=False, enable_hash_aggregate=False)
@@ -95,8 +96,9 @@ def q3_plan():
 def strategy_costs():
     """Estimated cost per strategy on Q3-Q6; phase-2 refinement, part of
     the paper's contribution, runs in PYRO-O and PYRO-O- only."""
-    return {name: {s: Optimizer(cat, strategy=s, **SORT_ONLY).optimize(
-        query, refine=s in ("pyro-o", "pyro-o-")).total_cost for s in STRATEGIES}
+    return {name: {s: Optimizer(
+        cat, strategy=s, refine=s in ("pyro-o", "pyro-o-"), **SORT_ONLY
+    ).optimize(query).total_cost for s in STRATEGIES}
         for name, cat, query in fig16_cases()}
 
 
@@ -162,6 +164,39 @@ LEDGER.append(("Fig. 3", "worked example: optimum benefit 8; the tree 2-approxim
                ["tests/test_tree_approx.py::TestApproximation::test_figure3_instance",
                 "tests/test_tree_approx.py::TestApproximation::test_half_optimal_bound_random",
                 "tests/test_path_order.py::TestOptimality::test_matches_brute_force_random"]))
+
+
+def phase2_catalog():
+    """Stats-only R1..R3 (20K, 100K, 20K rows; 10 values per column)
+    with R2 clustered on c3, R3 on c4, and 50 blocks of sort memory."""
+    cat = Catalog(SystemParameters(sort_memory_blocks=50))
+    for t, rows, clustering in ((1, 20_000, ()), (2, 100_000, ("r2_c3",)),
+                                (3, 20_000, ("r3_c4",))):
+        schema = R_SCHEMA.rename({c: f"r{t}_{c}" for c in R_SCHEMA.names})
+        cat.create_table(f"r{t}", schema,
+                         stats=TableStats(rows, dict.fromkeys(schema.names, 10)),
+                         clustering_order=SortOrder(clustering))
+    return cat
+
+
+@row("Fig. 3 / Sec. 5.2.2", "phase 2 reworks the join orders phase 1 fixed so that "
+     "the joins share a prefix",
+     "R1 ⋈ R2 on (c1, c3, c5, c4) ⋈ R3 on (c5, c3), sort only, estimated cost without / "
+     "with refinement at parallelism 1 and 4: PYRO-P {p[0]:,.1f} / {p[1]:,.1f}; PYRO-O "
+     "{o[0]:,.1f} / {o[1]:,.1f}; PYRO-E {e[0]:,.1f} / {e[1]:,.1f}")
+def test_phase2_refinement_pays_where_phase1_guessed():
+    cat = phase2_catalog()
+    query = (Query.table("r1")
+             .join("r2", on=[(f"r1_{c}", f"r2_{c}") for c in ("c1", "c3", "c5", "c4")])
+             .join("r3", on=[(f"r1_{c}", f"r3_{c}") for c in ("c5", "c3")]))
+    costs = {s: {k: tuple(round(Optimizer(cat, strategy=s, refine=refine, **SORT_ONLY)
+                                .optimize(query, parallelism=k).total_cost, 1)
+                          for refine in (False, True)) for k in (1, 4)}
+             for s in ("pyro-p", "pyro-o", "pyro-e")}
+    assert all(by_k[1] == by_k[4] for by_k in costs.values())
+    assert costs["pyro-p"][1] == (17_423.5, 5_688.2)  # refinement pays
+    assert costs["pyro-o"][1] == costs["pyro-e"][1] == (5_688.2, 5_688.2)
+    return dict(p=costs["pyro-p"][1], o=costs["pyro-o"][1], e=costs["pyro-e"][1])
 
 
 def refinement_work(nodes, seed=17):
@@ -381,8 +416,8 @@ def test_ablation_each_mechanism_pays():
     q3, q4 = strategy_costs()["Q3"], strategy_costs()["Q4"]
     assert q3["pyro-o"] < q3["pyro-o-"] / 2  # partial sort is the decisive factor
     assert q3["pyro-o"] <= q3["pyro"]  # favorable orders
-    q4_no_refine = Optimizer(fig16_cases()[1][1], strategy="pyro-o", **SORT_ONLY).optimize(
-        query4(), refine=False).total_cost
+    q4_no_refine = Optimizer(fig16_cases()[1][1], strategy="pyro-o", refine=False,
+                             **SORT_ONLY).optimize(query4()).total_cost
     assert q4["pyro-o"] <= q4_no_refine  # phase-2 refinement
     # FD reduction: group by (suppkey, partkey), never sort on ps_availqty.
     group_order = q3_plan().find_all("SortAggregate")[0].order

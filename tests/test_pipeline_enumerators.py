@@ -505,7 +505,7 @@ def test_pipeline_with_parallelism_identity():
 
     from repro.optimizer import volcano
 
-    optimizer = Optimizer(trading_stats_catalog())
+    optimizer = Optimizer(trading_stats_catalog(), refine=False)
     searched = []
     real = volcano.PhysicalSelection
 
@@ -515,8 +515,7 @@ def test_pipeline_with_parallelism_identity():
 
     with mock.patch.object(volcano, "PhysicalSelection", spy):
         for parallelism in (None, 1, 4):
-            optimizer.optimize(query5(), parallelism=parallelism,
-                               refine=False)
+            optimizer.optimize(query5(), parallelism=parallelism)
     assert all(strategy is optimizer.strategy for strategy, _ in searched)
     assert [config is optimizer.config for _, config in searched] == [
         True, True, False]

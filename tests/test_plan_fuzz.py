@@ -203,8 +203,9 @@ def execution_mismatches(catalog: Catalog, query) -> list[str]:
     for parallelism in (1, 2, 4):
         for batch_size in (1, 64, None):
             name = f"p{parallelism}/b{batch_size or 'def'}"
-            results[name] = session.execute(query, parallelism=parallelism,
-                                            batch_size=batch_size)
+            results[name] = session.execute(
+                query, parallelism=parallelism,
+                ctx=ExecutionContext(catalog, batch_size=batch_size))
     # Order-checked execution: every declared order is verified per row.
     checked = ExecutionContext(catalog, check_orders=True)
     results["p4/checked"] = session.execute(query, parallelism=4, ctx=checked)
@@ -502,14 +503,15 @@ def test_enforcers_are_priced_under_the_goal_equivalences():
 # -- backend parity: the plan is the only statement of what executes ---------------------
 def backend_divergences(catalog: Catalog, plans, pool) -> list[str]:
     """Run each ``(label, parallelism, bound plan)`` directly, on the
-    serial backend and on *pool*; labels whose rows or ``tallies()``
-    differ from the direct run (empty = parity holds)."""
+    serial backend and on *pool*, the two backends order-checked (the
+    checks charge no tally); labels whose rows or ``tallies()`` differ
+    from the direct run (empty = parity holds)."""
     bad = []
     for label, parallelism, plan in plans:
         direct = ExecutionContext(catalog)
         rows = plan.to_operator(catalog).run(direct)
         for backend in (SerialBackend(), pool):
-            ctx = ExecutionContext(catalog)
+            ctx = ExecutionContext(catalog, check_orders=True)
             got = backend.run_plan(plan, catalog, parallelism=parallelism,
                                    ctx=ctx)
             if got != rows:

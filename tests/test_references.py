@@ -142,6 +142,33 @@ CONSTRUCTORS = {
 }
 
 
+#: The execution entry points and their parameters after ``self``: a
+#: plan runs under its ``ctx``, the one carrier of the batch size, order
+#: checking and meter timing (``parallelism`` selects nothing at run
+#: time; the e2e benchmark passes it).
+RUN_PLAN = "plan catalog parallelism ctx"
+SIGNATURES = {
+    "repro.service.ExecutionBackend.run_plan": RUN_PLAN,
+    "repro.service.SerialBackend.run_plan": RUN_PLAN,
+    "repro.service.ProcessPoolBackend.run_plan": RUN_PLAN,
+    "repro.service.PreparedQuery.execute": "ctx **binds",
+    "repro.service.QuerySession.execute":
+        "query required_order ctx parallelism **binds",
+}
+
+
+def _parameters(dotted: str) -> list[str]:
+    """``dotted``'s parameters after ``self``, ``**`` marking a
+    catch-all; the first two components name the module."""
+    parts = dotted.split(".")
+    target = importlib.import_module(".".join(parts[:2]))
+    for part in parts[2:]:
+        target = getattr(target, part)
+    return [("**" if p.kind is p.VAR_KEYWORD else "") + p.name
+            for p in inspect.signature(target).parameters.values()
+            if p.name != "self"]
+
+
 def _code_spans(paths) -> str:
     """Every inline code span and fenced block of the Markdown *paths*."""
     return "\n".join(span for path in paths
@@ -149,18 +176,15 @@ def _code_spans(paths) -> str:
 
 
 def test_constructor_census():
-    """Each constructor takes exactly the pinned parameters, and every
-    one of them (and every optimizer option) is set by name in a tier-1
-    test and named by the e2e benchmark or in the docs; a setting with
-    no caller is deleted, not documented."""
+    """Each constructor and execution entry point takes exactly the
+    pinned parameters, and every constructor parameter (and every
+    optimizer option) is set by name in a tier-1 test and named by the
+    e2e benchmark or in the docs; a setting with no caller is deleted,
+    not documented."""
     from repro.optimizer import OptimizerConfig
 
-    for dotted, expected in CONSTRUCTORS.items():
-        module, name = dotted.rsplit(".", 1)
-        params = inspect.signature(
-            getattr(importlib.import_module(module), name)).parameters
-        assert [("**" if p.kind is p.VAR_KEYWORD else "") + p.name
-                for p in params.values()] == expected.split(), dotted
+    for dotted, expected in {**CONSTRUCTORS, **SIGNATURES}.items():
+        assert _parameters(dotted) == expected.split(), dotted
     names = {name for expected in CONSTRUCTORS.values()
              for name in expected.split()
              if name != "catalog" and not name.startswith("**")}
@@ -180,20 +204,25 @@ def test_constructor_census():
 
 
 def test_removed_settings_stay_gone():
-    """One spelling of the optimizer options, one plan cache, and no
-    setting that only tests varied: the second cache class, the pipeline
-    wrapper, the plan-cache TTL, the chunk-size, default-tenant-weight
-    and half-open-probe settings, and a ``config=`` object on the three
-    constructors are named nowhere in the program or its docs."""
+    """One spelling of each setting, one plan cache, and no setting that
+    only tests varied: the second cache class, the pipeline wrapper, the
+    plan-cache TTL, the chunk-size, default-tenant-weight and
+    half-open-probe settings, a ``config=`` object on the three
+    constructors, the partial-sort flag beside the strategy name, a
+    per-call ``refine`` beside the config's, and a batch size or order
+    check given to ``run_plan`` beside its context are named nowhere in
+    the program, its examples or its docs."""
     gone = re.compile(r"SharedPlanCache|OptimizationPipeline|ttl_seconds"
                       r"|cache_ttl|chunk_rows=|default_tenant_weight"
-                      r"|half_open_max")
+                      r"|half_open_max|partial_sort_enforcers")
     config_kwarg = re.compile(
         r"\b(?:Optimizer|QuerySession|QueryServer)\([^)]*\bconfig=")
+    call_kwarg = re.compile(r"optimize\([^)]*\brefine\s*[=:]"
+                            r"|run_plan\([^)]*\b(?:batch_size|check_orders)\s*[=:]")
     paths = sorted((ROOT / "src").rglob("*.py")) + sorted(
-        (ROOT / "docs").glob("*.md"))
+        (ROOT / "examples").glob("*.py")) + sorted((ROOT / "docs").glob("*.md"))
     hits = [f"{path.relative_to(ROOT)}: {match.group(0)[:40]}"
             for path in paths
-            for pattern in (gone, config_kwarg)
+            for pattern in (gone, config_kwarg, call_kwarg)
             for match in pattern.finditer(path.read_text())]
     assert hits == []

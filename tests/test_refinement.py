@@ -113,9 +113,10 @@ class TestRefinementEffect:
         cat = r_tables_stats_catalog(
             params=SystemParameters(sort_memory_blocks=250))
         for s in ("pyro", "pyro-p", "pyro-o", "pyro-e"):
-            opt = Optimizer(cat, strategy=s, enable_hash_join=False)
-            refined = opt.optimize(query4(), refine=True).total_cost
-            unrefined = opt.optimize(query4(), refine=False).total_cost
+            refined, unrefined = (
+                Optimizer(cat, strategy=s, enable_hash_join=False,
+                          refine=refine).optimize(query4()).total_cost
+                for refine in (True, False))
             assert refined <= unrefined * (1 + 1e-9)
 
     def test_refinement_improves_arbitrary_choice(self):
@@ -123,9 +124,10 @@ class TestRefinementEffect:
         permutations; phase 2 must recover the shared prefix."""
         cat = r_tables_stats_catalog(
             params=SystemParameters(sort_memory_blocks=250))
-        opt = Optimizer(cat, strategy="pyro", enable_hash_join=False)
-        refined = opt.optimize(inner_query4(), refine=True).total_cost
-        unrefined = opt.optimize(inner_query4(), refine=False).total_cost
+        refined, unrefined = (
+            Optimizer(cat, strategy="pyro", enable_hash_join=False,
+                      refine=refine).optimize(inner_query4()).total_cost
+            for refine in (True, False))
         assert refined < unrefined
 
     def test_fig6_chain_recovers_shared_prefix(self, fig6_catalog):
@@ -142,8 +144,8 @@ class TestRefinementEffect:
 
     def test_forced_orders_api(self, fig6_catalog):
         q = fig6_query()
-        opt = Optimizer(fig6_catalog, enable_hash_join=False)
-        base = opt.optimize(q, refine=False)
+        opt = Optimizer(fig6_catalog, enable_hash_join=False, refine=False)
+        base = opt.optimize(q)
         join_expr = q.expr  # outermost Join node
         forced = {join_expr: SortOrder(["r1_c", "r1_b", "r1_a"])}
         forced_plan = opt.optimize_with_forced_orders(

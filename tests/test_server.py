@@ -16,10 +16,10 @@ from concurrent.futures import BrokenExecutor
 
 import pytest
 
-from repro.core.sort_order import SortOrder
-from repro.engine import Operator
+from repro.core.sort_order import EMPTY_ORDER, SortOrder
+from repro.engine import ExecutionContext, Operator
 from repro.expr import col, param
-from repro.expr.aggregates import agg_sum
+from repro.expr.aggregates import agg_sum, count_star
 from repro.logical import Query
 from repro.obs import ObservabilityConfig
 from repro.service import (
@@ -106,8 +106,7 @@ class _BlockingBackend(ExecutionBackend):
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def run_plan(self, plan, catalog, parallelism=1, batch_size=None,
-                 check_orders=False, ctx=None):
+    def run_plan(self, plan, catalog, parallelism=1, ctx=None):
         self.started.set()
         assert self.release.wait(timeout=10)
         return [("done",)]
@@ -420,7 +419,6 @@ class TestProcessBackend:
         serial backend's, and no task is shipped.  A sharded plan
         on the same idle backend still ships, and so does the whole plan
         once the pool's snapshot is stale."""
-        from repro.engine import ExecutionContext
         from repro.engine.subplan import shard_subplans
         from repro.service import SerialBackend
 
@@ -459,6 +457,43 @@ class TestProcessBackend:
         finally:
             backend.close()
 
+    def test_pooled_runs_under_the_callers_context(self, catalog):
+        """Both backends run a sharded plan under the caller's context
+        settings: the pool's gather and every shipped task use its
+        batch size and meter timing, and its order checking catches a
+        per-shard aggregate over an unsorted shard scan."""
+        from repro.optimizer.manual import PlanBuilder
+        from repro.service import SerialBackend
+
+        plan = QuerySession(catalog).prepare(serving_queries()[0],
+                                             parallelism=4).plan
+        assert plan.op == "MergeExchange"
+        b = PlanBuilder(catalog)
+        scan = b.table_scan("t")  # clustered on a, unsorted on b
+        shards = [b.sort_aggregate(b.shard_of(scan, 4, i, 0.25),
+                                   SortOrder(["b"]), [count_star("n")])
+                  for i in range(4)]
+        unsorted = b.gather(shards, EMPTY_ORDER, shards[0].stats)
+        assert unsorted.op == "ExchangeUnion"
+        pool = ProcessPoolBackend(catalog, workers=2)
+        try:
+            batches = []
+            for backend in (SerialBackend(), pool):
+                ctx = ExecutionContext(catalog, batch_size=1,
+                                       meter_timing=True)
+                assert len(backend.run_plan(plan, catalog, ctx=ctx)) == 4000
+                batches.append({tag: cell[1] for tag, cell
+                                in ctx.operator_times.items()})
+                backend.run_plan(unsorted, catalog)  # unchecked: no error
+                with pytest.raises(AssertionError):
+                    backend.run_plan(unsorted, catalog, ctx=ExecutionContext(
+                        catalog, check_orders=True))
+            assert batches[0] == batches[1]
+            assert max(batches[0].values()) == 4000
+            assert pool.describe()["streamed_queries"] == 2
+        finally:
+            pool.close()
+
     def test_stale_pool_detection_and_refresh(self):
         catalog = serving_catalog(num_rows=500, seed=3)
         query = Query.table("t").order_by("b", "a", "c")
@@ -489,7 +524,6 @@ class TestProcessBackend:
     def test_worker_tallies_surface_through_ctx(self, catalog, references):
         """Worker-side counters (absorbed in shard order) are observable
         by passing an ExecutionContext to the backend."""
-        from repro.engine import ExecutionContext
 
         session = QuerySession(catalog)
         plan = session.prepare(serving_queries()[0], parallelism=4).plan
@@ -523,8 +557,7 @@ class _FailingBackend(ExecutionBackend):
         self.calls = 0
         self._lock = threading.Lock()
 
-    def run_plan(self, plan, catalog, parallelism=1, batch_size=None,
-                 check_orders=False, ctx=None):
+    def run_plan(self, plan, catalog, parallelism=1, ctx=None):
         with self._lock:
             self.calls += 1
             n = self.calls
@@ -878,8 +911,9 @@ class TestPoolResilience:
             trace = Tracer().start("death")
             root = trace.begin("query")
             with trace.activate(root):
-                assert backend._run_pooled(plan, catalog,
-                                           batch_size=4096) == reference
+                assert backend._run_pooled(
+                    plan, catalog,
+                    ExecutionContext(catalog, batch_size=4096)) == reference
             d = backend.describe()
             assert d["pool_rebuilds"] == 1
             assert d["streamed_queries"] == 1
@@ -941,7 +975,6 @@ class TestStreamingTransfer:
         tallies alike, and its telemetry counts every task.  The pooled
         entry point ships a whole plan even on an idle backend.  The
         large table's rows span many batches, whole or sharded."""
-        from repro.engine import ExecutionContext
         from repro.engine.subplan import shard_subplans
         from repro.service import SerialBackend
 
@@ -959,9 +992,8 @@ class TestStreamingTransfer:
             ctx=serial_ctx) == reference
         backend = ProcessPoolBackend(catalog, workers=1)
         try:
-            ctx = ExecutionContext(catalog)
-            rows = backend._run_pooled(plan, catalog, check_orders=True,
-                                       ctx=ctx)
+            ctx = ExecutionContext(catalog, check_orders=True)
+            rows = backend._run_pooled(plan, catalog, ctx)
             assert rows == reference
             assert ctx.tallies() == serial_ctx.tallies()
 
@@ -1030,8 +1062,7 @@ class _FlakyBackend(ExecutionBackend):
         self.calls = 0
         self._lock = threading.Lock()
 
-    def run_plan(self, plan, catalog, parallelism=1, batch_size=None,
-                 check_orders=False, ctx=None):
+    def run_plan(self, plan, catalog, parallelism=1, ctx=None):
         with self._lock:
             self.calls += 1
             n = self.calls
@@ -1040,8 +1071,7 @@ class _FlakyBackend(ExecutionBackend):
             time.sleep(self.delay)
         if forced or (self.fail_every and n % self.fail_every == 0):
             raise RuntimeError("injected backend failure")
-        return self.inner.run_plan(plan, catalog, parallelism, batch_size,
-                                   check_orders, ctx)
+        return self.inner.run_plan(plan, catalog, parallelism, ctx)
 
     def close(self):
         self.inner.close()

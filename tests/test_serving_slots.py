@@ -67,8 +67,7 @@ class _GateBackend(ExecutionBackend):
         self.parked = 0
         self._changed = threading.Condition()
 
-    def run_plan(self, plan, catalog, parallelism=1, batch_size=None,
-                 check_orders=False, ctx=None):
+    def run_plan(self, plan, catalog, parallelism=1, ctx=None):
         with self._changed:
             self.callers.append(threading.get_ident())
             if self.failing:

@@ -157,8 +157,10 @@ class TestAcceptance:
 
         reference = session.execute(query)  # serial plan
         for batch_size in (1, 64, None):
-            assert session.execute(query, parallelism=4,
-                                   batch_size=batch_size) == reference
+            assert session.execute(
+                query, parallelism=4,
+                ctx=ExecutionContext(catalog, batch_size=batch_size)
+            ) == reference
         merge_ctx, post_ctx = ExecutionContext(catalog), ExecutionContext(catalog)
         assert prepared.execute(merge_ctx) == reference
         assert post_union.execute(post_ctx) == reference
@@ -243,8 +245,10 @@ class TestShardedJoins:
 
         reference = session.execute(query)
         for batch_size in (1, 64, None):
-            assert session.execute(query, parallelism=4,
-                                   batch_size=batch_size) == reference
+            assert session.execute(
+                query, parallelism=4,
+                ctx=ExecutionContext(catalog, batch_size=batch_size)
+            ) == reference
 
         # Metered, not only estimated: the shard-oblivious plan pays spill
         # I/O (a Grace hash build here) that per-shard enforcement avoids.
@@ -275,7 +279,9 @@ class TestShardedJoins:
             QuerySession(catalog).prepare(query, parallelism=1).total_cost
         reference = session.execute(query)
         assert session.execute(query, parallelism=4) == reference
-        assert session.execute(query, parallelism=4, batch_size=1) == reference
+        assert session.execute(query, parallelism=4,
+                               ctx=ExecutionContext(catalog, batch_size=1)) \
+            == reference
 
     def test_copartitioned_hash_join_skips_grace_spill(self):
         """Range-co-partitioned inputs hash-join partition against
@@ -296,7 +302,9 @@ class TestShardedJoins:
                                 for v in row)
         reference = sorted(session.execute(query), key=key)
         for batch_size in (1, None):
-            got = session.execute(query, parallelism=4, batch_size=batch_size)
+            got = session.execute(
+                query, parallelism=4,
+                ctx=ExecutionContext(catalog, batch_size=batch_size))
             assert sorted(got, key=key) == reference
 
 
@@ -319,8 +327,10 @@ class TestShardedAggregates:
 
         reference = session.execute(query)
         for batch_size in (1, 64, None):
-            assert session.execute(query, parallelism=4,
-                                   batch_size=batch_size) == reference
+            assert session.execute(
+                query, parallelism=4,
+                ctx=ExecutionContext(catalog, batch_size=batch_size)
+            ) == reference
         # Recombination is exact: totals equal the table row count.
         assert sum(row[1] for row in reference) == 20_000
 
@@ -380,8 +390,10 @@ class TestShardedDistinct:
         assert reference == sorted(reference,
                                    key=lambda r: (r[1], r[2], r[0]))
         for batch_size in (1, 64, None):
-            assert session.execute(query, parallelism=4,
-                                   batch_size=batch_size) == reference
+            assert session.execute(
+                query, parallelism=4,
+                ctx=ExecutionContext(catalog, batch_size=batch_size)
+            ) == reference
         checked = ExecutionContext(catalog, check_orders=True)
         assert prepared.execute(ctx=checked) == reference
 
