@@ -102,7 +102,7 @@ LOWERINGS: dict[str, Lowering] = {
     "UnionAll": Lowering(UnionAll),
     "Dedup": Lowering(Dedup, ("order",), lambda p: f"on {p.order}"),
     "HashDedup": Lowering(HashDedup),
-    "Limit": Lowering(Limit, ("k",)),
+    "Limit": Lowering(Limit, ("k",), lambda p: f"{p.arg('k')}"),
 }
 
 #: Ops whose meter tag carries the scanned table's name (the rows that

@@ -291,6 +291,17 @@ class TestLowering:
         assert plan.describe()
         assert plan.arg("missing", 42) == 42
 
+    def test_explain_names_a_limits_k(self, catalog):
+        """EXPLAIN prints a LIMIT's row count, so LIMIT 5 and LIMIT 500
+        read differently."""
+        from repro.logical import Query
+
+        explains = [Optimizer(catalog).optimize(
+            Query.table("t").order_by("a", "b").limit(k)).explain()
+            for k in (5, 500)]
+        assert [explain.split(")")[0] for explain in explains] == [
+            "Limit (5", "Limit (500"]
+
     def test_full_outer_merge_join_names_its_merge_key(self):
         """A FULL OUTER merge join claims no output order, yet EXPLAIN
         names the permutation it merges on, as for the other joins."""
