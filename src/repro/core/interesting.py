@@ -81,6 +81,13 @@ class OrderStrategy:
         """Orders for Distinct/Union (flexible over all columns)."""
         return self.group_orders(octx, expr, columns, required)  # type: ignore[arg-type]
 
+    def reads(self, octx: OrderContext, expr: LogicalExpr,
+              columns: Optional[Sequence[str]], required: SortOrder):
+        """The part of *required* the orders for *expr* (over *columns*,
+        ``None`` for a join) depend on: a search asks for them once per
+        node and value.  By default, none of it."""
+        return None
+
     # -- shared helpers ---------------------------------------------------------------
     @staticmethod
     def _join_attr_names(join: Join) -> list[str]:
@@ -180,6 +187,12 @@ class FavorableOrderStrategy(OrderStrategy):
                 out.append(name)
         return SortOrder(out)
 
+    def reads(self, octx, expr, columns, required):
+        """``o ∧ S``, S the flexible attributes (a join's on both sides)."""
+        attrs = ({c for pair in expr.predicate.pairs for c in pair}
+                 if columns is None else set(columns))
+        return octx.required_prefix(required, attrs)
+
     def join_orders(self, octx, join, required):
         pairs = list(join.predicate.pairs)
         attrs = [l for l, _ in pairs]
@@ -189,8 +202,8 @@ class FavorableOrderStrategy(OrderStrategy):
         for source in (join.left, join.right):
             for o in octx.favorable.afm_on(source, side_attrs):
                 candidates.append(self._canonicalize(o, attrs, octx.eq))
-        req = self._canonicalize(
-            octx.required_prefix(required, side_attrs), attrs, octx.eq)
+        req = self._canonicalize(self.reads(octx, join, None, required),
+                                 attrs, octx.eq)
         if req:
             candidates.append(req)
         candidates = self._drop_redundant([c for c in candidates if c], octx.eq)
@@ -201,8 +214,8 @@ class FavorableOrderStrategy(OrderStrategy):
         child = group.children[0]
         candidates = [self._canonicalize(o, list(columns), octx.eq)
                       for o in octx.favorable.afm_on(child, set(columns))]
-        req = self._canonicalize(
-            octx.required_prefix(required, set(columns)), list(columns), octx.eq)
+        req = self._canonicalize(self.reads(octx, group, columns, required),
+                                 list(columns), octx.eq)
         if req:
             candidates.append(req)
         candidates = self._drop_redundant([c for c in candidates if c], octx.eq)
@@ -248,6 +261,10 @@ class ForcedOrderStrategy(OrderStrategy):
         self.base = base
         self.forced = dict(forced)
         self.partial_sorts = base.partial_sorts
+
+    def reads(self, octx, expr, columns, required):
+        return (None if expr in self.forced
+                else self.base.reads(octx, expr, columns, required))
 
     def join_orders(self, octx, join, required):
         forced = self.forced.get(join)

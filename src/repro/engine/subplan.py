@@ -57,6 +57,7 @@ from collections import OrderedDict
 from typing import Any, Iterator, Optional, Sequence
 
 from ..obs.trace import _NULL_SPAN as _NULL_CM, Trace
+from ..storage.catalog import SystemParameters
 
 from .batch import RowBatch, batches_of
 from .context import ExecutionContext, collector_paused
@@ -265,7 +266,8 @@ def _worker_trace(trace_ctx: Optional[tuple]) -> tuple[Optional[Trace],
 def execute_subplan(plan, batch_size: Optional[int] = None,
                     check_orders: bool = False,
                     meter_timing: bool = False,
-                    trace_ctx: Optional[tuple] = None) -> tuple:
+                    trace_ctx: Optional[tuple] = None,
+                    params: Optional[SystemParameters] = None) -> tuple:
     """Worker entrypoint: run one shipped task to completion.
 
     Returns ``(rows, tallies, cache_hit, span_records)``, which reaches
@@ -276,7 +278,7 @@ def execute_subplan(plan, batch_size: Optional[int] = None,
     """
     _require_worker_catalog()
     with collector_paused():
-        ctx = ExecutionContext(_WORKER_CATALOG, batch_size=batch_size,
+        ctx = ExecutionContext(_WORKER_CATALOG, params, batch_size=batch_size,
                                check_orders=check_orders,
                                meter_timing=meter_timing)
         if isinstance(plan, BoundPlan):

@@ -32,21 +32,24 @@ class FDSet:
 
     def __init__(self, fds: Iterable[FunctionalDependency] = ()) -> None:
         self._fds: list[FunctionalDependency] = list(fds)
+        #: :meth:`closure` by seed attribute set; every add clears it.
+        self._closures: dict[frozenset[str], frozenset[str]] = {}
 
     def add(self, fd: FunctionalDependency) -> None:
         self._fds.append(fd)
+        self._closures.clear()
 
     def add_key(self, key_columns: Iterable[str], all_columns: Iterable[str]) -> None:
-        self._fds.append(FunctionalDependency.key(key_columns, all_columns))
+        self.add(FunctionalDependency.key(key_columns, all_columns))
 
     def add_equivalence(self, a: str, b: str) -> None:
-        self._fds.append(FunctionalDependency(frozenset({a}), frozenset({b})))
-        self._fds.append(FunctionalDependency(frozenset({b}), frozenset({a})))
+        self.add(FunctionalDependency(frozenset({a}), frozenset({b})))
+        self.add(FunctionalDependency(frozenset({b}), frozenset({a})))
 
     def add_constant(self, column: str) -> None:
         """``col = const`` filters make the column constant: ∅ → col
         (modelled as determinable from any attribute set, via a marker)."""
-        self._fds.append(FunctionalDependency(frozenset({_ALWAYS}), frozenset({column})))
+        self.add(FunctionalDependency(frozenset({_ALWAYS}), frozenset({column})))
 
     def add_from_predicate(self, predicate: Predicate) -> None:
         for conj in predicate.conjuncts():
@@ -67,8 +70,13 @@ class FDSet:
 
     # -- reasoning -----------------------------------------------------------------
     def closure(self, attrs: Iterable[str]) -> frozenset[str]:
-        """All attributes functionally determined by *attrs*."""
-        closed = set(attrs)
+        """All attributes functionally determined by *attrs* (computed
+        once per attribute set until the next add)."""
+        seed = frozenset(attrs)
+        hit = self._closures.get(seed)
+        if hit is not None:
+            return hit
+        closed = set(seed)
         closed.add(_ALWAYS)
         changed = True
         while changed:
@@ -78,7 +86,8 @@ class FDSet:
                     closed |= fd.dependents
                     changed = True
         closed.discard(_ALWAYS)
-        return frozenset(closed)
+        hit = self._closures[seed] = frozenset(closed)
+        return hit
 
     def determines(self, attrs: Iterable[str], target: str) -> bool:
         return target in self.closure(attrs)

@@ -65,6 +65,8 @@ class CostModel:
                  eq: Optional[AttributeEquivalence] = None) -> None:
         self.params = params
         self.eq = eq
+        #: See :meth:`enforcer`.
+        self._priced: dict[tuple, tuple] = {}
 
     # -- CPU translation ------------------------------------------------------------
     def cpu(self, comparisons: float) -> float:
@@ -88,26 +90,36 @@ class CostModel:
         passes = math.ceil(math.log(max(1.0, num_blocks / M), max(2, M - 1)))
         return num_blocks * (2 * passes + 1) + cpu
 
+    def enforcer(self, stats: StatsView, shared: SortOrder) -> float:
+        """``coe(e, o1, o2)`` given ``shared = o1 ∧ o2`` (ε: a full sort),
+        priced once per statistics object and shared prefix, whatever
+        the rest of *o2*; the entry holds *stats*, so an ``id()`` is
+        never reused as a key."""
+        key = (id(stats), shared)
+        hit = self._priced.get(key)
+        if hit is None:
+            N, B = stats.N, stats.B(self.params.block_size)
+            if N <= 0:
+                cost = 0.0
+            elif not shared:
+                cost = self.full_sort(N, B)
+            else:
+                segments = max(1.0, stats.distinct_of_set(list(shared)))
+                cost = segments * self.full_sort(N / segments,
+                                                 max(1.0, B / segments))
+            hit = self._priced[key] = (cost, stats)
+        return hit[0]
+
     def coe(self, stats: StatsView, from_order: SortOrder, to_order: SortOrder,
             partial_enabled: bool = True,
             eq: Optional[AttributeEquivalence] = None) -> float:
         """Cost of enforcing *to_order* given guaranteed *from_order*, the
         shared prefix matched under *eq* (default: the model's)."""
-        eq = self.eq if eq is None else eq
-        if not to_order or to_order.is_prefix_of(from_order, eq):
+        shared = longest_common_prefix(to_order, from_order,
+                                       self.eq if eq is None else eq)
+        if shared == to_order:
             return 0.0
-        shared = longest_common_prefix(to_order, from_order, eq)
-        if not partial_enabled:
-            shared = EMPTY_ORDER
-        N, B = stats.N, stats.B(self.params.block_size)
-        if N <= 0:
-            return 0.0
-        if not shared:
-            return self.full_sort(N, B)
-        segments = max(1.0, stats.distinct_of_set(list(shared)))
-        seg_rows = N / segments
-        seg_blocks = max(1.0, B / segments)
-        return segments * self.full_sort(seg_rows, seg_blocks)
+        return self.enforcer(stats, shared if partial_enabled else EMPTY_ORDER)
 
     def merge_exchange(self, num_rows: float, shard_count: int,
                        disjoint: bool = False) -> float:

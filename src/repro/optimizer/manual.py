@@ -197,8 +197,7 @@ class PlanBuilder:
         if full:
             prefix = EMPTY_ORDER
         stats = child.stats
-        cost = self.cost.coe(stats if on is None else on, child.order, order,
-                             not full, eq)
+        cost = self.cost.enforcer(stats if on is None else on, prefix)
         if child.total_cost + cost >= limit:
             return None
         if on is not None and list(on.schema.names) == list(child.schema.names):

@@ -130,6 +130,8 @@ class PhysicalSelection:
         #: Physical alternatives, once per search: see :meth:`_alternatives`.
         self._built: dict[tuple, tuple] = {}
         self.order_ctx = OrderContext(self.favorable, self.fds, self.eq)
+        #: The strategy's interesting orders, once per search: see :meth:`_orders`.
+        self._interesting: dict[tuple, tuple] = {}
         #: Goal → exact optimum, keyed ``(group id, canonical order)``.
         self._memo: dict[tuple, PhysicalPlan] = {}
         #: Failure memo (Columbia's re-search discipline): goal → largest
@@ -520,6 +522,22 @@ class PhysicalSelection:
             hit = self._built[key] = (tuple(build()), expr, inputs)
         return hit[0]
 
+    def _orders(self, method: Callable, expr: LogicalExpr, required: SortOrder,
+                columns: Optional[list[str]] = None) -> list[SortOrder]:
+        """The strategy's *method* (``join_orders``, or ``group_orders`` /
+        ``set_orders`` over *columns*) for *expr*, computed once per
+        search per logical node and the part of *required* the strategy
+        reads (:meth:`~repro.core.interesting.OrderStrategy.reads`).
+        Keyed like :meth:`_alternatives`: the entry holds *expr*."""
+        read = self.strategy.reads(self.order_ctx, expr, columns, required)
+        key = (method.__func__, id(expr), tuple(columns or ()), read)
+        hit = self._interesting.get(key)
+        if hit is None:
+            args = (required,) if columns is None else (columns, required)
+            hit = self._interesting[key] = (
+                method(self.order_ctx, expr, *args), expr)
+        return hit[0]
+
     def _scans(self, expr: BaseRelation) -> Iterable[PhysicalPlan]:
         yield self.builder.table_scan(expr.table_name)
         used = self.annotator.used_attrs(expr.table_name)
@@ -609,7 +627,7 @@ class PhysicalSelection:
         right_of = {right: right for _, right in pairs} | dict(pairs)
         left_eq = self.groups.of(expr.left).eq
         outer = expr.join_type != "inner"
-        for perm in self.strategy.join_orders(self.order_ctx, expr, required):
+        for perm in self._orders(self.strategy.join_orders, expr, required):
             partners = [(a, right_of[a]) for a in perm]
             # A strategy reduces its permutations under the query's
             # equivalences, so one may leave a pair out (its left
@@ -676,8 +694,8 @@ class PhysicalSelection:
         # filter must not shrink the sort key a streaming aggregate groups
         # on (wrong merges of distinct groups otherwise).
         reduced = list(self.groups.of(expr).fds.reduce_group_columns(group_cols))
-        for perm in self.strategy.group_orders(self.order_ctx, expr, reduced,
-                                               required):
+        for perm in self._orders(self.strategy.group_orders, expr, required,
+                                 reduced):
             child = self.optimize_goal(expr.child, perm, bound.value)
             if child is None or not child.schema.has_all(needs):
                 continue
@@ -741,8 +759,8 @@ class PhysicalSelection:
                              bound: _Bound) -> Iterable[PhysicalPlan]:
         columns = list(self.groups.of(expr).schema.names)
         child_eq = self.groups.of(expr.child).eq
-        for perm in self.strategy.set_orders(self.order_ctx, expr, columns,
-                                             required):
+        for perm in self._orders(self.strategy.set_orders, expr, required,
+                                 columns):
             full_order = self._complete_set_order(perm, columns,
                                                   [({}, child_eq)])
             if full_order is None:
@@ -779,8 +797,8 @@ class PhysicalSelection:
         lgroup, rgroup = self.groups.of(expr.left), self.groups.of(expr.right)
         rename = dict(zip(lgroup.schema.names, rgroup.schema.names))
         columns = list(lgroup.schema.names)
-        for perm in self.strategy.set_orders(self.order_ctx, expr, columns,
-                                             required):
+        for perm in self._orders(self.strategy.set_orders, expr, required,
+                                 columns):
             full_order = self._complete_set_order(
                 perm, columns, [({}, lgroup.eq), (rename, rgroup.eq)])
             if full_order is None:

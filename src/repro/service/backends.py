@@ -62,7 +62,7 @@ from ..storage.handoff import catalog_payload
 class ExecutionBackend:
     """Interface: run one executable plan to completion.
 
-    The plan runs under *ctx*'s settings (``batch_size``,
+    The plan runs under *ctx*'s settings (``params``, ``batch_size``,
     ``check_orders``, ``meter_timing``) wherever it runs — in the
     calling thread, in a pooled attempt's gather and in every shipped
     task — and *ctx* receives the execution's counter tallies (simulated
@@ -427,12 +427,13 @@ class ProcessPoolBackend(ExecutionBackend):
                 spans.append(span)
                 future = handle.pool.submit(
                     execute_subplan, task, ctx.batch_size, ctx.check_orders,
-                    ctx.meter_timing, trace_ctx)
+                    ctx.meter_timing, trace_ctx, ctx.params)
                 future.add_done_callback(_stamp_done(done_at, i))
                 futures.append(future)
 
             root = assemble_tasks(plan, occurrences, futures, catalog)
-            local = ExecutionContext(catalog, batch_size=ctx.batch_size,
+            local = ExecutionContext(catalog, ctx.params,
+                                     batch_size=ctx.batch_size,
                                      check_orders=ctx.check_orders,
                                      meter_timing=ctx.meter_timing)
             # The "merge" span covers the gather, its waits for the

@@ -335,22 +335,23 @@ class QuerySession:
 
     def explain_analyze(self, query: TUnion[Query, LogicalExpr],
                         required_order: Optional[SortOrder] = None,
+                        ctx: Optional[ExecutionContext] = None,
                         parallelism: int = 1,
-                        batch_size: Optional[int] = None,
                         **binds: Any) -> ExplainAnalyze:
         """Prepare, *actually execute*, and annotate the plan tree with
         measured rows, wall time and batch counts per operator —
         estimated vs actual, PostgreSQL's ``EXPLAIN ANALYZE``.
 
         The execution is a real one (feedback, kernels, metering all
-        engaged) with ``meter_timing`` on; the result rows ride along on
-        the returned :class:`~repro.obs.analyze.ExplainAnalyze` as
-        ``.rows`` so callers don't pay for a second run.
+        engaged) under *ctx* as in :meth:`execute`, with its
+        ``meter_timing`` turned on; the result rows ride along on the
+        returned :class:`~repro.obs.analyze.ExplainAnalyze` as ``.rows``
+        so callers don't pay for a second run.
         """
         prepared = self.prepare(query, required_order,
                                 parallelism=parallelism)
-        ctx = ExecutionContext(self.catalog, batch_size=batch_size,
-                               meter_timing=True)
+        ctx = ctx or ExecutionContext(self.catalog)
+        ctx.meter_timing = True
         start = time.perf_counter()
         rows = prepared.execute(ctx, **binds)
         wall = time.perf_counter() - start

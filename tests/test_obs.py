@@ -5,6 +5,7 @@ Prometheus/JSON exposition, the slow-query log, and the fuzz-corpus pin
 that tracing changes no rows and no tallies."""
 
 import itertools
+import math
 import json
 import random
 import threading
@@ -339,6 +340,24 @@ class TestExplainAnalyze:
         assert aggregate["seconds"] > child["seconds"] > 0
         assert aggregate["seconds"] > 0.5 * ea.wall_seconds
         assert aggregate["seconds"] - child["seconds"] > 0.1 * ea.wall_seconds
+
+    def test_a_parameter_named_batch_size_binds(self):
+        """Every keyword beside the query's settings is a query
+        parameter, as in ``execute``: the batch size comes with *ctx*."""
+        from repro.expr import col, param
+        catalog = serving_catalog()
+        session = QuerySession(catalog)
+        query = Query.table("t").where(col("a").lt(param("batch_size")))
+        rows = session.execute(query, batch_size=5)
+        assert len(rows) == 413
+        ea = session.explain_analyze(query, batch_size=5)
+        assert ea.rows == rows and ea.row_count == 413
+        ctx = ExecutionContext(catalog, batch_size=7)
+        ea = session.explain_analyze(query, ctx=ctx, batch_size=5)
+        assert ea.rows == rows and ctx.meter_timing
+        scan = ea.node_reports()[-1]
+        assert scan["op"] == "TableScan"
+        assert scan["batches"] == math.ceil(4000 / 7)
 
     def test_meter_timing_off_keeps_times_empty(self):
         catalog = serving_catalog(num_rows=400)

@@ -31,6 +31,7 @@ from repro.logical import Query
 from repro.logical import fds
 from repro.logical.algebra import Annotator, Union
 from repro.optimizer import Optimizer, OptimizerConfig, manual
+from repro.optimizer.cost import CostModel
 from repro.optimizer.pipeline import groups as groups_module
 from repro.optimizer.pipeline.groups import GroupTable
 from repro.optimizer.pipeline.physical_selection import PhysicalSelection
@@ -38,6 +39,7 @@ from repro.optimizer.plans import PhysicalPlan
 from repro.core.interesting import make_strategy
 from repro.service import QuerySession
 from repro.storage import Catalog, Schema, TableStats
+from repro.storage.schema import FunctionalDependency
 from repro.storage.statistics import StatsView
 from repro.workloads import many_join_catalog, many_join_query
 
@@ -62,7 +64,7 @@ def counted_prepare(request, monkeypatch):
     plan nodes built (``counts["built"]``, per operator); an indirect
     parameter names another join enumerator."""
     counts = {"group_tables": 0, "annotators": 0, "fd_nodes": 0, "joins": 0,
-              "built": collections.Counter()}
+              "sort_prices": 0, "built": collections.Counter()}
     join_inputs = []  # (left, right, pairs) — held, so ids stay distinct
 
     table_init = GroupTable.__init__
@@ -90,6 +92,12 @@ def counted_prepare(request, monkeypatch):
         join_inputs.append((self, other, tuple(join_pairs)))
         return stats_join(self, other, join_pairs, eq)
     monkeypatch.setattr(StatsView, "join", counting_join)
+
+    full_sort = CostModel.full_sort
+    def counting_full_sort(self, num_rows, num_blocks):
+        counts["sort_prices"] += 1
+        return full_sort(self, num_rows, num_blocks)
+    monkeypatch.setattr(CostModel, "full_sort", counting_full_sort)
 
     make_plan = manual.make_plan
     def counting_make_plan(op, *args, **kwargs):
@@ -124,6 +132,17 @@ def test_each_alternative_is_built_once_per_search(counted_prepare):
     assert built["HashJoin"] == 7
     assert built["TableScan"] == 8  # one per relation
     assert sum(built.values()) == 631  # 1,246 before
+
+
+def test_each_enforcer_is_priced_once_per_input_and_shared_prefix(
+        counted_prepare):
+    """``coe(e, o1, o2)`` reads the requested order only through the
+    prefix it shares with the input's: the chains under the top join,
+    asked for 120 orders, price the same few sorts of the same input
+    statistics — 7 evaluations of the sort formula (609 when every
+    request priced its own)."""
+    _, _, _, counts, _ = counted_prepare
+    assert counts["sort_prices"] == 7
 
 
 def test_join_statistics_once_per_distinct_input(counted_prepare):
@@ -285,12 +304,87 @@ def test_identity_keys_keep_their_objects_alive(rs_catalog):
     run = PhysicalSelection(rs_catalog, root, make_strategy("pyro-o"),
                           OptimizerConfig())
     run.optimize_goal(root, EMPTY_ORDER)
+    run.optimize_goal(root, SortOrder(["b"]))  # under a sort enforcer
     assert run._derived
     for key, (_, inputs) in run._derived.items():
         assert key[1:] == tuple(map(id, inputs))
     assert run._built
     for key, (_, expr, inputs) in run._built.items():
         assert key[:-1] == (id(expr), *map(id, inputs))
+    assert run.builder.cost._priced
+    for key, (_, stats) in run.builder.cost._priced.items():
+        assert key[0] == id(stats)
+    assert run._interesting
+    for key, (_, expr) in run._interesting.items():
+        assert key[1] == id(expr)
+
+
+# -- the per-search memos are exact -------------------------------------------------------
+class NeverHit(dict):
+    """A memo table every lookup misses; counts the lookups by name."""
+
+    asked: collections.Counter = collections.Counter()
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+
+    def get(self, key, default=None):
+        NeverHit.asked[self.name] += 1
+        return default
+
+
+def searched(catalog, query, strategy: str, parallelism: int):
+    plan = Optimizer(catalog, strategy=strategy).optimize(
+        query, parallelism=parallelism)
+    return plan.explain(), [(node.op, node.order, node.self_cost,
+                             node.total_cost, node.stats.N)
+                            for node in plan.walk()]
+
+
+def test_search_memos_are_exact_on_the_fuzz_corpus(monkeypatch):
+    """Enforcer prices, FD closures and the strategies' interesting
+    orders are memoised for one search.  Searched again with every
+    lookup of those memos missing, each fuzz query plans to the same
+    plan, costs and EXPLAIN text under all five strategies (PYRO-E where
+    tractable) at parallelism 1 and 4."""
+    cases = []
+    for seed in range(fuzz.BASE_SEED, fuzz.BASE_SEED + fuzz.NUM_PLANS):
+        rng = random.Random(seed)
+        catalog = fuzz.random_catalog(rng)
+        query = fuzz.random_query(rng, catalog)
+        strategies = (fuzz.STRATEGIES
+                      if fuzz.exhaustive_tractable(catalog, query.expr)
+                      else fuzz.STRATEGIES[:-1])
+        cases += [(seed, catalog, query, strategy, parallelism)
+                  for strategy in strategies for parallelism in (1, 4)]
+    shipped = [searched(*case[1:]) for case in cases]
+
+    for cls, memo in ((CostModel, "_priced"), (fds.FDSet, "_closures"),
+                      (PhysicalSelection, "_interesting")):
+        def init(self, *args, _init=cls.__init__, _memo=memo, **kwargs):
+            _init(self, *args, **kwargs)
+            setattr(self, _memo, NeverHit(_memo))
+        monkeypatch.setattr(cls, "__init__", init)
+    NeverHit.asked.clear()
+    for case, expected in zip(cases, shipped):
+        assert searched(*case[1:]) == expected, case[0::3]
+    assert set(NeverHit.asked) == {"_priced", "_closures", "_interesting"}
+
+
+def test_an_added_dependency_reaches_the_next_closure():
+    deps = fds.FDSet()
+    deps.add_key(["a"], ["a", "b"])
+    assert deps.closure(["a"]) == {"a", "b"}
+    assert deps.closure(["b"]) == {"b"}
+    deps.add_equivalence("b", "c")
+    assert deps.closure(["a"]) == {"a", "b", "c"}
+    deps.add_constant("d")
+    assert deps.closure(["b"]) == {"b", "c", "d"}
+    deps.add(FunctionalDependency(frozenset({"d"}), frozenset({"e"})))
+    assert deps.closure(["b"]) == {"b", "c", "d", "e"}
+    deps.add_from_predicate(col("e").eq(col("f")))
+    assert deps.closure([]) == {"d", "e", "f"}
 
 
 _CHILD = """

@@ -154,6 +154,8 @@ SIGNATURES = {
     "repro.service.PreparedQuery.execute": "ctx **binds",
     "repro.service.QuerySession.execute":
         "query required_order ctx parallelism **binds",
+    "repro.service.QuerySession.explain_analyze":
+        "query required_order ctx parallelism **binds",
 }
 
 

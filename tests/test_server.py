@@ -494,6 +494,33 @@ class TestProcessBackend:
         finally:
             pool.close()
 
+    def test_pooled_runs_under_the_callers_parameters(self, catalog):
+        """The context's system parameters go with every shipped task
+        and into the gather's own context: with two blocks of sort
+        memory the per-shard sorts spill on both backends alike."""
+        from repro.service import SerialBackend
+
+        plan = QuerySession(catalog).prepare(serving_queries()[0],
+                                             parallelism=4).plan
+        assert plan.op == "MergeExchange"
+        pool = ProcessPoolBackend(catalog, workers=2)
+        try:
+            counted = []
+            for backend in (SerialBackend(), pool):
+                ctx = ExecutionContext(
+                    catalog, params=SystemParameters(sort_memory_blocks=2))
+                assert len(backend.run_plan(plan, catalog, ctx=ctx)) == 4000
+                tallies = ctx.tallies()
+                counted.append((tallies["blocks_written"],
+                                tallies["runs_created"],
+                                tallies["comparisons"]))
+            # The pool read (0, 0, 48_000) while each worker charged
+            # under its own catalog's 40 blocks.
+            assert counted == [(258, 44, 50_755)] * 2
+            assert pool.describe()["streamed_queries"] == 1
+        finally:
+            pool.close()
+
     def test_stale_pool_detection_and_refresh(self):
         catalog = serving_catalog(num_rows=500, seed=3)
         query = Query.table("t").order_by("b", "a", "c")
