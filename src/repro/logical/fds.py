@@ -20,6 +20,7 @@ constant-binding filters (``col = 5`` gives ``∅ → col``), and offers:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional
 
 from ..core.sort_order import SortOrder
@@ -152,18 +153,14 @@ def node_fds(catalog, node, child_fds, child_schemas) -> FDSet:
                               dict(zip(rnames, lnames)))
     fds = FDSet()
     if isinstance(node, BaseRelation):
-        for fd in catalog.table(node.table_name).functional_dependencies():
-            fds.add(fd)
+        fds = FDSet(catalog.table(node.table_name).functional_dependencies())
     elif isinstance(node, Join):
         if node.join_type == "inner":
             for l, r in node.predicate.pairs:
                 fds.add_equivalence(l, r)
     elif isinstance(node, Select):
         fds.add_from_predicate(node.predicate)
-    for child in child_fds:
-        for fd in child:
-            fds.add(fd)
-    return fds
+    return FDSet([*fds, *chain.from_iterable(child_fds)])
 
 
 def query_fds(catalog, root) -> FDSet:

@@ -525,12 +525,12 @@ class PhysicalSelection:
     def _orders(self, method: Callable, expr: LogicalExpr, required: SortOrder,
                 columns: Optional[list[str]] = None) -> list[SortOrder]:
         """The strategy's *method* (``join_orders``, or ``group_orders`` /
-        ``set_orders`` over *columns*) for *expr*, computed once per
-        search per logical node and the part of *required* the strategy
-        reads (:meth:`~repro.core.interesting.OrderStrategy.reads`).
+        ``set_orders`` over the node's *columns*) for *expr*, computed
+        once per search per logical node and the part of *required* the
+        strategy reads (:meth:`~repro.core.interesting.OrderStrategy.reads`).
         Keyed like :meth:`_alternatives`: the entry holds *expr*."""
         read = self.strategy.reads(self.order_ctx, expr, columns, required)
-        key = (method.__func__, id(expr), tuple(columns or ()), read)
+        key = (id(expr), read)
         hit = self._interesting.get(key)
         if hit is None:
             args = (required,) if columns is None else (columns, required)

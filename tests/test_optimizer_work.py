@@ -316,7 +316,7 @@ def test_identity_keys_keep_their_objects_alive(rs_catalog):
         assert key[0] == id(stats)
     assert run._interesting
     for key, (_, expr) in run._interesting.items():
-        assert key[1] == id(expr)
+        assert key[0] == id(expr)
 
 
 # -- the per-search memos are exact -------------------------------------------------------
