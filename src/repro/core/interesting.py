@@ -69,23 +69,26 @@ class OrderStrategy:
     partial_sorts = True
 
     def join_orders(self, octx: OrderContext, join: Join,
-                    required: SortOrder) -> list[SortOrder]:
+                    read) -> list[SortOrder]:
+        """Orders for *join*; *read* is what :meth:`reads` returned for
+        the required order, the only view of it a strategy gets."""
         raise NotImplementedError
 
     def group_orders(self, octx: OrderContext, group: GroupBy,
-                     columns: Sequence[str], required: SortOrder) -> list[SortOrder]:
+                     columns: Sequence[str], read) -> list[SortOrder]:
         raise NotImplementedError
 
     def set_orders(self, octx: OrderContext, expr: LogicalExpr,
-                   columns: Sequence[str], required: SortOrder) -> list[SortOrder]:
+                   columns: Sequence[str], read) -> list[SortOrder]:
         """Orders for Distinct/Union (flexible over all columns)."""
-        return self.group_orders(octx, expr, columns, required)  # type: ignore[arg-type]
+        return self.group_orders(octx, expr, columns, read)  # type: ignore[arg-type]
 
     def reads(self, octx: OrderContext, expr: LogicalExpr,
               columns: Optional[Sequence[str]], required: SortOrder):
         """The part of *required* the orders for *expr* (over *columns*,
-        ``None`` for a join) depend on: a search asks for them once per
-        node and value.  By default, none of it."""
+        ``None`` for a join) depend on, handed to the ``*_orders``
+        methods in its place: a search asks for them once per node and
+        value.  By default, none of it."""
         return None
 
     # -- shared helpers ---------------------------------------------------------------
@@ -125,10 +128,10 @@ class ArbitraryOrderStrategy(OrderStrategy):
 
     name = "pyro"
 
-    def join_orders(self, octx, join, required):
+    def join_orders(self, octx, join, read):
         return [arbitrary_permutation(self._join_attr_names(join))]
 
-    def group_orders(self, octx, group, columns, required):
+    def group_orders(self, octx, group, columns, read):
         return [arbitrary_permutation(columns)]
 
 
@@ -150,10 +153,10 @@ class PostgresHeuristicStrategy(OrderStrategy):
             out.append(SortOrder((a,)).concat(rest))
         return out or [EMPTY_ORDER]
 
-    def join_orders(self, octx, join, required):
+    def join_orders(self, octx, join, read):
         return self._leading(self._join_attr_names(join))
 
-    def group_orders(self, octx, group, columns, required):
+    def group_orders(self, octx, group, columns, read):
         return self._leading(list(columns))
 
 
@@ -193,7 +196,7 @@ class FavorableOrderStrategy(OrderStrategy):
                  if columns is None else set(columns))
         return octx.required_prefix(required, attrs)
 
-    def join_orders(self, octx, join, required):
+    def join_orders(self, octx, join, read):
         pairs = list(join.predicate.pairs)
         attrs = [l for l, _ in pairs]
         side_attrs = {c for pair in pairs for c in pair}
@@ -202,20 +205,18 @@ class FavorableOrderStrategy(OrderStrategy):
         for source in (join.left, join.right):
             for o in octx.favorable.afm_on(source, side_attrs):
                 candidates.append(self._canonicalize(o, attrs, octx.eq))
-        req = self._canonicalize(self.reads(octx, join, None, required),
-                                 attrs, octx.eq)
+        req = self._canonicalize(read, attrs, octx.eq)
         if req:
             candidates.append(req)
         candidates = self._drop_redundant([c for c in candidates if c], octx.eq)
         orders = self._extend_all(candidates, attrs, octx.eq)
         return orders or [arbitrary_permutation(attrs)]
 
-    def group_orders(self, octx, group, columns, required):
+    def group_orders(self, octx, group, columns, read):
         child = group.children[0]
         candidates = [self._canonicalize(o, list(columns), octx.eq)
                       for o in octx.favorable.afm_on(child, set(columns))]
-        req = self._canonicalize(self.reads(octx, group, columns, required),
-                                 list(columns), octx.eq)
+        req = self._canonicalize(read, list(columns), octx.eq)
         if req:
             candidates.append(req)
         candidates = self._drop_redundant([c for c in candidates if c], octx.eq)
@@ -239,10 +240,10 @@ class ExhaustiveOrderStrategy(OrderStrategy):
                 f"limit is {self.limit}! — use PYRO-O for larger sets")
         return [SortOrder(p) for p in itertools.permutations(attrs)]
 
-    def join_orders(self, octx, join, required):
+    def join_orders(self, octx, join, read):
         return self._all(self._join_attr_names(join))
 
-    def group_orders(self, octx, group, columns, required):
+    def group_orders(self, octx, group, columns, read):
         return self._all(list(columns))
 
 
@@ -266,17 +267,17 @@ class ForcedOrderStrategy(OrderStrategy):
         return (None if expr in self.forced
                 else self.base.reads(octx, expr, columns, required))
 
-    def join_orders(self, octx, join, required):
+    def join_orders(self, octx, join, read):
         forced = self.forced.get(join)
         if forced is not None:
             return [forced]
-        return self.base.join_orders(octx, join, required)
+        return self.base.join_orders(octx, join, read)
 
-    def group_orders(self, octx, group, columns, required):
+    def group_orders(self, octx, group, columns, read):
         forced = self.forced.get(group)
         if forced is not None:
             return [forced]
-        return self.base.group_orders(octx, group, columns, required)
+        return self.base.group_orders(octx, group, columns, read)
 
 
 #: Registry used by the optimizer's constructor and the benchmarks.

@@ -18,7 +18,8 @@ pieces:
   the shipped bytes carry only what lowering needs;
 * :func:`execute_subplan` — the worker entrypoint: lowers a task
   against the worker's catalog (installed once per pool by
-  :func:`init_worker`), runs it to completion and returns its rows,
+  :func:`init_worker`), runs it to completion and returns its rows —
+  encoded by :func:`encode_rows` as one bytes payload — with its
   tallies and span records, which reach the serving process as the
   task future's result;
 * :func:`assemble_tasks` — rebuild the serving-side operator tree with
@@ -27,6 +28,14 @@ pieces:
   gather (stable k-way merge, ties to the lowest shard index) and
   everything above it runs locally and the result is **bit-identical**
   to single-process execution.
+
+Rows travel as one payload per task: :func:`encode_rows` pickles the row
+list at the highest protocol with the pickler's memo off (catalog rows
+share no objects, so the memo only records every row tuple for nothing),
+and :func:`decode_rows` unpickles it inside the gather, when the
+:class:`TaskSource` is first pulled.  The pool's result thread then only
+copies bytes; the decoding is charged to the serving process's ``merge``
+span, beside the merge it feeds.
 
 Workers also keep an LRU of 32 *lowered* subplans keyed by the task
 template's pickled fingerprint: operators are plans, not live cursors
@@ -51,6 +60,7 @@ stay bit-identical across backends.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 from collections import OrderedDict
@@ -142,11 +152,30 @@ def shard_subplans(plan) -> tuple[list, list[Any]]:
     return occurrences, tasks
 
 
+# -- the rows' transport ----------------------------------------------------------------
+def encode_rows(rows: list) -> bytes:
+    """*rows* as one pickle payload, written without the pickler's memo:
+    rows share no objects, so memoising each row tuple costs time and
+    bytes and saves nothing.  A row holding one object twice is pickled
+    twice and decodes equal, not identical."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(rows)
+    return buffer.getvalue()
+
+
+def decode_rows(payload: bytes) -> list:
+    """The row list :func:`encode_rows` encoded."""
+    return pickle.loads(payload)
+
+
 # -- serving side: shipped task results ------------------------------------------------
 class TaskSource(Operator):
     """The rows of one shipped task, grafted under the re-assembled
-    exchange: its execution waits for the task's future and yields the
-    rows the worker returned, in ``ctx.batch_size`` batches.
+    exchange: its execution waits for the task's future, decodes the
+    payload the worker returned (:func:`decode_rows`) and yields its
+    rows in ``ctx.batch_size`` batches.
 
     Reading a future does not consume it, so a TaskSource re-executes
     like every other operator."""
@@ -156,7 +185,8 @@ class TaskSource(Operator):
         self.future = future
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        yield from batches_of(self.future.result()[0], ctx.batch_size)
+        yield from batches_of(decode_rows(self.future.result()[0]),
+                              ctx.batch_size)
 
 
 def assemble_tasks(plan, occurrences: Sequence[Any],
@@ -270,8 +300,10 @@ def execute_subplan(plan, batch_size: Optional[int] = None,
                     params: Optional[SystemParameters] = None) -> tuple:
     """Worker entrypoint: run one shipped task to completion.
 
-    Returns ``(rows, tallies, cache_hit, span_records)``, which reaches
-    the serving process as the task future's result; ``span_records`` is
+    Returns ``(payload, tallies, cache_hit, span_records)``, which
+    reaches the serving process as the task future's result: *payload*
+    is the task's rows as :func:`encode_rows` encodes them, decoded by
+    the :class:`TaskSource` that reads them; ``span_records`` is
     ``None`` unless the task was traced (*trace_ctx* given).  Errors
     propagate through the future too.  The task runs with the cyclic
     collector paused (:class:`collector_paused`).
@@ -289,9 +321,10 @@ def execute_subplan(plan, batch_size: Optional[int] = None,
             op, cache_hit = _lowered_cached(plan)
             lower_span.tag(cache_hit=cache_hit)
         if trace is None:
-            return op.run(ctx), ctx.tallies(), cache_hit, None
+            return encode_rows(op.run(ctx)), ctx.tallies(), cache_hit, None
         with trace.span("run", parent=root) as run_span:
             rows = op.run(ctx)
             run_span.tag(rows=len(rows))
+        payload = encode_rows(rows)
         trace.finish(root)
-        return rows, ctx.tallies(), cache_hit, trace.to_records()
+        return payload, ctx.tallies(), cache_hit, trace.to_records()

@@ -527,13 +527,14 @@ class PhysicalSelection:
         """The strategy's *method* (``join_orders``, or ``group_orders`` /
         ``set_orders`` over the node's *columns*) for *expr*, computed
         once per search per logical node and the part of *required* the
-        strategy reads (:meth:`~repro.core.interesting.OrderStrategy.reads`).
-        Keyed like :meth:`_alternatives`: the entry holds *expr*."""
+        strategy reads (:meth:`~repro.core.interesting.OrderStrategy.reads`),
+        which is all of *required* the method is given.  Keyed like
+        :meth:`_alternatives`: the entry holds *expr*."""
         read = self.strategy.reads(self.order_ctx, expr, columns, required)
         key = (id(expr), read)
         hit = self._interesting.get(key)
         if hit is None:
-            args = (required,) if columns is None else (columns, required)
+            args = (read,) if columns is None else (columns, read)
             hit = self._interesting[key] = (
                 method(self.order_ctx, expr, *args), expr)
         return hit[0]

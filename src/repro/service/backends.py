@@ -28,9 +28,12 @@ merge (ties to the lowest shard index) the local exchange would.
 
 The process backend has one way back from a worker: every shipped task
 — a shard pipeline or a whole plan — runs to completion and returns its
-rows, tallies and span records as its future's result.  The serving
-side grafts each future under the re-assembled gather, and after the
-gather folds every task's tallies in task order, waiting for any task a
+rows (one bytes payload, pickled without the pickler's memo by
+:func:`~repro.engine.subplan.encode_rows`), tallies and span records as
+its future's result, so the pool's result thread only copies bytes.
+The serving side grafts each future under the re-assembled gather,
+which decodes each payload when it first pulls it, and after the gather
+folds every task's tallies in task order, waiting for any task a
 ``LIMIT`` left unread, so each shard's work is counted.  Workers keep a
 warm LRU of 32 lowered subplans keyed by the task template's
 fingerprint, so the plan-cache steady state (the same physical plan

@@ -36,7 +36,7 @@ import pytest
 from repro.core.sort_order import SortOrder
 from repro.engine import ExecutionContext
 from repro.engine.exchange import MergeExchange
-from repro.engine.subplan import assemble_tasks, shard_subplans
+from repro.engine.subplan import assemble_tasks, encode_rows, shard_subplans
 from repro.logical import Query
 from repro.optimizer import GreedyManyToManyEnumerator, Optimizer
 from repro.service import FeedbackConfig, QuerySession, QueryServer, make_backend
@@ -379,8 +379,8 @@ class TestDisjointGatherParity:
         futures = []
         for task in tasks:
             future = concurrent.futures.Future()
-            future.set_result((task.to_operator(catalog).run(
-                ExecutionContext(catalog)), {}, False, None))
+            future.set_result((encode_rows(task.to_operator(catalog).run(
+                ExecutionContext(catalog))), {}, False, None))
             futures.append(future)
 
         def reassemble():

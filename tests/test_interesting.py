@@ -86,7 +86,10 @@ class TestFavorable:
     def test_includes_required_prefix(self, setup):
         _, join, octx = setup
         required = SortOrder(["c", "a"])
-        orders = FavorableOrderStrategy().join_orders(octx, join, required)
+        strategy = FavorableOrderStrategy()
+        read = strategy.reads(octx, join, None, required)
+        assert read == required
+        orders = strategy.join_orders(octx, join, read)
         assert any(o.as_tuple[:2] == ("c", "a") for o in orders)
 
     def test_far_fewer_than_exhaustive(self, setup):

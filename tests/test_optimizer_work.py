@@ -38,10 +38,11 @@ from repro.optimizer.pipeline.physical_selection import PhysicalSelection
 from repro.optimizer.plans import PhysicalPlan
 from repro.core.interesting import make_strategy
 from repro.service import QuerySession
-from repro.storage import Catalog, Schema, TableStats
+from repro.storage import Catalog, Schema, SystemParameters, TableStats
 from repro.storage.schema import FunctionalDependency
 from repro.storage.statistics import StatsView
-from repro.workloads import many_join_catalog, many_join_query
+from repro.workloads import (many_join_catalog, many_join_query, query4,
+                             r_tables_stats_catalog)
 
 SRC = str(pathlib.Path(__file__).parent.parent / "src")
 
@@ -385,6 +386,33 @@ def test_an_added_dependency_reaches_the_next_closure():
     assert deps.closure(["b"]) == {"b", "c", "d", "e"}
     deps.add_from_predicate(col("e").eq(col("f")))
     assert deps.closure([]) == {"d", "e", "f"}
+
+
+def test_the_order_memo_key_is_all_a_strategy_reads(monkeypatch):
+    """PYRO-O's interesting orders are looked up under what ``reads``
+    took from the required order, and computed from that value alone:
+    the Fig. 16 Query 4 cold prepare (pyro-o, the exhaustive
+    enumerator, 250 sort-memory blocks, as ``plan_cold`` runs it) calls
+    ``reads`` once per lookup, three lookups of which two miss (five
+    calls when a miss derived the value again)."""
+    counts = collections.Counter()
+    strategy_cls = make_strategy("pyro-o").__class__
+    for name in ("reads", "join_orders", "group_orders", "set_orders"):
+        method = getattr(strategy_cls, name)
+        def counted(*args, _method=method, _name=name, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(strategy_cls, name, counted)
+    orders = PhysicalSelection._orders
+    def counted_orders(*args, **kwargs):
+        counts["lookups"] += 1
+        return orders(*args, **kwargs)
+    monkeypatch.setattr(PhysicalSelection, "_orders", counted_orders)
+    session = QuerySession(
+        r_tables_stats_catalog(params=SystemParameters(sort_memory_blocks=250)),
+        strategy="pyro-o", join_enumerator="exhaustive")
+    session.prepare(query4(), parallelism=1)
+    assert counts == {"lookups": 3, "reads": 3, "join_orders": 2}
 
 
 _CHILD = """

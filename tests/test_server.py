@@ -1036,6 +1036,76 @@ class TestStreamingTransfer:
         finally:
             backend.close()
 
+    def test_shipped_rows_decode_as_in_process_without_a_memo(self):
+        """A task's rows come home as one payload pickled without the
+        pickler's memo (no ``PUT`` / ``BINPUT`` / ``LONG_BINPUT`` /
+        ``MEMOIZE`` opcode) and decode inside the gather: NULLs, floats
+        (infinities and a negative zero), bools, integers past 64 bits,
+        empty and non-ASCII strings and an empty result all come back
+        equal to in-process execution, whole or sharded, and the
+        re-assembled tree executes twice alike.  Rows are compared by
+        ``repr`` too, which tells ``-0.0`` from ``0.0`` and ``True``
+        from ``1``."""
+        import pickletools
+
+        from repro.engine.subplan import (assemble_tasks, execute_subplan,
+                                          shard_subplans)
+        from repro.service import SerialBackend
+
+        # Two blocks of sort memory: parallelism 4 sorts per shard.
+        catalog = Catalog(SystemParameters(sort_memory_blocks=2))
+        schema = Schema.of(("k", "int", 8), ("n", "int", 8),
+                           ("f", "float", 8), ("b", "bool", 1),
+                           ("big", "int", 16), ("s", "str", 64))
+        odd = [None, 0.0, -0.0, float("inf"), float("-inf"), 1e-310,
+               True, False, 2 ** 63, -2 ** 64 - 1, 10 ** 30, "",
+               "naïve", "日本語", "\U0001f600", "a\x00b"]
+        rows = [(k, odd[k % len(odd)] if k % 3 else None,
+                 odd[(k * 7) % len(odd)], k % 2 == 0,
+                 2 ** 63 + k, odd[(k * 5) % len(odd)] or "")
+                for k in range(400)]
+        random.Random(4).shuffle(rows)
+        catalog.create_table("odd", schema, rows=rows)
+        memo_ops = {"PUT", "BINPUT", "LONG_BINPUT", "MEMOIZE"}
+        queries = (Query.table("odd").order_by("k"),
+                   Query.table("odd").where(col("k").lt(-1)).order_by("k"))
+        backend = ProcessPoolBackend(catalog, workers=1)
+        try:
+            pool = backend._ensure_pool().pool
+            for query in queries:
+                reference = QuerySession(catalog).execute(query)
+                for parallelism in (1, 4):
+                    plan = QuerySession(catalog).prepare(
+                        query, parallelism=parallelism).plan
+                    occurrences, tasks = shard_subplans(plan)
+                    assert bool(occurrences) == (parallelism > 1)
+                    serial_ctx = ExecutionContext(catalog)
+                    assert SerialBackend().run_plan(
+                        plan, catalog, ctx=serial_ctx) == reference
+                    ctx = ExecutionContext(catalog)
+                    pooled = backend._run_pooled(plan, catalog, ctx)
+                    assert pooled == reference
+                    assert repr(pooled) == repr(reference)
+                    assert ctx.tallies() == serial_ctx.tallies()
+
+                    futures = [pool.submit(execute_subplan, task)
+                               for task in tasks]
+                    for future in futures:
+                        payload = future.result()[0]
+                        assert isinstance(payload, bytes)
+                        opcodes = {op.name for op, _, _
+                                   in pickletools.genops(payload)}
+                        assert not opcodes & memo_ops, opcodes
+                    root = assemble_tasks(plan, occurrences, futures,
+                                          catalog)
+                    for _ in range(2):
+                        again = root.run(ExecutionContext(catalog))
+                        assert repr(again) == repr(reference)
+            assert reference == []
+            assert len(QuerySession(catalog).execute(queries[0])) == 400
+        finally:
+            backend.close()
+
     def test_streaming_server_end_to_end(self, catalog, references):
         """A sharded query on the process backend goes to the pool: the
         full server round trip stays bit-identical, and the telemetry
