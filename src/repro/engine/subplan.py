@@ -30,12 +30,12 @@ pieces:
   to single-process execution.
 
 Rows travel as one payload per task: :func:`encode_rows` pickles the row
-list at the highest protocol with the pickler's memo off (catalog rows
-share no objects, so the memo only records every row tuple for nothing),
-and :func:`decode_rows` unpickles it inside the gather, when the
-:class:`TaskSource` is first pulled.  The pool's result thread then only
-copies bytes; the decoding is charged to the serving process's ``merge``
-span, beside the merge it feeds.
+list at the highest protocol with the pickler's memo off (result rows
+rarely share objects, so the memo would record every row tuple for
+nothing), and :func:`decode_rows` unpickles it inside the gather, when
+the :class:`TaskSource` is first pulled.  The pool's result thread then
+only copies bytes; the decoding is charged to the serving process's
+``merge`` span, beside the merge it feeds.
 
 Workers also keep an LRU of 32 *lowered* subplans keyed by the task
 template's pickled fingerprint: operators are plans, not live cursors
@@ -155,9 +155,10 @@ def shard_subplans(plan) -> tuple[list, list[Any]]:
 # -- the rows' transport ----------------------------------------------------------------
 def encode_rows(rows: list) -> bytes:
     """*rows* as one pickle payload, written without the pickler's memo:
-    rows share no objects, so memoising each row tuple costs time and
-    bytes and saves nothing.  A row holding one object twice is pickled
-    twice and decodes equal, not identical."""
+    result rows rarely share objects, so memoising every row tuple and
+    value costs time and bytes and saves little.  An object that appears
+    in several rows is written out each time and decodes as equal
+    copies, not as one object."""
     buffer = io.BytesIO()
     pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
     pickler.fast = True
