@@ -18,10 +18,9 @@ tree with only longest-common-prefix work per node.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..logical.algebra import (
-    Annotator,
     BaseRelation,
     Compute,
     Distinct,
@@ -35,12 +34,10 @@ from ..logical.algebra import (
     Union,
 )
 from ..storage.catalog import Catalog
-from .sort_order import (
-    AttributeEquivalence,
-    EMPTY_ORDER,
-    SortOrder,
-    arbitrary_permutation,
-)
+from .sort_order import EMPTY_ORDER, SortOrder, arbitrary_permutation
+
+if TYPE_CHECKING:
+    from ..optimizer.pipeline.groups import Group, GroupTable
 
 #: Safety cap on |afm(e)| — the paper argues the set stays tiny in
 #: practice ("typically m ≤ 2"); the cap only guards degenerate catalogs.
@@ -48,22 +45,21 @@ MAX_AFM_ORDERS = 16
 
 
 class FavorableOrders:
-    """Bottom-up ``afm`` computation with per-node memoisation."""
+    """Bottom-up ``afm`` computation over a search's group table
+    (schemas, the whole query's equivalences and used attributes are
+    its), memoised per group: structurally equal nodes share one."""
 
-    def __init__(self, catalog: Catalog, annotator: Annotator) -> None:
+    def __init__(self, catalog: Catalog, groups: GroupTable) -> None:
         self.catalog = catalog
-        self.annotator = annotator
-        self.eq = annotator.eq
-        self._memo: dict[LogicalExpr, tuple[SortOrder, ...]] = {}
+        self.groups = groups
+        self.eq = groups.root.eq
+        #: ``afm`` per group id; the table's, so it lives with the table.
+        self._memo = groups.afm_memo
 
     # -- public API -----------------------------------------------------------------
     def afm(self, expr: LogicalExpr) -> tuple[SortOrder, ...]:
         """Approximate minimal favorable orders of *expr*."""
-        cached = self._memo.get(expr)
-        if cached is None:
-            cached = self._dedupe(self._compute(expr))
-            self._memo[expr] = cached
-        return cached
+        return self._afm(self.groups.of(expr))
 
     def afm_on(self, expr: LogicalExpr, attr_set: Iterable[str]) -> tuple[SortOrder, ...]:
         """``afm(e, s) = { o ∧ s : o ∈ afm(e) }`` — favorable orders
@@ -72,35 +68,46 @@ class FavorableOrders:
         restricted = [o.restrict_prefix_to(attrs, self.eq) for o in self.afm(expr)]
         return self._dedupe(o for o in restricted if o)
 
+    def required_prefix(self, required: SortOrder,
+                        attrs: Iterable[str]) -> SortOrder:
+        """``o ∧ S``: the prefix of *required* over *attrs*, under the
+        whole query's equivalences."""
+        return required.restrict_prefix_to(attrs, self.eq)
+
+    def _afm(self, group: Group) -> tuple[SortOrder, ...]:
+        cached = self._memo.get(group.gid)
+        if cached is None:
+            cached = self._memo[group.gid] = self._dedupe(self._compute(group))
+        return cached
+
     # -- per-node rules (Section 5.1.2) ------------------------------------------------
-    def _compute(self, expr: LogicalExpr) -> list[SortOrder]:
+    def _compute(self, group: Group) -> list[SortOrder]:
+        expr, children = group.expr, group.children
         if isinstance(expr, BaseRelation):
             return self._base_relation(expr)
-        if isinstance(expr, (Select, Limit)):
-            return list(self.afm(expr.children[0]))
-        if isinstance(expr, Compute):
-            return list(self.afm(expr.child))
+        if isinstance(expr, (Select, Limit, Compute)):
+            return list(self._afm(children[0]))
         if isinstance(expr, Project):
             return [o.restrict_prefix_to(expr.columns)
-                    for o in self.afm(expr.child)]
+                    for o in self._afm(children[0])]
         if isinstance(expr, Join):
-            return self._join(expr)
+            return self._join(expr, *children)
         if isinstance(expr, GroupBy):
             return self._flexible_single_input(
-                expr.child, list(expr.group_columns))
+                children[0], list(expr.group_columns))
         if isinstance(expr, Distinct):
-            schema = self.annotator.schema_of(expr)
-            return self._flexible_single_input(expr.child, list(schema.names))
+            return self._flexible_single_input(
+                children[0], list(group.schema.names))
         if isinstance(expr, Union):
-            return self._union(expr)
+            return self._union(*children)
         if isinstance(expr, OrderBy):
-            return self._dedupe([expr.order, *self.afm(expr.child)])
+            return self._dedupe([expr.order, *self._afm(children[0])])
         raise TypeError(f"afm: unknown logical node {type(expr).__name__}")
 
     def _base_relation(self, expr: BaseRelation) -> list[SortOrder]:
         """Rule 1: the clustering order plus every covering index key."""
         table = self.catalog.table(expr.table_name)
-        used = self.annotator.used_attrs(expr.table_name)
+        used = self.groups.used_attrs(expr.table_name)
         orders: list[SortOrder] = []
         if table.clustering_order:
             orders.append(table.clustering_order)
@@ -109,14 +116,14 @@ class FavorableOrders:
                 orders.append(index.key)
         return orders
 
-    def _join(self, expr: Join) -> list[SortOrder]:
+    def _join(self, expr: Join, left: Group, right: Group) -> list[SortOrder]:
         """Rule 4: input orders pass through (NL join propagates the
         outer's order); additionally, each input favorable order's prefix
         within the join attribute set is extended to a full permutation
         (merge join propagates the chosen join order)."""
         pairs = list(expr.predicate.pairs)
         side_attrs = {c for pair in pairs for c in pair}
-        t = list(self.afm(expr.left)) + list(self.afm(expr.right))
+        t = list(self._afm(left)) + list(self._afm(right))
         result = list(t)
         for o in [*t, EMPTY_ORDER]:
             prefix = o.restrict_prefix_to(side_attrs, self.eq)
@@ -134,25 +141,23 @@ class FavorableOrders:
                 remaining.append(l)
         return prefix.concat(arbitrary_permutation(remaining))
 
-    def _flexible_single_input(self, child: LogicalExpr,
+    def _flexible_single_input(self, child: Group,
                                columns: list[str]) -> list[SortOrder]:
         """Rule 5 (GroupBy et al.): extend each input favorable order's
         prefix over the grouping columns to a full permutation."""
         result: list[SortOrder] = []
-        for o in [*self.afm(child), EMPTY_ORDER]:
+        for o in [*self._afm(child), EMPTY_ORDER]:
             prefix = o.restrict_prefix_to(columns, self.eq)
             rest = [c for c in columns
                     if not any(self.eq.same(c, a) for a in prefix)]
             result.append(prefix.concat(arbitrary_permutation(rest)))
         return result
 
-    def _union(self, expr: Union) -> list[SortOrder]:
-        left_schema = self.annotator.schema_of(expr.left)
-        right_schema = self.annotator.schema_of(expr.right)
-        rename = dict(zip(right_schema.names, left_schema.names))
-        t = list(self.afm(expr.left))
-        t += [o.translate(rename) for o in self.afm(expr.right)]
-        columns = list(left_schema.names)
+    def _union(self, left: Group, right: Group) -> list[SortOrder]:
+        rename = dict(zip(right.schema.names, left.schema.names))
+        t = list(self._afm(left))
+        t += [o.translate(rename) for o in self._afm(right)]
+        columns = list(left.schema.names)
         result: list[SortOrder] = []
         for o in [*t, EMPTY_ORDER]:
             prefix = o.restrict_prefix_to(columns, self.eq)

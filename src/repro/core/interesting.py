@@ -28,11 +28,9 @@ phase-2 refinement uses to re-plan with reworked orders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..logical.algebra import Distinct, GroupBy, Join, LogicalExpr, Union
-from ..logical.fds import FDSet
 from .favorable import FavorableOrders
 from .sort_order import (
     AttributeEquivalence,
@@ -46,19 +44,6 @@ from .sort_order import (
 EXHAUSTIVE_LIMIT = 8
 
 
-@dataclass
-class OrderContext:
-    """Everything a strategy may consult."""
-
-    favorable: FavorableOrders
-    fds: FDSet
-    eq: AttributeEquivalence
-
-    def required_prefix(self, required: SortOrder,
-                        attrs: Iterable[str]) -> SortOrder:
-        return required.restrict_prefix_to(attrs, self.eq)
-
-
 class OrderStrategy:
     """Base interface.  All returned orders use canonical (left-side /
     output-schema) attribute names and are full permutations of the
@@ -68,22 +53,23 @@ class OrderStrategy:
     #: Whether the search may enforce an order with a partial sort.
     partial_sorts = True
 
-    def join_orders(self, octx: OrderContext, join: Join,
+    def join_orders(self, favorable: FavorableOrders, join: Join,
                     read) -> list[SortOrder]:
-        """Orders for *join*; *read* is what :meth:`reads` returned for
-        the required order, the only view of it a strategy gets."""
+        """Orders for *join*; *favorable* is the search's favorable
+        orders (and equivalences), *read* is what :meth:`reads` returned
+        for the required order, the only view of it a strategy gets."""
         raise NotImplementedError
 
-    def group_orders(self, octx: OrderContext, group: GroupBy,
+    def group_orders(self, favorable: FavorableOrders, group: GroupBy,
                      columns: Sequence[str], read) -> list[SortOrder]:
         raise NotImplementedError
 
-    def set_orders(self, octx: OrderContext, expr: LogicalExpr,
+    def set_orders(self, favorable: FavorableOrders, expr: LogicalExpr,
                    columns: Sequence[str], read) -> list[SortOrder]:
         """Orders for Distinct/Union (flexible over all columns)."""
-        return self.group_orders(octx, expr, columns, read)  # type: ignore[arg-type]
+        return self.group_orders(favorable, expr, columns, read)  # type: ignore[arg-type]
 
-    def reads(self, octx: OrderContext, expr: LogicalExpr,
+    def reads(self, favorable: FavorableOrders, expr: LogicalExpr,
               columns: Optional[Sequence[str]], required: SortOrder):
         """The part of *required* the orders for *expr* (over *columns*,
         ``None`` for a join) depend on, handed to the ``*_orders``
@@ -128,10 +114,10 @@ class ArbitraryOrderStrategy(OrderStrategy):
 
     name = "pyro"
 
-    def join_orders(self, octx, join, read):
+    def join_orders(self, favorable, join, read):
         return [arbitrary_permutation(self._join_attr_names(join))]
 
-    def group_orders(self, octx, group, columns, read):
+    def group_orders(self, favorable, group, columns, read):
         return [arbitrary_permutation(columns)]
 
 
@@ -153,10 +139,10 @@ class PostgresHeuristicStrategy(OrderStrategy):
             out.append(SortOrder((a,)).concat(rest))
         return out or [EMPTY_ORDER]
 
-    def join_orders(self, octx, join, read):
+    def join_orders(self, favorable, join, read):
         return self._leading(self._join_attr_names(join))
 
-    def group_orders(self, octx, group, columns, read):
+    def group_orders(self, favorable, group, columns, read):
         return self._leading(list(columns))
 
 
@@ -190,37 +176,39 @@ class FavorableOrderStrategy(OrderStrategy):
                 out.append(name)
         return SortOrder(out)
 
-    def reads(self, octx, expr, columns, required):
+    def reads(self, favorable, expr, columns, required):
         """``o ∧ S``, S the flexible attributes (a join's on both sides)."""
         attrs = ({c for pair in expr.predicate.pairs for c in pair}
                  if columns is None else set(columns))
-        return octx.required_prefix(required, attrs)
+        return favorable.required_prefix(required, attrs)
 
-    def join_orders(self, octx, join, read):
+    def join_orders(self, favorable, join, read):
         pairs = list(join.predicate.pairs)
         attrs = [l for l, _ in pairs]
         side_attrs = {c for pair in pairs for c in pair}
+        eq = favorable.eq
 
         candidates: list[SortOrder] = []
         for source in (join.left, join.right):
-            for o in octx.favorable.afm_on(source, side_attrs):
-                candidates.append(self._canonicalize(o, attrs, octx.eq))
-        req = self._canonicalize(read, attrs, octx.eq)
+            for o in favorable.afm_on(source, side_attrs):
+                candidates.append(self._canonicalize(o, attrs, eq))
+        req = self._canonicalize(read, attrs, eq)
         if req:
             candidates.append(req)
-        candidates = self._drop_redundant([c for c in candidates if c], octx.eq)
-        orders = self._extend_all(candidates, attrs, octx.eq)
+        candidates = self._drop_redundant([c for c in candidates if c], eq)
+        orders = self._extend_all(candidates, attrs, eq)
         return orders or [arbitrary_permutation(attrs)]
 
-    def group_orders(self, octx, group, columns, read):
+    def group_orders(self, favorable, group, columns, read):
         child = group.children[0]
-        candidates = [self._canonicalize(o, list(columns), octx.eq)
-                      for o in octx.favorable.afm_on(child, set(columns))]
-        req = self._canonicalize(read, list(columns), octx.eq)
+        eq = favorable.eq
+        candidates = [self._canonicalize(o, list(columns), eq)
+                      for o in favorable.afm_on(child, set(columns))]
+        req = self._canonicalize(read, list(columns), eq)
         if req:
             candidates.append(req)
-        candidates = self._drop_redundant([c for c in candidates if c], octx.eq)
-        orders = self._extend_all(candidates, list(columns), octx.eq)
+        candidates = self._drop_redundant([c for c in candidates if c], eq)
+        orders = self._extend_all(candidates, list(columns), eq)
         return orders or [arbitrary_permutation(columns)]
 
 
@@ -240,10 +228,10 @@ class ExhaustiveOrderStrategy(OrderStrategy):
                 f"limit is {self.limit}! — use PYRO-O for larger sets")
         return [SortOrder(p) for p in itertools.permutations(attrs)]
 
-    def join_orders(self, octx, join, read):
+    def join_orders(self, favorable, join, read):
         return self._all(self._join_attr_names(join))
 
-    def group_orders(self, octx, group, columns, read):
+    def group_orders(self, favorable, group, columns, read):
         return self._all(list(columns))
 
 
@@ -263,21 +251,21 @@ class ForcedOrderStrategy(OrderStrategy):
         self.forced = dict(forced)
         self.partial_sorts = base.partial_sorts
 
-    def reads(self, octx, expr, columns, required):
+    def reads(self, favorable, expr, columns, required):
         return (None if expr in self.forced
-                else self.base.reads(octx, expr, columns, required))
+                else self.base.reads(favorable, expr, columns, required))
 
-    def join_orders(self, octx, join, read):
+    def join_orders(self, favorable, join, read):
         forced = self.forced.get(join)
         if forced is not None:
             return [forced]
-        return self.base.join_orders(octx, join, read)
+        return self.base.join_orders(favorable, join, read)
 
-    def group_orders(self, octx, group, columns, read):
+    def group_orders(self, favorable, group, columns, read):
         forced = self.forced.get(group)
         if forced is not None:
             return [forced]
-        return self.base.group_orders(octx, group, columns, read)
+        return self.base.group_orders(favorable, group, columns, read)
 
 
 #: Registry used by the optimizer's constructor and the benchmarks.

@@ -124,7 +124,7 @@ def refine_plan(plan: "PhysicalPlan", groups: "GroupTable",
         return plan
 
     favorable = groups.favorable
-    eq = groups.annotator.eq
+    eq = groups.root.eq
 
     fixed_prefixes: dict[int, SortOrder] = {}
     logical_of: dict[int, LogicalExpr] = {}

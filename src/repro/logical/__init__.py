@@ -1,7 +1,6 @@
 """Logical algebra, query builder and functional-dependency reasoning."""
 
 from .algebra import (
-    Annotator,
     BaseRelation,
     Compute,
     Distinct,
@@ -16,11 +15,10 @@ from .algebra import (
     referenced_tables,
 )
 from .builder import Query
-from .fds import FDSet, query_fds
+from .fds import FDSet
 from .fingerprint import canonical_text, logical_fingerprint
 
 __all__ = [
-    "Annotator",
     "BaseRelation",
     "Compute",
     "Distinct",
@@ -36,6 +34,5 @@ __all__ = [
     "Union",
     "canonical_text",
     "logical_fingerprint",
-    "query_fds",
     "referenced_tables",
 ]

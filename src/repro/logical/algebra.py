@@ -1,20 +1,22 @@
 """Logical algebra: the optimizer's input language.
 
-Nodes are immutable and hashable (they key the optimizer's memo table).
+Nodes are immutable and hashable: structurally equal nodes are equal.
 Supported shapes cover the paper's entire workload: select-project-join
 trees with inner/left/full-outer joins, grouping/aggregation, duplicate
 elimination, distinct union, computed columns and a root ORDER BY.
 
-Schema derivation lives in :class:`Annotator`, which walks a query once
-and caches per-node output schemas, attribute equivalence classes (from
-join equalities) and the set of attributes each base table must supply
-(used to decide which indexes *cover the query*).
+The per-node derivation steps live here: :func:`derive_schema` (output
+schema) and :func:`equivalence_pairs` (attribute pairs equal on every
+row).  The optimizer's group table
+(:mod:`repro.optimizer.pipeline.groups`) folds them, with
+:func:`~repro.logical.fds.node_fds`, bottom up over a searched tree once;
+:func:`output_schema` folds the schema step alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from ..core.sort_order import AttributeEquivalence, SortOrder
 from ..expr.aggregates import AggSpec, aggregate_output_schema
@@ -193,8 +195,8 @@ def referenced_tables(expr: LogicalExpr) -> frozenset[str]:
 def derive_schema(catalog: Catalog, expr: LogicalExpr,
                   child_schemas: Sequence[Schema]) -> Schema:
     """Output schema of *expr* given its children's output schemas — the
-    per-node step shared by :class:`Annotator` and the optimizer's group
-    table, so the two cannot diverge."""
+    per-node step that the optimizer's group table runs once per group
+    and :func:`output_schema` folds over a whole tree."""
     if isinstance(expr, BaseRelation):
         return catalog.table(expr.table_name).schema
     if isinstance(expr, (Select, Distinct, OrderBy, Limit, Union)):
@@ -216,8 +218,8 @@ def derive_schema(catalog: Catalog, expr: LogicalExpr,
 def output_schema(catalog: Catalog, expr: LogicalExpr) -> Schema:
     """Output schema of a whole tree: :func:`derive_schema` folded bottom
     up and nothing else — for a caller that reads one schema off a tree
-    it does not search (whole-query equivalences and used attributes are
-    an :class:`Annotator`'s, and cost a pass each)."""
+    it does not search (a searched tree's schemas, equivalences and used
+    attributes are its group table's)."""
     return derive_schema(catalog, expr, [output_schema(catalog, child)
                                          for child in expr.children])
 
@@ -255,73 +257,3 @@ def equivalence_pairs(expr: LogicalExpr,
     for child_pairs, _ in children:
         pairs.extend(child_pairs)
     return pairs
-
-
-class Annotator:
-    """Derives schemas, equivalences and per-table used attributes for a
-    whole query, with per-node caching.  (Statistics belong to physical
-    plan nodes: see :class:`~repro.optimizer.manual.PlanBuilder`.)"""
-
-    def __init__(self, catalog: Catalog, root: LogicalExpr) -> None:
-        self.catalog = catalog
-        self.root = root
-        self._schema: dict[LogicalExpr, Schema] = {}
-        self.eq = AttributeEquivalence.of(self._equivalence_pairs(root))
-        self._used_attrs: dict[str, frozenset[str]] = self._collect_used_attrs(root)
-
-    # -- equivalence classes --------------------------------------------------------
-    def _equivalence_pairs(self, expr: LogicalExpr) -> list[tuple[str, str]]:
-        return equivalence_pairs(expr, [
-            (self._equivalence_pairs(c), self.schema_of(c))
-            for c in expr.children])
-
-    # -- used attributes per base table ----------------------------------------------
-    def _collect_used_attrs(self, root: LogicalExpr) -> dict[str, frozenset[str]]:
-        """Which columns each base table must deliver for this query.
-
-        An index *covers the query* for table R iff it contains every
-        column of R referenced anywhere — unless a Project explicitly
-        narrows the need.  We approximate conservatively: all columns
-        referenced by predicates, join pairs, group keys, aggregates,
-        computed outputs, orders — plus all columns of the root schema.
-        """
-        used: set[str] = set()
-        for node in root.walk():
-            if isinstance(node, Select):
-                used |= node.predicate.columns()
-            elif isinstance(node, Join):
-                used |= {c for pair in node.predicate.pairs for c in pair}
-            elif isinstance(node, GroupBy):
-                used |= set(node.group_columns)
-                for spec in node.aggregates:
-                    used |= spec.columns()
-            elif isinstance(node, Compute):
-                used |= {c for _, e in node.outputs for c in e.columns()}
-            elif isinstance(node, OrderBy):
-                used |= set(node.order)
-            elif isinstance(node, Project):
-                used |= set(node.columns)
-        used |= set(self.schema_of(root).names)
-
-        per_table: dict[str, frozenset[str]] = {}
-        for node in root.walk():
-            if isinstance(node, BaseRelation):
-                table = self.catalog.table(node.table_name)
-                cols = frozenset(table.schema.names)
-                needed = cols & used
-                # Never let a table contribute zero columns.
-                per_table[node.table_name] = needed or cols
-        return per_table
-
-    def used_attrs(self, table_name: str) -> frozenset[str]:
-        table = self.catalog.table(table_name)
-        return self._used_attrs.get(table_name, frozenset(table.schema.names))
-
-    # -- schema -------------------------------------------------------------------------
-    def schema_of(self, expr: LogicalExpr) -> Schema:
-        cached = self._schema.get(expr)
-        if cached is not None:
-            return cached
-        schema = self._schema[expr] = derive_schema(
-            self.catalog, expr, [self.schema_of(c) for c in expr.children])
-        return schema

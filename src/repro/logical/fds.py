@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 from ..core.sort_order import SortOrder
 from ..expr.expressions import And, Col, Comparison, Const, Predicate
-from ..storage.schema import FunctionalDependency, Schema
+from ..storage.schema import FunctionalDependency
 
 
 class FDSet:
@@ -129,8 +129,8 @@ _ALWAYS = "⊤"
 
 def node_fds(catalog, node, child_fds, child_schemas) -> FDSet:
     """The FDs valid on *node*'s result, given its children's FD sets and
-    output schemas — the per-node step of :func:`query_fds`, which the
-    optimizer's group table runs once per group.
+    output schemas — the per-node step the optimizer's group table
+    (:mod:`repro.optimizer.pipeline.groups`) runs once per group.
 
     Base-table keys hold on every result that retains those columns;
     join equalities and constant filters are added from the node.
@@ -161,20 +161,6 @@ def node_fds(catalog, node, child_fds, child_schemas) -> FDSet:
     elif isinstance(node, Select):
         fds.add_from_predicate(node.predicate)
     return FDSet([*fds, *chain.from_iterable(child_fds)])
-
-
-def query_fds(catalog, root) -> FDSet:
-    """Collect the FDs valid on the result of a query (:func:`node_fds`
-    folded bottom-up over the tree)."""
-    from .algebra import derive_schema
-
-    def collect(node) -> tuple[FDSet, Schema]:
-        kids = [collect(child) for child in node.children]
-        schemas = [schema for _, schema in kids]
-        return (node_fds(catalog, node, [fds for fds, _ in kids], schemas),
-                derive_schema(catalog, node, schemas))
-
-    return collect(root)[0]
 
 
 def _rename_fd(fd: FunctionalDependency,

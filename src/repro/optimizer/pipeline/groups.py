@@ -8,7 +8,9 @@ of every sort order requested of it.  All of it is derived once, in one
 bottom-up pass (:func:`~repro.logical.algebra.derive_schema`,
 :func:`~repro.logical.algebra.equivalence_pairs` and
 :func:`~repro.logical.fds.node_fds` per node, each fed its children's
-results), instead of once per goal by re-walking the subtree.
+results), instead of once per goal by re-walking the subtree.  The
+table is the only place a searched tree's logical facts are derived:
+the whole query's are the root group's.
 
 Groups are interned on ``(node type, child group ids, the node's own
 fields)``, so structurally equal subtrees — identical union branches,
@@ -27,8 +29,14 @@ from dataclasses import fields
 from ...core.favorable import FavorableOrders
 from ...core.sort_order import AttributeEquivalence, SortOrder
 from ...logical.algebra import (
-    Annotator,
+    BaseRelation,
+    Compute,
+    GroupBy,
+    Join,
     LogicalExpr,
+    OrderBy,
+    Project,
+    Select,
     derive_schema,
     equivalence_pairs,
 )
@@ -76,10 +84,12 @@ class Group:
 
 
 class GroupTable:
-    """Groups of one searched tree, plus the whole-query annotations
-    (equivalence classes, used attributes, favorable orders) that go with
-    it — everything about the tree that does not depend on the order
-    strategy, so phase-2 refinement reuses it as is."""
+    """Groups of one searched tree, plus what is read off it as a whole:
+    the root group's facts are the whole query's (its ``eq`` the
+    equivalence classes interesting orders and prices use), the columns
+    each base table must deliver, and the favorable orders — everything
+    about the tree that does not depend on the order strategy, so phase-2
+    refinement reuses it as is."""
 
     def __init__(self, catalog: Catalog, root: LogicalExpr) -> None:
         self.catalog = catalog
@@ -87,8 +97,59 @@ class GroupTable:
         #: ``id(node) -> (node, group)``; holding the node pins its id.
         self._by_id: dict[int, tuple[LogicalExpr, Group]] = {}
         self.root = self.of(root)
-        self.annotator = Annotator(catalog, root)
-        self.favorable = FavorableOrders(catalog, self.annotator)
+        self._used = self._used_attrs(root)
+        #: ``afm`` per group id, filled through :attr:`favorable`.
+        self.afm_memo: dict[int, tuple[SortOrder, ...]] = {}
+
+    @property
+    def favorable(self) -> FavorableOrders:
+        """The favorable orders of this tree's nodes, memoised in
+        :attr:`afm_memo`.  A view made per read: the table holding one
+        that holds the table would be a reference cycle, which keeps the
+        catalog alive until the cyclic collector runs."""
+        return FavorableOrders(self.catalog, self)
+
+    def _used_attrs(self, root: LogicalExpr) -> dict[str, frozenset[str]]:
+        """Which columns each base table must deliver for this query.
+
+        An index *covers the query* for table R iff it contains every
+        column of R referenced anywhere — unless a Project explicitly
+        narrows the need.  We approximate conservatively: all columns
+        referenced by predicates, join pairs, group keys, aggregates,
+        computed outputs, orders — plus all columns of the root schema.
+        """
+        used: set[str] = set(self.root.schema.names)
+        for node in root.walk():
+            if isinstance(node, Select):
+                used |= node.predicate.columns()
+            elif isinstance(node, Join):
+                used |= {c for pair in node.predicate.pairs for c in pair}
+            elif isinstance(node, GroupBy):
+                used |= set(node.group_columns)
+                for spec in node.aggregates:
+                    used |= spec.columns()
+            elif isinstance(node, Compute):
+                used |= {c for _, e in node.outputs for c in e.columns()}
+            elif isinstance(node, OrderBy):
+                used |= set(node.order)
+            elif isinstance(node, Project):
+                used |= set(node.columns)
+        per_table: dict[str, frozenset[str]] = {}
+        for node in root.walk():
+            if isinstance(node, BaseRelation):
+                cols = frozenset(
+                    self.catalog.table(node.table_name).schema.names)
+                # Never let a table contribute zero columns.
+                per_table[node.table_name] = (cols & used) or cols
+        return per_table
+
+    def used_attrs(self, table_name: str) -> frozenset[str]:
+        """The columns *table_name* must deliver (all of them for a table
+        outside the tree)."""
+        used = self._used.get(table_name)
+        if used is None:
+            used = frozenset(self.catalog.table(table_name).schema.names)
+        return used
 
     def of(self, expr: LogicalExpr) -> Group:
         """The group of *expr* (children first, so a tree is entered in

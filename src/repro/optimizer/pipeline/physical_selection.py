@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Optional
 
-from ...core.interesting import OrderContext, OrderStrategy
+from ...core.interesting import OrderStrategy
 from ...core.sort_order import AttributeEquivalence, EMPTY_ORDER, SortOrder
 from ...engine.aggregates import combinable
 from ...engine.scans import range_shardable, shardable
@@ -97,7 +97,7 @@ class _Bound:
 
 
 class PhysicalSelection:
-    """State for optimizing a single query (memo, annotations, afm)."""
+    """State for optimizing a single query (memo, group table, afm)."""
 
     def __init__(self, catalog: Catalog, root: LogicalExpr,
                  strategy: OrderStrategy, config: OptimizerConfig,
@@ -109,17 +109,15 @@ class PhysicalSelection:
         #: Logical properties of *root*'s nodes; *groups* hands in the
         #: table of an earlier search of the same tree (phase 2).
         self.groups = groups or GroupTable(catalog, root)
-        self.annotator = self.groups.annotator
-        #: Whole-query equivalence classes and FDs — used for *candidate
-        #: generation* (interesting orders) and cost pricing.  Goal
-        #: satisfaction and reduction must NOT use these: a join
+        #: Whole-query equivalence classes (the root group's) — used for
+        #: *candidate generation* (interesting orders) and cost pricing.
+        #: Goal satisfaction and reduction must NOT use these: a join
         #: equivalence or a constant filter (``t0_c1 = 28``) established
         #: in one union branch is invalid in a name-colliding sibling,
         #: and reducing the sibling's sort goal with it silently drops a
         #: sort column (caught by the plan-parity fuzz suite).  Goals use
         #: their own :class:`~.groups.Group`'s subtree-scoped facts.
-        self.eq = self.annotator.eq
-        self.fds = self.groups.root.fds
+        self.eq = self.groups.root.eq
         self.favorable = self.groups.favorable
         #: Makes every plan node of this search: what an operator's
         #: schema, order, statistics and cost are is its business, which
@@ -129,7 +127,6 @@ class PhysicalSelection:
         self._derived = self.builder._derived
         #: Physical alternatives, once per search: see :meth:`_alternatives`.
         self._built: dict[tuple, tuple] = {}
-        self.order_ctx = OrderContext(self.favorable, self.fds, self.eq)
         #: The strategy's interesting orders, once per search: see :meth:`_orders`.
         self._interesting: dict[tuple, tuple] = {}
         #: Goal → exact optimum, keyed ``(group id, canonical order)``.
@@ -530,18 +527,18 @@ class PhysicalSelection:
         strategy reads (:meth:`~repro.core.interesting.OrderStrategy.reads`),
         which is all of *required* the method is given.  Keyed like
         :meth:`_alternatives`: the entry holds *expr*."""
-        read = self.strategy.reads(self.order_ctx, expr, columns, required)
+        read = self.strategy.reads(self.favorable, expr, columns, required)
         key = (id(expr), read)
         hit = self._interesting.get(key)
         if hit is None:
             args = (read,) if columns is None else (columns, read)
             hit = self._interesting[key] = (
-                method(self.order_ctx, expr, *args), expr)
+                method(self.favorable, expr, *args), expr)
         return hit[0]
 
     def _scans(self, expr: BaseRelation) -> Iterable[PhysicalPlan]:
         yield self.builder.table_scan(expr.table_name)
-        used = self.annotator.used_attrs(expr.table_name)
+        used = self.groups.used_attrs(expr.table_name)
         for index in self.catalog.indexes_of(expr.table_name):
             if index.covers(used):
                 yield self.builder.covering_scan(expr.table_name, index.name)

@@ -159,11 +159,6 @@ class TracedResult(QueryResult):
                               len(self.rows))
 
 
-def _check_batch_size(batch_size: Optional[int]) -> None:
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-
-
 class QueryServer:
     """Admission-controlled concurrent query serving over one catalog.
 
@@ -203,7 +198,8 @@ class QueryServer:
             raise ValueError("queue_limit must be >= 1")
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        _check_batch_size(batch_size)
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if pool_workers is not None and pool_workers < 1:
             raise ValueError("pool_workers must be >= 1")
         if tenant_weights and any(w <= 0 for w in tenant_weights.values()):
@@ -389,8 +385,8 @@ class QueryServer:
         root.tag(disposition=reason)
         trace.finish(root)
 
-    def _admit(self, query, required_order, parallelism, batch_size, binds,
-               timeout, tenant, trace) -> tuple[tuple, Optional[float]]:
+    def _admit(self, query, required_order, parallelism, binds, timeout,
+               tenant, trace) -> tuple[tuple, Optional[float]]:
         """Admission: raises the rejection, or returns ``(admitted,
         timeout)`` — *admitted* is what :meth:`_run_admitted` takes after
         the session, its outcome handle first."""
@@ -399,10 +395,6 @@ class QueryServer:
         tenant = tenant or DEFAULT_TENANT
         timeout = self.default_timeout if timeout is None else timeout
         parallelism = self.parallelism if parallelism is None else parallelism
-        batch_size = self.batch_size if batch_size is None else batch_size
-        # A bad batch size is the caller's error, not the backend's: it
-        # must reach neither the breaker nor the admission counters.
-        _check_batch_size(batch_size)
         # Per-call ``trace=`` overrides the config default; either way a
         # trace only exists when the server was built with ``obs=``.
         want_trace = (self.obs is not None and self.obs.trace_queries) \
@@ -447,7 +439,7 @@ class QueryServer:
         deadline = None if timeout is None else time.monotonic() + timeout
         # The one statement of how the query executes: the backend runs
         # the plan under this context's settings, wherever it runs.
-        ctx = ExecutionContext(self.catalog, batch_size=batch_size,
+        ctx = ExecutionContext(self.catalog, batch_size=self.batch_size,
                                meter_timing=tr is not None)
         return (outcome, deadline, tr, root, queue_span, query, required_order,
                 parallelism, ctx, binds), timeout
@@ -489,7 +481,6 @@ class QueryServer:
     # -- client APIs ------------------------------------------------------------------
     async def submit(self, query, required_order: Optional[SortOrder] = None,
                      *, parallelism: Optional[int] = None,
-                     batch_size: Optional[int] = None,
                      timeout: Optional[float] = None,
                      tenant: Optional[str] = None,
                      trace: Optional[bool] = None,
@@ -505,8 +496,7 @@ class QueryServer:
         runs on the dispatch pool, so the event loop never blocks.
         """
         admitted, timeout = self._admit(
-            query, required_order, parallelism, batch_size, binds, timeout,
-            tenant, trace)
+            query, required_order, parallelism, binds, timeout, tenant, trace)
         wrapped = asyncio.wrap_future(self._dispatch_admitted(admitted))
         try:
             if timeout is None:
@@ -518,7 +508,6 @@ class QueryServer:
 
     def execute(self, query, required_order: Optional[SortOrder] = None,
                 *, parallelism: Optional[int] = None,
-                batch_size: Optional[int] = None,
                 timeout: Optional[float] = None,
                 tenant: Optional[str] = None,
                 trace: Optional[bool] = None, **binds: Any) -> QueryResult:
@@ -530,8 +519,7 @@ class QueryServer:
         the query itself runs on.
         """
         admitted, timeout = self._admit(
-            query, required_order, parallelism, batch_size, binds, timeout,
-            tenant, trace)
+            query, required_order, parallelism, binds, timeout, tenant, trace)
         if timeout is None:
             try:
                 session = self._free_slots.get_nowait()

@@ -271,7 +271,7 @@ class QuerySession:
             return PreparedQuery(self, entry, fp, required, from_cache=True,
                                  tables=tables)
         # A re-prepare keeps the statistics-free half of the last search
-        # (groups, annotations, favorable orders) unless an index landed
+        # (groups, used attributes, favorable orders) unless an index landed
         # on one of the query's tables since; the optimizer checks that
         # stage 2 hands back the same tree.
         registry = self.catalog.registry_versions(tables)

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.favorable import FavorableOrders, ford_min
+from repro.core.favorable import ford_min
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.expr import col
 from repro.expr.aggregates import count_star
-from repro.logical import Annotator, Query
+from repro.logical import Query
+from repro.optimizer.pipeline.groups import GroupTable
 from repro.storage import Catalog, Schema, TableStats
 
 
@@ -26,14 +27,13 @@ def catalog():
 
 
 def favorable_for(catalog, query):
-    ann = Annotator(catalog, query.expr)
-    return FavorableOrders(catalog, ann), ann
+    return GroupTable(catalog, query.expr).favorable
 
 
 class TestBaseRelation:
     def test_clustering_and_covering_index(self, catalog):
         q = Query.table("r")
-        fav, _ = favorable_for(catalog, q)
+        fav = favorable_for(catalog, q)
         afm = fav.afm(q.expr)
         assert SortOrder(["r_a"]) in afm            # clustering order
         assert SortOrder(["r_b", "r_c"]) in afm     # covering index key
@@ -47,26 +47,26 @@ class TestBaseRelation:
                          stats=TableStats(1000, {}))
         cat.create_index("t_a", "t", SortOrder(["a"]))  # covers only {a}
         q = Query.table("t").select("a", "b")
-        fav, _ = favorable_for(cat, q)
+        fav = favorable_for(cat, q)
         assert SortOrder(["a"]) not in fav.afm(q.expr.child)
 
     def test_no_orders_for_heap_table(self):
         cat = Catalog()
         cat.create_table("h", Schema.of("a"), stats=TableStats(10, {}))
         q = Query.table("h")
-        fav, _ = favorable_for(cat, q)
+        fav = favorable_for(cat, q)
         assert fav.afm(q.expr) == ()
 
 
 class TestSelectProject:
     def test_select_passthrough(self, catalog):
         q = Query.table("r").where(col("r_a").eq(1))
-        fav, _ = favorable_for(catalog, q)
+        fav = favorable_for(catalog, q)
         assert fav.afm(q.expr) == fav.afm(q.expr.children[0])
 
     def test_project_prefix(self, catalog):
         q = Query.table("r").select("r_b", "r_a")
-        fav, _ = favorable_for(catalog, q)
+        fav = favorable_for(catalog, q)
         afm = fav.afm(q.expr)
         # (r_b, r_c) truncates to (r_b); (r_a) survives.
         assert SortOrder(["r_a"]) in afm
@@ -77,7 +77,7 @@ class TestSelectProject:
 class TestJoin:
     def test_join_extends_prefixes_over_attrs(self, catalog):
         q = Query.table("r").join("s", on=[("r_a", "s_a"), ("r_b", "s_b")])
-        fav, _ = favorable_for(catalog, q)
+        fav = favorable_for(catalog, q)
         afm = fav.afm(q.expr)
         # clustering (r_a) → (r_a, r_b); s clustering (s_b) → (s_b ~ r_b, r_a)
         assert any(o.as_tuple == ("r_a", "r_b") for o in afm)
@@ -85,14 +85,14 @@ class TestJoin:
 
     def test_join_keeps_input_orders(self, catalog):
         q = Query.table("r").join("s", on=[("r_a", "s_a")])
-        fav, _ = favorable_for(catalog, q)
+        fav = favorable_for(catalog, q)
         afm = fav.afm(q.expr)
         assert SortOrder(["r_a"]) in afm           # NL join propagates outer
         assert SortOrder(["r_b", "r_c"]) in afm
 
     def test_afm_on_restriction(self, catalog):
         q = Query.table("r").join("s", on=[("r_a", "s_a"), ("r_b", "s_b")])
-        fav, _ = favorable_for(catalog, q)
+        fav = favorable_for(catalog, q)
         restricted = fav.afm_on(q.expr.left, {"r_a", "r_b", "s_a", "s_b"})
         assert SortOrder(["r_a"]) in restricted
         for o in restricted:
@@ -102,7 +102,7 @@ class TestJoin:
 class TestGroupBy:
     def test_group_extends_over_group_columns(self, catalog):
         q = Query.table("r").group_by(["r_b", "r_a"], count_star("n"))
-        fav, _ = favorable_for(catalog, q)
+        fav = favorable_for(catalog, q)
         afm = fav.afm(q.expr)
         # Clustering (r_a) prefix extended over {r_a, r_b}.
         assert any(o.as_tuple == ("r_a", "r_b") for o in afm)
@@ -113,12 +113,12 @@ class TestGroupBy:
 class TestMemoisationAndCaps:
     def test_memoised(self, catalog):
         q = Query.table("r")
-        fav, _ = favorable_for(catalog, q)
+        fav = favorable_for(catalog, q)
         assert fav.afm(q.expr) is fav.afm(q.expr)
 
     def test_dedupe(self, catalog):
         q = Query.table("r").where(col("r_a").eq(1)).where(col("r_b").eq(2))
-        fav, _ = favorable_for(catalog, q)
+        fav = favorable_for(catalog, q)
         afm = fav.afm(q.expr)
         assert len(afm) == len(set(afm))
 

@@ -1,4 +1,4 @@
-"""Logical algebra, query builder, annotator, and FD tests."""
+"""Logical algebra, query builder, group table, and FD tests."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.core.sort_order import SortOrder
 from repro.expr import col
 from repro.expr.aggregates import agg_sum, count_star
 from repro.logical import (
-    Annotator,
     BaseRelation,
     FDSet,
     GroupBy,
@@ -15,9 +14,9 @@ from repro.logical import (
     Project,
     Query,
     Select,
-    query_fds,
 )
 from repro.optimizer import Optimizer
+from repro.optimizer.pipeline.groups import GroupTable
 from repro.storage import Catalog, Schema, TableStats
 
 
@@ -68,27 +67,33 @@ class TestBuilder:
             Query.table("t").join(42, on=[("a", "x")])
 
 
-class TestAnnotator:
+class TestGroupTable:
     def test_schemas(self, catalog):
         q = Query.table("t").join("u", on=[("a", "x")]).select("a", "y")
-        ann = Annotator(catalog, q.expr)
-        assert ann.schema_of(q.expr).names == ("a", "y")
-        join_schema = ann.schema_of(q.expr.child)
+        groups = GroupTable(catalog, q.expr)
+        assert groups.root.schema.names == ("a", "y")
+        join_schema = groups.of(q.expr.child).schema
         assert join_schema.names == ("a", "b", "c", "x", "y")
 
     def test_equivalences_from_joins(self, catalog):
         q = Query.table("t").join("u", on=[("a", "x")])
-        ann = Annotator(catalog, q.expr)
-        assert ann.eq.same("a", "x")
-        assert not ann.eq.same("a", "y")
+        groups = GroupTable(catalog, q.expr)
+        assert groups.root.eq.same("a", "x")
+        assert not groups.root.eq.same("a", "y")
 
     def test_used_attrs(self, catalog):
         q = (Query.table("t").join("u", on=[("a", "x")])
              .where(col("c").eq(1)).select("a", "y"))
-        ann = Annotator(catalog, q.expr)
-        assert ann.used_attrs("t") == {"a", "c"}
-        assert ann.used_attrs("u") == {"x", "y"}
+        groups = GroupTable(catalog, q.expr)
+        assert groups.used_attrs("t") == {"a", "c"}
+        assert groups.used_attrs("u") == {"x", "y"}
+        # A table the tree does not read delivers all of its columns.
+        catalog.create_table("v", Schema.of(("p", "int", 8), ("q", "int", 8)),
+                             stats=TableStats(10, {"p": 10}))
+        assert groups.used_attrs("v") == {"p", "q"}
 
+
+class TestAnnotator:
     # Cardinalities are a property of plan nodes (PlanBuilder's rules).
     @staticmethod
     def planned(catalog, query, *ops):
@@ -160,10 +165,10 @@ class TestFDs:
         reduced = fds.reduce_group_columns(["avail", "pk", "sk"])
         assert set(reduced) == {"pk", "sk"}
 
-    def test_query_fds_from_predicate(self, catalog):
+    def test_root_fds_from_predicate(self, catalog):
         q = (Query.table("t").join("u", on=[("a", "x")])
              .where(col("c").eq(5)))
-        fds = query_fds(catalog, q.expr)
+        fds = GroupTable(catalog, q.expr).root.fds
         assert fds.determines({"a"}, "x")       # join equivalence
         assert fds.determines(set(), "c")       # constant filter
         assert fds.determines({"a", "b"}, "c")  # primary key of t
@@ -171,5 +176,5 @@ class TestFDs:
     def test_outer_join_equalities_not_fds(self, catalog):
         """FULL OUTER join equalities do not hold on padded rows."""
         q = Query.table("t").full_outer_join("u", on=[("a", "x")])
-        fds = query_fds(catalog, q.expr)
+        fds = GroupTable(catalog, q.expr).root.fds
         assert not fds.determines({"a"}, "x")

@@ -376,17 +376,16 @@ class TestPaperClaims:
     def test_interesting_order_count_is_index_bound(self):
         """§6.3: "the number of interesting orders we try at each join …
         is of the order of the number of indices useful for the query"."""
-        from repro.core.favorable import FavorableOrders
-        from repro.core.interesting import FavorableOrderStrategy, OrderContext
-        from repro.logical import Annotator, Query, query_fds
+        from repro.core.interesting import FavorableOrderStrategy
+        from repro.logical import Query
+        from repro.optimizer.pipeline.groups import GroupTable
         from repro.workloads import add_query3_indexes, tpch_stats_catalog
         cat = tpch_stats_catalog()
         add_query3_indexes(cat)
         q = Query.table("partsupp").join(
             "lineitem", on=[("ps_suppkey", "l_suppkey"),
                             ("ps_partkey", "l_partkey")])
-        ann = Annotator(cat, q.expr)
-        octx = OrderContext(FavorableOrders(cat, ann),
-                            query_fds(cat, q.expr), ann.eq)
-        orders = FavorableOrderStrategy().join_orders(octx, q.expr, EMPTY_ORDER)
+        favorable = GroupTable(cat, q.expr).favorable
+        orders = FavorableOrderStrategy().join_orders(favorable, q.expr,
+                                                      EMPTY_ORDER)
         assert 1 <= len(orders) <= 3  # clustering + covering indexes only

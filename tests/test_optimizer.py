@@ -207,7 +207,6 @@ class TestPlanStructure:
         assert len(partial_sorts) >= 2
 
     def test_memo_reuses_subgoals(self, stats_catalog):
-        from repro.logical import Annotator
         from repro.optimizer.pipeline import PhysicalSelection
         from repro.core.interesting import make_strategy
         q = Query.table("r").join("s", on=[("a", "x"), ("b", "y")])
@@ -361,18 +360,18 @@ class TestPerSubtreeEquivalenceScoping:
                                if a == c})
 
     def test_union_intersects_fds_across_branches(self):
-        """query_fds at a Union keeps only dependencies both branches
+        """A Union group's FDs keep only dependencies both branches
         entail (cross-branch FD leakage at the union level)."""
         from repro.logical.algebra import BaseRelation, Select, Union
-        from repro.logical.fds import query_fds
+        from repro.optimizer.pipeline.groups import GroupTable
 
         catalog, _, _ = self.colliding_union()
         left = Select(BaseRelation("t3"), col("a").eq(3))  # a constant here
         right = BaseRelation("t3")
-        union_fds = query_fds(catalog, Union(left, right))
-        assert union_fds.reduce_order(SortOrder(["a", "c"])) == \
+        groups = GroupTable(catalog, Union(left, right))
+        assert groups.root.fds.reduce_order(SortOrder(["a", "c"])) == \
             SortOrder(["a", "c"])  # the sibling's constant must not leak
-        left_fds = query_fds(catalog, left)
+        left_fds = groups.of(left).fds
         assert left_fds.reduce_order(SortOrder(["a", "c"])) == \
             SortOrder(["c"])  # within the branch it still applies
 

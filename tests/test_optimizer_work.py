@@ -24,13 +24,14 @@ import weakref
 import pytest
 
 import test_plan_fuzz as fuzz
-from repro.core.sort_order import EMPTY_ORDER, SortOrder
+from repro.core.favorable import FavorableOrders
+from repro.core.sort_order import AttributeEquivalence, EMPTY_ORDER, SortOrder
 from repro.engine.subplan import strip_plan
 from repro.expr import col
 from repro.logical import Query
-from repro.logical import fds
-from repro.logical.algebra import Annotator, Union
-from repro.optimizer import Optimizer, OptimizerConfig, manual
+from repro.logical import algebra, fds
+from repro.logical.algebra import Union
+from repro.optimizer import Optimizer, OptimizerConfig, make_enumerator, manual
 from repro.optimizer.cost import CostModel
 from repro.optimizer.pipeline import groups as groups_module
 from repro.optimizer.pipeline.groups import GroupTable
@@ -64,7 +65,7 @@ def counted_prepare(request, monkeypatch):
     parallelism 1) with the derivation entry points counted, and the
     plan nodes built (``counts["built"]``, per operator); an indirect
     parameter names another join enumerator."""
-    counts = {"group_tables": 0, "annotators": 0, "fd_nodes": 0, "joins": 0,
+    counts = {"group_tables": 0, "schemas": 0, "fd_nodes": 0, "joins": 0,
               "sort_prices": 0, "built": collections.Counter()}
     join_inputs = []  # (left, right, pairs) — held, so ids stay distinct
 
@@ -74,11 +75,12 @@ def counted_prepare(request, monkeypatch):
         table_init(self, catalog, root)
     monkeypatch.setattr(GroupTable, "__init__", counting_table_init)
 
-    annotator_init = Annotator.__init__
-    def counting_init(self, catalog, root):
-        counts["annotators"] += 1
-        annotator_init(self, catalog, root)
-    monkeypatch.setattr(Annotator, "__init__", counting_init)
+    derive_schema = algebra.derive_schema
+    def counting_derive_schema(catalog, expr, child_schemas):
+        counts["schemas"] += 1
+        return derive_schema(catalog, expr, child_schemas)
+    monkeypatch.setattr(groups_module, "derive_schema", counting_derive_schema)
+    monkeypatch.setattr(algebra, "derive_schema", counting_derive_schema)
 
     node_fds = fds.node_fds
     def counting_node_fds(catalog, node, child_fds, child_schemas):
@@ -155,11 +157,15 @@ def test_join_statistics_once_per_distinct_input(counted_prepare):
     assert counts["joins"] == len(distinct) == 7
 
 
-def test_one_annotator_and_one_fd_pass_per_searched_tree(counted_prepare):
+def test_one_derivation_per_group_of_the_searched_tree(counted_prepare):
+    """Each group's schema and FDs are derived once, and nothing else
+    derives them: the whole-query facts are the root group's (30 schema
+    derivations when a second pass re-derived them), and phase 2 reuses
+    phase 1's table."""
     _, query, _, counts, _ = counted_prepare
-    assert counts["annotators"] == 1  # phase 2 reuses phase 1's table
+    assert counts["group_tables"] == 1
     nodes = sum(1 for _ in query.expr.child.walk())
-    assert counts["fd_nodes"] == nodes == 15
+    assert counts["schemas"] == counts["fd_nodes"] == nodes == 15
 
 
 @pytest.mark.parametrize("counted_prepare", ["simpli-squared", "greedy-m2m"],
@@ -168,12 +174,16 @@ def test_one_table_and_the_same_effort_under_reordering_enumerators(
         counted_prepare):
     """A reordered tree is the only tree that gets a group table: the
     as-written one is read for its tables and root schema, nothing more,
-    and a region leaf for its schema without an annotator of its own."""
+    and a region leaf for its schema without a table of its own."""
     session, _, prepared, counts, _ = counted_prepare
-    assert counts["group_tables"] == counts["annotators"] == 1
+    assert counts["group_tables"] == 1
     # The restoring Project is a node of the searched tree.
     restoring = prepared.plan.find_all("Project")
     assert restoring and counts["fd_nodes"] == 16
+    # 16 groups, plus the equivalence check's schemas of the reordered
+    # (16 nodes) and as-written (15) trees and the 8 region leaves' (71
+    # when a second pass re-derived the groups').
+    assert counts["schemas"] == 16 + 16 + 15 + 8
     stats = session.stats()
     assert stats["goals_examined"] == 45
     assert stats["memo_hits"] == 82
@@ -273,23 +283,56 @@ def test_repeated_leaves_share_a_group(rs_catalog):
         assert len({id(table.of(n)) for n in tree.walk()}) == 2
 
 
-def test_group_facts_match_a_fresh_derivation_of_the_subtree(rs_catalog):
-    """Subtree-scoped FDs/equivalences derived bottom-up equal what a
-    whole re-walk of that subtree derives (the replaced per-goal path)."""
-    for seed in range(30):
+def fresh_facts(catalog, node):
+    """``(schema, equivalence pairs, FDs)`` of *node* from a fold of the
+    per-node steps over its subtree alone — no group table, no interning."""
+    kids = [fresh_facts(catalog, child) for child in node.children]
+    schemas = [schema for schema, _, _ in kids]
+    return (algebra.derive_schema(catalog, node, schemas),
+            algebra.equivalence_pairs(
+                node, [(pairs, schema) for schema, pairs, _ in kids]),
+            fds.node_fds(catalog, node, [deps for _, _, deps in kids], schemas))
+
+
+def searched_trees():
+    """``(catalog, tree, rewritten)``: fuzz queries, and join-region
+    queries as written and as each reordering enumerator rewrites them."""
+    for seed in range(fuzz.BASE_SEED, fuzz.BASE_SEED + 30):
         rng = random.Random(seed)
         catalog = fuzz.random_catalog(rng)
-        root = fuzz.random_query(rng, catalog).expr
+        yield catalog, fuzz.random_query(rng, catalog).expr, False
+    enumerators = [make_enumerator(name)
+                   for name in fuzz.REORDERING_ENUMERATORS]
+    for seed in range(fuzz.BASE_SEED, fuzz.BASE_SEED + 30):
+        rng = random.Random(seed)
+        catalog = fuzz.random_join_catalog(rng)
+        root = fuzz.random_join_region_query(rng, catalog).expr
+        yield catalog, root, False
+        for enumerator in enumerators:
+            tree = enumerator.reorder(catalog, root)
+            yield catalog, tree, tree != root
+
+
+def test_group_facts_match_a_fresh_derivation_of_the_subtree():
+    """Each group's schema, equivalence classes and FDs — the root's are
+    the whole query's — equal a fresh fold over that node's subtree.
+    Classes are compared on every attribute the pairs name, not only the
+    output columns: the search reads the root's classes on join columns
+    that a projection drops."""
+    rewritten = 0
+    for catalog, root, reordered in searched_trees():
         table = GroupTable(catalog, root)
         for node in root.walk():
             group = table.of(node)
-            annotator = Annotator(catalog, node)
-            names = group.schema.names
-            assert names == annotator.schema_of(node).names
-            assert all(group.eq.same(a, b) == annotator.eq.same(a, b)
-                       for a in names for b in names)
-            whole = fds.query_fds(catalog, node)
-            assert list(group.fds) == list(whole)
+            schema, pairs, deps = fresh_facts(catalog, node)
+            assert group.schema.names == schema.names
+            eq = AttributeEquivalence.of(pairs)
+            attrs = {*schema.names, *(a for pair in pairs for a in pair)}
+            assert all(group.eq.canonical(a) == eq.canonical(a)
+                       for a in attrs), (node.label(), attrs)
+            assert list(group.fds) == list(deps)
+        rewritten += reordered
+    assert rewritten >= 20  # the rewrite fires, or the trees are as written
 
 
 def test_identity_keys_keep_their_objects_alive(rs_catalog):
@@ -344,8 +387,8 @@ def searched(catalog, query, strategy: str, parallelism: int):
 
 
 def test_search_memos_are_exact_on_the_fuzz_corpus(monkeypatch):
-    """Enforcer prices, FD closures and the strategies' interesting
-    orders are memoised for one search.  Searched again with every
+    """Enforcer prices, FD closures, favorable orders and the strategies'
+    interesting orders are memoised for one search.  Searched again with every
     lookup of those memos missing, each fuzz query plans to the same
     plan, costs and EXPLAIN text under all five strategies (PYRO-E where
     tractable) at parallelism 1 and 4."""
@@ -362,7 +405,8 @@ def test_search_memos_are_exact_on_the_fuzz_corpus(monkeypatch):
     shipped = [searched(*case[1:]) for case in cases]
 
     for cls, memo in ((CostModel, "_priced"), (fds.FDSet, "_closures"),
-                      (PhysicalSelection, "_interesting")):
+                      (PhysicalSelection, "_interesting"),
+                      (FavorableOrders, "_memo")):
         def init(self, *args, _init=cls.__init__, _memo=memo, **kwargs):
             _init(self, *args, **kwargs)
             setattr(self, _memo, NeverHit(_memo))
@@ -370,7 +414,8 @@ def test_search_memos_are_exact_on_the_fuzz_corpus(monkeypatch):
     NeverHit.asked.clear()
     for case, expected in zip(cases, shipped):
         assert searched(*case[1:]) == expected, case[0::3]
-    assert set(NeverHit.asked) == {"_priced", "_closures", "_interesting"}
+    assert set(NeverHit.asked) == {"_priced", "_closures", "_interesting",
+                                   "_memo"}
 
 
 def test_an_added_dependency_reaches_the_next_closure():

@@ -22,7 +22,6 @@ import pytest
 
 from conftest import fig16_cases
 from repro.core import tree_approx
-from repro.core.favorable import FavorableOrders
 from repro.core.path_order import path_order
 from repro.core.refinement import merge_join_permutation
 from repro.core.sort_order import SortOrder, longest_common_prefix
@@ -30,11 +29,12 @@ from repro.engine import (
     CoveringIndexScan, ExecutionContext, MergeJoin, Sort, SortAggregate, TableScan)
 from repro.expr import JoinPredicate, col
 from repro.expr.aggregates import count
-from repro.logical import Annotator, Query
+from repro.logical import Query
 from repro.optimizer import Optimizer
 from repro.optimizer.baselines import (
     PlanBuilder, postgres_default_q3, pyro_o_q3, pyro_o_q4, sys1_default_q3,
     sys1_merge_q3, sys2_union_q4, sys_default_q4)
+from repro.optimizer.pipeline.groups import GroupTable
 from repro.optimizer.plans import PhysicalPlan
 from repro.storage import Catalog, Schema, SystemParameters, TableStats
 from repro.workloads import (
@@ -141,7 +141,7 @@ def test_example1_order_aware_plan():
     assert naive.total_cost / plan.total_cost >= 1.3
     assert "PartialSort" in ops(plan) and "MergeJoin" in ops(plan)
     expr = query.expr.child  # below the ORDER BY
-    fav = FavorableOrders(cat, Annotator(cat, expr))
+    fav = GroupTable(cat, expr).favorable
     lower = expr.children[0]  # catalog1 JOIN catalog2
     assert 1 <= len(fav.afm(lower)) <= 6
     assert [o.as_tuple for o in fav.afm(lower.left)] == [("c1_year",)]

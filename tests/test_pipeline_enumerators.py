@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.logical import Query
-from repro.logical.algebra import Annotator
+from repro.logical.algebra import output_schema
 from repro.optimizer import (
     ENUMERATORS,
     ExhaustiveEnumerator,
@@ -251,10 +251,11 @@ def _unlike_the_builders(catalog, query, plan):
     passed over: each carries a share of its whole, not a function of
     its child."""
     from repro.optimizer.manual import PlanBuilder
+    from repro.optimizer.pipeline.groups import GroupTable
     from repro.optimizer.pipeline.physical_selection import ORDER_PRESERVING_UNARY_OPS
     from repro.optimizer.volcano import split_required_order
     expr, _ = split_required_order(query)
-    builder = PlanBuilder(catalog, Annotator(catalog, expr).eq)
+    builder = PlanBuilder(catalog, GroupTable(catalog, expr).root.eq)
     unlike = []
 
     def visit(node, per_shard):
@@ -399,10 +400,8 @@ def test_rewrite_preserves_tables_and_schema(name):
     enum = make_enumerator(name)
     tree = enum.reorder(catalog, root)
     assert tree != root
-    annotator = Annotator(catalog, root)
-    rewritten_annotator = Annotator(catalog, tree)
-    assert (rewritten_annotator.schema_of(tree).names
-            == annotator.schema_of(root).names)
+    assert (output_schema(catalog, tree).names
+            == output_schema(catalog, root).names)
 
 
 def test_reordered_plan_not_worse_on_many_join():

@@ -48,7 +48,6 @@ from repro.expr.expressions import Comparison
 from repro.logical import Query
 from repro.core.interesting import EXHAUSTIVE_LIMIT
 from repro.logical.algebra import (
-    Annotator,
     BaseRelation,
     Distinct,
     GroupBy,
@@ -56,6 +55,7 @@ from repro.logical.algebra import (
     Limit,
     OrderBy,
     Union,
+    output_schema,
 )
 from repro.service import ProcessPoolBackend, QuerySession, SerialBackend
 from repro.storage import Catalog, RangePartitioning, Schema, SystemParameters
@@ -227,8 +227,7 @@ def shrink_failure(catalog: Catalog, query) -> str:
     own output columns and re-checked), for the assertion message."""
     candidates = sorted(query.expr.walk(), key=lambda e: sum(1 for _ in e.walk()))
     for node in candidates:
-        annotator = Annotator(catalog, node)
-        sub = Query.of(node).order_by(*annotator.schema_of(node).names)
+        sub = Query.of(node).order_by(*output_schema(catalog, node).names)
         try:
             bad = execution_mismatches(catalog, sub)
         except Exception as exc:  # a crash is as good as a mismatch
@@ -429,11 +428,9 @@ def exhaustive_tractable(catalog: Catalog, expr) -> bool:
     product of ``k!`` over the operators permuting ``k`` attributes (a
     DISTINCT or UNION its output columns, a GROUP BY its group columns,
     a join its pairs) is at most :data:`EXHAUSTIVE_TRACTABLE`."""
-    annotator = Annotator(catalog, expr)
-
     def orders(node) -> float:
         if isinstance(node, (Distinct, Union)):
-            k = len(annotator.schema_of(node).names)
+            k = len(output_schema(catalog, node).names)
         elif isinstance(node, GroupBy):
             k = len(node.group_columns)
         elif isinstance(node, Join):

@@ -156,6 +156,10 @@ SIGNATURES = {
         "query required_order ctx parallelism **binds",
     "repro.service.QuerySession.explain_analyze":
         "query required_order ctx parallelism **binds",
+    "repro.service.QueryServer.execute":
+        "query required_order parallelism timeout tenant trace **binds",
+    "repro.service.QueryServer.submit":
+        "query required_order parallelism timeout tenant trace **binds",
 }
 
 

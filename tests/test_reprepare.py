@@ -2,8 +2,8 @@
 
 A plan-cache entry goes stale when a table it reads has its statistics
 refreshed.  The session's next prepare of that query searches again, but
-on the previous search's group table (groups, annotator, favorable
-orders), which no statistic feeds, so only costing is redone.  These
+on the previous search's group table (groups, used attributes,
+favorable orders), which no statistic feeds, so only costing is redone.  These
 tests hold that re-prepare to a fresh session's answer:
 
 * after the rows *and* the statistics of a table change, every

@@ -751,24 +751,37 @@ class TestBackpressure:
         assert breaker.check() is None and breaker.check() is None
 
     def test_bad_batch_size_never_trips_the_circuit(self, catalog):
-        """A batch size below 1 is the caller's error: it is refused at
-        construction and at admission, before the breaker or the
-        admission counters see the query (five such calls once opened
-        the circuit for every tenant)."""
+        """A batch size below 1 is the caller's error, refused when the
+        server is built, so no query runs with one.  A per-call
+        ``batch_size=`` is a query parameter like every other keyword:
+        on a query without one it is a bind error, which says nothing
+        about the backend (five bad per-call batch sizes once opened the
+        circuit for every tenant)."""
+        with pytest.raises(ValueError):
+            QueryServer(catalog, batch_size=0)
         query = Query.table("t").order_by("a")
         with QueryServer(catalog, circuit_threshold=5) as server:
             for _ in range(5):
-                with pytest.raises(ValueError):
+                with pytest.raises(KeyError):
                     server.execute(query, batch_size=0)
-            with pytest.raises(ValueError):
+            with pytest.raises(KeyError):
                 asyncio.run(server.submit(query, batch_size=0))
             stats = server.stats()
             assert stats["circuit_state"] == "closed"
             assert stats["circuit_consecutive_failures"] == 0
-            assert stats["submitted"] == 0 and reconciles(stats)
+            assert reconciles(stats)
             assert server.execute(query).rows
-        with pytest.raises(ValueError):
-            QueryServer(catalog, batch_size=0)
+
+    def test_a_parameter_named_batch_size_binds(self, catalog):
+        """``execute`` and ``submit`` take the server's batch size and
+        hand every other keyword but their own settings to the query."""
+        query = Query.table("t").where(col("a").lt(param("batch_size")))
+        expected = QuerySession(catalog).execute(query, batch_size=5)
+        assert 0 < len(expected) < len(catalog.table("t").rows)
+        with QueryServer(catalog, batch_size=7) as server:
+            assert server.execute(query, batch_size=5).rows == expected
+            result = asyncio.run(server.submit(query, batch_size=5))
+            assert result.rows == expected
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_pool_workers_below_one_starts_no_pool(self, catalog, workers):

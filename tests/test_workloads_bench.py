@@ -56,12 +56,12 @@ class TestTpchGenerator:
         assert not cat.table("lineitem").is_materialized
 
     def test_query3_indexes_cover(self, query3):
-        from repro.logical import Annotator
+        from repro.optimizer.pipeline.groups import GroupTable
         cat = tpch_stats_catalog()
         add_query3_indexes(cat)
-        ann = Annotator(cat, query3.expr)
-        assert cat.covering_indexes("partsupp", ann.used_attrs("partsupp"))
-        assert cat.covering_indexes("lineitem", ann.used_attrs("lineitem"))
+        groups = GroupTable(cat, query3.expr)
+        assert cat.covering_indexes("partsupp", groups.used_attrs("partsupp"))
+        assert cat.covering_indexes("lineitem", groups.used_attrs("lineitem"))
 
 
 class TestOtherGenerators:
