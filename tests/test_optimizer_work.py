@@ -327,7 +327,8 @@ def test_group_facts_match_a_fresh_derivation_of_the_subtree():
             schema, pairs, deps = fresh_facts(catalog, node)
             assert group.schema.names == schema.names
             eq = AttributeEquivalence.of(pairs)
-            attrs = {*schema.names, *(a for pair in pairs for a in pair)}
+            attrs = {*schema.names,
+                     *(a for pair in (*pairs, *group.pairs) for a in pair)}
             assert all(group.eq.canonical(a) == eq.canonical(a)
                        for a in attrs), (node.label(), attrs)
             assert list(group.fds) == list(deps)
