@@ -190,16 +190,36 @@ class PlanBuilder:
         operators above it see real distinct counts.  The enforcer is
         priced before it is built: ``None`` when the sorted plan would
         cost *limit* or more (the search's budget)."""
-        eq = eq or self.eq
-        prefix = longest_common_prefix(order, child.order, eq)
-        if prefix == order:
+        priced = self.sort_price(child, order, full, eq, on)
+        if priced is None:
             return child
+        if child.total_cost + priced[1] >= limit:
+            return None
+        return self.enforcer(child, order, *priced, on=on)
+
+    def sort_price(self, child: PhysicalPlan, order: SortOrder,
+                   full: bool = False,
+                   eq: Optional[AttributeEquivalence] = None,
+                   on: Optional[StatsView] = None
+                   ) -> Optional[tuple[SortOrder, float]]:
+        """``(prefix, cost)`` of the enforcer :meth:`sort` builds with the
+        same arguments, or ``None`` when *child* already delivers
+        *order*: what the search compares before it builds the one
+        enforcer that wins (:meth:`enforcer`)."""
+        prefix = longest_common_prefix(order, child.order, eq or self.eq)
+        if prefix == order:
+            return None
         if full:
             prefix = EMPTY_ORDER
+        return prefix, self.cost.enforcer(child.stats if on is None else on,
+                                          prefix)
+
+    def enforcer(self, child: PhysicalPlan, order: SortOrder,
+                 prefix: SortOrder, cost: float,
+                 on: Optional[StatsView] = None) -> PhysicalPlan:
+        """The sort of *child* on *order* that :meth:`sort_price` priced
+        at *prefix* and *cost*: partial on a non-empty *prefix*."""
         stats = child.stats
-        cost = self.cost.enforcer(stats if on is None else on, prefix)
-        if child.total_cost + cost >= limit:
-            return None
         if on is not None and list(on.schema.names) == list(child.schema.names):
             stats = on
         if prefix:

@@ -15,7 +15,9 @@ of a logical node's *result* lives once per group in the
 :class:`~.groups.GroupTable`; the search itself holds what depends on a
 requested order — the memo of ``(group id, canonical order)`` goals —
 and the physical alternatives it builds once and hands to every goal
-that reaches them.  See "Groups and goals" in ``docs/optimizer.md``.
+that reaches them: a node's candidates are generated once per value of
+what the strategy reads of the order, and a goal builds only its
+winner's enforcer.  See "Groups and goals" in ``docs/optimizer.md``.
 """
 
 from __future__ import annotations
@@ -88,12 +90,30 @@ def shardable_enforcement_input(plan: PhysicalPlan, catalog: Catalog,
 
 class _Bound:
     """Mutable upper bound shared between a goal and its candidate
-    generator; shrinks as better complete plans are found."""
+    generator; shrinks as better complete plans are found.  *missed*
+    records that a child request of the generation came back without a
+    plan (:meth:`PhysicalSelection._request`)."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "missed")
 
     def __init__(self, value: float = math.inf) -> None:
         self.value = value
+        self.missed = False
+
+
+class _Interesting:
+    """One entry of :meth:`PhysicalSelection._orders`: a node's
+    interesting orders for one value of what the strategy reads, the
+    node itself (holding it pins its ``id()``), and the candidate plans
+    generated over those orders once a generation got a plan from every
+    child request (``None`` until then)."""
+
+    __slots__ = ("orders", "expr", "candidates")
+
+    def __init__(self, orders: list[SortOrder], expr: LogicalExpr) -> None:
+        self.orders = orders
+        self.expr = expr
+        self.candidates: Optional[tuple[PhysicalPlan, ...]] = None
 
 
 class PhysicalSelection:
@@ -127,8 +147,9 @@ class PhysicalSelection:
         self._derived = self.builder._derived
         #: Physical alternatives, once per search: see :meth:`_alternatives`.
         self._built: dict[tuple, tuple] = {}
-        #: The strategy's interesting orders, once per search: see :meth:`_orders`.
-        self._interesting: dict[tuple, tuple] = {}
+        #: The strategy's interesting orders and the candidates over
+        #: them, once per search: see :meth:`_orders`.
+        self._interesting: dict[tuple, _Interesting] = {}
         #: Goal → exact optimum, keyed ``(group id, canonical order)``.
         self._memo: dict[tuple, PhysicalPlan] = {}
         #: Failure memo (Columbia's re-search discipline): goal → largest
@@ -199,15 +220,17 @@ class PhysicalSelection:
             self.goals_examined += 1
 
         bound = _Bound(limit if self.config.cost_bound_pruning else math.inf)
-        best: Optional[PhysicalPlan] = None
+        translations: dict[tuple[str, ...], Optional[SortOrder]] = {}
+        best = None
         for candidate in self._native_candidates(expr, required, bound):
-            plan = self.enforce(candidate, required, bound.value, group)
-            if plan is None:
+            offer = self._offer(candidate, required, bound.value, group.eq,
+                                translations)
+            if offer is None:
                 continue
-            if best is None or plan.total_cost < best.total_cost:
-                best = plan
+            if best is None or offer[0] < best[0]:
+                best = offer
                 if self.config.cost_bound_pruning:
-                    bound.value = best.total_cost
+                    bound.value = offer[0]
         if best is None:
             if math.isinf(limit):
                 raise RuntimeError(
@@ -218,7 +241,7 @@ class PhysicalSelection:
             self._failed[key] = max(failed_at or 0.0, limit)
             self.goals_failed += 1
             return None
-        self._memo[key] = best
+        best = self._memo[key] = self._accepted(best)
         self._failed.pop(key, None)  # success supersedes any failure marker
         return best
 
@@ -235,6 +258,29 @@ class PhysicalSelection:
         actually have.  It defaults to the root group (the whole-query
         facts) for external callers planning single-subtree chains.
 
+        Returns ``None`` when no enforcer applies — or when the enforced
+        plan's total cost reaches *limit*, i.e. it provably cannot beat
+        the best alternative already known to the caller.  A goal's
+        search takes the same steps (:meth:`_offer`), but builds only
+        the winner's enforcer.
+        """
+        group = group or self.groups.root
+        offer = self._offer(plan, group.goal(required)[0], limit, group.eq, {})
+        return None if offer is None else self._accepted(offer)
+
+    def _offer(self, plan: PhysicalPlan, target: SortOrder, limit: float,
+               eq: AttributeEquivalence,
+               translations: dict[tuple[str, ...], Optional[SortOrder]]
+               ) -> Optional[tuple]:
+        """*plan* under the enforcer of the goal's reduced order *target*,
+        priced but not yet built: ``(total cost, plan, enforcer)``, the
+        enforcer ``None`` when *plan* needs none (or is already the
+        enforced plan) and else ``(order, prefix, cost)`` as
+        :meth:`PlanBuilder.sort_price` priced it.  ``None`` when no
+        enforcer applies or the total reaches *limit*.  *target* is
+        translated into *plan*'s column names once per goal and schema,
+        through *translations*.
+
         With ``parallelism > 1`` and a shardable input, two enforcer
         placements compete on cost: the classic post-union sort above the
         (future) exchange, and per-shard SRS/MRS enforcers gathered by an
@@ -242,33 +288,41 @@ class PhysicalSelection:
         per-shard-ordered" is a physical property the merge converts into
         the required global order.  Ties resolve to the simpler
         post-union plan (:func:`~repro.optimizer.cost.prefer_sharded`).
-
-        Returns ``None`` when no enforcer applies — or when the enforced
-        plan's total cost reaches *limit*, i.e. it provably cannot beat
-        the best alternative already known to the caller.
-        """
-        if plan.total_cost >= limit:
+        Those placements are compared as built plans; every other
+        enforcer is compared on its price alone."""
+        cost = plan.total_cost
+        if cost >= limit:
             return None
-        group = group or self.groups.root
-        eq = group.eq
-        target = group.goal(required)[0]
         if not target or plan.order.satisfies(target, eq):
-            return plan
-        translated = self._translate_order(target, plan.schema, eq)
+            return cost, plan, None
+        names = plan.schema.names
+        if names in translations:
+            translated = translations[names]
+        else:
+            translated = translations[names] = self._translate_order(
+                target, plan.schema, eq)
         if translated is None:
             return None
         partial_ok = self.strategy.partial_sorts
-        if not shardable_enforcement_input(plan, self.catalog,
-                                           self.config.parallelism):
-            # No below-the-exchange placement can undercut the post-union
-            # sort, so it is priced against *limit* before it is built.
-            return self.builder.sort(plan, translated, full=not partial_ok,
-                                     eq=eq, limit=limit)
-        sort = self.builder.sort(plan, translated, full=not partial_ok, eq=eq)
-        # (An equivalence-collapsed *translated* may already hold.)
-        if sort is not plan:
-            sort = self._sharded_enforcement(sort, partial_ok, eq) or sort
-        return sort if sort.total_cost < limit else None
+        if shardable_enforcement_input(plan, self.catalog,
+                                       self.config.parallelism):
+            sort = self.builder.sort(plan, translated, not partial_ok, eq)
+            # (An equivalence-collapsed *translated* may already hold.)
+            if sort is not plan:
+                sort = self._sharded_enforcement(sort, partial_ok, eq) or sort
+            cost = sort.total_cost
+            return (cost, sort, None) if cost < limit else None
+        priced = self.builder.sort_price(plan, translated, not partial_ok, eq)
+        if priced is None:
+            return cost, plan, None
+        cost += priced[1]
+        return (cost, plan, (translated, *priced)) if cost < limit else None
+
+    def _accepted(self, offer: tuple) -> PhysicalPlan:
+        """The plan an :meth:`_offer` stands for, its enforcer built."""
+        _, plan, enforcer = offer
+        return plan if enforcer is None else self.builder.enforcer(
+            plan, *enforcer)
 
     # -- below the exchange: fan-outs, per-shard pipelines, gate + gather -------------
     def _fan_outs(self, chain: PhysicalPlan, contiguous: bool = True,
@@ -519,22 +573,43 @@ class PhysicalSelection:
             hit = self._built[key] = (tuple(build()), expr, inputs)
         return hit[0]
 
-    def _orders(self, method: Callable, expr: LogicalExpr, required: SortOrder,
-                columns: Optional[list[str]] = None) -> list[SortOrder]:
-        """The strategy's *method* (``join_orders``, or ``group_orders`` /
-        ``set_orders`` over the node's *columns*) for *expr*, computed
-        once per search per logical node and the part of *required* the
-        strategy reads (:meth:`~repro.core.interesting.OrderStrategy.reads`),
-        which is all of *required* the method is given.  Keyed like
-        :meth:`_alternatives`: the entry holds *expr*."""
+    def _orders(self, generate: Callable, method: Callable,
+                expr: LogicalExpr, required: SortOrder, bound: _Bound,
+                columns: Optional[list[str]] = None) -> Iterable[PhysicalPlan]:
+        """The candidates of a join, group-by, DISTINCT or union *expr*:
+        ``generate(expr, orders, bound)`` over the strategy's *method*
+        (``join_orders``, or ``group_orders`` / ``set_orders`` over the
+        node's *columns*), which sees of *required* only what the
+        strategy reads (:meth:`~repro.core.interesting.OrderStrategy.reads`).
+        Both are computed once per search per logical node and read
+        value, in one entry keyed like :meth:`_alternatives` (it holds
+        *expr*): nothing else of a generation depends on the goal, so
+        every later goal with that key replays the candidates without
+        requesting a child goal.  A generation with a child request that
+        came back without a plan is not stored: a larger budget may find
+        what this one's pruning dropped."""
         read = self.strategy.reads(self.favorable, expr, columns, required)
         key = (id(expr), read)
-        hit = self._interesting.get(key)
-        if hit is None:
+        entry = self._interesting.get(key)
+        if entry is None:
             args = (read,) if columns is None else (columns, read)
-            hit = self._interesting[key] = (
+            entry = self._interesting[key] = _Interesting(
                 method(self.favorable, expr, *args), expr)
-        return hit[0]
+        elif entry.candidates is not None:
+            return entry.candidates
+        return self._stored(entry, bound, generate(expr, entry.orders, bound))
+
+    @staticmethod
+    def _stored(entry: _Interesting, bound: _Bound,
+                generation: Iterable[PhysicalPlan]) -> Iterable[PhysicalPlan]:
+        """*generation*'s candidates as they come, kept in *entry* once
+        it ends with every child request answered."""
+        made = []
+        for plan in generation:
+            made.append(plan)
+            yield plan
+        if not bound.missed:
+            entry.candidates = tuple(made)
 
     def _scans(self, expr: BaseRelation) -> Iterable[PhysicalPlan]:
         yield self.builder.table_scan(expr.table_name)
@@ -545,41 +620,54 @@ class PhysicalSelection:
 
     def _native_candidates(self, expr: LogicalExpr, required: SortOrder,
                            bound: _Bound) -> Iterable[PhysicalPlan]:
+        """The candidate plans of a goal of *expr*, before enforcement:
+        lazy wherever a candidate's child requests read the budget that
+        the goal's earlier candidates shrank."""
         build = self.builder
         if isinstance(expr, BaseRelation):
-            yield from self._alternatives(lambda: self._scans(expr), expr)
-        elif isinstance(expr, Select):
-            yield from self._unary_candidates(
+            return self._alternatives(lambda: self._scans(expr), expr)
+        if isinstance(expr, Select):
+            return self._unary_candidates(
                 expr, required, bound, self._nameable(required, expr.child),
                 expr.predicate.columns(),
                 lambda child: build.filter(child, expr.predicate))
-        elif isinstance(expr, Project):
-            yield from self._unary_candidates(
+        if isinstance(expr, Project):
+            return self._unary_candidates(
                 expr, required, bound, set(required) <= set(expr.columns),
                 expr.columns, lambda child: build.project(child, expr.columns))
-        elif isinstance(expr, Compute):
-            yield from self._unary_candidates(
+        if isinstance(expr, Compute):
+            return self._unary_candidates(
                 expr, required, bound, self._nameable(required, expr.child),
                 (), lambda child: build.compute(child, expr.outputs))
-        elif isinstance(expr, Join):
-            yield from self._join_candidates(expr, required, bound)
-        elif isinstance(expr, GroupBy):
-            yield from self._group_candidates(expr, required, bound)
-        elif isinstance(expr, Distinct):
-            yield from self._distinct_candidates(expr, required, bound)
-        elif isinstance(expr, Union):
-            yield from self._union_candidates(expr, required, bound)
-        elif isinstance(expr, OrderBy):
+        if isinstance(expr, Join):
+            return self._orders(self._join_candidates,
+                                self.strategy.join_orders, expr, required,
+                                bound)
+        if isinstance(expr, GroupBy):
+            # Reduce with this subtree's FDs only: a sibling branch's
+            # constant filter must not shrink the sort key a streaming
+            # aggregate groups on (wrong merges of distinct groups
+            # otherwise).
+            return self._orders(
+                self._group_candidates, self.strategy.group_orders, expr,
+                required, bound, list(self.groups.of(expr).fds
+                                      .reduce_group_columns(expr.group_columns)))
+        if isinstance(expr, Distinct):
+            return self._orders(
+                self._distinct_candidates, self.strategy.set_orders, expr,
+                required, bound, list(self.groups.of(expr).schema.names))
+        if isinstance(expr, Union):
+            return self._orders(
+                self._union_candidates, self.strategy.set_orders, expr,
+                required, bound, list(self.groups.of(expr.left).schema.names))
+        if isinstance(expr, OrderBy):
             plan = self.optimize_goal(expr.child, expr.order, bound.value)
-            if plan is not None:
-                yield plan
-        elif isinstance(expr, Limit):
+            return () if plan is None else (plan,)
+        if isinstance(expr, Limit):
             child = self.optimize_goal(expr.child, required, bound.value)
-            if child is not None:
-                yield from self._alternatives(
-                    lambda: (build.limit(child, expr.k),), expr, (child,))
-        else:
-            raise TypeError(f"cannot plan {type(expr).__name__}")
+            return () if child is None else self._alternatives(
+                lambda: (build.limit(child, expr.k),), expr, (child,))
+        raise TypeError(f"cannot plan {type(expr).__name__}")
 
     def _nameable(self, required: SortOrder, child: LogicalExpr) -> bool:
         """Whether *child*'s output can express every attribute of
@@ -605,27 +693,37 @@ class PhysicalSelection:
                 yield from self._alternatives(lambda: (construct(child),),
                                               expr, (child,))
 
+    def _request(self, child: LogicalExpr, required: SortOrder,
+                 bound: _Bound, spent: float = 0.0) -> Optional[PhysicalPlan]:
+        """The child goal of a stored generation (:meth:`_orders`),
+        within what *spent* leaves of the budget; a request that comes
+        back without a plan marks the generation *missed*."""
+        plan = self.optimize_goal(child, required, bound.value - spent)
+        if plan is None:
+            bound.missed = True
+        return plan
+
     def _input_plans(self, expr: LogicalExpr, left_required: SortOrder,
                      right_required: SortOrder, bound: _Bound):
         """Cheapest plans of a binary node's two inputs in the required
         orders — the right within what the left leaves of the budget —
         or ``None`` if either goal has none within it."""
-        left = self.optimize_goal(expr.left, left_required, bound.value)
+        left = self._request(expr.left, left_required, bound)
         if left is None:
             return None
-        right = self.optimize_goal(expr.right, right_required,
-                                   bound.value - left.total_cost)
+        right = self._request(expr.right, right_required, bound,
+                              left.total_cost)
         return None if right is None else (left, right)
 
     # -- joins -------------------------------------------------------------------------------
-    def _join_candidates(self, expr: Join, required: SortOrder,
+    def _join_candidates(self, expr: Join, orders: list[SortOrder],
                          bound: _Bound) -> Iterable[PhysicalPlan]:
         pairs = expr.predicate.pairs
         # A permutation may name a pair by either side's attribute.
         right_of = {right: right for _, right in pairs} | dict(pairs)
         left_eq = self.groups.of(expr.left).eq
         outer = expr.join_type != "inner"
-        for perm in self._orders(self.strategy.join_orders, expr, required):
+        for perm in orders:
             partners = [(a, right_of[a]) for a in perm]
             # A strategy reduces its permutations under the query's
             # equivalences, so one may leave a pair out (its left
@@ -683,18 +781,13 @@ class PhysicalSelection:
                     expr, inputs)
 
     # -- aggregation --------------------------------------------------------------------------
-    def _group_candidates(self, expr: GroupBy, required: SortOrder,
+    def _group_candidates(self, expr: GroupBy, orders: list[SortOrder],
                           bound: _Bound) -> Iterable[PhysicalPlan]:
         group_cols = list(expr.group_columns)
         needs = set(group_cols).union(*(a.columns() for a in expr.aggregates))
         child_eq = self.groups.of(expr.child).eq
-        # Reduce with this subtree's FDs only: a sibling branch's constant
-        # filter must not shrink the sort key a streaming aggregate groups
-        # on (wrong merges of distinct groups otherwise).
-        reduced = list(self.groups.of(expr).fds.reduce_group_columns(group_cols))
-        for perm in self._orders(self.strategy.group_orders, expr, required,
-                                 reduced):
-            child = self.optimize_goal(expr.child, perm, bound.value)
+        for perm in orders:
+            child = self._request(expr.child, perm, bound)
             if child is None or not child.schema.has_all(needs):
                 continue
 
@@ -718,7 +811,7 @@ class PhysicalSelection:
                         gather, group_cols, expr.aggregates, whole.stats)),
                 expr, (child,), perm.as_tuple)
         if self.config.enable_hash_aggregate:
-            child = self.optimize_goal(expr.child, EMPTY_ORDER, bound.value)
+            child = self._request(expr.child, EMPTY_ORDER, bound)
             if child is not None and child.schema.has_all(needs):
                 yield from self._alternatives(
                     lambda: (self.builder.hash_aggregate(
@@ -753,17 +846,16 @@ class PhysicalSelection:
                 return None
         return SortOrder(list(perm) + missing)
 
-    def _distinct_candidates(self, expr: Distinct, required: SortOrder,
+    def _distinct_candidates(self, expr: Distinct, orders: list[SortOrder],
                              bound: _Bound) -> Iterable[PhysicalPlan]:
         columns = list(self.groups.of(expr).schema.names)
         child_eq = self.groups.of(expr.child).eq
-        for perm in self._orders(self.strategy.set_orders, expr, required,
-                                 columns):
+        for perm in orders:
             full_order = self._complete_set_order(perm, columns,
                                                   [({}, child_eq)])
             if full_order is None:
                 continue
-            child = self.optimize_goal(expr.child, perm, bound.value)
+            child = self._request(expr.child, perm, bound)
             if child is None:
                 continue
 
@@ -784,19 +876,18 @@ class PhysicalSelection:
                     finish=lambda gather, whole: dedup(gather,
                                                        stats=whole.stats)),
                 expr, (child,), perm.as_tuple)
-        child = self.optimize_goal(expr.child, EMPTY_ORDER, bound.value)
+        child = self._request(expr.child, EMPTY_ORDER, bound)
         if child is not None:
             yield from self._alternatives(
                 lambda: (self.builder.hash_dedup(child, columns),),
                 expr, (child,))
 
-    def _union_candidates(self, expr: Union, required: SortOrder,
+    def _union_candidates(self, expr: Union, orders: list[SortOrder],
                           bound: _Bound) -> Iterable[PhysicalPlan]:
         lgroup, rgroup = self.groups.of(expr.left), self.groups.of(expr.right)
         rename = dict(zip(lgroup.schema.names, rgroup.schema.names))
         columns = list(lgroup.schema.names)
-        for perm in self._orders(self.strategy.set_orders, expr, required,
-                                 columns):
+        for perm in orders:
             full_order = self._complete_set_order(
                 perm, columns, [({}, lgroup.eq), (rename, rgroup.eq)])
             if full_order is None:

@@ -81,23 +81,29 @@ def split_required_order(query, required_order: Optional[SortOrder] = None
 
 
 def reordered_tree(catalog: Catalog, enumerator: JoinOrderEnumerator,
-                   expr: LogicalExpr) -> LogicalExpr:
-    """Stage 2: the tree *enumerator* wants searched in place of *expr*.
+                   expr: LogicalExpr
+                   ) -> tuple[LogicalExpr, Optional[GroupTable]]:
+    """Stage 2: the tree *enumerator* wants searched in place of *expr*,
+    and — when it is another tree — that tree's group table, which the
+    search then searches on.
 
     The registry enumerators are equivalent by construction; a custom
     one is checked, not trusted: unless it hands back the input node, its
     tree must read the same tables and produce the same output columns
-    in the same order, or this raises (as a raising enumerator, or a
-    tree too malformed to derive a schema for, does).
+    in the same order (its root group's schema), or this raises (as a
+    raising enumerator, or a tree too malformed to derive a schema for,
+    does).
     """
     tree = enumerator.reorder(catalog, expr)
-    if tree is not expr and (
-            referenced_tables(tree) != referenced_tables(expr)
-            or output_schema(catalog, tree).names
+    if tree is expr:
+        return tree, None
+    groups = (GroupTable(catalog, tree)
+              if referenced_tables(tree) == referenced_tables(expr) else None)
+    if (groups is None or groups.root.schema.names
             != output_schema(catalog, expr).names):
         raise ValueError(f"{type(enumerator).__name__} returned a tree that "
                          "is not equivalent to the query as written")
-    return tree
+    return tree, groups
 
 
 class Optimizer:
@@ -140,8 +146,9 @@ class Optimizer:
         """:meth:`optimize` after normalization.  *groups*, a group table
         of an earlier search whose catalog registrations still hold (the
         serving layer's re-prepare), is searched on when stage 2 hands
-        back the very tree it was built for; otherwise the search builds
-        its own.  The table used is left in :attr:`last_groups`."""
+        back the very tree it was built for; otherwise the search takes
+        the table stage 2 built for a reordered tree, or builds its own.
+        The table used is left in :attr:`last_groups`."""
         # Stage spans are ambient no-ops unless a query trace is active
         # (the serving layer activates one around plan preparation).
         with child_span("pre_check", strategy=self.config.strategy):
@@ -151,16 +158,17 @@ class Optimizer:
                         ) as enum_span:
             start = time.perf_counter()
             try:
-                tree = reordered_tree(self.catalog, self.enumerator, expr)
+                tree, reordered = reordered_tree(self.catalog,
+                                                 self.enumerator, expr)
             except Exception as exc:
                 # The plug-in boundary: whatever a custom enumerator got
                 # wrong, the query as written is always a valid tree.
-                tree = expr
+                tree, reordered = expr, None
                 enum_span.tag(rejected=repr(exc))
             enumerator_seconds = time.perf_counter() - start
         with child_span("physical_selection") as select_span:
-            if groups is not None and groups.root.expr is not tree:
-                groups = None
+            if groups is None or groups.root.expr is not tree:
+                groups = reordered
             search = PhysicalSelection(self.catalog, tree, self.strategy,
                                        config, groups)
             plan = search.optimize_goal(tree, required)

@@ -117,24 +117,33 @@ def counted_prepare(request, monkeypatch):
 
 
 def test_search_effort_counters_are_pinned(counted_prepare):
+    """The goals searched are the invariant.  No child goal is asked for
+    twice here: a node's candidates depend on the requested order only
+    through what the strategy reads of it (nothing, under PYRO-E), so
+    every goal of a join after its first replays the candidates the
+    first one generated (976 memo hits when each goal requested its
+    node's child goals again)."""
     session, _, _, _, _ = counted_prepare
     stats = session.stats()
     assert stats["goals_examined"] == 267
-    assert stats["memo_hits"] == 976
+    assert stats["memo_hits"] == 0
 
 
 def test_each_alternative_is_built_once_per_search(counted_prepare):
     """The top join is asked for 120 orders, each answered by the same
     few alternatives plus an enforcer.  A merge join is built once per
     distinct (input plans, permutation) and a hash join once per distinct
-    input plans (370 and 251 builds when every goal built its own), and
-    an enforcer over the budget is priced but never built."""
+    input plans (370 and 251 builds when every goal built its own).  A
+    goal prices each candidate's enforcer and builds the winner's alone:
+    245 sorts for the 267 goals, the rest needing none (490 when every
+    candidate within the budget got its own, 631 nodes in all)."""
     _, _, _, counts, _ = counted_prepare
     built = counts["built"]
     assert built["MergeJoin"] == 126
     assert built["HashJoin"] == 7
     assert built["TableScan"] == 8  # one per relation
-    assert sum(built.values()) == 631  # 1,246 before
+    assert built["Sort"] == 245 and "PartialSort" not in built
+    assert sum(built.values()) == 386  # 1,246 before alternatives were shared
 
 
 def test_each_enforcer_is_priced_once_per_input_and_shared_prefix(
@@ -180,13 +189,14 @@ def test_one_table_and_the_same_effort_under_reordering_enumerators(
     # The restoring Project is a node of the searched tree.
     restoring = prepared.plan.find_all("Project")
     assert restoring and counts["fd_nodes"] == 16
-    # 16 groups, plus the equivalence check's schemas of the reordered
-    # (16 nodes) and as-written (15) trees and the 8 region leaves' (71
+    # 16 groups — the equivalence check reads the reordered tree's root
+    # group — plus the as-written tree's 15 schemas and the 8 region
+    # leaves' (55 when the check folded the reordered tree's 16 too, 71
     # when a second pass re-derived the groups').
-    assert counts["schemas"] == 16 + 16 + 15 + 8
+    assert counts["schemas"] == 16 + 15 + 8
     stats = session.stats()
     assert stats["goals_examined"] == 45
-    assert stats["memo_hits"] == 82
+    assert stats["memo_hits"] == 0  # 82 before goals replayed candidates
     assert stats["join_order_candidates"] == 1
 
 
@@ -360,8 +370,38 @@ def test_identity_keys_keep_their_objects_alive(rs_catalog):
     for key, (_, stats) in run.builder.cost._priced.items():
         assert key[0] == id(stats)
     assert run._interesting
-    for key, (_, expr) in run._interesting.items():
-        assert key[0] == id(expr)
+    for key, entry in run._interesting.items():
+        assert key[0] == id(entry.expr)
+    # The second goal replayed the join's stored candidates, requesting
+    # no child goal: the plan objects the alternatives memo holds.
+    assert run.memo_hits == 0
+    built = {id(plan) for plans, _, _ in run._built.values() for plan in plans}
+    stored = [entry.candidates for entry in run._interesting.values()]
+    assert any(stored)
+    assert all(id(plan) in built for plans in stored if plans for plan in plans)
+
+
+def test_a_node_replays_only_a_generation_every_child_answered(rs_catalog):
+    """A goal searched within a budget its inputs' plans exceed gets no
+    plan from its child requests, and its generation is not stored: the
+    same goal with a larger budget searches again and finds what the
+    pruning dropped.  Once stored, the node's other goals replay it."""
+    root = Query.table("r").join("s", on=[("a", "x")]).expr
+    run = PhysicalSelection(rs_catalog, root, make_strategy("pyro-e"),
+                            OptimizerConfig())
+    assert run.optimize_goal(root, EMPTY_ORDER, limit=1.0) is None
+    (entry,) = run._interesting.values()
+    assert entry.candidates is None and run.goals_failed > 1
+    plan = run.optimize_goal(root, EMPTY_ORDER)
+    assert plan is not None and entry.candidates
+    def requests():
+        return (run.memo_hits + run.goals_examined + run.goals_researched
+                + run.goals_pruned)
+    before = requests()
+    sorted_plan = run.optimize_goal(root, SortOrder(["b"]))
+    assert sorted_plan.op == "Sort"
+    assert sorted_plan.children[0] in entry.candidates
+    assert requests() == before + 1  # its own goal, and no child's
 
 
 # -- the per-search memos are exact -------------------------------------------------------
@@ -379,20 +419,16 @@ class NeverHit(dict):
         return default
 
 
-def searched(catalog, query, strategy: str, parallelism: int):
-    plan = Optimizer(catalog, strategy=strategy).optimize(
-        query, parallelism=parallelism)
-    return plan.explain(), [(node.op, node.order, node.self_cost,
-                             node.total_cost, node.stats.N)
-                            for node in plan.walk()]
-
-
 def test_search_memos_are_exact_on_the_fuzz_corpus(monkeypatch):
     """Enforcer prices, FD closures, favorable orders and the strategies'
-    interesting orders are memoised for one search.  Searched again with every
-    lookup of those memos missing, each fuzz query plans to the same
-    plan, costs and EXPLAIN text under all five strategies (PYRO-E where
-    tractable) at parallelism 1 and 4."""
+    interesting orders — with the candidates a node generated over them
+    — are memoised for one search.  Searched again with every lookup of
+    those memos missing, each fuzz query plans to the same plan, costs
+    and EXPLAIN text under all five strategies (PYRO-E where tractable)
+    at parallelism 1 and 4.  The second search decides alike, goal for
+    goal, and only requests more child goals: the shipped search
+    replayed stored candidates instead, where the memo-free one's
+    repeated requests were memo hits."""
     cases = []
     for seed in range(fuzz.BASE_SEED, fuzz.BASE_SEED + fuzz.NUM_PLANS):
         rng = random.Random(seed)
@@ -403,7 +439,8 @@ def test_search_memos_are_exact_on_the_fuzz_corpus(monkeypatch):
                       else fuzz.STRATEGIES[:-1])
         cases += [(seed, catalog, query, strategy, parallelism)
                   for strategy in strategies for parallelism in (1, 4)]
-    shipped = [searched(*case[1:]) for case in cases]
+    shipped = [fuzz.shipped_search(seed, strategy, parallelism)
+               for seed, _, _, strategy, parallelism in cases]
 
     for cls, memo in ((CostModel, "_priced"), (fds.FDSet, "_closures"),
                       (PhysicalSelection, "_interesting"),
@@ -413,10 +450,17 @@ def test_search_memos_are_exact_on_the_fuzz_corpus(monkeypatch):
             setattr(self, _memo, NeverHit(_memo))
         monkeypatch.setattr(cls, "__init__", init)
     NeverHit.asked.clear()
+    rerequests = 0
     for case, expected in zip(cases, shipped):
-        assert searched(*case[1:]) == expected, case[0::3]
+        again = fuzz.search(*case[1:])
+        assert again == expected, case[0::3]
+        hits = again.effort["memo_hits"] - expected.effort["memo_hits"]
+        assert hits >= 0 and ({**again.effort, "memo_hits": 0}
+                              == {**expected.effort, "memo_hits": 0}), case[0::3]
+        rerequests += hits
     assert set(NeverHit.asked) == {"_priced", "_closures", "_interesting",
                                    "_memo"}
+    assert rerequests > 0
 
 
 def test_an_added_dependency_reaches_the_next_closure():

@@ -55,19 +55,16 @@ def test_exhaustive_bit_identical_on_fig16():
         assert plan.total_cost == golden["cost"], name
 
 
-def _fuzz_digest(**options) -> str:
+def _fuzz_digest(strategy: str = "pyro-o") -> str:
     """SHA-256 of the plan explains over the 40-seed fuzz corpus at
-    parallelism 1 and 4, planned by a session with *options*."""
+    parallelism 1 and 4, planned under *strategy* (the default one by
+    default), read off the corpus's shipped searches."""
     import test_plan_fuzz as fuzz
     h = hashlib.sha256()
     for seed in range(GOLDEN["fuzz"]["seeds"]):
-        rng = random.Random(seed)
-        catalog = fuzz.random_catalog(rng)
-        query = fuzz.random_query(rng, catalog)
-        session = QuerySession(catalog, **options)
         for parallelism in (1, 4):
-            plan = session.prepare(query, parallelism=parallelism).plan
-            h.update(plan.explain().encode())
+            h.update(fuzz.shipped_search(
+                seed, strategy, parallelism).explain.encode())
     return h.hexdigest()
 
 
@@ -176,7 +173,7 @@ def _sharded_plans():
     with mock.patch.object(physical_selection, "prefer_sharded",
                            lambda sharded, unsharded: True):
         plans["broadcast_merge_join_left"] = broadcast_catalog, left, next(
-            p for p in run._join_candidates(
+            p for p in run._native_candidates(
                 expr, required, physical_selection._Bound())
             if p.op == "MergeExchange")
     return plans
