@@ -97,13 +97,12 @@ def reordered_tree(catalog: Catalog, enumerator: JoinOrderEnumerator,
     tree = enumerator.reorder(catalog, expr)
     if tree is expr:
         return tree, None
-    groups = (GroupTable(catalog, tree)
-              if referenced_tables(tree) == referenced_tables(expr) else None)
-    if (groups is None or groups.root.schema.names
-            != output_schema(catalog, expr).names):
-        raise ValueError(f"{type(enumerator).__name__} returned a tree that "
-                         "is not equivalent to the query as written")
-    return tree, groups
+    if referenced_tables(tree) == referenced_tables(expr):
+        groups = GroupTable(catalog, tree)
+        if groups.root.schema.names == output_schema(catalog, expr).names:
+            return tree, groups
+    raise ValueError(f"{type(enumerator).__name__} returned a tree that "
+                     "is not equivalent to the query as written")
 
 
 class Optimizer:

@@ -466,12 +466,12 @@ def search(catalog: Catalog, query, strategy: str,
     """Plan *query* under *strategy* at *parallelism*, from scratch."""
     optimizer = Optimizer(catalog, strategy=strategy)
     plan = optimizer.optimize(query, parallelism=parallelism)
+    effort = {name: value for name, value in optimizer.last_telemetry.items()
+              if not name.endswith("_seconds")}
     return Search(plan.explain(),
                   [(node.op, node.order, node.self_cost, node.total_cost,
                     node.stats.N) for node in plan.walk()],
-                  plan.total_cost, {name: value for name, value
-                         in optimizer.last_telemetry.items()
-                         if not name.endswith("_seconds")})
+                  plan.total_cost, effort)
 
 
 #: :func:`shipped_search`'s cache, ``(seed, strategy, parallelism)`` ->
