@@ -149,7 +149,7 @@ def assignment_from_numbering(instance: ReductionInstance,
     for leaf in instance.leaves:
         prefix = spine_perm.restrict_prefix_to(leaf.attrs)
         rest = tuple(sorted(leaf.attrs - prefix.attrs()))
-        assignment[leaf.node_id] = SortOrder(prefix.as_tuple + rest)
+        assignment[leaf.node_id] = SortOrder((*prefix, *rest))
     return assignment
 
 

@@ -37,6 +37,7 @@ from .sort_order import (
     EMPTY_ORDER,
     SortOrder,
     arbitrary_permutation,
+    derived_order,
 )
 
 #: Hard cap for exhaustive enumeration: 8! = 40,320 subgoals is already
@@ -226,7 +227,8 @@ class ExhaustiveOrderStrategy(OrderStrategy):
             raise ValueError(
                 f"PYRO-E asked to enumerate {len(attrs)}! permutations; "
                 f"limit is {self.limit}! — use PYRO-O for larger sets")
-        return [SortOrder(p) for p in itertools.permutations(attrs)]
+        return list(map(derived_order,
+                        itertools.permutations(SortOrder(attrs))))
 
     def join_orders(self, favorable, join, read):
         return self._all(self._join_attr_names(join))

@@ -37,54 +37,53 @@ predicates — and treats equivalent attributes as equal.
 from __future__ import annotations
 
 import itertools
-from itertools import islice
-from operator import itemgetter, lt
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import partial
+from itertools import compress, count, islice
+from operator import eq as eq_, itemgetter, lt, ne
+from typing import Iterable, Optional, Sequence
 
 
 class AttributeEquivalence:
-    """Union-find over attribute names.
+    """Equivalence classes over attribute names.
 
     Join predicates such as ``ps_suppkey = l_suppkey`` make the two
     attribute names interchangeable for the purposes of order matching.
     An instance of this class records such equivalences and answers
-    ``same(a, b)`` queries in near-constant time.
+    ``same(a, b)`` queries with two dict reads: it keeps every attribute
+    of a class of two or more mapped to the class's representative (its
+    smallest name), so ``roots.get(a, a)`` is *a*'s canonical name — a
+    lookup ``map`` can run over a whole order at C level.
     """
 
-    __slots__ = ("_parent",)
+    __slots__ = ("roots",)
 
     def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
-
-    def _find(self, a: str) -> str:
-        parent = self._parent
-        if a not in parent:
-            return a
-        root = a
-        while parent.get(root, root) != root:
-            root = parent[root]
-        # Path compression.
-        while parent.get(a, a) != root:
-            parent[a], a = root, parent[a]
-        return root
+        #: Attribute -> canonical representative, for every attribute in
+        #: a class of two or more (any other is its own representative).
+        self.roots: dict[str, str] = {}
 
     def add_equivalence(self, a: str, b: str) -> None:
         """Record that attributes *a* and *b* are interchangeable."""
-        ra, rb = self._find(a), self._find(b)
+        roots = self.roots
+        ra, rb = roots.get(a, a), roots.get(b, b)
         if ra != rb:
             # Deterministic union: smaller name becomes the root so that
             # canonicalisation does not depend on insertion order.
             lo, hi = sorted((ra, rb))
-            self._parent[hi] = lo
-            self._parent.setdefault(lo, lo)
+            for name, root in roots.items():
+                if root == hi:
+                    roots[name] = lo
+            roots[hi] = lo
+            roots.setdefault(lo, lo)
 
     def same(self, a: str, b: str) -> bool:
         """Whether *a* and *b* denote the same (equivalence class of) attribute."""
-        return a == b or self._find(a) == self._find(b)
+        roots = self.roots
+        return a == b or roots.get(a, a) == roots.get(b, b)
 
     def canonical(self, a: str) -> str:
         """Canonical representative of *a*'s equivalence class."""
-        return self._find(a)
+        return self.roots.get(a, a)
 
     @staticmethod
     def of(pairs: Iterable[tuple[str, str]]) -> "AttributeEquivalence":
@@ -96,81 +95,72 @@ class AttributeEquivalence:
 
     def copy(self) -> "AttributeEquivalence":
         clone = AttributeEquivalence()
-        clone._parent = dict(self._parent)
+        clone.roots = dict(self.roots)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         classes: dict[str, list[str]] = {}
-        for a in self._parent:
-            classes.setdefault(self._find(a), []).append(a)
+        for a, root in self.roots.items():
+            classes.setdefault(root, []).append(a)
         return f"AttributeEquivalence({classes})"
 
 
-def _same(a: str, b: str, eq: Optional[AttributeEquivalence]) -> bool:
-    if a == b:
-        return True
-    return eq is not None and eq.same(a, b)
-
-
-class SortOrder:
+class SortOrder(tuple):
     """An immutable sequence of attribute names denoting a sort order.
 
-    ``SortOrder()`` is the empty order ``ε``.  Instances behave like
-    read-only tuples of strings and are hashable, so they can key memo
-    tables in the optimizer.
+    ``SortOrder()`` is the empty order ``ε``.  An order *is* the tuple
+    of its names: length, iteration, indexing, ``==``, ``<`` and
+    ``hash`` are the tuple's own, C-level, and an order equals and
+    hashes like the plain tuple of its names — ``SortOrder(("a",)) ==
+    ("a",)``, so a dict keyed by both kinds takes the two as one key.
+    Slicing gives a :class:`SortOrder` and ``+`` is :meth:`concat`
+    (``tuple(o) + t`` is the tuple concatenation).
+
+    The constructor checks its names (non-empty strings, no duplicate);
+    an order derived from valid ones — a slice, a common prefix, a
+    reduction, a translation into a schema's names, a concatenation, a
+    permutation of a valid one — is made by :func:`derived_order`,
+    which checks nothing.
     """
 
-    __slots__ = ("_attrs",)
+    __slots__ = ()
 
-    def __init__(self, attrs: Iterable[str] = ()) -> None:
+    def __new__(cls, attrs: Iterable[str] = ()) -> "SortOrder":
         attrs = tuple(attrs)
         for a in attrs:
             if not isinstance(a, str) or not a:
                 raise TypeError(f"sort order attributes must be non-empty strings, got {a!r}")
         if len(set(attrs)) != len(attrs):
             raise ValueError(f"duplicate attribute in sort order {attrs!r}")
-        self._attrs = attrs
-
-    # -- basic container protocol -------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._attrs)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._attrs)
+        return tuple.__new__(cls, attrs)
 
     def __getitem__(self, idx):
-        result = self._attrs[idx]
-        return SortOrder(result) if isinstance(idx, slice) else result
-
-    def __bool__(self) -> bool:
-        return bool(self._attrs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SortOrder) and self._attrs == other._attrs
-
-    def __hash__(self) -> int:
-        return hash(("SortOrder", self._attrs))
+        got = _item(self, idx)
+        return derived_order(got) if isinstance(idx, slice) else got
 
     def __repr__(self) -> str:
-        return f"SortOrder({', '.join(self._attrs)})" if self._attrs else "SortOrder(ε)"
+        return f"SortOrder({', '.join(self)})" if self else "SortOrder(ε)"
 
     def __str__(self) -> str:
-        return "(" + ", ".join(self._attrs) + ")" if self._attrs else "ε"
+        return "(" + ", ".join(self) + ")" if self else "ε"
 
     # -- paper operators ----------------------------------------------------------
-    @property
-    def as_tuple(self) -> tuple[str, ...]:
-        return self._attrs
-
     def attrs(self) -> frozenset[str]:
         """``attrs(o)``: the set of attributes in the order."""
-        return frozenset(self._attrs)
+        return frozenset(self)
 
     def is_prefix_of(self, other: "SortOrder", eq: Optional[AttributeEquivalence] = None) -> bool:
-        """``self ≤ other``: *other* subsumes *self* (*self* is a prefix)."""
+        """``self ≤ other``: *other* subsumes *self* (*self* is a prefix).
+        Names are compared first; the canonical names only when some
+        differ."""
         if len(self) > len(other):
             return False
-        return all(_same(a, b, eq) for a, b in zip(self._attrs, other._attrs))
+        if all(map(eq_, self, other)):
+            return True
+        if eq is None:
+            return False
+        get = eq.roots.get
+        return all(map(eq_, map(get, self, self), map(get, other, other)))
 
     def is_strict_prefix_of(
         self, other: "SortOrder", eq: Optional[AttributeEquivalence] = None
@@ -189,12 +179,11 @@ class SortOrder:
 
     def concat(self, other: "SortOrder") -> "SortOrder":
         """``o1 + o2``: concatenation, skipping attributes already present."""
-        seen = set(self._attrs)
-        extra = tuple(a for a in other._attrs if a not in seen)
-        return SortOrder(self._attrs + extra)
+        if not isinstance(other, SortOrder):
+            other = SortOrder(other)
+        return derived_order((*self, *(a for a in other if a not in self)))
 
-    def __add__(self, other: "SortOrder") -> "SortOrder":
-        return self.concat(other)
+    __add__ = concat
 
     def minus(self, prefix: "SortOrder", eq: Optional[AttributeEquivalence] = None) -> "SortOrder":
         """``o1 − o2``: the suffix such that ``prefix + suffix == self``.
@@ -204,7 +193,7 @@ class SortOrder:
         """
         if not prefix.is_prefix_of(self, eq):
             raise ValueError(f"{prefix} is not a prefix of {self}")
-        return SortOrder(self._attrs[len(prefix):])
+        return self[len(prefix):]
 
     def restrict_prefix_to(self, attr_set: Iterable[str],
                            eq: Optional[AttributeEquivalence] = None) -> "SortOrder":
@@ -215,18 +204,23 @@ class SortOrder:
         ``ps_suppkey`` when the two are joined by equality).
         """
         attr_set = set(attr_set)
-        prefix: list[str] = []
-        for a in self._attrs:
-            if a in attr_set or (eq is not None and any(eq.same(a, s) for s in attr_set)):
-                prefix.append(a)
-            else:
+        k = 0
+        for a in self:
+            if a not in attr_set and (
+                    eq is None or not any(eq.same(a, s) for s in attr_set)):
                 break
-        return SortOrder(prefix)
+            k += 1
+        return self if k == len(self) else self[:k]
 
     def translate(self, mapping: dict[str, str]) -> "SortOrder":
         """Rename attributes through *mapping* (identity for absent keys)."""
-        return SortOrder(tuple(mapping.get(a, a) for a in self._attrs))
+        return SortOrder(mapping.get(a, a) for a in self)
 
+
+#: ``derived_order(names)``: the :class:`SortOrder` of *names* taken from
+#: valid orders — unique non-empty strings — built without the checks.
+derived_order = partial(tuple.__new__, SortOrder)
+_item = tuple.__getitem__
 
 #: The empty sort order ``ε``.
 EMPTY_ORDER = SortOrder()
@@ -234,14 +228,16 @@ EMPTY_ORDER = SortOrder()
 
 def longest_common_prefix(o1: SortOrder, o2: SortOrder,
                           eq: Optional[AttributeEquivalence] = None) -> SortOrder:
-    """``o1 ∧ o2``: the longest common prefix of two orders."""
-    prefix: list[str] = []
-    for a, b in zip(o1, o2):
-        if _same(a, b, eq):
-            prefix.append(a)
-        else:
-            break
-    return SortOrder(prefix)
+    """``o1 ∧ o2``: the longest common prefix of two orders (in *o1*'s
+    names; *o1* itself when it is a prefix of *o2*).  The names are
+    compared first; the canonical names only when some differ."""
+    n = min(len(o1), len(o2))
+    k = next(compress(count(), map(ne, o1, o2)), n)
+    if k < n and eq is not None:
+        get = eq.roots.get
+        k = next(compress(count(), map(ne, map(get, o1, o1),
+                                       map(get, o2, o2))), n)
+    return o1 if k == len(o1) else derived_order(_item(o1, slice(k)))
 
 
 def prefix_in_set(order: SortOrder, attr_set: Iterable[str],
@@ -261,7 +257,8 @@ def arbitrary_permutation(attr_set: Iterable[str]) -> SortOrder:
 
 def all_permutations(attr_set: Iterable[str]) -> list[SortOrder]:
     """``P(s)``: every permutation of *attr_set* (factorial — small sets only)."""
-    return [SortOrder(p) for p in itertools.permutations(sorted(set(attr_set)))]
+    return list(map(derived_order,
+                    itertools.permutations(arbitrary_permutation(attr_set))))
 
 
 def extend_to_set(order: SortOrder, attr_set: Iterable[str]) -> SortOrder:

@@ -20,7 +20,12 @@ from typing import Iterator, Sequence
 
 from ..core.sort_order import AttributeEquivalence, SortOrder
 from ..expr.aggregates import AggSpec, aggregate_output_schema
-from ..expr.expressions import Expression, JoinPredicate, Predicate
+from ..expr.expressions import (
+    Expression,
+    JoinPredicate,
+    Predicate,
+    expression_params,
+)
 from ..storage.catalog import Catalog
 from ..storage.schema import Column, Schema
 
@@ -190,6 +195,23 @@ def referenced_tables(expr: LogicalExpr) -> frozenset[str]:
     """
     return frozenset(node.table_name for node in expr.walk()
                      if isinstance(node, BaseRelation))
+
+
+def referenced_params(expr: LogicalExpr) -> frozenset[str]:
+    """Names of every query parameter the expression reads — in a
+    filter predicate, a computed column or an aggregate's argument: the
+    bindings an execution of it must supply."""
+    names: frozenset[str] = frozenset()
+    for node in expr.walk():
+        if isinstance(node, Select):
+            names |= expression_params(node.predicate)
+        elif isinstance(node, Compute):
+            for _, output in node.outputs:
+                names |= expression_params(output)
+        elif isinstance(node, GroupBy):
+            for spec in node.aggregates:
+                names |= expression_params(spec.arg)
+    return names
 
 
 def derive_schema(catalog: Catalog, expr: LogicalExpr,

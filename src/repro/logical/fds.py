@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Optional
 
-from ..core.sort_order import SortOrder
+from ..core.sort_order import SortOrder, derived_order
 from ..expr.expressions import And, Col, Comparison, Const, Predicate
 from ..storage.schema import FunctionalDependency
 
@@ -98,13 +98,14 @@ class FDSet:
 
         A stream sorted on the reduced order is necessarily sorted on the
         original (each dropped attribute is constant within any group of
-        its predecessors).
+        its predecessors).  *order* itself when nothing drops.
         """
+        closure = self.closure
         kept: list[str] = []
         for attr in order:
-            if not self.determines(kept, attr):
+            if attr not in closure(kept):
                 kept.append(attr)
-        return SortOrder(kept)
+        return order if len(kept) == len(order) else derived_order(kept)
 
     def reduce_group_columns(self, columns: Iterable[str]) -> tuple[str, ...]:
         """A minimal subset of *columns* whose closure covers them all.

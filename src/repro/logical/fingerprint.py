@@ -76,7 +76,7 @@ def _join_pred_text(pred: JoinPredicate) -> str:
 
 
 def _order_text(order: SortOrder) -> str:
-    return "(" + ",".join(order.as_tuple) + ")"
+    return "(" + ",".join(order) + ")"
 
 
 def _node_text(expr: LogicalExpr) -> str:

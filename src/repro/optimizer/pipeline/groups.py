@@ -78,8 +78,9 @@ class Group:
         hit = self._goals.get(required)
         if hit is None:
             reduced = self.fds.reduce_order(required)
+            roots = self.eq.roots
             hit = self._goals[required] = self._goals[reduced] = (
-                reduced, (self.gid, tuple(map(self.eq.canonical, reduced))))
+                reduced, (self.gid, tuple(map(roots.get, reduced, reduced))))
         return hit
 
 

@@ -17,6 +17,7 @@ requested order — the memo of ``(group id, canonical order)`` goals —
 and the physical alternatives it builds once and hands to every goal
 that reaches them: a node's candidates are generated once per value of
 what the strategy reads of the order, and a goal builds only its
+winner (a merge join or sort aggregate is priced until it wins) and the
 winner's enforcer.  See "Groups and goals" in ``docs/optimizer.md``.
 """
 
@@ -26,7 +27,12 @@ import math
 from typing import Callable, Iterable, Optional
 
 from ...core.interesting import OrderStrategy
-from ...core.sort_order import AttributeEquivalence, EMPTY_ORDER, SortOrder
+from ...core.sort_order import (
+    AttributeEquivalence,
+    EMPTY_ORDER,
+    SortOrder,
+    derived_order,
+)
 from ...engine.aggregates import combinable
 from ...engine.scans import range_shardable, shardable
 from ...logical.algebra import (
@@ -104,9 +110,11 @@ class _Bound:
 class _Interesting:
     """One entry of :meth:`PhysicalSelection._orders`: a node's
     interesting orders for one value of what the strategy reads, the
-    node itself (holding it pins its ``id()``), and the candidate plans
-    generated over those orders once a generation got a plan from every
-    child request (``None`` until then)."""
+    node itself (holding it pins its ``id()``), and the candidates
+    generated over those orders — built plans, and merge joins and sort
+    aggregates priced but not built (:class:`~..manual.Priced`) — once a
+    generation got a plan from every child request (``None`` until
+    then)."""
 
     __slots__ = ("orders", "expr", "candidates")
 
@@ -289,7 +297,8 @@ class PhysicalSelection:
         the required global order.  Ties resolve to the simpler
         post-union plan (:func:`~repro.optimizer.cost.prefer_sharded`).
         Those placements are compared as built plans; every other
-        enforcer is compared on its price alone."""
+        enforcer, and every candidate offered priced, is compared on its
+        price alone."""
         cost = plan.total_cost
         if cost >= limit:
             return None
@@ -319,8 +328,10 @@ class PhysicalSelection:
         return (cost, plan, (translated, *priced)) if cost < limit else None
 
     def _accepted(self, offer: tuple) -> PhysicalPlan:
-        """The plan an :meth:`_offer` stands for, its enforcer built."""
+        """The plan an :meth:`_offer` stands for: the candidate built
+        (:class:`~repro.optimizer.manual.Priced`) and its enforcer."""
         _, plan, enforcer = offer
+        plan = plan.build()
         return plan if enforcer is None else self.builder.enforcer(
             plan, *enforcer)
 
@@ -337,11 +348,14 @@ class PhysicalSelection:
         if scan is None:
             return
         table = self.catalog.table(scan.arg("table"))
+        views = self.builder._once
         if contiguous and shardable(table, k):
-            yield self._shard_views(chain, table, table.shard_stats(k), k), None
+            yield views(self._shard_views, chain, table, table.shard_stats(k),
+                        k), None
         if ranged and range_shardable(table):
-            yield self._shard_views(chain, table, table.partition_stats(),
-                                    table.partitioning.num_partitions), table
+            yield views(self._shard_views, chain, table,
+                        table.partition_stats(),
+                        table.partitioning.num_partitions), table
 
     def _shard_views(self, chain: PhysicalPlan, table, per_table,
                      k: int) -> list[StatsView]:
@@ -350,7 +364,9 @@ class PhysicalSelection:
         shard's real row count, and per-shard distinct counts come from
         the measured boundaries — the numbers that drive per-shard
         partial-sort segment counts and spill predictions.  Unmeasured
-        (*per_table* is ``None``): the uniform ``scaled(1/k)`` estimate."""
+        (*per_table* is ``None``): the uniform ``scaled(1/k)`` estimate.
+        :meth:`_fan_outs` asks once per search per chain and shard
+        statistics (through :meth:`PlanBuilder._once`)."""
         if per_table is None:
             return [chain.stats.scaled(1.0 / k) for _ in range(k)]
         total = max(1.0, float(table.stats.num_rows))
@@ -418,7 +434,7 @@ class PhysicalSelection:
         best = None
         for views, table in self._fan_outs(chain):
             disjoint = (table is not None and
-                        translated.as_tuple[0] == table.partitioning.column)
+                        translated[0] == table.partitioning.column)
             est = chain.total_cost + self.builder.cost.sharded_coe(
                 chain.stats, chain.order, translated, len(views),
                 partial_enabled=partial_ok, shard_stats=views,
@@ -439,9 +455,10 @@ class PhysicalSelection:
     def _and_sharded(self, construct: Callable, inputs: tuple,
                      fan: Callable, finish: Optional[Callable] = None
                      ) -> Iterable[PhysicalPlan]:
-        """The unsharded operator, *construct* over its *inputs*, then —
-        when planning for a fan-out — its below-the-exchange form if it
-        applies and wins: *construct* over each shard's inputs, gathered.
+        """The unsharded operator, *construct* over its *inputs* (priced,
+        if *construct* prices), then — when planning for a fan-out — its
+        below-the-exchange form if it applies and wins: *construct* over
+        each shard's inputs, built and gathered.
 
         ``fan()`` says whether it applies (the site's guard) and how the
         inputs fan out (:meth:`_sorted_shards_of`, :meth:`_copartitions`):
@@ -464,7 +481,7 @@ class PhysicalSelection:
             explicit = {} if on is None else {"on": on}
             if finish is None:
                 explicit["stats"] = unsharded.stats.scaled(rows / total)
-            nodes.append(construct(*inputs, **explicit))
+            nodes.append(construct(*inputs, **explicit).build())
         sharded = self._gathered(nodes, disjoint, unsharded, finish)
         if sharded is not None:
             yield sharded
@@ -501,7 +518,7 @@ class PhysicalSelection:
             return None
         if leading is not None:
             disjoint = (disjoint and
-                        plan.order.as_tuple[:1] == leading.as_tuple[:1])
+                        plan.order[:1] == leading[:1])
         return [((shard, *replicated), None, shard.stats.N)
                 for shard in shards], disjoint
 
@@ -530,18 +547,20 @@ class PhysicalSelection:
     def _translate_order(self, order: SortOrder, schema: Schema,
                          eq: AttributeEquivalence) -> Optional[SortOrder]:
         """Express *order* in *schema*'s column names via the goal
-        subtree's own equivalences *eq*."""
+        subtree's own equivalences *eq* (*order* itself when the schema
+        has its names)."""
+        if schema.has_all(order):
+            return order
         out: list[str] = []
         for attr in order:
-            if attr in schema:
+            if attr not in schema:
+                attr = next((c for c in schema.names if eq.same(c, attr)),
+                            None)
+                if attr is None:
+                    return None
+            if attr not in out:
                 out.append(attr)
-                continue
-            mate = next((c for c in schema.names if eq.same(c, attr)), None)
-            if mate is None:
-                return None
-            if mate not in out:
-                out.append(mate)
-        return SortOrder(out)
+        return derived_order(out)
 
     def ensure_schema(self, plan: PhysicalPlan, expr: LogicalExpr) -> PhysicalPlan:
         """Project the final plan to the logical output schema when a
@@ -557,7 +576,8 @@ class PhysicalSelection:
     def _alternatives(self, build: Callable, expr: LogicalExpr,
                       inputs: tuple = (), variant=None) -> tuple:
         """The physical alternatives ``build()`` makes of *expr* over the
-        input plans *inputs*, built once per search and handed to every
+        input plans *inputs* — built, or priced to be built if they win
+        (:class:`~..manual.Priced`) — once per search and handed to every
         goal that reaches them: none depends on the goal's required
         order, which is the enforcer's business (:meth:`enforce`).
         *variant* is the permutation or order an order-based alternative
@@ -736,17 +756,16 @@ class PhysicalSelection:
             if outer and len(partners) < len(pairs):
                 keyed = {right for _, right in partners}
                 partners += [pair for pair in pairs if pair[1] not in keyed]
-                perm = SortOrder(tuple(left for left, _ in partners))
-            right_perm = SortOrder(tuple(right for _, right in partners))
+                perm = derived_order([left for left, _ in partners])
+            right_perm = derived_order([right for _, right in partners])
             inputs = self._input_plans(expr, perm, right_perm, bound)
             if inputs is None:
                 continue
             left_plan, right_plan = inputs
 
             def merge_join(left, right, stats=None):
-                return self.builder.merge_join(
-                    left, right, partners, expr.join_type, sort_inputs=False,
-                    logical=expr, stats=stats)
+                return self.builder.merge_join_price(
+                    left, right, partners, expr.join_type, expr, stats)
             # Broadcast: shard the sorted left input and replicate the
             # right — it only wins when the per-shard sort savings on a
             # big left side beat re-reading a small right side k−1 extra
@@ -792,7 +811,7 @@ class PhysicalSelection:
                 continue
 
             def aggregate(shard):
-                return self.builder.sort_aggregate(
+                return self.builder.sort_aggregate_price(
                     shard, perm, expr.aggregates, group_cols, logical=expr)
             # Per shard: each aggregates its (sorted) slice, the merge
             # gathers one *partial* row per per-shard group (real
@@ -809,7 +828,7 @@ class PhysicalSelection:
                     and self._sorted_shards_of(child, child_eq),
                     finish=lambda gather, whole: self.builder.sorted_combine(
                         gather, group_cols, expr.aggregates, whole.stats)),
-                expr, (child,), perm.as_tuple)
+                expr, (child,), perm)
         if self.config.enable_hash_aggregate:
             child = self._request(expr.child, EMPTY_ORDER, bound)
             if child is not None and child.schema.has_all(needs):
@@ -835,7 +854,7 @@ class PhysicalSelection:
         some perm member under all of them.  Returns ``None`` when a
         missing column cannot be soundly appended (the hash-based
         candidates still cover the goal)."""
-        missing = [c for c in columns if c not in perm.attrs()]
+        missing = [c for c in columns if c not in perm]
         if not missing:
             return perm
         for c in missing:
@@ -844,7 +863,7 @@ class PhysicalSelection:
                      for rename, eq in equivalences)
             if not ok:
                 return None
-        return SortOrder(list(perm) + missing)
+        return derived_order((*perm, *missing))
 
     def _distinct_candidates(self, expr: Distinct, orders: list[SortOrder],
                              bound: _Bound) -> Iterable[PhysicalPlan]:
@@ -875,7 +894,7 @@ class PhysicalSelection:
                     lambda: self._sorted_shards_of(child, child_eq),
                     finish=lambda gather, whole: dedup(gather,
                                                        stats=whole.stats)),
-                expr, (child,), perm.as_tuple)
+                expr, (child,), perm)
         child = self._request(expr.child, EMPTY_ORDER, bound)
         if child is not None:
             yield from self._alternatives(
@@ -898,7 +917,7 @@ class PhysicalSelection:
                 yield from self._alternatives(
                     lambda: (self.builder.merge_union(
                         *inputs, full_order, sort_inputs=False),),
-                    expr, inputs, perm.as_tuple)
+                    expr, inputs, perm)
         inputs = self._input_plans(expr, EMPTY_ORDER, EMPTY_ORDER, bound)
         if inputs is not None:
             yield from self._alternatives(

@@ -44,8 +44,8 @@ class PhysicalPlan:
     total_cost: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "total_cost", self.self_cost + sum(
-            c.total_cost for c in self.children))
+        object.__setattr__(self, "total_cost",
+                           subtree_cost(self.self_cost, self.children))
 
     def __reduce__(self):
         # Constructor arguments only: the derived total is recomputed on
@@ -72,6 +72,11 @@ class PhysicalPlan:
 
     def find_all(self, op: str) -> list["PhysicalPlan"]:
         return [p for p in self.walk() if p.op == op]
+
+    def build(self) -> "PhysicalPlan":
+        """The plan itself: a built node is its own recipe (see
+        :class:`~repro.optimizer.manual.Priced`)."""
+        return self
 
     def with_children(self, children: Sequence["PhysicalPlan"]) -> "PhysicalPlan":
         return PhysicalPlan(self.op, self.schema, self.order, self.stats,
@@ -114,6 +119,11 @@ class PhysicalPlan:
 
     def __repr__(self) -> str:
         return f"PhysicalPlan({self.op}, cost={self.total_cost:,.0f})"
+
+
+def subtree_cost(self_cost: float, children: Sequence[PhysicalPlan]) -> float:
+    """A node's total cost: its own plus its children's totals."""
+    return self_cost + sum(c.total_cost for c in children)
 
 
 def make_plan(op: str, schema: Schema, order: SortOrder, stats: StatsView,

@@ -37,9 +37,10 @@ from .server import (
     QueryTimeout,
     TracedResult,
 )
-from .session import PreparedQuery, QuerySession, SessionMetrics
+from .session import BindingError, PreparedQuery, QuerySession, SessionMetrics
 
 __all__ = [
+    "BindingError",
     "CacheStats",
     "CircuitBreaker",
     "CircuitOpen",

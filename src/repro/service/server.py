@@ -93,7 +93,13 @@ from .metrics import (
     ServerMetrics,
 )
 from .plan_cache import PlanCache
-from .session import QuerySession, SessionMetrics, cache_and_kernel_stats
+from .session import (
+    QuerySession,
+    SessionMetrics,
+    cache_and_kernel_stats,
+    check_bindings,
+    parameter_names,
+)
 
 __all__ = ["CircuitOpen", "QueryRejected", "QueryResult", "QueryServer",
            "QueryTimeout", "TracedResult"]
@@ -490,11 +496,15 @@ class QueryServer:
         Raises :class:`QueryRejected` immediately when the wait queue is
         full (or the tenant is over quota, or the circuit is open —
         each with a ``retry_after`` hint), :class:`QueryTimeout` when
-        the deadline passes first.  With tracing on (``obs=`` at server
+        the deadline passes first.  Bindings that miss or add a query
+        parameter raise :class:`~repro.service.session.BindingError` (a
+        ``KeyError``) before admission: no counter records the call.
+        With tracing on (``obs=`` at server
         construction; per-call ``trace=`` overrides the configured
         default) the result is a :class:`TracedResult`.  The query always
         runs on the dispatch pool, so the event loop never blocks.
         """
+        check_bindings(parameter_names(query, required_order), binds)
         admitted, timeout = self._admit(
             query, required_order, parallelism, binds, timeout, tenant, trace)
         wrapped = asyncio.wrap_future(self._dispatch_admitted(admitted))
@@ -516,8 +526,10 @@ class QueryServer:
         With no deadline and a slot free the query runs on the calling
         thread; otherwise it waits for a slot on the dispatch pool, which
         lets the call raise :class:`QueryTimeout` at its deadline while
-        the query itself runs on.
+        the query itself runs on.  Bindings are checked before admission,
+        as for :meth:`submit`.
         """
+        check_bindings(parameter_names(query, required_order), binds)
         admitted, timeout = self._admit(
             query, required_order, parallelism, binds, timeout, tenant, trace)
         if timeout is None:

@@ -46,7 +46,7 @@ from typing import Any, Optional, Union as TUnion
 from ..engine.context import ExecutionContext
 from ..engine.kernels import kernel_stats
 from ..engine.prepared import BoundPlan, PreparedPlan
-from ..logical.algebra import LogicalExpr, referenced_tables
+from ..logical.algebra import LogicalExpr, referenced_params, referenced_tables
 from ..logical.builder import Query
 from ..logical.fingerprint import logical_fingerprint
 from ..core.sort_order import SortOrder
@@ -61,11 +61,28 @@ from .feedback import FeedbackConfig, scan_table
 from .plan_cache import PlanCache
 
 
+class BindingError(KeyError):
+    """The bindings of an execution do not name the query's parameters:
+    one is missing or one is unknown.  A ``KeyError``."""
+
+
+def check_bindings(names: frozenset[str], binds: dict[str, Any]) -> None:
+    """Raise :class:`BindingError` unless *binds* names exactly the
+    parameters *names*."""
+    if binds.keys() != names:
+        unknown = sorted(binds.keys() - names)
+        if unknown:
+            raise BindingError(f"unknown query parameters: {unknown}")
+        raise BindingError("missing bindings for parameters: "
+                           f"{sorted(names - binds.keys())}")
+
+
 def _logical_key(query: TUnion[Query, LogicalExpr],
                  required_order: Optional[SortOrder]
-                 ) -> tuple[LogicalExpr, SortOrder, str, frozenset[str]]:
-    """The tree to plan, its required order, its unsalted fingerprint and
-    the tables it reads.
+                 ) -> tuple[LogicalExpr, SortOrder, str, frozenset[str],
+                            frozenset[str]]:
+    """The tree to plan, its required order, its unsalted fingerprint,
+    the tables it reads and the parameters it reads.
 
     The normalization is the one :meth:`Optimizer.optimize` applies, so
     the cache key always describes exactly the tree that gets planned.
@@ -80,10 +97,19 @@ def _logical_key(query: TUnion[Query, LogicalExpr],
             return memo[1]
     expr, required = split_required_order(query, required_order)
     key = (expr, required, logical_fingerprint(expr, required),
-           referenced_tables(expr))
+           referenced_tables(expr), referenced_params(expr))
     if isinstance(query, Query):
         query._plan_key = (required_order, key)
     return key
+
+
+def parameter_names(query: TUnion[Query, LogicalExpr],
+                    required_order: Optional[SortOrder]) -> frozenset[str]:
+    """The parameters *query* reads: a :class:`Query`'s from the key it
+    keeps (:func:`_logical_key`), a bare tree's by a walk."""
+    if isinstance(query, Query):
+        return _logical_key(query, required_order)[4]
+    return referenced_params(query)
 
 
 # -- the session ------------------------------------------------------------------------
@@ -172,13 +198,7 @@ class PreparedQuery:
 
     def bind(self, **binds: Any) -> BoundPlan:
         """The cached executable plus these parameter values."""
-        names = self.param_names
-        if binds.keys() != names:
-            unknown = sorted(binds.keys() - names)
-            if unknown:
-                raise KeyError(f"unknown query parameters: {unknown}")
-            raise KeyError("missing bindings for parameters: "
-                           f"{sorted(names - binds.keys())}")
+        check_bindings(self.param_names, binds)
         return BoundPlan(self.prepared, binds)
 
     def execute(self, ctx: Optional[ExecutionContext] = None,
@@ -251,7 +271,7 @@ class QuerySession:
                  parallelism: int = 1) -> PreparedQuery:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        expr, required, fp, tables = _logical_key(query, required_order)
+        expr, required, fp, tables, _ = _logical_key(query, required_order)
         if parallelism > 1:
             fp = f"{fp}#p{parallelism}"
         # Like the parallelism salt: plans from different join-order

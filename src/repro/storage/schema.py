@@ -92,7 +92,7 @@ class Schema:
         return tuple(self.position(n) for n in names)
 
     def has_all(self, names: Iterable[str]) -> bool:
-        return all(n in self._index for n in names)
+        return all(map(self._index.__contains__, names))
 
     # -- construction helpers -----------------------------------------------------
     def project(self, names: Sequence[str]) -> "Schema":

@@ -185,7 +185,7 @@ class Table:
         partition scan can slice instead of filtering the whole table."""
         return (self.partitioning is not None
                 and bool(self.clustering_order)
-                and self.clustering_order.as_tuple[0] == self.partitioning.column)
+                and self.clustering_order[0] == self.partitioning.column)
 
     def partition_row_bounds(self, partition_index: int) -> Optional[tuple[int, int]]:
         """Global row range ``[lo, hi)`` of one range partition, or
@@ -284,7 +284,7 @@ class Index:
     @property
     def columns(self) -> tuple[str, ...]:
         """All columns available from the index leaves, key first."""
-        return self.key.as_tuple + self.included
+        return (*self.key, *self.included)
 
     def covers(self, attributes: Iterable[str]) -> bool:
         return set(attributes) <= set(self.columns)

@@ -76,7 +76,7 @@ class TestFavorable:
         _, join, favorable = setup
         orders = FavorableOrderStrategy().join_orders(favorable, join, EMPTY_ORDER)
         # r clustered on (b, a) → candidate starting (b, a).
-        assert any(o.as_tuple[:2] == ("b", "a") for o in orders)
+        assert any(o[:2] == ("b", "a") for o in orders)
         for o in orders:
             assert o.attrs() == {"a", "b", "c"}
 
@@ -87,7 +87,7 @@ class TestFavorable:
         read = strategy.reads(favorable, join, None, required)
         assert read == required
         orders = strategy.join_orders(favorable, join, read)
-        assert any(o.as_tuple[:2] == ("c", "a") for o in orders)
+        assert any(o[:2] == ("c", "a") for o in orders)
 
     def test_far_fewer_than_exhaustive(self, setup):
         _, join, favorable = setup

@@ -201,7 +201,7 @@ class TestPlanStructure:
                          enable_hash_aggregate=False).optimize(query3)
         joins = plan.find_all("MergeJoin")
         assert len(joins) == 1
-        assert joins[0].order.as_tuple in (("ps_suppkey", "ps_partkey"),
+        assert joins[0].order in (("ps_suppkey", "ps_partkey"),
                                            ("l_suppkey", "l_partkey"))
         partial_sorts = plan.find_all("PartialSort")
         assert len(partial_sorts) >= 2

@@ -131,19 +131,26 @@ def test_search_effort_counters_are_pinned(counted_prepare):
 
 def test_each_alternative_is_built_once_per_search(counted_prepare):
     """The top join is asked for 120 orders, each answered by the same
-    few alternatives plus an enforcer.  A merge join is built once per
-    distinct (input plans, permutation) and a hash join once per distinct
-    input plans (370 and 251 builds when every goal built its own).  A
-    goal prices each candidate's enforcer and builds the winner's alone:
-    245 sorts for the 267 goals, the rest needing none (490 when every
-    candidate within the budget got its own, 631 nodes in all)."""
-    _, _, _, counts, _ = counted_prepare
+    few alternatives plus an enforcer.  A hash join is built once per
+    distinct input plans (251 builds when every goal built its own).  A
+    merge join is priced once per distinct (input plans, permutation)
+    and built only when it wins a goal: every join goal here is won by a
+    hash join, so none is built (126 when each priced one was, 370 when
+    every goal built its own).  A goal prices each candidate's enforcer
+    and builds the winner's alone: 245 sorts for the 267 goals, the rest
+    needing none (490 when every candidate within the budget got its
+    own)."""
+    session, _, _, counts, _ = counted_prepare
     built = counts["built"]
-    assert built["MergeJoin"] == 126
+    assert "MergeJoin" not in built
     assert built["HashJoin"] == 7
     assert built["TableScan"] == 8  # one per relation
     assert built["Sort"] == 245 and "PartialSort" not in built
-    assert sum(built.values()) == 386  # 1,246 before alternatives were shared
+    # 386 when every priced merge join was built, 1,246 before
+    # alternatives were shared.
+    assert sum(built.values()) == 260
+    stats = session.stats()
+    assert stats["goals_examined"] == 267 and stats["memo_hits"] == 0
 
 
 def test_each_enforcer_is_priced_once_per_input_and_shared_prefix(
@@ -164,6 +171,42 @@ def test_join_statistics_once_per_distinct_input(counted_prepare):
     # One per join node here (621 calls before groups): every candidate
     # plan of a child group carries its scan's statistics object.
     assert counts["joins"] == len(distinct) == 7
+
+
+def test_a_distinct_is_estimated_once_per_input(monkeypatch):
+    """Fuzz seed 147 is a DISTINCT over 8 columns: under PYRO-E its
+    40,320 orders each offer a dedup over the same child statistics and
+    columns.  The estimate is a function of those inputs, made once per
+    search (44,647 ``distinct_of_set`` calls at parallelism 1 when each
+    dedup made its own)."""
+    calls = []
+    distinct_of_set = StatsView.distinct_of_set
+    def counting(self, columns):
+        calls.append(columns)
+        return distinct_of_set(self, columns)
+    monkeypatch.setattr(StatsView, "distinct_of_set", counting)
+    rng = random.Random(147)
+    catalog = fuzz.random_catalog(rng)
+    fuzz.search(catalog, fuzz.random_query(rng, catalog), "pyro-e", 1)
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("enumerator", ["simpli-squared", "greedy-m2m"])
+def test_shard_views_once_per_chain(monkeypatch, enumerator):
+    """At parallelism 4 every enforcer over a scan chain weighs a
+    per-shard placement on the chain's per-shard statistics views: 6
+    chains here, each viewed once per search (13 calls when each
+    enforcement made its own)."""
+    chains = []
+    shard_views = PhysicalSelection._shard_views
+    def counting(self, chain, table, per_table, k):
+        chains.append(chain)
+        return shard_views(self, chain, table, per_table, k)
+    monkeypatch.setattr(PhysicalSelection, "_shard_views", counting)
+    session = QuerySession(many_join_catalog(), strategy="pyro-e",
+                           join_enumerator=enumerator)
+    session.prepare(many_join_query(), parallelism=4)
+    assert len(chains) == len(set(map(id, chains))) == 6
 
 
 def test_one_derivation_per_group_of_the_searched_tree(counted_prepare):

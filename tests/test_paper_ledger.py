@@ -144,8 +144,8 @@ def test_example1_order_aware_plan():
     fav = GroupTable(cat, expr).favorable
     lower = expr.children[0]  # catalog1 JOIN catalog2
     assert 1 <= len(fav.afm(lower)) <= 6
-    assert [o.as_tuple for o in fav.afm(lower.left)] == [("c1_year",)]
-    assert [o.as_tuple for o in fav.afm(lower.right)] == [("c2_make",)]
+    assert [o for o in fav.afm(lower.left)] == [("c1_year",)]
+    assert [o for o in fav.afm(lower.right)] == [("c2_make",)]
     return dict(naive=naive.total_cost, optimal=plan.total_cost, afm=len(fav.afm(lower)),
                 ratio=naive.total_cost / plan.total_cost, partial=ops(plan).count("PartialSort"))
 
@@ -328,7 +328,7 @@ def test_fig10_11_pyro_o_plan_beats_the_competitors():
     # The optimizer finds the Fig. 10(b) shape itself.
     assert ops(plan).count("CoveringIndexScan") == 2
     assert ops(plan).count("PartialSort") >= 2 and "SortAggregate" in ops(plan)
-    assert plan.find_all("MergeJoin")[0].order.as_tuple[0] in ("ps_suppkey", "l_suppkey")
+    assert plan.find_all("MergeJoin")[0].order[0] in ("ps_suppkey", "l_suppkey")
     return dict(cost, optimizer=plan.total_cost)
 
 

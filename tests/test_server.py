@@ -21,8 +21,10 @@ from repro.engine import ExecutionContext, Operator
 from repro.expr import col, param
 from repro.expr.aggregates import agg_sum, count_star
 from repro.logical import Query
+from repro.logical.algebra import referenced_params
 from repro.obs import ObservabilityConfig
 from repro.service import (
+    BindingError,
     CircuitOpen,
     ExecutionBackend,
     PlanCache,
@@ -782,6 +784,33 @@ class TestBackpressure:
             assert server.execute(query, batch_size=5).rows == expected
             result = asyncio.run(server.submit(query, batch_size=5))
             assert result.rows == expected
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_a_bad_binding_is_refused_before_admission(self, catalog,
+                                                       backend):
+        """A missing or unknown binding is the caller's error, found on
+        the query's parameter names before admission: it takes no queue
+        slot and no counter records it (it once read ``submitted 1,
+        failed 1``).  The names are kept with the query's key, so a
+        second call walks nothing."""
+        query = serving_queries()[1]  # one parameter, ``lim``
+        assert referenced_params(query.expr) == {"lim"}
+        with QueryServer(catalog, backend=backend, pool_workers=1) as server:
+            before = server.stats()
+            for binds in ({}, {"lim": 30, "bogus": 1}, {"bogus": 1}):
+                with pytest.raises(BindingError):
+                    server.execute(query, **binds)
+                with pytest.raises(KeyError):
+                    asyncio.run(server.submit(query, **binds))
+            after = server.stats()
+            for key in ("submitted", "admitted", "failed", "completed",
+                        "prepares", "cache_misses"):
+                assert after[key] == before[key], key
+            assert after["circuit_consecutive_failures"] == 0
+            result = server.execute(query, lim=30)
+            assert result.rows and reconciles(server.stats())
+            # The plan's parameters are the ones the check reads.
+            assert QuerySession(catalog).prepare(query).param_names == {"lim"}
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_pool_workers_below_one_starts_no_pool(self, catalog, workers):

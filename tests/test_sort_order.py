@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.logical.fds import FDSet
+from repro.storage.schema import FunctionalDependency
 from repro.core.sort_order import (
     EMPTY_ORDER,
     AttributeEquivalence,
@@ -205,3 +207,138 @@ class TestEquivalence:
         clone.add_equivalence("a", "c")
         assert clone.same("b", "c")
         assert not eq.same("b", "c")
+
+
+# -- the order algebra against its statement -------------------------------------------
+# Reference definitions, one attribute at a time, as the algebra was first
+# written: equivalence by a walk over the drawn pairs, closure by the
+# textbook fixpoint.  The shipped operators compare whole orders at C
+# level and derive results without re-checking them; on random orders,
+# equivalences and dependencies they must agree with these, and every
+# order they derive must still be a valid one.
+def ref_same(pairs, a, b):
+    seen, frontier = {a}, [a]
+    while frontier:
+        x = frontier.pop()
+        for p, q in pairs:
+            for u, v in ((p, q), (q, p)):
+                if u == x and v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    return b in seen
+
+
+def ref_is_prefix(o1, o2, pairs):
+    return len(o1) <= len(o2) and all(
+        a == b or ref_same(pairs, a, b) for a, b in zip(o1, o2))
+
+
+def ref_lcp(o1, o2, pairs):
+    out = []
+    for a, b in zip(o1, o2):
+        if not (a == b or ref_same(pairs, a, b)):
+            break
+        out.append(a)
+    return tuple(out)
+
+
+def ref_closure(fds, attrs):
+    closed = set(attrs) | {"⊤"}
+    changed = True
+    while changed:
+        changed = False
+        for det, dep in fds:
+            if det <= closed and not dep <= closed:
+                closed |= dep
+                changed = True
+    return closed
+
+
+def ref_reduce(fds, order):
+    kept = []
+    for attr in order:
+        if attr not in ref_closure(fds, kept):
+            kept.append(attr)
+    return tuple(kept)
+
+
+def valid(order):
+    return (isinstance(order, SortOrder)
+            and all(isinstance(a, str) and a for a in order)
+            and len(set(order)) == len(order))
+
+
+pairs_of = st.lists(st.tuples(st.sampled_from(ATTRS), st.sampled_from(ATTRS)),
+                    max_size=4)
+fds_of = st.lists(st.tuples(
+    # "⊤" alone is a constant column's dependency (``FDSet.add_constant``).
+    st.frozensets(st.sampled_from(ATTRS + "⊤"), min_size=1, max_size=2),
+    st.frozensets(st.sampled_from(ATTRS), min_size=1, max_size=2)),
+    max_size=4)
+
+
+class TestAgainstReference:
+    @given(orders(), orders(), pairs_of)
+    def test_prefix_relations(self, o1, o2, pairs):
+        for eq in (None, AttributeEquivalence.of(pairs)):
+            drawn = pairs if eq is not None else []
+            assert o1.is_prefix_of(o2, eq) == ref_is_prefix(o1, o2, drawn)
+            assert o2.satisfies(o1, eq) == ref_is_prefix(o1, o2, drawn)
+            assert o1.is_strict_prefix_of(o2, eq) == (
+                len(o1) < len(o2) and ref_is_prefix(o1, o2, drawn))
+            lcp = longest_common_prefix(o1, o2, eq)
+            assert lcp == ref_lcp(o1, o2, drawn) and valid(lcp)
+            if ref_is_prefix(o2, o1, drawn):
+                rest = o1.minus(o2, eq)
+                assert rest == tuple(o1)[len(o2):] and valid(rest)
+            else:
+                with pytest.raises(ValueError):
+                    o1.minus(o2, eq)
+
+    @given(orders(), pairs_of, st.sets(st.sampled_from(ATTRS)))
+    def test_equivalence_and_restriction(self, o, pairs, attr_set):
+        eq = AttributeEquivalence.of(pairs)
+        for a in ATTRS:
+            for b in ATTRS:
+                assert eq.same(a, b) == ref_same(pairs, a, b)
+        for a in ATTRS:  # one representative per class: the smallest name
+            assert eq.canonical(a) == min(
+                b for b in ATTRS if ref_same(pairs, a, b))
+        restricted = o.restrict_prefix_to(attr_set, eq)
+        expected = []
+        for a in o:
+            if not any(a == s or ref_same(pairs, a, s) for s in attr_set):
+                break
+            expected.append(a)
+        assert restricted == tuple(expected) and valid(restricted)
+
+    @given(orders(), orders(),
+           st.dictionaries(st.sampled_from(ATTRS), st.sampled_from(ATTRS)))
+    def test_translate_slice_and_concat(self, o1, o2, mapping):
+        names = tuple(mapping.get(a, a) for a in o1)
+        if len(set(names)) == len(names):
+            translated = o1.translate(mapping)
+            assert translated == names and valid(translated)
+        else:
+            with pytest.raises(ValueError):
+                o1.translate(mapping)
+        joined = o1 + o2
+        assert joined == tuple(o1) + tuple(a for a in o2 if a not in o1)
+        assert valid(joined)
+        for k in range(len(o1) + 1):
+            assert valid(o1[:k]) and valid(o1[k:]) and o1[:k] == tuple(o1)[:k]
+
+    @given(orders(max_size=8), fds_of)
+    def test_reduce_order(self, o, drawn):
+        fds = FDSet(FunctionalDependency(det, dep) for det, dep in drawn)
+        reduced = fds.reduce_order(o)
+        assert reduced == ref_reduce(drawn, o) and valid(reduced)
+        if len(reduced) == len(o):
+            assert reduced is o
+
+    @given(orders())
+    def test_an_order_is_the_tuple_of_its_names(self, o):
+        names = tuple(o)
+        assert o == names and hash(o) == hash(names)
+        assert {names: 1}[o] == 1
+        assert str(o) == ("(" + ", ".join(names) + ")" if names else "ε")
