@@ -348,14 +348,14 @@ class PhysicalSelection:
         if scan is None:
             return
         table = self.catalog.table(scan.arg("table"))
-        views = self.builder._once
+        once = self.builder._once
         if contiguous and shardable(table, k):
-            yield views(self._shard_views, chain, table, table.shard_stats(k),
-                        k), None
+            yield once(self._shard_views, chain, table, table.shard_stats(k),
+                       k), None
         if ranged and range_shardable(table):
-            yield views(self._shard_views, chain, table,
-                        table.partition_stats(),
-                        table.partitioning.num_partitions), table
+            yield once(self._shard_views, chain, table,
+                       table.partition_stats(),
+                       table.partitioning.num_partitions), table
 
     def _shard_views(self, chain: PhysicalPlan, table, per_table,
                      k: int) -> list[StatsView]:
