@@ -113,14 +113,11 @@ def strip_plan(plan):
     back-references into the logical tree), so the pickled task shrinks
     accordingly; lowering in the worker compiles kernels through its
     process-global cache."""
-    from ..optimizer.plans import PhysicalPlan
-
     children = tuple(strip_plan(c) for c in plan.children)
     args = tuple((k, v) for k, v in plan.args if k not in _UNPICKLABLE_ARGS)
     if children == plan.children and args == plan.args:
         return plan
-    return PhysicalPlan(plan.op, plan.schema, plan.order, plan.stats,
-                        plan.self_cost, children, args)
+    return plan._replace(children=children, args=args)
 
 
 def shard_subplans(plan) -> tuple[list, list[Any]]:

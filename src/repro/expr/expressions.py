@@ -363,7 +363,10 @@ class JoinPredicate:
         pairs = tuple((str(l), str(r)) for l, r in pairs)
         if not pairs:
             raise ValueError("join predicate needs at least one equality pair")
-        if len({l for l, _ in pairs}) != len(pairs) or len({r for _, r in pairs}) != len(pairs):
+        # Duplicates are found at C level: a repeated left name collapses
+        # in the dict, a repeated right name in the set of its values.
+        right_of = dict(pairs)
+        if len(right_of) != len(pairs) or len(set(right_of.values())) != len(pairs):
             raise ValueError(f"duplicate column in join predicate {pairs}")
         object.__setattr__(self, "pairs", pairs)
 

@@ -19,6 +19,8 @@ has two kinds of caller:
   estimated cost — isolating the effect the paper measures (the choice
   of sort orders) from engine differences.
 
+A node is a tuple that costs little to build, so the search builds each
+candidate it compares with the same constructor a hand-built plan calls.
 A per-shard copy of an operator is the same constructor applied to the
 shard's input.  Where the copy is priced on more than its children
 carry, the constructor takes it as an argument: ``stats`` (the output
@@ -30,8 +32,7 @@ per-partition statistics of the inputs).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.sort_order import (
     AttributeEquivalence,
@@ -53,36 +54,7 @@ from ..storage.catalog import Catalog
 from ..storage.schema import Column, Schema
 from ..storage.statistics import StatsView, blocks_for
 from .cost import CostModel
-from .plans import PhysicalPlan, make_plan, subtree_cost
-
-
-class Priced:
-    """An operator priced before it is built: what the search compares
-    of a candidate — its ``op``, ``total_cost``, ``order``, ``schema``
-    and ``stats``, as the node will carry them — and :meth:`build`,
-    which makes the node the first time it is asked and hands the same
-    one to every later caller.  A :class:`PhysicalPlan` answers the same
-    reads, and its ``build()`` is itself."""
-
-    __slots__ = ("op", "total_cost", "order", "schema", "stats", "_make",
-                 "_plan")
-
-    def __init__(self, op: str, total_cost: float, order: SortOrder,
-                 schema: Schema, stats: StatsView,
-                 make: Callable[[], PhysicalPlan]) -> None:
-        self.op = op
-        self.total_cost = total_cost
-        self.order = order
-        self.schema = schema
-        self.stats = stats
-        self._make = make
-        self._plan: Optional[PhysicalPlan] = None
-
-    def build(self) -> PhysicalPlan:
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = self._make()
-        return plan
+from .plans import PhysicalPlan, make_plan
 
 
 class PlanBuilder:
@@ -134,7 +106,7 @@ class PlanBuilder:
     def clustering_scan(self, table_name: str) -> PhysicalPlan:
         if not self.catalog.table(table_name).clustering_order:
             raise ValueError(f"table {table_name} has no clustering order")
-        return replace(self.table_scan(table_name), op="ClusteringIndexScan")
+        return self.table_scan(table_name)._replace(op="ClusteringIndexScan")
 
     def covering_scan(self, table_name: str, index_name: str) -> PhysicalPlan:
         index = self.catalog.index(table_name, index_name)
@@ -188,8 +160,8 @@ class PlanBuilder:
         if node.children:
             child = self.shard_of(node.children[0], shard_count, shard_index,
                                   share, range_table)
-            return replace(node, stats=stats, self_cost=node.self_cost * share,
-                           children=(child,))
+            return node._replace(stats=stats, self_cost=node.self_cost * share,
+                                 children=(child,))
         if range_table is None:
             return make_plan("ShardedScan", node.schema, node.order, stats,
                              node.self_cost * share, table=node.arg("table"),
@@ -288,31 +260,19 @@ class PlanBuilder:
         """Merge join on the given pair permutation; by default registers
         the pair equalities and inserts whatever sorts the inputs still
         need.  The search, whose inputs are sorted and whose equivalences
-        are the query's (outer-join pairs are *not* among them), prices
-        it first (:meth:`merge_join_price`)."""
-        if sort_inputs:
-            self.equate(*pairs)
-            left = self.sort(left, SortOrder([l for l, _ in pairs]))
-            right = self.sort(right, SortOrder([r for _, r in pairs]))
-        return self.merge_join_price(left, right, pairs, join_type, logical,
-                                     stats).build()
-
-    def merge_join_price(self, left: PhysicalPlan, right: PhysicalPlan,
-                         pairs: Sequence[tuple[str, str]],
-                         join_type: str = "inner",
-                         logical: Optional[LogicalExpr] = None,
-                         stats: Optional[StatsView] = None
-                         ) -> "Priced | PhysicalPlan":
-        """The merge join of the sorted *left* and *right* on the pair
-        permutation *pairs*, priced and not yet built (:class:`Priced`).
-        The search passes the *logical* join: it is kept on the node for
-        phase-2 refinement, and its pairs as written — not the
+        are the query's (outer-join pairs are *not* among them), passes
+        ``sort_inputs=False`` and the *logical* join: it is kept on the
+        node for phase-2 refinement, and its pairs as written — not the
         permutation — are what the output is estimated on.  Pairs of the
         logical join that the permutation leaves out (the search reduces
         merge keys under equivalences of the left input) are enforced by
-        a ``Filter`` on the merged rows, which only an inner join allows;
-        that plan is returned built."""
+        a ``Filter`` on the merged rows, which only an inner join allows.
+        """
         perm = SortOrder([l for l, _ in pairs])
+        if sort_inputs:
+            self.equate(*pairs)
+            left = self.sort(left, perm)
+            right = self.sort(right, SortOrder([r for _, r in pairs]))
         written = pairs if logical is None else logical.predicate.pairs
         stats, schema = self._join_output(left, right, written, join_type, stats)
         merged, residual = stats, ()
@@ -329,17 +289,14 @@ class PlanBuilder:
         # FIRST the output is not sorted on the left permutation, so it
         # claims no order (a wrong claim would skip an enforcer above).
         out_order = EMPTY_ORDER if join_type == "full" else perm
-        cost = self.cost.cpu(left.stats.N + right.stats.N + merged.N)
-
-        def make() -> PhysicalPlan:
-            return make_plan("MergeJoin", schema, out_order, merged, cost,
-                             [left, right], predicate=JoinPredicate(pairs),
-                             join_type=join_type, logical=logical)
-        if residual:
-            return self.filter(make(), And(*(Comparison("=", Col(l), Col(r))
-                                             for l, r in residual)), stats)
-        return Priced("MergeJoin", subtree_cost(cost, (left, right)),
-                      out_order, schema, stats, make)
+        join = make_plan("MergeJoin", schema, out_order, merged,
+                         self.cost.cpu(left.stats.N + right.stats.N + merged.N),
+                         [left, right], predicate=JoinPredicate(pairs),
+                         join_type=join_type, logical=logical)
+        if not residual:
+            return join
+        return self.filter(join, And(*(Comparison("=", Col(l), Col(r))
+                                       for l, r in residual)), stats)
 
     def hash_join(self, left: PhysicalPlan, right: PhysicalPlan,
                   pairs: Sequence[tuple[str, str]],
@@ -371,25 +328,12 @@ class PlanBuilder:
                        aggregates: Sequence[AggSpec],
                        group_columns: Optional[Sequence[str]] = None,
                        logical: Optional[LogicalExpr] = None) -> PhysicalPlan:
-        return self.sort_aggregate_price(child, group_order, aggregates,
-                                         group_columns, logical).build()
-
-    def sort_aggregate_price(self, child: PhysicalPlan,
-                             group_order: SortOrder,
-                             aggregates: Sequence[AggSpec],
-                             group_columns: Optional[Sequence[str]] = None,
-                             logical: Optional[LogicalExpr] = None) -> Priced:
-        """The streaming aggregate of *child* sorted on *group_order*,
-        priced and not yet built (:class:`Priced`)."""
         group_columns = tuple(group_columns or group_order)
         schema, stats = self._grouped(child, group_columns, aggregates)
-        cost = self.cost.cpu(child.stats.N)
-        return Priced(
-            "SortAggregate", subtree_cost(cost, (child,)), group_order,
-            schema, stats,
-            lambda: make_plan("SortAggregate", schema, group_order, stats,
-                              cost, [child], group_columns=group_columns,
-                              aggregates=tuple(aggregates), logical=logical))
+        return make_plan("SortAggregate", schema, group_order, stats,
+                         self.cost.cpu(child.stats.N), [child],
+                         group_columns=group_columns,
+                         aggregates=tuple(aggregates), logical=logical)
 
     def hash_aggregate(self, child: PhysicalPlan,
                        group_columns: Sequence[str],

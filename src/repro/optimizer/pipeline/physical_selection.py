@@ -17,7 +17,6 @@ requested order — the memo of ``(group id, canonical order)`` goals —
 and the physical alternatives it builds once and hands to every goal
 that reaches them: a node's candidates are generated once per value of
 what the strategy reads of the order, and a goal builds only its
-winner (a merge join or sort aggregate is priced until it wins) and the
 winner's enforcer.  See "Groups and goals" in ``docs/optimizer.md``.
 """
 
@@ -110,11 +109,9 @@ class _Bound:
 class _Interesting:
     """One entry of :meth:`PhysicalSelection._orders`: a node's
     interesting orders for one value of what the strategy reads, the
-    node itself (holding it pins its ``id()``), and the candidates
-    generated over those orders — built plans, and merge joins and sort
-    aggregates priced but not built (:class:`~..manual.Priced`) — once a
-    generation got a plan from every child request (``None`` until
-    then)."""
+    node itself (holding it pins its ``id()``), and the candidate plans
+    generated over those orders once a generation got a plan from every
+    child request (``None`` until then)."""
 
     __slots__ = ("orders", "expr", "candidates")
 
@@ -297,8 +294,7 @@ class PhysicalSelection:
         the required global order.  Ties resolve to the simpler
         post-union plan (:func:`~repro.optimizer.cost.prefer_sharded`).
         Those placements are compared as built plans; every other
-        enforcer, and every candidate offered priced, is compared on its
-        price alone."""
+        enforcer is compared on its price alone."""
         cost = plan.total_cost
         if cost >= limit:
             return None
@@ -328,10 +324,8 @@ class PhysicalSelection:
         return (cost, plan, (translated, *priced)) if cost < limit else None
 
     def _accepted(self, offer: tuple) -> PhysicalPlan:
-        """The plan an :meth:`_offer` stands for: the candidate built
-        (:class:`~repro.optimizer.manual.Priced`) and its enforcer."""
+        """The plan an :meth:`_offer` stands for, its enforcer built."""
         _, plan, enforcer = offer
-        plan = plan.build()
         return plan if enforcer is None else self.builder.enforcer(
             plan, *enforcer)
 
@@ -455,10 +449,9 @@ class PhysicalSelection:
     def _and_sharded(self, construct: Callable, inputs: tuple,
                      fan: Callable, finish: Optional[Callable] = None
                      ) -> Iterable[PhysicalPlan]:
-        """The unsharded operator, *construct* over its *inputs* (priced,
-        if *construct* prices), then — when planning for a fan-out — its
-        below-the-exchange form if it applies and wins: *construct* over
-        each shard's inputs, built and gathered.
+        """The unsharded operator, *construct* over its *inputs*, then —
+        when planning for a fan-out — its below-the-exchange form if it
+        applies and wins: *construct* over each shard's inputs, gathered.
 
         ``fan()`` says whether it applies (the site's guard) and how the
         inputs fan out (:meth:`_sorted_shards_of`, :meth:`_copartitions`):
@@ -481,7 +474,7 @@ class PhysicalSelection:
             explicit = {} if on is None else {"on": on}
             if finish is None:
                 explicit["stats"] = unsharded.stats.scaled(rows / total)
-            nodes.append(construct(*inputs, **explicit).build())
+            nodes.append(construct(*inputs, **explicit))
         sharded = self._gathered(nodes, disjoint, unsharded, finish)
         if sharded is not None:
             yield sharded
@@ -576,8 +569,7 @@ class PhysicalSelection:
     def _alternatives(self, build: Callable, expr: LogicalExpr,
                       inputs: tuple = (), variant=None) -> tuple:
         """The physical alternatives ``build()`` makes of *expr* over the
-        input plans *inputs* — built, or priced to be built if they win
-        (:class:`~..manual.Priced`) — once per search and handed to every
+        input plans *inputs*, built once per search and handed to every
         goal that reaches them: none depends on the goal's required
         order, which is the enforcer's business (:meth:`enforce`).
         *variant* is the permutation or order an order-based alternative
@@ -764,8 +756,9 @@ class PhysicalSelection:
             left_plan, right_plan = inputs
 
             def merge_join(left, right, stats=None):
-                return self.builder.merge_join_price(
-                    left, right, partners, expr.join_type, expr, stats)
+                return self.builder.merge_join(
+                    left, right, partners, expr.join_type, sort_inputs=False,
+                    logical=expr, stats=stats)
             # Broadcast: shard the sorted left input and replicate the
             # right — it only wins when the per-shard sort savings on a
             # big left side beat re-reading a small right side k−1 extra
@@ -811,7 +804,7 @@ class PhysicalSelection:
                 continue
 
             def aggregate(shard):
-                return self.builder.sort_aggregate_price(
+                return self.builder.sort_aggregate(
                     shard, perm, expr.aggregates, group_cols, logical=expr)
             # Per shard: each aggregates its (sorted) slice, the merge
             # gathers one *partial* row per per-shard group (real

@@ -1,28 +1,34 @@
 """Physical plans.
 
-A :class:`PhysicalPlan` is an immutable costed plan node; trees of them
-are what the optimizer searches over and what phase-2 refinement
-rewrites.  Unlike the engine's operators, physical plans carry
-statistics and estimated costs, so stats-only catalogs (the paper-scale
-optimizer experiments) can be planned without any data.  A node's op
-names its row of :data:`~repro.engine.lowering.LOWERINGS`, which gives
-the node's EXPLAIN detail and, for materialised catalogs, the engine
-operator :meth:`PhysicalPlan.to_operator` lowers it to.
+A :class:`PhysicalPlan` is an immutable costed plan node: the tuple of
+its fields, its subtree cost among them, so building one is cheap.
+Trees of them are what the optimizer searches over and what phase-2
+refinement rewrites.  Unlike the engine's operators, physical plans
+carry statistics and estimated costs, so stats-only catalogs (the
+paper-scale optimizer experiments) can be planned without any data.  A
+node's op names its row of :data:`~repro.engine.lowering.LOWERINGS`,
+which gives the node's EXPLAIN detail and, for materialised catalogs,
+the engine operator :meth:`PhysicalPlan.to_operator` lowers it to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence
+from collections import namedtuple
+from operator import attrgetter
+from typing import Any, Iterable, Iterator, Sequence
 
-from ..core.sort_order import EMPTY_ORDER, SortOrder
+from ..core.sort_order import SortOrder
 from ..engine.lowering import LOWERINGS, operators_from_plan
 from ..storage.schema import Schema
 from ..storage.statistics import StatsView
 
+#: The constructor's fields, in order; ``total_cost`` follows them.
+_INIT_FIELDS = ("op", "schema", "order", "stats", "self_cost", "children",
+                "args")
+_total_cost = attrgetter("total_cost")
 
-@dataclass(frozen=True)
-class PhysicalPlan:
+
+class PhysicalPlan(namedtuple("PlanFields", (*_INIT_FIELDS, "total_cost"))):
     """One physical operator with children, statistics and cost.
 
     ``args`` holds operator-specific payload (table name, predicate,
@@ -30,28 +36,43 @@ class PhysicalPlan:
     constructor on :class:`~repro.optimizer.manual.PlanBuilder`, read by
     the op's row of :data:`~repro.engine.lowering.LOWERINGS`, which also
     gives the node's EXPLAIN detail.
+
+    A node *is* the tuple of its seven constructor fields and
+    ``total_cost``, the subtree cost fixed at construction (children are
+    immutable): the search compares it per candidate, so it is never
+    re-walked.  Field reads, ``==`` and ``hash`` are the tuple's own, and
+    building one runs no per-field Python code.  :meth:`_replace` is the
+    one way to copy a node with changes, and derives the total anew.
     """
 
-    op: str
-    schema: Schema
-    order: SortOrder
-    stats: StatsView
-    self_cost: float
-    children: tuple["PhysicalPlan", ...] = ()
-    args: tuple[tuple[str, Any], ...] = ()
-    #: Subtree cost, fixed at construction (children are immutable): the
-    #: search compares it per candidate, so it is never re-walked.
-    total_cost: float = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total_cost",
-                           subtree_cost(self.self_cost, self.children))
+    def __new__(cls, op: str, schema: Schema, order: SortOrder,
+                stats: StatsView, self_cost: float,
+                children: tuple["PhysicalPlan", ...] = (),
+                args: tuple[tuple[str, Any], ...] = ()) -> "PhysicalPlan":
+        return tuple.__new__(cls, (
+            op, schema, order, stats, self_cost, children, args,
+            self_cost + sum(map(_total_cost, children))))
 
     def __reduce__(self):
         # Constructor arguments only: the derived total is recomputed on
         # load instead of travelling in every pickled shard task.
-        return (PhysicalPlan, (self.op, self.schema, self.order, self.stats,
-                               self.self_cost, self.children, self.args))
+        return (PhysicalPlan, self[:-1])
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "PhysicalPlan":
+        """The node of the seven constructor *fields*: a total is never
+        taken, always derived."""
+        return cls(*fields)
+
+    def _replace(self, **changes: Any) -> "PhysicalPlan":
+        """This node with *changes* to its constructor fields, its total
+        cost derived anew."""
+        node = self._make(map(changes.pop, _INIT_FIELDS, self))
+        if changes:
+            raise ValueError(f"not a constructor field: {sorted(changes)}")
+        return node
 
     # -- payload access -----------------------------------------------------------
     def arg(self, name: str, default: Any = None) -> Any:
@@ -72,15 +93,6 @@ class PhysicalPlan:
 
     def find_all(self, op: str) -> list["PhysicalPlan"]:
         return [p for p in self.walk() if p.op == op]
-
-    def build(self) -> "PhysicalPlan":
-        """The plan itself: a built node is its own recipe (see
-        :class:`~repro.optimizer.manual.Priced`)."""
-        return self
-
-    def with_children(self, children: Sequence["PhysicalPlan"]) -> "PhysicalPlan":
-        return PhysicalPlan(self.op, self.schema, self.order, self.stats,
-                            self.self_cost, tuple(children), self.args)
 
     # -- presentation ------------------------------------------------------------------
     def describe(self) -> str:
@@ -119,11 +131,6 @@ class PhysicalPlan:
 
     def __repr__(self) -> str:
         return f"PhysicalPlan({self.op}, cost={self.total_cost:,.0f})"
-
-
-def subtree_cost(self_cost: float, children: Sequence[PhysicalPlan]) -> float:
-    """A node's total cost: its own plus its children's totals."""
-    return self_cost + sum(c.total_cost for c in children)
 
 
 def make_plan(op: str, schema: Schema, order: SortOrder, stats: StatsView,

@@ -109,6 +109,23 @@ class TestJoinPredicate:
     def test_hashable(self):
         assert hash(JoinPredicate([("a", "x")])) == hash(JoinPredicate([("a", "x")]))
 
+    def test_duplicate_right_column_rejected(self):
+        with pytest.raises(ValueError, match="duplicate column"):
+            JoinPredicate([("a", "x"), ("b", "x")])
+
+    def test_names_are_normalised_to_str(self):
+        p = JoinPredicate(iter([(1, "x"), ("b", 2.5)]))
+        assert p.pairs == (("1", "x"), ("b", "2.5"))
+        assert all(type(name) is str for pair in p.pairs for name in pair)
+        assert p == JoinPredicate([("1", "x"), ("b", "2.5")])
+
+    @pytest.mark.parametrize("pairs, error", [
+        ([("a",)], ValueError), ([("a", "x", "y")], ValueError),
+        ([("a", "x"), ("b", "y", "z")], ValueError), ([1], TypeError)])
+    def test_a_pair_is_two_names(self, pairs, error):
+        with pytest.raises(error):
+            JoinPredicate(pairs)
+
 
 class TestAggregates:
     def test_all_registered(self):

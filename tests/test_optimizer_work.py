@@ -12,6 +12,7 @@ their objects alive, and trees that cross a pickle / hash-seed boundary.
 """
 
 import collections
+import copy
 import gc
 import os
 import pathlib
@@ -131,26 +132,32 @@ def test_search_effort_counters_are_pinned(counted_prepare):
 
 def test_each_alternative_is_built_once_per_search(counted_prepare):
     """The top join is asked for 120 orders, each answered by the same
-    few alternatives plus an enforcer.  A hash join is built once per
-    distinct input plans (251 builds when every goal built its own).  A
-    merge join is priced once per distinct (input plans, permutation)
-    and built only when it wins a goal: every join goal here is won by a
-    hash join, so none is built (126 when each priced one was, 370 when
-    every goal built its own).  A goal prices each candidate's enforcer
-    and builds the winner's alone: 245 sorts for the 267 goals, the rest
-    needing none (490 when every candidate within the budget got its
-    own)."""
+    few alternatives plus an enforcer.  Each alternative is built once
+    per distinct input plans: a hash join 7 times (251 builds when every
+    goal built its own), a merge join once per distinct (input plans,
+    permutation), 126 times (370 when every goal built its own), and a
+    projection once per distinct child plan.  A goal prices each
+    candidate's enforcer and builds the winner's alone: 245 sorts for
+    the 267 goals, the rest needing none (490 when every candidate
+    within the budget got its own)."""
     session, _, _, counts, _ = counted_prepare
     built = counts["built"]
-    assert "MergeJoin" not in built
+    assert built["MergeJoin"] == 126
     assert built["HashJoin"] == 7
     assert built["TableScan"] == 8  # one per relation
     assert built["Sort"] == 245 and "PartialSort" not in built
-    # 386 when every priced merge join was built, 1,246 before
-    # alternatives were shared.
-    assert sum(built.values()) == 260
+    # 1,246 before alternatives were shared, 631 when every candidate
+    # got its own enforcer.
+    assert sum(built.values()) == 386
     stats = session.stats()
     assert stats["goals_examined"] == 267 and stats["memo_hits"] == 0
+    # One build per distinct input plans also where the variant is the
+    # same: a projection asked for an order it can push down is built
+    # over its child's plan for ε and over the sorted one.
+    built.clear()
+    session.prepare(Query.table("l0").select("l0_a", "l0_b").order_by("l0_b"),
+                    parallelism=1)
+    assert built["Project"] == 2
 
 
 def test_each_enforcer_is_priced_once_per_input_and_shared_prefix(
@@ -244,19 +251,27 @@ def test_one_table_and_the_same_effort_under_reordering_enumerators(
 
 
 def test_total_cost_is_stored_not_rewalked(counted_prepare):
+    """Reading ``total_cost`` hands back the float the node stored when
+    it was built: the same object on every read, the node's last field
+    — a computed total would be a new float per read."""
     _, _, prepared, _, _ = counted_prepare
-    assert not isinstance(vars(PhysicalPlan).get("total_cost"), property)
     for node in prepared.plan.walk():
-        assert "total_cost" in vars(node)
+        assert node.total_cost is node.total_cost is tuple(node)[-1]
     assert_costs_stored(prepared.plan)
 
 
 # -- stored total_cost == recursive recomputation ----------------------------------------
 def test_stored_cost_on_fuzz_corpus_and_through_every_rebuild():
-    for seed in range(40):
+    """On the fuzz corpus, after phase 2, without it, stripped and
+    through a pickle; and on every copy with changes (``_replace``): a
+    plan with its children reordered, a clustering scan made of a table
+    scan, and each shard's copy of a chain
+    (:meth:`~repro.optimizer.manual.PlanBuilder.shard_of`)."""
+    for seed in range(fuzz.BASE_SEED, fuzz.BASE_SEED + 40):
         rng = random.Random(seed)
         catalog = fuzz.random_catalog(rng)
         query = fuzz.random_query(rng, catalog)
+        builder = manual.PlanBuilder(catalog)
         for parallelism in (1, 4):
             plan = Optimizer(catalog).optimize(query, parallelism=parallelism)
             assert_costs_stored(plan)  # after refine_plan (default config)
@@ -269,8 +284,17 @@ def test_stored_cost_on_fuzz_corpus_and_through_every_rebuild():
             assert_costs_stored(loaded)
             assert loaded.total_cost == plan.total_cost
             assert loaded.explain() == stripped.explain()
-            rebuilt = plan.with_children(plan.children[::-1])
+            rebuilt = plan._replace(children=plan.children[::-1])
             assert rebuilt.total_cost == recomputed_cost(rebuilt)
+        for table in catalog.tables():
+            if table.clustering_order:
+                assert_costs_stored(builder.clustering_scan(table.name))
+            chain = builder.project(builder.table_scan(table.name),
+                                    table.schema.names[:1])
+            for i in range(3):
+                shard = builder.shard_of(chain, 3, i, 0.25 + 0.1 * i)
+                assert_costs_stored(shard)
+                assert shard.total_cost < chain.total_cost
 
 
 def test_stored_cost_on_golden_plans():
@@ -290,6 +314,67 @@ def test_total_cost_stays_out_of_the_pickled_plan():
     assert loaded == schema and loaded.names == schema.names
     assert loaded.row_bytes == schema.row_bytes
     assert b"row_bytes" not in pickle.dumps(schema)
+
+
+# -- a plan node is a tuple ------------------------------------------------------------
+def small_plan(catalog) -> PhysicalPlan:
+    """A filtered merge join of ``r`` and ``s``: three levels, two leaves."""
+    builder = manual.PlanBuilder(catalog)
+    join = builder.merge_join(builder.table_scan("r"), builder.table_scan("s"),
+                              [("a", "x")])
+    return builder.filter(join, col("b").gt(5))
+
+
+def field_by_field(node: PhysicalPlan) -> PhysicalPlan:
+    return PhysicalPlan(node.op, node.schema, node.order, node.stats,
+                        node.self_cost, tuple(map(field_by_field, node.children)),
+                        node.args)
+
+
+def test_setting_any_field_of_a_node_raises(rs_catalog):
+    plan = small_plan(rs_catalog)
+    for name in PhysicalPlan._fields:
+        with pytest.raises(AttributeError):
+            setattr(plan, name, getattr(plan, name))
+    with pytest.raises(AttributeError):
+        plan.note = "a node has no attributes besides its fields"
+
+
+def test_a_field_by_field_copy_is_equal_and_hashes_alike(rs_catalog):
+    plan = small_plan(rs_catalog)
+    copy_ = field_by_field(plan)
+    for node, copied in zip(plan.walk(), copy_.walk()):
+        assert copied is not node
+        assert copied == node and hash(copied) == hash(node)
+    assert copy_._replace(self_cost=1.0) != plan
+
+
+def test_every_path_to_a_changed_node_derives_its_total(rs_catalog):
+    """The constructor, :meth:`PhysicalPlan._replace` (on cost, children
+    or both), ``_make``, copies and pickles: each recomputes
+    ``total_cost``, and none takes one."""
+    plan = small_plan(rs_catalog)
+    join = plan.children[0]
+    left, right = join.children
+    made = [
+        plan._replace(self_cost=1.0),
+        join._replace(children=(left,)),
+        join._replace(children=(right, left), self_cost=0.0),
+        join._replace(children=(left, right._replace(self_cost=9.0))),
+        plan._replace(children=(join._replace(self_cost=join.self_cost * 2),)),
+        PhysicalPlan._make(tuple(join)[:-1]),
+        copy.copy(plan), copy.deepcopy(plan),
+        pickle.loads(pickle.dumps(strip_plan(plan))),
+    ]
+    for node in made:
+        assert_costs_stored(node)
+    assert made[0].total_cost == 1.0 + join.total_cost
+    assert made[1].total_cost == join.self_cost + left.total_cost
+    assert made[3].total_cost == join.self_cost + left.total_cost + 9.0
+    with pytest.raises(TypeError):
+        PhysicalPlan._make(tuple(join))  # eight fields: a total is not taken
+    with pytest.raises(ValueError):
+        join._replace(total_cost=0.0)
 
 
 # -- groups: interning, identity keys, hash seeds ----------------------------------------

@@ -687,7 +687,7 @@ def test_gate_clone_and_gather_are_stated_once():
 
     What a node's schema, order, statistics and cost are is stated once
     as well: only the builder module calls ``make_plan`` or re-prices a
-    node (``dataclasses.replace(..., self_cost=)``).  And a sharded
+    node (``node._replace(..., self_cost=)``).  And a sharded
     operator is one constructor plus one call of the driver: nothing but
     the driver and the enforcer placement assembles a gather, and no
     alternative survives as its own method."""
@@ -720,7 +720,7 @@ def test_gate_clone_and_gather_are_stated_once():
                 node_makers.add(path.name)
                 if getattr(call.args[0], "value", None) == "MergeExchange":
                     gather_builders.add(site)
-            elif name == "replace" and any(
+            elif name in ("replace", "_replace") and any(
                     keyword.arg == "self_cost" for keyword in call.keywords):
                 repricers.add(path.name)
             elif name == "_gathered":
