@@ -30,7 +30,7 @@ stated at :class:`~repro.storage.catalog.SystemParameters`).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.sort_order import (
     AttributeEquivalence,
@@ -134,49 +134,6 @@ class CostModel:
         if disjoint or shard_count <= 1 or num_rows <= 0:
             return 0.0
         return self.cpu(num_rows * math.log2(shard_count))
-
-    def sharded_coe(self, stats: StatsView, from_order: SortOrder,
-                    to_order: SortOrder, shard_count: int,
-                    partial_enabled: bool = True,
-                    shard_stats: Optional[Sequence[StatsView]] = None,
-                    disjoint_merge: bool = False,
-                    eq: Optional[AttributeEquivalence] = None) -> float:
-        """``coe`` with the enforcer pushed below a shard fan-out: *k*
-        independent enforcers over the shards (each inheriting the
-        input's guaranteed order, its prefix matched under *eq*) plus the
-        order-preserving merge that gathers them.
-
-        *shard_stats*, when given, holds the **measured** per-shard
-        statistics (actual row counts and distinct counts from the
-        shard/partition boundaries) and each shard's enforcer is priced
-        individually; otherwise the uniform ``scaled(1/k)`` approximation
-        applies to every shard.  The distinction matters under skew: a
-        uniform model can call every shard in-memory while one real
-        partition spills, or miss that skewed segment counts make the
-        per-shard partial sorts cheaper than the average suggests.
-
-        The headline win is an I/O phenomenon: the per-shard CPU exactly
-        cancels against the merge (``N·log2(N/k) + N·log2(k) =
-        N·log2(N)``), but a post-union sort that spills while the
-        individual shards fit in sort memory drops the entire run I/O
-        term.  With *disjoint_merge* the merge term vanishes too, so
-        even all-in-memory skewed partitions win on comparisons
-        (``Σ nᵢ·log2(nᵢ) < N·log2(N)``).
-        """
-        eq = self.eq if eq is None else eq
-        if shard_count <= 1:
-            return self.coe(stats, from_order, to_order, partial_enabled, eq)
-        if not to_order or to_order.is_prefix_of(from_order, eq):
-            return 0.0
-        if shard_stats is not None:
-            per_shard = sum(self.coe(s, from_order, to_order, partial_enabled,
-                                     eq) for s in shard_stats)
-        else:
-            uniform = stats.scaled(1.0 / shard_count)
-            per_shard = shard_count * self.coe(uniform, from_order, to_order,
-                                               partial_enabled, eq)
-        return per_shard + self.merge_exchange(stats.N, shard_count,
-                                               disjoint=disjoint_merge)
 
     # -- hashing ----------------------------------------------------------------------
     def hash_table(self, in_rows: float, table: StatsView) -> float:

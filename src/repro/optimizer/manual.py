@@ -191,43 +191,19 @@ class PlanBuilder:
         operators above it see real distinct counts.  The enforcer is
         priced before it is built: ``None`` when the sorted plan would
         cost *limit* or more (the search's budget)."""
-        priced = self.sort_price(child, order, full, eq, on)
-        if priced is None:
-            return child
-        if child.total_cost + priced[1] >= limit:
-            return None
-        return self.enforcer(child, order, *priced, on=on)
-
-    def sort_price(self, child: PhysicalPlan, order: SortOrder,
-                   full: bool = False,
-                   eq: Optional[AttributeEquivalence] = None,
-                   on: Optional[StatsView] = None
-                   ) -> Optional[tuple[SortOrder, float]]:
-        """``(prefix, cost)`` of the enforcer :meth:`sort` builds with the
-        same arguments, or ``None`` when *child* already delivers
-        *order*: what the search compares before it builds the one
-        enforcer that wins (:meth:`enforcer`)."""
         prefix = longest_common_prefix(order, child.order, eq or self.eq)
         if prefix == order:
-            return None
-        if full:
+            return child
+        if full or not prefix:
             prefix = EMPTY_ORDER
-        return prefix, self.cost.enforcer(child.stats if on is None else on,
-                                          prefix)
-
-    def enforcer(self, child: PhysicalPlan, order: SortOrder,
-                 prefix: SortOrder, cost: float,
-                 on: Optional[StatsView] = None) -> PhysicalPlan:
-        """The sort of *child* on *order* that :meth:`sort_price` priced
-        at *prefix* and *cost*: partial on a non-empty *prefix*."""
-        stats = child.stats
-        if on is not None and list(on.schema.names) == list(child.schema.names):
-            stats = on
-        if prefix:
-            return make_plan("PartialSort", child.schema, order, stats, cost,
-                             [child], prefix=prefix)
-        return make_plan("Sort", child.schema, order, stats, cost, [child],
-                         prefix=EMPTY_ORDER)
+        stats = child.stats if on is None else on
+        cost = self.cost.enforcer(stats, prefix)
+        if child.total_cost + cost >= limit:
+            return None
+        if on is not None and on.schema.names != child.schema.names:
+            stats = child.stats
+        return make_plan("PartialSort" if prefix else "Sort", child.schema,
+                         order, stats, cost, [child], prefix=prefix)
 
     # -- joins --------------------------------------------------------------------------
     def _join_stats(self, pairs: Sequence[tuple[str, str]], join_type: str,

@@ -16,8 +16,10 @@ of a logical node's *result* lives once per group in the
 requested order — the memo of ``(group id, canonical order)`` goals —
 and the physical alternatives it builds once and hands to every goal
 that reaches them: a node's candidates are generated once per value of
-what the strategy reads of the order, and a goal builds only its
-winner's enforcer.  See "Groups and goals" in ``docs/optimizer.md``.
+what the strategy reads of the order.  An enforcer is built like any
+operator, by :meth:`PlanBuilder.sort`, for each candidate that beats
+the goal's best so far.  See "Groups and goals" in
+``docs/optimizer.md``.
 """
 
 from __future__ import annotations
@@ -224,18 +226,19 @@ class PhysicalSelection:
         else:
             self.goals_examined += 1
 
-        bound = _Bound(limit if self.config.cost_bound_pruning else math.inf)
+        pruning = self.config.cost_bound_pruning
+        bound = _Bound(limit if pruning else math.inf)
         translations: dict[tuple[str, ...], Optional[SortOrder]] = {}
         best = None
         for candidate in self._native_candidates(expr, required, bound):
-            offer = self._offer(candidate, required, bound.value, group.eq,
-                                translations)
-            if offer is None:
+            plan = self._offer(candidate, required, bound.value, group.eq,
+                               translations)
+            if plan is None:
                 continue
-            if best is None or offer[0] < best[0]:
-                best = offer
-                if self.config.cost_bound_pruning:
-                    bound.value = offer[0]
+            if best is None or plan.total_cost < best.total_cost:
+                best = plan
+                if pruning:
+                    bound.value = plan.total_cost
         if best is None:
             if math.isinf(limit):
                 raise RuntimeError(
@@ -246,7 +249,7 @@ class PhysicalSelection:
             self._failed[key] = max(failed_at or 0.0, limit)
             self.goals_failed += 1
             return None
-        best = self._memo[key] = self._accepted(best)
+        self._memo[key] = best
         self._failed.pop(key, None)  # success supersedes any failure marker
         return best
 
@@ -263,28 +266,27 @@ class PhysicalSelection:
         actually have.  It defaults to the root group (the whole-query
         facts) for external callers planning single-subtree chains.
 
-        Returns ``None`` when no enforcer applies — or when the enforced
-        plan's total cost reaches *limit*, i.e. it provably cannot beat
-        the best alternative already known to the caller.  A goal's
-        search takes the same steps (:meth:`_offer`), but builds only
-        the winner's enforcer.
+        Returns *plan* when it meets the requirement, else *plan* under
+        the enforcer :meth:`PlanBuilder.sort` builds; ``None`` when no
+        enforcer applies — or when the enforced plan's total cost reaches
+        *limit*, i.e. it provably cannot beat the best alternative
+        already known to the caller.  A goal's search takes the same step
+        for each candidate (:meth:`_offer`).
         """
         group = group or self.groups.root
-        offer = self._offer(plan, group.goal(required)[0], limit, group.eq, {})
-        return None if offer is None else self._accepted(offer)
+        return self._offer(plan, group.goal(required)[0], limit, group.eq, {})
 
     def _offer(self, plan: PhysicalPlan, target: SortOrder, limit: float,
                eq: AttributeEquivalence,
                translations: dict[tuple[str, ...], Optional[SortOrder]]
-               ) -> Optional[tuple]:
-        """*plan* under the enforcer of the goal's reduced order *target*,
-        priced but not yet built: ``(total cost, plan, enforcer)``, the
-        enforcer ``None`` when *plan* needs none (or is already the
-        enforced plan) and else ``(order, prefix, cost)`` as
-        :meth:`PlanBuilder.sort_price` priced it.  ``None`` when no
-        enforcer applies or the total reaches *limit*.  *target* is
-        translated into *plan*'s column names once per goal and schema,
-        through *translations*.
+               ) -> Optional[PhysicalPlan]:
+        """*plan* under the enforcer of the goal's reduced order *target*
+        (*plan* itself when it needs none), built by
+        :meth:`PlanBuilder.sort` like any operator; ``None`` when no
+        enforcer applies or the enforced plan costs *limit* or more, in
+        which case no enforcer is built.  *target* is translated into
+        *plan*'s column names once per goal and schema, through
+        *translations*.
 
         With ``parallelism > 1`` and a shardable input, two enforcer
         placements compete on cost: the classic post-union sort above the
@@ -292,14 +294,11 @@ class PhysicalSelection:
         order-preserving :class:`MergeExchange` — "partitioned +
         per-shard-ordered" is a physical property the merge converts into
         the required global order.  Ties resolve to the simpler
-        post-union plan (:func:`~repro.optimizer.cost.prefer_sharded`).
-        Those placements are compared as built plans; every other
-        enforcer is compared on its price alone."""
-        cost = plan.total_cost
-        if cost >= limit:
+        post-union plan (:func:`~repro.optimizer.cost.prefer_sharded`)."""
+        if plan.total_cost >= limit:
             return None
-        if not target or plan.order.satisfies(target, eq):
-            return cost, plan, None
+        if not target or target.is_prefix_of(plan.order, eq):
+            return plan
         names = plan.schema.names
         if names in translations:
             translated = translations[names]
@@ -308,26 +307,17 @@ class PhysicalSelection:
                 target, plan.schema, eq)
         if translated is None:
             return None
-        partial_ok = self.strategy.partial_sorts
+        full = not self.strategy.partial_sorts
         if shardable_enforcement_input(plan, self.catalog,
                                        self.config.parallelism):
-            sort = self.builder.sort(plan, translated, not partial_ok, eq)
+            # No limit: a placement below the exchange may come in under
+            # it where the post-union sort does not.
+            sort = self.builder.sort(plan, translated, full, eq)
             # (An equivalence-collapsed *translated* may already hold.)
             if sort is not plan:
-                sort = self._sharded_enforcement(sort, partial_ok, eq) or sort
-            cost = sort.total_cost
-            return (cost, sort, None) if cost < limit else None
-        priced = self.builder.sort_price(plan, translated, not partial_ok, eq)
-        if priced is None:
-            return cost, plan, None
-        cost += priced[1]
-        return (cost, plan, (translated, *priced)) if cost < limit else None
-
-    def _accepted(self, offer: tuple) -> PhysicalPlan:
-        """The plan an :meth:`_offer` stands for, its enforcer built."""
-        _, plan, enforcer = offer
-        return plan if enforcer is None else self.builder.enforcer(
-            plan, *enforcer)
+                sort = self._sharded_enforcement(sort, eq) or sort
+            return sort if sort.total_cost < limit else None
+        return self.builder.sort(plan, translated, full, eq, limit=limit)
 
     # -- below the exchange: fan-outs, per-shard pipelines, gate + gather -------------
     def _fan_outs(self, chain: PhysicalPlan, contiguous: bool = True,
@@ -414,25 +404,27 @@ class PhysicalSelection:
         return (plan if prefer_sharded(plan.total_cost, unsharded.total_cost)
                 else None)
 
-    def _sharded_enforcement(self, unsharded: PhysicalPlan, partial_ok: bool,
+    def _sharded_enforcement(self, unsharded: PhysicalPlan,
                              eq: AttributeEquivalence
                              ) -> Optional[PhysicalPlan]:
         """The cheapest below-the-exchange placement of the enforcer
         *unsharded* — contiguous equal shards or declared range
         partitions, each priced with measured per-shard statistics where
         available — or ``None`` when the classic post-union sort wins
-        (ties resolve to post-union via :func:`prefer_sharded`).  Decided
-        on the (cheap) cost estimates first: the k-shard plan tree is
-        only materialised when a placement actually wins."""
+        (ties resolve to post-union via :func:`prefer_sharded`).  Each
+        fan-out is priced first on the calls its plan's constructors make
+        — the unsharded enforcer's prefix priced on each shard's view,
+        plus the gather — so the k-shard plan tree is only built for the
+        placement that wins."""
         chain, translated = unsharded.children[0], unsharded.order
+        prefix, cost = unsharded.arg("prefix"), self.builder.cost
         best = None
         for views, table in self._fan_outs(chain):
             disjoint = (table is not None and
                         translated[0] == table.partitioning.column)
-            est = chain.total_cost + self.builder.cost.sharded_coe(
-                chain.stats, chain.order, translated, len(views),
-                partial_enabled=partial_ok, shard_stats=views,
-                disjoint_merge=disjoint, eq=eq)
+            est = chain.total_cost + (
+                sum(cost.enforcer(view, prefix) for view in views)
+                + cost.merge_exchange(chain.stats.N, len(views), disjoint))
             if table is not None and not table.partition_contiguous:
                 # Non-contiguous partitions each re-read the whole table.
                 est += ((len(views) - 1)
@@ -443,7 +435,7 @@ class PhysicalSelection:
             return None
         _, views, table, disjoint = best
         shards = self._shards_of(chain, views, table, translated,
-                                 not partial_ok, eq)
+                                 unsharded.op == "Sort", eq)
         return self._gathered(shards, disjoint, unsharded)
 
     def _and_sharded(self, construct: Callable, inputs: tuple,

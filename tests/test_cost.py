@@ -166,29 +166,59 @@ class TestOperatorCosts:
         assert cm.cpu_sort(1) == 0.0
 
 
+@pytest.fixture
+def gated(monkeypatch):
+    """The sharded cost of each call of the search's tie-break gate,
+    ``prefer_sharded``: the estimate a fan-out is decided on, then the
+    plan built for the winner."""
+    from repro.optimizer.pipeline import physical_selection
+
+    calls = []
+    gate = physical_selection.prefer_sharded
+    monkeypatch.setattr(physical_selection, "prefer_sharded",
+                        lambda sharded, unsharded: calls.append(sharded)
+                        or gate(sharded, unsharded))
+    return calls
+
+
 class TestShardedFormulas:
-    """``sharded_coe`` — the estimate the enforcer placement is decided
-    on before any shard plan is built — must equal the per-node pricing
-    of the plan ``enforce`` then materialises."""
+    """``coe`` with the enforcer pushed below a shard fan-out: the
+    per-shard enforcers, each priced on its shard's statistics, plus the
+    order-preserving merge that gathers them.  The search prices a
+    fan-out on the calls the per-shard ``PlanBuilder.sort`` makes, decides
+    on that price, and builds the winner; these hold the plans it builds
+    to the formula."""
 
     def test_sharded_coe_measured_equals_per_shard_sum(self):
-        cm = make()
-        views = [stats(n) for n in (900, 500, 400, 200)]
-        whole = stats(2000)
-        target = SortOrder(["a"])
-        per_shard = sum(cm.coe(v, EMPTY_ORDER, target) for v in views)
-        assert cm.sharded_coe(whole, EMPTY_ORDER, target, 4,
-                              shard_stats=views) == pytest.approx(
-            per_shard + cm.merge_exchange(2000, 4))
-        # Disjoint partitions drop the merge term entirely.
-        assert cm.sharded_coe(whole, EMPTY_ORDER, target, 4,
-                              shard_stats=views, disjoint_merge=True) == \
-            pytest.approx(per_shard)
+        """Each shard's enforcer is priced on its measured statistics,
+        and disjoint partitions drop the merge term entirely."""
+        import test_shard_enforcers as fx
+
+        catalog = fx.skewed_range_catalog(memory_blocks=1000)
+        table = catalog.table("t")
+        target = SortOrder(["k", "v"])
+        _, unsharded, built = fx.placements(catalog, "t", target)
+        scan = unsharded.children[0]
+        cm = make(catalog.params)
+        for fan_out, per_table in (("contiguous", table.shard_stats(4)),
+                                   ("range", table.partition_stats())):
+            views = [StatsView.of_table(table.schema, s) for s in per_table]
+            gather = built[fan_out]
+            assert [shard.op for shard in gather.children] == ["Sort"] * 4
+            per_shard = sum(cm.coe(v, scan.order, target, partial_enabled=False)
+                            for v in views)
+            assert sum(shard.self_cost for shard in gather.children) == \
+                pytest.approx(per_shard)
+            if fan_out == "range":
+                assert gather.arg("disjoint") and gather.self_cost == 0.0
+            else:
+                assert gather.self_cost == cm.merge_exchange(scan.stats.N, 4)
 
     @pytest.mark.parametrize("fan_out", ["contiguous", "range", "uniform"])
-    def test_sharded_coe_prices_the_plan_enforce_builds(self, fan_out):
-        """The estimate the enforcer gate decides on, plus the chain
-        below, is what the per-shard plan it then builds costs."""
+    def test_sharded_coe_prices_the_plan_enforce_builds(self, fan_out, gated):
+        """The estimate the enforcer gate decides on is what the per-shard
+        plan it then builds costs, and both are the chain below plus
+        ``coe`` pushed below the fan-out."""
         import test_shard_enforcers as fx
         from repro.logical import Query
         from repro.service import QuerySession
@@ -212,11 +242,16 @@ class TestShardedFormulas:
         assert {s.children[0].op for s in built.children} == {
             "RangePartitionScan" if fan_out == "range" else "ShardedScan"}
 
-        views = per_table and [StatsView.of_table(table.schema, s)
-                               for s in per_table]
-        estimate = make(catalog.params).sharded_coe(
-            chain.stats, chain.order, target, 4, partial_enabled=False,
-            shard_stats=views, disjoint_merge=fan_out == "range")
+        # The gate saw the estimate, then the built plan: the same cost.
+        assert gated and all(estimate == pytest.approx(built.total_cost)
+                             for estimate in gated)
+        views = ([StatsView.of_table(table.schema, s) for s in per_table]
+                 if per_table else [chain.stats.scaled(0.25)] * 4)
+        cm = make(catalog.params)
+        estimate = (sum(cm.coe(v, chain.order, target, partial_enabled=False)
+                        for v in views)
+                    + cm.merge_exchange(chain.stats.N, 4,
+                                        disjoint=fan_out == "range"))
         assert built.total_cost == pytest.approx(chain.total_cost + estimate)
 
 
@@ -270,18 +305,54 @@ class TestEnforcerPricing:
         assert sort.self_cost < builder.cost.coe(
             child.stats, EMPTY_ORDER, self.ENFORCED) / 10
 
-    def test_sharded_coe_matches_under_the_eq_it_is_given(self):
-        cm = make()
+    def test_sharded_coe_matches_under_the_eq_it_is_given(self, gated):
+        """Pushed below a fan-out, the enforcer keeps the prefix it was
+        matched under: the goal's classes say ``x = a`` and the query's do
+        not, so each shard of a scan clustered on ``x`` gets the partial
+        sort the goal's prefix allows, and the fan-out is priced as those
+        partial sorts — on the estimate the gate decides on and on the
+        plan built — where under the query's classes it is full sorts."""
+        import random
+
+        import test_shard_enforcers as fx
+        from repro.storage import Catalog
+
+        rng = random.Random(3)
+        catalog = Catalog(SystemParameters(sort_memory_blocks=10))
+        catalog.create_table(
+            "t", Schema.of(("a", "int", 40), ("b", "int", 40), ("x", "int", 20)),
+            rows=sorted(((rng.randrange(100), rng.randrange(1000),
+                          rng.randrange(100)) for _ in range(4000)),
+                        key=lambda row: row[2]),
+            clustering_order=SortOrder(["x"]))
+        table = catalog.table("t")
+        views = [StatsView.of_table(table.schema, s)
+                 for s in table.shard_stats(4)]
+        cm = make(catalog.params)
+
         wider = AttributeEquivalence.of([("a", "x")])
-        whole = stats(10_000, {"a": 100, "x": 100})
-        views = [stats(2_500, {"a": 100, "x": 100}) for _ in range(4)]
-        given_eq = cm.sharded_coe(whole, SortOrder(["x"]), self.ENFORCED, 4,
-                                  shard_stats=views, eq=wider)
-        assert given_eq == pytest.approx(
-            sum(cm.coe(v, SortOrder(["x"]), self.ENFORCED, eq=wider)
-                for v in views) + cm.merge_exchange(10_000, 4))
-        assert given_eq < cm.sharded_coe(whole, SortOrder(["x"]),
-                                         self.ENFORCED, 4, shard_stats=views)
+        estimates = {}
+        for classes, eq in (("goal", wider), ("query", AttributeEquivalence())):
+            run, unsharded, built = fx.placements(catalog, "t", self.ENFORCED,
+                                                  "pyro-o", eq)
+            gated.clear()
+            run._sharded_enforcement(unsharded, eq)
+            estimates[classes] = gated[0]
+            assert estimates[classes] == pytest.approx(
+                built["contiguous"].total_cost)
+            if classes == "goal":
+                scan, gather = unsharded.children[0], built["contiguous"]
+                assert {(shard.op, shard.arg("prefix"))
+                        for shard in gather.children} == {
+                    ("PartialSort", SortOrder(["a"]))}
+                per_shard = sum(cm.coe(v, scan.order, self.ENFORCED, eq=wider)
+                                for v in views)
+                assert sum(shard.self_cost for shard in gather.children) == \
+                    pytest.approx(per_shard)
+                assert estimates[classes] == pytest.approx(
+                    scan.total_cost + per_shard
+                    + cm.merge_exchange(scan.stats.N, 4))
+        assert estimates["goal"] < estimates["query"]
 
     def test_an_enforcer_over_its_budget_is_not_built(self, monkeypatch):
         from repro.optimizer import manual

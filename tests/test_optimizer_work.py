@@ -136,19 +136,21 @@ def test_each_alternative_is_built_once_per_search(counted_prepare):
     per distinct input plans: a hash join 7 times (251 builds when every
     goal built its own), a merge join once per distinct (input plans,
     permutation), 126 times (370 when every goal built its own), and a
-    projection once per distinct child plan.  A goal prices each
-    candidate's enforcer and builds the winner's alone: 245 sorts for
-    the 267 goals, the rest needing none (490 when every candidate
-    within the budget got its own)."""
+    projection once per distinct child plan.  An enforcer is built like
+    any operator, by ``PlanBuilder.sort`` under the goal's shrinking
+    bound: 490 sorts for the 267 goals, one for each candidate whose
+    enforced plan beats the goal's best so far (245, one per goal that
+    needs one, when enforcers were priced first and only the winner's
+    was built)."""
     session, _, _, counts, _ = counted_prepare
     built = counts["built"]
     assert built["MergeJoin"] == 126
     assert built["HashJoin"] == 7
     assert built["TableScan"] == 8  # one per relation
-    assert built["Sort"] == 245 and "PartialSort" not in built
-    # 1,246 before alternatives were shared, 631 when every candidate
-    # got its own enforcer.
-    assert sum(built.values()) == 386
+    assert built["Sort"] == 490 and "PartialSort" not in built
+    # 1,246 before alternatives were shared, 386 when only each goal's
+    # winning enforcer was built.
+    assert sum(built.values()) == 631
     stats = session.stats()
     assert stats["goals_examined"] == 267 and stats["memo_hits"] == 0
     # One build per distinct input plans also where the variant is the

@@ -34,6 +34,7 @@ The seed base is ``REPRO_FUZZ_SEED`` (default 0 — what CI pins) and the
 plan count ``REPRO_FUZZ_PLANS`` (default 200, per the acceptance bar).
 """
 
+import collections
 import math
 import os
 import random
@@ -545,6 +546,53 @@ def test_enforcers_are_priced_under_the_goal_equivalences():
             assert rows == reference, (strategy, parallelism)
     assert QuerySession(catalog, strategy="pyro-o").prepare(
         query).total_cost > 38
+
+
+def build_every_fan_out(self, unsharded, eq):
+    """``PhysicalSelection._sharded_enforcement`` as an oracle: every
+    fan-out's placement of the enforcer *unsharded* built, and the
+    cheapest built plan that passes ``_gathered``'s gate kept (the first
+    fan-out on a tie, as the search keeps it)."""
+    chain, order = unsharded.children[0], unsharded.order
+    best = None
+    for views, table in self._fan_outs(chain):
+        disjoint = table is not None and order[0] == table.partitioning.column
+        shards = self._shards_of(chain, views, table, order,
+                                 unsharded.op == "Sort", eq)
+        plan = self._gathered(shards, disjoint, unsharded)
+        if plan is not None and (best is None
+                                 or plan.total_cost < best.total_cost):
+            best = plan
+    return best
+
+
+def test_shard_placement_matches_building_every_fan_out(monkeypatch):
+    """The search prices each fan-out of an enforcer on the calls its
+    per-shard constructors make and builds only the placement that
+    wins.  Searched again with every fan-out's placement built and the
+    cheapest built plan kept, each fuzz query plans alike at parallelism
+    4 under the four strategies that finish on the whole corpus: EXPLAIN
+    text and every node's order, costs and rows.  The corpus reaches the
+    decision, and both of its outcomes."""
+    from repro.optimizer.pipeline import PhysicalSelection
+
+    cases = [(seed, strategy)
+             for seed in range(BASE_SEED, BASE_SEED + NUM_PLANS)
+             for strategy in STRATEGIES[:-1]]
+    shipped = [shipped_search(seed, strategy, 4) for seed, strategy in cases]
+
+    outcomes = collections.Counter()
+    def oracle(self, unsharded, eq):
+        placed = build_every_fan_out(self, unsharded, eq)
+        outcomes["post-union" if placed is None else "sharded"] += 1
+        return placed
+    monkeypatch.setattr(PhysicalSelection, "_sharded_enforcement", oracle)
+    for (seed, strategy), expected in zip(cases, shipped):
+        rng = random.Random(seed)
+        catalog = random_catalog(rng)
+        query = random_query(rng, catalog)
+        assert search(catalog, query, strategy, 4) == expected, (seed, strategy)
+    assert outcomes["sharded"] and outcomes["post-union"], outcomes
 
 
 # -- backend parity: the plan is the only statement of what executes ---------------------

@@ -174,8 +174,10 @@ import random
 
 from repro.expr import col
 from repro.expr.aggregates import agg_avg, agg_sum, count_star
-from repro.optimizer.cost import CostModel, prefer_sharded
-from repro.storage import Catalog, RangePartitioning, Schema, StatsView
+from repro.core.interesting import make_strategy
+from repro.optimizer import OptimizerConfig
+from repro.optimizer.pipeline import PhysicalSelection
+from repro.storage import Catalog, RangePartitioning, Schema
 
 
 def join_agg_catalog(num_rows=20_000, memory_blocks=500, c2_domain=2000,
@@ -452,38 +454,64 @@ def skewed_range_catalog(seed=17, memory_blocks=150):
     return catalog
 
 
+def placements(catalog, name, order, strategy="pyro-o-", eq=None):
+    """``(search, unsharded, {fan-out: gather})`` for enforcing *order* on
+    a scan of table *name*, in a search at parallelism 4: the enforcer
+    :meth:`PlanBuilder.sort` builds (matched under *eq*, by default the
+    query's classes) and, per fan-out the search weighs (``"contiguous"``
+    equal shards, ``"range"`` partitions), that enforcer placed per shard
+    under its gather — built by ``_shards_of`` and the builder's gather as
+    the search builds the placement that wins, here whether it wins or
+    not."""
+    run = PhysicalSelection(catalog, Query.table(name).expr,
+                            make_strategy(strategy),
+                            OptimizerConfig(strategy=strategy, parallelism=4))
+    eq = run.eq if eq is None else eq
+    scan = run.builder.table_scan(name)
+    unsharded = run.builder.sort(scan, order, not run.strategy.partial_sorts,
+                                 eq)
+    built = {}
+    for views, table in run._fan_outs(scan):
+        disjoint = table is not None and order[0] == table.partitioning.column
+        shards = run._shards_of(scan, views, table, order,
+                                unsharded.op == "Sort", eq)
+        built["contiguous" if table is None else "range"] = \
+            run.builder.gather(shards, order, unsharded.stats, disjoint)
+    return run, unsharded, built
+
+
+def enforcement_cost(gather):
+    """What a per-shard placement adds to the scan shards below it: the
+    gather and each shard's enforcer — ``coe`` with the enforcer pushed
+    below the fan-out."""
+    return gather.self_cost + sum(shard.self_cost for shard in gather.children)
+
+
 class TestPerShardStatistics:
-    def test_uniform_estimate_flips_placement_measured_fixes_it(self):
+    def test_uniform_estimate_flips_placement_measured_fixes_it(
+            self, monkeypatch):
         """The satellite regression: under the uniform ``scaled(1/k)``
         model the skewed range fan-out looks identical to contiguous
         shards *minus* the heap merge (its partitions are disjoint on the
         leading sort attribute), so the uniform estimate picks range
         partitions — whose dominant partition actually spills.  Measured
         per-partition row counts expose the spill, the optimizer keeps
-        contiguous equal shards, and execution confirms nothing spills."""
+        contiguous equal shards, and execution confirms nothing spills.
+        Each placement's cost is read off the plan built for it."""
         catalog = skewed_range_catalog()
         table = catalog.table("t")
-        model = CostModel(catalog.params)
-        stats = StatsView.of_table(table.schema, table.stats)
         target = SortOrder(["k", "v"])
-        clustered = SortOrder(["k"])
 
-        range_uniform = model.sharded_coe(stats, clustered, target, 4,
-                                          partial_enabled=False,
-                                          disjoint_merge=True)
-        contiguous_uniform = model.sharded_coe(stats, clustered, target, 4,
-                                               partial_enabled=False)
-        partition_views = [StatsView.of_table(table.schema, s)
-                           for s in table.partition_stats()]
-        range_measured = model.sharded_coe(stats, clustered, target, 4,
-                                           partial_enabled=False,
-                                           shard_stats=partition_views,
-                                           disjoint_merge=True)
-        shard_views = [StatsView.of_table(table.schema, s)
-                      for s in table.shard_stats(4)]
-        contiguous_measured = model.sharded_coe(stats, clustered, target, 4,
-                                                partial_enabled=False,
-                                                shard_stats=shard_views)
+        _, _, built = placements(catalog, "t", target)
+        range_measured = enforcement_cost(built["range"])
+        contiguous_measured = enforcement_cost(built["contiguous"])
+        # Unmeasured shards and partitions: the uniform estimate.
+        monkeypatch.setattr(table, "shard_stats", lambda shard_count: None)
+        monkeypatch.setattr(table, "partition_stats", lambda: None)
+        _, _, built = placements(catalog, "t", target)
+        range_uniform = enforcement_cost(built["range"])
+        contiguous_uniform = enforcement_cost(built["contiguous"])
+        monkeypatch.undo()
         # Uniform flips to range; measured keeps contiguous.
         assert range_uniform < contiguous_uniform
         assert contiguous_measured < range_measured
@@ -690,12 +718,22 @@ def test_gate_clone_and_gather_are_stated_once():
     node (``node._replace(..., self_cost=)``).  And a sharded
     operator is one constructor plus one call of the driver: nothing but
     the driver and the enforcer placement assembles a gather, and no
-    alternative survives as its own method."""
+    alternative survives as its own method.
+
+    An enforcer's cost is stated once too: the search prices one in
+    :meth:`PlanBuilder.sort`, which builds it, and in
+    ``_sharded_enforcement``, which prices each fan-out on the calls the
+    per-shard ``sort`` makes.  ``CostModel.enforcer`` is called from
+    nowhere else but ``coe``, the paper's formula, which nothing in
+    ``src/repro`` calls (the tests price against it); no builder method
+    prices an operator apart from building it, and the cost model
+    states no sharded variant of a formula."""
     import ast
     from pathlib import Path
 
     import repro
-    from repro.optimizer.pipeline import PhysicalSelection
+    from repro.optimizer.cost import CostModel
+    from repro.optimizer.manual import PlanBuilder
 
     def calls(node, function=None):
         """``(enclosing function name, called name, Call)`` per call."""
@@ -709,6 +747,7 @@ def test_gate_clone_and_gather_are_stated_once():
 
     gates, gather_builders, clone_callers = [], set(), set()
     node_makers, repricers, gatherers = set(), set(), set()
+    pricers, coe_callers = set(), set()
     for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
         for function, name, call in calls(ast.parse(path.read_text())):
             site = f"{path.name}:{function}"
@@ -725,6 +764,10 @@ def test_gate_clone_and_gather_are_stated_once():
                 repricers.add(path.name)
             elif name == "_gathered":
                 gatherers.add(site)
+            elif name == "enforcer":
+                pricers.add(site)
+            elif name == "coe" and isinstance(call.func, ast.Attribute):
+                coe_callers.add(site)  # not an injected ``coe`` callable
     assert len(gates) <= 2, gates
     assert len(gather_builders) == 1, gather_builders
     assert len(clone_callers) == 1, clone_callers
@@ -734,3 +777,8 @@ def test_gate_clone_and_gather_are_stated_once():
                          "physical_selection.py:_sharded_enforcement"}
     assert not [name for name in vars(PhysicalSelection)
                 if name.endswith("_alternative") or "hash_join" in name]
+    assert pricers == {"manual.py:sort", "cost.py:coe",
+                       "physical_selection.py:_sharded_enforcement"}, pricers
+    assert not coe_callers, coe_callers
+    assert not [name for name in vars(PlanBuilder) if name.endswith("_price")]
+    assert not [name for name in vars(CostModel) if name.startswith("sharded_")]
