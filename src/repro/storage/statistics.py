@@ -287,8 +287,13 @@ class StatsView:
     def __reduce__(self):
         # Shipped with a plan to workers that only lower and run it: the
         # sketches stay here (a deferred one would carry its table's rows).
-        return (StatsView, (self.schema, self.num_rows, self._distinct,
-                            self._eq, self.keys, self.group_distinct))
+        # A frozenset pickles in its hash order, which differs between
+        # processes: keys and column groups go as sorted name lists.
+        keys, groups = self.keys, self.group_distinct
+        return (_stats_view, (
+            self.schema, self.num_rows, self._distinct, self._eq,
+            keys and sorted(map(sorted, keys)),
+            groups and sorted((sorted(g), d) for g, d in groups.items())))
 
     # -- core quantities ---------------------------------------------------------
     @property
@@ -473,3 +478,11 @@ class StatsView:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StatsView(N={self.num_rows:.0f}, cols={self.schema.names})"
+
+
+def _stats_view(schema: Schema, num_rows: float, distinct: Mapping[str, float],
+                eq: Optional[AttributeEquivalence], keys: Iterable,
+                groups: Iterable) -> StatsView:
+    """A :class:`StatsView` from what :meth:`StatsView.__reduce__` wrote."""
+    return StatsView(schema, num_rows, distinct, eq, keys,
+                     {frozenset(group): d for group, d in groups})

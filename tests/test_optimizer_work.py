@@ -660,3 +660,47 @@ def test_unpickled_tree_optimizes_alike_under_another_hash_seed():
             input=pickle.dumps((expr, required)), stdout=subprocess.PIPE,
             env={**os.environ, "PYTHONHASHSEED": seed}, check=True, timeout=120)
         assert done.stdout.decode() == here, seed
+
+
+_PICKLES = """
+import pickle, sys
+sys.path[:0] = [{src!r}, {tests!r}]
+from repro import workloads
+from repro.engine.subplan import shard_subplans, strip_plan
+from repro.logical import Query
+from repro.service import QuerySession
+from test_plan_fuzz import report_shapes_catalog
+tpch = workloads.tpch_stats_catalog()
+workloads.add_query3_indexes(tpch)
+q3 = QuerySession(tpch).prepare(workloads.query3()).plan
+q5 = QuerySession(workloads.trading_stats_catalog()).prepare(
+    workloads.query5()).plan
+report = QuerySession(report_shapes_catalog()).prepare(
+    Query.table("trades").order_by("ts", "sym", "qty", "tag"),
+    parallelism=4).plan
+occurrences, tasks = shard_subplans(report)
+assert occurrences, "the report plan ships no shard task"
+sys.stdout.buffer.write(pickle.dumps(
+    [pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)
+     for plan in (strip_plan(q3), strip_plan(q5), tasks[0])]))
+"""
+
+
+def test_stripped_plans_pickle_alike_under_another_hash_seed():
+    """A stripped plan pickles to the same bytes in every process — the
+    Fig. 16 Query 3 and Query 5 plans (whose statistics carry multi-column
+    keys and column-group counts, frozensets that pickle in hash order)
+    and a shard task of the ``report_process`` report — so a shipped
+    task's bytes do not depend on the hash seed of the process that
+    pickled it."""
+    pickled = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", _PICKLES.format(
+                src=SRC, tests=str(pathlib.Path(__file__).parent))],
+            stdout=subprocess.PIPE, env={**os.environ, "PYTHONHASHSEED": seed},
+            check=True, timeout=120)
+        pickled.append(pickle.loads(done.stdout))
+    assert [len(p) for p in pickled[0]] == [len(p) for p in pickled[1]]
+    for label, here, there in zip(("q3", "q5", "report task"), *pickled):
+        assert here == there, label
