@@ -101,6 +101,12 @@ def main() -> None:
           f"optimizations={session.metrics.optimizations}, "
           f"reprepares={session.metrics.reprepares}")
 
+    # A change the statistics do not see (a bulk load, a DDL script) is
+    # the caller's to announce: drop every cached plan by hand.
+    dropped = session.cache.invalidate_all()
+    print(f"Manual invalidation dropped {dropped} plan(s); next prepare "
+          f"from_cache={session.prepare(template).from_cache}")
+
     print("\nSession stats():")
     for key, value in session.stats().items():
         print(f"  {key} = {value}")

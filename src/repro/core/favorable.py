@@ -7,18 +7,18 @@ cheaply than by a full sort — is defined through the *benefit*:
     ford(e)       = { o : benefit(o, e) > 0 }
 
 ``ford-min(e)`` prunes orders reachable from a retained order by pure
-prefix extension/truncation at equal cost.  Both are defined here for
-completeness (and exercised in tests via the optimizer's ``cbp``), but —
-as the paper observes — computing them exactly requires optimizing the
-expression first.  The practical tool is :class:`FavorableOrders`,
-the bottom-up **approximate minimal favorable orders** ``afm(e)`` of
-Section 5.1.2, computed from the catalog in a single pass of the query
-tree with only longest-common-prefix work per node.
+prefix extension/truncation at equal cost.  As the paper observes,
+computing either exactly requires optimizing the expression first, so
+only the tests state them, over the optimizer's ``cbp``.  The practical
+tool is :class:`FavorableOrders`, the bottom-up **approximate minimal
+favorable orders** ``afm(e)`` of Section 5.1.2, computed from the
+catalog in a single pass of the query tree with only
+longest-common-prefix work per node.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ..logical.algebra import (
     BaseRelation,
@@ -173,50 +173,3 @@ class FavorableOrders:
             if o and o not in seen:
                 seen.append(o)
         return tuple(seen[:MAX_AFM_ORDERS])
-
-
-def benefit(order: SortOrder, expr: LogicalExpr,
-            cbp: Callable[[LogicalExpr, SortOrder], float],
-            coe: Callable[[LogicalExpr, SortOrder, SortOrder], float]) -> float:
-    """Definition 5.1: ``benefit(o, e) = cbp(e, ε) + coe(e, ε, o) − cbp(e, o)``.
-
-    *cbp* and *coe* are injected (normally the optimizer's best-plan cost
-    and enforcement cost) so the definition stays independent of any one
-    optimizer instance; used by tests to validate afm's approximation.
-    """
-    return (cbp(expr, EMPTY_ORDER) + coe(expr, EMPTY_ORDER, order)
-            - cbp(expr, order))
-
-
-def ford_min(orders_with_costs: dict[SortOrder, float],
-             coe_from: Callable[[SortOrder, SortOrder], float]) -> set[SortOrder]:
-    """Exact ``ford-min`` over an explicitly enumerated ``ford`` set.
-
-    ``orders_with_costs`` maps each favorable order to ``cbp(e, o)``;
-    *coe_from(o1, o2)* is the enforcement cost between orders.  Applies
-    conditions (2) and (3) of Section 5.1.1: drop ``o`` when a prefix
-    reaches it at no extra cost (cond. 2), or when a retained extension
-    costs no more (cond. 3).  Exponential inputs are the caller's
-    responsibility — this is a specification-level artefact for tests
-    and small instances.
-    """
-    cost = orders_with_costs
-    # Longest first, so condition 3 can consult already-retained
-    # extensions when judging their prefixes.
-    ordering = sorted(cost, key=lambda o: (-len(o), cost[o]))
-    kept: set[SortOrder] = set()
-    for o in ordering:
-        covered = False
-        for o2 in cost:
-            if o2 == o:
-                continue
-            if o2.is_strict_prefix_of(o) and (
-                    cost[o2] + coe_from(o2, o) <= cost[o]):
-                covered = True  # condition 2
-                break
-            if o.is_strict_prefix_of(o2) and o2 in kept and cost[o2] <= cost[o]:
-                covered = True  # condition 3
-                break
-        if not covered:
-            kept.add(o)
-    return kept

@@ -42,15 +42,6 @@ class PathOrderResult:
     benefit: int
 
 
-def path_benefit(permutations: Sequence[SortOrder]) -> int:
-    """Objective value of a permutation assignment along a path."""
-    from .sort_order import longest_common_prefix
-    total = 0
-    for a, b in zip(permutations, permutations[1:]):
-        total += len(longest_common_prefix(a, b))
-    return total
-
-
 def path_order(
     attr_sets: Sequence[Iterable[str]],
     permute: Optional[Callable[[frozenset[str]], SortOrder]] = None,
@@ -121,48 +112,3 @@ def path_order(
     make_permutation(0, n - 1)
     result = PathOrderResult(tuple(SortOrder(p) for p in perms), benefit[0][n - 1])
     return result
-
-
-def brute_force_path_order(attr_sets: Sequence[Iterable[str]],
-                           limit: int = 2_000_000) -> PathOrderResult:
-    """Exhaustive optimum over all permutation assignments (tests only).
-
-    Uses a simple DP over (position, permutation) pairs — the benefit of a
-    path decomposes edge-by-edge, so exhaustive search over adjacent pairs
-    suffices: ``O(Σ |P(s_i)|·|P(s_{i+1})|)``.
-    """
-    import itertools
-
-    from .sort_order import longest_common_prefix
-
-    sets = [sorted(frozenset(s)) for s in attr_sets]
-    n = len(sets)
-    if n == 0:
-        return PathOrderResult((), 0)
-    perm_lists = [[SortOrder(p) for p in itertools.permutations(s)] for s in sets]
-    if max(len(pl) for pl in perm_lists) ** 2 * n > limit:
-        raise ValueError("instance too large for brute force")
-
-    # Forward DP: best[i][p] = max benefit of prefix ending with perm p at i.
-    best = {p: 0 for p in perm_lists[0]}
-    back: list[dict[SortOrder, SortOrder]] = [{}]
-    for i in range(1, n):
-        new_best: dict[SortOrder, int] = {}
-        back.append({})
-        for p in perm_lists[i]:
-            top_val, top_prev = None, None
-            for q, val in best.items():
-                cand = val + len(longest_common_prefix(q, p))
-                if top_val is None or cand > top_val:
-                    top_val, top_prev = cand, q
-            new_best[p] = top_val  # type: ignore[assignment]
-            back[i][p] = top_prev  # type: ignore[assignment]
-        best = new_best
-
-    end_perm = max(best, key=lambda p: best[p])
-    value = best[end_perm]
-    perms = [end_perm]
-    for i in range(n - 1, 0, -1):
-        perms.append(back[i][perms[-1]])
-    perms.reverse()
-    return PathOrderResult(tuple(perms), value)

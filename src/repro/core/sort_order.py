@@ -18,9 +18,8 @@ Paper                  Here
 ``o1 ∧ o2``            :func:`longest_common_prefix`
 ``o1 + o2``            :meth:`SortOrder.concat`
 ``o1 − o2``            :meth:`SortOrder.minus`
-``o ∧ s``              :func:`prefix_in_set` (longest prefix within set *s*)
+``o ∧ s``              :meth:`SortOrder.restrict_prefix_to`
 ``⟨s⟩``                :func:`arbitrary_permutation`
-``P(s)``               :func:`all_permutations`
 =====================  =====================================================
 
 Attribute equivalence
@@ -36,7 +35,6 @@ predicates — and treats equivalent attributes as equal.
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from itertools import compress, count, islice
 from operator import eq as eq_, itemgetter, lt, ne
@@ -240,12 +238,6 @@ def longest_common_prefix(o1: SortOrder, o2: SortOrder,
     return o1 if k == len(o1) else derived_order(_item(o1, slice(k)))
 
 
-def prefix_in_set(order: SortOrder, attr_set: Iterable[str],
-                  eq: Optional[AttributeEquivalence] = None) -> SortOrder:
-    """``o ∧ s``: module-level alias of :meth:`SortOrder.restrict_prefix_to`."""
-    return order.restrict_prefix_to(attr_set, eq)
-
-
 def arbitrary_permutation(attr_set: Iterable[str]) -> SortOrder:
     """``⟨s⟩``: a deterministic "arbitrary" permutation of an attribute set.
 
@@ -253,20 +245,6 @@ def arbitrary_permutation(attr_set: Iterable[str]) -> SortOrder:
     lexicographically smallest permutation.
     """
     return SortOrder(tuple(sorted(set(attr_set))))
-
-
-def all_permutations(attr_set: Iterable[str]) -> list[SortOrder]:
-    """``P(s)``: every permutation of *attr_set* (factorial — small sets only)."""
-    return list(map(derived_order,
-                    itertools.permutations(arbitrary_permutation(attr_set))))
-
-
-def extend_to_set(order: SortOrder, attr_set: Iterable[str]) -> SortOrder:
-    """Extend *order* with an arbitrary permutation of the attributes of
-    *attr_set* it does not already contain (the ``o' + ⟨S − attrs(o')⟩``
-    construction used throughout Section 5)."""
-    remaining = set(attr_set) - order.attrs()
-    return order.concat(arbitrary_permutation(remaining))
 
 
 def null_safe_wrap(values: Iterable) -> tuple:

@@ -12,16 +12,15 @@ disjoint *paths*, each solvable exactly by the :func:`~repro.core.path_order.pat
 DP.  Because the optimum's benefit splits across the two classes,
 ``max(ben(S_odd), ben(S_even)) ≥ OPT/2``.
 
-The module also provides a brute-force exact solver for small instances
-(tests verify the ½ bound empirically) and the benefit evaluator used by
-phase-2 plan refinement.
+The module also provides the benefit evaluator used by phase-2 plan
+refinement.  The tests hold the ½ bound to an exhaustive optimum on
+small trees.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Dict, Iterator
 
 from .path_order import path_order
 from .sort_order import SortOrder, arbitrary_permutation, longest_common_prefix
@@ -56,33 +55,6 @@ class OrderTreeNode:
         for child in self.children:
             yield (self, child)
             yield from child.edges()
-
-
-def build_tree(spec, _counter: Optional[list[int]] = None) -> OrderTreeNode:
-    """Build an :class:`OrderTreeNode` tree from a nested spec.
-
-    Spec grammar: ``(attrs, child_spec, child_spec)`` /
-    ``(attrs, child_spec)`` / ``attrs`` where *attrs* is any iterable of
-    attribute names.  Example::
-
-        build_tree(({"a","b"}, {"a","c"}, ({"b"}, {"b","d"})))
-    """
-    counter = _counter if _counter is not None else [0]
-
-    def is_spec(x) -> bool:
-        return (isinstance(x, tuple) and len(x) in (2, 3)
-                and not all(isinstance(e, str) for e in x))
-
-    if is_spec(spec):
-        attrs, *children = spec
-        node = OrderTreeNode(counter[0], frozenset(attrs))
-        counter[0] += 1
-        for child_spec in children:
-            node.add_child(build_tree(child_spec, counter))
-        return node
-    node = OrderTreeNode(counter[0], frozenset(spec))
-    counter[0] += 1
-    return node
 
 
 def tree_benefit(root: OrderTreeNode,
@@ -171,24 +143,3 @@ def approximate_tree_orders(root: OrderTreeNode) -> TreeApproxResult:
         odd_benefit=odd_benefit,
         even_benefit=even_benefit,
     )
-
-
-def brute_force_tree_orders(root: OrderTreeNode,
-                            limit: int = 2_000_000) -> TreeApproxResult:
-    """Exact optimum by exhaustive enumeration (small instances only)."""
-    nodes = list(root.walk())
-    perm_lists = [list(itertools.permutations(sorted(n.attrs))) for n in nodes]
-    size = 1
-    for pl in perm_lists:
-        size *= max(1, len(pl))
-        if size > limit:
-            raise ValueError(f"instance too large for brute force ({size}+ combos)")
-
-    best_val = -1
-    best_assignment: Dict[int, SortOrder] = {}
-    for combo in itertools.product(*perm_lists):
-        assignment = {n.node_id: SortOrder(p) for n, p in zip(nodes, combo)}
-        val = tree_benefit(root, assignment)
-        if val > best_val:
-            best_val, best_assignment = val, assignment
-    return TreeApproxResult(best_assignment, best_val, "exact", -1, -1)

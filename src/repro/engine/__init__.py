@@ -42,7 +42,7 @@ from .scans import (
     shardable,
 )
 from .sets import Dedup, HashDedup, MergeUnion, UnionAll
-from .sorting import merge_sorted_streams, mrs_sort, sort_batches, sort_stream, srs_sort
+from .sorting import merge_sorted_streams, mrs_sort, sort_batches, srs_sort
 from .subplan import (
     TaskSource,
     assemble_tasks,
@@ -108,7 +108,6 @@ __all__ = [
     "shard_subplans",
     "shardable",
     "sort_batches",
-    "sort_stream",
     "srs_sort",
     "strip_plan",
     "tuple_getter",

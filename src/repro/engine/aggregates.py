@@ -35,7 +35,7 @@ from ..expr.aggregates import AggSpec, aggregate_output_schema
 from ..expr.expressions import Col
 from .batch import RowBatch, batches_of, drain_full
 from .context import ExecutionContext
-from .iterators import Operator
+from .iterators import Operator, assert_sorted_batches
 from .kernels import HASH_AGGREGATE, KERNELS, SORT_AGGREGATE
 
 #: Aggregates whose partials combine exactly: the combiner applied to
@@ -111,24 +111,10 @@ class SortAggregate(Operator):
         child = self.children[0]
         batches: Iterable[RowBatch] = child.execute_batches(ctx)
         if ctx.check_orders:
-            batches = self._checked_group_batches(
-                batches, child.schema.positions(list(self.group_order)))
+            batches = assert_sorted_batches(
+                batches, child.schema.positions(list(self.group_order)),
+                "SortAggregate input")
         return _sorted_groups(batches, self._kernel, ctx)
-
-    def _checked_group_batches(self, batches: Iterable[RowBatch],
-                               positions: Sequence[int]) -> Iterator[RowBatch]:
-        seen: set[tuple] = set()
-        prev: Optional[tuple] = None
-        for batch in batches:
-            for key in batch.key_tuples(positions):
-                if key != prev:
-                    if key in seen:
-                        raise AssertionError(
-                            f"GroupAggregate: group {key} reappeared — input not "
-                            f"grouped on {self.group_order}")
-                    seen.add(key)
-                    prev = key
-            yield batch
 
 
 class SortedGroupCombine(Operator):

@@ -17,14 +17,11 @@ import gc
 import math
 import threading
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Iterator, Mapping, Optional, TYPE_CHECKING
+from typing import Any, Mapping, Optional
 
 from ..core.sort_order import null_safe_wrap
 from ..storage.catalog import Catalog, SystemParameters
 from .batch import DEFAULT_BATCH_SIZE
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..storage.schema import Schema
 
 
 class ComparisonCounter:
@@ -210,20 +207,6 @@ class ExecutionContext:
         else:
             self.io.write(blocks, category=category)
         return blocks
-
-    def charged_stream(self, rows: Iterable[tuple], row_bytes: int,
-                       category: str = "scan") -> Iterator[tuple]:
-        """Yield rows, charging one block read per block's worth of rows.
-
-        Progressive charging (rather than a lump sum at open time) keeps
-        the tuples-vs-cost timeline of Experiment A2 honest: an operator
-        that stops early stops paying.
-        """
-        per_block = self.rows_per_block(row_bytes)
-        for i, row in enumerate(rows):
-            if i % per_block == 0:
-                self.io.read(1, category=category)
-            yield row
 
     def meter_start(self, tag: str, estimate: int) -> list:
         """Register one metered operator execution and return its cell.

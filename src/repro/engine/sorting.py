@@ -393,12 +393,3 @@ def sort_batches(
         return mrs_sort(batches, positions[:k], positions[k:], ctx,
                         schema.row_bytes)
     return srs_sort(batches, positions, ctx, schema.row_bytes)
-
-
-def sort_stream(rows: Iterable[tuple], schema: Schema, target_order: SortOrder,
-                ctx: ExecutionContext,
-                known_prefix: SortOrder = SortOrder()) -> Iterator[tuple]:
-    """Row adapter over :func:`sort_batches` (tests and examples)."""
-    return flatten_batches(sort_batches(
-        batches_of(rows, ctx.batch_size), schema, target_order, ctx,
-        known_prefix))

@@ -14,8 +14,9 @@ pieces:
   exchange) and cut their children out as independent worker tasks; a
   plan with no exchange is one whole-plan task;
 * :func:`strip_plan` — drop optimizer-only payload (the ``logical``
-  back-references candidate generation attaches) before pickling, so
-  the shipped bytes carry only what lowering needs;
+  back-references candidate generation attaches, and every statistic
+  but a node's schema and row estimate) before pickling, so the shipped
+  bytes carry only what lowering needs;
 * :func:`execute_subplan` — the worker entrypoint: lowers a task
   against the worker's catalog (installed once per pool by
   :func:`init_worker`), runs it to completion and returns its rows —
@@ -68,6 +69,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 from ..obs.trace import _NULL_SPAN as _NULL_CM, Trace
 from ..storage.catalog import SystemParameters
+from ..storage.statistics import StatsView
 
 from .batch import RowBatch, batches_of
 from .context import ExecutionContext, collector_paused
@@ -109,15 +111,16 @@ _UNPICKLABLE_ARGS = ("logical",)
 
 
 def strip_plan(plan):
-    """A copy of *plan* without optimizer-only args (``logical``
-    back-references into the logical tree), so the pickled task shrinks
-    accordingly; lowering in the worker compiles kernels through its
-    process-global cache."""
-    children = tuple(strip_plan(c) for c in plan.children)
-    args = tuple((k, v) for k, v in plan.args if k not in _UNPICKLABLE_ARGS)
-    if children == plan.children and args == plan.args:
-        return plan
-    return plan._replace(children=children, args=args)
+    """A copy of *plan* as a worker needs it: without optimizer-only args
+    (``logical`` back-references into the logical tree), and each node's
+    statistics cut to its schema and row estimate ``N``, the one
+    statistic lowering reads (an operator meter's estimate), so the
+    pickled task shrinks accordingly; lowering in the worker compiles
+    kernels through its process-global cache."""
+    return plan._replace(
+        children=tuple(map(strip_plan, plan.children)),
+        args=tuple((k, v) for k, v in plan.args if k not in _UNPICKLABLE_ARGS),
+        stats=StatsView(plan.schema, plan.stats.num_rows, {}))
 
 
 def shard_subplans(plan) -> tuple[list, list[Any]]:

@@ -21,10 +21,10 @@ constant-binding filters (``col = 5`` gives ``∅ → col``), and offers:
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..core.sort_order import SortOrder, derived_order
-from ..expr.expressions import And, Col, Comparison, Const, Predicate
+from ..expr.expressions import Col, Comparison, Const, Predicate
 from ..storage.schema import FunctionalDependency
 
 
@@ -39,9 +39,6 @@ class FDSet:
     def add(self, fd: FunctionalDependency) -> None:
         self._fds.append(fd)
         self._closures.clear()
-
-    def add_key(self, key_columns: Iterable[str], all_columns: Iterable[str]) -> None:
-        self.add(FunctionalDependency.key(key_columns, all_columns))
 
     def add_equivalence(self, a: str, b: str) -> None:
         self.add(FunctionalDependency(frozenset({a}), frozenset({b})))
@@ -89,9 +86,6 @@ class FDSet:
         closed.discard(_ALWAYS)
         hit = self._closures[seed] = frozenset(closed)
         return hit
-
-    def determines(self, attrs: Iterable[str], target: str) -> bool:
-        return target in self.closure(attrs)
 
     def reduce_order(self, order: SortOrder) -> SortOrder:
         """Drop attributes determined by their predecessors.

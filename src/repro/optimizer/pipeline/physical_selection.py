@@ -150,6 +150,16 @@ class PhysicalSelection:
         #: schema, order, statistics and cost are is its business, which
         #: child goals to request and which candidate wins is ours.
         self.builder = PlanBuilder(catalog, self.eq)
+        #: Whether an enforcer of this search can go below a shard
+        #: fan-out at all: decided once, from the parallelism and the
+        #: tables the tree reads, so :meth:`_offer` asks of a candidate's
+        #: input only when one of them can be sharded.
+        k = config.parallelism
+        self._shardable = k > 1 and any(
+            shardable(table, k) or range_shardable(table)
+            for table in map(catalog.table, {
+                node.table_name for node in root.walk()
+                if isinstance(node, BaseRelation)}))
         #: The builder's once-per-input derivations, one table per search.
         self._derived = self.builder._derived
         #: Physical alternatives, once per search: see :meth:`_alternatives`.
@@ -308,8 +318,8 @@ class PhysicalSelection:
         if translated is None:
             return None
         full = not self.strategy.partial_sorts
-        if shardable_enforcement_input(plan, self.catalog,
-                                       self.config.parallelism):
+        if self._shardable and shardable_enforcement_input(
+                plan, self.catalog, self.config.parallelism):
             # No limit: a placement below the exchange may come in under
             # it where the post-union sort does not.
             sort = self.builder.sort(plan, translated, full, eq)

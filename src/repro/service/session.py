@@ -387,10 +387,6 @@ class QuerySession:
         return self.prepare(query, required_order,
                             parallelism=parallelism).total_cost
 
-    def invalidate_plans(self) -> int:
-        """Manually drop every cached plan (bulk loads, DDL scripts)."""
-        return self.cache.invalidate_all()
-
     # -- adaptive-statistics feedback ------------------------------------------------
     def observe_execution(self, prepared: PreparedQuery,
                           ctx: ExecutionContext) -> int:

@@ -8,7 +8,7 @@ whole experiment is reproducible from one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from ..core.sort_order import SortOrder
@@ -182,11 +182,6 @@ class Catalog:
             if index.name == index_name:
                 return index
         raise KeyError(f"no index {index_name!r} on table {table_name!r}")
-
-    def covering_indexes(self, table_name: str, attributes: Iterable[str]) -> list[Index]:
-        """Indexes over *table_name* that cover the attribute set."""
-        attrs = set(attributes)
-        return [ix for ix in self.indexes_of(table_name) if ix.covers(attrs)]
 
     def tables(self) -> Iterator[Table]:
         return iter(self._tables.values())

@@ -236,19 +236,6 @@ class Table:
             return []
         return [FunctionalDependency.key(self.primary_key, self.schema.names)]
 
-    def verify_clustering(self) -> bool:
-        """Check that materialised rows honour the clustering order."""
-        if self._rows is None or not self.clustering_order:
-            return True
-        positions = self.schema.positions(list(self.clustering_order))
-        prev = None
-        for row in self._rows:
-            key = tuple(row[i] for i in positions)
-            if prev is not None and key < prev:
-                return False
-            prev = key
-        return True
-
     def __repr__(self) -> str:
         kind = "materialized" if self.is_materialized else "stats-only"
         return (f"Table({self.name}, {len(self)} rows, {kind}, "

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from repro import workloads
-from repro.core.sort_order import SortOrder
+from repro.core.sort_order import EMPTY_ORDER, SortOrder
+from repro.engine import batches_of, flatten_batches, sort_batches
 from repro.storage import Catalog, Schema, SystemParameters
 
 
@@ -72,3 +73,20 @@ def reference_query3(catalog):
     rows = [(s, p, avail[(p, s)], total)
             for (p, s), total in sums.items() if total > avail[(p, s)]]
     return sorted(rows, key=lambda r: r[1])
+
+
+def sort_rows(rows, schema, target_order, ctx, known_prefix=EMPTY_ORDER):
+    """*rows* sorted on *target_order* by ``sort_batches`` (the Sort
+    operator's routine), in batches of *ctx*'s size, as a row stream."""
+    return flatten_batches(sort_batches(
+        batches_of(rows, ctx.batch_size), schema, target_order, ctx,
+        known_prefix))
+
+
+def clustered(table) -> bool:
+    """Whether *table*'s materialised rows honour its clustering order."""
+    if not table.is_materialized or not table.clustering_order:
+        return True
+    key = table.schema.positions(list(table.clustering_order))
+    keys = [tuple(row[i] for i in key) for row in table.rows]
+    return all(a <= b for a, b in zip(keys, keys[1:]))

@@ -125,7 +125,22 @@ class _RunStore:
         self.runs.append(rows)
 
     def read_run(self, run: list[tuple]) -> Iterator[tuple]:
-        return self.ctx.charged_stream(run, self.row_bytes, category="run")
+        return charged_stream(self.ctx, run, self.row_bytes, category="run")
+
+
+def charged_stream(ctx: ExecutionContext, rows: Iterable[tuple], row_bytes: int,
+                   category: str = "scan") -> Iterator[tuple]:
+    """Yield rows, charging one block read per block's worth of rows.
+
+    Progressive charging (rather than a lump sum at open time) keeps
+    the tuples-vs-cost timeline of Experiment A2 honest: an operator
+    that stops early stops paying.
+    """
+    per_block = ctx.rows_per_block(row_bytes)
+    for i, row in enumerate(rows):
+        if i % per_block == 0:
+            ctx.io.read(1, category=category)
+        yield row
 
 
 def merge_sorted_streams(streams: Sequence[Iterable[tuple]], key_fn: KeyFn,

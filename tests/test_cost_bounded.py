@@ -13,14 +13,14 @@ from repro.core.interesting import (
     make_strategy,
 )
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
-from repro.engine import ExecutionContext, sort_stream
+from repro.engine import ExecutionContext
 from repro.logical import Query, Union
 from repro.logical.algebra import OrderBy
 from repro.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.pipeline import PhysicalSelection, run_pre_check
 from repro.storage import Catalog, Schema, SystemParameters, TableStats
 from repro.workloads import query5, trading_stats_catalog
-from tests.conftest import fig16_cases
+from tests.conftest import fig16_cases, sort_rows
 
 
 def _run_goal(cat, query, strategy, prune):
@@ -233,8 +233,8 @@ class TestSortCapacityRegression:
     def test_srs_keeps_all_rows(self, zero_capacity_ctx):
         rng = random.Random(3)
         rows = [(rng.randrange(100), rng.randrange(100), i) for i in range(300)]
-        out = list(sort_stream(rows, self.SCHEMA, SortOrder(["k1", "k2"]),
-                               zero_capacity_ctx))
+        out = list(sort_rows(rows, self.SCHEMA, SortOrder(["k1", "k2"]),
+                             zero_capacity_ctx))
         assert len(out) == len(rows)
         assert [r[:2] for r in out] == sorted(r[:2] for r in rows)
 
@@ -242,9 +242,9 @@ class TestSortCapacityRegression:
         rng = random.Random(4)
         rows = sorted(((i % 3, rng.randrange(100), i) for i in range(300)),
                       key=lambda r: r[0])
-        out = list(sort_stream(rows, self.SCHEMA, SortOrder(["k1", "k2"]),
-                               zero_capacity_ctx,
-                               known_prefix=SortOrder(["k1"])))
+        out = list(sort_rows(rows, self.SCHEMA, SortOrder(["k1", "k2"]),
+                             zero_capacity_ctx,
+                             known_prefix=SortOrder(["k1"])))
         assert len(out) == len(rows)
         assert [r[:2] for r in out] == sorted(r[:2] for r in rows)
 

@@ -213,6 +213,16 @@ class TestAggregateOps:
         with pytest.raises(AssertionError):
             op.run(ExecutionContext(check_orders=True))
 
+    def test_sort_aggregate_refuses_grouped_unsorted_input(self):
+        """Under ``check_orders`` the input is held to ``group_order`` by
+        the assertion every checked operator shares: grouped is not
+        enough, as the search asks the child for exactly that order."""
+        src = RowSource(SCHEMA, [(2, 0, 0), (2, 0, 1), (1, 0, 2)])
+        op = SortAggregate(src, SortOrder(["a"]), [count_star("n")])
+        assert op.run() == [(2, 2), (1, 1)]
+        with pytest.raises(AssertionError, match="SortAggregate input"):
+            op.run(ExecutionContext(check_orders=True))
+
     def test_null_handling(self):
         src = RowSource(SCHEMA, [(1, 1, None), (1, 1, 5)])
         op = SortAggregate(src, SortOrder(["a"]),

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.core.favorable import ford_min
 from repro.core.sort_order import EMPTY_ORDER, SortOrder
 from repro.expr import col
 from repro.expr.aggregates import count_star
 from repro.logical import Query
+from repro.optimizer import Optimizer
+from repro.optimizer.manual import PlanBuilder
 from repro.optimizer.pipeline.groups import GroupTable
 from repro.storage import Catalog, Schema, TableStats
+from tests.paper_oracles import benefit, ford_min
 
 
 @pytest.fixture
@@ -140,3 +142,33 @@ class TestFordMin:
         orders = {SortOrder(["a"]): 10.0, SortOrder(["b"]): 12.0}
         kept = ford_min(orders, coe_from=lambda o1, o2: 1.0)
         assert kept == set(orders)
+
+
+class TestBenefit:
+    def test_base_relation_benefit(self, catalog):
+        """Definition 5.1 over the optimizer's ``cbp`` and a full sort's
+        ``coe``.  Rule 1 puts both orders an access path delivers in
+        ``afm``, a superset of ``ford``: the clustering order's benefit is
+        the whole sort it saves, the covering index key's is zero here
+        (reading the index costs more than scanning and sorting the
+        table), and an order no access path delivers has none."""
+        optimizer = Optimizer(catalog, strategy="pyro-o")
+        builder = PlanBuilder(catalog)
+        scan = builder.table_scan("r")
+        expr = Query.table("r").expr
+
+        def cbp(e, order):
+            return optimizer.cost_of(e, order)
+
+        def coe(e, o1, o2):
+            assert not o1
+            return builder.sort(scan, o2, full=True).self_cost
+
+        clustering, key = SortOrder(["r_a"]), SortOrder(["r_b", "r_c"])
+        assert set(favorable_for(catalog, Query.table("r")).afm(expr)) == {
+            clustering, key}
+        saved = coe(expr, EMPTY_ORDER, clustering)
+        assert saved > 0
+        assert benefit(clustering, expr, cbp, coe) == pytest.approx(saved)
+        for order in (key, SortOrder(["r_c"])):
+            assert benefit(order, expr, cbp, coe) == pytest.approx(0.0)

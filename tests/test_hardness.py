@@ -4,16 +4,16 @@ import itertools
 
 import pytest
 
-from repro.core.hardness import (
+from tests.paper_oracles import (
     assignment_from_numbering,
     benefit_from_numbering,
     best_numbering,
+    brute_force_tree_orders,
     numbering_from_assignment,
     problem3_objective,
     reduction_from_graph,
     sum_cut_objective,
 )
-from repro.core.tree_approx import brute_force_tree_orders, tree_benefit
 
 TRIANGLE = {"u": {"v", "w"}, "v": {"u", "w"}, "w": {"u", "v"}}
 PATH3 = {"u": {"v"}, "v": {"u", "w"}, "w": {"v"}}

@@ -17,7 +17,7 @@ from repro.logical import (
 )
 from repro.optimizer import Optimizer
 from repro.optimizer.pipeline.groups import GroupTable
-from repro.storage import Catalog, Schema, TableStats
+from repro.storage import Catalog, FunctionalDependency, Schema, TableStats
 
 
 @pytest.fixture
@@ -128,31 +128,31 @@ class TestAnnotator:
 class TestFDs:
     def test_closure(self):
         fds = FDSet()
-        fds.add_key(["a"], ["a", "b", "c"])
+        fds.add(FunctionalDependency.key(["a"], ["a", "b", "c"]))
         assert fds.closure({"a"}) == {"a", "b", "c"}
         assert fds.closure({"b"}) == {"b"}
 
     def test_transitive_closure(self):
         fds = FDSet()
-        fds.add_key(["a"], ["a", "b"])
-        fds.add_key(["b"], ["b", "c"])
+        fds.add(FunctionalDependency.key(["a"], ["a", "b"]))
+        fds.add(FunctionalDependency.key(["b"], ["b", "c"]))
         assert "c" in fds.closure({"a"})
 
     def test_equivalence(self):
         fds = FDSet()
         fds.add_equivalence("x", "y")
-        assert fds.determines({"x"}, "y")
-        assert fds.determines({"y"}, "x")
+        assert "y" in fds.closure({"x"})
+        assert "x" in fds.closure({"y"})
 
     def test_constants(self):
         fds = FDSet()
         fds.add_constant("status")
-        assert fds.determines(set(), "status")
+        assert "status" in fds.closure(set())
         assert fds.reduce_order(SortOrder(["status", "a"])) == SortOrder(["a"])
 
     def test_reduce_order(self):
         fds = FDSet()
-        fds.add_key(["pk", "sk"], ["pk", "sk", "avail"])
+        fds.add(FunctionalDependency.key(["pk", "sk"], ["pk", "sk", "avail"]))
         reduced = fds.reduce_order(SortOrder(["pk", "sk", "avail"]))
         assert reduced == SortOrder(["pk", "sk"])
         # Order of determinants matters: avail first cannot be dropped.
@@ -161,7 +161,7 @@ class TestFDs:
 
     def test_reduce_group_columns(self):
         fds = FDSet()
-        fds.add_key(["pk", "sk"], ["pk", "sk", "avail"])
+        fds.add(FunctionalDependency.key(["pk", "sk"], ["pk", "sk", "avail"]))
         reduced = fds.reduce_group_columns(["avail", "pk", "sk"])
         assert set(reduced) == {"pk", "sk"}
 
@@ -169,12 +169,12 @@ class TestFDs:
         q = (Query.table("t").join("u", on=[("a", "x")])
              .where(col("c").eq(5)))
         fds = GroupTable(catalog, q.expr).root.fds
-        assert fds.determines({"a"}, "x")       # join equivalence
-        assert fds.determines(set(), "c")       # constant filter
-        assert fds.determines({"a", "b"}, "c")  # primary key of t
+        assert "x" in fds.closure({"a"})       # join equivalence
+        assert "c" in fds.closure(set())       # constant filter
+        assert "c" in fds.closure({"a", "b"})  # primary key of t
 
     def test_outer_join_equalities_not_fds(self, catalog):
         """FULL OUTER join equalities do not hold on padded rows."""
         q = Query.table("t").full_outer_join("u", on=[("a", "x")])
         fds = GroupTable(catalog, q.expr).root.fds
-        assert not fds.determines({"a"}, "x")
+        assert "x" not in fds.closure({"a"})

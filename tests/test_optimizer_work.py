@@ -34,7 +34,7 @@ from repro.logical import algebra, fds
 from repro.logical.algebra import Union
 from repro.optimizer import Optimizer, OptimizerConfig, make_enumerator, manual
 from repro.optimizer.cost import CostModel
-from repro.optimizer.pipeline import groups as groups_module
+from repro.optimizer.pipeline import groups as groups_module, physical_selection
 from repro.optimizer.pipeline.groups import GroupTable
 from repro.optimizer.pipeline.physical_selection import PhysicalSelection
 from repro.optimizer.plans import PhysicalPlan
@@ -216,6 +216,36 @@ def test_shard_views_once_per_chain(monkeypatch, enumerator):
                            join_enumerator=enumerator)
     session.prepare(many_join_query(), parallelism=4)
     assert len(chains) == len(set(map(id, chains))) == 6
+
+
+def test_a_search_decides_once_whether_it_can_shard(monkeypatch):
+    """Whether an enforcer can go below a shard fan-out is decided once
+    per search, from the parallelism and the tables the tree reads: no
+    candidate of the many-join x PYRO-E prepare asks of its input at
+    parallelism 1, or over a stats-only copy of the catalog at 4 (609
+    did in each when every candidate asked); over the materialised
+    tables at 4 they do."""
+    asked = []
+    shardable_input = physical_selection.shardable_enforcement_input
+    def counting(plan, catalog, k):
+        asked.append(plan)
+        return shardable_input(plan, catalog, k)
+    monkeypatch.setattr(physical_selection, "shardable_enforcement_input",
+                        counting)
+
+    def asking(catalog, parallelism):
+        asked.clear()
+        QuerySession(catalog, strategy="pyro-e").prepare(
+            many_join_query(), parallelism=parallelism)
+        return len(asked)
+
+    materialised = many_join_catalog()
+    stats_only = Catalog(materialised.params)
+    for table in materialised.tables():
+        stats_only.create_table(table.name, table.schema, stats=table.stats,
+                                clustering_order=table.clustering_order)
+    assert asking(materialised, 1) == asking(stats_only, 4) == 0
+    assert asking(materialised, 4) > 0
 
 
 def test_one_derivation_per_group_of_the_searched_tree(counted_prepare):
@@ -595,7 +625,7 @@ def test_search_memos_are_exact_on_the_fuzz_corpus(monkeypatch):
 
 def test_an_added_dependency_reaches_the_next_closure():
     deps = fds.FDSet()
-    deps.add_key(["a"], ["a", "b"])
+    deps.add(FunctionalDependency.key(["a"], ["a", "b"]))
     assert deps.closure(["a"]) == {"a", "b"}
     assert deps.closure(["b"]) == {"b"}
     deps.add_equivalence("b", "c")

@@ -13,6 +13,7 @@ rewrite it with::
 """
 
 import functools
+import itertools
 import pathlib
 import random
 from types import SimpleNamespace
@@ -21,6 +22,9 @@ from unittest import mock
 import pytest
 
 from conftest import fig16_cases
+from paper_oracles import (
+    benefit_from_numbering, best_numbering, brute_force_tree_orders, build_tree,
+    problem3_objective, reduction_from_graph)
 from repro.core import tree_approx
 from repro.core.path_order import path_order
 from repro.core.refinement import merge_join_permutation
@@ -151,7 +155,7 @@ def test_example1_order_aware_plan():
 
 
 def fig3():
-    tree = tree_approx.build_tree((
+    tree = build_tree((
         {"a", "b", "c", "d", "e"},
         ({"a", "b", "c", "k"}, {"c", "e", "i", "j"}, {"c", "k", "l", "m"}),
         ({"c", "d"}, {"c", "d", "h", "n"}, {"f", "g", "p", "q"})))
@@ -164,6 +168,37 @@ LEDGER.append(("Fig. 3", "worked example: optimum benefit 8; the tree 2-approxim
                ["tests/test_tree_approx.py::TestApproximation::test_figure3_instance",
                 "tests/test_tree_approx.py::TestApproximation::test_half_optimal_bound_random",
                 "tests/test_path_order.py::TestOptimality::test_matches_brute_force_random"]))
+
+
+def theorem41():
+    """SUM-CUT reduces to Problem 1: a numbering of the graph's vertices
+    gives the caterpillar tree benefit ``(m - 1)(n + |L|) + Σ q_i``, and
+    the tree's exhaustive optimum is the best numbering's."""
+    path3 = {"u": {"v"}, "v": {"u", "w"}, "w": {"v"}}
+    inst = reduction_from_graph(path3, pad_size=2)
+    spine = (len(inst.spine) - 1) * inst.spine_full_benefit
+    numberings = list(itertools.permutations(sorted(path3)))
+    for numbering in numberings:
+        assert benefit_from_numbering(inst, path3, numbering) == \
+            spine + problem3_objective(path3, numbering)
+    edge = {"u": {"v"}, "v": {"u"}}
+    tiny = reduction_from_graph(edge, pad_size=2)
+    best, best_q = best_numbering(edge)
+    exact = brute_force_tree_orders(tiny.root).benefit
+    assert exact == tiny.spine_full_benefit + best_q
+    assert benefit_from_numbering(tiny, edge, best) == exact
+    return dict(numberings=len(numberings), exact=exact,
+                spine=tiny.spine_full_benefit, best_q=best_q)
+
+
+LEDGER.append(("Theorem 4.1", "choosing the sort orders of a binary tree's nodes (Problem 1) "
+               "is NP-hard, by a reduction from SUM-CUT", theorem41,
+               "each of the {numberings} numberings of a 3-vertex path gives tree benefit "
+               "(m - 1)(n + l) + Σ q_i, with l = 2 pad attributes; on a one-edge graph "
+               "the exhaustive tree optimum is {exact} = {spine} + best Σ q_i {best_q}",
+               ["tests/test_hardness.py::TestForwardDirection::test_formula",
+                "tests/test_hardness.py::TestEquivalenceOnTinyGraph::test_optimal_tree_benefit_matches_best_numbering",
+                "tests/test_hardness.py::TestEquivalenceOnTinyGraph::test_numbering_solution_is_optimal_for_tree"]))
 
 
 def phase2_catalog():

@@ -6,13 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.path_order import (
-    PathOrderResult,
-    brute_force_path_order,
-    path_benefit,
-    path_order,
-)
+from repro.core.path_order import PathOrderResult, path_order
 from repro.core.sort_order import SortOrder
+from tests.paper_oracles import brute_force_path_order, path_benefit
 
 ATTRS = list("abcdef")
 

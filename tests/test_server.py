@@ -405,6 +405,51 @@ class TestProcessBackend:
                          pool_workers=2) as server:
             assert server.execute(serving_queries()[0]).rows == references[0]
 
+    def test_shipped_tasks_carry_the_row_estimate_not_the_statistics(
+            self, catalog, references):
+        """Every node of a shipped task carries statistics holding only
+        its schema and row estimate ``N``, the one statistic a worker
+        reads (its operator meter's estimate), so a task pickles smaller
+        than with the planner's statistics; pooled runs keep the serial
+        backend's rows and tallies, meter estimates among them."""
+        import pickle
+
+        from repro.engine.subplan import exchange_occurrences, shard_subplans
+        from repro.service import SerialBackend
+
+        session = QuerySession(catalog)
+        backend = ProcessPoolBackend(catalog, workers=1)
+        try:
+            for query, binds, reference in zip(
+                    serving_queries(), ({}, {"lim": 30}, {}), references):
+                prepared = session.prepare(query, parallelism=4)
+                plan = prepared.plan
+                _, tasks = shard_subplans(plan)
+                planned = [child for node in exchange_occurrences(plan)
+                           for child in node.children] or [plan]
+                assert len(tasks) == len(planned)
+                for task, original in zip(tasks, planned):
+                    nodes = list(task.walk())
+                    assert len(nodes) == len(list(original.walk()))
+                    for node, was in zip(nodes, original.walk()):
+                        stats = node.stats
+                        assert stats.schema is node.schema
+                        assert stats.N == was.stats.N
+                        assert (stats._distinct, stats._eq, stats.keys,
+                                stats.group_distinct) == ({}, None, (), {})
+                    assert len(pickle.dumps(task)) < len(pickle.dumps(
+                        task._replace(stats=original.stats)))
+                bound = prepared.bind(**binds)
+                serial_ctx = ExecutionContext(catalog)
+                ctx = ExecutionContext(catalog)
+                assert SerialBackend().run_plan(
+                    bound, catalog, ctx=serial_ctx) == reference
+                assert backend._run_pooled(bound, catalog, ctx) == reference
+                assert ctx.tallies() == serial_ctx.tallies()
+                assert ctx.operator_rows
+        finally:
+            backend.close()
+
     def test_whole_plan_fallback_without_exchange(self, catalog, references):
         """parallelism=1 plans carry no exchange: on an idle server the
         query runs in the serving process, and the stats say so."""

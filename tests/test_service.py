@@ -197,7 +197,7 @@ class TestQuerySession:
         session = QuerySession(small_catalog)
         text = session.explain(self.query())
         assert "cost=" in text
-        assert session.invalidate_plans() == 1
+        assert session.cache.invalidate_all() == 1
         assert not session.prepare(self.query()).from_cache
 
 

@@ -9,12 +9,10 @@ from repro.core.sort_order import (
     EMPTY_ORDER,
     AttributeEquivalence,
     SortOrder,
-    all_permutations,
     arbitrary_permutation,
-    extend_to_set,
     longest_common_prefix,
-    prefix_in_set,
 )
+from tests.paper_oracles import all_permutations, extend_to_set
 
 ATTRS = "abcdefgh"
 
@@ -136,13 +134,13 @@ class TestLcp:
 class TestPrefixInSet:
     def test_basic(self):
         o = SortOrder(["a", "b", "c"])
-        assert prefix_in_set(o, {"a", "b"}) == SortOrder(["a", "b"])
-        assert prefix_in_set(o, {"b", "c"}) == EMPTY_ORDER
-        assert prefix_in_set(o, {"a", "c"}) == SortOrder(["a"])
+        assert o.restrict_prefix_to({"a", "b"}) == SortOrder(["a", "b"])
+        assert o.restrict_prefix_to({"b", "c"}) == EMPTY_ORDER
+        assert o.restrict_prefix_to({"a", "c"}) == SortOrder(["a"])
 
     @given(orders(), st.sets(st.sampled_from(ATTRS)))
     def test_result_within_set(self, o, s):
-        result = prefix_in_set(o, s)
+        result = o.restrict_prefix_to(s)
         assert result.attrs() <= s
         assert result.is_prefix_of(o)
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.sort_order import SortOrder, null_safe_wrap, sorted_nulls_first
-from repro.engine import ExecutionContext, sort_stream
+from repro.engine import ExecutionContext
 from repro.storage import Catalog, Schema, SystemParameters
+from tests.conftest import sort_rows
 
 SCHEMA = Schema.of(("k1", "int", 8), ("k2", "int", 8), ("v", "int", 8))
 
@@ -34,13 +35,13 @@ class TestSrs:
         rng = random.Random(1)
         rows = [(rng.randrange(50), rng.randrange(50), i) for i in range(500)]
         ctx = ExecutionContext()
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx))
         assert [r[:2] for r in out] == sorted(r[:2] for r in rows)
 
     def test_in_memory_no_io(self):
         rows = [(i % 5, i, i) for i in range(100)]
         ctx = ctx_with(memory_blocks=1000)
-        list(sort_stream(rows, SCHEMA, SortOrder(["k2"]), ctx))
+        list(sort_rows(rows, SCHEMA, SortOrder(["k2"]), ctx))
         assert ctx.io.total_blocks == 0
         assert ctx.sort_metrics.in_memory_sorts == 1
 
@@ -48,7 +49,7 @@ class TestSrs:
         rng = random.Random(2)
         rows = [(rng.randrange(1000), 0, i) for i in range(2000)]
         ctx = ctx_with(block_size=256, memory_blocks=4)
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(["k1"]), ctx))
         assert [r[0] for r in out] == sorted(r[0] for r in rows)
         assert ctx.io.blocks_written > 0
         assert ctx.io.blocks_read > 0
@@ -60,7 +61,7 @@ class TestSrs:
         n = 4000
         rows = [(rng.randrange(10**6), 0, i) for i in range(n)]
         ctx = ctx_with(block_size=240, memory_blocks=10)  # 100 rows of memory
-        list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx))
+        list(sort_rows(rows, SCHEMA, SortOrder(["k1"]), ctx))
         capacity = ctx.memory_capacity_rows(SCHEMA.row_bytes)
         naive_runs = n / capacity
         assert ctx.sort_metrics.runs_created < naive_runs * 0.8
@@ -70,7 +71,7 @@ class TestSrs:
         run and reads it back."""
         rows = [(i, 0, i) for i in range(2000)]
         ctx = ctx_with(block_size=256, memory_blocks=4)
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx))
         assert [r[0] for r in out] == list(range(2000))
         assert ctx.sort_metrics.runs_created == 1
         assert ctx.io.blocks_written > 0   # the pipeline-breaking run I/O
@@ -79,7 +80,7 @@ class TestSrs:
         rng = random.Random(4)
         rows = [(rng.randrange(10**6), 0, i) for i in range(3000)]
         ctx = ctx_with(block_size=256, memory_blocks=3)  # fan-in 2
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(["k1"]), ctx))
         assert [r[0] for r in out] == sorted(r[0] for r in rows)
         assert ctx.sort_metrics.merge_passes >= 2
 
@@ -94,7 +95,7 @@ class TestSrs:
                 params=SystemParameters(block_size=256,
                                         sort_memory_blocks=memory_blocks),
                 batch_size=batch_size)
-            out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx))
+            out = list(sort_rows(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx))
             assert out == sorted(rows, key=lambda r: r[:2])  # stable
             assert (ctx.sort_metrics.runs_created > 0) == (memory_blocks == 4)
             seen.add(repr(ctx.tallies()))
@@ -111,20 +112,20 @@ class TestSrs:
         # In memory, P = N: n * ceil(log2 n), presorted or not.
         for case in (rows, sorted(rows)):
             ctx = ExecutionContext()
-            list(sort_stream(case, SCHEMA, target, ctx))
+            list(sort_rows(case, SCHEMA, target, ctx))
             assert ctx.comparisons.value == 200 * 8
         # The smallest cases by hand.
         for n, expected in ((0, 0), (1, 0), (2, 2), (3, 6)):
             ctx = ExecutionContext()
-            out = list(sort_stream([(n - i, 0, i) for i in range(n)], SCHEMA,
-                                   SortOrder(["k1"]), ctx))
+            out = list(sort_rows([(n - i, 0, i) for i in range(n)], SCHEMA,
+                                 SortOrder(["k1"]), ctx))
             assert [r[0] for r in out] == list(range(1, n + 1))
             assert ctx.comparisons.value == expected
         # Spilled: 85 rows of sort memory, 500 rows, one merge pass.
         rows = [(rng.randrange(10**6), 0, i) for i in range(500)]
         ctx = ctx_with(block_size=256, memory_blocks=8)
         assert ctx.memory_capacity_rows(SCHEMA.row_bytes) == 85
-        out = list(sort_stream(rows, SCHEMA, target, ctx))
+        out = list(sort_rows(rows, SCHEMA, target, ctx))
         assert out == sorted(rows)
         runs = ctx.sort_metrics.runs_created
         assert 1 < runs <= 7 and ctx.sort_metrics.merge_passes == 1
@@ -137,16 +138,16 @@ class TestMrs:
         rows = presorted_rows(1000, segments=20)
         target = SortOrder(["k1", "k2"])
         ctx1, ctx2 = ExecutionContext(), ExecutionContext()
-        srs = list(sort_stream(rows, SCHEMA, target, ctx1))
-        mrs = list(sort_stream(rows, SCHEMA, target, ctx2,
-                               known_prefix=SortOrder(["k1"])))
+        srs = list(sort_rows(rows, SCHEMA, target, ctx1))
+        mrs = list(sort_rows(rows, SCHEMA, target, ctx2,
+                             known_prefix=SortOrder(["k1"])))
         assert [r[:2] for r in srs] == [r[:2] for r in mrs]
 
     def test_zero_io_when_segments_fit(self):
         rows = presorted_rows(2000, segments=50)
         ctx = ctx_with(block_size=256, memory_blocks=8)  # 85 rows memory, 40-row segments
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
-                               known_prefix=SortOrder(["k1"])))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
+                             known_prefix=SortOrder(["k1"])))
         assert [r[:2] for r in out] == sorted(r[:2] for r in rows)
         assert ctx.io.total_blocks == 0
         assert ctx.sort_metrics.segments_sorted == 50
@@ -155,9 +156,9 @@ class TestMrs:
         rows = presorted_rows(3000, segments=30)
         target = SortOrder(["k1", "k2"])
         ctx_srs, ctx_mrs = ExecutionContext(), ExecutionContext()
-        list(sort_stream(rows, SCHEMA, target, ctx_srs))
-        list(sort_stream(rows, SCHEMA, target, ctx_mrs,
-                         known_prefix=SortOrder(["k1"])))
+        list(sort_rows(rows, SCHEMA, target, ctx_srs))
+        list(sort_rows(rows, SCHEMA, target, ctx_mrs,
+                       known_prefix=SortOrder(["k1"])))
         # Both by the same rule, n * ceil(log2 n) per sort unit, so the gap
         # is the paper's O(n log n) against O(n log(n/k)) and nothing else:
         # one unit of 3000 rows at ceil(log2 3000) = 12, against 3000
@@ -179,8 +180,8 @@ class TestMrs:
                 yield row
 
         ctx = ExecutionContext(batch_size=batch_size)
-        stream = sort_stream(tracked(), SCHEMA, SortOrder(["k1", "k2"]), ctx,
-                             known_prefix=SortOrder(["k1"]))
+        stream = sort_rows(tracked(), SCHEMA, SortOrder(["k1", "k2"]), ctx,
+                           known_prefix=SortOrder(["k1"]))
         first = next(iter(stream))
         assert first[0] == 0
         assert segment_rows < consumed[0] <= segment_rows + batch_size
@@ -218,8 +219,8 @@ class TestMrs:
     def test_oversized_segment_spills_per_segment(self):
         rows = presorted_rows(2000, segments=2)  # 1000-row segments
         ctx = ctx_with(block_size=256, memory_blocks=8)  # ~85 rows of memory
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
-                               known_prefix=SortOrder(["k1"])))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
+                             known_prefix=SortOrder(["k1"])))
         assert [r[:2] for r in out] == sorted(r[:2] for r in rows)
         assert ctx.io.blocks_written > 0
         assert ctx.sort_metrics.segments_sorted == 2
@@ -228,19 +229,19 @@ class TestMrs:
         rows = [(7, v, i) for i, v in enumerate(
             random.Random(6).sample(range(10_000), 1500))]
         ctx_mrs = ctx_with(block_size=256, memory_blocks=4)
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx_mrs,
-                               known_prefix=SortOrder(["k1"])))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx_mrs,
+                             known_prefix=SortOrder(["k1"])))
         assert [r[1] for r in out] == sorted(r[1] for r in rows)
         ctx_srs = ctx_with(block_size=256, memory_blocks=4)
-        list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx_srs))
+        list(sort_rows(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx_srs))
         # Same order of magnitude of I/O: MRS has no advantage left.
         assert ctx_mrs.io.total_blocks >= ctx_srs.io.total_blocks * 0.5
 
     def test_fully_sorted_prefix_is_noop(self):
         rows = presorted_rows(100, segments=100)
         ctx = ExecutionContext()
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1"]), ctx,
-                               known_prefix=SortOrder(["k1"])))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(["k1"]), ctx,
+                             known_prefix=SortOrder(["k1"])))
         assert out == rows
         assert ctx.comparisons.value == 0
 
@@ -248,18 +249,18 @@ class TestMrs:
 class TestDispatch:
     def test_prefix_must_prefix_target(self):
         with pytest.raises(ValueError):
-            list(sort_stream([], SCHEMA, SortOrder(["k1"]), ExecutionContext(),
-                             known_prefix=SortOrder(["k2"])))
+            list(sort_rows([], SCHEMA, SortOrder(["k1"]), ExecutionContext(),
+                           known_prefix=SortOrder(["k2"])))
 
     def test_empty_input(self):
         ctx = ExecutionContext()
-        assert list(sort_stream([], SCHEMA, SortOrder(["k1"]), ctx)) == []
+        assert list(sort_rows([], SCHEMA, SortOrder(["k1"]), ctx)) == []
 
     def test_auto_uses_mrs_with_prefix(self):
         rows = presorted_rows(300, segments=10)
         ctx = ExecutionContext()
-        list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
-                         known_prefix=SortOrder(["k1"])))
+        list(sort_rows(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
+                       known_prefix=SortOrder(["k1"])))
         assert ctx.sort_metrics.segments_sorted == 10
 
 
@@ -284,8 +285,8 @@ class TestPropertyBased:
         prefix_positions = positions[:prefix_len]
         rows = sorted(rows, key=lambda r: tuple(r[i] for i in prefix_positions))
         ctx = ctx_with(block_size=64, memory_blocks=4)  # force spills
-        out = list(sort_stream(rows, SCHEMA, SortOrder(key_cols), ctx,
-                               known_prefix=SortOrder(key_cols[:prefix_len])))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(key_cols), ctx,
+                             known_prefix=SortOrder(key_cols[:prefix_len])))
         expected = sorted(rows, key=lambda r: tuple(r[i] for i in positions))
         assert [tuple(r[i] for i in positions) for r in out] == \
                [tuple(r[i] for i in positions) for r in expected]
@@ -297,11 +298,11 @@ class TestPropertyBased:
     def test_mrs_srs_agree(self, rows):
         rows = sorted(rows, key=lambda r: r[0])
         target = SortOrder(["k1", "k2"])
-        srs = list(sort_stream(rows, SCHEMA, target,
-                               ctx_with(block_size=64, memory_blocks=4)))
-        mrs = list(sort_stream(rows, SCHEMA, target,
-                               ctx_with(block_size=64, memory_blocks=4),
-                               known_prefix=SortOrder(["k1"])))
+        srs = list(sort_rows(rows, SCHEMA, target,
+                             ctx_with(block_size=64, memory_blocks=4)))
+        mrs = list(sort_rows(rows, SCHEMA, target,
+                             ctx_with(block_size=64, memory_blocks=4),
+                             known_prefix=SortOrder(["k1"])))
         assert [r[:2] for r in srs] == [r[:2] for r in mrs]
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.one_of(st.none(),
@@ -311,8 +312,8 @@ class TestPropertyBased:
     def test_null_keys_sort_first(self, rows):
         rows = sorted(rows, key=lambda r: r[0])
         ctx = ExecutionContext()
-        out = list(sort_stream(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
-                               known_prefix=SortOrder(["k1"])))
+        out = list(sort_rows(rows, SCHEMA, SortOrder(["k1", "k2"]), ctx,
+                             known_prefix=SortOrder(["k1"])))
         for (a1, b1, _), (a2, b2, _) in zip(out, out[1:]):
             if a1 == a2:
                 k1 = (b1 is not None, b1 if b1 is not None else 0)

@@ -14,6 +14,7 @@ from repro.storage import (
     TableStats,
     blocks_for,
 )
+from tests.conftest import clustered
 
 
 class TestSchema:
@@ -71,7 +72,7 @@ class TestTable:
         t = Table("t", schema, rows=[(3, 1), (1, 2), (2, 3)],
                   clustering_order=SortOrder(["a"]))
         assert [r[0] for r in t.rows] == [1, 2, 3]
-        assert t.verify_clustering()
+        assert clustered(t)
 
     def test_stats_measured(self):
         schema = Schema.of("a", "b")
@@ -186,8 +187,8 @@ class TestCatalog:
         cat = Catalog()
         cat.create_table("t", Schema.of("a", "b", "c"), rows=[(1, 2, 3)])
         cat.create_index("ix", "t", SortOrder(["a"]), included=["b"])
-        assert [i.name for i in cat.covering_indexes("t", {"a", "b"})] == ["ix"]
-        assert cat.covering_indexes("t", {"a", "c"}) == []
+        assert [i.name for i in cat.indexes_of("t") if i.covers({"a", "b"})] == ["ix"]
+        assert not any(i.covers({"a", "c"}) for i in cat.indexes_of("t"))
 
     def test_index_lookup_names_what_is_missing(self):
         """An unknown covering index is a ``KeyError`` naming table and

@@ -10,10 +10,9 @@ from repro.core.sort_order import SortOrder
 from repro.core.tree_approx import (
     OrderTreeNode,
     approximate_tree_orders,
-    brute_force_tree_orders,
-    build_tree,
     tree_benefit,
 )
+from tests.paper_oracles import brute_force_tree_orders, build_tree
 
 ATTRS = list("abcde")
 
