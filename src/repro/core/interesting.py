@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from ..logical.algebra import Distinct, GroupBy, Join, LogicalExpr, Union
+from ..logical.algebra import GroupBy, Join, LogicalExpr
 from .favorable import FavorableOrders
 from .sort_order import (
     AttributeEquivalence,

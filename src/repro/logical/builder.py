@@ -7,7 +7,7 @@ Query 3 written this way.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union as TUnion
+from typing import Sequence, Union as TUnion
 
 from ..core.sort_order import SortOrder
 from ..expr.aggregates import AggSpec

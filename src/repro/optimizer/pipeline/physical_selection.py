@@ -1,9 +1,10 @@
 """Stage 3 — physical operator selection.
 
 The cost-based Volcano search that turns one logical tree into the
-cheapest physical plan guaranteeing a required sort order: native
-candidate generation per logical operator, the paper's (partial) sort
-enforcers, shard-aware enforcer/join/aggregate/distinct placement, and
+cheapest physical plan guaranteeing a required sort order: one driver
+over a table of each logical operator's physical alternatives
+(:data:`RULES`), the paper's (partial) sort enforcers, shard-aware
+enforcer/join/aggregate/distinct placement, and
 the cost-bounded branch-and-bound memo with Columbia's re-search
 discipline.
 
@@ -25,7 +26,8 @@ the goal's best so far.  See "Groups and goals" in
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ...core.interesting import OrderStrategy
 from ...core.sort_order import (
@@ -55,7 +57,7 @@ from ...storage.statistics import StatsView
 from ..cost import prefer_sharded
 from ..manual import PlanBuilder
 from ..plans import PhysicalPlan
-from .groups import Group, GroupTable
+from .groups import GroupTable
 from .pre_check import OptimizerConfig
 
 #: Per-row unaries that commute with sharding, by plan op: applying them
@@ -82,9 +84,9 @@ def shardable_enforcement_input(plan: PhysicalPlan, catalog: Catalog,
     """Whether *plan* is a shape whose order enforcement can be pushed
     below a shard fan-out — a unary chain over a scan that is either
     contiguously shardable at *parallelism* or range-partitioned.  Shared
-    by the search (:meth:`PhysicalSelection.enforce`) and the serving
-    layer's decision counters, so "a sharded alternative existed" means
-    the same thing in both places.
+    by the search (:meth:`PhysicalSelection._offer`) and the serving
+    layer's decision counters (:func:`shard_decisions`), so "a sharded
+    alternative existed" means the same thing in both places.
     """
     if parallelism < 2:
         return False
@@ -264,28 +266,6 @@ class PhysicalSelection:
         return best
 
     # -- enforcers ------------------------------------------------------------------------
-    def enforce(self, plan: PhysicalPlan, required: SortOrder,
-                limit: float = math.inf,
-                group: Optional[Group] = None) -> Optional[PhysicalPlan]:
-        """Add a (partial) sort enforcer if *plan* misses the requirement.
-
-        *group* is the goal's group, whose FDs and equivalences — valid
-        on the goal's own subtree — decide requirement *satisfaction*: a
-        sibling union branch's join equivalence must neither skip a
-        needed sort nor donate a partial-sort prefix the stream does not
-        actually have.  It defaults to the root group (the whole-query
-        facts) for external callers planning single-subtree chains.
-
-        Returns *plan* when it meets the requirement, else *plan* under
-        the enforcer :meth:`PlanBuilder.sort` builds; ``None`` when no
-        enforcer applies — or when the enforced plan's total cost reaches
-        *limit*, i.e. it provably cannot beat the best alternative
-        already known to the caller.  A goal's search takes the same step
-        for each candidate (:meth:`_offer`).
-        """
-        group = group or self.groups.root
-        return self._offer(plan, group.goal(required)[0], limit, group.eq, {})
-
     def _offer(self, plan: PhysicalPlan, target: SortOrder, limit: float,
                eq: AttributeEquivalence,
                translations: dict[tuple[str, ...], Optional[SortOrder]]
@@ -448,58 +428,61 @@ class PhysicalSelection:
                                  unsharded.op == "Sort", eq)
         return self._gathered(shards, disjoint, unsharded)
 
-    def _and_sharded(self, construct: Callable, inputs: tuple,
-                     fan: Callable, finish: Optional[Callable] = None
-                     ) -> Iterable[PhysicalPlan]:
-        """The unsharded operator, *construct* over its *inputs*, then —
-        when planning for a fan-out — its below-the-exchange form if it
-        applies and wins: *construct* over each shard's inputs, gathered.
+    def _and_sharded(self, rule: Rule, expr: LogicalExpr, variant,
+                     inputs: tuple) -> tuple[PhysicalPlan, ...]:
+        """*rule*'s operator of *expr* on *variant* over the plans
+        *inputs*, then — when planning for a fan-out — its
+        below-the-exchange form if it applies and wins: the operator over
+        each shard's inputs, gathered.
 
-        ``fan()`` says whether it applies (the site's guard) and how the
-        inputs fan out (:meth:`_sorted_shards_of`, :meth:`_copartitions`):
-        per shard the inputs, the measured statistics *construct* takes
-        to price them ``on``, if any, and the rows they weigh in with.
-        Without a *finish* (see :meth:`_gathered`) the shards partition
-        the operator's output, so each copy is told its ``stats``: the
-        unsharded estimate apportioned by weight.  With one they emit
-        partial results, estimated from the shard by *construct* itself.
+        The row's ``fan`` says whether it applies (the row's guard) and
+        how the inputs fan out (:meth:`_sorted_shards_of`,
+        :meth:`_copartitions`): per shard the inputs, the measured
+        statistics the constructor takes to price them ``on``, if any,
+        and the rows they weigh in with.  Without a ``finish`` (see
+        :meth:`_gathered`) the shards partition the operator's output,
+        so each copy is told its ``stats``: the unsharded estimate
+        apportioned by weight.  With one they emit partial results,
+        estimated from the shard by the constructor itself.
         """
-        unsharded = construct(*inputs)
-        yield unsharded
-        fanned = self.config.parallelism > 1 and fan()
+        unsharded = rule.construct(self, expr, variant, *inputs)
+        fanned = (self._shardable and rule.fan is not None
+                  and rule.fan(self, expr, variant, *inputs))
         if not fanned:
-            return
+            return (unsharded,)
         shards, disjoint = fanned
         total = sum(rows for _, _, rows in shards) or 1.0
         nodes = []
         for inputs, on, rows in shards:
             explicit = {} if on is None else {"on": on}
-            if finish is None:
+            if rule.finish is None:
                 explicit["stats"] = unsharded.stats.scaled(rows / total)
-            nodes.append(construct(*inputs, **explicit))
-        sharded = self._gathered(nodes, disjoint, unsharded, finish)
-        if sharded is not None:
-            yield sharded
+            nodes.append(rule.construct(self, expr, variant, *inputs,
+                                        **explicit))
+        sharded = self._gathered(nodes, disjoint, unsharded, rule.finish
+                                 and partial(rule.finish, self, expr, variant))
+        return (unsharded,) if sharded is None else (unsharded, sharded)
 
-    def _sorted_shards_of(self, plan: PhysicalPlan, eq: AttributeEquivalence,
+    def _sorted_shards_of(self, expr: LogicalExpr, plan: PhysicalPlan,
                           *replicated: PhysicalPlan,
-                          leading: Optional[SortOrder] = None):
-        """Fan out an operator's sorted first input *plan* — per-shard
-        sorted pipelines delivering its order, the shards a per-shard
-        join, aggregate or DISTINCT builds on — every shard next to the
-        whole of the *replicated* other inputs (a replicated subtree
-        appears once per shard in the plan, so its replication cost is
-        charged naturally by ``total_cost``).
+                          leading: Optional[str] = None):
+        """Fan out the sorted first input *plan* of the operator of
+        *expr* — per-shard sorted pipelines delivering its order, the
+        shards a per-shard join, aggregate or DISTINCT builds on — every
+        shard next to the whole of the *replicated* other inputs (a
+        replicated subtree appears once per shard in the plan, so its
+        replication cost is charged naturally by ``total_cost``).
 
         Two shapes qualify: a plan whose enforcer was already placed per
         shard (``MergeExchange`` — reuse its children, dropping the
         pre-operator merge, and their disjointness on its leading
         attribute), and a ``Sort``/``PartialSort`` over a contiguously
         shardable chain (shard the chain and apply the same enforcer to
-        each shard; *eq* is what it was matched under, its goal group's).
-        Returns ``None`` for everything else.  *leading* is the order the
-        gather merges on when its leading attribute must literally be
-        the shards' for their disjointness to carry over."""
+        each shard, matched under what it was: the equivalences of the
+        first input's group).  Returns ``None`` for everything else.
+        *leading* is the attribute the gather merges on first when it
+        must literally be the shards' leading one for their disjointness
+        to carry over."""
         if plan.op == "MergeExchange":
             shards, disjoint = plan.children, bool(plan.arg("disjoint", False))
         elif plan.op in ("Sort", "PartialSort"):
@@ -508,20 +491,19 @@ class PhysicalSelection:
             if fan_out is None:
                 return None
             shards, disjoint = self._shards_of(
-                chain, *fan_out, plan.order, plan.op == "Sort", eq), False
+                chain, *fan_out, plan.order, plan.op == "Sort",
+                self.groups.of(expr.children[0]).eq), False
         else:
             return None
-        if leading is not None:
-            disjoint = (disjoint and
-                        plan.order[:1] == leading[:1])
+        disjoint = disjoint and (leading is None or plan.order[:1] == (leading,))
         return [((shard, *replicated), None, shard.stats.N)
                 for shard in shards], disjoint
 
-    def _copartitions(self, left: PhysicalPlan, right: PhysicalPlan,
-                      pairs: tuple[tuple[str, str], ...]):
-        """Fan out both inputs of a join along their tables' declared
-        range partitions — when both are partitioned on one of the join's
-        equality *pairs* with identical bounds, so partition *i* of the
+    def _copartitions(self, join: Join, left: PhysicalPlan,
+                      right: PhysicalPlan):
+        """Fan out both inputs of *join* along their tables' declared
+        range partitions — when both are partitioned on one of its
+        equality pairs with identical bounds, so partition *i* of the
         left can only match partition *i* of the right.  The copies are
         priced on the per-partition views and weigh in with the
         per-partition row-count product."""
@@ -531,7 +513,8 @@ class PhysicalSelection:
             return None
         (lviews, ltable), (rviews, rtable) = fan_outs
         lp, rp = ltable.partitioning, rtable.partitioning
-        if lp.bounds != rp.bounds or (lp.column, rp.column) not in pairs:
+        if (lp.bounds != rp.bounds
+                or (lp.column, rp.column) not in join.predicate.pairs):
             return None
         return [((lshard, rshard), (lview, rview), lview.N * rview.N)
                 for lshard, rshard, lview, rview in zip(
@@ -567,41 +550,45 @@ class PhysicalSelection:
             return plan  # narrower logical projection not expressible
         return self.builder.project(plan, target.names)
 
-    # -- candidate generation ----------------------------------------------------------------
-    def _alternatives(self, build: Callable, expr: LogicalExpr,
-                      inputs: tuple = (), variant=None) -> tuple:
-        """The physical alternatives ``build()`` makes of *expr* over the
-        input plans *inputs*, built once per search and handed to every
-        goal that reaches them: none depends on the goal's required
-        order, which is the enforcer's business (:meth:`enforce`).
-        *variant* is the permutation or order an order-based alternative
-        is built on (hashable), ``None`` for the operator's order-free
-        one.  Keyed in :meth:`PlanBuilder._once`'s idiom: the entry holds
-        *expr* and *inputs*, so an ``id()`` is never reused.  The key is
-        the logical node object, not its group: merge joins and sort
-        aggregates carry it for phase-2 refinement, and structurally
-        equal nodes share a group."""
-        key = (id(expr), *map(id, inputs), variant)
-        hit = self._built.get(key)
-        if hit is None:
-            hit = self._built[key] = (tuple(build()), expr, inputs)
-        return hit[0]
+    # -- candidate generation: one driver over the rows of RULES -------------
+    def _native_candidates(self, expr: LogicalExpr, required: SortOrder,
+                           bound: _Bound) -> Iterable[PhysicalPlan]:
+        """The candidate plans of a goal of *expr*, before enforcement:
+        the rows of its class in :data:`RULES`, walked by the driver
+        :meth:`_generate` — through :meth:`_orders` where they range over
+        the strategy's interesting orders.  Lazy wherever a candidate's
+        child requests read the budget that the goal's earlier
+        candidates shrank."""
+        rules = RULES[expr.__class__]
+        if rules.interesting is not None:
+            return self._orders(rules, expr, required, bound)
+        if expr.children:
+            return self._generate(expr, rules, required, (), bound)
+        # A leaf's rows read nothing of the goal and request no child:
+        # its scans are built once, keyed like an order-free alternative.
+        key = (id(expr), None)
+        if key not in self._built:
+            self._built[key] = (tuple([
+                rule.construct(self, expr, variant) for rule in rules.rows
+                for _, variant in rule.orders(self, expr, required, ())]),
+                expr, ())
+        return self._built[key][0]
 
-    def _orders(self, generate: Callable, method: Callable,
-                expr: LogicalExpr, required: SortOrder, bound: _Bound,
-                columns: Optional[list[str]] = None) -> Iterable[PhysicalPlan]:
+    def _orders(self, rules: Rules, expr: LogicalExpr, required: SortOrder,
+                bound: _Bound) -> Iterable[PhysicalPlan]:
         """The candidates of a join, group-by, DISTINCT or union *expr*:
-        ``generate(expr, orders, bound)`` over the strategy's *method*
-        (``join_orders``, or ``group_orders`` / ``set_orders`` over the
-        node's *columns*), which sees of *required* only what the
-        strategy reads (:meth:`~repro.core.interesting.OrderStrategy.reads`).
-        Both are computed once per search per logical node and read
-        value, in one entry keyed like :meth:`_alternatives` (it holds
-        *expr*): nothing else of a generation depends on the goal, so
-        every later goal with that key replays the candidates without
-        requesting a child goal.  A generation with a child request that
-        came back without a plan is not stored: a larger budget may find
-        what this one's pruning dropped."""
+        its *rules* over the strategy's interesting orders, from the
+        method ``rules.interesting`` gives (``join_orders``, or
+        ``group_orders`` / ``set_orders`` over the node's columns),
+        which sees of *required* only what the strategy reads
+        (:meth:`~repro.core.interesting.OrderStrategy.reads`).  Both are
+        computed once per search per logical node and read value, in one
+        entry that holds *expr*: nothing else of a generation depends on
+        the goal, so every later goal with that key replays the
+        candidates without requesting a child goal.  A generation with a
+        child request that came back without a plan is not stored: a
+        larger budget may find what this one's pruning dropped."""
+        method, columns = rules.interesting(self, expr)
         read = self.strategy.reads(self.favorable, expr, columns, required)
         key = (id(expr), read)
         entry = self._interesting.get(key)
@@ -611,7 +598,8 @@ class PhysicalSelection:
                 method(self.favorable, expr, *args), expr)
         elif entry.candidates is not None:
             return entry.candidates
-        return self._stored(entry, bound, generate(expr, entry.orders, bound))
+        return self._stored(entry, bound, self._generate(
+            expr, rules, required, entry.orders, bound))
 
     @staticmethod
     def _stored(entry: _Interesting, bound: _Bound,
@@ -625,297 +613,307 @@ class PhysicalSelection:
         if not bound.missed:
             entry.candidates = tuple(made)
 
-    def _scans(self, expr: BaseRelation) -> Iterable[PhysicalPlan]:
-        yield self.builder.table_scan(expr.table_name)
-        used = self.groups.used_attrs(expr.table_name)
-        for index in self.catalog.indexes_of(expr.table_name):
-            if index.covers(used):
-                yield self.builder.covering_scan(expr.table_name, index.name)
+    def _generate(self, expr: LogicalExpr, rules: Rules, required: SortOrder,
+                  interesting: list, bound: _Bound) -> Iterable[PhysicalPlan]:
+        """The driver.  Per row of *rules* the configuration enables, per
+        variant of its ``orders``: *expr*'s children requested in its
+        orders, each within what the earlier ones spent, none after one
+        came back without a plan (which marks the generation *missed*);
+        then, when the first plan has the columns the class ``needs``,
+        the row's alternatives over the plans (:meth:`_and_sharded`).
 
-    def _native_candidates(self, expr: LogicalExpr, required: SortOrder,
-                           bound: _Bound) -> Iterable[PhysicalPlan]:
-        """The candidate plans of a goal of *expr*, before enforcement:
-        lazy wherever a candidate's child requests read the budget that
-        the goal's earlier candidates shrank."""
-        build = self.builder
-        if isinstance(expr, BaseRelation):
-            return self._alternatives(lambda: self._scans(expr), expr)
-        if isinstance(expr, Select):
-            return self._unary_candidates(
-                expr, required, bound, self._nameable(required, expr.child),
-                expr.predicate.columns(),
-                lambda child: build.filter(child, expr.predicate))
-        if isinstance(expr, Project):
-            return self._unary_candidates(
-                expr, required, bound, set(required) <= set(expr.columns),
-                expr.columns, lambda child: build.project(child, expr.columns))
-        if isinstance(expr, Compute):
-            return self._unary_candidates(
-                expr, required, bound, self._nameable(required, expr.child),
-                (), lambda child: build.compute(child, expr.outputs))
-        if isinstance(expr, Join):
-            return self._orders(self._join_candidates,
-                                self.strategy.join_orders, expr, required,
-                                bound)
-        if isinstance(expr, GroupBy):
-            # Reduce with this subtree's FDs only: a sibling branch's
-            # constant filter must not shrink the sort key a streaming
-            # aggregate groups on (wrong merges of distinct groups
-            # otherwise).
-            return self._orders(
-                self._group_candidates, self.strategy.group_orders, expr,
-                required, bound, list(self.groups.of(expr).fds
-                                      .reduce_group_columns(expr.group_columns)))
-        if isinstance(expr, Distinct):
-            return self._orders(
-                self._distinct_candidates, self.strategy.set_orders, expr,
-                required, bound, list(self.groups.of(expr).schema.names))
-        if isinstance(expr, Union):
-            return self._orders(
-                self._union_candidates, self.strategy.set_orders, expr,
-                required, bound, list(self.groups.of(expr.left).schema.names))
-        if isinstance(expr, OrderBy):
-            plan = self.optimize_goal(expr.child, expr.order, bound.value)
-            return () if plan is None else (plan,)
-        if isinstance(expr, Limit):
-            child = self.optimize_goal(expr.child, required, bound.value)
-            return () if child is None else self._alternatives(
-                lambda: (build.limit(child, expr.k),), expr, (child,))
-        raise TypeError(f"cannot plan {type(expr).__name__}")
-
-    def _nameable(self, required: SortOrder, child: LogicalExpr) -> bool:
-        """Whether *child*'s output can express every attribute of
-        *required* (by a column or an equivalent of one)."""
-        columns = self.groups.of(child).schema.names
-        return all(any(self.eq.same(a, c) for c in columns) for a in required)
-
-    def _unary_candidates(self, expr: LogicalExpr, required: SortOrder,
-                          bound: _Bound, pushable: bool,
-                          needs: Iterable[str], construct: Callable
-                          ) -> Iterable[PhysicalPlan]:
-        """An order-preserving unary — *construct* over its child's plan —
-        once per child order worth requesting: ε (sort above, fewer
-        rows) and, when *pushable*, the requirement itself (sort below,
-        smaller input); the enforcer framework arbitrates by cost.  A
-        child plan without the columns the operator *needs* is skipped."""
-        child_reqs = [EMPTY_ORDER]
-        if pushable and required:
-            child_reqs.append(required)
-        for child_req in child_reqs:
-            child = self.optimize_goal(expr.child, child_req, bound.value)
-            if child is not None and child.schema.has_all(needs):
-                yield from self._alternatives(lambda: (construct(child),),
-                                              expr, (child,))
-
-    def _request(self, child: LogicalExpr, required: SortOrder,
-                 bound: _Bound, spent: float = 0.0) -> Optional[PhysicalPlan]:
-        """The child goal of a stored generation (:meth:`_orders`),
-        within what *spent* leaves of the budget; a request that comes
-        back without a plan marks the generation *missed*."""
-        plan = self.optimize_goal(child, required, bound.value - spent)
-        if plan is None:
-            bound.missed = True
-        return plan
-
-    def _input_plans(self, expr: LogicalExpr, left_required: SortOrder,
-                     right_required: SortOrder, bound: _Bound):
-        """Cheapest plans of a binary node's two inputs in the required
-        orders — the right within what the left leaves of the budget —
-        or ``None`` if either goal has none within it."""
-        left = self._request(expr.left, left_required, bound)
-        if left is None:
-            return None
-        right = self._request(expr.right, right_required, bound,
-                              left.total_cost)
-        return None if right is None else (left, right)
-
-    # -- joins -------------------------------------------------------------------------------
-    def _join_candidates(self, expr: Join, orders: list[SortOrder],
-                         bound: _Bound) -> Iterable[PhysicalPlan]:
-        pairs = expr.predicate.pairs
-        # A permutation may name a pair by either side's attribute.
-        right_of = {right: right for _, right in pairs} | dict(pairs)
-        left_eq = self.groups.of(expr.left).eq
-        outer = expr.join_type != "inner"
-        for perm in orders:
-            partners = [(a, right_of[a]) for a in perm]
-            # A strategy reduces its permutations under the query's
-            # equivalences, so one may leave a pair out (its left
-            # attribute equals one already in the key — on the left
-            # input's rows; the right attributes need not be equal).
-            # The pair is still part of the predicate: an inner join
-            # enforces it on the merged rows (``merge_join`` does, told
-            # the logical join); an outer join must decide a match on
-            # every pair, so there it rejoins the merge key.
-            if outer and len(partners) < len(pairs):
-                keyed = {right for _, right in partners}
-                partners += [pair for pair in pairs if pair[1] not in keyed]
-                perm = derived_order([left for left, _ in partners])
-            right_perm = derived_order([right for _, right in partners])
-            inputs = self._input_plans(expr, perm, right_perm, bound)
-            if inputs is None:
+        Those are built once per search and handed to every goal that
+        reaches them: none depends on the goal's required order, which
+        is the enforcer's business (:meth:`_offer`).  ``_built`` keeps
+        them under ``(id(expr), *map(id, inputs), variant)``, in
+        :meth:`PlanBuilder._once`'s idiom: the entry holds *expr* and the
+        inputs, so an ``id()`` is never reused.  The key is the logical
+        node object, not its group: merge joins and sort aggregates
+        carry it for phase-2 refinement, and structurally equal nodes
+        share a group."""
+        needs = rules.needs and rules.needs(expr)
+        for rule in rules.rows:
+            if rule.guard and not getattr(self.config, rule.guard):
                 continue
-            left_plan, right_plan = inputs
+            for orders, variant in rule.orders(self, expr, required,
+                                               interesting):
+                inputs, limit = (), bound.value
+                for child, order in zip(expr.children, orders):
+                    plan = self.optimize_goal(child, order, limit)
+                    if plan is None:
+                        bound.missed = True
+                        break
+                    inputs += (plan,)
+                    limit -= plan.total_cost
+                else:
+                    if needs and not inputs[0].schema.has_all(needs):
+                        continue
+                    key = (id(expr), *map(id, inputs), variant)
+                    hit = self._built.get(key)
+                    if hit is None:
+                        hit = self._built[key] = (self._and_sharded(
+                            rule, expr, variant, inputs), expr, inputs)
+                    yield from hit[0]
 
-            def merge_join(left, right, stats=None):
-                return self.builder.merge_join(
-                    left, right, partners, expr.join_type, sort_inputs=False,
-                    logical=expr, stats=stats)
-            # Broadcast: shard the sorted left input and replicate the
-            # right — it only wins when the per-shard sort savings on a
-            # big left side beat re-reading a small right side k−1 extra
-            # times.  Valid for inner and LEFT OUTER joins: the shards
-            # partition the left rows, so every join output (and every
-            # left-padded row) is produced exactly once; a FULL OUTER
-            # join would duplicate right-unmatched rows per shard.  The
-            # gather stays heap-free only when the shards were range
-            # partitions disjoint on the permutation's leading attribute.
-            yield from self._alternatives(
-                lambda: self._and_sharded(
-                    merge_join, inputs,
-                    lambda: expr.join_type != "full" and self._sorted_shards_of(
-                        left_plan, left_eq, right_plan, leading=perm)),
-                expr, inputs, tuple(partners))
-        if self.config.enable_hash_join:
-            inputs = self._input_plans(expr, EMPTY_ORDER, EMPTY_ORDER, bound)
-            if inputs is not None:
-                def hash_join(left, right, stats=None, on=None):
-                    return self.builder.hash_join(left, right, pairs,
-                                                  expr.join_type, stats, on)
-                # The classic partitioned hash join.  Valid for every join
-                # type (unlike the broadcast, nothing is replicated), and
-                # the win is the Grace term: per-partition builds that fit
-                # in sort memory skip the partition-spill I/O a monolithic
-                # build pays.  Hash output is unordered anyway, so the
-                # gather is a plain exchange union, costing nothing.
-                yield from self._alternatives(
-                    lambda: self._and_sharded(
-                        hash_join, inputs,
-                        lambda: self._copartitions(*inputs, pairs)),
-                    expr, inputs)
 
-    # -- aggregation --------------------------------------------------------------------------
-    def _group_candidates(self, expr: GroupBy, orders: list[SortOrder],
-                          bound: _Bound) -> Iterable[PhysicalPlan]:
-        group_cols = list(expr.group_columns)
-        needs = set(group_cols).union(*(a.columns() for a in expr.aggregates))
-        child_eq = self.groups.of(expr.child).eq
-        for perm in orders:
-            child = self._request(expr.child, perm, bound)
-            if child is None or not child.schema.has_all(needs):
-                continue
+# -- the rule table: one row per physical alternative -----------------------
+class Rule(NamedTuple):
+    """One physical alternative of a logical operator, a row of
+    :data:`RULES`.  Each callable takes the search and the logical node
+    first."""
 
-            def aggregate(shard):
-                return self.builder.sort_aggregate(
-                    shard, perm, expr.aggregates, group_cols, logical=expr)
-            # Per shard: each aggregates its (sorted) slice, the merge
-            # gathers one *partial* row per per-shard group (real
-            # per-shard distinct counts — under clustering skew far fewer
-            # than the uniform ``k·D/k = D``), and a SortedGroupCombine
-            # folds the groups that straddled shard boundaries.  Only
-            # aggregates with an exact combiner qualify (``avg`` would
-            # need a sum+count split), so recombined results are
-            # bit-identical to the unsharded plan.
-            yield from self._alternatives(
-                lambda: self._and_sharded(
-                    aggregate, (child,),
-                    lambda: combinable(expr.aggregates)
-                    and self._sorted_shards_of(child, child_eq),
-                    finish=lambda gather, whole: self.builder.sorted_combine(
-                        gather, group_cols, expr.aggregates, whole.stats)),
-                expr, (child,), perm)
-        if self.config.enable_hash_aggregate:
-            child = self._request(expr.child, EMPTY_ORDER, bound)
-            if child is not None and child.schema.has_all(needs):
-                yield from self._alternatives(
-                    lambda: (self.builder.hash_aggregate(
-                        child, group_cols, expr.aggregates),),
-                    expr, (child,))
+    #: ``orders(search, expr, required, interesting)``: per variant,
+    #: ``(an order per child, variant)``, from ε, the goal's *required*
+    #: order, or each of the strategy's *interesting* orders
+    #: (:attr:`Rules.interesting`) the row does not skip.  The variant
+    #: is what the operator is built on besides its inputs (a merge key,
+    #: an order, an index): hashable, ``None`` for an order-free
+    #: alternative, never what another row of the class builds on.
+    orders: Callable
+    #: ``construct(search, expr, variant, *inputs, **explicit)``: the
+    #: operator, by its one :class:`PlanBuilder` constructor; *explicit*
+    #: is what a per-shard copy is told (``stats=``, ``on=``).
+    construct: Callable
+    #: The plan op *construct* builds (``None``: the child plan itself).
+    op: Optional[str]
+    #: The :class:`OptimizerConfig` flag that enables the row, if any.
+    guard: Optional[str] = None
+    #: ``fan(search, expr, variant, *inputs)``: how the inputs fan out
+    #: below a shard exchange, falsy where the row's guard refuses or
+    #: none applies (:meth:`PhysicalSelection._and_sharded`).
+    fan: Optional[Callable] = None
+    #: ``finish(search, expr, variant, gather, whole)``: the operator
+    #: above the gather of per-shard partial results.
+    finish: Optional[Callable] = None
 
-    # -- set operations --------------------------------------------------------------------------
-    @staticmethod
-    def _complete_set_order(perm: SortOrder, columns: list[str],
-                            equivalences: list) -> Optional[SortOrder]:
-        """Extend a (possibly equivalence-collapsed) permutation to cover
-        every output column, as sorted dedup operators require.
 
-        Interesting-order strategies canonicalize attributes, so a perm
-        over a union/distinct of joined inputs may omit columns equated
-        by a join (``t2_c1 ≡ t1_c1``).  Appending such a column keeps the
-        stream genuinely sorted **only if the equality holds inside the
-        subtree producing the rows** — each entry of *equivalences* is a
-        ``(rename, eq)`` pair for one child subtree (identity rename for
-        a single child), and every missing column must be equivalent to
-        some perm member under all of them.  Returns ``None`` when a
-        missing column cannot be soundly appended (the hash-based
-        candidates still cover the goal)."""
+class Rules(NamedTuple):
+    """A logical class's rows, in the order a goal offers their
+    candidates (ties keep the first); for an order-consuming operator
+    ``interesting(search, expr)``: the strategy method its interesting
+    orders come from and the node's columns it takes them over
+    (``None`` for a join); and ``needs(expr)``: the columns every row's
+    first input must have, those the logical operator reads."""
+
+    rows: tuple[Rule, ...]
+    interesting: Optional[Callable] = None
+    needs: Optional[Callable] = None
+
+
+#: Per number of children, the one variant with every child unordered.
+_UNORDERED = [(((EMPTY_ORDER,) * n, None),) for n in range(3)]
+
+
+def _unordered(search, expr, required, interesting):
+    return _UNORDERED[len(expr.children)]
+
+
+def _pushed(pushable: Callable) -> Callable:
+    """An order-preserving unary's child orders: ε (sort above, fewer
+    rows) and, when ``pushable(search, expr, required)``, the
+    requirement itself (sort below, smaller input); the enforcer
+    framework arbitrates by cost."""
+    return lambda search, expr, required, _: (
+        (((EMPTY_ORDER,), None), ((required,), None))
+        if required and pushable(search, expr, required) else _UNORDERED[1])
+
+
+def _nameable(search, expr, required) -> bool:
+    """Whether *expr*'s child can express every attribute of *required*
+    (by a column or an equivalent of one)."""
+    columns = search.groups.of(expr.child).schema.names
+    return all(any(search.eq.same(a, c) for c in columns) for a in required)
+
+
+def _covering_indexes(search, scan, required, interesting):
+    """Per index covering every attribute the query reads of the table,
+    its name."""
+    used = search.groups.used_attrs(scan.table_name)
+    return [((), index.name) for index in search.catalog.indexes_of(
+        scan.table_name) if index.covers(used)]
+
+
+def _merge_keys(search, join, required, interesting):
+    """Per interesting permutation, the two inputs' orders and, the
+    variant, the merge key's pairs."""
+    pairs = join.predicate.pairs
+    # A permutation may name a pair by either side's attribute.
+    right_of = {right: right for _, right in pairs} | dict(pairs)
+    for perm in interesting:
+        rights = list(map(right_of.__getitem__, perm))
+        # A strategy reduces its permutations under the query's
+        # equivalences, so one may leave a pair out (its left attribute
+        # equals one already in the key — on the left input's rows; the
+        # right attributes need not be equal).  The pair is still part
+        # of the predicate: an inner join enforces it on the merged rows
+        # (``merge_join`` does, told the logical join); an outer join
+        # must decide a match on every pair, so there it rejoins the
+        # merge key.
+        if join.join_type != "inner" and len(rights) < len(pairs):
+            missing = [pair for pair in pairs if pair[1] not in rights]
+            perm = derived_order((*perm, *(left for left, _ in missing)))
+            rights += [right for _, right in missing]
+        yield (perm, derived_order(rights)), tuple(zip(perm, rights))
+
+
+def _set_orders(search, expr, required, interesting):
+    """Per interesting permutation, the permutation for each child — a
+    union's right input in its own column names — and, the variant, the
+    permutation extended to every output column, as sorted dedup
+    operators require, with the permutation itself.
+
+    Strategies canonicalize attributes, so a permutation over a
+    union/distinct of joined inputs may omit columns equated by a join
+    (``t2_c1 ≡ t1_c1``).  Appending such a column keeps the stream
+    sorted **only if the equality holds inside the subtree producing the
+    rows**: each missing column must be equivalent to some member under
+    every child subtree's equivalences, through its rename.  A
+    permutation that cannot be soundly extended is skipped (the
+    hash-based candidates still cover the goal)."""
+    groups = [search.groups.of(child) for child in expr.children]
+    columns = groups[0].schema.names
+    renames = [dict(zip(columns, group.schema.names)) for group in groups]
+    for perm in interesting:
         missing = [c for c in columns if c not in perm]
-        if not missing:
-            return perm
-        for c in missing:
-            ok = all(any(eq.same(rename.get(c, c), rename.get(a, a))
-                         for a in perm)
-                     for rename, eq in equivalences)
-            if not ok:
-                return None
-        return derived_order((*perm, *missing))
+        if all(any(group.eq.same(rename.get(c, c), rename.get(a, a))
+                   for a in perm)
+               for c in missing for rename, group in zip(renames, groups)):
+            full = derived_order((*perm, *missing)) if missing else perm
+            yield tuple(map(perm.translate, renames)), (full, perm)
 
-    def _distinct_candidates(self, expr: Distinct, orders: list[SortOrder],
-                             bound: _Bound) -> Iterable[PhysicalPlan]:
-        columns = list(self.groups.of(expr).schema.names)
-        child_eq = self.groups.of(expr.child).eq
-        for perm in orders:
-            full_order = self._complete_set_order(perm, columns,
-                                                  [({}, child_eq)])
-            if full_order is None:
-                continue
-            child = self._request(expr.child, perm, bound)
-            if child is None:
-                continue
 
-            def dedup(shard, stats=None):
-                return self.builder.dedup(shard, full_order, columns, stats)
-            # Per shard: each deduplicates its (sorted) slice, the
-            # order-preserving merge gathers one row per per-shard
-            # distinct value, and the same Dedup above the merge drops
-            # duplicates that straddled shard boundaries — adjacent after
-            # the merge, so the result is bit-identical to the unsharded
-            # one.  Wins when in-shard duplicates shrink the merge input
-            # (the DISTINCT analogue of the per-shard aggregation) or when
-            # the per-shard enforcers below already avoided a spill.
-            yield from self._alternatives(
-                lambda: self._and_sharded(
-                    dedup, (child,),
-                    lambda: self._sorted_shards_of(child, child_eq),
-                    finish=lambda gather, whole: dedup(gather,
-                                                       stats=whole.stats)),
-                expr, (child,), perm)
-        child = self._request(expr.child, EMPTY_ORDER, bound)
-        if child is not None:
-            yield from self._alternatives(
-                lambda: (self.builder.hash_dedup(child, columns),),
-                expr, (child,))
+def _set_interesting(search, expr):
+    return search.strategy.set_orders, list(search.groups.of(expr).schema.names)
 
-    def _union_candidates(self, expr: Union, orders: list[SortOrder],
-                          bound: _Bound) -> Iterable[PhysicalPlan]:
-        lgroup, rgroup = self.groups.of(expr.left), self.groups.of(expr.right)
-        rename = dict(zip(lgroup.schema.names, rgroup.schema.names))
-        columns = list(lgroup.schema.names)
-        for perm in orders:
-            full_order = self._complete_set_order(
-                perm, columns, [({}, lgroup.eq), (rename, rgroup.eq)])
-            if full_order is None:
-                continue
-            inputs = self._input_plans(expr, perm, perm.translate(rename),
-                                       bound)
-            if inputs is not None:
-                yield from self._alternatives(
-                    lambda: (self.builder.merge_union(
-                        *inputs, full_order, sort_inputs=False),),
-                    expr, inputs, perm)
-        inputs = self._input_plans(expr, EMPTY_ORDER, EMPTY_ORDER, bound)
-        if inputs is not None:
-            yield from self._alternatives(
-                lambda: (self.builder.hash_dedup(
-                    self.builder.union_all(*inputs), columns),),
-                expr, inputs)
+
+def _dedup(s, e, v, child, stats=None):
+    return s.builder.dedup(child, v[0], s.groups.of(e).schema.names, stats)
+
+
+#: Every logical class's physical alternatives, one row each.  Adding one
+#: is a row here, its :class:`PlanBuilder` constructor and its
+#: ``LOWERINGS`` row (``engine/lowering.py``).  A row's callables name
+#: the search ``s``, the logical node ``e`` and the variant ``v``.
+RULES: dict[type, Rules] = {
+    BaseRelation: Rules((
+        Rule(_unordered, lambda s, e, v: s.builder.table_scan(e.table_name),
+             "TableScan"),
+        Rule(_covering_indexes, lambda s, e, v: s.builder.covering_scan(
+            e.table_name, v), "CoveringIndexScan"))),
+    Select: Rules((Rule(_pushed(_nameable), lambda s, e, v, child:
+                        s.builder.filter(child, e.predicate), "Filter"),),
+                  needs=lambda e: e.predicate.columns()),
+    Project: Rules((Rule(
+        _pushed(lambda s, e, required: set(required) <= set(e.columns)),
+        lambda s, e, v, child: s.builder.project(child, e.columns),
+        "Project"),), needs=lambda e: e.columns),
+    Compute: Rules((Rule(_pushed(_nameable), lambda s, e, v, child:
+                         s.builder.compute(child, e.outputs), "Compute"),)),
+    Join: Rules((
+        # Broadcast: shard the sorted left input and replicate the right
+        # — it only wins when the per-shard sort savings on a big left
+        # side beat re-reading a small right side k−1 extra times.  Valid
+        # for inner and LEFT OUTER joins: the shards partition the left
+        # rows, so every join output (and every left-padded row) is
+        # produced exactly once; a FULL OUTER join would duplicate
+        # right-unmatched rows per shard.  The gather stays heap-free
+        # only when the shards were range partitions disjoint on the
+        # merge key's leading attribute.
+        Rule(_merge_keys, lambda s, e, v, left, right, stats=None:
+             s.builder.merge_join(left, right, v, e.join_type,
+                                  sort_inputs=False, logical=e, stats=stats),
+             "MergeJoin", fan=lambda s, e, v, left, right: e.join_type
+             != "full" and s._sorted_shards_of(e, left, right,
+                                               leading=v[0][0])),
+        # The classic partitioned hash join.  Valid for every join type
+        # (unlike the broadcast, nothing is replicated), and the win is
+        # the Grace term: per-partition builds that fit in sort memory
+        # skip the partition-spill I/O a monolithic build pays.  Hash
+        # output is unordered anyway, so the gather is a plain exchange
+        # union, costing nothing.
+        Rule(_unordered, lambda s, e, v, left, right, stats=None, on=None:
+             s.builder.hash_join(left, right, e.predicate.pairs, e.join_type,
+                                 stats, on), "HashJoin", "enable_hash_join",
+             fan=lambda s, e, v, left, right: s._copartitions(e, left, right)),
+    ), lambda s, e: (s.strategy.join_orders, None)),
+    GroupBy: Rules((
+        # Per shard: each aggregates its (sorted) slice, the merge
+        # gathers one *partial* row per per-shard group (real per-shard
+        # distinct counts — under clustering skew far fewer than the
+        # uniform ``k·D/k = D``), and a SortedGroupCombine folds the
+        # groups that straddled shard boundaries.  Only aggregates with
+        # an exact combiner qualify (``avg`` would need a sum+count
+        # split), so recombined results are bit-identical to the
+        # unsharded plan.
+        Rule(lambda s, e, required, orders: [((o,), o) for o in orders],
+             lambda s, e, v, child: s.builder.sort_aggregate(
+                 child, v, e.aggregates, e.group_columns, logical=e),
+             "SortAggregate", fan=lambda s, e, v, child: combinable(
+                 e.aggregates) and s._sorted_shards_of(e, child),
+             finish=lambda s, e, v, gather, whole: s.builder.sorted_combine(
+                 gather, e.group_columns, e.aggregates, whole.stats)),
+        Rule(_unordered, lambda s, e, v, child: s.builder.hash_aggregate(
+            child, e.group_columns, e.aggregates), "HashAggregate",
+             "enable_hash_aggregate"),
+        # Group orders over the columns reduced with this subtree's FDs
+        # only: a sibling branch's constant filter must not shrink the
+        # sort key a streaming aggregate groups on (wrong merges of
+        # distinct groups otherwise).
+    ), lambda s, e: (s.strategy.group_orders, list(
+        s.groups.of(e).fds.reduce_group_columns(e.group_columns))),
+        lambda e: set(e.group_columns).union(*(a.columns() for a in e.aggregates))),
+    Distinct: Rules((
+        # Per shard: each deduplicates its (sorted) slice, the
+        # order-preserving merge gathers one row per per-shard distinct
+        # value, and the same Dedup above the merge drops duplicates that
+        # straddled shard boundaries — adjacent after the merge, so the
+        # result is bit-identical to the unsharded one.  Wins when
+        # in-shard duplicates shrink the merge input (the DISTINCT
+        # analogue of the per-shard aggregation) or when the per-shard
+        # enforcers below already avoided a spill.
+        Rule(_set_orders, _dedup, "Dedup",
+             fan=lambda s, e, v, child: s._sorted_shards_of(e, child),
+             finish=lambda s, e, v, gather, whole: _dedup(
+                 s, e, v, gather, whole.stats)),
+        Rule(_unordered, lambda s, e, v, child: s.builder.hash_dedup(
+            child, s.groups.of(e).schema.names), "HashDedup"),
+    ), _set_interesting),
+    Union: Rules((
+        Rule(_set_orders, lambda s, e, v, left, right: s.builder.merge_union(
+            left, right, v[0], sort_inputs=False), "MergeUnion"),
+        Rule(_unordered, lambda s, e, v, left, right: s.builder.hash_dedup(
+            s.builder.union_all(left, right), s.groups.of(e).schema.names),
+             "HashDedup"),
+    ), _set_interesting),
+    OrderBy: Rules((Rule(lambda s, e, required, _: (((e.order,), None),),
+                         lambda s, e, v, child: child, None),)),
+    Limit: Rules((Rule(lambda s, e, required, _: (((required,), None),),
+                       lambda s, e, v, child: s.builder.limit(child, e.k), "Limit"),)),
+}
+
+#: The serving layer's counters of fresh plans that run an operator of
+#: the class's rows per shard, straight under a gather.
+SHARDED_COUNTERS = {"sharded_join_plans": Join, "sharded_agg_plans": GroupBy,
+                    "sharded_distinct_plans": Distinct}
+
+
+def shard_decisions(plan: PhysicalPlan, catalog: Catalog,
+                    parallelism: int) -> list[str]:
+    """The decision counters of the serving layer a fresh *plan* for
+    *parallelism* > 1 bumps: each of :data:`SHARDED_COUNTERS` whose
+    class it shards, then ``shard_merge_plans`` when something was
+    placed below a ``MergeExchange``, else ``post_union_sort_plans``
+    when a sort stayed above an input it could have been placed below
+    (:func:`shardable_enforcement_input`) — interior sorts over
+    unshardable shapes (join inputs etc.) are not decisions."""
+    merges = plan.find_all("MergeExchange")
+    sharded = {node.op for gather in merges + plan.find_all("ExchangeUnion")
+               for node in gather.children}
+    counters = [name for name, cls in SHARDED_COUNTERS.items()
+                if any(rule.op in sharded for rule in RULES[cls].rows)]
+    if merges:
+        counters.append("shard_merge_plans")
+    elif any(node.op in ("Sort", "PartialSort") and shardable_enforcement_input(
+            node.children[0], catalog, parallelism) for node in plan.walk()):
+        counters.append("post_union_sort_plans")
+    return counters

@@ -4,7 +4,7 @@ Request-driven search: ``optimize_goal(expr, required_order)`` returns
 the cheapest physical plan for a logical expression that *guarantees*
 the required sort order, memoised on ``(expr, canonical(order))``.
 Every native candidate (scans, joins per interesting order, aggregates,
-…) is passed through :meth:`PhysicalSelection.enforce`, which appends
+…) is passed through :meth:`PhysicalSelection._offer`, which appends
 
 * nothing, when the candidate's guaranteed order already satisfies the
   (FD-reduced) requirement;

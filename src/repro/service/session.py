@@ -53,7 +53,7 @@ from ..core.sort_order import SortOrder
 from ..obs.analyze import ExplainAnalyze
 from ..obs.trace import child_span
 from ..optimizer.pipeline.groups import GroupTable
-from ..optimizer.pipeline.physical_selection import shardable_enforcement_input
+from ..optimizer.pipeline.physical_selection import shard_decisions
 from ..optimizer.plans import PhysicalPlan
 from ..optimizer.volcano import Optimizer, split_required_order
 from ..storage.catalog import Catalog
@@ -127,17 +127,19 @@ class SessionMetrics:
     optimize_seconds: float = 0.0
     #: Shard-aware enforcer placement decisions, counted once per fresh
     #: optimization at ``parallelism > 1``: plans that enforce order
-    #: per shard under a MergeExchange vs plans that kept the post-union
-    #: sort because the cost model said the merge would not pay off.
+    #: per shard under an order-preserving merge vs plans that kept the
+    #: post-union sort because the cost model said the merge would not
+    #: pay off.  The optimizer reads them off the plan
+    #: (:func:`~repro.optimizer.pipeline.physical_selection.shard_decisions`).
     shard_merge_plans: int = 0
     post_union_sort_plans: int = 0
-    #: Fresh plans that shard a *join* (per-shard merge joins under an
+    #: Fresh plans that shard a *join* (per-shard joins under an
     #: exchange gather — broadcast or co-partitioned) and plans that
     #: shard an *aggregation* (per-shard aggregates + final combine).
     sharded_join_plans: int = 0
     sharded_agg_plans: int = 0
-    #: Fresh plans that shard a *DISTINCT*: per-shard Dedup under a
-    #: MergeExchange with a merge-level final dedup.
+    #: Fresh plans that shard a *DISTINCT*: per-shard deduplication under
+    #: an order-preserving merge with a merge-level final dedup.
     sharded_distinct_plans: int = 0
     #: Per-stage optimizer telemetry, summed over fresh optimizations
     #: (from :attr:`Optimizer.last_telemetry`): stage-2 join-enumeration
@@ -252,8 +254,8 @@ class QuerySession:
         """Plan (or fetch the cached plan for) a query.
 
         ``parallelism > 1`` plans for a sharded execution: enforcers may
-        be placed per shard under a MergeExchange when the cost model
-        favours it, so the fan-out is part of the cache key — the same
+        be placed per shard under an order-preserving merge when the cost
+        model favours it, so the fan-out is part of the cache key — the same
         logical query prepared at a different parallelism is a different
         physical plan.
         """
@@ -315,26 +317,8 @@ class QuerySession:
             setattr(self.metrics, name,
                     getattr(self.metrics, name) + telemetry[name])
         if parallelism > 1:
-            gathers = plan.find_all("MergeExchange")
-            if any(c.op == "MergeJoin" for g in gathers for c in g.children) \
-                    or any(c.op in ("MergeJoin", "HashJoin")
-                           for g in plan.find_all("ExchangeUnion")
-                           for c in g.children):
-                self.metrics.sharded_join_plans += 1
-            if plan.find_all("SortedCombine"):
-                self.metrics.sharded_agg_plans += 1
-            if any(c.op == "Dedup" for g in gathers for c in g.children):
-                self.metrics.sharded_distinct_plans += 1
-            if gathers:
-                self.metrics.shard_merge_plans += 1
-            elif any(shardable_enforcement_input(node.children[0], self.catalog,
-                                                 parallelism)
-                     for node in plan.walk()
-                     if node.op in ("Sort", "PartialSort")):
-                # Only count sorts where a per-shard alternative actually
-                # existed and lost on cost — interior sorts over
-                # unshardable shapes (join inputs etc.) are not decisions.
-                self.metrics.post_union_sort_plans += 1
+            for name in shard_decisions(plan, self.catalog, parallelism):
+                setattr(self.metrics, name, getattr(self.metrics, name) + 1)
         entry = PreparedPlan(plan, self.optimizer.last_param_names)
         self.cache.put(fp, entry, version)
         return PreparedQuery(self, entry, fp, required, from_cache=False,

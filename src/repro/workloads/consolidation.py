@@ -19,7 +19,6 @@ import random
 from typing import Optional
 
 from ..core.sort_order import SortOrder
-from ..expr import JoinPredicate, col
 from ..logical import Query
 from ..storage import Catalog, Schema, SystemParameters, TableStats
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from ..core.sort_order import SortOrder
 from ..expr import col
-from ..expr.aggregates import AggSpec, agg_min, agg_sum
+from ..expr.aggregates import agg_min, agg_sum
 from ..logical import Query
 from ..storage import Catalog, Schema, SystemParameters, TableStats
 

@@ -85,13 +85,16 @@ class TestBranchAndBound:
         run = PhysicalSelection(cat, expr, make_strategy("pyro-o"),
                               OptimizerConfig())
         scan = run.optimize_goal(expr, EMPTY_ORDER)
-        enforced = run.enforce(scan, SortOrder(["b"]))
+        group = run.groups.root
+        target = group.goal(SortOrder(["b"]))[0]
+
+        def offer(limit=math.inf):
+            return run._offer(scan, target, limit, group.eq, {})
+        enforced = offer()
         assert enforced is not None and enforced.op == "Sort"
         # A budget at (or below) the enforced cost rejects the candidate.
-        assert run.enforce(scan, SortOrder(["b"]),
-                           limit=enforced.total_cost) is None
-        assert run.enforce(scan, SortOrder(["b"]),
-                           limit=enforced.total_cost + 1.0) is not None
+        assert offer(limit=enforced.total_cost) is None
+        assert offer(limit=enforced.total_cost + 1.0) is not None
 
     def test_pruning_disabled_examines_like_seed(self):
         """cost_bound_pruning=False must never return None for inf limits

@@ -224,7 +224,9 @@ def test_a_search_decides_once_whether_it_can_shard(monkeypatch):
     candidate of the many-join x PYRO-E prepare asks of its input at
     parallelism 1, or over a stats-only copy of the catalog at 4 (609
     did in each when every candidate asked); over the materialised
-    tables at 4 they do."""
+    tables at 4 they do.  It plans through the optimizer: a session's
+    prepare asks once more, for its decision counters
+    (``physical_selection.shard_decisions``)."""
     asked = []
     shardable_input = physical_selection.shardable_enforcement_input
     def counting(plan, catalog, k):
@@ -235,7 +237,7 @@ def test_a_search_decides_once_whether_it_can_shard(monkeypatch):
 
     def asking(catalog, parallelism):
         asked.clear()
-        QuerySession(catalog, strategy="pyro-e").prepare(
+        Optimizer(catalog, strategy="pyro-e").optimize(
             many_join_query(), parallelism=parallelism)
         return len(asked)
 
@@ -734,3 +736,15 @@ def test_stripped_plans_pickle_alike_under_another_hash_seed():
     assert [len(p) for p in pickled[0]] == [len(p) for p in pickled[1]]
     for label, here, there in zip(("q3", "q5", "report task"), *pickled):
         assert here == there, label
+
+
+def test_every_logical_class_has_rules():
+    """The search plans a node by its class's rows of ``RULES``, looked
+    up by exact class: every concrete logical operator of the algebra
+    has rows, so none can fail only when a query first plans it."""
+    concrete = {cls for cls in vars(algebra).values()
+                if isinstance(cls, type) and cls is not algebra.LogicalExpr
+                and issubclass(cls, algebra.LogicalExpr)}
+    assert len(concrete) == 10
+    assert set(physical_selection.RULES) == concrete
+    assert all(rules.rows for rules in physical_selection.RULES.values())

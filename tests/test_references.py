@@ -89,8 +89,10 @@ def test_ci_runs_nothing_under_benchmarks():
 
 
 def test_benchmarks_hold_only_the_e2e_benchmark_and_its_pair_runner():
+    """Beside the pair runner, its deterministic counterpart: the
+    bytecodes each ``plan_cold`` operation executes, parent and change."""
     names = {p.name for p in (ROOT / "benchmarks").iterdir()} - {"__pycache__"}
-    assert names == {"e2e", "ab_pairs.py"}
+    assert names == {"e2e", "ab_pairs.py", "opcount.py"}
 
 
 def test_every_import_is_stdlib_test_tooling_repro_or_a_sibling():
@@ -332,3 +334,43 @@ def test_every_definition_is_named_outside_tests():
             else:
                 unnamed.append(label)
     assert (unnamed, sorted(set(UNREFERENCED) - found)) == ([], [])
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """The names *path* imports and never reads: neither in its code nor
+    in a quoted annotation, nor in its ``__all__``.  ``__future__``
+    features are not names."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= {name.id for name in ast.walk(
+                    ast.parse(node.value, mode="eval"))
+                    if isinstance(name, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    """Every name a module under ``src/repro`` imports is read by it —
+    but for the re-exports of a package's ``__init__.py``."""
+    unused = {f"{path.relative_to(ROOT)}: {', '.join(names)}"
+              for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+              if path.name != "__init__.py"
+              for names in [_unused_imports(path)] if names}
+    assert unused == set()

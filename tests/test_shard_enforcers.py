@@ -716,9 +716,10 @@ def test_gate_clone_and_gather_are_stated_once():
     What a node's schema, order, statistics and cost are is stated once
     as well: only the builder module calls ``make_plan`` or re-prices a
     node (``node._replace(..., self_cost=)``).  And a sharded
-    operator is one constructor plus one call of the driver: nothing but
-    the driver and the enforcer placement assembles a gather, and no
-    alternative survives as its own method.
+    operator is one row of ``RULES`` with a fan-out: nothing but the
+    row driver's ``_and_sharded`` and the enforcer placement assembles a
+    gather, and no alternative or logical class survives as its own
+    method.
 
     An enforcer's cost is stated once too: the search prices one in
     :meth:`PlanBuilder.sort`, which builds it, and in
@@ -777,6 +778,8 @@ def test_gate_clone_and_gather_are_stated_once():
                          "physical_selection.py:_sharded_enforcement"}
     assert not [name for name in vars(PhysicalSelection)
                 if name.endswith("_alternative") or "hash_join" in name]
+    assert [name for name in vars(PhysicalSelection)
+            if name.endswith("_candidates")] == ["_native_candidates"]
     assert pricers == {"manual.py:sort", "cost.py:coe",
                        "physical_selection.py:_sharded_enforcement"}, pricers
     assert not coe_callers, coe_callers
